@@ -1,0 +1,314 @@
+module Metrics = Hsq_obs.Metrics
+module Trace = Hsq_obs.Trace
+module Partition = Hsq_hist.Partition
+module Pool = Hsq_util.Parallel.Pool
+
+let clamp_rank ~n r = if r < 1 then 1 else if r > n then n else r
+
+(* phi-quantiles per Definition 1: rank = ceil(phi * n), clamped.
+   [who] names the caller in the error. *)
+let rank_of_phi ~who ~n phi =
+  if not (phi > 0.0 && phi <= 1.0) then invalid_arg (who ^ ": phi not in (0,1]");
+  clamp_rank ~n (int_of_float (ceil (phi *. float_of_int n)))
+
+(* The rank window an answer can be off by: [max (U - r) (r - L)] from
+   the union summary's Lemma 2 windows, widened by [widen] elements the
+   summary cannot place (quarantined partitions, lost shards). *)
+let rank_bound us ~rank v ~widen =
+  let r = float_of_int rank in
+  let lo, hi = Union_summary.rank_window us v in
+  Float.max (hi -. r) (r -. lo) +. float_of_int widen
+
+(* Algorithm 5 with its bound: the answer every degraded path falls back
+   to.  [us] must be non-empty. *)
+let memory_answer us ~rank ~widen =
+  let rank = clamp_rank ~n:(Union_summary.n_total us) rank in
+  let v = Union_summary.quick_select us ~rank in
+  (v, rank_bound us ~rank v ~widen)
+
+(* Per-call deadline wins over the config default; both count wall
+   clock from [start], the query's start. *)
+let deadline_at ~start ?deadline_ms (config : Config.t) =
+  match (deadline_ms, config.Config.query_deadline_ms) with
+  | Some d, _ | None, Some d -> Some (start +. (d /. 1000.0))
+  | None, None -> None
+
+(* The probe worker pool, spawned on the first query that fans out
+   (lanes - 1 workers; the querying domain is the remaining lane). *)
+type pool = { lanes : int; metrics : Metrics.t option; mutable live : Pool.t option }
+
+let pool ?metrics (config : Config.t) =
+  let lanes = match config.Config.query_domains with Some d when d > 1 -> d | _ -> 1 in
+  { lanes; metrics; live = None }
+
+let workers p =
+  match p.live with
+  | Some w -> w
+  | None ->
+    let w = Pool.create ?metrics:p.metrics ~workers:(p.lanes - 1) () in
+    p.live <- Some w;
+    w
+
+let shutdown_pool p =
+  match p.live with
+  | None -> ()
+  | Some w ->
+    p.live <- None;
+    Pool.shutdown w
+
+type ('o, 'm) view = {
+  summary : Union_summary.t;
+  streams : Stream_summary.t list;
+  probes : ('o * Partition.t) list;
+  meta : 'm;
+}
+
+type ('o, 'm, 'd) step =
+  | Bisect of ('o, 'm) view
+  | From_memory of Union_summary.t * 'd * int
+
+type ('o, 'm, 'd) policy = {
+  outcome : ('o, 'm) view -> [ `Completed | `Deadline ] -> 'd * int;
+  note_success : 'o -> Partition.t -> unit;
+  on_failure : tries:int -> ('o, 'm) view -> 'o -> Partition.t -> ('o, 'm, 'd) step;
+}
+
+type 'd result = {
+  answer : int;
+  degradation : 'd;
+  bound : float;
+  iterations : int;
+  io : Hsq_storage.Io_stats.counters;
+}
+
+type probe_state = {
+  partition : Partition.t;
+  mutable lo : int; (* rank(z) within this partition is known to be in [lo, hi] *)
+  mutable hi : int;
+}
+
+(* Internal control flow of one bisection: a probe that exhausted the
+   device's bounded retries (carrying its index in the view's probes),
+   and a bisection cut by the deadline (carrying the surviving filter
+   interval [u, v]). *)
+exception Probe_failure of int
+exception Deadline_cut of int * int
+
+(* The shared rank budget: each source's stream estimate is within
+   ±ε₂·m_s of its true stream rank, so the summed estimate is within
+   Σ_s ε₂·m_s — one band for the whole query, not one per source
+   (DESIGN.md §14).  Returns (stopping band, Σ ε₂·m_s).  The stopping
+   band of Algorithm 8 is [tolerance_factor] times that budget: the
+   paper stops within ±ε·m (factor 4); callers default to the tighter
+   factor 1/2 — the rho estimate is already that accurate, the extra
+   bisection steps mostly hit cached blocks, and the answer improves
+   ~4x.  This knob is the accuracy/disk-access axis of the tradeoff
+   space the paper's conclusion discusses; the ablation bench sweeps
+   it. *)
+let budget ~tolerance_factor streams =
+  List.fold_left
+    (fun (tol, eps_m) ss ->
+      let m = float_of_int (Stream_summary.stream_size ss) in
+      let eps2 = Stream_summary.eps2 ss in
+      (tol +. (tolerance_factor *. eps2 *. m), eps_m +. (eps2 *. m)))
+    (0.0, 0.0) streams
+
+(* One full bisection over a fixed view: bisect the value domain
+   between the filters, probing each partition with a summary-bounded
+   (and progressively narrowed) binary search for the exact historical
+   rank rho1, and estimating the stream rank rho2 from the stream
+   summaries.  Stops inside the tolerance band, or at a width-1
+   interval, where v is the answer when the estimate at u still falls
+   short of r (rank(u) <= r <= rank(v) is invariant).  Raises
+   [Probe_failure] and [Deadline_cut]. *)
+let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
+  let u0, v0 = Union_summary.filters view.summary ~rank in
+  let window p = Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0 in
+  let probes =
+    Array.of_list
+      (List.map
+         (fun (_, p) ->
+           let lo, hi = window p in
+           { partition = p; lo; hi })
+         view.probes)
+  in
+  let r = float_of_int rank in
+  let cancel = Option.map (fun d () -> Metrics.now_s () > d) deadline_at in
+  (* With a pool the per-partition disk probes of one iteration fan out
+     over its worker domains (the paper's future-work parallel
+     partition processing): each partition is probed by exactly one
+     domain per round — its Run's one-block cache is never shared — and
+     the device serializes pool and file-channel access internally.
+     Pool.map preserves order, so answers and the narrowing schedule are
+     identical to the sequential path, and on fault-free queries so are
+     the read counts.  On a probe failure the pool stops claiming
+     further probes and re-raises once the in-flight ones finish, so
+     the caller's failure policy triggers as in the sequential path,
+     with at most one extra probe's I/O per lane. *)
+  let pool =
+    match pool with Some p when p.lanes > 1 && Array.length probes > 1 -> Some p | _ -> None
+  in
+  let probe_one z i =
+    let st = probes.(i) in
+    if st.lo >= st.hi then st.lo
+    else
+      try Hsq_storage.Run.rank_between (Partition.run st.partition) ~lo:st.lo ~hi:st.hi z
+      with Hsq_storage.Block_device.Device_error _ -> raise (Probe_failure i)
+  in
+  (* Traced probes: one span per partition per iteration (closed windows
+     included, with resolved=summary), attached to the iteration span by
+     explicit parent — [with_child] never touches the trace's stack, so
+     probes running on pool worker domains record safely. *)
+  let probe_traced trc parent z i =
+    let st = probes.(i) in
+    Trace.with_child trc ~parent
+      ~attrs:
+        [
+          ("partition", string_of_int (Partition.first_step st.partition));
+          ("resolved", (if st.lo >= st.hi then "summary" else "disk"));
+        ]
+      "probe"
+      (fun _ -> probe_one z i)
+  in
+  (* rho(z) = exact historical rank (lines 2-7) + estimated stream rank
+     (lines 8-10).  Returns the per-partition ranks so the caller can
+     narrow the next iteration's search windows. *)
+  let estimate span z =
+    let probe =
+      match (trace, span) with
+      | Some (trc, _), Some sp -> probe_traced trc sp z
+      | _ -> probe_one z
+    in
+    let n = Array.length probes in
+    let ranks =
+      match pool with
+      | None -> Array.init n probe
+      | Some pool ->
+        (* Fan out only the probes whose window is still open — a closed
+           window ([lo >= hi]) resolves from the summary with no I/O,
+           and spawning domains for it would cost more than the whole
+           iteration.  Probes keep their array order, so the narrowing
+           schedule matches the sequential path exactly. *)
+        let is_open i = probes.(i).lo < probes.(i).hi in
+        let ranks = Array.init n (fun i -> if is_open i then 0 else probe i) in
+        let idx = Array.of_list (List.filter is_open (List.init n Fun.id)) in
+        if Array.length idx < 2 then Array.iter (fun i -> ranks.(i) <- probe i) idx
+        else
+          Array.iteri (fun k r -> ranks.(idx.(k)) <- r) (Pool.map ?cancel (workers pool) probe idx);
+        ranks
+    in
+    let rho1 = Array.fold_left ( + ) 0 ranks in
+    let rho2 =
+      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0 view.streams
+    in
+    (ranks, float_of_int rho1 +. rho2)
+  in
+  (* rank(z') for z' < z is at most rank(z), and at least rank(z) for
+     z' > z — so each bisection step halves the per-partition windows
+     too, and the one-block run caches make the tail probes free. *)
+  let narrow ~left ranks =
+    Array.iteri
+      (fun i st ->
+        let rank_z = ranks.(i) in
+        if left then st.hi <- min st.hi rank_z else st.lo <- max st.lo rank_z)
+      probes
+  in
+  (* Each bisection iteration's body runs in its own child span of the
+     query root; the recursion happens after the iteration span closed,
+     so iterations are siblings, not nested.  The deadline is checked
+     between iterations (the probes of one iteration are also
+     individually cancellable through the pool); a cut carries the
+     current interval so the caller can clamp its best-so-far answer. *)
+  let rec bisect u v =
+    (match deadline_at with
+    | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
+    | _ -> ());
+    incr iterations;
+    let run_iter span =
+      if v - u <= 1 then begin
+        (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
+           candidate whose rank can reach r — the Definition-1 answer —
+           unless the estimate says u already covers r. *)
+        let _, rho_u = estimate span u in
+        `Done (if rho_u >= r then u else v)
+      end
+      else begin
+        let z = u + ((v - u) / 2) in
+        let ranks, rho = estimate span z in
+        if r < rho -. tolerance then begin
+          narrow ~left:true ranks;
+          `Left z
+        end
+        else if r > rho +. tolerance then begin
+          narrow ~left:false ranks;
+          `Right z
+        end
+        else `Done z
+      end
+    in
+    let decision =
+      try
+        match trace with
+        | Some (trc, root) ->
+          Trace.with_child trc ~parent:root
+            ~attrs:
+              [
+                ("iter", string_of_int !iterations); ("u", string_of_int u); ("v", string_of_int v);
+              ]
+            "bisect"
+            (fun sp -> run_iter (Some sp))
+        | None -> run_iter None
+      with Pool.Cancelled -> raise (Deadline_cut (u, v))
+    in
+    match decision with
+    | `Done z -> z
+    | `Left z -> bisect u z
+    | `Right z -> bisect z v
+  in
+  bisect u0 v0
+
+let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
+  let before = List.map (fun s -> (s, Hsq_storage.Io_stats.snapshot s)) stats in
+  let iterations = ref 0 in
+  let finish answer degradation bound =
+    let io =
+      List.fold_left
+        (fun acc (s, b) ->
+          Hsq_storage.Io_stats.add acc
+            (Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot s) b))
+        Hsq_storage.Io_stats.zero before
+    in
+    { answer; degradation; bound; iterations = !iterations; io }
+  in
+  let rec go tries = function
+    | From_memory (us, degradation, widen) ->
+      let answer, bound = memory_answer us ~rank ~widen in
+      finish answer degradation bound
+    | Bisect view -> (
+      let rank = clamp_rank ~n:(Union_summary.n_total view.summary) rank in
+      let tolerance, eps_m = budget ~tolerance_factor view.streams in
+      match search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank with
+      | answer ->
+        List.iter (fun (o, p) -> policy.note_success o p) view.probes;
+        let degradation, widen = policy.outcome view `Completed in
+        (* Honest bound the chaos oracle can check: the stopping band
+           plus the stream estimates' own uncertainty (the bisection
+           stops on an estimate that is exact over the probed history
+           but ±ε₂·m_s over each stream, with integer-boundary slack
+           per stream), plus everything the probes could not see. *)
+        let nstreams = max 1 (List.length view.streams) in
+        let estimate_slack = eps_m +. (2.0 *. float_of_int nstreams) in
+        finish answer degradation (tolerance +. estimate_slack +. float_of_int widen)
+      | exception Deadline_cut (u, v) ->
+        (* Best-so-far: the quick answer clamped into the surviving
+           filter interval [u, v] (rank(u) <= rank <= rank(v) is the
+           bisection invariant, so the clamp only helps). *)
+        let qa = Union_summary.quick_select view.summary ~rank in
+        let best = if v >= u then max u (min v qa) else qa in
+        let degradation, widen = policy.outcome view `Deadline in
+        finish best degradation (rank_bound view.summary ~rank best ~widen)
+      | exception Probe_failure i ->
+        let owner, p = List.nth view.probes i in
+        go (tries + 1) (policy.on_failure ~tries view owner p))
+  in
+  go 0 first

@@ -1,0 +1,84 @@
+(** The accurate response (Algorithms 6–8, ±ε·m by Theorem 2) as one
+    filter-bisection over owner-tagged partition probes plus one stream
+    summary per source. {!Engine.accurate} is its one-source case; a
+    shard group runs it with one source per read replica. Each caller
+    passes in only its failure policy. *)
+
+(** [clamp_rank ~n r] clamps [r] into [\[1, n\]]. *)
+val clamp_rank : n:int -> int -> int
+
+(** Definition 1: ⌈φ·n⌉ clamped into [\[1, n\]]. Raises
+    [Invalid_argument (who ^ ": phi not in (0,1]")] unless φ ∈ (0, 1]. *)
+val rank_of_phi : who:string -> n:int -> float -> int
+
+(** Algorithm 5 at [rank] (clamped to the summary's population) and its
+    Lemma 2 rank window, widened by [widen] elements the summary cannot
+    place. [us] must be non-empty. *)
+val memory_answer : Union_summary.t -> rank:int -> widen:int -> int * float
+
+(** Absolute deadline of a query started at [start]: [deadline_ms] if
+    given, else [config.query_deadline_ms]. *)
+val deadline_at : start:float -> ?deadline_ms:float -> Config.t -> float option
+
+(** Worker pool for parallel probes ([config.query_domains] lanes, the
+    querying domain included), spawned on first use; [metrics] as in
+    {!Hsq_util.Parallel.Pool.create}. *)
+type pool
+
+val pool : ?metrics:Hsq_obs.Metrics.t -> Config.t -> pool
+
+(** Join the workers, if spawned. *)
+val shutdown_pool : pool -> unit
+
+(** One bisection's input: the union summary, one stream summary per
+    source, the active partitions tagged with their owner (the
+    caller's fault domain), and the caller's own description. *)
+type ('o, 'm) view = {
+  summary : Union_summary.t;
+  streams : Stream_summary.t list;
+  probes : ('o * Hsq_hist.Partition.t) list;
+  meta : 'm;
+}
+
+(** Bisect a view, or answer from a summary's memory with the given
+    degradation and widening (see {!memory_answer}). *)
+type ('o, 'm, 'd) step =
+  | Bisect of ('o, 'm) view
+  | From_memory of Union_summary.t * 'd * int
+
+(** [outcome] gives the degradation and the widening (elements no probe
+    saw) of an answer a view produced; [note_success] runs for every
+    probe of a completed bisection; [on_failure ~tries view owner p]
+    decides what follows a probe that exhausted the device's retries,
+    [tries] counting the failures already handled. *)
+type ('o, 'm, 'd) policy = {
+  outcome : ('o, 'm) view -> [ `Completed | `Deadline ] -> 'd * int;
+  note_success : 'o -> Hsq_hist.Partition.t -> unit;
+  on_failure : tries:int -> ('o, 'm) view -> 'o -> Hsq_hist.Partition.t -> ('o, 'm, 'd) step;
+}
+
+type 'd result = {
+  answer : int;
+  degradation : 'd;
+  bound : float; (** upper bound on |rank(answer) − rank| *)
+  iterations : int; (** bisection steps over every attempt *)
+  io : Hsq_storage.Io_stats.counters; (** summed over [stats] *)
+}
+
+(** The retry loop from [first]. A completed bisection's bound is
+    [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
+    over the view's S stream summaries; a deadline cut answers the
+    quick answer clamped into the surviving filter interval. [trace]
+    (tracer, root span) records a [bisect] span per iteration and a
+    [probe] span per partition under it. [pool] changes no answer,
+    iteration or read count. *)
+val run :
+  ?trace:Hsq_obs.Trace.t * Hsq_obs.Trace.span ->
+  ?deadline_at:float ->
+  ?pool:pool ->
+  stats:Hsq_storage.Io_stats.t list ->
+  tolerance_factor:float ->
+  policy:('o, 'm, 'd) policy ->
+  rank:int ->
+  ('o, 'm, 'd) step ->
+  'd result

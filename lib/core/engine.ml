@@ -124,7 +124,7 @@ type t = {
      spawned on the first query when [config.query_domains] > 1 (the
      pool holds query_domains - 1 workers; the querying domain is the
      remaining lane).  [close] joins it. *)
-  mutable query_pool : Hsq_util.Parallel.Pool.t option;
+  query_pool : Bisection.pool;
   (* Concurrent ingest lanes; [||] = the classic single-writer engine
      (every existing path untouched, zero locking).  Non-empty only when
      [config.ingest_domains] > 1.  Threading contract: [observe_domain]
@@ -217,6 +217,30 @@ let fresh_gk config =
     | Some words -> Stream_sketch.create_capped ~kind ~words ()
     | None -> assert false)
 
+(* A single-writer engine over [dev] and [hist] with an empty stream
+   side; [create] and [of_restored] finish it. *)
+let fresh_engine config ~dev ~hist =
+  {
+    config;
+    dev;
+    hist;
+    gk = fresh_gk config;
+    batch = Array.make 1024 0;
+    batch_len = 0;
+    durable = None;
+    hist_cache = None;
+    us_cache = None;
+    query_pool =
+      Bisection.pool
+        ~metrics:(Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats dev))
+        config;
+    lanes = [||];
+    prop_lock = Mutex.create ();
+    metrics = make_engine_metrics dev;
+    tracer = None;
+    closed = false;
+  }
+
 let create ?device config =
   let dev =
     match device with
@@ -228,25 +252,7 @@ let create ?device config =
       ?sort_domains:config.Config.sort_domains ~kappa:config.Config.kappa
       ~beta1:(Config.beta1 config) dev
   in
-  let t =
-    {
-      config;
-      dev;
-      hist;
-      gk = fresh_gk config;
-      batch = Array.make 1024 0;
-      batch_len = 0;
-      durable = None;
-      hist_cache = None;
-      us_cache = None;
-      query_pool = None;
-      lanes = [||];
-      prop_lock = Mutex.create ();
-      metrics = make_engine_metrics dev;
-      tracer = None;
-      closed = false;
-    }
-  in
+  let t = fresh_engine config ~dev ~hist in
   if config.Config.ingest_domains > 1 then
     install_lanes t (Array.make config.Config.ingest_domains None);
   register_sketch_metric t;
@@ -256,24 +262,7 @@ let create ?device config =
    stream side starts empty — [open_or_recover] refills it from the
    checkpoint and the WAL when durability is on. *)
 let of_restored ~device config hist =
-  {
-    config;
-    dev = device;
-    hist;
-    gk = fresh_gk config;
-    batch = Array.make 1024 0;
-    batch_len = 0;
-    durable = None;
-    hist_cache = None;
-    us_cache = None;
-    query_pool = None;
-    lanes = [||];
-    prop_lock = Mutex.create ();
-    metrics = make_engine_metrics device;
-    tracer = None;
-    closed = false;
-  }
-  |> fun t ->
+  let t = fresh_engine config ~dev:device ~hist in
   register_sketch_metric t;
   t
 
@@ -675,13 +664,11 @@ let union_summary ?partitions t =
       ~stream:(stream_summary t)
   | None -> cached_union_summary t
 
-let clamp_rank ~n r = if r < 1 then 1 else if r > n then n else r
-
 (* Algorithm 5. *)
 let quick_us us ~rank =
   let n = Union_summary.n_total us in
   if n = 0 then invalid_arg "Engine.quick: no data";
-  Union_summary.quick_select us ~rank:(clamp_rank ~n rank)
+  Union_summary.quick_select us ~rank:(Bisection.clamp_rank ~n rank)
 
 (* The union the quick path answers from.  Normally the cached
    active-set summary; when quarantine has emptied the active view
@@ -713,19 +700,11 @@ let quick_over t ~partitions ~rank = quick_us (union_summary ~partitions t) ~ran
    [max (U - r) (r - L)] from the union summary's Lemma 2 windows,
    widened by the element count of any quarantined partitions (their
    ranks are unknown in [0, size]). *)
-let rank_bound_of us ~rank v ~widen =
-  let r = float_of_int rank in
-  let lo, hi = Union_summary.rank_window us v in
-  Float.max (hi -. r) (r -. lo) +. float_of_int widen
-
 let quick_with_bound t ~rank =
   let us, fallback = quick_view t in
-  let n = Union_summary.n_total us in
-  if n = 0 then invalid_arg "Engine.quick: no data";
-  let rank = clamp_rank ~n rank in
-  let v = Union_summary.quick_select us ~rank in
+  if Union_summary.n_total us = 0 then invalid_arg "Engine.quick: no data";
   let widen = if fallback then 0 else Hsq_hist.Level_index.quarantined_elements t.hist in
-  (v, rank_bound_of us ~rank v ~widen)
+  Bisection.memory_answer us ~rank ~widen
 
 let quick t ~rank =
   let em = t.metrics in
@@ -749,226 +728,20 @@ let quick t ~rank =
         Metrics.Histogram.observe em.quick_hist (Metrics.now_s () -. t0);
         v)
 
-(* Algorithms 6-8: bisect the value domain between the filters, probing
-   each partition with a summary-bounded (and progressively narrowed)
-   binary search for the exact historical rank rho1, and estimating the
-   stream rank rho2 from SS.  Stops inside the +-eps*m band, or at a
-   width-1 interval, where v is the answer when the estimate at u still
-   falls short of r (rank(u) <= r <= rank(v) is invariant). *)
-type probe_state = {
-  partition : Hsq_hist.Partition.t;
-  mutable lo : int; (* rank(z) within this partition is known to be in [lo, hi] *)
-  mutable hi : int;
-}
-
-(* Internal control flow of the accurate path: a probe that exhausted
-   the device's bounded retries (carrying the partition it hit), and a
-   bisection cut by the deadline (carrying the surviving filter
-   interval [u, v]). *)
-exception Probe_failure of Hsq_hist.Partition.t * string
-exception Deadline_cut of int * int
-
+(* Algorithms 6-8 as the one-source case of the shared bisection
+   (Bisection): this engine's active partitions plus its stream summary.
+   The failure policy is the engine's own: every probe failure either
+   quarantines its partition (shrinking the probe set) or advances its
+   consecutive-failure count toward [quarantine_after], so the retry
+   loop terminates; the retry cap is belt and braces.  A breaker-open
+   device means the fault is not this partition's — answer from memory
+   and leave healthy partitions alone. *)
 let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~partitions
     ~rank =
   let em = t.metrics in
   let tr = t.tracer in
   Atomic.incr em.accurate_total;
   let tq0 = Metrics.now_s () in
-  (* Per-call deadline wins over the config default; both count wall
-     clock from query start. *)
-  let deadline_at =
-    match (deadline_ms, t.config.Config.query_deadline_ms) with
-    | Some d, _ | None, Some d -> Some (tq0 +. (d /. 1000.0))
-    | None, None -> None
-  in
-  let cancel = Option.map (fun d () -> Metrics.now_s () > d) deadline_at in
-  let stats = Hsq_storage.Block_device.stats t.dev in
-  let before = Hsq_storage.Io_stats.snapshot stats in
-  let iterations = ref 0 in
-  let domains_conf =
-    match t.config.Config.query_domains with Some d when d > 1 -> d | _ -> 1
-  in
-  (* One full bisection (Algorithms 6-8) over a fixed active partition
-     set; raises [Probe_failure] on an unrecoverable device error and
-     [Deadline_cut] when the deadline passes between iterations (or a
-     parallel probe round is cancelled mid-flight). *)
-  let attempt ~parent ss us active ~rank =
-    let u0, v0 = Union_summary.filters us ~rank in
-    let probes =
-      Array.of_list
-        (List.map
-           (fun p ->
-             let lo, hi =
-               Hsq_hist.Partition_summary.search_window (Hsq_hist.Partition.summary p) ~u:u0
-                 ~v:v0
-             in
-             { partition = p; lo; hi })
-           active)
-    in
-    (* Stopping band of Algorithm 8, as a multiple of eps2*m.  The paper
-       stops within +-eps*m (factor 4); we default to the tighter factor
-       1/2 — the rho estimate is already that accurate, the extra
-       bisection steps mostly hit cached blocks, and the answer improves
-       ~4x.  This knob is the accuracy/disk-access axis of the tradeoff
-       space the paper's conclusion discusses; the ablation bench sweeps
-       it. *)
-    let m = float_of_int (Stream_summary.stream_size ss) in
-    let tolerance = tolerance_factor *. Stream_summary.eps2 ss *. m in
-    let r = float_of_int rank in
-    (* rho(z) = exact historical rank (lines 2-7) + estimated stream rank
-       (lines 8-10).  Returns the per-partition ranks so the caller can
-       narrow the next iteration's search windows.
-
-       With [query_domains] > 1 the per-partition disk probes of one
-       iteration fan out over a persistent worker pool (the paper's
-       future-work parallel partition processing): each partition is
-       probed by exactly one domain per round — its Run's one-block cache
-       is never shared — and the device serializes pool and file-channel
-       access internally.  Pool.map preserves order, so answers and the
-       narrowing schedule are identical to the sequential path, and on
-       fault-free queries so are the read counts.  On a probe failure the
-       pool stops claiming further probes and re-raises once the in-flight
-       ones finish, so the containment fallbacks trigger as in the
-       sequential path, with at most one extra probe's I/O per lane. *)
-    let domains = if domains_conf > 1 && Array.length probes > 1 then domains_conf else 1 in
-    let probe_one z st =
-      if st.lo >= st.hi then st.lo
-      else
-        try
-          Hsq_storage.Run.rank_between (Hsq_hist.Partition.run st.partition) ~lo:st.lo
-            ~hi:st.hi z
-        with Hsq_storage.Block_device.Device_error msg ->
-          raise (Probe_failure (st.partition, msg))
-    in
-    (* Traced probes: one span per partition per iteration (closed windows
-       included, with resolved=summary), attached to the iteration span by
-       explicit parent — [with_child] never touches the trace's stack, so
-       probes running on pool worker domains record safely. *)
-    let probe_traced trc parent z st =
-      Trace.with_child trc ~parent
-        ~attrs:
-          [
-            ("partition", string_of_int (Hsq_hist.Partition.first_step st.partition));
-            ("resolved", (if st.lo >= st.hi then "summary" else "disk"));
-          ]
-        "probe"
-        (fun _ -> probe_one z st)
-    in
-    let estimate ?parent z =
-      let probe =
-        match (tr, parent) with
-        | Some trc, Some par -> probe_traced trc par z
-        | _ -> probe_one z
-      in
-      let traced = match (tr, parent) with Some _, Some _ -> true | _ -> false in
-      let ranks =
-        if domains = 1 then Array.map probe probes
-        else begin
-          (* Fan out only the probes whose window is still open — a
-             closed window ([lo >= hi]) resolves from the summary with no
-             I/O, and spawning domains for it would cost more than the
-             whole iteration.  Probes keep their array order, so the
-             narrowing schedule matches the sequential path exactly. *)
-          let ranks = Array.make (Array.length probes) 0 in
-          let open_idx = ref [] in
-          for i = Array.length probes - 1 downto 0 do
-            if probes.(i).lo >= probes.(i).hi then
-              (* A closed window resolves from the summary with no I/O; a
-                 traced run still records its span for completeness. *)
-              ranks.(i) <- (if traced then probe probes.(i) else probes.(i).lo)
-            else open_idx := i :: !open_idx
-          done;
-          (match !open_idx with
-          | [] -> ()
-          | [ i ] -> ranks.(i) <- probe probes.(i)
-          | is ->
-            let pool =
-              match t.query_pool with
-              | Some p -> p
-              | None ->
-                let p =
-                  Hsq_util.Parallel.Pool.create
-                    ~metrics:(Hsq_storage.Io_stats.registry stats)
-                    ~workers:(domains - 1) ()
-                in
-                t.query_pool <- Some p;
-                p
-            in
-            let idx = Array.of_list is in
-            let got = Hsq_util.Parallel.Pool.map ?cancel pool (fun i -> probe probes.(i)) idx in
-            Array.iteri (fun k i -> ranks.(i) <- got.(k)) idx);
-          ranks
-        end
-      in
-      let rho1 = Array.fold_left ( + ) 0 ranks in
-      (ranks, float_of_int rho1 +. Stream_summary.rank_estimate ss z)
-    in
-    (* rank(z') for z' < z is at most rank(z), and at least rank(z) for
-       z' > z — so each bisection step halves the per-partition windows
-       too, and the one-block run caches make the tail probes free. *)
-    let narrow ~left ranks =
-      Array.iteri
-        (fun i st ->
-          let rank_z = ranks.(i) in
-          if left then st.hi <- min st.hi rank_z else st.lo <- max st.lo rank_z)
-        probes
-    in
-    (* Each bisection iteration's body runs in its own child span of the
-       query root; the recursion happens after the iteration span closed,
-       so iterations are siblings, not nested.  The deadline is checked
-       between iterations (the probes of one iteration are also
-       individually cancellable through the pool); a cut carries the
-       current interval so the caller can clamp its best-so-far answer. *)
-    let rec bisect ~parent u v =
-      (match deadline_at with
-      | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
-      | _ -> ());
-      incr iterations;
-      let run_iter iter_span =
-        if v - u <= 1 then begin
-          (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
-             candidate whose rank can reach r — the Definition-1 answer —
-             unless the estimate says u already covers r. *)
-          let _, rho_u = estimate ?parent:iter_span u in
-          `Done (if rho_u >= r then u else v)
-        end
-        else begin
-          let z = u + ((v - u) / 2) in
-          let ranks, rho = estimate ?parent:iter_span z in
-          if r < rho -. tolerance then begin
-            narrow ~left:true ranks;
-            `Left z
-          end
-          else if r > rho +. tolerance then begin
-            narrow ~left:false ranks;
-            `Right z
-          end
-          else `Done z
-        end
-      in
-      let decision =
-        try
-          match (tr, parent) with
-          | Some trc, Some root ->
-            Trace.with_child trc ~parent:root
-              ~attrs:
-                [
-                  ("iter", string_of_int !iterations);
-                  ("u", string_of_int u);
-                  ("v", string_of_int v);
-                ]
-              "bisect"
-              (fun sp -> run_iter (Some sp))
-          | _ -> run_iter None
-        with Hsq_util.Parallel.Pool.Cancelled -> raise (Deadline_cut (u, v))
-      in
-      match decision with
-      | `Done z -> z
-      | `Left z -> bisect ~parent u z
-      | `Right z -> bisect ~parent z v
-    in
-    bisect ~parent u0 v0
-  in
   (* Summaries for a retry after the active set changed underneath a
      quarantine: the full-set path supplies the engine's summary cache
      (the quarantine bumped the epoch, so the cached union rebuilds
@@ -990,84 +763,68 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
         else acc)
       0 partitions
   in
-  (* Failure containment.  Every [Probe_failure] either quarantines its
-     partition (shrinking the probe set) or advances its consecutive-
-     failure count toward [quarantine_after], so the retry loop
-     terminates; the cap is belt and braces.  A breaker-open device
-     means the fault is not this partition's — answer from memory and
-     leave healthy partitions alone. *)
+  let view_of (ss, us) =
+    let probes = List.map (fun p -> ((), p)) (List.filter (not_quarantined t) partitions) in
+    { Bisection.summary = us; streams = [ ss ]; probes; meta = () }
+  in
+  (* The widening is re-read at answer time: a quarantine earlier in
+     this query widens every later answer too. *)
+  let from_memory view =
+    Bisection.From_memory (view.Bisection.summary, `Device_open, quarantined_elems ())
+  in
   let max_retries = (List.length partitions * t.config.Config.quarantine_after) + 2 in
+  let policy =
+    {
+      Bisection.outcome =
+        (fun _ ending ->
+          let q = quarantined_elems () in
+          match ending with
+          | `Completed -> ((if q > 0 then `Quarantined q else `None), q)
+          | `Deadline -> (`Deadline, q));
+      note_success = (fun () p -> Hsq_hist.Level_index.note_probe_success t.hist p);
+      on_failure =
+        (fun ~tries view () p ->
+          if
+            Hsq_storage.Block_device.breaker_state t.dev = Hsq_storage.Breaker.Open
+            || tries >= max_retries
+          then from_memory view
+          else if
+            Hsq_hist.Level_index.note_probe_failure t.hist p
+              ~threshold:t.config.Config.quarantine_after
+          then begin
+            (* The active set changed: refetch the summaries.  If the
+               quarantine just consumed the last element in view (empty
+               stream, every partition bad), answer from the summaries
+               still in hand — degraded to memory, bound widened by
+               everything quarantined — rather than failing the query. *)
+            let ((_, us') as pair') = refetch () in
+            if Union_summary.n_total us' = 0 then from_memory view
+            else Bisection.Bisect (view_of pair')
+          end
+          else Bisection.Bisect view);
+    }
+  in
   (* Memory-only union over the query's full partition scope, including
      quarantined members: the last resort when quarantine has emptied
      the active view (see [quick_view] for why the in-memory summaries
      remain honest).  No extra widening — the summary covers the
      quarantined elements itself, wide windows and all. *)
-  let full_scope_fallback () =
-    let us = Union_summary.build ~partitions ~stream:(stream_summary t) in
-    if Union_summary.size us = 0 then invalid_arg "Engine.accurate: no data";
-    let rank = clamp_rank ~n:(Union_summary.n_total us) rank in
-    let v = Union_summary.quick_select us ~rank in
-    (v, `Device_open, rank_bound_of us ~rank v ~widen:0)
+  let first () =
+    let ((_, us) as pair) = match summaries with Some p -> p | None -> refetch () in
+    if Union_summary.n_total us > 0 then Bisection.Bisect (view_of pair)
+    else begin
+      let us = Union_summary.build ~partitions ~stream:(stream_summary t) in
+      if Union_summary.size us = 0 then invalid_arg "Engine.accurate: no data";
+      Bisection.From_memory (us, `Device_open, 0)
+    end
   in
-  let run_query parent =
-    let rec go tries pair =
-      let ss, us = match pair with Some p -> p | None -> refetch () in
-      let n = Union_summary.n_total us in
-      if n = 0 then full_scope_fallback ()
-      else begin
-      let rank = clamp_rank ~n rank in
-      let active = List.filter (not_quarantined t) partitions in
-      let q = quarantined_elems () in
-      (* [q] is re-read here rather than captured: a quarantine later in
-         this iteration must widen the fallback's bound too. *)
-      let finish_quick degradation =
-        let v = Union_summary.quick_select us ~rank in
-        (v, degradation, rank_bound_of us ~rank v ~widen:(quarantined_elems ()))
-      in
-      match attempt ~parent ss us active ~rank with
-      | answer ->
-        List.iter (Hsq_hist.Level_index.note_probe_success t.hist) active;
-        let m = float_of_int (Stream_summary.stream_size ss) in
-        let tolerance = tolerance_factor *. Stream_summary.eps2 ss *. m in
-        let degradation = if q > 0 then `Quarantined q else `None in
-        (* Honest bound the chaos oracle can check: the stopping band
-           plus the stream estimate's own uncertainty (the bisection
-           stops on an estimate that is exact over the probed history
-           but ±ε₂·m over the stream, with integer-boundary slack). *)
-        let estimate_slack = (Stream_summary.eps2 ss *. m) +. 2.0 in
-        (answer, degradation, tolerance +. estimate_slack +. float_of_int q)
-      | exception Deadline_cut (u, v) ->
-        (* Best-so-far: the quick answer clamped into the surviving
-           filter interval [u, v] (rank(u) <= rank <= rank(v) is the
-           bisection invariant, so the clamp only helps). *)
-        let qa = Union_summary.quick_select us ~rank in
-        let best = if v >= u then max u (min v qa) else qa in
-        (best, `Deadline, rank_bound_of us ~rank best ~widen:q)
-      | exception Probe_failure (p, _msg) ->
-        if
-          Hsq_storage.Block_device.breaker_state t.dev = Hsq_storage.Breaker.Open
-          || tries >= max_retries
-        then finish_quick `Device_open
-        else if
-          Hsq_hist.Level_index.note_probe_failure t.hist p
-            ~threshold:t.config.Config.quarantine_after
-        then begin
-          (* The active set changed: refetch the summaries.  If the
-             quarantine just consumed the last element in view (empty
-             stream, every partition bad), answer from the summaries
-             still in hand — degraded to memory, bound widened by
-             everything quarantined — rather than failing the query. *)
-          let ((_, us') as pair') = refetch () in
-          if Union_summary.n_total us' = 0 then finish_quick `Device_open
-          else go (tries + 1) (Some pair')
-        end
-        else go (tries + 1) (Some (ss, us))
-      end
-    in
-    go 0 summaries
+  let deadline_at = Bisection.deadline_at ~start:tq0 ?deadline_ms t.config in
+  let run_query trace =
+    Bisection.run ?trace ?deadline_at ~pool:t.query_pool
+      ~stats:[ Hsq_storage.Block_device.stats t.dev ]
+      ~tolerance_factor ~policy ~rank (first ())
   in
-  let root_span = ref None in
-  let answer, degradation, rank_error_bound =
+  let { Bisection.answer; degradation; bound = rank_error_bound; iterations; io }, span =
     match tr with
     | Some trc ->
       Trace.with_span trc
@@ -1078,21 +835,17 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
           ]
         "query.accurate"
         (fun sp ->
-          root_span := Some sp;
-          run_query (Some sp))
-    | None -> run_query None
+          let res = run_query (Some (trc, sp)) in
+          Trace.add_attr trc sp "iterations" (string_of_int res.Bisection.iterations);
+          if res.degradation <> `None then
+            Trace.add_attr trc sp "degradation" (degradation_label res.degradation);
+          (res, Some sp))
+    | None -> (run_query None, None)
   in
-  (match tr, !root_span with
-  | Some trc, Some sp ->
-    Trace.add_attr trc sp "iterations" (string_of_int !iterations);
-    if degradation <> `None then
-      Trace.add_attr trc sp "degradation" (degradation_label degradation)
-  | _ -> ());
   Metrics.Histogram.observe em.accurate_hist (Metrics.now_s () -. tq0);
-  Metrics.Histogram.observe em.bisect_hist (float_of_int !iterations);
+  Metrics.Histogram.observe em.bisect_hist (float_of_int iterations);
   if degradation <> `None then Atomic.incr em.degraded_total;
-  let io = Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot stats) before in
-  (answer, { io; iterations = !iterations; degradation; rank_error_bound; span = !root_span })
+  (answer, { io; iterations; degradation; rank_error_bound; span })
 
 let accurate ?tolerance_factor ?deadline_ms t ~rank =
   accurate_over ?tolerance_factor ?deadline_ms ~summaries:(cached_summaries t)
@@ -1115,24 +868,7 @@ let cdf t v =
   if n = 0 then invalid_arg "Engine.cdf: no data";
   float_of_int (rank_of t v) /. float_of_int n
 
-(* Batched accurate queries: one summary build (the dominant in-memory
-   cost) shared by all ranks. *)
-let accurate_many ?tolerance_factor t ~ranks =
-  let partitions = Hsq_hist.Level_index.partitions t.hist in
-  (* The summary cache makes the per-query [cached_summaries] call O(1)
-     between ingests, while still refreshing if a query in the batch
-     quarantines a partition (epoch bump). *)
-  List.map
-    (fun rank ->
-      accurate_over ?tolerance_factor ~summaries:(cached_summaries t)
-        ~refresh:(fun () -> cached_summaries t)
-        t ~partitions ~rank)
-    ranks
-
-(* phi-quantiles per Definition 1. *)
-let rank_of_phi ~n phi =
-  if not (phi > 0.0 && phi <= 1.0) then invalid_arg "Engine: phi not in (0,1]";
-  clamp_rank ~n (int_of_float (ceil (phi *. float_of_int n)))
+let rank_of_phi = Bisection.rank_of_phi ~who:"Engine"
 
 let quantile t phi =
   let n = total_size t in
@@ -1529,13 +1265,6 @@ let open_or_recover config =
         (match tail with Hsq_storage.Wal.Clean -> None | Hsq_storage.Wal.Torn why -> Some why);
     } )
 
-let shutdown_pool t =
-  match t.query_pool with
-  | None -> ()
-  | Some p ->
-    t.query_pool <- None;
-    Hsq_util.Parallel.Pool.shutdown p
-
 let is_closed t = t.closed
 
 (* Mark the engine closed under every lane lock: an in-flight
@@ -1556,7 +1285,7 @@ let extra_lane_wals t d =
 
 let close t =
   if mark_closed t then begin
-    shutdown_pool t;
+    Bisection.shutdown_pool t.query_pool;
     (match t.durable with
     | None -> ()
     | Some d ->
@@ -1570,7 +1299,7 @@ let close t =
    this model, so only the log tails are at stake. *)
 let crash t =
   if mark_closed t then begin
-    shutdown_pool t;
+    Bisection.shutdown_pool t.query_pool;
     (match t.durable with
     | None -> ()
     | Some d ->

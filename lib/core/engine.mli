@@ -242,10 +242,6 @@ val rank_of : t -> int -> int
 (** Empirical CDF point P(X ≤ v) over T. Raises on an empty engine. *)
 val cdf : t -> int -> float
 
-(** Batched accurate queries (answers in input order). *)
-val accurate_many :
-  ?tolerance_factor:float -> t -> ranks:int list -> (int * query_report) list
-
 (** φ-quantile of Definition 1 (rank = ⌈φN⌉), accurate / quick path. *)
 val quantile : t -> float -> int * query_report
 

@@ -214,9 +214,7 @@ let window_error_response sizes =
 (* Resolve a phi target against the population it will be asked over. *)
 let rank_of_target ~n = function
   | Protocol.Rank r -> r
-  | Protocol.Phi p ->
-    let r = int_of_float (ceil (p *. float_of_int n)) in
-    if r < 1 then 1 else if r > n then n else r
+  | Protocol.Phi p -> Hsq.Bisection.rank_of_phi ~who:"Server" ~n p
 
 let execute_single t eng req ~deadline =
   match req with

@@ -107,6 +107,10 @@ type t = {
      a failover to a sibling rebuilds. *)
   mutable agg_cache : ((int * int * int) list * Us.hist_agg) option;
   mutable us_cache : ((int * int * int * int) list * (Ss.t list * Us.t)) option;
+  (* Worker pool for parallel accurate-query probes, spawned on the
+     first query that fans out ([config.query_domains] > 1); joined by
+     [close] / [crash]. *)
+  query_pool : Hsq.Bisection.pool;
   mutable closed : bool;
 }
 
@@ -165,6 +169,7 @@ let make_t config ~k ~r ~slots ~last_size ~root =
     lock = Mutex.create ();
     agg_cache = None;
     us_cache = None;
+    query_pool = Hsq.Bisection.pool config;
     closed = false;
   }
 
@@ -580,8 +585,6 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
 
 (* --- fused view --------------------------------------------------------- *)
 
-let clamp_rank ~n r = if r < 1 then 1 else if r > n then n else r
-
 (* The state one fused query works from: ONE read replica per shard.
    [excluded]/[excluded_elems] name the shards with no eligible replica
    at all (permanently down plus any whose whole replica set was
@@ -703,11 +706,6 @@ let full_view_fallback view =
     if Us.size full > 0 then ({ view with us = full; streams }, true) else (view, false)
   end
 
-let rank_bound_of us ~rank v ~widen =
-  let r = float_of_int rank in
-  let lo, hi = Us.rank_window us v in
-  Float.max (hi -. r) (r -. lo) +. float_of_int widen
-
 let down_degradation view : degradation =
   let shard_deg : degradation =
     match view.excluded with [] -> `None | ks -> `Shard_down ks
@@ -724,16 +722,13 @@ let ensure_open t = if t.closed then invalid_arg "Shard_group: closed"
 let quick_with_bound t ~rank =
   ensure_open t;
   let view, fallback = full_view_fallback (make_view t ~dropped:[]) in
-  let n = Us.n_total view.us in
-  if n = 0 then invalid_arg "Shard_group.quick: no data";
-  let rank = clamp_rank ~n rank in
-  let v = Us.quick_select view.us ~rank in
+  if Us.n_total view.us = 0 then invalid_arg "Shard_group.quick: no data";
   let q = if fallback then 0 else quarantined_sum view.alive in
-  let widen = q + view.excluded_elems in
+  let v, bound = Hsq.Bisection.memory_answer view.us ~rank ~widen:(q + view.excluded_elems) in
   let degradation =
     worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None)
   in
-  (v, rank_bound_of view.us ~rank v ~widen, degradation)
+  (v, bound, degradation)
 
 let quick t ~rank =
   let v, _, _ = quick_with_bound t ~rank in
@@ -741,198 +736,71 @@ let quick t ~rank =
 
 (* --- fused accurate ------------------------------------------------------ *)
 
-type probe_state = {
-  owner : int * int; (* (shard, replica) the partition was read from *)
-  partition : Hsq_hist.Partition.t;
-  mutable lo : int;
-  mutable hi : int;
-}
-
-exception Probe_failure of (int * int) * Hsq_hist.Partition.t * string
-exception Deadline_cut of int * int
-
+(* Algorithms 6-8 across all shards: the shared bisection (Hsq.Bisection)
+   over the view's owner-tagged partitions and per-shard stream
+   summaries, under the group's failure policy — quarantine first, then
+   drop the (shard, replica) and fail over to a sibling. *)
 let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   ensure_open t;
   let t0 = Metrics.now_s () in
-  let deadline_at =
-    match (deadline_ms, t.config.Hsq.Config.query_deadline_ms) with
-    | Some d, _ | None, Some d -> Some (t0 +. (d /. 1000.0))
-    | None, None -> None
-  in
-  (* IO accounting spans every live replica: a failover mid-query reads
-     a sibling that was not in the opening view. *)
-  let stats_before =
-    List.map
-      (fun (_, _, e) ->
-        let s = BD.stats (E.device e) in
-        (s, Hsq_storage.Io_stats.snapshot s))
-      (all_live t)
-  in
-  let iterations = ref 0 in
   let dropped = ref [] in
-  (* One bisection over a fixed view; raises Probe_failure on an
-     unrecoverable device error (carrying the owning (shard, replica))
-     and Deadline_cut between iterations. *)
-  let attempt view ~rank =
-    let us = view.us in
-    let u0, v0 = Us.filters us ~rank in
-    let probes =
-      Array.of_list
-        (List.map
-           (fun (owner, p) ->
-             let lo, hi =
-               Hsq_hist.Partition_summary.search_window (Hsq_hist.Partition.summary p) ~u:u0
-                 ~v:v0
-             in
-             { owner; partition = p; lo; hi })
-           view.parts)
-    in
-    (* The shared rank budget: the per-shard stream estimates are each
-       exact +-eps2*m_s, so the fused estimate is exact
-       +-Sigma_s eps2*m_s = eps2*m — one band for the whole group, not
-       one per shard (DESIGN.md §14). *)
-    let m_eps =
-      List.fold_left (fun acc ss -> acc +. (Ss.eps2 ss *. float_of_int (Ss.stream_size ss))) 0.0
-        view.streams
-    in
-    let tolerance = tolerance_factor *. m_eps in
-    let r = float_of_int rank in
-    let probe_one z st =
-      if st.lo >= st.hi then st.lo
-      else
-        try
-          Hsq_storage.Run.rank_between (Hsq_hist.Partition.run st.partition) ~lo:st.lo ~hi:st.hi
-            z
-        with BD.Device_error msg -> raise (Probe_failure (st.owner, st.partition, msg))
-    in
-    let estimate z =
-      let ranks = Array.map (probe_one z) probes in
-      let rho1 = Array.fold_left ( + ) 0 ranks in
-      let rho2 = List.fold_left (fun acc ss -> acc +. Ss.rank_estimate ss z) 0.0 view.streams in
-      (ranks, float_of_int rho1 +. rho2)
-    in
-    let narrow ~left ranks =
-      Array.iteri
-        (fun i st ->
-          let rank_z = ranks.(i) in
-          if left then st.hi <- min st.hi rank_z else st.lo <- max st.lo rank_z)
-        probes
-    in
-    let rec bisect u v =
-      (match deadline_at with
-      | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
-      | _ -> ());
-      incr iterations;
-      if v - u <= 1 then begin
-        let _, rho_u = estimate u in
-        if rho_u >= r then u else v
-      end
-      else begin
-        let z = u + ((v - u) / 2) in
-        let ranks, rho = estimate z in
-        if r < rho -. tolerance then begin
-          narrow ~left:true ranks;
-          bisect u z
-        end
-        else if r > rho +. tolerance then begin
-          narrow ~left:false ranks;
-          bisect z v
-        end
-        else z
-      end
-    in
-    (bisect u0 v0, m_eps)
+  (* Memory answer from whatever summary is in hand.  Widening: live
+     quarantined elements plus every shard absent from this view's
+     summary — shards dropped *after* the view was built still have
+     their in-memory contribution inside [us], so they widen nothing
+     here (the summary covers them). *)
+  let from_memory view degradation =
+    let widen = quarantined_sum view.alive + view.excluded_elems in
+    Hsq.Bisection.From_memory (view.us, degradation, widen)
   in
-  let finish t0_view ~rank degradation =
-    (* Memory answer from whatever summary is in hand.  Widening: live
-       quarantined elements plus every shard absent from this view's
-       summary — shards dropped *after* the view was built still have
-       their in-memory contribution inside [us], so they widen nothing
-       here (the summary covers them). *)
-    let q = quarantined_sum t0_view.alive in
-    let n = Us.n_total t0_view.us in
-    let rank = clamp_rank ~n rank in
-    let v = Us.quick_select t0_view.us ~rank in
-    (v, degradation, rank_bound_of t0_view.us ~rank v ~widen:(q + t0_view.excluded_elems))
+  let fetch () =
+    let view, mem_fallback = full_view_fallback (make_view t ~dropped:!dropped) in
+    if Us.n_total view.us = 0 then
+      (* Nothing reachable at all (every shard down or empty). *)
+      invalid_arg "Shard_group.accurate: no data";
+    if mem_fallback || (view.parts = [] && view.streams = []) then
+      from_memory view (worst_degradation (down_degradation view) `Device_open)
+    else
+      Hsq.Bisection.Bisect
+        { Hsq.Bisection.summary = view.us; streams = view.streams; probes = view.parts;
+          meta = view }
   in
   let total_parts =
     List.fold_left (fun acc (_, _, e) -> acc + Li.partition_count (E.hist e)) 0 (all_live t)
   in
   let max_retries = (total_parts * t.config.Hsq.Config.quarantine_after) + (t.k * t.r) + 2 in
-  (* Shards with no live replica outside [dropped]: the only shards a
-     drop actually excludes from the next view. *)
-  let fully_dropped () =
-    let out = ref [] in
-    for i = t.k - 1 downto 0 do
-      if
-        List.for_all
-          (fun (j, _) -> List.mem (i, j) !dropped)
-          (live_replicas_of t.slots.(i))
-      then out := i :: !out
-    done;
-    !out
-  in
-  let rec go tries view_opt =
-    let view = match view_opt with Some v -> v | None -> make_view t ~dropped:!dropped in
-    let view, mem_fallback = full_view_fallback view in
-    let n = Us.n_total view.us in
-    if n = 0 then
-      (* Nothing reachable at all (every shard down or empty). *)
-      invalid_arg "Shard_group.accurate: no data"
-    else begin
-      let rank_c = clamp_rank ~n rank in
-      let down_deg = down_degradation view in
-      if mem_fallback || view.parts = [] && view.streams = [] then
-        finish view ~rank (worst_degradation down_deg `Device_open)
-      else begin
-        match attempt view ~rank:rank_c with
-        | answer, m_eps ->
-          List.iter
-            (fun ((i, j), p) ->
-              match t.slots.(i).(j).state with
-              | Live e -> Li.note_probe_success (E.hist e) p
-              | Dead _ -> ())
-            view.parts;
+  let policy =
+    {
+      Hsq.Bisection.outcome =
+        (fun { meta = view; _ } ending ->
+          (* Failed-over shards are NOT excluded: their sibling replicas
+             carry the same logical data, so the full ±ε·m contract
+             survives any loss that leaves one replica per shard. *)
           let q = quarantined_sum view.alive in
-          let tolerance = tolerance_factor *. m_eps in
-          (* Completed-bisection bound: the stopping band, the summed
-             stream estimates' own uncertainty (±eps2·m_s each, with
-             integer-boundary slack per stream), plus everything the
-             probes could not see — quarantined and excluded-shard
-             elements.  Failed-over shards are NOT excluded: their
-             sibling replicas carry the same logical data, so the full
-             ±ε·m contract survives any loss that leaves one replica
-             per shard. *)
-          let estimate_slack = m_eps +. (2.0 *. float_of_int (max 1 (List.length view.streams))) in
-          let degradation =
-            worst_degradation down_deg (if q > 0 then `Quarantined q else `None)
+          let d =
+            match ending with
+            | `Completed -> if q > 0 then `Quarantined q else `None
+            | `Deadline -> `Deadline
           in
-          ( answer,
-            degradation,
-            tolerance +. estimate_slack +. float_of_int (q + view.excluded_elems) )
-        | exception Deadline_cut (u, v) ->
-          let q = quarantined_sum view.alive in
-          let qa = Us.quick_select view.us ~rank:rank_c in
-          let best = if v >= u then max u (min v qa) else qa in
-          ( best,
-            worst_degradation down_deg `Deadline,
-            rank_bound_of view.us ~rank:rank_c best ~widen:(q + view.excluded_elems) )
-        | exception Probe_failure ((s, j), p, _msg) ->
-          let rep = t.slots.(s).(j) in
-          let e = match rep.state with Live e -> Some e | Dead _ -> None in
-          let breaker_open =
-            match e with
-            | Some e -> BD.breaker_state (E.device e) = Hsq_storage.Breaker.Open
-            | None -> true
-          in
+          (worst_degradation (down_degradation view) d, q + view.excluded_elems));
+      note_success =
+        (fun (i, j) p ->
+          match t.slots.(i).(j).state with
+          | Live e -> Li.note_probe_success (E.hist e) p
+          | Dead _ -> ());
+      on_failure =
+        (fun ~tries src (s, j) p ->
+          let view = src.Hsq.Bisection.meta in
           (* Quarantine machinery still learns from every failure, so a
              single sick partition quarantines instead of condemning its
              whole replica. *)
-          let quarantined_now =
-            match e with
-            | Some e ->
-              Li.note_probe_failure (E.hist e) p ~threshold:t.config.Hsq.Config.quarantine_after
-            | None -> false
+          let breaker_open, quarantined_now =
+            match t.slots.(s).(j).state with
+            | Dead _ -> (true, false)
+            | Live e ->
+              let breaker_open = BD.breaker_state (E.device e) = Hsq_storage.Breaker.Open in
+              let threshold = t.config.Hsq.Config.quarantine_after in
+              (breaker_open, Li.note_probe_failure (E.hist e) p ~threshold)
           in
           if breaker_open || tries >= max_retries then begin
             (* The replica, not the partition, is the fault domain now:
@@ -951,31 +819,27 @@ let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
               (* Every replica of every shard dropped: answer from the
                  last summary in hand (it still covers the dropped
                  replicas' memory state). *)
-              finish view ~rank
-                (worst_degradation (`Shard_down (fully_dropped ())) `Device_open)
-            else go (tries + 1) None
+              from_memory view (worst_degradation (`Shard_down (List.init t.k Fun.id)) `Device_open)
+            else fetch ()
           end
-          else if quarantined_now then go (tries + 1) None (* epoch bumped: rebuild *)
-          else go (tries + 1) (Some view)
-      end
-    end
+          else if quarantined_now then fetch () (* epoch bumped: rebuild *)
+          else Hsq.Bisection.Bisect src);
+    }
   in
-  let answer, degradation, rank_error_bound = go 0 None in
-  let io =
-    List.fold_left
-      (fun acc (s, before) ->
-        Hsq_storage.Io_stats.add acc
-          (Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot s) before))
-      Hsq_storage.Io_stats.zero stats_before
+  let deadline_at = Hsq.Bisection.deadline_at ~start:t0 ?deadline_ms t.config in
+  (* IO accounting spans every live replica: a failover mid-query reads
+     a sibling that was not in the opening view. *)
+  let stats = List.map (fun (_, _, e) -> BD.stats (E.device e)) (all_live t) in
+  let { Hsq.Bisection.answer; degradation; bound = rank_error_bound; iterations; io } =
+    Hsq.Bisection.run ?deadline_at ~pool:t.query_pool ~stats ~tolerance_factor ~policy ~rank
+      (fetch ())
   in
-  (answer, { io; iterations = !iterations; degradation; rank_error_bound })
+  (answer, { io; iterations; degradation; rank_error_bound })
 
 let quantile t phi =
-  if not (phi >= 0.0 && phi <= 1.0) then invalid_arg "Shard_group.quantile: phi not in [0,1]";
   let n = total_size t in
   if n = 0 then invalid_arg "Shard_group.quantile: no data";
-  let rank = clamp_rank ~n (int_of_float (ceil (phi *. float_of_int n))) in
-  accurate t ~rank
+  accurate t ~rank:(Hsq.Bisection.rank_of_phi ~who:"Shard_group.quantile" ~n phi)
 
 (* --- anti-entropy -------------------------------------------------------- *)
 
@@ -1380,6 +1244,7 @@ let close_hints t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    Hsq.Bisection.shutdown_pool t.query_pool;
     List.iter
       (fun (_, _, e) ->
         (try E.checkpoint_now e with _ -> ());
@@ -1391,6 +1256,7 @@ let close t =
 let crash t =
   if not t.closed then begin
     t.closed <- true;
+    Hsq.Bisection.shutdown_pool t.query_pool;
     List.iter (fun (_, _, e) -> try E.crash e with _ -> ()) (all_live t);
     Array.iter
       (fun reps ->

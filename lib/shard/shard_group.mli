@@ -233,11 +233,14 @@ val quick : t -> rank:int -> int
     shard's every replica is dropped does the restart exclude the
     shard and widen by its element count ([`Shard_down]). Deadline
     cuts return the fused quick answer clamped into the surviving
-    filter interval. The report's degradation composes worst-wins. *)
+    filter interval. The report's degradation composes worst-wins.
+    [config.query_domains > 1] fans probes out as for the engine; the
+    pool is joined by {!close} / {!crash}. *)
 val accurate :
   ?tolerance_factor:float -> ?deadline_ms:float -> t -> rank:int -> int * query_report
 
-(** φ-quantile (rank = ⌈φ·N⌉ over the fused population). *)
+(** φ-quantile (rank = ⌈φ·N⌉ over the fused population). Raises
+    [Invalid_argument] unless φ ∈ (0, 1], as {!Hsq.Engine.quantile}. *)
 val quantile : t -> float -> int * query_report
 
 (** {1 Fault domains} *)

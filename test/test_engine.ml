@@ -309,13 +309,6 @@ let test_rank_of_and_cdf () =
   Alcotest.(check bool) (Printf.sprintf "cdf ~ 0.5 (%.3f)" c) true (abs_float (c -. 0.5) < 0.02);
   Alcotest.(check (float 1e-9)) "cdf above max" 1.0 (E.cdf eng max_int)
 
-let test_accurate_many_matches_single () =
-  let eng, _ = drive ~config:(std_config ()) ~steps:6 ~step_size:1_000 ~tail:500 ~seed:82 () in
-  let ranks = [ 1; 100; 3_000; 6_500 ] in
-  let batched = List.map fst (E.accurate_many eng ~ranks) in
-  let singles = List.map (fun rank -> fst (E.accurate eng ~rank)) ranks in
-  Alcotest.(check (list int)) "batched = singles" singles batched
-
 let test_parallel_sort_identical_results () =
   (* Paper future work (Section 4): parallel sorting.  The parallel
      path must be observationally identical to the sequential one. *)
@@ -419,7 +412,6 @@ let () =
           Alcotest.test_case "rank clamping" `Quick test_rank_clamping;
           Alcotest.test_case "stream reset per step" `Quick test_stream_reset_on_step;
           Alcotest.test_case "rank_of + cdf" `Quick test_rank_of_and_cdf;
-          Alcotest.test_case "accurate_many = singles" `Quick test_accurate_many_matches_single;
         ] );
       ( "windows",
         [

@@ -407,6 +407,117 @@ let test_metrics_labels () =
     Alcotest.fail "down shard must be marked in the json dump";
   G.close g
 
+(* --- one bisection -------------------------------------------------------- *)
+
+(* The same seeded steps into any ingest surface: six archived steps
+   plus an open one. *)
+let feed ~seed ~observe ~end_step =
+  let rng = Hsq_util.Xoshiro.create seed in
+  for _ = 1 to 6 do
+    for _ = 1 to 800 do
+      observe (Hsq_util.Xoshiro.int rng 100_000)
+    done;
+    end_step ()
+  done;
+  for _ = 1 to 500 do
+    observe (Hsq_util.Xoshiro.int rng 100_000)
+  done
+
+let feed_group ~seed g =
+  feed ~seed ~observe:(G.observe g) ~end_step:(fun () -> ignore (G.end_time_step g))
+
+(* 60 ranks spread over [1, n]. *)
+let spread_ranks n = List.init 60 (fun i -> 1 + (i * (n - 1) / 59))
+
+let bits = Int64.bits_of_float
+
+(* A single engine's accurate query is the one-source case of the fused
+   bisection: a K=1, R=1 group fed the same steps must agree with it bit
+   for bit — value, iterations, reads and bound — under either sketch,
+   sequential or with parallel probes. *)
+let test_one_source_is_engine () =
+  List.iter
+    (fun (stream_sketch, query_domains) ->
+      let cfg =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ?query_domains ~stream_sketch
+          (Hsq.Config.Epsilon 0.05)
+      in
+      let eng = E.create cfg in
+      let g = G.create cfg in
+      feed ~seed:0x1B15 ~observe:(E.observe eng) ~end_step:(fun () -> ignore (E.end_time_step eng));
+      feed_group ~seed:0x1B15 g;
+      let n = E.total_size eng in
+      Alcotest.(check int) "same population" n (G.total_size g);
+      (* A non-power-of-two stopping factor makes the band's rounding
+         depend on the order of its float operations. *)
+      List.iter
+        (fun tolerance_factor ->
+          List.iter
+            (fun rank ->
+              let ctx what =
+                Printf.sprintf "%s (%s, query_domains=%s, factor %g, rank %d)" what
+                  (match stream_sketch with `Gk -> "gk" | `Kll -> "kll")
+                  (match query_domains with Some d -> string_of_int d | None -> "none")
+                  tolerance_factor rank
+              in
+              let ve, re = E.accurate ~tolerance_factor eng ~rank in
+              let vg, rg = G.accurate ~tolerance_factor g ~rank in
+              Alcotest.(check int) (ctx "value") ve vg;
+              Alcotest.(check int) (ctx "iterations") re.E.iterations rg.G.iterations;
+              Alcotest.(check int) (ctx "reads") re.E.io.Hsq_storage.Io_stats.reads
+                rg.G.io.Hsq_storage.Io_stats.reads;
+              Alcotest.(check int64) (ctx "bound") (bits re.E.rank_error_bound)
+                (bits rg.G.rank_error_bound))
+            (spread_ranks n))
+        [ 0.5; 0.3 ];
+      E.close eng;
+      G.close g)
+    [ (`Gk, None); (`Gk, Some 4); (`Kll, None); (`Kll, Some 4) ]
+
+(* --query-domains is a latency knob on a group too: a K=3 group with
+   parallel probes answers exactly as the sequential one, probe for
+   probe. *)
+let test_group_parallel_identical () =
+  let build query_domains =
+    let g =
+      G.create
+        (Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ~shards:3 ?query_domains
+           (Hsq.Config.Epsilon 0.05))
+    in
+    feed_group ~seed:0x9A11 g;
+    g
+  in
+  let seq = build None and par = build (Some 4) in
+  let n = G.total_size seq in
+  Alcotest.(check int) "same population" n (G.total_size par);
+  List.iter
+    (fun rank ->
+      let vs, rs = G.accurate seq ~rank in
+      let vp, rp = G.accurate par ~rank in
+      Alcotest.(check int) (Printf.sprintf "value at rank %d" rank) vs vp;
+      Alcotest.(check int) (Printf.sprintf "iterations at rank %d" rank) rs.G.iterations
+        rp.G.iterations;
+      Alcotest.(check int)
+        (Printf.sprintf "reads at rank %d" rank)
+        rs.G.io.Hsq_storage.Io_stats.reads rp.G.io.Hsq_storage.Io_stats.reads)
+    (spread_ranks n);
+  G.close seq;
+  G.close par
+
+(* One phi -> rank rule: phi must lie in (0, 1], as for the engine. *)
+let test_quantile_phi_range () =
+  let g = G.create (config ~shards:2 ()) in
+  feed_group ~seed:0x0F1 g;
+  List.iter
+    (fun phi ->
+      Alcotest.check_raises (Printf.sprintf "phi = %g" phi)
+        (Invalid_argument "Shard_group.quantile: phi not in (0,1]") (fun () ->
+          ignore (G.quantile g phi)))
+    [ 0.0; -0.5; 1.5 ];
+  let v, _ = G.quantile g 1.0 in
+  Alcotest.(check int) "phi = 1 is the maximum" v (fst (G.accurate g ~rank:(G.total_size g)));
+  G.close g
+
 let () =
   Alcotest.run "shard"
     [
@@ -442,4 +553,11 @@ let () =
             test_recovery_gauges_and_rejoin;
         ] );
       ( "metrics", [ Alcotest.test_case "shard labels" `Quick test_metrics_labels ] );
+      ( "one bisection",
+        [
+          Alcotest.test_case "K=1 R=1 group is the engine, bit for bit" `Quick
+            test_one_source_is_engine;
+          Alcotest.test_case "parallel answers identical" `Quick test_group_parallel_identical;
+          Alcotest.test_case "quantile phi in (0,1]" `Quick test_quantile_phi_range;
+        ] );
     ]
