@@ -7,8 +7,9 @@
    the shed is counted, not retried silently.
 
    Default mode spawns its own in-process server over a Unix socket in
-   a temp directory (preloaded with a few archived steps so accurate
-   queries touch disk); --socket points it at an external daemon
+   a temp directory, backed by a shard group of --shards x --replicas
+   engines (preloaded with a few archived steps so accurate queries
+   touch disk); --socket points it at an external daemon
    instead.  --smoke runs a short fixed load and exits nonzero unless
    the run saw nonzero throughput, no client-visible protocol errors,
    and (in self-serve mode) a clean drain. *)
@@ -169,32 +170,18 @@ let () =
       Unix.mkdir dir 0o755;
       let listen = Server.Unix_sock (Filename.concat dir "hsq.sock") in
       let config = { (Server.default_config listen) with Server.queue_depth = o.queue_depth } in
-      let srv =
-        if o.shards > 1 || o.replicas > 1 then begin
-          let g =
-            Hsq_shard.Shard_group.create
-              (Hsq.Config.make ~shards:o.shards ~replicas:o.replicas
-                 ~ingest_domains:o.ingest_domains (Hsq.Config.Epsilon 0.01))
-          in
-          preload
-            ~observe:(Hsq_shard.Shard_group.observe g)
-            ~end_step:(fun () -> ignore (Hsq_shard.Shard_group.end_time_step g))
-            ~seed:o.seed;
-          Server.create_group config g
-        end
-        else begin
-          let eng =
-            Hsq.Engine.create
-              (Hsq.Config.make ~ingest_domains:o.ingest_domains (Hsq.Config.Epsilon 0.01))
-          in
-          preload ~observe:(Hsq.Engine.observe eng)
-            ~end_step:(fun () -> ignore (Hsq.Engine.end_time_step eng))
-            ~seed:o.seed;
-          Server.create config eng
-        end
+      let g =
+        Hsq_shard.Shard_group.create
+          (Hsq.Config.make ~shards:o.shards ~replicas:o.replicas ~ingest_domains:o.ingest_domains
+             (Hsq.Config.Epsilon 0.01))
       in
+      preload
+        ~observe:(Hsq_shard.Shard_group.observe g)
+        ~end_step:(fun () -> ignore (Hsq_shard.Shard_group.end_time_step g))
+        ~seed:o.seed;
+      let srv = Server.create config g in
       Server.start srv;
-      (listen, Some srv)
+      (listen, Some (srv, g))
   in
   let deadline = now () +. o.duration_s in
   let per_worker = Array.init o.conns (fun _ -> new_tallies ()) in
@@ -218,30 +205,24 @@ let () =
     if not o.kill_replica then None
     else
       match server with
-      | Some srv when o.replicas > 1 -> (
-        match Server.group srv with
-        | Some _ ->
-          Some
-            (Thread.create
-               (fun () ->
-                 Thread.delay (o.duration_s /. 2.0);
-                 Server.submit_group_fn srv (fun g ->
-                     Hsq_shard.Shard_group.mark_replica_down g ~shard:0
-                       ~replica:(o.replicas - 1) ~reason:"bench: failover blip");
-                 let c = Client.connect listen in
-                 let r = Client.quick c (`Phi 0.5) in
-                 (match Json.get_str r "degradation" with
-                 | Some "none" -> ()
-                 | d ->
-                   failover_undegraded := false;
-                   Printf.eprintf "kill-replica probe: degradation %s\n%!"
-                     (Option.value d ~default:"<absent>"));
-                 Client.close c)
-               ())
-        | None ->
-          failover_undegraded := false;
-          prerr_endline "--kill-replica needs a group backend";
-          None)
+      | Some (srv, _) when o.replicas > 1 ->
+        Some
+          (Thread.create
+             (fun () ->
+               Thread.delay (o.duration_s /. 2.0);
+               Server.submit_fn srv (fun g ->
+                   Hsq_shard.Shard_group.mark_replica_down g ~shard:0 ~replica:(o.replicas - 1)
+                     ~reason:"bench: failover blip");
+               let c = Client.connect listen in
+               let r = Client.quick c (`Phi 0.5) in
+               (match Json.get_str r "degradation" with
+               | Some "none" -> ()
+               | d ->
+                 failover_undegraded := false;
+                 Printf.eprintf "kill-replica probe: degradation %s\n%!"
+                   (Option.value d ~default:"<absent>"));
+               Client.close c)
+             ())
       | _ ->
         failover_undegraded := false;
         prerr_endline "--kill-replica needs self-serve mode with --replicas >= 2";
@@ -254,14 +235,9 @@ let () =
   let drained_clean =
     match server with
     | None -> true
-    | Some srv -> (
+    | Some (srv, g) ->
       Server.stop srv;
-      match Server.group srv with
-      | Some g -> Hsq_shard.Shard_group.is_closed g
-      | None -> (
-        match Hsq.Engine.is_closed (Server.engine srv) with
-        | c -> c
-        | exception _ -> false))
+      Hsq_shard.Shard_group.is_closed g
   in
   (* Merge and report. *)
   let merged = new_tallies () in

@@ -1173,16 +1173,10 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
     in
     try
       let srv =
-        if shards > 1 || replicas > 1 then
-          Hsq_serve.Server.create_group config
-            (make_group ~shards ~replicas ~epsilon ~kappa ~block_size ~steps_hint:100
-               ?query_domains ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-               ~stream_sketch ())
-        else
-          Hsq_serve.Server.create config
-            (make_engine ~epsilon ~kappa ~block_size ~device_path:None ~steps_hint:100
-               ?query_domains ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-               ~stream_sketch ())
+        Hsq_serve.Server.create config
+          (make_group ~shards ~replicas ~epsilon ~kappa ~block_size ~steps_hint:100
+             ?query_domains ?durable ~wal_sync ~checkpoint_every ~ingest_domains ~stream_sketch
+             ())
       in
       (* Signal handlers only flip the stop atomic; the accept loop
          notices within its poll interval and runs the drain. *)

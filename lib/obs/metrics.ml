@@ -242,7 +242,15 @@ let cumulative (h : Histogram.t) =
   in
   (rows, total, sum)
 
-let to_json t =
+(* Entries of several registries as one name-sorted list; equal names
+   keep registry order, so a collision prints twice rather than hiding
+   one of the metrics. *)
+let merged_entries ts =
+  List.fold_right
+    (fun t acc -> List.merge (fun (a, _) (b, _) -> String.compare a b) (sorted_entries t) acc)
+    ts []
+
+let to_json_merged ts =
   let b = Buffer.create 1024 in
   Buffer.add_char b '{';
   List.iteri
@@ -264,11 +272,13 @@ let to_json t =
             Buffer.add_string b (Printf.sprintf "{\"le\":%s,\"n\":%d}" le_s n))
           rows;
         Buffer.add_string b "]}")
-    (sorted_entries t);
+    (merged_entries ts);
   Buffer.add_char b '}';
   Buffer.contents b
 
-let to_prometheus t =
+let to_json t = to_json_merged [ t ]
+
+let to_prometheus_merged ts =
   let b = Buffer.create 1024 in
   List.iter
     (fun (name, e) ->
@@ -288,5 +298,7 @@ let to_prometheus t =
           rows;
         Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (fnum sum));
         Buffer.add_string b (Printf.sprintf "%s_count %d\n" name total))
-    (sorted_entries t);
+    (merged_entries ts);
   Buffer.contents b
+
+let to_prometheus t = to_prometheus_merged [ t ]

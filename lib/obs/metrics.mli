@@ -118,3 +118,12 @@ val to_json : t -> string
     [_bucket{le="..."}] lines plus [_sum]/[_count] for histograms),
     metrics sorted by name. *)
 val to_prometheus : t -> string
+
+(** {!to_json} over several registries as one flat object, names sorted
+    across all of them.  The registries' names must be disjoint: a name
+    registered in two of them is printed twice, once per registry. *)
+val to_json_merged : t list -> string
+
+(** {!to_prometheus} over several registries, with the same
+    disjointness rule as {!to_json_merged}. *)
+val to_prometheus_merged : t list -> string

@@ -2,8 +2,9 @@
 
    Extracted from the CLI so `hsq status --health` and the daemon's
    `health` wire verb cannot drift: both build the same {!t} through
-   {!collect} and derive their output (text lines, JSON fields) and
-   their exit code / healthy flag from it. *)
+   {!collect} (the daemon once per replica of its shard group) and
+   derive their output (text lines, JSON fields) and their exit code /
+   healthy flag from it. *)
 
 module Metrics = Hsq_obs.Metrics
 
@@ -113,7 +114,8 @@ let to_lines h =
       r.steps_reingested);
   List.rev !lines
 
-(* The wire verb's fields — same record, JSON shape. *)
+(* One engine's health as JSON fields, rendered per replica by the
+   group rollup below. *)
 let to_fields h =
   [
     ("healthy", Json.Bool (healthy h));

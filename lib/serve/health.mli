@@ -1,9 +1,10 @@
 (** Failure-containment health, collected once and rendered two ways.
 
-    `hsq status --health` and the daemon's `health` wire verb both
-    build the same summary through {!collect} and derive text lines,
-    JSON fields, and the healthy/exit-code verdict from it — one
-    implementation, so the two surfaces cannot drift. *)
+    `hsq status --health` builds the summary through {!collect} and
+    derives text lines and the healthy/exit-code verdict from it; the
+    daemon's `health` wire verb rolls the same per-engine record up
+    over its shard group ({!collect_group}), so the two surfaces cannot
+    drift. *)
 
 type scrub_info = {
   errors : int;
@@ -41,9 +42,6 @@ val exit_code : t -> int
 
 (** The exact "health: ..." lines `hsq status --health` prints. *)
 val to_lines : t -> string list
-
-(** The wire verb's response fields (["healthy"], ["breaker"], ...). *)
-val to_fields : t -> (string * Json.t) list
 
 (** {1 Sharded stores}
 

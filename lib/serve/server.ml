@@ -40,9 +40,9 @@
    observe was WAL-appended before its ack, so open_or_recover replays
    the suffix (chaos-tested by test_serve's kill/restart scenario).
 
-   Backends: one engine (the default) or a Shard_group — the admission
-   queue, engine thread, and connection machinery are identical; only
-   request execution dispatches. *)
+   Backend: a Shard_group at every shard count; one engine is its
+   K = 1, R = 1 case, with the same on-disk layout, answers and flat
+   metrics dump. *)
 
 module Metrics = Hsq_obs.Metrics
 module E = Hsq.Engine
@@ -92,18 +92,13 @@ type counters = {
   conns_total : Metrics.Counter.t;
 }
 
-type backend =
-  | Single of E.t
-  | Group of G.t
-
 type t = {
   config : config;
-  backend : backend;
-  reg : Metrics.t; (* serve-owned metrics: the engine's registry for
-                      Single, a standalone one for Group (shard
-                      registries are merged at dump time) *)
+  group : G.t;
+  reg : Metrics.t; (* serve-owned metrics; shard registries are merged
+                      in at dump time *)
   ingest_lanes : int; (* > 1: connection threads run Observe directly on
-                         their own ingest lane (engine observe_domain),
+                         their own ingest lane (group observe_domain),
                          bypassing the single-submitter queue *)
   ckpt_scheduled : bool Atomic.t; (* a lane-debt checkpoint job is queued *)
   adm : Admission.t;
@@ -130,21 +125,16 @@ let budget_ms_for t cls =
   | Protocol.Ingest_q -> b.ingest_ms
   | Protocol.Admin_q -> b.admin_ms
 
-let create_backend config backend =
+let create config group =
   if config.queue_depth < 1 then invalid_arg "Server.create: queue_depth < 1";
-  let reg = match backend with Single e -> E.metrics e | Group _ -> Metrics.create () in
+  let reg = Metrics.create () in
   Hsq_obs.Process.register reg;
   let counter name help = Metrics.counter ~help reg name in
-  let ingest_lanes =
-    match backend with
-    | Single e -> E.ingest_domains e
-    | Group g -> (G.config g).Hsq.Config.ingest_domains
-  in
   {
     config;
-    backend;
+    group;
     reg;
-    ingest_lanes;
+    ingest_lanes = (G.config group).Hsq.Config.ingest_domains;
     ckpt_scheduled = Atomic.make false;
     adm = Admission.create ~capacity:config.queue_depth ~metrics:reg ();
     started_at = Metrics.now_s ();
@@ -179,33 +169,12 @@ let create_backend config backend =
       Metrics.histogram ~help:"Admission-queue wait" reg "hsq_serve_queue_wait_seconds";
   }
 
-let create config engine = create_backend config (Single engine)
-let create_group config group = create_backend config (Group group)
-
-let engine t =
-  match t.backend with
-  | Single e -> e
-  | Group _ -> invalid_arg "Server.engine: sharded backend (use Server.group)"
-
-let group t =
-  match t.backend with
-  | Group g -> Some g
-  | Single _ -> None
-
 let uptime_s t = Metrics.now_s () -. t.started_at
 
 (* Async-signal-safe: just an atomic store; the accept thread polls it. *)
 let request_stop t = Atomic.set t.stop_requested true
 
 (* --- request execution (engine thread only) ---------------------------- *)
-
-let degradation_fields (report : E.query_report) =
-  [
-    ("bound", Json.Num report.E.rank_error_bound);
-    ("degradation", Json.Str (E.degradation_label report.E.degradation));
-    ("iterations", Json.int report.E.iterations);
-    ("io", Json.int (Hsq_storage.Io_stats.total report.E.io));
-  ]
 
 let window_error_response sizes =
   Protocol.err Protocol.e_window
@@ -216,7 +185,71 @@ let rank_of_target ~n = function
   | Protocol.Rank r -> r
   | Protocol.Phi p -> Hsq.Bisection.rank_of_phi ~who:"Server" ~n p
 
-let execute_single t eng req ~deadline =
+let pairs l = Json.List (List.map (fun (i, j) -> Json.List [ Json.int i; Json.int j ]) l)
+
+let degradation_fields (report : G.query_report) =
+  let down = match report.G.degradation with `Shard_down ks -> ks | _ -> [] in
+  let diverged = match report.G.degradation with `Replica_diverged srs -> srs | _ -> [] in
+  [
+    ("bound", Json.Num report.G.rank_error_bound);
+    ("degradation", Json.Str (G.degradation_label report.G.degradation));
+    ("iterations", Json.int report.G.iterations);
+    ("io", Json.int (Hsq_storage.Io_stats.total report.G.io));
+    ("shards_down", Json.List (List.map Json.int down));
+    ("replicas_diverged", pairs diverged);
+  ]
+
+(* Apply [observe] to each value in order.  On a failure every
+   element before it is acknowledged (it hit the WAL) and it and the
+   rest are not; the reply says exactly how many were applied.
+   [`Closed]: the group was closed under the caller, which only a
+   direct-lane observe racing the drain can see. *)
+let observe_all ?(ok_fields = []) observe vals =
+  let applied = ref 0 in
+  let n () = ("applied", Json.int !applied) in
+  try
+    Array.iter
+      (fun v ->
+        observe v;
+        incr applied)
+      vals;
+    (`Ok, Protocol.ok (n () :: ok_fields))
+  with
+  | G.Shard_unavailable (i, reason) ->
+    ( `Error,
+      Protocol.err Protocol.e_device
+        ~detail:(Printf.sprintf "shard %d down: %s" i reason)
+        ~extra:[ n (); ("shard", Json.int i) ] )
+  | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_wal ~detail:msg ~extra:[ n () ])
+  | Invalid_argument _ -> (`Closed, Protocol.err Protocol.e_shutting_down ~extra:[ n () ])
+
+(* One quick or accurate query: resolve the target against the
+   population it is asked over (the whole store, or one window), run
+   it, and render the answer.  [run] returns the value and the fields
+   that describe it. *)
+let answer g ~target ~window run =
+  let population =
+    match window with None -> Ok (G.total_size g) | Some w -> G.window_total g ~window:w
+  in
+  try
+    match population with
+    | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
+    | Ok 0 ->
+      let what = if window = None then "empty engine" else "empty window" in
+      (`Bad, Protocol.err Protocol.e_bad_request ~detail:what)
+    | Ok n -> (
+      let rank = rank_of_target ~n target in
+      match run ~rank with
+      | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
+      | Ok (v, fields) ->
+        let window = match window with Some w -> [ ("window", Json.int w) ] | None -> [] in
+        (`Ok, Protocol.ok ((("value", Json.int v) :: ("rank", Json.int rank) :: window) @ fields)))
+  with
+  | Invalid_argument msg -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:msg)
+  | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg)
+
+let execute t req ~deadline =
+  let g = t.group in
   match req with
   | Protocol.Ping -> (`Ok, Protocol.ok [ ("pong", Json.Bool true) ])
   | Protocol.Drain ->
@@ -224,244 +257,66 @@ let execute_single t eng req ~deadline =
        through, honor it here too. *)
     request_stop t;
     (`Ok, Protocol.ok [ ("draining", Json.Bool true) ])
-  | Protocol.Observe vals -> (
-    let applied = ref 0 in
-    try
-      Array.iter
-        (fun v ->
-          E.observe eng v;
-          incr applied)
-        vals;
-      (`Ok, Protocol.ok [ ("applied", Json.int !applied) ])
-    with BD.Device_error msg ->
-      (* Elements before the failure are acknowledged (they hit the
-         WAL); the rest are not — the client knows exactly how many. *)
-      ( `Error,
-        Protocol.err Protocol.e_wal ~detail:msg ~extra:[ ("applied", Json.int !applied) ] ))
-  | Protocol.End_step -> (
-    try
-      let report = E.end_time_step eng in
-      let fields =
-        [
-          ("step", Json.int (E.time_steps eng));
-          ("merges", Json.int report.Hsq_hist.Level_index.merges_performed);
-        ]
-      in
-      let fields =
-        match report.Hsq_hist.Level_index.deferred_merge with
-        | None -> fields
-        | Some why -> fields @ [ ("deferred_merge", Json.Str why) ]
-      in
-      (`Ok, Protocol.ok fields)
-    with
-    | Invalid_argument _ -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty step")
-    | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg))
-  | Protocol.Quick { target; window } -> (
-    try
-      match window with
-      | None ->
-        let n = E.total_size eng in
-        if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty engine")
-        else begin
-          let rank = rank_of_target ~n target in
-          let v, bound = E.quick_with_bound eng ~rank in
-          ( `Ok,
-            Protocol.ok
-              [ ("value", Json.int v); ("rank", Json.int rank); ("bound", Json.Num bound) ] )
-        end
-      | Some w -> (
-        match E.window_total eng ~window:w with
-        | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
-        | Ok n ->
-          if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty window")
-          else begin
-            let rank = rank_of_target ~n target in
-            match E.quick_window eng ~window:w ~rank with
-            | Ok v ->
-              ( `Ok,
-                Protocol.ok
-                  [ ("value", Json.int v); ("rank", Json.int rank); ("window", Json.int w) ] )
-            | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
-          end)
-    with BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg))
-  | Protocol.Accurate { target; window; deadline_ms = _ } -> (
-    (* The remaining budget (class budget minus queue wait, already
-       folded with any request deadline) drives the engine's
-       cooperative deadline-cut machinery. *)
-    let remaining_ms = Float.max 1.0 ((deadline -. Metrics.now_s ()) *. 1000.0) in
-    try
-      match window with
-      | None ->
-        let n = E.total_size eng in
-        if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty engine")
-        else begin
-          let rank = rank_of_target ~n target in
-          let v, report = E.accurate ~deadline_ms:remaining_ms eng ~rank in
-          ( `Ok,
-            Protocol.ok
-              ([ ("value", Json.int v); ("rank", Json.int rank) ] @ degradation_fields report)
-          )
-        end
-      | Some w -> (
-        match E.window_total eng ~window:w with
-        | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
-        | Ok n ->
-          if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty window")
-          else begin
-            let rank = rank_of_target ~n target in
-            match E.accurate_window ~deadline_ms:remaining_ms eng ~window:w ~rank with
-            | Ok (v, report) ->
-              ( `Ok,
-                Protocol.ok
-                  ([ ("value", Json.int v); ("rank", Json.int rank); ("window", Json.int w) ]
-                  @ degradation_fields report) )
-            | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
-          end)
-    with BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg))
-  | Protocol.Stats ->
-    let d = E.durability_status eng in
-    ( `Ok,
-      Protocol.ok
-        [
-          ("n", Json.int (E.total_size eng));
-          ("hist", Json.int (E.hist_size eng));
-          ("stream", Json.int (E.stream_size eng));
-          ("steps", Json.int (E.time_steps eng));
-          ("epsilon", Json.Num (E.epsilon eng));
-          ("sketch", Json.Str (E.sketch_label eng));
-          ("memory_words", Json.int (E.memory_words eng));
-          ("windows", Json.List (List.map Json.int (E.window_sizes eng)));
-          ("uptime_s", Json.Num (uptime_s t));
-          ("queue_depth", Json.int (Admission.depth t.adm));
-          ("queue_capacity", Json.int (Admission.capacity t.adm));
-          ("durable", Json.Bool (d <> None));
-        ] )
-  | Protocol.Metrics_dump fmt -> (
-    let reg = E.metrics eng in
-    match fmt with
-    | Protocol.Fmt_json ->
-      (* Metrics.to_json is a single line by construction, so it can be
-         spliced into the response line as-is. *)
-      (`Ok, Printf.sprintf "{\"ok\":true,\"metrics\":%s}" (Metrics.to_json reg))
-    | Protocol.Fmt_prometheus ->
-      (`Ok, Protocol.ok [ ("body", Json.Str (Metrics.to_prometheus reg)) ]))
-  | Protocol.Health_check ->
-    let h = Health.collect eng in
-    (`Ok, Protocol.ok (Health.to_fields h))
-
-(* The sharded backend: fused queries and routed ingest via
-   Shard_group; the window machinery is per-engine state and stays a
-   single-backend feature. *)
-
-let group_degradation_fields (report : G.query_report) =
-  let down = match report.G.degradation with `Shard_down ks -> ks | _ -> [] in
-  let diverged =
-    match report.G.degradation with `Replica_diverged srs -> srs | _ -> []
-  in
-  [
-    ("bound", Json.Num report.G.rank_error_bound);
-    ("degradation", Json.Str (G.degradation_label report.G.degradation));
-    ("iterations", Json.int report.G.iterations);
-    ("io", Json.int (Hsq_storage.Io_stats.total report.G.io));
-    ("shards_down", Json.List (List.map Json.int down));
-    ( "replicas_diverged",
-      Json.List
-        (List.map (fun (i, j) -> Json.List [ Json.int i; Json.int j ]) diverged) );
-  ]
-
-let execute_group t g req ~deadline =
-  match req with
-  | Protocol.Ping -> (`Ok, Protocol.ok [ ("pong", Json.Bool true) ])
-  | Protocol.Drain ->
-    request_stop t;
-    (`Ok, Protocol.ok [ ("draining", Json.Bool true) ])
-  | Protocol.Observe vals -> (
-    let applied = ref 0 in
-    try
-      Array.iter
-        (fun v ->
-          G.observe g v;
-          incr applied)
-        vals;
-      (`Ok, Protocol.ok [ ("applied", Json.int !applied) ])
-    with
-    | G.Shard_unavailable (i, reason) ->
-      (* The owning shard is down: everything before this element is
-         acknowledged, this one and the rest are not. *)
-      ( `Error,
-        Protocol.err Protocol.e_device
-          ~detail:(Printf.sprintf "shard %d down: %s" i reason)
-          ~extra:[ ("applied", Json.int !applied); ("shard", Json.int i) ] )
-    | BD.Device_error msg ->
-      ( `Error,
-        Protocol.err Protocol.e_wal ~detail:msg ~extra:[ ("applied", Json.int !applied) ] ))
+  | Protocol.Observe vals -> observe_all (G.observe g) vals
   | Protocol.End_step -> (
     match G.end_time_step g with
     | [] -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty step")
     | results ->
+      let reports, failures =
+        List.partition_map
+          (fun (i, r) -> match r with Ok rep -> Left (i, rep) | Error m -> Right (i, m))
+          results
+      in
+      let deferred =
+        List.filter_map
+          (fun (i, rep) -> Option.map (fun why -> (i, why)) rep.Hsq_hist.Level_index.deferred_merge)
+          reports
+      in
       let merges =
         List.fold_left
-          (fun acc (_, r) ->
-            match r with
-            | Ok rep -> acc + rep.Hsq_hist.Level_index.merges_performed
-            | Error _ -> acc)
-          0 results
+          (fun acc (_, rep) -> acc + rep.Hsq_hist.Level_index.merges_performed)
+          0 reports
       in
-      let failures =
-        List.filter_map (fun (i, r) -> match r with Error m -> Some (i, m) | Ok _ -> None) results
+      (* The i-th message pairs with the i-th shard listed beside it. *)
+      let messages l = String.concat "; " (List.map snd l) in
+      let shards l = Json.List (List.map (fun (i, _) -> Json.int i) l) in
+      let fields =
+        [ ("step", Json.int (G.time_steps g)); ("merges", Json.int merges) ]
+        @
+        if deferred = [] then []
+        else
+          [ ("deferred_merge", Json.Str (messages deferred)); ("deferred_shards", shards deferred) ]
       in
-      let fields = [ ("step", Json.int (G.time_steps g)); ("merges", Json.int merges) ] in
       if failures = [] then (`Ok, Protocol.ok fields)
       else
         (* Healthy shards archived; the client learns exactly which
            shards did not. *)
         ( `Error,
-          Protocol.err Protocol.e_device
-            ~detail:
-              (String.concat "; "
-                 (List.map (fun (i, m) -> Printf.sprintf "shard %d: %s" i m) failures))
-            ~extra:(fields @ [ ("failed_shards", Json.List (List.map (fun (i, _) -> Json.int i) failures)) ]) ))
-  | Protocol.Quick { target; window } -> (
-    match window with
-    | Some _ ->
-      (`Bad, Protocol.err Protocol.e_bad_request ~detail:"windowed queries need a single-engine store")
-    | None -> (
-      let n = G.total_size g in
-      if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty engine")
-      else
-        try
-          let rank = rank_of_target ~n target in
-          let v, bound, degradation = G.quick_with_bound g ~rank in
-          ( `Ok,
-            Protocol.ok
+          Protocol.err Protocol.e_device ~detail:(messages failures)
+            ~extra:(fields @ [ ("failed_shards", shards failures) ]) ))
+  | Protocol.Quick { target; window } ->
+    answer g ~target ~window (fun ~rank ->
+        Result.map
+          (fun (v, bound, degradation) ->
+            ( v,
               [
-                ("value", Json.int v);
-                ("rank", Json.int rank);
                 ("bound", Json.Num bound);
                 ("degradation", Json.Str (G.degradation_label degradation));
-              ] )
-        with
-        | Invalid_argument msg -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:msg)
-        | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg)))
-  | Protocol.Accurate { target; window; deadline_ms = _ } -> (
-    match window with
-    | Some _ ->
-      (`Bad, Protocol.err Protocol.e_bad_request ~detail:"windowed queries need a single-engine store")
-    | None -> (
-      let remaining_ms = Float.max 1.0 ((deadline -. Metrics.now_s ()) *. 1000.0) in
-      let n = G.total_size g in
-      if n = 0 then (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty engine")
-      else
-        try
-          let rank = rank_of_target ~n target in
-          let v, report = G.accurate ~deadline_ms:remaining_ms g ~rank in
-          ( `Ok,
-            Protocol.ok
-              ([ ("value", Json.int v); ("rank", Json.int rank) ]
-              @ group_degradation_fields report) )
-        with
-        | Invalid_argument msg -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:msg)
-        | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg)))
+              ] ))
+          (match window with
+          | None -> Ok (G.quick_with_bound g ~rank)
+          | Some w -> G.quick_window g ~window:w ~rank))
+  | Protocol.Accurate { target; window; deadline_ms = _ } ->
+    (* The remaining budget (class budget minus queue wait, already
+       folded with any request deadline) drives the cooperative
+       deadline-cut machinery. *)
+    let deadline_ms = Float.max 1.0 ((deadline -. Metrics.now_s ()) *. 1000.0) in
+    answer g ~target ~window (fun ~rank ->
+        Result.map
+          (fun (v, report) -> (v, degradation_fields report))
+          (match window with
+          | None -> Ok (G.accurate ~deadline_ms g ~rank)
+          | Some w -> G.accurate_window ~deadline_ms g ~window:w ~rank))
   | Protocol.Stats ->
     let durable = List.exists (fun (_, e) -> E.durability_status e <> None) (G.engines g) in
     let epsilon = try G.epsilon g with Invalid_argument _ -> 0.0 in
@@ -475,37 +330,25 @@ let execute_group t g req ~deadline =
           ("epsilon", Json.Num epsilon);
           ("sketch", Json.Str (G.sketch_label g));
           ("memory_words", Json.int (G.memory_words g));
+          ("windows", Json.List (List.map Json.int (G.window_sizes g)));
           ("shards", Json.int (G.shard_count g));
           ("shards_down", Json.List (List.map Json.int (G.shards_down g)));
           ("down_elements", Json.int (G.down_elements g));
           ("replicas", Json.int (G.replica_count g));
-          ( "replicas_down",
-            Json.List
-              (List.map
-                 (fun (i, j) -> Json.List [ Json.int i; Json.int j ])
-                 (G.replicas_down g)) );
-          ( "replicas_diverged",
-            Json.List
-              (List.map
-                 (fun (i, j) -> Json.List [ Json.int i; Json.int j ])
-                 (G.diverged_replicas g)) );
+          ("replicas_down", pairs (G.replicas_down g));
+          ("replicas_diverged", pairs (G.diverged_replicas g));
           ("uptime_s", Json.Num (uptime_s t));
           ("queue_depth", Json.int (Admission.depth t.adm));
           ("queue_capacity", Json.int (Admission.capacity t.adm));
           ("durable", Json.Bool durable);
         ] )
-  | Protocol.Metrics_dump fmt -> (
-    match fmt with
-    | Protocol.Fmt_json ->
-      (`Ok, Printf.sprintf "{\"ok\":true,\"metrics\":%s}" (G.metrics_json ~extra:t.reg g))
-    | Protocol.Fmt_prometheus ->
-      (`Ok, Protocol.ok [ ("body", Json.Str (G.metrics_prometheus ~extra:t.reg g)) ]))
+  | Protocol.Metrics_dump Protocol.Fmt_json ->
+    (* The dump is a single line by construction, so it can be spliced
+       into the response line as-is. *)
+    (`Ok, Printf.sprintf "{\"ok\":true,\"metrics\":%s}" (G.metrics_json ~extra:t.reg g))
+  | Protocol.Metrics_dump Protocol.Fmt_prometheus ->
+    (`Ok, Protocol.ok [ ("body", Json.Str (G.metrics_prometheus ~extra:t.reg g)) ])
   | Protocol.Health_check -> (`Ok, Protocol.ok (Health.group_to_fields (Health.collect_group g)))
-
-let execute t req ~deadline =
-  match t.backend with
-  | Single e -> execute_single t e req ~deadline
-  | Group g -> execute_group t g req ~deadline
 
 (* Drain every remaining queue item, then run the shutdown sequence.
    A request that spent its whole budget waiting is answered `timeout`
@@ -540,6 +383,7 @@ let engine_loop t =
             | `Error, resp ->
               Metrics.Counter.inc t.c.internal;
               resp
+            | `Closed, resp -> resp
             | exception e ->
               Metrics.Counter.inc t.c.internal;
               Protocol.err Protocol.e_internal ~detail:(Printexc.to_string e)
@@ -589,7 +433,7 @@ let submit_and_reply t req =
 (* --- direct ingest lanes (ingest_domains > 1) ---------------------------
 
    With concurrent lanes configured, Observe verbs never queue: the
-   connection thread applies them itself through the engine's
+   connection thread applies them itself through the group's
    thread-safe observe_domain, on the lane its connection id maps to.
    Ingest therefore scales with connections instead of serializing
    behind queries on the engine thread, and a slow accurate query no
@@ -609,17 +453,11 @@ let submit_and_reply t req =
    schedules one engine-thread job; the flag stops a thundering herd of
    duplicates. *)
 let schedule_lane_checkpoint t =
-  let due =
-    match t.backend with
-    | Single e -> E.ingest_checkpoint_due e
-    | Group g -> List.exists (fun (_, e) -> E.ingest_checkpoint_due e) (G.engines g)
-  in
+  let due = List.exists (fun (_, e) -> E.ingest_checkpoint_due e) (G.engines t.group) in
   if due && not (Atomic.exchange t.ckpt_scheduled true) then begin
     let job () =
       Atomic.set t.ckpt_scheduled false;
-      match t.backend with
-      | Single e -> ignore (E.checkpoint_if_due e)
-      | Group g -> ignore (G.checkpoint_if_due g)
+      ignore (G.checkpoint_if_due t.group)
     in
     let item =
       Admission.make_item (Admission.Job job) Protocol.Admin_q
@@ -637,38 +475,15 @@ let direct_observe t ~conn_id vals =
   if Admission.draining t.adm then Protocol.err Protocol.e_shutting_down
   else begin
     let lane = conn_id mod t.ingest_lanes in
-    let applied = ref 0 in
-    let resp =
-      try
-        (match t.backend with
-        | Single e ->
-          Array.iter
-            (fun v ->
-              E.observe_domain e ~domain:lane v;
-              incr applied)
-            vals
-        | Group g ->
-          Array.iter
-            (fun v ->
-              G.observe_domain g ~domain:lane v;
-              incr applied)
-            vals);
-        Metrics.Counter.inc t.c.ok;
-        Protocol.ok [ ("applied", Json.int !applied); ("lane", Json.int lane) ]
-      with
-      | BD.Device_error msg ->
-        Metrics.Counter.inc t.c.internal;
-        Protocol.err Protocol.e_wal ~detail:msg ~extra:[ ("applied", Json.int !applied) ]
-      | G.Shard_unavailable (i, reason) ->
-        Metrics.Counter.inc t.c.internal;
-        Protocol.err Protocol.e_device
-          ~detail:(Printf.sprintf "shard %d down: %s" i reason)
-          ~extra:[ ("applied", Json.int !applied); ("shard", Json.int i) ]
-      | Invalid_argument _ ->
-        (* The engine closed under a racing drain; nothing past
-           [applied] was acknowledged. *)
-        Protocol.err Protocol.e_shutting_down ~extra:[ ("applied", Json.int !applied) ]
+    let status, resp =
+      observe_all ~ok_fields:[ ("lane", Json.int lane) ]
+        (G.observe_domain t.group ~domain:lane)
+        vals
     in
+    (match status with
+    | `Ok -> Metrics.Counter.inc t.c.ok
+    | `Error -> Metrics.Counter.inc t.c.internal
+    | `Closed -> ());
     schedule_lane_checkpoint t;
     resp
   end
@@ -814,13 +629,9 @@ let drain t listen_fd =
     Thread.join thr;
     t.engine_thread <- None
   | None -> ());
-  (* Backend is quiescent now: persist the stream side and close.  Both
-     are idempotent, so a signal-driven second shutdown is harmless. *)
-  (match t.backend with
-  | Single e ->
-    (try E.checkpoint_now e with _ -> ());
-    (try E.close e with _ -> ())
-  | Group g -> ( try G.close g with _ -> ()));
+  (* Backend is quiescent now: checkpoint the stream side and close
+     (idempotent, so a signal-driven second shutdown is harmless). *)
+  (try G.close t.group with _ -> ());
   (* Unblock any connection thread still parked in a read, then join. *)
   let remaining =
     Mutex.lock t.conn_lock;
@@ -883,25 +694,16 @@ let stop t =
   request_stop t;
   wait t
 
-(* Test/ops hook: run [f engine] on the engine thread (serialized with
-   request execution), blocking until it completes.  The chaos harness
-   uses it to flip fault injectors and run repair scrubs without ever
-   racing a live query. *)
-let submit_job t job =
+(* Test/ops hook: run [f group] on the engine thread (serialized with
+   request execution), blocking until it completes.  The chaos harnesses
+   use it to flip fault injectors, run repair scrubs and kill or rejoin
+   shards without ever racing a live query. *)
+let submit_fn t f =
   let item =
-    Admission.make_item (Admission.Job job) Protocol.Admin_q
+    Admission.make_item (Admission.Job (fun () -> f t.group)) Protocol.Admin_q
       ~deadline:(Metrics.now_s () +. 60.0)
   in
   match Admission.submit t.adm item with
   | Admission.Admitted -> ignore (Admission.await item)
-  | Admission.Overloaded _ | Admission.Draining -> invalid_arg "Server.submit_fn: not admitted"
-
-let submit_fn t f =
-  match t.backend with
-  | Single e -> submit_job t (fun () -> f e)
-  | Group _ -> invalid_arg "Server.submit_fn: sharded backend (use submit_group_fn)"
-
-let submit_group_fn t f =
-  match t.backend with
-  | Group g -> submit_job t (fun () -> f g)
-  | Single _ -> invalid_arg "Server.submit_group_fn: single-engine backend (use submit_fn)"
+  | Admission.Overloaded _ -> invalid_arg "Server.submit_fn: admission queue full"
+  | Admission.Draining -> invalid_arg "Server.submit_fn: server draining"

@@ -1,21 +1,23 @@
 (** The `hsq serve` daemon: line-JSON requests over a Unix or TCP
-    socket, executed against one engine.
+    socket, executed against a {!Hsq_shard.Shard_group}.  A single
+    engine is the group's K = 1, R = 1 case: same store layout, same
+    answers, and a flat [metrics] dump.
 
     Overload safety is structural: every engine-touching request goes
     through the bounded {!Admission} queue (full queue → explicit
     [overloaded] response with a retry-after hint, never silent
     buffering), carries an absolute deadline from its class budget
     (aged-out requests answer [timeout] without running), and is
-    executed by a single engine thread — the engine is
+    executed by a single engine thread — the group is
     single-submitter by contract.  Connection faults (malformed lines,
     stalled clients, abrupt disconnects) are contained per-connection
     and surfaced in [hsq_serve_*] metrics.
 
-    Exception: with [config.ingest_domains > 1] on the backing engine
-    (or every shard of a group), [observe] verbs bypass the queue —
-    each connection thread applies them itself on the ingest lane its
-    connection id maps to ({!Hsq.Engine.observe_domain}, thread-safe
-    by design), so writers scale with connections instead of
+    Exception: with [config.ingest_domains > 1] on the group,
+    [observe] verbs bypass the queue — each connection thread applies
+    them itself on the ingest lane its connection id maps to
+    ({!Hsq_shard.Shard_group.observe_domain}, thread-safe by design),
+    so writers scale with connections instead of
     serializing behind queries.  Replies still acknowledge exactly the
     WAL-durable prefix, a draining server answers [shutting_down]
     without acknowledging, and lane checkpoint debt is settled by a
@@ -57,25 +59,16 @@ val default_config : listen -> config
 
 type t
 
-(** Raises [Invalid_argument] if [queue_depth < 1].  Registers the
-    serve metrics (and process gauges) on the engine's registry. *)
-val create : config -> Hsq.Engine.t -> t
-
-(** Serve a {!Hsq_shard.Shard_group}: ingest routes across the shards,
-    queries fuse (and report [`Shard_down] degradations), [health]
-    rolls up per-shard state, and metric dumps merge every shard's
-    registry under [shard="<k>"] labels.  Windowed queries are a
-    single-engine feature and answer [bad_request].  Serve metrics live
-    on a standalone registry (exported as the unlabelled part of the
-    dumps). *)
-val create_group : config -> Hsq_shard.Shard_group.t -> t
-
-(** The single-engine backend.  Raises [Invalid_argument] on a sharded
-    server — use {!group}. *)
-val engine : t -> Hsq.Engine.t
-
-(** The sharded backend, if this server fronts one. *)
-val group : t -> Hsq_shard.Shard_group.t option
+(** Serve a group: ingest routes across the shards, queries fuse (and
+    report [`Shard_down] degradations), windowed queries answer over
+    the last [w] steps of every shard (see
+    {!Hsq_shard.Shard_group.window_sizes}), [health] rolls up
+    per-shard state, and metric dumps merge every shard's registry
+    ({!Hsq_shard.Shard_group.metrics_json}).  Serve metrics (and
+    process gauges) live on a registry of their own, exported as the
+    unlabelled part of the dumps.  Raises [Invalid_argument] if
+    [queue_depth < 1]. *)
+val create : config -> Hsq_shard.Shard_group.t -> t
 
 val uptime_s : t -> float
 
@@ -95,14 +88,9 @@ val wait : t -> unit
 (** [request_stop] + [wait]. *)
 val stop : t -> unit
 
-(** Run [f engine] on the engine thread, serialized with request
-    execution, blocking until done.  The chaos harness uses this to
-    flip device-fault injectors and run repair scrubs against a live
-    server without racing queries.  Raises [Invalid_argument] if the
-    queue is full or draining. *)
-val submit_fn : t -> (Hsq.Engine.t -> unit) -> unit
-
-(** {!submit_fn} for a sharded server: run [f group] on the engine
-    thread.  The shard chaos harness uses it to kill and rejoin shards
-    under live traffic. *)
-val submit_group_fn : t -> (Hsq_shard.Shard_group.t -> unit) -> unit
+(** Run [f group] on the engine thread, serialized with request
+    execution, blocking until done.  The chaos harnesses use this to
+    flip device-fault injectors, run repair scrubs, and kill or rejoin
+    shards against a live server without racing queries.  Raises
+    [Invalid_argument] if the queue is full or draining. *)
+val submit_fn : t -> (Hsq_shard.Shard_group.t -> unit) -> unit

@@ -236,10 +236,12 @@ let live_replicas_of reps =
 
 (* The replica a query reads this shard through: the first live
    non-diverged one, else the first live one (serving a diverged
-   replica is better than dropping the shard — the report says so). *)
-let read_replica t i =
-  let reps = t.slots.(i) in
-  let live = live_replicas_of reps in
+   replica is better than dropping the shard — the report says so).
+   [dropped] (shard, replica) pairs are not candidates. *)
+let read_replica ?(dropped = []) t i =
+  let live =
+    List.filter (fun (j, _) -> not (List.mem (i, j) dropped)) (live_replicas_of t.slots.(i))
+  in
   let clean = List.filter (fun (j, _) -> not t.slots.(i).(j).diverged) live in
   match (clean, live) with
   | (j, e) :: _, _ -> Some (j, e, false)
@@ -513,6 +515,10 @@ let flush_ingest t = List.iter (fun (_, _, e) -> E.flush_ingest e) (all_live t)
 let checkpoint_if_due t =
   List.fold_left (fun acc (_, _, e) -> E.checkpoint_if_due e || acc) false (all_live t)
 
+(* A replica whose open step is empty is skipped.  The engine's own
+   cut is the test ([Invalid_argument] on an empty batch): elements
+   still sitting in ingest-lane buffers are not yet counted by
+   [E.stream_size], but the cut seals the lanes first and sees them. *)
 let end_time_step t =
   let out = ref [] in
   with_lock t (fun () ->
@@ -521,30 +527,30 @@ let end_time_step t =
           if t.r = 1 then begin
             match reps.(0).state with
             | Dead _ -> ()
-            | Live e ->
-              if E.stream_size e > 0 then begin
-                match E.end_time_step e with
-                | report -> out := (i, Ok report) :: !out
-                | exception BD.Device_error msg -> out := (i, Error msg) :: !out
-              end
+            | Live e -> (
+              match E.end_time_step e with
+              | report -> out := (i, Ok report) :: !out
+              | exception Invalid_argument _ -> ()
+              | exception BD.Device_error msg -> out := (i, Error msg) :: !out)
           end
           else begin
-            (* Cut on every live replica holding stream elements; a
-               replica that fails its cut goes down (its sibling's cut
-               stands).  The cut is then hinted to dead replicas so
-               their drains archive the same step boundary. *)
+            (* Cut on every live replica holding elements in the open
+               step; a replica that fails its cut goes down (its
+               sibling's cut stands).  The cut is then hinted to dead
+               replicas so their drains archive the same step boundary. *)
             let ok = ref None in
             let err = ref None in
             Array.iter
               (fun rep ->
                 match rep.state with
-                | Live e when E.stream_size e > 0 -> (
+                | Live e -> (
                   match E.end_time_step e with
                   | report -> if !ok = None then ok := Some (report, E.time_steps e)
+                  | exception Invalid_argument _ -> ()
                   | exception BD.Device_error msg ->
                     err := Some msg;
                     replica_down_locked t i rep ~reason:msg)
-                | _ -> ())
+                | Dead _ -> ())
               reps;
             match (!ok, !err) with
             | Some (report, step), _ ->
@@ -593,9 +599,12 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
    fails over to a sibling and widens nothing: the sibling holds the
    same logical data.  [served_diverged] lists read replicas serving
    while flagged by anti-entropy (only chosen when no clean sibling is
-   live) — surfaced as `Replica_diverged. *)
+   live) — surfaced as `Replica_diverged.  [window] is the partition
+   selector: [None] is every archived step, [Some w] the last [w]
+   (Section 2.4). *)
 type view = {
   alive : (int * int * E.t) list; (* (shard, replica, engine) *)
+  window : int option;
   parts : ((int * int) * Hsq_hist.Partition.t) list; (* (owner, partition), active only *)
   streams : Ss.t list;
   us : Us.t;
@@ -604,8 +613,39 @@ type view = {
   served_diverged : (int * int) list;
 }
 
-let quarantined_sum alive =
-  List.fold_left (fun acc (_, _, e) -> acc + Li.quarantined_elements (E.hist e)) 0 alive
+(* A window the read replicas cannot answer together. *)
+exception Misaligned
+
+(* A window counts the same steps on every read replica only if each
+   has archived the same number of them: [end_time_step] skips a shard
+   whose open step is empty, which shifts that shard's step numbering
+   against the others'. *)
+let same_steps es =
+  match es with
+  | [] -> true
+  | e :: rest -> List.for_all (fun e' -> E.time_steps e' = E.time_steps e) rest
+
+(* The replica's partitions the selector keeps, quarantined ones
+   included. *)
+let selected ~window e =
+  match window with
+  | None -> Li.partitions (E.hist e)
+  | Some w -> (
+    match Li.partitions_for_window (E.hist e) w with Some ps -> ps | None -> raise Misaligned)
+
+let active ~window e =
+  List.filter (fun p -> not (Li.is_quarantined (E.hist e) p)) (selected ~window e)
+
+(* Quarantined elements inside the selection, re-read on every call: a
+   quarantine earlier in a query widens every later answer too. *)
+let quarantined_sum view =
+  List.fold_left
+    (fun acc (_, _, e) ->
+      List.fold_left
+        (fun acc p ->
+          if Li.is_quarantined (E.hist e) p then acc + Hsq_hist.Partition.size p else acc)
+        acc (selected ~window:view.window e))
+    0 view.alive
 
 let agg_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e))) alive
 let us_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e), E.stream_size e)) alive
@@ -655,52 +695,49 @@ let fused_summaries t alive =
     t.us_cache <- Some (key, v);
     v
 
-(* [dropped] is (shard, replica) pairs disqualified for this query. *)
-let make_view t ~dropped =
+(* [dropped] is (shard, replica) pairs disqualified for this query.
+   Raises [Misaligned] when [window] is not answerable on the chosen
+   read replicas. *)
+let make_view ?window t ~dropped =
   refresh_sizes t;
   let alive = ref [] in
   let excluded = ref [] in
   let served_diverged = ref [] in
   for i = t.k - 1 downto 0 do
-    let cands =
-      List.filter (fun (j, _) -> not (List.mem (i, j) dropped)) (live_replicas_of t.slots.(i))
-    in
-    let clean = List.filter (fun (j, _) -> not t.slots.(i).(j).diverged) cands in
-    match (clean, cands) with
-    | (j, e) :: _, _ -> alive := (i, j, e) :: !alive
-    | [], (j, e) :: _ ->
+    match read_replica ~dropped t i with
+    | Some (j, e, diverged) ->
       alive := (i, j, e) :: !alive;
-      served_diverged := (i, j) :: !served_diverged
-    | [], [] -> excluded := i :: !excluded
+      if diverged then served_diverged := (i, j) :: !served_diverged
+    | None -> excluded := i :: !excluded
   done;
   let alive = !alive and excluded = !excluded in
+  if window <> None && not (same_steps (List.map (fun (_, _, e) -> e) alive)) then
+    raise Misaligned;
   let excluded_elems = List.fold_left (fun acc i -> acc + t.last_size.(i)) 0 excluded in
+  let owned = List.map (fun (i, j, e) -> ((i, j), active ~window e)) alive in
   let streams, us =
-    (* The cache only serves the no-runtime-drops view; a mid-query
-       drop is rare and rebuilds fresh. *)
-    if dropped = [] then fused_summaries t alive
+    (* The cache only serves the full view without runtime drops; a
+       window or a mid-query drop rebuilds fresh. *)
+    if window = None && dropped = [] then fused_summaries t alive
     else
-      let partitions = List.concat_map (fun (_, _, e) -> Li.active_partitions (E.hist e)) alive in
       let streams = streams_of alive in
+      let partitions = List.concat_map snd owned in
       (streams, Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams)
   in
-  let parts =
-    List.concat_map
-      (fun (i, j, e) -> List.map (fun p -> ((i, j), p)) (Li.active_partitions (E.hist e)))
-      alive
-  in
-  { alive; parts; streams; us; excluded; excluded_elems; served_diverged = !served_diverged }
+  let parts = List.concat_map (fun (o, ps) -> List.map (fun p -> (o, p)) ps) owned in
+  let served_diverged = !served_diverged in
+  { alive; window; parts; streams; us; excluded; excluded_elems; served_diverged }
 
 (* Memory-only fallback when quarantine emptied the active view: the
-   full partition sets (quarantined included) still carry honest — if
+   full selection (quarantined included) still carries honest — if
    wide — summary windows, at zero device reads (the engine's
    quick_view argument, fused).  Returns [true] iff it substituted the
-   full-set summary, whose windows already cover the quarantined
+   full-selection summary, whose windows already cover the quarantined
    elements (no double widening). *)
 let full_view_fallback view =
   if Us.n_total view.us > 0 then (view, false)
   else begin
-    let partitions = List.concat_map (fun (_, _, e) -> Li.partitions (E.hist e)) view.alive in
+    let partitions = List.concat_map (fun (_, _, e) -> selected ~window:view.window e) view.alive in
     let streams = streams_of view.alive in
     let full = Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams in
     if Us.size full > 0 then ({ view with us = full; streams }, true) else (view, false)
@@ -719,16 +756,18 @@ let down_degradation view : degradation =
 
 let ensure_open t = if t.closed then invalid_arg "Shard_group: closed"
 
-let quick_with_bound t ~rank =
+let fused_quick ?window t ~rank =
   ensure_open t;
-  let view, fallback = full_view_fallback (make_view t ~dropped:[]) in
+  let view, fallback = full_view_fallback (make_view ?window t ~dropped:[]) in
   if Us.n_total view.us = 0 then invalid_arg "Shard_group.quick: no data";
-  let q = if fallback then 0 else quarantined_sum view.alive in
+  let q = if fallback then 0 else quarantined_sum view in
   let v, bound = Hsq.Bisection.memory_answer view.us ~rank ~widen:(q + view.excluded_elems) in
   let degradation =
     worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None)
   in
   (v, bound, degradation)
+
+let quick_with_bound t ~rank = fused_quick t ~rank
 
 let quick t ~rank =
   let v, _, _ = quick_with_bound t ~rank in
@@ -740,7 +779,7 @@ let quick t ~rank =
    over the view's owner-tagged partitions and per-shard stream
    summaries, under the group's failure policy — quarantine first, then
    drop the (shard, replica) and fail over to a sibling. *)
-let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
+let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   ensure_open t;
   let t0 = Metrics.now_s () in
   let dropped = ref [] in
@@ -750,11 +789,11 @@ let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
      their in-memory contribution inside [us], so they widen nothing
      here (the summary covers them). *)
   let from_memory view degradation =
-    let widen = quarantined_sum view.alive + view.excluded_elems in
+    let widen = quarantined_sum view + view.excluded_elems in
     Hsq.Bisection.From_memory (view.us, degradation, widen)
   in
   let fetch () =
-    let view, mem_fallback = full_view_fallback (make_view t ~dropped:!dropped) in
+    let view, mem_fallback = full_view_fallback (make_view ?window t ~dropped:!dropped) in
     if Us.n_total view.us = 0 then
       (* Nothing reachable at all (every shard down or empty). *)
       invalid_arg "Shard_group.accurate: no data";
@@ -776,7 +815,7 @@ let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
           (* Failed-over shards are NOT excluded: their sibling replicas
              carry the same logical data, so the full ±ε·m contract
              survives any loss that leaves one replica per shard. *)
-          let q = quarantined_sum view.alive in
+          let q = quarantined_sum view in
           let d =
             match ending with
             | `Completed -> if q > 0 then `Quarantined q else `None
@@ -836,10 +875,49 @@ let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   in
   (answer, { io; iterations; degradation; rank_error_bound })
 
+let accurate ?tolerance_factor ?deadline_ms t ~rank =
+  fused_accurate ?tolerance_factor ?deadline_ms t ~rank
+
 let quantile t phi =
   let n = total_size t in
   if n = 0 then invalid_arg "Shard_group.quantile: no data";
   accurate t ~rank:(Hsq.Bisection.rank_of_phi ~who:"Shard_group.quantile" ~n phi)
+
+(* --- windows --------------------------------------------------------------- *)
+
+(* Window sizes every read replica can answer, and only when they all
+   archived the same number of steps. *)
+let window_sizes t =
+  match List.map snd (engines t) with
+  | [] -> []
+  | e :: rest as es ->
+    if not (same_steps es) then []
+    else
+      List.filter
+        (fun w -> List.for_all (fun e' -> List.mem w (E.window_sizes e')) rest)
+        (E.window_sizes e)
+
+let windowed t f =
+  match f () with
+  | v -> Ok v
+  | exception Misaligned -> Error (E.Window_not_aligned (window_sizes t))
+
+let window_total t ~window =
+  windowed t (fun () ->
+      let es = List.map snd (engines t) in
+      if not (same_steps es) then raise Misaligned;
+      List.fold_left
+        (fun acc e ->
+          List.fold_left
+            (fun acc p -> acc + Hsq_hist.Partition.size p)
+            (acc + E.stream_size e)
+            (selected ~window:(Some window) e))
+        0 es)
+
+let quick_window t ~window ~rank = windowed t (fun () -> fused_quick ~window t ~rank)
+
+let accurate_window ?tolerance_factor ?deadline_ms t ~window ~rank =
+  windowed t (fun () -> fused_accurate ~window ?tolerance_factor ?deadline_ms t ~rank)
 
 (* --- anti-entropy -------------------------------------------------------- *)
 
@@ -1294,7 +1372,7 @@ let label_prometheus_line ~label line =
         ^ rest
       | None -> name ^ "{" ^ label ^ "}" ^ rest)
 
-let metrics_prometheus ?extra t =
+let labelled_prometheus ?extra t =
   let buf = Buffer.create 4096 in
   (match extra with Some reg -> Buffer.add_string buf (Metrics.to_prometheus reg) | None -> ());
   List.iter
@@ -1327,7 +1405,7 @@ let json_escape reason =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let metrics_json ?extra t =
+let nested_json ?extra t =
   let buf = Buffer.create 4096 in
   Buffer.add_char buf '{';
   (match extra with
@@ -1371,3 +1449,18 @@ let metrics_json ?extra t =
     t.slots;
   Buffer.add_string buf "}}";
   Buffer.contents buf
+
+(* A K = 1, R = 1 group is one engine: its registry is exported
+   unlabelled, merged flat with [extra], so the dump reads like a lone
+   engine's. *)
+let flat t = t.k = 1 && t.r = 1
+
+let flat_registries ?extra t =
+  Option.to_list extra @ List.map (fun (_, _, e) -> E.metrics e) (all_live t)
+
+let metrics_prometheus ?extra t =
+  if flat t then Metrics.to_prometheus_merged (flat_registries ?extra t)
+  else labelled_prometheus ?extra t
+
+let metrics_json ?extra t =
+  if flat t then Metrics.to_json_merged (flat_registries ?extra t) else nested_json ?extra t

@@ -184,8 +184,8 @@ val flush_ingest : t -> unit
     least one checkpointed. Engine-thread only. *)
 val checkpoint_if_due : t -> bool
 
-(** Close the time step on every live replica holding stream
-    elements; the cut is hinted to dead replicas so their drains
+(** Close the time step on every live replica holding open-step
+    elements (lane buffers included); the cut is hinted to dead replicas so their drains
     archive the same step boundary. Failures are contained per
     replica (the shard reports [Error msg] only if every live replica
     failed its cut); healthy replicas still archive. *)
@@ -242,6 +242,38 @@ val accurate :
 (** φ-quantile (rank = ⌈φ·N⌉ over the fused population). Raises
     [Invalid_argument] unless φ ∈ (0, 1], as {!Hsq.Engine.quantile}. *)
 val quantile : t -> float -> int * query_report
+
+(** {1 Windows}
+
+    A window covers the last [w] archived time steps of every shard
+    plus the live streams (Section 2.4), and runs through the same
+    fused summary and bisection as a full query.  It is answerable only
+    when every read replica has archived the same number of steps and
+    aligns [w] with its partition boundaries: {!end_time_step} skips a
+    shard whose open step is empty, and such a shard's last [w] steps
+    would cover a different period.  Otherwise the query answers
+    [Window_not_aligned] with {!window_sizes}.  Down shards widen the
+    bound by their whole element count, as for full queries. *)
+
+(** Window sizes every read replica aligns, ascending; [[]] when the
+    read replicas' step counts differ. *)
+val window_sizes : t -> int list
+
+(** Elements in the window over the serving shards, streams included. *)
+val window_total : t -> window:int -> (int, Hsq.Engine.window_error) result
+
+(** {!quick_with_bound} over the window. *)
+val quick_window :
+  t -> window:int -> rank:int -> (int * float * degradation, Hsq.Engine.window_error) result
+
+(** {!accurate} over the window. *)
+val accurate_window :
+  ?tolerance_factor:float ->
+  ?deadline_ms:float ->
+  t ->
+  window:int ->
+  rank:int ->
+  (int * query_report, Hsq.Engine.window_error) result
 
 (** {1 Fault domains} *)
 
@@ -340,8 +372,14 @@ val is_closed : t -> bool
     [shard="<k>"] — plus [replica="<j>"] when R > 1 — (Prometheus) or
     nesting them under ["shards"] (and ["replicas"] when R > 1)
     (JSON). R = 1 output is byte-compatible with the pre-replication
-    exporters. [extra] prepends another registry's metrics
-    unlabelled — the serve daemon passes its own. *)
+    exporters. [extra] adds another registry's metrics unlabelled —
+    the serve daemon passes its own.
+
+    K = 1, R = 1 exports flat: the one engine's registry merged with
+    [extra] into one unlabelled dump ({!Hsq_obs.Metrics.to_json_merged}),
+    exactly as a lone engine would print it (while that engine is down
+    only [extra] is printed; {!shards_down} and the health rollup say
+    why). *)
 
 val metrics_json : ?extra:Hsq_obs.Metrics.t -> t -> string
 

@@ -99,12 +99,18 @@ let test_protocol_parse () =
 
 (* --- in-process server helpers ---------------------------------------- *)
 
-(* Engine preloaded with [steps] archived batches plus a live stream
+module G = Hsq_shard.Shard_group
+
+(* The one engine of a K=1, R=1 group. *)
+let engine g = Option.get (G.engine g 0)
+
+(* K=1 group preloaded with [steps] archived batches plus a live stream
    tail, all tracked in an exact oracle. *)
-let preloaded_engine ?(config = Hsq.Config.make (Hsq.Config.Epsilon 0.02)) ~seed ~steps
+let preloaded_group ?(config = Hsq.Config.make (Hsq.Config.Epsilon 0.02)) ~seed ~steps
     ~per_step ~stream () =
   let rng = Hsq_util.Xoshiro.create (0xCAFE + seed) in
-  let eng = E.create config in
+  let g = G.create config in
+  let eng = engine g in
   let oracle = Hsq_workload.Oracle.create () in
   for _ = 1 to steps do
     let b = Array.init per_step (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000) in
@@ -116,12 +122,12 @@ let preloaded_engine ?(config = Hsq.Config.make (Hsq.Config.Epsilon 0.02)) ~seed
     E.observe eng v;
     Hsq_workload.Oracle.add oracle v
   done;
-  (eng, oracle)
+  (g, oracle)
 
-let with_server ?(mutate_config = Fun.id) eng f =
+let with_server ?(mutate_config = Fun.id) g f =
   with_temp_dir (fun dir ->
       let listen = Server.Unix_sock (Filename.concat dir "hsq.sock") in
-      let srv = Server.create (mutate_config (Server.default_config listen)) eng in
+      let srv = Server.create (mutate_config (Server.default_config listen)) g in
       Server.start srv;
       Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv listen))
 
@@ -140,9 +146,15 @@ let check_bounded ~what oracle resp =
     Alcotest.failf "%s: rank %d err %d > reported bound %.1f (%s)" what rank err bound
       (Json.to_string resp)
 
+(* One metric from the daemon's flat [metrics] dump. *)
+let wire_metric c name =
+  match Json.member (Client.metrics c) "metrics" with
+  | Some reg -> Json.member reg name
+  | None -> Alcotest.fail "metrics response has no registry"
+
 let test_basics () =
-  let eng, oracle = preloaded_engine ~seed:1 ~steps:4 ~per_step:2_000 ~stream:500 () in
-  with_server eng (fun srv listen ->
+  let g, oracle = preloaded_group ~seed:1 ~steps:4 ~per_step:2_000 ~stream:500 () in
+  with_server g (fun srv listen ->
       let c = Client.connect listen in
       Client.ping c;
       let stats = Client.stats c in
@@ -212,7 +224,7 @@ let test_basics () =
          closes; new connections are refused *)
       Client.drain c;
       Server.wait srv;
-      Alcotest.(check bool) "engine closed after drain" true (E.is_closed eng);
+      Alcotest.(check bool) "engine closed after drain" true (E.is_closed (engine g));
       (match Client.connect ~retries:2 ~retry_delay_s:0.01 listen with
       | c2 ->
         Client.close c2;
@@ -223,10 +235,10 @@ let test_basics () =
 (* A client that connects and sends nothing is cut by the read timeout;
    the daemon keeps serving others. *)
 let test_slow_client () =
-  let eng, _ = preloaded_engine ~seed:2 ~steps:2 ~per_step:500 ~stream:100 () in
+  let g, _ = preloaded_group ~seed:2 ~steps:2 ~per_step:500 ~stream:100 () in
   with_server
     ~mutate_config:(fun c -> { c with Server.read_timeout_s = 0.2 })
-    eng
+    g
     (fun _srv listen ->
       let path = match listen with Server.Unix_sock p -> p | _ -> assert false in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -239,24 +251,24 @@ let test_slow_client () =
         let n = Unix.read fd buf 0 64 in
         Alcotest.(check int) "EOF on the stalled connection" 0 n);
       Unix.close fd;
-      Alcotest.(check bool)
-        "timeout surfaced in metrics" true
-        (match Hsq_obs.Metrics.counter_value (E.metrics eng) "hsq_serve_conn_timeouts_total" with
-        | Some n -> n >= 1
-        | None -> false);
-      (* and the daemon still serves *)
+      (* the daemon still serves, and the cut surfaced in its metrics *)
       let c = Client.connect listen in
       Client.ping c;
+      Alcotest.(check bool)
+        "timeout surfaced in metrics" true
+        (match Option.bind (wire_metric c "hsq_serve_conn_timeouts_total") Json.as_int with
+        | Some n -> n >= 1
+        | None -> false);
       Client.close c)
 
 (* A request that spends its whole class budget waiting in the queue is
    answered `timeout`, not silently executed late. *)
 let test_queue_deadline () =
-  let eng, _ = preloaded_engine ~seed:3 ~steps:2 ~per_step:500 ~stream:100 () in
+  let g, _ = preloaded_group ~seed:3 ~steps:2 ~per_step:500 ~stream:100 () in
   with_server
     ~mutate_config:(fun c ->
       { c with Server.budgets = { c.Server.budgets with Server.quick_ms = 100.0 } })
-    eng
+    g
     (fun srv listen ->
       let blocker = Thread.create (fun () -> Server.submit_fn srv (fun _ -> Thread.delay 0.5)) () in
       Thread.delay 0.1 (* let the job occupy the engine thread *);
@@ -272,7 +284,7 @@ let test_queue_deadline () =
    every request is answered, the excess is shed explicitly with a
    positive retry-after hint, and the queue never grows past its cap. *)
 let test_flood () =
-  let eng, _ = preloaded_engine ~seed:4 ~steps:2 ~per_step:1_000 ~stream:200 () in
+  let g, _ = preloaded_group ~seed:4 ~steps:2 ~per_step:1_000 ~stream:200 () in
   let capacity = 4 in
   with_server
     ~mutate_config:(fun c ->
@@ -281,7 +293,7 @@ let test_flood () =
         Server.queue_depth = capacity;
         budgets = { c.Server.budgets with Server.quick_ms = 10_000.0 };
       })
-    eng
+    g
     (fun srv listen ->
       let blocker = Thread.create (fun () -> Server.submit_fn srv (fun _ -> Thread.delay 1.5)) () in
       Thread.delay 0.1;
@@ -317,13 +329,14 @@ let test_flood () =
       Alcotest.(check int) "all answered" nreq (!ok + !shed);
       Alcotest.(check bool) "admitted up to capacity" true (!ok >= capacity);
       Alcotest.(check bool) "the excess was shed" true (!shed >= 1);
-      let reg = E.metrics eng in
-      (match Hsq_obs.Metrics.gauge_value reg "hsq_serve_queue_peak" with
+      let c = Client.connect listen in
+      (match Option.bind (wire_metric c "hsq_serve_queue_peak") Json.as_float with
       | Some peak -> Alcotest.(check bool) "peak <= capacity" true (peak <= float_of_int capacity)
       | None -> Alcotest.fail "no queue peak gauge");
-      match Hsq_obs.Metrics.counter_value reg "hsq_serve_requests_shed_total" with
+      (match Option.bind (wire_metric c "hsq_serve_requests_shed_total") Json.as_int with
       | Some n -> Alcotest.(check int) "shed counter agrees" !shed n
-      | None -> Alcotest.fail "no shed counter")
+      | None -> Alcotest.fail "no shed counter");
+      Client.close c)
 
 (* Regression: a client connecting while the drain is in progress must
    be told [shutting_down] and disconnected — never left hanging in the
@@ -331,8 +344,8 @@ let test_flood () =
    to stay silent between the drain request and the final close,
    stranding mid-drain connectors.) *)
 let test_drain_race () =
-  let eng, _ = preloaded_engine ~seed:6 ~steps:2 ~per_step:500 ~stream:100 () in
-  with_server eng (fun srv listen ->
+  let g, _ = preloaded_group ~seed:6 ~steps:2 ~per_step:500 ~stream:100 () in
+  with_server g (fun srv listen ->
       (* occupy the engine thread so the drain has admitted work to
          wait for — that's the window the race lives in *)
       let blocker =
@@ -360,7 +373,7 @@ let test_drain_race () =
       Unix.close fd;
       Thread.join blocker;
       Server.wait srv;
-      Alcotest.(check bool) "engine closed after drain" true (E.is_closed eng);
+      Alcotest.(check bool) "engine closed after drain" true (E.is_closed (engine g));
       (* after the drain completes the socket is gone: connects fail
          outright rather than being refused politely *)
       match Client.connect ~retries:2 ~retry_delay_s:0.01 listen with
@@ -371,8 +384,6 @@ let test_drain_race () =
 
 (* --- sharded backend over the wire -------------------------------------- *)
 
-module G = Hsq_shard.Shard_group
-
 let test_sharded_server () =
   let config =
     Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 (Hsq.Config.Epsilon 0.05)
@@ -381,7 +392,7 @@ let test_sharded_server () =
   let oracle = Hsq_workload.Oracle.create () in
   with_temp_dir (fun dir ->
       let listen = Server.Unix_sock (Filename.concat dir "hsq.sock") in
-      let srv = Server.create_group (Server.default_config listen) g in
+      let srv = Server.create (Server.default_config listen) g in
       Server.start srv;
       Fun.protect
         ~finally:(fun () -> Server.stop srv)
@@ -400,13 +411,13 @@ let test_sharded_server () =
           Alcotest.(check (option int)) "stats: n" (Some 1_200) (Json.get_int stats "n");
           check_bounded ~what:"group quick" oracle (Client.quick c (`Phi 0.5));
           check_bounded ~what:"group accurate" oracle (Client.accurate c (`Phi 0.9));
-          (* windowed queries are a single-engine feature *)
-          Alcotest.(check (option string))
-            "windowed query refused" (Some "bad_request")
-            (Client.error_kind (Client.quick ~window:1 c (`Phi 0.5)));
+          (* a window over the last step answers on a group too *)
+          Alcotest.(check bool)
+            "windowed query answered" true
+            (Client.is_ok (Client.quick ~window:1 c (`Phi 0.5)));
           (* kill a shard on the engine thread, under the live server:
              fused answers keep flowing, degraded and honest *)
-          Server.submit_group_fn srv (fun g -> G.mark_down g 1 ~reason:"chaos");
+          Server.submit_fn srv (fun g -> G.mark_down g 1 ~reason:"chaos");
           let r = Client.quick c (`Phi 0.5) in
           Alcotest.(check bool) "degraded quick still answers" true (Client.is_ok r);
           Alcotest.(check (option string))
@@ -447,7 +458,7 @@ let test_replicated_server () =
             Alcotest.failf "shard %d replica %d dirty on fresh open" shard replica)
         recoveries;
       let listen = Server.Unix_sock (Filename.concat dir "hsq.sock") in
-      let srv = Server.create_group (Server.default_config listen) g in
+      let srv = Server.create (Server.default_config listen) g in
       Server.start srv;
       Fun.protect
         ~finally:(fun () -> Server.stop srv)
@@ -467,7 +478,7 @@ let test_replicated_server () =
             (Json.get_int stats "replicas");
           check_bounded ~what:"replicated quick" oracle (Client.quick c (`Phi 0.5));
           (* kill one replica of shard 0 under the live server *)
-          Server.submit_group_fn srv (fun g ->
+          Server.submit_fn srv (fun g ->
               G.mark_replica_down g ~shard:0 ~replica:1 ~reason:"chaos: replica killed");
           (* ingest keeps acking through the survivor (hints buffer for
              the dead replica) and answers stay fully undegraded *)
@@ -501,7 +512,7 @@ let test_replicated_server () =
               (contains body "shard=\"0\",replica=\"0\"")
           | None -> Alcotest.fail "no prometheus body from the replicated server");
           (* rejoin drains the hints; the rollup is warning-free again *)
-          Server.submit_group_fn srv (fun g ->
+          Server.submit_fn srv (fun g ->
               match G.rejoin_replica g ~shard:0 ~replica:1 with
               | Ok _ -> ()
               | Error msg -> Alcotest.failf "rejoin failed: %s" msg);
@@ -509,6 +520,240 @@ let test_replicated_server () =
           Alcotest.(check (option bool)) "healthy after rejoin" (Some true)
             (Json.get_bool h "healthy");
           Client.close c))
+
+(* --- one serve surface ----------------------------------------------------- *)
+
+let field r key = match Json.member r key with Some j -> Json.to_string j | None -> "<absent>"
+let num f = Json.to_string (Json.Num f)
+let int n = Json.to_string (Json.int n)
+
+(* [count] ranks spread over [1, n]. *)
+let spread ~count n = List.init count (fun i -> 1 + (i * (n - 1) / (count - 1)))
+
+let same ~what r expected =
+  List.iter
+    (fun (key, v) -> Alcotest.(check string) (Printf.sprintf "%s: %s" what key) v (field r key))
+    expected
+
+(* A K=1, R=1 served group answers as a lone engine fed the same steps:
+   every field a single-engine daemon sent for quick and accurate
+   (value, rank, bound, io, iterations, degradation) and for stats,
+   rendered the same, over 60 ranks and one aligned window, under
+   either sketch. *)
+let test_k1_matches_engine () =
+  List.iter
+    (fun stream_sketch ->
+      let config =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~stream_sketch (Hsq.Config.Epsilon 0.05)
+      in
+      let sketch = match stream_sketch with `Gk -> "gk" | `Kll -> "kll" in
+      let twin = E.create config in
+      with_server (G.create config) (fun _ listen ->
+          let c = Client.connect listen in
+          let rng = Hsq_util.Xoshiro.create 0x5EED in
+          let feed () =
+            let b = Array.init 700 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+            Alcotest.(check int) "applied" 700 (Client.observe c b);
+            Array.iter (E.observe twin) b
+          in
+          for _ = 1 to 6 do
+            feed ();
+            Client.end_step c;
+            ignore (E.end_time_step twin)
+          done;
+          feed ();
+          let accurate_fields (v, rep) =
+            [
+              ("value", int v);
+              ("bound", num rep.E.rank_error_bound);
+              ("degradation", Json.to_string (Json.Str (E.degradation_label rep.E.degradation)));
+              ("iterations", int rep.E.iterations);
+              ("io", int (Hsq_storage.Io_stats.total rep.E.io));
+            ]
+          in
+          List.iter
+            (fun rank ->
+              let what = Printf.sprintf "%s rank %d" sketch rank in
+              let v, bound = E.quick_with_bound twin ~rank in
+              same ~what:("quick " ^ what) (Client.quick c (`Rank rank))
+                [ ("value", int v); ("rank", int rank); ("bound", num bound) ];
+              same ~what:("accurate " ^ what) (Client.accurate c (`Rank rank))
+                (("rank", int rank) :: accurate_fields (E.accurate twin ~rank)))
+            (spread ~count:60 (E.total_size twin));
+          same ~what:(sketch ^ " stats") (Client.stats c)
+            [
+              ("n", int (E.total_size twin));
+              ("hist", int (E.hist_size twin));
+              ("stream", int (E.stream_size twin));
+              ("steps", int (E.time_steps twin));
+              ("epsilon", num (E.epsilon twin));
+              ("sketch", Json.to_string (Json.Str (E.sketch_label twin)));
+              ("memory_words", int (E.memory_words twin));
+              ("windows", Json.to_string (Json.List (List.map Json.int (E.window_sizes twin))));
+              ("durable", "false");
+            ];
+          let w = List.nth (E.window_sizes twin) 1 in
+          let n = Result.get_ok (E.window_total twin ~window:w) in
+          List.iter
+            (fun rank ->
+              let what = Printf.sprintf "%s window %d rank %d" sketch w rank in
+              let v = Result.get_ok (E.quick_window twin ~window:w ~rank) in
+              same ~what:("quick " ^ what) (Client.quick ~window:w c (`Rank rank))
+                [ ("value", int v); ("rank", int rank); ("window", int w) ];
+              same ~what:("accurate " ^ what) (Client.accurate ~window:w c (`Rank rank))
+                (("rank", int rank) :: ("window", int w)
+                :: accurate_fields (Result.get_ok (E.accurate_window twin ~window:w ~rank))))
+            (spread ~count:10 n);
+          Client.close c);
+      E.close twin)
+    [ `Gk; `Kll ]
+
+(* Windows at K=3 over the wire: every aligned window answers within
+   its reported bound against an oracle of that window's steps plus the
+   stream; a misaligned one answers window_not_aligned with the sizes
+   every shard shares; and once the shards' step counts part, windows
+   are refused rather than mixing periods. *)
+let test_group_windows () =
+  let g = G.create (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 (Hsq.Config.Epsilon 0.05)) in
+  with_server g (fun _ listen ->
+      let c = Client.connect listen in
+      let rng = Hsq_util.Xoshiro.create 0x3A1D in
+      let draw count = Array.init count (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+      let steps = List.init 7 (fun _ -> draw 600) in
+      List.iter
+        (fun b ->
+          ignore (Client.observe c b);
+          Client.end_step c)
+        steps;
+      let stream = draw 300 in
+      ignore (Client.observe c stream);
+      let windows () =
+        match Json.get_list (Client.stats c) "windows" with
+        | Some l -> List.filter_map Json.as_int l
+        | None -> Alcotest.fail "stats has no windows"
+      in
+      let sizes = windows () in
+      Alcotest.(check bool) "several windows answerable" true (List.length sizes >= 2);
+      List.iter
+        (fun w ->
+          let oracle = Hsq_workload.Oracle.create () in
+          List.iteri (fun i b -> if i >= 7 - w then Hsq_workload.Oracle.add_batch oracle b) steps;
+          Hsq_workload.Oracle.add_batch oracle stream;
+          List.iter
+            (fun phi ->
+              let what = Printf.sprintf "window %d phi %g" w phi in
+              check_bounded ~what:("quick " ^ what) oracle (Client.quick ~window:w c (`Phi phi));
+              check_bounded ~what:("accurate " ^ what) oracle
+                (Client.accurate ~window:w c (`Phi phi)))
+            [ 0.01; 0.25; 0.5; 0.75; 1.0 ])
+        sizes;
+      let misaligned = List.find (fun w -> not (List.mem w sizes)) (List.init 8 (fun w -> w + 1)) in
+      let refused = Client.quick ~window:misaligned c (`Phi 0.5) in
+      Alcotest.(check (option string))
+        "misaligned window" (Some "window_not_aligned") (Client.error_kind refused);
+      Alcotest.(check string)
+        "refusal lists the shared sizes"
+        (Json.to_string (Json.List (List.map Json.int sizes)))
+        (field refused "windows");
+      (* Archive the stream, then a step holding only shard 0's values
+         (shards 1 and 2 skip it), then one more step on every shard:
+         the shards' last steps no longer cover the same period. *)
+      Client.end_step c;
+      let shard0 = List.filter (fun v -> G.route g v = 0) (Array.to_list (draw 300)) in
+      List.iter
+        (fun b ->
+          ignore (Client.observe c b);
+          Client.end_step c)
+        [ Array.of_list shard0; draw 600 ];
+      Alcotest.(check (list int)) "no window once step counts part" [] (windows ());
+      List.iter
+        (fun r ->
+          Alcotest.(check (option string))
+            "skewed steps refuse windows" (Some "window_not_aligned") (Client.error_kind r);
+          Alcotest.(check string) "no shared size" "[]" (field r "windows"))
+        [ Client.quick ~window:1 c (`Phi 0.5); Client.accurate ~window:1 c (`Phi 0.5) ];
+      Client.close c)
+
+(* The K=1 metrics dump stays one flat object: the engine's and the
+   daemon's own metrics side by side at top level, no name twice. *)
+let test_k1_metrics_flat () =
+  let g, _ = preloaded_group ~seed:7 ~steps:2 ~per_step:500 ~stream:100 () in
+  with_server g (fun _ listen ->
+      let c = Client.connect listen in
+      ignore (Client.accurate c (`Phi 0.5));
+      let top = [ "hsq_io_writes_total"; "hsq_serve_queue_wait_seconds"; "hsq_serve_requests_ok_total" ] in
+      let no_repeats what names =
+        Alcotest.(check int) (what ^ ": no name twice") (List.length names)
+          (List.length (List.sort_uniq String.compare names))
+      in
+      (match Json.member (Client.metrics c) "metrics" with
+      | Some (Json.Obj fields) ->
+        let names = List.map fst fields in
+        List.iter
+          (fun name ->
+            if not (List.mem name names) then Alcotest.failf "json dump: %s not at top level" name)
+          top;
+        no_repeats "json dump" names
+      | _ -> Alcotest.fail "json dump is not one object");
+      let body =
+        Client.request c (Json.Obj [ ("op", Json.Str "metrics"); ("format", Json.Str "prometheus") ])
+        |> fun r -> Option.value ~default:"" (Json.get_str r "body")
+      in
+      let types =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "#"; "TYPE"; name; _ ] -> Some name
+            | _ -> None)
+          (String.split_on_char '\n' body)
+      in
+      List.iter
+        (fun name ->
+          if not (List.mem name types) then Alcotest.failf "prometheus dump: %s missing" name)
+        top;
+      no_repeats "prometheus dump" types;
+      if contains body "shard=" then Alcotest.fail "K=1 prometheus dump carries shard labels";
+      Client.close c)
+
+(* A merge cascade that hits a device fault defers, and the end_step
+   reply says so at K=1 as at K=2 (the route of test_durable's
+   close-during-deferred-merge: fill level 0, then fail reads). *)
+let test_end_step_deferred_merge () =
+  List.iter
+    (fun shards ->
+      let g = G.create (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards (Hsq.Config.Epsilon 0.05)) in
+      with_server g (fun srv listen ->
+          let c = Client.connect listen in
+          let step s =
+            ignore (Client.observe c (Array.init 200 (fun i -> (s * 200) + i)));
+            Client.request c (Json.Obj [ ("op", Json.Str "end_step") ])
+          in
+          let faults on =
+            Server.submit_fn srv (fun g ->
+                List.iter
+                  (fun (_, e) ->
+                    BD.set_injector (E.device e)
+                      (if on then Some (fun op ~attempt:_ _ -> if op = BD.Read then Some BD.Fail else None)
+                       else None))
+                  (G.engines g))
+          in
+          for s = 0 to 2 do
+            let r = step s in
+            Alcotest.(check bool) "step acknowledged" true (Client.is_ok r);
+            Alcotest.(check string) "no deferral before the fault" "<absent>" (field r "deferred_merge")
+          done;
+          faults true;
+          let r = step 3 in
+          faults false;
+          Alcotest.(check bool) "deferred step still acknowledged" true (Client.is_ok r);
+          if Json.get_str r "deferred_merge" = None then
+            Alcotest.failf "K=%d: no deferred_merge in %s" shards (Json.to_string r);
+          Alcotest.(check string)
+            (Printf.sprintf "K=%d: every shard deferred" shards)
+            (Json.to_string (Json.List (List.init shards Json.int)))
+            (field r "deferred_shards");
+          Client.close c))
+    [ 1; 2 ]
 
 (* --- chaos: device faults under live client traffic -------------------- *)
 
@@ -520,9 +765,9 @@ let run_device_chaos ~seed () =
   let config =
     Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 (Hsq.Config.Epsilon 0.05)
   in
-  let eng, oracle = preloaded_engine ~config ~seed ~steps:5 ~per_step:600 ~stream:200 () in
-  with_server eng (fun srv listen ->
-      let n = E.total_size eng in
+  let g, oracle = preloaded_group ~config ~seed ~steps:5 ~per_step:600 ~stream:200 () in
+  with_server g (fun srv listen ->
+      let n = G.total_size g in
       let ranks =
         List.map (fun phi -> max 1 (int_of_float (ceil (phi *. float_of_int n)))) [ 0.1; 0.5; 0.9 ]
       in
@@ -547,8 +792,8 @@ let run_device_chaos ~seed () =
       sweep ~what:"healthy";
       (* inject persistent block faults on the engine thread — the same
          serialized path queries use, so the flip cannot race them *)
-      Server.submit_fn srv (fun eng ->
-          BD.set_injector (E.device eng)
+      Server.submit_fn srv (fun g ->
+          BD.set_injector (E.device (engine g))
             (Some
                (fun op ~attempt:_ addr ->
                  if op = BD.Read && chaos_coin ~seed ~salt:2 addr 15 then
@@ -557,9 +802,9 @@ let run_device_chaos ~seed () =
                  else None)));
       sweep ~what:"faulted";
       (* heal: clear the injector and repair-scrub, again serialized *)
-      Server.submit_fn srv (fun eng ->
-          BD.set_injector (E.device eng) None;
-          let rep = Hsq.Persist.scrub ~repair:true eng in
+      Server.submit_fn srv (fun g ->
+          BD.set_injector (E.device (engine g)) None;
+          let rep = Hsq.Persist.scrub ~repair:true (engine g) in
           if rep.Hsq.Persist.still_quarantined <> 0 then
             Alcotest.failf "seed %d: %d partitions quarantined after repair scrub" seed
               rep.Hsq.Persist.still_quarantined);
@@ -712,6 +957,14 @@ let () =
           Alcotest.test_case "mid-drain connect gets shutting_down" `Quick test_drain_race;
           Alcotest.test_case "sharded backend over the wire" `Quick test_sharded_server;
           Alcotest.test_case "replicated failover over the wire" `Quick test_replicated_server;
+        ] );
+      ( "one surface",
+        [
+          Alcotest.test_case "K=1 answers as the engine" `Quick test_k1_matches_engine;
+          Alcotest.test_case "windows at K=3" `Quick test_group_windows;
+          Alcotest.test_case "K=1 metrics dump is flat" `Quick test_k1_metrics_flat;
+          Alcotest.test_case "end_step reports deferred merges" `Quick
+            test_end_step_deferred_merge;
         ] );
       ( "chaos",
         [

@@ -378,6 +378,29 @@ let test_volatile_rejoin_refused () =
   | Error _ -> ());
   G.close g
 
+(* --- ingest lanes ----------------------------------------------------------- *)
+
+(* Elements still buffered in an ingest lane belong to the open step:
+   the group's cut archives them although the stream sketch has not
+   counted them yet. *)
+let test_end_step_seals_lanes () =
+  List.iter
+    (fun replicas ->
+      let g =
+        G.create
+          (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:2 ~replicas ~ingest_domains:2
+             ~ingest_batch:1024 (Hsq.Config.Epsilon 0.05))
+      in
+      for v = 0 to 99 do
+        G.observe_domain g ~domain:(v mod 2) v
+      done;
+      let what = Printf.sprintf "R=%d" replicas in
+      Alcotest.(check int) (what ^ ": every shard cut") 2 (List.length (G.end_time_step g));
+      Alcotest.(check int) (what ^ ": all archived") 100 (G.hist_size g);
+      Alcotest.(check int) (what ^ ": one step") 1 (G.time_steps g);
+      G.close g)
+    [ 1; 2 ]
+
 (* --- metrics exporters -------------------------------------------------- *)
 
 let test_metrics_labels () =
@@ -552,6 +575,8 @@ let () =
           Alcotest.test_case "recovery gauges, rejoin, health rollup" `Quick
             test_recovery_gauges_and_rejoin;
         ] );
+      ( "ingest lanes",
+        [ Alcotest.test_case "end_step archives lane buffers" `Quick test_end_step_seals_lanes ] );
       ( "metrics", [ Alcotest.test_case "shard labels" `Quick test_metrics_labels ] );
       ( "one bisection",
         [
