@@ -273,6 +273,15 @@ let device t = t.dev
    below (Io_stats, WAL, level index, buffer pool) registers too. *)
 let metrics t = Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats t.dev)
 
+let note_summary_cache t ~hit = Atomic.incr (if hit then t.metrics.sc_hits else t.metrics.sc_misses)
+
+let note_accurate t ~seconds ~iterations ~degraded =
+  let em = t.metrics in
+  Atomic.incr em.accurate_total;
+  Metrics.Histogram.observe em.accurate_hist seconds;
+  Metrics.Histogram.observe em.bisect_hist (float_of_int iterations);
+  if degraded then Atomic.incr em.degraded_total
+
 let set_tracer t tr =
   t.tracer <- tr;
   Hsq_storage.Io_stats.set_tracer (Hsq_storage.Block_device.stats t.dev) tr
@@ -738,9 +747,7 @@ let quick t ~rank =
    and leave healthy partitions alone. *)
 let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~partitions
     ~rank =
-  let em = t.metrics in
   let tr = t.tracer in
-  Atomic.incr em.accurate_total;
   let tq0 = Metrics.now_s () in
   (* Summaries for a retry after the active set changed underneath a
      quarantine: the full-set path supplies the engine's summary cache
@@ -842,9 +849,7 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
           (res, Some sp))
     | None -> (run_query None, None)
   in
-  Metrics.Histogram.observe em.accurate_hist (Metrics.now_s () -. tq0);
-  Metrics.Histogram.observe em.bisect_hist (float_of_int iterations);
-  if degradation <> `None then Atomic.incr em.degraded_total;
+  note_accurate t ~seconds:(Metrics.now_s () -. tq0) ~iterations ~degraded:(degradation <> `None);
   (answer, { io; iterations; degradation; rank_error_bound; span })
 
 let accurate ?tolerance_factor ?deadline_ms t ~rank =

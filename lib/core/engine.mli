@@ -72,6 +72,15 @@ val device : t -> Hsq_storage.Block_device.t
 (** The engine's metric registry (the device's). *)
 val metrics : t -> Hsq_obs.Metrics.t
 
+(** Record, in this engine's query metrics, a query answered over its
+    state by a caller that keeps its own summaries (a shard group's
+    fused query): a hit or miss of that caller's summary cache, and an
+    accurate query's latency, bisection iterations and whether it
+    degraded. *)
+val note_summary_cache : t -> hit:bool -> unit
+
+val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> unit
+
 (** Turn per-query tracing on ([Some trace]) or off ([None]). The
     tracer is mirrored onto the device's {!Hsq_storage.Io_stats} so WAL
     append/sync, merge and checkpoint spans record too. Queries then

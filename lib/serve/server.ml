@@ -447,6 +447,10 @@ let submit_and_reply t req =
    explicit shutting_down reply.  Elements applied before the failure
    were WAL-acknowledged; the reply says exactly how many. *)
 
+(* An engine-thread job outside any client's budget. *)
+let admin_job f =
+  Admission.make_item (Admission.Job f) Protocol.Admin_q ~deadline:(Metrics.now_s () +. 60.0)
+
 (* Lane hand-offs accrue checkpoint debt but never checkpoint
    themselves (lock order: lanes before propagation, and a checkpoint
    seals every lane).  The first connection thread to notice debt
@@ -459,11 +463,7 @@ let schedule_lane_checkpoint t =
       Atomic.set t.ckpt_scheduled false;
       ignore (G.checkpoint_if_due t.group)
     in
-    let item =
-      Admission.make_item (Admission.Job job) Protocol.Admin_q
-        ~deadline:(Metrics.now_s () +. 60.0)
-    in
-    match Admission.submit t.adm item with
+    match Admission.submit t.adm (admin_job job) with
     | Admission.Admitted -> () (* fire-and-forget: nobody awaits the reply *)
     | Admission.Overloaded _ | Admission.Draining ->
       (* Queue full or draining: drop the attempt; debt persists and the
@@ -699,10 +699,7 @@ let stop t =
    use it to flip fault injectors, run repair scrubs and kill or rejoin
    shards without ever racing a live query. *)
 let submit_fn t f =
-  let item =
-    Admission.make_item (Admission.Job (fun () -> f t.group)) Protocol.Admin_q
-      ~deadline:(Metrics.now_s () +. 60.0)
-  in
+  let item = admin_job (fun () -> f t.group) in
   match Admission.submit t.adm item with
   | Admission.Admitted -> ignore (Admission.await item)
   | Admission.Overloaded _ -> invalid_arg "Server.submit_fn: admission queue full"

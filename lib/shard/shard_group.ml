@@ -109,8 +109,13 @@ type t = {
   mutable us_cache : ((int * int * int * int) list * (Ss.t list * Us.t)) option;
   (* Worker pool for parallel accurate-query probes, spawned on the
      first query that fans out ([config.query_domains] > 1); joined by
-     [close] / [crash]. *)
+     [close] / [crash].  Its round metrics go to the group's own
+     registry, which outlives any one replica. *)
   query_pool : Hsq.Bisection.pool;
+  metrics : Metrics.t;
+  (* Per-shard step count at the last uneven cut (see "step
+     alignment"); -1 = unknown. *)
+  baseline : int array;
   mutable closed : bool;
 }
 
@@ -158,20 +163,30 @@ let shard_config config ~wal_dir = { config with Hsq.Config.shards = 1; replicas
 
 (* --- construction ------------------------------------------------------- *)
 
-let make_t config ~k ~r ~slots ~last_size ~root =
-  {
-    config;
-    k;
-    r;
+let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
+  let metrics = Metrics.create () in
+  let t =
+    {
+      config;
+      k;
+      r;
+      slots;
+      last_size;
+      root;
+      lock = Mutex.create ();
+      agg_cache = None;
+      us_cache = None;
+      query_pool = Hsq.Bisection.pool ~metrics config;
+      metrics;
+      baseline;
+      closed = false;
+    }
+  in
+  Array.iteri
+    (fun i reps ->
+      Array.iter (fun rep -> match rep.state with Live e -> tag_registry t e i rep.rep | Dead _ -> ()) reps)
     slots;
-    last_size;
-    root;
-    lock = Mutex.create ();
-    agg_cache = None;
-    us_cache = None;
-    query_pool = Hsq.Bisection.pool config;
-    closed = false;
-  }
+  t
 
 let create config =
   let k = config.Hsq.Config.shards in
@@ -180,12 +195,7 @@ let create config =
     Array.init k (fun _ ->
         Array.init r (fun j -> { rep = j; state = Live (E.create (shard_config config ~wal_dir:None)); hints = None; diverged = false }))
   in
-  let t = make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:None in
-  Array.iteri
-    (fun i reps ->
-      Array.iter (fun rep -> match rep.state with Live e -> tag_registry t e i rep.rep | Dead _ -> ()) reps)
-    slots;
-  t
+  make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:None ~baseline:(Array.make k 0)
 
 (* Best-effort element count of a store we failed to open: archived
    elements from the sidecar's partition table plus Observe records
@@ -259,11 +269,14 @@ let engines t =
   done;
   !out
 
+(* Replica [replica] of shard [shard], range-checked for [who]. *)
+let slot who t ~shard ~replica =
+  if shard < 0 || shard >= t.k then invalid_arg ("Shard_group." ^ who ^ ": shard out of range");
+  if replica < 0 || replica >= t.r then invalid_arg ("Shard_group." ^ who ^ ": replica out of range");
+  t.slots.(shard).(replica)
+
 let replica_engine t ~shard ~replica =
-  if shard < 0 || shard >= t.k then invalid_arg "Shard_group.replica_engine: shard out of range";
-  if replica < 0 || replica >= t.r then
-    invalid_arg "Shard_group.replica_engine: replica out of range";
-  match t.slots.(shard).(replica).state with Live e -> Some e | Dead _ -> None
+  match (slot "replica_engine" t ~shard ~replica).state with Live e -> Some e | Dead _ -> None
 
 (* Every live replica, lexicographic by (shard, replica). *)
 let all_live t =
@@ -288,23 +301,14 @@ let shards_down t =
   done;
   !down
 
-let replicas_down t =
-  let out = ref [] in
-  for i = t.k - 1 downto 0 do
-    for j = t.r - 1 downto 0 do
-      match t.slots.(i).(j).state with Dead _ -> out := (i, j) :: !out | Live _ -> ()
-    done
-  done;
-  !out
+(* (shard, replica) pairs whose replica satisfies [p], lexicographic. *)
+let pairs_where t p =
+  List.concat_map
+    (fun i -> List.filter_map (fun rep -> if p rep then Some (i, rep.rep) else None) (Array.to_list t.slots.(i)))
+    (List.init t.k Fun.id)
 
-let diverged_replicas t =
-  let out = ref [] in
-  for i = t.k - 1 downto 0 do
-    for j = t.r - 1 downto 0 do
-      if t.slots.(i).(j).diverged then out := (i, j) :: !out
-    done
-  done;
-  !out
+let replicas_down t = pairs_where t (fun rep -> match rep.state with Dead _ -> true | Live _ -> false)
+let diverged_replicas t = pairs_where t (fun rep -> rep.diverged)
 
 let down_reason t i =
   if i < 0 || i >= t.k then invalid_arg "Shard_group.down_reason: shard index out of range";
@@ -312,32 +316,24 @@ let down_reason t i =
   else match t.slots.(i).(0).state with Dead reason -> Some reason | Live _ -> None
 
 let replica_down_reason t ~shard ~replica =
-  if shard < 0 || shard >= t.k then
-    invalid_arg "Shard_group.replica_down_reason: shard out of range";
-  if replica < 0 || replica >= t.r then
-    invalid_arg "Shard_group.replica_down_reason: replica out of range";
-  match t.slots.(shard).(replica).state with Dead reason -> Some reason | Live _ -> None
+  match (slot "replica_down_reason" t ~shard ~replica).state with
+  | Dead reason -> Some reason
+  | Live _ -> None
 
 let hints_pending t ~shard ~replica =
-  if shard < 0 || shard >= t.k then invalid_arg "Shard_group.hints_pending: shard out of range";
-  if replica < 0 || replica >= t.r then
-    invalid_arg "Shard_group.hints_pending: replica out of range";
-  match t.slots.(shard).(replica).hints with
-  | Some hl -> Some (Hint_log.record_count hl)
-  | None -> None
+  Option.map Hint_log.record_count (slot "hints_pending" t ~shard ~replica).hints
+
+let refresh_size t i =
+  match read_replica t i with Some (_, e, _) -> t.last_size.(i) <- E.total_size e | None -> ()
 
 let refresh_sizes t =
   for i = 0 to t.k - 1 do
-    match read_replica t i with
-    | Some (_, e, _) -> t.last_size.(i) <- E.total_size e
-    | None -> ()
+    refresh_size t i
   done
 
 let shard_elements t i =
   if i < 0 || i >= t.k then invalid_arg "Shard_group.shard_elements: shard index out of range";
-  (match read_replica t i with
-  | Some (_, e, _) -> t.last_size.(i) <- E.total_size e
-  | None -> ());
+  refresh_size t i;
   t.last_size.(i)
 
 let down_elements t =
@@ -367,6 +363,66 @@ let route t v =
     let x = x lxor (x lsr 32) in
     (x land max_int) mod t.k
   end
+
+(* --- step alignment ------------------------------------------------------- *)
+
+(* Step numbers are per engine, and [end_time_step] can archive a step
+   on some shards only: a shard that is down, or whose open step is
+   empty, does not cut.  Equal step counts therefore do not mean equal
+   periods.  [baseline.(i)] is shard i's step count just after the last
+   uneven cut (-1 while unknown: the shard was down then).  Every cut
+   since reached every shard, so the last [w] steps of the read
+   replicas cover the same periods iff each has archived the same
+   number d >= w of steps past its baseline.  The baselines are rebased
+   at every uneven cut, and whenever the read replicas disagree on d
+   (a reopen after a crash between a cut and its rebase, a rejoin);
+   a durable group keeps them in its root, written only by a rebase —
+   which never happens at K = 1, so that layout stays a lone engine's. *)
+
+let baseline_path root = Filename.concat root "step-baseline"
+
+let render_baseline b =
+  let body = Printf.sprintf "hsq-steps 1\n%s\n" (String.concat " " (List.map string_of_int (Array.to_list b))) in
+  Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body)
+
+(* A store written before baselines existed has no file: nothing was
+   ever rebased.  An unreadable file makes every baseline unknown, so
+   the opening [settle_steps] rebases. *)
+let load_baseline ~root ~k =
+  let path = baseline_path root in
+  let parse () =
+    match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines path) with
+    | [ "hsq-steps 1"; line ] -> Array.of_list (List.map int_of_string (String.split_on_char ' ' line))
+    | _ -> [||]
+  in
+  if not (Sys.file_exists path) then Array.make k 0
+  else match parse () with b when Array.length b = k -> b | _ | (exception _) -> Array.make k (-1)
+
+(* Steps every read replica in [es] has archived past its baseline, if
+   they agree. *)
+let aligned_steps t es =
+  let past (i, e) = if t.baseline.(i) < 0 then -1 else E.time_steps e - t.baseline.(i) in
+  match es with
+  | [] -> None
+  | first :: rest ->
+    let d = past first in
+    if d >= 0 && List.for_all (fun x -> past x = d) rest then Some d else None
+
+let rebase_steps t =
+  for i = 0 to t.k - 1 do
+    t.baseline.(i) <- (match read_replica t i with Some (_, e, _) -> E.time_steps e | None -> -1)
+  done;
+  match t.root with
+  | None -> ()
+  | Some root -> (
+    (* A failed write keeps the previous file: the uneven counts still
+       show at the next open, unless another uneven cut whose write
+       also failed evens them out. *)
+    try Hsq.Meta.write ~path:(baseline_path root) (render_baseline t.baseline) with _ -> ())
+
+let settle_steps t =
+  let es = engines t in
+  if es <> [] && aligned_steps t es = None then rebase_steps t
 
 (* --- replica transitions ------------------------------------------------ *)
 
@@ -420,11 +476,8 @@ let replica_down_locked t i rep ~reason =
     drop_caches t
 
 let mark_replica_down t ~shard ~replica ~reason =
-  if shard < 0 || shard >= t.k then
-    invalid_arg "Shard_group.mark_replica_down: shard out of range";
-  if replica < 0 || replica >= t.r then
-    invalid_arg "Shard_group.mark_replica_down: replica out of range";
-  with_lock t (fun () -> replica_down_locked t shard t.slots.(shard).(replica) ~reason)
+  let rep = slot "mark_replica_down" t ~shard ~replica in
+  with_lock t (fun () -> replica_down_locked t shard rep ~reason)
 
 let mark_down t i ~reason =
   if i < 0 || i >= t.k then invalid_arg "Shard_group.mark_down: shard index out of range";
@@ -433,14 +486,27 @@ let mark_down t i ~reason =
 
 (* --- ingest ------------------------------------------------------------- *)
 
+(* Append one acked op to the hint log of every dead replica.  A hint
+   append that itself fails breaks the pair ([mark_broken]) so rejoin
+   falls back to repair — the ack stands either way. *)
+let hint_dead reps hint =
+  Array.iter
+    (fun rep ->
+      match (rep.state, rep.hints) with
+      | Dead _, Some hl -> (
+        try hint hl
+        with _ ->
+          Hint_log.mark_broken hl;
+          rep.hints <- None)
+      | _ -> ())
+    reps
+
 (* Replicated write fan-out (r > 1, caller holds the lock): apply to
    every live replica first — one that fails its append is taken down
    (and from now on hinted to) instead of failing the ack; the op is
    acknowledged iff at least one live replica accepted it.  Only then
    are hints appended for the dead replicas: a hint must never cover an
-   op that was not acked.  A hint append that itself fails breaks the
-   pair ([mark_broken]) so rejoin falls back to repair — the ack
-   stands either way. *)
+   op that was not acked. *)
 let fanout_locked t i ~apply ~hint =
   let reps = t.slots.(i) in
   let acked = ref 0 in
@@ -457,16 +523,7 @@ let fanout_locked t i ~apply ~hint =
           replica_down_locked t i rep ~reason:msg))
     reps;
   if !acked = 0 then raise (Shard_unavailable (i, !last_err));
-  Array.iter
-    (fun rep ->
-      match (rep.state, rep.hints) with
-      | Dead _, Some hl -> (
-        try hint hl
-        with _ ->
-          Hint_log.mark_broken hl;
-          rep.hints <- None)
-      | _ -> ())
-    reps
+  hint_dead reps hint
 
 let observe t v =
   let i = route t v in
@@ -518,7 +575,9 @@ let checkpoint_if_due t =
 (* A replica whose open step is empty is skipped.  The engine's own
    cut is the test ([Invalid_argument] on an empty batch): elements
    still sitting in ingest-lane buffers are not yet counted by
-   [E.stream_size], but the cut seals the lanes first and sees them. *)
+   [E.stream_size], but the cut seals the lanes first and sees them.
+   A step that reached some shards but not all rebases the step
+   alignment. *)
 let end_time_step t =
   let out = ref [] in
   with_lock t (fun () ->
@@ -555,20 +614,13 @@ let end_time_step t =
             match (!ok, !err) with
             | Some (report, step), _ ->
               out := (i, Ok report) :: !out;
-              Array.iter
-                (fun rep ->
-                  match (rep.state, rep.hints) with
-                  | Dead _, Some hl -> (
-                    try Hint_log.end_step hl ~step ~count:0
-                    with _ ->
-                      Hint_log.mark_broken hl;
-                      rep.hints <- None)
-                  | _ -> ())
-                reps
+              hint_dead reps (fun hl -> Hint_log.end_step hl ~step ~count:0)
             | None, Some msg -> out := (i, Error msg) :: !out
             | None, None -> ()
           end)
         t.slots;
+      let cut = List.length (List.filter (fun (_, r) -> Result.is_ok r) !out) in
+      if cut > 0 && cut < t.k then rebase_steps t;
       drop_caches t);
   List.rev !out
 
@@ -605,7 +657,6 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
 type view = {
   alive : (int * int * E.t) list; (* (shard, replica, engine) *)
   window : int option;
-  parts : ((int * int) * Hsq_hist.Partition.t) list; (* (owner, partition), active only *)
   streams : Ss.t list;
   us : Us.t;
   excluded : int list;
@@ -616,14 +667,14 @@ type view = {
 (* A window the read replicas cannot answer together. *)
 exception Misaligned
 
-(* A window counts the same steps on every read replica only if each
-   has archived the same number of them: [end_time_step] skips a shard
-   whose open step is empty, which shifts that shard's step numbering
-   against the others'. *)
-let same_steps es =
-  match es with
-  | [] -> true
-  | e :: rest -> List.for_all (fun e' -> E.time_steps e' = E.time_steps e) rest
+(* Whether the read replicas [es] can answer a window of [w] steps
+   together: each has archived at least [w] steps since the last uneven
+   cut (see "step alignment") and aligns [w] with its partition
+   boundaries. *)
+let window_fits t es w =
+  match aligned_steps t es with
+  | Some d -> w <= d && List.for_all (fun (_, e) -> Li.partitions_for_window (E.hist e) w <> None) es
+  | None -> false
 
 (* The replica's partitions the selector keeps, quarantined ones
    included. *)
@@ -685,9 +736,13 @@ let streams_of alive =
 
 let fused_summaries t alive =
   let key = us_key alive in
+  let note hit = List.iter (fun (_, _, e) -> E.note_summary_cache e ~hit) alive in
   match t.us_cache with
-  | Some (k, v) when k = key -> v
+  | Some (k, v) when k = key ->
+    note true;
+    v
   | _ ->
+    note false;
     let agg = fused_agg t alive in
     let streams = streams_of alive in
     let us = Us.build_fused ~agg ~streams in
@@ -695,10 +750,11 @@ let fused_summaries t alive =
     t.us_cache <- Some (key, v);
     v
 
-(* [dropped] is (shard, replica) pairs disqualified for this query.
-   Raises [Misaligned] when [window] is not answerable on the chosen
-   read replicas. *)
-let make_view ?window t ~dropped =
+(* The read replicas a query works from, [dropped] (shard, replica)
+   pairs disqualified, with the shards left without one and the
+   diverged replicas serving.  The one place that decides whether
+   [window] is answerable: raises [Misaligned] when it is not. *)
+let choose ?window t ~dropped =
   refresh_sizes t;
   let alive = ref [] in
   let excluded = ref [] in
@@ -710,23 +766,32 @@ let make_view ?window t ~dropped =
       if diverged then served_diverged := (i, j) :: !served_diverged
     | None -> excluded := i :: !excluded
   done;
-  let alive = !alive and excluded = !excluded in
-  if window <> None && not (same_steps (List.map (fun (_, _, e) -> e) alive)) then
-    raise Misaligned;
+  let alive = !alive in
+  (match window with
+  | Some w when not (window_fits t (List.map (fun (i, _, e) -> (i, e)) alive) w) -> raise Misaligned
+  | _ -> ());
+  (alive, !excluded, !served_diverged)
+
+let make_view ?window t ~dropped =
+  let alive, excluded, served_diverged = choose ?window t ~dropped in
   let excluded_elems = List.fold_left (fun acc i -> acc + t.last_size.(i)) 0 excluded in
-  let owned = List.map (fun (i, j, e) -> ((i, j), active ~window e)) alive in
   let streams, us =
     (* The cache only serves the full view without runtime drops; a
        window or a mid-query drop rebuilds fresh. *)
     if window = None && dropped = [] then fused_summaries t alive
     else
       let streams = streams_of alive in
-      let partitions = List.concat_map snd owned in
+      let partitions = List.concat_map (fun (_, _, e) -> active ~window e) alive in
       (streams, Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams)
   in
-  let parts = List.concat_map (fun (o, ps) -> List.map (fun p -> (o, p)) ps) owned in
-  let served_diverged = !served_diverged in
-  { alive; window; parts; streams; us; excluded; excluded_elems; served_diverged }
+  { alive; window; streams; us; excluded; excluded_elems; served_diverged }
+
+(* The view's active partitions tagged with their (shard, replica)
+   owner: the accurate path's probes, built only there. *)
+let probes view =
+  List.concat_map
+    (fun (i, j, e) -> List.map (fun p -> ((i, j), p)) (active ~window:view.window e))
+    view.alive
 
 (* Memory-only fallback when quarantine emptied the active view: the
    full selection (quarantined included) still carries honest — if
@@ -797,12 +862,12 @@ let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
     if Us.n_total view.us = 0 then
       (* Nothing reachable at all (every shard down or empty). *)
       invalid_arg "Shard_group.accurate: no data";
-    if mem_fallback || (view.parts = [] && view.streams = []) then
+    let probes = probes view in
+    if mem_fallback || (probes = [] && view.streams = []) then
       from_memory view (worst_degradation (down_degradation view) `Device_open)
     else
       Hsq.Bisection.Bisect
-        { Hsq.Bisection.summary = view.us; streams = view.streams; probes = view.parts;
-          meta = view }
+        { Hsq.Bisection.summary = view.us; streams = view.streams; probes; meta = view }
   in
   let total_parts =
     List.fold_left (fun acc (_, _, e) -> acc + Li.partition_count (E.hist e)) 0 (all_live t)
@@ -873,6 +938,10 @@ let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
     Hsq.Bisection.run ?deadline_at ~pool:t.query_pool ~stats ~tolerance_factor ~policy ~rank
       (fetch ())
   in
+  let seconds = Metrics.now_s () -. t0 in
+  List.iter
+    (fun (_, e) -> E.note_accurate e ~seconds ~iterations ~degraded:(degradation <> `None))
+    (engines t);
   (answer, { io; iterations; degradation; rank_error_bound })
 
 let accurate ?tolerance_factor ?deadline_ms t ~rank =
@@ -885,17 +954,8 @@ let quantile t phi =
 
 (* --- windows --------------------------------------------------------------- *)
 
-(* Window sizes every read replica can answer, and only when they all
-   archived the same number of steps. *)
 let window_sizes t =
-  match List.map snd (engines t) with
-  | [] -> []
-  | e :: rest as es ->
-    if not (same_steps es) then []
-    else
-      List.filter
-        (fun w -> List.for_all (fun e' -> List.mem w (E.window_sizes e')) rest)
-        (E.window_sizes e)
+  match engines t with [] -> [] | (_, e) :: _ as es -> List.filter (window_fits t es) (E.window_sizes e)
 
 let windowed t f =
   match f () with
@@ -904,15 +964,14 @@ let windowed t f =
 
 let window_total t ~window =
   windowed t (fun () ->
-      let es = List.map snd (engines t) in
-      if not (same_steps es) then raise Misaligned;
+      let alive, _, _ = choose ~window t ~dropped:[] in
       List.fold_left
-        (fun acc e ->
+        (fun acc (_, _, e) ->
           List.fold_left
             (fun acc p -> acc + Hsq_hist.Partition.size p)
             (acc + E.stream_size e)
             (selected ~window:(Some window) e))
-        0 es)
+        0 alive)
 
 let quick_window t ~window ~rank = windowed t (fun () -> fused_quick ~window t ~rank)
 
@@ -1067,6 +1126,8 @@ let anti_entropy ?(repair = false) t =
                 :: !reports
           end
         done;
+        (* A repaired read replica takes its source's step count. *)
+        settle_steps t;
         List.rev !reports)
 
 (* --- rejoin -------------------------------------------------------------- *)
@@ -1163,10 +1224,7 @@ let admit_replica_locked t i rep e =
       repair_replica_locked t i rep ~src)
 
 let rejoin_replica t ~shard ~replica =
-  if shard < 0 || shard >= t.k then invalid_arg "Shard_group.rejoin_replica: shard out of range";
-  if replica < 0 || replica >= t.r then
-    invalid_arg "Shard_group.rejoin_replica: replica out of range";
-  let rep = t.slots.(shard).(replica) in
+  let rep = slot "rejoin_replica" t ~shard ~replica in
   match rep.state with
   | Live _ -> Error "replica is not down"
   | Dead _ -> (
@@ -1198,6 +1256,7 @@ let rejoin_replica t ~shard ~replica =
               | scrub ->
                 t.last_size.(shard) <- E.total_size e;
                 drop_caches t;
+                settle_steps t;
                 Ok (recovery, scrub)
               | exception exn ->
                 replica_down_locked t shard rep
@@ -1255,7 +1314,10 @@ let open_or_recover config =
               recoveries := { shard = i; replica = j; outcome = Error reason } :: !recoveries;
               { rep = j; state = Dead reason; hints = None; diverged = false }))
   in
-  let t = make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:(Some root) in
+  let t =
+    make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:(Some root)
+      ~baseline:(load_baseline ~root ~k)
+  in
   (* Post-pass per shard: absorb stale hint pairs (a replica that was
      down — or mid-drain — when the whole group died), reattach hint
      logs for replicas still dead, and settle element counts. *)
@@ -1287,11 +1349,9 @@ let open_or_recover config =
       for j = 0 to r - 1 do
         est := max !est (estimate_elements (store_dir ~root ~shards:k ~replicas:r ~shard:i ~replica:j))
       done;
-      t.last_size.(i) <- !est);
-    Array.iter
-      (fun rep -> match rep.state with Live e -> tag_registry t e i rep.rep | Dead _ -> ())
-      t.slots.(i)
+      t.last_size.(i) <- !est)
   done;
+  settle_steps t;
   (t, List.rev !recoveries)
 
 (* --- scrub ---------------------------------------------------------------- *)
@@ -1306,48 +1366,25 @@ let scrub_all ?repair t =
 
 let checkpoint_now t = List.iter (fun (_, _, e) -> try E.checkpoint_now e with _ -> ()) (all_live t)
 
-let close_hints t =
-  Array.iter
-    (fun reps ->
-      Array.iter
-        (fun rep ->
-          match rep.hints with
-          | Some hl ->
-            (try Hint_log.close hl with _ -> ());
-            rep.hints <- None
-          | None -> ())
-        reps)
-    t.slots
-
-let close t =
+(* Close or crash ([release] each engine and hint log) exactly once. *)
+let shut t ~release ~release_hints =
   if not t.closed then begin
     t.closed <- true;
     Hsq.Bisection.shutdown_pool t.query_pool;
-    List.iter
-      (fun (_, _, e) ->
-        (try E.checkpoint_now e with _ -> ());
-        try E.close e with _ -> ())
-      (all_live t);
-    close_hints t
-  end
-
-let crash t =
-  if not t.closed then begin
-    t.closed <- true;
-    Hsq.Bisection.shutdown_pool t.query_pool;
-    List.iter (fun (_, _, e) -> try E.crash e with _ -> ()) (all_live t);
+    List.iter (fun (_, _, e) -> release e) (all_live t);
     Array.iter
-      (fun reps ->
-        Array.iter
-          (fun rep ->
-            match rep.hints with
-            | Some hl ->
-              (try Hint_log.crash hl with _ -> ());
-              rep.hints <- None
-            | None -> ())
-          reps)
+      (Array.iter (fun rep ->
+           Option.iter (fun hl -> try release_hints hl with _ -> ()) rep.hints;
+           rep.hints <- None))
       t.slots
   end
+
+let close t =
+  shut t ~release_hints:Hint_log.close ~release:(fun e ->
+      (try E.checkpoint_now e with _ -> ());
+      try E.close e with _ -> ())
+
+let crash t = shut t ~release_hints:Hint_log.crash ~release:(fun e -> try E.crash e with _ -> ())
 
 let is_closed t = t.closed
 
@@ -1372,9 +1409,12 @@ let label_prometheus_line ~label line =
         ^ rest
       | None -> name ^ "{" ^ label ^ "}" ^ rest)
 
+(* The unlabelled registries: [extra] and the group's own. *)
+let group_registries ?extra t = Option.to_list extra @ [ t.metrics ]
+
 let labelled_prometheus ?extra t =
   let buf = Buffer.create 4096 in
-  (match extra with Some reg -> Buffer.add_string buf (Metrics.to_prometheus reg) | None -> ());
+  Buffer.add_string buf (Metrics.to_prometheus_merged (group_registries ?extra t));
   List.iter
     (fun (i, j, e) ->
       let label =
@@ -1408,12 +1448,11 @@ let json_escape reason =
 let nested_json ?extra t =
   let buf = Buffer.create 4096 in
   Buffer.add_char buf '{';
-  (match extra with
-  | Some reg ->
+  if extra <> None || Metrics.names t.metrics <> [] then begin
     Buffer.add_string buf "\"group\":";
-    Buffer.add_string buf (Metrics.to_json reg);
+    Buffer.add_string buf (Metrics.to_json_merged (group_registries ?extra t));
     Buffer.add_char buf ','
-  | None -> ());
+  end;
   Buffer.add_string buf "\"shards\":{";
   Array.iteri
     (fun i reps ->
@@ -1451,12 +1490,12 @@ let nested_json ?extra t =
   Buffer.contents buf
 
 (* A K = 1, R = 1 group is one engine: its registry is exported
-   unlabelled, merged flat with [extra], so the dump reads like a lone
-   engine's. *)
+   unlabelled, merged flat with the group registries, so the dump reads
+   like a lone engine's. *)
 let flat t = t.k = 1 && t.r = 1
 
 let flat_registries ?extra t =
-  Option.to_list extra @ List.map (fun (_, _, e) -> E.metrics e) (all_live t)
+  group_registries ?extra t @ List.map (fun (_, _, e) -> E.metrics e) (all_live t)
 
 let metrics_prometheus ?extra t =
   if flat t then Metrics.to_prometheus_merged (flat_registries ?extra t)

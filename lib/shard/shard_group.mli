@@ -186,7 +186,8 @@ val checkpoint_if_due : t -> bool
 
 (** Close the time step on every live replica holding open-step
     elements (lane buffers included); the cut is hinted to dead replicas so their drains
-    archive the same step boundary. Failures are contained per
+    archive the same step boundary.  A step that reaches some shards
+    but not all resets window alignment (see Windows below). Failures are contained per
     replica (the shard reports [Error msg] only if every live replica
     failed its cut); healthy replicas still archive. *)
 val end_time_step :
@@ -247,16 +248,19 @@ val quantile : t -> float -> int * query_report
 
     A window covers the last [w] archived time steps of every shard
     plus the live streams (Section 2.4), and runs through the same
-    fused summary and bisection as a full query.  It is answerable only
-    when every read replica has archived the same number of steps and
-    aligns [w] with its partition boundaries: {!end_time_step} skips a
-    shard whose open step is empty, and such a shard's last [w] steps
-    would cover a different period.  Otherwise the query answers
-    [Window_not_aligned] with {!window_sizes}.  Down shards widen the
-    bound by their whole element count, as for full queries. *)
+    fused summary and bisection as a full query.  {!end_time_step}
+    skips a shard that is down or whose open step is empty, so equal
+    step counts need not mean equal periods: the group keeps each
+    shard's step count at the last step that skipped some shard (in
+    [root/step-baseline] when durable), and a window is answerable
+    only when every read replica has archived the same number d >= [w]
+    of steps since then and aligns [w] with its partition boundaries.
+    Otherwise the query answers [Window_not_aligned] with
+    {!window_sizes}.  Down shards widen the bound by their whole
+    element count, as for full queries. *)
 
-(** Window sizes every read replica aligns, ascending; [[]] when the
-    read replicas' step counts differ. *)
+(** Window sizes every read replica can answer, ascending; [[]] until a
+    step after the last skip has reached every shard. *)
 val window_sizes : t -> int list
 
 (** Elements in the window over the serving shards, streams included. *)
@@ -373,10 +377,15 @@ val is_closed : t -> bool
     nesting them under ["shards"] (and ["replicas"] when R > 1)
     (JSON). R = 1 output is byte-compatible with the pre-replication
     exporters. [extra] adds another registry's metrics unlabelled —
-    the serve daemon passes its own.
+    the serve daemon passes its own.  The group's own registry (the
+    parallel-probe pool's [hsq_query_pool_round_*]) prints unlabelled
+    beside [extra], under ["group"] in JSON.  Fused queries also record
+    into each read replica's [hsq_query_*] metrics
+    ({!Hsq.Engine.note_accurate}, {!Hsq.Engine.note_summary_cache}).
 
     K = 1, R = 1 exports flat: the one engine's registry merged with
-    [extra] into one unlabelled dump ({!Hsq_obs.Metrics.to_json_merged}),
+    [extra] and the group registry into one unlabelled dump
+    ({!Hsq_obs.Metrics.to_json_merged}),
     exactly as a lone engine would print it (while that engine is down
     only [extra] is printed; {!shards_down} and the health rollup say
     why). *)

@@ -539,7 +539,7 @@ let same ~what r expected =
    every field a single-engine daemon sent for quick and accurate
    (value, rank, bound, io, iterations, degradation) and for stats,
    rendered the same, over 60 ranks and one aligned window, under
-   either sketch. *)
+   either sketch; the engine's query counters move as the twin's. *)
 let test_k1_matches_engine () =
   List.iter
     (fun stream_sketch ->
@@ -604,6 +604,20 @@ let test_k1_matches_engine () =
                 (("rank", int rank) :: ("window", int w)
                 :: accurate_fields (Result.get_ok (E.accurate_window twin ~window:w ~rank))))
             (spread ~count:10 n);
+          (* the wire queries move the engine's query metrics as the
+             twin's own queries moved its *)
+          List.iter
+            (fun name ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s" sketch name)
+                (int (Option.get (Hsq_obs.Metrics.counter_value (E.metrics twin) name)))
+                (match wire_metric c name with Some j -> Json.to_string j | None -> "<absent>"))
+            [
+              "hsq_query_accurate_total";
+              "hsq_query_degraded_total";
+              "hsq_query_summary_cache_hits_total";
+              "hsq_query_summary_cache_misses_total";
+            ];
           Client.close c);
       E.close twin)
     [ `Gk; `Kll ]
@@ -611,8 +625,8 @@ let test_k1_matches_engine () =
 (* Windows at K=3 over the wire: every aligned window answers within
    its reported bound against an oracle of that window's steps plus the
    stream; a misaligned one answers window_not_aligned with the sizes
-   every shard shares; and once the shards' step counts part, windows
-   are refused rather than mixing periods. *)
+   every shard shares; and once shards have skipped different steps,
+   windows are refused rather than mixing periods. *)
 let test_group_windows () =
   let g = G.create (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 (Hsq.Config.Epsilon 0.05)) in
   with_server g (fun _ listen ->
@@ -655,23 +669,44 @@ let test_group_windows () =
         "refusal lists the shared sizes"
         (Json.to_string (Json.List (List.map Json.int sizes)))
         (field refused "windows");
-      (* Archive the stream, then a step holding only shard 0's values
-         (shards 1 and 2 skip it), then one more step on every shard:
-         the shards' last steps no longer cover the same period. *)
+      (* Archive the stream, then a step reaching shard 0 only and one
+         reaching shards 1 and 2 only: every shard has archived the same
+         number of steps, but not of the same periods, so windows are
+         refused until a step reaches every shard, and then cover only
+         that step. *)
       Client.end_step c;
-      let shard0 = List.filter (fun v -> G.route g v = 0) (Array.to_list (draw 300)) in
+      let only keep =
+        Array.of_list (List.filter (fun v -> keep (G.route g v)) (Array.to_list (draw 300)))
+      in
       List.iter
         (fun b ->
           ignore (Client.observe c b);
           Client.end_step c)
-        [ Array.of_list shard0; draw 600 ];
-      Alcotest.(check (list int)) "no window once step counts part" [] (windows ());
+        [ only (( = ) 0); only (( <> ) 0) ];
+      Alcotest.(check (list int)) "no window once shards skipped different steps" [] (windows ());
       List.iter
         (fun r ->
           Alcotest.(check (option string))
             "skewed steps refuse windows" (Some "window_not_aligned") (Client.error_kind r);
           Alcotest.(check string) "no shared size" "[]" (field r "windows"))
         [ Client.quick ~window:1 c (`Phi 0.5); Client.accurate ~window:1 c (`Phi 0.5) ];
+      let last = draw 600 and tail = draw 200 in
+      ignore (Client.observe c last);
+      Client.end_step c;
+      ignore (Client.observe c tail);
+      Alcotest.(check (list int)) "a step reaching every shard answers alone" [ 1 ] (windows ());
+      let oracle = Hsq_workload.Oracle.create () in
+      List.iter (Hsq_workload.Oracle.add_batch oracle) [ last; tail ];
+      List.iter
+        (fun phi ->
+          let what = Printf.sprintf "window 1 after the skips, phi %g" phi in
+          check_bounded ~what:("quick " ^ what) oracle (Client.quick ~window:1 c (`Phi phi));
+          check_bounded ~what:("accurate " ^ what) oracle (Client.accurate ~window:1 c (`Phi phi)))
+        [ 0.01; 0.5; 1.0 ];
+      let past = Client.quick ~window:2 c (`Phi 0.5) in
+      Alcotest.(check (option string))
+        "a window reaching past the skips" (Some "window_not_aligned") (Client.error_kind past);
+      Alcotest.(check string) "refusal offers the one step" "[1]" (field past "windows");
       Client.close c)
 
 (* The K=1 metrics dump stays one flat object: the engine's and the

@@ -401,6 +401,79 @@ let test_end_step_seals_lanes () =
       G.close g)
     [ 1; 2 ]
 
+(* --- windows ---------------------------------------------------------------- *)
+
+(* Shard 0 down across one step, shard 1 down across a later one: both
+   end with the same step count but not the same periods, so windows
+   stay refused, across a reopen too, until a step reaches both shards,
+   and then cover only that step. *)
+let test_windows_refuse_mixed_periods () =
+  let root = temp_dir "hsq_shard_windows" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let cfg = config ~shards:2 ~wal_dir:root () in
+      let rng = Hsq_util.Xoshiro.create 0x51E9 in
+      (* Observe [n] values (those routed to a live shard) and cut. *)
+      let step g n =
+        let vs = List.init n (fun _ -> Hsq_util.Xoshiro.int rng 50_000) in
+        let kept = List.filter (fun v -> G.down_reason g (G.route g v) = None) vs in
+        List.iter (G.observe g) kept;
+        ignore (G.end_time_step g);
+        kept
+      in
+      let down_for_a_step g i =
+        G.mark_down g i ~reason:"unit test";
+        ignore (step g 400);
+        match G.rejoin g i with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "rejoin %d: %s" i msg
+      in
+      let refused g what =
+        Alcotest.(check (list int)) (what ^ ": no window") [] (G.window_sizes g);
+        (match G.quick_window g ~window:1 ~rank:1 with
+        | Error (E.Window_not_aligned []) -> ()
+        | _ -> Alcotest.failf "%s: quick window 1 must be refused" what);
+        match G.accurate_window g ~window:1 ~rank:1 with
+        | Error (E.Window_not_aligned []) -> ()
+        | _ -> Alcotest.failf "%s: accurate window 1 must be refused" what
+      in
+      let g, _ = G.open_or_recover cfg in
+      ignore (step g 400);
+      ignore (step g 400);
+      Alcotest.(check bool) "windows before any skip" true (G.window_sizes g <> []);
+      down_for_a_step g 0;
+      ignore (step g 400);
+      down_for_a_step g 1;
+      Alcotest.(check (list int))
+        "equal step counts" [ 4; 4 ]
+        (List.map (fun (_, e) -> E.time_steps e) (G.engines g));
+      refused g "after the skips";
+      G.close g;
+      let g, _ = G.open_or_recover cfg in
+      refused g "after a reopen";
+      let last = step g 400 in
+      let tail = List.init 100 (fun _ -> Hsq_util.Xoshiro.int rng 50_000) in
+      List.iter (G.observe g) tail;
+      Alcotest.(check (list int)) "one step since the skips" [ 1 ] (G.window_sizes g);
+      let oracle = Hsq_workload.Oracle.create () in
+      List.iter (Hsq_workload.Oracle.add oracle) (last @ tail);
+      let n = Hsq_workload.Oracle.count oracle in
+      Alcotest.(check int) "window total" n (Result.get_ok (G.window_total g ~window:1));
+      List.iter
+        (fun rank ->
+          let check what v bound =
+            let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+            if float_of_int err > bound then
+              Alcotest.failf "%s rank %d: err %d > bound %.1f" what rank err bound
+          in
+          let v, bound, _ = Result.get_ok (G.quick_window g ~window:1 ~rank) in
+          check "quick" v bound;
+          let v, rep = Result.get_ok (G.accurate_window g ~window:1 ~rank) in
+          check "accurate" v rep.G.rank_error_bound)
+        [ 1; n / 4; n / 2; n ];
+      G.close g)
+
 (* --- metrics exporters -------------------------------------------------- *)
 
 let test_metrics_labels () =
@@ -448,6 +521,25 @@ let feed ~seed ~observe ~end_step =
 
 let feed_group ~seed g =
   feed ~seed ~observe:(G.observe g) ~end_step:(fun () -> ignore (G.end_time_step g))
+
+(* Parallel probe rounds are recorded in the group's own registry,
+   flat at K = 1 and under "group" otherwise. *)
+let test_group_pool_metrics () =
+  List.iter
+    (fun shards ->
+      let g =
+        G.create
+          (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards ~query_domains:2
+             (Hsq.Config.Epsilon 0.05))
+      in
+      feed_group ~seed:11 g;
+      ignore (G.accurate g ~rank:(G.total_size g / 2));
+      let json = G.metrics_json g in
+      let expected = if shards = 1 then "{\"hsq_" else "{\"group\":{\"hsq_query_pool_round" in
+      if not (contains ~sub:"\"hsq_query_pool_round_width\"" json && contains ~sub:expected json)
+      then Alcotest.failf "K=%d: pool rounds missing from %s" shards json;
+      G.close g)
+    [ 1; 2 ]
 
 (* 60 ranks spread over [1, n]. *)
 let spread_ranks n = List.init 60 (fun i -> 1 + (i * (n - 1) / 59))
@@ -577,7 +669,16 @@ let () =
         ] );
       ( "ingest lanes",
         [ Alcotest.test_case "end_step archives lane buffers" `Quick test_end_step_seals_lanes ] );
-      ( "metrics", [ Alcotest.test_case "shard labels" `Quick test_metrics_labels ] );
+      ( "windows",
+        [
+          Alcotest.test_case "skips on different shards refuse windows" `Quick
+            test_windows_refuse_mixed_periods;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "shard labels" `Quick test_metrics_labels;
+          Alcotest.test_case "pool rounds in the group registry" `Quick test_group_pool_metrics;
+        ] );
       ( "one bisection",
         [
           Alcotest.test_case "K=1 R=1 group is the engine, bit for bit" `Quick
