@@ -8,7 +8,15 @@
      query     reopen a saved warehouse (see --save-meta) and answer
                quantile and heavy-hitter queries against it;
      inspect   print a saved warehouse's partition layout, window
-               alignment, and memory footprint. *)
+               alignment, and memory footprint;
+     scrub     verify a store end to end (and repair with --repair);
+     status    report a durable store's health without opening it;
+     metrics   dump a saved warehouse's metric registry;
+     serve     run the warehouse as a line-JSON daemon.
+
+   simulate, stream, query, scrub and serve each have one body over a
+   Shard_group, whatever --shards/--replicas say: [with_group] turns the
+   store flags into the group (a lone engine is its one-store case). *)
 
 open Cmdliner
 
@@ -61,7 +69,7 @@ let shards =
     "Shard the warehouse across $(docv) independent engines (own device, WAL, breaker, \
      quarantine per shard); ingest hash-routes and queries fuse the shards' answers with the \
      same ±ε·m guarantee. 1 = a single engine (the default, and the only mode supporting \
-     windowed queries and --device)."
+     --device)."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
@@ -141,110 +149,167 @@ let checkpoint_every =
   let doc = "Sketch-checkpoint interval in WAL records with --durable; 0 disables." in
   Arg.(value & opt int 10_000 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
-let report_recovery (r : Hsq.Engine.recovery_report) =
-  if r.replayed > 0 || r.checkpoint_used || r.wal_tail <> None then
-    Printf.eprintf
-      "[recover] replayed %d WAL records: %d steps re-archived, %d already committed%s%s\n%!"
-      r.replayed r.steps_reingested r.steps_skipped
-      (if r.checkpoint_used then "; resumed from sketch checkpoint" else "")
-      (match r.wal_tail with
-      | None -> ""
-      | Some why -> Printf.sprintf "; torn tail floored (%s)" why)
-
-let make_engine ~epsilon ~kappa ~block_size ~device_path ~steps_hint ?query_domains
-    ?query_deadline_ms ?durable ?(wal_sync = Hsq_storage.Wal.Always)
-    ?(checkpoint_every = 10_000) ?(ingest_domains = 1) ?(stream_sketch = `Gk) () =
-  match durable with
-  | Some dir ->
-    if device_path <> None then
-      prerr_endline "warning: --device ignored with --durable (the store supplies its own)";
-    let config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint ?query_domains ?query_deadline_ms
-        ~wal_dir:dir ~wal_sync ~checkpoint_every ~ingest_domains ~stream_sketch
-        (Hsq.Config.Epsilon epsilon)
-    in
-    let eng, report = Hsq.Engine.open_or_recover config in
-    report_recovery report;
-    eng
-  | None -> (
-    let config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint ?query_domains ?query_deadline_ms
-        ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon)
-    in
-    match device_path with
-    | None -> Hsq.Engine.create config
-    | Some path ->
-      let dev = Hsq_storage.Block_device.create_file ~block_size ~path () in
-      Hsq.Engine.create ~device:dev config)
-
-(* --- sharded helpers --------------------------------------------------- *)
+(* --- opening a store --------------------------------------------------- *)
 
 module G = Hsq_shard.Shard_group
 
-let report_shard_recoveries ?(replicas = 1) recoveries =
+(* One store: the only topology a lone --device file or saved warehouse
+   can hold. *)
+let single_store (config : Hsq.Config.t) = config.shards = 1 && config.replicas = 1
+
+(* Labels name a store only when the layout has more than one. *)
+let store_label ~shards ~replicas ~shard ~replica =
+  if replicas > 1 then Printf.sprintf "shard %d replica %d" shard replica
+  else if shards > 1 then Printf.sprintf "shard %d" shard
+  else ""
+
+let group_label g = store_label ~shards:(G.shard_count g) ~replicas:(G.replica_count g)
+
+let report_recoveries g recoveries =
   List.iter
     (fun { G.shard; replica; outcome } ->
-      let who =
-        if replicas > 1 then Printf.sprintf "shard %d replica %d" shard replica
-        else Printf.sprintf "shard %d" shard
-      in
+      let who = match group_label g ~shard ~replica with "" -> "" | l -> l ^ ": " in
       match outcome with
-      | Ok r -> if r.Hsq.Engine.replayed > 0 || r.Hsq.Engine.checkpoint_used then
-          Printf.eprintf "[recover] %s: replayed %d WAL records, %d steps re-archived%s\n%!"
-            who r.Hsq.Engine.replayed r.Hsq.Engine.steps_reingested
-            (if r.Hsq.Engine.checkpoint_used then "; resumed from sketch checkpoint" else "")
+      | Ok (r : Hsq.Engine.recovery_report) ->
+        if r.replayed > 0 || r.checkpoint_used || r.wal_tail <> None then
+          Printf.eprintf
+            "[recover] %sreplayed %d WAL records: %d steps re-archived, %d already committed%s%s\n%!"
+            who r.replayed r.steps_reingested r.steps_skipped
+            (if r.checkpoint_used then "; resumed from sketch checkpoint" else "")
+            (match r.wal_tail with
+            | None -> ""
+            | Some why -> Printf.sprintf "; torn tail floored (%s)" why)
       | Error msg ->
-        Printf.eprintf "[recover] %s FAILED, marked down (%s): %s\n%!" who
-          (if replicas > 1 then "siblings keep serving, rejoin after repair"
+        Printf.eprintf "[recover] %sFAILED, marked down (%s): %s\n%!" who
+          (if G.replica_count g > 1 then "siblings keep serving, rejoin after repair"
            else "queries degrade, rejoin after repair")
           msg)
     recoveries
 
-let make_group ~shards ?(replicas = 1) ~epsilon ~kappa ~block_size ~steps_hint ?query_domains
-    ?query_deadline_ms ?durable ?(wal_sync = Hsq_storage.Wal.Always)
-    ?(checkpoint_every = 10_000) ?(ingest_domains = 1) ?(stream_sketch = `Gk) () =
-  match durable with
-  | Some dir ->
-    let config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint ?query_domains ?query_deadline_ms
-        ~wal_dir:dir ~wal_sync ~checkpoint_every ~shards ~replicas ~ingest_domains
-        ~stream_sketch (Hsq.Config.Epsilon epsilon)
-    in
-    let g, recoveries = G.open_or_recover config in
-    report_shard_recoveries ~replicas recoveries;
-    g
-  | None ->
-    G.create
-      (Hsq.Config.make ~kappa ~block_size ~steps_hint ?query_domains ?query_deadline_ms ~shards
-         ~replicas ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon))
+(* A warehouse that cannot be read exits 1, in every subcommand. *)
+let guard f =
+  try f () with
+  | Hsq.Persist.Corrupt_metadata msg ->
+    Printf.eprintf "corrupt metadata: %s\n" msg;
+    1
+  | Hsq_storage.Block_device.Device_error msg ->
+    Printf.eprintf "device error: %s\n" msg;
+    1
 
-let report_group_footprint g =
+(* The saved warehouse behind --device/--meta (see simulate --save-meta),
+   handed to [k] and closed after it; a missing flag exits 2. *)
+let with_saved ~who ?query_domains ?query_deadline_ms device meta k =
+  match (device, meta) with
+  | Some device_path, Some meta_path ->
+    guard (fun () ->
+        let eng =
+          Hsq.Persist.load_files ?query_domains ?query_deadline_ms ~device_path ~meta_path ()
+        in
+        let code = k eng in
+        Hsq.Engine.close eng;
+        code)
+  | _ ->
+    Printf.eprintf "%s requires both --device and --meta\n" who;
+    2
+
+(* What the store flags of a subcommand name when --durable is absent:
+   simulate and stream start a warehouse, in memory or on the --device
+   file; query and scrub reopen the one simulate --save-meta left. *)
+type store_flags =
+  | Fresh of string option (* --device *)
+  | Saved of string option * string option (* --device, --meta *)
+
+(* The one way a subcommand gets its warehouse: a shard group at every K,
+   handed to [k] and closed after it.  --durable DIR opens (or recovers)
+   the store rooted there; otherwise a saved warehouse or a fresh
+   --device file becomes a one-store group, and anything else a volatile
+   group.  [config.wal_dir] is set here. *)
+let with_group ~who ~config ?durable flags k =
+  let run g =
+    let code = k g in
+    G.close g;
+    code
+  in
+  let device = match flags with Fresh d | Saved (d, _) -> d in
+  match (durable, flags) with
+  | Some dir, _ ->
+    if device <> None then
+      prerr_endline "warning: --device ignored with --durable (the store supplies its own)";
+    guard (fun () ->
+        let g, recoveries = G.open_or_recover { config with Hsq.Config.wal_dir = Some dir } in
+        report_recoveries g recoveries;
+        run g)
+  | None, Saved (device, meta) ->
+    if single_store config then
+      with_saved ~who ?query_domains:config.query_domains
+        ?query_deadline_ms:config.query_deadline_ms device meta (fun eng ->
+          run (G.of_engine eng))
+    else begin
+      Printf.eprintf "%s --shards/--replicas requires --durable DIR (the sharded store root)\n" who;
+      2
+    end
+  | None, Fresh (Some path) when single_store config ->
+    guard (fun () ->
+        let dev =
+          Hsq_storage.Block_device.create_file ~block_size:config.block_size ~path ()
+        in
+        run (G.of_engine (Hsq.Engine.create ~device:dev config)))
+  | None, Fresh _ ->
+    if device <> None then
+      prerr_endline "warning: --device ignored with --shards/--replicas (each store owns its device)";
+    run (G.create config)
+
+(* --- reports ------------------------------------------------------------ *)
+
+(* Archive the open step on every shard; returns the update I/O of the
+   shards that archived. *)
+let archive g ~who =
+  List.fold_left
+    (fun io (i, r) ->
+      match r with
+      | Ok (report : Hsq_hist.Level_index.update_report) ->
+        Hsq_storage.Io_stats.add io report.io_total
+      | Error msg ->
+        Printf.eprintf "[%s] shard %d archive failed: %s\n%!" who i msg;
+        io)
+    Hsq_storage.Io_stats.zero (G.end_time_step g)
+
+(* Partitions are summed over the read replicas, levels are the
+   deepest; a one-store group prints no topology. *)
+let report_footprint ?update_io g =
   let down = G.shards_down g in
-  Printf.printf "N=%d (historical %d + stream %d%s), %d time steps, %d shards%s%s\n"
+  let hists = List.map (fun (_, e) -> Hsq.Engine.hist e) (G.engines g) in
+  Printf.printf "N=%d (historical %d + stream %d%s), %d time steps, %s%s%d partitions over %d levels\n"
     (G.total_size g) (G.hist_size g) (G.stream_size g)
     (match G.down_elements g with 0 -> "" | d -> Printf.sprintf " + %d dark on down shards" d)
-    (G.time_steps g) (G.shard_count g)
-    (if G.replica_count g > 1 then Printf.sprintf " x %d replicas" (G.replica_count g) else "")
+    (G.time_steps g)
+    (match (G.shard_count g, G.replica_count g) with
+    | 1, 1 -> ""
+    | k, 1 -> Printf.sprintf "%d shards, " k
+    | k, r -> Printf.sprintf "%d shards x %d replicas, " k r)
     (match down with
     | [] -> ""
-    | ks -> Printf.sprintf " (DOWN: %s)" (String.concat "," (List.map string_of_int ks)));
-  (if G.replica_count g > 1 then begin
-     List.iter
-       (fun (i, j) ->
-         Printf.printf "replica %d of shard %d down (%s) — sibling serving at full precision\n"
-           j i
-           (Option.value ~default:"?" (G.replica_down_reason g ~shard:i ~replica:j)))
-       (G.replicas_down g);
-     List.iter
-       (fun (i, j) ->
-         Printf.printf "replica %d of shard %d DIVERGED — excluded from reads (scrub --repair)\n"
-           j i)
-       (G.diverged_replicas g)
-   end);
+    | ks -> Printf.sprintf "(DOWN: %s), " (String.concat "," (List.map string_of_int ks)))
+    (List.fold_left (fun acc h -> acc + Hsq_hist.Level_index.partition_count h) 0 hists)
+    (List.fold_left (fun acc h -> max acc (Hsq_hist.Level_index.num_levels h)) 0 hists);
+  List.iter
+    (fun (i, j) ->
+      if not (List.mem i down) then
+        Printf.printf "replica %d of shard %d down (%s) — sibling serving at full precision\n" j i
+          (Option.value ~default:"?" (G.replica_down_reason g ~shard:i ~replica:j)))
+    (G.replicas_down g);
+  List.iter
+    (fun (i, j) ->
+      Printf.printf "replica %d of shard %d DIVERGED — excluded from reads (scrub --repair)\n" j i)
+    (G.diverged_replicas g);
   Printf.printf "summary memory: %d words (%.1f KiB)\n" (G.memory_words g)
-    (float_of_int (8 * G.memory_words g) /. 1024.0)
+    (float_of_int (8 * G.memory_words g) /. 1024.0);
+  Option.iter
+    (fun io ->
+      Printf.printf "update I/O total: %s\n" (Format.asprintf "%a" Hsq_storage.Io_stats.pp io))
+    update_io
 
-let report_group_quantiles g phis =
+let report_quantiles g phis =
   List.iter
     (fun phi ->
       let v, report = G.quantile g phi in
@@ -257,31 +322,6 @@ let report_group_quantiles g phis =
           Printf.sprintf "  [DEGRADED(%s): rank error <= %.0f]" (G.degradation_label d)
             report.G.rank_error_bound))
     phis
-
-let report_quantiles eng phis =
-  List.iter
-    (fun phi ->
-      let v, report = Hsq.Engine.quantile eng phi in
-      Printf.printf "phi=%-5g  value=%-12d  (disk accesses: %d, bisection steps: %d)%s\n" phi v
-        (Hsq_storage.Io_stats.total report.Hsq.Engine.io)
-        report.Hsq.Engine.iterations
-        (match report.Hsq.Engine.degradation with
-        | `None -> ""
-        | d ->
-          Printf.sprintf "  [DEGRADED(%s): rank error <= %.0f]"
-            (Hsq.Engine.degradation_label d)
-            report.Hsq.Engine.rank_error_bound))
-    phis
-
-let report_footprint eng =
-  Printf.printf
-    "N=%d (historical %d + stream %d), %d time steps, %d partitions over %d levels\n"
-    (Hsq.Engine.total_size eng) (Hsq.Engine.hist_size eng) (Hsq.Engine.stream_size eng)
-    (Hsq.Engine.time_steps eng)
-    (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng))
-    (Hsq_hist.Level_index.num_levels (Hsq.Engine.hist eng));
-  Printf.printf "summary memory: %d words (%.1f KiB)\n" (Hsq.Engine.memory_words eng)
-    (float_of_int (8 * Hsq.Engine.memory_words eng) /. 1024.0)
 
 (* --- multi-lane ingest driver ------------------------------------------ *)
 
@@ -313,131 +353,72 @@ let save_meta =
   let doc = "After the run, save warehouse metadata here (requires --device)." in
   Arg.(value & opt (some string) None & info [ "save-meta" ] ~docv:"PATH" ~doc)
 
-let simulate_group ~shards ~replicas ~ingest_domains ~stream_sketch dataset steps step_size seed
-    epsilon kappa block_size query_domains deadline_ms phis verify durable wal_sync
-    checkpoint_every =
-  let ds = Hsq_workload.Datasets.by_name ~seed dataset in
-  let g =
-    make_group ~shards ~replicas ~epsilon ~kappa ~block_size ~steps_hint:steps ?query_domains
-      ?query_deadline_ms:deadline_ms ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-      ~stream_sketch ()
-  in
-  let pool = make_ingest_pool ~ingest_domains in
-  let ingest batch =
-    match pool with
-    | Some p ->
-      pool_ingest p ~domains:ingest_domains
-        ~observe_domain:(fun ~domain v -> G.observe_domain g ~domain v)
-        batch;
-      ignore (G.checkpoint_if_due g)
-    | None -> Array.iter (G.observe g) batch
-  in
-  let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
-  for step = 1 to steps do
-    let batch = Hsq_workload.Datasets.next_batch ds step_size in
-    Option.iter (fun o -> Hsq_workload.Oracle.add_batch o batch) oracle;
-    ingest batch;
-    List.iter
-      (fun (i, r) ->
-        match r with
-        | Ok _ -> ()
-        | Error msg -> Printf.eprintf "[simulate] shard %d archive failed: %s\n%!" i msg)
-      (G.end_time_step g);
-    if step mod 10 = 0 then Printf.eprintf "[simulate] archived step %d/%d\n%!" step steps
-  done;
-  let tail = Hsq_workload.Datasets.next_batch ds (max 1 (step_size / 2)) in
-  Option.iter (fun o -> Hsq_workload.Oracle.add_batch o tail) oracle;
-  ingest tail;
-  G.flush_ingest g;
-  Option.iter Hsq_util.Parallel.Pool.shutdown pool;
-  Printf.printf "dataset=%s  " dataset;
-  report_group_footprint g;
-  report_group_quantiles g phis;
-  Option.iter
-    (fun o ->
-      print_endline "verification against exact oracle:";
-      List.iter
-        (fun phi ->
-          let v, _ = G.quantile g phi in
-          let exact = Hsq_workload.Oracle.quantile o phi in
-          Printf.printf "phi=%-5g  exact=%-12d  relative rank error=%.3e\n" phi exact
-            (Hsq_workload.Oracle.relative_error o ~phi ~value:v))
-        phis)
-    oracle;
-  G.close g;
-  0
-
 let simulate dataset steps step_size seed epsilon kappa block_size device_path query_domains
     deadline_ms phis verify save_meta durable wal_sync checkpoint_every shards replicas
     ingest_domains stream_sketch =
-  if shards > 1 || replicas > 1 then begin
-    if device_path <> None then
-      prerr_endline "warning: --device ignored with --shards/--replicas (each store owns its device)";
-    if save_meta <> None then
+  let config =
+    Hsq.Config.make ~kappa ~block_size ~steps_hint:steps ?query_domains
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
+      ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon)
+  in
+  (* Only a one-store warehouse on a --device file has a sidecar to save. *)
+  let save_meta =
+    match save_meta with
+    | Some _ when not (single_store config) ->
       prerr_endline "warning: --save-meta ignored with --shards/--replicas (stores keep their own sidecars)";
-    simulate_group ~shards ~replicas ~ingest_domains ~stream_sketch dataset steps step_size seed
-      epsilon kappa block_size query_domains deadline_ms phis verify durable wal_sync
-      checkpoint_every
-  end
-  else begin
+      None
+    | Some _ when device_path = None ->
+      if durable = None then prerr_endline "warning: --save-meta ignored without --device";
+      None
+    | m -> m
+  in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
-  let eng =
-    make_engine ~epsilon ~kappa ~block_size ~device_path ~steps_hint:steps ?query_domains
-      ?query_deadline_ms:deadline_ms ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-      ~stream_sketch ()
-  in
-  let pool = make_ingest_pool ~ingest_domains in
-  let ingest batch =
-    match pool with
-    | Some p ->
-      pool_ingest p ~domains:ingest_domains
-        ~observe_domain:(fun ~domain v -> Hsq.Engine.observe_domain eng ~domain v)
-        batch;
-      ignore (Hsq.Engine.checkpoint_if_due eng)
-    | None -> Array.iter (Hsq.Engine.observe eng) batch
-  in
-  let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
-  let total_io = ref Hsq_storage.Io_stats.zero in
-  for step = 1 to steps do
-    let batch = Hsq_workload.Datasets.next_batch ds step_size in
-    Option.iter (fun o -> Hsq_workload.Oracle.add_batch o batch) oracle;
-    ingest batch;
-    let report = Hsq.Engine.end_time_step eng in
-    total_io := Hsq_storage.Io_stats.add !total_io report.Hsq_hist.Level_index.io_total;
-    if step mod 10 = 0 then Printf.eprintf "[simulate] archived step %d/%d\n%!" step steps
-  done;
-  (* live stream: half a batch *)
-  let tail = Hsq_workload.Datasets.next_batch ds (max 1 (step_size / 2)) in
-  Option.iter (fun o -> Hsq_workload.Oracle.add_batch o tail) oracle;
-  ingest tail;
-  Hsq.Engine.flush_ingest eng;
-  Option.iter Hsq_util.Parallel.Pool.shutdown pool;
-  Printf.printf "dataset=%s  " dataset;
-  report_footprint eng;
-  Printf.printf "update I/O total: %s\n"
-    (Format.asprintf "%a" Hsq_storage.Io_stats.pp !total_io);
-  report_quantiles eng phis;
-  Option.iter
-    (fun o ->
-      print_endline "verification against exact oracle:";
-      List.iter
-        (fun phi ->
-          let v, _ = Hsq.Engine.quantile eng phi in
-          let exact = Hsq_workload.Oracle.quantile o phi in
-          Printf.printf "phi=%-5g  exact=%-12d  relative rank error=%.3e\n" phi exact
-            (Hsq_workload.Oracle.relative_error o ~phi ~value:v))
-        phis)
-    oracle;
-  (match (save_meta, device_path) with
-  | Some meta, Some _ ->
-    Hsq.Persist.save eng ~path:meta;
-    Printf.printf "warehouse metadata saved to %s\n" meta
-  | Some _, None when durable = None ->
-    prerr_endline "warning: --save-meta ignored without --device"
-  | _ -> ());
-  Hsq.Engine.close eng;
-  0
-  end
+  with_group ~who:"simulate" ~config ?durable (Fresh device_path) (fun g ->
+      let pool = make_ingest_pool ~ingest_domains in
+      let ingest batch =
+        match pool with
+        | Some p ->
+          pool_ingest p ~domains:ingest_domains
+            ~observe_domain:(fun ~domain v -> G.observe_domain g ~domain v)
+            batch;
+          ignore (G.checkpoint_if_due g)
+        | None -> Array.iter (G.observe g) batch
+      in
+      let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
+      let update_io = ref Hsq_storage.Io_stats.zero in
+      for step = 1 to steps do
+        let batch = Hsq_workload.Datasets.next_batch ds step_size in
+        Option.iter (fun o -> Hsq_workload.Oracle.add_batch o batch) oracle;
+        ingest batch;
+        update_io := Hsq_storage.Io_stats.add !update_io (archive g ~who:"simulate");
+        if step mod 10 = 0 then Printf.eprintf "[simulate] archived step %d/%d\n%!" step steps
+      done;
+      (* live stream: half a batch *)
+      let tail = Hsq_workload.Datasets.next_batch ds (max 1 (step_size / 2)) in
+      Option.iter (fun o -> Hsq_workload.Oracle.add_batch o tail) oracle;
+      ingest tail;
+      G.flush_ingest g;
+      Option.iter Hsq_util.Parallel.Pool.shutdown pool;
+      Printf.printf "dataset=%s  " dataset;
+      report_footprint ~update_io:!update_io g;
+      report_quantiles g phis;
+      Option.iter
+        (fun o ->
+          print_endline "verification against exact oracle:";
+          List.iter
+            (fun phi ->
+              let v, _ = G.quantile g phi in
+              let exact = Hsq_workload.Oracle.quantile o phi in
+              Printf.printf "phi=%-5g  exact=%-12d  relative rank error=%.3e\n" phi exact
+                (Hsq_workload.Oracle.relative_error o ~phi ~value:v))
+            phis)
+        oracle;
+      (match (save_meta, G.engine g 0) with
+      | Some meta, Some eng ->
+        Hsq.Persist.save eng ~path:meta;
+        Printf.printf "warehouse metadata saved to %s\n" meta
+      | _ -> ());
+      0)
 
 let simulate_cmd =
   let dataset =
@@ -469,30 +450,13 @@ let simulate_cmd =
 
 (* --- stream ------------------------------------------------------------- *)
 
-(* One loop body shared by the single and sharded paths: observe,
-   count, archive every N. *)
-let stream_loop ~observe ~end_step ~step_every =
-  let in_step = ref 0 in
-  try
-    while true do
-      let line = input_line stdin in
-      let line = String.trim line in
-      if line <> "" then begin
-        match int_of_string_opt line with
-        | None -> Printf.eprintf "[stream] skipping non-integer line %S\n%!" line
-        | Some v ->
-          observe v;
-          incr in_step;
-          if !in_step >= step_every then begin
-            end_step ();
-            in_step := 0
-          end
-      end
-    done
-  with End_of_file -> ()
-
 let stream step_every epsilon kappa block_size device_path query_domains deadline_ms phis
     durable wal_sync checkpoint_every shards replicas ingest_domains stream_sketch =
+  let config =
+    Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
+      ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon)
+  in
   (* stdin is read sequentially, so lanes are driven round-robin from
      this one thread: the win is the lanes' batched sketch hand-off
      (sorted-run merges instead of per-element inserts), not thread
@@ -504,16 +468,8 @@ let stream step_every epsilon kappa block_size device_path query_domains deadlin
     lane := (d + 1) mod ingest_domains;
     d
   in
-  if shards > 1 || replicas > 1 then begin
-    if device_path <> None then
-      prerr_endline "warning: --device ignored with --shards/--replicas (each store owns its device)";
-    let g =
-      make_group ~shards ~replicas ~epsilon ~kappa ~block_size ~steps_hint:100 ?query_domains
-        ?query_deadline_ms:deadline_ms ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-        ~stream_sketch ()
-    in
-    stream_loop ~step_every
-      ~observe:(fun v ->
+  with_group ~who:"stream" ~config ?durable (Fresh device_path) (fun g ->
+      let observe v =
         try
           if ingest_domains > 1 then begin
             G.observe_domain g ~domain:(next_lane ()) v;
@@ -521,65 +477,40 @@ let stream step_every epsilon kappa block_size device_path query_domains deadlin
           end
           else G.observe g v
         with G.Shard_unavailable (i, reason) ->
-          Printf.eprintf "[stream] DROPPED (shard %d down: %s)\n%!" i reason)
-      ~end_step:(fun () ->
-        List.iter
-          (fun (i, r) ->
-            match r with
-            | Ok _ -> ()
-            | Error msg -> Printf.eprintf "[stream] shard %d archive failed: %s\n%!" i msg)
-          (G.end_time_step g);
-        Printf.eprintf "[stream] archived step %d\n%!" (G.time_steps g));
-    G.flush_ingest g;
-    let code =
+          Printf.eprintf "[stream] DROPPED (shard %d down: %s)\n%!" i reason
+      in
+      (* Observe, count, archive every N. *)
+      let in_step = ref 0 in
+      (try
+         while true do
+           let line = String.trim (input_line stdin) in
+           if line <> "" then begin
+             match int_of_string_opt line with
+             | None -> Printf.eprintf "[stream] skipping non-integer line %S\n%!" line
+             | Some v ->
+               observe v;
+               incr in_step;
+               if !in_step >= step_every then begin
+                 let io = archive g ~who:"stream" in
+                 Printf.eprintf "[stream] archived step %d (%d block I/Os)\n%!" (G.time_steps g)
+                   (Hsq_storage.Io_stats.total io);
+                 in_step := 0
+               end
+           end
+         done
+       with End_of_file -> ());
+      G.flush_ingest g;
+      (* Closing flushes the WAL: the open step (elements past the last
+         archive point) survives a restart with --durable. *)
       if G.total_size g = 0 then begin
         prerr_endline "no data read";
         1
       end
       else begin
-        report_group_footprint g;
-        report_group_quantiles g phis;
+        report_footprint g;
+        report_quantiles g phis;
         0
-      end
-    in
-    G.close g;
-    code
-  end
-  else begin
-  let eng =
-    make_engine ~epsilon ~kappa ~block_size ~device_path ~steps_hint:100 ?query_domains
-      ?query_deadline_ms:deadline_ms ?durable ~wal_sync ~checkpoint_every ~ingest_domains
-      ~stream_sketch ()
-  in
-  stream_loop ~step_every
-    ~observe:(fun v ->
-      if ingest_domains > 1 then begin
-        Hsq.Engine.observe_domain eng ~domain:(next_lane ()) v;
-        ignore (Hsq.Engine.checkpoint_if_due eng)
-      end
-      else Hsq.Engine.observe eng v)
-    ~end_step:(fun () ->
-      let report = Hsq.Engine.end_time_step eng in
-      Printf.eprintf "[stream] archived step %d (%d block I/Os)\n%!"
-        (Hsq.Engine.time_steps eng)
-        (Hsq_storage.Io_stats.total report.Hsq_hist.Level_index.io_total));
-  Hsq.Engine.flush_ingest eng;
-  let code =
-    if Hsq.Engine.total_size eng = 0 then begin
-      prerr_endline "no data read";
-      1
-    end
-    else begin
-      report_footprint eng;
-      report_quantiles eng phis;
-      0
-    end
-  in
-  (* Flushes the WAL: the open step (elements past the last archive
-     point) survives a restart with --durable. *)
-  Hsq.Engine.close eng;
-  code
-  end
+      end)
 
 let stream_cmd =
   let step_every =
@@ -595,88 +526,59 @@ let stream_cmd =
       $ deadline_ms $ phis $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas
       $ ingest_domains $ sketch_kind)
 
-(* --- query (restored warehouse) ------------------------------------------ *)
+(* --- query ---------------------------------------------------------------- *)
 
 let query device meta query_domains deadline_ms phis heavy trace durable shards replicas =
-  if shards > 1 || replicas > 1 then begin
-    match durable with
-    | None ->
-      prerr_endline "query --shards/--replicas requires --durable DIR (the sharded store root)";
-      2
-    | Some dir ->
-      if heavy <> None then prerr_endline "warning: --heavy ignored with --shards/--replicas";
-      if trace then prerr_endline "warning: --trace ignored with --shards/--replicas";
-      let config =
-        Hsq.Config.make ?query_domains ?query_deadline_ms:deadline_ms ~wal_dir:dir ~shards
-          ~replicas (Hsq.Config.Epsilon 0.01)
-      in
-      let g, recoveries = G.open_or_recover config in
-      report_shard_recoveries ~replicas recoveries;
-      let code =
-        if G.total_size g = 0 then begin
-          prerr_endline "empty store";
-          1
-        end
-        else begin
-          report_group_footprint g;
-          report_group_quantiles g phis;
-          (* Exit-code contract: degraded answers (a whole shard dark)
-             fail; a downed replica with a live sibling keeps full
-             precision and exits 0. *)
-          if G.shards_down g = [] then 0 else 1
-        end
-      in
-      G.close g;
-      code
-  end
-  else
-  match (device, meta) with
-  | Some device_path, Some meta_path -> (
-    try
-      let eng =
-        Hsq.Persist.load_files ?query_domains ?query_deadline_ms:deadline_ms ~device_path
-          ~meta_path ()
-      in
-      let tracer = if trace then Some (Hsq_obs.Trace.create ()) else None in
-      Hsq.Engine.set_tracer eng tracer;
-      report_footprint eng;
-      report_quantiles eng phis;
-      (match heavy with
-      | None -> ()
-      | Some phi ->
-        (* Restored engines have an empty stream, so historical counts
-           are exact and the result is certain. *)
-        let capacity = max 64 (int_of_float (ceil (2.0 /. phi))) in
-        let hh = Hsq.Heavy_hitters.of_engine ~capacity eng in
-        let hits, report = Hsq.Heavy_hitters.frequent hh ~phi in
-        Printf.printf "values with frequency >= %g%% (%d candidates verified, %d disk accesses):\n"
-          (100.0 *. phi) report.Hsq.Heavy_hitters.candidates
-          (Hsq_storage.Io_stats.total report.Hsq.Heavy_hitters.io);
-        List.iter
-          (fun (h : Hsq.Heavy_hitters.hit) ->
-            Printf.printf "  %-12d count in [%d, %d]\n" h.value h.lower h.upper)
-          hits);
-      Option.iter
-        (fun tr ->
-          (* One JSON line per completed root span (query.accurate with
-             bisect/probe children, summary_cache, ...), oldest first. *)
-          print_endline "trace:";
-          List.iter
-            (fun s -> print_endline (Hsq_obs.Trace.to_json s))
-            (Hsq_obs.Trace.roots tr))
-        tracer;
-      Hsq_storage.Block_device.close (Hsq.Engine.device eng);
-      0
-    with
-    | Hsq.Persist.Corrupt_metadata msg ->
-      Printf.eprintf "corrupt metadata: %s\n" msg;
-      1
-    | Hsq_storage.Block_device.Device_error msg ->
-      Printf.eprintf "device error: %s\n" msg;
-      1)
-  | _ ->
-    prerr_endline "query requires both --device and --meta";
-    2
+  let config =
+    Hsq.Config.make ?query_domains ?query_deadline_ms:deadline_ms ~shards ~replicas
+      (Hsq.Config.Epsilon 0.01)
+  in
+  with_group ~who:"query" ~config ?durable (Saved (device, meta)) (fun g ->
+      if G.total_size g = 0 then begin
+        prerr_endline "empty store";
+        1
+      end
+      else begin
+        let tracer = if trace then Some (Hsq_obs.Trace.create ()) else None in
+        G.set_tracer g tracer;
+        report_footprint g;
+        report_quantiles g phis;
+        Option.iter
+          (fun phi ->
+            match (G.shard_count g, G.engine g 0) with
+            | 1, Some eng -> (
+              (* Counts are exact over the history; a store with an open
+                 step holds stream elements the counter never saw. *)
+              let capacity = max 64 (int_of_float (ceil (2.0 /. phi))) in
+              match Hsq.Heavy_hitters.of_engine ~capacity eng with
+              | exception Invalid_argument _ ->
+                prerr_endline "warning: --heavy ignored on a store with an open step"
+              | hh ->
+                let hits, report = Hsq.Heavy_hitters.frequent hh ~phi in
+                Printf.printf
+                  "values with frequency >= %g%% (%d candidates verified, %d disk accesses):\n"
+                  (100.0 *. phi) report.Hsq.Heavy_hitters.candidates
+                  (Hsq_storage.Io_stats.total report.Hsq.Heavy_hitters.io);
+                List.iter
+                  (fun (h : Hsq.Heavy_hitters.hit) ->
+                    Printf.printf "  %-12d count in [%d, %d]\n" h.value h.lower h.upper)
+                  hits)
+            | _ -> prerr_endline "warning: --heavy ignored with --shards")
+          heavy;
+        Option.iter
+          (fun tr ->
+            (* One JSON line per completed root span (query.accurate with
+               bisect/probe children, ...), oldest first. *)
+            print_endline "trace:";
+            List.iter
+              (fun s -> print_endline (Hsq_obs.Trace.to_json s))
+              (Hsq_obs.Trace.roots tr))
+          tracer;
+        (* Exit-code contract: degraded answers (a whole shard dark)
+           fail; a downed replica with a live sibling keeps full
+           precision and exits 0. *)
+        if G.shards_down g = [] then 0 else 1
+      end)
 
 let query_cmd =
   let meta =
@@ -693,7 +595,10 @@ let query_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let doc = "Query a previously saved warehouse (see simulate --save-meta)." in
+  let doc =
+    "Query a previously saved warehouse (see simulate --save-meta) or a durable store (see \
+     --durable)."
+  in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const query $ device_path $ meta $ query_domains $ deadline_ms $ phis $ heavy $ trace
@@ -702,11 +607,8 @@ let query_cmd =
 (* --- inspect --------------------------------------------------------------- *)
 
 let inspect device meta =
-  match (device, meta) with
-  | Some device_path, Some meta_path -> (
-    try
-      let eng = Hsq.Persist.load_files ~device_path ~meta_path () in
-      report_footprint eng;
+  with_saved ~who:"inspect" device meta (fun eng ->
+      report_footprint (G.of_engine eng);
       let hist = Hsq.Engine.hist eng in
       Printf.printf "\npartition layout (newest first):\n";
       List.iter
@@ -728,18 +630,7 @@ let inspect device meta =
       (match Hsq_hist.Level_index.check_invariants hist with
       | [] -> print_endline "invariants: OK"
       | errs -> List.iter (fun e -> Printf.printf "INVARIANT VIOLATION: %s\n" e) errs);
-      Hsq_storage.Block_device.close (Hsq.Engine.device eng);
-      0
-    with
-    | Hsq.Persist.Corrupt_metadata msg ->
-      Printf.eprintf "corrupt metadata: %s\n" msg;
-      1
-    | Hsq_storage.Block_device.Device_error msg ->
-      Printf.eprintf "device error: %s\n" msg;
-      1)
-  | _ ->
-    prerr_endline "inspect requires both --device and --meta";
-    2
+      0)
 
 let inspect_cmd =
   let meta =
@@ -751,137 +642,98 @@ let inspect_cmd =
 (* --- scrub ----------------------------------------------------------------- *)
 
 let scrub device meta repair durable shards replicas =
-  if shards > 1 || replicas > 1 then begin
-    match durable with
-    | None ->
-      prerr_endline "scrub --shards/--replicas requires --durable DIR (the sharded store root)";
-      2
-    | Some dir ->
-      let config = Hsq.Config.make ~wal_dir:dir ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
-      let g, recoveries = G.open_or_recover config in
-      report_shard_recoveries ~replicas recoveries;
+  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+  with_group ~who:"scrub" ~config ?durable (Saved (device, meta)) (fun g ->
       let errors = ref 0 in
-      let print_report who (r : Hsq.Persist.scrub_report) =
-        Printf.printf "%s: scrubbed %d partitions (%d block reads)" who
-          r.Hsq.Persist.partitions_checked r.Hsq.Persist.blocks_read;
-        if repair then
-          Printf.printf "; %d quarantined, %d reinstated, %d still quarantined"
-            r.Hsq.Persist.quarantined r.Hsq.Persist.reinstated
-            r.Hsq.Persist.still_quarantined;
-        print_newline ();
-        List.iter
-          (fun e ->
-            incr errors;
-            Printf.printf "SCRUB ERROR [%s]: %s\n" who e)
-          r.Hsq.Persist.errors
-      in
-      if replicas > 1 then begin
-        (* Per-replica media scrub, then the anti-entropy digest pass:
-           replicas of a shard apply identical op sequences, so any
-           digest disagreement is real divergence. *)
-        List.iter
-          (fun ((i, j), r) -> print_report (Printf.sprintf "shard %d replica %d" i j) r)
-          (G.scrub_all ~repair g);
-        List.iter
-          (fun (er : G.entropy_report) ->
-            (match er.G.flagged with
-            | [] ->
-              Printf.printf "anti-entropy [shard %d]: %d replicas consistent\n"
-                er.G.entropy_shard
-                (List.length er.G.digests)
-            | flagged ->
-              List.iter
-                (fun (j, why) ->
-                  if List.mem j er.G.repaired then
-                    Printf.printf
-                      "anti-entropy [shard %d]: replica %d DIVERGED (%s); repaired from \
-                       healthiest sibling\n"
-                      er.G.entropy_shard j why
-                  else if not (List.mem_assoc j er.G.repair_failed) then begin
-                    incr errors;
-                    Printf.printf "ANTI-ENTROPY ERROR [shard %d]: replica %d diverged (%s)%s\n"
-                      er.G.entropy_shard j why
-                      (if repair then "" else "; re-run with --repair")
-                  end)
-                flagged);
+      (* Media scrub of every live replica store. *)
+      List.iter
+        (fun ((i, j), (r : Hsq.Persist.scrub_report)) ->
+          let who = group_label g ~shard:i ~replica:j in
+          Printf.printf "%sscrubbed %d partitions (%d block reads)"
+            (if who = "" then "" else who ^ ": ")
+            r.partitions_checked r.blocks_read;
+          if repair then
+            Printf.printf "; %d quarantined, %d reinstated, %d still quarantined" r.quarantined
+              r.reinstated r.still_quarantined
+          else if r.still_quarantined > 0 then
+            Printf.printf "; %d partitions quarantined (re-verify with --repair)"
+              r.still_quarantined;
+          print_newline ();
+          Option.iter
+            (fun e ->
+              let stats =
+                Hsq_storage.Io_stats.snapshot
+                  (Hsq_storage.Block_device.stats (Hsq.Engine.device e))
+              in
+              if stats.retries > 0 then
+                Printf.printf "retries during scrub: %d (checksum failures: %d)\n" stats.retries
+                  stats.checksum_failures)
+            (G.replica_engine g ~shard:i ~replica:j);
+          List.iter
+            (fun e ->
+              incr errors;
+              if who = "" then Printf.printf "SCRUB ERROR: %s\n" e
+              else Printf.printf "SCRUB ERROR [%s]: %s\n" who e)
+            r.errors)
+        (G.scrub_all ~repair g);
+      (* A saved warehouse keeps its quarantine set in the sidecar, so
+         later opens honour it. *)
+      (match (durable, meta, G.engine g 0) with
+      | None, Some meta_path, Some eng when repair -> Hsq.Persist.save eng ~path:meta_path
+      | _ -> ());
+      (* Anti-entropy digest pass (replicated durable stores): replicas
+         of a shard apply identical op sequences, so any digest
+         disagreement is real divergence. *)
+      List.iter
+        (fun (er : G.entropy_report) ->
+          (match er.flagged with
+          | [] ->
+            Printf.printf "anti-entropy [shard %d]: %d replicas consistent\n" er.entropy_shard
+              (List.length er.digests)
+          | flagged ->
             List.iter
               (fun (j, why) ->
-                incr errors;
-                Printf.printf "ANTI-ENTROPY ERROR [shard %d]: replica %d repair failed: %s\n"
-                  er.G.entropy_shard j why)
-              er.G.repair_failed)
-          (G.anti_entropy ~repair g);
-        (* Downed replicas with live siblings are warnings, not damage:
-           answers keep full precision and hints replay on rejoin. *)
-        List.iter
-          (fun (i, j) ->
-            if not (List.mem i (G.shards_down g)) then
-              Printf.printf
-                "scrub: shard %d replica %d down (%s) — sibling serving, catches up on rejoin\n"
-                i j
-                (Option.value ~default:"?" (G.replica_down_reason g ~shard:i ~replica:j)))
-          (G.replicas_down g)
-      end
-      else
-        List.iter
-          (fun (i, r) -> print_report (Printf.sprintf "shard %d" i) r)
-          (G.scrub ~repair g);
+                if List.mem j er.repaired then
+                  Printf.printf
+                    "anti-entropy [shard %d]: replica %d DIVERGED (%s); repaired from healthiest \
+                     sibling\n"
+                    er.entropy_shard j why
+                else if not (List.mem_assoc j er.repair_failed) then begin
+                  incr errors;
+                  Printf.printf "ANTI-ENTROPY ERROR [shard %d]: replica %d diverged (%s)%s\n"
+                    er.entropy_shard j why
+                    (if repair then "" else "; re-run with --repair")
+                end)
+              flagged);
+          List.iter
+            (fun (j, why) ->
+              incr errors;
+              Printf.printf "ANTI-ENTROPY ERROR [shard %d]: replica %d repair failed: %s\n"
+                er.entropy_shard j why)
+            er.repair_failed)
+        (G.anti_entropy ~repair g);
+      (* Downed replicas with live siblings are warnings, not damage:
+         answers keep full precision and hints replay on rejoin.  A
+         shard with no live replica is damage. *)
       let down = G.shards_down g in
+      List.iter
+        (fun (i, j) ->
+          if not (List.mem i down) then
+            Printf.printf
+              "scrub: shard %d replica %d down (%s) — sibling serving, catches up on rejoin\n" i j
+              (Option.value ~default:"?" (G.replica_down_reason g ~shard:i ~replica:j)))
+        (G.replicas_down g);
       List.iter
         (fun i ->
           incr errors;
           Printf.printf "SCRUB ERROR [shard %d]: shard is down (%s)\n" i
             (Option.value ~default:"?" (G.down_reason g i)))
         down;
-      G.close g;
       if !errors = 0 then begin
         print_endline "scrub: OK";
         0
       end
-      else 1
-  end
-  else
-  match (device, meta) with
-  | Some device_path, Some meta_path -> (
-    try
-      let eng = Hsq.Persist.load_files ~device_path ~meta_path () in
-      let report = Hsq.Persist.scrub ~repair eng in
-      Printf.printf "scrubbed %d partitions (%d block reads)\n" report.Hsq.Persist.partitions_checked
-        report.Hsq.Persist.blocks_read;
-      if repair then begin
-        Printf.printf "repair: %d quarantined, %d reinstated, %d still quarantined\n"
-          report.Hsq.Persist.quarantined report.Hsq.Persist.reinstated
-          report.Hsq.Persist.still_quarantined;
-        (* Persist the new quarantine set so later opens honour it. *)
-        Hsq.Persist.save eng ~path:meta_path
-      end
-      else if report.Hsq.Persist.still_quarantined > 0 then
-        Printf.printf "%d partitions quarantined (re-verify with --repair)\n"
-          report.Hsq.Persist.still_quarantined;
-      let stats =
-        Hsq_storage.Io_stats.snapshot (Hsq_storage.Block_device.stats (Hsq.Engine.device eng))
-      in
-      if stats.Hsq_storage.Io_stats.retries > 0 then
-        Printf.printf "retries during scrub: %d (checksum failures: %d)\n"
-          stats.Hsq_storage.Io_stats.retries stats.Hsq_storage.Io_stats.checksum_failures;
-      Hsq_storage.Block_device.close (Hsq.Engine.device eng);
-      match report.Hsq.Persist.errors with
-      | [] ->
-        print_endline "scrub: OK";
-        0
-      | errors ->
-        List.iter (fun e -> Printf.printf "SCRUB ERROR: %s\n" e) errors;
-        1
-    with
-    | Hsq.Persist.Corrupt_metadata msg ->
-      Printf.eprintf "corrupt metadata: %s\n" msg;
-      1
-    | Hsq_storage.Block_device.Device_error msg ->
-      Printf.eprintf "device error: %s\n" msg;
-      1)
-  | _ ->
-    prerr_endline "scrub requires both --device and --meta";
-    2
+      else 1)
 
 let scrub_cmd =
   let meta =
@@ -895,8 +747,8 @@ let scrub_cmd =
     Arg.(value & flag & info [ "repair" ] ~doc)
   in
   let doc =
-    "Verify a saved warehouse end to end: re-read every partition, checking block checksums \
-     and sortedness. Exits non-zero if any damage is found."
+    "Verify a saved warehouse or durable store end to end: re-read every partition, checking \
+     block checksums and sortedness. Exits non-zero if any damage is found."
   in
   Cmd.v (Cmd.info "scrub" ~doc)
     Term.(const scrub $ device_path $ meta $ repair $ durable_dir $ shards $ replicas)
@@ -912,120 +764,114 @@ let report_health eng =
   List.iter print_endline (Hsq_serve.Health.to_lines h);
   Hsq_serve.Health.exit_code h
 
+(* The checks on one store directory; 0 healthy, 1 damaged. *)
 let status_one dir pool_blocks health =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "no such store directory: %s\n" dir;
-    2
+  let device_path, meta_path, wal_path, ckpt_path = Hsq.Engine.store_paths ~dir in
+  let problems = ref 0 in
+  let problem fmt = Printf.ksprintf (fun s -> incr problems; Printf.printf "%s\n" s) fmt in
+  (* Warehouse: the sidecar is the commit record. *)
+  let committed_steps = ref 0 in
+  (match (Sys.file_exists meta_path, Sys.file_exists device_path) with
+  | false, _ -> print_endline "warehouse: empty (no committed time step yet)"
+  | true, false -> problem "warehouse: DAMAGED — sidecar present but device file missing"
+  | true, true -> (
+    match Hsq.Persist.load_files ~pool_blocks ~device_path ~meta_path () with
+    | eng ->
+      committed_steps := Hsq.Engine.time_steps eng;
+      Printf.printf "warehouse: %d archived steps, %d elements, %d partitions\n"
+        (Hsq.Engine.time_steps eng) (Hsq.Engine.hist_size eng)
+        (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng));
+      (match Hsq_storage.Block_device.pool_stats (Hsq.Engine.device eng) with
+      | Some (hits, misses) when hits + misses > 0 ->
+        Printf.printf "buffer pool: %d blocks, %d hits / %d misses (%.1f%% hit rate)\n"
+          pool_blocks hits misses
+          (100.0 *. float_of_int hits /. float_of_int (hits + misses))
+      | _ -> ());
+      if health && report_health eng <> 0 then
+        problem "health: DEGRADED — breaker open or partitions quarantined";
+      Hsq_storage.Block_device.close (Hsq.Engine.device eng)
+    | exception Hsq.Persist.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
+    | exception Hsq_storage.Block_device.Device_error msg ->
+      problem "warehouse: DEVICE ERROR — %s" msg));
+  (* Write-ahead log. *)
+  (if Sys.file_exists wal_path then begin
+     match Hsq_storage.Wal.read_path ~path:wal_path with
+     | records, start_seq, tail ->
+       let observes, markers =
+         List.fold_left
+           (fun (o, m) (_, r) ->
+             match r with
+             | Hsq_storage.Wal.Observe _ -> (o + 1, m)
+             | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ -> (o, m + 1))
+           (0, 0) records
+       in
+       Printf.printf "wal: %d records (%d observes, %d commit markers), seq %d..%d\n"
+         (List.length records) observes markers start_seq
+         (start_seq + List.length records - 1);
+       (match tail with
+       | Hsq_storage.Wal.Clean -> ()
+       | Hsq_storage.Wal.Torn why ->
+         (* Expected after a crash — recovery floors it — so it is
+            reported but is not a health problem by itself. *)
+         Printf.printf "wal: torn tail (%s); next open floors it\n" why)
+     | exception Hsq_storage.Block_device.Device_error msg -> problem "wal: UNREADABLE — %s" msg
+   end
+   else print_endline "wal: absent (no open step)");
+  (* Sketch checkpoint. *)
+  (match Hsq.Checkpoint.load ~path:ckpt_path with
+  | Ok None -> print_endline "checkpoint: absent"
+  | Ok (Some c) ->
+    Printf.printf "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
+      c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done
+      (Array.length c.Hsq.Checkpoint.batch)
+      (if c.Hsq.Checkpoint.steps_done <> !committed_steps then " [stale — will be ignored]"
+       else "")
+  | Error why ->
+    (* Also not fatal: recovery treats it as absent. *)
+    Printf.printf "checkpoint: unreadable (%s); recovery falls back to full replay\n" why);
+  if !problems = 0 then begin
+    print_endline "status: OK";
+    0
   end
   else begin
-    let device_path, meta_path, wal_path, ckpt_path = Hsq.Engine.store_paths ~dir in
-    let problems = ref 0 in
-    let problem fmt = Printf.ksprintf (fun s -> incr problems; Printf.printf "%s\n" s) fmt in
-    (* Warehouse: the sidecar is the commit record. *)
-    let committed_steps = ref 0 in
-    (match (Sys.file_exists meta_path, Sys.file_exists device_path) with
-    | false, _ -> print_endline "warehouse: empty (no committed time step yet)"
-    | true, false -> problem "warehouse: DAMAGED — sidecar present but device file missing"
-    | true, true -> (
-      match Hsq.Persist.load_files ~pool_blocks ~device_path ~meta_path () with
-      | eng ->
-        committed_steps := Hsq.Engine.time_steps eng;
-        Printf.printf "warehouse: %d archived steps, %d elements, %d partitions\n"
-          (Hsq.Engine.time_steps eng) (Hsq.Engine.hist_size eng)
-          (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng));
-        (match Hsq_storage.Block_device.pool_stats (Hsq.Engine.device eng) with
-        | Some (hits, misses) when hits + misses > 0 ->
-          Printf.printf "buffer pool: %d blocks, %d hits / %d misses (%.1f%% hit rate)\n"
-            pool_blocks hits misses
-            (100.0 *. float_of_int hits /. float_of_int (hits + misses))
-        | _ -> ());
-        if health && report_health eng <> 0 then
-          problem "health: DEGRADED — breaker open or partitions quarantined";
-        Hsq_storage.Block_device.close (Hsq.Engine.device eng)
-      | exception Hsq.Persist.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
-      | exception Hsq_storage.Block_device.Device_error msg ->
-        problem "warehouse: DEVICE ERROR — %s" msg));
-    (* Write-ahead log. *)
-    (if Sys.file_exists wal_path then begin
-       match Hsq_storage.Wal.read_path ~path:wal_path with
-       | records, start_seq, tail ->
-         let observes, markers =
-           List.fold_left
-             (fun (o, m) (_, r) ->
-               match r with
-               | Hsq_storage.Wal.Observe _ -> (o + 1, m)
-               | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ -> (o, m + 1))
-             (0, 0) records
-         in
-         Printf.printf "wal: %d records (%d observes, %d commit markers), seq %d..%d\n"
-           (List.length records) observes markers start_seq
-           (start_seq + List.length records - 1);
-         (match tail with
-         | Hsq_storage.Wal.Clean -> ()
-         | Hsq_storage.Wal.Torn why ->
-           (* Expected after a crash — recovery floors it — so it is
-              reported but is not a health problem by itself. *)
-           Printf.printf "wal: torn tail (%s); next open floors it\n" why)
-       | exception Hsq_storage.Block_device.Device_error msg -> problem "wal: UNREADABLE — %s" msg
-     end
-     else print_endline "wal: absent (no open step)");
-    (* Sketch checkpoint. *)
-    (match Hsq.Checkpoint.load ~path:ckpt_path with
-    | Ok None -> print_endline "checkpoint: absent"
-    | Ok (Some c) ->
-      Printf.printf "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
-        c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done
-        (Array.length c.Hsq.Checkpoint.batch)
-        (if c.Hsq.Checkpoint.steps_done <> !committed_steps then " [stale — will be ignored]"
-         else "")
-    | Error why ->
-      (* Also not fatal: recovery treats it as absent. *)
-      Printf.printf "checkpoint: unreadable (%s); recovery falls back to full replay\n" why);
-    if !problems = 0 then begin
-      print_endline "status: OK";
-      0
-    end
-    else begin
-      Printf.printf "status: %d problem(s)\n" !problems;
-      1
-    end
+    Printf.printf "status: %d problem(s)\n" !problems;
+    1
   end
 
-(* Sharded/replicated status: the same per-store checks on every
-   replica store, rolled up into one verdict.
+(* The per-store checks on every store of the group (the root itself at
+   K = 1, R = 1), rolled up into one verdict.
 
    Exit-code contract (documented in the README): 0 also covers
    degraded-but-full-precision states — a damaged or missing replica
    store whose sibling is intact keeps every answer inside ±ε·m, so it
    is reported as a warning; only a shard with NO intact replica
-   (answers degraded) exits 1. With --replicas 1 this collapses to the
-   old per-shard verdict: any damaged shard exits 1. *)
+   (answers degraded) exits 1.  A missing root exits 2. *)
 let status dir shards replicas pool_blocks health =
-  if shards <= 1 && replicas <= 1 then status_one dir pool_blocks health
+  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+    Printf.eprintf "no such store directory: %s\n" dir;
+    2
+  end
   else begin
+    let stores = shards * replicas in
     let rows =
       List.init shards (fun i ->
           List.init replicas (fun j ->
               let sdir = G.store_dir ~root:dir ~shards ~replicas ~shard:i ~replica:j in
-              if replicas > 1 then Printf.printf "== shard %d replica %d: %s ==\n" i j sdir
-              else Printf.printf "== shard %d: %s ==\n" i sdir;
+              let label = store_label ~shards ~replicas ~shard:i ~replica:j in
+              if stores > 1 then Printf.printf "== %s: %s ==\n" label sdir;
               let code =
                 if Sys.file_exists sdir && Sys.is_directory sdir then
                   status_one sdir pool_blocks health
                 else begin
-                  if replicas > 1 then
-                    Printf.printf
-                      "shard %d replica %d: MISSING (never created, or lost with its volume)\n"
-                      i j
-                  else
-                    Printf.printf "shard %d: MISSING (never created, or lost with its volume)\n" i;
+                  Printf.printf "%s: MISSING (never created, or lost with its volume)\n" label;
                   1
                 end
               in
-              print_newline ();
+              if stores > 1 then print_newline ();
               code))
     in
-    if replicas > 1 then begin
+    let shard_ok = List.map (List.exists (fun c -> c = 0)) rows in
+    if stores > 1 then begin
       (* Per-shard replica matrix: one row per shard, one cell per
          replica store. *)
       print_endline "replica matrix:";
@@ -1033,37 +879,22 @@ let status dir shards replicas pool_blocks health =
         (fun i row ->
           Printf.printf "  shard %d: %s\n" i
             (String.concat "  "
-               (List.mapi
-                  (fun j c -> Printf.sprintf "r%d=%s" j (if c = 0 then "OK" else "BAD"))
-                  row)))
+               (List.mapi (fun j c -> Printf.sprintf "r%d=%s" j (if c = 0 then "OK" else "BAD")) row)))
         rows;
-      let shard_ok = List.map (List.exists (fun c -> c = 0)) rows in
-      let bad_replicas =
-        List.fold_left
-          (fun acc row -> acc + List.length (List.filter (fun c -> c <> 0) row))
-          0 rows
+      let bad_stores =
+        List.fold_left (fun acc row -> acc + List.length (List.filter (fun c -> c <> 0) row)) 0 rows
       in
-      Printf.printf "status: %d/%d replica stores OK, %d/%d shards with an intact replica\n"
-        ((shards * replicas) - bad_replicas)
-        (shards * replicas)
+      Printf.printf "status: %d/%d stores OK, %d/%d shards with an intact replica\n"
+        (stores - bad_stores) stores
         (List.length (List.filter Fun.id shard_ok))
         shards;
-      if List.for_all Fun.id shard_ok then begin
-        if bad_replicas > 0 then
-          Printf.printf
-            "status: WARNING — %d damaged replica store(s); siblings keep full precision, \
-             repair on rejoin\n"
-            bad_replicas;
-        0
-      end
-      else 1
-    end
-    else begin
-      let codes = List.concat rows in
-      let bad = List.length (List.filter (fun c -> c <> 0) codes) in
-      Printf.printf "status: %d/%d shards OK\n" (shards - bad) shards;
-      if bad = 0 then 0 else 1
-    end
+      if List.for_all Fun.id shard_ok && bad_stores > 0 then
+        Printf.printf
+          "status: WARNING — %d damaged replica store(s); siblings keep full precision, repair \
+           on rejoin\n"
+          bad_stores
+    end;
+    if List.for_all Fun.id shard_ok then 0 else 1
   end
 
 let status_cmd =
@@ -1098,10 +929,7 @@ let status_cmd =
 (* --- metrics --------------------------------------------------------------- *)
 
 let metrics device meta format phis no_exercise =
-  match (device, meta) with
-  | Some device_path, Some meta_path -> (
-    try
-      let eng = Hsq.Persist.load_files ~device_path ~meta_path () in
+  with_saved ~who:"metrics" device meta (fun eng ->
       (* Answer the requested quantiles silently first so the query-path
          metrics (latency histograms, probe counters, cache hits) carry
          real observations, not just the load-time I/O. *)
@@ -1111,18 +939,7 @@ let metrics device meta format phis no_exercise =
       (match format with
       | `Json -> print_endline (Hsq_obs.Metrics.to_json reg)
       | `Prometheus -> print_string (Hsq_obs.Metrics.to_prometheus reg));
-      Hsq_storage.Block_device.close (Hsq.Engine.device eng);
-      0
-    with
-    | Hsq.Persist.Corrupt_metadata msg ->
-      Printf.eprintf "corrupt metadata: %s\n" msg;
-      1
-    | Hsq_storage.Block_device.Device_error msg ->
-      Printf.eprintf "device error: %s\n" msg;
-      1)
-  | _ ->
-    prerr_endline "metrics requires both --device and --meta";
-    2
+      0)
 
 let metrics_cmd =
   let meta =
@@ -1161,7 +978,7 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
   | None ->
     prerr_endline "serve requires exactly one of --socket PATH or --tcp PORT";
     2
-  | Some listen -> (
+  | Some listen ->
     let config =
       {
         (Hsq_serve.Server.default_config listen) with
@@ -1171,34 +988,35 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
         read_timeout_s = read_timeout_ms /. 1000.0;
       }
     in
-    try
-      let srv =
-        Hsq_serve.Server.create config
-          (make_group ~shards ~replicas ~epsilon ~kappa ~block_size ~steps_hint:100
-             ?query_domains ?durable ~wal_sync ~checkpoint_every ~ingest_domains ~stream_sketch
-             ())
-      in
-      (* Signal handlers only flip the stop atomic; the accept loop
-         notices within its poll interval and runs the drain. *)
-      let on_signal _ = Hsq_serve.Server.request_stop srv in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Hsq_serve.Server.start srv;
-      Printf.eprintf "hsq serve: listening on %s (queue depth %d%s%s)\n%!"
-        (match listen with
-        | Hsq_serve.Server.Unix_sock p -> p
-        | Hsq_serve.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
-        queue_depth
-        (match durable with None -> "" | Some d -> ", durable at " ^ d)
-        ((if shards > 1 then Printf.sprintf ", %d shards" shards else "")
-        ^ (if replicas > 1 then Printf.sprintf ", %d replicas" replicas else "")
-        ^ if ingest_domains > 1 then Printf.sprintf ", %d ingest lanes" ingest_domains else "");
-      Hsq_serve.Server.wait srv;
-      prerr_endline "hsq serve: drained";
-      0
-    with Unix.Unix_error (e, fn, arg) ->
-      Printf.eprintf "hsq serve: %s(%s): %s\n" fn arg (Unix.error_message e);
-      1)
+    let store_config =
+      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains ~wal_sync
+        ~checkpoint_every ~shards ~replicas ~ingest_domains ~stream_sketch
+        (Hsq.Config.Epsilon epsilon)
+    in
+    with_group ~who:"serve" ~config:store_config ?durable (Fresh None) (fun g ->
+        try
+          let srv = Hsq_serve.Server.create config g in
+          (* Signal handlers only flip the stop atomic; the accept loop
+             notices within its poll interval and runs the drain. *)
+          let on_signal _ = Hsq_serve.Server.request_stop srv in
+          Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+          Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+          Hsq_serve.Server.start srv;
+          Printf.eprintf "hsq serve: listening on %s (queue depth %d%s%s)\n%!"
+            (match listen with
+            | Hsq_serve.Server.Unix_sock p -> p
+            | Hsq_serve.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
+            queue_depth
+            (match durable with None -> "" | Some d -> ", durable at " ^ d)
+            ((if shards > 1 then Printf.sprintf ", %d shards" shards else "")
+            ^ (if replicas > 1 then Printf.sprintf ", %d replicas" replicas else "")
+            ^ if ingest_domains > 1 then Printf.sprintf ", %d ingest lanes" ingest_domains else "");
+          Hsq_serve.Server.wait srv;
+          prerr_endline "hsq serve: drained";
+          0
+        with Unix.Unix_error (e, fn, arg) ->
+          Printf.eprintf "hsq serve: %s(%s): %s\n" fn arg (Unix.error_message e);
+          1)
 
 let serve_cmd =
   let socket =

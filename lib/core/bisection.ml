@@ -79,6 +79,7 @@ type 'd result = {
   bound : float;
   iterations : int;
   io : Hsq_storage.Io_stats.counters;
+  span : Trace.span option;
 }
 
 type probe_state = {
@@ -267,7 +268,7 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
   in
   bisect u0 v0
 
-let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
+let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
   let before = List.map (fun s -> (s, Hsq_storage.Io_stats.snapshot s)) stats in
   let iterations = ref 0 in
   let finish answer degradation bound =
@@ -278,7 +279,7 @@ let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
             (Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot s) b))
         Hsq_storage.Io_stats.zero before
     in
-    { answer; degradation; bound; iterations = !iterations; io }
+    { answer; degradation; bound; iterations = !iterations; io; span = Option.map snd trace }
   in
   let rec go tries = function
     | From_memory (us, degradation, widen) ->
@@ -312,3 +313,23 @@ let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
         go (tries + 1) (policy.on_failure ~tries view owner p))
   in
   go 0 first
+
+(* A traced query runs inside one [query.accurate] root span, whatever
+   the caller (an engine, or a shard group fusing many): the bisect and
+   probe spans hang under it, and it carries the answer's iteration
+   count and, when degraded, the degradation's [label]. *)
+let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
+  match trace with
+  | None -> retry_loop ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first
+  | Some (trc, label) ->
+    let partitions = match first with Bisect view -> List.length view.probes | From_memory _ -> 0 in
+    Trace.with_span trc
+      ~attrs:[ ("rank", string_of_int rank); ("partitions", string_of_int partitions) ]
+      "query.accurate"
+      (fun sp ->
+        let res =
+          retry_loop ~trace:(trc, sp) ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first
+        in
+        Trace.add_attr trc sp "iterations" (string_of_int res.iterations);
+        if res.degradation <> `None then Trace.add_attr trc sp "degradation" (label res.degradation);
+        res)

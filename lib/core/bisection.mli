@@ -63,22 +63,26 @@ type 'd result = {
   bound : float; (** upper bound on |rank(answer) − rank| *)
   iterations : int; (** bisection steps over every attempt *)
   io : Hsq_storage.Io_stats.counters; (** summed over [stats] *)
+  span : Hsq_obs.Trace.span option; (** the [query.accurate] root when traced *)
 }
 
 (** The retry loop from [first]. A completed bisection's bound is
     [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
     over the view's S stream summaries; a deadline cut answers the
     quick answer clamped into the surviving filter interval. [trace]
-    (tracer, root span) records a [bisect] span per iteration and a
-    [probe] span per partition under it. [pool] changes no answer,
+    (tracer, degradation label) records the query as one
+    [query.accurate] root span (attributes [rank], [partitions] probed
+    first, [iterations], and [degradation] unless [`None]) with a
+    [bisect] span per iteration and a [probe] span per partition under
+    it, and returns that root in [span]. [pool] changes no answer,
     iteration or read count. *)
 val run :
-  ?trace:Hsq_obs.Trace.t * Hsq_obs.Trace.span ->
+  ?trace:Hsq_obs.Trace.t * ('d -> string) ->
   ?deadline_at:float ->
   ?pool:pool ->
   stats:Hsq_storage.Io_stats.t list ->
   tolerance_factor:float ->
-  policy:('o, 'm, 'd) policy ->
+  policy:('o, 'm, ([> `None ] as 'd)) policy ->
   rank:int ->
   ('o, 'm, 'd) step ->
   'd result

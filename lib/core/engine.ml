@@ -747,7 +747,6 @@ let quick t ~rank =
    and leave healthy partitions alone. *)
 let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~partitions
     ~rank =
-  let tr = t.tracer in
   let tq0 = Metrics.now_s () in
   (* Summaries for a retry after the active set changed underneath a
      quarantine: the full-set path supplies the engine's summary cache
@@ -826,28 +825,12 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
     end
   in
   let deadline_at = Bisection.deadline_at ~start:tq0 ?deadline_ms t.config in
-  let run_query trace =
-    Bisection.run ?trace ?deadline_at ~pool:t.query_pool
+  let { Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span } =
+    Bisection.run
+      ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
+      ?deadline_at ~pool:t.query_pool
       ~stats:[ Hsq_storage.Block_device.stats t.dev ]
       ~tolerance_factor ~policy ~rank (first ())
-  in
-  let { Bisection.answer; degradation; bound = rank_error_bound; iterations; io }, span =
-    match tr with
-    | Some trc ->
-      Trace.with_span trc
-        ~attrs:
-          [
-            ("rank", string_of_int rank);
-            ("partitions", string_of_int (List.length partitions));
-          ]
-        "query.accurate"
-        (fun sp ->
-          let res = run_query (Some (trc, sp)) in
-          Trace.add_attr trc sp "iterations" (string_of_int res.Bisection.iterations);
-          if res.degradation <> `None then
-            Trace.add_attr trc sp "degradation" (degradation_label res.degradation);
-          (res, Some sp))
-    | None -> (run_query None, None)
   in
   note_accurate t ~seconds:(Metrics.now_s () -. tq0) ~iterations ~degraded:(degradation <> `None);
   (answer, { io; iterations; degradation; rank_error_bound; span })

@@ -289,45 +289,6 @@ let group_warnings (gh : group) =
    old "0 iff every shard up and healthy". *)
 let group_exit_code gh = if group_full_precision gh then 0 else 1
 
-let group_to_lines (gh : group) =
-  let lines = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  let serving = List.filter (fun (_, sh) -> sh.serving <> None) gh in
-  add "health: %d/%d shards up%s" (List.length serving) (List.length gh)
-    (if group_healthy gh then ", all healthy" else "");
-  List.iter
-    (fun (i, sh) ->
-      match sh.serving with
-      | None ->
-        add "health: shard %d DOWN (%d elements dark): %s" i sh.elements
-          (Option.value ~default:"down" sh.reason)
-      | Some (j, h) ->
-        add "health: shard %d %s%s" i
-          (if shard_full_precision sh then
-             if List.for_all (fun rh -> match rh.state with `Up hh -> healthy hh && not rh.diverged | `Down _ -> false) sh.replicas
-             then "healthy" else "healthy (degraded replicas, full precision)"
-           else "degraded")
-          (if List.length sh.replicas > 1 then Printf.sprintf " (serving via replica %d)" j else "");
-        List.iter (fun l -> add "health:   [shard %d] %s" i l) (to_lines h);
-        if List.length sh.replicas > 1 then
-          List.iter
-            (fun rh ->
-              match rh.state with
-              | `Down reason ->
-                add "health:   [shard %d] replica %d DOWN%s: %s" i rh.replica
-                  (match rh.hints_pending with
-                  | Some n -> Printf.sprintf " (%d hints pending)" n
-                  | None -> " (repair on rejoin)")
-                  reason
-              | `Up h ->
-                add "health:   [shard %d] replica %d up, %s%s" i rh.replica
-                  (if healthy h then "healthy" else "degraded")
-                  (if rh.diverged then ", DIVERGED" else ""))
-            sh.replicas)
-    gh;
-  List.iter (fun w -> add "health: warning: %s" w) (group_warnings gh);
-  List.rev !lines
-
 let replica_fields rh =
   Json.Obj
     (("replica", Json.int rh.replica)

@@ -95,5 +95,4 @@ val group_warnings : group -> string list
 (** 0 iff {!group_full_precision}; warnings alone do not fail it. *)
 val group_exit_code : group -> int
 
-val group_to_lines : group -> string list
 val group_to_fields : group -> (string * Json.t) list

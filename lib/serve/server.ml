@@ -631,6 +631,7 @@ let drain t listen_fd =
   | None -> ());
   (* Backend is quiescent now: checkpoint the stream side and close
      (idempotent, so a signal-driven second shutdown is harmless). *)
+  (try G.checkpoint_now t.group with _ -> ());
   (try G.close t.group with _ -> ());
   (* Unblock any connection thread still parked in a read, then join. *)
   let remaining =

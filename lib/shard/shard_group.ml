@@ -116,6 +116,7 @@ type t = {
   (* Per-shard step count at the last uneven cut (see "step
      alignment"); -1 = unknown. *)
   baseline : int array;
+  mutable tracer : Hsq_obs.Trace.t option; (* see set_tracer *)
   mutable closed : bool;
 }
 
@@ -179,6 +180,7 @@ let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
       query_pool = Hsq.Bisection.pool ~metrics config;
       metrics;
       baseline;
+      tracer = None;
       closed = false;
     }
   in
@@ -196,6 +198,13 @@ let create config =
         Array.init r (fun j -> { rep = j; state = Live (E.create (shard_config config ~wal_dir:None)); hints = None; diverged = false }))
   in
   make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:None ~baseline:(Array.make k 0)
+
+(* An engine built elsewhere (a file device, a saved warehouse) as a
+   volatile K = 1, R = 1 group: no root, so no hints and no rejoin. *)
+let of_engine e =
+  let config = { (E.config e) with Hsq.Config.shards = 1; replicas = 1 } in
+  let slots = [| [| { rep = 0; state = Live e; hints = None; diverged = false } |] |] in
+  make_t config ~k:1 ~r:1 ~slots ~last_size:[| E.total_size e |] ~root:None ~baseline:[| 0 |]
 
 (* Best-effort element count of a store we failed to open: archived
    elements from the sidecar's partition table plus Observe records
@@ -344,6 +353,11 @@ let down_elements t =
   !sum
 
 let config t = t.config
+
+let set_tracer t tr =
+  t.tracer <- tr;
+  List.iter (fun (_, _, e) -> E.set_tracer e tr) (all_live t)
+
 let shard_count t = t.k
 let replica_count t = t.r
 
@@ -934,9 +948,10 @@ let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   (* IO accounting spans every live replica: a failover mid-query reads
      a sibling that was not in the opening view. *)
   let stats = List.map (fun (_, _, e) -> BD.stats (E.device e)) (all_live t) in
-  let { Hsq.Bisection.answer; degradation; bound = rank_error_bound; iterations; io } =
-    Hsq.Bisection.run ?deadline_at ~pool:t.query_pool ~stats ~tolerance_factor ~policy ~rank
-      (fetch ())
+  let { Hsq.Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span = _ } =
+    Hsq.Bisection.run
+      ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
+      ?deadline_at ~pool:t.query_pool ~stats ~tolerance_factor ~policy ~rank (fetch ())
   in
   let seconds = Metrics.now_s () -. t0 in
   List.iter
@@ -1379,10 +1394,7 @@ let shut t ~release ~release_hints =
       t.slots
   end
 
-let close t =
-  shut t ~release_hints:Hint_log.close ~release:(fun e ->
-      (try E.checkpoint_now e with _ -> ());
-      try E.close e with _ -> ())
+let close t = shut t ~release_hints:Hint_log.close ~release:(fun e -> try E.close e with _ -> ())
 
 let crash t = shut t ~release_hints:Hint_log.crash ~release:(fun e -> try E.crash e with _ -> ())
 

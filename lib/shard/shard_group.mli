@@ -89,6 +89,12 @@ type query_report = {
     data dies with them), but failover reads work. *)
 val create : Hsq.Config.t -> t
 
+(** [of_engine e] — a volatile K = 1, R = 1 group over an engine built
+    elsewhere (on a file device, or restored by
+    {!Hsq.Persist.load_files}); the group takes [e]'s config, closes
+    [e] on {!close}, and answers exactly as [e] would. *)
+val of_engine : Hsq.Engine.t -> t
+
 type shard_recovery = {
   shard : int;
   replica : int;
@@ -121,6 +127,13 @@ val store_dir :
 (** {1 Topology} *)
 
 val config : t -> Hsq.Config.t
+
+(** Record fused accurate queries as [query.accurate] root spans (see
+    {!Hsq.Bisection.run}), and set every live replica's tracer
+    ({!Hsq.Engine.set_tracer}); [None] turns tracing off. Replicas that
+    rejoin later are not traced. *)
+val set_tracer : t -> Hsq_obs.Trace.t option -> unit
+
 val shard_count : t -> int
 val replica_count : t -> int
 
@@ -357,8 +370,9 @@ val scrub_all : ?repair:bool -> t -> ((int * int) * Hsq.Persist.scrub_report) li
 
 val checkpoint_now : t -> unit
 
-(** Checkpoint + close every live replica and close any open hint
-    logs. Idempotent. *)
+(** Close every live replica ({!Hsq.Engine.close}: the WAL flushes, no
+    checkpoint is forced — call {!checkpoint_now} first for that) and
+    any open hint logs. Idempotent. *)
 val close : t -> unit
 
 (** Test helper: power-cut every live replica (hint logs crash-closed

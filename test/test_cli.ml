@@ -130,8 +130,17 @@ let test_status_healthy_and_damaged () =
       Sys.rmdir store)
 
 let test_status_missing_dir () =
-  Alcotest.(check int) "status on a missing directory" 2
-    (run "status /nonexistent/hsq-store")
+  List.iter
+    (fun topo ->
+      Alcotest.(check int)
+        (Printf.sprintf "status on a missing directory%s" topo)
+        2
+        (run ("status /nonexistent/hsq-store" ^ topo)))
+    [ ""; " --shards 2"; " --shards 2 --replicas 2" ];
+  (* A root that exists but holds no shard stores is damage, not usage. *)
+  with_temp_dir (fun dir ->
+      Alcotest.(check int) "status on a root missing its shard stores" 1
+        (run (Printf.sprintf "status %s --shards 2" (quote dir))))
 
 (* Replicated health contract: a damaged replica whose sibling is
    intact keeps every answer at full precision, so status exits 0 with
@@ -174,6 +183,72 @@ let test_status_replicated_contract () =
       rm_rf (Filename.concat store "shard-0");
       Alcotest.(check int) "whole replica set lost exits 1" 1
         (run (Printf.sprintf "status %s --shards 2 --replicas 2" (quote store)));
+      rm_rf store)
+
+(* The answer lines of a query's stdout. *)
+let phi_lines out =
+  List.filter
+    (fun l -> String.length l > 4 && String.sub l 0 4 = "phi=")
+    (String.split_on_char '\n' out)
+
+(* A one-shard durable store with no open step: 4000 integers archived
+   as four full steps, so the WAL holds no stream elements. *)
+let build_durable_store dir =
+  let store = Filename.concat dir "store" in
+  let input = Filename.concat dir "input.txt" in
+  let oc = open_out input in
+  for i = 1 to 4000 do
+    Printf.fprintf oc "%d\n" ((i * 7919) mod 100_003)
+  done;
+  close_out oc;
+  Alcotest.(check int) "durable stream exits 0" 0
+    (run
+       (Printf.sprintf "stream --step-every 1000 --block-size 32 --durable %s < %s" (quote store)
+          (quote input)));
+  store
+
+(* At one shard, --durable DIR reaches the store a durable run left:
+   the same answers as reopening its device and sidecar directly. *)
+let test_query_durable_one_shard () =
+  with_temp_dir (fun dir ->
+      let store = build_durable_store dir in
+      let code, durable = run_capture (Printf.sprintf "query --durable %s -q 0.1,0.5,0.99" (quote store)) in
+      Alcotest.(check int) "query --durable exits 0" 0 code;
+      let code, saved =
+        run_capture
+          (Printf.sprintf "query --device %s --meta %s -q 0.1,0.5,0.99"
+             (quote (Filename.concat store "device.blocks"))
+             (quote (Filename.concat store "meta")))
+      in
+      Alcotest.(check int) "query --device --meta exits 0" 0 code;
+      Alcotest.(check int) "three answers" 3 (List.length (phi_lines durable));
+      Alcotest.(check (list string)) "same answers either way" (phi_lines saved) (phi_lines durable);
+      rm_rf store;
+      (* A store with an open step (simulate leaves half a batch in the
+         WAL) answers over history and stream. *)
+      Alcotest.(check int) "durable simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
+              (quote store)));
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query --durable after simulate exits 0" 0 code;
+      Alcotest.(check bool) "open step counted" true (contains out "+ stream 400)");
+      Alcotest.(check int) "one answer" 1 (List.length (phi_lines out));
+      rm_rf store)
+
+let test_scrub_durable_one_shard () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Alcotest.(check int) "durable simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
+              (quote store)));
+      Alcotest.(check int) "scrub --durable on a clean store" 0
+        (run ("scrub --durable " ^ quote store));
+      let dev = Filename.concat store "device.blocks" in
+      flip_byte dev ((Unix.stat dev).Unix.st_size / 2);
+      Alcotest.(check bool) "scrub --durable on a corrupt device fails" true
+        (run ("scrub --durable " ^ quote store) <> 0);
       rm_rf store)
 
 let test_metrics_missing_args () =
@@ -258,6 +333,42 @@ let test_query_trace_spans () =
       in
       Alcotest.(check bool) "no trace without --trace" false (contains plain "trace:"))
 
+(* The same span tree through a two-shard group: one root per answer,
+   and every bisection iteration probes every partition of every shard. *)
+let test_query_trace_sharded () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Alcotest.(check int) "sharded simulate exits 0" 0
+        (run
+           (Printf.sprintf
+              "simulate --shards 2 --steps 4 --step-size 800 --block-size 32 --durable %s"
+              (quote store)));
+      let code, out =
+        run_capture
+          (Printf.sprintf "query --durable %s --shards 2 -q 0.5,0.9 --trace" (quote store))
+      in
+      Alcotest.(check int) "query --trace exits 0" 0 code;
+      Alcotest.(check bool) "trace header printed" true (contains out "trace:");
+      Alcotest.(check int) "one accurate root per answer" 2
+        (count_substring out "\"name\":\"query.accurate\"");
+      let iters = count_substring out "\"name\":\"bisect\"" in
+      Alcotest.(check bool) "bisection child spans" true (iters > 0);
+      (* Live partitions, summed over both shards by the footprint line. *)
+      let partitions =
+        let line = List.find (fun l -> contains l "partitions over") (String.split_on_char '\n' out) in
+        let words = String.split_on_char ' ' line in
+        let rec before = function
+          | n :: "partitions" :: _ -> int_of_string n
+          | _ :: rest -> before rest
+          | [] -> Alcotest.fail "no partition count"
+        in
+        before words
+      in
+      Alcotest.(check bool) "both shards hold partitions" true (partitions > 4);
+      Alcotest.(check int) "one probe per live partition per iteration" (partitions * iters)
+        (count_substring out "\"name\":\"probe\"");
+      rm_rf store)
+
 let () =
   Alcotest.run "cli"
     [
@@ -267,7 +378,9 @@ let () =
           Alcotest.test_case "corrupt device" `Quick test_scrub_corrupt_device;
           Alcotest.test_case "corrupt sidecar" `Quick test_scrub_corrupt_meta;
           Alcotest.test_case "missing args" `Quick test_scrub_missing_args;
+          Alcotest.test_case "one-shard durable store" `Quick test_scrub_durable_one_shard;
         ] );
+      ("query", [ Alcotest.test_case "one-shard durable store" `Quick test_query_durable_one_shard ]);
       ( "status exit codes",
         [
           Alcotest.test_case "healthy vs damaged" `Quick test_status_healthy_and_damaged;
@@ -282,5 +395,9 @@ let () =
           Alcotest.test_case "json export" `Quick test_metrics_json;
           Alcotest.test_case "prometheus export" `Quick test_metrics_prometheus;
         ] );
-      ("trace", [ Alcotest.test_case "query --trace span tree" `Quick test_query_trace_spans ]);
+      ( "trace",
+        [
+          Alcotest.test_case "query --trace span tree" `Quick test_query_trace_spans;
+          Alcotest.test_case "query --trace on a sharded store" `Quick test_query_trace_sharded;
+        ] );
     ]
