@@ -513,43 +513,67 @@ let handle_line t ~conn_id fd line =
 
 (* Per-connection loop: a bounded line scanner over Unix.read.  The
    read and write timeouts (SO_RCVTIMEO / SO_SNDTIMEO) contain slow and
-   stalled clients; a line above max_line_bytes is a protocol violation
-   and closes the connection after an explicit parse error. *)
+   stalled clients; a line above max_line_bytes, whether or not its
+   newline has arrived, is a protocol violation and closes the
+   connection after an explicit parse error.
+
+   Received bytes live in one growable buffer: [buf.[start, len)] is
+   unconsumed input, of which [start, scan) is known to hold no newline,
+   so every byte is scanned once.  The buffer is compacted only after a
+   line was consumed, and only before the next read. *)
 let conn_loop t ~conn_id fd =
   let cfg = t.config in
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.read_timeout_s with Unix.Unix_error _ -> ());
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.write_timeout_s with Unix.Unix_error _ -> ());
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
+  let chunk = 4096 in
+  let buf = ref (Bytes.create chunk) in
+  let start = ref 0 and scan = ref 0 and len = ref 0 in
   let run = ref true in
+  let rec newline i = if i >= !len then None else if Bytes.get !buf i = '\n' then Some i else newline (i + 1) in
+  let too_long () =
+    Metrics.Counter.inc t.c.parse_error;
+    (try write_all fd (Protocol.err Protocol.e_parse ~detail:"line too long" ^ "\n") with _ -> ());
+    run := false
+  in
   while !run do
     (* Serve every complete line currently buffered. *)
     let progress = ref true in
-    while !progress do
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
+    while !run && !progress do
+      match newline !scan with
+      | Some i ->
+        let line_start = !start in
+        start := i + 1;
+        scan := i + 1;
+        if i - line_start > cfg.max_line_bytes then too_long ()
+        else begin
+          let line = String.trim (Bytes.sub_string !buf line_start (i - line_start)) in
+          if line <> "" then (
+            try handle_line t ~conn_id fd line
+            with Exit | Unix.Unix_error _ ->
+              (* Write failed: stalled or vanished client; drop it. *)
+              run := false)
+        end
       | None ->
         progress := false;
-        if String.length s > cfg.max_line_bytes then begin
-          Metrics.Counter.inc t.c.parse_error;
-          (try write_all fd (Protocol.err Protocol.e_parse ~detail:"line too long" ^ "\n")
-           with _ -> ());
-          run := false
-        end
-      | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
-        let line = String.trim (String.sub s 0 i) in
-        if line <> "" then (
-          try handle_line t ~conn_id fd line
-          with Exit | Unix.Unix_error _ ->
-            (* Write failed: stalled or vanished client; drop it. *)
-            run := false)
+        scan := !len;
+        if !len - !start > cfg.max_line_bytes then too_long ()
     done;
     if !run then begin
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      let pending = !len - !start in
+      if !start > 0 then begin
+        Bytes.blit !buf !start !buf 0 pending;
+        start := 0;
+        scan := pending;
+        len := pending
+      end;
+      if Bytes.length !buf - !len < chunk then begin
+        let bigger = Bytes.create (2 * Bytes.length !buf) in
+        Bytes.blit !buf 0 bigger 0 !len;
+        buf := bigger
+      end;
+      match Unix.read fd !buf !len (Bytes.length !buf - !len) with
       | 0 -> run := false (* orderly disconnect *)
-      | n -> Buffer.add_subbytes buf chunk 0 n
+      | n -> len := !len + n
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         (* Read timeout: a stalled client is cut, not waited on. *)
         Metrics.Counter.inc t.c.conn_timeout;

@@ -33,17 +33,34 @@ type fault_action =
 
 type injector = op -> attempt:int -> int -> fault_action option
 
+(* The file backend talks to the kernel through two descriptors, one
+   read-only and one write-only, with one reused record-sized buffer
+   each: a block read or write allocates nothing but the decoded
+   payload.  A record above 256 words would go straight to the major
+   heap, so reads decode into the [block_size]-word payload and compare
+   the checksum word in place instead of building the whole record. *)
+type file = {
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;
+  rbuf : Bytes.t; (* one record, reused under [io_lock] *)
+  wbuf : Bytes.t; (* one record, reused under [io_lock] *)
+  path : string;
+  mutable closed : bool; (* under [io_lock]: a closed descriptor's number may be reused *)
+}
+
 type backend =
   | Memory of int array option array ref (* growable table of stored records *)
-  | File of { channel : Out_channel.t; read_channel : In_channel.t; path : string }
+  | File of file
 
 (* Domain-safety: queries may probe partitions from several domains at
    once (Engine.accurate with query_domains > 1), so the two pieces of
    state every read touches are each behind a mutex — [io_lock] for the
-   File backend's shared seek+read channel, [pool_lock] for the LRU
-   buffer pool (Lru itself is not thread-safe).  Allocation, writes and
-   frees stay single-domain by contract: the engine never ingests and
-   queries concurrently, parallelism exists only inside one query call. *)
+   File backend's descriptor offsets and record buffers, [pool_lock]
+   for the LRU buffer pool (Lru itself is not thread-safe).  Every
+   seek-plus-read and seek-plus-write pair runs under [io_lock], so no
+   two ever interleave.  Allocation, writes and frees stay single-domain
+   by contract: the engine never ingests and queries concurrently,
+   parallelism exists only inside one query call. *)
 type t = {
   block_size : int;
   stats : Io_stats.t;
@@ -82,8 +99,7 @@ let allocated_blocks t = t.next_free
 let live_blocks t = t.next_free - t.freed_blocks
 
 (* The stored record is the payload plus one trailing checksum word. *)
-let record_words t = t.block_size + 1
-let bytes_per_block t = 8 * record_words t
+let record_bytes block_size = 8 * (block_size + 1)
 
 (* Retry policy: a read is attempted at most [max_read_attempts] times;
    the backoff (in milliseconds) before attempt i+2 is
@@ -104,16 +120,15 @@ let mix h v =
 
 let checksum ~addr payload = Array.fold_left mix (mix 0x106689D45497FDB5 addr) payload
 
-let create_memory ?metrics ~block_size () =
-  if block_size <= 0 then invalid_arg "Block_device.create_memory: block_size must be positive";
+let make ?metrics ~block_size ~next_free backend =
   let stats = Io_stats.create ?registry:metrics () in
   let read_hist, pool_hits, pool_misses = device_metrics stats in
   {
     block_size;
     stats;
-    next_free = 0;
+    next_free;
     freed_blocks = 0;
-    backend = Memory (ref (Array.make 64 None));
+    backend;
     fault = None;
     pool = None;
     pool_lock = Mutex.create ();
@@ -125,28 +140,36 @@ let create_memory ?metrics ~block_size () =
     pool_misses;
   }
 
+let create_memory ?metrics ~block_size () =
+  if block_size <= 0 then invalid_arg "Block_device.create_memory: block_size must be positive";
+  make ?metrics ~block_size ~next_free:0 (Memory (ref (Array.make 64 None)))
+
+(* File-system failures keep surfacing as [Sys_error] with the message
+   the channel-based backend gave, which the shard layer already
+   catches (a full disk, a vanished store). *)
+let sys_error ?path err =
+  let msg = Unix.error_message err in
+  raise (Sys_error (match path with Some p -> p ^ ": " ^ msg | None -> msg))
+
+let open_fds ~block_size ~path flags =
+  let openfile flags =
+    try Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644
+    with Unix.Unix_error (err, _, _) -> sys_error ~path err
+  in
+  let wfd = openfile (Unix.O_WRONLY :: flags) in
+  let rfd =
+    try openfile [ Unix.O_RDONLY ]
+    with e ->
+      Unix.close wfd;
+      raise e
+  in
+  let nbytes = record_bytes block_size in
+  { rfd; wfd; rbuf = Bytes.create nbytes; wbuf = Bytes.create nbytes; path; closed = false }
+
 let create_file ?metrics ~block_size ~path () =
   if block_size <= 0 then invalid_arg "Block_device.create_file: block_size must be positive";
-  let channel = Out_channel.open_gen [ Open_binary; Open_creat; Open_trunc; Open_wronly ] 0o644 path in
-  let read_channel = In_channel.open_gen [ Open_binary; Open_rdonly ] 0o644 path in
-  let stats = Io_stats.create ?registry:metrics () in
-  let read_hist, pool_hits, pool_misses = device_metrics stats in
-  {
-    block_size;
-    stats;
-    next_free = 0;
-    freed_blocks = 0;
-    backend = File { channel; read_channel; path };
-    fault = None;
-    pool = None;
-    pool_lock = Mutex.create ();
-    io_lock = Mutex.create ();
-    read_latency = 0.0;
-    breaker = device_breaker stats;
-    read_hist;
-    pool_hits;
-    pool_misses;
-  }
+  make ?metrics ~block_size ~next_free:0
+    (File (open_fds ~block_size ~path [ Unix.O_CREAT; Unix.O_TRUNC ]))
 
 (* Reopen an existing device file: allocation resumes after the blocks
    already on disk, so restored runs can be read back.  A trailing
@@ -158,35 +181,28 @@ let open_file ?metrics ~block_size ~path () =
   if block_size <= 0 then invalid_arg "Block_device.open_file: block_size must be positive";
   if not (Sys.file_exists path) then
     raise (Device_error (Printf.sprintf "no device file at %s" path));
-  let channel = Out_channel.open_gen [ Open_binary; Open_wronly ] 0o644 path in
-  let read_channel = In_channel.open_gen [ Open_binary; Open_rdonly ] 0o644 path in
-  let size = Int64.to_int (In_channel.length read_channel) in
-  let bytes_per_block = 8 * (block_size + 1) in
-  let stats = Io_stats.create ?registry:metrics () in
-  let read_hist, pool_hits, pool_misses = device_metrics stats in
-  {
-    block_size;
-    stats;
-    next_free = size / bytes_per_block;
-    freed_blocks = 0;
-    backend = File { channel; read_channel; path };
-    fault = None;
-    pool = None;
-    pool_lock = Mutex.create ();
-    io_lock = Mutex.create ();
-    read_latency = 0.0;
-    breaker = device_breaker stats;
-    read_hist;
-    pool_hits;
-    pool_misses;
-  }
+  let f = open_fds ~block_size ~path [] in
+  let size = (Unix.fstat f.rfd).Unix.st_size in
+  make ?metrics ~block_size ~next_free:(size / record_bytes block_size) (File f)
+
+(* Run [f] on the open file under [io_lock]; Unix errors surface as
+   [Sys_error] (see [sys_error]). *)
+let with_file t f file =
+  Mutex.protect t.io_lock (fun () ->
+      if file.closed then raise (Sys_error "Bad file descriptor");
+      try f file with Unix.Unix_error (err, _, _) -> sys_error err)
 
 let close t =
   match t.backend with
   | Memory _ -> ()
-  | File { channel; read_channel; path = _ } ->
-    Out_channel.close channel;
-    In_channel.close read_channel
+  | File file ->
+    Mutex.lock t.io_lock;
+    if not file.closed then begin
+      file.closed <- true;
+      Unix.close file.wfd;
+      Unix.close file.rfd
+    end;
+    Mutex.unlock t.io_lock
 
 let path t = match t.backend with Memory _ -> None | File { path; _ } -> Some path
 
@@ -275,32 +291,35 @@ let free t ~addr ~nblocks =
   | Memory table -> for b = addr to addr + nblocks - 1 do !table.(b) <- None done
   | File _ -> ()
 
-(* Store one record (payload ++ checksum word).  [upto] limits how many
-   payload words actually land (torn writes); the checksum word is only
-   written when the full payload is. *)
-let store_record t ~addr ~record ~upto =
-  let words = if upto >= t.block_size then record_words t else upto in
+(* Store one record: the first [upto] payload words and, only when the
+   whole payload lands, the checksum word [sum] (a torn write stops
+   short of it).  Word [flip] is stored with its low bit flipped — bit
+   rot after the checksum was computed; -1 flips nothing. *)
+let store_record t ~addr payload ~sum ~upto ~flip =
+  let bs = t.block_size in
+  let word j = if j = flip then payload.(j) lxor 1 else payload.(j) in
   match t.backend with
   | Memory table ->
-    let prev = !table.(addr) in
     let stored =
-      if words = record_words t then Array.copy record
-      else begin
-        (* Torn write: new prefix over whatever was there before. *)
-        let base = match prev with Some b -> Array.copy b | None -> Array.make (record_words t) 0 in
-        Array.blit record 0 base 0 words;
-        base
-      end
+      match !table.(addr) with
+      (* Torn write: new prefix over whatever was there before. *)
+      | Some prev when upto < bs -> Array.copy prev
+      | _ -> Array.make (bs + 1) 0
     in
+    for j = 0 to upto - 1 do stored.(j) <- word j done;
+    if upto = bs then stored.(bs) <- sum;
     !table.(addr) <- Some stored
-  | File { channel; _ } ->
-    let buf = Bytes.create (8 * words) in
-    for i = 0 to words - 1 do
-      Bytes.set_int64_be buf (8 * i) (Int64.of_int record.(i))
-    done;
-    Out_channel.seek channel (Int64.of_int (addr * bytes_per_block t));
-    Out_channel.output_bytes channel buf;
-    Out_channel.flush channel
+  | File file ->
+    with_file t
+      (fun { wfd; wbuf; _ } ->
+        for j = 0 to upto - 1 do
+          Bytes.set_int64_be wbuf (8 * j) (Int64.of_int (word j))
+        done;
+        let words = if upto = bs then bs + 1 else upto in
+        if upto = bs then Bytes.set_int64_be wbuf (8 * bs) (Int64.of_int sum);
+        ignore (Unix.lseek wfd (addr * Bytes.length wbuf) Unix.SEEK_SET);
+        ignore (Unix.write wfd wbuf 0 (8 * words)))
+      file
 
 let write_block t ~addr payload =
   if Array.length payload <> t.block_size then
@@ -310,10 +329,7 @@ let write_block t ~addr payload =
   | Some Fail -> raise (Device_error (Printf.sprintf "injected write fault at block %d" addr))
   | Some (Torn k) ->
     let k = max 0 (min (t.block_size - 1) k) in
-    let record = Array.make (record_words t) 0 in
-    Array.blit payload 0 record 0 t.block_size;
-    record.(t.block_size) <- checksum ~addr payload;
-    store_record t ~addr ~record ~upto:k;
+    store_record t ~addr payload ~sum:0 ~upto:k ~flip:(-1);
     raise (Device_error (Printf.sprintf "torn write at block %d (%d of %d words)" addr k t.block_size))
   | (None | Some (Corrupt _)) as action ->
     Io_stats.note_write t.stats addr;
@@ -325,41 +341,41 @@ let write_block t ~addr payload =
       Lru.put pool addr (Array.copy payload);
       Mutex.unlock t.pool_lock
     | None -> ());
-    let record = Array.make (record_words t) 0 in
-    Array.blit payload 0 record 0 t.block_size;
-    record.(t.block_size) <- checksum ~addr payload;
-    (match action with
-    | Some (Corrupt i) -> record.(i mod t.block_size) <- record.(i mod t.block_size) lxor 1
-    | _ -> ());
-    store_record t ~addr ~record ~upto:t.block_size
+    let flip = match action with Some (Corrupt i) -> i mod t.block_size | _ -> -1 in
+    store_record t ~addr payload ~sum:(checksum ~addr payload) ~upto:t.block_size ~flip
 
-(* Fetch the raw record for [addr]; raises on unwritten/freed/short
-   blocks (structural errors, never retried). *)
+(* Fetch [addr] as (payload, stored checksum word); raises on
+   unwritten/freed/short blocks (structural errors, never retried).
+   The file backend decodes straight from the reused record buffer into
+   a fresh [block_size]-word payload. *)
 let fetch_record t ~addr =
+  let bs = t.block_size in
   match t.backend with
   | Memory table -> (
     match !table.(addr) with
-    | Some record -> record
+    | Some record -> (Array.sub record 0 bs, record.(bs))
     | None -> raise (Device_error (Printf.sprintf "read of unwritten or freed block %d" addr)))
-  | File { read_channel; _ } ->
-    let nbytes = bytes_per_block t in
-    let buf = Bytes.create nbytes in
-    (* The read channel's file position is shared state: the seek and
-       the input must be atomic with respect to other probing domains. *)
-    Mutex.lock t.io_lock;
-    let read =
-      try
-        In_channel.seek read_channel (Int64.of_int (addr * nbytes));
-        In_channel.really_input read_channel buf 0 nbytes
-      with e ->
-        Mutex.unlock t.io_lock;
-        raise e
+  | File file ->
+    let payload = Array.make bs 0 in
+    let sum =
+      with_file t
+        (fun { rfd; rbuf; _ } ->
+          let nbytes = Bytes.length rbuf in
+          ignore (Unix.lseek rfd (addr * nbytes) Unix.SEEK_SET);
+          let rec fill off =
+            if off < nbytes then
+              match Unix.read rfd rbuf off (nbytes - off) with
+              | 0 -> raise (Device_error (Printf.sprintf "short read at block %d" addr))
+              | n -> fill (off + n)
+          in
+          fill 0;
+          for j = 0 to bs - 1 do
+            payload.(j) <- Int64.to_int (Bytes.get_int64_be rbuf (8 * j))
+          done;
+          Int64.to_int (Bytes.get_int64_be rbuf (8 * bs)))
+        file
     in
-    Mutex.unlock t.io_lock;
-    (match read with
-    | Some () -> ()
-    | None -> raise (Device_error (Printf.sprintf "short read at block %d" addr)));
-    Array.init (record_words t) (fun i -> Int64.to_int (Bytes.get_int64_be buf (8 * i)))
+    (payload, sum)
 
 (* Bounded-retry read: injected faults and checksum mismatches are
    retried up to [max_read_attempts] times (each extra attempt is
@@ -396,7 +412,7 @@ let read_block_uncached ?hint t ~addr =
       Io_stats.note_read ?hint t.stats addr;
       let t0 = Hsq_obs.Metrics.now_s () in
       apply_read_latency t;
-      let record =
+      let payload, stored =
         try fetch_record t ~addr
         with e ->
           (* Not evidence against device health, but a half-open trial
@@ -405,8 +421,7 @@ let read_block_uncached ?hint t ~addr =
           raise e
       in
       Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
-      let payload = Array.sub record 0 t.block_size in
-      if record.(t.block_size) <> checksum ~addr payload then begin
+      if stored <> checksum ~addr payload then begin
         Io_stats.note_checksum_failure t.stats;
         retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
       end

@@ -261,6 +261,98 @@ let test_slow_client () =
         | None -> false);
       Client.close c)
 
+(* Raw-socket helpers for the line-scanner cases: write exact byte
+   strings, read replies until [n] lines or EOF. *)
+let raw_connect listen =
+  let path = match listen with Server.Unix_sock p -> p | _ -> assert false in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+let raw_send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Reply lines until [n] arrived or the server closed; the flag says
+   whether EOF was seen. *)
+let raw_read_lines ?(n = max_int) fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let lines () = String.split_on_char '\n' (Buffer.contents buf) in
+  let rec go () =
+    if List.length (lines ()) - 1 >= n then false
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> true
+      | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+  in
+  let eof = go () in
+  (List.filter (fun l -> l <> "") (lines ()), eof)
+
+(* A line above max_line_bytes is refused even when its newline arrives
+   in the same read that crosses the cap. *)
+let test_line_cap_with_newline () =
+  let g, _ = preloaded_group ~seed:3 ~steps:1 ~per_step:200 ~stream:10 () in
+  with_server
+    ~mutate_config:(fun c -> { c with Server.max_line_bytes = 64 })
+    g
+    (fun _srv listen ->
+      let fd = raw_connect listen in
+      let ping = {|{"op":"ping"}|} in
+      raw_send fd (ping ^ String.make 200 ' ' ^ "\n");
+      let lines, eof = raw_read_lines fd in
+      Unix.close fd;
+      (match lines with
+      | [ l ] ->
+        let r = Result.get_ok (Json.of_string l) in
+        Alcotest.(check (option string)) "parse error" (Some Protocol.e_parse) (Client.error_kind r);
+        Alcotest.(check (option string))
+          "detail" (Some "line too long")
+          (Option.bind (Json.member r "detail") Json.as_str)
+      | _ -> Alcotest.failf "expected one reply, got [%s]" (String.concat "; " lines));
+      Alcotest.(check bool) "connection closed" true eof;
+      (* A line at the cap is still served. *)
+      let fd = raw_connect listen in
+      raw_send fd (ping ^ String.make (64 - String.length ping) ' ' ^ "\n");
+      let lines, _ = raw_read_lines ~n:1 fd in
+      Unix.close fd;
+      Alcotest.(check bool) "line at the cap answered" true
+        (match lines with [ l ] -> contains l "pong" | _ -> false))
+
+(* Pipelined lines in one write, and one line split across three
+   writes, are all answered in order. *)
+let test_pipelined_and_split_lines () =
+  let g, _ = preloaded_group ~seed:4 ~steps:2 ~per_step:500 ~stream:50 () in
+  with_server g (fun _srv listen ->
+      let fd = raw_connect listen in
+      let phis = [ 0.1; 0.25; 0.5; 0.75; 0.9 ] in
+      let quick phi = Printf.sprintf {|{"op":"quick","phi":%g}|} phi in
+      raw_send fd (String.concat "" (List.map (fun p -> quick p ^ "\n") phis) ^ {|{"op":"ping"}|} ^ "\n");
+      let split = quick 0.33 ^ "\n" in
+      let third = String.length split / 3 in
+      raw_send fd (String.sub split 0 third);
+      Unix.sleepf 0.05;
+      raw_send fd (String.sub split third third);
+      Unix.sleepf 0.05;
+      raw_send fd (String.sub split (2 * third) (String.length split - (2 * third)));
+      let lines, _ = raw_read_lines ~n:7 fd in
+      Unix.close fd;
+      let replies = List.map (fun l -> Result.get_ok (Json.of_string l)) lines in
+      Alcotest.(check int) "every line answered" 7 (List.length replies);
+      let values = List.map (fun r -> if Client.is_ok r then Json.member r "value" else None) replies in
+      let expect_quick i phi =
+        let c = Client.connect listen in
+        let r = Client.quick c (`Phi phi) in
+        Client.close c;
+        Alcotest.(check (option string))
+          (Printf.sprintf "reply %d answers phi %g" i phi)
+          (Option.map Json.to_string (Json.member r "value"))
+          (Option.map Json.to_string (List.nth values i))
+      in
+      List.iteri expect_quick phis;
+      Alcotest.(check bool) "ping answered in order" true (contains (List.nth lines 5) "pong");
+      expect_quick 6 0.33)
+
 (* A request that spends its whole class budget waiting in the queue is
    answered `timeout`, not silently executed late. *)
 let test_queue_deadline () =
@@ -987,6 +1079,10 @@ let () =
         [
           Alcotest.test_case "basics: query, ingest, metrics, health, drain" `Quick test_basics;
           Alcotest.test_case "stalled client is cut" `Quick test_slow_client;
+          Alcotest.test_case "over-long line refused with its newline" `Quick
+            test_line_cap_with_newline;
+          Alcotest.test_case "pipelined and split lines answered in order" `Quick
+            test_pipelined_and_split_lines;
           Alcotest.test_case "queue-aged request times out" `Quick test_queue_deadline;
           Alcotest.test_case "2x-capacity flood sheds explicitly" `Quick test_flood;
           Alcotest.test_case "mid-drain connect gets shutting_down" `Quick test_drain_race;

@@ -237,6 +237,113 @@ let test_file_backend_roundtrip () =
   Block_device.close dev;
   Sys.remove path
 
+(* --- File read path ---------------------------------------------------- *)
+
+let with_dev_file f =
+  let path = Filename.temp_file "hsq_test" ".dev" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+(* Block [a] of the file-read tests: distinct words, negatives included. *)
+let pattern ~block_size a = Array.init block_size (fun j -> ((a * 7919) + j) * if j land 1 = 0 then 1 else -1)
+
+let file_dev_with ~block_size ~blocks path =
+  let dev = Block_device.create_file ~block_size ~path () in
+  let base = Block_device.alloc dev blocks in
+  for a = 0 to blocks - 1 do
+    Block_device.write_block dev ~addr:(base + a) (pattern ~block_size a)
+  done;
+  (dev, base)
+
+(* A file-backed read at the default B = 256 decodes into a minor-heap
+   payload: no per-read record array or byte buffer reaches the major
+   heap. *)
+let test_file_read_allocation () =
+  with_dev_file (fun path ->
+      let dev, base = file_dev_with ~block_size:256 ~blocks:64 path in
+      let reads = 2_000 in
+      let sink = ref 0 in
+      let read i = sink := !sink + (Block_device.read_block dev ~addr:(base + (i * 37 mod 64))).(1) in
+      for i = 1 to 100 do read i done;
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      for i = 1 to reads do read i done;
+      let per_read = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int reads in
+      Block_device.close dev;
+      ignore (Sys.opaque_identity !sink);
+      if per_read >= 64.0 then Alcotest.failf "%.1f major words per read (want < 64)" per_read)
+
+(* Two domains share the device's one read descriptor and buffer; each
+   must still see exact payloads. *)
+let test_file_concurrent_reads () =
+  with_dev_file (fun path ->
+      let block_size = 64 and blocks = 200 in
+      let dev, base = file_dev_with ~block_size ~blocks path in
+      let reader seed () =
+        let rng = Random.State.make [| seed |] in
+        let bad = ref 0 in
+        for _ = 1 to 1_000 do
+          let a = Random.State.int rng blocks in
+          if Block_device.read_block dev ~addr:(base + a) <> pattern ~block_size a then incr bad
+        done;
+        !bad
+      in
+      let ds = List.map (fun seed -> Domain.spawn (reader seed)) [ 1; 2 ] in
+      let bad = List.map Domain.join ds in
+      Block_device.close dev;
+      Alcotest.(check (list int)) "every payload exact" [ 0; 0 ] bad)
+
+let test_file_truncated_tail () =
+  with_dev_file (fun path ->
+      let block_size = 8 in
+      let dev, base = file_dev_with ~block_size ~blocks:3 path in
+      (* Cut the file in the middle of the second record. *)
+      Unix.truncate path ((8 * (block_size + 1)) + 20);
+      Alcotest.(check (array int)) "intact block still reads" (pattern ~block_size 0)
+        (Block_device.read_block dev ~addr:base);
+      List.iter
+        (fun a ->
+          match Block_device.read_block dev ~addr:(base + a) with
+          | _ -> Alcotest.failf "block %d read past the truncated tail" a
+          | exception Block_device.Device_error msg ->
+            Alcotest.(check bool) (Printf.sprintf "block %d: short read (%s)" a msg) true
+              (Str.string_match (Str.regexp "short read") msg 0))
+        [ 1; 2 ];
+      Block_device.close dev)
+
+(* A torn write over a written block leaves the new prefix, the old
+   tail and the old checksum on disk; the read fails its checksum, and a
+   rewrite heals the block. *)
+let test_file_torn_then_rewrite () =
+  with_dev_file (fun path ->
+      let block_size = 8 in
+      let dev, addr = file_dev_with ~block_size ~blocks:1 path in
+      let old = pattern ~block_size 0 in
+      Block_device.set_injector dev
+        (Some (fun op ~attempt:_ _ -> if op = Block_device.Write then Some (Block_device.Torn 3) else None));
+      Alcotest.(check bool) "torn write raises" true
+        (match Block_device.write_block dev ~addr (Array.make block_size 5) with
+        | () -> false
+        | exception Block_device.Device_error _ -> true);
+      Block_device.set_injector dev None;
+      let raw =
+        let ic = open_in_bin path in
+        let b = really_input_string ic (8 * (block_size + 1)) in
+        close_in ic;
+        Array.init (block_size + 1) (fun i -> Int64.to_int (String.get_int64_be b (8 * i)))
+      in
+      Alcotest.(check (array int)) "new prefix over the old payload"
+        (Array.append [| 5; 5; 5 |] (Array.sub old 3 (block_size - 3)))
+        (Array.sub raw 0 block_size);
+      Alcotest.(check bool) "torn block never served" true
+        (match Block_device.read_block dev ~addr with
+        | _ -> false
+        | exception Block_device.Device_error msg ->
+          Str.string_match (Str.regexp ".*checksum mismatch.*") msg 0);
+      Block_device.write_block dev ~addr (Array.make block_size 6);
+      Alcotest.(check (array int)) "rewrite heals" (Array.make block_size 6)
+        (Block_device.read_block dev ~addr);
+      Block_device.close dev)
+
 (* --- Run ------------------------------------------------------------ *)
 
 let test_run_roundtrip_and_padding () =
@@ -696,6 +803,13 @@ let () =
             test_file_reopen_tolerates_trailing_tear;
           Alcotest.test_case "at-rest bit rot caught by checksum" `Quick
             test_file_bit_rot_detected;
+        ] );
+      ( "file_reads",
+        [
+          Alcotest.test_case "reads stay off the major heap" `Quick test_file_read_allocation;
+          Alcotest.test_case "two domains read exact payloads" `Quick test_file_concurrent_reads;
+          Alcotest.test_case "truncated tail is a short read" `Quick test_file_truncated_tail;
+          Alcotest.test_case "torn write, rewrite, read" `Quick test_file_torn_then_rewrite;
         ] );
       ( "run",
         [
