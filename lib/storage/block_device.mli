@@ -84,11 +84,18 @@ val write_block : t -> addr:int -> int array -> unit
     the freshly decoded one), so mutating it would corrupt subsequent
     reads of the same address.
 
+    Allocation: the file backend reads one record into a buffer reused
+    per device and decodes it straight into the returned
+    [block_size]-word array; the checksum word is compared in place. No
+    other array or byte buffer is allocated per read, so at
+    [block_size <= 256] a read allocates only on the minor heap. Every
+    read goes to the file, so a read after a rewrite sees the new bytes.
+
     Domain-safety: reads may be issued from several domains at once
-    (parallel query probes). The file backend's shared channel and the
-    buffer pool are mutex-guarded internally; writes, [alloc] and
-    [free] remain single-domain by contract (the engine never ingests
-    and queries concurrently). *)
+    (parallel query probes). The file backend's descriptors and record
+    buffers and the buffer pool are mutex-guarded internally; writes,
+    [alloc] and [free] remain single-domain by contract (the engine
+    never ingests and queries concurrently). *)
 val read_block : ?hint:bool -> t -> addr:int -> int array
 
 (** {2 Retry policy and circuit breaker}
