@@ -33,17 +33,15 @@ type fault_action =
 
 type injector = op -> attempt:int -> int -> fault_action option
 
-(* The file backend talks to the kernel through two descriptors, one
-   read-only and one write-only, with one reused record-sized buffer
-   each: a block read or write allocates nothing but the decoded
-   payload.  A record above 256 words would go straight to the major
-   heap, so reads decode into the [block_size]-word payload and compare
-   the checksum word in place instead of building the whole record. *)
+(* The file backend talks to the kernel through one read-write
+   descriptor and one reused record-sized buffer: a block read or write
+   allocates nothing but the decoded payload.  A record above 256 words
+   would go straight to the major heap, so reads decode into the
+   [block_size]-word payload and compare the checksum word in place
+   instead of building the whole record. *)
 type file = {
-  rfd : Unix.file_descr;
-  wfd : Unix.file_descr;
-  rbuf : Bytes.t; (* one record, reused under [io_lock] *)
-  wbuf : Bytes.t; (* one record, reused under [io_lock] *)
+  fd : Unix.file_descr;
+  buf : Bytes.t; (* one record, reused under [io_lock] by reads and writes *)
   path : string;
   mutable closed : bool; (* under [io_lock]: a closed descriptor's number may be reused *)
 }
@@ -55,7 +53,7 @@ type backend =
 (* Domain-safety: queries may probe partitions from several domains at
    once (Engine.accurate with query_domains > 1), so the two pieces of
    state every read touches are each behind a mutex — [io_lock] for the
-   File backend's descriptor offsets and record buffers, [pool_lock]
+   File backend's descriptor offset and record buffer, [pool_lock]
    for the LRU buffer pool (Lru itself is not thread-safe).  Every
    seek-plus-read and seek-plus-write pair runs under [io_lock], so no
    two ever interleave.  Allocation, writes and frees stay single-domain
@@ -151,25 +149,17 @@ let sys_error ?path err =
   let msg = Unix.error_message err in
   raise (Sys_error (match path with Some p -> p ^ ": " ^ msg | None -> msg))
 
-let open_fds ~block_size ~path flags =
-  let openfile flags =
-    try Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644
+let open_fd ~block_size ~path flags =
+  let fd =
+    try Unix.openfile path (Unix.O_RDWR :: Unix.O_CLOEXEC :: flags) 0o644
     with Unix.Unix_error (err, _, _) -> sys_error ~path err
   in
-  let wfd = openfile (Unix.O_WRONLY :: flags) in
-  let rfd =
-    try openfile [ Unix.O_RDONLY ]
-    with e ->
-      Unix.close wfd;
-      raise e
-  in
-  let nbytes = record_bytes block_size in
-  { rfd; wfd; rbuf = Bytes.create nbytes; wbuf = Bytes.create nbytes; path; closed = false }
+  { fd; buf = Bytes.create (record_bytes block_size); path; closed = false }
 
 let create_file ?metrics ~block_size ~path () =
   if block_size <= 0 then invalid_arg "Block_device.create_file: block_size must be positive";
   make ?metrics ~block_size ~next_free:0
-    (File (open_fds ~block_size ~path [ Unix.O_CREAT; Unix.O_TRUNC ]))
+    (File (open_fd ~block_size ~path [ Unix.O_CREAT; Unix.O_TRUNC ]))
 
 (* Reopen an existing device file: allocation resumes after the blocks
    already on disk, so restored runs can be read back.  A trailing
@@ -181,8 +171,13 @@ let open_file ?metrics ~block_size ~path () =
   if block_size <= 0 then invalid_arg "Block_device.open_file: block_size must be positive";
   if not (Sys.file_exists path) then
     raise (Device_error (Printf.sprintf "no device file at %s" path));
-  let f = open_fds ~block_size ~path [] in
-  let size = (Unix.fstat f.rfd).Unix.st_size in
+  let f = open_fd ~block_size ~path [] in
+  let size =
+    try (Unix.fstat f.fd).Unix.st_size
+    with Unix.Unix_error (err, _, _) ->
+      (try Unix.close f.fd with Unix.Unix_error _ -> ());
+      sys_error ~path err
+  in
   make ?metrics ~block_size ~next_free:(size / record_bytes block_size) (File f)
 
 (* Run [f] on the open file under [io_lock]; Unix errors surface as
@@ -196,13 +191,11 @@ let close t =
   match t.backend with
   | Memory _ -> ()
   | File file ->
-    Mutex.lock t.io_lock;
-    if not file.closed then begin
-      file.closed <- true;
-      Unix.close file.wfd;
-      Unix.close file.rfd
-    end;
-    Mutex.unlock t.io_lock
+    Mutex.protect t.io_lock (fun () ->
+        if not file.closed then begin
+          file.closed <- true;
+          try Unix.close file.fd with Unix.Unix_error (err, _, _) -> sys_error ~path:file.path err
+        end)
 
 let path t = match t.backend with Memory _ -> None | File { path; _ } -> Some path
 
@@ -311,14 +304,14 @@ let store_record t ~addr payload ~sum ~upto ~flip =
     !table.(addr) <- Some stored
   | File file ->
     with_file t
-      (fun { wfd; wbuf; _ } ->
+      (fun { fd; buf; _ } ->
         for j = 0 to upto - 1 do
-          Bytes.set_int64_be wbuf (8 * j) (Int64.of_int (word j))
+          Bytes.set_int64_be buf (8 * j) (Int64.of_int (word j))
         done;
         let words = if upto = bs then bs + 1 else upto in
-        if upto = bs then Bytes.set_int64_be wbuf (8 * bs) (Int64.of_int sum);
-        ignore (Unix.lseek wfd (addr * Bytes.length wbuf) Unix.SEEK_SET);
-        ignore (Unix.write wfd wbuf 0 (8 * words)))
+        if upto = bs then Bytes.set_int64_be buf (8 * bs) (Int64.of_int sum);
+        ignore (Unix.lseek fd (addr * Bytes.length buf) Unix.SEEK_SET);
+        ignore (Unix.write fd buf 0 (8 * words)))
       file
 
 let write_block t ~addr payload =
@@ -359,20 +352,20 @@ let fetch_record t ~addr =
     let payload = Array.make bs 0 in
     let sum =
       with_file t
-        (fun { rfd; rbuf; _ } ->
-          let nbytes = Bytes.length rbuf in
-          ignore (Unix.lseek rfd (addr * nbytes) Unix.SEEK_SET);
+        (fun { fd; buf; _ } ->
+          let nbytes = Bytes.length buf in
+          ignore (Unix.lseek fd (addr * nbytes) Unix.SEEK_SET);
           let rec fill off =
             if off < nbytes then
-              match Unix.read rfd rbuf off (nbytes - off) with
+              match Unix.read fd buf off (nbytes - off) with
               | 0 -> raise (Device_error (Printf.sprintf "short read at block %d" addr))
               | n -> fill (off + n)
           in
           fill 0;
           for j = 0 to bs - 1 do
-            payload.(j) <- Int64.to_int (Bytes.get_int64_be rbuf (8 * j))
+            payload.(j) <- Int64.to_int (Bytes.get_int64_be buf (8 * j))
           done;
-          Int64.to_int (Bytes.get_int64_be rbuf (8 * bs)))
+          Int64.to_int (Bytes.get_int64_be buf (8 * bs)))
         file
     in
     (payload, sum)

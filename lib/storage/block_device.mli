@@ -92,8 +92,8 @@ val write_block : t -> addr:int -> int array -> unit
     read goes to the file, so a read after a rewrite sees the new bytes.
 
     Domain-safety: reads may be issued from several domains at once
-    (parallel query probes). The file backend's descriptors and record
-    buffers and the buffer pool are mutex-guarded internally; writes,
+    (parallel query probes). The file backend's descriptor and record
+    buffer and the buffer pool are mutex-guarded internally; writes,
     [alloc] and [free] remain single-domain by contract (the engine
     never ingests and queries concurrently). *)
 val read_block : ?hint:bool -> t -> addr:int -> int array

@@ -272,8 +272,8 @@ let test_file_read_allocation () =
       ignore (Sys.opaque_identity !sink);
       if per_read >= 64.0 then Alcotest.failf "%.1f major words per read (want < 64)" per_read)
 
-(* Two domains share the device's one read descriptor and buffer; each
-   must still see exact payloads. *)
+(* Two domains share the device's one descriptor and record buffer;
+   each must still see exact payloads. *)
 let test_file_concurrent_reads () =
   with_dev_file (fun path ->
       let block_size = 64 and blocks = 200 in
@@ -343,6 +343,21 @@ let test_file_torn_then_rewrite () =
       Alcotest.(check (array int)) "rewrite heals" (Array.make block_size 6)
         (Block_device.read_block dev ~addr);
       Block_device.close dev)
+
+(* Closing twice is a no-op, and a read of a closed device is a
+   [Sys_error] that leaves the device lock free for the next call. *)
+let test_file_closed_device () =
+  with_dev_file (fun path ->
+      let dev, addr = file_dev_with ~block_size:8 ~blocks:1 path in
+      Block_device.close dev;
+      Block_device.close dev;
+      let closed_read () =
+        match Block_device.read_block dev ~addr with
+        | _ -> false
+        | exception Sys_error _ -> true
+      in
+      Alcotest.(check bool) "read after close" true (closed_read ());
+      Alcotest.(check bool) "read after close, again" true (closed_read ()))
 
 (* --- Run ------------------------------------------------------------ *)
 
@@ -810,6 +825,7 @@ let () =
           Alcotest.test_case "two domains read exact payloads" `Quick test_file_concurrent_reads;
           Alcotest.test_case "truncated tail is a short read" `Quick test_file_truncated_tail;
           Alcotest.test_case "torn write, rewrite, read" `Quick test_file_torn_then_rewrite;
+          Alcotest.test_case "closed device" `Quick test_file_closed_device;
         ] );
       ( "run",
         [

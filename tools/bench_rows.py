@@ -7,8 +7,8 @@ one row per side to `BENCH_<workload>.json` at the repo root:
     python3 tools/bench_rows.py run --workload serve-read \\
         --parent ../parent --change ../change --pairs 10 --seed 7 --seconds 15
 
-`--parent` and `--change` are two source checkouts (a `git clone` or a
-`git archive` of each commit). A row records the measured commit, the
+`--parent` and `--change` are two `git clone` checkouts, one of each
+commit. A row records the measured commit, the
 visible core count, the seed, the run length, how many runs it
 summarises, and min/median/p90 of every metric the runs reported. Pairs
 alternate which side runs first, so drift on a shared machine hits both
@@ -33,6 +33,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROW_KEYS = ("workload", "side", "commit", "visible_cores", "seed", "seconds", "trace", "runs",
             "correct", "failed", "metrics")
 RUN_TIMEOUT_S = 1200
+# Printed after each pair, parent -> change.
+PROGRESS_METRICS = ("accurate_p50_ms", "throughput_per_s")
 
 
 def bench_file(workload):
@@ -61,15 +63,13 @@ def save_rows(path, rows):
         f.write("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n")
 
 
-def commit_of(checkout, given):
-    if given:
-        return given
+def commit_of(checkout):
     try:
         out = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
                              capture_output=True, text=True, check=True)
         return out.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        sys.exit(f"bench_rows: {checkout} is not a git checkout; pass its commit explicitly")
+        sys.exit(f"bench_rows: {checkout} is not a git checkout")
 
 
 def run_once(checkout, args):
@@ -135,8 +135,8 @@ def report(parent, change, declared):
 
 def cmd_run(args):
     declared = declared_metrics()
-    parent_commit = commit_of(args.parent, args.parent_commit)
-    change_commit = commit_of(args.change, args.change_commit)
+    parent_commit = commit_of(args.parent)
+    change_commit = commit_of(args.change)
     sides = {"parent": [], "change": []}
     dirs = {"parent": args.parent, "change": args.change}
     for i in range(args.pairs):
@@ -146,7 +146,7 @@ def cmd_run(args):
         p, c = sides["parent"][-1][1], sides["change"][-1][1]
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{k} {p['metrics'][k]['value']:.4g}->{c['metrics'][k]['value']:.4g}"
-            for k in args.show if k in p["metrics"]), flush=True)
+            for k in PROGRESS_METRICS if k in p["metrics"]), flush=True)
     report(sides["parent"], sides["change"], declared)
     path = bench_file(args.workload)
     rows = load_rows(path)
@@ -195,14 +195,10 @@ def main():
     r.add_argument("--workload", required=True, choices=("serve-read", "accurate-disk"))
     r.add_argument("--parent", required=True, help="checkout of the parent commit")
     r.add_argument("--change", required=True, help="checkout of the change")
-    r.add_argument("--parent-commit", help="commit id, when --parent is not a git checkout")
-    r.add_argument("--change-commit", help="commit id, when --change is not a git checkout")
     r.add_argument("--pairs", type=int, default=10)
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--seconds", type=int, default=15)
     r.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    r.add_argument("--show", nargs="*", default=["accurate_p50_ms", "throughput_per_s"],
-                   help="metrics to print after each pair")
     args = ap.parse_args()
     cmd_run(args)
     return 0
