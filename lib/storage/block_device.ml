@@ -142,9 +142,9 @@ let create_memory ?metrics ~block_size () =
   if block_size <= 0 then invalid_arg "Block_device.create_memory: block_size must be positive";
   make ?metrics ~block_size ~next_free:0 (Memory (ref (Array.make 64 None)))
 
-(* File-system failures keep surfacing as [Sys_error] with the message
-   the channel-based backend gave, which the shard layer already
-   catches (a full disk, a vanished store). *)
+(* File-system failures surface as [Sys_error] with the kernel's
+   message, which the shard layer catches (a full disk, a vanished
+   store). *)
 let sys_error ?path err =
   let msg = Unix.error_message err in
   raise (Sys_error (match path with Some p -> p ^ ": " ^ msg | None -> msg))
