@@ -4,6 +4,7 @@
    reproduction target (see EXPERIMENTS.md). *)
 
 module E = Hsq.Engine
+module G = Hsq_shard.Shard_group
 open Harness
 
 let datasets = Hsq_workload.Datasets.names
@@ -274,9 +275,10 @@ let fig11 ~scale =
       let w = load_workload ~scale ~dataset:"normal" () in
       let words = fixed_budget w in
       let eng, _ = build_engine ~config:(config_of ~scale ~kappa ~words ()) w in
+      let g = G.of_engine eng in
       List.iter
         (fun window ->
-          match E.window_total eng ~window with
+          match G.window_total g ~window with
           | Error _ -> ()
           | Ok n ->
             let r = max 1 (n / 2) in
@@ -284,14 +286,14 @@ let fig11 ~scale =
             let io = ref 0 in
             let reps = 5 in
             for _ = 1 to reps do
-              match E.accurate_window eng ~window ~rank:r with
-              | Ok (_, report) -> io := !io + Hsq_storage.Io_stats.total report.E.io
+              match G.accurate_window g ~window ~rank:r with
+              | Ok (_, report) -> io := !io + Hsq_storage.Io_stats.total report.G.io
               | Error _ -> ()
             done;
             let seconds = (Unix.gettimeofday () -. t0) /. float_of_int reps in
             print_row
               [ fmt_i window; fmt_f seconds; fmt_f (float_of_int !io /. float_of_int reps) ])
-        (E.window_sizes eng))
+        (G.window_sizes g))
     [ 3; 10 ]
 
 (* --- Figure 12: scalability in historical size -------------------------------- *)

@@ -608,7 +608,8 @@ let query_cmd =
 
 let inspect device meta =
   with_saved ~who:"inspect" device meta (fun eng ->
-      report_footprint (G.of_engine eng);
+      let g = G.of_engine eng in
+      report_footprint g;
       let hist = Hsq.Engine.hist eng in
       Printf.printf "\npartition layout (newest first):\n";
       List.iter
@@ -621,12 +622,10 @@ let inspect device meta =
       | 0 -> ()
       | through -> Printf.printf "retention: steps 1..%d expired\n" through);
       Printf.printf "answerable windows (steps): %s\n"
-        (String.concat ", " (List.map string_of_int (Hsq.Engine.window_sizes eng)));
+        (String.concat ", " (List.map string_of_int (G.window_sizes g)));
       Printf.printf "aligned range boundaries: %s\n"
         (String.concat ", "
-           (List.map
-              (fun (a, b) -> Printf.sprintf "[%d-%d]" a b)
-              (Hsq_hist.Level_index.partition_boundaries hist)));
+           (List.map (fun (a, b) -> Printf.sprintf "[%d-%d]" a b) (G.range_boundaries g)));
       (match Hsq_hist.Level_index.check_invariants hist with
       | [] -> print_endline "invariants: OK"
       | errs -> List.iter (fun e -> Printf.printf "INVARIANT VIOLATION: %s\n" e) errs);

@@ -17,6 +17,9 @@ let flows_per_step = 30_000
 let () =
   let config = Hsq.Config.make ~kappa:3 ~steps_hint:30 (Hsq.Config.Epsilon 0.01) in
   let engine = Hsq.Engine.create config in
+  (* Windows are answered by a shard group; this one wraps the engine. *)
+  let group = Hsq_shard.Shard_group.of_engine engine in
+  let windows () = Hsq_shard.Shard_group.window_sizes group in
   (* Normal traffic for 26 steps... *)
   let normal_traffic = Hsq_workload.Datasets.network ~seed:42 in
   for _ = 1 to 26 do
@@ -47,7 +50,7 @@ let () =
     (Hsq.Engine.time_steps engine) (Hsq.Engine.hist_size engine)
     (Hsq.Engine.stream_size engine);
   Printf.printf "answerable windows (steps): %s\n\n"
-    (String.concat ", " (List.map string_of_int (Hsq.Engine.window_sizes engine)));
+    (String.concat ", " (List.map string_of_int (windows ())));
 
   let describe label quartiles =
     Printf.printf "%-22s q1=%-10d median=%-10d q3=%-10d\n" label quartiles.(0) quartiles.(1)
@@ -61,15 +64,17 @@ let () =
 
   (* Pick the smallest window >= 4 steps for the "recent" view. *)
   let window =
-    match List.find_opt (fun w -> w >= 4) (Hsq.Engine.window_sizes engine) with
+    match List.find_opt (fun w -> w >= 4) (windows ()) with
     | Some w -> w
-    | None -> List.hd (List.rev (Hsq.Engine.window_sizes engine))
+    | None -> List.hd (List.rev (windows ()))
   in
+  let n = Result.get_ok (Hsq_shard.Shard_group.window_total group ~window) in
   let quartiles_recent =
     Array.of_list
       (List.map
          (fun phi ->
-           match Hsq.Engine.quantile_window engine ~window phi with
+           let rank = Hsq.Bisection.rank_of_phi ~who:"network_monitor" ~n phi in
+           match Hsq_shard.Shard_group.accurate_window group ~window ~rank with
            | Ok (v, _) -> v
            | Error _ -> assert false)
          [ 0.25; 0.5; 0.75 ])

@@ -52,13 +52,16 @@ let () =
   let quick_median = Hsq.Engine.quick_quantile engine 0.5 in
   Printf.printf "\nquick median (no disk I/O): %d\n" quick_median;
 
-  (* Windowed query: only partition-aligned windows are answerable, so
-     ask the engine which ones exist and use the closest to a week. *)
-  let windows = Hsq.Engine.window_sizes engine in
+  (* Windowed query: a shard group answers windows (here one wrapping
+     the engine).  Only partition-aligned windows are answerable, so
+     ask which ones exist and use the closest to a week. *)
+  let group = Hsq_shard.Shard_group.of_engine engine in
+  let windows = Hsq_shard.Shard_group.window_sizes group in
   Printf.printf "answerable windows (days): %s\n"
     (String.concat ", " (List.map string_of_int windows));
   let week = match List.find_opt (fun w -> w >= 7) windows with Some w -> w | None -> 1 in
-  match Hsq.Engine.quantile_window engine ~window:week 0.5 with
+  let n = Result.value (Hsq_shard.Shard_group.window_total group ~window:week) ~default:0 in
+  match Hsq_shard.Shard_group.accurate_window group ~window:week ~rank:((n + 1) / 2) with
   | Ok (v, _) -> Printf.printf "median over the last %d days + today: %d\n" week v
   | Error (Hsq.Engine.Window_not_aligned ws) ->
     Printf.printf "window unavailable; try one of: %s\n"

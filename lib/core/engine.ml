@@ -368,8 +368,8 @@ let propagate_locked t ln =
 (* Engine-thread only: take every lane lock in index order (blocking
    in-flight observes), drain every buffer into the sketch, and run [f]
    with ingest fully fenced — the epoch-fenced seal-and-drain that makes
-   rollover, checkpoints, and range queries see one well-defined prefix
-   of each lane.  A straight call on a single-writer engine. *)
+   rollover and checkpoints see one well-defined prefix of each lane.
+   A straight call on a single-writer engine. *)
 let with_sealed_lanes t f =
   let lanes = t.lanes in
   if Array.length lanes = 0 then f ()
@@ -648,7 +648,7 @@ let cached_summaries t =
       Trace.with_span tr ~attrs:[ ("result", "miss") ] "summary_cache" (fun _ -> build ())
     | None -> build ())
 
-let cached_union_summary t = snd (cached_summaries t)
+let union_summary t = snd (cached_summaries t)
 
 let not_quarantined t p = not (Hsq_hist.Level_index.is_quarantined t.hist p)
 
@@ -658,20 +658,6 @@ let fresh_union_summary t =
   with_prop t @@ fun () ->
   Union_summary.build ~partitions:(Hsq_hist.Level_index.active_partitions t.hist)
     ~stream:(stream_summary_unlocked t)
-
-(* Explicit partition subsets (windows, ranges) bypass the cache: the
-   aggregate covers the full set and per-suffix bounds are not
-   recoverable from it.  Those queries are rare next to full-set ones,
-   and still benefit from the array build path.  Quarantined members of
-   the subset are dropped here too — never build a union over a
-   summary that may be degenerate. *)
-let union_summary ?partitions t =
-  match partitions with
-  | Some ps ->
-    Union_summary.build
-      ~partitions:(List.filter (not_quarantined t) ps)
-      ~stream:(stream_summary t)
-  | None -> cached_union_summary t
 
 (* Algorithm 5. *)
 let quick_us us ~rank =
@@ -691,7 +677,7 @@ let quick_us us ~rank =
    fallback, whose bound must not be double-widened by the quarantined
    element count the summary already covers. *)
 let quick_view t =
-  let us = cached_union_summary t in
+  let us = union_summary t in
   if Union_summary.n_total us > 0 then (us, false)
   else
     let full =
@@ -700,8 +686,6 @@ let quick_view t =
         ~stream:(stream_summary t)
     in
     if Union_summary.size full > 0 then (full, true) else (us, false)
-
-let quick_over t ~partitions ~rank = quick_us (union_summary ~partitions t) ~rank
 
 (* Quick answer plus the rank window it can be off by — what a caller
    holding an exact oracle (the chaos harness) checks, and what the
@@ -745,23 +729,9 @@ let quick t ~rank =
    loop terminates; the retry cap is belt and braces.  A breaker-open
    device means the fault is not this partition's — answer from memory
    and leave healthy partitions alone. *)
-let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~partitions
-    ~rank =
+let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   let tq0 = Metrics.now_s () in
-  (* Summaries for a retry after the active set changed underneath a
-     quarantine: the full-set path supplies the engine's summary cache
-     (the quarantine bumped the epoch, so the cached union rebuilds
-     over the new active set for free on later queries too); subset
-     paths rebuild over the surviving members. *)
-  let refetch =
-    match refresh with
-    | Some f -> f
-    | None ->
-      fun () ->
-        let act = List.filter (not_quarantined t) partitions in
-        let ss = stream_summary t in
-        (ss, Union_summary.build ~partitions:act ~stream:ss)
-  in
+  let partitions = Hsq_hist.Level_index.partitions t.hist in
   let quarantined_elems () =
     List.fold_left
       (fun acc p ->
@@ -798,25 +768,27 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
             Hsq_hist.Level_index.note_probe_failure t.hist p
               ~threshold:t.config.Config.quarantine_after
           then begin
-            (* The active set changed: refetch the summaries.  If the
+            (* The active set changed: refetch the summaries (the
+               quarantine bumped the epoch, so the cached union rebuilds
+               over the new active set, for later queries too).  If the
                quarantine just consumed the last element in view (empty
                stream, every partition bad), answer from the summaries
                still in hand — degraded to memory, bound widened by
                everything quarantined — rather than failing the query. *)
-            let ((_, us') as pair') = refetch () in
+            let ((_, us') as pair') = cached_summaries t in
             if Union_summary.n_total us' = 0 then from_memory view
             else Bisection.Bisect (view_of pair')
           end
           else Bisection.Bisect view);
     }
   in
-  (* Memory-only union over the query's full partition scope, including
-     quarantined members: the last resort when quarantine has emptied
-     the active view (see [quick_view] for why the in-memory summaries
-     remain honest).  No extra widening — the summary covers the
-     quarantined elements itself, wide windows and all. *)
+  (* Memory-only union over every partition, quarantined ones included:
+     the last resort when quarantine has emptied the active view (see
+     [quick_view] for why the in-memory summaries remain honest).  No
+     extra widening — the summary covers the quarantined elements
+     itself, wide windows and all. *)
   let first () =
-    let ((_, us) as pair) = match summaries with Some p -> p | None -> refetch () in
+    let ((_, us) as pair) = cached_summaries t in
     if Union_summary.n_total us > 0 then Bisection.Bisect (view_of pair)
     else begin
       let us = Union_summary.build ~partitions ~stream:(stream_summary t) in
@@ -834,13 +806,6 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?summaries ?refresh t ~
   in
   note_accurate t ~seconds:(Metrics.now_s () -. tq0) ~iterations ~degraded:(degradation <> `None);
   (answer, { io; iterations; degradation; rank_error_bound; span })
-
-let accurate ?tolerance_factor ?deadline_ms t ~rank =
-  accurate_over ?tolerance_factor ?deadline_ms ~summaries:(cached_summaries t)
-    ~refresh:(fun () -> cached_summaries t)
-    t
-    ~partitions:(Hsq_hist.Level_index.partitions t.hist)
-    ~rank
 
 (* Inverse query: estimated rank of an arbitrary value in T.  The
    historical part is exact (summary-bounded binary searches); the
@@ -868,71 +833,10 @@ let quick_quantile t phi =
   if n = 0 then invalid_arg "Engine.quick_quantile: no data";
   quick t ~rank:(rank_of_phi ~n phi)
 
-(* Windowed queries (Section 2.4): the window covers the last [w]
-   archived time steps plus the live stream.  Only partition-aligned
-   windows are answerable. *)
+(* Refusals of the step-range selectors.  Shard_group answers windows
+   and ranges; the types live here so Heavy_hitters can name them too. *)
 type window_error = Window_not_aligned of int list
-
-let window_sizes t = Hsq_hist.Level_index.available_window_sizes t.hist
-
-let with_window t ~window k =
-  match Hsq_hist.Level_index.partitions_for_window t.hist window with
-  | Some parts -> Ok (k parts)
-  | None -> Error (Window_not_aligned (window_sizes t))
-
-let window_total t ~window =
-  with_window t ~window (fun parts ->
-      List.fold_left (fun acc p -> acc + Hsq_hist.Partition.size p) (stream_size t) parts)
-
-let accurate_window ?tolerance_factor ?deadline_ms t ~window ~rank =
-  with_window t ~window (fun parts ->
-      accurate_over ?tolerance_factor ?deadline_ms t ~partitions:parts ~rank)
-
-let quick_window t ~window ~rank =
-  with_window t ~window (fun parts -> quick_over t ~partitions:parts ~rank)
-
-(* Historical range queries over archived steps [first, last] — the
-   "compare against the same period in the past" use case of the
-   introduction.  Purely historical: the live stream is excluded, so
-   with the exact partition ranks the answers are near-exact. *)
 type range_error = Range_not_aligned of (int * int) list
-
-let with_range t ~first ~last k =
-  match Hsq_hist.Level_index.partitions_for_range t.hist ~first ~last with
-  | Some parts -> Ok (k parts)
-  | None -> Error (Range_not_aligned (Hsq_hist.Level_index.partition_boundaries t.hist))
-
-let range_total t ~first ~last =
-  with_range t ~first ~last (fun parts ->
-      List.fold_left (fun acc p -> acc + Hsq_hist.Partition.size p) 0 parts)
-
-let accurate_range ?tolerance_factor t ~first ~last ~rank =
-  with_range t ~first ~last (fun parts ->
-      (* Build against an empty stream: the range is purely historical.
-         The gk swap would race lane hand-offs (elements propagated into
-         the placeholder sketch would vanish on restore), so the whole
-         range query runs under the seal — ingest blocks for its
-         duration, which is acceptable for this rare query type. *)
-      with_sealed_lanes t @@ fun () ->
-      let saved = t.gk in
-      t.gk <- fresh_gk t.config;
-      Fun.protect
-        ~finally:(fun () -> t.gk <- saved)
-        (fun () -> accurate_over ?tolerance_factor t ~partitions:parts ~rank))
-
-let quantile_range t ~first ~last phi =
-  match range_total t ~first ~last with
-  | Error e -> Error e
-  | Ok n ->
-    if n = 0 then invalid_arg "Engine.quantile_range: empty range";
-    accurate_range t ~first ~last ~rank:(rank_of_phi ~n phi)
-
-let quantile_window t ~window phi =
-  match window_total t ~window with
-  | Error e -> Error e
-  | Ok n ->
-    if n = 0 then invalid_arg "Engine.quantile_window: empty window";
-    accurate_window t ~window ~rank:(rank_of_phi ~n phi)
 
 (* ------------------------------------------------------------------ *)
 (* Durable ingest: the recovery manager.                               *)

@@ -151,8 +151,8 @@ val observe : t -> int -> unit
     {!close} — remains single-submitter ("the engine thread"): those
     calls may run concurrently with [observe_domain], but not with each
     other. Queries are snapshot-consistent: they seal nothing and see
-    only whole propagated batches ([end_time_step] and range queries
-    seal-and-drain all lanes first). *)
+    only whole propagated batches ([end_time_step] seals and drains all
+    lanes first). *)
 
 (** [observe_domain t ~domain v] — observe [v] on lane
     [domain mod ingest_domains]. Equal to {!observe} when
@@ -203,13 +203,11 @@ val expire : t -> keep_steps:int -> int * int
     [observe]). *)
 val stream_summary : t -> Stream_summary.t
 
-(** Current TS. Without [partitions] the historical half comes from a
-    cached aggregate keyed on {!Hsq_hist.Level_index.epoch} (rebuilt
-    only after a partition add / merge / expire / recovery), merged
-    with a fresh stream summary — the steady-state O(S) query path.
-    With an explicit [partitions] subset (windows, ranges) the summary
-    is built fresh. Both paths produce identical entries. *)
-val union_summary : ?partitions:Hsq_hist.Partition.t list -> t -> Union_summary.t
+(** Current TS: the historical half comes from a cached aggregate keyed
+    on {!Hsq_hist.Level_index.epoch} (rebuilt only after a partition add
+    / merge / expire / recovery), merged with a fresh stream summary —
+    the steady-state O(S) query path. *)
+val union_summary : t -> Union_summary.t
 
 (** TS built from scratch over the full partition set, bypassing the
     cache — the reference the consistency fuzz suite compares
@@ -256,55 +254,15 @@ val quantile : t -> float -> int * query_report
 
 val quick_quantile : t -> float -> int
 
-(** {2 Windowed queries (Section 2.4)}
-
-    A window covers the last [w] archived time steps plus the live
-    stream; only partition-aligned windows are answerable. *)
+(** Refusals of the step-range selectors. Windows (the last [w]
+    archived steps plus the live stream, Section 2.4) and historical
+    ranges (archived steps [first, last], stream excluded) are answered
+    by {!Hsq_shard.Shard_group} at any shard count; an unaligned window
+    is refused with the answerable window sizes, an unaligned range with
+    the partition extents every read replica shares. *)
 
 type window_error = Window_not_aligned of int list
-
-(** Window sizes currently answerable, ascending. *)
-val window_sizes : t -> int list
-
-(** Elements in the window (including the stream). *)
-val window_total : t -> window:int -> (int, window_error) result
-
-(** Same [tolerance_factor] / [deadline_ms] contract as {!accurate}:
-    a deadline-cut windowed query degrades honestly rather than
-    overrunning its budget. *)
-val accurate_window :
-  ?tolerance_factor:float ->
-  ?deadline_ms:float ->
-  t ->
-  window:int ->
-  rank:int ->
-  (int * query_report, window_error) result
-val quick_window : t -> window:int -> rank:int -> (int, window_error) result
-val quantile_window : t -> window:int -> float -> (int * query_report, window_error) result
-
-(** {2 Historical range queries}
-
-    Quantiles over the archived steps [first, last] only (the live
-    stream excluded) — "compare current trends with those observed over
-    different time periods" from the paper's introduction. Answerable
-    iff the range is partition-aligned; errors carry the current
-    partition extents so callers can snap. With exact partition ranks
-    and no stream, answers are near-exact. *)
-
 type range_error = Range_not_aligned of (int * int) list
-
-val range_total : t -> first:int -> last:int -> (int, range_error) result
-
-val accurate_range :
-  ?tolerance_factor:float ->
-  t ->
-  first:int ->
-  last:int ->
-  rank:int ->
-  (int * query_report, range_error) result
-
-val quantile_range :
-  t -> first:int -> last:int -> float -> (int * query_report, range_error) result
 
 (** {2 Durable ingest (write-ahead log + sketch checkpoints)}
 

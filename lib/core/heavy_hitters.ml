@@ -173,7 +173,17 @@ let frequent_over t ~partitions ~phi =
 let frequent t ~phi =
   frequent_over t ~partitions:(Hsq_hist.Level_index.partitions (Engine.hist t.engine)) ~phi
 
+(* A window is the suffix range ending at the newest step; the sizes it
+   may take run back to each partition's first step. *)
 let frequent_window t ~window ~phi =
-  match Hsq_hist.Level_index.partitions_for_window (Engine.hist t.engine) window with
+  let hist = Engine.hist t.engine in
+  let last = Engine.time_steps t.engine in
+  match Hsq_hist.Level_index.partitions_for_range hist ~first:(last - window + 1) ~last with
   | Some partitions -> Ok (frequent_over t ~partitions ~phi)
-  | None -> Error (Engine.Window_not_aligned (Engine.window_sizes t.engine))
+  | None ->
+    let sizes =
+      List.rev_map
+        (fun (first, _) -> last - first + 1)
+        (Hsq_hist.Level_index.partition_boundaries hist)
+    in
+    Error (Engine.Window_not_aligned sizes)

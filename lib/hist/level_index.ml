@@ -469,25 +469,10 @@ let rank t v =
       else acc + Hsq_storage.Run.rank_between (Partition.run p) ~lo ~hi v)
     0 (partitions t)
 
-(* Window support (Section 2.4 "Queries Over Windows"): a query window
-   of w most-recent time steps is answerable iff some suffix of
-   partitions covers exactly steps [steps-w+1, steps]. *)
-let available_window_sizes t =
-  let newest_first = partitions t in
-  let rec go acc covered expect = function
-    | [] -> List.rev acc
-    | p :: rest ->
-      if Partition.last_step p <> expect then List.rev acc (* gap: should not happen *)
-      else begin
-        let covered = covered + Partition.steps_covered p in
-        go (covered :: acc) covered (Partition.first_step p - 1) rest
-      end
-  in
-  go [] 0 t.steps newest_first
-
-(* Generalised form: the partitions tiling exactly the step range
-   [first, last], if that range is partition-aligned.  Windows are the
-   suffix case [steps - w + 1, steps]. *)
+(* The partitions tiling exactly the step range [first, last], if that
+   range is partition-aligned.  A window of the [w] most recent steps
+   (Section 2.4 "Queries Over Windows") is the suffix case
+   [steps - w + 1, steps]. *)
 let partitions_for_range t ~first ~last =
   if first < 1 || last > t.steps || first > last then None
   else begin
@@ -508,17 +493,6 @@ let partitions_for_range t ~first ~last =
    boundaries; expose the boundary steps so callers can snap. *)
 let partition_boundaries t =
   List.rev_map (fun p -> (Partition.first_step p, Partition.last_step p)) (partitions t)
-
-let partitions_for_window t w =
-  let newest_first = partitions t in
-  let rec go acc covered = function
-    | _ when covered = w -> Some (List.rev acc)
-    | [] -> None
-    | p :: rest ->
-      let covered = covered + Partition.steps_covered p in
-      if covered > w then None else go (p :: acc) covered rest
-  in
-  if w <= 0 || w > t.steps then None else go [] 0 newest_first
 
 (* Structural invariants, used by the test suites. *)
 let check_invariants t =

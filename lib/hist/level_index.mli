@@ -135,17 +135,10 @@ val add_batch : t -> int array -> update_report
     partition (the ρ₁ computation of Algorithm 8). *)
 val rank : t -> int -> int
 
-(** Window sizes (in time steps, ending now) answerable exactly —
-    i.e. aligned with partition boundaries (Section 2.4). Ascending. *)
-val available_window_sizes : t -> int list
-
-(** Partitions covering exactly the last [w] steps, newest first, or
-    [None] if the window is not partition-aligned. *)
-val partitions_for_window : t -> int -> Partition.t list option
-
 (** Partitions tiling exactly the archived step range [first, last]
     (1-based, inclusive), newest first, or [None] if not aligned.
-    Windows are the suffix case. *)
+    A window of the last [w] steps (Section 2.4) is the suffix case
+    [steps - w + 1, steps]. *)
 val partitions_for_range : t -> first:int -> last:int -> Partition.t list option
 
 (** The (first_step, last_step) extent of every live partition, oldest

@@ -22,7 +22,6 @@ let size t = Hsq_storage.Run.length t.run
 let first_step t = t.first_step
 let last_step t = t.last_step
 let level t = t.level
-let steps_covered t = t.last_step - t.first_step + 1
 let free t = Hsq_storage.Run.free t.run
 let memory_words t = 8 + Partition_summary.memory_words t.summary
 

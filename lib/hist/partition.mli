@@ -19,7 +19,6 @@ val size : t -> int
 val first_step : t -> int
 val last_step : t -> int
 val level : t -> int
-val steps_covered : t -> int
 
 (** Release the underlying run's blocks. *)
 val free : t -> unit

@@ -657,6 +657,17 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
 
 (* --- fused view --------------------------------------------------------- *)
 
+(* The one partition selector: archived group steps [first, last],
+   plus the live streams when [with_streams].  Group step g is step
+   [baseline.(i) + g] on shard i (see "step alignment"), so at K = 1
+   the numbers are the engine's own, and only the d steps every read
+   replica has archived since the last uneven cut are numbered at all:
+   a range reaching back before that cut is refused.  A window of [w]
+   steps (Section 2.4) is the range [d - w + 1, d] with the streams;
+   a historical range leaves them out.  The streams only continue the
+   newest step, so a range that keeps them must end there. *)
+type range = { first : int; last : int; with_streams : bool }
+
 (* The state one fused query works from: ONE read replica per shard.
    [excluded]/[excluded_elems] name the shards with no eligible replica
    at all (permanently down plus any whose whole replica set was
@@ -665,12 +676,11 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
    fails over to a sibling and widens nothing: the sibling holds the
    same logical data.  [served_diverged] lists read replicas serving
    while flagged by anti-entropy (only chosen when no clean sibling is
-   live) — surfaced as `Replica_diverged.  [window] is the partition
-   selector: [None] is every archived step, [Some w] the last [w]
-   (Section 2.4). *)
+   live) — surfaced as `Replica_diverged.  [range] is the selector:
+   [None] is every archived step plus the streams. *)
 type view = {
   alive : (int * int * E.t) list; (* (shard, replica, engine) *)
-  window : int option;
+  range : range option;
   streams : Ss.t list;
   us : Us.t;
   excluded : int list;
@@ -678,39 +688,52 @@ type view = {
   served_diverged : (int * int) list;
 }
 
-(* A window the read replicas cannot answer together. *)
+(* A range the read replicas cannot answer together. *)
 exception Misaligned
 
-(* Whether the read replicas [es] can answer a window of [w] steps
-   together: each has archived at least [w] steps since the last uneven
-   cut (see "step alignment") and aligns [w] with its partition
-   boundaries. *)
-let window_fits t es w =
+let window_range ~aligned w = { first = aligned - w + 1; last = aligned; with_streams = true }
+
+(* Shard [i]'s partitions tiling group steps [r], newest first. *)
+let tiling t i e r =
+  let b = t.baseline.(i) in
+  Li.partitions_for_range (E.hist e) ~first:(b + r.first) ~last:(b + r.last)
+
+(* The one fit check: whether the read replicas [es] can answer [r]
+   together — it lies within the d aligned steps (ending at d if it
+   keeps the streams) and every replica tiles it with partitions. *)
+let window_fits t es r =
   match aligned_steps t es with
-  | Some d -> w <= d && List.for_all (fun (_, e) -> Li.partitions_for_window (E.hist e) w <> None) es
+  | Some d ->
+    r.first >= 1 && r.last <= d
+    && ((not r.with_streams) || r.last = d)
+    && List.for_all (fun (i, e) -> tiling t i e r <> None) es
   | None -> false
 
 (* The replica's partitions the selector keeps, quarantined ones
    included. *)
-let selected ~window e =
-  match window with
+let selected t ~range i e =
+  match range with
   | None -> Li.partitions (E.hist e)
-  | Some w -> (
-    match Li.partitions_for_window (E.hist e) w with Some ps -> ps | None -> raise Misaligned)
+  | Some r -> ( match tiling t i e r with Some ps -> ps | None -> raise Misaligned)
 
-let active ~window e =
-  List.filter (fun p -> not (Li.is_quarantined (E.hist e) p)) (selected ~window e)
+let active t ~range i e =
+  List.filter (fun p -> not (Li.is_quarantined (E.hist e) p)) (selected t ~range i e)
 
 (* Quarantined elements inside the selection, re-read on every call: a
-   quarantine earlier in a query widens every later answer too. *)
-let quarantined_sum view =
-  List.fold_left
-    (fun acc (_, _, e) ->
+   quarantine earlier in a query widens every later answer too.  A
+   top-level loop, so the quick path allocates no closure for it. *)
+let rec quarantined_in t range acc = function
+  | [] -> acc
+  | (i, _, e) :: rest ->
+    let hist = E.hist e in
+    let acc =
       List.fold_left
-        (fun acc p ->
-          if Li.is_quarantined (E.hist e) p then acc + Hsq_hist.Partition.size p else acc)
-        acc (selected ~window:view.window e))
-    0 view.alive
+        (fun acc p -> if Li.is_quarantined hist p then acc + Hsq_hist.Partition.size p else acc)
+        acc (selected t ~range i e)
+    in
+    quarantined_in t range acc rest
+
+let quarantined_sum t view = quarantined_in t view.range 0 view.alive
 
 let agg_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e))) alive
 let us_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e), E.stream_size e)) alive
@@ -748,6 +771,10 @@ let streams_of alive =
     | None -> []
   else List.map (fun (_, _, e) -> E.stream_summary e) alive
 
+(* The stream summaries the selector keeps. *)
+let streams_in ~range alive =
+  match range with Some { with_streams = false; _ } -> [] | _ -> streams_of alive
+
 let fused_summaries t alive =
   let key = us_key alive in
   let note hit = List.iter (fun (_, _, e) -> E.note_summary_cache e ~hit) alive in
@@ -767,8 +794,8 @@ let fused_summaries t alive =
 (* The read replicas a query works from, [dropped] (shard, replica)
    pairs disqualified, with the shards left without one and the
    diverged replicas serving.  The one place that decides whether
-   [window] is answerable: raises [Misaligned] when it is not. *)
-let choose ?window t ~dropped =
+   [range] is answerable: raises [Misaligned] when it is not. *)
+let choose ?range t ~dropped =
   refresh_sizes t;
   let alive = ref [] in
   let excluded = ref [] in
@@ -781,30 +808,30 @@ let choose ?window t ~dropped =
     | None -> excluded := i :: !excluded
   done;
   let alive = !alive in
-  (match window with
-  | Some w when not (window_fits t (List.map (fun (i, _, e) -> (i, e)) alive) w) -> raise Misaligned
+  (match range with
+  | Some r when not (window_fits t (List.map (fun (i, _, e) -> (i, e)) alive) r) -> raise Misaligned
   | _ -> ());
   (alive, !excluded, !served_diverged)
 
-let make_view ?window t ~dropped =
-  let alive, excluded, served_diverged = choose ?window t ~dropped in
+let make_view ?range t ~dropped =
+  let alive, excluded, served_diverged = choose ?range t ~dropped in
   let excluded_elems = List.fold_left (fun acc i -> acc + t.last_size.(i)) 0 excluded in
   let streams, us =
     (* The cache only serves the full view without runtime drops; a
-       window or a mid-query drop rebuilds fresh. *)
-    if window = None && dropped = [] then fused_summaries t alive
+       range or a mid-query drop rebuilds fresh. *)
+    if range = None && dropped = [] then fused_summaries t alive
     else
-      let streams = streams_of alive in
-      let partitions = List.concat_map (fun (_, _, e) -> active ~window e) alive in
+      let streams = streams_in ~range alive in
+      let partitions = List.concat_map (fun (i, _, e) -> active t ~range i e) alive in
       (streams, Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams)
   in
-  { alive; window; streams; us; excluded; excluded_elems; served_diverged }
+  { alive; range; streams; us; excluded; excluded_elems; served_diverged }
 
 (* The view's active partitions tagged with their (shard, replica)
    owner: the accurate path's probes, built only there. *)
-let probes view =
+let probes t view =
   List.concat_map
-    (fun (i, j, e) -> List.map (fun p -> ((i, j), p)) (active ~window:view.window e))
+    (fun (i, j, e) -> List.map (fun p -> ((i, j), p)) (active t ~range:view.range i e))
     view.alive
 
 (* Memory-only fallback when quarantine emptied the active view: the
@@ -813,11 +840,13 @@ let probes view =
    quick_view argument, fused).  Returns [true] iff it substituted the
    full-selection summary, whose windows already cover the quarantined
    elements (no double widening). *)
-let full_view_fallback view =
+let full_view_fallback t view =
   if Us.n_total view.us > 0 then (view, false)
   else begin
-    let partitions = List.concat_map (fun (_, _, e) -> selected ~window:view.window e) view.alive in
-    let streams = streams_of view.alive in
+    let partitions =
+      List.concat_map (fun (i, _, e) -> selected t ~range:view.range i e) view.alive
+    in
+    let streams = streams_in ~range:view.range view.alive in
     let full = Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams in
     if Us.size full > 0 then ({ view with us = full; streams }, true) else (view, false)
   end
@@ -835,11 +864,11 @@ let down_degradation view : degradation =
 
 let ensure_open t = if t.closed then invalid_arg "Shard_group: closed"
 
-let fused_quick ?window t ~rank =
+let fused_quick ?range t ~rank =
   ensure_open t;
-  let view, fallback = full_view_fallback (make_view ?window t ~dropped:[]) in
+  let view, fallback = full_view_fallback t (make_view ?range t ~dropped:[]) in
   if Us.n_total view.us = 0 then invalid_arg "Shard_group.quick: no data";
-  let q = if fallback then 0 else quarantined_sum view in
+  let q = if fallback then 0 else quarantined_sum t view in
   let v, bound = Hsq.Bisection.memory_answer view.us ~rank ~widen:(q + view.excluded_elems) in
   let degradation =
     worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None)
@@ -858,7 +887,7 @@ let quick t ~rank =
    over the view's owner-tagged partitions and per-shard stream
    summaries, under the group's failure policy — quarantine first, then
    drop the (shard, replica) and fail over to a sibling. *)
-let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
+let fused_accurate ?range ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   ensure_open t;
   let t0 = Metrics.now_s () in
   let dropped = ref [] in
@@ -868,15 +897,15 @@ let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
      their in-memory contribution inside [us], so they widen nothing
      here (the summary covers them). *)
   let from_memory view degradation =
-    let widen = quarantined_sum view + view.excluded_elems in
+    let widen = quarantined_sum t view + view.excluded_elems in
     Hsq.Bisection.From_memory (view.us, degradation, widen)
   in
   let fetch () =
-    let view, mem_fallback = full_view_fallback (make_view ?window t ~dropped:!dropped) in
+    let view, mem_fallback = full_view_fallback t (make_view ?range t ~dropped:!dropped) in
     if Us.n_total view.us = 0 then
       (* Nothing reachable at all (every shard down or empty). *)
       invalid_arg "Shard_group.accurate: no data";
-    let probes = probes view in
+    let probes = probes t view in
     if mem_fallback || (probes = [] && view.streams = []) then
       from_memory view (worst_degradation (down_degradation view) `Device_open)
     else
@@ -894,7 +923,7 @@ let fused_accurate ?window ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
           (* Failed-over shards are NOT excluded: their sibling replicas
              carry the same logical data, so the full ±ε·m contract
              survives any loss that leaves one replica per shard. *)
-          let q = quarantined_sum view in
+          let q = quarantined_sum t view in
           let d =
             match ending with
             | `Completed -> if q > 0 then `Quarantined q else `None
@@ -967,31 +996,69 @@ let quantile t phi =
   if n = 0 then invalid_arg "Shard_group.quantile: no data";
   accurate t ~rank:(Hsq.Bisection.rank_of_phi ~who:"Shard_group.quantile" ~n phi)
 
-(* --- windows --------------------------------------------------------------- *)
+(* --- windows and ranges ---------------------------------------------------- *)
 
+(* Window sizes the first read replica's partition starts allow, kept
+   if every read replica can answer them. *)
 let window_sizes t =
-  match engines t with [] -> [] | (_, e) :: _ as es -> List.filter (window_fits t es) (E.window_sizes e)
+  let es = engines t in
+  match (es, aligned_steps t es) with
+  | (_, e) :: _, Some aligned ->
+    List.filter
+      (fun w -> window_fits t es (window_range ~aligned w))
+      (List.rev_map
+         (fun (first, _) -> E.time_steps e - first + 1)
+         (Li.partition_boundaries (E.hist e)))
+  | _ -> []
 
-let windowed t f =
-  match f () with
-  | v -> Ok v
-  | exception Misaligned -> Error (E.Window_not_aligned (window_sizes t))
+(* The partition extents, in group steps, every read replica shares. *)
+let range_boundaries t =
+  let es = engines t in
+  let extents (i, e) =
+    let b = t.baseline.(i) in
+    List.filter_map
+      (fun (first, last) -> if first > b then Some (first - b, last - b) else None)
+      (Li.partition_boundaries (E.hist e))
+  in
+  match List.map extents es with
+  | bs :: rest when aligned_steps t es <> None ->
+    List.filter (fun x -> List.for_all (List.mem x) rest) bs
+  | _ -> []
 
-let window_total t ~window =
-  windowed t (fun () ->
-      let alive, _, _ = choose ~window t ~dropped:[] in
+(* The window of [w] steps as a range over the current read replicas. *)
+let window_of t w =
+  match aligned_steps t (engines t) with
+  | Some aligned -> window_range ~aligned w
+  | None -> raise Misaligned
+
+let selecting f refusal = match f () with v -> Ok v | exception Misaligned -> Error (refusal ())
+let windowed t f = selecting f (fun () -> E.Window_not_aligned (window_sizes t))
+let ranged t f = selecting f (fun () -> E.Range_not_aligned (range_boundaries t))
+
+let selection_total t r =
+  let alive, _, _ = choose ~range:r t ~dropped:[] in
+  List.fold_left
+    (fun acc (i, _, e) ->
       List.fold_left
-        (fun acc (_, _, e) ->
-          List.fold_left
-            (fun acc p -> acc + Hsq_hist.Partition.size p)
-            (acc + E.stream_size e)
-            (selected ~window:(Some window) e))
-        0 alive)
+        (fun acc p -> acc + Hsq_hist.Partition.size p)
+        (if r.with_streams then acc + E.stream_size e else acc)
+        (selected t ~range:(Some r) i e))
+    0 alive
 
-let quick_window t ~window ~rank = windowed t (fun () -> fused_quick ~window t ~rank)
+let window_total t ~window = windowed t (fun () -> selection_total t (window_of t window))
+let quick_window t ~window ~rank =
+  windowed t (fun () -> fused_quick ~range:(window_of t window) t ~rank)
 
 let accurate_window ?tolerance_factor ?deadline_ms t ~window ~rank =
-  windowed t (fun () -> fused_accurate ~window ?tolerance_factor ?deadline_ms t ~rank)
+  windowed t (fun () ->
+      fused_accurate ~range:(window_of t window) ?tolerance_factor ?deadline_ms t ~rank)
+
+let range_total t ~first ~last =
+  ranged t (fun () -> selection_total t { first; last; with_streams = false })
+
+let accurate_range ?tolerance_factor ?deadline_ms t ~first ~last ~rank =
+  let range = { first; last; with_streams = false } in
+  ranged t (fun () -> fused_accurate ~range ?tolerance_factor ?deadline_ms t ~rank)
 
 (* --- anti-entropy -------------------------------------------------------- *)
 

@@ -200,7 +200,7 @@ val checkpoint_if_due : t -> bool
 (** Close the time step on every live replica holding open-step
     elements (lane buffers included); the cut is hinted to dead replicas so their drains
     archive the same step boundary.  A step that reaches some shards
-    but not all resets window alignment (see Windows below). Failures are contained per
+    but not all resets window alignment (see Windows and ranges below). Failures are contained per
     replica (the shard reports [Error msg] only if every live replica
     failed its cut); healthy replicas still archive. *)
 val end_time_step :
@@ -257,20 +257,22 @@ val accurate :
     [Invalid_argument] unless φ ∈ (0, 1], as {!Hsq.Engine.quantile}. *)
 val quantile : t -> float -> int * query_report
 
-(** {1 Windows}
+(** {1 Windows and ranges}
 
-    A window covers the last [w] archived time steps of every shard
-    plus the live streams (Section 2.4), and runs through the same
-    fused summary and bisection as a full query.  {!end_time_step}
-    skips a shard that is down or whose open step is empty, so equal
-    step counts need not mean equal periods: the group keeps each
-    shard's step count at the last step that skipped some shard (in
-    [root/step-baseline] when durable), and a window is answerable
-    only when every read replica has archived the same number d >= [w]
-    of steps since then and aligns [w] with its partition boundaries.
-    Otherwise the query answers [Window_not_aligned] with
-    {!window_sizes}.  Down shards widen the bound by their whole
-    element count, as for full queries. *)
+    Both select archived time steps by one step range and run through
+    the same fused summary and bisection as a full query.
+    {!end_time_step} skips a shard that is down or whose open step is
+    empty, so equal step counts need not mean equal periods: the group
+    keeps each shard's step count b{_i} at the last step that skipped
+    some shard (in [root/step-baseline] when durable).  Group step g is
+    step b{_i} + g on shard i — at K = 1 the engine's own numbering —
+    and only the d steps every read replica has archived since then are
+    numbered.  A range [first, last] is answerable when 1 <= first <=
+    last <= d and every read replica tiles it with partitions.  A
+    window of [w] steps (Section 2.4) is the range [d - w + 1, d] plus
+    the live streams; a historical range leaves the streams out, so with
+    exact partition ranks its answers are near-exact.  Down shards widen
+    the bound by their whole element count, as for full queries. *)
 
 (** Window sizes every read replica can answer, ascending; [[]] until a
     step after the last skip has reached every shard. *)
@@ -283,7 +285,8 @@ val window_total : t -> window:int -> (int, Hsq.Engine.window_error) result
 val quick_window :
   t -> window:int -> rank:int -> (int * float * degradation, Hsq.Engine.window_error) result
 
-(** {!accurate} over the window. *)
+(** {!accurate} over the window. An unanswerable window is refused with
+    {!window_sizes}. *)
 val accurate_window :
   ?tolerance_factor:float ->
   ?deadline_ms:float ->
@@ -291,6 +294,26 @@ val accurate_window :
   window:int ->
   rank:int ->
   (int * query_report, Hsq.Engine.window_error) result
+
+(** The (first, last) group-step extents of the partitions every read
+    replica shares, oldest first; [[]] while the replicas disagree on
+    d. At K = 1 these are the engine's partition boundaries. *)
+val range_boundaries : t -> (int * int) list
+
+(** Elements in group steps [first, last] over the serving shards,
+    streams excluded. *)
+val range_total : t -> first:int -> last:int -> (int, Hsq.Engine.range_error) result
+
+(** {!accurate} over group steps [first, last], streams excluded. An
+    unanswerable range is refused with {!range_boundaries}. *)
+val accurate_range :
+  ?tolerance_factor:float ->
+  ?deadline_ms:float ->
+  t ->
+  first:int ->
+  last:int ->
+  rank:int ->
+  (int * query_report, Hsq.Engine.range_error) result
 
 (** {1 Fault domains} *)
 

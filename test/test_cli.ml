@@ -7,7 +7,9 @@
      2 on a missing directory;
    - metrics follows the same 0/1/2 convention and emits parseable
      JSON / Prometheus text;
-   - query --trace prints one probe span per touched partition. *)
+   - query --trace prints one probe span per touched partition;
+   - inspect prints a saved warehouse's windows and range boundaries,
+     and exits 2 without --meta. *)
 
 let bin =
   match Sys.getenv_opt "HSQ_BIN" with
@@ -111,6 +113,24 @@ let test_scrub_corrupt_meta () =
 
 let test_scrub_missing_args () =
   Alcotest.(check int) "scrub without --device/--meta" 2 (run "scrub")
+
+let test_inspect_saved () =
+  with_temp_dir (fun dir ->
+      let dev, meta = build_store dir in
+      let code, out =
+        run_capture (Printf.sprintf "inspect --device %s --meta %s" (quote dev) (quote meta))
+      in
+      Alcotest.(check int) "inspect exits 0" 0 code;
+      List.iter
+        (fun line ->
+          if not (contains out line) then Alcotest.failf "inspect output lacks %S:\n%s" line out)
+        [
+          "answerable windows (steps): 1, 2, 3, 4\n";
+          "aligned range boundaries: [1-1], [2-2], [3-3], [4-4]\n";
+          "invariants: OK\n";
+        ];
+      Alcotest.(check int) "inspect without --meta" 2
+        (run (Printf.sprintf "inspect --device %s" (quote dev))))
 
 let test_status_healthy_and_damaged () =
   with_temp_dir (fun dir ->
@@ -381,6 +401,7 @@ let () =
           Alcotest.test_case "one-shard durable store" `Quick test_scrub_durable_one_shard;
         ] );
       ("query", [ Alcotest.test_case "one-shard durable store" `Quick test_query_durable_one_shard ]);
+      ("inspect", [ Alcotest.test_case "saved warehouse" `Quick test_inspect_saved ]);
       ( "status exit codes",
         [
           Alcotest.test_case "healthy vs damaged" `Quick test_status_healthy_and_damaged;

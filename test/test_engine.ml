@@ -1,8 +1,10 @@
 (* End-to-end tests of the engine: Lemma 3 (quick), Lemma 5/Theorem 2
    (accurate, error proportional to the stream), disk-access behaviour,
-   windowed queries, memory-budget mode, and lifecycle edge cases. *)
+   windowed and range queries (through a one-engine shard group),
+   memory-budget mode, and lifecycle edge cases. *)
 
 module E = Hsq.Engine
+module G = Hsq_shard.Shard_group
 
 let phis = [ 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
 
@@ -168,16 +170,17 @@ let test_window_queries () =
     if s >= 9 then Hsq_workload.Oracle.add_batch oracle_recent batch;
     ignore (E.ingest_batch eng batch)
   done;
-  Alcotest.(check (list int)) "window sizes" [ 1; 5; 9; 13 ] (E.window_sizes eng);
-  (match E.window_total eng ~window:5 with
+  let g = G.of_engine eng in
+  Alcotest.(check (list int)) "window sizes" [ 1; 5; 9; 13 ] (G.window_sizes g);
+  (match G.window_total g ~window:5 with
   | Ok n -> Alcotest.(check int) "window 5 total" (5 * 300) n
   | Error _ -> Alcotest.fail "window 5 should be aligned");
-  (match E.accurate_window eng ~window:5 ~rank:750 with
+  (match G.accurate_window g ~window:5 ~rank:750 with
   | Ok (v, _) ->
     let err = Hsq_workload.Oracle.rank_error oracle_recent ~rank:750 ~value:v in
     Alcotest.(check bool) (Printf.sprintf "window median err=%d" err) true (err <= 20)
   | Error _ -> Alcotest.fail "window query failed");
-  match E.accurate_window eng ~window:2 ~rank:10 with
+  match G.accurate_window g ~window:2 ~rank:10 with
   | Error (E.Window_not_aligned sizes) ->
     Alcotest.(check (list int)) "reported sizes" [ 1; 5; 9; 13 ] sizes
   | Ok _ -> Alcotest.fail "window 2 must be rejected"
@@ -192,6 +195,7 @@ let test_all_windows_match_oracles () =
     ignore (E.ingest_batch eng per_step.(s))
   done;
   Array.iter (E.observe eng) per_step.(13);
+  let g = G.of_engine eng in
   let steps = 13 in
   List.iter
     (fun w ->
@@ -200,14 +204,14 @@ let test_all_windows_match_oracles () =
         Hsq_workload.Oracle.add_batch oracle per_step.(s)
       done;
       Hsq_workload.Oracle.add_batch oracle per_step.(13);
-      match E.window_total eng ~window:w with
+      match G.window_total g ~window:w with
       | Error _ -> Alcotest.failf "advertised window %d rejected" w
       | Ok n ->
         Alcotest.(check int) (Printf.sprintf "window %d total" w) (Hsq_workload.Oracle.count oracle) n;
         List.iter
           (fun phi ->
             let r = max 1 (int_of_float (ceil (phi *. float_of_int n))) in
-            match E.accurate_window eng ~window:w ~rank:r with
+            match G.accurate_window g ~window:w ~rank:r with
             | Error _ -> Alcotest.fail "window query failed"
             | Ok (v, _) ->
               let err = Hsq_workload.Oracle.rank_error oracle ~rank:r ~value:v in
@@ -218,7 +222,7 @@ let test_all_windows_match_oracles () =
                 true
                 (float_of_int err <= bound))
           [ 0.1; 0.5; 0.9 ])
-    (E.window_sizes eng)
+    (G.window_sizes g)
 
 let test_expire_engine_end_to_end () =
   (* Retention through the engine: drop old data, keep answering, and
@@ -253,41 +257,50 @@ let test_expire_engine_end_to_end () =
       Alcotest.(check int) "restored oldest" 9 v2;
       Hsq_storage.Block_device.close (E.device restored))
 
+(* The φ-quantile of group steps [first, last] (rank ⌈φ·n⌉ over the
+   range's n elements). *)
+let quantile_range g ~first ~last phi =
+  Result.bind (G.range_total g ~first ~last) (fun n ->
+      G.accurate_range g ~first ~last ~rank:(Hsq.Bisection.rank_of_phi ~who:"test" ~n phi))
+
 let test_range_queries () =
   let eng = E.create (std_config ~kappa:3 ()) in
   (* 13 steps; values encode their step: step s holds s*1000 .. s*1000+299. *)
   for s = 1 to 13 do
     ignore (E.ingest_batch eng (Array.init 300 (fun i -> (s * 1000) + (i mod 97))))
   done;
-  (* kappa=3 after 13 steps: partitions P1-4, P5-8, P9-12, P13. *)
+  let g = G.of_engine eng in
+  (* kappa=3 after 13 steps: partitions P1-4, P5-8, P9-12, P13.  A
+     one-engine group numbers steps as the engine does. *)
   let boundaries = Hsq_hist.Level_index.partition_boundaries (E.hist eng) in
   Alcotest.(check (list (pair int int))) "boundaries" [ (1, 4); (5, 8); (9, 12); (13, 13) ]
     boundaries;
+  Alcotest.(check (list (pair int int))) "group boundaries" boundaries (G.range_boundaries g);
   (* Aligned range [5, 12]: two partitions. *)
-  (match E.range_total eng ~first:5 ~last:12 with
+  (match G.range_total g ~first:5 ~last:12 with
   | Ok n -> Alcotest.(check int) "range total" (8 * 300) n
   | Error _ -> Alcotest.fail "range [5,12] should be aligned");
-  (match E.quantile_range eng ~first:5 ~last:12 0.5 with
+  (match quantile_range g ~first:5 ~last:12 0.5 with
   | Ok (v, _) ->
     (* median of steps 5..12 lies in step 8's values *)
     Alcotest.(check bool) (Printf.sprintf "range median %d in step 8/9 band" v) true
       (v >= 8000 && v < 9100)
   | Error _ -> Alcotest.fail "range quantile failed");
   (* Unaligned range rejected with boundaries. *)
-  (match E.quantile_range eng ~first:2 ~last:6 0.5 with
+  (match quantile_range g ~first:2 ~last:6 0.5 with
   | Error (E.Range_not_aligned bs) ->
     Alcotest.(check (list (pair int int))) "error carries boundaries" boundaries bs
   | Ok _ -> Alcotest.fail "range [2,6] must be rejected");
   (* Out-of-range endpoints rejected. *)
   Alcotest.(check bool) "range [0,4] rejected" true
-    (match E.range_total eng ~first:0 ~last:4 with Error _ -> true | Ok _ -> false);
+    (match G.range_total g ~first:0 ~last:4 with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "range [13,14] rejected" true
-    (match E.range_total eng ~first:13 ~last:14 with Error _ -> true | Ok _ -> false);
+    (match G.range_total g ~first:13 ~last:14 with Error _ -> true | Ok _ -> false);
   (* Range queries ignore the live stream and leave it intact. *)
   for i = 1 to 50 do
     E.observe eng (99_000 + i)
   done;
-  (match E.quantile_range eng ~first:13 ~last:13 1.0 with
+  (match quantile_range g ~first:13 ~last:13 1.0 with
   | Ok (v, _) -> Alcotest.(check bool) "stream excluded" true (v < 99_000)
   | Error _ -> Alcotest.fail "range [13,13] should be aligned");
   Alcotest.(check int) "stream preserved" 50 (E.stream_size eng)

@@ -3,10 +3,12 @@
 
    Operations: observe batches of random shape/distribution, close time
    steps, accurate/quick/window quantile queries, heavy-hitter queries,
-   and (on file-backed runs) save/restore cycles.  Each sequence is
-   deterministic in its seed; failures print the seed. *)
+   and (on file-backed runs) save/restore cycles.  Windows and ranges
+   go through a one-engine shard group wrapping the engine.  Each
+   sequence is deterministic in its seed; failures print the seed. *)
 
 module E = Hsq.Engine
+module G = Hsq_shard.Shard_group
 
 type op =
   | Observe of int (* how many elements *)
@@ -58,6 +60,7 @@ let run_sequence ~seed ~ops =
   let config = Hsq.Config.make ~kappa ~block_size:16 (Hsq.Config.Epsilon 0.05) in
   let hh = Hsq.Heavy_hitters.create ~capacity:64 config in
   let eng = Hsq.Heavy_hitters.engine hh in
+  let g = G.of_engine eng in
   let oracle = ref (Hsq_workload.Oracle.create ()) in
   let all = ref [] in
   let stream_elems = ref [] in
@@ -129,7 +132,7 @@ let run_sequence ~seed ~ops =
         end
       | Query_range phi -> (
         (* pick a random aligned range from the partition boundaries *)
-        let bounds = Hsq_hist.Level_index.partition_boundaries (E.hist eng) in
+        let bounds = G.range_boundaries g in
         match bounds with
         | [] -> ()
         | _ ->
@@ -137,7 +140,10 @@ let run_sequence ~seed ~ops =
           let i = Hsq_util.Xoshiro.int rng k in
           let j = i + Hsq_util.Xoshiro.int rng (k - i) in
           let first = fst (List.nth bounds i) and last = snd (List.nth bounds j) in
-          (match E.quantile_range eng ~first ~last phi with
+          let quantile n =
+            G.accurate_range g ~first ~last ~rank:(Hsq.Bisection.rank_of_phi ~who:"fuzz" ~n phi)
+          in
+          (match Result.bind (G.range_total g ~first ~last) quantile with
           | Error (E.Range_not_aligned _) -> fail "aligned range [%d,%d] rejected" first last
           | Ok (v, _) ->
             (* exact model: elements of steps [first, last] only *)
@@ -156,12 +162,15 @@ let run_sequence ~seed ~ops =
       | Query_accurate phi -> check_quantile ~quick:false phi
       | Query_quick phi -> check_quantile ~quick:true phi
       | Query_window phi -> (
-        let windows = E.window_sizes eng in
+        let windows = G.window_sizes g in
         match windows with
         | [] -> ()
         | _ ->
           let w = List.nth windows (Hsq_util.Xoshiro.int rng (List.length windows)) in
-          (match E.quantile_window eng ~window:w phi with
+          let quantile n =
+            G.accurate_window g ~window:w ~rank:(Hsq.Bisection.rank_of_phi ~who:"fuzz" ~n phi)
+          in
+          (match Result.bind (G.window_total g ~window:w) quantile with
           | Ok (_v, _) -> () (* window oracle checked in test_engine; here: no crash *)
           | Error (E.Window_not_aligned _) -> fail "advertised window %d rejected" w))
       | Heavy phi ->

@@ -159,6 +159,14 @@ let test_empty_batch_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Level_index.add_batch: empty batch") (fun () ->
       ignore (LI.add_batch li [||]))
 
+(* Window sizes are suffix ranges [steps - w + 1, steps]: one per
+   partition start. *)
+let suffix_sizes li =
+  List.rev_map (fun (first, _) -> LI.time_steps li - first + 1) (LI.partition_boundaries li)
+
+let suffix li w =
+  LI.partitions_for_range li ~first:(LI.time_steps li - w + 1) ~last:(LI.time_steps li)
+
 let test_window_sizes_kappa3 () =
   let dev = mem_dev () in
   let li = LI.create ~kappa:3 ~beta1:4 dev in
@@ -167,7 +175,10 @@ let test_window_sizes_kappa3 () =
   done;
   (* kappa=3: merges at steps 4, 8, 12 -> partitions P1-4, P5-8, P9-12
      at level 1 and P13 at level 0. *)
-  Alcotest.(check (list int)) "windows" [ 1; 5; 9; 13 ] (LI.available_window_sizes li)
+  Alcotest.(check (list int)) "windows" [ 1; 5; 9; 13 ] (suffix_sizes li);
+  List.iter
+    (fun w -> Alcotest.(check bool) (Printf.sprintf "window %d tiles" w) true (suffix li w <> None))
+    (suffix_sizes li)
 
 let test_window_partitions () =
   let dev = mem_dev () in
@@ -175,7 +186,7 @@ let test_window_partitions () =
   for s = 1 to 13 do
     ignore (LI.add_batch li [| s; s; s |])
   done;
-  (match LI.partitions_for_window li 5 with
+  (match suffix li 5 with
   | None -> Alcotest.fail "window 5 should be available"
   | Some ps ->
     let total = List.fold_left (fun acc p -> acc + P.size p) 0 ps in
@@ -183,9 +194,9 @@ let test_window_partitions () =
     List.iter
       (fun p -> Alcotest.(check bool) "covers last 5 steps" true (P.first_step p >= 9))
       ps);
-  Alcotest.(check bool) "window 2 unaligned" true (LI.partitions_for_window li 2 = None);
-  Alcotest.(check bool) "window 0 rejected" true (LI.partitions_for_window li 0 = None);
-  Alcotest.(check bool) "window too large" true (LI.partitions_for_window li 14 = None)
+  Alcotest.(check bool) "window 2 unaligned" true (suffix li 2 = None);
+  Alcotest.(check bool) "window 0 rejected" true (suffix li 0 = None);
+  Alcotest.(check bool) "window too large" true (suffix li 14 = None)
 
 let test_memory_words_tracks_summaries () =
   let li, _ = build_index ~beta1:10 ~seed:45 () in
@@ -270,7 +281,7 @@ let test_expire_drops_old_partitions () =
   Alcotest.(check int) "expired through" 8 (LI.expired_through li);
   Alcotest.(check (list string)) "invariants after expire" [] (LI.check_invariants li);
   (* windows still work over the retained suffix *)
-  Alcotest.(check (list int)) "windows" [ 1; 5 ] (LI.available_window_sizes li);
+  Alcotest.(check (list int)) "windows" [ 1; 5 ] (suffix_sizes li);
   (* ranks only cover the retained data *)
   Alcotest.(check int) "rank over retained" (5 * 30) (LI.rank li 100);
   (* expiring again with a huge keep is a no-op *)

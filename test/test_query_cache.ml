@@ -3,8 +3,9 @@
    The engine answers steady-state queries from a cached historical
    aggregate keyed on Level_index.epoch (DESIGN.md, "Query-path caching
    & parallel probes").  These tests drive randomized operation
-   sequences — observe, end_time_step, expire, window queries (which
-   build fresh summaries and must not disturb the cache), quick/accurate
+   sequences — observe, end_time_step, expire, window queries (through
+   a one-engine shard group: they build fresh summaries and must not
+   disturb the engine's cache), quick/accurate
    queries, and crash/recover cycles — and after every step assert that
    the cached union summary is entry-for-entry identical to one built
    from scratch, and that quick answers agree.
@@ -15,6 +16,7 @@
    nightly job cranks it up to hundreds. *)
 
 module E = Hsq.Engine
+module G = Hsq_shard.Shard_group
 module US = Hsq.Union_summary
 
 let seed_count default =
@@ -74,11 +76,13 @@ let random_op rng eng =
   | 7 -> (
     (* Window queries build fresh summaries over partition suffixes;
        they must leave the full-union cache untouched. *)
-    match E.window_sizes eng with
+    let g = G.of_engine eng in
+    match G.window_sizes g with
     | [] -> "window (none)"
     | windows ->
       let w = List.nth windows (Hsq_util.Xoshiro.int rng (List.length windows)) in
-      ignore (E.quantile_window eng ~window:w 0.5);
+      let n = Result.get_ok (G.window_total g ~window:w) in
+      ignore (G.accurate_window g ~window:w ~rank:(Hsq.Bisection.rank_of_phi ~who:"test" ~n 0.5));
       "window query")
   | 8 ->
     if E.total_size eng > 0 then

@@ -654,15 +654,25 @@ let test_k1_matches_engine () =
             ignore (E.end_time_step twin)
           done;
           feed ();
-          let accurate_fields (v, rep) =
+          let fields v ~bound ~label ~iterations ~io =
             [
               ("value", int v);
-              ("bound", num rep.E.rank_error_bound);
-              ("degradation", Json.to_string (Json.Str (E.degradation_label rep.E.degradation)));
-              ("iterations", int rep.E.iterations);
-              ("io", int (Hsq_storage.Io_stats.total rep.E.io));
+              ("bound", num bound);
+              ("degradation", Json.to_string (Json.Str label));
+              ("iterations", int iterations);
+              ("io", int (Hsq_storage.Io_stats.total io));
             ]
           in
+          let accurate_fields (v, rep) =
+            fields v ~bound:rep.E.rank_error_bound ~label:(E.degradation_label rep.E.degradation)
+              ~iterations:rep.E.iterations ~io:rep.E.io
+          in
+          let group_fields (v, rep) =
+            fields v ~bound:rep.G.rank_error_bound ~label:(G.degradation_label rep.G.degradation)
+              ~iterations:rep.G.iterations ~io:rep.G.io
+          in
+          (* Windows are answered by a group: the twin's own, wrapped. *)
+          let gtwin = G.of_engine twin in
           List.iter
             (fun rank ->
               let what = Printf.sprintf "%s rank %d" sketch rank in
@@ -681,20 +691,20 @@ let test_k1_matches_engine () =
               ("epsilon", num (E.epsilon twin));
               ("sketch", Json.to_string (Json.Str (E.sketch_label twin)));
               ("memory_words", int (E.memory_words twin));
-              ("windows", Json.to_string (Json.List (List.map Json.int (E.window_sizes twin))));
+              ("windows", Json.to_string (Json.List (List.map Json.int (G.window_sizes gtwin))));
               ("durable", "false");
             ];
-          let w = List.nth (E.window_sizes twin) 1 in
-          let n = Result.get_ok (E.window_total twin ~window:w) in
+          let w = List.nth (G.window_sizes gtwin) 1 in
+          let n = Result.get_ok (G.window_total gtwin ~window:w) in
           List.iter
             (fun rank ->
               let what = Printf.sprintf "%s window %d rank %d" sketch w rank in
-              let v = Result.get_ok (E.quick_window twin ~window:w ~rank) in
+              let v, _, _ = Result.get_ok (G.quick_window gtwin ~window:w ~rank) in
               same ~what:("quick " ^ what) (Client.quick ~window:w c (`Rank rank))
                 [ ("value", int v); ("rank", int rank); ("window", int w) ];
               same ~what:("accurate " ^ what) (Client.accurate ~window:w c (`Rank rank))
                 (("rank", int rank) :: ("window", int w)
-                :: accurate_fields (Result.get_ok (E.accurate_window twin ~window:w ~rank))))
+                :: group_fields (Result.get_ok (G.accurate_window gtwin ~window:w ~rank))))
             (spread ~count:10 n);
           (* the wire queries move the engine's query metrics as the
              twin's own queries moved its *)

@@ -474,6 +474,99 @@ let test_windows_refuse_mixed_periods () =
         [ 1; n / 4; n / 2; n ];
       G.close g)
 
+(* --- ranges ------------------------------------------------------------------ *)
+
+(* Observe [n] random values, keeping only those [keep] routes accept,
+   then cut; returns the values observed. *)
+let range_step ?(keep = fun _ -> true) g rng n =
+  let vs =
+    List.filter (fun v -> keep (G.route g v)) (List.init n (fun _ -> Hsq_util.Xoshiro.int rng 50_000))
+  in
+  List.iter (G.observe g) vs;
+  ignore (G.end_time_step g);
+  vs
+
+(* [range] answers within its bound against an oracle of exactly the
+   values of [steps] (no stream), and totals their count. *)
+let check_range g ~steps (first, last) =
+  let oracle = Hsq_workload.Oracle.create () in
+  List.iter (fun vs -> List.iter (Hsq_workload.Oracle.add oracle) vs) steps;
+  let n = Hsq_workload.Oracle.count oracle in
+  let what = Printf.sprintf "range [%d,%d]" first last in
+  (match G.range_total g ~first ~last with
+  | Ok total -> Alcotest.(check int) (what ^ " total") n total
+  | Error _ -> Alcotest.failf "%s refused" what);
+  List.iter
+    (fun rank ->
+      match G.accurate_range g ~first ~last ~rank with
+      | Error _ -> Alcotest.failf "%s refused" what
+      | Ok (v, rep) ->
+        let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+        if float_of_int err > rep.G.rank_error_bound then
+          Alcotest.failf "%s rank %d: err %d > bound %.1f" what rank err rep.G.rank_error_bound)
+    [ 1; n / 4; n / 2; (3 * n) / 4; n ]
+
+(* K=3: every range over shared partition boundaries answers from the
+   archived steps it names alone — the live streams stay out and stay
+   intact — and an unaligned range is refused with the boundaries. *)
+let test_ranges_k3 () =
+  let g = G.create (config ~shards:3 ()) in
+  let rng = Hsq_util.Xoshiro.create 0x4A4E in
+  let steps = List.init 9 (fun _ -> range_step g rng 900) in
+  (* The open step draws from the same values, so a stream leaking into
+     a range would move its ranks. *)
+  List.iter (G.observe g) (List.init 300 (fun _ -> Hsq_util.Xoshiro.int rng 50_000));
+  let bounds = G.range_boundaries g in
+  Alcotest.(check (list (pair int int))) "shared boundaries" [ (1, 4); (5, 8); (9, 9) ] bounds;
+  let steps_in first last = List.filteri (fun s _ -> s + 1 >= first && s + 1 <= last) steps in
+  List.iteri
+    (fun i (first, _) ->
+      List.iteri
+        (fun j (_, last) -> if j >= i then check_range g ~steps:(steps_in first last) (first, last))
+        bounds)
+    bounds;
+  Alcotest.(check int) "streams untouched" 300 (G.stream_size g);
+  List.iter
+    (fun (first, last) ->
+      match G.accurate_range g ~first ~last ~rank:1 with
+      | Error (E.Range_not_aligned bs) ->
+        let what = Printf.sprintf "[%d,%d] lists boundaries" first last in
+        Alcotest.(check (list (pair int int))) what bounds bs
+      | Ok _ -> Alcotest.failf "misaligned range [%d,%d] answered" first last)
+    [ (2, 6); (1, 3); (5, 10); (0, 4); (6, 5) ];
+  G.close g
+
+(* Steps that skip shard 0 (its open step is empty) are uneven cuts:
+   group steps restart after the last one, so a range reaching back
+   across it is refused with the boundaries every shard shares, and the
+   steps since answer as ranges of their own. *)
+let test_range_across_uneven_cut () =
+  let g = G.create (config ~shards:3 ()) in
+  let rng = Hsq_util.Xoshiro.create 0xC07 in
+  for _ = 1 to 4 do
+    ignore (range_step g rng 600)
+  done;
+  for _ = 1 to 4 do
+    ignore (range_step ~keep:(fun s -> s <> 0) g rng 600)
+  done;
+  let after = List.init 5 (fun _ -> range_step g rng 600) in
+  let shared = [ (1, 4); (5, 5) ] in
+  Alcotest.(check (list (pair int int))) "boundaries since the cut" shared (G.range_boundaries g);
+  List.iter
+    (fun (first, last) ->
+      (match G.range_total g ~first ~last with
+      | Error (E.Range_not_aligned bs) ->
+        Alcotest.(check (list (pair int int))) "refusal lists shared boundaries" shared bs
+      | Ok _ -> Alcotest.failf "range [%d,%d] across the cut answered" first last);
+      match G.accurate_range g ~first ~last ~rank:1 with
+      | Error (E.Range_not_aligned bs) ->
+        Alcotest.(check (list (pair int int))) "accurate refusal lists shared boundaries" shared bs
+      | Ok _ -> Alcotest.failf "accurate range [%d,%d] across the cut answered" first last)
+    [ (0, 4); (-3, 5); (-7, 0) ];
+  check_range g ~steps:after (1, 5);
+  check_range g ~steps:[ List.nth after 4 ] (5, 5);
+  G.close g
+
 (* --- metrics exporters -------------------------------------------------- *)
 
 let test_metrics_labels () =
@@ -673,6 +766,12 @@ let () =
         [
           Alcotest.test_case "skips on different shards refuse windows" `Quick
             test_windows_refuse_mixed_periods;
+        ] );
+      ( "ranges",
+        [
+          Alcotest.test_case "K=3 aligned ranges against the range oracle" `Quick test_ranges_k3;
+          Alcotest.test_case "range across an uneven cut refused" `Quick
+            test_range_across_uneven_cut;
         ] );
       ( "metrics",
         [
