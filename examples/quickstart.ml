@@ -48,14 +48,17 @@ let () =
         (Hsq_storage.Io_stats.total report.Hsq.Engine.io))
     [ 0.5; 0.95; 0.99 ];
 
-  (* Quick quantiles: zero disk accesses, coarser answer. *)
-  let quick_median = Hsq.Engine.quick_quantile engine 0.5 in
+  (* Quick quantiles: zero disk accesses, coarser answer.  A shard group
+     answers them (here one wrapping the engine), and windows below. *)
+  let group = Hsq_shard.Shard_group.of_engine engine in
+  let n = Hsq_shard.Shard_group.total_size group in
+  let quick_median =
+    Hsq_shard.Shard_group.quick group ~rank:(Hsq.Bisection.rank_of_phi ~who:"quickstart" ~n 0.5)
+  in
   Printf.printf "\nquick median (no disk I/O): %d\n" quick_median;
 
-  (* Windowed query: a shard group answers windows (here one wrapping
-     the engine).  Only partition-aligned windows are answerable, so
+  (* Windowed query.  Only partition-aligned windows are answerable, so
      ask which ones exist and use the closest to a week. *)
-  let group = Hsq_shard.Shard_group.of_engine engine in
   let windows = Hsq_shard.Shard_group.window_sizes group in
   Printf.printf "answerable windows (days): %s\n"
     (String.concat ", " (List.map string_of_int windows));

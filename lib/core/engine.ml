@@ -815,23 +815,12 @@ let rank_of t v =
   let ss = stream_summary t in
   hist + int_of_float (Float.round (Stream_summary.rank_estimate ss v))
 
-(* Empirical CDF point: P(X <= v) over T. *)
-let cdf t v =
-  let n = total_size t in
-  if n = 0 then invalid_arg "Engine.cdf: no data";
-  float_of_int (rank_of t v) /. float_of_int n
-
 let rank_of_phi = Bisection.rank_of_phi ~who:"Engine"
 
 let quantile t phi =
   let n = total_size t in
   if n = 0 then invalid_arg "Engine.quantile: no data";
   accurate t ~rank:(rank_of_phi ~n phi)
-
-let quick_quantile t phi =
-  let n = total_size t in
-  if n = 0 then invalid_arg "Engine.quick_quantile: no data";
-  quick t ~rank:(rank_of_phi ~n phi)
 
 (* Refusals of the step-range selectors.  Shard_group answers windows
    and ranges; the types live here so Heavy_hitters can name them too. *)

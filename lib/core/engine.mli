@@ -246,13 +246,9 @@ val accurate :
     stream. *)
 val rank_of : t -> int -> int
 
-(** Empirical CDF point P(X ≤ v) over T. Raises on an empty engine. *)
-val cdf : t -> int -> float
-
-(** φ-quantile of Definition 1 (rank = ⌈φN⌉), accurate / quick path. *)
+(** φ-quantile of Definition 1 (rank = ⌈φN⌉), accurate path. *)
 val quantile : t -> float -> int * query_report
 
-val quick_quantile : t -> float -> int
 
 (** Refusals of the step-range selectors. Windows (the last [w]
     archived steps plus the live stream, Section 2.4) and historical

@@ -90,6 +90,7 @@ type counters = {
   internal : Metrics.Counter.t;
   conn_timeout : Metrics.Counter.t;
   conns_total : Metrics.Counter.t;
+  quick_inline : Metrics.Counter.t;
 }
 
 type t = {
@@ -101,6 +102,13 @@ type t = {
                          their own ingest lane (group observe_domain),
                          bypassing the single-submitter queue *)
   ckpt_scheduled : bool Atomic.t; (* a lane-debt checkpoint job is queued *)
+  (* Inline quick answers (see "inline quick answers" below): the write
+     generation, the last full-store quick snapshot tagged with the
+     generation read before it was built, and whether the engine thread
+     is waiting for work. *)
+  generation : int Atomic.t;
+  published : (int * G.quick_snapshot) option Atomic.t;
+  engine_idle : bool Atomic.t;
   adm : Admission.t;
   started_at : float;
   stop_requested : bool Atomic.t;
@@ -136,6 +144,9 @@ let create config group =
     reg;
     ingest_lanes = (G.config group).Hsq.Config.ingest_domains;
     ckpt_scheduled = Atomic.make false;
+    generation = Atomic.make 0;
+    published = Atomic.make None;
+    engine_idle = Atomic.make false;
     adm = Admission.create ~capacity:config.queue_depth ~metrics:reg ();
     started_at = Metrics.now_s ();
     stop_requested = Atomic.make false;
@@ -157,6 +168,11 @@ let create config group =
         conn_timeout =
           counter "hsq_serve_conn_timeouts_total" "Connections cut by the read/write timeout";
         conns_total = counter "hsq_serve_connections_total" "Connections accepted";
+        quick_inline =
+          counter "hsq_serve_quick_inline_total"
+            "Full-store quick answers served on the connection thread from the published \
+             snapshot, never queued (hsq_serve_requests_admitted_total counts queued requests \
+             only)";
       };
     conn_gauge = Metrics.gauge ~help:"Open client connections" reg "hsq_serve_connections";
     inflight_gauge =
@@ -223,14 +239,14 @@ let observe_all ?(ok_fields = []) observe vals =
   | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_wal ~detail:msg ~extra:[ n () ])
   | Invalid_argument _ -> (`Closed, Protocol.err Protocol.e_shutting_down ~extra:[ n () ])
 
-(* One quick or accurate query: resolve the target against the
-   population it is asked over (the whole store, or one window), run
-   it, and render the answer.  [run] returns the value and the fields
-   that describe it. *)
-let answer g ~target ~window run =
-  let population =
-    match window with None -> Ok (G.total_size g) | Some w -> G.window_total g ~window:w
-  in
+(* The element count a query over [window] (the whole store if [None])
+   resolves its target against. *)
+let population g = function None -> Ok (G.total_size g) | Some w -> G.window_total g ~window:w
+
+(* One quick or accurate query: resolve the target against its
+   [population], run it, and render the answer.  [run] returns the value
+   and the fields that describe it. *)
+let answer ~population ~target ~window run =
   try
     match population with
     | Error (E.Window_not_aligned sizes) -> (`Bad, window_error_response sizes)
@@ -247,6 +263,26 @@ let answer g ~target ~window run =
   with
   | Invalid_argument msg -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:msg)
   | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_device ~detail:msg)
+
+let quick_fields (v, bound, degradation) =
+  (v, [ ("bound", Json.Num bound); ("degradation", Json.Str (G.degradation_label degradation)) ])
+
+(* A full-store quick: Algorithm 5 from the snapshot [snap ()] yields.
+   The engine thread builds it (and publishes it, see below); a
+   connection thread answering inline reuses a published one. *)
+let full_quick ~population ~reused snap target =
+  answer ~population ~target ~window:None (fun ~rank ->
+      Ok (quick_fields (G.quick_answer ~reused (snap ()) ~rank)))
+
+(* Build a full-store quick snapshot and publish it, tagged with the
+   write generation read BEFORE the build: a write that lands during
+   the build bumps the generation past the tag, so the snapshot is never
+   served as covering it. *)
+let publish t =
+  let generation = Atomic.get t.generation in
+  let snap = G.quick_snapshot t.group in
+  Atomic.set t.published (Some (generation, snap));
+  snap
 
 let execute t req ~deadline =
   let g = t.group in
@@ -294,24 +330,17 @@ let execute t req ~deadline =
         ( `Error,
           Protocol.err Protocol.e_device ~detail:(messages failures)
             ~extra:(fields @ [ ("failed_shards", shards failures) ]) ))
-  | Protocol.Quick { target; window } ->
-    answer g ~target ~window (fun ~rank ->
-        Result.map
-          (fun (v, bound, degradation) ->
-            ( v,
-              [
-                ("bound", Json.Num bound);
-                ("degradation", Json.Str (G.degradation_label degradation));
-              ] ))
-          (match window with
-          | None -> Ok (G.quick_with_bound g ~rank)
-          | Some w -> G.quick_window g ~window:w ~rank))
+  | Protocol.Quick { target; window = None } ->
+    full_quick ~population:(population g None) ~reused:false (fun () -> publish t) target
+  | Protocol.Quick { target; window = Some w as window } ->
+    answer ~population:(population g window) ~target ~window (fun ~rank ->
+        Result.map quick_fields (G.quick_window g ~window:w ~rank))
   | Protocol.Accurate { target; window; deadline_ms = _ } ->
     (* The remaining budget (class budget minus queue wait, already
        folded with any request deadline) drives the cooperative
        deadline-cut machinery. *)
     let deadline_ms = Float.max 1.0 ((deadline -. Metrics.now_s ()) *. 1000.0) in
-    answer g ~target ~window (fun ~rank ->
+    answer ~population:(population g window) ~target ~window (fun ~rank ->
         Result.map
           (fun (v, report) -> (v, degradation_fields report))
           (match window with
@@ -350,14 +379,88 @@ let execute t req ~deadline =
     (`Ok, Protocol.ok [ ("body", Json.Str (G.metrics_prometheus ~extra:t.reg g)) ])
   | Protocol.Health_check -> (`Ok, Protocol.ok (Health.group_to_fields (Health.collect_group g)))
 
+(* Count a request's outcome and return its reply. *)
+let tally t run =
+  match run () with
+  | `Ok, resp ->
+    Metrics.Counter.inc t.c.ok;
+    resp
+  | `Bad, resp ->
+    Metrics.Counter.inc t.c.bad_request;
+    resp
+  | `Error, resp ->
+    Metrics.Counter.inc t.c.internal;
+    resp
+  | `Closed, resp -> resp
+  | exception e ->
+    Metrics.Counter.inc t.c.internal;
+    Protocol.err Protocol.e_internal ~detail:(Printexc.to_string e)
+
+(* --- inline quick answers ------------------------------------------------
+
+   A full-store quick (no window) is a memory-only lookup, so a
+   connection thread answers it itself from the snapshot the engine
+   thread last published, when three things hold: the snapshot's
+   generation tag is the current write generation, the engine thread is
+   idle, and no stop was requested.  Anything else queues as before.
+
+   Zero staleness rests on one ordering.  Every write bumps the
+   generation after it is applied and before it is acknowledged: observe
+   and end_step on the engine thread, every engine-thread job, and
+   direct-lane observes on connection threads.  The publisher reads the
+   generation before it builds.  So a quick that arrives after an ack
+   finds either a snapshot built after that write or a stale tag.  An
+   accurate query can quarantine partitions or drop what the snapshot
+   read; after each one the engine thread checks the snapshot against
+   the group (no summary build) and bumps the generation if it no longer
+   matches.
+
+   The idle gate is for latency, not correctness: an inline answer on a
+   connection thread would take the runtime lock at every device read
+   of an in-flight accurate query.  An inline quick never enters the
+   queue, so it is neither shed nor deadline-cut. *)
+
+let bump t = Atomic.incr t.generation
+
+let revalidate t =
+  match Atomic.get t.published with
+  | Some (generation, snap) when generation = Atomic.get t.generation ->
+    if not (try G.snapshot_current t.group snap with _ -> false) then bump t
+  | _ -> ()
+
+(* After an engine-thread item, before its reply. *)
+let settle_snapshot t = function
+  | Admission.Job _ | Admission.Request (Protocol.Observe _ | Protocol.End_step) -> bump t
+  | Admission.Request (Protocol.Accurate _) -> revalidate t
+  | Admission.Request _ -> ()
+
+let inline_snapshot t =
+  if Atomic.get t.engine_idle && not (Atomic.get t.stop_requested) then
+    match Atomic.get t.published with
+    | Some (generation, snap) when generation = Atomic.get t.generation -> Some snap
+    | _ -> None
+  else None
+
+let inline_quick t snap target =
+  let t0 = Metrics.now_s () in
+  Metrics.Counter.inc t.c.quick_inline;
+  let resp =
+    tally t (fun () ->
+        full_quick ~population:(Ok (G.snapshot_total snap)) ~reused:true (fun () -> snap) target)
+  in
+  Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. t0);
+  resp
+
 (* Drain every remaining queue item, then run the shutdown sequence.
    A request that spent its whole budget waiting is answered `timeout`
    without touching the engine — explicit, never silent. *)
 let engine_loop t =
+  Atomic.set t.engine_idle true;
   let rec loop () =
     match Admission.next t.adm with
-    | None -> ()
+    | None -> Atomic.set t.engine_idle false
     | Some item ->
+      Atomic.set t.engine_idle false;
       let now = Metrics.now_s () in
       Metrics.Histogram.observe t.queue_wait_hist (now -. item.Admission.enqueued);
       Metrics.Gauge.set t.inflight_gauge 1.0;
@@ -372,24 +475,11 @@ let engine_loop t =
             Protocol.err Protocol.e_timeout
               ~extra:[ ("class", Json.Str (Protocol.class_label item.Admission.cls)) ]
           end
-          else begin
-            match execute t req ~deadline:item.Admission.deadline with
-            | `Ok, resp ->
-              Metrics.Counter.inc t.c.ok;
-              resp
-            | `Bad, resp ->
-              Metrics.Counter.inc t.c.bad_request;
-              resp
-            | `Error, resp ->
-              Metrics.Counter.inc t.c.internal;
-              resp
-            | `Closed, resp -> resp
-            | exception e ->
-              Metrics.Counter.inc t.c.internal;
-              Protocol.err Protocol.e_internal ~detail:(Printexc.to_string e)
-          end
+          else tally t (fun () -> execute t req ~deadline:item.Admission.deadline)
       in
+      settle_snapshot t item.Admission.payload;
       Metrics.Gauge.set t.inflight_gauge 0.0;
+      Atomic.set t.engine_idle true;
       Admission.reply item resp;
       Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. item.Admission.enqueued);
       loop ()
@@ -399,14 +489,16 @@ let engine_loop t =
 (* --- connection handling ----------------------------------------------- *)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let off = ref 0 in
   while !off < len do
-    let n = Unix.write fd b !off (len - !off) in
+    let n = Unix.write_substring fd s !off (len - !off) in
     if n <= 0 then raise Exit;
     off := !off + n
   done
+
+(* One reply line; the one place the newline is added. *)
+let write_line fd resp = write_all fd (resp ^ "\n")
 
 let submit_and_reply t req =
   let cls = Protocol.class_of req in
@@ -475,15 +567,14 @@ let direct_observe t ~conn_id vals =
   if Admission.draining t.adm then Protocol.err Protocol.e_shutting_down
   else begin
     let lane = conn_id mod t.ingest_lanes in
-    let status, resp =
-      observe_all ~ok_fields:[ ("lane", Json.int lane) ]
-        (G.observe_domain t.group ~domain:lane)
-        vals
+    let resp =
+      tally t (fun () ->
+          observe_all ~ok_fields:[ ("lane", Json.int lane) ]
+            (G.observe_domain t.group ~domain:lane)
+            vals)
     in
-    (match status with
-    | `Ok -> Metrics.Counter.inc t.c.ok
-    | `Error -> Metrics.Counter.inc t.c.internal
-    | `Closed -> ());
+    (* Applied, not yet acknowledged: see "inline quick answers". *)
+    bump t;
     schedule_lane_checkpoint t;
     resp
   end
@@ -492,24 +583,27 @@ let handle_line t ~conn_id fd line =
   match Json.of_string line with
   | Error msg ->
     Metrics.Counter.inc t.c.parse_error;
-    write_all fd (Protocol.err Protocol.e_parse ~detail:msg ^ "\n")
+    write_line fd (Protocol.err Protocol.e_parse ~detail:msg)
   | Ok j -> (
     match Protocol.parse j with
     | Error msg ->
       Metrics.Counter.inc t.c.bad_request;
-      write_all fd (Protocol.err Protocol.e_bad_request ~detail:msg ^ "\n")
+      write_line fd (Protocol.err Protocol.e_bad_request ~detail:msg)
     | Ok Protocol.Ping ->
       Metrics.Counter.inc t.c.ok;
-      write_all fd (Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ] ^ "\n")
+      write_line fd (Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
     | Ok Protocol.Drain ->
       (* Acknowledge first, then trigger: the drain closes this very
          socket shortly after. *)
       Metrics.Counter.inc t.c.ok;
-      write_all fd (Protocol.ok [ ("draining", Json.Bool true) ] ^ "\n");
+      write_line fd (Protocol.ok [ ("draining", Json.Bool true) ]);
       request_stop t
-    | Ok (Protocol.Observe vals) when t.ingest_lanes > 1 ->
-      write_all fd (direct_observe t ~conn_id vals ^ "\n")
-    | Ok req -> write_all fd (submit_and_reply t req ^ "\n"))
+    | Ok (Protocol.Observe vals) when t.ingest_lanes > 1 -> write_line fd (direct_observe t ~conn_id vals)
+    | Ok (Protocol.Quick { target; window = None } as req) -> (
+      match inline_snapshot t with
+      | Some snap -> write_line fd (inline_quick t snap target)
+      | None -> write_line fd (submit_and_reply t req))
+    | Ok req -> write_line fd (submit_and_reply t req))
 
 (* Per-connection loop: a bounded line scanner over Unix.read.  The
    read and write timeouts (SO_RCVTIMEO / SO_SNDTIMEO) contain slow and
@@ -532,7 +626,7 @@ let conn_loop t ~conn_id fd =
   let rec newline i = if i >= !len then None else if Bytes.get !buf i = '\n' then Some i else newline (i + 1) in
   let too_long () =
     Metrics.Counter.inc t.c.parse_error;
-    (try write_all fd (Protocol.err Protocol.e_parse ~detail:"line too long" ^ "\n") with _ -> ());
+    (try write_line fd (Protocol.err Protocol.e_parse ~detail:"line too long") with _ -> ());
     run := false
   in
   while !run do
@@ -641,7 +735,7 @@ let drain t listen_fd =
           | _ -> (
             match Unix.accept listen_fd with
             | fd, _ ->
-              (try write_all fd (Protocol.err Protocol.e_shutting_down ^ "\n") with _ -> ());
+              (try write_line fd (Protocol.err Protocol.e_shutting_down) with _ -> ());
               (try Unix.close fd with Unix.Unix_error _ -> ())
             | exception Unix.Unix_error _ -> ())
           | exception Unix.Unix_error _ -> ()

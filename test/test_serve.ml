@@ -955,6 +955,155 @@ let run_device_chaos ~seed () =
         "undegraded after heal" (Some "none") (Json.get_str final "degradation");
       Client.close c)
 
+(* --- inline quick answers ------------------------------------------------ *)
+
+let wire_int c name = Option.bind (wire_metric c name) Json.as_int
+
+(* Zero staleness: after every acked observe batch on connection A, the
+   next full-store quick on connection B resolves phi 1.0 against the
+   acked total and answers within its bound; so does the quick after it,
+   which the published snapshot can serve inline.  Accurates and step
+   cuts are interleaved.  At ingest_domains 2 observes take the direct
+   lanes; ingest_batch 1 makes every acked element visible to queries at
+   once, as a single-lane engine does. *)
+let test_inline_freshness () =
+  List.iter
+    (fun ingest_domains ->
+      let config =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~ingest_domains ~ingest_batch:1
+          (Hsq.Config.Epsilon 0.05)
+      in
+      let oracle = Hsq_workload.Oracle.create () in
+      with_server (G.create config) (fun _ listen ->
+          let a = Client.connect listen and b = Client.connect listen in
+          let rng = Hsq_util.Xoshiro.create (0xF2E5 + ingest_domains) in
+          let acked = ref 0 in
+          for round = 1 to 40 do
+            let batch = Array.init 60 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+            acked := !acked + Client.observe a batch;
+            Hsq_workload.Oracle.add_batch oracle batch;
+            for _ = 1 to 2 do
+              let what = Printf.sprintf "domains %d round %d quick" ingest_domains round in
+              let r = Client.quick b (`Phi 1.0) in
+              Alcotest.(check (option int)) (what ^ " sees every acked element") (Some !acked)
+                (Json.get_int r "rank");
+              check_bounded ~what oracle r
+            done;
+            if round mod 3 = 0 then
+              check_bounded
+                ~what:(Printf.sprintf "domains %d round %d accurate" ingest_domains round)
+                oracle (Client.accurate b (`Phi 0.5));
+            if round mod 10 = 0 then Client.end_step a
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "domains %d: some quicks answered inline" ingest_domains)
+            true
+            (Option.value ~default:0 (wire_int b "hsq_serve_quick_inline_total") > 0);
+          Client.close a;
+          Client.close b))
+    [ 1; 2 ]
+
+(* An accurate that quarantines a partition invalidates the published
+   snapshot: the next wire quick answers exactly as a fresh
+   [G.quick_with_bound] on the engine thread, quarantine and all. *)
+let test_inline_after_quarantine () =
+  let config =
+    Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 (Hsq.Config.Epsilon 0.05)
+  in
+  let g, _ = preloaded_group ~config ~seed:9 ~steps:5 ~per_step:600 ~stream:200 () in
+  with_server g (fun srv listen ->
+      let c = Client.connect listen in
+      Server.submit_fn srv (fun g ->
+          BD.set_injector (E.device (engine g))
+            (Some
+               (fun op ~attempt:_ addr ->
+                 if op = BD.Read && chaos_coin ~seed:9 ~salt:2 addr 30 then Some BD.Fail else None)));
+      (* publish a snapshot past the injector job, and serve from it *)
+      for _ = 1 to 2 do
+        Alcotest.(check (option string))
+          "undegraded before the accurates" (Some "none")
+          (Json.get_str (Client.quick c (`Phi 0.5)) "degradation")
+      done;
+      let rec quarantine tries =
+        if tries = 0 then Alcotest.fail "no accurate quarantined a partition";
+        let phi = 0.05 +. (0.9 *. float_of_int (tries mod 10) /. 10.0) in
+        let r = Client.accurate c (`Phi phi) in
+        if Json.get_str r "degradation" <> Some "quarantined" then quarantine (tries - 1)
+      in
+      quarantine 60;
+      let r = Client.quick c (`Phi 0.5) in
+      let rank = Option.get (Json.get_int r "rank") in
+      let expected = ref None in
+      Server.submit_fn srv (fun g -> expected := Some (G.quick_with_bound g ~rank));
+      let v, bound, degradation = Option.get !expected in
+      Alcotest.(check string) "fresh answer is quarantined" "quarantined"
+        (G.degradation_label degradation);
+      same ~what:"quick after quarantine" r
+        [
+          ("value", int v);
+          ("bound", num bound);
+          ("degradation", Json.to_string (Json.Str (G.degradation_label degradation)));
+        ];
+      Client.close c)
+
+(* Once the drain has begun, a quick on a connection opened before it
+   is refused with shutting_down, never answered from the snapshot. *)
+let test_inline_drain () =
+  let g, _ = preloaded_group ~seed:10 ~steps:2 ~per_step:500 ~stream:100 () in
+  with_server g (fun srv listen ->
+      let c = Client.connect listen in
+      for _ = 1 to 2 do
+        Alcotest.(check bool) "quick before the drain" true (Client.is_ok (Client.quick c (`Phi 0.5)))
+      done;
+      let blocker = Thread.create (fun () -> Server.submit_fn srv (fun _ -> Thread.delay 0.5)) () in
+      Thread.delay 0.1;
+      Server.request_stop srv;
+      Thread.delay 0.1 (* the drain has begun and waits on the job *);
+      Alcotest.(check (option string))
+        "quick mid-drain" (Some "shutting_down")
+        (Client.error_kind (Client.quick c (`Phi 0.5)));
+      Thread.join blocker;
+      Server.wait srv;
+      Client.close c)
+
+(* Every full-store quick is answered either inline or through the
+   queue: the inline counter plus the queued quicks is the quicks sent,
+   and inline answers count as served requests. *)
+let test_inline_split () =
+  let g, oracle = preloaded_group ~seed:11 ~steps:4 ~per_step:800 ~stream:300 () in
+  with_server g (fun _ listen ->
+      let c = Client.connect listen in
+      let quicks = ref 0 and accurates = ref 0 and observes = ref 0 in
+      for i = 1 to 120 do
+        let phi = float_of_int (i mod 19 + 1) /. 20.0 in
+        check_bounded ~what:"split quick" oracle (Client.quick c (`Phi phi));
+        incr quicks;
+        if i mod 7 = 0 then begin
+          check_bounded ~what:"split accurate" oracle (Client.accurate c (`Phi phi));
+          incr accurates
+        end;
+        if i mod 40 = 0 then begin
+          let b = Array.init 20 (fun j -> (i * 1000) + j) in
+          ignore (Client.observe c b);
+          Hsq_workload.Oracle.add_batch oracle b;
+          incr observes
+        end
+      done;
+      let m = Client.metrics c in
+      let reg = Option.get (Json.member m "metrics") in
+      let get name = Option.value ~default:(-1) (Json.get_int reg name) in
+      let inline = get "hsq_serve_quick_inline_total" in
+      (* queued: the quicks, accurates, observes, and this metrics request *)
+      let queued_quicks = get "hsq_serve_requests_admitted_total" - !accurates - !observes - 1 in
+      Alcotest.(check bool) "both paths taken" true (inline > 0 && queued_quicks > 0);
+      Alcotest.(check int) "inline + queued = sent" !quicks (inline + queued_quicks);
+      Alcotest.(check int) "every answer counted ok" (!quicks + !accurates + !observes)
+        (get "hsq_serve_requests_ok_total");
+      Alcotest.(check (option int))
+        "every answer timed" (Some (!quicks + !accurates + !observes))
+        (Option.bind (Json.member reg "hsq_serve_request_seconds") (fun h -> Json.get_int h "count"));
+      Client.close c)
+
 (* --- chaos: kill -9 the real daemon mid-ingest, restart, verify -------- *)
 
 let bin () =
@@ -1106,6 +1255,14 @@ let () =
           Alcotest.test_case "K=1 metrics dump is flat" `Quick test_k1_metrics_flat;
           Alcotest.test_case "end_step reports deferred merges" `Quick
             test_end_step_deferred_merge;
+        ] );
+      ( "inline quicks",
+        [
+          Alcotest.test_case "every acked write is seen" `Quick test_inline_freshness;
+          Alcotest.test_case "a quarantine invalidates the snapshot" `Quick
+            test_inline_after_quarantine;
+          Alcotest.test_case "none once the drain began" `Quick test_inline_drain;
+          Alcotest.test_case "inline plus queued is the quicks sent" `Quick test_inline_split;
         ] );
       ( "chaos",
         [

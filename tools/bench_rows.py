@@ -34,7 +34,7 @@ ROW_KEYS = ("workload", "side", "commit", "visible_cores", "seed", "seconds", "t
             "correct", "failed", "metrics")
 RUN_TIMEOUT_S = 1200
 # Printed after each pair, parent -> change.
-PROGRESS_METRICS = ("accurate_p50_ms", "throughput_per_s")
+PROGRESS_METRICS = ("quick_p50_ms", "accurate_p50_ms", "throughput_per_s")
 
 
 def bench_file(workload):
