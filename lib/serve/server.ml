@@ -13,7 +13,15 @@
    - a single engine thread drains the queue: the engine is
      single-submitter by contract, so all engine access funnels here,
      and query-internal parallelism still fans out across the
-     Parallel.Pool probe domains.
+     Parallel.Pool probe domains;
+   - two verbs skip the queue: direct-lane observes (ingest_domains >
+     1) and full-store quicks (no window), which a connection thread
+     answers from the engine thread's published quick snapshot while
+     that snapshot's write generation is current, the engine thread is
+     idle and no stop was requested.  Writers bump the generation after
+     applying and before acking; the publisher reads it before building.
+     The idle gate keeps inline answers off the runtime lock while an
+     accurate query waits on device reads.  See "inline quick answers".
 
    Admission control: the queue is strictly bounded (shed with
    retry-after past capacity — see Admission); every admitted request
@@ -21,7 +29,8 @@
    the engine thread picks it up (a request that aged out in the queue
    is answered `timeout`, not executed) and passed through to the
    accurate path's cooperative cancellation for the execution
-   remainder.
+   remainder.  An inline quick never enters the queue, so it is
+   neither shed nor deadline-cut.
 
    Drain (SIGTERM via request_stop, the `drain` verb, or stop):
      1. the queue stops admitting (submit -> shutting_down) but every
@@ -104,11 +113,11 @@ type t = {
   ckpt_scheduled : bool Atomic.t; (* a lane-debt checkpoint job is queued *)
   (* Inline quick answers (see "inline quick answers" below): the write
      generation, the last full-store quick snapshot tagged with the
-     generation read before it was built, and whether the engine thread
-     is waiting for work. *)
+     generation read before it was built, and the engine-thread items
+     admitted and not yet answered. *)
   generation : int Atomic.t;
   published : (int * G.quick_snapshot) option Atomic.t;
-  engine_idle : bool Atomic.t;
+  outstanding : int Atomic.t;
   adm : Admission.t;
   started_at : float;
   stop_requested : bool Atomic.t;
@@ -146,7 +155,7 @@ let create config group =
     ckpt_scheduled = Atomic.make false;
     generation = Atomic.make 0;
     published = Atomic.make None;
-    engine_idle = Atomic.make false;
+    outstanding = Atomic.make 0;
     adm = Admission.create ~capacity:config.queue_depth ~metrics:reg ();
     started_at = Metrics.now_s ();
     stop_requested = Atomic.make false;
@@ -402,7 +411,8 @@ let tally t run =
    connection thread answers it itself from the snapshot the engine
    thread last published, when three things hold: the snapshot's
    generation tag is the current write generation, the engine thread is
-   idle, and no stop was requested.  Anything else queues as before.
+   idle (no item admitted and unanswered), and no stop was requested.
+   Anything else queues as before.
 
    Zero staleness rests on one ordering.  Every write bumps the
    generation after it is applied and before it is acknowledged: observe
@@ -417,10 +427,23 @@ let tally t run =
 
    The idle gate is for latency, not correctness: an inline answer on a
    connection thread would take the runtime lock at every device read
-   of an in-flight accurate query.  An inline quick never enters the
-   queue, so it is neither shed nor deadline-cut. *)
+   of an in-flight accurate query.  An item counts from before it enters
+   the queue, so a quick arriving while an accurate waits for the engine
+   thread to wake queues behind it instead of delaying it.  An inline
+   quick never enters the queue, so it is neither shed nor
+   deadline-cut. *)
 
 let bump t = Atomic.incr t.generation
+
+(* Admit [item] for the engine thread, outstanding until just before
+   its reply. *)
+let enqueue t item =
+  Atomic.incr t.outstanding;
+  match Admission.submit t.adm item with
+  | Admission.Admitted -> Admission.Admitted
+  | refused ->
+    Atomic.decr t.outstanding;
+    refused
 
 let revalidate t =
   match Atomic.get t.published with
@@ -435,7 +458,7 @@ let settle_snapshot t = function
   | Admission.Request _ -> ()
 
 let inline_snapshot t =
-  if Atomic.get t.engine_idle && not (Atomic.get t.stop_requested) then
+  if Atomic.get t.outstanding = 0 && not (Atomic.get t.stop_requested) then
     match Atomic.get t.published with
     | Some (generation, snap) when generation = Atomic.get t.generation -> Some snap
     | _ -> None
@@ -455,12 +478,10 @@ let inline_quick t snap target =
    A request that spent its whole budget waiting is answered `timeout`
    without touching the engine — explicit, never silent. *)
 let engine_loop t =
-  Atomic.set t.engine_idle true;
   let rec loop () =
     match Admission.next t.adm with
-    | None -> Atomic.set t.engine_idle false
+    | None -> ()
     | Some item ->
-      Atomic.set t.engine_idle false;
       let now = Metrics.now_s () in
       Metrics.Histogram.observe t.queue_wait_hist (now -. item.Admission.enqueued);
       Metrics.Gauge.set t.inflight_gauge 1.0;
@@ -479,7 +500,7 @@ let engine_loop t =
       in
       settle_snapshot t item.Admission.payload;
       Metrics.Gauge.set t.inflight_gauge 0.0;
-      Atomic.set t.engine_idle true;
+      Atomic.decr t.outstanding;
       Admission.reply item resp;
       Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. item.Admission.enqueued);
       loop ()
@@ -511,7 +532,7 @@ let submit_and_reply t req =
     Admission.make_item (Admission.Request req) cls
       ~deadline:(Metrics.now_s () +. (budget_ms /. 1000.0))
   in
-  match Admission.submit t.adm item with
+  match enqueue t item with
   | Admission.Admitted -> Admission.await item
   | Admission.Overloaded retry_ms ->
     Protocol.err Protocol.e_overloaded
@@ -555,7 +576,7 @@ let schedule_lane_checkpoint t =
       Atomic.set t.ckpt_scheduled false;
       ignore (G.checkpoint_if_due t.group)
     in
-    match Admission.submit t.adm (admin_job job) with
+    match enqueue t (admin_job job) with
     | Admission.Admitted -> () (* fire-and-forget: nobody awaits the reply *)
     | Admission.Overloaded _ | Admission.Draining ->
       (* Queue full or draining: drop the attempt; debt persists and the
@@ -819,7 +840,7 @@ let stop t =
    shards without ever racing a live query. *)
 let submit_fn t f =
   let item = admin_job (fun () -> f t.group) in
-  match Admission.submit t.adm item with
+  match enqueue t item with
   | Admission.Admitted -> ignore (Admission.await item)
   | Admission.Overloaded _ -> invalid_arg "Server.submit_fn: admission queue full"
   | Admission.Draining -> invalid_arg "Server.submit_fn: server draining"

@@ -23,6 +23,15 @@
     without acknowledging, and lane checkpoint debt is settled by a
     job on the engine thread (DESIGN.md §15).
 
+    A [quick] without a [window] is answered on its connection thread
+    from the engine thread's last full-store quick snapshot
+    ({!Hsq_shard.Shard_group.quick_snapshot}) when no write has been
+    applied since it was built, the engine thread is idle, and no stop
+    was requested; otherwise it queues.  Such an answer is never
+    stale, never shed and never deadline-cut, and counts in
+    [hsq_serve_quick_inline_total] instead of
+    [hsq_serve_requests_admitted_total] (DESIGN.md §13).
+
     Shutdown is a drain: {!request_stop} (async-signal-safe, suitable
     for a SIGTERM handler) or the wire verb [drain] stops the accept
     loop; already-admitted requests are served or deadline-cut; the
