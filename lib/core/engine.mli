@@ -249,7 +249,6 @@ val rank_of : t -> int -> int
 (** φ-quantile of Definition 1 (rank = ⌈φN⌉), accurate path. *)
 val quantile : t -> float -> int * query_report
 
-
 (** Refusals of the step-range selectors. Windows (the last [w]
     archived steps plus the live stream, Section 2.4) and historical
     ranges (archived steps [first, last], stream excluded) are answered

@@ -448,7 +448,7 @@ let enqueue t item =
 let revalidate t =
   match Atomic.get t.published with
   | Some (generation, snap) when generation = Atomic.get t.generation ->
-    if not (try G.snapshot_current t.group snap with _ -> false) then bump t
+    if not (G.snapshot_current t.group snap) then bump t
   | _ -> ()
 
 (* After an engine-thread item, before its reply. *)

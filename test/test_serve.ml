@@ -957,8 +957,6 @@ let run_device_chaos ~seed () =
 
 (* --- inline quick answers ------------------------------------------------ *)
 
-let wire_int c name = Option.bind (wire_metric c name) Json.as_int
-
 (* Zero staleness: after every acked observe batch on connection A, the
    next full-store quick on connection B resolves phi 1.0 against the
    acked total and answers within its bound; so does the quick after it,
@@ -998,7 +996,9 @@ let test_inline_freshness () =
           Alcotest.(check bool)
             (Printf.sprintf "domains %d: some quicks answered inline" ingest_domains)
             true
-            (Option.value ~default:0 (wire_int b "hsq_serve_quick_inline_total") > 0);
+            (match Option.bind (wire_metric b "hsq_serve_quick_inline_total") Json.as_int with
+            | Some n -> n > 0
+            | None -> false);
           Client.close a;
           Client.close b))
     [ 1; 2 ]
