@@ -1256,7 +1256,7 @@ let () =
           Alcotest.test_case "end_step reports deferred merges" `Quick
             test_end_step_deferred_merge;
         ] );
-      ( "inline quicks",
+      ( "inline",
         [
           Alcotest.test_case "every acked write is seen" `Quick test_inline_freshness;
           Alcotest.test_case "a quarantine invalidates the snapshot" `Quick
