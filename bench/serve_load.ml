@@ -28,7 +28,6 @@ type opts = {
   mutable shards : int;
   mutable replicas : int;
   mutable kill_replica : bool;
-  mutable ingest_domains : int;
   mutable ingest_heavy : bool;
 }
 
@@ -44,7 +43,6 @@ let parse_args () =
       shards = 1;
       replicas = 1;
       kill_replica = false;
-      ingest_domains = 1;
       ingest_heavy = false;
     }
   in
@@ -62,9 +60,6 @@ let parse_args () =
       ( "--kill-replica",
         Arg.Unit (fun () -> o.kill_replica <- true),
         " kill one replica mid-run and assert answers stay undegraded" );
-      ( "--ingest-domains",
-        Arg.Int (fun d -> o.ingest_domains <- d),
-        "D self-serve concurrent ingest lanes (default 1)" );
       ( "--ingest-heavy",
         Arg.Unit (fun () -> o.ingest_heavy <- true),
         " invert the mix to 20/10/70 quick/accurate/ingest (writer-bound load)" );
@@ -100,8 +95,8 @@ let percentile sorted q =
 let now = Unix.gettimeofday
 
 (* One worker: a seeded quick/accurate/ingest mix — 70/20/10 by
-   default, 20/10/70 under --ingest-heavy (where the daemon's parallel
-   ingest lanes should keep writers from queueing behind queries). *)
+   default, 20/10/70 under --ingest-heavy (writers then share the
+   engine thread mostly with each other). *)
 let worker listen ~seed ~deadline ~mix:(quick_lt, acc_lt) tallies =
   let rng = Random.State.make [| seed |] in
   let c = Client.connect listen in
@@ -172,8 +167,7 @@ let () =
       let config = { (Server.default_config listen) with Server.queue_depth = o.queue_depth } in
       let g =
         Hsq_shard.Shard_group.create
-          (Hsq.Config.make ~shards:o.shards ~replicas:o.replicas ~ingest_domains:o.ingest_domains
-             (Hsq.Config.Epsilon 0.01))
+          (Hsq.Config.make ~shards:o.shards ~replicas:o.replicas (Hsq.Config.Epsilon 0.01))
       in
       preload
         ~observe:(Hsq_shard.Shard_group.observe g)
@@ -252,14 +246,12 @@ let () =
           merged.(i).errors <- merged.(i).errors + t.errors)
         tallies)
     per_worker;
-  Printf.printf "serve_load: %d conns, %.1fs, %d shard%s x %d replica%s%s, %d ingest lane%s%s, %s\n"
+  Printf.printf "serve_load: %d conns, %.1fs, %d shard%s x %d replica%s%s%s, %s\n"
     o.conns elapsed o.shards
     (if o.shards = 1 then "" else "s")
     o.replicas
     (if o.replicas = 1 then "" else "s")
     (if o.kill_replica then " (one killed mid-run)" else "")
-    o.ingest_domains
-    (if o.ingest_domains = 1 then "" else "s")
     (if o.ingest_heavy then ", ingest-heavy mix" else "")
     (match listen with Server.Unix_sock p -> "unix:" ^ p | Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p);
   Printf.printf "%-9s %9s %12s %9s %9s %9s %6s %8s\n" "class" "count" "throughput" "p50_ms"

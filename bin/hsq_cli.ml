@@ -100,15 +100,6 @@ let deadline_ms =
   in
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
-let ingest_domains =
-  let doc =
-    "Concurrent ingest lanes: observe calls spread across $(docv) shard-local stream buffers, \
-     each handing sorted batches into the sketch under one propagation lock (simulate/stream \
-     drive the lanes themselves; serve gives each connection its own lane). Answers and \
-     durability guarantees are identical at any setting; 1 = the classic single-writer path."
-  in
-  Arg.(value & opt int 1 & info [ "ingest-domains" ] ~docv:"D" ~doc)
-
 (* Durable-ingest options (simulate, stream). *)
 let wal_sync_conv =
   let parse s =
@@ -186,9 +177,13 @@ let report_recoveries g recoveries =
           msg)
     recoveries
 
-(* A warehouse that cannot be read exits 1, in every subcommand. *)
+(* A warehouse that cannot be read exits 1, in every subcommand; a
+   store written with ingest lanes exits 2. *)
 let guard f =
   try f () with
+  | Hsq.Engine.Unsupported_store msg ->
+    Printf.eprintf "unsupported store: %s\n" msg;
+    2
   | Hsq.Persist.Corrupt_metadata msg ->
     Printf.eprintf "corrupt metadata: %s\n" msg;
     1
@@ -323,30 +318,6 @@ let report_quantiles g phis =
             report.G.rank_error_bound))
     phis
 
-(* --- multi-lane ingest driver ------------------------------------------ *)
-
-(* Slice a batch across D ingest lanes, driven by a persistent
-   Parallel.Pool (workers = D - 1; the caller takes a lane too).  One
-   submission per batch: lane d observes its contiguous slice through
-   observe_domain, so cross-lane contention is the per-batch sketch
-   propagation, never per element. *)
-let pool_ingest pool ~domains ~observe_domain batch =
-  let len = Array.length batch in
-  if len > 0 then begin
-    let chunk = (len + domains - 1) / domains in
-    Hsq_util.Parallel.Pool.run pool ~n:domains (fun d ->
-        let lo = d * chunk in
-        let hi = min len (lo + chunk) in
-        for i = lo to hi - 1 do
-          observe_domain ~domain:d batch.(i)
-        done)
-  end
-
-let make_ingest_pool ~ingest_domains =
-  if ingest_domains > 1 then
-    Some (Hsq_util.Parallel.Pool.create ~workers:(ingest_domains - 1) ())
-  else None
-
 (* --- simulate ---------------------------------------------------------- *)
 
 let save_meta =
@@ -355,11 +326,11 @@ let save_meta =
 
 let simulate dataset steps step_size seed epsilon kappa block_size device_path query_domains
     deadline_ms phis verify save_meta durable wal_sync checkpoint_every shards replicas
-    ingest_domains stream_sketch =
+    stream_sketch =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:steps ?query_domains
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
-      ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon)
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
+      (Hsq.Config.Epsilon epsilon)
   in
   (* Only a one-store warehouse on a --device file has a sidecar to save. *)
   let save_meta =
@@ -374,16 +345,7 @@ let simulate dataset steps step_size seed epsilon kappa block_size device_path q
   in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
   with_group ~who:"simulate" ~config ?durable (Fresh device_path) (fun g ->
-      let pool = make_ingest_pool ~ingest_domains in
-      let ingest batch =
-        match pool with
-        | Some p ->
-          pool_ingest p ~domains:ingest_domains
-            ~observe_domain:(fun ~domain v -> G.observe_domain g ~domain v)
-            batch;
-          ignore (G.checkpoint_if_due g)
-        | None -> Array.iter (G.observe g) batch
-      in
+      let ingest batch = Array.iter (G.observe g) batch in
       let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
       let update_io = ref Hsq_storage.Io_stats.zero in
       for step = 1 to steps do
@@ -397,8 +359,6 @@ let simulate dataset steps step_size seed epsilon kappa block_size device_path q
       let tail = Hsq_workload.Datasets.next_batch ds (max 1 (step_size / 2)) in
       Option.iter (fun o -> Hsq_workload.Oracle.add_batch o tail) oracle;
       ingest tail;
-      G.flush_ingest g;
-      Option.iter Hsq_util.Parallel.Pool.shutdown pool;
       Printf.printf "dataset=%s  " dataset;
       report_footprint ~update_io:!update_io g;
       report_quantiles g phis;
@@ -446,37 +406,20 @@ let simulate_cmd =
     Term.(
       const simulate $ dataset $ steps $ step_size $ seed $ epsilon $ kappa $ block_size
       $ device_path $ query_domains $ deadline_ms $ phis $ verify $ save_meta $ durable_dir
-      $ wal_sync $ checkpoint_every $ shards $ replicas $ ingest_domains $ sketch_kind)
+      $ wal_sync $ checkpoint_every $ shards $ replicas $ sketch_kind)
 
 (* --- stream ------------------------------------------------------------- *)
 
 let stream step_every epsilon kappa block_size device_path query_domains deadline_ms phis
-    durable wal_sync checkpoint_every shards replicas ingest_domains stream_sketch =
+    durable wal_sync checkpoint_every shards replicas stream_sketch =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
-      ~ingest_domains ~stream_sketch (Hsq.Config.Epsilon epsilon)
-  in
-  (* stdin is read sequentially, so lanes are driven round-robin from
-     this one thread: the win is the lanes' batched sketch hand-off
-     (sorted-run merges instead of per-element inserts), not thread
-     parallelism.  Lane hand-offs only mark checkpoint debt; this
-     thread settles it between elements. *)
-  let lane = ref 0 in
-  let next_lane () =
-    let d = !lane in
-    lane := (d + 1) mod ingest_domains;
-    d
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
+      (Hsq.Config.Epsilon epsilon)
   in
   with_group ~who:"stream" ~config ?durable (Fresh device_path) (fun g ->
       let observe v =
-        try
-          if ingest_domains > 1 then begin
-            G.observe_domain g ~domain:(next_lane ()) v;
-            ignore (G.checkpoint_if_due g)
-          end
-          else G.observe g v
-        with G.Shard_unavailable (i, reason) ->
+        try G.observe g v with G.Shard_unavailable (i, reason) ->
           Printf.eprintf "[stream] DROPPED (shard %d down: %s)\n%!" i reason
       in
       (* Observe, count, archive every N. *)
@@ -499,7 +442,6 @@ let stream step_every epsilon kappa block_size device_path query_domains deadlin
            end
          done
        with End_of_file -> ());
-      G.flush_ingest g;
       (* Closing flushes the WAL: the open step (elements past the last
          archive point) survives a restart with --durable. *)
       if G.total_size g = 0 then begin
@@ -524,7 +466,7 @@ let stream_cmd =
     Term.(
       const stream $ step_every $ epsilon $ kappa $ block_size $ device_path $ query_domains
       $ deadline_ms $ phis $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas
-      $ ingest_domains $ sketch_kind)
+      $ sketch_kind)
 
 (* --- query ---------------------------------------------------------------- *)
 
@@ -765,6 +707,7 @@ let report_health eng =
 
 (* The checks on one store directory; 0 healthy, 1 damaged. *)
 let status_one dir pool_blocks health =
+  Hsq.Engine.check_store ~dir;
   let device_path, meta_path, wal_path, ckpt_path = Hsq.Engine.store_paths ~dir in
   let problems = ref 0 in
   let problem fmt = Printf.ksprintf (fun s -> incr problems; Printf.printf "%s\n" s) fmt in
@@ -801,7 +744,7 @@ let status_one dir pool_blocks health =
            (fun (o, m) (_, r) ->
              match r with
              | Hsq_storage.Wal.Observe _ -> (o + 1, m)
-             | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ -> (o, m + 1))
+             | Hsq_storage.Wal.End_step _ -> (o, m + 1))
            (0, 0) records
        in
        Printf.printf "wal: %d records (%d observes, %d commit markers), seq %d..%d\n"
@@ -844,13 +787,15 @@ let status_one dir pool_blocks health =
    degraded-but-full-precision states — a damaged or missing replica
    store whose sibling is intact keeps every answer inside ±ε·m, so it
    is reported as a warning; only a shard with NO intact replica
-   (answers degraded) exits 1.  A missing root exits 2. *)
+   (answers degraded) exits 1.  A missing root or a store written with
+   ingest lanes exits 2. *)
 let status dir shards replicas pool_blocks health =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such store directory: %s\n" dir;
     2
   end
   else begin
+    guard @@ fun () ->
     let stores = shards * replicas in
     let rows =
       List.init shards (fun i ->
@@ -966,7 +911,7 @@ let metrics_cmd =
 
 let serve socket tcp epsilon kappa block_size query_domains durable wal_sync checkpoint_every
     queue_depth quick_ms accurate_ms ingest_ms admin_ms read_timeout_ms shards replicas
-    ingest_domains stream_sketch =
+    stream_sketch =
   let listen =
     match (socket, tcp) with
     | Some path, None -> Some (Hsq_serve.Server.Unix_sock path)
@@ -989,7 +934,7 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
     in
     let store_config =
       Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains ~wal_sync
-        ~checkpoint_every ~shards ~replicas ~ingest_domains ~stream_sketch
+        ~checkpoint_every ~shards ~replicas ~stream_sketch
         (Hsq.Config.Epsilon epsilon)
     in
     with_group ~who:"serve" ~config:store_config ?durable (Fresh None) (fun g ->
@@ -1008,8 +953,7 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
             queue_depth
             (match durable with None -> "" | Some d -> ", durable at " ^ d)
             ((if shards > 1 then Printf.sprintf ", %d shards" shards else "")
-            ^ (if replicas > 1 then Printf.sprintf ", %d replicas" replicas else "")
-            ^ if ingest_domains > 1 then Printf.sprintf ", %d ingest lanes" ingest_domains else "");
+            ^ if replicas > 1 then Printf.sprintf ", %d replicas" replicas else "");
           Hsq_serve.Server.wait srv;
           prerr_endline "hsq serve: drained";
           0
@@ -1062,7 +1006,7 @@ let serve_cmd =
       $ budget "accurate-budget-ms" 2000.0 "accurate-query"
       $ budget "ingest-budget-ms" 2000.0 "ingest"
       $ budget "admin-budget-ms" 1000.0 "admin"
-      $ read_timeout_ms $ shards $ replicas $ ingest_domains $ sketch_kind)
+      $ read_timeout_ms $ shards $ replicas $ sketch_kind)
 
 let () =
   let doc = "quantiles over the union of historical and streaming data (VLDB'16 reproduction)" in

@@ -16,30 +16,21 @@
    place.  A torn or tampered checkpoint therefore reads as "absent",
    never as wrong state. *)
 
+(* Version 2 carried the per-lane WAL cuts of the removed multi-lane
+   ingest; it now fails the version check like any unknown version and
+   reads as absent, so recovery replays the whole WAL. *)
 let format_version = 1
-
-(* Version 2 adds the per-lane WAL sequence cuts of a multi-domain
-   engine (engine.ml, DESIGN.md §15).  Single-lane checkpoints keep
-   rendering version 1 byte-for-byte, so a store written by a D = 1
-   engine stays readable by older code; a version-2 file read by older
-   code fails the version check and is treated as absent — recovery then
-   replays the whole WAL, which is always correct. *)
-let format_version_lanes = 2
 
 type t = {
   seq : int; (* last WAL sequence number covered by this state *)
   steps_done : int; (* warehouse time steps committed at save time *)
   batch : int array; (* the open step's spooled elements, in order *)
   gk : int array; (* Gk.serialize of the stream sketch *)
-  lane_seqs : int array; (* last covered sequence per extra ingest lane
-                            (lanes 1..D-1; lane 0 is [seq]); [||] for a
-                            single-lane engine *)
 }
 
 let render c =
   let buf = Buffer.create (256 + (8 * (Array.length c.batch + Array.length c.gk))) in
-  let version = if Array.length c.lane_seqs = 0 then format_version else format_version_lanes in
-  Printf.bprintf buf "hsq-ckpt %d\n" version;
+  Printf.bprintf buf "hsq-ckpt %d\n" format_version;
   Printf.bprintf buf "seq %d\n" c.seq;
   Printf.bprintf buf "steps_done %d\n" c.steps_done;
   let emit_words name ws =
@@ -48,7 +39,6 @@ let render c =
     Array.iter (fun w -> Printf.bprintf buf " %d" w) ws;
     Buffer.add_char buf '\n'
   in
-  if version = format_version_lanes then emit_words "lanes" c.lane_seqs;
   emit_words "batch" c.batch;
   emit_words "gk" c.gk;
   Printf.bprintf buf "checksum %x\n" (Meta.checksum (Buffer.contents buf));
@@ -83,11 +73,8 @@ let parse lines =
     | None -> parse_error (Printf.sprintf "non-integer value for %S" (String.trim prefix))
   in
   let header = expect_prefix "hsq-ckpt " (next ()) in
-  let version =
-    match int_of_string_opt header with
-    | Some v when v = format_version || v = format_version_lanes -> v
-    | _ -> parse_error ("unsupported checkpoint version " ^ header)
-  in
+  if int_of_string_opt header <> Some format_version then
+    parse_error ("unsupported checkpoint version " ^ header);
   let seq = int_field "seq " in
   let steps_done = int_field "steps_done " in
   let words name =
@@ -108,11 +95,10 @@ let parse lines =
       fields;
     out
   in
-  let lane_seqs = if version = format_version_lanes then words "lanes" else [||] in
   let batch = words "batch" in
   let gk = words "gk" in
   if seq < 0 || steps_done < 0 then parse_error "negative sequence or step count";
-  { seq; steps_done; batch; gk; lane_seqs }
+  { seq; steps_done; batch; gk }
 
 (* [Ok None] — no checkpoint on disk; [Ok (Some c)] — a valid one;
    [Error why] — a file is present but unreadable (torn write, bit rot,

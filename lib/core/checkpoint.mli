@@ -11,14 +11,6 @@ type t = {
   steps_done : int;   (** warehouse time steps committed at save time *)
   batch : int array;  (** the open step's spooled elements, in order *)
   gk : int array;     (** {!Hsq_sketch.Gk.serialize} of the stream sketch *)
-  lane_seqs : int array;
-      (** last covered WAL sequence per extra ingest lane (lanes 1..D-1
-          of a multi-domain engine; lane 0 is [seq]). [[||]] for a
-          single-lane engine, which keeps the on-disk format identical
-          to the pre-lane version; a checkpoint carrying lane cuts is
-          written as format version 2, which older readers reject —
-          and a rejected checkpoint reads as absent, falling back to
-          the always-correct full WAL replay. *)
 }
 
 (** Atomically write the checkpoint to [path]. *)
@@ -26,6 +18,7 @@ val save : path:string -> t -> unit
 
 (** [Ok None] — no checkpoint file; [Ok (Some c)] — a valid one;
     [Error why] — present but unreadable (torn write, bit rot, version
-    skew). Callers must treat [Error] like [Ok None] and fall back to a
+    skew, including the version-2 format of the removed multi-lane
+    ingest). Callers must treat [Error] like [Ok None] and fall back to a
     full WAL replay. *)
 val load : path:string -> (t option, string) result

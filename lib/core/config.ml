@@ -38,10 +38,6 @@ type t = {
   shards : int; (* independent engine shards in a Shard_group; 1 = single engine *)
   replicas : int; (* independent engine replicas per shard in a Shard_group;
                      1 = unreplicated (the classic layout) *)
-  ingest_domains : int; (* concurrent ingest lanes feeding the stream sketch;
-                           1 = the classic single-writer observe path *)
-  ingest_batch : int; (* elements a lane buffers before one batched hand-off
-                         into the GK sketch (the propagation granularity) *)
   stream_sketch : [ `Gk | `Kll ]; (* which ε₂ rank sketch summarizes the open step:
                                      GK (paper) or mergeable KLL *)
 }
@@ -63,8 +59,6 @@ let default =
     quarantine_after = 3;
     shards = 1;
     replicas = 1;
-    ingest_domains = 1;
-    ingest_batch = 512;
     stream_sketch = `Gk;
   }
 
@@ -73,8 +67,7 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
     ?query_domains ?wal_dir ?(wal_sync = default.wal_sync)
     ?(checkpoint_every = default.checkpoint_every) ?query_deadline_ms
     ?(quarantine_after = default.quarantine_after) ?(shards = default.shards)
-    ?(replicas = default.replicas) ?(ingest_domains = default.ingest_domains) ?(ingest_batch = default.ingest_batch)
-    ?(stream_sketch = default.stream_sketch) sizing =
+    ?(replicas = default.replicas) ?(stream_sketch = default.stream_sketch) sizing =
   (match sizing with
   | Epsilon e when not (e > 0.0 && e < 1.0) -> invalid_arg "Config.make: epsilon not in (0,1)"
   | Epsilon _ -> ()
@@ -101,9 +94,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
   if quarantine_after < 1 then invalid_arg "Config.make: quarantine_after must be >= 1";
   if shards < 1 then invalid_arg "Config.make: shards must be >= 1";
   if replicas < 1 || replicas > 8 then invalid_arg "Config.make: replicas must lie in [1, 8]";
-  if ingest_domains < 1 || ingest_domains > 32 then
-    invalid_arg "Config.make: ingest_domains must lie in [1, 32]";
-  if ingest_batch < 1 then invalid_arg "Config.make: ingest_batch must be >= 1";
   {
     sizing;
     kappa;
@@ -120,8 +110,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
     quarantine_after;
     shards;
     replicas;
-    ingest_domains;
-    ingest_batch;
     stream_sketch;
   }
 

@@ -62,19 +62,6 @@ type t = {
           bit-compatible with stores written before replication
           existed). Runtime topology, like [shards]: never persisted.
           Validated to [1, 8]. *)
-  ingest_domains : int;
-      (** concurrent ingest lanes feeding the stream sketch (Quancurrent
-          style, DESIGN.md §15): each lane buffers [ingest_batch]
-          elements locally and hands the sorted run into the GK sketch
-          under one propagation lock. 1 = the classic single-writer
-          [observe] path with no lane machinery at all. Runtime policy,
-          like [query_domains]: never persisted, and a durable store may
-          be reopened with any lane count (recovery consolidates).
-          Validated to [1, 32]. *)
-  ingest_batch : int;
-      (** elements a lane buffers before one batched hand-off into the
-          sketch; the propagation (and snapshot) granularity. Runtime
-          policy; default 512. *)
   stream_sketch : [ `Gk | `Kll ];
       (** which ε₂ rank sketch summarizes the open step: [`Gk] (the
           paper's Greenwald-Khanna, the default) or [`Kll] (mergeable,
@@ -105,8 +92,6 @@ val make :
   ?quarantine_after:int ->
   ?shards:int ->
   ?replicas:int ->
-  ?ingest_domains:int ->
-  ?ingest_batch:int ->
   ?stream_sketch:[ `Gk | `Kll ] ->
   sizing ->
   t

@@ -2,8 +2,10 @@
    primary contribution (Sections 2.1-2.3).
 
    Lifecycle per time step (Figure 1):
-     observe       -- every stream element updates the GK sketch and is
-                      spooled into the current batch;
+     observe       -- every stream element is logged (when durable) and
+                      buffered; sorted runs of buffered elements update
+                      the GK sketch and are spooled into the current
+                      batch;
      end_time_step -- the batch is sorted and loaded into the historical
                       level index (Algorithm 3) and the stream sketch is
                       reset (Algorithm 4, StreamReset).
@@ -13,18 +15,15 @@
      accurate -- Algorithms 6-8, a value-domain binary search narrowed
                  by summaries with disk rank probes, O(eps*m) error. *)
 
-(* Durable-ingest state (Engine.open_or_recover): the write-ahead log
-   making the stream side R crash-safe, plus sketch-checkpoint
-   bookkeeping.  [None] = the stream is volatile, as in the paper. *)
 module Metrics = Hsq_obs.Metrics
 module Trace = Hsq_obs.Trace
 
 (* Query-path observability.  The quick path runs in ~100ns out of the
    summary cache, so its counters must stay a single machine operation:
-   they are [Atomic.t] ints (PR 4 shipped them as plain ints under a
-   single-submitter contract; concurrent ingest ended that contract, so
-   increments now race the exporter and each other) exported pull-style
-   through [Metrics.counter_fn].  Latency on the quick path is sampled
+   they are [Atomic.t] ints, because the daemon's inline quick answers
+   count summary-cache hits from connection threads, racing the engine
+   thread and the exporter; they are exported pull-style through
+   [Metrics.counter_fn].  Latency on the quick path is sampled
    1-in-64 (a gettimeofday pair costs ~half the whole query); the
    accurate path is ms-scale and always timed. *)
 type engine_metrics = {
@@ -70,6 +69,9 @@ let make_engine_metrics dev =
     "hsq_query_degraded_total" (fun () -> Atomic.get em.degraded_total);
   em
 
+(* Durable-ingest state (Engine.open_or_recover): the write-ahead log
+   making the stream side R crash-safe, plus sketch-checkpoint
+   bookkeeping.  [None] = the stream is volatile, as in the paper. *)
 type durability = {
   wal : Hsq_storage.Wal.t;
   meta_path : string; (* warehouse sidecar — the rollover commit record *)
@@ -79,33 +81,20 @@ type durability = {
   mutable last_checkpoint_seq : int; (* 0 = no live checkpoint *)
 }
 
-(* One concurrent ingest lane (Config.ingest_domains > 1, DESIGN.md §15):
-   a bounded local buffer of acknowledged elements plus, when durable,
-   this lane's own WAL appender (lane 0 shares the engine's main log;
-   lanes 1..D-1 get wal-<d>.log files in the same directory).  A lane's
-   lock covers its WAL append and its buffer, so the acknowledgement
-   order within a lane is exactly its log order; the sketch is touched
-   only on hand-off, under the engine-wide propagation lock, once per
-   [Config.ingest_batch] elements instead of once per element.  The
-   [observed] / [handoffs] fields are per-lane accumulators summed at
-   metric export — each is written by one lane at a time (under its
-   lock), so the hot path shares no counter cache line across lanes. *)
-type lane = {
-  lane_wal : Hsq_storage.Wal.t option;
-  lane_lock : Mutex.t;
-  mutable lbuf : int array;
-  mutable llen : int;
-  mutable observed : int;
-  mutable handoffs : int;
-}
-
 type t = {
   config : Config.t;
   dev : Hsq_storage.Block_device.t;
   hist : Hsq_hist.Level_index.t;
   mutable gk : Stream_sketch.t;
+  (* The open step's spool: every handed-off element, one sorted run
+     per hand-off. *)
   mutable batch : int array;
   mutable batch_len : int;
+  (* The one ingest buffer (DESIGN.md §15): acknowledged elements not
+     yet in [gk] or [batch].  Every read of the stream side hands it off
+     first, so no answer, count or checkpoint ever misses an element. *)
+  pending : int array;
+  mutable pending_len : int;
   mutable durable : durability option;
   (* Cached historical aggregate keyed by the level index's epoch: the
      historical side of TS only changes at end_time_step / merge /
@@ -125,18 +114,6 @@ type t = {
      pool holds query_domains - 1 workers; the querying domain is the
      remaining lane).  [close] joins it. *)
   query_pool : Bisection.pool;
-  (* Concurrent ingest lanes; [||] = the classic single-writer engine
-     (every existing path untouched, zero locking).  Non-empty only when
-     [config.ingest_domains] > 1.  Threading contract: [observe_domain]
-     may be called from any thread; everything else — queries,
-     [end_time_step], [checkpoint_now], [close] — stays single-submitter
-     (one "engine thread" at a time).  Lock order everywhere: lane locks
-     (ascending index) before [prop_lock], never the reverse. *)
-  mutable lanes : lane array;
-  (* Serializes batch hand-offs into [gk]/[batch] against each other and
-     against query-side reads of the sketch.  Taken once per batch, not
-     per element. *)
-  prop_lock : Mutex.t;
   metrics : engine_metrics;
   (* Tracing is opt-in per engine (set_tracer); mirrored onto the
      device's Io_stats so WAL/merge/checkpoint sites pick it up. *)
@@ -169,36 +146,6 @@ let degradation_label : degradation -> string = function
   | `Deadline -> "deadline"
   | `Device_open -> "device_open"
 
-(* Install the ingest lanes and their pull-style metrics.  [wals.(d)] is
-   lane d's appender (lane 0's entry must be the engine's main WAL for a
-   durable engine, or None for a volatile one).  The metric closures
-   read [t.lanes] through [t], so re-installation (volatile lanes built
-   by [create], replaced with durable ones by [open_or_recover]) keeps
-   the registered closures accurate; the sums are racy reads of per-lane
-   ints — possibly a few elements stale, never torn. *)
-let install_lanes t wals =
-  t.lanes <-
-    Array.map
-      (fun w ->
-        {
-          lane_wal = w;
-          lane_lock = Mutex.create ();
-          lbuf = Array.make (max 16 t.config.Config.ingest_batch) 0;
-          llen = 0;
-          observed = 0;
-          handoffs = 0;
-        })
-      wals;
-  let r = Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats t.dev) in
-  Metrics.counter_fn ~help:"Elements acknowledged through ingest lanes" r
-    "hsq_ingest_observed_total" (fun () ->
-      Array.fold_left (fun acc ln -> acc + ln.observed) 0 t.lanes);
-  Metrics.counter_fn ~help:"Batch hand-offs into the stream sketch" r "hsq_ingest_handoffs_total"
-    (fun () -> Array.fold_left (fun acc ln -> acc + ln.handoffs) 0 t.lanes);
-  Metrics.gauge_fn ~help:"Acknowledged elements buffered in ingest lanes" r
-    "hsq_ingest_buffered" (fun () ->
-      float_of_int (Array.fold_left (fun acc ln -> acc + ln.llen) 0 t.lanes))
-
 (* The sketch kind is config (runtime policy), but operators read it
    back through the metrics surface, so each engine registers it as a
    0/1 gauge alongside its other pull-style metrics. *)
@@ -217,8 +164,12 @@ let fresh_gk config =
     | Some words -> Stream_sketch.create_capped ~kind ~words ()
     | None -> assert false)
 
-(* A single-writer engine over [dev] and [hist] with an empty stream
-   side; [create] and [of_restored] finish it. *)
+(* Elements buffered between hand-offs into the stream sketch: one
+   sorted merge of this many replaces as many per-element GK inserts. *)
+let handoff_size = 512
+
+(* An engine over [dev] and [hist] with an empty stream side; [create]
+   and [of_restored] finish it. *)
 let fresh_engine config ~dev ~hist =
   {
     config;
@@ -227,6 +178,8 @@ let fresh_engine config ~dev ~hist =
     gk = fresh_gk config;
     batch = Array.make 1024 0;
     batch_len = 0;
+    pending = Array.make handoff_size 0;
+    pending_len = 0;
     durable = None;
     hist_cache = None;
     us_cache = None;
@@ -234,8 +187,6 @@ let fresh_engine config ~dev ~hist =
       Bisection.pool
         ~metrics:(Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats dev))
         config;
-    lanes = [||];
-    prop_lock = Mutex.create ();
     metrics = make_engine_metrics dev;
     tracer = None;
     closed = false;
@@ -253,8 +204,6 @@ let create ?device config =
       ~beta1:(Config.beta1 config) dev
   in
   let t = fresh_engine config ~dev ~hist in
-  if config.Config.ingest_domains > 1 then
-    install_lanes t (Array.make config.Config.ingest_domains None);
   register_sketch_metric t;
   t
 
@@ -287,134 +236,72 @@ let set_tracer t tr =
   Hsq_storage.Io_stats.set_tracer (Hsq_storage.Block_device.stats t.dev) tr
 
 let tracer t = t.tracer
+
+(* Hand the buffered elements off: one sorted merge into the sketch
+   (StreamUpdate, Algorithm 4, batched) and one run onto the step spool.
+   Every read of the stream side calls this first.  The engine is
+   single-submitter, so on an empty buffer it is one compare, no lock. *)
+let hand_off t =
+  if t.pending_len > 0 then begin
+    (* A full buffer is sorted in place: the sketch and the spool copy
+       the run, and a 512-word array would be allocated on the major
+       heap. *)
+    let run =
+      if t.pending_len = handoff_size then t.pending else Array.sub t.pending 0 t.pending_len
+    in
+    t.pending_len <- 0;
+    Array.sort Int.compare run;
+    Stream_sketch.insert_sorted_batch t.gk run;
+    let need = t.batch_len + Array.length run in
+    if need > Array.length t.batch then begin
+      let bigger = Array.make (max need (2 * Array.length t.batch)) 0 in
+      Array.blit t.batch 0 bigger 0 t.batch_len;
+      t.batch <- bigger
+    end;
+    Array.blit run 0 t.batch t.batch_len (Array.length run);
+    t.batch_len <- need
+  end
+
+(* Buffer one acknowledged element, handing off a full buffer — the
+   in-memory effect of one observe, shared by live ingest and replay. *)
+let buffer t v =
+  t.pending.(t.pending_len) <- v;
+  t.pending_len <- t.pending_len + 1;
+  if t.pending_len = handoff_size then hand_off t
+
 let hist t = t.hist
-let stream_sketch t = t.gk
-let stream_size t = Stream_sketch.count t.gk
+
+let stream_sketch t =
+  hand_off t;
+  t.gk
+
+let stream_size t = Stream_sketch.count (stream_sketch t)
 let hist_size t = Hsq_hist.Level_index.total_elements t.hist
 let total_size t = hist_size t + stream_size t
 let time_steps t = Hsq_hist.Level_index.time_steps t.hist
 
 (* eps2 as the engine currently provides it (2x the GK sketch's eps —
-   see Config); eps = 4*eps2 inverts Algorithm 1. *)
-let eps2 t = 2.0 *. Stream_sketch.epsilon t.gk
+   see Config); eps = 4*eps2 inverts Algorithm 1.  A capped sketch's
+   eps grows with its inserts, hence the hand-off. *)
+let eps2 t = 2.0 *. Stream_sketch.epsilon (stream_sketch t)
 let epsilon t = 4.0 *. eps2 t
 
 let memory_words t =
-  Hsq_hist.Level_index.memory_words t.hist + Stream_sketch.memory_words t.gk
-
-(* StreamUpdate (Algorithm 4) + batch spooling, without the WAL — the
-   in-memory effect of one element, shared by live ingest and replay. *)
-let apply_observe t v =
-  Stream_sketch.insert t.gk v;
-  if t.batch_len = Array.length t.batch then begin
-    let bigger = Array.make (2 * t.batch_len) 0 in
-    Array.blit t.batch 0 bigger 0 t.batch_len;
-    t.batch <- bigger
-  end;
-  t.batch.(t.batch_len) <- v;
-  t.batch_len <- t.batch_len + 1
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent ingest lanes (DESIGN.md §15).                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f] with the propagation lock held when lanes exist; a straight
-   call on a single-writer engine, so the classic paths pay nothing. *)
-let with_prop t f =
-  if Array.length t.lanes = 0 then f ()
-  else begin
-    Mutex.lock t.prop_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.prop_lock) f
-  end
-
-(* Hand a lane's buffered run into the sketch and the batch spool.
-   Caller holds [ln.lane_lock].  The sort happens outside the
-   propagation lock (it is the expensive part and touches only lane
-   state); the merge into [gk] and the spool append happen under it, so
-   a query never sees a half-applied batch — the propagated prefix is
-   the snapshot.  [since_checkpoint] moves here, once per batch: the
-   lane path never checkpoints inline (that would need every other
-   lane's lock while holding this one — a deadlock order violation);
-   an engine-thread caller picks the flag up via [checkpoint_if_due]. *)
-let propagate_locked t ln =
-  if ln.llen > 0 then begin
-    let b = Array.sub ln.lbuf 0 ln.llen in
-    ln.llen <- 0;
-    Array.sort Int.compare b;
-    let k = Array.length b in
-    Mutex.lock t.prop_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.prop_lock)
-      (fun () ->
-        Stream_sketch.insert_sorted_batch t.gk b;
-        let need = t.batch_len + k in
-        if need > Array.length t.batch then begin
-          let cap = ref (max 1024 (Array.length t.batch)) in
-          while !cap < need do
-            cap := 2 * !cap
-          done;
-          let bigger = Array.make !cap 0 in
-          Array.blit t.batch 0 bigger 0 t.batch_len;
-          t.batch <- bigger
-        end;
-        Array.blit b 0 t.batch t.batch_len k;
-        t.batch_len <- need;
-        ln.handoffs <- ln.handoffs + 1;
-        match t.durable with
-        | Some d -> d.since_checkpoint <- d.since_checkpoint + k
-        | None -> ())
-  end
-
-(* Engine-thread only: take every lane lock in index order (blocking
-   in-flight observes), drain every buffer into the sketch, and run [f]
-   with ingest fully fenced — the epoch-fenced seal-and-drain that makes
-   rollover and checkpoints see one well-defined prefix of each lane.
-   A straight call on a single-writer engine. *)
-let with_sealed_lanes t f =
-  let lanes = t.lanes in
-  if Array.length lanes = 0 then f ()
-  else begin
-    Array.iter (fun ln -> Mutex.lock ln.lane_lock) lanes;
-    Fun.protect
-      ~finally:(fun () -> Array.iter (fun ln -> Mutex.unlock ln.lane_lock) lanes)
-      (fun () ->
-        Array.iter (fun ln -> propagate_locked t ln) lanes;
-        f ())
-  end
-
-(* Make every acknowledged element visible to queries (drain all lane
-   buffers).  Engine-thread only, like all seal operations. *)
-let flush_ingest t = with_sealed_lanes t (fun () -> ())
-
-let ingest_domains t = max 1 (Array.length t.lanes)
-let buffered_ingest t = Array.fold_left (fun acc ln -> acc + ln.llen) 0 t.lanes
+  Hsq_hist.Level_index.memory_words t.hist + Stream_sketch.memory_words (stream_sketch t)
 
 (* Freeze the stream side at the WAL's last acknowledged sequence
-   number.  Every lane's log is synced first so the checkpoint never
-   covers records that could still be lost — otherwise recovery would
-   trust state whose log suffix vanished with the buffer cache.  For a
-   multi-lane engine the caller holds the seal (all lane locks), so the
-   buffers are empty and the per-lane cut vector is exact. *)
+   number.  The log is synced first so the checkpoint never covers
+   records that could still be lost — otherwise recovery would trust
+   state whose log suffix vanished with the buffer cache. *)
 let write_checkpoint_impl t d =
-  Array.iter
-    (fun ln -> match ln.lane_wal with Some w when w != d.wal -> Hsq_storage.Wal.sync w | _ -> ())
-    t.lanes;
+  hand_off t;
   Hsq_storage.Wal.sync d.wal;
-  let lane_seqs =
-    if Array.length t.lanes <= 1 then [||]
-    else
-      Array.init
-        (Array.length t.lanes - 1)
-        (fun i ->
-          match t.lanes.(i + 1).lane_wal with Some w -> Hsq_storage.Wal.last_seq w | None -> 0)
-  in
   let c =
     {
       Checkpoint.seq = Hsq_storage.Wal.last_seq d.wal;
       steps_done = Hsq_hist.Level_index.time_steps t.hist;
       batch = Array.sub t.batch 0 t.batch_len;
       gk = Stream_sketch.serialize t.gk;
-      lane_seqs;
     }
   in
   Checkpoint.save ~path:d.ckpt_path c;
@@ -431,73 +318,19 @@ let write_checkpoint t d =
    checkpoint (e.g. a drain path racing a signal handler) must not
    raise on it. *)
 let checkpoint_now t =
-  if not t.closed then
-    match t.durable with
-    | None -> ()
-    | Some d -> with_sealed_lanes t (fun () -> write_checkpoint t d)
+  if not t.closed then match t.durable with None -> () | Some d -> write_checkpoint t d
 
-(* The multi-lane replacement for the single-writer path's inline
-   auto-checkpoint: lanes only mark checkpoint debt (see
-   [propagate_locked]); the engine thread settles it between requests. *)
-let ingest_checkpoint_due t =
-  (not t.closed)
-  && Array.length t.lanes > 0
-  &&
+let observe t v =
   match t.durable with
-  | Some d -> d.checkpoint_every > 0 && d.since_checkpoint >= d.checkpoint_every
-  | None -> false
-
-let checkpoint_if_due t =
-  if ingest_checkpoint_due t then begin
-    checkpoint_now t;
-    true
-  end
-  else false
-
-let observe_single t v =
-  match t.durable with
-  | None -> apply_observe t v
+  | None -> buffer t v
   | Some d ->
     (* WAL first: if the append raises (injected fault, full disk) the
        element is unacknowledged and in-memory state is untouched. *)
     ignore (Hsq_storage.Wal.append d.wal (Hsq_storage.Wal.Observe v));
-    apply_observe t v;
+    buffer t v;
     d.since_checkpoint <- d.since_checkpoint + 1;
     if d.checkpoint_every > 0 && d.since_checkpoint >= d.checkpoint_every then
       write_checkpoint t d
-
-(* Lane-local ingest: append to this lane's WAL (the acknowledgement —
-   crash-durability is decided here, under the lane lock, before the
-   element is visible anywhere), buffer locally, and hand off a full
-   batch.  Callable from any thread; lanes never take each other's
-   locks, so D lanes ingest with no shared state but the per-batch
-   propagation lock. *)
-let observe_domain t ~domain v =
-  let nd = Array.length t.lanes in
-  if nd = 0 then observe_single t v
-  else begin
-    let ln = t.lanes.(((domain mod nd) + nd) mod nd) in
-    Mutex.lock ln.lane_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock ln.lane_lock)
-      (fun () ->
-        if t.closed then invalid_arg "Engine.observe_domain: engine is closed";
-        (match ln.lane_wal with
-        | Some w -> ignore (Hsq_storage.Wal.append w (Hsq_storage.Wal.Observe v))
-        | None -> ());
-        if ln.llen = Array.length ln.lbuf then begin
-          let bigger = Array.make (2 * ln.llen) 0 in
-          Array.blit ln.lbuf 0 bigger 0 ln.llen;
-          ln.lbuf <- bigger
-        end;
-        ln.lbuf.(ln.llen) <- v;
-        ln.llen <- ln.llen + 1;
-        ln.observed <- ln.observed + 1;
-        if ln.llen >= t.config.Config.ingest_batch then propagate_locked t ln)
-  end
-
-let observe t v =
-  if Array.length t.lanes = 0 then observe_single t v else observe_domain t ~domain:0 v
 
 let save_meta t path =
   Meta.write ~path
@@ -515,19 +348,9 @@ let save_meta t path =
      3. rotate the WAL (atomic truncation) and drop the checkpoint.
    A crash between 1 and 2 replays the step from the log; between 2
    and 3 the marker's step number is <= the recovered warehouse's step
-   count, so replay skips the re-ingest — never a double archive.
-
-   Multi-lane engines first seal every lane (all lane locks taken, all
-   buffers propagated), then write an [End_step_cuts] marker to lane 0
-   carrying each extra lane's last acknowledged sequence number — the
-   exact membership of the archived batch.  Every extra lane's log is
-   synced *before* the marker lands (a commit marker must never cover
-   records that could still vanish with the buffer cache), and rotation
-   goes extra lanes first, the marker-bearing lane 0 last: once lane 0
-   rotates the marker is gone, so no covered record may outlive it (it
-   would replay into the next open step and double-count). *)
+   count, so replay skips the re-ingest — never a double archive. *)
 let end_time_step t =
-  with_sealed_lanes t @@ fun () ->
+  hand_off t;
   if t.batch_len = 0 then invalid_arg "Engine.end_time_step: empty batch";
   let commit () =
     let batch = Array.sub t.batch 0 t.batch_len in
@@ -540,32 +363,10 @@ let end_time_step t =
   | None -> commit ()
   | Some d ->
     let step = Hsq_hist.Level_index.time_steps t.hist + 1 in
-    let extra_wals =
-      if Array.length t.lanes <= 1 then [||]
-      else
-        Array.init
-          (Array.length t.lanes - 1)
-          (fun i ->
-            match t.lanes.(i + 1).lane_wal with
-            | Some w -> w
-            | None -> invalid_arg "Engine.end_time_step: durable lane without a log")
-    in
-    (if Array.length extra_wals = 0 then
-       ignore
-         (Hsq_storage.Wal.append d.wal (Hsq_storage.Wal.End_step { step; count = t.batch_len }))
-     else begin
-       Array.iter Hsq_storage.Wal.sync extra_wals;
-       let cuts = Array.map Hsq_storage.Wal.last_seq extra_wals in
-       ignore
-         (Hsq_storage.Wal.append d.wal
-            (Hsq_storage.Wal.End_step_cuts { step; count = t.batch_len; cuts }))
-     end);
+    ignore (Hsq_storage.Wal.append d.wal (Hsq_storage.Wal.End_step { step; count = t.batch_len }));
     Hsq_storage.Wal.sync d.wal;
     let report = commit () in
     save_meta t d.meta_path;
-    for i = Array.length extra_wals - 1 downto 0 do
-      Hsq_storage.Wal.rotate extra_wals.(i)
-    done;
     Hsq_storage.Wal.rotate d.wal;
     (try Sys.remove d.ckpt_path with Sys_error _ -> ());
     d.last_checkpoint_seq <- 0;
@@ -580,24 +381,14 @@ let ingest_batch t batch =
    steps (whole partitions; see Level_index.expire). *)
 let expire t ~keep_steps = Hsq_hist.Level_index.expire t.hist ~keep_steps
 
-(* Extracting from the sketch while a lane could be mid-hand-off would
-   read a half-merged tuple array: every extraction (and the count that
-   keys the cache) happens under the propagation lock on a multi-lane
-   engine.  Hand-offs are atomic w.r.t. the lock, so what a query sees
-   is always "the sketch after some whole set of propagated batches" —
-   the snapshot-consistency contract. *)
-let stream_summary_unlocked t = Stream_summary.extract t.gk
-let stream_summary t = with_prop t (fun () -> stream_summary_unlocked t)
+let stream_summary t = Stream_summary.extract (stream_sketch t)
 
 let sketch_kind t = Stream_sketch.kind t.gk
 let sketch_label t = Stream_sketch.kind_label t.gk
 
-(* A private deep copy of the open step's KLL sketch (None under GK),
-   taken under the propagation lock so it is snapshot-consistent with
-   concurrent lane hand-offs.  Shard_group merges these to compose
-   fused stream summaries. *)
-let kll_snapshot t =
-  with_prop t (fun () -> Option.map Hsq_sketch.Kll.copy (Stream_sketch.as_kll t.gk))
+(* A private deep copy of the open step's KLL sketch (None under GK).
+   Shard_group merges these to compose fused stream summaries. *)
+let kll_snapshot t = Option.map Hsq_sketch.Kll.copy (Stream_sketch.as_kll (stream_sketch t))
 
 (* The cached historical aggregate, rebuilt only when the level index's
    epoch moved since it was computed (partition add / merge / expire /
@@ -624,7 +415,6 @@ let hist_aggregate t =
    unchanged GK sketch is pure, so a hit returns exactly what a rebuild
    would produce. *)
 let cached_summaries t =
-  with_prop t @@ fun () ->
   let epoch = Hsq_hist.Level_index.epoch t.hist in
   let count = stream_size t in
   match t.us_cache with
@@ -638,7 +428,7 @@ let cached_summaries t =
   | _ ->
     Atomic.incr t.metrics.sc_misses;
     let build () =
-      let ss = stream_summary_unlocked t in
+      let ss = stream_summary t in
       let pair = (ss, Union_summary.build_from_agg ~agg:(hist_aggregate t) ~stream:ss) in
       t.us_cache <- Some (epoch, count, pair);
       pair
@@ -655,9 +445,8 @@ let not_quarantined t p = not (Hsq_hist.Level_index.is_quarantined t.hist p)
 (* Cache-bypassing build over the full active partition set; the fuzz
    suite compares this against the cached path entry for entry. *)
 let fresh_union_summary t =
-  with_prop t @@ fun () ->
   Union_summary.build ~partitions:(Hsq_hist.Level_index.active_partitions t.hist)
-    ~stream:(stream_summary_unlocked t)
+    ~stream:(stream_summary t)
 
 (* Algorithm 5. *)
 let quick_us us ~rank =
@@ -862,6 +651,29 @@ let durable_paths dir =
 
 let store_paths ~dir = durable_paths dir
 
+exception Unsupported_store of string
+
+(* A store written with the removed multi-lane ingest keeps acknowledged
+   elements in wal-<d>.log files that nothing here replays: refuse it
+   rather than open it without them. *)
+let check_store ~dir =
+  let lane_log name =
+    String.starts_with ~prefix:"wal-" name
+    && Filename.check_suffix name ".log"
+    && Option.is_some (int_of_string_opt (String.sub name 4 (String.length name - 8)))
+  in
+  if Sys.file_exists dir && Sys.is_directory dir then
+    match List.find_opt lane_log (List.sort compare (Array.to_list (Sys.readdir dir))) with
+    | None -> ()
+    | Some name ->
+      raise
+        (Unsupported_store
+           (Printf.sprintf
+              "%s holds ingest-lane log %s, written with --ingest-domains > 1; open the store \
+               once with an hsq build that still has --ingest-domains, at --ingest-domains 1, \
+               to consolidate it into %s"
+              dir name wal_file))
+
 (* Adopt a checkpoint's frozen stream side.  A structurally invalid GK
    image means the file lied despite its checksum (or versions skewed):
    treat the checkpoint as absent, full replay is always correct. *)
@@ -894,6 +706,7 @@ let open_or_recover config =
       invalid_arg "Engine.open_or_recover: wal_dir is not a directory"
   end
   else Sys.mkdir dir 0o755;
+  check_store ~dir;
   let device_path, meta_path, wal_path, ckpt_path = durable_paths dir in
   (* Warehouse first.  The sidecar is the commit record: without it the
      device file holds no committed state and is reinitialised. *)
@@ -912,8 +725,6 @@ let open_or_recover config =
           wal_sync = config.Config.wal_sync;
           checkpoint_every = config.Config.checkpoint_every;
           query_domains = config.Config.query_domains;
-          ingest_domains = config.Config.ingest_domains;
-          ingest_batch = config.Config.ingest_batch;
           stream_sketch = config.Config.stream_sketch;
         }
       in
@@ -938,175 +749,54 @@ let open_or_recover config =
         [],
         Hsq_storage.Wal.Clean )
   in
-  (* Extra ingest-lane logs (wal-1.log, wal-2.log, ...): the contiguous
-     run from 1 defines how many lanes the store was last written with.
-     Consolidation (below) deletes stale lane files top-down, so the
-     contiguity scan can never adopt an orphaned log from an older,
-     wider lane layout. *)
-  let lane_file d = Filename.concat dir (Printf.sprintf "wal-%d.log" d) in
-  let lanes_on_disk =
-    let rec go d = if Sys.file_exists (lane_file d) then go (d + 1) else d in
-    go 1
-  in
-  let extra_opened =
-    Array.init (lanes_on_disk - 1) (fun i ->
-        Hsq_storage.Wal.open_existing ~sync:config.Config.wal_sync ~stats ~path:(lane_file (i + 1))
-          ())
-  in
   (* Checkpoint: usable only if its warehouse step count matches the
      warehouse we actually recovered — otherwise it froze a step that
-     was since archived (or rolled back) — AND its lane-cut vector
-     matches the lane layout on disk (a checkpoint from a different
-     layout cannot pin per-lane replay positions).  Unusable means
-     replay starts from seq 1 of every log, which is always correct. *)
+     was since archived (or rolled back).  Unusable means replay starts
+     from seq 1, which is always correct. *)
   let steps_committed = Hsq_hist.Level_index.time_steps t.hist in
   let checkpoint_used, replay_after =
     match Checkpoint.load ~path:ckpt_path with
-    | Ok (Some c)
-      when c.Checkpoint.steps_done = steps_committed
-           && Array.length c.Checkpoint.lane_seqs = lanes_on_disk - 1
-           && restore_from_checkpoint t c ->
-      (true, Array.append [| c.Checkpoint.seq |] c.Checkpoint.lane_seqs)
-    | Ok _ | Error _ -> (false, Array.make lanes_on_disk min_int)
+    | Ok (Some c) when c.Checkpoint.steps_done = steps_committed && restore_from_checkpoint t c ->
+      (true, c.Checkpoint.seq)
+    | Ok _ | Error _ -> (false, min_int)
   in
   let replayed = ref 0 and reingested = ref 0 and skipped = ref 0 in
-  (* Per-lane record arrays with cursors: lane 0 drives the replay; an
-     [End_step_cuts] marker first consumes each extra lane's records up
-     to its cut (they belong to the step being archived), and whatever
-     survives all markers is the open step, applied lane-major — a
-     deterministic order covering exactly the acknowledged records. *)
-  let lane_records =
-    Array.init lanes_on_disk (fun d ->
-        if d = 0 then Array.of_list records
-        else
-          let _, recs, _ = extra_opened.(d - 1) in
-          Array.of_list recs)
+  let drop_step () =
+    t.batch_len <- 0;
+    t.gk <- fresh_gk t.config
   in
-  let cursors = Array.make lanes_on_disk 0 in
-  let apply_record d (seq, record) =
-    match record with
-    | Hsq_storage.Wal.Observe v ->
-      if seq > replay_after.(d) then begin
+  List.iter
+    (fun (seq, record) ->
+      if seq > replay_after then begin
         incr replayed;
         Hsq_storage.Io_stats.note_wal_replayed stats;
-        apply_observe t v
-      end
-    | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ ->
-      (* Markers live only in lane 0 (handled by the driver below);
-         one in an extra lane would be a damaged log — ignore it. *)
-      ()
-  in
-  (* Records of lane [d] with seq <= [upto] belong to the current
-     marker's step (or, with [upto] = max_int, to the open step). *)
-  let consume_lane d ~upto =
-    let recs = lane_records.(d) in
-    while cursors.(d) < Array.length recs && fst recs.(cursors.(d)) <= upto do
-      apply_record d recs.(cursors.(d));
-      cursors.(d) <- cursors.(d) + 1
-    done
-  in
-  let marker_logic step =
-    if step <= Hsq_hist.Level_index.time_steps t.hist then begin
-      (* The step committed before the crash (sidecar written, WAL not
-         yet rotated): drop the replayed batch, never archive twice. *)
-      t.batch_len <- 0;
-      t.gk <- fresh_gk t.config;
-      incr skipped
-    end
-    else if t.batch_len = 0 then
-      (* A marker with no surviving elements (damaged log): nothing to
-         archive. *)
-      incr skipped
-    else begin
-      let batch = Array.sub t.batch 0 t.batch_len in
-      ignore (Hsq_hist.Level_index.add_batch t.hist batch);
-      t.batch_len <- 0;
-      t.gk <- fresh_gk t.config;
-      save_meta t meta_path;
-      incr reingested
-    end
-  in
-  Array.iter
-    (fun ((seq, record) as r) ->
-      match record with
-      | Hsq_storage.Wal.Observe _ -> apply_record 0 r
-      | Hsq_storage.Wal.End_step { step; count = _ } ->
-        if seq > replay_after.(0) then begin
-          incr replayed;
-          Hsq_storage.Io_stats.note_wal_replayed stats;
-          marker_logic step
-        end
-      | Hsq_storage.Wal.End_step_cuts { step; count = _; cuts } ->
-        (* Consume the covered extra-lane records even when the marker
-           itself predates the checkpoint (their cursors must advance
-           past them; the per-lane [replay_after] already skips any the
-           checkpoint covers). *)
-        for d = 1 to lanes_on_disk - 1 do
-          let cut = if d - 1 < Array.length cuts then cuts.(d - 1) else min_int in
-          consume_lane d ~upto:cut
-        done;
-        if seq > replay_after.(0) then begin
-          incr replayed;
-          Hsq_storage.Io_stats.note_wal_replayed stats;
-          marker_logic step
-        end)
-    lane_records.(0);
-  for d = 1 to lanes_on_disk - 1 do
-    consume_lane d ~upto:max_int
-  done;
-  (* The logs are deliberately left un-rotated after replay: committed
+        match record with
+        | Hsq_storage.Wal.Observe v -> buffer t v
+        | Hsq_storage.Wal.End_step { step; count = _ } ->
+          hand_off t;
+          if step <= Hsq_hist.Level_index.time_steps t.hist then begin
+            (* The step committed before the crash (sidecar written, WAL
+               not yet rotated): drop the replayed batch, never archive
+               twice. *)
+            drop_step ();
+            incr skipped
+          end
+          else if t.batch_len = 0 then
+            (* A marker with no surviving elements (damaged log): nothing
+               to archive. *)
+            incr skipped
+          else begin
+            ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
+            drop_step ();
+            save_meta t meta_path;
+            incr reingested
+          end
+      end)
+    records;
+  (* The log is deliberately left un-rotated after replay: committed
      markers replay as skips, so a crash during recovery just recovers
-     again.  The next end_time_step rotates them. *)
+     again.  The next end_time_step rotates it. *)
   if not (Sys.file_exists meta_path) then save_meta t meta_path;
-  let runtime_lanes = config.Config.ingest_domains in
-  (* Reconcile the on-disk lane layout with the runtime lane count.
-     Shrinking consolidates: everything is already replayed into memory,
-     so one checkpoint carrying the surviving lanes' cut vector makes
-     the dropped lanes' records durable in sketch-image form, after
-     which their files can go.  Deletion runs top-down so a crash
-     mid-consolidation leaves a *contiguous* wider layout — the next
-     open finds the cut vector too short for it, discards the
-     checkpoint, and replays the still-intact files in full. *)
-  let surviving_extra =
-    Array.init
-      (min (runtime_lanes - 1) (lanes_on_disk - 1))
-      (fun i ->
-        let w, _, _ = extra_opened.(i) in
-        w)
-  in
-  let consolidated =
-    if lanes_on_disk <= runtime_lanes then false
-    else begin
-      let lane_seqs = Array.map Hsq_storage.Wal.last_seq surviving_extra in
-      Checkpoint.save ~path:ckpt_path
-        {
-          Checkpoint.seq = Hsq_storage.Wal.last_seq wal;
-          steps_done = Hsq_hist.Level_index.time_steps t.hist;
-          batch = Array.sub t.batch 0 t.batch_len;
-          gk = Stream_sketch.serialize t.gk;
-          lane_seqs;
-        };
-      Hsq_storage.Io_stats.note_checkpoint stats;
-      for d = lanes_on_disk - 1 downto runtime_lanes do
-        let w, _, _ = extra_opened.(d - 1) in
-        Hsq_storage.Wal.close w;
-        try Sys.remove (lane_file d) with Sys_error _ -> ()
-      done;
-      true
-    end
-  in
-  (* Growing just creates fresh logs for the new lanes. *)
-  let created_extra =
-    Array.init
-      (max 0 (runtime_lanes - lanes_on_disk))
-      (fun i ->
-        Hsq_storage.Wal.create ~sync:config.Config.wal_sync ~stats
-          ~path:(lane_file (lanes_on_disk + i)) ~start_seq:1 ())
-  in
-  if runtime_lanes > 1 then
-    install_lanes t
-      (Array.append [| Some wal |]
-         (Array.map Option.some (Array.append surviving_extra created_extra)));
   t.durable <-
     Some
       {
@@ -1115,10 +805,7 @@ let open_or_recover config =
         ckpt_path;
         checkpoint_every = config.Config.checkpoint_every;
         since_checkpoint = 0;
-        last_checkpoint_seq =
-          (if consolidated then Hsq_storage.Wal.last_seq wal
-           else if checkpoint_used then replay_after.(0)
-           else 0);
+        last_checkpoint_seq = (if checkpoint_used then replay_after else 0);
       };
   (* Recovery depth stays readable after the report is dropped: status
      tooling (hsq status --health, the serve health verb) shows how much
@@ -1148,44 +835,26 @@ let open_or_recover config =
 
 let is_closed t = t.closed
 
-(* Mark the engine closed under every lane lock: an in-flight
-   [observe_domain] either completes (WAL-appended — recovery replays
-   it) or observes [closed] and raises, so no observe can ever append to
-   a released channel.  Returns whether this call did the transition. *)
+(* Returns whether this call did the transition. *)
 let mark_closed t =
-  Array.iter (fun ln -> Mutex.lock ln.lane_lock) t.lanes;
   let was_closed = t.closed in
   t.closed <- true;
-  Array.iter (fun ln -> Mutex.unlock ln.lane_lock) t.lanes;
   not was_closed
-
-let extra_lane_wals t d =
-  Array.to_list t.lanes
-  |> List.filter_map (fun ln ->
-         match ln.lane_wal with Some w when w != d.wal -> Some w | _ -> None)
 
 let close t =
   if mark_closed t then begin
     Bisection.shutdown_pool t.query_pool;
-    (match t.durable with
-    | None -> ()
-    | Some d ->
-      List.iter Hsq_storage.Wal.close (extra_lane_wals t d);
-      Hsq_storage.Wal.close d.wal);
+    Option.iter (fun d -> Hsq_storage.Wal.close d.wal) t.durable;
     Hsq_storage.Block_device.close t.dev
   end
 
-(* Simulated power cut (crash harness): drop what the WALs had not
+(* Simulated power cut (crash harness): drop what the WAL had not
    flushed and release the handles — block writes are synchronous in
-   this model, so only the log tails are at stake. *)
+   this model, so only the log tail is at stake. *)
 let crash t =
   if mark_closed t then begin
     Bisection.shutdown_pool t.query_pool;
-    (match t.durable with
-    | None -> ()
-    | Some d ->
-      List.iter Hsq_storage.Wal.crash (extra_lane_wals t d);
-      Hsq_storage.Wal.crash d.wal);
+    Option.iter (fun d -> Hsq_storage.Wal.crash d.wal) t.durable;
     Hsq_storage.Block_device.close t.dev
   end
 

@@ -124,64 +124,15 @@ val memory_words : t -> int
 
 (** StreamUpdate (Algorithm 4) plus batch spooling. On a durable engine
     (see {!open_or_recover}) the element is appended to the write-ahead
-    log first: if the append raises, the element is unacknowledged and
-    in-memory state is untouched.
-
-    With [config.ingest_domains = 1] (the default) the engine is
-    single-submitter: this is the classic paper path. With
-    [ingest_domains > 1] the call routes to lane 0 of
-    {!observe_domain} and may be issued concurrently with other
-    lanes. *)
+    log first — the acknowledgement: if the append raises, the element
+    is unacknowledged and in-memory state is untouched. It is then
+    buffered, and every 512 buffered elements are handed off, sorted, to
+    the sketch ({!Stream_sketch.insert_sorted_batch}) and the step spool
+    in one merge. Every read of the stream side (sizes, summaries,
+    answers, checkpoints, {!end_time_step}) hands the buffer off first,
+    so each acknowledged element is visible to the next call. The engine
+    is single-submitter: one thread at a time calls into it. *)
 val observe : t -> int -> unit
-
-(** {2 Concurrent ingest lanes (DESIGN.md §15)}
-
-    With [config.ingest_domains = D > 1] the engine carries D
-    shard-local stream buffers. {!observe_domain} is safe to call from
-    any thread, concurrently across lanes (and even on the same lane —
-    the lane lock serializes); each lane buffers [config.ingest_batch]
-    elements and hands the sorted run into the GK sketch under one
-    propagation lock, so contention is per batch, not per element. On a
-    durable engine each lane appends to its own WAL
-    ([wal.log], [wal-1.log], …) before buffering — the acknowledged
-    prefix is exactly what recovery reproduces, in deterministic
-    lane-major order within each step.
-
-    Everything else — queries, {!end_time_step}, {!checkpoint_now},
-    {!close} — remains single-submitter ("the engine thread"): those
-    calls may run concurrently with [observe_domain], but not with each
-    other. Queries are snapshot-consistent: they seal nothing and see
-    only whole propagated batches ([end_time_step] seals and drains all
-    lanes first). *)
-
-(** [observe_domain t ~domain v] — observe [v] on lane
-    [domain mod ingest_domains]. Equal to {!observe} when
-    [ingest_domains = 1]. Raises [Invalid_argument] after {!close} /
-    {!crash}. *)
-val observe_domain : t -> domain:int -> int -> unit
-
-(** Configured lane count (≥ 1). *)
-val ingest_domains : t -> int
-
-(** Seal every lane and propagate all buffered elements into the
-    sketch, then release. Call from the engine thread before reading
-    exact totals; {!end_time_step} does this implicitly. *)
-val flush_ingest : t -> unit
-
-(** Elements currently buffered in lanes (not yet in the sketch).
-    Approximate under concurrency — for gauges, not invariants. *)
-val buffered_ingest : t -> int
-
-(** [true] when lane hand-offs have accumulated enough WAL records
-    since the last checkpoint ([config.checkpoint_every]) that the
-    engine thread should call {!checkpoint_if_due}. Lanes never
-    checkpoint themselves — the engine thread settles the debt, which
-    keeps the lock order (lanes before propagation) acyclic. *)
-val ingest_checkpoint_due : t -> bool
-
-(** Take the due checkpoint (a {!checkpoint_now}) if
-    {!ingest_checkpoint_due}; returns whether one was taken. *)
-val checkpoint_if_due : t -> bool
 
 (** HistUpdate (Algorithm 3) + StreamReset. Raises [Invalid_argument]
     on an empty batch — before any WAL write, so an empty rollover is a
@@ -199,8 +150,8 @@ val ingest_batch : t -> int array -> Hsq_hist.Level_index.update_report
     dropped. *)
 val expire : t -> keep_steps:int -> int * int
 
-(** Current SS (rebuilt on each call — the stream moves on every
-    [observe]). *)
+(** Current SS (rebuilt on each call — the stream moves with every
+    hand-off). *)
 val stream_summary : t -> Stream_summary.t
 
 (** Current TS: the historical half comes from a cached aggregate keyed
@@ -284,11 +235,27 @@ type recovery_report = {
   wal_tail : string option;
 }
 
+(** Raised by {!open_or_recover} and {!check_store} on a store written
+    with the removed multi-lane ingest ([--ingest-domains > 1]): it
+    holds [wal-<d>.log] files next to [wal.log], with acknowledged
+    elements nothing here replays. The message names the file and the
+    way out: open the store once with an hsq build that still has
+    [--ingest-domains], at [--ingest-domains 1], which consolidates the
+    lane logs. *)
+exception Unsupported_store of string
+
+(** Raise {!Unsupported_store} if the store directory [dir] holds a
+    lane log; a no-op on a missing directory. *)
+val check_store : dir:string -> unit
+
 (** Open the durable store at [config.wal_dir], recovering any state a
-    previous process left behind. Raises [Invalid_argument] if
-    [config.wal_dir] is [None], and {!Hsq_storage.Block_device.Device_error}
-    / [Meta.Corrupt_metadata] on unrecoverable store damage (a corrupt
-    checkpoint is NOT damage: it falls back to a full replay). *)
+    previous process left behind: the checkpoint, then the WAL suffix
+    past it, replayed through the same ingest buffer as {!observe}.
+    Raises [Invalid_argument] if [config.wal_dir] is [None],
+    {!Unsupported_store} on a lane store (before touching any file), and
+    {!Hsq_storage.Block_device.Device_error} / [Meta.Corrupt_metadata]
+    on unrecoverable store damage (a corrupt checkpoint is NOT damage:
+    it falls back to a full replay). *)
 val open_or_recover : Config.t -> t * recovery_report
 
 (** Flush the WAL and close the log and device files. Never called in

@@ -14,11 +14,10 @@
      single-submitter by contract, so all engine access funnels here,
      and query-internal parallelism still fans out across the
      Parallel.Pool probe domains;
-   - two verbs skip the queue: direct-lane observes (ingest_domains >
-     1) and full-store quicks (no window), which a connection thread
-     answers from the engine thread's published quick snapshot while
-     that snapshot's write generation is current, the engine thread is
-     idle and no stop was requested.  Writers bump the generation after
+   - full-store quicks (no window) skip the queue: a connection thread
+     answers them from the engine thread's published quick snapshot
+     while that snapshot's write generation is current, the engine
+     thread is idle and no stop was requested.  Writers bump the generation after
      applying and before acking; the publisher reads it before building.
      The idle gate keeps inline answers off the runtime lock while an
      accurate query waits on device reads.  See "inline quick answers".
@@ -107,10 +106,6 @@ type t = {
   group : G.t;
   reg : Metrics.t; (* serve-owned metrics; shard registries are merged
                       in at dump time *)
-  ingest_lanes : int; (* > 1: connection threads run Observe directly on
-                         their own ingest lane (group observe_domain),
-                         bypassing the single-submitter queue *)
-  ckpt_scheduled : bool Atomic.t; (* a lane-debt checkpoint job is queued *)
   (* Inline quick answers (see "inline quick answers" below): the write
      generation, the last full-store quick snapshot tagged with the
      generation read before it was built, and the engine-thread items
@@ -151,8 +146,6 @@ let create config group =
     config;
     group;
     reg;
-    ingest_lanes = (G.config group).Hsq.Config.ingest_domains;
-    ckpt_scheduled = Atomic.make false;
     generation = Atomic.make 0;
     published = Atomic.make None;
     outstanding = Atomic.make 0;
@@ -226,10 +219,8 @@ let degradation_fields (report : G.query_report) =
 
 (* Apply [observe] to each value in order.  On a failure every
    element before it is acknowledged (it hit the WAL) and it and the
-   rest are not; the reply says exactly how many were applied.
-   [`Closed]: the group was closed under the caller, which only a
-   direct-lane observe racing the drain can see. *)
-let observe_all ?(ok_fields = []) observe vals =
+   rest are not; the reply says exactly how many were applied. *)
+let observe_all observe vals =
   let applied = ref 0 in
   let n () = ("applied", Json.int !applied) in
   try
@@ -238,7 +229,7 @@ let observe_all ?(ok_fields = []) observe vals =
         observe v;
         incr applied)
       vals;
-    (`Ok, Protocol.ok (n () :: ok_fields))
+    (`Ok, Protocol.ok [ n () ])
   with
   | G.Shard_unavailable (i, reason) ->
     ( `Error,
@@ -246,7 +237,6 @@ let observe_all ?(ok_fields = []) observe vals =
         ~detail:(Printf.sprintf "shard %d down: %s" i reason)
         ~extra:[ n (); ("shard", Json.int i) ] )
   | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_wal ~detail:msg ~extra:[ n () ])
-  | Invalid_argument _ -> (`Closed, Protocol.err Protocol.e_shutting_down ~extra:[ n () ])
 
 (* The element count a query over [window] (the whole store if [None])
    resolves its target against. *)
@@ -400,7 +390,6 @@ let tally t run =
   | `Error, resp ->
     Metrics.Counter.inc t.c.internal;
     resp
-  | `Closed, resp -> resp
   | exception e ->
     Metrics.Counter.inc t.c.internal;
     Protocol.err Protocol.e_internal ~detail:(Printexc.to_string e)
@@ -415,9 +404,9 @@ let tally t run =
    Anything else queues as before.
 
    Zero staleness rests on one ordering.  Every write bumps the
-   generation after it is applied and before it is acknowledged: observe
-   and end_step on the engine thread, every engine-thread job, and
-   direct-lane observes on connection threads.  The publisher reads the
+   generation after it is applied and before it is acknowledged:
+   observe, end_step and every job, all on the engine thread.  The
+   publisher reads the
    generation before it builds.  So a quick that arrives after an ack
    finds either a snapshot built after that write or a stale tag.  An
    accurate query can quarantine partitions or drop what the snapshot
@@ -543,64 +532,11 @@ let submit_and_reply t req =
         ]
   | Admission.Draining -> Protocol.err Protocol.e_shutting_down
 
-(* --- direct ingest lanes (ingest_domains > 1) ---------------------------
-
-   With concurrent lanes configured, Observe verbs never queue: the
-   connection thread applies them itself through the group's
-   thread-safe observe_domain, on the lane its connection id maps to.
-   Ingest therefore scales with connections instead of serializing
-   behind queries on the engine thread, and a slow accurate query no
-   longer stalls writers (it holds the propagation lock only while
-   merging whole batches).
-
-   Safety against the drain: Admission.draining is checked first (a
-   draining server stops acknowledging new elements), and the engine's
-   own closed flag — checked under the lane lock, i.e. after the point
-   where close could have cut in — backstops the race window with an
-   explicit shutting_down reply.  Elements applied before the failure
-   were WAL-acknowledged; the reply says exactly how many. *)
-
 (* An engine-thread job outside any client's budget. *)
 let admin_job f =
   Admission.make_item (Admission.Job f) Protocol.Admin_q ~deadline:(Metrics.now_s () +. 60.0)
 
-(* Lane hand-offs accrue checkpoint debt but never checkpoint
-   themselves (lock order: lanes before propagation, and a checkpoint
-   seals every lane).  The first connection thread to notice debt
-   schedules one engine-thread job; the flag stops a thundering herd of
-   duplicates. *)
-let schedule_lane_checkpoint t =
-  let due = List.exists (fun (_, e) -> E.ingest_checkpoint_due e) (G.engines t.group) in
-  if due && not (Atomic.exchange t.ckpt_scheduled true) then begin
-    let job () =
-      Atomic.set t.ckpt_scheduled false;
-      ignore (G.checkpoint_if_due t.group)
-    in
-    match enqueue t (admin_job job) with
-    | Admission.Admitted -> () (* fire-and-forget: nobody awaits the reply *)
-    | Admission.Overloaded _ | Admission.Draining ->
-      (* Queue full or draining: drop the attempt; debt persists and the
-         next observe re-schedules (or the drain's checkpoint_now pays). *)
-      Atomic.set t.ckpt_scheduled false
-  end
-
-let direct_observe t ~conn_id vals =
-  if Admission.draining t.adm then Protocol.err Protocol.e_shutting_down
-  else begin
-    let lane = conn_id mod t.ingest_lanes in
-    let resp =
-      tally t (fun () ->
-          observe_all ~ok_fields:[ ("lane", Json.int lane) ]
-            (G.observe_domain t.group ~domain:lane)
-            vals)
-    in
-    (* Applied, not yet acknowledged: see "inline quick answers". *)
-    bump t;
-    schedule_lane_checkpoint t;
-    resp
-  end
-
-let handle_line t ~conn_id fd line =
+let handle_line t fd line =
   match Json.of_string line with
   | Error msg ->
     Metrics.Counter.inc t.c.parse_error;
@@ -619,7 +555,6 @@ let handle_line t ~conn_id fd line =
       Metrics.Counter.inc t.c.ok;
       write_line fd (Protocol.ok [ ("draining", Json.Bool true) ]);
       request_stop t
-    | Ok (Protocol.Observe vals) when t.ingest_lanes > 1 -> write_line fd (direct_observe t ~conn_id vals)
     | Ok (Protocol.Quick { target; window = None } as req) -> (
       match inline_snapshot t with
       | Some snap -> write_line fd (inline_quick t snap target)
@@ -636,7 +571,7 @@ let handle_line t ~conn_id fd line =
    unconsumed input, of which [start, scan) is known to hold no newline,
    so every byte is scanned once.  The buffer is compacted only after a
    line was consumed, and only before the next read. *)
-let conn_loop t ~conn_id fd =
+let conn_loop t fd =
   let cfg = t.config in
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.read_timeout_s with Unix.Unix_error _ -> ());
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.write_timeout_s with Unix.Unix_error _ -> ());
@@ -663,7 +598,7 @@ let conn_loop t ~conn_id fd =
         else begin
           let line = String.trim (Bytes.sub_string !buf line_start (i - line_start)) in
           if line <> "" then (
-            try handle_line t ~conn_id fd line
+            try handle_line t fd line
             with Exit | Unix.Unix_error _ ->
               (* Write failed: stalled or vanished client; drop it. *)
               run := false)
@@ -707,7 +642,7 @@ let handle_conn t id fd =
       Mutex.lock t.conn_lock;
       Hashtbl.remove t.conns id;
       Mutex.unlock t.conn_lock)
-    (fun () -> try conn_loop t ~conn_id:id fd with _ -> ())
+    (fun () -> try conn_loop t fd with _ -> ())
 
 (* --- listener & lifecycle ---------------------------------------------- *)
 

@@ -13,22 +13,12 @@
     stalled clients, abrupt disconnects) are contained per-connection
     and surfaced in [hsq_serve_*] metrics.
 
-    Exception: with [config.ingest_domains > 1] on the group,
-    [observe] verbs bypass the queue — each connection thread applies
-    them itself on the ingest lane its connection id maps to
-    ({!Hsq_shard.Shard_group.observe_domain}, thread-safe by design),
-    so writers scale with connections instead of
-    serializing behind queries.  Replies still acknowledge exactly the
-    WAL-durable prefix, a draining server answers [shutting_down]
-    without acknowledging, and lane checkpoint debt is settled by a
-    job on the engine thread (DESIGN.md §15).
-
-    A [quick] without a [window] is answered on its connection thread
-    from the engine thread's last full-store quick snapshot
-    ({!Hsq_shard.Shard_group.quick_snapshot}) when no write has been
-    applied since it was built, the engine thread is idle, and no stop
-    was requested; otherwise it queues.  Such an answer is never
-    stale, never shed and never deadline-cut, and counts in
+    The one exception: a [quick] without a [window] is answered on its
+    connection thread from the engine thread's last full-store quick
+    snapshot ({!Hsq_shard.Shard_group.quick_snapshot}) when no write
+    has been applied since it was built, the engine thread is idle, and
+    no stop was requested; otherwise it queues.  Such an answer is
+    never stale, never shed and never deadline-cut, and counts in
     [hsq_serve_quick_inline_total] instead of
     [hsq_serve_requests_admitted_total] (DESIGN.md §13).
 

@@ -1,22 +1,23 @@
 (* Anti-entropy primitives: per-replica state digests and the file-level
    copy a repair uses to converge a diverged replica onto a sibling.
 
-   Replicas of a shard apply identical op sequences, and every piece of
-   engine state is deterministic in that sequence — the warehouse merge
-   cascade, the GK sketch, and the KLL sketch's coin stream (seeded
-   SplitMix over a flip counter, see lib/sketch/kll.ml) — so healthy
-   siblings agree *bit for bit*.  That makes cheap structural digests a
-   sound divergence detector, and file-level copy a sound repair: the
-   healthy sibling's store files fully describe its state, and opening
-   a byte-identical copy recovers an identical engine.
+   Replicas of a shard apply identical op sequences, and the warehouse
+   is deterministic in that sequence (the merge cascade), so healthy
+   siblings hold bit-identical historical state and the same open-step
+   elements.  The stream sketch is not compared: its image depends on
+   where reads handed the ingest buffer off, and only the read replica
+   is read.  That makes cheap structural digests a sound divergence
+   detector, and file-level copy a sound repair: the healthy sibling's
+   store files fully describe its state, and opening a byte-identical
+   copy recovers the same elements.
 
    A digest is (element count, archived steps, per-level partition
-   checksums, sketch checkpoint checksum): the historical side is
-   hashed from the partition descriptors (level, block placement, step
-   range, length, quarantine bit — the same lines the sidecar
-   persists), and the stream side from the checkpoint file a forced
-   [checkpoint_now] just rendered from live state.  Any acked op a
-   replica lost, gained, or reordered moves at least one component. *)
+   checksums, open-step checksum): the historical side is hashed from
+   the partition descriptors (level, block placement, step range,
+   length, quarantine bit — the same lines the sidecar persists), and
+   the stream side from the sorted spool of the checkpoint a forced
+   [checkpoint_now] just wrote.  Any acked op a replica lost or gained
+   moves at least one component. *)
 
 module E = Hsq.Engine
 module Li = Hsq_hist.Level_index
@@ -26,25 +27,27 @@ type digest = {
   steps : int;
   hist_hash : int; (* all partition descriptors *)
   levels : (int * int) list; (* (level, checksum over that level's descriptors) *)
-  sketch_hash : int; (* checksum of the sketch checkpoint file; 0 = volatile/no file *)
+  sketch_hash : int; (* checksum of the open step's sorted elements; 0 = volatile *)
 }
 
 let descriptor_line (d : Li.partition_descriptor) =
   Printf.sprintf "%d %d %d %d %d %d\n" d.level d.first_block d.length d.first_step d.last_step
     (if d.quarantined then 1 else 0)
 
-let read_file_checksum path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Hsq.Meta.checksum (really_input_string ic (in_channel_length ic)))
-  with Sys_error _ | End_of_file -> 0
+(* The open step's elements in sorted order, from the checkpoint at
+   [path]; 0 when it cannot be read. *)
+let open_step_checksum path =
+  match Hsq.Checkpoint.load ~path with
+  | Ok (Some c) ->
+    let batch = Array.copy c.Hsq.Checkpoint.batch in
+    Array.sort Int.compare batch;
+    Hsq.Meta.checksum (String.concat " " (Array.to_list (Array.map string_of_int batch)))
+  | Ok None | Error _ -> 0
 
-(* [store_dir] names the replica's durable directory: the sketch side is
-   then a forced checkpoint's file checksum.  Without it (volatile
-   engine) the sketch component is 0 and divergence detection rests on
-   the count + historical components alone. *)
+(* [store_dir] names the replica's durable directory: the stream side
+   is then read from a forced checkpoint.  Without it (volatile engine)
+   the stream component is 0 and divergence detection rests on the
+   count + historical components alone. *)
 let digest ?store_dir e =
   let descriptors = Li.describe (E.hist e) in
   let by_level = Hashtbl.create 8 in
@@ -66,7 +69,7 @@ let digest ?store_dir e =
     | Some dir ->
       E.checkpoint_now e;
       let _, _, _, ckpt = E.store_paths ~dir in
-      read_file_checksum ckpt
+      open_step_checksum ckpt
   in
   {
     elements = E.total_size e;
@@ -113,7 +116,7 @@ let copy_file src dst =
 (* Replace [dst]'s store files with byte-identical copies of [src]'s.
    Both engines must be closed/crashed (no open handles); the caller
    reopens [dst] afterwards.  Stale [dst] files are removed first so a
-   leftover (e.g. an extra lane WAL) cannot shadow the copied state. *)
+   leftover cannot shadow the copied state. *)
 let copy_store ~src ~dst =
   if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
   Array.iter

@@ -2,24 +2,26 @@
     digests and the file-level copy a repair uses to converge a
     diverged replica onto a healthy sibling.
 
-    Replicas of a shard apply identical op sequences and every engine
-    structure is deterministic in that sequence (merge cascade, GK,
-    and the KLL sketch's seeded coin stream), so healthy siblings
-    agree bit-for-bit — making structural digests a sound divergence
-    detector and byte-identical file copy a sound repair. *)
+    Replicas of a shard apply identical op sequences and the warehouse
+    is deterministic in that sequence (the merge cascade), so healthy
+    siblings hold bit-identical historical state and the same open-step
+    elements — making structural digests a sound divergence detector
+    and byte-identical file copy a sound repair. The stream sketch's
+    image is not compared: it depends on when reads handed the ingest
+    buffer off. *)
 
 type digest = {
   elements : int;  (** total logical elements *)
   steps : int;  (** archived time steps *)
   hist_hash : int;  (** checksum over all partition descriptors *)
   levels : (int * int) list;  (** (level, checksum over that level's descriptors) *)
-  sketch_hash : int;  (** checksum of the forced sketch checkpoint file; 0 = volatile *)
+  sketch_hash : int;  (** checksum of the open step's sorted elements; 0 = volatile *)
 }
 
 (** Digest an engine's state. With [store_dir] (the replica's durable
-    directory) a sketch checkpoint is forced first and its file bytes
-    checksummed, so the digest covers the open step too; without it
-    the sketch component is 0. *)
+    directory) a sketch checkpoint is forced first and its spooled
+    elements checksummed in sorted order, so the digest covers the open
+    step too; without it the stream component is 0. *)
 val digest : ?store_dir:string -> Hsq.Engine.t -> digest
 
 val equal : digest -> digest -> bool

@@ -10,7 +10,7 @@
 
    Exactly-once drain without a per-record cursor: a replica applies
    ops in order and each op appends exactly one record to its own main
-   WAL (single-lane engines), so main-WAL sequence numbers advance in
+   WAL, so main-WAL sequence numbers advance in
    lockstep across replicas.  The sidecar base file records the
    replica's main-WAL [next_seq] at the moment hints began; hint record
    #n (0-based) therefore corresponds to main seq [base_seq + n], and

@@ -10,9 +10,7 @@
     [next_seq] when hints began, each drained op appends exactly one
     main-WAL record, so the number of hints already applied is the
     replica's recovered [next_seq - base_seq] — stable across crashes
-    mid-drain. Only valid for single-lane engines
-    ([Config.ingest_domains = 1]); multi-lane rejoins must repair from
-    a sibling instead. *)
+    mid-drain. *)
 
 type t
 

@@ -30,11 +30,9 @@
    R = 1 is the classic layout, bit-compatible on disk and in metrics
    with stores written before replication existed.
 
-   Concurrency: the group remains single-submitter for queries, steps
-   and lifecycle.  With R > 1 the write paths (observe, observe_domain,
-   end_time_step, replica up/down transitions) additionally serialize
-   on one mutex so a connection-thread ingest cannot race a failover
-   transition; R = 1 takes no locks at all. *)
+   Concurrency: the group is single-submitter.  With R > 1 the write
+   paths (observe, end_time_step, replica up/down transitions)
+   additionally serialize on one mutex; R = 1 takes no locks at all. *)
 
 module E = Hsq.Engine
 module BD = Hsq_storage.Block_device
@@ -234,7 +232,7 @@ let estimate_elements dir =
         (fun acc (_, r) ->
           match r with
           | Hsq_storage.Wal.Observe _ -> acc + 1
-          | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ -> acc)
+          | Hsq_storage.Wal.End_step _ -> acc)
         0 records
     with _ -> 0
   in
@@ -449,14 +447,11 @@ let drop_caches t =
 (* Take one replica down (caller holds the lock when r > 1).  The
    engine is crash-released — a close would flush through the device
    that just died; under WAL [Always] nothing acknowledged is pending.
-   If the replica is durable and single-lane, a hint log is started so
-   shard-mates can buffer subsequent acked ops for it: the base seq is
-   the replica's main-WAL next_seq, its op cursor (each op appends
-   exactly one record, so on rejoin [recovered next_seq - base_seq]
-   counts the hints already applied — exactly-once across crashes
-   mid-drain).  Multi-lane engines spread ops over several logs, the
-   arithmetic does not hold, and rejoin must repair from a sibling
-   instead. *)
+   If the replica is durable, a hint log is started so shard-mates can
+   buffer subsequent acked ops for it: the base seq is the replica's
+   WAL next_seq, its op cursor (each op appends exactly one record, so
+   on rejoin [recovered next_seq - base_seq] counts the hints already
+   applied — exactly-once across crashes mid-drain). *)
 let replica_down_locked t i rep ~reason =
   match rep.state with
   | Dead _ -> ()
@@ -466,7 +461,7 @@ let replica_down_locked t i rep ~reason =
     if List.length (live_replicas_of t.slots.(i)) = 1 then
       t.last_size.(i) <- (try E.total_size e with _ -> t.last_size.(i));
     let base =
-      if t.r > 1 && t.root <> None && t.config.Hsq.Config.ingest_domains = 1 then
+      if t.r > 1 && t.root <> None then
         match E.durability_status e with Some ds -> Some ds.E.wal_next_seq | None -> None
       else None
     in
@@ -556,42 +551,9 @@ let observe t v =
         t.last_size.(i) <- t.last_size.(i) + 1;
         invalidate t)
 
-(* Concurrent ingest: value-hash picks the shard (same routing as
-   [observe]), the caller's domain picks the lane within it.  With
-   r = 1 there is no [last_size] bump and no cache invalidation — both
-   are plain mutable fields a concurrent writer would race; the
-   us_cache key embeds each engine's [stream_size] (which only moves
-   under the engine's propagation lock), so a query on the
-   single-submitter thread rebuilds exactly when propagated data
-   changed, and [refresh_sizes] re-reads sizes on every query path.
-   With r > 1 the fan-out serializes on the group lock (replication
-   trades lane concurrency for redundancy; the bench's R rows price
-   it). *)
-let observe_domain t ~domain v =
-  let i = route t v in
-  if t.r = 1 then begin
-    match t.slots.(i).(0).state with
-    | Dead reason -> raise (Shard_unavailable (i, reason))
-    | Live e -> E.observe_domain e ~domain v
-  end
-  else
-    with_lock t (fun () ->
-        fanout_locked t i
-          ~apply:(fun e -> E.observe_domain e ~domain v)
-          ~hint:(fun hl -> Hint_log.observe hl v))
-
-(* Seal-and-drain every lane of every live replica (engine-thread only). *)
-let flush_ingest t = List.iter (fun (_, _, e) -> E.flush_ingest e) (all_live t)
-
-let checkpoint_if_due t =
-  List.fold_left (fun acc (_, _, e) -> E.checkpoint_if_due e || acc) false (all_live t)
-
-(* A replica whose open step is empty is skipped.  The engine's own
-   cut is the test ([Invalid_argument] on an empty batch): elements
-   still sitting in ingest-lane buffers are not yet counted by
-   [E.stream_size], but the cut seals the lanes first and sees them.
-   A step that reached some shards but not all rebases the step
-   alignment. *)
+(* A replica whose open step is empty is skipped: the engine's own cut
+   is the test ([Invalid_argument] on an empty batch).  A step that
+   reached some shards but not all rebases the step alignment. *)
 let end_time_step t =
   let out = ref [] in
   with_lock t (fun () ->
@@ -1172,8 +1134,8 @@ let repair_replica_locked t i rep ~src:(src_j, src_e) =
 (* Compare per-replica state digests within each shard; flag the
    minority as diverged ([`Replica_diverged] in reports that must serve
    them, a warning in health) and, with [repair], converge them onto
-   the healthiest sibling.  Digest equality is exact for single-lane
-   groups (replicas see identical op sequences); requires a durable
+   the healthiest sibling.  Replicas see identical op sequences, so
+   their digests agree exactly (Anti_entropy); requires a durable
    group with r > 1 — otherwise returns []. *)
 let anti_entropy ?(repair = false) t =
   ensure_open t;
@@ -1269,8 +1231,7 @@ let anti_entropy ?(repair = false) t =
 (* Apply one drained hint record to a recovering replica. *)
 let apply_hint e = function
   | Hsq_storage.Wal.Observe v -> E.observe e v
-  | Hsq_storage.Wal.End_step _ | Hsq_storage.Wal.End_step_cuts _ ->
-    if E.stream_size e > 0 then ignore (E.end_time_step e)
+  | Hsq_storage.Wal.End_step _ -> if E.stream_size e > 0 then ignore (E.end_time_step e)
 
 (* Admit a freshly recovered engine [e] as replica [rep] of shard [i]:
    drain its hint log (exactly-once via the seq arithmetic), verify the
@@ -1283,13 +1244,11 @@ let admit_replica_locked t i rep e =
   (* Any stale in-memory handle was closed by the caller; reattach from
      disk so we read the complete flushed log. *)
   let hl = if had_pair then Hint_log.reopen ~dir:home ~peer:rep.rep ~sync else None in
-  let single_lane = t.config.Hsq.Config.ingest_domains = 1 in
   (* `Clean: nothing to drain. `Drained: hints applied. Any Error:
      the replica's state is in doubt — repair from a sibling. *)
   let drain =
     match hl with
     | None -> if had_pair then Error "hint log unreadable" else Ok `Clean
-    | Some _ when not single_lane -> Error "multi-lane replica cannot drain hints"
     | Some hl -> (
       match E.durability_status e with
       | None -> Error "replica has no durability status"

@@ -33,15 +33,14 @@
     [replicas = 1] is the classic layout — bit-compatible on disk and
     in metrics with stores written before replication existed.
 
-    Concurrency: the group is single-submitter for queries, steps and
-    lifecycle.  With R > 1 the write paths additionally serialize on
-    an internal mutex (so a connection-thread [observe_domain] cannot
-    race a failover transition); R = 1 takes no locks at all. *)
+    Concurrency: the group is single-submitter.  With R > 1 the write
+    paths additionally serialize on an internal mutex; R = 1 takes no
+    locks at all. *)
 
 type t
 
 exception Shard_unavailable of int * string
-(** Raised by {!observe} / {!observe_domain} routing to a shard with
+(** Raised by {!observe} routing to a shard with
     no live replica (or whose every live replica failed the write):
     the element is explicitly unacknowledged. *)
 
@@ -181,24 +180,8 @@ val shard_elements : t -> int -> int
     live replica accepted it. *)
 val observe : t -> int -> unit
 
-(** Concurrent variant (requires [config.ingest_domains > 1]): the
-    value hash picks the shard exactly as {!observe} does, then the
-    caller's [domain] picks the ingest lane within each replica.
-    Safe from any thread; with R > 1 the fan-out serializes on the
-    group's write lock. *)
-val observe_domain : t -> domain:int -> int -> unit
-
-(** Seal-and-drain every lane of every live replica (engine-thread
-    only); see {!Hsq.Engine.flush_ingest}. *)
-val flush_ingest : t -> unit
-
-(** Settle checkpoint debt accumulated by lane hand-offs on any live
-    replica ({!Hsq.Engine.checkpoint_if_due}); returns [true] if at
-    least one checkpointed. Engine-thread only. *)
-val checkpoint_if_due : t -> bool
-
 (** Close the time step on every live replica holding open-step
-    elements (lane buffers included); the cut is hinted to dead replicas so their drains
+    elements; the cut is hinted to dead replicas so their drains
     archive the same step boundary.  A step that reaches some shards
     but not all resets window alignment (see Windows and ranges below). Failures are contained per
     replica (the shard reports [Error msg] only if every live replica
@@ -342,8 +325,8 @@ val accurate_range :
 (** {1 Fault domains} *)
 
 (** Take one replica down (its device died, its process was killed):
-    the engine is crash-released, and — for durable single-lane
-    groups — a hint log is started at the replica's current WAL
+    the engine is crash-released, and — for durable groups — a hint
+    log is started at the replica's current WAL
     sequence so shard-mates buffer subsequent acked ops for it. The
     shard keeps serving through its siblings at full precision.
     No-op on a dead replica. *)
@@ -398,9 +381,8 @@ type entropy_report = {
     sketch checkpoint on each live replica so the digest covers the
     open step), flag the minority as diverged, and — with [repair] —
     converge each flagged replica onto the healthiest sibling by
-    byte-identical file copy + recovery. Digest equality is exact for
-    single-lane groups: replicas apply identical op sequences and
-    every engine structure is deterministic in that sequence.
+    byte-identical file copy + recovery. Healthy replicas digest
+    equal: they apply identical op sequences (see {!Anti_entropy}).
     Returns [[]] for unreplicated or volatile groups. *)
 val anti_entropy : ?repair:bool -> t -> entropy_report list
 

@@ -141,11 +141,15 @@ let insert t v =
    minimum (their ranks are known exactly at placement), the invariant
    threshold minus one elsewhere — except the threshold is taken at the
    post-batch n, which can only enlarge delta; g_i + delta_i <=
-   floor(2*eps*n) still holds and rmax stays a valid upper bound. *)
+   floor(2*eps*n) still holds and rmax stays a valid upper bound.
+
+   Every hand-off ends in a compress, not only every 1/(2*eps) elements:
+   a short run (the engine hands off whatever is buffered before each
+   read) would otherwise leave an uncompressed tail in the summary that
+   queries extract and memory accounting counts. *)
 let insert_sorted_batch t b =
   let k = Array.length b in
-  if k = 1 then insert t b.(0)
-  else if k > 0 then begin
+  if k > 0 then begin
     let old_size = t.size in
     let new_n = t.n + k in
     let thr = int_of_float (2.0 *. t.epsilon *. float_of_int new_n) in
@@ -186,18 +190,8 @@ let insert_sorted_batch t b =
     done;
     t.size <- needed;
     t.n <- new_n;
-    t.since_compress <- t.since_compress + k;
-    let period = max 1 (int_of_float (1.0 /. (2.0 *. t.epsilon))) in
-    if t.since_compress >= period then begin
-      compress t;
-      enforce_budget t
-    end
-    else
-      match t.mode with
-      | Capped words when memory_words t > words ->
-        compress t;
-        enforce_budget t
-      | Fixed | Capped _ -> ()
+    compress t;
+    enforce_budget t
   end
 
 (* Smallest tuple index with rmin >= r - eps*n; by the invariant its rmax

@@ -23,9 +23,15 @@ val insert : t -> int -> unit
 (** [insert_sorted_batch t b] inserts every element of [b], which MUST be
     sorted ascending, in one O(size + k) merge pass — equivalent (same ε
     guarantee, same count) to [Array.iter (insert t) b] but without the
-    per-element O(size) shift. The amortization that makes batched
-    concurrent ingest pay on the hand-off into the sketch. *)
+    per-element O(size) shift, and compresses the summary after every
+    call. The engine's ingest buffer hands off through it. *)
 val insert_sorted_batch : t -> int array -> unit
+
+(** Merge each tuple into its successor wherever the invariant
+    g + Δ ≤ ⌊2εn⌋ allows (the exact minimum is never merged). Inserts
+    call it on their own schedule; a second call right after one
+    removes nothing. *)
+val compress : t -> unit
 
 val count : t -> int
 

@@ -284,8 +284,11 @@ let insert_sorted_batch t b =
   let r = Array.length b in
   if r = 1 then insert t b.(0)
   else if r > 0 then begin
+    (* The run is sorted: its first element can lower the minimum, its
+       last raise the maximum.  On an empty sketch [note_bounds] resets
+       both to the first. *)
     note_bounds t b.(0);
-    note_bounds t b.(r - 1);
+    if b.(r - 1) > t.max_v then t.max_v <- b.(r - 1);
     merge_run t.levels.(0) b;
     t.n <- t.n + r;
     invalidate t;

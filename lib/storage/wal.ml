@@ -26,10 +26,10 @@
    checksum), [seq] increments by exactly 1 from [start_seq], and the
    checksum is the same SplitMix-style mix the device uses, over every
    preceding word of the record.  Kinds: 1 = Observe (payload: value),
-   2 = End_step (payload: step number, element count), 3 = End_step_cuts
-   (payload: step number, element count, lane-cut count, per-lane acked
-   sequence cuts — the multi-lane commit marker written by engines with
-   several ingest domains, see engine.ml).
+   2 = End_step (payload: step number, element count).  Kind 3, the
+   commit marker of the removed multi-lane ingest (payload: step number,
+   element count, cut count, cuts), is never written but still decodes,
+   as an [End_step] without its cuts.
 
    The reader floors a torn tail: it stops at the first short, corrupt,
    mis-lengthed, or out-of-sequence record and reports why, and
@@ -47,7 +47,6 @@ type sync_policy = Always | Group of int | Never
 type record =
   | Observe of int
   | End_step of { step : int; count : int }
-  | End_step_cuts of { step : int; count : int; cuts : int array }
 
 type tail = Clean | Torn of string
 
@@ -114,13 +113,6 @@ let encode ~seq record =
     match record with
     | Observe v -> [| seq; 1; v |]
     | End_step { step; count } -> [| seq; 2; step; count |]
-    | End_step_cuts { step; count; cuts } ->
-      (* Multi-lane commit marker (see engine.ml): the per-lane acked
-         sequence cuts pin exactly which records of the other lanes'
-         logs belong to the step being committed. *)
-      if Array.length cuts > max_record_words - 7 then
-        invalid_arg "Wal.append: End_step_cuts lane vector too long";
-      Array.append [| seq; 3; step; count; Array.length cuts |] cuts
   in
   let len = Array.length body + 1 in
   let prefix = Array.append [| len |] body in
@@ -358,9 +350,7 @@ let read_channel ic =
                 | 1 when len = 4 -> Some (Observe words.(3))
                 | 2 when len = 5 -> Some (End_step { step = words.(3); count = words.(4) })
                 | 3 when len >= 6 && words.(5) >= 0 && len = 6 + words.(5) ->
-                  Some
-                    (End_step_cuts
-                       { step = words.(3); count = words.(4); cuts = Array.sub words 6 words.(5) })
+                  Some (End_step { step = words.(3); count = words.(4) })
                 | _ -> None
               in
               match decoded with

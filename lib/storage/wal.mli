@@ -16,15 +16,9 @@ type record =
   | Observe of int  (** one stream element *)
   | End_step of { step : int; count : int }
       (** time-step commit marker: the [step]-th archived step, holding
-          [count] elements *)
-  | End_step_cuts of { step : int; count : int; cuts : int array }
-      (** multi-lane commit marker, written to lane 0's log by engines
-          with several ingest domains: [cuts.(d-1)] is the last
-          acknowledged sequence number of lane [d]'s log included in the
-          archived step, so replay can reconstruct exactly which records
-          of the other lanes' logs the step covered. At most
-          [max_record_words - 7] lanes fit one record (the engine caps
-          ingest domains far below that). *)
+          [count] elements. The reader also decodes the commit marker
+          of the removed multi-lane ingest (record kind 3) as this,
+          dropping its per-lane cuts. *)
 
 (** How reading the log ended: [Clean] at end of file, or [Torn why] at
     the first short, corrupt, mis-lengthed, or out-of-sequence record

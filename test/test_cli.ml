@@ -9,7 +9,10 @@
      JSON / Prometheus text;
    - query --trace prints one probe span per touched partition;
    - inspect prints a saved warehouse's windows and range boundaries,
-     and exits 2 without --meta. *)
+     and exits 2 without --meta;
+   - every store-opening subcommand exits 2 on a store written with
+     ingest lanes, while a lane-format checkpoint or commit marker left
+     in a single-log store still recovers. *)
 
 let bin =
   match Sys.getenv_opt "HSQ_BIN" with
@@ -389,6 +392,96 @@ let test_query_trace_sharded () =
         (count_substring out "\"name\":\"probe\"");
       rm_rf store)
 
+(* --- stores written with ingest lanes ------------------------------------ *)
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* A durable store with an open step of 400 (simulate leaves half a
+   batch in the WAL). *)
+let simulated_store dir =
+  let store = Filename.concat dir "store" in
+  Alcotest.(check int) "durable simulate exits 0" 0
+    (run
+       (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
+          (quote store)));
+  store
+
+(* Every subcommand that opens a store refuses one holding a lane log
+   (wal-<d>.log) with exit 2, naming the file. *)
+let test_lane_store_exit_2 () =
+  with_temp_dir (fun dir ->
+      let store = simulated_store dir in
+      write_file (Filename.concat store "wal-2.log") "";
+      let q = quote store in
+      List.iter
+        (fun (what, args) -> Alcotest.(check int) (what ^ " exits 2") 2 (run args))
+        [
+          ("simulate", Printf.sprintf "simulate --steps 1 --step-size 100 --durable %s" q);
+          ("stream", Printf.sprintf "stream --durable %s < /dev/null" q);
+          ("query", Printf.sprintf "query --durable %s -q 0.5" q);
+          ("scrub", Printf.sprintf "scrub --durable %s" q);
+          ("status", Printf.sprintf "status %s" q);
+          ( "serve",
+            Printf.sprintf "serve --socket %s --durable %s"
+              (quote (Filename.concat dir "hsq.sock"))
+              q );
+        ];
+      let cmd = Printf.sprintf "%s query --durable %s -q 0.5 2>&1 >/dev/null" (quote bin) q in
+      let ic = Unix.open_process_in cmd in
+      let err = In_channel.input_all ic in
+      ignore (Unix.close_process_in ic);
+      Alcotest.(check bool) "error names the lane log" true (contains err "wal-2.log");
+      rm_rf store)
+
+(* A version-2 (lane-cut) checkpoint reads as absent: the open step is
+   replayed in full from the WAL. *)
+let test_v2_checkpoint_replays () =
+  with_temp_dir (fun dir ->
+      let store = simulated_store dir in
+      let body =
+        "hsq-ckpt 2\nseq 400\nsteps_done 4\nlanes_len 1\nlanes 0\nbatch_len 1\nbatch 5\ngk_len 1\ngk 0\n"
+      in
+      write_file (Filename.concat store "checkpoint")
+        (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query exits 0" 0 code;
+      Alcotest.(check bool) "open step replayed" true (contains out "+ stream 400)");
+      rm_rf store)
+
+(* The lane commit marker (WAL record kind 3) replays as End_step. *)
+let test_lane_marker_replays () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Sys.mkdir store 0o755;
+      (* The on-file format of wal.ml: 8-byte big-endian words, a
+         [magic; start_seq; checksum] header, then per record
+         [len; seq; kind; payload...; checksum]. *)
+      let mix h v =
+        let h = (h lxor v) * 0x2545F4914F6CDD1D in
+        h lxor (h lsr 29)
+      in
+      let checksum = List.fold_left mix 0x106689D45497FDB5 in
+      let magic = 0x48535157414C3031 in
+      let buf = Buffer.create 1024 in
+      let words = List.iter (fun w -> Buffer.add_int64_be buf (Int64.of_int w)) in
+      words [ magic; 1; checksum [ magic; 1 ] ];
+      let records =
+        List.init 30 (fun i -> (1, [ i * 7 ])) @ [ (3, [ 1; 30; 2; 0; 0 ]) ]
+        @ List.init 12 (fun i -> (1, [ i * 11 ]))
+      in
+      List.iteri
+        (fun i (kind, payload) ->
+          let body = (i + 1) :: kind :: payload in
+          let prefix = (List.length body + 1) :: body in
+          words (prefix @ [ checksum prefix ]))
+        records;
+      write_file (Filename.concat store "wal.log") (Buffer.contents buf);
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query exits 0" 0 code;
+      Alcotest.(check bool) "one step archived, twelve open" true
+        (contains out "(historical 30 + stream 12)");
+      rm_rf store)
+
 let () =
   Alcotest.run "cli"
     [
@@ -420,5 +513,11 @@ let () =
         [
           Alcotest.test_case "query --trace span tree" `Quick test_query_trace_spans;
           Alcotest.test_case "query --trace on a sharded store" `Quick test_query_trace_sharded;
+        ] );
+      ( "lane stores",
+        [
+          Alcotest.test_case "every subcommand exits 2" `Quick test_lane_store_exit_2;
+          Alcotest.test_case "v2 checkpoint replays the WAL" `Quick test_v2_checkpoint_replays;
+          Alcotest.test_case "lane marker replays as End_step" `Quick test_lane_marker_replays;
         ] );
     ]

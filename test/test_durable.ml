@@ -316,7 +316,7 @@ let test_stale_checkpoint_ignored () =
       (* A checkpoint claiming a warehouse state that never committed. *)
       let _, _, _, ckpt_path = E.store_paths ~dir in
       Hsq.Checkpoint.save ~path:ckpt_path
-        { Hsq.Checkpoint.seq = 30; steps_done = 5; batch = [| 1; 2; 3 |]; gk = [| 0 |]; lane_seqs = [||] };
+        { Hsq.Checkpoint.seq = 30; steps_done = 5; batch = [| 1; 2; 3 |]; gk = [| 0 |] };
       let recovered, report = E.open_or_recover (config dir) in
       Alcotest.(check bool) "stale checkpoint ignored" false report.E.checkpoint_used;
       Alcotest.(check int) "full replay instead" 60 report.E.replayed;
@@ -586,6 +586,110 @@ let test_close_during_deferred_merge () =
         (Hsq_hist.Level_index.check_invariants (E.hist recovered));
       E.close recovered)
 
+(* --- stores written with ingest lanes --------------------------------- *)
+
+(* A raw WAL in the on-file format of wal.ml: 8-byte big-endian words, a
+   [magic; start_seq; checksum] header, then per record
+   [len; seq; kind; payload...; checksum]. *)
+let raw_wal records =
+  let mix h v =
+    let h = (h lxor v) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+  in
+  let checksum = List.fold_left mix 0x106689D45497FDB5 in
+  let magic = 0x48535157414C3031 in
+  let buf = Buffer.create 1024 in
+  let words = List.iter (fun w -> Buffer.add_int64_be buf (Int64.of_int w)) in
+  words [ magic; 1; checksum [ magic; 1 ] ];
+  List.iteri
+    (fun i (kind, payload) ->
+      let body = (i + 1) :: kind :: payload in
+      let prefix = (List.length body + 1) :: body in
+      words (prefix @ [ checksum prefix ]))
+    records;
+  Buffer.contents buf
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A store holding a lane log is refused before any file is touched,
+   and the error names the file and the way out. *)
+let test_lane_store_refused () =
+  with_store (fun dir ->
+      let eng, _ = E.open_or_recover (config dir) in
+      for i = 1 to 40 do
+        E.observe eng (el 107 i)
+      done;
+      E.close eng;
+      let _, _, wal_path, _ = E.store_paths ~dir in
+      let wal_before = read_file wal_path in
+      write_file (Filename.concat dir "wal-1.log") "";
+      (match E.open_or_recover (config dir) with
+      | _ -> Alcotest.fail "a store with wal-1.log opened"
+      | exception E.Unsupported_store msg ->
+        List.iter
+          (fun part ->
+            if not (contains msg part) then
+              Alcotest.failf "error %S does not name %S" msg part)
+          [ "wal-1.log"; "--ingest-domains 1" ]);
+      Alcotest.(check string) "wal.log untouched" wal_before (read_file wal_path))
+
+(* A version-2 checkpoint (lane cuts) reads as absent, even when its
+   sketch image is valid: full replay. *)
+let test_v2_checkpoint_absent () =
+  with_store (fun dir ->
+      let eng, _ = E.open_or_recover (config dir) in
+      for i = 1 to 60 do
+        E.observe eng (el 109 i)
+      done;
+      E.checkpoint_now eng;
+      E.crash eng;
+      (* Rewrite the valid version-1 checkpoint as version 2: a lane-cut
+         line after steps_done, and a fresh checksum. *)
+      let _, _, _, ckpt_path = E.store_paths ~dir in
+      let lines = String.split_on_char '\n' (read_file ckpt_path) in
+      let body =
+        List.concat_map
+          (fun l ->
+            if l = "hsq-ckpt 1" then [ "hsq-ckpt 2" ]
+            else if String.starts_with ~prefix:"steps_done " l then [ l; "lanes_len 1"; "lanes 0" ]
+            else if l = "" || String.starts_with ~prefix:"checksum " l then []
+            else [ l ])
+          lines
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat ""
+      in
+      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      let recovered, report = E.open_or_recover (config dir) in
+      Alcotest.(check bool) "v2 checkpoint not used" false report.E.checkpoint_used;
+      Alcotest.(check int) "full replay" 60 report.E.replayed;
+      Alcotest.(check int) "every element back" 60 (E.total_size recovered);
+      E.close recovered)
+
+(* The lane commit marker (record kind 3: step, count, cut count, cuts)
+   decodes as End_step and replays as one. *)
+let test_lane_marker_replays_as_end_step () =
+  with_store (fun dir ->
+      let step_one = List.init 30 (el 113) and open_step = List.init 12 (el 127) in
+      let observes = List.map (fun v -> (1, [ v ])) in
+      let _, _, wal_path, _ = E.store_paths ~dir in
+      write_file wal_path
+        (raw_wal (observes step_one @ [ (3, [ 1; 30; 2; 0; 0 ]) ] @ observes open_step));
+      let records, _, tail = W.read_path ~path:wal_path in
+      Alcotest.(check bool) "clean tail" true (tail = W.Clean);
+      Alcotest.(check bool) "kind 3 decodes as End_step" true
+        (List.exists (fun (_, r) -> r = W.End_step { step = 1; count = 30 }) records);
+      let eng, report = E.open_or_recover (config dir) in
+      Alcotest.(check int) "step re-archived" 1 report.E.steps_reingested;
+      Alcotest.(check int) "archived elements" 30 (E.hist_size eng);
+      Alcotest.(check int) "open step" 12 (E.stream_size eng);
+      E.close eng)
+
 let () =
   Alcotest.run "durable"
     [
@@ -637,5 +741,12 @@ let () =
         [
           Alcotest.test_case "wal layer" `Quick test_wal_append_rollback_direct;
           Alcotest.test_case "engine layer" `Quick test_wal_append_rollback_engine;
+        ] );
+      ( "lane stores",
+        [
+          Alcotest.test_case "refused with a way out" `Quick test_lane_store_refused;
+          Alcotest.test_case "v2 checkpoint reads as absent" `Quick test_v2_checkpoint_absent;
+          Alcotest.test_case "lane marker replays as End_step" `Quick
+            test_lane_marker_replays_as_end_step;
         ] );
     ]

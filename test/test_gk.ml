@@ -94,6 +94,57 @@ let test_invariant_holds () =
   let _, _, rmax_last = last in
   Alcotest.(check int) "last rmax = n" n rmax_last
 
+(* --- sorted hand-offs (insert_sorted_batch) ------------------------------ *)
+
+(* GK's invariant g + delta <= floor(2 eps n) on every live tuple,
+   with g recovered from consecutive rmin values.  Until 2 eps n
+   reaches 1 the floor is 0 and a tuple is a single exact element
+   (g = 1, delta = 0). *)
+let check_invariant ~what gk =
+  let thr = max 1 (int_of_float (2.0 *. Gk.epsilon gk *. float_of_int (Gk.count gk))) in
+  ignore
+    (List.fold_left
+       (fun prev_rmin (_, rmin, rmax) ->
+         let g = rmin - prev_rmin and delta = rmax - rmin in
+         if g + delta > thr then
+           Alcotest.failf "%s: tuple with g=%d delta=%d over max(1, floor(2 eps n))=%d" what g
+             delta thr;
+         rmin)
+       0 (Gk.dump gk))
+
+(* A stream handed off in sorted runs of [batch] elements: after every
+   hand-off the invariant holds and a second compress removes nothing;
+   at the end every rank is answered within eps n of an exact oracle.
+   With eps = 0.01, 1/(2 eps) = 50 sits between the batch sizes. *)
+let check_handoffs ~batch =
+  let epsilon = 0.01 in
+  let rng = Hsq_util.Xoshiro.create (100 + batch) in
+  let gk = Gk.create ~epsilon in
+  let all = ref [] in
+  for i = 1 to 6_000 / batch do
+    let run = Array.init batch (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+    Array.sort compare run;
+    Gk.insert_sorted_batch gk run;
+    all := run :: !all;
+    let what = Printf.sprintf "batch %d, hand-off %d" batch i in
+    check_invariant ~what gk;
+    let size = Gk.size gk in
+    Gk.compress gk;
+    Alcotest.(check int) (what ^ ": a second compress removes nothing") size (Gk.size gk)
+  done;
+  let sorted = Array.concat !all in
+  Array.sort compare sorted;
+  Alcotest.(check int) "count" (Array.length sorted) (Gk.count gk);
+  let bound = int_of_float (ceil (epsilon *. float_of_int (Array.length sorted))) in
+  let worst = max_error_over_all_ranks gk sorted in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch %d: worst error %d <= eps n = %d" batch worst bound)
+    true (worst <= bound)
+
+let test_handoff_single () = check_handoffs ~batch:1
+let test_handoff_short () = check_handoffs ~batch:20
+let test_handoff_long () = check_handoffs ~batch:512
+
 let test_empty_raises () =
   let gk = Gk.create ~epsilon:0.1 in
   Alcotest.check_raises "empty query" (Invalid_argument "Gk.query_rank: empty sketch") (fun () ->
@@ -267,6 +318,9 @@ let () =
           Alcotest.test_case "min/max exact" `Quick test_min_max_exact;
           Alcotest.test_case "space logarithmic" `Slow test_space_logarithmic;
           Alcotest.test_case "g+delta invariant" `Quick test_invariant_holds;
+          Alcotest.test_case "hand-offs of 1" `Quick test_handoff_single;
+          Alcotest.test_case "hand-offs below 1/(2 eps)" `Quick test_handoff_short;
+          Alcotest.test_case "hand-offs above 1/(2 eps)" `Quick test_handoff_long;
           Alcotest.test_case "empty raises" `Quick test_empty_raises;
           Alcotest.test_case "bad epsilon" `Quick test_bad_epsilon;
           Alcotest.test_case "rank_of" `Quick test_rank_of_consistency;

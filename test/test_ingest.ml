@@ -1,30 +1,34 @@
-(* Concurrent multi-domain ingest (DESIGN.md §15).
+(* The one ingest path (DESIGN.md §15): every observe appends to the
+   WAL (the acknowledgement), then to the engine's buffer; a full
+   buffer of 512, and every read of the stream side, hands the buffered
+   elements off to the sketch and the step spool in one sorted merge.
 
-   The contract under test: with D lanes fed from D threads,
-   concurrently with queries, checkpoints, and crash-recovery on the
-   engine thread,
+   The contract under test:
 
-   - counts are EXACT at quiescence (flush_ingest drains every lane);
-   - quantile answers stay inside their self-reported rank-error
-     bounds against an exact oracle — the same honesty check the chaos
-     harnesses use — both mid-flight and at quiescence;
-   - a durable engine recovers exactly the acknowledged prefix: every
-     observe_domain that returned is reproduced by replay, in any lane
-     topology (recovery consolidates or grows the lane files);
-   - the lane metrics (per-lane accumulators summed at export, and the
-     Atomic query counters) are exact at quiescence — the regression
-     test for the racy-int fix.
+   - volatile equivalence: reads at random points (partial hand-offs)
+     change neither the counts nor the archive; counts are exact after
+     every batch and every answer lies within its self-reported bound
+     against an exact oracle;
+   - durable crash-recover: a kill mid-buffer, exactly at a 512-element
+     hand-off, mid-checkpoint, or between the End_step sync and the
+     sidecar write loses no acknowledged element, and every answer
+     after the reopen lies within its bound;
+   - read-your-writes: every acked observe is visible to the next
+     quick, accurate and stats answer, on the engine and over the wire.
 
    HSQ_INGEST_SEEDS scales the fuzz seed count (default 6; nightly CI
    raises it). *)
 
 module E = Hsq.Engine
-module Metrics = Hsq_obs.Metrics
+module BD = Hsq_storage.Block_device
+module Oracle = Hsq_workload.Oracle
 
 let seeds =
   match Sys.getenv_opt "HSQ_INGEST_SEEDS" with
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 6)
   | None -> 6
+
+let handoff = 512
 
 let with_store f =
   let dir = Filename.temp_file "hsq_ingest" "" in
@@ -38,246 +42,222 @@ let with_store f =
       end)
     (fun () -> f dir)
 
-(* Exact rank of [v] in [sorted]: elements <= v. *)
-let exact_rank sorted v =
-  let lo = ref 0 and hi = ref (Array.length sorted) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if sorted.(mid) <= v then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* The honesty check: the engine's own bound must cover the true rank
-   error against the exact population. *)
-let check_bounds ~msg eng sorted =
-  let n = Array.length sorted in
+(* The honesty check: the exact count, and quick and accurate answers
+   inside the engine's own bounds, against the exact population. *)
+let check_engine ~what eng oracle =
+  let n = Oracle.count oracle in
+  Alcotest.(check int) (what ^ ": exact count") n (E.total_size eng);
   List.iter
     (fun phi ->
       let rank = max 1 (min n (int_of_float (ceil (phi *. float_of_int n)))) in
       let v, bound = E.quick_with_bound eng ~rank in
-      let err = abs (exact_rank sorted v - rank) in
-      if float_of_int err > bound +. 1e-9 then
-        Alcotest.failf "%s: phi=%g rank=%d err=%d > bound=%.1f" msg phi rank err bound)
-    [ 0.05; 0.25; 0.5; 0.75; 0.95 ]
+      let err = Oracle.rank_error oracle ~rank ~value:v in
+      if float_of_int err > bound then
+        Alcotest.failf "%s: quick phi=%g rank=%d err=%d > bound=%.1f" what phi rank err bound;
+      let v, report = E.accurate eng ~rank in
+      let err = Oracle.rank_error oracle ~rank ~value:v in
+      if float_of_int err > report.E.rank_error_bound then
+        Alcotest.failf "%s: accurate phi=%g rank=%d err=%d > bound=%.1f" what phi rank err
+          report.E.rank_error_bound)
+    [ 0.05; 0.5; 0.95; 1.0 ]
 
-(* Feed [per_lane] elements down each of [domains] lanes from
-   concurrent threads.  Returns the threads plus a live count the main
-   thread can poll while racing queries against the feeders. *)
-let concurrent_feed eng ~domains ~per_lane ~seed ~data =
-  let live = Atomic.make domains in
-  let threads =
-    Array.init domains (fun d ->
-        Thread.create
-          (fun () ->
-            let rng = Random.State.make [| seed; d |] in
-            for i = 0 to per_lane - 1 do
-              let v = data.((d * per_lane) + i) in
-              E.observe_domain eng ~domain:d v;
-              (* Stagger lanes so hand-offs interleave with queries. *)
-              if Random.State.int rng 97 = 0 then Thread.yield ()
-            done;
-            Atomic.decr live)
-          ())
-  in
-  (threads, live)
+(* --- volatile equivalence ------------------------------------------------ *)
 
-let gen_data ~n ~seed =
-  let rng = Random.State.make [| seed; 0xDA7A |] in
-  Array.init n (fun _ -> Random.State.int rng 1_000_000)
-
-(* --- D = 1 routes through the classic path ----------------------------- *)
-
-let test_single_lane_identity () =
-  let mk () = E.create (Hsq.Config.make ~kappa:3 (Hsq.Config.Epsilon 0.02)) in
-  let a = mk () and b = mk () in
-  let data = gen_data ~n:5_000 ~seed:3 in
-  Array.iter (fun v -> E.observe a v) data;
-  Array.iter (fun v -> E.observe_domain b ~domain:42 v) data;
-  Alcotest.(check int) "sizes agree" (E.total_size a) (E.total_size b);
-  Alcotest.(check int) "lanes absent" 1 (E.ingest_domains b);
-  for rank = 1 to 4_999 do
-    if rank mod 500 = 0 then
-      Alcotest.(check int)
-        (Printf.sprintf "identical answer at rank %d" rank)
-        (E.quick a ~rank) (E.quick b ~rank)
-  done
-
-(* --- volatile equivalence fuzz ----------------------------------------- *)
-
+(* Two engines take the same stream; [probed] is also read at random
+   points, so its buffer hands off short runs, while [plain] only hands
+   off full buffers and step cuts.  Counts and archives agree exactly,
+   and both answer within their bounds. *)
 let fuzz_volatile seed () =
   let rng = Random.State.make [| seed; 0xF0 |] in
-  let domains = 2 + Random.State.int rng 3 in
-  let ingest_batch = [| 16; 64; 256 |].(Random.State.int rng 3) in
-  let eng =
-    E.create
-      (Hsq.Config.make ~kappa:3 ~ingest_domains:domains ~ingest_batch
-         (Hsq.Config.Epsilon 0.02))
-  in
-  Alcotest.(check int) "lane count" domains (E.ingest_domains eng);
-  let archived = ref [] in
-  let rounds = 3 in
-  let per_lane = 2_000 + Random.State.int rng 2_000 in
-  for round = 1 to rounds do
-    let n = domains * per_lane in
-    let data = gen_data ~n ~seed:(seed + (round * 131)) in
-    let threads, live = concurrent_feed eng ~domains ~per_lane ~seed:(seed + round) ~data in
-    (* Engine thread: queries against the moving stream.  Mid-flight
-       answers only promise not to crash and to come from a consistent
-       snapshot (whole propagated batches); bounds are checked at
-       quiescence below. *)
-    let queries = ref 0 in
-    while Atomic.get live > 0 do
-      if E.total_size eng > 0 then begin
-        let n_now = E.total_size eng in
-        let rank = 1 + Random.State.int rng n_now in
-        let v = E.quick eng ~rank in
-        ignore (E.rank_of eng v);
-        incr queries
-      end;
-      Thread.yield ()
+  let config = Hsq.Config.make ~kappa:3 (Hsq.Config.Epsilon 0.02) in
+  let probed = E.create config and plain = E.create config in
+  let oracle = Oracle.create () in
+  for step = 1 to 4 do
+    let n = 1 + Random.State.int rng 3_000 in
+    for _ = 1 to n do
+      let v = Random.State.int rng 1_000_000 in
+      E.observe probed v;
+      E.observe plain v;
+      Oracle.add oracle v;
+      if Random.State.int rng 200 = 0 then begin
+        Alcotest.(check int) "count after a read" (Oracle.count oracle) (E.total_size probed);
+        ignore (E.quick probed ~rank:(1 + Random.State.int rng (Oracle.count oracle)))
+      end
     done;
-    Array.iter Thread.join threads;
-    E.flush_ingest eng;
-    archived := Array.to_list data @ !archived;
-    let all = Array.of_list !archived in
-    Array.sort Int.compare all;
-    Alcotest.(check int)
-      (Printf.sprintf "round %d: exact count (%d queries raced)" round !queries)
-      (Array.length all) (E.total_size eng);
-    check_bounds ~msg:(Printf.sprintf "seed %d round %d" seed round) eng all;
-    if round < rounds then ignore (E.end_time_step eng)
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    check_engine ~what:(what ^ " probed") probed oracle;
+    check_engine ~what:(what ^ " plain") plain oracle;
+    if step < 4 then begin
+      ignore (E.end_time_step probed);
+      ignore (E.end_time_step plain);
+      Alcotest.(check bool) (what ^ ": identical archives") true
+        (Hsq_hist.Level_index.describe (E.hist probed)
+        = Hsq_hist.Level_index.describe (E.hist plain))
+    end
   done
 
-(* --- durable: crash-recover reproduces the acknowledged prefix --------- *)
+(* --- durable crash-recover ------------------------------------------------ *)
 
+type kill = Mid_buffer | At_handoff | Mid_checkpoint | Before_sidecar
+
+let kill_label = function
+  | Mid_buffer -> "mid-buffer"
+  | At_handoff -> "at a hand-off"
+  | Mid_checkpoint -> "mid-checkpoint"
+  | Before_sidecar -> "between End_step sync and sidecar"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* One seeded lifecycle over one store: every kill kind twice, in a
+   seeded order, each after a random run of observes and step cuts.
+   Each phase reopens the store (its config picks the checkpoint
+   interval the kill needs), kills the engine, and checks the reopened
+   store against the oracle of every acknowledged element. *)
 let fuzz_durable seed () =
   with_store (fun dir ->
       let rng = Random.State.make [| seed; 0xD0 |] in
-      let domains = 2 + Random.State.int rng 3 in
-      let config ~ingest_domains =
-        Hsq.Config.make ~kappa:3 ~ingest_domains ~ingest_batch:32
-          ~checkpoint_every:(64 * (1 + Random.State.int rng 4))
-          ~wal_dir:dir (Hsq.Config.Epsilon 0.02)
+      let config ~checkpoint_every =
+        Hsq.Config.make ~kappa:3 ~checkpoint_every ~wal_dir:dir (Hsq.Config.Epsilon 0.02)
       in
-      let eng, _ = E.open_or_recover (config ~ingest_domains:domains) in
-      let per_lane = 1_500 in
-      let n = domains * per_lane in
-      let data = gen_data ~n ~seed:(seed + 17) in
-      let threads, live = concurrent_feed eng ~domains ~per_lane ~seed ~data in
-      (* Engine thread settles lane checkpoint debt while feeding. *)
-      let checkpoints = ref 0 in
-      while Atomic.get live > 0 do
-        if E.checkpoint_if_due eng then incr checkpoints;
-        Thread.yield ()
+      let oracle = Oracle.create () in
+      let kills = [| Mid_buffer; At_handoff; Mid_checkpoint; Before_sidecar |] in
+      let order = Array.append kills kills in
+      for i = Array.length order - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
       done;
-      Array.iter Thread.join threads;
-      (* Everything returned from observe_domain is acknowledged
-         (wal_sync = Always): a crash now must lose none of it. *)
-      E.crash eng;
-      (* Reopen under a DIFFERENT lane topology: recovery must replay
-         every lane deterministically, then consolidate or grow. *)
-      let domains' = [| 1; domains; domains + 2 |].(Random.State.int rng 3) in
-      let recovered, report = E.open_or_recover (config ~ingest_domains:domains') in
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: acked prefix exact (D=%d -> D=%d, %d ckpts, %d replayed)"
-           seed domains domains' !checkpoints report.E.replayed)
-        n (E.total_size recovered);
-      let sorted = Array.copy data in
-      Array.sort Int.compare sorted;
-      check_bounds ~msg:(Printf.sprintf "seed %d recovered" seed) recovered sorted;
-      (* The recovered store keeps working: feed its lanes again and
-         close cleanly. *)
-      let extra = gen_data ~n:200 ~seed:(seed + 29) in
-      Array.iteri (fun i v -> E.observe_domain recovered ~domain:i v) extra;
-      E.flush_ingest recovered;
-      Alcotest.(check int) "post-recovery ingest exact" (n + 200) (E.total_size recovered);
-      E.close recovered)
+      let _, _, _, ckpt_path = E.store_paths ~dir in
+      Array.iteri
+        (fun phase kill ->
+          (* Mid-buffer and at-hand-off kills take checkpoints at
+             hand-off boundaries only, so the buffer holds exactly the
+             observes past the last multiple of 512. *)
+          let checkpoint_every =
+            match kill with
+            | Mid_buffer | At_handoff -> handoff * Random.State.int rng 3
+            | Mid_checkpoint | Before_sidecar -> 64 * (1 + Random.State.int rng 8)
+          in
+          let eng, _ = E.open_or_recover (config ~checkpoint_every) in
+          let observe v =
+            E.observe eng v;
+            Oracle.add oracle v
+          in
+          let observe_n n =
+            for _ = 1 to n do
+              observe (Random.State.int rng 1_000_000)
+            done
+          in
+          (* A warm-up of observes and cuts, ending in a read: every
+             kill below starts from an empty buffer. *)
+          for _ = 1 to Random.State.int rng 3 do
+            observe_n (1 + Random.State.int rng 1_500);
+            ignore (E.end_time_step eng)
+          done;
+          ignore (E.total_size eng);
+          (match kill with
+          | Mid_buffer ->
+            observe_n ((handoff * Random.State.int rng 3) + 1 + Random.State.int rng (handoff - 1))
+          | At_handoff -> observe_n (handoff * (1 + Random.State.int rng 3))
+          | Mid_checkpoint ->
+            (* The next observe takes the interval's checkpoint.  Killed
+               while writing it, the store keeps the previous checkpoint
+               (or none) and a torn temp file beside it. *)
+            E.checkpoint_now eng;
+            observe_n (checkpoint_every - 1);
+            let before = if Sys.file_exists ckpt_path then Some (read_file ckpt_path) else None in
+            observe_n 1;
+            let written = read_file ckpt_path in
+            E.crash eng;
+            (match before with
+            | Some s -> write_file ckpt_path s
+            | None -> Sys.remove ckpt_path);
+            write_file (ckpt_path ^ ".tmp") (String.sub written 0 (String.length written / 2))
+          | Before_sidecar -> (
+            observe_n (1 + Random.State.int rng 1_500);
+            (* The marker is synced; the archive's first block write
+               fails, so the sidecar is never written. *)
+            BD.set_injector (E.device eng)
+              (Some (fun op ~attempt:_ _ -> if op = BD.Write then Some BD.Fail else None));
+            match E.end_time_step eng with
+            | _ -> Alcotest.failf "seed %d: the archive survived a failing device" seed
+            | exception BD.Device_error _ -> ()));
+          E.crash eng;
+          let what = Printf.sprintf "seed %d phase %d (%s)" seed phase (kill_label kill) in
+          let recovered, report = E.open_or_recover (config ~checkpoint_every) in
+          if kill = Before_sidecar then
+            Alcotest.(check int) (what ^ ": the step is re-archived") 1 report.E.steps_reingested;
+          check_engine ~what recovered oracle;
+          E.close recovered)
+        order)
 
-(* --- lane topology reconciliation (deterministic) ----------------------- *)
+(* --- read-your-writes ------------------------------------------------------ *)
 
-let test_lane_reconciliation () =
+(* Every acked observe, one at a time across several hand-offs, is seen
+   by the next count, quick and accurate answer of a durable engine. *)
+let test_engine_read_your_writes () =
   with_store (fun dir ->
-      let config ~ingest_domains =
-        Hsq.Config.make ~kappa:3 ~ingest_domains ~ingest_batch:16 ~checkpoint_every:64
-          ~wal_dir:dir (Hsq.Config.Epsilon 0.05)
+      let eng, _ =
+        E.open_or_recover
+          (Hsq.Config.make ~kappa:3 ~checkpoint_every:300 ~wal_dir:dir (Hsq.Config.Epsilon 0.02))
       in
-      let eng, _ = E.open_or_recover (config ~ingest_domains:4) in
-      for i = 0 to 999 do
-        E.observe_domain eng ~domain:(i mod 4) (i * 7919)
+      let rng = Random.State.make [| 0x5EE |] in
+      let oracle = Oracle.create () in
+      for i = 1 to (2 * handoff) + 100 do
+        let v = Random.State.int rng 100_000 in
+        E.observe eng v;
+        Oracle.add oracle v;
+        Alcotest.(check int) "stream size" i (E.stream_size eng);
+        let top, bound = E.quick_with_bound eng ~rank:i in
+        if float_of_int (Oracle.rank_error oracle ~rank:i ~value:top) > bound then
+          Alcotest.failf "quick after %d acks outside its bound" i;
+        if i mod 37 = 0 then begin
+          let v, report = E.accurate eng ~rank:i in
+          if float_of_int (Oracle.rank_error oracle ~rank:i ~value:v) > report.E.rank_error_bound
+          then Alcotest.failf "accurate after %d acks outside its bound" i
+        end
       done;
-      E.crash eng;
-      Alcotest.(check bool) "extra lane files exist" true
-        (Sys.file_exists (Filename.concat dir "wal-3.log"));
-      (* Shrink: consolidation absorbs lanes 2..3 and deletes the files. *)
-      let narrow, _ = E.open_or_recover (config ~ingest_domains:2) in
-      Alcotest.(check int) "shrunk store exact" 1000 (E.total_size narrow);
-      Alcotest.(check bool) "lane 3 file gone" false
-        (Sys.file_exists (Filename.concat dir "wal-3.log"));
-      Alcotest.(check bool) "lane 2 file gone" false
-        (Sys.file_exists (Filename.concat dir "wal-2.log"));
-      for i = 0 to 199 do
-        E.observe_domain narrow ~domain:i (i * 104729)
-      done;
-      E.crash narrow;
-      (* Grow: fresh logs for the new lanes. *)
-      let wide, _ = E.open_or_recover (config ~ingest_domains:6) in
-      Alcotest.(check int) "grown store exact" 1200 (E.total_size wide);
-      Alcotest.(check bool) "lane 5 file created" true
-        (Sys.file_exists (Filename.concat dir "wal-5.log"));
-      E.close wide)
+      E.close eng)
 
-(* --- metrics: per-lane accumulators and Atomic counters are exact ------ *)
-
-let counter_value reg name =
-  let prom = Metrics.to_prometheus reg in
-  let value = ref None in
-  String.split_on_char '\n' prom
-  |> List.iter (fun line ->
-         match String.index_opt line ' ' with
-         | Some i when String.sub line 0 i = name ->
-           value := float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-         | _ -> ());
-  match !value with
-  | Some v -> v
-  | None -> Alcotest.failf "metric %s not exported" name
-
-let test_lane_metrics_exact () =
-  let domains = 4 in
-  let eng =
-    E.create
-      (Hsq.Config.make ~kappa:3 ~ingest_domains:domains ~ingest_batch:64
-         (Hsq.Config.Epsilon 0.02))
-  in
-  let per_lane = 3_000 in
-  let data = gen_data ~n:(domains * per_lane) ~seed:99 in
-  let threads, live = concurrent_feed eng ~domains ~per_lane ~seed:99 ~data in
-  (* Export the registry WHILE lanes are writing: counter_fn closures
-     must read live per-lane state without tearing or raising, and the
-     snapshot must never exceed the final total. *)
-  let reg = E.metrics eng in
-  while Atomic.get live > 0 do
-    let mid = counter_value reg "hsq_ingest_observed_total" in
-    if mid > float_of_int (domains * per_lane) then
-      Alcotest.failf "mid-flight observed_total overshoots: %f" mid;
-    Thread.yield ()
-  done;
-  Array.iter Thread.join threads;
-  E.flush_ingest eng;
-  Alcotest.(check (float 0.0))
-    "observed_total exact at quiescence"
-    (float_of_int (domains * per_lane))
-    (counter_value reg "hsq_ingest_observed_total");
-  Alcotest.(check (float 0.0)) "buffered gauge drained" 0.0 (counter_value reg "hsq_ingest_buffered");
-  let handoffs = counter_value reg "hsq_ingest_handoffs_total" in
-  if handoffs < 1.0 then Alcotest.failf "no hand-offs recorded (%f)" handoffs;
-  (* Atomic query counters: exact under queries racing fresh ingest. *)
-  let q = 500 in
-  for i = 1 to q do
-    ignore (E.quick eng ~rank:(1 + (i mod E.total_size eng)))
-  done;
-  Alcotest.(check (float 0.0))
-    "quick_total exact" (float_of_int q)
-    (counter_value reg "hsq_query_quick_total")
+(* The same over the wire: after each acked observe batch, whatever its
+   size against the hand-off, [stats] counts every acked element and
+   quick and accurate resolve phi 1.0 against that count. *)
+let test_daemon_read_your_writes () =
+  with_store (fun dir ->
+      let g = Hsq_shard.Shard_group.create (Hsq.Config.make ~kappa:3 (Hsq.Config.Epsilon 0.02)) in
+      let listen = Hsq_serve.Server.Unix_sock (Filename.concat dir "hsq.sock") in
+      let srv = Hsq_serve.Server.create (Hsq_serve.Server.default_config listen) g in
+      Hsq_serve.Server.start srv;
+      Fun.protect
+        ~finally:(fun () -> Hsq_serve.Server.stop srv)
+        (fun () ->
+          let module C = Hsq_serve.Client in
+          let module J = Hsq_serve.Json in
+          let c = C.connect listen in
+          let rng = Random.State.make [| 0xD43 |] in
+          let oracle = Oracle.create () in
+          let acked = ref 0 in
+          List.iter
+            (fun size ->
+              let batch = Array.init size (fun _ -> Random.State.int rng 100_000) in
+              acked := !acked + C.observe c batch;
+              Array.iter (Oracle.add oracle) batch;
+              let what = Printf.sprintf "after %d acks" !acked in
+              Alcotest.(check (option int)) (what ^ ": stats") (Some !acked)
+                (J.get_int (C.stats c) "n");
+              List.iter
+                (fun (verb, resp) ->
+                  Alcotest.(check (option int)) (what ^ ": " ^ verb ^ " rank") (Some !acked)
+                    (J.get_int resp "rank");
+                  let bound = Option.value ~default:0.0 (C.bound_of resp) in
+                  let err = Oracle.rank_error oracle ~rank:!acked ~value:(C.value_of resp) in
+                  if float_of_int err > bound then
+                    Alcotest.failf "%s: %s err %d > bound %.1f" what verb err bound)
+                [ ("quick", C.quick c (`Phi 1.0)); ("accurate", C.accurate c (`Phi 1.0)) ])
+            [ 1; 7; handoff - 8; 1; handoff; handoff + 3; 200 ];
+          C.close c))
 
 let () =
   let fuzz name f =
@@ -286,11 +266,10 @@ let () =
   in
   Alcotest.run "ingest"
     [
-      ( "lanes",
+      ( "read-your-writes",
         [
-          Alcotest.test_case "D=1 identity" `Quick test_single_lane_identity;
-          Alcotest.test_case "topology reconciliation" `Quick test_lane_reconciliation;
-          Alcotest.test_case "metrics exact" `Quick test_lane_metrics_exact;
+          Alcotest.test_case "engine" `Quick test_engine_read_your_writes;
+          Alcotest.test_case "daemon" `Quick test_daemon_read_your_writes;
         ] );
       fuzz "volatile equivalence" fuzz_volatile;
       fuzz "durable crash-recover" fuzz_durable;

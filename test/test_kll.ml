@@ -131,6 +131,8 @@ let test_insert_sorted_batch_equiv () =
   done;
   let data = Array.concat !all in
   Alcotest.(check int) "count" (Array.length data) (Kll.count a);
+  Alcotest.(check int) "minimum" (Array.fold_left min max_int data) (Kll.min_value a);
+  Alcotest.(check int) "maximum" (Array.fold_left max min_int data) (Kll.max_value a);
   check_within_bound ~what:"batched worst error" a data;
   Alcotest.(check (list string)) "invariants hold" [] (Kll.check_invariants a)
 

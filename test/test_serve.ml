@@ -961,47 +961,36 @@ let run_device_chaos ~seed () =
    next full-store quick on connection B resolves phi 1.0 against the
    acked total and answers within its bound; so does the quick after it,
    which the published snapshot can serve inline.  Accurates and step
-   cuts are interleaved.  At ingest_domains 2 observes take the direct
-   lanes; ingest_batch 1 makes every acked element visible to queries at
-   once, as a single-lane engine does. *)
+   cuts are interleaved. *)
 let test_inline_freshness () =
-  List.iter
-    (fun ingest_domains ->
-      let config =
-        Hsq.Config.make ~kappa:3 ~block_size:32 ~ingest_domains ~ingest_batch:1
-          (Hsq.Config.Epsilon 0.05)
-      in
-      let oracle = Hsq_workload.Oracle.create () in
-      with_server (G.create config) (fun _ listen ->
-          let a = Client.connect listen and b = Client.connect listen in
-          let rng = Hsq_util.Xoshiro.create (0xF2E5 + ingest_domains) in
-          let acked = ref 0 in
-          for round = 1 to 40 do
-            let batch = Array.init 60 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
-            acked := !acked + Client.observe a batch;
-            Hsq_workload.Oracle.add_batch oracle batch;
-            for _ = 1 to 2 do
-              let what = Printf.sprintf "domains %d round %d quick" ingest_domains round in
-              let r = Client.quick b (`Phi 1.0) in
-              Alcotest.(check (option int)) (what ^ " sees every acked element") (Some !acked)
-                (Json.get_int r "rank");
-              check_bounded ~what oracle r
-            done;
-            if round mod 3 = 0 then
-              check_bounded
-                ~what:(Printf.sprintf "domains %d round %d accurate" ingest_domains round)
-                oracle (Client.accurate b (`Phi 0.5));
-            if round mod 10 = 0 then Client.end_step a
-          done;
-          Alcotest.(check bool)
-            (Printf.sprintf "domains %d: some quicks answered inline" ingest_domains)
-            true
-            (match Option.bind (wire_metric b "hsq_serve_quick_inline_total") Json.as_int with
-            | Some n -> n > 0
-            | None -> false);
-          Client.close a;
-          Client.close b))
-    [ 1; 2 ]
+  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
+  let oracle = Hsq_workload.Oracle.create () in
+  with_server (G.create config) (fun _ listen ->
+      let a = Client.connect listen and b = Client.connect listen in
+      let rng = Hsq_util.Xoshiro.create (0xF2E5 + 1) in
+      let acked = ref 0 in
+      for round = 1 to 40 do
+        let batch = Array.init 60 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+        acked := !acked + Client.observe a batch;
+        Hsq_workload.Oracle.add_batch oracle batch;
+        for _ = 1 to 2 do
+          let what = Printf.sprintf "round %d quick" round in
+          let r = Client.quick b (`Phi 1.0) in
+          Alcotest.(check (option int)) (what ^ " sees every acked element") (Some !acked)
+            (Json.get_int r "rank");
+          check_bounded ~what oracle r
+        done;
+        if round mod 3 = 0 then
+          check_bounded ~what:(Printf.sprintf "round %d accurate" round) oracle
+            (Client.accurate b (`Phi 0.5));
+        if round mod 10 = 0 then Client.end_step a
+      done;
+      Alcotest.(check bool) "some quicks answered inline" true
+        (match Option.bind (wire_metric b "hsq_serve_quick_inline_total") Json.as_int with
+        | Some n -> n > 0
+        | None -> false);
+      Client.close a;
+      Client.close b)
 
 (* An accurate that quarantines a partition invalidates the published
    snapshot: the next wire quick answers exactly as a fresh

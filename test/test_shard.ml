@@ -378,21 +378,19 @@ let test_volatile_rejoin_refused () =
   | Error _ -> ());
   G.close g
 
-(* --- ingest lanes ----------------------------------------------------------- *)
+(* --- ingest buffer ---------------------------------------------------------- *)
 
-(* Elements still buffered in an ingest lane belong to the open step:
-   the group's cut archives them although the stream sketch has not
-   counted them yet. *)
-let test_end_step_seals_lanes () =
+(* Elements still in an engine's ingest buffer belong to the open step:
+   the group's cut archives them on every replica. *)
+let test_end_step_archives_buffer () =
   List.iter
     (fun replicas ->
       let g =
         G.create
-          (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:2 ~replicas ~ingest_domains:2
-             ~ingest_batch:1024 (Hsq.Config.Epsilon 0.05))
+          (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:2 ~replicas (Hsq.Config.Epsilon 0.05))
       in
       for v = 0 to 99 do
-        G.observe_domain g ~domain:(v mod 2) v
+        G.observe g v
       done;
       let what = Printf.sprintf "R=%d" replicas in
       Alcotest.(check int) (what ^ ": every shard cut") 2 (List.length (G.end_time_step g));
@@ -760,8 +758,8 @@ let () =
           Alcotest.test_case "recovery gauges, rejoin, health rollup" `Quick
             test_recovery_gauges_and_rejoin;
         ] );
-      ( "ingest lanes",
-        [ Alcotest.test_case "end_step archives lane buffers" `Quick test_end_step_seals_lanes ] );
+      ( "ingest buffer",
+        [ Alcotest.test_case "end_step archives buffered elements" `Quick test_end_step_archives_buffer ] );
       ( "windows",
         [
           Alcotest.test_case "skips on different shards refuse windows" `Quick
