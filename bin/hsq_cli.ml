@@ -345,20 +345,19 @@ let simulate dataset steps step_size seed epsilon kappa block_size device_path q
   in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
   with_group ~who:"simulate" ~config ?durable (Fresh device_path) (fun g ->
-      let ingest batch = Array.iter (G.observe g) batch in
       let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
       let update_io = ref Hsq_storage.Io_stats.zero in
       for step = 1 to steps do
         let batch = Hsq_workload.Datasets.next_batch ds step_size in
         Option.iter (fun o -> Hsq_workload.Oracle.add_batch o batch) oracle;
-        ingest batch;
+        Array.iter (G.observe g) batch;
         update_io := Hsq_storage.Io_stats.add !update_io (archive g ~who:"simulate");
         if step mod 10 = 0 then Printf.eprintf "[simulate] archived step %d/%d\n%!" step steps
       done;
       (* live stream: half a batch *)
       let tail = Hsq_workload.Datasets.next_batch ds (max 1 (step_size / 2)) in
       Option.iter (fun o -> Hsq_workload.Oracle.add_batch o tail) oracle;
-      ingest tail;
+      Array.iter (G.observe g) tail;
       Printf.printf "dataset=%s  " dataset;
       report_footprint ~update_io:!update_io g;
       report_quantiles g phis;

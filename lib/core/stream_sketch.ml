@@ -23,8 +23,6 @@ let create_capped ?(seed = 0) ~kind ~words () =
 let kind = function Gk _ -> `Gk | Kll _ -> `Kll
 let kind_label = function Gk _ -> "gk" | Kll _ -> "kll"
 
-let insert = function Gk g -> Gk_impl.insert g | Kll k -> Kll_impl.insert k
-
 let insert_sorted_batch = function
   | Gk g -> Gk_impl.insert_sorted_batch g
   | Kll k -> Kll_impl.insert_sorted_batch k

@@ -22,7 +22,6 @@ val kind : t -> kind
 val kind_label : t -> string
 (** ["gk"] or ["kll"], for status and metrics surfaces. *)
 
-val insert : t -> int -> unit
 val insert_sorted_batch : t -> int array -> unit
 val count : t -> int
 val size : t -> int

@@ -17,10 +17,11 @@
    - full-store quicks (no window) skip the queue: a connection thread
      answers them from the engine thread's published quick snapshot
      while that snapshot's write generation is current, the engine
-     thread is idle and no stop was requested.  Writers bump the generation after
-     applying and before acking; the publisher reads it before building.
-     The idle gate keeps inline answers off the runtime lock while an
-     accurate query waits on device reads.  See "inline quick answers".
+     thread is idle and no stop was requested.  Writers bump the
+     generation after applying and before acking; the publisher reads
+     it before building.  The idle gate keeps inline answers off the
+     runtime lock while an accurate query waits on device reads.  See
+     "inline quick answers".
 
    Admission control: the queue is strictly bounded (shed with
    retry-after past capacity — see Admission); every admitted request
@@ -406,13 +407,12 @@ let tally t run =
    Zero staleness rests on one ordering.  Every write bumps the
    generation after it is applied and before it is acknowledged:
    observe, end_step and every job, all on the engine thread.  The
-   publisher reads the
-   generation before it builds.  So a quick that arrives after an ack
-   finds either a snapshot built after that write or a stale tag.  An
-   accurate query can quarantine partitions or drop what the snapshot
-   read; after each one the engine thread checks the snapshot against
-   the group (no summary build) and bumps the generation if it no longer
-   matches.
+   publisher reads the generation before it builds.  So a quick that
+   arrives after an ack finds either a snapshot built after that write
+   or a stale tag.  An accurate query can quarantine partitions or drop
+   what the snapshot read; after each one the engine thread checks the
+   snapshot against the group (no summary build) and bumps the
+   generation if it no longer matches.
 
    The idle gate is for latency, not correctness: an inline answer on a
    connection thread would take the runtime lock at every device read

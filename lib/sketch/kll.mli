@@ -38,7 +38,7 @@ val insert : t -> int -> unit
 val insert_sorted_batch : t -> int array -> unit
 (** [insert_sorted_batch t b] inserts every element of [b], which must
     be sorted ascending.  The sorted run merges into level 0 in one
-    pass, so a lane hand-off costs O(size + length b) instead of
+    pass, so an ingest hand-off costs O(size + length b) instead of
     [length b] separate inserts. *)
 
 val count : t -> int

@@ -15,7 +15,10 @@
      already-committed step replays as a skip, never a double archive,
      and recovery itself is idempotent;
    - torn WAL tails are floored and physically truncated;
-   - stale or corrupt checkpoints are ignored in favour of full replay. *)
+   - stale or corrupt checkpoints are ignored in favour of full replay;
+   - a store written with ingest lanes is refused before any file is
+     touched, while a lane-format checkpoint reads as absent and a lane
+     commit marker replays as End_step. *)
 
 module E = Hsq.Engine
 module W = Hsq_storage.Wal

@@ -399,6 +399,35 @@ let test_end_step_archives_buffer () =
       G.close g)
     [ 1; 2 ]
 
+(* Reads hand off only the read replica's buffer, so replicas that
+   applied the same observes hold sketches built from different runs;
+   anti-entropy must not flag that as divergence. *)
+let test_entropy_ignores_handoff_points () =
+  let root = temp_dir "hsq_shard_entropy" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let g, _ =
+        G.open_or_recover
+          (Hsq.Config.make ~kappa:3 ~block_size:32 ~replicas:2 ~wal_dir:root
+             (Hsq.Config.Epsilon 0.05))
+      in
+      let rng = Hsq_util.Xoshiro.create 0xE7 in
+      for round = 1 to 6 do
+        for _ = 1 to 37 * round do
+          G.observe g (Hsq_util.Xoshiro.int rng 100_000)
+        done;
+        ignore (G.quick_with_bound g ~rank:1)
+      done;
+      List.iter
+        (fun (er : G.entropy_report) ->
+          match er.G.flagged with
+          | [] -> ()
+          | (j, d) :: _ -> Alcotest.failf "replica %d flagged: %s" j d)
+        (G.anti_entropy g);
+      Alcotest.(check (list (pair int int))) "no divergence" [] (G.diverged_replicas g);
+      G.close g)
+
 (* --- windows ---------------------------------------------------------------- *)
 
 (* Shard 0 down across one step, shard 1 down across a later one: both
@@ -759,7 +788,12 @@ let () =
             test_recovery_gauges_and_rejoin;
         ] );
       ( "ingest buffer",
-        [ Alcotest.test_case "end_step archives buffered elements" `Quick test_end_step_archives_buffer ] );
+        [
+          Alcotest.test_case "end_step archives buffered elements" `Quick
+            test_end_step_archives_buffer;
+          Alcotest.test_case "anti-entropy ignores hand-off points" `Quick
+            test_entropy_ignores_handoff_points;
+        ] );
       ( "windows",
         [
           Alcotest.test_case "skips on different shards refuse windows" `Quick
