@@ -24,7 +24,7 @@ let format_version = 1
 type t = {
   seq : int; (* last WAL sequence number covered by this state *)
   steps_done : int; (* warehouse time steps committed at save time *)
-  batch : int array; (* the open step's spooled elements, in order *)
+  batch : int array; (* the open step's spool, one sorted run per hand-off *)
   gk : int array; (* Gk.serialize of the stream sketch *)
 }
 

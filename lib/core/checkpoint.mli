@@ -9,7 +9,7 @@
 type t = {
   seq : int;          (** last WAL sequence number covered *)
   steps_done : int;   (** warehouse time steps committed at save time *)
-  batch : int array;  (** the open step's spooled elements, in order *)
+  batch : int array;  (** the open step's spool, one sorted run per hand-off *)
   gk : int array;     (** {!Hsq_sketch.Gk.serialize} of the stream sketch *)
 }
 
