@@ -205,8 +205,9 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
     (ranks, float_of_int rho1 +. rho2)
   in
   (* rank(z') for z' < z is at most rank(z), and at least rank(z) for
-     z' > z — so each bisection step halves the per-partition windows
-     too, and the one-block run caches make the tail probes free. *)
+     z' > z — so each bisection step shrinks the per-partition windows
+     too.  Once a window fits inside the block its last probe ended in,
+     the one-block run cache answers the next probe with no read. *)
   let narrow ~left ranks =
     Array.iteri
       (fun i st ->

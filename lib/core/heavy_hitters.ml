@@ -81,14 +81,7 @@ let ingest_batch t batch =
 
 (* Exact count of [v] in partition [p]: rank(v) - rank(v-1), each via a
    summary-bounded binary search. *)
-let partition_count p v =
-  let summary = Hsq_hist.Partition.summary p in
-  let run = Hsq_hist.Partition.run p in
-  let rank_of x =
-    let lo, hi = Hsq_hist.Partition_summary.rank_bounds summary x in
-    if lo = hi then lo else Hsq_storage.Run.rank_between run ~lo ~hi x
-  in
-  rank_of v - rank_of (v - 1)
+let partition_count p v = Hsq_hist.Partition.rank p v - Hsq_hist.Partition.rank p (v - 1)
 
 (* Candidate values that could be phi-frequent within partition [p]:
    every ~floor(phi * n)-th element of the sorted run. *)

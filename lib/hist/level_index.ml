@@ -461,13 +461,7 @@ let add_batch t batch =
 (* Exact rank of [v] across all partitions, by disk binary searches
    bounded by the summaries.  This is the rho_1 computation of
    Algorithm 8 lines 2-7. *)
-let rank t v =
-  List.fold_left
-    (fun acc p ->
-      let lo, hi = Partition_summary.rank_bounds (Partition.summary p) v in
-      if lo = hi then acc + lo
-      else acc + Hsq_storage.Run.rank_between (Partition.run p) ~lo ~hi v)
-    0 (partitions t)
+let rank t v = List.fold_left (fun acc p -> acc + Partition.rank p v) 0 (partitions t)
 
 (* The partitions tiling exactly the step range [first, last], if that
    range is partition-aligned.  A window of the [w] most recent steps

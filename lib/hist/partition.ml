@@ -23,6 +23,11 @@ let first_step t = t.first_step
 let last_step t = t.last_step
 let level t = t.level
 let free t = Hsq_storage.Run.free t.run
+
+let rank t v =
+  let lo, hi = Partition_summary.rank_bounds t.summary v in
+  Hsq_storage.Run.rank_between t.run ~lo ~hi v
+
 let memory_words t = 8 + Partition_summary.memory_words t.summary
 
 let pp ppf t =

@@ -20,6 +20,12 @@ val first_step : t -> int
 val last_step : t -> int
 val level : t -> int
 
+(** [rank p v] is the exact number of elements ≤ [v] in the partition:
+    the summary bounds the window ({!Partition_summary.rank_bounds}),
+    then {!Hsq_storage.Run.rank_between} searches it on disk — with no
+    read when the summary pins the rank. *)
+val rank : t -> int -> int
+
 (** Release the underlying run's blocks. *)
 val free : t -> unit
 

@@ -1,10 +1,14 @@
 (* A sorted run: [length] elements stored ascending across
    [ceil(length / B)] contiguous blocks of a block device.
 
-   Random access goes through a one-block cache.  This implements the
-   paper's query optimization (Section 2.4): once a binary search has
-   narrowed to a single disk block, the block is held in memory and
-   further probes cost no I/O. *)
+   The paper's query optimization (Section 2.4) stops disk reads once a
+   search has narrowed to one block.  [rank_between] goes further and
+   settles every block it reads in full, so a search never reads a
+   block twice and a window spanning [k] blocks costs at most
+   ceil(log2 k) + 2 reads.  Random access also goes through a one-block
+   cache, which saves the reads repeated across searches: a bisection's
+   next probe of the same run often lands in the block the last one
+   ended in. *)
 
 type t = {
   dev : Block_device.t;
@@ -93,16 +97,36 @@ let get t i =
   (block_for t i).(i mod bsize)
 
 (* First index in [lo, hi) whose element is > v, i.e. the number of
-   elements <= v given that the answer lies in [lo, hi].  Each probe may
-   read one block; probes within the cached block are free. *)
+   elements <= v given that the answer lies in [lo, hi].  Each step
+   reads the block holding the window's midpoint and settles it whole:
+   clipped to the window, either its last element is <= v (the answer
+   lies past the block), its first is > v (the answer is at or before
+   its start), or the answer lies inside it and a binary search of the
+   array in hand finishes with no further read.  The window keeps at
+   most half its elements per step and never re-reads a block, so a
+   window spanning [k] blocks costs at most ceil(log2 k) + 2 reads. *)
 let rank_between t ~lo ~hi v =
   check_live t "rank_between";
   if lo < 0 || hi > t.length || lo > hi then invalid_arg "Run.rank_between: bad range";
+  let bsize = Block_device.block_size t.dev in
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if get t mid <= v then go (mid + 1) hi else go lo mid
+      let block = block_for t mid in
+      let start = mid - (mid mod bsize) in
+      let a = max lo start and b = min hi (start + bsize) in
+      if block.(b - 1 - start) <= v then go b hi
+      else if block.(a - start) > v then go lo a
+      else
+        (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
+        let rec within lo hi =
+          if lo >= hi then lo
+          else
+            let m = (lo + hi) / 2 in
+            if block.(m - start) <= v then within (m + 1) hi else within lo m
+        in
+        within (a + 1) (b - 1)
   in
   go lo hi
 

@@ -1,10 +1,11 @@
 (** Sorted on-disk runs.
 
     A run stores a non-empty ascending sequence of integers across
-    contiguous blocks of a {!Block_device.t}. Random access goes through
-    a one-block cache, implementing the paper's Section 2.4 optimization:
-    once a search has narrowed to one block, further probes in that block
-    cost no I/O. *)
+    contiguous blocks of a {!Block_device.t}. Searches settle each block
+    they read in full (the paper's Section 2.4 optimization: no more
+    reads once the search is inside one block), and random access goes
+    through a one-block cache that saves the reads repeated across
+    searches. *)
 
 type t
 
@@ -30,7 +31,8 @@ val free : t -> unit
 val drop_cache : t -> unit
 
 (** Disable/enable the one-block cache — the ablation switch for the
-    Section 2.4 query optimization. Enabled by default. *)
+    reads it saves across searches of the same run. Enabled by
+    default. *)
 val set_cache_enabled : t -> bool -> unit
 
 (** [get t i] is the element at index [i] (0-based). One block read
@@ -42,7 +44,11 @@ val rank : t -> int -> int
 
 (** [rank_between t ~lo ~hi v] is [rank t v] when the answer is known to
     lie in [\[lo, hi\]]; only probes inside the range (Algorithm 8 uses
-    summary entries to bound the search). *)
+    summary entries to bound the search). Each block read is settled in
+    full, so a window spanning [k] blocks costs at most
+    [ceil(log2 k) + 2] reads — fewer when the one-block cache already
+    holds one of them — and an empty window ([lo = hi]) costs none.
+    Raises [Invalid_argument] on a bad range or a freed run. *)
 val rank_between : t -> lo:int -> hi:int -> int -> int
 
 (** Read [len] elements starting at [pos]. *)

@@ -413,8 +413,66 @@ let test_run_rank_between_io_bound () =
   Io_stats.reset stats;
   let r = Run.rank_between run ~lo:0 ~hi:n 2001 in
   Alcotest.(check int) "correct rank" 1001 r;
-  (* binary search over 4096/16 = 256 blocks: ~log2(4096) = 12 probes max *)
-  Alcotest.(check bool) "io within log bound" true ((Io_stats.snapshot stats).Io_stats.reads <= 13)
+  (* 4096/16 = 256 blocks, each read settled in full: ceil(log2 256) + 2 *)
+  Alcotest.(check bool) "io within log bound" true ((Io_stats.snapshot stats).Io_stats.reads <= 10)
+
+let ceil_log2 k =
+  let rec go p acc = if p >= k then acc else go (2 * p) (acc + 1) in
+  go 1 0
+
+(* Seeded sweep of the block-settling read bound: from a cold cache, a
+   window [lo, hi) holding the true rank and spanning [k] blocks costs
+   at most ceil(log2 k) + 2 reads, and the answer is the in-memory rank.
+   Inputs include the shapes that defeat value-based guesses: heavy
+   duplicates, one huge gap, and exponential spacing. *)
+let test_run_rank_between_read_bound () =
+  let rng = Hsq_util.Xoshiro.create 2016 in
+  let draw bound = Hsq_util.Xoshiro.int rng bound in
+  let kinds =
+    [
+      ("random", fun n -> Array.init n (fun _ -> draw 1_000_000));
+      ("duplicates", fun n -> Array.init n (fun _ -> draw 3));
+      ( "huge gap",
+        fun n ->
+          let gap = draw (n + 1) in
+          Array.init n (fun i -> if i < gap then i else (1 lsl 50) + i) );
+      ("exponential", fun n -> Array.init n (fun i -> int_of_float (exp (40.0 *. float i /. float n))));
+    ]
+  in
+  List.iter
+    (fun block_size ->
+      List.iter
+        (fun (kind, gen) ->
+          for _ = 1 to 10 do
+            let dev = mem_dev ~block_size () in
+            let data = gen (1 + draw (block_size * 64)) in
+            Array.sort compare data;
+            let n = Array.length data in
+            let run = Run.of_sorted_array dev data in
+            let stats = Block_device.stats dev in
+            for _ = 1 to 400 do
+              let v =
+                match draw 8 with
+                | 0 -> data.(0) - 1
+                | 1 -> data.(n - 1) + 1
+                | _ -> data.(draw n) + draw 3 - 1
+              in
+              let r = Hsq_util.Sorted.rank data v in
+              let lo = draw (r + 1) in
+              let hi = r + draw (n - r + 1) in
+              let spanned = if lo >= hi then 0 else ((hi - 1) / block_size) - (lo / block_size) + 1 in
+              let bound = if spanned = 0 then 0 else ceil_log2 spanned + 2 in
+              Run.drop_cache run;
+              Io_stats.reset stats;
+              let got = Run.rank_between run ~lo ~hi v in
+              let reads = (Io_stats.snapshot stats).Io_stats.reads in
+              if got <> r || reads > bound then
+                Alcotest.failf "B=%d %s n=%d v=%d [%d,%d): rank %d (want %d), %d reads (bound %d)"
+                  block_size kind n v lo hi got r reads bound
+            done
+          done)
+        kinds)
+    [ 2; 4; 16; 256 ]
 
 let test_run_writer_matches_of_sorted_array () =
   let dev = mem_dev ~block_size:4 () in
@@ -834,6 +892,7 @@ let () =
           Alcotest.test_case "rank" `Quick test_run_rank;
           Alcotest.test_case "block cache" `Quick test_run_block_cache;
           Alcotest.test_case "rank_between io bound" `Quick test_run_rank_between_io_bound;
+          Alcotest.test_case "rank_between read bound" `Quick test_run_rank_between_read_bound;
           Alcotest.test_case "writer" `Quick test_run_writer_matches_of_sorted_array;
           Alcotest.test_case "writer validation" `Quick test_run_writer_validation;
           Alcotest.test_case "cursor" `Quick test_run_cursor;
