@@ -507,29 +507,29 @@ let ablations ~scale =
 (* --- Extension benches ------------------------------------------------------ *)
 
 let extensions ~scale =
-  (* Heavy hitters over the union: query cost and yield vs phi, on a
-     static Zipf stream (the network dataset's deliberate per-step
+  (* Heavy hitters over archived history: query cost and yield vs phi,
+     on a static Zipf stream (the network dataset's deliberate per-step
      drift spreads every pair's count across steps, so nothing is
      globally frequent there). *)
-  print_header "Extension: heavy hitters over the union (static Zipf s=1.2), cost vs phi";
+  print_header "Extension: heavy hitters over history (static Zipf s=1.2), cost vs phi";
   print_row [ fmt_f 0.0; "         hits"; "   candidates"; "     query-io" ];
   let rng_hh = Hsq_util.Xoshiro.create (scale.seed lxor 0x6868) in
   let zipf = Hsq_workload.Distribution.Zipf.create ~n:10_000 ~s:1.2 in
-  let config =
-    Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
-      (Hsq.Config.Epsilon 0.01)
-  in
-  let hh = Hsq.Heavy_hitters.create ~capacity:1024 config in
-  let hh_batch size =
-    Array.init size (fun _ -> Hsq_workload.Distribution.Zipf.sample zipf rng_hh)
+  let eng =
+    Hsq.Engine.create
+      (Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
+         (Hsq.Config.Epsilon 0.01))
   in
   for _ = 1 to min 30 scale.steps do
-    ignore (Hsq.Heavy_hitters.ingest_batch hh (hh_batch scale.step_size))
+    ignore
+      (Hsq.Engine.ingest_batch eng
+         (Array.init scale.step_size (fun _ -> Hsq_workload.Distribution.Zipf.sample zipf rng_hh)))
   done;
-  Array.iter (Hsq.Heavy_hitters.observe hh) (hh_batch (scale.step_size / 2));
+  let stats = [ Hsq_storage.Block_device.stats (Hsq.Engine.device eng) ] in
+  let partitions = Hsq_hist.Level_index.partitions (Hsq.Engine.hist eng) in
   List.iter
     (fun phi ->
-      let hits, report = Hsq.Heavy_hitters.frequent hh ~phi in
+      let hits, report = Hsq.Heavy_hitters.frequent ~stats partitions ~phi in
       print_row
         [
           fmt_f phi;
@@ -538,39 +538,6 @@ let extensions ~scale =
           fmt_i (Hsq_storage.Io_stats.total report.Hsq.Heavy_hitters.io);
         ])
     [ 0.05; 0.02; 0.01; 0.005; 0.002 ];
-
-  (* CKMS: memory needed for a given p99.9 rank error vs uniform GK. *)
-  print_header "Extension: CKMS high-biased tail sketch vs uniform GK (50k uniform elements)";
-  print_row [ fmt_i 0; "   ckms-words"; "     gk-words"; "  ckms-p999-err"; "    gk-p999-err" ];
-  let rng = Hsq_util.Xoshiro.create scale.seed in
-  let n = 50_000 in
-  let data = Array.init n (fun _ -> Hsq_util.Xoshiro.int rng 10_000_000) in
-  let sorted = Array.copy data in
-  Array.sort compare sorted;
-  let p999 = int_of_float (ceil (0.999 *. float_of_int n)) in
-  let err value =
-    let hi = Hsq_util.Sorted.rank sorted value in
-    let lo = min hi (Hsq_util.Sorted.rank_strict sorted value + 1) in
-    if p999 < lo then lo - p999 else if p999 > hi then p999 - hi else 0
-  in
-  List.iter
-    (fun (label, eps_ck, eps_gk) ->
-      let ck = Hsq_sketch.Ckms.create ~bias:Hsq_sketch.Ckms.High_biased ~epsilon:eps_ck () in
-      let gk = Hsq_sketch.Gk.create ~epsilon:eps_gk in
-      Array.iter
-        (fun v ->
-          Hsq_sketch.Ckms.insert ck v;
-          Hsq_sketch.Gk.insert gk v)
-        data;
-      Printf.printf "%12s" label;
-      print_row
-        [
-          fmt_i (Hsq_sketch.Ckms.memory_words ck);
-          fmt_i (Hsq_sketch.Gk.memory_words gk);
-          fmt_i (err (Hsq_sketch.Ckms.query_rank ck p999));
-          fmt_i (err (Hsq_sketch.Gk.query_rank gk p999));
-        ])
-    [ ("coarse", 0.1, 0.0001); ("medium", 0.05, 0.00005); ("fine", 0.02, 0.00002) ];
 
   (* The Section 2 strawman: keeping H fully sorted makes every step
      rewrite the whole history; ours stays near the batch-write cost. *)

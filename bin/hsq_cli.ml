@@ -486,25 +486,30 @@ let query device meta query_domains deadline_ms phis heavy trace durable shards 
         report_quantiles g phis;
         Option.iter
           (fun phi ->
-            match (G.shard_count g, G.engine g 0) with
-            | 1, Some eng -> (
-              (* Counts are exact over the history; a store with an open
-                 step holds stream elements the counter never saw. *)
-              let capacity = max 64 (int_of_float (ceil (2.0 /. phi))) in
-              match Hsq.Heavy_hitters.of_engine ~capacity eng with
-              | exception Invalid_argument _ ->
-                prerr_endline "warning: --heavy ignored on a store with an open step"
-              | hh ->
-                let hits, report = Hsq.Heavy_hitters.frequent hh ~phi in
-                Printf.printf
-                  "values with frequency >= %g%% (%d candidates verified, %d disk accesses):\n"
-                  (100.0 *. phi) report.Hsq.Heavy_hitters.candidates
-                  (Hsq_storage.Io_stats.total report.Hsq.Heavy_hitters.io);
-                List.iter
-                  (fun (h : Hsq.Heavy_hitters.hit) ->
-                    Printf.printf "  %-12d count in [%d, %d]\n" h.value h.lower h.upper)
-                  hits)
-            | _ -> prerr_endline "warning: --heavy ignored with --shards")
+            (* Counts are exact over the archived partitions; an open
+               step holds elements no partition has yet. *)
+            if G.stream_size g > 0 then
+              prerr_endline "warning: --heavy ignored on a store with an open step"
+            else if G.shards_down g <> [] then
+              prerr_endline "warning: --heavy ignored with a shard down"
+            else begin
+              let engines = List.map snd (G.engines g) in
+              let stats =
+                List.map (fun e -> Hsq_storage.Block_device.stats (Hsq.Engine.device e)) engines
+              in
+              let partitions =
+                List.concat_map (fun e -> Hsq_hist.Level_index.partitions (Hsq.Engine.hist e)) engines
+              in
+              let hits, report = Hsq.Heavy_hitters.frequent ~stats partitions ~phi in
+              Printf.printf
+                "values with frequency >= %g%% (%d candidates verified, %d disk accesses):\n"
+                (100.0 *. phi) report.Hsq.Heavy_hitters.candidates
+                (Hsq_storage.Io_stats.total report.Hsq.Heavy_hitters.io);
+              List.iter
+                (fun (h : Hsq.Heavy_hitters.hit) ->
+                  Printf.printf "  %-12d count in [%d, %d]\n" h.value h.lower h.upper)
+                hits
+            end)
           heavy;
         Option.iter
           (fun tr ->

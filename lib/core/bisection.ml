@@ -270,17 +270,16 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
   bisect u0 v0
 
 let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
-  let before = List.map (fun s -> (s, Hsq_storage.Io_stats.snapshot s)) stats in
   let iterations = ref 0 in
   let finish answer degradation bound =
-    let io =
-      List.fold_left
-        (fun acc (s, b) ->
-          Hsq_storage.Io_stats.add acc
-            (Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot s) b))
-        Hsq_storage.Io_stats.zero before
-    in
-    { answer; degradation; bound; iterations = !iterations; io; span = Option.map snd trace }
+    {
+      answer;
+      degradation;
+      bound;
+      iterations = !iterations;
+      io = Hsq_storage.Io_stats.zero;
+      span = Option.map snd trace;
+    }
   in
   let rec go tries = function
     | From_memory (us, degradation, widen) ->
@@ -313,7 +312,8 @@ let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank 
         let owner, p = List.nth view.probes i in
         go (tries + 1) (policy.on_failure ~tries view owner p))
   in
-  go 0 first
+  let res, io = Hsq_storage.Io_stats.measure_all stats (fun () -> go 0 first) in
+  { res with io }
 
 (* A traced query runs inside one [query.accurate] root span, whatever
    the caller (an engine, or a shard group fusing many): the bisect and

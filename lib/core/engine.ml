@@ -611,8 +611,8 @@ let quantile t phi =
   if n = 0 then invalid_arg "Engine.quantile: no data";
   accurate t ~rank:(rank_of_phi ~n phi)
 
-(* Refusals of the step-range selectors.  Shard_group answers windows
-   and ranges; the types live here so Heavy_hitters can name them too. *)
+(* Refusals of the step-range selectors, which Shard_group answers;
+   the server and callers match them as Engine constructors. *)
 type window_error = Window_not_aligned of int list
 type range_error = Range_not_aligned of (int * int) list
 

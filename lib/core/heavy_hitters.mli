@@ -1,16 +1,11 @@
-(** Heavy hitters over the union of historical and streaming data —
-    the companion primitive the paper names next to quantiles
-    (Section 1) and leaves as future work (Section 4), built in the
-    same architecture: a SpaceSaving sketch on the live stream, probes
-    into the sorted partitions for history (no extra historical state).
+(** Heavy hitters over archived history — the companion primitive the
+    paper names next to quantiles (Section 1) and leaves as future work
+    (Section 4), built on the same sorted partitions with no extra
+    state. The partitions may come from any number of engines: a shard
+    group passes those of every read replica. *)
 
-    Wraps a quantile {!Engine.t}: feed data through this module and
-    both primitives stay available ({!engine} exposes the quantile
-    side). *)
-
-type t
-
-(** A verified heavy hitter: true count(value, T) ∈ [lower, upper]. *)
+(** A verified heavy hitter: [lower = upper = count(value)] over the
+    partitions. *)
 type hit = {
   value : int;
   lower : int;
@@ -18,44 +13,15 @@ type hit = {
 }
 
 type report = {
-  io : Hsq_storage.Io_stats.counters;
+  io : Hsq_storage.Io_stats.counters; (** summed over [stats] *)
   candidates : int; (** distinct values verified *)
 }
 
-(** [create ?capacity config]. [capacity] bounds the stream sketch and
-    the smallest guaranteed-complete φ (φ ≥ 1/capacity). *)
-val create : ?capacity:int -> Config.t -> t
-
-(** Attach to an existing engine with an empty stream (e.g. restored by
-    {!Persist}). Raises [Invalid_argument] if the engine already holds
-    stream data this wrapper never observed. *)
-val of_engine : ?capacity:int -> Engine.t -> t
-
-(** The underlying quantile engine (for quantile queries and window
-    metadata). *)
-val engine : t -> Engine.t
-
-val capacity : t -> int
-val total_size : t -> int
-val stream_size : t -> int
-val memory_words : t -> int
-
-(** Feed one element to both the quantile engine and the stream
-    heavy-hitters sketch. *)
-val observe : t -> int -> unit
-
-(** Archive the batch; the stream heavy-hitters sketch resets. *)
-val end_time_step : t -> Hsq_hist.Level_index.update_report
-
-val ingest_batch : t -> int array -> Hsq_hist.Level_index.update_report
-
-(** [frequent t ~phi] returns every value with count ≥ ⌈φN⌉
-    (completeness), none below ⌈φN⌉ − m/capacity (soundness), with
-    certified per-value count bounds; ~1/φ disk probes per partition
-    plus two rank searches per candidate. Raises [Invalid_argument] if
-    φ ∉ (0,1), φ < 1/capacity, or there is no data. *)
-val frequent : t -> phi:float -> hit list * report
-
-(** Same over the last [window] archived steps plus the live stream. *)
-val frequent_window :
-  t -> window:int -> phi:float -> (hit list * report, Engine.window_error) result
+(** [frequent ~stats partitions ~phi] returns every value whose count
+    over [partitions] is at least ⌈φN⌉ (N their total size), and only
+    those, with exact counts, most frequent first: ~1/φ disk probes per
+    partition plus two rank searches per surviving candidate. [stats]
+    are the devices the partitions live on. Raises [Invalid_argument]
+    if φ ∉ (0,1) or the partitions hold no data. *)
+val frequent :
+  stats:Hsq_storage.Io_stats.t list -> Hsq_hist.Partition.t list -> phi:float -> hit list * report

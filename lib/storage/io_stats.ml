@@ -206,10 +206,12 @@ let add (a : counters) (b : counters) : counters =
 
 let total (c : counters) = c.reads + c.writes
 
-let measure t f =
-  let before = snapshot t in
+let measure_all ts f =
+  let before = List.map (fun t -> (t, snapshot t)) ts in
   let result = f () in
-  (result, diff (snapshot t) before)
+  (result, List.fold_left (fun acc (t, b) -> add acc (diff (snapshot t) b)) zero before)
+
+let measure t f = measure_all [ t ] f
 
 let pp ppf (c : counters) =
   Format.fprintf ppf "reads=%d (seq=%d rand=%d) writes=%d" c.reads c.seq_reads c.rand_reads c.writes;

@@ -112,4 +112,7 @@ val total : counters -> int
     I/O performed during the call. *)
 val measure : t -> (unit -> 'a) -> 'a * counters
 
+(** [measure_all ts f] is {!measure} summed over several stats. *)
+val measure_all : t list -> (unit -> 'a) -> 'a * counters
+
 val pp : Format.formatter -> counters -> unit

@@ -8,6 +8,7 @@
    - metrics follows the same 0/1/2 convention and emits parseable
      JSON / Prometheus text;
    - query --trace prints one probe span per touched partition;
+   - query --heavy prints the same exact hits at one shard and at three;
    - inspect prints a saved warehouse's windows and range boundaries,
      and exits 2 without --meta;
    - every store-opening subcommand exits 2 on a store written with
@@ -27,10 +28,14 @@ let run args =
   | Unix.WEXITED code -> code
   | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "hsq killed by signal %d" s
 
-(* Like [run] but keeping stdout (the metrics/trace tests parse it). *)
-let run_capture args =
+(* Like [run] but keeping stdout (the metrics/trace tests parse it),
+   and stderr too with [~stderr:true]. *)
+let run_capture ?(stderr = false) args =
   let out = Filename.temp_file "hsq_cli_out" ".txt" in
-  let cmd = Printf.sprintf "%s %s >%s 2>/dev/null" (quote bin) args (quote out) in
+  let cmd =
+    Printf.sprintf "%s %s >%s %s" (quote bin) args (quote out)
+      (if stderr then "2>&1" else "2>/dev/null")
+  in
   let code =
     match Unix.system cmd with
     | Unix.WEXITED code -> code
@@ -257,6 +262,48 @@ let test_query_durable_one_shard () =
       Alcotest.(check int) "query --durable after simulate exits 0" 0 code;
       Alcotest.(check bool) "open step counted" true (contains out "+ stream 400)");
       Alcotest.(check int) "one answer" 1 (List.length (phi_lines out));
+      rm_rf store)
+
+(* query --heavy answers from history at every K: a stepped store where
+   every seventh of 30000 values is 42 (4285 of them) prints the same
+   exact hit at one shard and at three. An open step is refused. *)
+let test_query_heavy_every_k () =
+  with_temp_dir (fun dir ->
+      let input = Filename.concat dir "input.txt" in
+      let oc = open_out input in
+      for i = 1 to 30_000 do
+        Printf.fprintf oc "%d\n" (if i mod 7 = 0 then 42 else i)
+      done;
+      close_out oc;
+      List.iter
+        (fun shards ->
+          let store = Filename.concat dir (Printf.sprintf "store-%d" shards) in
+          Alcotest.(check int) "durable stream exits 0" 0
+            (run
+               (Printf.sprintf "stream --step-every 10000 --shards %d --durable %s < %s" shards
+                  (quote store) (quote input)));
+          let code, out =
+            run_capture ~stderr:true
+              (Printf.sprintf "query --durable %s --shards %d --heavy 0.01" (quote store) shards)
+          in
+          Alcotest.(check int) (Printf.sprintf "query --heavy at K=%d exits 0" shards) 0 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "42 is the hit at K=%d" shards)
+            true
+            (contains out "\n  42           count in [4285, 4285]\n");
+          rm_rf store)
+        [ 1; 3 ];
+      let store = Filename.concat dir "open" in
+      Alcotest.(check int) "durable simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
+              (quote store)));
+      let code, out =
+        run_capture ~stderr:true (Printf.sprintf "query --durable %s --heavy 0.01" (quote store))
+      in
+      Alcotest.(check int) "query --heavy on an open step exits 0" 0 code;
+      Alcotest.(check bool) "open step refused" true
+        (contains out "warning: --heavy ignored on a store with an open step");
       rm_rf store)
 
 let test_scrub_durable_one_shard () =
@@ -493,7 +540,11 @@ let () =
           Alcotest.test_case "missing args" `Quick test_scrub_missing_args;
           Alcotest.test_case "one-shard durable store" `Quick test_scrub_durable_one_shard;
         ] );
-      ("query", [ Alcotest.test_case "one-shard durable store" `Quick test_query_durable_one_shard ]);
+      ( "query",
+        [
+          Alcotest.test_case "one-shard durable store" `Quick test_query_durable_one_shard;
+          Alcotest.test_case "--heavy at every K" `Quick test_query_heavy_every_k;
+        ] );
       ("inspect", [ Alcotest.test_case "saved warehouse" `Quick test_inspect_saved ]);
       ( "status exit codes",
         [

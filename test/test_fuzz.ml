@@ -29,7 +29,7 @@ let gen_ops rng ~ops =
       | 7 | 8 -> Query_accurate (0.01 +. (0.98 *. Hsq_util.Xoshiro.float rng))
       | 9 -> Query_quick (0.01 +. (0.98 *. Hsq_util.Xoshiro.float rng))
       | 10 -> Query_window (0.01 +. (0.98 *. Hsq_util.Xoshiro.float rng))
-      | 11 -> Heavy (0.05 +. (0.3 *. Hsq_util.Xoshiro.float rng))
+      | 11 -> Heavy (0.005 +. (0.05 *. Hsq_util.Xoshiro.float rng))
       | 12 -> Query_range (0.01 +. (0.98 *. Hsq_util.Xoshiro.float rng))
       | 13 -> Expire (1 + Hsq_util.Xoshiro.int rng 20)
       | _ -> Check_invariants)
@@ -43,7 +43,7 @@ let gen_value rng =
   | 2 -> 500_000 + Hsq_util.Xoshiro.int rng 100 (* tight cluster *)
   | _ -> 1 lsl (4 + Hsq_util.Xoshiro.int rng 20) (* exponential spread *)
 
-(* Frequencies of the current dataset for heavy-hitter checking. *)
+(* Frequencies of the archived elements for heavy-hitter checking. *)
 let exact_frequencies all =
   let tbl = Hashtbl.create 64 in
   List.iter
@@ -58,22 +58,19 @@ let run_sequence ~seed ~ops =
   let rng = Hsq_util.Xoshiro.create seed in
   let kappa = 2 + Hsq_util.Xoshiro.int rng 9 in
   let config = Hsq.Config.make ~kappa ~block_size:16 (Hsq.Config.Epsilon 0.05) in
-  let hh = Hsq.Heavy_hitters.create ~capacity:64 config in
-  let eng = Hsq.Heavy_hitters.engine hh in
+  let eng = E.create config in
   let g = G.of_engine eng in
   let oracle = ref (Hsq_workload.Oracle.create ()) in
-  let all = ref [] in
   let stream_elems = ref [] in
   (* per-step archives, newest first as (step, elements) — the model for
-     expire and range queries *)
+     expire, range and heavy-hitter queries *)
   let archived : (int * int list) list ref = ref [] in
   let current_step = ref [] in
   let rebuild_oracle () =
     let o = Hsq_workload.Oracle.create () in
     List.iter (fun (_, elems) -> List.iter (Hsq_workload.Oracle.add o) elems) !archived;
     List.iter (Hsq_workload.Oracle.add o) !stream_elems;
-    oracle := o;
-    all := List.concat_map snd !archived @ !stream_elems
+    oracle := o
   in
   let fail fmt = Printf.ksprintf (fun msg -> Alcotest.failf "seed %d: %s" seed msg) fmt in
   let check_quantile ~quick phi =
@@ -103,15 +100,14 @@ let run_sequence ~seed ~ops =
       | Observe count ->
         for _ = 1 to count do
           let v = gen_value rng in
-          Hsq.Heavy_hitters.observe hh v;
+          E.observe eng v;
           Hsq_workload.Oracle.add !oracle v;
-          all := v :: !all;
           stream_elems := v :: !stream_elems;
           current_step := v :: !current_step
         done
       | End_step ->
         if E.stream_size eng > 0 then begin
-          ignore (Hsq.Heavy_hitters.end_time_step hh);
+          ignore (E.end_time_step eng);
           archived := (E.time_steps eng, !current_step) :: !archived;
           current_step := [];
           stream_elems := []
@@ -174,11 +170,18 @@ let run_sequence ~seed ~ops =
           | Ok (_v, _) -> () (* window oracle checked in test_engine; here: no crash *)
           | Error (E.Window_not_aligned _) -> fail "advertised window %d rejected" w))
       | Heavy phi ->
-        if E.total_size eng > 0 && phi >= 1.0 /. 64.0 then begin
-          let hits, _ = Hsq.Heavy_hitters.frequent hh ~phi in
-          let n = E.total_size eng in
+        (* History only, whatever the open step holds. *)
+        let archived_elems = List.concat_map snd !archived in
+        if archived_elems <> [] then begin
+          let hits, _ =
+            Hsq.Heavy_hitters.frequent
+              ~stats:[ Hsq_storage.Block_device.stats (E.device eng) ]
+              (Hsq_hist.Level_index.partitions (E.hist eng))
+              ~phi
+          in
+          let n = List.length archived_elems in
           let threshold = int_of_float (ceil (phi *. float_of_int n)) in
-          let freq = exact_frequencies !all in
+          let freq = exact_frequencies archived_elems in
           Hashtbl.iter
             (fun v c ->
               if
@@ -189,8 +192,9 @@ let run_sequence ~seed ~ops =
           List.iter
             (fun (h : Hsq.Heavy_hitters.hit) ->
               let truth = match Hashtbl.find_opt freq h.value with Some c -> !c | None -> 0 in
-              if not (h.lower <= truth && truth <= h.upper) then
-                fail "hit %d bounds [%d,%d] miss true %d" h.value h.lower h.upper truth)
+              if h.lower <> truth || h.upper <> truth || truth < threshold then
+                fail "hit %d counts [%d,%d], true %d, threshold %d" h.value h.lower h.upper truth
+                  threshold)
             hits
         end
       | Check_invariants -> (

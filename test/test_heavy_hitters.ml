@@ -1,9 +1,7 @@
-(* Tests for the heavy-hitters extension: the SpaceSaving and
-   Misra-Gries substrates, and the union engine's completeness /
-   soundness guarantees against an exact frequency oracle. *)
+(* Tests for heavy hitters over archived history: completeness,
+   soundness and exact counts against an exact frequency oracle, and
+   the disk cost of a query. *)
 
-module SS = Hsq_sketch.Spacesaving
-module MG = Hsq_sketch.Misra_gries
 module HH = Hsq.Heavy_hitters
 
 (* Exact frequency oracle. *)
@@ -22,113 +20,28 @@ let zipf_stream ~seed ~n ~universe ~s =
   let z = Hsq_workload.Distribution.Zipf.create ~n:universe ~s in
   Array.init n (fun _ -> Hsq_workload.Distribution.Zipf.sample z rng)
 
-(* --- SpaceSaving -------------------------------------------------------- *)
+let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05)
 
-let test_spacesaving_bounds () =
-  let data = zipf_stream ~seed:1 ~n:50_000 ~universe:5_000 ~s:1.2 in
-  let sk = SS.create ~capacity:100 in
-  Array.iter (SS.insert sk) data;
-  let freq = frequencies data in
-  let bound = SS.error_bound sk in
-  Alcotest.(check bool) "bound = ceil(n/k)" true (bound = (50_000 + 99) / 100);
-  List.iter
-    (fun (v, est, err) ->
-      let truth = match Hashtbl.find_opt freq v with Some c -> !c | None -> 0 in
-      Alcotest.(check bool) (Printf.sprintf "item %d: est %d >= true %d" v est truth) true
-        (est >= truth);
-      Alcotest.(check bool)
-        (Printf.sprintf "item %d: est - err <= true" v)
-        true
-        (est - err <= truth);
-      Alcotest.(check bool) "err within n/k" true (err <= bound))
-    (SS.entries sk)
+(* Heavy hitters over every archived partition of [eng]. *)
+let frequent eng ~phi =
+  HH.frequent
+    ~stats:[ Hsq_storage.Block_device.stats (Hsq.Engine.device eng) ]
+    (Hsq_hist.Level_index.partitions (Hsq.Engine.hist eng))
+    ~phi
 
-let test_spacesaving_tracks_all_heavy () =
-  let data = zipf_stream ~seed:2 ~n:40_000 ~universe:2_000 ~s:1.3 in
-  let sk = SS.create ~capacity:64 in
-  Array.iter (SS.insert sk) data;
-  let freq = frequencies data in
-  let nk = 40_000 / 64 in
-  Hashtbl.iter
-    (fun v c ->
-      if !c > nk then
-        Alcotest.(check bool)
-          (Printf.sprintf "heavy item %d (count %d) tracked" v !c)
-          true
-          (List.exists (fun (x, _, _) -> x = v) (SS.entries sk)))
-    freq
-
-let test_spacesaving_capacity_respected () =
-  let sk = SS.create ~capacity:10 in
-  for i = 1 to 10_000 do
-    SS.insert sk (i mod 500)
+let build ~seed ~steps ~step_size ~s =
+  let eng = Hsq.Engine.create config in
+  let data = zipf_stream ~seed ~n:(steps * step_size) ~universe:3_000 ~s in
+  for i = 0 to steps - 1 do
+    ignore (Hsq.Engine.ingest_batch eng (Array.sub data (i * step_size) step_size))
   done;
-  Alcotest.(check bool) "size <= capacity" true (SS.size sk <= 10)
+  (eng, frequencies data)
 
-let test_spacesaving_validation () =
-  Alcotest.check_raises "capacity 0" (Invalid_argument "Spacesaving.create: capacity must be >= 1")
-    (fun () -> ignore (SS.create ~capacity:0))
+let truth freq v = match Hashtbl.find_opt freq v with Some c -> !c | None -> 0
 
-(* --- Misra-Gries --------------------------------------------------------- *)
-
-let test_misra_gries_bounds () =
-  let data = zipf_stream ~seed:3 ~n:50_000 ~universe:5_000 ~s:1.2 in
-  let mg = MG.create ~capacity:100 in
-  Array.iter (MG.insert mg) data;
-  let freq = frequencies data in
-  let bound = MG.error_bound mg in
-  Hashtbl.iter
-    (fun v c ->
-      let est = MG.estimate mg v in
-      Alcotest.(check bool) (Printf.sprintf "item %d: est %d <= true %d" v est !c) true (est <= !c);
-      Alcotest.(check bool)
-        (Printf.sprintf "item %d: true - est <= n/(k+1)" v)
-        true
-        (!c - est <= bound))
-    freq
-
-let test_sketches_agree_on_heavy_items () =
-  (* On a very skewed stream both sketches must nail the top item. *)
-  let data = zipf_stream ~seed:4 ~n:30_000 ~universe:1_000 ~s:1.5 in
-  let ss = SS.create ~capacity:50 and mg = MG.create ~capacity:50 in
-  Array.iter
-    (fun v ->
-      SS.insert ss v;
-      MG.insert mg v)
-    data;
-  let top_ss = match SS.entries ss with (v, _, _) :: _ -> v | [] -> -1 in
-  let top_mg = match MG.entries mg with (v, _) :: _ -> v | [] -> -2 in
-  Alcotest.(check int) "same top item" top_ss top_mg
-
-(* --- Union heavy hitters -------------------------------------------------- *)
-
-let build_hh ~seed ~steps ~step_size ~tail ~s =
-  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
-  let hh = HH.create ~capacity:128 config in
-  let all = ref [] in
-  let per_step = zipf_stream ~seed ~n:((steps * step_size) + tail) ~universe:3_000 ~s in
-  let idx = ref 0 in
-  for _ = 1 to steps do
-    for _ = 1 to step_size do
-      HH.observe hh per_step.(!idx);
-      all := per_step.(!idx) :: !all;
-      incr idx
-    done;
-    ignore (HH.end_time_step hh)
-  done;
-  for _ = 1 to tail do
-    HH.observe hh per_step.(!idx);
-    all := per_step.(!idx) :: !all;
-    incr idx
-  done;
-  (hh, frequencies (Array.of_list !all))
-
-let check_guarantees hh freq ~phi =
-  let n = HH.total_size hh in
-  let m = HH.stream_size hh in
-  let threshold = int_of_float (ceil (phi *. float_of_int n)) in
-  let slack = m / HH.capacity hh in
-  let hits, _report = HH.frequent hh ~phi in
+let check_guarantees eng freq ~phi =
+  let threshold = int_of_float (ceil (phi *. float_of_int (Hsq.Engine.total_size eng))) in
+  let hits, _report = frequent eng ~phi in
   (* Completeness: every truly frequent value is returned. *)
   Hashtbl.iter
     (fun v c ->
@@ -138,141 +51,103 @@ let check_guarantees hh freq ~phi =
           true
           (List.exists (fun (h : HH.hit) -> h.value = v) hits))
     freq;
-  (* Soundness: nothing far below the threshold; bounds bracket truth. *)
+  (* Soundness: nothing below the threshold; bounds bracket truth. *)
   List.iter
     (fun (h : HH.hit) ->
-      let truth = match Hashtbl.find_opt freq h.value with Some c -> !c | None -> 0 in
+      let t = truth freq h.value in
       Alcotest.(check bool)
-        (Printf.sprintf "hit %d: bounds [%d,%d] bracket true %d" h.value h.lower h.upper truth)
+        (Printf.sprintf "hit %d: bounds [%d,%d] bracket true %d" h.value h.lower h.upper t)
         true
-        (h.lower <= truth && truth <= h.upper);
+        (h.lower <= t && t <= h.upper);
       Alcotest.(check bool)
-        (Printf.sprintf "hit %d not spurious (true %d >= %d - %d)" h.value truth threshold slack)
-        true
-        (truth >= threshold - slack))
+        (Printf.sprintf "hit %d not spurious (true %d >= %d)" h.value t threshold)
+        true (t >= threshold))
     hits
 
-let test_union_hh_guarantees () =
-  let hh, freq = build_hh ~seed:5 ~steps:8 ~step_size:2_000 ~tail:1_500 ~s:1.2 in
-  List.iter (fun phi -> check_guarantees hh freq ~phi) [ 0.01; 0.02; 0.05 ]
+let test_guarantees () =
+  let eng, freq = build ~seed:5 ~steps:8 ~step_size:2_000 ~s:1.2 in
+  List.iter (fun phi -> check_guarantees eng freq ~phi) [ 0.01; 0.02; 0.05 ]
 
-let test_union_hh_uniform_finds_nothing_heavy () =
+let test_uniform_finds_nothing_heavy () =
   (* Uniform data: no value close to 5% frequency; result must be empty. *)
-  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
-  let hh = HH.create ~capacity:128 config in
+  let eng = Hsq.Engine.create config in
   let rng = Hsq_util.Xoshiro.create 6 in
   for _ = 1 to 5 do
-    ignore (HH.ingest_batch hh (Array.init 2_000 (fun _ -> Hsq_util.Xoshiro.int rng 100_000)))
+    ignore
+      (Hsq.Engine.ingest_batch eng (Array.init 2_000 (fun _ -> Hsq_util.Xoshiro.int rng 100_000)))
   done;
-  let hits, _ = HH.frequent hh ~phi:0.05 in
+  let hits, _ = frequent eng ~phi:0.05 in
   Alcotest.(check int) "no heavy hitters in uniform data" 0 (List.length hits)
 
-let test_union_hh_hist_only_is_exact () =
-  let hh, freq = build_hh ~seed:7 ~steps:6 ~step_size:1_500 ~tail:0 ~s:1.3 in
-  let hits, _ = HH.frequent hh ~phi:0.02 in
+let test_hist_only_is_exact () =
+  let eng, freq = build ~seed:7 ~steps:6 ~step_size:1_500 ~s:1.3 in
+  let hits, _ = frequent eng ~phi:0.02 in
   Alcotest.(check bool) "found something" true (hits <> []);
   List.iter
     (fun (h : HH.hit) ->
-      let truth = match Hashtbl.find_opt freq h.value with Some c -> !c | None -> 0 in
-      Alcotest.(check int) (Printf.sprintf "value %d exact" h.value) truth h.lower;
+      Alcotest.(check int) (Printf.sprintf "value %d exact" h.value) (truth freq h.value) h.lower;
       Alcotest.(check int) "tight bounds" h.lower h.upper)
     hits
 
-let test_union_hh_window () =
-  (* A value heavy only in recent steps: invisible globally at high phi,
-     dominant in the window. *)
-  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
-  let hh = HH.create ~capacity:64 config in
-  let rng = Hsq_util.Xoshiro.create 8 in
-  for _ = 1 to 12 do
-    ignore (HH.ingest_batch hh (Array.init 1_000 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000)))
-  done;
-  ignore (HH.ingest_batch hh (Array.make 1_000 777));
-  (* window of the last step only *)
-  (match HH.frequent_window hh ~window:1 ~phi:0.5 with
-  | Ok (hits, _) ->
-    Alcotest.(check bool) "777 dominates the window" true
-      (List.exists (fun (h : HH.hit) -> h.value = 777) hits)
-  | Error _ -> Alcotest.fail "window 1 must be aligned");
-  let global_hits, _ = HH.frequent hh ~phi:0.5 in
-  Alcotest.(check int) "777 not globally heavy at phi=0.5" 0 (List.length global_hits)
+let test_validation () =
+  let eng = Hsq.Engine.create config in
+  Alcotest.check_raises "no data" (Invalid_argument "Heavy_hitters.frequent: no data") (fun () ->
+      ignore (frequent eng ~phi:0.5));
+  ignore (Hsq.Engine.ingest_batch eng [| 1; 1; 2 |]);
+  List.iter
+    (fun phi ->
+      Alcotest.check_raises
+        (Printf.sprintf "phi = %g rejected" phi)
+        (Invalid_argument "Heavy_hitters.frequent: phi not in (0,1)")
+        (fun () -> ignore (frequent eng ~phi)))
+    [ 0.0; 1.0 ]
 
-let test_union_hh_validation () =
-  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
-  let hh = HH.create ~capacity:16 config in
-  ignore (HH.ingest_batch hh [| 1; 1; 2 |]);
-  Alcotest.(check bool) "phi below 1/capacity rejected" true
-    (try
-       ignore (HH.frequent hh ~phi:0.01);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "phi = 1 rejected" true
-    (try
-       ignore (HH.frequent hh ~phi:1.0);
-       false
-     with Invalid_argument _ -> true)
-
-let test_union_hh_io_bounded () =
-  let hh, _ = build_hh ~seed:9 ~steps:10 ~step_size:2_000 ~tail:500 ~s:1.1 in
+let test_io_bounded () =
+  let eng, _ = build ~seed:9 ~steps:10 ~step_size:2_000 ~s:1.1 in
   let phi = 0.02 in
-  let _, report = HH.frequent hh ~phi in
+  let _, report = frequent eng ~phi in
   (* candidate probes ~ 1/phi per partition + 2 rank searches per
      candidate, each O(log n/B) *)
-  let parts = Hsq_hist.Level_index.partition_count (Hsq.Engine.hist (HH.engine hh)) in
+  let parts = Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng) in
   let cap = (parts * (int_of_float (1. /. phi) + 1)) + (report.HH.candidates * parts * 2 * 12) in
   Alcotest.(check bool)
     (Printf.sprintf "io %d within %d" (Hsq_storage.Io_stats.total report.HH.io) cap)
     true
     (Hsq_storage.Io_stats.total report.HH.io <= cap)
 
-let prop_union_hh_random =
-  QCheck.Test.make ~name:"union HH guarantees on random skewed instances" ~count:15
-    QCheck.(triple (int_range 1 6) (int_range 100 800) (int_range 0 400))
-    (fun (steps, step_size, tail) ->
-      let seed = steps + (step_size * 3) + (tail * 7) in
-      let hh, freq = build_hh ~seed ~steps ~step_size ~tail ~s:1.4 in
+let prop_random =
+  QCheck.Test.make ~name:"union HH guarantees on random skewed" ~count:15
+    QCheck.(pair (int_range 1 6) (int_range 100 800))
+    (fun (steps, step_size) ->
+      let eng, freq = build ~seed:(steps + (step_size * 3)) ~steps ~step_size ~s:1.4 in
       let phi = 0.05 in
-      let n = HH.total_size hh in
-      let threshold = int_of_float (ceil (phi *. float_of_int n)) in
-      let hits, _ = HH.frequent hh ~phi in
+      let threshold = int_of_float (ceil (phi *. float_of_int (Hsq.Engine.total_size eng))) in
+      let hits, _ = frequent eng ~phi in
       let complete =
         Hashtbl.fold
           (fun v c acc ->
             acc && (!c < threshold || List.exists (fun (h : HH.hit) -> h.value = v) hits))
           freq true
       in
-      let bracket =
+      let exact =
         List.for_all
           (fun (h : HH.hit) ->
-            let truth = match Hashtbl.find_opt freq h.value with Some c -> !c | None -> 0 in
-            h.lower <= truth && truth <= h.upper)
+            let t = truth freq h.value in
+            h.lower = t && h.upper = t && t >= threshold)
           hits
       in
-      complete && bracket)
+      complete && exact)
 
 let () =
   Alcotest.run "heavy_hitters"
     [
-      ( "spacesaving",
-        [
-          Alcotest.test_case "estimate bounds" `Quick test_spacesaving_bounds;
-          Alcotest.test_case "tracks all heavy items" `Quick test_spacesaving_tracks_all_heavy;
-          Alcotest.test_case "capacity respected" `Quick test_spacesaving_capacity_respected;
-          Alcotest.test_case "validation" `Quick test_spacesaving_validation;
-        ] );
-      ( "misra_gries",
-        [
-          Alcotest.test_case "estimate bounds" `Quick test_misra_gries_bounds;
-          Alcotest.test_case "sketches agree on top item" `Quick test_sketches_agree_on_heavy_items;
-        ] );
       ( "union",
         [
-          Alcotest.test_case "completeness + soundness" `Quick test_union_hh_guarantees;
-          Alcotest.test_case "uniform finds nothing" `Quick test_union_hh_uniform_finds_nothing_heavy;
-          Alcotest.test_case "hist-only exact" `Quick test_union_hh_hist_only_is_exact;
-          Alcotest.test_case "windowed" `Quick test_union_hh_window;
-          Alcotest.test_case "validation" `Quick test_union_hh_validation;
-          Alcotest.test_case "io bounded" `Quick test_union_hh_io_bounded;
-          QCheck_alcotest.to_alcotest prop_union_hh_random;
+          Alcotest.test_case "completeness + soundness" `Quick test_guarantees;
+          Alcotest.test_case "uniform finds nothing" `Quick test_uniform_finds_nothing_heavy;
+          Alcotest.test_case "hist-only exact" `Quick test_hist_only_is_exact;
+          Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "io bounded" `Quick test_io_bounded;
+          QCheck_alcotest.to_alcotest prop_random;
         ] );
     ]

@@ -7,7 +7,6 @@ open Hsq_sketch
 let packs () =
   [
     ("gk", Quantile_sketch.Packed (Gk.sketch, Gk.create ~epsilon:0.02));
-    ("ckms", Quantile_sketch.Packed (Ckms.sketch, Ckms.create ~epsilon:0.02 ()));
     ("qdigest", Quantile_sketch.Packed (Qdigest.sketch, Qdigest.create ~bits:20 ~k:200));
     ("sampler", Quantile_sketch.Packed (Sampler.sketch, Sampler.create ~buffers:8 ~buffer_size:128 ()));
     ("exact", Quantile_sketch.Packed (Exact.sketch, Exact.create ()));
