@@ -17,16 +17,14 @@ let prepared_engine () =
   let eng, _ = Harness.build_engine ~config w in
   eng
 
-(* Engines for the accurate-query fan-out benches: same workload, one
-   sequential and one probing with 4 domains.  A simulated per-block
-   read latency models a disk so the parallel row measures real
-   fan-out benefit rather than in-memory array arithmetic. *)
-let accurate_engine ?(smoke = false) ?query_domains () =
+(* The engine for the accurate-query disk bench.  A simulated per-block
+   read latency models a disk so the row measures the probe rounds'
+   overlapped reads rather than in-memory array arithmetic. *)
+let accurate_engine ?(smoke = false) () =
   (* Sized so an accurate query really probes disk (tens of physical
      block reads per query, like the CLI defaults), with a 200 µs
      simulated read latency standing in for a fast SSD — otherwise the
-     in-memory simulator makes every probe free and the fan-out rows
-     would measure nothing but domain-spawn overhead. *)
+     in-memory simulator makes every probe free. *)
   let scale =
     if smoke then { Harness.default_scale with steps = 8; step_size = 4_000 }
     else { Harness.default_scale with steps = 30; step_size = 20_000 }
@@ -34,7 +32,7 @@ let accurate_engine ?(smoke = false) ?query_domains () =
   let w = Harness.load_workload ~scale ~dataset:"normal" () in
   let config =
     Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
-      ?query_domains (Hsq.Config.Epsilon 0.02)
+      (Hsq.Config.Epsilon 0.02)
   in
   let eng, _ = Harness.build_engine ~config w in
   Hsq_storage.Block_device.set_read_latency (Hsq.Engine.device eng) 200e-6;
@@ -67,8 +65,7 @@ let tests ~smoke =
   let sp = Hsq_sketch.Sampler.create ~buffers:10 ~buffer_size:500 () in
   let eng = prepared_engine () in
   let n = Hsq.Engine.total_size eng in
-  let acc_seq = accurate_engine ~smoke () in
-  let acc_par = accurate_engine ~smoke ~query_domains:4 () in
+  let acc = accurate_engine ~smoke () in
   let volatile =
     Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
   in
@@ -102,9 +99,7 @@ let tests ~smoke =
              (Hsq.Union_summary.quick_select (Hsq.Engine.fresh_union_summary eng)
                 ~rank:(n / 2))));
     Test.make ~name:"query-accurate-1dom"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc_seq ~rank:(n / 2))));
-    Test.make ~name:"query-accurate-4dom"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc_par ~rank:(n / 2))));
+      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(n / 2))));
     (* Ingest throughput across the durability spectrum: no WAL at all,
        buffered appends (flush at commits only), group commit, and a
        physical flush per record. *)

@@ -85,13 +85,6 @@ let replicas =
   in
   Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"R" ~doc)
 
-let query_domains =
-  let doc =
-    "Fan accurate-query disk probes across $(docv) domains per bisection step. Answers are \
-     identical at any setting; this is a latency knob only."
-  in
-  Arg.(value & opt (some int) None & info [ "query-domains" ] ~docv:"D" ~doc)
-
 let deadline_ms =
   let doc =
     "Accurate-query deadline in milliseconds: a query that overruns it returns its \
@@ -193,12 +186,12 @@ let guard f =
 
 (* The saved warehouse behind --device/--meta (see simulate --save-meta),
    handed to [k] and closed after it; a missing flag exits 2. *)
-let with_saved ~who ?query_domains ?query_deadline_ms device meta k =
+let with_saved ~who ?query_deadline_ms device meta k =
   match (device, meta) with
   | Some device_path, Some meta_path ->
     guard (fun () ->
         let eng =
-          Hsq.Persist.load_files ?query_domains ?query_deadline_ms ~device_path ~meta_path ()
+          Hsq.Persist.load_files ?query_deadline_ms ~device_path ~meta_path ()
         in
         let code = k eng in
         Hsq.Engine.close eng;
@@ -236,8 +229,7 @@ let with_group ~who ~config ?durable flags k =
         run g)
   | None, Saved (device, meta) ->
     if single_store config then
-      with_saved ~who ?query_domains:config.query_domains
-        ?query_deadline_ms:config.query_deadline_ms device meta (fun eng ->
+      with_saved ~who ?query_deadline_ms:config.query_deadline_ms device meta (fun eng ->
           run (G.of_engine eng))
     else begin
       Printf.eprintf "%s --shards/--replicas requires --durable DIR (the sharded store root)\n" who;
@@ -324,11 +316,11 @@ let save_meta =
   let doc = "After the run, save warehouse metadata here (requires --device)." in
   Arg.(value & opt (some string) None & info [ "save-meta" ] ~docv:"PATH" ~doc)
 
-let simulate dataset steps step_size seed epsilon kappa block_size device_path query_domains
+let simulate dataset steps step_size seed epsilon kappa block_size device_path
     deadline_ms phis verify save_meta durable wal_sync checkpoint_every shards replicas
     stream_sketch =
   let config =
-    Hsq.Config.make ~kappa ~block_size ~steps_hint:steps ?query_domains
+    Hsq.Config.make ~kappa ~block_size ~steps_hint:steps
       ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
       (Hsq.Config.Epsilon epsilon)
   in
@@ -404,15 +396,15 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const simulate $ dataset $ steps $ step_size $ seed $ epsilon $ kappa $ block_size
-      $ device_path $ query_domains $ deadline_ms $ phis $ verify $ save_meta $ durable_dir
+      $ device_path $ deadline_ms $ phis $ verify $ save_meta $ durable_dir
       $ wal_sync $ checkpoint_every $ shards $ replicas $ sketch_kind)
 
 (* --- stream ------------------------------------------------------------- *)
 
-let stream step_every epsilon kappa block_size device_path query_domains deadline_ms phis
+let stream step_every epsilon kappa block_size device_path deadline_ms phis
     durable wal_sync checkpoint_every shards replicas stream_sketch =
   let config =
-    Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains
+    Hsq.Config.make ~kappa ~block_size ~steps_hint:100
       ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
       (Hsq.Config.Epsilon epsilon)
   in
@@ -463,15 +455,15 @@ let stream_cmd =
   Cmd.v
     (Cmd.info "stream" ~doc)
     Term.(
-      const stream $ step_every $ epsilon $ kappa $ block_size $ device_path $ query_domains
+      const stream $ step_every $ epsilon $ kappa $ block_size $ device_path
       $ deadline_ms $ phis $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas
       $ sketch_kind)
 
 (* --- query ---------------------------------------------------------------- *)
 
-let query device meta query_domains deadline_ms phis heavy trace durable shards replicas =
+let query device meta deadline_ms phis heavy trace durable shards replicas =
   let config =
-    Hsq.Config.make ?query_domains ?query_deadline_ms:deadline_ms ~shards ~replicas
+    Hsq.Config.make ?query_deadline_ms:deadline_ms ~shards ~replicas
       (Hsq.Config.Epsilon 0.01)
   in
   with_group ~who:"query" ~config ?durable (Saved (device, meta)) (fun g ->
@@ -547,7 +539,7 @@ let query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
-      const query $ device_path $ meta $ query_domains $ deadline_ms $ phis $ heavy $ trace
+      const query $ device_path $ meta $ deadline_ms $ phis $ heavy $ trace
       $ durable_dir $ shards $ replicas)
 
 (* --- inspect --------------------------------------------------------------- *)
@@ -913,7 +905,7 @@ let metrics_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
-let serve socket tcp epsilon kappa block_size query_domains durable wal_sync checkpoint_every
+let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
     queue_depth quick_ms accurate_ms ingest_ms admin_ms read_timeout_ms shards replicas
     stream_sketch =
   let listen =
@@ -937,7 +929,7 @@ let serve socket tcp epsilon kappa block_size query_domains durable wal_sync che
       }
     in
     let store_config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ?query_domains ~wal_sync
+      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync
         ~checkpoint_every ~shards ~replicas ~stream_sketch
         (Hsq.Config.Epsilon epsilon)
     in
@@ -1004,7 +996,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const serve $ socket $ tcp $ epsilon $ kappa $ block_size $ query_domains $ durable_dir
+      const serve $ socket $ tcp $ epsilon $ kappa $ block_size $ durable_dir
       $ wal_sync $ checkpoint_every $ queue_depth
       $ budget "quick-budget-ms" 250.0 "quick-query"
       $ budget "accurate-budget-ms" 2000.0 "accurate-query"

@@ -1,7 +1,8 @@
 module Metrics = Hsq_obs.Metrics
 module Trace = Hsq_obs.Trace
 module Partition = Hsq_hist.Partition
-module Pool = Hsq_util.Parallel.Pool
+module Run = Hsq_storage.Run
+module Block_device = Hsq_storage.Block_device
 
 let clamp_rank ~n r = if r < 1 then 1 else if r > n then n else r
 
@@ -33,29 +34,6 @@ let deadline_at ~start ?deadline_ms (config : Config.t) =
   | Some d, _ | None, Some d -> Some (start +. (d /. 1000.0))
   | None, None -> None
 
-(* The probe worker pool, spawned on the first query that fans out
-   (lanes - 1 workers; the querying domain is the remaining lane). *)
-type pool = { lanes : int; metrics : Metrics.t option; mutable live : Pool.t option }
-
-let pool ?metrics (config : Config.t) =
-  let lanes = match config.Config.query_domains with Some d when d > 1 -> d | _ -> 1 in
-  { lanes; metrics; live = None }
-
-let workers p =
-  match p.live with
-  | Some w -> w
-  | None ->
-    let w = Pool.create ?metrics:p.metrics ~workers:(p.lanes - 1) () in
-    p.live <- Some w;
-    w
-
-let shutdown_pool p =
-  match p.live with
-  | None -> ()
-  | Some w ->
-    p.live <- None;
-    Pool.shutdown w
-
 type ('o, 'm) view = {
   summary : Union_summary.t;
   streams : Stream_summary.t list;
@@ -83,7 +61,8 @@ type 'd result = {
 }
 
 type probe_state = {
-  partition : Partition.t;
+  search : Run.search; (* this iteration's disk search of the partition's run *)
+  device : Block_device.t;
   mutable lo : int; (* rank(z) within this partition is known to be in [lo, hi] *)
   mutable hi : int;
 }
@@ -116,99 +95,120 @@ let budget ~tolerance_factor streams =
 
 (* One full bisection over a fixed view: bisect the value domain
    between the filters, probing each partition with a summary-bounded
-   (and progressively narrowed) binary search for the exact historical
-   rank rho1, and estimating the stream rank rho2 from the stream
-   summaries.  Stops inside the tolerance band, or at a width-1
-   interval, where v is the answer when the estimate at u still falls
-   short of r (rank(u) <= r <= rank(v) is invariant).  Raises
-   [Probe_failure] and [Deadline_cut]. *)
-let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
+   (and progressively narrowed) search for the exact historical rank
+   rho1, and estimating the stream rank rho2 from the stream summaries.
+   Stops inside the tolerance band, or at a width-1 interval, where v
+   is the answer when the estimate at u still falls short of r
+   (rank(u) <= r <= rank(v) is invariant).  Raises [Probe_failure] and
+   [Deadline_cut]. *)
+let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
   let u0, v0 = Union_summary.filters view.summary ~rank in
-  let window p = Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0 in
   let probes =
     Array.of_list
       (List.map
          (fun (_, p) ->
-           let lo, hi = window p in
-           { partition = p; lo; hi })
+           let lo, hi =
+             Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0
+           in
+           let run = Partition.run p in
+           { search = Run.search run; device = Run.device run; lo; hi })
          view.probes)
   in
+  let n = Array.length probes in
   let r = float_of_int rank in
-  let cancel = Option.map (fun d () -> Metrics.now_s () > d) deadline_at in
-  (* With a pool the per-partition disk probes of one iteration fan out
-     over its worker domains (the paper's future-work parallel
-     partition processing): each partition is probed by exactly one
-     domain per round — its Run's one-block cache is never shared — and
-     the device serializes pool and file-channel access internally.
-     Pool.map preserves order, so answers and the narrowing schedule are
-     identical to the sequential path, and on fault-free queries so are
-     the read counts.  On a probe failure the pool stops claiming
-     further probes and re-raises once the in-flight ones finish, so
-     the caller's failure policy triggers as in the sequential path,
-     with at most one extra probe's I/O per lane. *)
-  let pool =
-    match pool with Some p when p.lanes > 1 && Array.length probes > 1 -> Some p | _ -> None
+  let ranks = Array.make n 0 in
+  (* One round's batch, reused by every round of the query: slot [k]
+     reads block [addrs.(k)] of [devs.(k)] into [blocks.(k)] for probe
+     [who.(k)]. *)
+  let who = Array.make n 0 and addrs = Array.make n 0 and blocks = Array.make n [||] in
+  let devs = Array.map (fun st -> st.device) probes in
+  let read_batch k =
+    try Block_device.read_batch devs addrs blocks ~n:k
+    with Block_device.Batch_error (j, _) ->
+      (* The reads before the failed one landed: keep them in their
+         runs' caches, as a lone read would have. *)
+      for s = 0 to j - 1 do
+        Run.feed probes.(who.(s)).search blocks.(s)
+      done;
+      raise (Probe_failure who.(j))
   in
-  let probe_one z i =
-    let st = probes.(i) in
-    if st.lo >= st.hi then st.lo
-    else
-      try Hsq_storage.Run.rank_between (Partition.run st.partition) ~lo:st.lo ~hi:st.hi z
-      with Hsq_storage.Block_device.Device_error _ -> raise (Probe_failure i)
+  (* Traced: one span per round under the iteration's span, with the
+     probes it served and the physical reads it made. *)
+  let read_round span k =
+    match (trace, span) with
+    | Some (trc, _), Some parent ->
+      Trace.with_child trc ~parent ~attrs:[ ("probes", string_of_int k) ] "round" (fun sp ->
+          Trace.add_attr trc sp "reads" (string_of_int (read_batch k)))
+    | _ -> ignore (read_batch k)
   in
-  (* Traced probes: one span per partition per iteration (closed windows
-     included, with resolved=summary), attached to the iteration span by
-     explicit parent — [with_child] never touches the trace's stack, so
-     probes running on pool worker domains record safely. *)
-  let probe_traced trc parent z i =
-    let st = probes.(i) in
-    Trace.with_child trc ~parent
-      ~attrs:
-        [
-          ("partition", string_of_int (Partition.first_step st.partition));
-          ("resolved", (if st.lo >= st.hi then "summary" else "disk"));
-        ]
-      "probe"
-      (fun _ -> probe_one z i)
+  (* Probe rounds (the paper's future-work parallel partition
+     processing): every open window starts its partition's search; each
+     round advances all searches on the blocks they hold, then reads the
+     next block of every search still unsettled in one batch, in probe
+     order, so an iteration waits on its longest per-partition chain of
+     reads, not their sum.  A closed window ([lo >= hi]) resolves from
+     the summary with no I/O.  Each search reads exactly the blocks a
+     lone [Run.rank_between] would, so answers and read counts do not
+     depend on the rounds.  The deadline is checked before each round;
+     a cut carries the interval [u, v] being bisected. *)
+  let historical_ranks span ~u ~v z =
+    let m = ref 0 in
+    Array.iteri
+      (fun i st ->
+        if st.lo >= st.hi then ranks.(i) <- st.lo
+        else begin
+          Run.start st.search ~lo:st.lo ~hi:st.hi z;
+          who.(!m) <- i;
+          incr m
+        end)
+      probes;
+    let rec rounds m =
+      let k = ref 0 in
+      for j = 0 to m - 1 do
+        let i = who.(j) in
+        let st = probes.(i) in
+        let addr = Run.advance st.search in
+        if addr < 0 then ranks.(i) <- Run.found st.search
+        else begin
+          who.(!k) <- i;
+          addrs.(!k) <- addr;
+          devs.(!k) <- st.device;
+          incr k
+        end
+      done;
+      let k = !k in
+      if k > 0 then begin
+        (match deadline_at with
+        | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
+        | _ -> ());
+        read_round span k;
+        (* Drop each block once fed: a slot left holding a block its
+           run has since replaced would keep it alive for the query. *)
+        for j = 0 to k - 1 do
+          Run.feed probes.(who.(j)).search blocks.(j);
+          blocks.(j) <- [||]
+        done;
+        rounds k
+      end
+    in
+    rounds !m
   in
   (* rho(z) = exact historical rank (lines 2-7) + estimated stream rank
-     (lines 8-10).  Returns the per-partition ranks so the caller can
-     narrow the next iteration's search windows. *)
-  let estimate span z =
-    let probe =
-      match (trace, span) with
-      | Some (trc, _), Some sp -> probe_traced trc sp z
-      | _ -> probe_one z
-    in
-    let n = Array.length probes in
-    let ranks =
-      match pool with
-      | None -> Array.init n probe
-      | Some pool ->
-        (* Fan out only the probes whose window is still open — a closed
-           window ([lo >= hi]) resolves from the summary with no I/O,
-           and spawning domains for it would cost more than the whole
-           iteration.  Probes keep their array order, so the narrowing
-           schedule matches the sequential path exactly. *)
-        let is_open i = probes.(i).lo < probes.(i).hi in
-        let ranks = Array.init n (fun i -> if is_open i then 0 else probe i) in
-        let idx = Array.of_list (List.filter is_open (List.init n Fun.id)) in
-        if Array.length idx < 2 then Array.iter (fun i -> ranks.(i) <- probe i) idx
-        else
-          Array.iteri (fun k r -> ranks.(idx.(k)) <- r) (Pool.map ?cancel (workers pool) probe idx);
-        ranks
-    in
+     (lines 8-10).  Leaves the per-partition ranks in [ranks] so the
+     caller can narrow the next iteration's search windows. *)
+  let estimate span ~u ~v z =
+    historical_ranks span ~u ~v z;
     let rho1 = Array.fold_left ( + ) 0 ranks in
     let rho2 =
       List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0 view.streams
     in
-    (ranks, float_of_int rho1 +. rho2)
+    float_of_int rho1 +. rho2
   in
   (* rank(z') for z' < z is at most rank(z), and at least rank(z) for
      z' > z — so each bisection step shrinks the per-partition windows
      too.  Once a window fits inside the block its last probe ended in,
      the one-block run cache answers the next probe with no read. *)
-  let narrow ~left ranks =
+  let narrow ~left =
     Array.iteri
       (fun i st ->
         let rank_z = ranks.(i) in
@@ -218,8 +218,7 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
   (* Each bisection iteration's body runs in its own child span of the
      query root; the recursion happens after the iteration span closed,
      so iterations are siblings, not nested.  The deadline is checked
-     between iterations (the probes of one iteration are also
-     individually cancellable through the pool); a cut carries the
+     between iterations and between probe rounds; a cut carries the
      current interval so the caller can clamp its best-so-far answer. *)
   let rec bisect u v =
     (match deadline_at with
@@ -231,36 +230,31 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
         (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
            candidate whose rank can reach r — the Definition-1 answer —
            unless the estimate says u already covers r. *)
-        let _, rho_u = estimate span u in
+        let rho_u = estimate span ~u ~v u in
         `Done (if rho_u >= r then u else v)
       end
       else begin
         let z = u + ((v - u) / 2) in
-        let ranks, rho = estimate span z in
+        let rho = estimate span ~u ~v z in
         if r < rho -. tolerance then begin
-          narrow ~left:true ranks;
+          narrow ~left:true;
           `Left z
         end
         else if r > rho +. tolerance then begin
-          narrow ~left:false ranks;
+          narrow ~left:false;
           `Right z
         end
         else `Done z
       end
     in
     let decision =
-      try
-        match trace with
-        | Some (trc, root) ->
-          Trace.with_child trc ~parent:root
-            ~attrs:
-              [
-                ("iter", string_of_int !iterations); ("u", string_of_int u); ("v", string_of_int v);
-              ]
-            "bisect"
-            (fun sp -> run_iter (Some sp))
-        | None -> run_iter None
-      with Pool.Cancelled -> raise (Deadline_cut (u, v))
+      match trace with
+      | Some (trc, root) ->
+        Trace.with_child trc ~parent:root
+          ~attrs:[ ("iter", string_of_int !iterations); ("u", string_of_int u); ("v", string_of_int v) ]
+          "bisect"
+          (fun sp -> run_iter (Some sp))
+      | None -> run_iter None
     in
     match decision with
     | `Done z -> z
@@ -269,7 +263,7 @@ let search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank =
   in
   bisect u0 v0
 
-let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
+let retry_loop ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
   let iterations = ref 0 in
   let finish answer degradation bound =
     {
@@ -288,7 +282,7 @@ let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank 
     | Bisect view -> (
       let rank = clamp_rank ~n:(Union_summary.n_total view.summary) rank in
       let tolerance, eps_m = budget ~tolerance_factor view.streams in
-      match search ?trace ?deadline_at ?pool ~iterations ~tolerance view ~rank with
+      match search ?trace ?deadline_at ~iterations ~tolerance view ~rank with
       | answer ->
         List.iter (fun (o, p) -> policy.note_success o p) view.probes;
         let degradation, widen = policy.outcome view `Completed in
@@ -317,11 +311,11 @@ let retry_loop ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank 
 
 (* A traced query runs inside one [query.accurate] root span, whatever
    the caller (an engine, or a shard group fusing many): the bisect and
-   probe spans hang under it, and it carries the answer's iteration
+   round spans hang under it, and it carries the answer's iteration
    count and, when degraded, the degradation's [label]. *)
-let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
+let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
   match trace with
-  | None -> retry_loop ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first
+  | None -> retry_loop ?deadline_at ~stats ~tolerance_factor ~policy ~rank first
   | Some (trc, label) ->
     let partitions = match first with Bisect view -> List.length view.probes | From_memory _ -> 0 in
     Trace.with_span trc
@@ -329,7 +323,7 @@ let run ?trace ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first =
       "query.accurate"
       (fun sp ->
         let res =
-          retry_loop ~trace:(trc, sp) ?deadline_at ?pool ~stats ~tolerance_factor ~policy ~rank first
+          retry_loop ~trace:(trc, sp) ?deadline_at ~stats ~tolerance_factor ~policy ~rank first
         in
         Trace.add_attr trc sp "iterations" (string_of_int res.iterations);
         if res.degradation <> `None then Trace.add_attr trc sp "degradation" (label res.degradation);

@@ -20,16 +20,6 @@ val memory_answer : Union_summary.t -> rank:int -> widen:int -> int * float
     given, else [config.query_deadline_ms]. *)
 val deadline_at : start:float -> ?deadline_ms:float -> Config.t -> float option
 
-(** Worker pool for parallel probes ([config.query_domains] lanes, the
-    querying domain included), spawned on first use; [metrics] as in
-    {!Hsq_util.Parallel.Pool.create}. *)
-type pool
-
-val pool : ?metrics:Hsq_obs.Metrics.t -> Config.t -> pool
-
-(** Join the workers, if spawned. *)
-val shutdown_pool : pool -> unit
-
 (** One bisection's input: the union summary, one stream summary per
     source, the active partitions tagged with their owner (the
     caller's fault domain), and the caller's own description. *)
@@ -66,20 +56,26 @@ type 'd result = {
   span : Hsq_obs.Trace.span option; (** the [query.accurate] root when traced *)
 }
 
-(** The retry loop from [first]. A completed bisection's bound is
+(** The retry loop from [first]. Each bisection iteration probes its
+    partitions in rounds: every round reads the next block of every
+    unsettled partition search with one {!Hsq_storage.Block_device.read_batch}
+    (across devices, so across shards), so the iteration waits on its
+    longest per-partition chain of reads. Each partition reads exactly
+    the blocks {!Hsq_storage.Run.rank_between} would. A completed
+    bisection's bound is
     [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
-    over the view's S stream summaries; a deadline cut answers the
-    quick answer clamped into the surviving filter interval. [trace]
-    (tracer, degradation label) records the query as one
-    [query.accurate] root span (attributes [rank], [partitions] probed
-    first, [iterations], and [degradation] unless [`None]) with a
-    [bisect] span per iteration and a [probe] span per partition under
-    it, and returns that root in [span]. [pool] changes no answer,
-    iteration or read count. *)
+    over the view's S stream summaries; a deadline, checked between
+    iterations and between rounds, answers the quick answer clamped
+    into the surviving filter interval. [trace] (tracer, degradation
+    label) records the query as one [query.accurate] root span
+    (attributes [rank], [partitions] probed first, [iterations], and
+    [degradation] unless [`None]) with a [bisect] span per iteration
+    and a [round] span per batch under it (attributes [probes], the
+    searches it served, and [reads], its physical reads), and returns
+    that root in [span]. *)
 val run :
   ?trace:Hsq_obs.Trace.t * ('d -> string) ->
   ?deadline_at:float ->
-  ?pool:pool ->
   stats:Hsq_storage.Io_stats.t list ->
   tolerance_factor:float ->
   policy:('o, 'm, ([> `None ] as 'd)) policy ->

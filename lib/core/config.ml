@@ -27,8 +27,6 @@ type t = {
   steps_hint : int; (* expected number of time steps (T), for memory split *)
   stream_fraction : float; (* share of a memory budget given to the stream sketch *)
   sort_domains : int option; (* parallel batch sorting (paper future work, Section 4) *)
-  query_domains : int option; (* parallel partition probes in accurate queries;
-                                 None/1 = sequential (keeps fault injection deterministic) *)
   wal_dir : string option; (* durable-ingest directory; None = stream side is volatile *)
   wal_sync : Hsq_storage.Wal.sync_policy; (* group-commit policy for the WAL *)
   checkpoint_every : int; (* WAL records between sketch checkpoints; 0 = never *)
@@ -51,7 +49,6 @@ let default =
     steps_hint = 100;
     stream_fraction = 0.5;
     sort_domains = None;
-    query_domains = None;
     wal_dir = None;
     wal_sync = Hsq_storage.Wal.Always;
     checkpoint_every = 10_000;
@@ -64,7 +61,7 @@ let default =
 
 let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memory
     ?(steps_hint = default.steps_hint) ?(stream_fraction = default.stream_fraction) ?sort_domains
-    ?query_domains ?wal_dir ?(wal_sync = default.wal_sync)
+    ?wal_dir ?(wal_sync = default.wal_sync)
     ?(checkpoint_every = default.checkpoint_every) ?query_deadline_ms
     ?(quarantine_after = default.quarantine_after) ?(shards = default.shards)
     ?(replicas = default.replicas) ?(stream_sketch = default.stream_sketch) sizing =
@@ -80,9 +77,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
     invalid_arg "Config.make: stream_fraction must lie in (0,1)";
   (match sort_domains with
   | Some d when d < 1 -> invalid_arg "Config.make: sort_domains must be >= 1"
-  | _ -> ());
-  (match query_domains with
-  | Some d when d < 1 -> invalid_arg "Config.make: query_domains must be >= 1"
   | _ -> ());
   (match wal_sync with
   | Hsq_storage.Wal.Group n when n < 1 -> invalid_arg "Config.make: group-commit window must be >= 1"
@@ -102,7 +96,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
     steps_hint;
     stream_fraction;
     sort_domains;
-    query_domains;
     wal_dir;
     wal_sync;
     checkpoint_every;

@@ -19,12 +19,6 @@ type t = {
   steps_hint : int;         (** expected number of time steps (T) *)
   stream_fraction : float;  (** share of a memory budget given to the stream sketch (paper: 0.5) *)
   sort_domains : int option; (** parallel batch sorting on this many domains (future work, §4) *)
-  query_domains : int option;
-      (** fan accurate-query disk probes across this many domains
-          (future work, §4); [None]/1 = sequential, which keeps
-          fault-injection schedules deterministic. Like the [wal_*]
-          fields this is runtime policy: not persisted in the metadata
-          sidecar, and answers are identical at any setting *)
   wal_dir : string option;
       (** durable-ingest directory (WAL + sketch checkpoints + warehouse
           files, used by {!Engine.open_or_recover}); [None] = the stream
@@ -40,7 +34,7 @@ type t = {
           bisection stops at the deadline and returns its best-so-far
           answer with the current rank-error bound
           ([degradation = `Deadline] in the report). [None] =
-          unbounded. Runtime policy, like [query_domains]: never
+          unbounded. Runtime policy, like the [wal_*] fields: never
           persisted. Per-call [?deadline_ms] overrides it. *)
   quarantine_after : int;
       (** consecutive unrecoverable probe failures (per partition)
@@ -49,7 +43,7 @@ type t = {
       (** number of independent engine shards when the store is driven
           through {!Shard_group} (hash-partitioned [observe], fused
           answers); 1 = a single engine, the paper's setting. Runtime
-          topology, like [query_domains]: each shard persists its own
+          topology: each shard persists its own
           single-engine config, so this field is never written to a
           sidecar *)
   replicas : int;
@@ -66,8 +60,8 @@ type t = {
       (** which ε₂ rank sketch summarizes the open step: [`Gk] (the
           paper's Greenwald-Khanna, the default) or [`Kll] (mergeable,
           so sharded quick answers can compose per-shard stream
-          summaries by sketch merge). Runtime policy, like
-          [query_domains]: never persisted — checkpoints tag the sketch
+          summaries by sketch merge). Runtime policy, like the [wal_*]
+          fields: never persisted — checkpoints tag the sketch
           kind they carry, and reopening a store with the other kind
           rebuilds the open step's sketch from the WAL. *)
 }
@@ -84,7 +78,6 @@ val make :
   ?steps_hint:int ->
   ?stream_fraction:float ->
   ?sort_domains:int ->
-  ?query_domains:int ->
   ?wal_dir:string ->
   ?wal_sync:Hsq_storage.Wal.sync_policy ->
   ?checkpoint_every:int ->

@@ -109,11 +109,6 @@ type t = {
      Repeated queries between ingests then skip even the stream
      extraction and the merge. *)
   mutable us_cache : (int * int * (Stream_summary.t * Union_summary.t)) option;
-  (* Persistent worker pool for the parallel accurate-query probes,
-     spawned on the first query when [config.query_domains] > 1 (the
-     pool holds query_domains - 1 workers; the querying domain is the
-     remaining lane).  [close] joins it. *)
-  query_pool : Bisection.pool;
   metrics : engine_metrics;
   (* Tracing is opt-in per engine (set_tracer); mirrored onto the
      device's Io_stats so WAL/merge/checkpoint sites pick it up. *)
@@ -183,10 +178,6 @@ let fresh_engine config ~dev ~hist =
     durable = None;
     hist_cache = None;
     us_cache = None;
-    query_pool =
-      Bisection.pool
-        ~metrics:(Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats dev))
-        config;
     metrics = make_engine_metrics dev;
     tracer = None;
     closed = false;
@@ -589,7 +580,7 @@ let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   let { Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span } =
     Bisection.run
       ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
-      ?deadline_at ~pool:t.query_pool
+      ?deadline_at
       ~stats:[ Hsq_storage.Block_device.stats t.dev ]
       ~tolerance_factor ~policy ~rank (first ())
   in
@@ -724,7 +715,6 @@ let open_or_recover config =
           Config.wal_dir = config.Config.wal_dir;
           wal_sync = config.Config.wal_sync;
           checkpoint_every = config.Config.checkpoint_every;
-          query_domains = config.Config.query_domains;
           stream_sketch = config.Config.stream_sketch;
         }
       in
@@ -843,7 +833,6 @@ let mark_closed t =
 
 let close t =
   if mark_closed t then begin
-    Bisection.shutdown_pool t.query_pool;
     Option.iter (fun d -> Hsq_storage.Wal.close d.wal) t.durable;
     Hsq_storage.Block_device.close t.dev
   end
@@ -853,7 +842,6 @@ let close t =
    this model, so only the log tail is at stake. *)
 let crash t =
   if mark_closed t then begin
-    Bisection.shutdown_pool t.query_pool;
     Option.iter (fun d -> Hsq_storage.Wal.crash d.wal) t.durable;
     Hsq_storage.Block_device.close t.dev
   end

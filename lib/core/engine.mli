@@ -38,7 +38,7 @@ type query_report = {
   rank_error_bound : float;
   span : Hsq_obs.Trace.span option;
       (** The query's root trace span ([query.accurate], with [bisect] /
-          [probe] children) when tracing is on via {!set_tracer}; [None]
+          [round] children) when tracing is on via {!set_tracer}; [None]
           otherwise. *)
 }
 
@@ -87,8 +87,7 @@ val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> uni
     carry their root span in [query_report.span] (accurate path) and
     record [query.quick] root spans (quick path). Tracing is meant for
     single-threaded diagnosis sessions: the engine is single-submitter
-    by contract, and only the parallel probe spans attach from worker
-    domains (safely, via explicit parents). *)
+    by contract. *)
 val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 
 val tracer : t -> Hsq_obs.Trace.t option

@@ -46,7 +46,6 @@ val load : device:Hsq_storage.Block_device.t -> path:string -> Engine.t
 val load_files :
   ?metrics:Hsq_obs.Metrics.t ->
   ?pool_blocks:int ->
-  ?query_domains:int ->
   ?query_deadline_ms:float ->
   device_path:string ->
   meta_path:string ->

@@ -3,8 +3,7 @@
 
    The engine is single-submitter by contract (see Engine), so the
    daemon serializes every engine-touching request through one queue
-   drained by one thread; concurrency lives in the connection layer
-   and, inside accurate queries, in the Parallel.Pool probe domains.
+   drained by one thread; concurrency lives in the connection layer.
    The queue is strictly bounded: a submit against a full queue is
    rejected immediately with a retry-after hint walked along a
    Breaker.Backoff decorrelated-jitter schedule (consecutive sheds back

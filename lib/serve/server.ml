@@ -1,6 +1,6 @@
 (* `hsq serve` — the long-running, overload-safe query daemon.
 
-   Threading model (threads for I/O, domains for compute):
+   Threading model (threads for I/O):
 
    - an accept thread polls the listen socket (select with a short
      timeout, so a stop request is noticed within ~50 ms without
@@ -11,9 +11,7 @@
      therefore only ever stalls its own thread (and is cut by the
      per-connection read/write timeouts);
    - a single engine thread drains the queue: the engine is
-     single-submitter by contract, so all engine access funnels here,
-     and query-internal parallelism still fans out across the
-     Parallel.Pool probe domains;
+     single-submitter by contract, so all engine access funnels here;
    - full-store quicks (no window) skip the queue: a connection thread
      answers them from the engine thread's published quick snapshot
      while that snapshot's write generation is current, the engine

@@ -105,12 +105,6 @@ type t = {
      a failover to a sibling rebuilds. *)
   mutable agg_cache : ((int * int * int) list * Us.hist_agg) option;
   mutable us_cache : ((int * int * int * int) list * (Ss.t list * Us.t)) option;
-  (* Worker pool for parallel accurate-query probes, spawned on the
-     first query that fans out ([config.query_domains] > 1); joined by
-     [close] / [crash].  Its round metrics go to the group's own
-     registry, which outlives any one replica. *)
-  query_pool : Hsq.Bisection.pool;
-  metrics : Metrics.t;
   (* Per-shard step count at the last uneven cut (see "step
      alignment"); -1 = unknown. *)
   baseline : int array;
@@ -163,7 +157,6 @@ let shard_config config ~wal_dir = { config with Hsq.Config.shards = 1; replicas
 (* --- construction ------------------------------------------------------- *)
 
 let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
-  let metrics = Metrics.create () in
   let t =
     {
       config;
@@ -175,8 +168,6 @@ let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
       lock = Mutex.create ();
       agg_cache = None;
       us_cache = None;
-      query_pool = Hsq.Bisection.pool ~metrics config;
-      metrics;
       baseline;
       tracer = None;
       closed = false;
@@ -993,7 +984,7 @@ let fused_accurate ?range ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
   let { Hsq.Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span = _ } =
     Hsq.Bisection.run
       ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
-      ?deadline_at ~pool:t.query_pool ~stats ~tolerance_factor ~policy ~rank (fetch ())
+      ?deadline_at ~stats ~tolerance_factor ~policy ~rank (fetch ())
   in
   let seconds = Metrics.now_s () -. t0 in
   List.iter
@@ -1463,7 +1454,6 @@ let checkpoint_now t = List.iter (fun (_, _, e) -> try E.checkpoint_now e with _
 let shut t ~release ~release_hints =
   if not t.closed then begin
     t.closed <- true;
-    Hsq.Bisection.shutdown_pool t.query_pool;
     List.iter (fun (_, _, e) -> release e) (all_live t);
     Array.iter
       (Array.iter (fun rep ->
@@ -1499,12 +1489,9 @@ let label_prometheus_line ~label line =
         ^ rest
       | None -> name ^ "{" ^ label ^ "}" ^ rest)
 
-(* The unlabelled registries: [extra] and the group's own. *)
-let group_registries ?extra t = Option.to_list extra @ [ t.metrics ]
-
 let labelled_prometheus ?extra t =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Metrics.to_prometheus_merged (group_registries ?extra t));
+  Buffer.add_string buf (Metrics.to_prometheus_merged (Option.to_list extra));
   List.iter
     (fun (i, j, e) ->
       let label =
@@ -1538,11 +1525,12 @@ let json_escape reason =
 let nested_json ?extra t =
   let buf = Buffer.create 4096 in
   Buffer.add_char buf '{';
-  if extra <> None || Metrics.names t.metrics <> [] then begin
-    Buffer.add_string buf "\"group\":";
-    Buffer.add_string buf (Metrics.to_json_merged (group_registries ?extra t));
-    Buffer.add_char buf ','
-  end;
+  Option.iter
+    (fun extra ->
+      Buffer.add_string buf "\"group\":";
+      Buffer.add_string buf (Metrics.to_json_merged [ extra ]);
+      Buffer.add_char buf ',')
+    extra;
   Buffer.add_string buf "\"shards\":{";
   Array.iteri
     (fun i reps ->
@@ -1580,12 +1568,12 @@ let nested_json ?extra t =
   Buffer.contents buf
 
 (* A K = 1, R = 1 group is one engine: its registry is exported
-   unlabelled, merged flat with the group registries, so the dump reads
-   like a lone engine's. *)
+   unlabelled, merged flat with [extra], so the dump reads like a lone
+   engine's. *)
 let flat t = t.k = 1 && t.r = 1
 
 let flat_registries ?extra t =
-  group_registries ?extra t @ List.map (fun (_, _, e) -> E.metrics e) (all_live t)
+  Option.to_list extra @ List.map (fun (_, _, e) -> E.metrics e) (all_live t)
 
 let metrics_prometheus ?extra t =
   if flat t then Metrics.to_prometheus_merged (flat_registries ?extra t)

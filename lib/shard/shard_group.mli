@@ -255,8 +255,8 @@ val quick_answer : reused:bool -> quick_snapshot -> rank:int -> int * float * de
     shard and widen by its element count ([`Shard_down]). Deadline
     cuts return the fused quick answer clamped into the surviving
     filter interval. The report's degradation composes worst-wins.
-    [config.query_domains > 1] fans probes out as for the engine; the
-    pool is joined by {!close} / {!crash}. *)
+    Probe rounds batch the reads of every shard's partitions together,
+    as for the engine. *)
 val accurate :
   ?tolerance_factor:float -> ?deadline_ms:float -> t -> rank:int -> int * query_report
 
@@ -420,14 +420,12 @@ val is_closed : t -> bool
     nesting them under ["shards"] (and ["replicas"] when R > 1)
     (JSON). R = 1 output is byte-compatible with the pre-replication
     exporters. [extra] adds another registry's metrics unlabelled —
-    the serve daemon passes its own.  The group's own registry (the
-    parallel-probe pool's [hsq_query_pool_round_*]) prints unlabelled
-    beside [extra], under ["group"] in JSON.  Fused queries also record
-    into each read replica's [hsq_query_*] metrics
+    the serve daemon passes its own — under ["group"] in JSON.  Fused
+    queries also record into each read replica's [hsq_query_*] metrics
     ({!Hsq.Engine.note_accurate}, {!Hsq.Engine.note_summary_cache}).
 
     K = 1, R = 1 exports flat: the one engine's registry merged with
-    [extra] and the group registry into one unlabelled dump
+    [extra] into one unlabelled dump
     ({!Hsq_obs.Metrics.to_json_merged}),
     exactly as a lone engine would print it (while that engine is down
     only [extra] is printed; {!shards_down} and the health rollup say

@@ -16,7 +16,14 @@
      {!Io_stats} ([retries], [checksum_failures]);
    - a structured fault injector can fail operations, tear writes (a
      partial write followed by a simulated crash), or silently corrupt a
-     written word — the ingredients of the crash-recovery fuzz harness. *)
+     written word — the ingredients of the crash-recovery fuzz harness.
+
+   Wait model: with a simulated [read_latency], a lone read waits it in
+   full.  A batch read ([read_batch], one probe round of an accurate
+   query) issues its reads one after another with all of the above
+   bookkeeping, then waits one [read_latency] for all of them — the
+   reads were queued on the device together — with no threads or
+   domains involved. *)
 
 exception Device_error of string
 
@@ -50,15 +57,14 @@ type backend =
   | Memory of int array option array ref (* growable table of stored records *)
   | File of file
 
-(* Domain-safety: queries may probe partitions from several domains at
-   once (Engine.accurate with query_domains > 1), so the two pieces of
-   state every read touches are each behind a mutex — [io_lock] for the
-   File backend's descriptor offset and record buffer, [pool_lock]
-   for the LRU buffer pool (Lru itself is not thread-safe).  Every
-   seek-plus-read and seek-plus-write pair runs under [io_lock], so no
-   two ever interleave.  Allocation, writes and frees stay single-domain
-   by contract: the engine never ingests and queries concurrently,
-   parallelism exists only inside one query call. *)
+(* Domain-safety: reads may be issued from several domains at once, so
+   the two pieces of state every read touches are each behind a mutex —
+   [io_lock] for the File backend's descriptor offset and record
+   buffer, [pool_lock] for the LRU buffer pool (Lru itself is not
+   thread-safe).  Every seek-plus-read and seek-plus-write pair runs
+   under [io_lock], so no two ever interleave.  Allocation, writes,
+   frees and batch reads stay single-domain by contract: the engine
+   never ingests and queries concurrently. *)
 type t = {
   block_size : int;
   stats : Io_stats.t;
@@ -70,6 +76,7 @@ type t = {
   pool_lock : Mutex.t;
   io_lock : Mutex.t;
   mutable read_latency : float; (* simulated seconds per physical block read *)
+  mutable batch_reads : int; (* physical reads of the batch in progress, awaiting its wait *)
   breaker : Breaker.t; (* trips after consecutive unrecoverable read faults *)
   (* Metric handles resolved once at creation so the read paths never
      touch the registry's lock/table. *)
@@ -83,7 +90,8 @@ type t = {
    summary-cache metrics). *)
 let device_metrics stats =
   let r = Io_stats.registry stats in
-  ( Hsq_obs.Metrics.histogram ~help:"Physical block read latency" r "hsq_device_read_seconds",
+  ( Hsq_obs.Metrics.histogram ~help:"Caller wait per physical block read or read batch" r
+      "hsq_device_read_seconds",
     Hsq_obs.Metrics.counter ~help:"Buffer pool hits" r "hsq_buffer_pool_hits_total",
     Hsq_obs.Metrics.counter ~help:"Buffer pool misses" r "hsq_buffer_pool_misses_total" )
 
@@ -132,6 +140,7 @@ let make ?metrics ~block_size ~next_free backend =
     pool_lock = Mutex.create ();
     io_lock = Mutex.create ();
     read_latency = 0.0;
+    batch_reads = 0;
     breaker = device_breaker stats;
     read_hist;
     pool_hits;
@@ -240,10 +249,10 @@ let pool_stats t =
     Some s
 
 (* Simulated per-read device latency (seconds), applied to every
-   physical (pool-missing) block read, outside any lock — so concurrent
-   probes overlap their waits exactly like requests queued on a real
-   disk or network volume.  Zero (the default) keeps tests and the
-   existing cost model untouched. *)
+   physical (pool-missing) block read, outside any lock.  The reads of
+   one [read_batch] share a single wait, like requests queued on a real
+   disk or network volume at once.  Zero (the default) keeps tests and
+   the existing cost model untouched. *)
 let set_read_latency t seconds = t.read_latency <- Float.max 0.0 seconds
 let read_latency t = t.read_latency
 
@@ -380,8 +389,12 @@ let fetch_record t ~addr =
    schedule reports an unrecoverable fault, a good read reports
    success.  Structural errors (unwritten/freed/short blocks) are the
    device answering correctly about its own state, so they count as
-   breaker successes, not failures. *)
-let read_block_uncached ?hint t ~addr =
+   breaker successes, not failures.
+
+   A [batched] read defers its simulated wait and latency observation
+   to the batch ([read_batch]) and only counts itself in
+   [batch_reads]. *)
+let read_block_uncached ?hint ~batched t ~addr =
   if not (Breaker.allow t.breaker) then
     raise
       (Device_error
@@ -403,8 +416,8 @@ let read_block_uncached ?hint t ~addr =
       retry (Device_error (Printf.sprintf "injected read fault at block %d (attempt %d)" addr n))
     | None ->
       Io_stats.note_read ?hint t.stats addr;
-      let t0 = Hsq_obs.Metrics.now_s () in
-      apply_read_latency t;
+      let t0 = if batched then 0.0 else Hsq_obs.Metrics.now_s () in
+      if batched then t.batch_reads <- t.batch_reads + 1 else apply_read_latency t;
       let payload, stored =
         try fetch_record t ~addr
         with e ->
@@ -413,7 +426,8 @@ let read_block_uncached ?hint t ~addr =
           Breaker.success t.breaker;
           raise e
       in
-      Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
+      if not batched then
+        Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
       if stored <> checksum ~addr payload then begin
         Io_stats.note_checksum_failure t.stats;
         retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
@@ -433,10 +447,10 @@ let read_block_uncached ?hint t ~addr =
    contract.  The pool is probed and populated under [pool_lock];
    the device read itself happens outside it so concurrent misses
    overlap their (possibly latency-simulated) I/O. *)
-let read_block ?hint t ~addr =
+let read_pooled ?hint ~batched t ~addr =
   if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
   match t.pool with
-  | None -> read_block_uncached ?hint t ~addr
+  | None -> read_block_uncached ?hint ~batched t ~addr
   | Some pool -> (
     Mutex.lock t.pool_lock;
     let cached = Lru.find pool addr in
@@ -447,8 +461,55 @@ let read_block ?hint t ~addr =
       block
     | None ->
       Hsq_obs.Metrics.Counter.inc t.pool_misses;
-      let block = read_block_uncached ?hint t ~addr in
+      let block = read_block_uncached ?hint ~batched t ~addr in
       Mutex.lock t.pool_lock;
       Lru.put pool addr block;
       Mutex.unlock t.pool_lock;
       block)
+
+let read_block ?hint t ~addr = read_pooled ?hint ~batched:false t ~addr
+
+exception Batch_error of int * string
+
+(* A batch is read in index order on the calling thread, each read with
+   its full bookkeeping (breaker, injector and retries, Io_stats,
+   checksum, pool), and stops at the first unrecoverable one.  Only the
+   simulated wait is shared: once the reads are issued, the caller
+   waits the longest [read_latency] among the devices they reached —
+   once, as for requests queued on a device together — and each such
+   device records that whole wait as one [hsq_device_read_seconds]
+   observation.  A batch that reached no device (pool hits, an open
+   breaker) waits nothing and records nothing. *)
+let read_batch devs addrs blocks ~n =
+  let t0 = Hsq_obs.Metrics.now_s () in
+  let settle () =
+    let wait = ref 0.0 in
+    for i = 0 to n - 1 do
+      if devs.(i).batch_reads > 0 then wait := Float.max !wait devs.(i).read_latency
+    done;
+    if !wait > 0.0 then Unix.sleepf !wait;
+    let waited = Hsq_obs.Metrics.now_s () -. t0 in
+    let reads = ref 0 in
+    for i = 0 to n - 1 do
+      let d = devs.(i) in
+      if d.batch_reads > 0 then begin
+        reads := !reads + d.batch_reads;
+        d.batch_reads <- 0;
+        Hsq_obs.Metrics.Histogram.observe d.read_hist waited
+      end
+    done;
+    !reads
+  in
+  let rec go i =
+    if i < n then begin
+      (match read_pooled ~batched:true devs.(i) ~addr:addrs.(i) with
+      | block -> blocks.(i) <- block
+      | exception Device_error msg -> raise (Batch_error (i, msg)));
+      go (i + 1)
+    end
+  in
+  match go 0 with
+  | () -> settle ()
+  | exception e ->
+    ignore (settle ());
+    raise e

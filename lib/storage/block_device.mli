@@ -91,12 +91,30 @@ val write_block : t -> addr:int -> int array -> unit
     [block_size <= 256] a read allocates only on the minor heap. Every
     read goes to the file, so a read after a rewrite sees the new bytes.
 
-    Domain-safety: reads may be issued from several domains at once
-    (parallel query probes). The file backend's descriptor and record
-    buffer and the buffer pool are mutex-guarded internally; writes,
-    [alloc] and [free] remain single-domain by contract (the engine
-    never ingests and queries concurrently). *)
+    Domain-safety: reads may be issued from several domains at once.
+    The file backend's descriptor and record buffer and the buffer pool
+    are mutex-guarded internally; writes, [alloc], [free] and
+    {!read_batch} remain single-domain by contract (the engine never
+    ingests and queries concurrently). *)
 val read_block : ?hint:bool -> t -> addr:int -> int array
+
+(** Raised by {!read_batch}: the batch index of its first unrecoverable
+    read and that read's {!Device_error} message. *)
+exception Batch_error of int * string
+
+(** [read_batch devs addrs blocks ~n] reads block [addrs.(i)] of
+    [devs.(i)] into [blocks.(i)] for every [i < n] and returns the
+    number of physical reads it issued (retried attempts included, pool
+    hits excluded). Each read is a {!read_block} — breaker, injector,
+    retries, {!Io_stats}, checksum and pool, in index order on the
+    calling thread — except for the simulated wait: the batch waits
+    once, the longest {!read_latency} among the devices its reads
+    reached, and records that wait as one [hsq_device_read_seconds]
+    observation on each of those devices. The batch stops at its first
+    unrecoverable read, raising {!Batch_error}: no later read is issued
+    or counted, and the wait of the reads before it is still paid. A
+    device whose breaker is open fails its first read with no wait. *)
+val read_batch : t array -> int array -> int array array -> n:int -> int
 
 (** {2 Retry policy and circuit breaker}
 
@@ -145,9 +163,10 @@ val pool_stats : t -> (int * int) option
     [set_read_latency t seconds] makes every physical (pool-missing)
     block read sleep for [seconds], outside any internal lock — a knob
     for modelling the paper's disk-access cost in benches, where the
-    in-memory simulator is otherwise too fast for parallel probes to
-    matter. Concurrent probing domains overlap their waits like
-    requests queued on a real device. Default 0.0 (no effect). *)
+    in-memory simulator is otherwise too fast for overlapped probes to
+    matter. The reads of one {!read_batch} share a single wait, like
+    requests queued on a real device together. Default 0.0 (no
+    effect). *)
 
 val set_read_latency : t -> float -> unit
 val read_latency : t -> float

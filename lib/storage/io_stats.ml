@@ -43,9 +43,8 @@ type counters = {
   checkpoints_written : int;
 }
 
-(* Counters are guarded by a per-record mutex so several domains probing
-   partitions in parallel (Engine.accurate with query_domains > 1) can
-   account their reads on the shared device without tearing, and —
+(* Counters are guarded by a per-record mutex so several domains reading
+   one device at once can account their reads without tearing, and —
    crucially for [snapshot] — so the ten values are mutually consistent:
    every [note_*] mutation and every [snapshot] read runs under the same
    lock, so a snapshot can never observe a half-applied note (e.g.

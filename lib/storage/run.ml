@@ -96,39 +96,117 @@ let get t i =
   let bsize = Block_device.block_size t.dev in
   (block_for t i).(i mod bsize)
 
-(* First index in [lo, hi) whose element is > v, i.e. the number of
-   elements <= v given that the answer lies in [lo, hi].  Each step
-   reads the block holding the window's midpoint and settles it whole:
-   clipped to the window, either its last element is <= v (the answer
-   lies past the block), its first is > v (the answer is at or before
-   its start), or the answer lies inside it and a binary search of the
-   array in hand finishes with no further read.  The window keeps at
-   most half its elements per step and never re-reads a block, so a
-   window spanning [k] blocks costs at most ceil(log2 k) + 2 reads. *)
-let rank_between t ~lo ~hi v =
-  check_live t "rank_between";
-  if lo < 0 || hi > t.length || lo > hi then invalid_arg "Run.rank_between: bad range";
-  let bsize = Block_device.block_size t.dev in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      let block = block_for t mid in
-      let start = mid - (mid mod bsize) in
-      let a = max lo start and b = min hi (start + bsize) in
-      if block.(b - 1 - start) <= v then go b hi
-      else if block.(a - start) > v then go lo a
-      else
+(* The search for the first index in [lo, hi) whose element is > v,
+   i.e. the number of elements <= v given that the answer lies in
+   [lo, hi].  Each step takes the block holding the window's midpoint
+   and settles it whole: clipped to the window, either its last element
+   is <= v (the answer lies past the block), its first is > v (the
+   answer is at or before its start), or the answer lies inside it and
+   a binary search of the array in hand finishes with no further read.
+   The window keeps at most half its elements per step and never needs
+   a block twice, so a window spanning [k] blocks costs at most
+   ceil(log2 k) + 2 reads.
+
+   The search is resumable: [advance] steps on the blocks in hand (the
+   one just fed, else the run's cache) and stops to name the block it
+   needs next, which the caller reads and [feed]s back.  [rank_between]
+   drives one search a read at a time; an accurate query drives one
+   per partition and reads their next blocks together. *)
+type search = {
+  srun : t;
+  mutable v : int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable need : int; (* absolute address [advance] stopped on; -1 = none *)
+  mutable fed : int array; (* block [need], fed for the next step only; [||] = none *)
+}
+
+let search t = { srun = t; v = 0; lo = 0; hi = 0; need = -1; fed = [||] }
+
+let start_as ~who s ~lo ~hi v =
+  let t = s.srun in
+  check_live t who;
+  if lo < 0 || hi > t.length || lo > hi then invalid_arg ("Run." ^ who ^ ": bad range");
+  s.v <- v;
+  s.lo <- lo;
+  s.hi <- hi;
+  s.need <- -1;
+  s.fed <- [||]
+
+let start = start_as ~who:"start"
+
+(* The block at [abs] if in hand, else [||].  A fed block serves one
+   step, so with the cache disabled every step reads, as [block_for]
+   does. *)
+let in_hand s abs =
+  let t = s.srun in
+  if s.fed != [||] && s.need = abs then begin
+    let block = s.fed in
+    s.fed <- [||];
+    s.need <- -1;
+    block
+  end
+  else if t.cache_enabled && t.cache_addr = abs then t.cache
+  else [||]
+
+let rec advance s =
+  if s.lo >= s.hi then -1
+  else
+    let t = s.srun in
+    let bsize = Block_device.block_size t.dev in
+    let mid = (s.lo + s.hi) / 2 in
+    let abs = t.addr + (mid / bsize) in
+    let block = in_hand s abs in
+    if block == [||] then begin
+      s.need <- abs;
+      abs
+    end
+    else begin
+      let base = mid - (mid mod bsize) in
+      let a = max s.lo base and b = min s.hi (base + bsize) in
+      let v = s.v in
+      if block.(b - 1 - base) <= v then s.lo <- b
+      else if block.(a - base) > v then s.hi <- a
+      else begin
         (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
         let rec within lo hi =
           if lo >= hi then lo
           else
             let m = (lo + hi) / 2 in
-            if block.(m - start) <= v then within (m + 1) hi else within lo m
+            if block.(m - base) <= v then within (m + 1) hi else within lo m
         in
-        within (a + 1) (b - 1)
+        let r = within (a + 1) (b - 1) in
+        s.lo <- r;
+        s.hi <- r
+      end;
+      advance s
+    end
+
+let feed s block =
+  if s.need < 0 then invalid_arg "Run.feed: the search is not waiting on a block";
+  let t = s.srun in
+  s.fed <- block;
+  if t.cache_enabled then begin
+    t.cache <- block;
+    t.cache_addr <- s.need
+  end
+
+let found s =
+  if s.lo < s.hi then invalid_arg "Run.found: the search has not settled";
+  s.lo
+
+let rank_between t ~lo ~hi v =
+  let s = search t in
+  start_as ~who:"rank_between" s ~lo ~hi v;
+  let rec drive () =
+    let addr = advance s in
+    if addr >= 0 then begin
+      feed s (Block_device.read_block t.dev ~addr);
+      drive ()
+    end
   in
-  go lo hi
+  drive ();
+  s.lo
 
 let rank t v = rank_between t ~lo:0 ~hi:t.length v
 

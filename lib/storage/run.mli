@@ -51,6 +51,36 @@ val rank : t -> int -> int
     Raises [Invalid_argument] on a bad range or a freed run. *)
 val rank_between : t -> lo:int -> hi:int -> int -> int
 
+(** {2 Resumable rank search}
+
+    The search {!rank_between} runs, in a form that stops at each block
+    it lacks, so a caller can read the next blocks of many searches
+    together. [rank_between] is exactly: [start], then [advance] and
+    [feed] one read block at a time until [advance] returns [-1]; it
+    reads the same blocks in the same order. *)
+type search
+
+(** An idle search over the run, reusable across [start]s. *)
+val search : t -> search
+
+(** [start s ~lo ~hi v] begins the search for [rank_between t ~lo ~hi v].
+    Raises [Invalid_argument] on a bad range or a freed run. *)
+val start : search -> lo:int -> hi:int -> int -> unit
+
+(** Step on the blocks in hand — the one last fed, then the run's
+    one-block cache — until the search settles ([-1]) or needs a block
+    it does not hold (its absolute device address). *)
+val advance : search -> int
+
+(** [feed s block] hands [s] the block its last [advance] named (and
+    puts it in the run's cache, when enabled). Raises
+    [Invalid_argument] if [s] is not waiting on a block. *)
+val feed : search -> int array -> unit
+
+(** The rank, once [advance] returned [-1]. Raises [Invalid_argument]
+    before. *)
+val found : search -> int
+
 (** Read [len] elements starting at [pos]. *)
 val read_range : t -> pos:int -> len:int -> int array
 

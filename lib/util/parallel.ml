@@ -1,10 +1,10 @@
 (* Small fork-join helpers on OCaml 5 domains.
 
-   The paper's future-work section singles out parallel sorting and
-   parallel partition processing (Section 4); these helpers provide the
-   fork-join substrate.  Work is split into at most [domains] chunks,
-   each run in a fresh domain (spawn cost ~ tens of microseconds, so
-   callers should hand over milliseconds of work per chunk). *)
+   The paper's future-work section singles out parallel sorting
+   (Section 4); these helpers provide the fork-join substrate.  Work is
+   split into at most [domains] chunks, each run in a fresh domain
+   (spawn cost ~ tens of microseconds, so callers should hand over
+   milliseconds of work per chunk). *)
 
 let default_domains () = max 1 (min 4 (Domain.recommended_domain_count ()))
 
@@ -28,207 +28,6 @@ let map ?domains f input =
     let parts = List.map Domain.join handles in
     Array.concat parts
   end
-
-(* Persistent fork-join pool: long-lived worker domains plus the
-   submitting caller cooperate on indexed tasks, so the per-call cost is
-   two condition-variable round trips instead of [domains] domain spawns
-   (~100 µs each).  That makes fan-out worthwhile for sub-millisecond
-   tasks — e.g. one bisection iteration's disk probes on the accurate
-   query path, issued dozens of times per query.
-
-   One submission at a time per pool (the engine's query path is
-   single-submitter by contract); workers idle on a condition variable
-   between calls.  Item claiming is a shared cursor under the pool lock:
-   dynamic load balancing, and the mutex hand-offs double as the
-   happens-before edges that publish result writes to the caller. *)
-module Pool = struct
-  exception Cancelled
-
-  type t = {
-    lock : Mutex.t;
-    work : Condition.t; (* wakes workers on a new epoch or shutdown *)
-    idle : Condition.t; (* wakes the caller when the last item finishes *)
-    mutable task : (int -> unit) option;
-    mutable next : int; (* next unclaimed item *)
-    mutable total : int;
-    mutable finished : int; (* items fully processed this epoch *)
-    mutable failure : exn option; (* first exception raised by any item *)
-    mutable cancel : (unit -> bool) option; (* round's cooperative cancel check *)
-    mutable epoch : int;
-    mutable quit : bool;
-    mutable handles : unit Domain.t list;
-    (* (round width, caller idle-wait) histograms when instrumented. *)
-    metrics : (Hsq_obs.Metrics.Histogram.t * Hsq_obs.Metrics.Histogram.t) option;
-  }
-
-  (* The round is over when every claimed item has finished and either
-     the cursor is exhausted or a failure stopped further claims. *)
-  let round_done t = t.finished = t.next && (t.next >= t.total || t.failure <> None)
-
-  (* Claim-and-run until the cursor is exhausted, a failure stops the
-     round, or the epoch moves on.  [epoch] is the round the claimer
-     observed when it picked up the closure; the claim step re-checks it
-     under the lock, so a worker preempted between reading the task and
-     draining cannot claim a *newer* round's indices and run the stale
-     closure on them.  (The converse hazard — the epoch moving while a
-     claim is outstanding — cannot happen: [run] waits for
-     [finished = next] before returning, so no new round starts while
-     any claimed item is in flight.)
-
-     Exceptions are recorded (first wins) and never unwind a worker;
-     once one is recorded no further items are claimed, so the caller
-     re-raises after only the already-in-flight items finish.  Every
-     claimed item still counts toward [finished], so the caller's wait
-     terminates. *)
-  let drain t ~epoch f =
-    let rec loop () =
-      Mutex.lock t.lock;
-      if t.epoch <> epoch || t.next >= t.total || t.failure <> None then Mutex.unlock t.lock
-      else if (match t.cancel with Some c -> c () | None -> false) then begin
-        (* Cooperative cancellation: recorded like a failure, so no
-           further items are claimed anywhere and the caller re-raises
-           [Cancelled] once in-flight items finish.  The check must not
-           raise (it is a deadline comparison in practice) and runs
-           under the lock, so it must be cheap. *)
-        t.failure <- Some Cancelled;
-        if round_done t then Condition.signal t.idle;
-        Mutex.unlock t.lock
-      end
-      else begin
-        let i = t.next in
-        t.next <- i + 1;
-        Mutex.unlock t.lock;
-        (try f i
-         with e ->
-           Mutex.lock t.lock;
-           if t.failure = None then t.failure <- Some e;
-           Mutex.unlock t.lock);
-        Mutex.lock t.lock;
-        t.finished <- t.finished + 1;
-        if round_done t then Condition.signal t.idle;
-        Mutex.unlock t.lock;
-        loop ()
-      end
-    in
-    loop ()
-
-  let rec worker t last_epoch =
-    Mutex.lock t.lock;
-    while (not t.quit) && t.epoch = last_epoch do
-      Condition.wait t.work t.lock
-    done;
-    if t.quit then Mutex.unlock t.lock
-    else begin
-      let epoch = t.epoch in
-      match t.task with
-      | None ->
-        (* Woke after the round was already parked: adopt the new epoch
-           and go back to waiting instead of draining a stale no-op. *)
-        Mutex.unlock t.lock;
-        worker t epoch
-      | Some f ->
-        Mutex.unlock t.lock;
-        drain t ~epoch f;
-        worker t epoch
-    end
-
-  let create ?metrics ~workers () =
-    let workers = max 1 workers in
-    let metrics =
-      Option.map
-        (fun r ->
-          ( Hsq_obs.Metrics.histogram ~help:"Items fanned out per pool round" ~start:1.0
-              ~factor:2.0 ~buckets:16 r "hsq_query_pool_round_width",
-            Hsq_obs.Metrics.histogram ~help:"Caller idle wait per pool round" r
-              "hsq_query_pool_round_wait_seconds" ))
-        metrics
-    in
-    let t =
-      {
-        lock = Mutex.create ();
-        work = Condition.create ();
-        idle = Condition.create ();
-        task = None;
-        next = 0;
-        total = 0;
-        finished = 0;
-        failure = None;
-        cancel = None;
-        epoch = 0;
-        quit = false;
-        handles = [];
-        metrics;
-      }
-    in
-    t.handles <- List.init workers (fun _ -> Domain.spawn (fun () -> worker t 0));
-    t
-
-  let size t = List.length t.handles
-
-  (* Run [f] exactly once per index in [0, n); the caller works too, so
-     a pool of w workers yields w+1 compute lanes.  [cancel] is polled
-     before every claim (by caller and workers alike); once it returns
-     true the round stops claiming and {!Cancelled} is re-raised here
-     after in-flight items finish — at most one item per lane runs past
-     the cancellation point. *)
-  let run ?cancel t ~n f =
-    if n > 0 then begin
-      (match t.metrics with
-      | Some (width, _) -> Hsq_obs.Metrics.Histogram.observe width (float_of_int n)
-      | None -> ());
-      Mutex.lock t.lock;
-      t.task <- Some f;
-      t.next <- 0;
-      t.total <- n;
-      t.finished <- 0;
-      t.failure <- None;
-      t.cancel <- cancel;
-      t.epoch <- t.epoch + 1;
-      let epoch = t.epoch in
-      Condition.broadcast t.work;
-      Mutex.unlock t.lock;
-      drain t ~epoch f;
-      (* The caller has exhausted its own share; what's left is idle
-         waiting on straggler workers — the queue-wait metric. *)
-      let wait0 =
-        match t.metrics with Some _ -> Hsq_obs.Metrics.now_s () | None -> 0.0
-      in
-      Mutex.lock t.lock;
-      while not (round_done t) do
-        Condition.wait t.idle t.lock
-      done;
-      (match t.metrics with
-      | Some (_, wait) -> Hsq_obs.Metrics.Histogram.observe wait (Hsq_obs.Metrics.now_s () -. wait0)
-      | None -> ());
-      (* Park the task: a late-waking worker finds it gone (or the
-         epoch moved on) and goes back to sleep. *)
-      t.task <- None;
-      t.cancel <- None;
-      let failure = t.failure in
-      Mutex.unlock t.lock;
-      match failure with Some e -> raise e | None -> ()
-    end
-
-  (* Order-preserving map, like {!map} but on the persistent pool.
-     A cancelled round raises {!Cancelled} out of [run] before the
-     output array is touched, so no partially-filled result escapes. *)
-  let map ?cancel t f input =
-    let n = Array.length input in
-    if n = 0 then [||]
-    else begin
-      let out = Array.make n None in
-      run ?cancel t ~n (fun i -> out.(i) <- Some (f input.(i)));
-      Array.map (function Some v -> v | None -> assert false) out
-    end
-
-  let shutdown t =
-    Mutex.lock t.lock;
-    t.quit <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.handles;
-    t.handles <- []
-end
 
 (* Sort an int array with [domains]-way chunked merge sort: each chunk
    is sorted in its own domain, then chunks are merged on the caller.

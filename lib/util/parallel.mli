@@ -1,6 +1,5 @@
 (** Fork-join helpers on OCaml 5 domains — the substrate for the
-    paper's future-work parallel sorting / parallel partition
-    processing (Section 4). *)
+    paper's future-work parallel sorting (Section 4). *)
 
 (** min(4, recommended domain count). *)
 val default_domains : unit -> int
@@ -9,54 +8,6 @@ val default_domains : unit -> int
     [domains] fresh domains. Falls back to sequential for tiny inputs
     or [domains = 1]. *)
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** Persistent fork-join pool: [workers] long-lived domains plus the
-    calling domain cooperate on each submitted task, so per-call
-    overhead is two condition-variable round trips instead of a domain
-    spawn per chunk.  Use when the same caller fans out sub-millisecond
-    tasks many times (e.g. per-iteration disk probes on the accurate
-    query path).  One submission at a time per pool. *)
-module Pool : sig
-  type t
-
-  (** Raised out of {!run}/{!map} when the round's [cancel] check fired
-      (e.g. a query deadline expired). *)
-  exception Cancelled
-
-  (** Spawn [max 1 workers] worker domains, parked until work arrives.
-      [metrics] instruments the pool in that registry:
-      [hsq_query_pool_round_width] (items fanned out per {!run}) and
-      [hsq_query_pool_round_wait_seconds] (the caller's idle wait for
-      straggler workers after draining its own share). *)
-  val create : ?metrics:Hsq_obs.Metrics.t -> workers:int -> unit -> t
-
-  (** Number of worker domains (compute lanes are [size + 1]: the
-      caller participates). *)
-  val size : t -> int
-
-  (** [run t ~n f] calls [f i] at most once for every [i] in [0, n),
-      distributing items dynamically over the workers and the caller.
-      On success every item ran exactly once and all have finished when
-      [run] returns.  If any item raises, no {e further} items are
-      claimed; the first exception re-raises here after the items
-      already in flight (at most one per compute lane) have completed,
-      so unclaimed indices are skipped — mirroring how a sequential
-      loop stops at the first failure.
-
-      [cancel] is a cooperative cancellation check, polled (under the
-      pool lock, by the caller and every worker) before each claim: once
-      it returns [true], no further items are claimed and {!Cancelled}
-      re-raises here after in-flight items finish.  It must be cheap and
-      must not raise — in practice a deadline comparison. *)
-  val run : ?cancel:(unit -> bool) -> t -> n:int -> (int -> unit) -> unit
-
-  (** Order-preserving map on the pool; exceptions and [cancel] as with
-      {!run} (on failure or cancellation no output array is produced). *)
-  val map : ?cancel:(unit -> bool) -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-  (** Stop and join the workers.  The pool must be idle. *)
-  val shutdown : t -> unit
-end
 
 (** In-place sort, observationally identical to [Array.sort Int.compare]:
     domain-sorted chunks merged on the caller. Sequential below 4096

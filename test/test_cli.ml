@@ -7,7 +7,8 @@
      2 on a missing directory;
    - metrics follows the same 0/1/2 convention and emits parseable
      JSON / Prometheus text;
-   - query --trace prints one probe span per touched partition;
+   - query --trace prints one round span per batch of partition reads,
+     whose reads add up to the printed disk accesses;
    - query --heavy prints the same exact hits at one shard and at three;
    - inspect prints a saved warehouse's windows and range boundaries,
      and exits 2 without --meta;
@@ -61,6 +62,23 @@ let count_substring hay needle =
     else go (i + 1) acc
   in
   if nn = 0 then 0 else go 0 0
+
+(* The integers written right after every occurrence of [key] (a span
+   attribute such as ["\"reads\":\""]), in order. *)
+let ints_after hay key =
+  let n = String.length hay and nk = String.length key in
+  let rec digits j = if j < n && hay.[j] >= '0' && hay.[j] <= '9' then digits (j + 1) else j in
+  let rec go i acc =
+    if i + nk > n then List.rev acc
+    else if String.sub hay i nk = key then
+      let j = digits (i + nk) in
+      go j (int_of_string (String.sub hay (i + nk) (j - i - nk)) :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* Total of the "disk accesses: N" counts on the answer lines. *)
+let disk_accesses out = List.fold_left ( + ) 0 (ints_after out "disk accesses: ")
 
 let with_temp_dir f =
   let dir = Filename.temp_file "hsq_cli" "" in
@@ -375,8 +393,8 @@ let test_query_trace_spans () =
   with_temp_dir (fun dir ->
       let dev, meta = build_store dir in
       (* build_store archives 4 steps with kappa's default of 10: four
-         level-0 partitions, no merge. Every bisection iteration probes
-         every partition, so the trace must name partitions 1..4. *)
+         level-0 partitions, no merge. Each probe round reads one block
+         for each of up to four partition searches. *)
       let code, out =
         run_capture
           (Printf.sprintf "query --device %s --meta %s -q 0.5 --trace" (quote dev) (quote meta))
@@ -386,17 +404,15 @@ let test_query_trace_spans () =
       Alcotest.(check bool) "accurate root span" true
         (contains out "\"name\":\"query.accurate\"");
       Alcotest.(check bool) "bisection child spans" true (contains out "\"name\":\"bisect\"");
-      for part = 1 to 4 do
-        Alcotest.(check bool)
-          (Printf.sprintf "a probe span for partition %d" part)
-          true
-          (contains out (Printf.sprintf "{\"partition\":\"%d\"" part))
-      done;
-      Alcotest.(check bool) "no phantom partition" false (contains out "{\"partition\":\"5\"");
-      let probes = count_substring out "\"name\":\"probe\"" in
-      let iters = count_substring out "\"name\":\"bisect\"" in
-      Alcotest.(check bool) "one probe per partition per iteration" true (probes = 4 * iters)
-      ;
+      let probes = ints_after out "\"probes\":\"" in
+      Alcotest.(check int) "probes and reads on every round"
+        (count_substring out "\"name\":\"round\"") (List.length probes);
+      Alcotest.(check bool) "a query that reads has rounds" true
+        (probes <> [] || disk_accesses out = 0);
+      Alcotest.(check bool) "a round serves 1..4 partitions" true
+        (List.for_all (fun p -> p >= 1 && p <= 4) probes);
+      Alcotest.(check int) "round reads sum to the disk accesses" (disk_accesses out)
+        (List.fold_left ( + ) 0 (ints_after out "\"reads\":\""));
       (* Without the flag no trace block is printed. *)
       let _, plain =
         run_capture (Printf.sprintf "query --device %s --meta %s -q 0.5" (quote dev) (quote meta))
@@ -404,7 +420,7 @@ let test_query_trace_spans () =
       Alcotest.(check bool) "no trace without --trace" false (contains plain "trace:"))
 
 (* The same span tree through a two-shard group: one root per answer,
-   and every bisection iteration probes every partition of every shard. *)
+   and each round batches the partition reads of both shards. *)
 let test_query_trace_sharded () =
   with_temp_dir (fun dir ->
       let store = Filename.concat dir "store" in
@@ -435,8 +451,11 @@ let test_query_trace_sharded () =
         before words
       in
       Alcotest.(check bool) "both shards hold partitions" true (partitions > 4);
-      Alcotest.(check int) "one probe per live partition per iteration" (partitions * iters)
-        (count_substring out "\"name\":\"probe\"");
+      let probes = ints_after out "\"probes\":\"" in
+      Alcotest.(check bool) "a round serves 1..partitions searches" true
+        (List.for_all (fun p -> p >= 1 && p <= partitions) probes);
+      Alcotest.(check int) "round reads sum to the disk accesses" (disk_accesses out)
+        (List.fold_left ( + ) 0 (ints_after out "\"reads\":\""));
       rm_rf store)
 
 (* --- stores written with ingest lanes ------------------------------------ *)

@@ -142,6 +142,45 @@ let test_accurate_read_count_gate () =
     (Printf.sprintf "%d reads <= %d" reads accurate_reads_gate)
     true (reads <= accurate_reads_gate)
 
+(* A traced accurate query records one [round] span per batch of
+   partition reads, each with the searches it served and the physical
+   reads it made; those reads add up to the query's own read count, and
+   no per-partition probe spans remain.  A small buffer pool makes some
+   of a round's blocks hits, so its reads and its probes differ. *)
+let test_traced_round_reads () =
+  let config = Hsq.Config.make ~kappa:4 ~block_size:32 (Hsq.Config.Epsilon 0.02) in
+  let eng, _ = drive ~config ~steps:12 ~step_size:2_000 ~tail:1_000 ~seed:23 () in
+  Hsq_storage.Block_device.enable_pool (E.device eng) ~capacity:16;
+  let tr = Hsq_obs.Trace.create () in
+  E.set_tracer eng (Some tr);
+  let int_attr span key =
+    match Hsq_obs.Trace.attr span key with
+    | Some v -> int_of_string v
+    | None -> Alcotest.failf "round span without %s" key
+  in
+  let hits = ref 0 in
+  let total =
+    List.fold_left
+      (fun acc phi ->
+        let n = E.total_size eng in
+        let _, report = E.accurate eng ~rank:(int_of_float (ceil (phi *. float_of_int n))) in
+        let root = Option.get report.E.span in
+        let rounds = Hsq_obs.Trace.find_all root "round" in
+        let reads = List.fold_left (fun acc sp -> acc + int_attr sp "reads") 0 rounds in
+        let io = report.E.io.Hsq_storage.Io_stats.reads in
+        Alcotest.(check int) (Printf.sprintf "phi=%g: round reads = io.reads" phi) io reads;
+        Alcotest.(check bool) "every round serves a search" true
+          (List.for_all (fun sp -> int_attr sp "probes" >= 1) rounds);
+        List.iter (fun sp -> hits := !hits + int_attr sp "probes" - int_attr sp "reads") rounds;
+        Alcotest.(check int) "no probe spans" 0 (List.length (Hsq_obs.Trace.find_all root "probe"));
+        Hsq_obs.Trace.clear tr;
+        acc + io)
+      0 phis
+  in
+  Alcotest.(check bool) "the queries read the disk" true (total > 0);
+  Alcotest.(check bool) "some round blocks were pool hits" true (!hits > 0);
+  E.close eng
+
 let test_quantile_definitions () =
   let eng, oracle = drive ~config:(std_config ()) ~steps:5 ~step_size:500 ~tail:300 ~seed:76 () in
   let v, _ = E.quantile eng 0.5 in
@@ -443,6 +482,7 @@ let () =
           Alcotest.test_case "quick is memory-only" `Quick test_quick_uses_no_disk;
           Alcotest.test_case "accurate io logarithmic" `Quick test_accurate_io_logarithmic;
           Alcotest.test_case "accurate read-count gate" `Quick test_accurate_read_count_gate;
+          Alcotest.test_case "traced round reads sum to io" `Quick test_traced_round_reads;
         ] );
       ( "lifecycle",
         [

@@ -2,7 +2,7 @@
    and Io_stats' torn-read-freedom guarantee.
 
    The concurrency tests hammer one shared counter/histogram from
-   several domains through Parallel.Pool and demand *exact* sums — the
+   several spawned domains and demand *exact* sums — the
    registry's contract is lossless accounting, not sampling. The
    boundary tests pin the closed-open [lo, hi) bucket convention: an
    observation equal to a boundary lands in the higher bucket. *)
@@ -10,7 +10,6 @@
 module Metrics = Hsq_obs.Metrics
 module Trace = Hsq_obs.Trace
 module Io_stats = Hsq_storage.Io_stats
-module Pool = Hsq_util.Parallel.Pool
 
 (* --- counters and gauges ------------------------------------------------ *)
 
@@ -77,19 +76,29 @@ let test_histogram_boundaries () =
 
 (* --- exact accounting under domains ------------------------------------- *)
 
+(* Run [f i] for every [i] in [0, n) on [lanes] spawned domains, lane
+   [d] taking indices d, d + lanes, ... *)
+let on_domains ?(lanes = 4) ~n f =
+  List.init lanes (fun d ->
+      Domain.spawn (fun () ->
+          let i = ref d in
+          while !i < n do
+            f !i;
+            i := !i + lanes
+          done))
+  |> List.iter Domain.join
+
 let test_concurrent_exactness () =
   let reg = Metrics.create () in
   let c = Metrics.counter reg "t_conc_total" in
   let h = Metrics.histogram ~start:1.0 ~factor:2.0 ~buckets:8 reg "t_conc_hist" in
-  let pool = Pool.create ~workers:3 () in
   let items = 8 and per_item = 5_000 in
-  Pool.run pool ~n:items (fun i ->
+  on_domains ~n:items (fun i ->
       for k = 1 to per_item do
         Metrics.Counter.inc c;
         (* Everything lands in bucket [1,2): placement contention too. *)
         Metrics.Histogram.observe h (1.0 +. (float_of_int ((i + k) mod 7) /. 8.0))
       done);
-  Pool.shutdown pool;
   let expect = items * per_item in
   Alcotest.(check int) "counter sums exactly" expect (Metrics.Counter.value c);
   Alcotest.(check int) "histogram count sums exactly" expect (Metrics.Histogram.count h);
@@ -157,13 +166,11 @@ let test_trace_nesting () =
 
 let test_trace_children_from_domains () =
   let tr = Trace.create () in
-  let pool = Pool.create ~workers:3 () in
   let n = 32 in
   Trace.with_span tr "query.accurate" (fun root ->
-      Pool.run pool ~n (fun i ->
+      on_domains ~n (fun i ->
           Trace.with_child tr ~parent:root "probe" (fun p ->
               Trace.add_attr tr p "partition" (string_of_int i))));
-  Pool.shutdown pool;
   match Trace.roots tr with
   | [ root ] ->
     Alcotest.(check int) "every domain's child attached" n (List.length (Trace.children root));
@@ -292,7 +299,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "span nesting and attrs" `Quick test_trace_nesting;
-          Alcotest.test_case "children from pool domains" `Quick
+          Alcotest.test_case "children from other domains" `Quick
             test_trace_children_from_domains;
           Alcotest.test_case "max_spans cap and clear" `Quick test_trace_cap_and_clear;
         ] );

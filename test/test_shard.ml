@@ -642,25 +642,6 @@ let feed ~seed ~observe ~end_step =
 let feed_group ~seed g =
   feed ~seed ~observe:(G.observe g) ~end_step:(fun () -> ignore (G.end_time_step g))
 
-(* Parallel probe rounds are recorded in the group's own registry,
-   flat at K = 1 and under "group" otherwise. *)
-let test_group_pool_metrics () =
-  List.iter
-    (fun shards ->
-      let g =
-        G.create
-          (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards ~query_domains:2
-             (Hsq.Config.Epsilon 0.05))
-      in
-      feed_group ~seed:11 g;
-      ignore (G.accurate g ~rank:(G.total_size g / 2));
-      let json = G.metrics_json g in
-      let expected = if shards = 1 then "{\"hsq_" else "{\"group\":{\"hsq_query_pool_round" in
-      if not (contains ~sub:"\"hsq_query_pool_round_width\"" json && contains ~sub:expected json)
-      then Alcotest.failf "K=%d: pool rounds missing from %s" shards json;
-      G.close g)
-    [ 1; 2 ]
-
 (* 60 ranks spread over [1, n]. *)
 let spread_ranks n = List.init 60 (fun i -> 1 + (i * (n - 1) / 59))
 
@@ -668,13 +649,12 @@ let bits = Int64.bits_of_float
 
 (* A single engine's accurate query is the one-source case of the fused
    bisection: a K=1, R=1 group fed the same steps must agree with it bit
-   for bit — value, iterations, reads and bound — under either sketch,
-   sequential or with parallel probes. *)
+   for bit — value, iterations, reads and bound — under either sketch. *)
 let test_one_source_is_engine () =
   List.iter
-    (fun (stream_sketch, query_domains) ->
+    (fun stream_sketch ->
       let cfg =
-        Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ?query_domains ~stream_sketch
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ~stream_sketch
           (Hsq.Config.Epsilon 0.05)
       in
       let eng = E.create cfg in
@@ -690,9 +670,8 @@ let test_one_source_is_engine () =
           List.iter
             (fun rank ->
               let ctx what =
-                Printf.sprintf "%s (%s, query_domains=%s, factor %g, rank %d)" what
+                Printf.sprintf "%s (%s, factor %g, rank %d)" what
                   (match stream_sketch with `Gk -> "gk" | `Kll -> "kll")
-                  (match query_domains with Some d -> string_of_int d | None -> "none")
                   tolerance_factor rank
               in
               let ve, re = E.accurate ~tolerance_factor eng ~rank in
@@ -707,37 +686,53 @@ let test_one_source_is_engine () =
         [ 0.5; 0.3 ];
       E.close eng;
       G.close g)
-    [ (`Gk, None); (`Gk, Some 4); (`Kll, None); (`Kll, Some 4) ]
+    [ `Gk; `Kll ]
 
-(* --query-domains is a latency knob on a group too: a K=3 group with
-   parallel probes answers exactly as the sequential one, probe for
-   probe. *)
+(* A K=3 group's probe rounds batch reads across all three shards'
+   partitions, yet answer exactly as the one-partition-at-a-time probe
+   loop did: (rank, value, iterations, reads) over [spread_ranks n],
+   as that loop produced them. *)
+let sequential_group_answers =
+  [
+    (1, 22, 1, 1); (90, 1777, 4, 12); (180, 3181, 3, 7); (270, 4843, 5, 6);
+    (360, 6460, 1, 2); (450, 8229, 1, 1); (539, 10066, 4, 13); (629, 11445, 4, 8);
+    (719, 13574, 1, 4); (809, 15324, 4, 7); (899, 16726, 5, 7); (988, 18455, 5, 9);
+    (1078, 20245, 5, 4); (1168, 22197, 5, 9); (1258, 23875, 4, 10); (1348, 25413, 3, 8);
+    (1438, 27076, 3, 4); (1527, 28725, 4, 9); (1617, 30214, 3, 2); (1707, 32093, 4, 13);
+    (1797, 33937, 1, 5); (1887, 35608, 4, 6); (1976, 37536, 4, 16); (2066, 39002, 3, 7);
+    (2156, 40542, 4, 6); (2246, 42313, 3, 7); (2336, 44169, 4, 11); (2425, 45565, 3, 8);
+    (2515, 47296, 5, 8); (2605, 49133, 1, 5); (2695, 50669, 5, 14); (2785, 51954, 1, 3);
+    (2875, 53523, 1, 4); (2964, 55045, 5, 7); (3054, 57026, 5, 6); (3144, 58756, 3, 10);
+    (3234, 60499, 4, 7); (3324, 62202, 5, 5); (3413, 63998, 2, 10); (3503, 66030, 3, 9);
+    (3593, 67910, 3, 9); (3683, 69632, 1, 4); (3773, 71224, 5, 6); (3862, 72892, 4, 13);
+    (3952, 74965, 3, 10); (4042, 76626, 3, 9); (4132, 78664, 4, 11); (4222, 80409, 1, 5);
+    (4312, 82246, 5, 10); (4401, 84006, 4, 7); (4491, 85663, 3, 6); (4581, 87093, 1, 4);
+    (4671, 88388, 3, 4); (4761, 90114, 5, 8); (4850, 91469, 1, 3); (4940, 93220, 5, 10);
+    (5030, 94710, 6, 8); (5120, 96565, 3, 9); (5210, 98226, 4, 6); (5300, 99987, 1, 0);
+  ]
+
 let test_group_parallel_identical () =
-  let build query_domains =
-    let g =
-      G.create
-        (Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ~shards:3 ?query_domains
-           (Hsq.Config.Epsilon 0.05))
-    in
-    feed_group ~seed:0x9A11 g;
-    g
+  let g =
+    G.create
+      (Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ~shards:3
+         (Hsq.Config.Epsilon 0.05))
   in
-  let seq = build None and par = build (Some 4) in
-  let n = G.total_size seq in
-  Alcotest.(check int) "same population" n (G.total_size par);
+  feed_group ~seed:0x9A11 g;
+  let n = G.total_size g in
+  Alcotest.(check (list int)) "same ranks"
+    (List.map (fun (r, _, _, _) -> r) sequential_group_answers)
+    (spread_ranks n);
   List.iter
-    (fun rank ->
-      let vs, rs = G.accurate seq ~rank in
-      let vp, rp = G.accurate par ~rank in
-      Alcotest.(check int) (Printf.sprintf "value at rank %d" rank) vs vp;
-      Alcotest.(check int) (Printf.sprintf "iterations at rank %d" rank) rs.G.iterations
-        rp.G.iterations;
+    (fun (rank, value, iterations, reads) ->
+      let v, rep = G.accurate g ~rank in
+      Alcotest.(check int) (Printf.sprintf "value at rank %d" rank) value v;
+      Alcotest.(check int) (Printf.sprintf "iterations at rank %d" rank) iterations
+        rep.G.iterations;
       Alcotest.(check int)
         (Printf.sprintf "reads at rank %d" rank)
-        rs.G.io.Hsq_storage.Io_stats.reads rp.G.io.Hsq_storage.Io_stats.reads)
-    (spread_ranks n);
-  G.close seq;
-  G.close par
+        reads rep.G.io.Hsq_storage.Io_stats.reads)
+    sequential_group_answers;
+  G.close g
 
 (* One phi -> rank rule: phi must lie in (0, 1], as for the engine. *)
 let test_quantile_phi_range () =
@@ -808,7 +803,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "shard labels" `Quick test_metrics_labels;
-          Alcotest.test_case "pool rounds in the group registry" `Quick test_group_pool_metrics;
         ] );
       ( "one bisection",
         [

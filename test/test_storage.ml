@@ -6,6 +6,17 @@ open Hsq_storage
 
 let mem_dev ?(block_size = 8) () = Block_device.create_memory ~block_size ()
 
+(* An injector that fails nothing and logs every read attempt's
+   address, newest first. *)
+let log_reads dev =
+  let log = ref [] in
+  Block_device.set_injector dev
+    (Some
+       (fun op ~attempt:_ addr ->
+         if op = Block_device.Read then log := addr :: !log;
+         None));
+  log
+
 (* --- Io_stats ------------------------------------------------------ *)
 
 let test_io_stats_classification () =
@@ -424,7 +435,10 @@ let ceil_log2 k =
    window [lo, hi) holding the true rank and spanning [k] blocks costs
    at most ceil(log2 k) + 2 reads, and the answer is the in-memory rank.
    Inputs include the shapes that defeat value-based guesses: heavy
-   duplicates, one huge gap, and exponential spacing. *)
+   duplicates, one huge gap, and exponential spacing.  The resumable
+   search, driven one block at a time through [read_batch] as a probe
+   round does, finds the same rank reading the same blocks in the same
+   order. *)
 let test_run_rank_between_read_bound () =
   let rng = Hsq_util.Xoshiro.create 2016 in
   let draw bound = Hsq_util.Xoshiro.int rng bound in
@@ -450,6 +464,9 @@ let test_run_rank_between_read_bound () =
             let n = Array.length data in
             let run = Run.of_sorted_array dev data in
             let stats = Block_device.stats dev in
+            let log = log_reads dev in
+            let devs = [| dev |] and addrs = [| 0 |] and blocks = [| [||] |] in
+            let search = Run.search run in
             for _ = 1 to 400 do
               let v =
                 match draw 8 with
@@ -464,15 +481,96 @@ let test_run_rank_between_read_bound () =
               let bound = if spanned = 0 then 0 else ceil_log2 spanned + 2 in
               Run.drop_cache run;
               Io_stats.reset stats;
+              log := [];
               let got = Run.rank_between run ~lo ~hi v in
               let reads = (Io_stats.snapshot stats).Io_stats.reads in
               if got <> r || reads > bound then
                 Alcotest.failf "B=%d %s n=%d v=%d [%d,%d): rank %d (want %d), %d reads (bound %d)"
-                  block_size kind n v lo hi got r reads bound
+                  block_size kind n v lo hi got r reads bound;
+              let sequence = !log in
+              Run.drop_cache run;
+              log := [];
+              Run.start search ~lo ~hi v;
+              let rec drive () =
+                let addr = Run.advance search in
+                if addr >= 0 then begin
+                  addrs.(0) <- addr;
+                  ignore (Block_device.read_batch devs addrs blocks ~n:1);
+                  Run.feed search blocks.(0);
+                  drive ()
+                end
+              in
+              drive ();
+              if Run.found search <> got || !log <> sequence then
+                Alcotest.failf "B=%d %s n=%d v=%d [%d,%d): resumable rank %d, %d reads (want %d, %d)"
+                  block_size kind n v lo hi (Run.found search) (List.length !log) got
+                  (List.length sequence)
             done
           done)
         kinds)
     [ 2; 4; 16; 256 ]
+
+(* A probe round's batch read keeps each read's bookkeeping in batch
+   order and shares only the wait: three reads wait one read latency,
+   recorded as one observation of the caller's wait.  A persistent
+   fault on the middle read stops the batch there — the first read is
+   counted and waited for, the third is never issued — and names index
+   1.  An open breaker fails the batch at its first read with no read
+   and no wait. *)
+let test_read_batch_order_and_wait () =
+  let dev = mem_dev ~block_size:4 () in
+  let base = Block_device.alloc dev 3 in
+  for b = 0 to 2 do
+    Block_device.write_block dev ~addr:(base + b) (Array.make 4 b)
+  done;
+  let stats = Block_device.stats dev in
+  let waits = Hsq_obs.Metrics.histogram (Io_stats.registry stats) "hsq_device_read_seconds" in
+  let latency = 0.02 in
+  Block_device.set_read_latency dev latency;
+  let devs = Array.make 3 dev and addrs = Array.init 3 (fun b -> base + b) in
+  let blocks = Array.make 3 [||] in
+  let reads () = (Io_stats.snapshot stats).Io_stats.reads in
+  let batch_error () =
+    match Block_device.read_batch devs addrs blocks ~n:3 with
+    | _ -> Alcotest.fail "expected Batch_error"
+    | exception Block_device.Batch_error (i, _) -> i
+  in
+  Alcotest.(check int) "three physical reads" 3 (Block_device.read_batch devs addrs blocks ~n:3);
+  Alcotest.(check (array (array int))) "blocks in batch order"
+    [| Array.make 4 0; Array.make 4 1; Array.make 4 2 |]
+    blocks;
+  Alcotest.(check int) "counted in Io_stats" 3 (reads ());
+  Alcotest.(check int) "one wait for the batch" 1 (Hsq_obs.Metrics.Histogram.count waits);
+  let waited = Hsq_obs.Metrics.Histogram.sum waits in
+  if waited < latency || waited >= 3.0 *. latency then
+    Alcotest.failf "batch waited %.4f s, want one %.2f s latency" waited latency;
+  (* A persistent fault on the middle address. *)
+  let issued = ref [] in
+  Block_device.set_injector dev
+    (Some
+       (fun op ~attempt:_ addr ->
+         if op = Block_device.Read then issued := addr :: !issued;
+         if addr = base + 1 then Some Block_device.Fail else None));
+  Io_stats.reset stats;
+  Alcotest.(check int) "error names the middle read" 1 (batch_error ());
+  Alcotest.(check int) "only the first read counted" 1 (reads ());
+  Alcotest.(check bool) "third read never issued" false (List.mem (base + 2) !issued);
+  Alcotest.(check int) "the first read's wait recorded" 2 (Hsq_obs.Metrics.Histogram.count waits);
+  (* An open breaker: no read, no wait.  Every read also faults, so a
+     half-open trial granted after the short cooldown reads nothing
+     either. *)
+  Block_device.set_injector dev (Some (fun _ ~attempt:_ _ -> Some Block_device.Fail));
+  let breaker = Block_device.breaker dev in
+  for _ = 1 to Breaker.default_failure_threshold do
+    Breaker.failure breaker
+  done;
+  Alcotest.(check bool) "breaker tripped" true (Block_device.breaker_state dev <> Breaker.Closed);
+  Io_stats.reset stats;
+  let sum0 = Hsq_obs.Metrics.Histogram.sum waits in
+  Alcotest.(check int) "error names the first read" 0 (batch_error ());
+  Alcotest.(check int) "no read" 0 (reads ());
+  Alcotest.(check int) "no wait recorded" 2 (Hsq_obs.Metrics.Histogram.count waits);
+  Alcotest.(check (float 0.0)) "no wait time" sum0 (Hsq_obs.Metrics.Histogram.sum waits)
 
 let test_run_writer_matches_of_sorted_array () =
   let dev = mem_dev ~block_size:4 () in
@@ -876,6 +974,7 @@ let () =
             test_file_reopen_tolerates_trailing_tear;
           Alcotest.test_case "at-rest bit rot caught by checksum" `Quick
             test_file_bit_rot_detected;
+          Alcotest.test_case "batch read order and wait" `Quick test_read_batch_order_and_wait;
         ] );
       ( "file_reads",
         [

@@ -168,86 +168,6 @@ let test_parallel_sort_matches_sequential () =
       Alcotest.(check (array int)) (Printf.sprintf "n=%d" n) expected got)
     [ 0; 1; 2; 100; 4096; 50_000 ]
 
-(* Many back-to-back rounds with a distinct closure per round.  A
-   worker that woke late used to claim the next round's indices while
-   still holding the previous round's closure (or the parked no-op),
-   leaving [None] slots in Pool.map or mixing rounds' results; the
-   epoch-stamped claim makes every round's output exact. *)
-let test_pool_rounds_isolated () =
-  let pool = Parallel.Pool.create ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      for round = 0 to 999 do
-        let n = 1 + (round mod 7) in
-        let input = Array.init n (fun i -> i) in
-        let expected = Array.init n (fun i -> (round * 1000) + i) in
-        let got = Parallel.Pool.map pool (fun i -> (round * 1000) + i) input in
-        Alcotest.(check (array int)) (Printf.sprintf "round %d" round) expected got
-      done)
-
-(* A failing item stops further claims, re-raises the first exception,
-   and leaves the pool usable for subsequent rounds. *)
-let test_pool_failure_stops_and_recovers () =
-  let pool = Parallel.Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      let ran = Array.make 64 false in
-      (try
-         Parallel.Pool.run pool ~n:64 (fun i ->
-             if i = 0 then failwith "boom"
-             else begin
-               (* ~ms of spin: item 0 fails (and stops claiming) long
-                  before any lane gets through a second item. *)
-               for _ = 1 to 1_000_000 do
-                 ignore (Sys.opaque_identity i)
-               done;
-               ran.(i) <- true
-             end);
-         Alcotest.fail "expected Failure"
-       with Failure m -> Alcotest.(check string) "first exception" "boom" m);
-      (* Without fail-fast claiming, all 63 remaining items would run;
-         with it, only the few already in flight do (generous margin
-         for scheduling noise). *)
-      let survivors = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 ran in
-      Alcotest.(check bool) "later items skipped" true (survivors <= 16);
-      let got = Parallel.Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "pool reusable after failure" [| 2; 3; 4 |] got)
-
-(* Cooperative cancellation (the query deadline's mechanism): once the
-   check fires no further items are claimed, the round raises
-   [Cancelled], and the pool is reusable. *)
-let test_pool_cancellation () =
-  let pool = Parallel.Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      let cancelled = Atomic.make false in
-      let ran = Atomic.make 0 in
-      (try
-         Parallel.Pool.run pool
-           ~cancel:(fun () -> Atomic.get cancelled)
-           ~n:64
-           (fun i ->
-             Atomic.incr ran;
-             if i = 0 then Atomic.set cancelled true;
-             (* ~ms of spin so the flag is seen before the queue drains *)
-             for _ = 1 to 1_000_000 do
-               ignore (Sys.opaque_identity i)
-             done);
-         Alcotest.fail "expected Cancelled"
-       with Parallel.Pool.Cancelled -> ());
-      Alcotest.(check bool) "later items never claimed" true (Atomic.get ran < 64);
-      (* a check that is already true cancels the round up front *)
-      (try
-         ignore
-           (Parallel.Pool.map ~cancel:(fun () -> true) pool (fun i -> i) (Array.init 8 Fun.id));
-         Alcotest.fail "expected Cancelled from map"
-       with Parallel.Pool.Cancelled -> ());
-      let got = Parallel.Pool.map pool (fun x -> 2 * x) (Array.init 5 Fun.id) in
-      Alcotest.(check (array int)) "pool reusable after cancellation" [| 0; 2; 4; 6; 8 |] got)
-
 let prop_parallel_sort =
   QCheck.Test.make ~name:"parallel sort = sequential sort" ~count:50
     QCheck.(pair (list small_int) (int_range 1 6))
@@ -290,10 +210,6 @@ let () =
         [
           Alcotest.test_case "map order" `Quick test_parallel_map_order;
           Alcotest.test_case "sort matches sequential" `Quick test_parallel_sort_matches_sequential;
-          Alcotest.test_case "pool rounds isolated" `Quick test_pool_rounds_isolated;
-          Alcotest.test_case "pool failure stops and recovers" `Quick
-            test_pool_failure_stops_and_recovers;
-          Alcotest.test_case "pool cooperative cancellation" `Quick test_pool_cancellation;
           QCheck_alcotest.to_alcotest prop_parallel_sort;
         ] );
       ( "stats",
