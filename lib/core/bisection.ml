@@ -95,13 +95,13 @@ let budget ~tolerance_factor streams =
 
 (* One full bisection over a fixed view: bisect the value domain
    between the filters, probing each partition with a summary-bounded
-   (and progressively narrowed) search for the exact historical rank
-   rho1, and estimating the stream rank rho2 from the stream summaries.
-   Stops inside the tolerance band, or at a width-1 interval, where v
-   is the answer when the estimate at u still falls short of r
-   (rank(u) <= r <= rank(v) is invariant).  Raises [Probe_failure] and
-   [Deadline_cut]. *)
-let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
+   (and progressively narrowed) search for its historical rank, and
+   estimating the stream rank rho2 from the stream summaries.  Stops
+   inside the tolerance band, or at a width-1 interval, where v is the
+   answer when the estimate at u still falls short of r (rank(u) <= r <=
+   rank(v) is invariant).  Counts the iterations and the probe rounds
+   that read.  Raises [Probe_failure] and [Deadline_cut]. *)
+let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
   let u0, v0 = Union_summary.filters view.summary ~rank in
   let probes =
     Array.of_list
@@ -116,7 +116,6 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
   in
   let n = Array.length probes in
   let r = float_of_int rank in
-  let ranks = Array.make n 0 in
   (* One round's batch, reused by every round of the query: slot [k]
      reads block [addrs.(k)] of [devs.(k)] into [blocks.(k)] for probe
      [who.(k)]. *)
@@ -135,41 +134,49 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
   (* Traced: one span per round under the iteration's span, with the
      probes it served and the physical reads it made. *)
   let read_round span k =
+    incr rounds;
     match (trace, span) with
     | Some (trc, _), Some parent ->
       Trace.with_child trc ~parent ~attrs:[ ("probes", string_of_int k) ] "round" (fun sp ->
           Trace.add_attr trc sp "reads" (string_of_int (read_batch k)))
     | _ -> ignore (read_batch k)
   in
+  (* rank(z) within a partition lies in its window: the search's
+     current one while it runs ([lo = hi] once settled), else the
+     closed window [lo, lo] the summary or earlier steps left. *)
+  let window st = if st.lo < st.hi then Run.window st.search else (st.lo, st.lo) in
   (* Probe rounds (the paper's future-work parallel partition
      processing): every open window starts its partition's search; each
-     round advances all searches on the blocks they hold, then reads the
-     next block of every search still unsettled in one batch, in probe
-     order, so an iteration waits on its longest per-partition chain of
-     reads, not their sum.  A closed window ([lo >= hi]) resolves from
-     the summary with no I/O.  Each search reads exactly the blocks a
-     lone [Run.rank_between] would, so answers and read counts do not
-     depend on the rounds.  The deadline is checked before each round;
-     a cut carries the interval [u, v] being bisected. *)
-  let historical_ranks span ~u ~v z =
+     round advances all searches on the blocks they hold, then sums
+     their windows with the stream estimate rho2 into [rho_min, rho_max],
+     which holds the exact rho(z) of lines 2-10.  [decide] turns that
+     interval into the iteration's decision once it is settled either
+     way; until then the round reads the next block of every search
+     still open in one batch, in probe order, so an iteration waits on
+     its longest per-partition chain of reads, not their sum, and stops
+     reading as soon as the windows decide it.  Returns the decision and
+     the number of searches still open.  The deadline is checked before
+     each read; a cut carries the interval [u, v] being bisected. *)
+  let probe_rounds span ~u ~v z ~decide =
+    let rho2 =
+      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0 view.streams
+    in
     let m = ref 0 in
     Array.iteri
       (fun i st ->
-        if st.lo >= st.hi then ranks.(i) <- st.lo
-        else begin
+        if st.lo < st.hi then begin
           Run.start st.search ~lo:st.lo ~hi:st.hi z;
           who.(!m) <- i;
           incr m
         end)
       probes;
-    let rec rounds m =
+    let rec go m =
       let k = ref 0 in
       for j = 0 to m - 1 do
         let i = who.(j) in
         let st = probes.(i) in
         let addr = Run.advance st.search in
-        if addr < 0 then ranks.(i) <- Run.found st.search
-        else begin
+        if addr >= 0 then begin
           who.(!k) <- i;
           addrs.(!k) <- addr;
           devs.(!k) <- st.device;
@@ -177,7 +184,17 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
         end
       done;
       let k = !k in
-      if k > 0 then begin
+      let lo_sum = ref 0 and hi_sum = ref 0 in
+      Array.iter
+        (fun st ->
+          let lo, hi = window st in
+          lo_sum := !lo_sum + lo;
+          hi_sum := !hi_sum + hi)
+        probes;
+      match decide (float_of_int !lo_sum +. rho2) (float_of_int !hi_sum +. rho2) with
+      | Some d -> (d, k)
+      | None ->
+        (* Undecided means some window is still open, so [k > 0]. *)
         (match deadline_at with
         | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
         | _ -> ());
@@ -188,63 +205,57 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
           Run.feed probes.(who.(j)).search blocks.(j);
           blocks.(j) <- [||]
         done;
-        rounds k
-      end
+        go k
     in
-    rounds !m
+    go !m
   in
-  (* rho(z) = exact historical rank (lines 2-7) + estimated stream rank
-     (lines 8-10).  Leaves the per-partition ranks in [ranks] so the
-     caller can narrow the next iteration's search windows. *)
-  let estimate span ~u ~v z =
-    historical_ranks span ~u ~v z;
-    let rho1 = Array.fold_left ( + ) 0 ranks in
-    let rho2 =
-      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0 view.streams
-    in
-    float_of_int rho1 +. rho2
-  in
-  (* rank(z') for z' < z is at most rank(z), and at least rank(z) for
-     z' > z — so each bisection step shrinks the per-partition windows
-     too.  Once a window fits inside the block its last probe ended in,
-     the one-block run cache answers the next probe with no read. *)
+  (* rank(z') for z' < z is at most rank(z), so at most its window's
+     [hi], and at least its window's [lo] for z' > z — so each bisection
+     step shrinks the per-partition windows too.  A search the decision
+     cut short leaves its last block in its run's cache, which the next
+     iteration's search settles first, with no read. *)
   let narrow ~left =
-    Array.iteri
-      (fun i st ->
-        let rank_z = ranks.(i) in
-        if left then st.hi <- min st.hi rank_z else st.lo <- max st.lo rank_z)
+    Array.iter
+      (fun st ->
+        let lo, hi = window st in
+        if left then st.hi <- hi else st.lo <- lo)
       probes
   in
   (* Each bisection iteration's body runs in its own child span of the
      query root; the recursion happens after the iteration span closed,
      so iterations are siblings, not nested.  The deadline is checked
      between iterations and between probe rounds; a cut carries the
-     current interval so the caller can clamp its best-so-far answer. *)
+     current interval so the caller can clamp its best-so-far answer.
+     Every rule below fires on [rho_min, rho_max] only when it would fire
+     on the exact rho inside it (float addition is monotone), so the
+     decisions, the answer and the iteration count are those of exact
+     ranks. *)
   let rec bisect u v =
     (match deadline_at with
     | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
     | _ -> ());
     incr iterations;
     let run_iter span =
-      if v - u <= 1 then begin
+      if v - u <= 1 then
         (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
            candidate whose rank can reach r — the Definition-1 answer —
            unless the estimate says u already covers r. *)
-        let rho_u = estimate span ~u ~v u in
-        `Done (if rho_u >= r then u else v)
-      end
+        probe_rounds span ~u ~v u ~decide:(fun rho_min rho_max ->
+            if rho_min >= r then Some (`Done u) else if rho_max < r then Some (`Done v) else None)
       else begin
         let z = u + ((v - u) / 2) in
-        let rho = estimate span ~u ~v z in
-        if r < rho -. tolerance then begin
-          narrow ~left:true;
-          `Left z
-        end
-        else if r > rho +. tolerance then begin
-          narrow ~left:false;
-          `Right z
-        end
-        else `Done z
+        let decision, still_open =
+          probe_rounds span ~u ~v z ~decide:(fun rho_min rho_max ->
+              if r < rho_min -. tolerance then Some (`Left z)
+              else if r > rho_max +. tolerance then Some (`Right z)
+              else if r >= rho_max -. tolerance && r <= rho_min +. tolerance then Some (`Done z)
+              else None)
+        in
+        (match decision with
+        | `Left _ -> narrow ~left:true
+        | `Right _ -> narrow ~left:false
+        | `Done _ -> ());
+        (decision, still_open)
       end
     in
     let decision =
@@ -253,8 +264,11 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
         Trace.with_child trc ~parent:root
           ~attrs:[ ("iter", string_of_int !iterations); ("u", string_of_int u); ("v", string_of_int v) ]
           "bisect"
-          (fun sp -> run_iter (Some sp))
-      | None -> run_iter None
+          (fun sp ->
+            let decision, still_open = run_iter (Some sp) in
+            Trace.add_attr trc sp "open" (string_of_int still_open);
+            decision)
+      | None -> fst (run_iter None)
     in
     match decision with
     | `Done z -> z
@@ -263,7 +277,7 @@ let search ?trace ?deadline_at ~iterations ~tolerance view ~rank =
   in
   bisect u0 v0
 
-let retry_loop ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
+let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first =
   let iterations = ref 0 in
   let finish answer degradation bound =
     {
@@ -282,7 +296,7 @@ let retry_loop ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first 
     | Bisect view -> (
       let rank = clamp_rank ~n:(Union_summary.n_total view.summary) rank in
       let tolerance, eps_m = budget ~tolerance_factor view.streams in
-      match search ?trace ?deadline_at ~iterations ~tolerance view ~rank with
+      match search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank with
       | answer ->
         List.iter (fun (o, p) -> policy.note_success o p) view.probes;
         let degradation, widen = policy.outcome view `Completed in
@@ -312,10 +326,12 @@ let retry_loop ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first 
 (* A traced query runs inside one [query.accurate] root span, whatever
    the caller (an engine, or a shard group fusing many): the bisect and
    round spans hang under it, and it carries the answer's iteration
-   count and, when degraded, the degradation's [label]. *)
+   count, its number of probe rounds and, when degraded, the
+   degradation's [label]. *)
 let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
+  let rounds = ref 0 in
   match trace with
-  | None -> retry_loop ?deadline_at ~stats ~tolerance_factor ~policy ~rank first
+  | None -> retry_loop ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first
   | Some (trc, label) ->
     let partitions = match first with Bisect view -> List.length view.probes | From_memory _ -> 0 in
     Trace.with_span trc
@@ -323,8 +339,10 @@ let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
       "query.accurate"
       (fun sp ->
         let res =
-          retry_loop ~trace:(trc, sp) ?deadline_at ~stats ~tolerance_factor ~policy ~rank first
+          retry_loop ~trace:(trc, sp) ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank
+            first
         in
         Trace.add_attr trc sp "iterations" (string_of_int res.iterations);
+        Trace.add_attr trc sp "rounds" (string_of_int !rounds);
         if res.degradation <> `None then Trace.add_attr trc sp "degradation" (label res.degradation);
         res)

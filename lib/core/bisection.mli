@@ -57,22 +57,29 @@ type 'd result = {
 }
 
 (** The retry loop from [first]. Each bisection iteration probes its
-    partitions in rounds: every round reads the next block of every
-    unsettled partition search with one {!Hsq_storage.Block_device.read_batch}
-    (across devices, so across shards), so the iteration waits on its
-    longest per-partition chain of reads. Each partition reads exactly
-    the blocks {!Hsq_storage.Run.rank_between} would. A completed
-    bisection's bound is
+    partitions in rounds. A round first sums every partition search's
+    rank window ({!Hsq_storage.Run.window}) with the stream estimates
+    into an interval that holds the exact ρ(z), and decides the
+    iteration as soon as that interval does: left, right or done
+    against the stopping band, or u/v at width 1. Until then it reads
+    the next block of every unsettled search with one
+    {!Hsq_storage.Block_device.read_batch} (across devices, so across
+    shards), so the iteration waits on at most its longest
+    per-partition chain of reads. Each rule fires only when it would
+    on the exact ρ, so answers, iterations and bounds are those of
+    exact ranks; the next iteration's windows narrow to the decided
+    side of each search's window. A completed bisection's bound is
     [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
     over the view's S stream summaries; a deadline, checked between
     iterations and between rounds, answers the quick answer clamped
     into the surviving filter interval. [trace] (tracer, degradation
     label) records the query as one [query.accurate] root span
-    (attributes [rank], [partitions] probed first, [iterations], and
-    [degradation] unless [`None]) with a [bisect] span per iteration
-    and a [round] span per batch under it (attributes [probes], the
-    searches it served, and [reads], its physical reads), and returns
-    that root in [span]. *)
+    (attributes [rank], [partitions] probed first, [iterations],
+    [rounds], its number of [round] spans, and [degradation] unless
+    [`None]) with a [bisect] span per iteration (attribute [open], the
+    searches still unsettled when it decided) and a [round] span per
+    batch under it (attributes [probes], the searches it served, and
+    [reads], its physical reads), and returns that root in [span]. *)
 val run :
   ?trace:Hsq_obs.Trace.t * ('d -> string) ->
   ?deadline_at:float ->

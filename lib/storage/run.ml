@@ -7,8 +7,8 @@
    block twice and a window spanning [k] blocks costs at most
    ceil(log2 k) + 2 reads.  Random access also goes through a one-block
    cache, which saves the reads repeated across searches: a bisection's
-   next probe of the same run often lands in the block the last one
-   ended in. *)
+   next probe of the same run often lands in or next to the block the
+   last one ended in, so a search settles the cached block first. *)
 
 type t = {
   dev : Block_device.t;
@@ -98,14 +98,15 @@ let get t i =
 
 (* The search for the first index in [lo, hi) whose element is > v,
    i.e. the number of elements <= v given that the answer lies in
-   [lo, hi].  Each step takes the block holding the window's midpoint
-   and settles it whole: clipped to the window, either its last element
-   is <= v (the answer lies past the block), its first is > v (the
-   answer is at or before its start), or the answer lies inside it and
-   a binary search of the array in hand finishes with no further read.
-   The window keeps at most half its elements per step and never needs
-   a block twice, so a window spanning [k] blocks costs at most
-   ceil(log2 k) + 2 reads.
+   [lo, hi].  Each step settles one block whole: clipped to the window,
+   either its last element is <= v (the answer lies past the block), its
+   first is > v (the answer is at or before its start), or the answer
+   lies inside it and a binary search of the array in hand finishes with
+   no further read.  A step first settles the run's cached block if it
+   meets the window, which costs no read, and otherwise takes the block
+   holding the window's midpoint.  The window keeps at most half its
+   elements per midpoint step and never needs a block twice, so a window
+   spanning [k] blocks costs at most ceil(log2 k) + 2 reads.
 
    The search is resumable: [advance] steps on the blocks in hand (the
    one just fed, else the run's cache) and stops to name the block it
@@ -135,51 +136,53 @@ let start_as ~who s ~lo ~hi v =
 
 let start = start_as ~who:"start"
 
-(* The block at [abs] if in hand, else [||].  A fed block serves one
-   step, so with the cache disabled every step reads, as [block_for]
-   does. *)
-let in_hand s abs =
-  let t = s.srun in
-  if s.fed != [||] && s.need = abs then begin
-    let block = s.fed in
-    s.fed <- [||];
-    s.need <- -1;
-    block
+(* Settle [block], the run's block at absolute address [abs], which
+   meets the window. *)
+let settle s ~bsize block abs =
+  let base = (abs - s.srun.addr) * bsize in
+  let a = max s.lo base and b = min s.hi (base + bsize) in
+  let v = s.v in
+  if block.(b - 1 - base) <= v then s.lo <- b
+  else if block.(a - base) > v then s.hi <- a
+  else begin
+    (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
+    let rec within lo hi =
+      if lo >= hi then lo
+      else
+        let m = (lo + hi) / 2 in
+        if block.(m - base) <= v then within (m + 1) hi else within lo m
+    in
+    let r = within (a + 1) (b - 1) in
+    s.lo <- r;
+    s.hi <- r
   end
-  else if t.cache_enabled && t.cache_addr = abs then t.cache
-  else [||]
 
+(* A fed block serves one step, so with the cache disabled every step
+   reads, as [block_for] does.  Settling a block leaves the window
+   clear of it, so each block in hand serves at most one step. *)
 let rec advance s =
   if s.lo >= s.hi then -1
   else
     let t = s.srun in
     let bsize = Block_device.block_size t.dev in
-    let mid = (s.lo + s.hi) / 2 in
-    let abs = t.addr + (mid / bsize) in
-    let block = in_hand s abs in
-    if block == [||] then begin
-      s.need <- abs;
-      abs
+    let meets abs =
+      let base = (abs - t.addr) * bsize in
+      base < s.hi && base + bsize > s.lo
+    in
+    if s.fed != [||] then begin
+      let block = s.fed in
+      s.fed <- [||];
+      settle s ~bsize block s.need;
+      s.need <- -1;
+      advance s
+    end
+    else if t.cache_enabled && t.cache_addr >= 0 && meets t.cache_addr then begin
+      settle s ~bsize t.cache t.cache_addr;
+      advance s
     end
     else begin
-      let base = mid - (mid mod bsize) in
-      let a = max s.lo base and b = min s.hi (base + bsize) in
-      let v = s.v in
-      if block.(b - 1 - base) <= v then s.lo <- b
-      else if block.(a - base) > v then s.hi <- a
-      else begin
-        (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
-        let rec within lo hi =
-          if lo >= hi then lo
-          else
-            let m = (lo + hi) / 2 in
-            if block.(m - base) <= v then within (m + 1) hi else within lo m
-        in
-        let r = within (a + 1) (b - 1) in
-        s.lo <- r;
-        s.hi <- r
-      end;
-      advance s
+      s.need <- t.addr + ((s.lo + s.hi) / 2 / bsize);
+      s.need
     end
 
 let feed s block =
@@ -191,9 +194,7 @@ let feed s block =
     t.cache_addr <- s.need
   end
 
-let found s =
-  if s.lo < s.hi then invalid_arg "Run.found: the search has not settled";
-  s.lo
+let window s = (s.lo, s.hi)
 
 let rank_between t ~lo ~hi v =
   let s = search t in

@@ -44,11 +44,13 @@ val rank : t -> int -> int
 
 (** [rank_between t ~lo ~hi v] is [rank t v] when the answer is known to
     lie in [\[lo, hi\]]; only probes inside the range (Algorithm 8 uses
-    summary entries to bound the search). Each block read is settled in
-    full, so a window spanning [k] blocks costs at most
-    [ceil(log2 k) + 2] reads — fewer when the one-block cache already
-    holds one of them — and an empty window ([lo = hi]) costs none.
-    Raises [Invalid_argument] on a bad range or a freed run. *)
+    summary entries to bound the search). The search first settles the
+    block the one-block cache holds, if it meets the window, at no read;
+    each block read after that is settled in full, so a window spanning
+    [k] blocks costs at most [ceil(log2 k) + 2] reads, none when the
+    answer lies in the cached block, and an empty window ([lo = hi])
+    costs none. Raises [Invalid_argument] on a bad range or a freed
+    run. *)
 val rank_between : t -> lo:int -> hi:int -> int -> int
 
 (** {2 Resumable rank search}
@@ -68,8 +70,9 @@ val search : t -> search
 val start : search -> lo:int -> hi:int -> int -> unit
 
 (** Step on the blocks in hand — the one last fed, then the run's
-    one-block cache — until the search settles ([-1]) or needs a block
-    it does not hold (its absolute device address). *)
+    one-block cache if it meets the window — until the search settles
+    ([-1]) or needs a block it does not hold: the one holding the
+    window's midpoint (its absolute device address). *)
 val advance : search -> int
 
 (** [feed s block] hands [s] the block its last [advance] named (and
@@ -77,9 +80,10 @@ val advance : search -> int
     [Invalid_argument] if [s] is not waiting on a block. *)
 val feed : search -> int array -> unit
 
-(** The rank, once [advance] returned [-1]. Raises [Invalid_argument]
-    before. *)
-val found : search -> int
+(** [(lo, hi)]: the search's answer lies in [\[lo, hi\]]. The window
+    only shrinks as the search advances; [lo = hi], the rank, once
+    [advance] returned [-1]. *)
+val window : search -> int * int
 
 (** Read [len] elements starting at [pos]. *)
 val read_range : t -> pos:int -> len:int -> int array

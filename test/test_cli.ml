@@ -10,6 +10,8 @@
    - query --trace prints one round span per batch of partition reads,
      whose reads add up to the printed disk accesses;
    - query --heavy prints the same exact hits at one shard and at three;
+   - simulate --verify prints pinned answers and bisection steps on the
+     four datasets and on a replicated shard group;
    - inspect prints a saved warehouse's windows and range boundaries,
      and exits 2 without --meta;
    - every store-opening subcommand exits 2 on a store written with
@@ -281,6 +283,42 @@ let test_query_durable_one_shard () =
       Alcotest.(check bool) "open step counted" true (contains out "+ stream 400)");
       Alcotest.(check int) "one answer" 1 (List.length (phi_lines out));
       rm_rf store)
+
+(* Answer identity of the accurate path: [simulate --verify] over the
+   four datasets, and over a 3-shard, 2-replica group, prints these
+   (phi, value, bisection steps).  Disk accesses are left out on
+   purpose: a probe-path change may cut them, but never move an answer
+   or a step. *)
+let simulate_answers =
+  [
+    ("-d normal", [ ("0.5", 99985898, 6); ("0.95", 116470295, 5); ("0.99", 123307257, 5) ]);
+    ("-d uniform", [ ("0.5", 552176397, 6); ("0.95", 955679656, 1); ("0.99", 991199980, 7) ]);
+    ("-d wikipedia", [ ("0.5", 6309, 4); ("0.95", 105598, 5); ("0.99", 660389, 6) ]);
+    ("-d network", [ ("0.5", 340021, 10); ("0.95", 8418807, 4); ("0.99", 14471053, 6) ]);
+    ( "-d network --shards 3 --replicas 2",
+      [ ("0.5", 340023, 9); ("0.95", 8424048, 4); ("0.99", 14473896, 3) ] );
+  ]
+
+let test_simulate_answers_golden () =
+  List.iter
+    (fun (args, want) ->
+      let code, out =
+        run_capture (Printf.sprintf "simulate --steps 12 --step-size 10000 --verify %s" args)
+      in
+      Alcotest.(check int) (args ^ ": simulate exits 0") 0 code;
+      let got =
+        List.filter_map
+          (fun line ->
+            try
+              Scanf.sscanf line "phi=%s value=%d (disk accesses: %_d, bisection steps: %d)"
+                (fun phi v steps -> Some (phi, v, steps))
+            with Scanf.Scan_failure _ | End_of_file -> None)
+          (String.split_on_char '\n' out)
+      in
+      Alcotest.(check (list (triple string int int)))
+        (args ^ ": (phi, value, bisection steps)")
+        want got)
+    simulate_answers
 
 (* query --heavy answers from history at every K: a stepped store where
    every seventh of 30000 values is 42 (4285 of them) prints the same
@@ -565,6 +603,8 @@ let () =
           Alcotest.test_case "--heavy at every K" `Quick test_query_heavy_every_k;
         ] );
       ("inspect", [ Alcotest.test_case "saved warehouse" `Quick test_inspect_saved ]);
+      ( "simulate",
+        [ Alcotest.test_case "answers and steps golden" `Quick test_simulate_answers_golden ] );
       ( "status exit codes",
         [
           Alcotest.test_case "healthy vs damaged" `Quick test_status_healthy_and_damaged;

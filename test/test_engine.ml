@@ -115,11 +115,13 @@ let test_accurate_io_logarithmic () =
 (* The paper's query-cost metric (Figs 9-10), pinned: a fixed list of
    accurate ranks over a seeded kappa = 10, B = 256 store must stay
    within its bound against the oracle and spend no more physical reads
-   in total than the committed count (the block-settling search's 133;
-   element bisection spent 194).  Reads are deterministic per seed, so
+   in total than the committed count (93 once the probe rounds decide
+   each step from the partition windows and start on the cached block;
+   exact ranks by the block-settling search spent 133, element
+   bisection 194).  Reads are deterministic per seed, so
    a probe change that costs more reads fails here, not only in a
    benchmark. *)
-let accurate_reads_gate = 133
+let accurate_reads_gate = 93
 
 let test_accurate_read_count_gate () =
   let config = Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01) in
@@ -180,6 +182,95 @@ let test_traced_round_reads () =
   Alcotest.(check bool) "the queries read the disk" true (total > 0);
   Alcotest.(check bool) "some round blocks were pool hits" true (!hits > 0);
   E.close eng
+
+(* Algorithm 8 with exact ranks, as a reference for the probe rounds:
+   every iteration settles each partition's historical rank with a
+   whole-run [Run.rank] before deciding on rho = rho1 + rho2.  The
+   budget and rho arithmetic are [Bisection]'s, so the two decide alike
+   bit for bit.  Returns (answer, iterations). *)
+let reference_accurate ~us ~streams ~partitions ~rank =
+  let module Us = Hsq.Union_summary in
+  let module Ss = Hsq.Stream_summary in
+  let rank = Hsq.Bisection.clamp_rank ~n:(Us.n_total us) rank in
+  let tolerance =
+    List.fold_left
+      (fun tol ss -> tol +. (0.5 *. Ss.eps2 ss *. float_of_int (Ss.stream_size ss)))
+      0.0 streams
+  in
+  let runs = List.map Hsq_hist.Partition.run partitions in
+  let rho z =
+    let rho1 = List.fold_left (fun acc run -> acc + Hsq_storage.Run.rank run z) 0 runs in
+    float_of_int rho1 +. List.fold_left (fun acc ss -> acc +. Ss.rank_estimate ss z) 0.0 streams
+  in
+  let r = float_of_int rank in
+  let rec bisect u v iters =
+    if v - u <= 1 then ((if rho u >= r then u else v), iters)
+    else
+      let z = u + ((v - u) / 2) in
+      let rho = rho z in
+      if r < rho -. tolerance then bisect u z (iters + 1)
+      else if r > rho +. tolerance then bisect z v (iters + 1)
+      else (z, iters)
+  in
+  let u, v = Us.filters us ~rank in
+  bisect u v 1
+
+(* The probe rounds decide each step from the summed partition windows
+   and stop reading once they do, yet answer exactly as exact ranks
+   would: on seeded stores of the four datasets, a lone engine and a
+   K=3 shard group give the reference's (answer, iterations) at every
+   rank of a sweep. *)
+let test_early_decision_matches_exact_ranks () =
+  let config ~shards =
+    Hsq.Config.make ~kappa:3 ~block_size:32 ~shards (Hsq.Config.Epsilon 0.05)
+  in
+  let feed ds ~observe ~end_step =
+    for _ = 1 to 10 do
+      Array.iter observe (Hsq_workload.Datasets.next_batch ds 1_500);
+      end_step ()
+    done;
+    Array.iter observe (Hsq_workload.Datasets.next_batch ds 700)
+  in
+  let ranks n = List.init 40 (fun i -> 1 + (i * (n - 1) / 39)) in
+  let check ctx ~n ~us ~streams ~partitions accurate =
+    List.iter
+      (fun rank ->
+        let want = reference_accurate ~us ~streams ~partitions ~rank in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s rank %d: (answer, iterations)" ctx rank)
+          want (accurate rank))
+      (ranks n)
+  in
+  List.iter
+    (fun name ->
+      let eng = E.create (config ~shards:1) in
+      feed (Hsq_workload.Datasets.by_name ~seed:24 name) ~observe:(E.observe eng) ~end_step:(fun () ->
+          ignore (E.end_time_step eng));
+      check (name ^ " K=1") ~n:(E.total_size eng) ~us:(E.union_summary eng)
+        ~streams:[ E.stream_summary eng ]
+        ~partitions:(Hsq_hist.Level_index.active_partitions (E.hist eng))
+        (fun rank ->
+          let v, rep = E.accurate eng ~rank in
+          (v, rep.E.iterations));
+      E.close eng;
+      let g = G.create (config ~shards:3) in
+      feed (Hsq_workload.Datasets.by_name ~seed:24 name) ~observe:(G.observe g) ~end_step:(fun () ->
+          ignore (G.end_time_step g));
+      let engines = List.map snd (G.engines g) in
+      let partitions =
+        List.concat_map (fun e -> Hsq_hist.Level_index.active_partitions (E.hist e)) engines
+      in
+      let streams = List.map E.stream_summary engines in
+      let us =
+        Hsq.Union_summary.build_fused
+          ~agg:(Hsq.Union_summary.hist_aggregate ~partitions)
+          ~streams
+      in
+      check (name ^ " K=3") ~n:(G.total_size g) ~us ~streams ~partitions (fun rank ->
+          let v, rep = G.accurate g ~rank in
+          (v, rep.G.iterations));
+      G.close g)
+    Hsq_workload.Datasets.names
 
 let test_quantile_definitions () =
   let eng, oracle = drive ~config:(std_config ()) ~steps:5 ~step_size:500 ~tail:300 ~seed:76 () in
@@ -483,6 +574,8 @@ let () =
           Alcotest.test_case "accurate io logarithmic" `Quick test_accurate_io_logarithmic;
           Alcotest.test_case "accurate read-count gate" `Quick test_accurate_read_count_gate;
           Alcotest.test_case "traced round reads sum to io" `Quick test_traced_round_reads;
+          Alcotest.test_case "early decision matches exact ranks" `Quick
+            test_early_decision_matches_exact_ranks;
         ] );
       ( "lifecycle",
         [

@@ -195,6 +195,73 @@ let test_trace_cap_and_clear () =
   Alcotest.(check (list string)) "recording resumes" [ "fresh" ]
     (List.map Trace.name (Trace.roots tr))
 
+(* --- accurate-query span trees -------------------------------------------- *)
+
+(* A traced accurate query, from a lone engine or a K=3 shard group,
+   carries [rounds] on its [query.accurate] root: the number of [round]
+   spans under it, whose [reads] still sum to the query's physical
+   reads.  Every [bisect] span carries [open], the searches still
+   unsettled when its step was decided; some steps of the sweep decide
+   with searches open, so the rounds stop reading early. *)
+let test_accurate_rounds_attr () =
+  let int_attr span key =
+    match Trace.attr span key with
+    | Some v -> int_of_string v
+    | None -> Alcotest.failf "%s span without %s" (Trace.name span) key
+  in
+  let cut_short = ref 0 and reads = ref 0 in
+  let check_query ctx root ~io =
+    reads := !reads + io;
+    let rounds = Trace.find_all root "round" in
+    Alcotest.(check int) (ctx ^ ": rounds attr = round spans") (List.length rounds)
+      (int_attr root "rounds");
+    Alcotest.(check int) (ctx ^ ": round reads = io.reads") io
+      (List.fold_left (fun acc sp -> acc + int_attr sp "reads") 0 rounds);
+    List.iter
+      (fun sp -> if int_attr sp "open" > 0 then incr cut_short)
+      (Trace.find_all root "bisect")
+  in
+  let config ~shards = Hsq.Config.make ~kappa:3 ~block_size:32 ~shards (Hsq.Config.Epsilon 0.02) in
+  let feed ~observe ~end_step =
+    let rng = Hsq_util.Xoshiro.create 41 in
+    for _ = 1 to 9 do
+      for _ = 1 to 1_500 do
+        observe (Hsq_util.Xoshiro.int rng 1_000_000)
+      done;
+      end_step ()
+    done;
+    for _ = 1 to 600 do
+      observe (Hsq_util.Xoshiro.int rng 1_000_000)
+    done
+  in
+  let phis = [ 0.05; 0.25; 0.5; 0.75; 0.95 ] in
+  let eng = Hsq.Engine.create (config ~shards:1) in
+  feed ~observe:(Hsq.Engine.observe eng) ~end_step:(fun () -> ignore (Hsq.Engine.end_time_step eng));
+  Hsq.Engine.set_tracer eng (Some (Trace.create ()));
+  List.iter
+    (fun phi ->
+      let _, rep = Hsq.Engine.quantile eng phi in
+      check_query (Printf.sprintf "engine phi=%g" phi) (Option.get rep.Hsq.Engine.span)
+        ~io:rep.Hsq.Engine.io.Io_stats.reads)
+    phis;
+  Hsq.Engine.close eng;
+  let module G = Hsq_shard.Shard_group in
+  let g = G.create (config ~shards:3) in
+  feed ~observe:(G.observe g) ~end_step:(fun () -> ignore (G.end_time_step g));
+  let tr = Trace.create () in
+  G.set_tracer g (Some tr);
+  List.iter
+    (fun phi ->
+      Trace.clear tr;
+      let _, rep = G.quantile g phi in
+      match Trace.roots tr with
+      | [ root ] -> check_query (Printf.sprintf "K=3 phi=%g" phi) root ~io:rep.G.io.Io_stats.reads
+      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots))
+    phis;
+  G.close g;
+  Alcotest.(check bool) "the queries read the disk" true (!reads > 0);
+  Alcotest.(check bool) "some steps decided with searches open" true (!cut_short > 0)
+
 (* --- Io_stats: registry integration and torn-read-freedom ---------------- *)
 
 let test_io_stats_registry () =
@@ -302,6 +369,7 @@ let () =
           Alcotest.test_case "children from other domains" `Quick
             test_trace_children_from_domains;
           Alcotest.test_case "max_spans cap and clear" `Quick test_trace_cap_and_clear;
+          Alcotest.test_case "accurate rounds attr" `Quick test_accurate_rounds_attr;
         ] );
       ( "io_stats",
         [

@@ -438,7 +438,7 @@ let ceil_log2 k =
    duplicates, one huge gap, and exponential spacing.  The resumable
    search, driven one block at a time through [read_batch] as a probe
    round does, finds the same rank reading the same blocks in the same
-   order. *)
+   order.  Each case then reruns from warm caches (see below). *)
 let test_run_rank_between_read_bound () =
   let rng = Hsq_util.Xoshiro.create 2016 in
   let draw bound = Hsq_util.Xoshiro.int rng bound in
@@ -501,10 +501,42 @@ let test_run_rank_between_read_bound () =
                 end
               in
               drive ();
-              if Run.found search <> got || !log <> sequence then
+              if Run.window search <> (got, got) || !log <> sequence then
                 Alcotest.failf "B=%d %s n=%d v=%d [%d,%d): resumable rank %d, %d reads (want %d, %d)"
-                  block_size kind n v lo hi (Run.found search) (List.length !log) got
-                  (List.length sequence)
+                  block_size kind n v lo hi (fst (Run.window search)) (List.length !log) got
+                  (List.length sequence);
+              (* Warm starts: the cache holds a block inside the window,
+                 one at its edge (holding lo, hi - 1 or hi), or one clear
+                 of it.  The search settles the cached block first, so
+                 the bound still holds, and an answer strictly inside
+                 the cached block, clipped to the window, costs no read. *)
+              let block_of i = i / block_size in
+              let edge = List.nth [ lo; hi - 1; hi ] (draw 3) in
+              let outside =
+                let before = block_of lo and after = n - ((block_of (hi - 1) + 1) * block_size) in
+                if before > 0 && (after <= 0 || draw 2 = 0) then Some (draw (before * block_size))
+                else if after > 0 then Some (n - 1 - draw after)
+                else None
+              in
+              List.iter
+                (fun (where, cached) ->
+                  Run.drop_cache run;
+                  ignore (Run.get run cached);
+                  Io_stats.reset stats;
+                  let got = Run.rank_between run ~lo ~hi v in
+                  let reads = (Io_stats.snapshot stats).Io_stats.reads in
+                  let base = block_of cached * block_size in
+                  let a = max lo base and b = min hi (base + block_size) in
+                  let free = a < r && r < b in
+                  if got <> r || reads > bound || (free && reads > 0) then
+                    Alcotest.failf
+                      "B=%d %s n=%d v=%d [%d,%d) cached %s %d: rank %d (want %d), %d reads (bound \
+                       %d%s)"
+                      block_size kind n v lo hi where cached got r reads bound
+                      (if free then ", 0 with the answer in the cached block" else ""))
+                ((if lo < hi then [ ("inside", lo + draw (hi - lo)) ] else [])
+                @ (if edge >= 0 && edge < n then [ ("edge", edge) ] else [])
+                @ match outside with Some i -> [ ("outside", i) ] | None -> [])
             done
           done)
         kinds)
