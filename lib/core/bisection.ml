@@ -65,6 +65,8 @@ type probe_state = {
   device : Block_device.t;
   mutable lo : int; (* rank(z) within this partition is known to be in [lo, hi] *)
   mutable hi : int;
+  mutable ylo : int option; (* the run's elements at [lo - 1] and [hi], when known *)
+  mutable yhi : int option;
 }
 
 (* Internal control flow of one bisection: a probe that exhausted the
@@ -107,11 +109,16 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     Array.of_list
       (List.map
          (fun (_, p) ->
-           let lo, hi =
-             Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0
-           in
+           let w = Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0 in
            let run = Partition.run p in
-           { search = Run.search run; device = Run.device run; lo; hi })
+           {
+             search = Run.search run;
+             device = Run.device run;
+             lo = w.lo;
+             hi = w.hi;
+             ylo = w.ylo;
+             yhi = w.yhi;
+           })
          view.probes)
   in
   let n = Array.length probes in
@@ -132,13 +139,16 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
       raise (Probe_failure who.(j))
   in
   (* Traced: one span per round under the iteration's span, with the
-     probes it served and the physical reads it made. *)
-  let read_round span k =
+     probes it served, how many of their blocks interpolation chose, and
+     the physical reads it made. *)
+  let read_round span k ~guided =
     incr rounds;
     match (trace, span) with
     | Some (trc, _), Some parent ->
-      Trace.with_child trc ~parent ~attrs:[ ("probes", string_of_int k) ] "round" (fun sp ->
-          Trace.add_attr trc sp "reads" (string_of_int (read_batch k)))
+      Trace.with_child trc ~parent
+        ~attrs:[ ("probes", string_of_int k); ("guided", string_of_int guided) ]
+        "round"
+        (fun sp -> Trace.add_attr trc sp "reads" (string_of_int (read_batch k)))
     | _ -> ignore (read_batch k)
   in
   (* rank(z) within a partition lies in its window: the search's
@@ -165,13 +175,13 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     Array.iteri
       (fun i st ->
         if st.lo < st.hi then begin
-          Run.start st.search ~lo:st.lo ~hi:st.hi z;
+          Run.start st.search ?ylo:st.ylo ?yhi:st.yhi ~lo:st.lo ~hi:st.hi z;
           who.(!m) <- i;
           incr m
         end)
       probes;
     let rec go m =
-      let k = ref 0 in
+      let k = ref 0 and guided = ref 0 in
       for j = 0 to m - 1 do
         let i = who.(j) in
         let st = probes.(i) in
@@ -180,6 +190,7 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
           who.(!k) <- i;
           addrs.(!k) <- addr;
           devs.(!k) <- st.device;
+          if Run.guided st.search then incr guided;
           incr k
         end
       done;
@@ -198,7 +209,7 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
         (match deadline_at with
         | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
         | _ -> ());
-        read_round span k;
+        read_round span k ~guided:!guided;
         (* Drop each block once fed: a slot left holding a block its
            run has since replaced would keep it alive for the query. *)
         for j = 0 to k - 1 do
@@ -211,14 +222,24 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
   in
   (* rank(z') for z' < z is at most rank(z), so at most its window's
      [hi], and at least its window's [lo] for z' > z — so each bisection
-     step shrinks the per-partition windows too.  A search the decision
-     cut short leaves its last block in its run's cache, which the next
-     iteration's search settles first, with no read. *)
+     step shrinks the per-partition windows too, and the kept end keeps
+     the search's anchor for it.  A search the decision cut short leaves
+     its last block in its run's cache, which the next iteration's
+     search settles first, with no read. *)
   let narrow ~left =
     Array.iter
       (fun st ->
-        let lo, hi = window st in
-        if left then st.hi <- hi else st.lo <- lo)
+        if st.lo < st.hi then begin
+          let lo, hi = Run.window st.search and ylo, yhi = Run.anchors st.search in
+          if left then begin
+            st.hi <- hi;
+            st.yhi <- yhi
+          end
+          else begin
+            st.lo <- lo;
+            st.ylo <- ylo
+          end
+        end)
       probes
   in
   (* Each bisection iteration's body runs in its own child span of the

@@ -57,7 +57,10 @@ type 'd result = {
 }
 
 (** The retry loop from [first]. Each bisection iteration probes its
-    partitions in rounds. A round first sums every partition search's
+    partitions in rounds, each partition search starting on the window
+    and anchor values its summary entries give
+    ({!Hsq_hist.Partition_summary.search_window}), so it can
+    interpolate from its first read. A round first sums every partition search's
     rank window ({!Hsq_storage.Run.window}) with the stream estimates
     into an interval that holds the exact ρ(z), and decides the
     iteration as soon as that interval does: left, right or done
@@ -68,7 +71,8 @@ type 'd result = {
     per-partition chain of reads. Each rule fires only when it would
     on the exact ρ, so answers, iterations and bounds are those of
     exact ranks; the next iteration's windows narrow to the decided
-    side of each search's window. A completed bisection's bound is
+    side of each search's window, keeping that end's anchor
+    ({!Hsq_storage.Run.anchors}). A completed bisection's bound is
     [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
     over the view's S stream summaries; a deadline, checked between
     iterations and between rounds, answers the quick answer clamped
@@ -78,8 +82,10 @@ type 'd result = {
     [rounds], its number of [round] spans, and [degradation] unless
     [`None]) with a [bisect] span per iteration (attribute [open], the
     searches still unsettled when it decided) and a [round] span per
-    batch under it (attributes [probes], the searches it served, and
-    [reads], its physical reads), and returns that root in [span]. *)
+    batch under it (attributes [probes], the searches it served,
+    [guided], how many of their blocks interpolation chose rather than
+    the midpoint fallback, and [reads], its physical reads), and returns
+    that root in [span]. *)
 val run :
   ?trace:Hsq_obs.Trace.t * ('d -> string) ->
   ?deadline_at:float ->

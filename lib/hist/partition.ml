@@ -25,8 +25,8 @@ let level t = t.level
 let free t = Hsq_storage.Run.free t.run
 
 let rank t v =
-  let lo, hi = Partition_summary.rank_bounds t.summary v in
-  Hsq_storage.Run.rank_between t.run ~lo ~hi v
+  let w = Partition_summary.search_window t.summary ~u:v ~v in
+  Hsq_storage.Run.rank_between t.run ?ylo:w.ylo ?yhi:w.yhi ~lo:w.lo ~hi:w.hi v
 
 let memory_words t = 8 + Partition_summary.memory_words t.summary
 

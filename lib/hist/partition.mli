@@ -21,9 +21,10 @@ val last_step : t -> int
 val level : t -> int
 
 (** [rank p v] is the exact number of elements ≤ [v] in the partition:
-    the summary bounds the window ({!Partition_summary.rank_bounds}),
-    then {!Hsq_storage.Run.rank_between} searches it on disk — with no
-    read when the summary pins the rank. *)
+    the summary bounds the window and anchors its ends
+    ({!Partition_summary.search_window}), then
+    {!Hsq_storage.Run.rank_between} searches it on disk — with no read
+    when the summary pins the rank. *)
 val rank : t -> int -> int
 
 (** Release the underlying run's blocks. *)

@@ -111,10 +111,18 @@ let rank_bounds t v =
   let upper = if a = Array.length t.entries then t.partition_size else t.entries.(a).index in
   (lower, upper)
 
-(* Search window inside the partition for Algorithm 8: every element of
-   P in the open value interval (u, v) has its 0-based index within
-   [fst, snd). *)
+(* Search window inside the partition for Algorithm 8: rank(z, P) lies
+   in [lo, hi] for every z in [u, v], since the largest entry <= u sits
+   at index lo - 1 and the smallest entry > v at index hi.  Those two
+   entries are the window's anchors, the values a partition search
+   interpolates between; each is unknown at the partition's ends. *)
+type window = { lo : int; hi : int; ylo : int option; yhi : int option }
+
 let search_window t ~u ~v =
-  let lo = fst (rank_bounds t u) in
-  let hi = snd (rank_bounds t v) in
-  (lo, max lo hi)
+  let e = t.entries in
+  let a = count_le t u and b = count_le t v in
+  let lo = if a = 0 then 0 else e.(a - 1).index + 1 in
+  let ylo = if a = 0 then None else Some e.(a - 1).value in
+  if b = Array.length e then { lo; hi = t.partition_size; ylo; yhi = None }
+  else if e.(b).index < lo then { lo; hi = lo; ylo; yhi = None }
+  else { lo; hi = e.(b).index; ylo; yhi = Some e.(b).value }

@@ -53,7 +53,14 @@ val count_le : t -> int -> int
 (** Exact bounds (lower, upper) on rank(v, P) from stored indices. *)
 val rank_bounds : t -> int -> int * int
 
-(** [search_window t ~u ~v] is the index window [lo, hi) within which
-    Algorithm 8 must binary-search for any value in the open interval
-    (u, v). *)
-val search_window : t -> u:int -> v:int -> int * int
+(** A window [\[lo, hi\]] of ranks within the partition and its
+    anchors: [ylo], the element at index [lo - 1], and [yhi], the
+    element at [hi], each [None] where the window reaches the
+    partition's end (or, for [yhi], when the window is empty). *)
+type window = { lo : int; hi : int; ylo : int option; yhi : int option }
+
+(** [search_window t ~u ~v] is the window holding rank(z) for every z
+    in [\[u, v\]] (Algorithm 8's binary-search window), with the
+    summary entries that bound it as anchors. At [u = v] its ends are
+    {!rank_bounds}. *)
+val search_window : t -> u:int -> v:int -> window

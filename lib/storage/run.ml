@@ -4,11 +4,15 @@
    The paper's query optimization (Section 2.4) stops disk reads once a
    search has narrowed to one block.  [rank_between] goes further and
    settles every block it reads in full, so a search never reads a
-   block twice and a window spanning [k] blocks costs at most
-   ceil(log2 k) + 2 reads.  Random access also goes through a one-block
-   cache, which saves the reads repeated across searches: a bisection's
-   next probe of the same run often lands in or next to the block the
-   last one ended in, so a search settles the cached block first. *)
+   block twice.  It aims each read by interpolating between the values
+   at its window's ends when it knows them, and falls back to the
+   midpoint block whenever a read budget says a wrong guess could cost
+   more than binary search would, so a window spanning [k] blocks costs
+   at most ceil(log2 k) + 2 reads.  Random access also goes through a
+   one-block cache, which saves the reads repeated across searches: a
+   bisection's next probe of the same run often lands in or next to the
+   block the last one ended in, so a search settles the cached block
+   first. *)
 
 type t = {
   dev : Block_device.t;
@@ -103,10 +107,23 @@ let get t i =
    first is > v (the answer is at or before its start), or the answer
    lies inside it and a binary search of the array in hand finishes with
    no further read.  A step first settles the run's cached block if it
-   meets the window, which costs no read, and otherwise takes the block
-   holding the window's midpoint.  The window keeps at most half its
-   elements per midpoint step and never needs a block twice, so a window
-   spanning [k] blocks costs at most ceil(log2 k) + 2 reads.
+   meets the window, which costs no read.
+
+   Otherwise it reads a block, chosen by interpolation when it can (Perl,
+   Itai & Avni's interpolation search).  The search knows the values at
+   both ends of its window, [ylo] at [lo - 1] (<= v) and [yhi] at [hi]
+   (> v), when the caller passed them (summary entries) or a settled
+   block showed them; with both known and distinct it aims at the block
+   holding [lo + (v - ylo) / (yhi - ylo) * (hi - lo)].  A budget keeps
+   the worst case of binary search: [start] grants ceil(log2 k) + 2 reads
+   for a window spanning [k] blocks, each read spends one, and an
+   interpolated block is taken only if either side it could leave, of
+   [k'] blocks, still fits the ceil(log2 k') + 1 reads that midpoint
+   steps need there in what the read leaves of the budget.  Otherwise
+   the step takes the block holding the window's midpoint, whose sides
+   span at most ceil(k/2) blocks each, so the budget always covers it.
+   The window never needs a block twice, so a window spanning [k]
+   blocks costs at most ceil(log2 k) + 2 reads, guided or not.
 
    The search is resumable: [advance] steps on the blocks in hand (the
    one just fed, else the run's cache) and stops to name the block it
@@ -118,32 +135,69 @@ type search = {
   mutable v : int;
   mutable lo : int;
   mutable hi : int;
+  mutable ylo : int option; (* the element at [lo - 1], when known *)
+  mutable yhi : int option; (* the element at [hi], when known *)
+  mutable budget : int; (* reads left under the ceil(log2 k) + 2 bound *)
   mutable need : int; (* absolute address [advance] stopped on; -1 = none *)
+  mutable guided : bool; (* [need] came from interpolation *)
   mutable fed : int array; (* block [need], fed for the next step only; [||] = none *)
 }
 
-let search t = { srun = t; v = 0; lo = 0; hi = 0; need = -1; fed = [||] }
+let search t =
+  {
+    srun = t;
+    v = 0;
+    lo = 0;
+    hi = 0;
+    ylo = None;
+    yhi = None;
+    budget = 0;
+    need = -1;
+    guided = false;
+    fed = [||];
+  }
 
-let start_as ~who s ~lo ~hi v =
+let ceil_log2 k =
+  let rec go p acc = if p >= k then acc else go (2 * p) (acc + 1) in
+  go 1 0
+
+(* Blocks of [bsize] elements that the window [lo, hi) meets. *)
+let spanned ~bsize lo hi = if lo >= hi then 0 else ((hi - 1) / bsize) - (lo / bsize) + 1
+
+(* Reads that midpoint steps need at most over a window spanning [k]
+   blocks: one settles a single block, and each halves the rest. *)
+let midpoint_cost k = if k = 0 then 0 else ceil_log2 k + 1
+
+let start_as ~who s ?ylo ?yhi ~lo ~hi v =
   let t = s.srun in
   check_live t who;
   if lo < 0 || hi > t.length || lo > hi then invalid_arg ("Run." ^ who ^ ": bad range");
   s.v <- v;
   s.lo <- lo;
   s.hi <- hi;
+  s.ylo <- ylo;
+  s.yhi <- yhi;
+  s.budget <- midpoint_cost (spanned ~bsize:(Block_device.block_size t.dev) lo hi) + 1;
   s.need <- -1;
+  s.guided <- false;
   s.fed <- [||]
 
 let start = start_as ~who:"start"
 
 (* Settle [block], the run's block at absolute address [abs], which
-   meets the window. *)
+   meets the window; the window's new ends take their anchors from it. *)
 let settle s ~bsize block abs =
   let base = (abs - s.srun.addr) * bsize in
   let a = max s.lo base and b = min s.hi (base + bsize) in
   let v = s.v in
-  if block.(b - 1 - base) <= v then s.lo <- b
-  else if block.(a - base) > v then s.hi <- a
+  if block.(b - 1 - base) <= v then begin
+    s.lo <- b;
+    s.ylo <- Some block.(b - 1 - base)
+  end
+  else if block.(a - base) > v then begin
+    s.hi <- a;
+    s.yhi <- Some block.(a - base)
+  end
   else begin
     (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
     let rec within lo hi =
@@ -154,8 +208,23 @@ let settle s ~bsize block abs =
     in
     let r = within (a + 1) (b - 1) in
     s.lo <- r;
-    s.hi <- r
+    s.hi <- r;
+    s.ylo <- Some block.(r - 1 - base);
+    s.yhi <- Some block.(r - base)
   end
+
+(* The relative block interpolation aims at, if the budget allows it:
+   reading it must leave enough for midpoint steps on either side. *)
+let guided_block s ~bsize =
+  match (s.ylo, s.yhi) with
+  | Some ylo, Some yhi when ylo < yhi ->
+    let frac = (float_of_int s.v -. float_of_int ylo) /. (float_of_int yhi -. float_of_int ylo) in
+    let frac = Float.min 1.0 (Float.max 0.0 frac) in
+    let pos = s.lo + int_of_float (frac *. float_of_int (s.hi - s.lo)) in
+    let g = min (s.hi - 1) pos / bsize in
+    let left = g - (s.lo / bsize) and right = ((s.hi - 1) / bsize) - g in
+    if max (midpoint_cost left) (midpoint_cost right) <= s.budget - 1 then g else -1
+  | _ -> -1
 
 (* A fed block serves one step, so with the cache disabled every step
    reads, as [block_for] does.  Settling a block leaves the window
@@ -181,7 +250,9 @@ let rec advance s =
       advance s
     end
     else begin
-      s.need <- t.addr + ((s.lo + s.hi) / 2 / bsize);
+      let g = guided_block s ~bsize in
+      s.guided <- g >= 0;
+      s.need <- t.addr + (if g >= 0 then g else (s.lo + s.hi) / 2 / bsize);
       s.need
     end
 
@@ -189,16 +260,19 @@ let feed s block =
   if s.need < 0 then invalid_arg "Run.feed: the search is not waiting on a block";
   let t = s.srun in
   s.fed <- block;
+  s.budget <- s.budget - 1;
   if t.cache_enabled then begin
     t.cache <- block;
     t.cache_addr <- s.need
   end
 
 let window s = (s.lo, s.hi)
+let anchors s = (s.ylo, s.yhi)
+let guided s = s.guided
 
-let rank_between t ~lo ~hi v =
+let rank_between t ?ylo ?yhi ~lo ~hi v =
   let s = search t in
-  start_as ~who:"rank_between" s ~lo ~hi v;
+  start_as ~who:"rank_between" s ?ylo ?yhi ~lo ~hi v;
   let rec drive () =
     let addr = advance s in
     if addr >= 0 then begin

@@ -42,16 +42,22 @@ val get : t -> int -> int
 (** [rank t v] = number of elements ≤ [v]; binary search over the run. *)
 val rank : t -> int -> int
 
-(** [rank_between t ~lo ~hi v] is [rank t v] when the answer is known to
-    lie in [\[lo, hi\]]; only probes inside the range (Algorithm 8 uses
-    summary entries to bound the search). The search first settles the
-    block the one-block cache holds, if it meets the window, at no read;
-    each block read after that is settled in full, so a window spanning
-    [k] blocks costs at most [ceil(log2 k) + 2] reads, none when the
-    answer lies in the cached block, and an empty window ([lo = hi])
-    costs none. Raises [Invalid_argument] on a bad range or a freed
-    run. *)
-val rank_between : t -> lo:int -> hi:int -> int -> int
+(** [rank_between t ?ylo ?yhi ~lo ~hi v] is [rank t v] when the answer
+    is known to lie in [\[lo, hi\]]; only probes inside the range
+    (Algorithm 8 uses summary entries to bound the search). [ylo] and
+    [yhi], when given, must be the run's elements at [lo - 1] and [hi]
+    (a summary's entries bounding the window are). The search first
+    settles the block the one-block cache holds, if it meets the window,
+    at no read, and settles every block it reads in full. Once it knows
+    the values at both ends of its window, from the anchors or from
+    blocks it settled, it reads the block interpolation points at, as
+    long as midpoint steps on either side it could leave still fit its
+    read budget; otherwise it reads the block holding the window's
+    midpoint. A window spanning [k] blocks therefore costs at most
+    [ceil(log2 k) + 2] reads, none when the answer lies in the cached
+    block, and an empty window ([lo = hi]) costs none. Raises
+    [Invalid_argument] on a bad range or a freed run. *)
+val rank_between : t -> ?ylo:int -> ?yhi:int -> lo:int -> hi:int -> int -> int
 
 (** {2 Resumable rank search}
 
@@ -65,25 +71,41 @@ type search
 (** An idle search over the run, reusable across [start]s. *)
 val search : t -> search
 
-(** [start s ~lo ~hi v] begins the search for [rank_between t ~lo ~hi v].
-    Raises [Invalid_argument] on a bad range or a freed run. *)
-val start : search -> lo:int -> hi:int -> int -> unit
+(** [start s ?ylo ?yhi ~lo ~hi v] begins the search for
+    [rank_between t ?ylo ?yhi ~lo ~hi v], with a budget of
+    [ceil(log2 k) + 2] reads for a window spanning [k] blocks. Raises
+    [Invalid_argument] on a bad range or a freed run. *)
+val start : search -> ?ylo:int -> ?yhi:int -> lo:int -> hi:int -> int -> unit
 
 (** Step on the blocks in hand — the one last fed, then the run's
     one-block cache if it meets the window — until the search settles
-    ([-1]) or needs a block it does not hold: the one holding the
-    window's midpoint (its absolute device address). *)
+    ([-1]) or needs a block it does not hold, whose absolute device
+    address it returns. With both anchors known and distinct, that is
+    the block holding [lo + (v - ylo) / (yhi - ylo) * (hi - lo)] if
+    midpoint steps on either side of it, [ceil(log2 k') + 1] reads for
+    a side spanning [k'] blocks, fit what its read leaves of the
+    budget; otherwise the block holding the window's midpoint. *)
 val advance : search -> int
 
 (** [feed s block] hands [s] the block its last [advance] named (and
-    puts it in the run's cache, when enabled). Raises
-    [Invalid_argument] if [s] is not waiting on a block. *)
+    puts it in the run's cache, when enabled), spending one read of its
+    budget. Raises [Invalid_argument] if [s] is not waiting on a
+    block. *)
 val feed : search -> int array -> unit
 
 (** [(lo, hi)]: the search's answer lies in [\[lo, hi\]]. The window
     only shrinks as the search advances; [lo = hi], the rank, once
     [advance] returned [-1]. *)
 val window : search -> int * int
+
+(** [(ylo, yhi)]: the run's elements at [lo - 1] and [hi] of the
+    current {!window}, each [None] while unknown (at the run's ends, or
+    when [start] was not given it and no settled block has shown it). *)
+val anchors : search -> int option * int option
+
+(** Whether the block the last {!advance} named came from
+    interpolation rather than the midpoint fallback. *)
+val guided : search -> bool
 
 (** Read [len] elements starting at [pos]. *)
 val read_range : t -> pos:int -> len:int -> int array

@@ -200,7 +200,10 @@ let test_trace_cap_and_clear () =
 (* A traced accurate query, from a lone engine or a K=3 shard group,
    carries [rounds] on its [query.accurate] root: the number of [round]
    spans under it, whose [reads] still sum to the query's physical
-   reads.  Every [bisect] span carries [open], the searches still
+   reads.  Every [round] span carries [guided], its reads whose block
+   interpolation chose, never more than its probes or, with no buffer
+   pool to serve a probe, its reads; some rounds of the sweep are
+   guided.  Every [bisect] span carries [open], the searches still
    unsettled when its step was decided; some steps of the sweep decide
    with searches open, so the rounds stop reading early. *)
 let test_accurate_rounds_attr () =
@@ -209,7 +212,7 @@ let test_accurate_rounds_attr () =
     | Some v -> int_of_string v
     | None -> Alcotest.failf "%s span without %s" (Trace.name span) key
   in
-  let cut_short = ref 0 and reads = ref 0 in
+  let cut_short = ref 0 and reads = ref 0 and guided = ref 0 in
   let check_query ctx root ~io =
     reads := !reads + io;
     let rounds = Trace.find_all root "round" in
@@ -217,6 +220,14 @@ let test_accurate_rounds_attr () =
       (int_attr root "rounds");
     Alcotest.(check int) (ctx ^ ": round reads = io.reads") io
       (List.fold_left (fun acc sp -> acc + int_attr sp "reads") 0 rounds);
+    List.iter
+      (fun sp ->
+        let g = int_attr sp "guided" in
+        guided := !guided + g;
+        if g > int_attr sp "reads" || g > int_attr sp "probes" then
+          Alcotest.failf "%s: round with %d guided, %d reads, %d probes" ctx g (int_attr sp "reads")
+            (int_attr sp "probes"))
+      rounds;
     List.iter
       (fun sp -> if int_attr sp "open" > 0 then incr cut_short)
       (Trace.find_all root "bisect")
@@ -260,6 +271,7 @@ let test_accurate_rounds_attr () =
     phis;
   G.close g;
   Alcotest.(check bool) "the queries read the disk" true (!reads > 0);
+  Alcotest.(check bool) "some reads were guided" true (!guided > 0);
   Alcotest.(check bool) "some steps decided with searches open" true (!cut_short > 0)
 
 (* --- Io_stats: registry integration and torn-read-freedom ---------------- *)

@@ -187,15 +187,15 @@ let test_save_load_cache () =
    once the windows decide each step, yet answer as the
    one-partition-at-a-time exact-rank probe loop did: (rank, answer,
    iterations) at phi = 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 as that loop
-   produced them, with the reads the early-deciding rounds make (that
-   loop read 5, 3, 17, 4, 6, 0). *)
+   produced them, with the reads the early-deciding, interpolation-guided
+   rounds make (that loop read 5, 3, 17, 4, 6, 0). *)
 let sequential_probe_answers =
   [
     (111, 8, 3, 2);
-    (331, 758, 11, 3);
-    (551, 262144, 16, 4);
-    (771, 500054, 5, 2);
-    (991, 786542, 18, 2);
+    (331, 758, 11, 4);
+    (551, 262144, 16, 2);
+    (771, 500054, 5, 3);
+    (991, 786542, 18, 3);
     (1101, 8388608, 1, 0);
   ]
 

@@ -431,6 +431,12 @@ let ceil_log2 k =
   let rec go p acc = if p >= k then acc else go (2 * p) (acc + 1) in
   go 1 0
 
+(* The true anchors of the window [lo, hi) over [data]: the elements at
+   lo - 1 and hi, unknown at the ends. *)
+let true_anchors data ~lo ~hi =
+  ( (if lo > 0 then Some data.(lo - 1) else None),
+    if hi < Array.length data then Some data.(hi) else None )
+
 (* Seeded sweep of the block-settling read bound: from a cold cache, a
    window [lo, hi) holding the true rank and spanning [k] blocks costs
    at most ceil(log2 k) + 2 reads, and the answer is the in-memory rank.
@@ -438,8 +444,11 @@ let ceil_log2 k =
    duplicates, one huge gap, and exponential spacing.  The resumable
    search, driven one block at a time through [read_batch] as a probe
    round does, finds the same rank reading the same blocks in the same
-   order.  Each case then reruns from warm caches (see below). *)
-let test_run_rank_between_read_bound () =
+   order.  Each case then reruns from warm caches (see below).  With
+   [anchored], every search starts with the window's true anchors, as a
+   summary-bounded probe does, so interpolation guides it from its first
+   read and only the read budget keeps the bound. *)
+let read_bound_sweep ~anchored () =
   let rng = Hsq_util.Xoshiro.create 2016 in
   let draw bound = Hsq_util.Xoshiro.int rng bound in
   let kinds =
@@ -479,10 +488,11 @@ let test_run_rank_between_read_bound () =
               let hi = r + draw (n - r + 1) in
               let spanned = if lo >= hi then 0 else ((hi - 1) / block_size) - (lo / block_size) + 1 in
               let bound = if spanned = 0 then 0 else ceil_log2 spanned + 2 in
+              let ylo, yhi = if anchored then true_anchors data ~lo ~hi else (None, None) in
               Run.drop_cache run;
               Io_stats.reset stats;
               log := [];
-              let got = Run.rank_between run ~lo ~hi v in
+              let got = Run.rank_between run ?ylo ?yhi ~lo ~hi v in
               let reads = (Io_stats.snapshot stats).Io_stats.reads in
               if got <> r || reads > bound then
                 Alcotest.failf "B=%d %s n=%d v=%d [%d,%d): rank %d (want %d), %d reads (bound %d)"
@@ -490,7 +500,7 @@ let test_run_rank_between_read_bound () =
               let sequence = !log in
               Run.drop_cache run;
               log := [];
-              Run.start search ~lo ~hi v;
+              Run.start search ?ylo ?yhi ~lo ~hi v;
               let rec drive () =
                 let addr = Run.advance search in
                 if addr >= 0 then begin
@@ -523,7 +533,7 @@ let test_run_rank_between_read_bound () =
                   Run.drop_cache run;
                   ignore (Run.get run cached);
                   Io_stats.reset stats;
-                  let got = Run.rank_between run ~lo ~hi v in
+                  let got = Run.rank_between run ?ylo ?yhi ~lo ~hi v in
                   let reads = (Io_stats.snapshot stats).Io_stats.reads in
                   let base = block_of cached * block_size in
                   let a = max lo base and b = min hi (base + block_size) in
@@ -541,6 +551,107 @@ let test_run_rank_between_read_bound () =
           done)
         kinds)
     [ 2; 4; 16; 256 ]
+
+let test_run_rank_between_read_bound = read_bound_sweep ~anchored:false
+let test_run_rank_between_anchored_read_bound = read_bound_sweep ~anchored:true
+
+(* Interpolation is taken, not only allowed: over evenly spaced values,
+   a search given both true anchors of its window aims at the answer's
+   block from its first read.  So every window of 8 blocks or more
+   costs 1 read, unless the answer r sits on a block boundary (r - 1
+   and r in different blocks), which no single block settles; then the
+   read bound still holds.  A midpoint search of such a window needs 1
+   read only when the midpoint happens to share the answer's block. *)
+let test_run_guided_even_spacing () =
+  let block_size = 16 in
+  let n = block_size * 64 in
+  let data = Array.init n (fun i -> 100 + (10 * i)) in
+  let dev = mem_dev ~block_size () in
+  let run = Run.of_sorted_array dev data in
+  let stats = Block_device.stats dev in
+  let rng = Hsq_util.Xoshiro.create 25 in
+  let draw bound = Hsq_util.Xoshiro.int rng bound in
+  let windows = ref 0 in
+  while !windows < 2000 do
+    (* Both anchors exist: the window stays clear of the run's ends. *)
+    let lo = 1 + draw (n - 2) in
+    let hi = lo + draw (n - lo) in
+    let spanned = if lo >= hi then 0 else ((hi - 1) / block_size) - (lo / block_size) + 1 in
+    if spanned >= 8 then begin
+      incr windows;
+      let r = lo + draw (hi - lo + 1) in
+      (* Any value whose rank is r: from data.(r - 1) up to data.(r). *)
+      let v = data.(r - 1) + draw 10 in
+      let ylo, yhi = true_anchors data ~lo ~hi in
+      Run.drop_cache run;
+      Io_stats.reset stats;
+      let got = Run.rank_between run ?ylo ?yhi ~lo ~hi v in
+      let reads = (Io_stats.snapshot stats).Io_stats.reads in
+      let straddles = lo < r && r < hi && r mod block_size = 0 in
+      let want = if straddles then ceil_log2 spanned + 2 else 1 in
+      if got <> r || reads > want then
+        Alcotest.failf "[%d,%d) spanning %d blocks, v=%d: rank %d (want %d), %d reads (want <= %d)"
+          lo hi spanned v got r reads want
+    end
+  done
+
+(* A search's anchors are the run's elements at [lo - 1] and [hi] of its
+   window at every step, or unknown only at the run's ends: seeded
+   sequences start searches with true anchors, interleave [advance] and
+   [feed] with cache hits from other searches of the same run, and
+   restart on the window and anchors a search left, as a bisection
+   narrows. *)
+let test_run_anchor_invariant () =
+  let rng = Hsq_util.Xoshiro.create 1978 in
+  let draw bound = Hsq_util.Xoshiro.int rng bound in
+  List.iter
+    (fun block_size ->
+      for _ = 1 to 20 do
+        let dev = mem_dev ~block_size () in
+        let data = Array.init (1 + draw (block_size * 40)) (fun _ -> draw 5_000) in
+        Array.sort compare data;
+        let n = Array.length data in
+        let run = Run.of_sorted_array dev data in
+        let searches = Array.init 3 (fun _ -> Run.search run) in
+        let check ctx s =
+          let lo, hi = Run.window s and ylo, yhi = Run.anchors s in
+          let want_lo, want_hi = true_anchors data ~lo ~hi in
+          let ok_lo = ylo = want_lo || (ylo = None && lo = 0) in
+          let ok_hi = yhi = want_hi || (yhi = None && hi = n) in
+          if not (ok_lo && ok_hi) then
+            Alcotest.failf "B=%d n=%d %s: window [%d,%d] anchors do not match the run" block_size n
+              ctx lo hi
+        in
+        let fresh s =
+          let v = data.(draw n) + draw 3 - 1 in
+          let r = Hsq_util.Sorted.rank data v in
+          let lo = draw (r + 1) in
+          let hi = r + draw (n - r + 1) in
+          let ylo, yhi = true_anchors data ~lo ~hi in
+          Run.start s ?ylo ?yhi ~lo ~hi v
+        in
+        Array.iter fresh searches;
+        for _ = 1 to 300 do
+          let s = searches.(draw 3) in
+          (match draw 4 with
+          | 0 -> fresh s
+          | 1 ->
+            (* Narrow: a new value whose rank lies in the window left,
+               started on that window and its anchors. *)
+            let lo, hi = Run.window s and ylo, yhi = Run.anchors s in
+            let r = lo + draw (hi - lo + 1) in
+            let v = if r = 0 then data.(0) - 1 else data.(r - 1) in
+            if Hsq_util.Sorted.rank data v = r then Run.start s ?ylo ?yhi ~lo ~hi v
+          | _ ->
+            let addr = Run.advance s in
+            if addr >= 0 then begin
+              check "advance" s;
+              Run.feed s (Block_device.read_block dev ~addr)
+            end);
+          check "step" s
+        done
+      done)
+    [ 2; 4; 16 ]
 
 (* A probe round's batch read keeps each read's bookkeeping in batch
    order and shares only the wait: three reads wait one read latency,
@@ -1024,6 +1135,11 @@ let () =
           Alcotest.test_case "block cache" `Quick test_run_block_cache;
           Alcotest.test_case "rank_between io bound" `Quick test_run_rank_between_io_bound;
           Alcotest.test_case "rank_between read bound" `Quick test_run_rank_between_read_bound;
+          Alcotest.test_case "rank_between anchored read bound" `Quick
+            test_run_rank_between_anchored_read_bound;
+          Alcotest.test_case "rank_between guided on even spacing" `Quick
+            test_run_guided_even_spacing;
+          Alcotest.test_case "search anchors track the window" `Quick test_run_anchor_invariant;
           Alcotest.test_case "writer" `Quick test_run_writer_matches_of_sorted_array;
           Alcotest.test_case "writer validation" `Quick test_run_writer_validation;
           Alcotest.test_case "cursor" `Quick test_run_cursor;
