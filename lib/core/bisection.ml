@@ -95,14 +95,63 @@ let budget ~tolerance_factor streams =
       (tol +. (tolerance_factor *. eps2 *. m), eps_m +. (eps2 *. m)))
     (0.0, 0.0) streams
 
+(* The width [v - u] of a bracket [u <= v], as an Int64: values span the
+   whole int range, so the width can exceed [max_int]. *)
+let width u v = Int64.sub (Int64.of_int v) (Int64.of_int u)
+
+(* ⌈log₂ w⌉ for [w >= 1]: the bit length of [w - 1]. *)
+let ceil_log2 w =
+  let rec go n x = if x = 0L then n else go (n + 1) (Int64.shift_right_logical x 1) in
+  go 0 (Int64.pred w)
+
+(* ⌊(u + v)/2⌋ without forming [u + v]; [u + (v - u)/2] for [u <= v]. *)
+let midpoint u v = (u asr 1) + (v asr 1) + (u land v land 1)
+
+(* The secant gate G, in stopping bands: the union summary's windows are
+   precise enough to aim with only where their half-widths are at most
+   G bands.  EXPERIMENTS.md sweeps it: accurate-disk windows are 42
+   bands wide, serve-read 81, the paper's full-scale figures at least
+   565, and the secant cost reads from about 500 up. *)
+let secant_gate = 128.0
+
+(* [candidate] (see the interface).  After [d] decisions the bracket is
+   at most [2^(N − d)] wide, so ITP's radius [2^(N − d − 1) − (v − u)/2]
+   around the midpoint is, in integers, [[v − h, u + h]] with
+   [h = 2^(N − d − 1)]: offsets from [u] in [[w − h, h]], which the
+   midpoint always meets.  Offsets are Int64, as brackets over
+   full-range values are wider than [max_int]. *)
+let candidate us ~rank ~tolerance ~filters:(u0, v0) ~past ~u ~v =
+  let w = width u v in
+  let secant =
+    match past with
+    | a :: b :: _ when a = b -> None
+    | _ when w <= 1L -> None
+    | _ ->
+      let lu, hu = Union_summary.rank_window us u and lv, hv = Union_summary.rank_window us v in
+      let cu = (lu +. hu) /. 2.0 and cv = (lv +. hv) /. 2.0 in
+      let gate = secant_gate *. tolerance in
+      if (hu -. lu) /. 2.0 <= gate && (hv -. lv) /. 2.0 <= gate && cu < cv then
+        Some ((float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float w)
+      else None
+  in
+  match secant with
+  | None -> (midpoint u v, `Midpoint)
+  | Some off ->
+    let h = Int64.shift_left 1L (ceil_log2 (width u0 v0) - List.length past - 1) in
+    let lo = max 1L (Int64.sub w h) and hi = min (Int64.pred w) h in
+    let off = Int64.of_float (Float.min (Int64.to_float hi) (Float.max (Int64.to_float lo) off)) in
+    let off = max lo (min hi off) in
+    (Int64.to_int (Int64.add (Int64.of_int u) off), `Secant)
+
 (* One full bisection over a fixed view: bisect the value domain
-   between the filters, probing each partition with a summary-bounded
-   (and progressively narrowed) search for its historical rank, and
-   estimating the stream rank rho2 from the stream summaries.  Stops
-   inside the tolerance band, or at a width-1 interval, where v is the
-   answer when the estimate at u still falls short of r (rank(u) <= r <=
-   rank(v) is invariant).  Counts the iterations and the probe rounds
-   that read.  Raises [Probe_failure] and [Deadline_cut]. *)
+   between the filters at [candidate]'s points, probing each partition
+   with a summary-bounded (and progressively narrowed) search for its
+   historical rank, and estimating the stream rank rho2 from the stream
+   summaries.  Stops inside the tolerance band, or at a width-1
+   interval, where v is the answer when the estimate at u still falls
+   short of r (rank(u) <= r <= rank(v) is invariant).  Counts the
+   iterations and the probe rounds that read.  Raises [Probe_failure]
+   and [Deadline_cut]. *)
 let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
   let u0, v0 = Union_summary.filters view.summary ~rank in
   let probes =
@@ -251,20 +300,20 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
      on the exact rho inside it (float addition is monotone), so the
      decisions, the answer and the iteration count are those of exact
      ranks. *)
-  let rec bisect u v =
+  let rec bisect u v past =
     (match deadline_at with
     | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
     | _ -> ());
     incr iterations;
+    let z, rule = candidate view.summary ~rank ~tolerance ~filters:(u0, v0) ~past ~u ~v in
     let run_iter span =
-      if v - u <= 1 then
+      if width u v <= 1L then
         (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
            candidate whose rank can reach r — the Definition-1 answer —
            unless the estimate says u already covers r. *)
         probe_rounds span ~u ~v u ~decide:(fun rho_min rho_max ->
             if rho_min >= r then Some (`Done u) else if rho_max < r then Some (`Done v) else None)
       else begin
-        let z = u + ((v - u) / 2) in
         let decision, still_open =
           probe_rounds span ~u ~v z ~decide:(fun rho_min rho_max ->
               if r < rho_min -. tolerance then Some (`Left z)
@@ -283,7 +332,14 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
       match trace with
       | Some (trc, root) ->
         Trace.with_child trc ~parent:root
-          ~attrs:[ ("iter", string_of_int !iterations); ("u", string_of_int u); ("v", string_of_int v) ]
+          ~attrs:
+            [
+              ("iter", string_of_int !iterations);
+              ("u", string_of_int u);
+              ("v", string_of_int v);
+              ("z", string_of_int z);
+              ("rule", match rule with `Secant -> "secant" | `Midpoint -> "midpoint");
+            ]
           "bisect"
           (fun sp ->
             let decision, still_open = run_iter (Some sp) in
@@ -293,10 +349,10 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     in
     match decision with
     | `Done z -> z
-    | `Left z -> bisect u z
-    | `Right z -> bisect z v
+    | `Left z -> bisect u z (`Left :: past)
+    | `Right z -> bisect z v (`Right :: past)
   in
-  bisect u0 v0
+  bisect u0 v0 []
 
 let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first =
   let iterations = ref 0 in

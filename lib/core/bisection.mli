@@ -20,6 +20,31 @@ val memory_answer : Union_summary.t -> rank:int -> widen:int -> int * float
     given, else [config.query_deadline_ms]. *)
 val deadline_at : start:float -> ?deadline_ms:float -> Config.t -> float option
 
+(** Algorithm 8's candidate inside the bracket [(u, v)] and the rule
+    that chose it. The midpoint [⌊(u + v)/2⌋] is the paper's; the secant
+    aims at where the union summary places [rank], on the line between
+    the midpoints of its Lemma 2 windows ({!Union_summary.rank_window})
+    at [u] and [v]. The secant serves only when both windows' half-widths
+    are at most 128 stopping bands ([tolerance]) and their midpoints
+    increase, and never after two decisions in a row on one side ([past],
+    the decisions so far, newest first). It is clamped to within
+    [2^(N − d − 1) − (v − u)/2] of the midpoint after [d = length past]
+    decisions, [N = ⌈log₂(v₀ − u₀)⌉] over the [filters] [(u₀, v₀)], so
+    no bisection takes more than [N + 1] iterations, the midpoint rule's
+    worst case. The result lies in [\[u + 1, v − 1\]] when [v − u ≥ 2],
+    and is [u] otherwise; widths beyond [max_int] are handled. A pure
+    function of its arguments: the ranks a probe round happened to reach
+    never enter, so answers and iterations are those of exact ranks. *)
+val candidate :
+  Union_summary.t ->
+  rank:int ->
+  tolerance:float ->
+  filters:int * int ->
+  past:[ `Left | `Right ] list ->
+  u:int ->
+  v:int ->
+  int * [ `Secant | `Midpoint ]
+
 (** One bisection's input: the union summary, one stream summary per
     source, the active partitions tagged with their owner (the
     caller's fault domain), and the caller's own description. *)
@@ -56,15 +81,15 @@ type 'd result = {
   span : Hsq_obs.Trace.span option; (** the [query.accurate] root when traced *)
 }
 
-(** The retry loop from [first]. Each bisection iteration probes its
-    partitions in rounds, each partition search starting on the window
-    and anchor values its summary entries give
-    ({!Hsq_hist.Partition_summary.search_window}), so it can
-    interpolate from its first read. A round first sums every partition search's
-    rank window ({!Hsq_storage.Run.window}) with the stream estimates
-    into an interval that holds the exact ρ(z), and decides the
-    iteration as soon as that interval does: left, right or done
-    against the stopping band, or u/v at width 1. Until then it reads
+(** The retry loop from [first]. Each bisection iteration takes its
+    candidate z from {!candidate} and probes its partitions in rounds,
+    each partition search starting on the window and anchor values its
+    summary entries give ({!Hsq_hist.Partition_summary.search_window}),
+    so it can interpolate from its first read. A round first sums every
+    partition search's rank window ({!Hsq_storage.Run.window}) with the
+    stream estimates into an interval that holds the exact ρ(z), and
+    decides the iteration as soon as that interval does: left, right or
+    done against the stopping band, or u/v at width 1. Until then it reads
     the next block of every unsettled search with one
     {!Hsq_storage.Block_device.read_batch} (across devices, so across
     shards), so the iteration waits on at most its longest
@@ -80,7 +105,8 @@ type 'd result = {
     label) records the query as one [query.accurate] root span
     (attributes [rank], [partitions] probed first, [iterations],
     [rounds], its number of [round] spans, and [degradation] unless
-    [`None]) with a [bisect] span per iteration (attribute [open], the
+    [`None]) with a [bisect] span per iteration (attributes [u], [v],
+    [z], its candidate, [rule], [secant] or [midpoint], and [open], the
     searches still unsettled when it decided) and a [round] span per
     batch under it (attributes [probes], the searches it served,
     [guided], how many of their blocks interpolation chose rather than

@@ -291,8 +291,6 @@ let n_total t = t.n_total
 let m_stream t = t.m_stream
 let hist_elements t = t.hist_elements
 
-(* Entry-for-entry equality (exact float comparison): the consistency
-   contract between cached and fresh builds checked by the fuzz suite. *)
 (* Rank window of an arbitrary value against the union: L from the
    largest entry with value <= v (no smaller entry can push the rank
    lower), U from the smallest entry with value >= v.  Used to compute
@@ -323,6 +321,8 @@ let rank_window t v =
   in
   (lower, upper)
 
+(* Entry-for-entry equality (exact float comparison): the consistency
+   contract between cached and fresh builds checked by the fuzz suite. *)
 let equal a b =
   a.n_total = b.n_total && a.m_stream = b.m_stream
   && a.hist_elements = b.hist_elements
@@ -373,7 +373,14 @@ let filters t ~rank =
     in
     go 0 n
   in
-  let u = if first_upper_gt = 0 then t.entries.(0).value - 1 else t.entries.(first_upper_gt - 1).value in
+  let u =
+    if first_upper_gt > 0 then t.entries.(first_upper_gt - 1).value
+    else
+      (* No value lies below min_int: the bisection's last step answers
+         u itself when its rank already reaches r. *)
+      let m = t.entries.(0).value in
+      if m = min_int then m else m - 1
+  in
   let first_lower_ge =
     (* smallest i with L_i >= r (= n when none) *)
     let rec go lo hi =

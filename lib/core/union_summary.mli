@@ -73,7 +73,7 @@ val quick_select : t -> rank:int -> int
 (** Algorithm 7 (GenerateFilters): values [(u, v)] with
     rank(u,T) ≤ rank ≤ rank(v,T) and rank(v) − rank(u) < 4εN (Lemma 4).
     [u] may be [global min − 1] when even the minimum's U exceeds
-    [rank]. *)
+    [rank], or [min_int] itself when that is the minimum. *)
 val filters : t -> rank:int -> int * int
 
 (** [(L, U)] rank window of an arbitrary value [v]:

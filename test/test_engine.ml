@@ -9,21 +9,23 @@ module G = Hsq_shard.Shard_group
 let phis = [ 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
 
 (* Drive an engine and an oracle through [steps] time steps plus a live
-   stream tail. *)
-let drive ?(universe = 1_000_000) ~config ~steps ~step_size ~tail ~seed () =
+   stream tail, drawing values from [gen] (default: uniform below
+   [universe]). *)
+let drive ?(universe = 1_000_000) ?gen ~config ~steps ~step_size ~tail ~seed () =
   let rng = Hsq_util.Xoshiro.create seed in
+  let gen = Option.value gen ~default:(fun rng -> Hsq_util.Xoshiro.int rng universe) in
   let eng = E.create config in
   let oracle = Hsq_workload.Oracle.create () in
   for _ = 1 to steps do
     for _ = 1 to step_size do
-      let v = Hsq_util.Xoshiro.int rng universe in
+      let v = gen rng in
       E.observe eng v;
       Hsq_workload.Oracle.add oracle v
     done;
     ignore (E.end_time_step eng)
   done;
   for _ = 1 to tail do
-    let v = Hsq_util.Xoshiro.int rng universe in
+    let v = gen rng in
     E.observe eng v;
     Hsq_workload.Oracle.add oracle v
   done;
@@ -187,8 +189,8 @@ let test_traced_round_reads () =
 (* Algorithm 8 with exact ranks, as a reference for the probe rounds:
    every iteration settles each partition's historical rank with a
    whole-run [Run.rank] before deciding on rho = rho1 + rho2.  The
-   budget and rho arithmetic are [Bisection]'s, so the two decide alike
-   bit for bit.  Returns (answer, iterations). *)
+   budget, the rho arithmetic and the candidate rule are [Bisection]'s,
+   so the two decide alike bit for bit.  Returns (answer, iterations). *)
 let reference_accurate ~us ~streams ~partitions ~rank =
   let module Us = Hsq.Union_summary in
   let module Ss = Hsq.Stream_summary in
@@ -204,17 +206,17 @@ let reference_accurate ~us ~streams ~partitions ~rank =
     float_of_int rho1 +. List.fold_left (fun acc ss -> acc +. Ss.rank_estimate ss z) 0.0 streams
   in
   let r = float_of_int rank in
-  let rec bisect u v iters =
+  let filters = Us.filters us ~rank in
+  let rec bisect u v past iters =
     if v - u <= 1 then ((if rho u >= r then u else v), iters)
     else
-      let z = u + ((v - u) / 2) in
+      let z, _ = Hsq.Bisection.candidate us ~rank ~tolerance ~filters ~past ~u ~v in
       let rho = rho z in
-      if r < rho -. tolerance then bisect u z (iters + 1)
-      else if r > rho +. tolerance then bisect z v (iters + 1)
+      if r < rho -. tolerance then bisect u z (`Left :: past) (iters + 1)
+      else if r > rho +. tolerance then bisect z v (`Right :: past) (iters + 1)
       else (z, iters)
   in
-  let u, v = Us.filters us ~rank in
-  bisect u v 1
+  bisect (fst filters) (snd filters) [] 1
 
 (* The probe rounds decide each step from the summed partition windows
    and stop reading once they do, yet answer exactly as exact ranks
@@ -272,6 +274,102 @@ let test_early_decision_matches_exact_ranks () =
           (v, rep.G.iterations));
       G.close g)
     Hsq_workload.Datasets.names
+
+(* Values of magnitude in [2^61, 2^62) with either sign, the first one
+   min_int: brackets across zero are wider than max_int. *)
+let full_range () =
+  let first = ref true in
+  fun rng ->
+    if !first then begin
+      first := false;
+      min_int
+    end
+    else
+      let m = (1 lsl 61) + Hsq_util.Xoshiro.int rng (1 lsl 61) in
+      if Hsq_util.Xoshiro.bool rng then m else -m
+
+(* [v - u] wraps negative once the bracket is wider than max_int, so a
+   width test on it stopped the bisection after one step with no read,
+   and [min_int - 1] wrapped the lower filter to max_int.  Over a
+   stepped store of full-range values and min_int, with no open stream,
+   ranks around the gap at zero and at the minimum answer within their
+   bound (2 here), bisecting past the first step where the answer is not
+   the first candidate. *)
+let test_full_range_values () =
+  let eng, oracle =
+    drive ~gen:(full_range ()) ~config:(std_config ()) ~steps:6 ~step_size:10_000 ~tail:0 ~seed:1
+      ()
+  in
+  let n = E.total_size eng in
+  let ranks = [ 1; 2; n / 4; (n / 2) - 40; n / 2; (n / 2) + 40; n - 1; n ] in
+  let steps = ref 0 in
+  List.iter
+    (fun rank ->
+      let v, rep = E.accurate eng ~rank in
+      let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+      Alcotest.(check bool)
+        (Printf.sprintf "rank %d: err %d <= %.1f" rank err rep.E.rank_error_bound)
+        true
+        (float_of_int err <= rep.E.rank_error_bound);
+      steps := max !steps rep.E.iterations)
+    ranks;
+  Alcotest.(check int) "rank 1 is min_int" min_int (fst (E.accurate eng ~rank:1));
+  Alcotest.(check bool) "some query bisects past one step" true (!steps > 1);
+  E.close eng
+
+(* The secant's ITP clamp keeps the midpoint rule's worst case: no query
+   takes more than ⌈log₂(v₀ − u₀)⌉ + 1 iterations over its filters, and
+   every answer stays within its bound.  Duplicate-heavy and full-range
+   data each fill one store with a long open stream, whose summary
+   windows pass the secant gate, and one with a short stream, whose
+   windows fail it; the traced [bisect] spans show the secant on the
+   first and only midpoints on the second. *)
+let test_iteration_bound () =
+  let ceil_log2 w =
+    let rec go n x = if x = 0L then n else go (n + 1) (Int64.shift_right_logical x 1) in
+    go 0 (Int64.pred w)
+  in
+  let max_iterations (u0, v0) =
+    let w = Int64.sub (Int64.of_int v0) (Int64.of_int u0) in
+    if w <= 1L then 1 else ceil_log2 w + 1
+  in
+  let duplicate_heavy rng = 1_000 * Hsq_util.Xoshiro.int rng 40 in
+  List.iter
+    (fun (data, gen) ->
+      List.iter
+        (fun (tail, gate_on) ->
+          let ctx = Printf.sprintf "%s, tail %d" data tail in
+          let eng, oracle =
+            drive ~gen:(gen ()) ~config:(std_config ()) ~steps:8 ~step_size:2_000 ~tail ~seed:29 ()
+          in
+          let tr = Hsq_obs.Trace.create () in
+          E.set_tracer eng (Some tr);
+          let n = E.total_size eng in
+          let rules = ref [] in
+          for i = 0 to 60 do
+            let rank = 1 + (i * (n - 1) / 60) in
+            let filters = Hsq.Union_summary.filters (E.union_summary eng) ~rank in
+            let v, rep = E.accurate eng ~rank in
+            let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s rank %d: err %d <= %.1f" ctx rank err rep.E.rank_error_bound)
+              true
+              (float_of_int err <= rep.E.rank_error_bound);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s rank %d: %d iterations <= %d" ctx rank rep.E.iterations
+                 (max_iterations filters))
+              true
+              (rep.E.iterations <= max_iterations filters);
+            List.iter
+              (fun sp -> rules := Option.get (Hsq_obs.Trace.attr sp "rule") :: !rules)
+              (Hsq_obs.Trace.find_all (Option.get rep.E.span) "bisect");
+            Hsq_obs.Trace.clear tr
+          done;
+          Alcotest.(check bool) (ctx ^ ": secant taken") gate_on (List.mem "secant" !rules);
+          Alcotest.(check bool) (ctx ^ ": midpoint taken") true (List.mem "midpoint" !rules);
+          E.close eng)
+        [ (12_000, true); (100, false) ])
+    [ ("duplicate-heavy", fun () -> duplicate_heavy); ("full-range", full_range) ]
 
 let test_quantile_definitions () =
   let eng, oracle = drive ~config:(std_config ()) ~steps:5 ~step_size:500 ~tail:300 ~seed:76 () in
@@ -577,6 +675,8 @@ let () =
           Alcotest.test_case "traced round reads sum to io" `Quick test_traced_round_reads;
           Alcotest.test_case "early decision matches exact ranks" `Quick
             test_early_decision_matches_exact_ranks;
+          Alcotest.test_case "iterations within the midpoint bound" `Quick test_iteration_bound;
+          Alcotest.test_case "full-range values" `Quick test_full_range_values;
         ] );
       ( "lifecycle",
         [

@@ -205,14 +205,17 @@ let test_trace_cap_and_clear () =
    pool to serve a probe, its reads; some rounds of the sweep are
    guided.  Every [bisect] span carries [open], the searches still
    unsettled when its step was decided; some steps of the sweep decide
-   with searches open, so the rounds stop reading early. *)
+   with searches open, so the rounds stop reading early.  Every [bisect]
+   span also carries its candidate [z], inside its bracket [u, v], and
+   the [rule] that chose it; the sweep takes both the secant and the
+   midpoint. *)
 let test_accurate_rounds_attr () =
   let int_attr span key =
     match Trace.attr span key with
     | Some v -> int_of_string v
     | None -> Alcotest.failf "%s span without %s" (Trace.name span) key
   in
-  let cut_short = ref 0 and reads = ref 0 and guided = ref 0 in
+  let cut_short = ref 0 and reads = ref 0 and guided = ref 0 and rules = ref [] in
   let check_query ctx root ~io =
     reads := !reads + io;
     let rounds = Trace.find_all root "round" in
@@ -229,7 +232,14 @@ let test_accurate_rounds_attr () =
             (int_attr sp "probes"))
       rounds;
     List.iter
-      (fun sp -> if int_attr sp "open" > 0 then incr cut_short)
+      (fun sp ->
+        if int_attr sp "open" > 0 then incr cut_short;
+        let z = int_attr sp "z" in
+        if z < int_attr sp "u" || z > int_attr sp "v" then
+          Alcotest.failf "%s: candidate %d outside [%d, %d]" ctx z (int_attr sp "u") (int_attr sp "v");
+        match Trace.attr sp "rule" with
+        | Some ("secant" | "midpoint" as rule) -> rules := rule :: !rules
+        | _ -> Alcotest.failf "%s: bisect span without a rule" ctx)
       (Trace.find_all root "bisect")
   in
   let config ~shards = Hsq.Config.make ~kappa:3 ~block_size:32 ~shards (Hsq.Config.Epsilon 0.02) in
@@ -272,7 +282,9 @@ let test_accurate_rounds_attr () =
   G.close g;
   Alcotest.(check bool) "the queries read the disk" true (!reads > 0);
   Alcotest.(check bool) "some reads were guided" true (!guided > 0);
-  Alcotest.(check bool) "some steps decided with searches open" true (!cut_short > 0)
+  Alcotest.(check bool) "some steps decided with searches open" true (!cut_short > 0);
+  Alcotest.(check bool) "some candidates were secants" true (List.mem "secant" !rules);
+  Alcotest.(check bool) "some candidates were midpoints" true (List.mem "midpoint" !rules)
 
 (* --- Io_stats: registry integration and torn-read-freedom ---------------- *)
 
