@@ -467,29 +467,6 @@ let ablations ~scale =
     [ 0; 16; 64; 256; 1024 ];
   Hsq_storage.Block_device.disable_pool dev;
 
-  print_header
-    (Printf.sprintf
-       "Ablation E: parallel batch sorting (paper future work, Section 4); 500k-element batches, %d core(s) available"
-       (Domain.recommended_domain_count ()));
-  print_row [ fmt_i 0; "  sort-sec/step" ];
-  List.iter
-    (fun domains ->
-      let sort_domains = if domains = 1 then None else Some domains in
-      let config =
-        Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:4 ?sort_domains
-          (Hsq.Config.Epsilon 0.01)
-      in
-      let eng = E.create config in
-      let rng = Hsq_util.Xoshiro.create 4242 in
-      let secs = ref 0.0 in
-      for _ = 1 to 4 do
-        let batch = Array.init 500_000 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
-        let report = E.ingest_batch eng batch in
-        secs := !secs +. report.Hsq_hist.Level_index.sort_seconds
-      done;
-      print_row [ fmt_i domains; fmt_f (!secs /. 4.0) ])
-    [ 1; 2; 4 ];
-
   print_header "Ablation C: Section 2.4 one-block cache (query disk accesses)";
   print_row [ fmt_i 0; "      query-io" ];
   List.iter

@@ -23,10 +23,8 @@ type t = {
   sizing : sizing;
   kappa : int; (* merge threshold (Section 2.1) *)
   block_size : int; (* elements per disk block (B) *)
-  sort_memory : int option; (* external-sort budget in elements *)
   steps_hint : int; (* expected number of time steps (T), for memory split *)
   stream_fraction : float; (* share of a memory budget given to the stream sketch *)
-  sort_domains : int option; (* parallel batch sorting (paper future work, Section 4) *)
   wal_dir : string option; (* durable-ingest directory; None = stream side is volatile *)
   wal_sync : Hsq_storage.Wal.sync_policy; (* group-commit policy for the WAL *)
   checkpoint_every : int; (* WAL records between sketch checkpoints; 0 = never *)
@@ -45,10 +43,8 @@ let default =
     sizing = Epsilon 0.01;
     kappa = 10;
     block_size = 256;
-    sort_memory = None;
     steps_hint = 100;
     stream_fraction = 0.5;
-    sort_domains = None;
     wal_dir = None;
     wal_sync = Hsq_storage.Wal.Always;
     checkpoint_every = 10_000;
@@ -59,8 +55,8 @@ let default =
     stream_sketch = `Gk;
   }
 
-let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memory
-    ?(steps_hint = default.steps_hint) ?(stream_fraction = default.stream_fraction) ?sort_domains
+let make ?(kappa = default.kappa) ?(block_size = default.block_size)
+    ?(steps_hint = default.steps_hint) ?(stream_fraction = default.stream_fraction)
     ?wal_dir ?(wal_sync = default.wal_sync)
     ?(checkpoint_every = default.checkpoint_every) ?query_deadline_ms
     ?(quarantine_after = default.quarantine_after) ?(shards = default.shards)
@@ -75,9 +71,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
   if steps_hint < 1 then invalid_arg "Config.make: steps_hint must be >= 1";
   if not (stream_fraction > 0.0 && stream_fraction < 1.0) then
     invalid_arg "Config.make: stream_fraction must lie in (0,1)";
-  (match sort_domains with
-  | Some d when d < 1 -> invalid_arg "Config.make: sort_domains must be >= 1"
-  | _ -> ());
   (match wal_sync with
   | Hsq_storage.Wal.Group n when n < 1 -> invalid_arg "Config.make: group-commit window must be >= 1"
   | _ -> ());
@@ -92,10 +85,8 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size) ?sort_memor
     sizing;
     kappa;
     block_size;
-    sort_memory;
     steps_hint;
     stream_fraction;
-    sort_domains;
     wal_dir;
     wal_sync;
     checkpoint_every;

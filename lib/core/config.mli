@@ -15,10 +15,8 @@ type t = {
   sizing : sizing;
   kappa : int;              (** merge threshold κ *)
   block_size : int;         (** elements per block (B) *)
-  sort_memory : int option; (** external-sort element budget *)
   steps_hint : int;         (** expected number of time steps (T) *)
   stream_fraction : float;  (** share of a memory budget given to the stream sketch (paper: 0.5) *)
-  sort_domains : int option; (** parallel batch sorting on this many domains (future work, §4) *)
   wal_dir : string option;
       (** durable-ingest directory (WAL + sketch checkpoints + warehouse
           files, used by {!Engine.open_or_recover}); [None] = the stream
@@ -74,10 +72,8 @@ val default : t
 val make :
   ?kappa:int ->
   ?block_size:int ->
-  ?sort_memory:int ->
   ?steps_hint:int ->
   ?stream_fraction:float ->
-  ?sort_domains:int ->
   ?wal_dir:string ->
   ?wal_sync:Hsq_storage.Wal.sync_policy ->
   ?checkpoint_every:int ->

@@ -6,9 +6,9 @@
                       buffered; sorted runs of buffered elements update
                       the GK sketch and are spooled into the current
                       batch;
-     end_time_step -- the batch is sorted and loaded into the historical
-                      level index (Algorithm 3) and the stream sketch is
-                      reset (Algorithm 4, StreamReset).
+     end_time_step -- the batch's sorted runs are merged and loaded into
+                      the historical level index (Algorithm 3) and the
+                      stream sketch is reset (Algorithm 4, StreamReset).
 
    Queries:
      quick    -- Algorithm 5, in-memory only, O(eps*N) rank error;
@@ -190,9 +190,7 @@ let create ?device config =
     | None -> Hsq_storage.Block_device.create_memory ~block_size:config.Config.block_size ()
   in
   let hist =
-    Hsq_hist.Level_index.create ?sort_memory:config.Config.sort_memory
-      ?sort_domains:config.Config.sort_domains ~kappa:config.Config.kappa
-      ~beta1:(Config.beta1 config) dev
+    Hsq_hist.Level_index.create ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) dev
   in
   let t = fresh_engine config ~dev ~hist in
   register_sketch_metric t;
@@ -344,8 +342,9 @@ let end_time_step t =
   hand_off t;
   if t.batch_len = 0 then invalid_arg "Engine.end_time_step: empty batch";
   let commit () =
-    let batch = Array.sub t.batch 0 t.batch_len in
-    let report = Hsq_hist.Level_index.add_batch t.hist batch in
+    (* add_batch sorts its copy in place: the spool survives a failed
+       commit unchanged. *)
+    let report = Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len) in
     t.batch_len <- 0;
     t.gk <- fresh_gk t.config;
     report

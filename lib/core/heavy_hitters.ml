@@ -29,8 +29,10 @@ type report = {
 }
 
 (* Exact count of [v] in partition [p]: rank(v) - rank(v-1), each via a
-   summary-bounded binary search. *)
-let partition_count p v = Hsq_hist.Partition.rank p v - Hsq_hist.Partition.rank p (v - 1)
+   summary-bounded binary search.  Nothing lies below min_int, where
+   v - 1 would wrap to max_int. *)
+let partition_count p v =
+  Hsq_hist.Partition.rank p v - if v = min_int then 0 else Hsq_hist.Partition.rank p (v - 1)
 
 (* Candidate values that could be phi-frequent within partition [p]:
    every ~floor(phi * n)-th element of the sorted run. *)
@@ -67,7 +69,9 @@ let frequent ~stats partitions ~phi =
         (fun acc p ->
           let s = Hsq_hist.Partition.summary p in
           let _, hi = Hsq_hist.Partition_summary.rank_bounds s v in
-          let lo, _ = Hsq_hist.Partition_summary.rank_bounds s (v - 1) in
+          let lo =
+            if v = min_int then 0 else fst (Hsq_hist.Partition_summary.rank_bounds s (v - 1))
+          in
           acc + max 0 (hi - lo))
         0 partitions
     in

@@ -50,12 +50,10 @@ let render ~config ~descriptors =
   Printf.bprintf buf "block_size %d\n" config.Config.block_size;
   Printf.bprintf buf "steps_hint %d\n" config.Config.steps_hint;
   Printf.bprintf buf "stream_fraction %.17g\n" config.Config.stream_fraction;
-  (match config.Config.sort_memory with
-  | None -> Printf.bprintf buf "sort_memory none\n"
-  | Some m -> Printf.bprintf buf "sort_memory %d\n" m);
-  (match config.Config.sort_domains with
-  | None -> Printf.bprintf buf "sort_domains none\n"
-  | Some d -> Printf.bprintf buf "sort_domains %d\n" d);
+  (* Two retired sort settings keep their lines, so sidecars stay
+     byte-identical to what earlier builds wrote. *)
+  Printf.bprintf buf "sort_memory none\n";
+  Printf.bprintf buf "sort_domains none\n";
   Printf.bprintf buf "partitions %d\n" (List.length descriptors);
   List.iter
     (fun (d : Hsq_hist.Level_index.partition_descriptor) ->
@@ -140,16 +138,9 @@ let parse_lines lines =
   let block_size = int_of_string (expect_prefix "block_size " (next ())) in
   let steps_hint = int_of_string (expect_prefix "steps_hint " (next ())) in
   let stream_fraction = float_of_string (expect_prefix "stream_fraction " (next ())) in
-  let sort_memory =
-    match expect_prefix "sort_memory " (next ()) with
-    | "none" -> None
-    | m -> Some (int_of_string m)
-  in
-  let sort_domains =
-    match expect_prefix "sort_domains " (next ()) with
-    | "none" -> None
-    | d -> Some (int_of_string d)
-  in
+  (* Retired sort settings: any value an older build wrote is ignored. *)
+  ignore (expect_prefix "sort_memory " (next ()));
+  ignore (expect_prefix "sort_domains " (next ()));
   let count = int_of_string (expect_prefix "partitions " (next ())) in
   let descriptors =
     List.init count (fun _ ->
@@ -175,9 +166,7 @@ let parse_lines lines =
           }
         | _ -> raise (Corrupt_metadata "bad partition line"))
   in
-  let config =
-    Config.make ~kappa ~block_size ?sort_memory ~steps_hint ~stream_fraction ?sort_domains sizing
-  in
+  let config = Config.make ~kappa ~block_size ~steps_hint ~stream_fraction sizing in
   (config, descriptors)
 
 (* Cheap consistency check on a restored partition: its summary entries
@@ -242,8 +231,8 @@ let load_hist ~device ~path =
        unreadable or fail their checksums — the warehouse itself is
        corrupt, not just the sidecar. *)
     try
-      Hsq_hist.Level_index.restore ?sort_memory:config.Config.sort_memory
-        ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) device descriptors
+      Hsq_hist.Level_index.restore ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) device
+        descriptors
     with
     | Invalid_argument msg -> raise (Corrupt_metadata msg)
     | Hsq_storage.Block_device.Device_error msg ->

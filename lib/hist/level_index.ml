@@ -8,8 +8,9 @@
    only time data moves, so each element takes part in at most
    log_kappa(T) merges (Lemma 6).
 
-   Every partition carries a Partition_summary built through the observe
-   hooks of the sort/merge, costing no additional I/O. *)
+   Every partition carries a Partition_summary built from the sorted
+   batch or through the merge's observe hook, costing no additional
+   I/O. *)
 
 type update_report = {
   sort_seconds : float;
@@ -40,8 +41,6 @@ type t = {
   dev : Hsq_storage.Block_device.t;
   kappa : int;
   beta1 : int;
-  sort_memory : int option;
-  sort_domains : int option; (* parallel chunked batch sorting (paper future work) *)
   mutable levels : Partition.t list array; (* levels.(l): oldest-first *)
   mutable total : int;
   mutable steps : int;
@@ -51,18 +50,13 @@ type t = {
   quarantine : (int, health) Hashtbl.t;
 }
 
-let create ?sort_memory ?sort_domains ~kappa ~beta1 dev =
+let create ~kappa ~beta1 dev =
   if kappa < 2 then invalid_arg "Level_index.create: kappa must be >= 2";
   if beta1 < 2 then invalid_arg "Level_index.create: beta1 must be >= 2";
-  (match sort_domains with
-  | Some d when d < 1 -> invalid_arg "Level_index.create: sort_domains must be >= 1"
-  | _ -> ());
   {
     dev;
     kappa;
     beta1;
-    sort_memory;
-    sort_domains;
     levels = Array.make 4 [];
     total = 0;
     steps = 0;
@@ -399,41 +393,23 @@ let reinstate t p =
     with Hsq_storage.Block_device.Device_error msg -> Error msg)
 
 (* HistUpdate (Algorithm 3): sort the batch into a level-0 partition,
-   then cascade merges while any level exceeds kappa partitions. *)
+   then cascade merges while any level exceeds kappa partitions.  The
+   batch is sorted in place by merging its ascending runs: the engine's
+   step spool is one sorted run per hand-off, so a step costs
+   O(n log runs), and any other input is still sorted correctly. *)
 let add_batch t batch =
   let eta = Array.length batch in
   if eta = 0 then invalid_arg "Level_index.add_batch: empty batch";
   let stats = Hsq_storage.Block_device.stats t.dev in
   let before_total = Hsq_storage.Io_stats.snapshot stats in
   let step = t.steps + 1 in
-  let fits_in_memory =
-    match t.sort_memory with None -> true | Some budget -> eta <= budget
-  in
   let t0 = now () in
-  let sort_seconds, load_seconds, summary_seconds, run, summary =
-    if fits_in_memory then begin
-      let sorted = Array.copy batch in
-      (match t.sort_domains with
-      | Some domains -> Hsq_util.Parallel.sort ~domains sorted
-      | None -> Array.sort Int.compare sorted);
-      let t1 = now () in
-      let summary = Partition_summary.of_sorted_array ~beta1:t.beta1 sorted in
-      let t2 = now () in
-      let run = Hsq_storage.Run.of_sorted_array t.dev sorted in
-      let t3 = now () in
-      (t1 -. t0, t3 -. t2, t2 -. t1, run, summary)
-    end
-    else begin
-      let builder = Partition_summary.builder ~beta1:t.beta1 ~size:eta in
-      let run, _report =
-        Hsq_storage.External_sort.sort ?memory_elements:t.sort_memory
-          ~observe:(fun i v -> Partition_summary.builder_feed builder i v)
-          t.dev batch
-      in
-      let t1 = now () in
-      (t1 -. t0, 0.0, 0.0, run, Partition_summary.builder_finish builder)
-    end
-  in
+  Hsq_util.Sorted.sort_runs batch;
+  let t1 = now () in
+  let summary = Partition_summary.of_sorted_array ~beta1:t.beta1 batch in
+  let t2 = now () in
+  let run = Hsq_storage.Run.of_sorted_array t.dev batch in
+  let t3 = now () in
   ensure_level t 0;
   t.levels.(0) <-
     t.levels.(0) @ [ Partition.create ~run ~summary ~first_step:step ~last_step:step ~level:0 ];
@@ -447,10 +423,10 @@ let add_batch t batch =
   bump_epoch t;
   let after = Hsq_storage.Io_stats.snapshot stats in
   {
-    sort_seconds;
-    load_seconds;
+    sort_seconds = t1 -. t0;
+    load_seconds = t3 -. t2;
     merge_seconds;
-    summary_seconds;
+    summary_seconds = t2 -. t1;
     io_total = Hsq_storage.Io_stats.diff after before_total;
     io_merge = Hsq_storage.Io_stats.diff after before_merge;
     merges_performed = merges;
@@ -576,8 +552,8 @@ let describe t =
    are re-read from disk (<= beta1 block reads per partition).  The
    descriptors must tile [1, steps] — check_invariants is run and any
    violation raises. *)
-let restore ?sort_memory ~kappa ~beta1 dev descriptors =
-  let t = create ?sort_memory ~kappa ~beta1 dev in
+let restore ~kappa ~beta1 dev descriptors =
+  let t = create ~kappa ~beta1 dev in
   List.iter
     (fun d ->
       let run = Hsq_storage.Run.of_existing dev ~addr:d.first_block ~length:d.length in

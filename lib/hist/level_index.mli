@@ -28,21 +28,9 @@ type update_report = {
 
 type t
 
-(** [create ?sort_memory ?sort_domains ~kappa ~beta1 dev].
-    [sort_memory] is the element budget for batch sorting — batches
-    above it use external sort with on-device temporary runs.
-    [sort_domains] enables parallel chunked in-memory batch sorting on
-    that many OCaml domains (the paper's future-work parallel sort);
-    results are identical to the sequential path. Raises
-    [Invalid_argument] if [kappa < 2], [beta1 < 2], or
-    [sort_domains < 1]. *)
-val create :
-  ?sort_memory:int ->
-  ?sort_domains:int ->
-  kappa:int ->
-  beta1:int ->
-  Hsq_storage.Block_device.t ->
-  t
+(** [create ~kappa ~beta1 dev]. Raises [Invalid_argument] if
+    [kappa < 2] or [beta1 < 2]. *)
+val create : kappa:int -> beta1:int -> Hsq_storage.Block_device.t -> t
 
 val device : t -> Hsq_storage.Block_device.t
 val kappa : t -> int
@@ -127,8 +115,10 @@ val run_deferred_merges : t -> int
 (** Total HS footprint in words. *)
 val memory_words : t -> int
 
-(** HistUpdate (Algorithm 3): ingest one time step's batch (unsorted).
-    Raises [Invalid_argument] on an empty batch. *)
+(** HistUpdate (Algorithm 3): ingest one time step's batch. The batch
+    is sorted in place (a natural merge sort, {!Hsq_util.Sorted.sort_runs})
+    and written as a new level-0 partition; the index keeps no reference
+    to it. Raises [Invalid_argument] on an empty batch. *)
 val add_batch : t -> int array -> update_report
 
 (** Exact rank of [v] in H via one summary-bounded binary search per
@@ -182,7 +172,6 @@ val describe : t -> partition_descriptor list
     [Invalid_argument] if the descriptors violate the structural
     invariants. *)
 val restore :
-  ?sort_memory:int ->
   kappa:int ->
   beta1:int ->
   Hsq_storage.Block_device.t ->

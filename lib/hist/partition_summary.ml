@@ -8,9 +8,9 @@
    exact positions both to bound rank intervals (Lemma 2) and to narrow
    the on-disk binary searches of Algorithm 8.
 
-   Summaries are built incrementally through the observe hooks of
-   External_sort/Kway_merge, so they require no disk reads of their
-   own. *)
+   Summaries are built from the sorted batch in memory, or
+   incrementally through the observe hook of Kway_merge, so they
+   require no disk reads of their own. *)
 
 type entry = { value : int; index : int (* 0-based position in the partition *) }
 

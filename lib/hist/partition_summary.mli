@@ -4,9 +4,9 @@
     element at rank ⌈i·η/(β₁−1)⌉ of an η-element partition. Each entry
     stores its exact 0-based index in the partition, which yields exact
     rank bounds (tightening Lemma 2) and the binary-search windows of
-    Algorithm 8. Built through the observe hooks of
-    {!Hsq_storage.External_sort} / {!Hsq_storage.Kway_merge}, i.e. at
-    zero additional disk I/O. *)
+    Algorithm 8. Built from the sorted batch in memory, or through the
+    observe hook of {!Hsq_storage.Kway_merge}, i.e. at zero additional
+    disk I/O. *)
 
 type entry = { value : int; index : int }
 type t

@@ -335,7 +335,7 @@ let write_block t ~addr payload =
     raise (Device_error (Printf.sprintf "torn write at block %d (%d of %d words)" addr k t.block_size))
   | (None | Some (Corrupt _)) as action ->
     Io_stats.note_write t.stats addr;
-    (* The write path must copy: callers (Run.writer, External_sort)
+    (* The write path must copy: callers (Run.writer, Run.of_sorted_array)
        reuse their payload buffers after the call. *)
     (match t.pool with
     | Some pool ->

@@ -2,7 +2,7 @@
    the repository follows Definition 1 of the paper:
    rank(e, D) = |{ x in D : x <= e }|. *)
 
-let is_sorted a =
+let is_sorted (a : int array) =
   let n = Array.length a in
   let rec go i = i >= n || (a.(i - 1) <= a.(i) && go (i + 1)) in
   n <= 1 || go 1
@@ -42,18 +42,52 @@ let quantile a phi =
   if not (phi > 0.0 && phi <= 1.0) then invalid_arg "Sorted.quantile: phi not in (0,1]";
   select a (int_of_float (ceil (phi *. float_of_int n)))
 
-let merge a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to na + nb - 1 do
-    if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
-      out.(k) <- a.(!i);
+(* End (exclusive) of the ascending run of [a] that starts at [i < n]. *)
+let run_end (a : int array) n i =
+  let j = ref (i + 1) in
+  while !j < n && a.(!j - 1) <= a.(!j) do
+    incr j
+  done;
+  !j
+
+(* Merge src.[lo, mid) and src.[mid, hi), both sorted, into dst.[lo, hi). *)
+let merge_into (src : int array) dst lo mid hi =
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    let x = src.(!i) and y = src.(!j) in
+    if x <= y then begin
+      dst.(!k) <- x;
       incr i
     end
     else begin
-      out.(k) <- b.(!j);
+      dst.(!k) <- y;
       incr j
-    end
+    end;
+    incr k
   done;
-  out
+  if !i < mid then Array.blit src !i dst !k (mid - !i) else Array.blit src !j dst !k (hi - !j)
+
+(* Natural merge sort, bottom-up: each pass finds the ascending runs of
+   one buffer and merges adjacent pairs into the other, so k runs take
+   ceil(log2 k) passes, O(n log k) in all.  One scratch array of n
+   words; a sorted input costs one scan and no allocation. *)
+let sort_runs a =
+  let n = Array.length a in
+  if n > 1 && run_end a n 0 < n then begin
+    let src = ref a and dst = ref (Array.make n 0) and runs = ref 2 in
+    while !runs > 1 do
+      runs := 0;
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = run_end !src n !lo in
+        let hi = if mid < n then run_end !src n mid else n in
+        merge_into !src !dst !lo mid hi;
+        incr runs;
+        lo := hi
+      done;
+      let s = !src in
+      src := !dst;
+      dst := s
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end

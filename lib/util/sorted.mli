@@ -22,5 +22,9 @@ val select : int array -> int -> int
     empty or [phi] outside (0, 1]. *)
 val quantile : int array -> float -> int
 
-(** Merge two sorted arrays into a new sorted array. *)
-val merge : int array -> int array -> int array
+(** [sort_runs a] sorts [a] in place, ascending, by merging its
+    ascending runs pairwise, bottom-up (a natural merge sort): an array
+    made of k sorted runs costs O(n log k), a sorted one a single scan.
+    Correct for any input; uses one scratch array of [length a] words
+    unless [a] is already sorted. *)
+val sort_runs : int array -> unit

@@ -49,15 +49,12 @@ let test_validation () =
   bad "Config.make: steps_hint must be >= 1" (fun () ->
       ignore (C.make ~steps_hint:0 (C.Epsilon 0.1)));
   bad "Config.make: stream_fraction must lie in (0,1)" (fun () ->
-      ignore (C.make ~stream_fraction:1.0 (C.Epsilon 0.1)));
-  bad "Config.make: sort_domains must be >= 1" (fun () ->
-      ignore (C.make ~sort_domains:0 (C.Epsilon 0.1)))
+      ignore (C.make ~stream_fraction:1.0 (C.Epsilon 0.1)))
 
 let test_defaults () =
   Alcotest.(check int) "kappa" 10 C.default.C.kappa;
   Alcotest.(check int) "block size" 256 C.default.C.block_size;
-  Alcotest.(check (float 1e-9)) "split" 0.5 C.default.C.stream_fraction;
-  Alcotest.(check bool) "sequential sort" true (C.default.C.sort_domains = None)
+  Alcotest.(check (float 1e-9)) "split" 0.5 C.default.C.stream_fraction
 
 let prop_beta1_scales_with_memory =
   QCheck.Test.make ~name:"beta1 monotone in memory budget" ~count:100

@@ -578,22 +578,79 @@ let test_rank_of () =
         (abs (est - truth) <= slack))
     [ -1; 0; 250_000; 500_000; 999_999; 2_000_000 ]
 
-let test_parallel_sort_identical_results () =
-  (* Paper future work (Section 4): parallel sorting.  The parallel
-     path must be observationally identical to the sequential one. *)
-  let run ~sort_domains =
-    let config =
-      Hsq.Config.make ~kappa:3 ~block_size:32 ?sort_domains (Hsq.Config.Epsilon 0.05)
-    in
-    let eng = E.create config in
-    let rng = Hsq_util.Xoshiro.create 555 in
-    for _ = 1 to 6 do
-      ignore (E.ingest_batch eng (Array.init 6_000 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000)))
-    done;
-    List.map (fun r -> fst (E.accurate eng ~rank:r)) [ 1; 9_000; 18_000; 36_000 ]
+(* A step commit merges the spool's sorted runs (Algorithm 3's sort):
+   each step's level-0 partition must hold exactly that step's values,
+   sorted, however the runs were cut — partial hand-offs forced by
+   reads between observes, single-element runs of descending input, and
+   a spool restored from a checkpoint plus a replayed WAL suffix. *)
+let test_step_commit_sorts_the_spool () =
+  let dir = Filename.temp_file "hsq_commit" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let config =
+    Hsq.Config.make ~kappa:10 ~block_size:32 ~wal_dir:dir ~checkpoint_every:0
+      (Hsq.Config.Epsilon 0.05)
   in
-  Alcotest.(check (list int)) "parallel = sequential" (run ~sort_domains:None)
-    (run ~sort_domains:(Some 4))
+  let rng = Hsq_util.Xoshiro.create 557 in
+  let value () =
+    match Hsq_util.Xoshiro.int rng 20 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | _ -> Hsq_util.Xoshiro.int rng 1_000 - 500
+  in
+  (* Observe [values] in chunks of 1..700, reading the stream size after
+     each chunk so the ingest buffer hands off a partial run. *)
+  let observe_in_chunks eng values =
+    let i = ref 0 and n = Array.length values in
+    while !i < n do
+      let k = min (n - !i) (1 + Hsq_util.Xoshiro.int rng 700) in
+      for j = !i to !i + k - 1 do
+        E.observe eng values.(j)
+      done;
+      ignore (E.stream_size eng);
+      i := !i + k
+    done
+  in
+  let check_newest eng label values =
+    let expected = Array.copy values in
+    Array.sort Int.compare expected;
+    let newest = List.hd (Hsq_hist.Level_index.partitions (E.hist eng)) in
+    Alcotest.(check (array int)) label expected
+      (Hsq_storage.Run.to_array (Hsq_hist.Partition.run newest))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let eng, _ = E.open_or_recover config in
+      for step = 1 to 3 do
+        let values = Array.init 3_000 (fun _ -> value ()) in
+        observe_in_chunks eng values;
+        ignore (E.end_time_step eng);
+        check_newest eng (Printf.sprintf "step %d" step) values
+      done;
+      let descending = Array.init 2_000 (fun i -> 1_000 - i) in
+      Array.iter
+        (fun v ->
+          E.observe eng v;
+          ignore (E.stream_size eng))
+        descending;
+      ignore (E.end_time_step eng);
+      check_newest eng "descending, one run per element" descending;
+      let values = Array.init 2_500 (fun _ -> value ()) in
+      observe_in_chunks eng (Array.sub values 0 2_000);
+      E.checkpoint_now eng;
+      observe_in_chunks eng (Array.sub values 2_000 500);
+      E.crash eng;
+      let eng, report = E.open_or_recover config in
+      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
+      Alcotest.(check int) "suffix replayed" 500 report.E.replayed;
+      ignore (E.end_time_step eng);
+      check_newest eng "restored spool" values;
+      Alcotest.(check int) "one partition per step" 5
+        (Hsq_hist.Level_index.partition_count (E.hist eng));
+      E.close eng)
 
 let test_memory_mode_budget () =
   let config =
@@ -697,6 +754,6 @@ let () =
       ( "retention",
         [ Alcotest.test_case "expire + persist end-to-end" `Quick test_expire_engine_end_to_end ] );
       ("memory mode", [ Alcotest.test_case "budget + accuracy" `Quick test_memory_mode_budget ]);
-      ( "parallel",
-        [ Alcotest.test_case "parallel sort identical" `Quick test_parallel_sort_identical_results ] );
+      ( "step commit",
+        [ Alcotest.test_case "partition = sorted step" `Quick test_step_commit_sorts_the_spool ] );
     ]

@@ -115,6 +115,40 @@ let test_io_bounded () =
     true
     (Hsq_storage.Io_stats.total report.HH.io <= cap)
 
+(* Every seventh of 30,000 values is min_int, the rest distinct, over
+   three steps: min_int is the one 1% hitter, with its exact count, at
+   K=1 and through a 3-shard group.  The rank below min_int is 0 (v - 1
+   would wrap to max_int). *)
+let test_min_int_counted () =
+  let data = Array.init 30_000 (fun i -> if (i + 1) mod 7 = 0 then min_int else i + 1) in
+  let check label (hits : HH.hit list) =
+    Alcotest.(check (list (triple int int int)))
+      label
+      [ (min_int, 4_285, 4_285) ]
+      (List.map (fun (h : HH.hit) -> (h.value, h.lower, h.upper)) hits)
+  in
+  let eng = Hsq.Engine.create config in
+  for s = 0 to 2 do
+    ignore (Hsq.Engine.ingest_batch eng (Array.sub data (s * 10_000) 10_000))
+  done;
+  check "K=1" (fst (frequent eng ~phi:0.01));
+  let module G = Hsq_shard.Shard_group in
+  let g = G.create (Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 (Hsq.Config.Epsilon 0.05)) in
+  Array.iteri
+    (fun i v ->
+      G.observe g v;
+      if (i + 1) mod 10_000 = 0 then ignore (G.end_time_step g))
+    data;
+  let engines = List.map snd (G.engines g) in
+  let hits, _ =
+    HH.frequent
+      ~stats:(List.map (fun e -> Hsq_storage.Block_device.stats (Hsq.Engine.device e)) engines)
+      (List.concat_map (fun e -> Hsq_hist.Level_index.partitions (Hsq.Engine.hist e)) engines)
+      ~phi:0.01
+  in
+  check "K=3" hits;
+  G.close g
+
 let prop_random =
   QCheck.Test.make ~name:"union HH guarantees on random skewed" ~count:15
     QCheck.(pair (int_range 1 6) (int_range 100 800))
@@ -148,6 +182,7 @@ let () =
           Alcotest.test_case "hist-only exact" `Quick test_hist_only_is_exact;
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "io bounded" `Quick test_io_bounded;
+          Alcotest.test_case "heavy min_int counted" `Quick test_min_int_counted;
           QCheck_alcotest.to_alcotest prop_random;
         ] );
     ]

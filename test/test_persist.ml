@@ -228,6 +228,48 @@ let test_garbled_field_rejected () =
       Alcotest.(check bool) "non-numeric field rejected" true
         (load_error ~dev_path ~meta_path <> None))
 
+(* The sidecar format is frozen: a fresh render is byte-identical to
+   what earlier builds wrote, the retired sort_memory / sort_domains
+   lines included. *)
+let test_sidecar_golden () =
+  let config = Hsq.Config.make ~kappa:3 ~block_size:32 ~steps_hint:13 (Hsq.Config.Epsilon 0.05) in
+  let d first_block length first_step last_step level quarantined =
+    { Hsq_hist.Level_index.first_block; length; first_step; last_step; level; quarantined }
+  in
+  let golden =
+    "hsq-meta 2\nsizing epsilon 0.050000000000000003\nkappa 3\nblock_size 32\nsteps_hint 13\n\
+     stream_fraction 0.5\nsort_memory none\nsort_domains none\npartitions 2\n\
+     partition 94 500 4 4 0 1\npartition 0 1500 1 3 1\nchecksum 1cf9d97d361b894b\n"
+  in
+  Alcotest.(check string) "render" golden
+    (Hsq.Meta.render ~config ~descriptors:[ d 94 500 4 4 0 true; d 0 1500 1 3 1 false ])
+
+(* A sidecar an older build wrote with the retired sort settings set
+   still opens; the values are ignored, and a re-save writes "none". *)
+let test_old_sort_settings_open () =
+  with_temp_files (fun ~dev_path ~meta_path ->
+      let oracle, n = build_and_save ~dev_path ~meta_path ~steps:4 in
+      restamp
+        (List.map (function
+          | "sort_memory none" -> "sort_memory 100000"
+          | "sort_domains none" -> "sort_domains 4"
+          | l -> l))
+        meta_path;
+      let lines () =
+        String.split_on_char '\n' (In_channel.with_open_text meta_path In_channel.input_all)
+      in
+      Alcotest.(check bool) "old values written" true
+        (List.mem "sort_memory 100000" (lines ()) && List.mem "sort_domains 4" (lines ()));
+      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      Alcotest.(check int) "size restored" n (E.total_size eng);
+      let v, _ = E.accurate eng ~rank:(n / 2) in
+      Alcotest.(check int) "exact median" 0
+        (Hsq_workload.Oracle.rank_error oracle ~rank:(n / 2) ~value:v);
+      Hsq.Persist.save eng ~path:meta_path;
+      Alcotest.(check bool) "re-saved as none" true
+        (List.mem "sort_memory none" (lines ()) && List.mem "sort_domains none" (lines ()));
+      Hsq_storage.Block_device.close (E.device eng))
+
 let test_save_is_atomic () =
   with_temp_files (fun ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:3);
@@ -317,6 +359,8 @@ let () =
           Alcotest.test_case "restored engine keeps ingesting" `Quick
             test_restored_engine_keeps_ingesting;
           Alcotest.test_case "recovery io bounded" `Quick test_recovery_io_is_bounded;
+          Alcotest.test_case "sidecar format golden" `Quick test_sidecar_golden;
+          Alcotest.test_case "old sort settings open" `Quick test_old_sort_settings_open;
         ] );
       ( "corruption",
         [

@@ -1,6 +1,5 @@
 (* Tests for hsq_storage: I/O accounting, block devices (memory and
-   file backends, fault injection), sorted runs, k-way merge, external
-   sort. *)
+   file backends, fault injection), sorted runs, k-way merge. *)
 
 open Hsq_storage
 
@@ -805,44 +804,6 @@ let prop_kway_merge_multiset =
       Hsq_util.Sorted.is_sorted (Array.of_list out)
       && List.sort compare out = List.sort compare (List.concat lists))
 
-(* --- External_sort ---------------------------------------------------- *)
-
-let test_external_sort_in_memory () =
-  let dev = mem_dev ~block_size:4 () in
-  let run, report = External_sort.sort dev [| 5; 1; 4; 1; 3 |] in
-  Alcotest.(check (array int)) "sorted" [| 1; 1; 3; 4; 5 |] (Run.to_array run);
-  Alcotest.(check int) "no passes" 0 report.External_sort.passes
-
-let test_external_sort_spill () =
-  let dev = mem_dev ~block_size:4 () in
-  let rng = Hsq_util.Xoshiro.create 21 in
-  let batch = Array.init 1000 (fun _ -> Hsq_util.Xoshiro.int rng 10_000) in
-  let seen = ref 0 in
-  let run, report =
-    External_sort.sort ~memory_elements:64 ~observe:(fun _ _ -> incr seen) dev batch
-  in
-  let expected = Array.copy batch in
-  Array.sort compare expected;
-  Alcotest.(check (array int)) "sorted" expected (Run.to_array run);
-  Alcotest.(check bool) "spilled" true (report.External_sort.temp_runs > 0);
-  Alcotest.(check bool) "merge passes happened" true (report.External_sort.passes >= 1);
-  Alcotest.(check int) "observe saw final output" 1000 !seen
-
-let test_external_sort_empty () =
-  let dev = mem_dev () in
-  Alcotest.check_raises "empty" (Invalid_argument "External_sort.sort: empty batch") (fun () ->
-      ignore (External_sort.sort dev [||]))
-
-let prop_external_sort_multiset =
-  QCheck.Test.make ~name:"external sort: sorted, complete multiset" ~count:60
-    QCheck.(pair (list_of_size Gen.(1 -- 500) small_int) (int_range 8 64))
-    (fun (l, budget) ->
-      let dev = mem_dev ~block_size:4 () in
-      let run, _ = External_sort.sort ~memory_elements:budget dev (Array.of_list l) in
-      let out = Array.to_list (Run.to_array run) in
-      out = List.sort compare l)
-
-
 (* --- Lru --------------------------------------------------------------- *)
 
 let test_lru_basics () =
@@ -1165,13 +1126,6 @@ let () =
           Alcotest.test_case "write-through + invalidate" `Quick
             test_pool_write_through_and_invalidate;
           Alcotest.test_case "capacity evicts" `Quick test_pool_capacity_evicts;
-        ] );
-      ( "external_sort",
-        [
-          Alcotest.test_case "in-memory" `Quick test_external_sort_in_memory;
-          Alcotest.test_case "spill path" `Quick test_external_sort_spill;
-          Alcotest.test_case "empty raises" `Quick test_external_sort_empty;
-          QCheck_alcotest.to_alcotest prop_external_sort_multiset;
         ] );
       ( "breaker",
         [

@@ -100,10 +100,13 @@ let test_sorted_empty_raises () =
       ignore (Sorted.quantile [| 1 |] 0.0))
 
 let test_sorted_merge () =
-  let m = Sorted.merge [| 1; 4; 6 |] [| 2; 4; 9 |] in
-  Alcotest.(check (array int)) "merged" [| 1; 2; 4; 4; 6; 9 |] m;
-  Alcotest.(check (array int)) "left empty" [| 5 |] (Sorted.merge [||] [| 5 |]);
-  Alcotest.(check (array int)) "right empty" [| 5 |] (Sorted.merge [| 5 |] [||])
+  let sorted a =
+    Sorted.sort_runs a;
+    a
+  in
+  Alcotest.(check (array int)) "two runs" [| 1; 2; 4; 4; 6; 9 |] (sorted [| 1; 4; 6; 2; 4; 9 |]);
+  Alcotest.(check (array int)) "one run" [| 5 |] (sorted [| 5 |]);
+  Alcotest.(check (array int)) "two singletons" [| 3; 5 |] (sorted [| 5; 3 |])
 
 let test_stats_summary () =
   let s = Stats.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
@@ -129,14 +132,12 @@ let prop_rank_agrees_with_count =
       Sorted.rank a v = naive)
 
 let prop_merge_sorted =
-  QCheck.Test.make ~name:"Sorted.merge is sorted and complete" ~count:500
+  QCheck.Test.make ~name:"Sorted.sort_runs sorts two runs" ~count:500
     QCheck.(pair (list small_int) (list small_int))
     (fun (l1, l2) ->
-      let a = Array.of_list (List.sort compare l1)
-      and b = Array.of_list (List.sort compare l2) in
-      let m = Sorted.merge a b in
-      Sorted.is_sorted m
-      && List.sort compare (Array.to_list m) = List.sort compare (l1 @ l2))
+      let m = Array.of_list (List.sort compare l1 @ List.sort compare l2) in
+      Sorted.sort_runs m;
+      Sorted.is_sorted m && Array.to_list m = List.sort compare (l1 @ l2))
 
 let prop_select_rank_inverse =
   QCheck.Test.make ~name:"select r has rank >= r; predecessor does not" ~count:500
@@ -149,34 +150,54 @@ let prop_select_rank_inverse =
       Sorted.rank a v >= r && (v <= a.(0) || Sorted.rank a (v - 1) < r))
 
 
-let test_parallel_map_order () =
-  let input = Array.init 1000 (fun i -> i) in
-  let out = Parallel.map ~domains:4 (fun x -> x * 2) input in
-  Alcotest.(check (array int)) "order preserved" (Array.map (fun x -> x * 2) input) out;
-  Alcotest.(check (array int)) "empty" [||] (Parallel.map ~domains:4 (fun x -> x) [||]);
-  Alcotest.(check (array int)) "single domain" [| 2 |] (Parallel.map ~domains:1 (fun x -> x * 2) [| 1 |])
+let sorted_copy a =
+  let b = Array.copy a in
+  Array.sort Int.compare b;
+  b
 
-let test_parallel_sort_matches_sequential () =
+let test_sort_runs_matches_array_sort () =
   let rng = Xoshiro.create 99 in
+  let check label a =
+    let expected = sorted_copy a in
+    Sorted.sort_runs a;
+    Alcotest.(check (array int)) label expected a
+  in
   List.iter
     (fun n ->
-      let data = Array.init n (fun _ -> Xoshiro.int rng 1_000_000) in
-      let expected = Array.copy data in
-      Array.sort compare expected;
-      let got = Array.copy data in
-      Parallel.sort ~domains:4 got;
-      Alcotest.(check (array int)) (Printf.sprintf "n=%d" n) expected got)
-    [ 0; 1; 2; 100; 4096; 50_000 ]
+      check (Printf.sprintf "random n=%d" n) (Array.init n (fun _ -> Xoshiro.int rng 1_000_000)))
+    [ 0; 1; 2; 3; 100; 4096; 50_000 ];
+  (* A step spool: one sorted run per 512-element hand-off. *)
+  let spool =
+    Array.concat
+      (List.init 98 (fun _ -> sorted_copy (Array.init 512 (fun _ -> Xoshiro.int rng 1_000_000))))
+  in
+  check "runs of 512" spool;
+  check "descending" (Array.init 10_000 (fun i -> 10_000 - i));
+  check "all equal" (Array.make 1_000 7);
+  check "extremes" [| max_int; 0; min_int; max_int; min_int; -1; 1 |];
+  check "sorted" (Array.init 1_000 (fun i -> i))
 
-let prop_parallel_sort =
-  QCheck.Test.make ~name:"parallel sort = sequential sort" ~count:50
-    QCheck.(pair (list small_int) (int_range 1 6))
-    (fun (l, domains) ->
-      let a = Array.of_list l in
-      let b = Array.of_list l in
-      Array.sort compare a;
-      Parallel.sort ~domains b;
-      a = b)
+(* Arrays of ascending runs cut at random boundaries, over a small
+   value pool (so duplicates) plus min_int and max_int; a quarter of
+   them reversed into descending input. *)
+let runs_arbitrary =
+  let gen =
+    QCheck.Gen.(
+      let value = frequency [ (8, int_range (-20) 20); (1, return min_int); (1, return max_int) ] in
+      let run = map (List.sort Int.compare) (list_size (int_range 0 40) value) in
+      let* runs = list_size (int_range 0 20) run in
+      let* descending = frequency [ (1, return true); (3, return false) ] in
+      let l = List.concat runs in
+      return (Array.of_list (if descending then List.rev (List.sort Int.compare l) else l)))
+  in
+  QCheck.make ~print:QCheck.Print.(array int) gen
+
+let prop_sort_runs =
+  QCheck.Test.make ~name:"sort_runs = Array.sort on run mixes" ~count:500 runs_arbitrary
+    (fun a ->
+      let expected = sorted_copy a in
+      Sorted.sort_runs a;
+      a = expected)
 
 let () =
   Alcotest.run "util"
@@ -205,12 +226,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_rank_agrees_with_count;
           QCheck_alcotest.to_alcotest prop_merge_sorted;
           QCheck_alcotest.to_alcotest prop_select_rank_inverse;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "map order" `Quick test_parallel_map_order;
-          Alcotest.test_case "sort matches sequential" `Quick test_parallel_sort_matches_sequential;
-          QCheck_alcotest.to_alcotest prop_parallel_sort;
+          Alcotest.test_case "sort_runs matches Array.sort" `Quick
+            test_sort_runs_matches_array_sort;
+          QCheck_alcotest.to_alcotest prop_sort_runs;
         ] );
       ( "stats",
         [
