@@ -447,26 +447,6 @@ let ablations ~scale =
         ])
     [ 0.25; 0.5; 1.0; 2.0; 4.0 ];
 
-  print_header
-    "Ablation D: buffer pool (OS-page-cache stand-in) capacity vs physical query reads";
-  print_row [ fmt_i 0; "  physical-io"; "     hit-rate" ];
-  let dev = E.device eng in
-  List.iter
-    (fun pool_blocks ->
-      if pool_blocks = 0 then Hsq_storage.Block_device.disable_pool dev
-      else Hsq_storage.Block_device.enable_pool dev ~capacity:pool_blocks;
-      (* warm over one pass of the probe quantiles, then measure *)
-      ignore (query_cost eng);
-      let _, io = query_cost eng in
-      let hit_rate =
-        match Hsq_storage.Block_device.pool_stats dev with
-        | Some (h, m) when h + m > 0 -> float_of_int h /. float_of_int (h + m)
-        | _ -> 0.0
-      in
-      print_row [ fmt_i pool_blocks; fmt_f io; fmt_f hit_rate ])
-    [ 0; 16; 64; 256; 1024 ];
-  Hsq_storage.Block_device.disable_pool dev;
-
   print_header "Ablation C: Section 2.4 one-block cache (query disk accesses)";
   print_row [ fmt_i 0; "      query-io" ];
   List.iter

@@ -702,7 +702,7 @@ let report_health eng =
   Hsq_serve.Health.exit_code h
 
 (* The checks on one store directory; 0 healthy, 1 damaged. *)
-let status_one dir pool_blocks health =
+let status_one dir health =
   Hsq.Engine.check_store ~dir;
   let device_path, meta_path, wal_path, ckpt_path = Hsq.Engine.store_paths ~dir in
   let problems = ref 0 in
@@ -713,18 +713,12 @@ let status_one dir pool_blocks health =
   | false, _ -> print_endline "warehouse: empty (no committed time step yet)"
   | true, false -> problem "warehouse: DAMAGED — sidecar present but device file missing"
   | true, true -> (
-    match Hsq.Persist.load_files ~pool_blocks ~device_path ~meta_path () with
+    match Hsq.Persist.load_files ~device_path ~meta_path () with
     | eng ->
       committed_steps := Hsq.Engine.time_steps eng;
       Printf.printf "warehouse: %d archived steps, %d elements, %d partitions\n"
         (Hsq.Engine.time_steps eng) (Hsq.Engine.hist_size eng)
         (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng));
-      (match Hsq_storage.Block_device.pool_stats (Hsq.Engine.device eng) with
-      | Some (hits, misses) when hits + misses > 0 ->
-        Printf.printf "buffer pool: %d blocks, %d hits / %d misses (%.1f%% hit rate)\n"
-          pool_blocks hits misses
-          (100.0 *. float_of_int hits /. float_of_int (hits + misses))
-      | _ -> ());
       if health && report_health eng <> 0 then
         problem "health: DEGRADED — breaker open or partitions quarantined";
       Hsq_storage.Block_device.close (Hsq.Engine.device eng)
@@ -785,7 +779,7 @@ let status_one dir pool_blocks health =
    is reported as a warning; only a shard with NO intact replica
    (answers degraded) exits 1.  A missing root or a store written with
    ingest lanes exits 2. *)
-let status dir shards replicas pool_blocks health =
+let status dir shards replicas health =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such store directory: %s\n" dir;
     2
@@ -801,7 +795,7 @@ let status dir shards replicas pool_blocks health =
               if stores > 1 then Printf.printf "== %s: %s ==\n" label sdir;
               let code =
                 if Sys.file_exists sdir && Sys.is_directory sdir then
-                  status_one sdir pool_blocks health
+                  status_one sdir health
                 else begin
                   Printf.printf "%s: MISSING (never created, or lost with its volume)\n" label;
                   1
@@ -844,13 +838,6 @@ let status_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"DIR" ~doc:"Durable store directory (see --durable).")
   in
-  let pool_blocks =
-    let doc =
-      "LRU buffer-pool capacity (blocks) used while loading the warehouse; the hit/miss rate \
-       over the recovery reads is reported. 0 disables the pool."
-    in
-    Arg.(value & opt int 256 & info [ "pool-blocks" ] ~docv:"N" ~doc)
-  in
   let health =
     let doc =
       "Also report failure-containment state: the device circuit breaker, quarantined \
@@ -864,7 +851,7 @@ let status_cmd =
      handles."
   in
   Cmd.v (Cmd.info "status" ~doc)
-    Term.(const status $ dir $ shards $ replicas $ pool_blocks $ health)
+    Term.(const status $ dir $ shards $ replicas $ health)
 
 (* --- metrics --------------------------------------------------------------- *)
 

@@ -41,17 +41,12 @@ let load ~device ~path =
   Engine.of_restored ~device config hist
 
 (* Convenience: reopen the device file and the metadata together.
-   [pool_blocks] enables the device's LRU buffer pool before any
-   partition summary is re-read, so recovery reads warm it.
    [query_deadline_ms] is runtime policy (never persisted in the
    sidecar), so a restored engine takes it from the caller, exactly
    like [Engine.open_or_recover]. *)
-let load_files ?metrics ?pool_blocks ?query_deadline_ms ~device_path ~meta_path () =
+let load_files ?metrics ?query_deadline_ms ~device_path ~meta_path () =
   let block_size = Meta.peek_block_size meta_path in
   let device = Hsq_storage.Block_device.open_file ?metrics ~block_size ~path:device_path () in
-  (match pool_blocks with
-  | Some capacity when capacity > 0 -> Hsq_storage.Block_device.enable_pool device ~capacity
-  | _ -> ());
   let config, hist = Meta.load_hist ~device ~path:meta_path in
   let config =
     match query_deadline_ms with

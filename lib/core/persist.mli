@@ -37,15 +37,12 @@ val save : Engine.t -> path:string -> unit
 val load : device:Hsq_storage.Block_device.t -> path:string -> Engine.t
 
 (** Reopen [device_path] (block size taken from the metadata) and
-    [load]. [pool_blocks] enables the device's LRU buffer pool with
-    that capacity before the summaries are re-read (0 = disabled).
-    [metrics] is the registry the restored store's metrics (device I/O,
+    [load]. [metrics] is the registry the restored store's metrics (device I/O,
     engine query counters, …) are registered in — pass one to export
     them from your own collection endpoint; omitted, the store gets a
     private registry reachable via [Engine.metrics]. *)
 val load_files :
   ?metrics:Hsq_obs.Metrics.t ->
-  ?pool_blocks:int ->
   ?query_deadline_ms:float ->
   device_path:string ->
   meta_path:string ->

@@ -11,9 +11,9 @@
    - every block carries a checksum word, stored after the payload and
      verified on every read, so bit rot and torn writes surface as
      [Device_error] instead of wrong answers;
-   - reads go through a bounded-retry path with a deterministic backoff
-     schedule, absorbing transient faults; extra attempts are counted in
-     {!Io_stats} ([retries], [checksum_failures]);
+   - reads go through a bounded-retry path, absorbing transient faults;
+     extra attempts are counted in {!Io_stats} ([retries],
+     [checksum_failures]);
    - a structured fault injector can fail operations, tear writes (a
      partial write followed by a simulated crash), or silently corrupt a
      written word — the ingredients of the crash-recovery fuzz harness.
@@ -58,13 +58,11 @@ type backend =
   | File of file
 
 (* Domain-safety: reads may be issued from several domains at once, so
-   the two pieces of state every read touches are each behind a mutex —
-   [io_lock] for the File backend's descriptor offset and record
-   buffer, [pool_lock] for the LRU buffer pool (Lru itself is not
-   thread-safe).  Every seek-plus-read and seek-plus-write pair runs
-   under [io_lock], so no two ever interleave.  Allocation, writes,
-   frees and batch reads stay single-domain by contract: the engine
-   never ingests and queries concurrently. *)
+   the File backend's descriptor offset and record buffer are behind
+   [io_lock].  Every seek-plus-read and seek-plus-write pair runs under
+   it, so no two ever interleave.  Allocation, writes, frees and batch
+   reads stay single-domain by contract: the engine never ingests and
+   queries concurrently. *)
 type t = {
   block_size : int;
   stats : Io_stats.t;
@@ -72,8 +70,6 @@ type t = {
   mutable freed_blocks : int; (* capacity-accounting for dropped partitions *)
   backend : backend;
   mutable fault : injector option;
-  mutable pool : Lru.t option; (* optional buffer pool (OS page cache stand-in) *)
-  pool_lock : Mutex.t;
   io_lock : Mutex.t;
   mutable read_latency : float; (* simulated seconds per physical block read *)
   mutable batch_reads : int; (* physical reads of the batch in progress, awaiting its wait *)
@@ -81,19 +77,13 @@ type t = {
   (* Metric handles resolved once at creation so the read paths never
      touch the registry's lock/table. *)
   read_hist : Hsq_obs.Metrics.Histogram.t;
-  pool_hits : Hsq_obs.Metrics.Counter.t;
-  pool_misses : Hsq_obs.Metrics.Counter.t;
 }
 
-(* Latency/pool metrics live in the same registry as the Io_stats
-   counters (named hsq_buffer_pool_... to stay clear of the engine's
-   summary-cache metrics). *)
-let device_metrics stats =
-  let r = Io_stats.registry stats in
-  ( Hsq_obs.Metrics.histogram ~help:"Caller wait per physical block read or read batch" r
-      "hsq_device_read_seconds",
-    Hsq_obs.Metrics.counter ~help:"Buffer pool hits" r "hsq_buffer_pool_hits_total",
-    Hsq_obs.Metrics.counter ~help:"Buffer pool misses" r "hsq_buffer_pool_misses_total" )
+(* The read-latency histogram lives in the same registry as the
+   Io_stats counters. *)
+let device_read_hist stats =
+  Hsq_obs.Metrics.histogram ~help:"Caller wait per physical block read or read batch"
+    (Io_stats.registry stats) "hsq_device_read_seconds"
 
 (* The breaker registers its hsq_breaker_* metrics in the same registry
    as everything else the device exports. *)
@@ -107,16 +97,9 @@ let live_blocks t = t.next_free - t.freed_blocks
 (* The stored record is the payload plus one trailing checksum word. *)
 let record_bytes block_size = 8 * (block_size + 1)
 
-(* Retry policy: a read is attempted at most [max_read_attempts] times;
-   the backoff (in milliseconds) before attempt i+2 is
-   [retry_backoff_ms.(i)] — a decorrelated-jitter schedule drawn from a
-   fixed Splitmix seed, so it is deterministic across runs while still
-   exhibiting the jitter a production deployment would use.  The
-   simulator does not sleep — the schedule documents what a real
-   deployment would do and keeps the policy a single tunable surface. *)
+(* Retry policy: a failed read is retried at once, with no backoff, up
+   to [max_read_attempts] attempts in all. *)
 let max_read_attempts = Breaker.Backoff.default.Breaker.Backoff.max_attempts
-let retry_backoff_seed = 0x5eed_0f_7e57
-let retry_backoff_ms = Breaker.Backoff.delays Breaker.Backoff.default ~seed:retry_backoff_seed
 
 (* splitmix-style word mixer: cheap, and any single flipped bit changes
    the checksum with overwhelming probability. *)
@@ -128,7 +111,7 @@ let checksum ~addr payload = Array.fold_left mix (mix 0x106689D45497FDB5 addr) p
 
 let make ?metrics ~block_size ~next_free backend =
   let stats = Io_stats.create ?registry:metrics () in
-  let read_hist, pool_hits, pool_misses = device_metrics stats in
+  let read_hist = device_read_hist stats in
   {
     block_size;
     stats;
@@ -136,15 +119,11 @@ let make ?metrics ~block_size ~next_free backend =
     freed_blocks = 0;
     backend;
     fault = None;
-    pool = None;
-    pool_lock = Mutex.create ();
     io_lock = Mutex.create ();
     read_latency = 0.0;
     batch_reads = 0;
     breaker = device_breaker stats;
     read_hist;
-    pool_hits;
-    pool_misses;
   }
 
 let create_memory ?metrics ~block_size () =
@@ -216,41 +195,15 @@ let set_injector t injector =
   t.fault <- injector;
   Breaker.reset t.breaker
 
-(* Legacy boolean hook: a predicate fault is persistent — it fails every
-   attempt, so the retry path cannot absorb it. *)
-let set_fault t fault =
-  t.fault <-
-    Option.map
-      (fun f op ~attempt:_ addr -> if f op addr then Some Fail else None)
-      fault;
-  Breaker.reset t.breaker
-
 let breaker t = t.breaker
 let breaker_state t = Breaker.state t.breaker
 
 let injected t op ~attempt addr =
   match t.fault with None -> None | Some f -> f op ~attempt addr
 
-(* Buffer pool: hits are served from memory and cost no device I/O
-   (only pool statistics); misses read through and populate the pool;
-   writes are write-through.  [free] invalidates cached blocks.  The
-   pool hands out its cached arrays directly — see the ownership note
-   on [read_block] — so the read path performs zero copies. *)
-let enable_pool t ~capacity = t.pool <- Some (Lru.create ~capacity)
-let disable_pool t = t.pool <- None
-
-let pool_stats t =
-  match t.pool with
-  | None -> None
-  | Some pool ->
-    Mutex.lock t.pool_lock;
-    let s = (Lru.hits pool, Lru.misses pool) in
-    Mutex.unlock t.pool_lock;
-    Some s
-
 (* Simulated per-read device latency (seconds), applied to every
-   physical (pool-missing) block read, outside any lock.  The reads of
-   one [read_batch] share a single wait, like requests queued on a real
+   physical block read, outside any lock.  The reads of one
+   [read_batch] share a single wait, like requests queued on a real
    disk or network volume at once.  Zero (the default) keeps tests and
    the existing cost model untouched. *)
 let set_read_latency t seconds = t.read_latency <- Float.max 0.0 seconds
@@ -283,12 +236,6 @@ let alloc t nblocks =
 let free t ~addr ~nblocks =
   if addr < 0 || addr + nblocks > t.next_free then invalid_arg "Block_device.free: out of range";
   t.freed_blocks <- t.freed_blocks + nblocks;
-  (match t.pool with
-  | Some pool ->
-    Mutex.lock t.pool_lock;
-    for b = addr to addr + nblocks - 1 do Lru.remove pool b done;
-    Mutex.unlock t.pool_lock
-  | None -> ());
   match t.backend with
   | Memory table -> for b = addr to addr + nblocks - 1 do !table.(b) <- None done
   | File _ -> ()
@@ -335,14 +282,6 @@ let write_block t ~addr payload =
     raise (Device_error (Printf.sprintf "torn write at block %d (%d of %d words)" addr k t.block_size))
   | (None | Some (Corrupt _)) as action ->
     Io_stats.note_write t.stats addr;
-    (* The write path must copy: callers (Run.writer, Run.of_sorted_array)
-       reuse their payload buffers after the call. *)
-    (match t.pool with
-    | Some pool ->
-      Mutex.lock t.pool_lock;
-      Lru.put pool addr (Array.copy payload);
-      Mutex.unlock t.pool_lock
-    | None -> ());
     let flip = match action with Some (Corrupt i) -> i mod t.block_size | _ -> -1 in
     store_record t ~addr payload ~sum:(checksum ~addr payload) ~upto:t.block_size ~flip
 
@@ -393,8 +332,9 @@ let fetch_record t ~addr =
 
    A [batched] read defers its simulated wait and latency observation
    to the batch ([read_batch]) and only counts itself in
-   [batch_reads]. *)
+   [batch_reads].  Every read returns a freshly decoded array. *)
 let read_block_uncached ?hint ~batched t ~addr =
+  if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
   if not (Breaker.allow t.breaker) then
     raise
       (Device_error
@@ -439,47 +379,19 @@ let read_block_uncached ?hint ~batched t ~addr =
   in
   attempt 1
 
-(* Pooled reads are zero-copy: a hit returns the cached array itself
-   and a miss adopts the freshly decoded one (read_block_uncached
-   already allocates a fresh payload per call).  Callers therefore must
-   not mutate returned blocks — the read path (Run.block_for, cursors,
-   read_range) treats them as immutable, and the mli states the
-   contract.  The pool is probed and populated under [pool_lock];
-   the device read itself happens outside it so concurrent misses
-   overlap their (possibly latency-simulated) I/O. *)
-let read_pooled ?hint ~batched t ~addr =
-  if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
-  match t.pool with
-  | None -> read_block_uncached ?hint ~batched t ~addr
-  | Some pool -> (
-    Mutex.lock t.pool_lock;
-    let cached = Lru.find pool addr in
-    Mutex.unlock t.pool_lock;
-    match cached with
-    | Some block ->
-      Hsq_obs.Metrics.Counter.inc t.pool_hits;
-      block
-    | None ->
-      Hsq_obs.Metrics.Counter.inc t.pool_misses;
-      let block = read_block_uncached ?hint ~batched t ~addr in
-      Mutex.lock t.pool_lock;
-      Lru.put pool addr block;
-      Mutex.unlock t.pool_lock;
-      block)
-
-let read_block ?hint t ~addr = read_pooled ?hint ~batched:false t ~addr
+let read_block ?hint t ~addr = read_block_uncached ?hint ~batched:false t ~addr
 
 exception Batch_error of int * string
 
 (* A batch is read in index order on the calling thread, each read with
    its full bookkeeping (breaker, injector and retries, Io_stats,
-   checksum, pool), and stops at the first unrecoverable one.  Only the
+   checksum), and stops at the first unrecoverable one.  Only the
    simulated wait is shared: once the reads are issued, the caller
    waits the longest [read_latency] among the devices they reached —
    once, as for requests queued on a device together — and each such
    device records that whole wait as one [hsq_device_read_seconds]
-   observation.  A batch that reached no device (pool hits, an open
-   breaker) waits nothing and records nothing. *)
+   observation.  A batch that reached no device (an open breaker)
+   waits nothing and records nothing. *)
 let read_batch devs addrs blocks ~n =
   let t0 = Hsq_obs.Metrics.now_s () in
   let settle () =
@@ -502,7 +414,7 @@ let read_batch devs addrs blocks ~n =
   in
   let rec go i =
     if i < n then begin
-      (match read_pooled ~batched:true devs.(i) ~addr:addrs.(i) with
+      (match read_block_uncached ~batched:true devs.(i) ~addr:addrs.(i) with
       | block -> blocks.(i) <- block
       | exception Device_error msg -> raise (Batch_error (i, msg)));
       go (i + 1)

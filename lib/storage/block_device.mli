@@ -9,8 +9,8 @@
 
     Every read verifies the stored checksum, so bit rot and torn writes
     surface as {!Device_error} instead of silently wrong answers, and
-    goes through a bounded-retry path ({!max_read_attempts} attempts on
-    a deterministic backoff schedule) that absorbs transient faults;
+    goes through a bounded-retry path (up to {!max_read_attempts}
+    attempts, each retried at once) that absorbs transient faults;
     retries and checksum mismatches are counted in {!Io_stats}.
 
     Addresses are plain block indices handed out by a bump allocator;
@@ -25,10 +25,9 @@ type op = Read | Write
 type t
 
 (** [create_memory ~block_size ()] — in-memory backend. [metrics], on
-    any constructor, is the registry the device's {!Io_stats} counters,
-    read-latency histogram ([hsq_device_read_seconds]) and buffer-pool
-    hit/miss counters ([hsq_buffer_pool_hits_total] / [..._misses_total])
-    are registered in; omitted, the device gets a private registry
+    any constructor, is the registry the device's {!Io_stats} counters
+    and read-latency histogram ([hsq_device_read_seconds]) are
+    registered in; omitted, the device gets a private registry
     (reachable via [Io_stats.registry (stats t)]). *)
 val create_memory : ?metrics:Hsq_obs.Metrics.t -> block_size:int -> unit -> t
 
@@ -78,11 +77,10 @@ val write_block : t -> addr:int -> int array -> unit
     readahead is sequential on a real disk even when several runs are
     consumed in an interleaved merge).
 
-    Ownership: the returned array must be treated as immutable. When
-    the buffer pool is enabled it is the pooled array itself (the read
-    path is zero-copy — a hit returns the cached block, a miss adopts
-    the freshly decoded one), so mutating it would corrupt subsequent
-    reads of the same address.
+    Ownership: every read returns a freshly decoded array, but callers
+    must treat it as immutable: the run layer's one-block cache hands
+    the same array to every later reader of that block, so mutating it
+    would corrupt their reads.
 
     Allocation: the file backend reads one record into a buffer reused
     per device and decodes it straight into the returned
@@ -92,8 +90,8 @@ val write_block : t -> addr:int -> int array -> unit
     read goes to the file, so a read after a rewrite sees the new bytes.
 
     Domain-safety: reads may be issued from several domains at once.
-    The file backend's descriptor and record buffer and the buffer pool
-    are mutex-guarded internally; writes, [alloc], [free] and
+    The file backend's descriptor and record buffer are mutex-guarded
+    internally; writes, [alloc], [free] and
     {!read_batch} remain single-domain by contract (the engine never
     ingests and queries concurrently). *)
 val read_block : ?hint:bool -> t -> addr:int -> int array
@@ -104,10 +102,9 @@ exception Batch_error of int * string
 
 (** [read_batch devs addrs blocks ~n] reads block [addrs.(i)] of
     [devs.(i)] into [blocks.(i)] for every [i < n] and returns the
-    number of physical reads it issued (retried attempts included, pool
-    hits excluded). Each read is a {!read_block} — breaker, injector,
-    retries, {!Io_stats}, checksum and pool, in index order on the
-    calling thread — except for the simulated wait: the batch waits
+    number of physical reads it issued (retried attempts included).
+    Each read is a {!read_block} — breaker, injector, retries,
+    {!Io_stats} and checksum, in index order on the calling thread — except for the simulated wait: the batch waits
     once, the longest {!read_latency} among the devices its reads
     reached, and records that wait as one [hsq_device_read_seconds]
     observation on each of those devices. The batch stops at its first
@@ -118,14 +115,9 @@ val read_batch : t array -> int array -> int array array -> n:int -> int
 
 (** {2 Retry policy and circuit breaker}
 
-    A read is attempted at most [max_read_attempts] times; the backoff
-    (milliseconds) before attempt [i + 2] is [retry_backoff_ms.(i)] —
-    a decorrelated-jitter schedule ({!Breaker.Backoff.delays}) drawn
-    from a fixed seed, so it is deterministic across runs. The
-    simulator never sleeps — the schedule documents the production
-    policy and keeps it a single tunable surface. Transient faults
-    failing at most [max_read_attempts - 1] consecutive attempts are
-    absorbed.
+    A failed read is retried at once, with no backoff, up to
+    [max_read_attempts] attempts in all. Transient faults failing at
+    most [max_read_attempts - 1] consecutive attempts are absorbed.
 
     Every device carries a {!Breaker.t} wrapping the retry loop: after
     {!Breaker.default_failure_threshold} consecutive reads that exhaust
@@ -136,7 +128,6 @@ val read_batch : t array -> int array -> int array array -> n:int -> int
     counter live in the device's metrics registry. *)
 
 val max_read_attempts : int
-val retry_backoff_ms : float array
 
 (** The device's circuit breaker — exposed so the engine can tell a
     device-wide outage (breaker open) from a single bad partition, and
@@ -145,23 +136,9 @@ val breaker : t -> Breaker.t
 
 val breaker_state : t -> Breaker.state
 
-(** {2 Buffer pool}
-
-    An optional LRU pool of whole blocks in front of the backend — an
-    OS-page-cache stand-in. Pool hits cost no device I/O (they appear
-    only in {!pool_stats}); writes are write-through; freeing blocks
-    invalidates them. *)
-
-val enable_pool : t -> capacity:int -> unit
-val disable_pool : t -> unit
-
-(** [(hits, misses)] since the pool was enabled, if one is active. *)
-val pool_stats : t -> (int * int) option
-
 (** {2 Simulated read latency}
 
-    [set_read_latency t seconds] makes every physical (pool-missing)
-    block read sleep for [seconds], outside any internal lock — a knob
+    [set_read_latency t seconds] makes every physical block read sleep for [seconds], outside any internal lock — a knob
     for modelling the paper's disk-access cost in benches, where the
     in-memory simulator is otherwise too fast for overlapped probes to
     matter. The reads of one {!read_batch} share a single wait, like
@@ -204,8 +181,3 @@ type injector = op -> attempt:int -> int -> fault_action option
     breaker to [Closed]: the simulated hardware changed, so accumulated
     evidence against it no longer applies. *)
 val set_injector : t -> injector option -> unit
-
-(** Legacy boolean hook: when the predicate returns [true] for an
-    (operation, address) pair the operation fails on every attempt — a
-    persistent fault the retry path cannot absorb. *)
-val set_fault : t -> (op -> int -> bool) option -> unit

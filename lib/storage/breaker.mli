@@ -78,8 +78,8 @@ module Backoff : sig
     max_attempts : int;  (** total attempts, including the first *)
   }
 
-  (** 3 attempts, 1 ms base, 50 ms cap — the device read path's
-      schedule. *)
+  (** 3 attempts, 1 ms base, 50 ms cap. The device read path takes
+      its attempt count ([max_attempts]) and retries without waiting. *)
   val default : policy
 
   (** [delays p ~seed] is the per-retry wait schedule in milliseconds:

@@ -27,7 +27,7 @@ let seeds =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 10)
   | None -> 10
 
-(* Stateless per-(seed, block) coin: safe to call from pool domains and
+(* Stateless per-(seed, block) coin: safe to call from any domain and
    stable across retries, so a "persistent" fault really is. *)
 let coin ~seed ~salt addr pct =
   let h = (addr * 2654435761) lxor (seed * 40503) lxor (salt * 8191) in
@@ -153,7 +153,7 @@ let run_seed seed () =
   | Device_down ->
     (* every read fails: the breaker opens and queries degrade to the
        in-memory summary *)
-    BD.set_fault dev (Some (fun op _ -> op = BD.Read)));
+    BD.set_injector dev (Some (fun op ~attempt:_ _ -> if op = BD.Read then Some BD.Fail else None)));
   query_sweep ~phase;
   (* a deadline query mid-burst, cut or not, must respect the clock and
      its reported bound *)
@@ -164,7 +164,6 @@ let run_seed seed () =
   query_sweep ~phase:(phase ^ "+ingest");
   (* --- heal and converge ---------------------------------------------- *)
   BD.set_injector dev None;
-  BD.set_fault dev None;
   let rep = Hsq.Persist.scrub ~repair:true eng in
   if rep.Hsq.Persist.still_quarantined <> 0 then
     Alcotest.failf "seed %d: %d partitions still quarantined after the repair scrub" seed

@@ -150,12 +150,11 @@ let test_accurate_read_count_gate () =
 (* A traced accurate query records one [round] span per batch of
    partition reads, each with the searches it served and the physical
    reads it made; those reads add up to the query's own read count, and
-   no per-partition probe spans remain.  A small buffer pool makes some
-   of a round's blocks hits, so its reads and its probes differ. *)
+   no per-partition probe spans remain.  Every probe of a round is one
+   physical read, so each round's reads equal its probes. *)
 let test_traced_round_reads () =
   let config = Hsq.Config.make ~kappa:4 ~block_size:32 (Hsq.Config.Epsilon 0.02) in
   let eng, _ = drive ~config ~steps:12 ~step_size:2_000 ~tail:1_000 ~seed:23 () in
-  Hsq_storage.Block_device.enable_pool (E.device eng) ~capacity:16;
   let tr = Hsq_obs.Trace.create () in
   E.set_tracer eng (Some tr);
   let int_attr span key =
@@ -163,7 +162,6 @@ let test_traced_round_reads () =
     | Some v -> int_of_string v
     | None -> Alcotest.failf "round span without %s" key
   in
-  let hits = ref 0 in
   let total =
     List.fold_left
       (fun acc phi ->
@@ -176,14 +174,17 @@ let test_traced_round_reads () =
         Alcotest.(check int) (Printf.sprintf "phi=%g: round reads = io.reads" phi) io reads;
         Alcotest.(check bool) "every round serves a search" true
           (List.for_all (fun sp -> int_attr sp "probes" >= 1) rounds);
-        List.iter (fun sp -> hits := !hits + int_attr sp "probes" - int_attr sp "reads") rounds;
+        List.iter
+          (fun sp ->
+            Alcotest.(check int) "round reads = round probes" (int_attr sp "probes")
+              (int_attr sp "reads"))
+          rounds;
         Alcotest.(check int) "no probe spans" 0 (List.length (Hsq_obs.Trace.find_all root "probe"));
         Hsq_obs.Trace.clear tr;
         acc + io)
       0 phis
   in
   Alcotest.(check bool) "the queries read the disk" true (total > 0);
-  Alcotest.(check bool) "some round blocks were pool hits" true (!hits > 0);
   E.close eng
 
 (* Algorithm 8 with exact ranks, as a reference for the probe rounds:

@@ -116,7 +116,10 @@ let test_persistent_fault_degrades_to_quick () =
   (* A persistent read fault: retries are exhausted and the accurate
      path must degrade to the in-memory quick answer, flagged as such,
      instead of raising at the caller. *)
-  Hsq_storage.Block_device.set_fault dev (Some (fun op _ -> op = Hsq_storage.Block_device.Read));
+  Hsq_storage.Block_device.set_injector dev
+    (Some
+       (fun op ~attempt:_ _ ->
+         if op = Hsq_storage.Block_device.Read then Some Hsq_storage.Block_device.Fail else None));
   let stats = Hsq_storage.Block_device.stats dev in
   Hsq_storage.Io_stats.reset stats;
   let v, report = E.accurate eng ~rank:2_000 in
@@ -128,10 +131,10 @@ let test_persistent_fault_degrades_to_quick () =
   Alcotest.(check int) "matches the quick path" (E.quick eng ~rank:2_000) v;
   Alcotest.(check bool) "retries were attempted first" true
     ((Hsq_storage.Io_stats.snapshot stats).Hsq_storage.Io_stats.retries > 0);
-  (* Device healed (set_fault also resets the breaker): partitions the
+  (* Device healed (set_injector also resets the breaker): partitions the
      containment layer quarantined on the way down are re-verified and
      reinstated, and full accuracy comes back, unflagged. *)
-  Hsq_storage.Block_device.set_fault dev None;
+  Hsq_storage.Block_device.set_injector dev None;
   List.iter
     (fun p ->
       match Hsq_hist.Level_index.reinstate (E.hist eng) p with

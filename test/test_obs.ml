@@ -201,14 +201,13 @@ let test_trace_cap_and_clear () =
    carries [rounds] on its [query.accurate] root: the number of [round]
    spans under it, whose [reads] still sum to the query's physical
    reads.  Every [round] span carries [guided], its reads whose block
-   interpolation chose, never more than its probes or, with no buffer
-   pool to serve a probe, its reads; some rounds of the sweep are
-   guided.  Every [bisect] span carries [open], the searches still
-   unsettled when its step was decided; some steps of the sweep decide
-   with searches open, so the rounds stop reading early.  Every [bisect]
-   span also carries its candidate [z], inside its bracket [u, v], and
-   the [rule] that chose it; the sweep takes both the secant and the
-   midpoint. *)
+   interpolation chose, never more than its probes, which equal its
+   reads; some rounds of the sweep are guided.  Every [bisect] span
+   carries [open], the searches still unsettled when its step was
+   decided; some steps of the sweep decide with searches open, so the
+   rounds stop reading early.  Every [bisect] span also carries its
+   candidate [z], inside its bracket [u, v], and the [rule] that chose
+   it; the sweep takes both the secant and the midpoint. *)
 let test_accurate_rounds_attr () =
   let int_attr span key =
     match Trace.attr span key with
@@ -227,7 +226,7 @@ let test_accurate_rounds_attr () =
       (fun sp ->
         let g = int_attr sp "guided" in
         guided := !guided + g;
-        if g > int_attr sp "reads" || g > int_attr sp "probes" then
+        if not (g <= int_attr sp "probes" && int_attr sp "probes" = int_attr sp "reads") then
           Alcotest.failf "%s: round with %d guided, %d reads, %d probes" ctx g (int_attr sp "reads")
             (int_attr sp "probes"))
       rounds;

@@ -1,7 +1,8 @@
 (* The serve daemon under test: protocol units, a live in-process
-   server, overload floods, and two chaos scenarios — device faults
-   injected under concurrent client traffic, and kill -9 / restart of
-   the real binary mid-ingest (zero acknowledged-observation loss).
+   server, closed-loop load at K=1, 2 and 4 and K=2 x R=2, overload
+   floods, and two chaos scenarios — device faults injected under
+   concurrent client traffic, and kill -9 / restart of the real binary
+   mid-ingest (zero acknowledged-observation loss).
 
    The oracle strategy mirrors test_chaos: every answered query must
    sit within its self-reported rank-error bound of an exact oracle.
@@ -11,7 +12,8 @@
    stays exact over the recovered store.
 
    HSQ_SERVE_SOAK_SECS=N adds a soak suite that loops the chaos
-   scenarios under load for N seconds (the nightly job sets it). *)
+   scenarios and a 16-connection ingest-heavy load for N seconds (the
+   nightly job sets it). *)
 
 module E = Hsq.Engine
 module BD = Hsq_storage.Block_device
@@ -1196,6 +1198,119 @@ let run_kill_restart ~seed () =
       | _, Unix.WEXITED code -> Alcotest.failf "drained daemon exited %d" code
       | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "drained daemon killed by %d" s)
 
+(* --- closed-loop load ------------------------------------------------------- *)
+
+(* Closed-loop clients against an in-process daemon over a K x R group
+   preloaded with four archived steps and an open stream: each
+   connection issues one request, waits for the reply and repeats until
+   the clock runs out, drawing quick, accurate and 64-value observe
+   requests from a seeded [quick_pct]/[accurate_pct]/rest mix.  An
+   [overloaded] shed honours the daemon's retry-after hint, and a
+   [timeout] or a [shutting_down] are expected answers under load;
+   anything else that is not ok is a client-visible error.  With
+   [kill_replica], one replica of shard 0 is killed through [submit_fn]
+   halfway through the run and a probe quick must still answer fully
+   undegraded, while the clients keep going through the blip.  The run
+   must answer something, show no client-visible error, and drain to a
+   closed group. *)
+let closed_loop_load ?(conns = 4) ?(secs = 1.0) ?(shards = 1) ?(replicas = 1)
+    ?(kill_replica = false) ~mix:(quick_pct, accurate_pct) () =
+  let what =
+    Printf.sprintf "K=%d R=%d, %d conns, %d/%d/%d mix" shards replicas conns quick_pct
+      accurate_pct
+      (100 - quick_pct - accurate_pct)
+  in
+  let g = G.create (Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01)) in
+  let rng = Random.State.make [| 42; 7 |] in
+  for _ = 1 to 4 do
+    for _ = 1 to 20_000 do
+      G.observe g (Random.State.int rng 1_000_000)
+    done;
+    ignore (G.end_time_step g)
+  done;
+  for _ = 1 to 5_000 do
+    G.observe g (Random.State.int rng 1_000_000)
+  done;
+  let ok = Atomic.make 0 and errors = Atomic.make 0 and first_error = Atomic.make None in
+  let client_error msg =
+    Atomic.incr errors;
+    ignore (Atomic.compare_and_set first_error None (Some msg))
+  in
+  let worker listen ~seed ~deadline =
+    let rng = Random.State.make [| seed |] in
+    let phi () = `Phi (0.01 +. Random.State.float rng 0.98) in
+    let c = Client.connect listen in
+    let record r =
+      if Client.is_ok r then Atomic.incr ok
+      else
+        match Client.error_kind r with
+        | Some "overloaded" ->
+          Option.iter (fun ms -> Thread.delay (ms /. 1000.0)) (Client.retry_after_ms r)
+        | Some ("timeout" | "shutting_down") -> ()
+        | _ -> client_error (Json.to_string r)
+    in
+    (try
+       while Unix.gettimeofday () < deadline do
+         let pick = Random.State.int rng 100 in
+         record
+           (if pick < quick_pct then Client.quick c (phi ())
+            else if pick < quick_pct + accurate_pct then
+              Client.accurate c ~deadline_ms:500.0 (phi ())
+            else
+              Client.request c
+                (Json.Obj
+                   [
+                     ("op", Json.Str "observe");
+                     ( "values",
+                       Json.List (List.init 64 (fun _ -> Json.int (Random.State.int rng 1_000_000)))
+                     );
+                   ]))
+       done
+     with Client.Protocol_error msg -> client_error ("protocol error: " ^ msg));
+    Client.close c
+  in
+  let probe =
+    with_server g (fun srv listen ->
+        let deadline = Unix.gettimeofday () +. secs in
+        let workers =
+          List.init conns (fun i ->
+              Thread.create (fun () -> worker listen ~seed:(42 + (31 * i)) ~deadline) ())
+        in
+        let probe =
+          if not kill_replica then None
+          else begin
+            Thread.delay (secs /. 2.0);
+            Server.submit_fn srv (fun g ->
+                G.mark_replica_down g ~shard:0 ~replica:(replicas - 1)
+                  ~reason:"closed-loop load: replica killed");
+            let c = Client.connect listen in
+            let r = Client.quick c (`Phi 0.5) in
+            Client.close c;
+            Some r
+          end
+        in
+        List.iter Thread.join workers;
+        Server.stop srv;
+        probe)
+  in
+  Option.iter
+    (fun r ->
+      Alcotest.(check (option string))
+        (what ^ ": probe quick after the kill is undegraded")
+        (Some "none") (Json.get_str r "degradation"))
+    probe;
+  Alcotest.(check bool) (what ^ ": drain closed the group") true (G.is_closed g);
+  (match Atomic.get first_error with
+  | Some msg -> Alcotest.failf "%s: %d client-visible errors, first: %s" what (Atomic.get errors) msg
+  | None -> ());
+  Alcotest.(check bool) (what ^ ": requests answered") true (Atomic.get ok > 0)
+
+let test_closed_loop_load () =
+  closed_loop_load ~mix:(70, 20) ();
+  closed_loop_load ~shards:2 ~mix:(20, 10) ();
+  closed_loop_load ~shards:4 ~mix:(70, 20) ();
+  closed_loop_load ~shards:2 ~replicas:2 ~kill_replica:true ~mix:(70, 20) ()
+
 (* --- soak (nightly: HSQ_SERVE_SOAK_SECS) ------------------------------- *)
 
 let soak_secs =
@@ -1210,6 +1325,7 @@ let run_soak () =
     incr round;
     run_device_chaos ~seed:(100 + !round) ();
     run_kill_restart ~seed:(200 + !round) ();
+    closed_loop_load ~conns:16 ~secs:10.0 ~shards:2 ~mix:(20, 10) ();
     Printf.printf "soak: round %d done (%.0fs left)\n%!" !round
       (Float.max 0.0 (deadline -. Unix.gettimeofday ()))
   done
@@ -1236,6 +1352,7 @@ let () =
           Alcotest.test_case "mid-drain connect gets shutting_down" `Quick test_drain_race;
           Alcotest.test_case "sharded backend over the wire" `Quick test_sharded_server;
           Alcotest.test_case "replicated failover over the wire" `Quick test_replicated_server;
+          Alcotest.test_case "closed-loop load" `Quick test_closed_loop_load;
         ] );
       ( "one surface",
         [

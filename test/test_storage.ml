@@ -86,13 +86,14 @@ let test_device_fault_injection () =
   let dev = mem_dev () in
   let addr = Block_device.alloc dev 1 in
   Block_device.write_block dev ~addr (Array.make 8 1);
-  Block_device.set_fault dev (Some (fun op _ -> op = Block_device.Read));
+  Block_device.set_injector dev
+    (Some (fun op ~attempt:_ _ -> if op = Block_device.Read then Some Block_device.Fail else None));
   Alcotest.(check bool) "read faults" true
     (try
        ignore (Block_device.read_block dev ~addr);
        false
      with Block_device.Device_error _ -> true);
-  Block_device.set_fault dev None;
+  Block_device.set_injector dev None;
   Alcotest.(check (array int)) "recovers" (Array.make 8 1) (Block_device.read_block dev ~addr)
 
 (* --- Fault tolerance: retries, checksums, torn writes ---------------- *)
@@ -804,111 +805,6 @@ let prop_kway_merge_multiset =
       Hsq_util.Sorted.is_sorted (Array.of_list out)
       && List.sort compare out = List.sort compare (List.concat lists))
 
-(* --- Lru --------------------------------------------------------------- *)
-
-let test_lru_basics () =
-  let l = Lru.create ~capacity:2 in
-  Lru.put l 1 [| 10 |];
-  Lru.put l 2 [| 20 |];
-  Alcotest.(check bool) "find 1" true (Lru.find l 1 = Some [| 10 |]);
-  (* 2 is now LRU; inserting 3 evicts it *)
-  Lru.put l 3 [| 30 |];
-  Alcotest.(check bool) "2 evicted" false (Lru.mem l 2);
-  Alcotest.(check bool) "1 kept" true (Lru.mem l 1);
-  Alcotest.(check int) "size" 2 (Lru.size l);
-  Alcotest.(check int) "hits" 1 (Lru.hits l);
-  Alcotest.(check int) "misses" 0 (Lru.misses l)
-
-let test_lru_update_refreshes () =
-  let l = Lru.create ~capacity:2 in
-  Lru.put l 1 [| 1 |];
-  Lru.put l 2 [| 2 |];
-  Lru.put l 1 [| 11 |];
-  (* refresh 1: 2 becomes LRU *)
-  Lru.put l 3 [| 3 |];
-  Alcotest.(check bool) "2 evicted after refresh" false (Lru.mem l 2);
-  Alcotest.(check bool) "1 updated" true (Lru.find l 1 = Some [| 11 |])
-
-let test_lru_remove_and_clear () =
-  let l = Lru.create ~capacity:4 in
-  List.iter (fun k -> Lru.put l k [| k |]) [ 1; 2; 3 ];
-  Lru.remove l 2;
-  Alcotest.(check int) "size after remove" 2 (Lru.size l);
-  Lru.remove l 99;
-  (* no-op *)
-  Lru.clear l;
-  Alcotest.(check int) "cleared" 0 (Lru.size l);
-  (* reusable after clear *)
-  Lru.put l 5 [| 5 |];
-  Alcotest.(check bool) "works after clear" true (Lru.mem l 5)
-
-let prop_lru_never_exceeds_capacity =
-  QCheck.Test.make ~name:"LRU size never exceeds capacity" ~count:200
-    QCheck.(pair (int_range 1 8) (list (int_bound 20)))
-    (fun (cap, keys) ->
-      let l = Lru.create ~capacity:cap in
-      List.for_all
-        (fun k ->
-          Lru.put l k [| k |];
-          Lru.size l <= cap)
-        keys)
-
-(* --- Buffer pool ---------------------------------------------------------- *)
-
-let test_pool_serves_hits_without_io () =
-  let dev = mem_dev ~block_size:4 () in
-  let run = Run.of_sorted_array dev (Array.init 64 (fun i -> i)) in
-  Run.set_cache_enabled run false;
-  (* isolate the pool from the run cache *)
-  Block_device.enable_pool dev ~capacity:32;
-  let stats = Block_device.stats dev in
-  Io_stats.reset stats;
-  ignore (Run.get run 0);
-  ignore (Run.get run 0);
-  ignore (Run.get run 1);
-  (* same block: pooled *)
-  Alcotest.(check int) "one physical read" 1 (Io_stats.snapshot stats).Io_stats.reads;
-  (match Block_device.pool_stats dev with
-  | Some (hits, misses) ->
-    Alcotest.(check int) "hits" 2 hits;
-    Alcotest.(check int) "misses" 1 misses
-  | None -> Alcotest.fail "pool missing");
-  Block_device.disable_pool dev
-
-let test_pool_write_through_and_invalidate () =
-  let dev = mem_dev ~block_size:4 () in
-  Block_device.enable_pool dev ~capacity:8;
-  let addr = Block_device.alloc dev 1 in
-  Block_device.write_block dev ~addr [| 1; 2; 3; 4 |];
-  let stats = Block_device.stats dev in
-  Io_stats.reset stats;
-  (* write populated the pool: read is free *)
-  Alcotest.(check (array int)) "read back" [| 1; 2; 3; 4 |] (Block_device.read_block dev ~addr);
-  Alcotest.(check int) "no physical read" 0 (Io_stats.snapshot stats).Io_stats.reads;
-  (* freeing invalidates *)
-  Block_device.free dev ~addr ~nblocks:1;
-  Alcotest.(check bool) "freed read fails despite pool" true
-    (try
-       ignore (Block_device.read_block dev ~addr);
-       false
-     with Block_device.Device_error _ | Invalid_argument _ -> true);
-  Block_device.disable_pool dev
-
-let test_pool_capacity_evicts () =
-  let dev = mem_dev ~block_size:4 () in
-  let run = Run.of_sorted_array dev (Array.init 64 (fun i -> i)) in
-  Run.set_cache_enabled run false;
-  Block_device.enable_pool dev ~capacity:2;
-  let stats = Block_device.stats dev in
-  Io_stats.reset stats;
-  (* touch blocks 0,1,2 then 0 again: 0 was evicted -> physical read *)
-  ignore (Run.get run 0);
-  ignore (Run.get run 4);
-  ignore (Run.get run 8);
-  ignore (Run.get run 0);
-  Alcotest.(check int) "4 physical reads" 4 (Io_stats.snapshot stats).Io_stats.reads;
-  Block_device.disable_pool dev
-
 (* --- Breaker & backoff ---------------------------------------------- *)
 
 let test_backoff_deterministic () =
@@ -1112,20 +1008,6 @@ let () =
           Alcotest.test_case "requires two runs" `Quick test_kway_merge_requires_two;
           Alcotest.test_case "single pass io" `Quick test_kway_merge_io_is_single_pass;
           QCheck_alcotest.to_alcotest prop_kway_merge_multiset;
-        ] );
-      ( "lru",
-        [
-          Alcotest.test_case "basics" `Quick test_lru_basics;
-          Alcotest.test_case "update refreshes" `Quick test_lru_update_refreshes;
-          Alcotest.test_case "remove / clear" `Quick test_lru_remove_and_clear;
-          QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
-        ] );
-      ( "buffer_pool",
-        [
-          Alcotest.test_case "hits cost no io" `Quick test_pool_serves_hits_without_io;
-          Alcotest.test_case "write-through + invalidate" `Quick
-            test_pool_write_through_and_invalidate;
-          Alcotest.test_case "capacity evicts" `Quick test_pool_capacity_evicts;
         ] );
       ( "breaker",
         [
