@@ -5,18 +5,19 @@
                and report quantiles, accuracy, and I/O costs;
      stream    read integers from stdin, archiving a time step every N
                elements, and answer quantile queries at EOF;
-     query     reopen a saved warehouse (see --save-meta) and answer
-               quantile and heavy-hitter queries against it;
-     inspect   print a saved warehouse's partition layout, window
-               alignment, and memory footprint;
+     query     reopen a store and answer quantile and heavy-hitter
+               queries against it;
+     inspect   print a store's partition layout, window alignment, and
+               memory footprint;
      scrub     verify a store end to end (and repair with --repair);
-     status    report a durable store's health without opening it;
-     metrics   dump a saved warehouse's metric registry;
+     status    report a store's health without opening it;
+     metrics   dump a store's metric registry;
      serve     run the warehouse as a line-JSON daemon.
 
-   simulate, stream, query, scrub and serve each have one body over a
-   Shard_group, whatever --shards/--replicas say: [with_group] turns the
-   store flags into the group (a lone engine is its one-store case). *)
+   simulate, stream, query, inspect, scrub, metrics and serve each have
+   one body over a Shard_group, whatever --shards/--replicas say:
+   [with_group] opens the store --durable DIR names as the group (a
+   lone engine is its one-store case), or a volatile group without it. *)
 
 open Cmdliner
 
@@ -60,16 +61,11 @@ let phis =
   let doc = "Quantiles to report." in
   Arg.(value & opt phi_list [ 0.5; 0.95; 0.99 ] & info [ "quantiles"; "q" ] ~docv:"PHIS" ~doc)
 
-let device_path =
-  let doc = "Back the warehouse with this file instead of memory." in
-  Arg.(value & opt (some string) None & info [ "device" ] ~docv:"PATH" ~doc)
-
 let shards =
   let doc =
     "Shard the warehouse across $(docv) independent engines (own device, WAL, breaker, \
      quarantine per shard); ingest hash-routes and queries fuse the shards' answers with the \
-     same ±ε·m guarantee. 1 = a single engine (the default, and the only mode supporting \
-     --device)."
+     same ±ε·m guarantee. 1 = a single engine (the default)."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
@@ -93,7 +89,7 @@ let deadline_ms =
   in
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
-(* Durable-ingest options (simulate, stream). *)
+(* Store options. *)
 let wal_sync_conv =
   let parse s =
     let s = String.lowercase_ascii (String.trim s) in
@@ -117,8 +113,10 @@ let wal_sync_conv =
 
 let durable_dir =
   let doc =
-    "Durable ingest: root the warehouse, write-ahead log, and sketch checkpoints in $(docv) \
-     and recover whatever a previous (possibly crashed) run left there. Overrides --device."
+    "The store: its warehouse, write-ahead log, and sketch checkpoints live in $(docv). \
+     $(b,simulate), $(b,stream) and $(b,serve) create it or recover whatever a previous \
+     (possibly crashed) run left there, and run in memory without it; $(b,query), \
+     $(b,inspect), $(b,scrub) and $(b,metrics) read a store that exists."
   in
   Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR" ~doc)
 
@@ -137,10 +135,6 @@ let checkpoint_every =
 
 module G = Hsq_shard.Shard_group
 
-(* One store: the only topology a lone --device file or saved warehouse
-   can hold. *)
-let single_store (config : Hsq.Config.t) = config.shards = 1 && config.replicas = 1
-
 (* Labels name a store only when the layout has more than one. *)
 let store_label ~shards ~replicas ~shard ~replica =
   if replicas > 1 then Printf.sprintf "shard %d replica %d" shard replica
@@ -149,10 +143,14 @@ let store_label ~shards ~replicas ~shard ~replica =
 
 let group_label g = store_label ~shards:(G.shard_count g) ~replicas:(G.replica_count g)
 
+(* The label as a line prefix ("shard 1: "), empty at K = 1, R = 1. *)
+let group_prefix g ~shard ~replica =
+  match group_label g ~shard ~replica with "" -> "" | l -> l ^ ": "
+
 let report_recoveries g recoveries =
   List.iter
     (fun { G.shard; replica; outcome } ->
-      let who = match group_label g ~shard ~replica with "" -> "" | l -> l ^ ": " in
+      let who = group_prefix g ~shard ~replica in
       match outcome with
       | Ok (r : Hsq.Engine.recovery_report) ->
         if r.replayed > 0 || r.checkpoint_used || r.wal_tail <> None then
@@ -184,67 +182,36 @@ let guard f =
     Printf.eprintf "device error: %s\n" msg;
     1
 
-(* The saved warehouse behind --device/--meta (see simulate --save-meta),
-   handed to [k] and closed after it; a missing flag exits 2. *)
-let with_saved ~who ?query_deadline_ms device meta k =
-  match (device, meta) with
-  | Some device_path, Some meta_path ->
-    guard (fun () ->
-        let eng =
-          Hsq.Persist.load_files ?query_deadline_ms ~device_path ~meta_path ()
-        in
-        let code = k eng in
-        Hsq.Engine.close eng;
-        code)
-  | _ ->
-    Printf.eprintf "%s requires both --device and --meta\n" who;
-    2
-
-(* What the store flags of a subcommand name when --durable is absent:
-   simulate and stream start a warehouse, in memory or on the --device
-   file; query and scrub reopen the one simulate --save-meta left. *)
-type store_flags =
-  | Fresh of string option (* --device *)
-  | Saved of string option * string option (* --device, --meta *)
+(* A store directory a read-only subcommand cannot open: it is reported
+   and exits 2, and the path is not created. *)
+let missing_store dir =
+  let missing = not (Sys.file_exists dir && Sys.is_directory dir) in
+  if missing then Printf.eprintf "no such store directory: %s\n" dir;
+  missing
 
 (* The one way a subcommand gets its warehouse: a shard group at every K,
    handed to [k] and closed after it.  --durable DIR opens (or recovers)
-   the store rooted there; otherwise a saved warehouse or a fresh
-   --device file becomes a one-store group, and anything else a volatile
-   group.  [config.wal_dir] is set here. *)
-let with_group ~who ~config ?durable flags k =
+   the store rooted there; without it a volatile group stands in.  With
+   [~reopen:true] (query, inspect, scrub, metrics) the store must exist:
+   a missing DIR or a missing --durable exits 2, and nothing is created.
+   [config.wal_dir] is set here. *)
+let with_group ~who ~config ?(reopen = false) durable k =
   let run g =
     let code = k g in
     G.close g;
     code
   in
-  let device = match flags with Fresh d | Saved (d, _) -> d in
-  match (durable, flags) with
-  | Some dir, _ ->
-    if device <> None then
-      prerr_endline "warning: --device ignored with --durable (the store supplies its own)";
+  match durable with
+  | Some dir when reopen && missing_store dir -> 2
+  | Some dir ->
     guard (fun () ->
         let g, recoveries = G.open_or_recover { config with Hsq.Config.wal_dir = Some dir } in
         report_recoveries g recoveries;
         run g)
-  | None, Saved (device, meta) ->
-    if single_store config then
-      with_saved ~who ?query_deadline_ms:config.query_deadline_ms device meta (fun eng ->
-          run (G.of_engine eng))
-    else begin
-      Printf.eprintf "%s --shards/--replicas requires --durable DIR (the sharded store root)\n" who;
-      2
-    end
-  | None, Fresh (Some path) when single_store config ->
-    guard (fun () ->
-        let dev =
-          Hsq_storage.Block_device.create_file ~block_size:config.block_size ~path ()
-        in
-        run (G.of_engine (Hsq.Engine.create ~device:dev config)))
-  | None, Fresh _ ->
-    if device <> None then
-      prerr_endline "warning: --device ignored with --shards/--replicas (each store owns its device)";
-    run (G.create config)
+  | None when reopen ->
+    Printf.eprintf "%s requires --durable DIR\n" who;
+    2
+  | None -> run (G.create config)
 
 (* --- reports ------------------------------------------------------------ *)
 
@@ -296,6 +263,10 @@ let report_footprint ?update_io g =
       Printf.printf "update I/O total: %s\n" (Format.asprintf "%a" Hsq_storage.Io_stats.pp io))
     update_io
 
+(* A fused answer needs data on a serving shard; a store whose every
+   such shard is down has only the dark elements its footprint counts. *)
+let answerable g = G.total_size g > G.down_elements g
+
 let report_quantiles g phis =
   List.iter
     (fun phi ->
@@ -308,35 +279,19 @@ let report_quantiles g phis =
         | d ->
           Printf.sprintf "  [DEGRADED(%s): rank error <= %.0f]" (G.degradation_label d)
             report.G.rank_error_bound))
-    phis
+    (if answerable g then phis else [])
 
 (* --- simulate ---------------------------------------------------------- *)
 
-let save_meta =
-  let doc = "After the run, save warehouse metadata here (requires --device)." in
-  Arg.(value & opt (some string) None & info [ "save-meta" ] ~docv:"PATH" ~doc)
-
-let simulate dataset steps step_size seed epsilon kappa block_size device_path
-    deadline_ms phis verify save_meta durable wal_sync checkpoint_every shards replicas
-    stream_sketch =
+let simulate dataset steps step_size seed epsilon kappa block_size deadline_ms phis verify
+    durable wal_sync checkpoint_every shards replicas stream_sketch =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:steps
       ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
       (Hsq.Config.Epsilon epsilon)
   in
-  (* Only a one-store warehouse on a --device file has a sidecar to save. *)
-  let save_meta =
-    match save_meta with
-    | Some _ when not (single_store config) ->
-      prerr_endline "warning: --save-meta ignored with --shards/--replicas (stores keep their own sidecars)";
-      None
-    | Some _ when device_path = None ->
-      if durable = None then prerr_endline "warning: --save-meta ignored without --device";
-      None
-    | m -> m
-  in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
-  with_group ~who:"simulate" ~config ?durable (Fresh device_path) (fun g ->
+  with_group ~who:"simulate" ~config durable (fun g ->
       let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
       let update_io = ref Hsq_storage.Io_stats.zero in
       for step = 1 to steps do
@@ -364,11 +319,6 @@ let simulate dataset steps step_size seed epsilon kappa block_size device_path
                 (Hsq_workload.Oracle.relative_error o ~phi ~value:v))
             phis)
         oracle;
-      (match (save_meta, G.engine g 0) with
-      | Some meta, Some eng ->
-        Hsq.Persist.save eng ~path:meta;
-        Printf.printf "warehouse metadata saved to %s\n" meta
-      | _ -> ());
       0)
 
 let simulate_cmd =
@@ -396,19 +346,19 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const simulate $ dataset $ steps $ step_size $ seed $ epsilon $ kappa $ block_size
-      $ device_path $ deadline_ms $ phis $ verify $ save_meta $ durable_dir
-      $ wal_sync $ checkpoint_every $ shards $ replicas $ sketch_kind)
+      $ deadline_ms $ phis $ verify $ durable_dir $ wal_sync $ checkpoint_every $ shards
+      $ replicas $ sketch_kind)
 
 (* --- stream ------------------------------------------------------------- *)
 
-let stream step_every epsilon kappa block_size device_path deadline_ms phis
-    durable wal_sync checkpoint_every shards replicas stream_sketch =
+let stream step_every epsilon kappa block_size deadline_ms phis durable wal_sync
+    checkpoint_every shards replicas stream_sketch =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:100
       ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
       (Hsq.Config.Epsilon epsilon)
   in
-  with_group ~who:"stream" ~config ?durable (Fresh device_path) (fun g ->
+  with_group ~who:"stream" ~config durable (fun g ->
       let observe v =
         try G.observe g v with G.Shard_unavailable (i, reason) ->
           Printf.eprintf "[stream] DROPPED (shard %d down: %s)\n%!" i reason
@@ -455,18 +405,17 @@ let stream_cmd =
   Cmd.v
     (Cmd.info "stream" ~doc)
     Term.(
-      const stream $ step_every $ epsilon $ kappa $ block_size $ device_path
-      $ deadline_ms $ phis $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas
-      $ sketch_kind)
+      const stream $ step_every $ epsilon $ kappa $ block_size $ deadline_ms $ phis
+      $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas $ sketch_kind)
 
 (* --- query ---------------------------------------------------------------- *)
 
-let query device meta deadline_ms phis heavy trace durable shards replicas =
+let query deadline_ms phis heavy trace durable shards replicas =
   let config =
     Hsq.Config.make ?query_deadline_ms:deadline_ms ~shards ~replicas
       (Hsq.Config.Epsilon 0.01)
   in
-  with_group ~who:"query" ~config ?durable (Saved (device, meta)) (fun g ->
+  with_group ~who:"query" ~config ~reopen:true durable (fun g ->
       if G.total_size g = 0 then begin
         prerr_endline "empty store";
         1
@@ -519,9 +468,6 @@ let query device meta deadline_ms phis heavy trace durable shards replicas =
       end)
 
 let query_cmd =
-  let meta =
-    Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"PATH" ~doc:"Metadata sidecar.")
-  in
   let heavy =
     let doc = "Also report values with frequency >= PHI (e.g. 0.01)." in
     Arg.(value & opt (some float) None & info [ "heavy" ] ~docv:"PHI" ~doc)
@@ -533,54 +479,62 @@ let query_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let doc =
-    "Query a previously saved warehouse (see simulate --save-meta) or a durable store (see \
-     --durable)."
-  in
+  let doc = "Query the store a simulate, stream or serve run left (see --durable)." in
   Cmd.v (Cmd.info "query" ~doc)
-    Term.(
-      const query $ device_path $ meta $ deadline_ms $ phis $ heavy $ trace
-      $ durable_dir $ shards $ replicas)
+    Term.(const query $ deadline_ms $ phis $ heavy $ trace $ durable_dir $ shards $ replicas)
 
 (* --- inspect --------------------------------------------------------------- *)
 
-let inspect device meta =
-  with_saved ~who:"inspect" device meta (fun eng ->
-      let g = G.of_engine eng in
+let inspect durable shards replicas =
+  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+  with_group ~who:"inspect" ~config ~reopen:true durable (fun g ->
       report_footprint g;
-      let hist = Hsq.Engine.hist eng in
-      Printf.printf "\npartition layout (newest first):\n";
+      (* Each read replica's index, under its label. *)
+      let stores =
+        List.map
+          (fun (i, e) ->
+            let reads_through j =
+              match G.replica_engine g ~shard:i ~replica:j with Some r -> r == e | None -> false
+            in
+            let j = List.find reads_through (List.init (G.replica_count g) Fun.id) in
+            (group_prefix g ~shard:i ~replica:j, Hsq.Engine.hist e))
+          (G.engines g)
+      in
       List.iter
-        (fun p ->
-          Printf.printf "  %s  summary=%d entries\n"
-            (Format.asprintf "%a" Hsq_hist.Partition.pp p)
-            (Hsq_hist.Partition_summary.length (Hsq_hist.Partition.summary p)))
-        (Hsq_hist.Level_index.partitions hist);
-      (match Hsq_hist.Level_index.expired_through hist with
-      | 0 -> ()
-      | through -> Printf.printf "retention: steps 1..%d expired\n" through);
+        (fun (who, hist) ->
+          Printf.printf "\n%spartition layout (newest first):\n" who;
+          List.iter
+            (fun p ->
+              Printf.printf "  %s  summary=%d entries\n"
+                (Format.asprintf "%a" Hsq_hist.Partition.pp p)
+                (Hsq_hist.Partition_summary.length (Hsq_hist.Partition.summary p)))
+            (Hsq_hist.Level_index.partitions hist);
+          match Hsq_hist.Level_index.expired_through hist with
+          | 0 -> ()
+          | through -> Printf.printf "%sretention: steps 1..%d expired\n" who through)
+        stores;
       Printf.printf "answerable windows (steps): %s\n"
         (String.concat ", " (List.map string_of_int (G.window_sizes g)));
       Printf.printf "aligned range boundaries: %s\n"
         (String.concat ", "
            (List.map (fun (a, b) -> Printf.sprintf "[%d-%d]" a b) (G.range_boundaries g)));
-      (match Hsq_hist.Level_index.check_invariants hist with
-      | [] -> print_endline "invariants: OK"
-      | errs -> List.iter (fun e -> Printf.printf "INVARIANT VIOLATION: %s\n" e) errs);
-      0)
+      List.iter
+        (fun (who, hist) ->
+          match Hsq_hist.Level_index.check_invariants hist with
+          | [] -> Printf.printf "%sinvariants: OK\n" who
+          | errs -> List.iter (fun e -> Printf.printf "%sINVARIANT VIOLATION: %s\n" who e) errs)
+        stores;
+      if G.shards_down g = [] then 0 else 1)
 
 let inspect_cmd =
-  let meta =
-    Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"PATH" ~doc:"Metadata sidecar.")
-  in
-  let doc = "Print a saved warehouse's layout, windows, and health." in
-  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ device_path $ meta)
+  let doc = "Print a store's layout, windows, and health." in
+  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ durable_dir $ shards $ replicas)
 
 (* --- scrub ----------------------------------------------------------------- *)
 
-let scrub device meta repair durable shards replicas =
+let scrub repair durable shards replicas =
   let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
-  with_group ~who:"scrub" ~config ?durable (Saved (device, meta)) (fun g ->
+  with_group ~who:"scrub" ~config ~reopen:true durable (fun g ->
       let errors = ref 0 in
       (* Media scrub of every live replica store. *)
       List.iter
@@ -613,11 +567,6 @@ let scrub device meta repair durable shards replicas =
               else Printf.printf "SCRUB ERROR [%s]: %s\n" who e)
             r.errors)
         (G.scrub_all ~repair g);
-      (* A saved warehouse keeps its quarantine set in the sidecar, so
-         later opens honour it. *)
-      (match (durable, meta, G.engine g 0) with
-      | None, Some meta_path, Some eng when repair -> Hsq.Persist.save eng ~path:meta_path
-      | _ -> ());
       (* Anti-entropy digest pass (replicated durable stores): replicas
          of a shard apply identical op sequences, so any digest
          disagreement is real divergence. *)
@@ -673,22 +622,19 @@ let scrub device meta repair durable shards replicas =
       else 1)
 
 let scrub_cmd =
-  let meta =
-    Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"PATH" ~doc:"Metadata sidecar.")
-  in
   let repair =
     let doc =
       "Act on what the scrub finds: quarantine partitions that fail verification, re-verify \
-       and reinstate previously quarantined ones, and save the updated sidecar."
+       and reinstate previously quarantined ones, and repair diverged replicas from their \
+       healthiest sibling."
     in
     Arg.(value & flag & info [ "repair" ] ~doc)
   in
   let doc =
-    "Verify a saved warehouse or durable store end to end: re-read every partition, checking \
-     block checksums and sortedness. Exits non-zero if any damage is found."
+    "Verify a store end to end: re-read every partition, checking block checksums and \
+     sortedness. Exits non-zero if any damage is found."
   in
-  Cmd.v (Cmd.info "scrub" ~doc)
-    Term.(const scrub $ device_path $ meta $ repair $ durable_dir $ shards $ replicas)
+  Cmd.v (Cmd.info "scrub" ~doc) Term.(const scrub $ repair $ durable_dir $ shards $ replicas)
 
 (* --- status (durable store health) ----------------------------------------- *)
 
@@ -780,10 +726,7 @@ let status_one dir health =
    (answers degraded) exits 1.  A missing root or a store written with
    ingest lanes exits 2. *)
 let status dir shards replicas health =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "no such store directory: %s\n" dir;
-    2
-  end
+  if missing_store dir then 2
   else begin
     guard @@ fun () ->
     let stores = shards * replicas in
@@ -855,23 +798,23 @@ let status_cmd =
 
 (* --- metrics --------------------------------------------------------------- *)
 
-let metrics device meta format phis no_exercise =
-  with_saved ~who:"metrics" device meta (fun eng ->
+let metrics format phis no_exercise durable shards replicas =
+  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+  with_group ~who:"metrics" ~config ~reopen:true durable (fun g ->
       (* Answer the requested quantiles silently first so the query-path
          metrics (latency histograms, probe counters, cache hits) carry
          real observations, not just the load-time I/O. *)
-      if not no_exercise then List.iter (fun phi -> ignore (Hsq.Engine.quantile eng phi)) phis;
-      let reg = Hsq.Engine.metrics eng in
-      Hsq_obs.Process.register reg;
+      if not no_exercise && answerable g then
+        List.iter (fun phi -> ignore (G.quantile g phi)) phis;
+      (* The daemon's metrics verb renders through the same exporters. *)
+      let extra = Hsq_obs.Metrics.create () in
+      Hsq_obs.Process.register extra;
       (match format with
-      | `Json -> print_endline (Hsq_obs.Metrics.to_json reg)
-      | `Prometheus -> print_string (Hsq_obs.Metrics.to_prometheus reg));
-      0)
+      | `Json -> print_endline (G.metrics_json ~extra g)
+      | `Prometheus -> print_string (G.metrics_prometheus ~extra g));
+      if G.shards_down g = [] then 0 else 1)
 
 let metrics_cmd =
-  let meta =
-    Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"PATH" ~doc:"Metadata sidecar.")
-  in
   let format =
     let doc = "Output format: $(b,prometheus) (text exposition) or $(b,json)." in
     Arg.(
@@ -884,11 +827,12 @@ let metrics_cmd =
     Arg.(value & flag & info [ "no-exercise" ] ~doc)
   in
   let doc =
-    "Load a saved warehouse, answer the --quantiles against it, and dump its metric registry \
-     (I/O counters, query latency histograms, cache and pool statistics)."
+    "Open a store, answer the --quantiles against it, and dump its metric registry (I/O \
+     counters, query latency histograms, cache statistics); one section per store when \
+     --shards/--replicas name more than one."
   in
   Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(const metrics $ device_path $ meta $ format $ phis $ no_exercise)
+    Term.(const metrics $ format $ phis $ no_exercise $ durable_dir $ shards $ replicas)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -920,7 +864,7 @@ let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
         ~checkpoint_every ~shards ~replicas ~stream_sketch
         (Hsq.Config.Epsilon epsilon)
     in
-    with_group ~who:"serve" ~config:store_config ?durable (Fresh None) (fun g ->
+    with_group ~who:"serve" ~config:store_config durable (fun g ->
         try
           let srv = Hsq_serve.Server.create config g in
           (* Signal handlers only flip the stop atomic; the accept loop

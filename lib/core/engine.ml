@@ -224,8 +224,6 @@ let set_tracer t tr =
   t.tracer <- tr;
   Hsq_storage.Io_stats.set_tracer (Hsq_storage.Block_device.stats t.dev) tr
 
-let tracer t = t.tracer
-
 (* Hand the buffered elements off: one sorted merge into the sketch
    (StreamUpdate, Algorithm 4, batched) and one run onto the step spool.
    Every read of the stream side calls this first.  The engine is
@@ -373,7 +371,6 @@ let expire t ~keep_steps = Hsq_hist.Level_index.expire t.hist ~keep_steps
 
 let stream_summary t = Stream_summary.extract (stream_sketch t)
 
-let sketch_kind t = Stream_sketch.kind t.gk
 let sketch_label t = Stream_sketch.kind_label t.gk
 
 (* A private deep copy of the open step's KLL sketch (None under GK).

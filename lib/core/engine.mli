@@ -90,14 +90,11 @@ val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> uni
     by contract. *)
 val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 
-val tracer : t -> Hsq_obs.Trace.t option
 val hist : t -> Hsq_hist.Level_index.t
 val stream_sketch : t -> Stream_sketch.t
 
-(** Which ε₂ sketch kind the open step runs ([`Gk] or [`Kll]), and its
-    label ("gk"/"kll") for status and metrics surfaces. *)
-val sketch_kind : t -> [ `Gk | `Kll ]
-
+(** Which ε₂ sketch kind the open step runs, as a label ("gk"/"kll")
+    for status and metrics surfaces. *)
 val sketch_label : t -> string
 
 (** Snapshot-consistent deep copy of the open step's KLL sketch;

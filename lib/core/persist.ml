@@ -4,8 +4,8 @@
    {!Meta} module owns the plain-text metadata sidecar (render, parse,
    atomic write, index restore) so that Engine's recovery manager can
    share it.  This module keeps the engine-facing API: [save] renders
-   the current engine, [load] re-attaches a restored index to a fresh
-   engine, [scrub] verifies the warehouse end to end.
+   the current engine, [load_files] re-attaches a restored index to a
+   fresh engine, [scrub] verifies the warehouse end to end.
 
    Crash safety (DESIGN.md, "Fault model & recovery"):
    - [save] is crash-atomic: the sidecar is written to a temp file with
@@ -15,8 +15,8 @@
    - each successful [save] is the durable commit record of the merge
      commit protocol (Level_index.merge_level): a crash during a merge
      or batch load leaves the blocks named by the last checkpoint
-     physically intact, so [load] rolls the uncommitted work back simply
-     by re-attaching that checkpoint's partition table;
+     physically intact, so [load_files] rolls the uncommitted work back
+     simply by re-attaching that checkpoint's partition table;
    - [scrub] re-reads every live partition block, verifying the
      per-block checksums and cross-block sortedness, turning latent bit
      rot into a report instead of a wrong answer.
@@ -36,24 +36,11 @@ let render_metadata engine =
 
 let save engine ~path = Meta.write ~path (render_metadata engine)
 
-let load ~device ~path =
-  let config, hist = Meta.load_hist ~device ~path in
-  Engine.of_restored ~device config hist
-
-(* Convenience: reopen the device file and the metadata together.
-   [query_deadline_ms] is runtime policy (never persisted in the
-   sidecar), so a restored engine takes it from the caller, exactly
-   like [Engine.open_or_recover]. *)
-let load_files ?metrics ?query_deadline_ms ~device_path ~meta_path () =
+(* Reopen the device file and the metadata together. *)
+let load_files ~device_path ~meta_path () =
   let block_size = Meta.peek_block_size meta_path in
-  let device = Hsq_storage.Block_device.open_file ?metrics ~block_size ~path:device_path () in
+  let device = Hsq_storage.Block_device.open_file ~block_size ~path:device_path () in
   let config, hist = Meta.load_hist ~device ~path:meta_path in
-  let config =
-    match query_deadline_ms with
-    | None -> config
-    | Some d when not (d > 0.0) -> invalid_arg "Persist.load_files: query_deadline_ms must be > 0"
-    | Some _ -> { config with Config.query_deadline_ms }
-  in
   Engine.of_restored ~device config hist
 
 (* --- Scrub ------------------------------------------------------------- *)

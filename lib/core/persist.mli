@@ -3,16 +3,17 @@
 
     The block-device file holds every partition's data; a plain-text
     metadata sidecar records the configuration and partition table.
-    [load] re-attaches the partitions and rebuilds each summary with at
-    most β₁ block reads. The live stream is volatile by design
+    [load_files] re-attaches the partitions and rebuilds each summary
+    with at most β₁ block reads. The live stream is volatile by design
     (Figure 1): a restored engine starts with an empty stream.
 
     [save] is crash-atomic (temp file + whole-file checksum + rename)
     and doubles as the durable commit record of the merge commit
     protocol: a crash during ingestion or a multi-way merge leaves every
-    block named by the last checkpoint physically intact, so [load]
-    rolls uncommitted work back by re-attaching the checkpointed
-    partition table. [scrub] verifies the warehouse end to end. *)
+    block named by the last checkpoint physically intact, so
+    [load_files] rolls uncommitted work back by re-attaching the
+    checkpointed partition table. [scrub] verifies the warehouse end to
+    end. *)
 
 (** Alias of {!Meta.Corrupt_metadata} (the sidecar machinery lives
     there); both names match the same exception. *)
@@ -26,28 +27,17 @@ val meta_checksum : string -> int
     sidecar is rendered with a trailing whole-file checksum line,
     written to [path ^ ".tmp"], and renamed into place. The engine's
     device should be file-backed for the data itself to survive. Each
-    successful call is a durable checkpoint that [load] can roll back
-    to. *)
+    successful call is a durable checkpoint that [load_files] can roll
+    back to. *)
 val save : Engine.t -> path:string -> unit
 
-(** Restore an engine from a (reopened) device and its metadata.
-    Raises {!Corrupt_metadata} on version/parse/checksum/invariant
-    mismatches, including unsorted on-disk partitions and partitions
-    whose blocks fail their device checksums. *)
-val load : device:Hsq_storage.Block_device.t -> path:string -> Engine.t
-
 (** Reopen [device_path] (block size taken from the metadata) and
-    [load]. [metrics] is the registry the restored store's metrics (device I/O,
-    engine query counters, …) are registered in — pass one to export
-    them from your own collection endpoint; omitted, the store gets a
-    private registry reachable via [Engine.metrics]. *)
-val load_files :
-  ?metrics:Hsq_obs.Metrics.t ->
-  ?query_deadline_ms:float ->
-  device_path:string ->
-  meta_path:string ->
-  unit ->
-  Engine.t
+    restore an engine from it and its metadata; the store's metrics
+    live in a private registry reachable via [Engine.metrics]. Raises
+    {!Corrupt_metadata} on version/parse/checksum/invariant mismatches,
+    including unsorted on-disk partitions and partitions whose blocks
+    fail their device checksums. *)
+val load_files : device_path:string -> meta_path:string -> unit -> Engine.t
 
 (** {2 Scrub} *)
 

@@ -49,23 +49,6 @@ type hist_agg = {
   agg_hist_elements : int;
 }
 
-let hist_agg_size agg = Array.length agg.hvalues
-let hist_agg_elements agg = agg.agg_hist_elements
-
-(* Bounds of the step function at any v: constant on [hvalues.(k-1),
-   hvalues.(k)), so it is the bounds recorded at the largest summary
-   value <= v (the base sums when v is below all of them). *)
-let hist_agg_bounds agg v =
-  let hv = agg.hvalues in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if hv.(mid) <= v then go (mid + 1) hi else go lo mid
-  in
-  let k = go 0 (Array.length hv) in
-  if k = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(k - 1), agg.hhi.(k - 1))
-
 (* Minimal binary min-heap over (value, source) pairs, as in
    Kway_merge; ties break on source index for determinism. *)
 module Heap = struct

@@ -24,15 +24,6 @@ type hist_agg
 (** Merge the given partitions' summaries into an aggregate. *)
 val hist_aggregate : partitions:Hsq_hist.Partition.t list -> hist_agg
 
-(** Number of distinct summary values in the aggregate. *)
-val hist_agg_size : hist_agg -> int
-
-(** Total elements in the aggregated partitions. *)
-val hist_agg_elements : hist_agg -> int
-
-(** [(Σ lower_P v, Σ upper_P v)] for any value [v]; one binary search. *)
-val hist_agg_bounds : hist_agg -> int -> int * int
-
 (** Merge a (pre-built) historical aggregate with a fresh stream
     summary — the steady-state query path, linear in both sizes. *)
 val build_from_agg : agg:hist_agg -> stream:Stream_summary.t -> t

@@ -141,8 +141,6 @@ let num_levels t =
   Array.iteri (fun i ps -> if ps <> [] then n := i + 1) t.levels;
   !n
 
-let level_partitions t l = if l < Array.length t.levels then t.levels.(l) else []
-
 (* All partitions, newest time range first. *)
 let partitions t =
   let all = Array.to_list t.levels |> List.concat in

@@ -50,8 +50,6 @@ val epoch : t -> int
 (** Number of non-empty levels (≤ ⌈log_κ T⌉ + 1). *)
 val num_levels : t -> int
 
-val level_partitions : t -> int -> Partition.t list
-
 (** All partitions, newest time range first. *)
 val partitions : t -> Partition.t list
 

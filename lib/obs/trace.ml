@@ -161,15 +161,3 @@ let to_json span =
   in
   go span;
   Buffer.contents b
-
-let pp fmt span =
-  let rec go indent s =
-    let attr_s =
-      match attrs s with
-      | [] -> ""
-      | kvs -> " [" ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) ^ "]"
-    in
-    Format.fprintf fmt "%s%s %.1fus%s@." indent s.sname (s.dur *. 1e6) attr_s;
-    List.iter (go (indent ^ "  ")) (children s)
-  in
-  go "" span

@@ -11,10 +11,10 @@
     Concurrency: a trace keeps a current-span stack for the common
     single-domain call nesting ({!with_span}), and {!with_child} takes
     an explicit parent and never touches the stack — that is what the
-    parallel partition probes use, so spans created on pool worker
-    domains attach to the right bisection iteration without racing on
-    the stack. All span-tree mutation is serialized by the trace's
-    mutex.
+    bisection's probe rounds use, so a round span attaches to its
+    iteration whatever the stack holds, and a span opened on another
+    domain never races on the stack. All span-tree mutation is
+    serialized by the trace's mutex.
 
     Tracing is strictly opt-in (an untraced engine pays one [None]
     check per instrumented site). A trace retains every span it
@@ -71,6 +71,3 @@ val find_all : span -> string -> span list
 (** One span tree as a JSON object:
     [{"name":..,"dur_us":..,"attrs":{..},"children":[..]}]. *)
 val to_json : span -> string
-
-(** Indented human-readable tree (the [--trace] report format). *)
-val pp : Format.formatter -> span -> unit

@@ -288,10 +288,6 @@ let all_live t =
   done;
   !out
 
-let live_replicas t i =
-  if i < 0 || i >= t.k then invalid_arg "Shard_group.live_replicas: shard index out of range";
-  List.map fst (live_replicas_of t.slots.(i))
-
 let shards_down t =
   let down = ref [] in
   for i = t.k - 1 downto 0 do

@@ -153,9 +153,6 @@ val replicas_down : t -> (int * int) list
 (** Replicas currently flagged by anti-entropy, lexicographic. *)
 val diverged_replicas : t -> (int * int) list
 
-(** Live replica indices of a shard, ascending. *)
-val live_replicas : t -> int -> int list
-
 (** The replica shard [i] currently serves reads through ([None] when
     the whole replica set is down). Callers must respect the
     single-submitter contract. *)

@@ -26,8 +26,8 @@
 
    The clock is injectable ([?now]) so the state machine is unit-testable
    without sleeping; production uses Metrics.now_s.  All state is behind
-   one mutex — the probe pool calls [allow]/[success]/[failure] from
-   several domains. *)
+   one mutex, so callers on several threads or domains see one state
+   machine. *)
 
 module Metrics = Hsq_obs.Metrics
 

@@ -102,4 +102,3 @@ let by_name ~seed = function
   | other -> invalid_arg (Printf.sprintf "Datasets.by_name: unknown dataset %S" other)
 
 let names = [ "uniform"; "normal"; "wikipedia"; "network" ]
-let all ~seed = List.map (fun n -> by_name ~seed n) names

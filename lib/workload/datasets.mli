@@ -24,4 +24,3 @@ val network : seed:int -> t
 val by_name : seed:int -> string -> t
 
 val names : string list
-val all : seed:int -> t list

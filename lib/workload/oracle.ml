@@ -17,7 +17,6 @@ let count t = Hsq_sketch.Exact.count t.exact
 let rank_of t v = Hsq_sketch.Exact.rank_of t.exact v
 let quantile t phi = Hsq_sketch.Exact.quantile t.exact phi
 let select t r = Hsq_sketch.Exact.query_rank t.exact r
-let sorted t = Hsq_sketch.Exact.sorted_view t.exact
 
 let rank_error t ~rank ~value =
   let upper = rank_of t value in

@@ -20,9 +20,6 @@ val quantile : t -> float -> int
 (** Exact element of rank r (1-based, clamped). *)
 val select : t -> int -> int
 
-(** All elements, sorted (fresh array). *)
-val sorted : t -> int array
-
 val rank_error : t -> rank:int -> value:int -> int
 
 (** |r − r̂| / (φ·N) for the φ-quantile query answered with [value]. *)

@@ -1,19 +1,23 @@
 (* CLI-level exit-code contract, driven against the real hsq binary
    (path injected by dune through HSQ_BIN):
 
+   - every store is named by --durable DIR: query, inspect, scrub and
+     metrics exit 2 without it or on a missing DIR (which they do not
+     create), and the removed --device/--meta/--save-meta flags are
+     rejected as unknown options;
    - scrub exits 0 on a clean store, 1 on a corrupt one, 2 on missing
      arguments — so cron jobs can alert on store damage;
    - status exits 0 on a healthy durable store, 1 on a damaged one,
      2 on a missing directory;
    - metrics follows the same 0/1/2 convention and emits parseable
-     JSON / Prometheus text;
+     JSON / Prometheus text, flat at one shard and per shard at two;
    - query --trace prints one round span per batch of partition reads,
      whose reads add up to the printed disk accesses;
    - query --heavy prints the same exact hits at one shard and at three;
    - simulate --verify prints pinned answers and bisection steps on the
      four datasets and on a replicated shard group;
-   - inspect prints a saved warehouse's windows and range boundaries,
-     and exits 2 without --meta;
+   - inspect prints a store's windows and range boundaries, and every
+     shard's partition layout on a sharded store;
    - every store-opening subcommand exits 2 on a store written with
      ingest lanes, while a lane-format checkpoint or commit marker left
      in a single-log store still recovers. *)
@@ -82,17 +86,18 @@ let ints_after hay key =
 (* Total of the "disk accesses: N" counts on the answer lines. *)
 let disk_accesses out = List.fold_left ( + ) 0 (ints_after out "disk accesses: ")
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let with_temp_dir f =
   let dir = Filename.temp_file "hsq_cli" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
 
 let flip_byte path off =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -104,61 +109,134 @@ let flip_byte path off =
   ignore (Unix.write fd b 0 1);
   Unix.close fd
 
-(* A small saved warehouse (device + sidecar) for scrub to chew on. *)
+(* A small durable store for scrub, inspect and metrics to chew on:
+   four archived steps of 800 and an open step of 400 (simulate leaves
+   half a batch in the WAL). *)
 let build_store dir =
-  let dev = Filename.concat dir "store.dev" in
-  let meta = Filename.concat dir "store.meta" in
-  let code =
-    run
-      (Printf.sprintf
-         "simulate --steps 4 --step-size 800 --block-size 32 --device %s --save-meta %s"
-         (quote dev) (quote meta))
-  in
-  Alcotest.(check int) "simulate exits 0" 0 code;
-  (dev, meta)
+  let store = Filename.concat dir "store" in
+  Alcotest.(check int) "durable simulate exits 0" 0
+    (run
+       (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
+          (quote store)));
+  store
 
 let test_scrub_clean () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
-      Alcotest.(check int) "scrub on a clean store" 0
-        (run (Printf.sprintf "scrub --device %s --meta %s" (quote dev) (quote meta))))
+      let store = build_store dir in
+      Alcotest.(check int) "scrub on a clean store" 0 (run ("scrub --durable " ^ quote store)))
 
 let test_scrub_corrupt_device () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
+      let store = build_store dir in
       (* Flip a bit in the middle of the device file: block data or its
          checksum word — scrub must fail either way. *)
+      let dev = Filename.concat store "device.blocks" in
       flip_byte dev ((Unix.stat dev).Unix.st_size / 2);
-      Alcotest.(check int) "scrub on a corrupt device" 1
-        (run (Printf.sprintf "scrub --device %s --meta %s" (quote dev) (quote meta))))
+      Alcotest.(check int) "scrub on a corrupt device" 1 (run ("scrub --durable " ^ quote store)))
 
+(* The shard's only store fails to open: the shard is down, and every
+   read-only subcommand exits 1 (metrics: see "corrupt sidecar" there). *)
 let test_scrub_corrupt_meta () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
-      flip_byte meta 3;
-      Alcotest.(check int) "scrub on a corrupt sidecar" 1
-        (run (Printf.sprintf "scrub --device %s --meta %s" (quote dev) (quote meta))))
+      let store = build_store dir in
+      flip_byte (Filename.concat store "meta") 3;
+      List.iter
+        (fun cmd ->
+          Alcotest.(check int) (cmd ^ " on a corrupt sidecar") 1
+            (run (Printf.sprintf "%s --durable %s" cmd (quote store))))
+        [ "scrub"; "query"; "inspect" ])
 
 let test_scrub_missing_args () =
-  Alcotest.(check int) "scrub without --device/--meta" 2 (run "scrub")
+  Alcotest.(check int) "scrub without --durable" 2 (run "scrub")
 
-let test_inspect_saved () =
+(* The read-only subcommands never create a store: a typo'd DIR exits 2
+   at any K, and the path is still absent afterwards. *)
+let test_missing_store_not_created () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
+      let nope = Filename.concat dir "nope" in
+      List.iter
+        (fun cmd ->
+          List.iter
+            (fun topo ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s on a missing store%s" cmd topo)
+                2
+                (run (Printf.sprintf "%s --durable %s%s" cmd (quote nope) topo));
+              Alcotest.(check bool)
+                (Printf.sprintf "%s%s leaves the path absent" cmd topo)
+                false (Sys.file_exists nope))
+            [ ""; " --shards 2" ])
+        [ "query"; "inspect"; "scrub"; "metrics" ])
+
+(* --device, --meta and --save-meta are gone: cmdliner rejects each as
+   an unknown option (exit 124) before anything runs. *)
+let test_removed_flags_rejected () =
+  with_temp_dir (fun dir ->
+      let f = quote (Filename.concat dir "f") in
+      List.iter
+        (fun args ->
+          Alcotest.(check int) (args ^ " is rejected") 124 (run (Printf.sprintf "%s %s" args f)))
+        [
+          "simulate --steps 1 --step-size 10 --device";
+          "simulate --steps 1 --step-size 10 --save-meta";
+          "stream --device";
+          "query --device";
+          "query --meta";
+          "inspect --device";
+          "inspect --meta";
+          "scrub --device";
+          "scrub --meta";
+          "metrics --device";
+          "metrics --meta";
+        ];
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists (Filename.concat dir "f")))
+
+let test_inspect () =
+  with_temp_dir (fun dir ->
+      let store = build_store dir in
+      let code, out = run_capture ("inspect --durable " ^ quote store) in
+      Alcotest.(check int) "inspect exits 0" 0 code;
+      List.iter
+        (fun line ->
+          if not (contains out line) then Alcotest.failf "inspect output lacks %S:\n%s" line out)
+        [
+          "\npartition layout (newest first):\n";
+          "answerable windows (steps): 1, 2, 3, 4\n";
+          "aligned range boundaries: [1-1], [2-2], [3-3], [4-4]\n";
+          "invariants: OK\n";
+        ];
+      Alcotest.(check int) "inspect without --durable" 2 (run "inspect"))
+
+(* A two-shard store: inspect lays out both shards, labelled, and the
+   metrics dump nests them under "shards". *)
+let test_two_shards () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Alcotest.(check int) "sharded simulate exits 0" 0
+        (run
+           (Printf.sprintf
+              "simulate --shards 2 --steps 4 --step-size 800 --block-size 32 --durable %s"
+              (quote store)));
       let code, out =
-        run_capture (Printf.sprintf "inspect --device %s --meta %s" (quote dev) (quote meta))
+        run_capture (Printf.sprintf "inspect --durable %s --shards 2" (quote store))
       in
       Alcotest.(check int) "inspect exits 0" 0 code;
       List.iter
         (fun line ->
           if not (contains out line) then Alcotest.failf "inspect output lacks %S:\n%s" line out)
         [
+          "\nshard 0: partition layout (newest first):\n";
+          "\nshard 1: partition layout (newest first):\n";
           "answerable windows (steps): 1, 2, 3, 4\n";
-          "aligned range boundaries: [1-1], [2-2], [3-3], [4-4]\n";
-          "invariants: OK\n";
+          "shard 0: invariants: OK\n";
+          "shard 1: invariants: OK\n";
         ];
-      Alcotest.(check int) "inspect without --meta" 2
-        (run (Printf.sprintf "inspect --device %s" (quote dev))))
+      let code, out =
+        run_capture (Printf.sprintf "metrics --durable %s --shards 2 --format json" (quote store))
+      in
+      Alcotest.(check int) "metrics exits 0" 0 code;
+      Alcotest.(check bool) "per-shard sections" true (contains out "\"shards\":{\"0\":");
+      Alcotest.(check bool) "both shards" true (contains out ",\"1\":{"))
 
 let test_status_healthy_and_damaged () =
   with_temp_dir (fun dir ->
@@ -194,13 +272,6 @@ let test_status_missing_dir () =
    intact keeps every answer at full precision, so status exits 0 with
    a warning; only a shard with NO intact replica exits 1.  scrub
    --repair converges the damaged replica back from its sibling. *)
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let test_status_replicated_contract () =
   with_temp_dir (fun dir ->
       let store = Filename.concat dir "store" in
@@ -255,22 +326,13 @@ let build_durable_store dir =
           (quote input)));
   store
 
-(* At one shard, --durable DIR reaches the store a durable run left:
-   the same answers as reopening its device and sidecar directly. *)
+(* At one shard, --durable DIR reaches the store a durable run left. *)
 let test_query_durable_one_shard () =
   with_temp_dir (fun dir ->
       let store = build_durable_store dir in
-      let code, durable = run_capture (Printf.sprintf "query --durable %s -q 0.1,0.5,0.99" (quote store)) in
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.1,0.5,0.99" (quote store)) in
       Alcotest.(check int) "query --durable exits 0" 0 code;
-      let code, saved =
-        run_capture
-          (Printf.sprintf "query --device %s --meta %s -q 0.1,0.5,0.99"
-             (quote (Filename.concat store "device.blocks"))
-             (quote (Filename.concat store "meta")))
-      in
-      Alcotest.(check int) "query --device --meta exits 0" 0 code;
-      Alcotest.(check int) "three answers" 3 (List.length (phi_lines durable));
-      Alcotest.(check (list string)) "same answers either way" (phi_lines saved) (phi_lines durable);
+      Alcotest.(check int) "three answers" 3 (List.length (phi_lines out));
       rm_rf store;
       (* A store with an open step (simulate leaves half a batch in the
          WAL) answers over history and stream. *)
@@ -362,38 +424,22 @@ let test_query_heavy_every_k () =
         (contains out "warning: --heavy ignored on a store with an open step");
       rm_rf store)
 
-let test_scrub_durable_one_shard () =
-  with_temp_dir (fun dir ->
-      let store = Filename.concat dir "store" in
-      Alcotest.(check int) "durable simulate exits 0" 0
-        (run
-           (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
-              (quote store)));
-      Alcotest.(check int) "scrub --durable on a clean store" 0
-        (run ("scrub --durable " ^ quote store));
-      let dev = Filename.concat store "device.blocks" in
-      flip_byte dev ((Unix.stat dev).Unix.st_size / 2);
-      Alcotest.(check bool) "scrub --durable on a corrupt device fails" true
-        (run ("scrub --durable " ^ quote store) <> 0);
-      rm_rf store)
-
 let test_metrics_missing_args () =
-  Alcotest.(check int) "metrics without --device/--meta" 2 (run "metrics")
+  Alcotest.(check int) "metrics without --durable" 2 (run "metrics")
 
 let test_metrics_corrupt_meta () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
-      flip_byte meta 3;
+      let store = build_store dir in
+      (* The shard's only store fails to open: the shard is down, and
+         metrics exits 1 as query does. *)
+      flip_byte (Filename.concat store "meta") 3;
       Alcotest.(check int) "metrics on a corrupt sidecar" 1
-        (run (Printf.sprintf "metrics --device %s --meta %s" (quote dev) (quote meta))))
+        (run ("metrics --durable " ^ quote store)))
 
 let test_metrics_json () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
-      let code, out =
-        run_capture
-          (Printf.sprintf "metrics --device %s --meta %s --format json" (quote dev) (quote meta))
-      in
+      let store = build_store dir in
+      let code, out = run_capture (Printf.sprintf "metrics --durable %s --format json" (quote store)) in
       Alcotest.(check int) "metrics exits 0" 0 code;
       let body = String.trim out in
       Alcotest.(check bool) "one JSON object" true
@@ -408,10 +454,8 @@ let test_metrics_json () =
 
 let test_metrics_prometheus () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
-      let code, out =
-        run_capture (Printf.sprintf "metrics --device %s --meta %s" (quote dev) (quote meta))
-      in
+      let store = build_store dir in
+      let code, out = run_capture ("metrics --durable " ^ quote store) in
       Alcotest.(check int) "metrics exits 0" 0 code;
       Alcotest.(check bool) "TYPE comment lines" true
         (contains out "# TYPE hsq_io_reads_total counter");
@@ -421,21 +465,20 @@ let test_metrics_prometheus () =
         (contains out "hsq_query_accurate_seconds_count 3");
       (* --no-exercise leaves the query path untouched. *)
       let _, cold =
-        run_capture
-          (Printf.sprintf "metrics --device %s --meta %s --no-exercise" (quote dev) (quote meta))
+        run_capture (Printf.sprintf "metrics --durable %s --no-exercise" (quote store))
       in
       Alcotest.(check bool) "no-exercise leaves query counters at 0" true
         (contains cold "hsq_query_accurate_total 0"))
 
 let test_query_trace_spans () =
   with_temp_dir (fun dir ->
-      let dev, meta = build_store dir in
+      let store = build_store dir in
       (* build_store archives 4 steps with kappa's default of 10: four
          level-0 partitions, no merge. Each probe round reads one block
          for each of up to four partition searches. *)
       let code, out =
         run_capture
-          (Printf.sprintf "query --device %s --meta %s -q 0.5 --trace" (quote dev) (quote meta))
+          (Printf.sprintf "query --durable %s -q 0.5 --trace" (quote store))
       in
       Alcotest.(check int) "query --trace exits 0" 0 code;
       Alcotest.(check bool) "trace header printed" true (contains out "trace:");
@@ -453,7 +496,7 @@ let test_query_trace_spans () =
         (List.fold_left ( + ) 0 (ints_after out "\"reads\":\""));
       (* Without the flag no trace block is printed. *)
       let _, plain =
-        run_capture (Printf.sprintf "query --device %s --meta %s -q 0.5" (quote dev) (quote meta))
+        run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store))
       in
       Alcotest.(check bool) "no trace without --trace" false (contains plain "trace:"))
 
@@ -500,21 +543,11 @@ let test_query_trace_sharded () =
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* A durable store with an open step of 400 (simulate leaves half a
-   batch in the WAL). *)
-let simulated_store dir =
-  let store = Filename.concat dir "store" in
-  Alcotest.(check int) "durable simulate exits 0" 0
-    (run
-       (Printf.sprintf "simulate --steps 4 --step-size 800 --block-size 32 --durable %s"
-          (quote store)));
-  store
-
 (* Every subcommand that opens a store refuses one holding a lane log
    (wal-<d>.log) with exit 2, naming the file. *)
 let test_lane_store_exit_2 () =
   with_temp_dir (fun dir ->
-      let store = simulated_store dir in
+      let store = build_store dir in
       write_file (Filename.concat store "wal-2.log") "";
       let q = quote store in
       List.iter
@@ -541,7 +574,7 @@ let test_lane_store_exit_2 () =
    replayed in full from the WAL. *)
 let test_v2_checkpoint_replays () =
   with_temp_dir (fun dir ->
-      let store = simulated_store dir in
+      let store = build_store dir in
       let body =
         "hsq-ckpt 2\nseq 400\nsteps_done 4\nlanes_len 1\nlanes 0\nbatch_len 1\nbatch 5\ngk_len 1\ngk 0\n"
       in
@@ -595,14 +628,19 @@ let () =
           Alcotest.test_case "corrupt device" `Quick test_scrub_corrupt_device;
           Alcotest.test_case "corrupt sidecar" `Quick test_scrub_corrupt_meta;
           Alcotest.test_case "missing args" `Quick test_scrub_missing_args;
-          Alcotest.test_case "one-shard durable store" `Quick test_scrub_durable_one_shard;
         ] );
       ( "query",
         [
           Alcotest.test_case "one-shard durable store" `Quick test_query_durable_one_shard;
           Alcotest.test_case "--heavy at every K" `Quick test_query_heavy_every_k;
         ] );
-      ("inspect", [ Alcotest.test_case "saved warehouse" `Quick test_inspect_saved ]);
+      ( "store handle",
+        [
+          Alcotest.test_case "missing store not created" `Quick test_missing_store_not_created;
+          Alcotest.test_case "removed flags rejected" `Quick test_removed_flags_rejected;
+          Alcotest.test_case "two shards: inspect and metrics" `Quick test_two_shards;
+        ] );
+      ("inspect", [ Alcotest.test_case "durable store" `Quick test_inspect ]);
       ( "simulate",
         [ Alcotest.test_case "answers and steps golden" `Quick test_simulate_answers_golden ] );
       ( "status exit codes",

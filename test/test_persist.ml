@@ -305,7 +305,7 @@ let test_scrub_catches_bit_rot_load_misses () =
       ignore (build_and_save ~dev_path ~meta_path ~steps:4);
       (* Pick, in the largest partition, a block that summary rebuild
          does NOT probe (the summary holds ~beta1 of the blocks), and
-         flip one bit there: [load] succeeds, but [scrub] — which reads
+         flip one bit there: [load_files] succeeds, but [scrub] — which reads
          every block — must report the checksum failure rather than let
          it be served later. *)
       let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
