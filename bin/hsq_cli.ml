@@ -122,8 +122,10 @@ let durable_dir =
 
 let wal_sync =
   let doc =
-    "WAL sync policy with --durable: $(b,always) (zero acknowledged loss), $(b,group:N) \
-     (flush every N records), or $(b,never) (flush only at commit markers)."
+    "WAL sync policy with --durable, applied once per append call (one element, or one \
+     $(b,serve) observe request): $(b,always) (flush once per call, before its ack: zero \
+     acknowledged loss), $(b,group:N) (flush once N records are pending), or $(b,never) \
+     (flush only at commit markers)."
   in
   Arg.(value & opt wal_sync_conv Hsq_storage.Wal.Always & info [ "wal-sync" ] ~docv:"POLICY" ~doc)
 
@@ -182,18 +184,31 @@ let guard f =
     Printf.eprintf "device error: %s\n" msg;
     1
 
-(* A store directory a read-only subcommand cannot open: it is reported
-   and exits 2, and the path is not created. *)
-let missing_store dir =
-  let missing = not (Sys.file_exists dir && Sys.is_directory dir) in
-  if missing then Printf.eprintf "no such store directory: %s\n" dir;
-  missing
+(* A --durable DIR the subcommand cannot use: it is reported and exits
+   2, and nothing is created.  A read-only subcommand needs the store
+   to exist; a creating one needs DIR to be a directory, or to be
+   missing under an existing parent (the store directory is created,
+   never its ancestors). *)
+let unusable_store ~reopen dir =
+  let is_dir p = Sys.file_exists p && Sys.is_directory p in
+  let parent = Filename.dirname dir in
+  let why =
+    if is_dir dir then None
+    else if reopen then Some ("no such store directory: " ^ dir)
+    else if Sys.file_exists dir then Some ("store path is not a directory: " ^ dir)
+    else if not (is_dir parent) then
+      Some (Printf.sprintf "cannot create store directory %s: no such directory %s" dir parent)
+    else None
+  in
+  Option.iter prerr_endline why;
+  why <> None
 
 (* The one way a subcommand gets its warehouse: a shard group at every K,
    handed to [k] and closed after it.  --durable DIR opens (or recovers)
    the store rooted there; without it a volatile group stands in.  With
    [~reopen:true] (query, inspect, scrub, metrics) the store must exist:
-   a missing DIR or a missing --durable exits 2, and nothing is created.
+   a missing DIR or a missing --durable exits 2, and nothing is created;
+   otherwise a DIR whose parent is missing exits 2 the same way.
    [config.wal_dir] is set here. *)
 let with_group ~who ~config ?(reopen = false) durable k =
   let run g =
@@ -202,7 +217,7 @@ let with_group ~who ~config ?(reopen = false) durable k =
     code
   in
   match durable with
-  | Some dir when reopen && missing_store dir -> 2
+  | Some dir when unusable_store ~reopen dir -> 2
   | Some dir ->
     guard (fun () ->
         let g, recoveries = G.open_or_recover { config with Hsq.Config.wal_dir = Some dir } in
@@ -726,7 +741,7 @@ let status_one dir health =
    (answers degraded) exits 1.  A missing root or a store written with
    ingest lanes exits 2. *)
 let status dir shards replicas health =
-  if missing_store dir then 2
+  if unusable_store ~reopen:true dir then 2
   else begin
     guard @@ fun () ->
     let stores = shards * replicas in

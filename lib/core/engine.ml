@@ -307,21 +307,37 @@ let write_checkpoint t d =
 let checkpoint_now t =
   if not t.closed then match t.durable with None -> () | Some d -> write_checkpoint t d
 
-let observe t v =
+let observe_batch t vs =
   match t.durable with
-  | None -> buffer t v
+  | None -> Array.iter (buffer t) vs
   | Some d ->
-    (* WAL first: if the append raises (injected fault, full disk) the
-       element is unacknowledged and in-memory state is untouched. *)
-    ignore (Hsq_storage.Wal.append d.wal (Hsq_storage.Wal.Observe v));
-    buffer t v;
-    d.since_checkpoint <- d.since_checkpoint + 1;
+    (* WAL first, as one run: the values it acknowledges — all of them,
+       or the prefix before an append fault — are buffered; the rest
+       are unacknowledged and leave in-memory state untouched. *)
+    let buffer_first n =
+      for j = 0 to n - 1 do
+        buffer t vs.(j)
+      done;
+      d.since_checkpoint <- d.since_checkpoint + n
+    in
+    (match Hsq_storage.Wal.append_observes d.wal vs with
+    | () -> buffer_first (Array.length vs)
+    | exception (Hsq_storage.Wal.Partial (j, _) as e) ->
+      buffer_first j;
+      raise e);
     if d.checkpoint_every > 0 && d.since_checkpoint >= d.checkpoint_every then
       write_checkpoint t d
+
+let observe t v = try observe_batch t [| v |] with Hsq_storage.Wal.Partial (_, e) -> raise e
 
 let save_meta t path =
   Meta.write ~path
     (Meta.render ~config:t.config ~descriptors:(Hsq_hist.Level_index.describe t.hist))
+
+let commit_meta t =
+  match t.durable with
+  | Some d when not t.closed -> save_meta t d.meta_path
+  | Some _ | None -> ()
 
 (* Load the batch into the warehouse and reset the stream sketch
    (HistUpdate + StreamReset).
@@ -362,7 +378,7 @@ let end_time_step t =
     report
 
 let ingest_batch t batch =
-  Array.iter (observe t) batch;
+  (try observe_batch t batch with Hsq_storage.Wal.Partial (_, e) -> raise e);
   end_time_step t
 
 (* Retention passthrough: keep only the last [keep_steps] archived

@@ -130,6 +130,17 @@ val memory_words : t -> int
     is single-submitter: one thread at a time calls into it. *)
 val observe : t -> int -> unit
 
+(** [observe] for a run of elements, in order, as one WAL append call
+    ({!Hsq_storage.Wal.append_observes}): under [Always] the run costs
+    one physical flush, and the checkpoint cadence is checked once,
+    after it. On a WAL fault at element [j] the first [j] elements are
+    acknowledged and buffered, the rest are not, and
+    [Hsq_storage.Wal.Partial (j, e)] is raised. Any other exception
+    comes after the whole run was logged and buffered (a failed
+    checkpoint write). {!observe} is its one-element case, raising the
+    fault itself. *)
+val observe_batch : t -> int array -> unit
+
 (** HistUpdate (Algorithm 3) + StreamReset. Raises [Invalid_argument]
     on an empty batch — before any WAL write, so an empty rollover is a
     pure no-op on a durable engine too. On a durable engine the
@@ -138,7 +149,15 @@ val observe : t -> int -> unit
     atomic WAL rotation. *)
 val end_time_step : t -> Hsq_hist.Level_index.update_report
 
-(** [observe] each element, then [end_time_step]. *)
+(** Commit the warehouse sidecar now (atomically, as a step commit
+    does), for a change to the archived layout that no step carries: a
+    repair scrub's quarantines, reinstatements and retried merges. The
+    open step stays in the WAL. A no-op on a volatile or closed
+    engine. *)
+val commit_meta : t -> unit
+
+(** {!observe_batch} the elements, then [end_time_step]. A WAL fault
+    raises its cause, as {!observe} does. *)
 val ingest_batch : t -> int array -> Hsq_hist.Level_index.update_report
 
 (** Retention: drop partitions entirely older than the last

@@ -138,7 +138,11 @@ let scrub ?(repair = false) engine =
   (* A device fault mid-ingest can leave a level over κ with the merge
      deferred; a repairing scrub is the convergence point, so retry
      those merges now that the partitions are (re-)verified. *)
-  if repair then ignore (Hsq_hist.Level_index.run_deferred_merges hist);
+  let merged = if repair then Hsq_hist.Level_index.run_deferred_merges hist else 0 in
+  (* A repair that changed the archived layout commits it, as a step
+     commit would: the quarantine set must survive a reopen, or the
+     store serves the damaged partition again. *)
+  if !newly_quarantined > 0 || !reinstated > 0 || merged > 0 then Engine.commit_meta engine;
   let errors = scan_errors @ reinstate_errors in
   let io = Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot stats) before in
   let report =

@@ -216,26 +216,24 @@ let degradation_fields (report : G.query_report) =
     ("replicas_diverged", pairs diverged);
   ]
 
-(* Apply [observe] to each value in order.  On a failure every
-   element before it is acknowledged (it hit the WAL) and it and the
-   rest are not; the reply says exactly how many were applied. *)
-let observe_all observe vals =
-  let applied = ref 0 in
-  let n () = ("applied", Json.int !applied) in
-  try
-    Array.iter
-      (fun v ->
-        observe v;
-        incr applied)
-      vals;
-    (`Ok, Protocol.ok [ n () ])
-  with
-  | G.Shard_unavailable (i, reason) ->
-    ( `Error,
-      Protocol.err Protocol.e_device
-        ~detail:(Printf.sprintf "shard %d down: %s" i reason)
-        ~extra:[ n (); ("shard", Json.int i) ] )
-  | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_wal ~detail:msg ~extra:[ n () ])
+(* One group call per request: the values are logged as one batch
+   (one WAL flush per replica under [Always]).  The reply's [applied]
+   is the longest prefix of the request that is durable; values past it
+   may be durable too but are unacknowledged, the state a crash between
+   the flush and the reply leaves as well. *)
+let observe_all g vals =
+  match G.observe_batch g vals with
+  | () -> (`Ok, Protocol.ok [ ("applied", Json.int (Array.length vals)) ])
+  | exception Hsq_storage.Wal.Partial (applied, cause) -> (
+    let n = ("applied", Json.int applied) in
+    match cause with
+    | G.Shard_unavailable (i, reason) ->
+      ( `Error,
+        Protocol.err Protocol.e_device
+          ~detail:(Printf.sprintf "shard %d down: %s" i reason)
+          ~extra:[ n; ("shard", Json.int i) ] )
+    | BD.Device_error msg -> (`Error, Protocol.err Protocol.e_wal ~detail:msg ~extra:[ n ])
+    | exn -> raise exn)
 
 (* The element count a query over [window] (the whole store if [None])
    resolves its target against. *)
@@ -291,7 +289,7 @@ let execute t req ~deadline =
        through, honor it here too. *)
     request_stop t;
     (`Ok, Protocol.ok [ ("draining", Json.Bool true) ])
-  | Protocol.Observe vals -> observe_all (G.observe g) vals
+  | Protocol.Observe vals -> observe_all g vals
   | Protocol.End_step -> (
     match G.end_time_step g with
     | [] -> (`Bad, Protocol.err Protocol.e_bad_request ~detail:"empty step")

@@ -98,9 +98,9 @@ let base_seq t = t.base_seq
 let peer t = t.peer
 let record_count t = Wal.next_seq t.wal - Wal.start_seq t.wal
 
-(* Appends raise Block_device.Device_error on failure, exactly like the
-   main WAL; the caller converts that into [mark_broken]. *)
-let observe t v = ignore (Wal.append t.wal (Wal.Observe v))
+(* Appends raise on failure, exactly like the main WAL; the caller
+   converts that into [mark_broken]. *)
+let observe_batch t vs = Wal.append_observes t.wal vs
 let end_step t ~step ~count = ignore (Wal.append t.wal (Wal.End_step { step; count }))
 
 (* The buffered records in append order (flushing first, so the file is

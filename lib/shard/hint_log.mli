@@ -35,9 +35,10 @@ val base_seq : t -> int
 val peer : t -> int
 val record_count : t -> int
 
-(** Append one acked observe / end-of-step cut. Raises
-    [Block_device.Device_error] on failure — convert to {!mark_broken}. *)
-val observe : t -> int -> unit
+(** Append a run of acked observes (one WAL append call) / one
+    end-of-step cut. Raise on failure ([Hsq_storage.Wal.Partial] for a
+    run) — convert to {!mark_broken}. *)
+val observe_batch : t -> int array -> unit
 
 val end_step : t -> step:int -> count:int -> unit
 

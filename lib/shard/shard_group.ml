@@ -482,29 +482,36 @@ let mark_down t i ~reason =
 
 (* --- ingest ------------------------------------------------------------- *)
 
-(* Append one acked op to the hint log of every dead replica.  A hint
-   append that itself fails breaks the pair ([mark_broken]) so rejoin
-   falls back to repair — the ack stands either way. *)
+(* Append acked ops to the hint log of every dead replica: [hint rep hl]
+   appends what [rep]'s own log lacks.  A hint append that itself fails
+   breaks the pair ([mark_broken]) so rejoin falls back to repair — the
+   ack stands either way. *)
 let hint_dead reps hint =
   Array.iter
     (fun rep ->
       match (rep.state, rep.hints) with
       | Dead _, Some hl -> (
-        try hint hl
+        try hint rep hl
         with _ ->
           Hint_log.mark_broken hl;
           rep.hints <- None)
       | _ -> ())
     reps
 
-(* Replicated write fan-out (r > 1, caller holds the lock): apply to
-   every live replica first — one that fails its append is taken down
-   (and from now on hinted to) instead of failing the ack; the op is
-   acknowledged iff at least one live replica accepted it.  Only then
-   are hints appended for the dead replicas: a hint must never cover an
-   op that was not acked. *)
-let fanout_locked t i ~apply ~hint =
+(* Replicated fan-out of shard [i]'s sub-batch [vs] (r > 1, caller
+   holds the lock): apply it to every live replica first.  Each accepts
+   a prefix — all of [vs], or the values before its WAL fault — and one
+   that fails is taken down (and from now on hinted to) instead of
+   failing the ack; the shard acknowledges the longest prefix some live
+   replica accepted.  Only then are hints appended for the dead
+   replicas, each from where its own log stops: a hint must never cover
+   an op that was not acked, nor one the replica's log already holds
+   (its drain would replay it twice).  Returns the acked prefix length
+   and, when it is short, the failure. *)
+let fanout_batch_locked t i vs =
   let reps = t.slots.(i) in
+  let m = Array.length vs in
+  let accepted = Array.make t.r 0 in
   let acked = ref 0 in
   let last_err = ref "every replica is down" in
   Array.iter
@@ -512,31 +519,91 @@ let fanout_locked t i ~apply ~hint =
       match rep.state with
       | Dead reason -> if !acked = 0 then last_err := reason
       | Live e -> (
-        match apply e with
-        | () -> incr acked
-        | exception (BD.Device_error msg | Sys_error msg) ->
+        let accept n =
+          accepted.(rep.rep) <- n;
+          acked := max !acked n
+        in
+        let down n exn =
+          let msg =
+            match exn with
+            | BD.Device_error msg | Sys_error msg -> msg
+            | _ -> Printexc.to_string exn
+          in
+          accept n;
           last_err := msg;
-          replica_down_locked t i rep ~reason:msg))
+          replica_down_locked t i rep ~reason:msg
+        in
+        match E.observe_batch e vs with
+        | () -> accept m
+        | exception Hsq_storage.Wal.Partial (j, exn) -> down j exn
+        (* Raised after the whole run was logged: the log holds it all. *)
+        | exception ((BD.Device_error _ | Sys_error _) as exn) -> down m exn))
     reps;
-  if !acked = 0 then raise (Shard_unavailable (i, !last_err));
-  hint_dead reps hint
+  let a = !acked in
+  if a > 0 then
+    hint_dead reps (fun rep hl ->
+        let from = accepted.(rep.rep) in
+        if from < a then Hint_log.observe_batch hl (Array.sub vs from (a - from)));
+  (a, if a < m then Some (Shard_unavailable (i, !last_err)) else None)
 
-let observe t v =
-  let i = route t v in
-  if t.r = 1 then begin
-    let rep = t.slots.(i).(0) in
-    match rep.state with
-    | Dead reason -> raise (Shard_unavailable (i, reason))
-    | Live e ->
-      E.observe e v;
-      t.last_size.(i) <- t.last_size.(i) + 1;
-      invalidate t
-  end
+(* Apply sub-batch [vs] to shard [i] (caller holds the lock): how much
+   of it is acknowledged — a prefix — and, when that is short, why. *)
+let observe_shard t i vs =
+  if t.r > 1 then fanout_batch_locked t i vs
   else
-    with_lock t (fun () ->
-        fanout_locked t i ~apply:(fun e -> E.observe e v) ~hint:(fun hl -> Hint_log.observe hl v);
-        t.last_size.(i) <- t.last_size.(i) + 1;
-        invalidate t)
+    match t.slots.(i).(0).state with
+    | Dead reason -> (0, Some (Shard_unavailable (i, reason)))
+    | Live e -> (
+      match E.observe_batch e vs with
+      | () -> (Array.length vs, None)
+      | exception Hsq_storage.Wal.Partial (j, exn) -> (j, Some exn))
+
+(* One request's values, routed into per-shard sub-batches (request
+   order kept within each), each applied with one WAL append call per
+   replica.  The acknowledged part is the request's longest prefix that
+   is durable: a shard stopping at request position p caps it there,
+   and shards applied later skip what lies past the cap.  Values past
+   it on shards applied earlier stay applied, unacked. *)
+let observe_batch t vs =
+  let n = Array.length vs in
+  let dest = Array.map (route t) vs in
+  let sizes = Array.make t.k 0 in
+  Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) dest;
+  let subs = Array.map (fun c -> Array.make c 0) sizes in
+  let pos = Array.map (fun c -> Array.make c 0) sizes in
+  let fill = Array.make t.k 0 in
+  Array.iteri
+    (fun p i ->
+      subs.(i).(fill.(i)) <- vs.(p);
+      pos.(i).(fill.(i)) <- p;
+      fill.(i) <- fill.(i) + 1)
+    dest;
+  let limit = ref n and failure = ref None in
+  with_lock t (fun () ->
+      for i = 0 to t.k - 1 do
+        let within = ref 0 in
+        while !within < sizes.(i) && pos.(i).(!within) < !limit do
+          incr within
+        done;
+        if !within > 0 then begin
+          let sub = if !within = sizes.(i) then subs.(i) else Array.sub subs.(i) 0 !within in
+          (* Set, not bumped: a shard whose last replica died in
+             [observe_shard] was already frozen at that replica's
+             size. *)
+          let before = t.last_size.(i) in
+          let a, f = observe_shard t i sub in
+          t.last_size.(i) <- before + a;
+          match f with
+          | Some exn when pos.(i).(a) < !limit ->
+            limit := pos.(i).(a);
+            failure := Some exn
+          | _ -> ()
+        end
+      done;
+      if n > 0 then invalidate t);
+  Option.iter (fun exn -> raise (Hsq_storage.Wal.Partial (!limit, exn))) !failure
+
+let observe t v = try observe_batch t [| v |] with Hsq_storage.Wal.Partial (_, exn) -> raise exn
 
 (* A replica whose open step is empty is skipped: the engine's own cut
    is the test ([Invalid_argument] on an empty batch).  A step that
@@ -577,7 +644,7 @@ let end_time_step t =
             match (!ok, !err) with
             | Some (report, step), _ ->
               out := (i, Ok report) :: !out;
-              hint_dead reps (fun hl -> Hint_log.end_step hl ~step ~count:0)
+              hint_dead reps (fun _ hl -> Hint_log.end_step hl ~step ~count:0)
             | None, Some msg -> out := (i, Error msg) :: !out
             | None, None -> ()
           end)
@@ -1375,7 +1442,10 @@ let open_or_recover config =
     if not (Sys.is_directory root) then
       invalid_arg "Shard_group.open_or_recover: wal_dir is not a directory"
   end
-  else Sys.mkdir root 0o755;
+  else begin
+    try Sys.mkdir root 0o755
+    with Sys_error msg -> invalid_arg ("Shard_group.open_or_recover: cannot create " ^ msg)
+  end;
   let recoveries = ref [] in
   let slots =
     Array.init k (fun i ->

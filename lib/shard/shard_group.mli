@@ -170,11 +170,22 @@ val shard_elements : t -> int -> int
 
 (** {1 Ingest} *)
 
-(** Route one element and apply it to every live replica of its
-    shard. A replica that fails its append is taken down (and hinted
-    to from then on) instead of failing the ack; the call raises
-    {!Shard_unavailable} — the element unacknowledged — only when no
-    live replica accepted it. *)
+(** Ingest one request's elements, in order. At K > 1 they are routed
+    into per-shard sub-batches (request order kept within each); each
+    sub-batch reaches every live replica of its shard as one WAL append
+    call ({!Hsq.Engine.observe_batch}), so under [Always] a request
+    costs one flush per replica it touches. A replica that fails its
+    append is taken down instead of failing the ack, and its hint log
+    gets exactly the acked elements its own log lacks. On a failure the
+    call raises [Hsq_storage.Wal.Partial (applied, e)]: [applied] is the
+    longest prefix of [vs] that is acknowledged (durable), and [e] is
+    {!Shard_unavailable} (no live replica of a shard accepted an
+    element) or the WAL fault. Elements past that prefix may be
+    applied too, unacknowledged. *)
+val observe_batch : t -> int array -> unit
+
+(** {!observe_batch} of one element, raising the failure itself:
+    {!Shard_unavailable} when no live replica accepted it. *)
 val observe : t -> int -> unit
 
 (** Close the time step on every live replica holding open-step

@@ -141,7 +141,7 @@ let note_read ?hint t addr =
 let note_write t _addr = locked t (fun () -> Metrics.Counter.inc t.writes)
 let note_retry t = locked t (fun () -> Metrics.Counter.inc t.retries)
 let note_checksum_failure t = locked t (fun () -> Metrics.Counter.inc t.checksum_failures)
-let note_wal_append t = locked t (fun () -> Metrics.Counter.inc t.wal_appends)
+let note_wal_appends t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_appends)
 let note_wal_sync t = locked t (fun () -> Metrics.Counter.inc t.wal_syncs)
 let note_wal_replayed t = locked t (fun () -> Metrics.Counter.inc t.wal_replayed)
 let note_checkpoint t = locked t (fun () -> Metrics.Counter.inc t.checkpoints_written)

@@ -83,8 +83,8 @@ val note_retry : t -> unit
 (** Record one block whose embedded checksum did not match its payload. *)
 val note_checksum_failure : t -> unit
 
-(** Record one record appended to the write-ahead log. *)
-val note_wal_append : t -> unit
+(** Record [n] records appended to the write-ahead log. *)
+val note_wal_appends : t -> int -> unit
 
 (** Record one physical flush (group commit) of the write-ahead log. *)
 val note_wal_sync : t -> unit

@@ -10,10 +10,14 @@
    Durability model.  Appends accumulate in an in-process buffer and
    reach the file only on a physical flush ("sync"); a crash loses the
    buffered tail, exactly like a power cut loses data that was written
-   but never fsynced.  The sync policy picks the trade:
-     - [Always]   every append flushes — zero acknowledged-record loss;
-     - [Group n]  flush every n appends (group commit) — loss bounded
-                  by the group window;
+   but never fsynced.  An append call carries one record ({!append}) or
+   a run of [Observe] records ({!append_observes}: one wire request's
+   values), and the sync policy is applied once per call.  The policy
+   picks the trade:
+     - [Always]   flushed once per append call, before its ack — zero
+                  acknowledged-record loss (request-scoped group commit);
+     - [Group n]  flush once [n] records are pending (group commit) —
+                  loss bounded by the group window;
      - [Never]    flush only at commit markers and rotation — loss
                   bounded by one open time step.
    Commit markers are always followed by an explicit {!sync} from the
@@ -66,14 +70,17 @@ type t = {
 }
 
 (* Latency histograms live in the same registry as the WAL counters.
-   Appends are buffer writes (tens of ns) issued once per observed
-   element, so their latency is sampled 1-in-32 by sequence number;
-   syncs are physical flushes (µs and up, rare) and always timed. *)
-let append_sample_mask = 31
+   An append call is buffer writes (tens of ns a record), so its
+   latency is sampled: a call is timed when the sequence numbers it
+   appends include a multiple of 32 (1-in-32 single appends, every run
+   of 32 or more records).  Syncs are physical flushes (µs and up, rare)
+   and always timed. *)
+let append_sample_shift = 5
 
 let wal_metrics stats =
   let r = Io_stats.registry stats in
-  ( Metrics.histogram ~help:"WAL append latency (sampled 1-in-32)" r "hsq_wal_append_seconds",
+  ( Metrics.histogram ~help:"WAL append call latency (sampled 1-in-32 by sequence number)" r
+      "hsq_wal_append_seconds",
     Metrics.histogram ~help:"WAL physical flush latency" r "hsq_wal_sync_seconds" )
 
 let magic = 0x48535157414C3031 (* "HSQWAL01" *)
@@ -84,7 +91,8 @@ let mix h v =
   let h = (h lxor v) * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-let checksum_words ws = Array.fold_left mix 0x106689D45497FDB5 ws
+let checksum_seed = 0x106689D45497FDB5
+let checksum_words ws = Array.fold_left mix checksum_seed ws
 
 let path t = t.path
 let start_seq t = t.start_seq
@@ -100,23 +108,41 @@ let sync_policy_to_string = function
 
 (* --- encoding ---------------------------------------------------------- *)
 
-let words_to_bytes ws =
-  let b = Bytes.create (8 * Array.length ws) in
-  Array.iteri (fun i w -> Bytes.set_int64_be b (8 * i) (Int64.of_int w)) ws;
-  b
+let add_word buf w = Buffer.add_int64_be buf (Int64.of_int w)
 
 let header_bytes ~start_seq =
-  words_to_bytes [| magic; start_seq; checksum_words [| magic; start_seq |] |]
+  let b = Buffer.create 24 in
+  List.iter (add_word b) [ magic; start_seq; checksum_words [| magic; start_seq |] ];
+  Buffer.contents b
 
-let encode ~seq record =
-  let body =
-    match record with
-    | Observe v -> [| seq; 1; v |]
-    | End_step { step; count } -> [| seq; 2; step; count |]
+(* Words in a record, length word and checksum included. *)
+let record_words = function Observe _ -> 5 | End_step _ -> 6
+
+(* The one record encoder: appends [len | seq | kind | payload |
+   checksum] to [buf].  The fault injector's two write shapes are
+   arguments: only the first [keep] words land (a torn write), and word
+   [flip] lands with its low bit flipped (latent corruption, the
+   checksum still covering the true word). *)
+let encode ?(keep = max_int) ?(flip = -1) buf ~seq record =
+  let i = ref 0 and h = ref checksum_seed in
+  let word w =
+    if !i < keep then add_word buf (if !i = flip then w lxor 1 else w);
+    h := mix !h w;
+    incr i
   in
-  let len = Array.length body + 1 in
-  let prefix = Array.append [| len |] body in
-  Array.append prefix [| checksum_words prefix |]
+  (match record with
+  | Observe v ->
+    word 4;
+    word seq;
+    word 1;
+    word v
+  | End_step { step; count } ->
+    word 5;
+    word seq;
+    word 2;
+    word step;
+    word count);
+  word !h
 
 (* --- writing ----------------------------------------------------------- *)
 
@@ -144,7 +170,10 @@ let flush_pending t =
     heal_tear t;
     let flush () =
       let t0 = Metrics.now_s () in
-      Out_channel.output_string t.channel (Buffer.contents t.pending);
+      (* Straight from the buffer: a request's run is kilobytes, and a
+         [Buffer.contents] copy that size is a major-heap allocation
+         per flush. *)
+      Buffer.output_buffer t.channel t.pending;
       Out_channel.flush t.channel;
       Metrics.Histogram.observe t.sync_hist (Metrics.now_s () -. t0);
       Buffer.clear t.pending;
@@ -158,82 +187,102 @@ let flush_pending t =
 
 let sync t = flush_pending t
 
-(* Transactional append: either the record is fully accepted (buffered
-   or flushed, sequence advanced) or the in-memory state is exactly as
-   before the call — [next_seq] rolled back, the record's bytes removed
-   from the pending buffer.  Without the rollback, a failed policy
-   flush would leave the sequence number advanced past the last durable
-   record: a caller that retried the observe would then double-append
-   it under a new sequence number, and a caller that gave up would
-   leave a permanent gap for recovery's sequence check to floor at.
-   A flush that *completed* before the failure is never undone — those
-   bytes are durable, so only still-buffered bytes are rolled back. *)
-let append_impl t record =
-  let saved_seq = t.next_seq in
+exception Partial of int * exn
+
+(* Append [n] records ([get j] is record j) with the sync policy applied
+   once, at the end of the run — under [Always] that is one flush before
+   the call returns.  The injector is consulted per record.  A fault at
+   record j stops the run there: records [0 .. j-1] are accepted (and
+   flushed under [Always]), j and the rest are not, and [Partial (j, e)]
+   reports it.
+
+   Transactional per record: the state is exactly "records [0 .. j-1]
+   appended" — [next_seq] advanced by j, nothing of record j buffered.
+   Without that, a failed append would leave the sequence number past
+   the last durable record: a caller that retried would double-append
+   under a new sequence number, and one that gave up would leave a gap
+   for recovery's sequence check to floor at.  A policy flush that
+   raises rolls the whole run back ([Partial (0, e)]), dropping its
+   still-buffered bytes; bytes a completed flush wrote are durable and
+   stay. *)
+let append_run t n get =
+  let first = t.next_seq in
   let saved_len = Buffer.length t.pending in
   let saved_count = t.pending_count in
-  try
-    let seq = t.next_seq in
-    let words = encode ~seq record in
-    (match t.fault with
-    | Some f -> (
-      match f seq with
-      | Some Block_device.Fail ->
-        raise (Block_device.Device_error (Printf.sprintf "injected WAL append fault at seq %d" seq))
-      | Some (Block_device.Torn k) ->
-        (* A crash mid-append: whatever was buffered reaches the file,
-           then only the first [k] words of this record do.  The tear's
-           byte offset is remembered so a surviving writer's next flush
-           can truncate the garbage away (see [heal_tear]). *)
-        let k = max 0 (min (Array.length words - 1) k) in
-        flush_pending t;
-        let tear_pos = Int64.to_int (Out_channel.pos t.channel) in
-        Out_channel.output_bytes t.channel (words_to_bytes (Array.sub words 0 k));
-        Out_channel.flush t.channel;
-        if t.tear_at = None then t.tear_at <- Some tear_pos;
-        raise
-          (Block_device.Device_error
-             (Printf.sprintf "torn WAL append at seq %d (%d of %d words)" seq k
-                (Array.length words)))
-      | Some (Block_device.Corrupt i) ->
-        (* Latent corruption: the record lands whole but one word has a
-           flipped bit — the reader must reject it, never serve it. *)
-        let i = i mod Array.length words in
-        words.(i) <- words.(i) lxor 1
-      | None -> ())
-    | None -> ());
-    Buffer.add_bytes t.pending (words_to_bytes words);
-    t.pending_count <- t.pending_count + 1;
-    t.next_seq <- seq + 1;
-    Io_stats.note_wal_append t.stats;
-    (match t.sync_policy with
-    | Always -> flush_pending t
-    | Group n -> if t.pending_count >= max 1 n then flush_pending t
-    | Never -> ());
-    seq
-  with e ->
-    t.next_seq <- saved_seq;
+  let stop = ref None in
+  let j = ref 0 in
+  (try
+     while !j < n do
+       let seq = first + !j in
+       let record = get !j in
+       (match Option.bind t.fault (fun f -> f seq) with
+       | None -> encode t.pending ~seq record
+       | Some (Block_device.Corrupt i) ->
+         encode ~flip:(i mod record_words record) t.pending ~seq record
+       | Some Block_device.Fail ->
+         raise
+           (Block_device.Device_error (Printf.sprintf "injected WAL append fault at seq %d" seq))
+       | Some (Block_device.Torn k) ->
+         (* A crash mid-append: whatever was buffered — the run's
+            accepted prefix included — reaches the file, then only the
+            first [k] words of this record do.  The tear's byte offset
+            is remembered so a surviving writer's next flush can
+            truncate the garbage away (see [heal_tear]). *)
+         let words = record_words record in
+         let keep = max 0 (min (words - 1) k) in
+         flush_pending t;
+         let tear_pos = Int64.to_int (Out_channel.pos t.channel) in
+         let torn = Buffer.create 48 in
+         encode ~keep torn ~seq record;
+         Buffer.output_buffer t.channel torn;
+         Out_channel.flush t.channel;
+         if t.tear_at = None then t.tear_at <- Some tear_pos;
+         raise
+           (Block_device.Device_error
+              (Printf.sprintf "torn WAL append at seq %d (%d of %d words)" seq keep words)));
+       t.pending_count <- t.pending_count + 1;
+       incr j
+     done
+   with e -> stop := Some e);
+  t.next_seq <- first + !j;
+  if !j > 0 then Io_stats.note_wal_appends t.stats !j;
+  (match
+     match t.sync_policy with
+     | Always -> flush_pending t
+     | Group g -> if t.pending_count >= max 1 g then flush_pending t
+     | Never -> ()
+   with
+  | () -> ()
+  | exception e ->
+    t.next_seq <- first;
     if Buffer.length t.pending > saved_len then begin
-      (* The record is still buffered (the failure struck before or
-         during a flush that did not complete): drop it. *)
       Buffer.truncate t.pending saved_len;
       t.pending_count <- saved_count
     end;
-    raise e
+    raise (Partial (0, e)));
+  Option.iter (fun e -> raise (Partial (!j, e))) !stop
 
-let append t record =
-  let timed () =
-    if t.next_seq land append_sample_mask = 0 then begin
+let timed_run t n get =
+  let first = t.next_seq in
+  let run () =
+    if n > 0 && (first - 1) asr append_sample_shift <> (first + n - 1) asr append_sample_shift
+    then begin
       let t0 = Metrics.now_s () in
-      let seq = append_impl t record in
-      Metrics.Histogram.observe t.append_hist (Metrics.now_s () -. t0);
-      seq
+      append_run t n get;
+      Metrics.Histogram.observe t.append_hist (Metrics.now_s () -. t0)
     end
-    else append_impl t record
+    else append_run t n get
   in
   match Io_stats.tracer t.stats with
-  | Some tr -> Trace.with_span tr "wal.append" (fun _ -> timed ())
-  | None -> timed ()
+  | Some tr -> Trace.with_span tr "wal.append" (fun _ -> run ())
+  | None -> run ()
+
+let append_observes t vs = timed_run t (Array.length vs) (fun j -> Observe vs.(j))
+
+let append t record =
+  match timed_run t 1 (fun _ -> record) with
+  | () -> t.next_seq - 1
+  | exception Partial (_, e) -> raise e
 
 let create ?(sync = Always) ~stats ~path ~start_seq () =
   (* Append mode, like [rotate] and [open_existing]: [heal_tear]'s
@@ -243,7 +292,7 @@ let create ?(sync = Always) ~stats ~path ~start_seq () =
     Out_channel.open_gen [ Open_binary; Open_creat; Open_trunc; Open_append; Open_wronly ] 0o644
       path
   in
-  Out_channel.output_bytes channel (header_bytes ~start_seq);
+  Out_channel.output_string channel (header_bytes ~start_seq);
   Out_channel.flush channel;
   let append_hist, sync_hist = wal_metrics stats in
   {
@@ -269,7 +318,7 @@ let create ?(sync = Always) ~stats ~path ~start_seq () =
 let rotate t =
   let tmp = t.path ^ ".tmp" in
   let oc = Out_channel.open_gen [ Open_binary; Open_creat; Open_trunc; Open_wronly ] 0o644 tmp in
-  Out_channel.output_bytes oc (header_bytes ~start_seq:t.next_seq);
+  Out_channel.output_string oc (header_bytes ~start_seq:t.next_seq);
   Out_channel.flush oc;
   Out_channel.close oc;
   Out_channel.close t.channel;
@@ -387,7 +436,7 @@ let open_existing ?(sync = Always) ~stats ~path () =
   | Clean -> ()
   | Torn _ ->
     let prefix =
-      if valid_bytes = 0 then Bytes.to_string (header_bytes ~start_seq)
+      if valid_bytes = 0 then header_bytes ~start_seq
       else begin
         let ic = open_in_bin path in
         Fun.protect

@@ -6,10 +6,12 @@
     returning a corrupt record.  See the implementation header for the
     on-file format and the durability model. *)
 
-(** When appended records physically reach the file. [Always] flushes on
-    every append (zero acknowledged loss on a crash); [Group n] flushes
-    every [n] appends (group commit — loss bounded by the window);
-    [Never] flushes only at commit markers and rotation. *)
+(** When appended records physically reach the file, applied once per
+    append call ({!append} or {!append_observes}). [Always] flushes once
+    per call, before it returns (zero acknowledged loss on a crash);
+    [Group n] flushes once [n] records are pending (group commit — loss
+    bounded by the window); [Never] flushes only at commit markers and
+    rotation. *)
 type sync_policy = Always | Group of int | Never
 
 type record =
@@ -49,7 +51,9 @@ val open_existing :
 val read_path : path:string -> (int * record) list * int * tail
 
 (** Append one record; returns its sequence number. Whether the record
-    is physically flushed depends on the sync policy.
+    is physically flushed depends on the sync policy. A one-record run
+    of the {!append_observes} path (same encoder, same injector), except
+    that a failure raises its cause rather than {!Partial}.
 
     Transactional: on any failure (an injected fault, or a policy flush
     that raises) the record is not acknowledged and the in-memory state
@@ -63,6 +67,22 @@ val read_path : path:string -> (int * record) list * int * tail
     a real power cut would). Raises {!Block_device.Device_error} when
     the fault injector fires. *)
 val append : t -> record -> int
+
+(** [Partial (j, e)]: an {!append_observes} run stopped at its record
+    [j] on [e] (the injector's [Fail] or [Torn], or a policy flush that
+    raised — then [j = 0]). Exactly records [0 .. j-1] are appended, and
+    under [Always] flushed; record [j] and the rest are not, and
+    [next_seq] is [j] past its value before the call. *)
+exception Partial of int * exn
+
+(** Append one [Observe] record per value, in order, as one run: the
+    sync policy is applied once, after the last record, so under
+    [Always] a run costs one physical flush. The fault injector is
+    consulted per record. Transactional per record, like {!append}: on
+    a fault at record [j] the run's first [j] records stand and
+    [Partial (j, e)] is raised. Writes the same bytes as appending each
+    value with {!append}. *)
+val append_observes : t -> int array -> unit
 
 (** Flush every buffered record to the file (one group commit). *)
 val sync : t -> unit

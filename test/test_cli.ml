@@ -168,6 +168,61 @@ let test_missing_store_not_created () =
             [ ""; " --shards 2" ])
         [ "query"; "inspect"; "scrub"; "metrics" ])
 
+(* The creating subcommands make the store directory, never its
+   ancestors: a --durable DIR under a missing parent exits 2 with one
+   line on stderr, and creates nothing. *)
+let test_store_parent_missing () =
+  with_temp_dir (fun dir ->
+      let parent = Filename.concat dir "nodir" in
+      let store = quote (Filename.concat parent "x") in
+      List.iter
+        (fun args ->
+          let code, err = run_capture ~stderr:true (args ^ " </dev/null") in
+          Alcotest.(check int) (args ^ " exits 2") 2 code;
+          Alcotest.(check bool)
+            (args ^ ": one-line message")
+            true
+            (contains err "cannot create store directory" && count_substring err "\n" = 1);
+          Alcotest.(check bool) (args ^ " creates nothing") false (Sys.file_exists parent))
+        [
+          "simulate --steps 2 --step-size 100 --durable " ^ store;
+          "stream --durable " ^ store;
+          Printf.sprintf "serve --socket %s --durable %s" (quote (Filename.concat dir "s.sock")) store;
+        ])
+
+(* A repair scrub's quarantine is committed to the sidecar: a reopened
+   store still excludes the damaged partition, and queries over it
+   report the quarantine.  The store is big enough (625 blocks a
+   partition) that the open's summary probes skip some blocks; one of
+   the first few, flipped, is found only by the scrub. *)
+let test_scrub_repair_persists () =
+  with_temp_dir (fun dir ->
+      let base = Filename.concat dir "base" in
+      Alcotest.(check int) "simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --steps 4 --step-size 20000 --block-size 32 --durable %s"
+              (quote base)));
+      let store = Filename.concat dir "store" in
+      let copy () =
+        if Sys.file_exists store then rm_rf store;
+        ignore (Unix.system (Printf.sprintf "cp -r %s %s" (quote base) (quote store)))
+      in
+      (* 32 elements and a checksum word a block *)
+      let quarantined_by_repair blk =
+        copy ();
+        flip_byte (Filename.concat store "device.blocks") ((blk * 33 * 8) + 40);
+        let _, out = run_capture ("scrub --repair --durable " ^ quote store) in
+        contains out "; 1 quarantined"
+      in
+      if not (List.exists quarantined_by_repair [ 1; 2; 3; 4; 5; 6; 7; 8 ]) then
+        Alcotest.fail "no flipped block was left for the scrub to find";
+      let code, out = run_capture ("scrub --durable " ^ quote store) in
+      Alcotest.(check int) "reopened scrub skips the quarantined partition" 0 code;
+      Alcotest.(check bool) "reopened store keeps the quarantine" true
+        (contains out "1 partitions quarantined");
+      let _, out = run_capture ("query -q 0.5 --durable " ^ quote store) in
+      Alcotest.(check bool) "queries report it" true (contains out "DEGRADED(quarantined)"))
+
 (* --device, --meta and --save-meta are gone: cmdliner rejects each as
    an unknown option (exit 124) before anything runs. *)
 let test_removed_flags_rejected () =
@@ -637,6 +692,9 @@ let () =
       ( "store handle",
         [
           Alcotest.test_case "missing store not created" `Quick test_missing_store_not_created;
+          Alcotest.test_case "store under a missing parent" `Quick test_store_parent_missing;
+          Alcotest.test_case "repair quarantine survives a reopen" `Quick
+            test_scrub_repair_persists;
           Alcotest.test_case "removed flags rejected" `Quick test_removed_flags_rejected;
           Alcotest.test_case "two shards: inspect and metrics" `Quick test_two_shards;
         ] );

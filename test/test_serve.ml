@@ -854,6 +854,31 @@ let test_k1_metrics_flat () =
       if contains body "shard=" then Alcotest.fail "K=1 prometheus dump carries shard labels";
       Client.close c)
 
+(* Request-scoped group commit: under [always] an observe request is
+   one WAL flush, whatever its size — five requests of 200 values are
+   five flushes, not a thousand. *)
+let test_observe_one_sync_per_request () =
+  with_temp_dir (fun dir ->
+      let config =
+        Hsq.Config.make ~wal_dir:(Filename.concat dir "store") ~wal_sync:Hsq_storage.Wal.Always
+          (Hsq.Config.Epsilon 0.02)
+      in
+      let g, _ = G.open_or_recover config in
+      with_server g (fun _ listen ->
+          let c = Client.connect listen in
+          let syncs () =
+            match Option.bind (wire_metric c "hsq_wal_syncs_total") Json.as_int with
+            | Some n -> n
+            | None -> Alcotest.fail "no hsq_wal_syncs_total in the metrics dump"
+          in
+          let before = syncs () in
+          for i = 0 to 4 do
+            Alcotest.(check int) "whole request applied" 200
+              (Client.observe c (Array.init 200 (fun j -> (i * 200) + j)))
+          done;
+          Alcotest.(check int) "one flush per observe request" 5 (syncs () - before);
+          Client.close c))
+
 (* A merge cascade that hits a device fault defers, and the end_step
    reply says so at K=1 as at K=2 (the route of test_durable's
    close-during-deferred-merge: fill level 0, then fail reads). *)
@@ -1359,6 +1384,8 @@ let () =
           Alcotest.test_case "K=1 answers as the engine" `Quick test_k1_matches_engine;
           Alcotest.test_case "windows at K=3" `Quick test_group_windows;
           Alcotest.test_case "K=1 metrics dump is flat" `Quick test_k1_metrics_flat;
+          Alcotest.test_case "one WAL flush per observe request" `Quick
+            test_observe_one_sync_per_request;
           Alcotest.test_case "end_step reports deferred merges" `Quick
             test_end_step_deferred_merge;
         ] );
