@@ -370,39 +370,6 @@ let fig13 ~scale =
    accuracy <-> disk-access axis of the tradeoff space in the paper's
    conclusion (band = factor * eps2 * m; the paper's own band is factor
    4).  (c) The Section 2.4 one-block cache optimization, on vs off. *)
-(* --- Sketch tier: GK vs KLL as the eps2 stream sketch ------------------- *)
-
-(* Not a paper figure: compares the two mergeable stream-sketch tiers
-   behind the same engine — answer quality through both query paths,
-   resident sketch words, and the serialized checkpoint image size. *)
-let sketches ~scale =
-  List.iter
-    (fun ds ->
-      print_header
-        (Printf.sprintf "Sketch tier (%s): GK vs KLL stream sketch, eps=0.01, N=%d" ds
-           ((scale.steps + 1) * scale.step_size));
-      print_row
-        [ "      sketch"; "   ours-accurate"; "  quick-response"; " sketch_words"; "   ckpt_bytes" ];
-      let w = load_workload ~scale ~dataset:ds () in
-      List.iter
-        (fun (label, kind) ->
-          let config =
-            Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
-              ~stream_sketch:kind (Hsq.Config.Epsilon 0.01)
-          in
-          let eng, _ = build_engine ~config w in
-          let sk = E.stream_sketch eng in
-          print_row
-            [
-              Printf.sprintf "%12s" label;
-              fmt_e (accurate_error eng w);
-              fmt_e (quick_error eng w);
-              fmt_i (Hsq.Stream_sketch.memory_words sk);
-              fmt_i (8 * Array.length (Hsq.Stream_sketch.serialize sk));
-            ])
-        [ ("gk", `Gk); ("kll", `Kll) ])
-    datasets
-
 let ablations ~scale =
   let w = load_workload ~scale ~dataset:"normal" () in
   let words = fixed_budget w in

@@ -21,7 +21,6 @@ let all_figures =
     ("fig11", Figures.fig11);
     ("fig12", Figures.fig12);
     ("fig13", Figures.fig13);
-    ("sketches", Figures.sketches);
     ("ablations", Figures.ablations);
     ("extensions", Figures.extensions);
   ]
@@ -37,7 +36,7 @@ let () =
   let set_block n = scale := { !scale with Harness.block_size = n } in
   let spec =
     [
-      ("--figure", Arg.Set_string which, "fig4..fig13, sketches, ablations, extensions, micro, or all (default all)");
+      ("--figure", Arg.Set_string which, "fig4..fig13, ablations, extensions, micro, or all (default all)");
       ("--smoke", Arg.Set smoke, "CI smoke mode: run only the micro rows, tiny and fast");
       ("--steps", Arg.Int set_steps, "archived time steps (default 100)");
       ("--step-size", Arg.Int set_step_size, "elements per time step (default 10000)");

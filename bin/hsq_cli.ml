@@ -44,15 +44,6 @@ let kappa =
   let doc = "Merge threshold κ: maximum partitions per level." in
   Arg.(value & opt int 10 & info [ "kappa" ] ~docv:"K" ~doc)
 
-let sketch_kind =
-  let doc =
-    "Stream sketch for the open step: $(b,gk) (the paper's Greenwald-Khanna) or $(b,kll) \
-     (mergeable KLL; with --shards, fused quick answers compose the per-shard stream \
-     summaries by sketch merge). Checkpoints are tagged, so a durable store written under \
-     one kind reopens cleanly under the other (the open step rebuilds from the WAL)."
-  in
-  Arg.(value & opt (enum [ ("gk", `Gk); ("kll", `Kll) ]) `Gk & info [ "sketch" ] ~docv:"KIND" ~doc)
-
 let block_size =
   let doc = "Simulated disk block size, in elements." in
   Arg.(value & opt int 256 & info [ "block-size" ] ~docv:"B" ~doc)
@@ -299,10 +290,10 @@ let report_quantiles g phis =
 (* --- simulate ---------------------------------------------------------- *)
 
 let simulate dataset steps step_size seed epsilon kappa block_size deadline_ms phis verify
-    durable wal_sync checkpoint_every shards replicas stream_sketch =
+    durable wal_sync checkpoint_every shards replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:steps
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
       (Hsq.Config.Epsilon epsilon)
   in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
@@ -362,15 +353,15 @@ let simulate_cmd =
     Term.(
       const simulate $ dataset $ steps $ step_size $ seed $ epsilon $ kappa $ block_size
       $ deadline_ms $ phis $ verify $ durable_dir $ wal_sync $ checkpoint_every $ shards
-      $ replicas $ sketch_kind)
+      $ replicas)
 
 (* --- stream ------------------------------------------------------------- *)
 
 let stream step_every epsilon kappa block_size deadline_ms phis durable wal_sync
-    checkpoint_every shards replicas stream_sketch =
+    checkpoint_every shards replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:100
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas ~stream_sketch
+      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
       (Hsq.Config.Epsilon epsilon)
   in
   with_group ~who:"stream" ~config durable (fun g ->
@@ -421,7 +412,7 @@ let stream_cmd =
     (Cmd.info "stream" ~doc)
     Term.(
       const stream $ step_every $ epsilon $ kappa $ block_size $ deadline_ms $ phis
-      $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas $ sketch_kind)
+      $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas)
 
 (* --- query ---------------------------------------------------------------- *)
 
@@ -852,8 +843,7 @@ let metrics_cmd =
 (* --- serve ----------------------------------------------------------------- *)
 
 let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
-    queue_depth quick_ms accurate_ms ingest_ms admin_ms read_timeout_ms shards replicas
-    stream_sketch =
+    queue_depth quick_ms accurate_ms ingest_ms admin_ms read_timeout_ms shards replicas =
   let listen =
     match (socket, tcp) with
     | Some path, None -> Some (Hsq_serve.Server.Unix_sock path)
@@ -876,7 +866,7 @@ let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
     in
     let store_config =
       Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync
-        ~checkpoint_every ~shards ~replicas ~stream_sketch
+        ~checkpoint_every ~shards ~replicas
         (Hsq.Config.Epsilon epsilon)
     in
     with_group ~who:"serve" ~config:store_config durable (fun g ->
@@ -948,7 +938,7 @@ let serve_cmd =
       $ budget "accurate-budget-ms" 2000.0 "accurate-query"
       $ budget "ingest-budget-ms" 2000.0 "ingest"
       $ budget "admin-budget-ms" 1000.0 "admin"
-      $ read_timeout_ms $ shards $ replicas $ sketch_kind)
+      $ read_timeout_ms $ shards $ replicas)
 
 let () =
   let doc = "quantiles over the union of historical and streaming data (VLDB'16 reproduction)" in

@@ -25,8 +25,24 @@ type t = {
   seq : int; (* last WAL sequence number covered by this state *)
   steps_done : int; (* warehouse time steps committed at save time *)
   batch : int array; (* the open step's spool, one sorted run per hand-off *)
-  gk : int array; (* Gk.serialize of the stream sketch *)
+  gk : int array; (* serialize_sketch of the stream sketch *)
 }
+
+(* The sketch image is tagged: word 0 is 1, then the GK payload.
+   Untagged GK images from older stores start with 0 (Fixed mode) or a
+   word budget >= 32 (Capped), so they parse as GK.  Tag 2 marked the
+   KLL sketch of older builds; this build has no KLL, and the image must
+   not fall through to the untagged branch, so it is refused. *)
+let tag_gk = 1
+let tag_kll = 2
+
+let serialize_sketch gk = Array.append [| tag_gk |] (Hsq_sketch.Gk.serialize gk)
+
+let deserialize_sketch data =
+  if Array.length data = 0 then invalid_arg "Checkpoint.deserialize_sketch: empty image";
+  if data.(0) = tag_gk then Hsq_sketch.Gk.deserialize (Array.sub data 1 (Array.length data - 1))
+  else if data.(0) = tag_kll then invalid_arg "Checkpoint.deserialize_sketch: KLL image"
+  else Hsq_sketch.Gk.deserialize data
 
 let render c =
   let buf = Buffer.create (256 + (8 * (Array.length c.batch + Array.length c.gk))) in

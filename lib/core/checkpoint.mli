@@ -10,8 +10,18 @@ type t = {
   seq : int;          (** last WAL sequence number covered *)
   steps_done : int;   (** warehouse time steps committed at save time *)
   batch : int array;  (** the open step's spool, one sorted run per hand-off *)
-  gk : int array;     (** {!Hsq_sketch.Gk.serialize} of the stream sketch *)
+  gk : int array;     (** {!serialize_sketch} of the stream sketch *)
 }
+
+(** The sketch image a checkpoint carries: tag word 1, then
+    {!Hsq_sketch.Gk.serialize}. *)
+val serialize_sketch : Hsq_sketch.Gk.t -> int array
+
+(** Inverse of {!serialize_sketch}; also reads the untagged GK images
+    of older stores. Raises [Invalid_argument] on structural damage and
+    on tag 2, the KLL image older builds wrote: a caller treats either as
+    "no checkpoint" and replays the whole WAL. *)
+val deserialize_sketch : int array -> Hsq_sketch.Gk.t
 
 (** Atomically write the checkpoint to [path]. *)
 val save : path:string -> t -> unit

@@ -34,8 +34,6 @@ type t = {
   shards : int; (* independent engine shards in a Shard_group; 1 = single engine *)
   replicas : int; (* independent engine replicas per shard in a Shard_group;
                      1 = unreplicated (the classic layout) *)
-  stream_sketch : [ `Gk | `Kll ]; (* which ε₂ rank sketch summarizes the open step:
-                                     GK (paper) or mergeable KLL *)
 }
 
 let default =
@@ -52,7 +50,6 @@ let default =
     quarantine_after = 3;
     shards = 1;
     replicas = 1;
-    stream_sketch = `Gk;
   }
 
 let make ?(kappa = default.kappa) ?(block_size = default.block_size)
@@ -60,7 +57,7 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size)
     ?wal_dir ?(wal_sync = default.wal_sync)
     ?(checkpoint_every = default.checkpoint_every) ?query_deadline_ms
     ?(quarantine_after = default.quarantine_after) ?(shards = default.shards)
-    ?(replicas = default.replicas) ?(stream_sketch = default.stream_sketch) sizing =
+    ?(replicas = default.replicas) sizing =
   (match sizing with
   | Epsilon e when not (e > 0.0 && e < 1.0) -> invalid_arg "Config.make: epsilon not in (0,1)"
   | Epsilon _ -> ()
@@ -94,7 +91,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size)
     quarantine_after;
     shards;
     replicas;
-    stream_sketch;
   }
 
 (* Maximum simultaneous partitions: kappa per level, over

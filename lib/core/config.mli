@@ -54,14 +54,6 @@ type t = {
           bit-compatible with stores written before replication
           existed). Runtime topology, like [shards]: never persisted.
           Validated to [1, 8]. *)
-  stream_sketch : [ `Gk | `Kll ];
-      (** which ε₂ rank sketch summarizes the open step: [`Gk] (the
-          paper's Greenwald-Khanna, the default) or [`Kll] (mergeable,
-          so sharded quick answers can compose per-shard stream
-          summaries by sketch merge). Runtime policy, like the [wal_*]
-          fields: never persisted — checkpoints tag the sketch
-          kind they carry, and reopening a store with the other kind
-          rebuilds the open step's sketch from the WAL. *)
 }
 
 val default : t
@@ -81,7 +73,6 @@ val make :
   ?quarantine_after:int ->
   ?shards:int ->
   ?replicas:int ->
-  ?stream_sketch:[ `Gk | `Kll ] ->
   sizing ->
   t
 

@@ -85,7 +85,7 @@ type t = {
   config : Config.t;
   dev : Hsq_storage.Block_device.t;
   hist : Hsq_hist.Level_index.t;
-  mutable gk : Stream_sketch.t;
+  mutable gk : Hsq_sketch.Gk.t;
   (* The open step's spool: every handed-off element, one sorted run
      per hand-off. *)
   mutable batch : int array;
@@ -141,22 +141,12 @@ let degradation_label : degradation -> string = function
   | `Deadline -> "deadline"
   | `Device_open -> "device_open"
 
-(* The sketch kind is config (runtime policy), but operators read it
-   back through the metrics surface, so each engine registers it as a
-   0/1 gauge alongside its other pull-style metrics. *)
-let register_sketch_metric t =
-  Metrics.gauge_fn ~help:"Stream sketch kind (0 = GK, 1 = KLL)"
-    (Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats t.dev))
-    "hsq_stream_sketch_kll"
-    (fun () -> match Stream_sketch.kind t.gk with `Kll -> 1.0 | `Gk -> 0.0)
-
 let fresh_gk config =
-  let kind = config.Config.stream_sketch in
   match Config.gk_epsilon config with
-  | Some eps -> Stream_sketch.create ~kind ~epsilon:eps ()
+  | Some eps -> Hsq_sketch.Gk.create ~epsilon:eps
   | None -> (
     match Config.stream_words config with
-    | Some words -> Stream_sketch.create_capped ~kind ~words ()
+    | Some words -> Hsq_sketch.Gk.create_capped ~words
     | None -> assert false)
 
 (* Elements buffered between hand-offs into the stream sketch: one
@@ -192,17 +182,12 @@ let create ?device config =
   let hist =
     Hsq_hist.Level_index.create ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) dev
   in
-  let t = fresh_engine config ~dev ~hist in
-  register_sketch_metric t;
-  t
+  fresh_engine config ~dev ~hist
 
 (* Recovery path (Persist): adopt a restored historical index.  The
    stream side starts empty — [open_or_recover] refills it from the
    checkpoint and the WAL when durability is on. *)
-let of_restored ~device config hist =
-  let t = fresh_engine config ~dev:device ~hist in
-  register_sketch_metric t;
-  t
+let of_restored ~device config hist = fresh_engine config ~dev:device ~hist
 
 let config t = t.config
 let device t = t.dev
@@ -238,7 +223,7 @@ let hand_off t =
     in
     t.pending_len <- 0;
     Array.sort Int.compare run;
-    Stream_sketch.insert_sorted_batch t.gk run;
+    Hsq_sketch.Gk.insert_sorted_batch t.gk run;
     let need = t.batch_len + Array.length run in
     if need > Array.length t.batch then begin
       let bigger = Array.make (max need (2 * Array.length t.batch)) 0 in
@@ -262,7 +247,7 @@ let stream_sketch t =
   hand_off t;
   t.gk
 
-let stream_size t = Stream_sketch.count (stream_sketch t)
+let stream_size t = Hsq_sketch.Gk.count (stream_sketch t)
 let hist_size t = Hsq_hist.Level_index.total_elements t.hist
 let total_size t = hist_size t + stream_size t
 let time_steps t = Hsq_hist.Level_index.time_steps t.hist
@@ -270,11 +255,11 @@ let time_steps t = Hsq_hist.Level_index.time_steps t.hist
 (* eps2 as the engine currently provides it (2x the GK sketch's eps —
    see Config); eps = 4*eps2 inverts Algorithm 1.  A capped sketch's
    eps grows with its inserts, hence the hand-off. *)
-let eps2 t = 2.0 *. Stream_sketch.epsilon (stream_sketch t)
+let eps2 t = 2.0 *. Hsq_sketch.Gk.epsilon (stream_sketch t)
 let epsilon t = 4.0 *. eps2 t
 
 let memory_words t =
-  Hsq_hist.Level_index.memory_words t.hist + Stream_sketch.memory_words (stream_sketch t)
+  Hsq_hist.Level_index.memory_words t.hist + Hsq_sketch.Gk.memory_words (stream_sketch t)
 
 (* Freeze the stream side at the WAL's last acknowledged sequence
    number.  The log is synced first so the checkpoint never covers
@@ -288,7 +273,7 @@ let write_checkpoint_impl t d =
       Checkpoint.seq = Hsq_storage.Wal.last_seq d.wal;
       steps_done = Hsq_hist.Level_index.time_steps t.hist;
       batch = Array.sub t.batch 0 t.batch_len;
-      gk = Stream_sketch.serialize t.gk;
+      gk = Checkpoint.serialize_sketch t.gk;
     }
   in
   Checkpoint.save ~path:d.ckpt_path c;
@@ -386,12 +371,6 @@ let ingest_batch t batch =
 let expire t ~keep_steps = Hsq_hist.Level_index.expire t.hist ~keep_steps
 
 let stream_summary t = Stream_summary.extract (stream_sketch t)
-
-let sketch_label t = Stream_sketch.kind_label t.gk
-
-(* A private deep copy of the open step's KLL sketch (None under GK).
-   Shard_group merges these to compose fused stream summaries. *)
-let kll_snapshot t = Option.map Hsq_sketch.Kll.copy (Stream_sketch.as_kll (stream_sketch t))
 
 (* The cached historical aggregate, rebuilt only when the level index's
    epoch moved since it was computed (partition add / merge / expire /
@@ -677,26 +656,21 @@ let check_store ~dir =
                to consolidate it into %s"
               dir name wal_file))
 
-(* Adopt a checkpoint's frozen stream side.  A structurally invalid GK
-   image means the file lied despite its checksum (or versions skewed):
-   treat the checkpoint as absent, full replay is always correct. *)
+(* Adopt a checkpoint's frozen stream side.  A sketch image that
+   Checkpoint.deserialize_sketch refuses (the file lied despite its
+   checksum, versions skewed, or it carries a sketch this build does not
+   run) reads as no checkpoint: full replay is always correct. *)
 let restore_from_checkpoint t c =
-  match Stream_sketch.deserialize c.Checkpoint.gk with
+  match Checkpoint.deserialize_sketch c.Checkpoint.gk with
   | exception Invalid_argument _ -> false
   | gk ->
-    (* A checkpoint carrying the other sketch kind (the store was last
-       written under a different --sketch) cannot seed this engine:
-       treat it as absent and rebuild the open step from the WAL. *)
-    if Stream_sketch.kind gk <> t.config.Config.stream_sketch then false
-    else begin
-      let len = Array.length c.Checkpoint.batch in
-      let batch = Array.make (max 1024 len) 0 in
-      Array.blit c.Checkpoint.batch 0 batch 0 len;
-      t.gk <- gk;
-      t.batch <- batch;
-      t.batch_len <- len;
-      true
-    end
+    let len = Array.length c.Checkpoint.batch in
+    let batch = Array.make (max 1024 len) 0 in
+    Array.blit c.Checkpoint.batch 0 batch 0 len;
+    t.gk <- gk;
+    t.batch <- batch;
+    t.batch_len <- len;
+    true
 
 let open_or_recover config =
   let dir =
@@ -727,7 +701,6 @@ let open_or_recover config =
           Config.wal_dir = config.Config.wal_dir;
           wal_sync = config.Config.wal_sync;
           checkpoint_every = config.Config.checkpoint_every;
-          stream_sketch = config.Config.stream_sketch;
         }
       in
       of_restored ~device merged hist

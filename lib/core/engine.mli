@@ -91,16 +91,7 @@ val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> uni
 val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 
 val hist : t -> Hsq_hist.Level_index.t
-val stream_sketch : t -> Stream_sketch.t
-
-(** Which ε₂ sketch kind the open step runs, as a label ("gk"/"kll")
-    for status and metrics surfaces. *)
-val sketch_label : t -> string
-
-(** Snapshot-consistent deep copy of the open step's KLL sketch;
-    [None] when the engine runs GK.  {!Hsq_shard.Shard_group} merges
-    these to compose fused stream summaries by sketch merge. *)
-val kll_snapshot : t -> Hsq_sketch.Kll.t option
+val stream_sketch : t -> Hsq_sketch.Gk.t
 
 (** m, n, N = n + m, and T (time steps archived). *)
 val stream_size : t -> int
@@ -123,7 +114,7 @@ val memory_words : t -> int
     log first — the acknowledgement: if the append raises, the element
     is unacknowledged and in-memory state is untouched. It is then
     buffered, and every 512 buffered elements are handed off, sorted, to
-    the sketch ({!Stream_sketch.insert_sorted_batch}) and the step spool
+    the sketch ({!Hsq_sketch.Gk.insert_sorted_batch}) and the step spool
     in one merge. Every read of the stream side (sizes, summaries,
     answers, checkpoints, {!end_time_step}) hands the buffer off first,
     so each acknowledged element is visible to the next call. The engine

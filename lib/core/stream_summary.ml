@@ -25,8 +25,8 @@ type t = {
 let beta2 ~eps2 = int_of_float (ceil (1.0 /. eps2)) + 1
 
 let extract gk =
-  let m = Stream_sketch.count gk in
-  let gk_eps = Stream_sketch.epsilon gk in
+  let m = Hsq_sketch.Gk.count gk in
+  let gk_eps = Hsq_sketch.Gk.epsilon gk in
   let eps2 = 2.0 *. gk_eps in
   if m = 0 then { values = [||]; rlo = [||]; rhi = [||]; eps2; m = 0 }
   else begin
@@ -37,29 +37,28 @@ let extract gk =
     let values = Array.make b2 0 in
     let rlo = Array.make b2 0.0 in
     let rhi = Array.make b2 0.0 in
-    for i = 0 to b2 - 1 do
-      if i = 0 then begin
-        (* Exact minimum: rank is at least 1 (and up to its multiplicity,
-           about which the sketch knows nothing). *)
-        values.(0) <- Stream_sketch.min_value gk;
-        rlo.(0) <- 1.0;
-        rhi.(0) <- fm
-      end
-      else if i = b2 - 1 then begin
-        (* Exact maximum: rank(max, R) = m by definition, which pins the
-           upper end of every bound exactly. *)
-        values.(i) <- Stream_sketch.max_value gk;
-        rlo.(i) <- fm;
-        rhi.(i) <- fm
-      end
-      else begin
-        let target = (float_of_int i +. 0.5) *. spacing in
-        let r = min m (max 1 (int_of_float (Float.round target))) in
-        values.(i) <- Stream_sketch.query_rank gk r;
-        rlo.(i) <- Float.max 0.0 (float_of_int r -. slack);
-        rhi.(i) <- Float.min fm (float_of_int r +. slack)
-      end
-    done;
+    (* Exact minimum: rank is at least 1 (and up to its multiplicity,
+       about which the sketch knows nothing). *)
+    values.(0) <- Hsq_sketch.Gk.min_value gk;
+    rlo.(0) <- 1.0;
+    rhi.(0) <- fm;
+    (* Exact maximum: rank(max, R) = m by definition, which pins the
+       upper end of every bound exactly. *)
+    values.(b2 - 1) <- Hsq_sketch.Gk.max_value gk;
+    rlo.(b2 - 1) <- fm;
+    rhi.(b2 - 1) <- fm;
+    (* The interior target ranks increase with i, so one walk of the
+       sketch answers them all. *)
+    let ranks =
+      Array.init (b2 - 2) (fun k ->
+          let i = k + 1 in
+          let target = (float_of_int i +. 0.5) *. spacing in
+          let r = min m (max 1 (int_of_float (Float.round target))) in
+          rlo.(i) <- Float.max 0.0 (float_of_int r -. slack);
+          rhi.(i) <- Float.min fm (float_of_int r +. slack);
+          r)
+    in
+    Array.blit (Hsq_sketch.Gk.query_ranks gk ranks) 0 values 1 (b2 - 2);
     (* Entry values are non-decreasing, so their true ranks are too;
        propagating lower bounds forward and upper bounds backward is
        therefore sound, only tightens, and restores the monotonicity

@@ -1,6 +1,6 @@
 (** The stream summary SS (Algorithm 4, Lemma 1).
 
-    Extracted on demand from the engine's {!Stream_sketch.t}: β₂ = ⌈1/ε₂⌉ + 1
+    Extracted on demand from the engine's GK sketch: β₂ = ⌈1/ε₂⌉ + 1
     values whose ranks are approximately evenly spaced in the stream,
     with SS[0] the exact minimum; entry [i]'s true rank lies in
     [i·ε₂·m, (i+1)·ε₂·m]. *)
@@ -13,7 +13,7 @@ type t
     guaranteed interval on its own rank, from which the Lemma 2 bounds
     are computed — never weaker than the paper's spacing formulas, and
     robust at the clamped tail entries. *)
-val extract : Stream_sketch.t -> t
+val extract : Hsq_sketch.Gk.t -> t
 
 (** Per-entry guaranteed rank intervals [(rlo, rhi)]. *)
 val intervals : t -> (float * float) array

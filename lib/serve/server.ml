@@ -353,7 +353,7 @@ let execute t req ~deadline =
           ("stream", Json.int (G.stream_size g));
           ("steps", Json.int (G.time_steps g));
           ("epsilon", Json.Num epsilon);
-          ("sketch", Json.Str (G.sketch_label g));
+          ("sketch", Json.Str "gk");
           ("memory_words", Json.int (G.memory_words g));
           ("windows", Json.List (List.map Json.int (G.window_sizes g)));
           ("shards", Json.int (G.shard_count g));

@@ -22,7 +22,7 @@
    arithmetic — before it re-enters the read set.
 
    Anti-entropy: replicas applying identical op sequences converge
-   bit-for-bit (deterministic merge cascade and seeded sketch coins),
+   bit-for-bit (deterministic merge cascade and GK sketch),
    so a scrub-triggered pass compares per-replica state digests
    (Anti_entropy), flags mismatches as `Replica_diverged, and repairs
    the minority from the healthiest sibling by file copy.
@@ -345,9 +345,6 @@ let set_tracer t tr =
 
 let shard_count t = t.k
 let replica_count t = t.r
-
-let sketch_label t =
-  match t.config.Hsq.Config.stream_sketch with `Gk -> "gk" | `Kll -> "kll"
 
 (* Xorshift-multiply finalizer (constants fit OCaml's 63-bit int):
    uncorrelated with value order and with the block-level chaos coins,
@@ -764,28 +761,9 @@ let fused_agg t alive =
     t.agg_cache <- Some (key, agg);
     agg
 
-(* Per-shard stream summaries for a fused build.  When every read
-   replica runs the mergeable KLL sketch, the per-shard snapshots merge
-   into ONE sketch and the view carries a single stream summary: the
-   fused heap then brackets union ranks through sketch merge instead of
-   summed per-shard windows (DESIGN.md §16).  Any GK shard (or an empty
-   group) falls back to the summed-window path unchanged. *)
-let streams_of alive =
-  let snapshots = List.map (fun (_, _, e) -> E.kll_snapshot e) alive in
-  if alive <> [] && List.for_all Option.is_some snapshots then
-    let merged =
-      List.fold_left
-        (fun acc s ->
-          match (acc, s) with
-          | None, s -> s
-          | acc, None -> acc
-          | Some a, Some b -> Some (Hsq_sketch.Kll.merge a b))
-        None snapshots
-    in
-    match merged with
-    | Some m -> [ Ss.extract (Hsq.Stream_sketch.Kll m) ]
-    | None -> []
-  else List.map (fun (_, _, e) -> E.stream_summary e) alive
+(* Per-shard stream summaries for a fused build: the fused heap sums
+   their Lemma 2 windows. *)
+let streams_of alive = List.map (fun (_, _, e) -> E.stream_summary e) alive
 
 (* The stream summaries the selector keeps. *)
 let streams_in ~range alive =

@@ -136,11 +136,6 @@ val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 val shard_count : t -> int
 val replica_count : t -> int
 
-(** The ε₂ stream-sketch kind every shard runs ("gk" or "kll"); with
-    "kll", fused quick answers compose the per-shard stream summaries
-    by sketch merge rather than summed rank windows. *)
-val sketch_label : t -> string
-
 (** Deterministic shard for a value (splitmix-style hash mod K). *)
 val route : t -> int -> int
 

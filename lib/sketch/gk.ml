@@ -194,20 +194,30 @@ let insert_sorted_batch t b =
     enforce_budget t
   end
 
-(* Smallest tuple index with rmin >= r - eps*n; by the invariant its rmax
-   is < r + eps*n, so its value answers rank r within eps*n. *)
+(* For each rank r, the smallest tuple index with rmin >= r - eps*n; by
+   the invariant its rmax is < r + eps*n, so its value answers rank r
+   within eps*n.  Non-decreasing ranks give non-decreasing indices, so
+   one walk of the tuples answers the whole array. *)
+let query_ranks t rs =
+  if t.n = 0 then invalid_arg "Gk.query_ranks: empty sketch";
+  let slack = t.epsilon *. float_of_int t.n in
+  let last = t.size - 1 in
+  let i = ref 0 and rmin = ref t.tuples.(0).g in
+  Array.mapi
+    (fun k r ->
+      if k > 0 && r < rs.(k - 1) then invalid_arg "Gk.query_ranks: ranks decrease";
+      let r = if r < 1 then 1 else if r > t.n then t.n else r in
+      let lo = float_of_int r -. slack in
+      while !i < last && float_of_int !rmin < lo do
+        incr i;
+        rmin := !rmin + t.tuples.(!i).g
+      done;
+      t.tuples.(!i).value)
+    rs
+
 let query_rank t r =
   if t.n = 0 then invalid_arg "Gk.query_rank: empty sketch";
-  let r = if r < 1 then 1 else if r > t.n then t.n else r in
-  let slack = t.epsilon *. float_of_int t.n in
-  let lo = float_of_int r -. slack in
-  let rec go i rmin =
-    if i >= t.size - 1 then t.tuples.(t.size - 1).value
-    else
-      let rmin = rmin + t.tuples.(i).g in
-      if float_of_int rmin >= lo then t.tuples.(i).value else go (i + 1) rmin
-  in
-  go 0 0
+  (query_ranks t [| r |]).(0)
 
 (* Estimated rank of v: midpoint of [rmin, rmax] of the last tuple <= v. *)
 let rank_of t v =

@@ -48,6 +48,11 @@ val memory_words : t -> int
     [1, n]). Raises [Invalid_argument] on an empty sketch. *)
 val query_rank : t -> int -> int
 
+(** [query_ranks t rs] is [Array.map (query_rank t) rs] in one walk of
+    the tuples. Raises [Invalid_argument] on an empty sketch or if [rs]
+    decreases anywhere. *)
+val query_ranks : t -> int array -> int array
+
 (** Estimated rank of a value (midpoint of its bracketing tuple's rank
     interval); 0 for values below the minimum. *)
 val rank_of : t -> int -> int

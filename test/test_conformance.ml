@@ -96,11 +96,10 @@ let pp_violation v =
 let check ~workload ~phi ~path ~err ~bound acc =
   if float_of_int err > bound then { workload; phi; path; err; bound } :: acc else acc
 
-let run_workload ~sketch ~eps ~steps ~step_size ~tail ~seed (wname, gen) =
+let run_workload ~eps ~steps ~step_size ~tail ~seed (wname, gen) =
   let data = gen seed ((steps * step_size) + tail) in
   let config =
-    Hsq.Config.make ~kappa:4 ~block_size:64 ~steps_hint:steps ~stream_sketch:sketch
-      (Hsq.Config.Epsilon eps)
+    Hsq.Config.make ~kappa:4 ~block_size:64 ~steps_hint:steps (Hsq.Config.Epsilon eps)
   in
   let eng = E.create config in
   let oracle = Oracle.create () in
@@ -136,11 +135,11 @@ let run_workload ~sketch ~eps ~steps ~step_size ~tail ~seed (wname, gen) =
   Hsq_storage.Block_device.close (E.device eng);
   violations
 
-let run_setting ?(sketch = `Gk) ~eps ~steps ~step_size ~tail ~seed () =
+let run_setting ~eps ~steps ~step_size ~tail ~seed () =
   let violations =
     List.concat_map
       (fun w ->
-        run_workload ~sketch ~eps ~steps ~step_size:(step_size * scale) ~tail:(tail * scale)
+        run_workload ~eps ~steps ~step_size:(step_size * scale) ~tail:(tail * scale)
           ~seed w)
       workloads
   in
@@ -148,10 +147,6 @@ let run_setting ?(sketch = `Gk) ~eps ~steps ~step_size ~tail ~seed () =
   | [] -> ()
   | vs -> Alcotest.failf "%d bound violations:\n%s" (List.length vs)
             (String.concat "\n" (List.map pp_violation vs))
-
-(* The same grid over the mergeable KLL stream sketch: both ε₂ sketch
-   kinds must honour the same envelopes (the engine's union estimator
-   is sketch-agnostic; only the stream side's internals change). *)
 
 (* --- the checker itself must be able to fail ----------------------------- *)
 
@@ -180,55 +175,6 @@ let test_checker_has_teeth () =
   in
   Alcotest.(check int) "exact answer passes" 0 (List.length ok)
 
-(* Teeth for the KLL half of the grid: drive a real KLL-sketch engine
-   and confirm (a) a displaced answer violates the asserted bounds —
-   the KLL pass cannot succeed vacuously — and (b) the engine's own
-   answers do not.  Mutation-checked like the GK teeth case: asserting
-   the quick bound at ε/10 against this engine fails. *)
-let test_kll_checker_has_teeth () =
-  let eps = 0.05 and steps = 4 and step_size = 800 and tail = 600 in
-  let _, gen = List.hd workloads in
-  let data = gen 0x511 ((steps * step_size) + tail) in
-  let config =
-    Hsq.Config.make ~kappa:4 ~block_size:64 ~steps_hint:steps ~stream_sketch:`Kll
-      (Hsq.Config.Epsilon eps)
-  in
-  let eng = E.create config in
-  let oracle = Oracle.create () in
-  let archived = steps * step_size in
-  Array.iteri
-    (fun i v ->
-      E.observe eng v;
-      Oracle.add oracle v;
-      if i < archived && (i + 1) mod step_size = 0 then ignore (E.end_time_step eng))
-    data;
-  let n = E.total_size eng in
-  let m = E.stream_size eng in
-  let parts = Hsq_hist.Level_index.partition_count (E.hist eng) in
-  let quick_bound = (eps *. float_of_int n) +. float_of_int parts +. 2.0 in
-  let acc_bound = (eps *. float_of_int m) +. 1.0 in
-  let rank = n / 2 in
-  let displaced = Oracle.select oracle (min n (rank + (4 * int_of_float quick_bound))) in
-  let flagged =
-    check ~workload:"kll-teeth" ~phi:0.5 ~path:"quick"
-      ~err:(Oracle.rank_error oracle ~rank ~value:displaced)
-      ~bound:quick_bound []
-  in
-  Alcotest.(check int) "displaced answer violates the KLL quick bound" 1 (List.length flagged);
-  let vq = E.quick eng ~rank in
-  let va, _ = E.accurate eng ~rank in
-  let own =
-    []
-    |> check ~workload:"kll-teeth" ~phi:0.5 ~path:"quick"
-         ~err:(Oracle.rank_error oracle ~rank ~value:vq)
-         ~bound:quick_bound
-    |> check ~workload:"kll-teeth" ~phi:0.5 ~path:"accurate"
-         ~err:(Oracle.rank_error oracle ~rank ~value:va)
-         ~bound:acc_bound
-  in
-  Alcotest.(check int) "the KLL engine's own answers pass" 0 (List.length own);
-  Hsq_storage.Block_device.close (E.device eng)
-
 let () =
   Alcotest.run "conformance"
     [
@@ -241,18 +187,8 @@ let () =
           Alcotest.test_case "eps=0.1 coarse" `Quick
             (run_setting ~eps:0.1 ~steps:5 ~step_size:700 ~tail:400 ~seed:37);
         ] );
-      ( "error bounds (kll sketch)",
-        [
-          Alcotest.test_case "eps=0.05 mid-size" `Quick
-            (run_setting ~sketch:`Kll ~eps:0.05 ~steps:8 ~step_size:1_200 ~tail:900 ~seed:11);
-          Alcotest.test_case "eps=0.02 tight" `Quick
-            (run_setting ~sketch:`Kll ~eps:0.02 ~steps:12 ~step_size:2_500 ~tail:1_600 ~seed:23);
-          Alcotest.test_case "eps=0.1 coarse" `Quick
-            (run_setting ~sketch:`Kll ~eps:0.1 ~steps:5 ~step_size:700 ~tail:400 ~seed:37);
-        ] );
       ( "sensitivity",
         [
           Alcotest.test_case "checker has teeth" `Quick test_checker_has_teeth;
-          Alcotest.test_case "kll checker has teeth" `Quick test_kll_checker_has_teeth;
         ] );
     ]

@@ -174,7 +174,7 @@ let run_bitflip_seed seed =
    - quantiles over the recovered prefix stay inside the epsilon rank
      band, and the level-index invariants hold. *)
 
-let run_ingest_crash_seed ?(stream_sketch = `Gk) seed =
+let run_ingest_crash_seed seed =
   let store_dir = Filename.temp_file "hsq_ingest" "" in
   Sys.remove store_dir;
   Sys.mkdir store_dir 0o755;
@@ -202,7 +202,7 @@ let run_ingest_crash_seed ?(stream_sketch = `Gk) seed =
       let config =
         Hsq.Config.make
           ~kappa:(2 + Hsq_util.Xoshiro.int rng 3)
-          ~block_size ~wal_dir:store_dir ~wal_sync ~checkpoint_every ~stream_sketch
+          ~block_size ~wal_dir:store_dir ~wal_sync ~checkpoint_every
           (Hsq.Config.Epsilon eps)
       in
       let policy = Hsq_storage.Wal.sync_policy_to_string wal_sync in
@@ -463,16 +463,6 @@ let ingest_cases =
       Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (fun () ->
           run_ingest_crash_seed seed))
 
-(* The same WAL-path fuzz with the KLL stream sketch: its checkpoints
-   carry a serialized compactor stack instead of a GK summary, so torn
-   checkpoint images, replay determinism (coin-seed restore), and the
-   loss bounds all get exercised against the second sketch kind. *)
-let kll_ingest_cases =
-  List.init (seed_count 16) (fun i ->
-      let seed = 7000 + (i * 17) in
-      Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (fun () ->
-          run_ingest_crash_seed ~stream_sketch:`Kll seed))
-
 let power_cut_cases =
   Alcotest.test_case "rename_unsynced rolled back, commit survives" `Quick
     test_power_cut_rolls_back_unsynced
@@ -487,6 +477,5 @@ let () =
       ("torn write crash", crash_cases);
       ("bit flip at rest", bitflip_cases);
       ("ingest crash (WAL)", ingest_cases);
-      ("ingest crash (WAL, kll sketch)", kll_ingest_cases);
       ("power cut (dir fsync)", power_cut_cases);
     ]

@@ -38,17 +38,15 @@ let with_store f =
       end)
     (fun () -> f dir)
 
-let config ?(wal_sync = W.Always) ?(checkpoint_every = 0) ?(stream_sketch = `Gk) dir =
-  Hsq.Config.make ~kappa:3 ~block_size ~wal_dir:dir ~wal_sync ~checkpoint_every ~stream_sketch
+let config ?(wal_sync = W.Always) ?(checkpoint_every = 0) dir =
+  Hsq.Config.make ~kappa:3 ~block_size ~wal_dir:dir ~wal_sync ~checkpoint_every
     (Hsq.Config.Epsilon eps)
 
 let el seed i = (i * 2654435761) lxor seed
 
 (* Reference: the same element sequence through a volatile engine. *)
-let reference_engine ?(stream_sketch = `Gk) elements step_breaks =
-  let eng =
-    E.create (Hsq.Config.make ~kappa:3 ~block_size ~stream_sketch (Hsq.Config.Epsilon eps))
-  in
+let reference_engine elements step_breaks =
+  let eng = E.create (Hsq.Config.make ~kappa:3 ~block_size (Hsq.Config.Epsilon eps)) in
   List.iteri
     (fun i v ->
       E.observe eng v;
@@ -343,125 +341,6 @@ let test_corrupt_checkpoint_ignored () =
       Alcotest.(check int) "full replay recovers everything" 48 (E.total_size recovered);
       E.close recovered)
 
-(* --- KLL stream sketch: the same durability story ---------------------- *)
-
-(* The stream-sketch kind is runtime policy, not persisted state: the
-   checkpoint image is tagged with the kind that wrote it, and a
-   kind-mismatched (or damaged) image reads as absent, falling back to
-   full WAL replay into a fresh sketch of the configured kind. *)
-
-let test_kll_round_trip_crash () =
-  with_store (fun dir ->
-      let elements = List.init 500 (el 101) in
-      let breaks = [ 150; 300 ] in
-      let eng, _ = E.open_or_recover (config ~stream_sketch:`Kll dir) in
-      Alcotest.(check string) "runs the kll sketch" "kll" (E.sketch_label eng);
-      List.iteri
-        (fun i v ->
-          E.observe eng v;
-          if List.mem (i + 1) breaks then ignore (E.end_time_step eng))
-        elements;
-      E.crash eng;
-      let recovered, _ = E.open_or_recover (config ~stream_sketch:`Kll dir) in
-      Alcotest.(check string) "kll after recovery" "kll" (E.sketch_label recovered);
-      check_matches_reference ~msg:"kll crash/recover" recovered
-        (reference_engine ~stream_sketch:`Kll elements breaks);
-      E.close recovered)
-
-let test_kll_checkpoint_bounds_replay () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config ~checkpoint_every:100 ~stream_sketch:`Kll dir) in
-      for i = 1 to 350 do
-        E.observe eng (el 103 i)
-      done;
-      E.crash eng;
-      let recovered, report =
-        E.open_or_recover (config ~checkpoint_every:100 ~stream_sketch:`Kll dir)
-      in
-      Alcotest.(check bool) "kll checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "replayed only the suffix" 50 report.E.replayed;
-      Alcotest.(check int) "nothing lost" 350 (E.total_size recovered);
-      check_matches_reference ~msg:"kll checkpointed recovery" recovered
-        (reference_engine ~stream_sketch:`Kll (List.init 350 (fun i -> el 103 (i + 1))) []);
-      E.close recovered)
-
-let test_kll_torn_checkpoint_ignored () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config ~stream_sketch:`Kll dir) in
-      for i = 1 to 60 do
-        E.observe eng (el 107 i)
-      done;
-      E.checkpoint_now eng;
-      E.crash eng;
-      (* Tear the checkpoint file mid-image: the torn read must count as
-         no checkpoint at all, never as a half-restored sketch. *)
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      let size = (Unix.stat ckpt_path).Unix.st_size in
-      let fd = Unix.openfile ckpt_path [ Unix.O_RDWR ] 0 in
-      Unix.ftruncate fd (size / 2);
-      Unix.close fd;
-      let recovered, report = E.open_or_recover (config ~stream_sketch:`Kll dir) in
-      Alcotest.(check bool) "torn kll checkpoint ignored" false report.E.checkpoint_used;
-      Alcotest.(check int) "full replay instead" 60 report.E.replayed;
-      Alcotest.(check int) "correct state" 60 (E.total_size recovered);
-      Alcotest.(check string) "still kll" "kll" (E.sketch_label recovered);
-      E.close recovered)
-
-let test_kll_corrupt_checkpoint_ignored () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config ~checkpoint_every:16 ~stream_sketch:`Kll dir) in
-      for i = 1 to 48 do
-        E.observe eng (el 109 i)
-      done;
-      E.crash eng;
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      let oc = open_out_bin ckpt_path in
-      output_string oc "hsq-ckpt 1\nnot a checkpoint at all\n";
-      close_out oc;
-      let recovered, report =
-        E.open_or_recover (config ~checkpoint_every:16 ~stream_sketch:`Kll dir)
-      in
-      Alcotest.(check bool) "corrupt kll checkpoint treated as absent" false
-        report.E.checkpoint_used;
-      Alcotest.(check int) "full replay recovers everything" 48 (E.total_size recovered);
-      E.close recovered)
-
-(* Reopen a GK-written store under `Kll (and back): the kind-mismatched
-   checkpoint is skipped, the WAL rebuilds the full state into the newly
-   configured sketch, and answers match the never-crashed reference. *)
-let run_cross_sketch_reopen ~first ~then_ =
-  with_store (fun dir ->
-      let elements = List.init 400 (el 113) in
-      let breaks = [ 120; 260 ] in
-      let eng, _ = E.open_or_recover (config ~stream_sketch:first dir) in
-      List.iteri
-        (fun i v ->
-          E.observe eng v;
-          if List.mem (i + 1) breaks then ignore (E.end_time_step eng))
-        elements;
-      E.checkpoint_now eng;
-      E.crash eng;
-      let recovered, report = E.open_or_recover (config ~stream_sketch:then_ dir) in
-      Alcotest.(check bool)
-        "kind-mismatched checkpoint skipped" false report.E.checkpoint_used;
-      Alcotest.(check string) "reopened under the configured kind"
-        (match then_ with `Gk -> "gk" | `Kll -> "kll")
-        (E.sketch_label recovered);
-      check_matches_reference ~msg:"cross-sketch reopen" recovered
-        (reference_engine ~stream_sketch:then_ elements breaks);
-      (* the store keeps working under the new kind, durably *)
-      for i = 1 to 50 do
-        E.observe recovered (el 127 i)
-      done;
-      E.crash recovered;
-      let again, report2 = E.open_or_recover (config ~stream_sketch:then_ dir) in
-      Alcotest.(check int) "appends after the switch survive" 450 (E.total_size again);
-      ignore report2;
-      E.close again)
-
-let test_gk_store_reopened_as_kll () = run_cross_sketch_reopen ~first:`Gk ~then_:`Kll
-let test_kll_store_reopened_as_gk () = run_cross_sketch_reopen ~first:`Kll ~then_:`Gk
-
 (* --- append rollback --------------------------------------------------- *)
 
 (* A failed append is transactional at the WAL layer: the sequence
@@ -693,6 +572,80 @@ let test_lane_marker_replays_as_end_step () =
       Alcotest.(check int) "open step" 12 (E.stream_size eng);
       E.close eng)
 
+(* --- checkpoint sketch images ------------------------------------------ *)
+
+(* The checkpoint's sketch image is tag word 1 then the GK payload.
+   Older stores hold untagged GK images (word 0 is the GK mode word) and
+   older builds wrote tag 2 before a KLL image.  Each case builds two
+   archived steps and an open step, checkpoints it, crashes, rewrites
+   the image with [rewrite], and reopens. *)
+let sketch_image_case ~rewrite ~after_checkpoint check =
+  with_store (fun dir ->
+      let elements = List.init 300 (el 131) in
+      let breaks = [ 100; 200 ] in
+      let eng, _ = E.open_or_recover (config dir) in
+      List.iteri
+        (fun i v ->
+          E.observe eng v;
+          if List.mem (i + 1) breaks then ignore (E.end_time_step eng))
+        elements;
+      E.checkpoint_now eng;
+      let tail = List.init after_checkpoint (fun i -> el 137 (i + 1)) in
+      List.iter (E.observe eng) tail;
+      E.crash eng;
+      let _, _, wal_path, ckpt_path = E.store_paths ~dir in
+      let lines = String.split_on_char '\n' (read_file ckpt_path) in
+      let words_of l = List.tl (String.split_on_char ' ' l) |> List.map int_of_string in
+      let image = List.find (String.starts_with ~prefix:"gk ") lines |> words_of in
+      Alcotest.(check int) "written with tag word 1" 1 (List.hd image);
+      let image = rewrite image in
+      let body =
+        List.concat_map
+          (fun l ->
+            if String.starts_with ~prefix:"gk_len " l then
+              [ Printf.sprintf "gk_len %d" (List.length image) ]
+            else if String.starts_with ~prefix:"gk " l then
+              [ String.concat " " ("gk" :: List.map string_of_int image) ]
+            else if l = "" || String.starts_with ~prefix:"checksum " l then []
+            else [ l ])
+          lines
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat ""
+      in
+      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      let records, _, _ = W.read_path ~path:wal_path in
+      let recovered, report = E.open_or_recover (config dir) in
+      check ~report ~wal_records:(List.length records);
+      Alcotest.(check int) "every acknowledged element back" (300 + after_checkpoint)
+        (E.total_size recovered);
+      check_matches_reference ~msg:"reopen" recovered (reference_engine (elements @ tail) breaks);
+      E.close recovered)
+
+let test_tag1_image_restores () =
+  sketch_image_case ~rewrite:Fun.id ~after_checkpoint:20 (fun ~report ~wal_records:_ ->
+      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
+      Alcotest.(check int) "replayed only the suffix" 20 report.E.replayed)
+
+let test_untagged_image_restores () =
+  sketch_image_case ~rewrite:List.tl ~after_checkpoint:20 (fun ~report ~wal_records:_ ->
+      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
+      Alcotest.(check int) "replayed only the suffix" 20 report.E.replayed)
+
+(* The planted image is tag 2 over a GK payload whose mode word is
+   dropped, so the whole array also parses as an untagged GK image (a
+   capped sketch with a budget of 2): only the tag refusal keeps it
+   from seeding the engine.  The checkpoint covers the whole WAL and
+   its steps_done matches, so nothing else rejects it. *)
+let test_tag2_image_refused () =
+  let rewrite = function
+    | 1 :: 0 :: payload -> 2 :: payload
+    | _ -> Alcotest.fail "expected a tagged fixed-mode GK image"
+  in
+  sketch_image_case ~rewrite ~after_checkpoint:0 (fun ~report ~wal_records ->
+      Alcotest.(check bool) "tag-2 checkpoint not used" false report.E.checkpoint_used;
+      Alcotest.(check bool) "the WAL holds the open step" true (wal_records >= 100);
+      Alcotest.(check int) "every WAL record replayed" wal_records report.E.replayed)
+
 let () =
   Alcotest.run "durable"
     [
@@ -728,17 +681,11 @@ let () =
             test_never_sync_loses_open_tail;
         ] );
       ("torn tails", [ Alcotest.test_case "floored and truncated" `Quick test_torn_tail_floored ]);
-      ( "kll sketch",
+      ( "sketch images",
         [
-          Alcotest.test_case "crash then recover" `Quick test_kll_round_trip_crash;
-          Alcotest.test_case "checkpoint bounds the replay" `Quick
-            test_kll_checkpoint_bounds_replay;
-          Alcotest.test_case "torn kll checkpoint ignored" `Quick
-            test_kll_torn_checkpoint_ignored;
-          Alcotest.test_case "corrupt kll checkpoint ignored" `Quick
-            test_kll_corrupt_checkpoint_ignored;
-          Alcotest.test_case "gk store reopened as kll" `Quick test_gk_store_reopened_as_kll;
-          Alcotest.test_case "kll store reopened as gk" `Quick test_kll_store_reopened_as_gk;
+          Alcotest.test_case "tag-1 image restores" `Quick test_tag1_image_restores;
+          Alcotest.test_case "untagged gk image restores" `Quick test_untagged_image_restores;
+          Alcotest.test_case "tag-2 image refused, full replay" `Quick test_tag2_image_refused;
         ] );
       ( "append rollback",
         [

@@ -300,6 +300,71 @@ let prop_merge_bound =
       done;
       !ok)
 
+(* --- batched rank queries ------------------------------------------------ *)
+
+(* [query_rank]'s rule read straight off [dump]: the first tuple whose
+   rmin reaches r - eps*n, else the last tuple. *)
+let reference_query gk r =
+  let n = Gk.count gk in
+  let r = max 1 (min n r) in
+  let lo = float_of_int r -. (Gk.epsilon gk *. float_of_int n) in
+  let tuples = Array.of_list (Gk.dump gk) in
+  let last = Array.length tuples - 1 in
+  let rec go i =
+    let v, rmin, _ = tuples.(i) in
+    if i = last || float_of_int rmin >= lo then v else go (i + 1)
+  in
+  go 0
+
+(* A random sketch of one of three shapes — uniform values, heavy
+   duplicates, or a memory-capped sketch whose ε has grown — fed by a
+   mix of single inserts and sorted batch hand-offs. *)
+let random_sketch seed =
+  let rng = Hsq_util.Xoshiro.create seed in
+  let int = Hsq_util.Xoshiro.int rng in
+  let shape = seed mod 3 in
+  let gk =
+    if shape = 2 then Gk.create_capped ~words:(32 + int 200)
+    else Gk.create ~epsilon:(0.002 +. (float_of_int (int 100) /. 1000.0))
+  in
+  let draw () = if shape = 1 then int 8 else int 1_000_000 in
+  let n = 1 + int 6_000 in
+  let fed = ref 0 in
+  while !fed < n do
+    let k = min (n - !fed) (1 + int 600) in
+    if int 2 = 0 then for _ = 1 to k do Gk.insert gk (draw ()) done
+    else begin
+      let b = Array.init k (fun _ -> draw ()) in
+      Array.sort compare b;
+      Gk.insert_sorted_batch gk b
+    end;
+    fed := !fed + k
+  done;
+  gk
+
+let prop_query_ranks_reference =
+  QCheck.Test.make ~name:"query_ranks matches the tuple reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let gk = random_sketch seed in
+      let n = Gk.count gk in
+      let rng = Hsq_util.Xoshiro.create (seed + 7) in
+      let ranks =
+        Array.init (Hsq_util.Xoshiro.int rng 500) (fun _ -> Hsq_util.Xoshiro.int rng (n + 7) - 3)
+      in
+      Array.sort compare ranks;
+      let every = Array.init (n + 2) Fun.id in
+      List.for_all
+        (fun rs -> Gk.query_ranks gk rs = Array.map (reference_query gk) rs)
+        [ ranks; every; [||] ])
+
+let test_query_ranks_rejects () =
+  Alcotest.check_raises "empty sketch" (Invalid_argument "Gk.query_ranks: empty sketch") (fun () ->
+      ignore (Gk.query_ranks (Gk.create ~epsilon:0.1) [| 1 |]));
+  let gk = feed 0.05 (Array.init 100 Fun.id) in
+  Alcotest.check_raises "decreasing ranks" (Invalid_argument "Gk.query_ranks: ranks decrease")
+    (fun () -> ignore (Gk.query_ranks gk [| 5; 9; 4 |]))
+
 let () =
   Alcotest.run "gk"
     [
@@ -340,5 +405,10 @@ let () =
         [
           Alcotest.test_case "budget respected" `Quick test_capped_budget_respected;
           Alcotest.test_case "error tracks eps_eff" `Quick test_capped_error_tracks_effective_epsilon;
+        ] );
+      ( "batched queries",
+        [
+          QCheck_alcotest.to_alcotest prop_query_ranks_reference;
+          Alcotest.test_case "rejects empty and decreasing" `Quick test_query_ranks_rejects;
         ] );
     ]

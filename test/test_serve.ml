@@ -632,99 +632,94 @@ let same ~what r expected =
 (* A K=1, R=1 served group answers as a lone engine fed the same steps:
    every field a single-engine daemon sent for quick and accurate
    (value, rank, bound, io, iterations, degradation) and for stats,
-   rendered the same, over 60 ranks and one aligned window, under
-   either sketch; the engine's query counters move as the twin's. *)
+   rendered the same, over 60 ranks and one aligned window; the
+   engine's query counters move as the twin's. *)
 let test_k1_matches_engine () =
-  List.iter
-    (fun stream_sketch ->
-      let config =
-        Hsq.Config.make ~kappa:3 ~block_size:32 ~stream_sketch (Hsq.Config.Epsilon 0.05)
+  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
+  let sketch = "gk" in
+  let twin = E.create config in
+  with_server (G.create config) (fun _ listen ->
+      let c = Client.connect listen in
+      let rng = Hsq_util.Xoshiro.create 0x5EED in
+      let feed () =
+        let b = Array.init 700 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
+        Alcotest.(check int) "applied" 700 (Client.observe c b);
+        Array.iter (E.observe twin) b
       in
-      let sketch = match stream_sketch with `Gk -> "gk" | `Kll -> "kll" in
-      let twin = E.create config in
-      with_server (G.create config) (fun _ listen ->
-          let c = Client.connect listen in
-          let rng = Hsq_util.Xoshiro.create 0x5EED in
-          let feed () =
-            let b = Array.init 700 (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
-            Alcotest.(check int) "applied" 700 (Client.observe c b);
-            Array.iter (E.observe twin) b
-          in
-          for _ = 1 to 6 do
-            feed ();
-            Client.end_step c;
-            ignore (E.end_time_step twin)
-          done;
-          feed ();
-          let fields v ~bound ~label ~iterations ~io =
-            [
-              ("value", int v);
-              ("bound", num bound);
-              ("degradation", Json.to_string (Json.Str label));
-              ("iterations", int iterations);
-              ("io", int (Hsq_storage.Io_stats.total io));
-            ]
-          in
-          let accurate_fields (v, rep) =
-            fields v ~bound:rep.E.rank_error_bound ~label:(E.degradation_label rep.E.degradation)
-              ~iterations:rep.E.iterations ~io:rep.E.io
-          in
-          let group_fields (v, rep) =
-            fields v ~bound:rep.G.rank_error_bound ~label:(G.degradation_label rep.G.degradation)
-              ~iterations:rep.G.iterations ~io:rep.G.io
-          in
-          (* Windows are answered by a group: the twin's own, wrapped. *)
-          let gtwin = G.of_engine twin in
-          List.iter
-            (fun rank ->
-              let what = Printf.sprintf "%s rank %d" sketch rank in
-              let v, bound = E.quick_with_bound twin ~rank in
-              same ~what:("quick " ^ what) (Client.quick c (`Rank rank))
-                [ ("value", int v); ("rank", int rank); ("bound", num bound) ];
-              same ~what:("accurate " ^ what) (Client.accurate c (`Rank rank))
-                (("rank", int rank) :: accurate_fields (E.accurate twin ~rank)))
-            (spread ~count:60 (E.total_size twin));
-          same ~what:(sketch ^ " stats") (Client.stats c)
-            [
-              ("n", int (E.total_size twin));
-              ("hist", int (E.hist_size twin));
-              ("stream", int (E.stream_size twin));
-              ("steps", int (E.time_steps twin));
-              ("epsilon", num (E.epsilon twin));
-              ("sketch", Json.to_string (Json.Str (E.sketch_label twin)));
-              ("memory_words", int (E.memory_words twin));
-              ("windows", Json.to_string (Json.List (List.map Json.int (G.window_sizes gtwin))));
-              ("durable", "false");
-            ];
-          let w = List.nth (G.window_sizes gtwin) 1 in
-          let n = Result.get_ok (G.window_total gtwin ~window:w) in
-          List.iter
-            (fun rank ->
-              let what = Printf.sprintf "%s window %d rank %d" sketch w rank in
-              let v, _, _ = Result.get_ok (G.quick_window gtwin ~window:w ~rank) in
-              same ~what:("quick " ^ what) (Client.quick ~window:w c (`Rank rank))
-                [ ("value", int v); ("rank", int rank); ("window", int w) ];
-              same ~what:("accurate " ^ what) (Client.accurate ~window:w c (`Rank rank))
-                (("rank", int rank) :: ("window", int w)
-                :: group_fields (Result.get_ok (G.accurate_window gtwin ~window:w ~rank))))
-            (spread ~count:10 n);
-          (* the wire queries move the engine's query metrics as the
-             twin's own queries moved its *)
-          List.iter
-            (fun name ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s %s" sketch name)
-                (int (Option.get (Hsq_obs.Metrics.counter_value (E.metrics twin) name)))
-                (match wire_metric c name with Some j -> Json.to_string j | None -> "<absent>"))
-            [
-              "hsq_query_accurate_total";
-              "hsq_query_degraded_total";
-              "hsq_query_summary_cache_hits_total";
-              "hsq_query_summary_cache_misses_total";
-            ];
-          Client.close c);
-      E.close twin)
-    [ `Gk; `Kll ]
+      for _ = 1 to 6 do
+        feed ();
+        Client.end_step c;
+        ignore (E.end_time_step twin)
+      done;
+      feed ();
+      let fields v ~bound ~label ~iterations ~io =
+        [
+          ("value", int v);
+          ("bound", num bound);
+          ("degradation", Json.to_string (Json.Str label));
+          ("iterations", int iterations);
+          ("io", int (Hsq_storage.Io_stats.total io));
+        ]
+      in
+      let accurate_fields (v, rep) =
+        fields v ~bound:rep.E.rank_error_bound ~label:(E.degradation_label rep.E.degradation)
+          ~iterations:rep.E.iterations ~io:rep.E.io
+      in
+      let group_fields (v, rep) =
+        fields v ~bound:rep.G.rank_error_bound ~label:(G.degradation_label rep.G.degradation)
+          ~iterations:rep.G.iterations ~io:rep.G.io
+      in
+      (* Windows are answered by a group: the twin's own, wrapped. *)
+      let gtwin = G.of_engine twin in
+      List.iter
+        (fun rank ->
+          let what = Printf.sprintf "%s rank %d" sketch rank in
+          let v, bound = E.quick_with_bound twin ~rank in
+          same ~what:("quick " ^ what) (Client.quick c (`Rank rank))
+            [ ("value", int v); ("rank", int rank); ("bound", num bound) ];
+          same ~what:("accurate " ^ what) (Client.accurate c (`Rank rank))
+            (("rank", int rank) :: accurate_fields (E.accurate twin ~rank)))
+        (spread ~count:60 (E.total_size twin));
+      same ~what:(sketch ^ " stats") (Client.stats c)
+        [
+          ("n", int (E.total_size twin));
+          ("hist", int (E.hist_size twin));
+          ("stream", int (E.stream_size twin));
+          ("steps", int (E.time_steps twin));
+          ("epsilon", num (E.epsilon twin));
+          ("sketch", Json.to_string (Json.Str "gk"));
+          ("memory_words", int (E.memory_words twin));
+          ("windows", Json.to_string (Json.List (List.map Json.int (G.window_sizes gtwin))));
+          ("durable", "false");
+        ];
+      let w = List.nth (G.window_sizes gtwin) 1 in
+      let n = Result.get_ok (G.window_total gtwin ~window:w) in
+      List.iter
+        (fun rank ->
+          let what = Printf.sprintf "%s window %d rank %d" sketch w rank in
+          let v, _, _ = Result.get_ok (G.quick_window gtwin ~window:w ~rank) in
+          same ~what:("quick " ^ what) (Client.quick ~window:w c (`Rank rank))
+            [ ("value", int v); ("rank", int rank); ("window", int w) ];
+          same ~what:("accurate " ^ what) (Client.accurate ~window:w c (`Rank rank))
+            (("rank", int rank) :: ("window", int w)
+            :: group_fields (Result.get_ok (G.accurate_window gtwin ~window:w ~rank))))
+        (spread ~count:10 n);
+      (* the wire queries move the engine's query metrics as the
+         twin's own queries moved its *)
+      List.iter
+        (fun name ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" sketch name)
+            (int (Option.get (Hsq_obs.Metrics.counter_value (E.metrics twin) name)))
+            (match wire_metric c name with Some j -> Json.to_string j | None -> "<absent>"))
+        [
+          "hsq_query_accurate_total";
+          "hsq_query_degraded_total";
+          "hsq_query_summary_cache_hits_total";
+          "hsq_query_summary_cache_misses_total";
+        ];
+      Client.close c);
+  E.close twin
 
 (* Windows at K=3 over the wire: every aligned window answers within
    its reported bound against an oracle of that window's steps plus the

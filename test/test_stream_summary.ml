@@ -15,7 +15,7 @@ let test_lemma1_interval () =
   let m = 30_000 in
   let data = Array.init m (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000) in
   let eps2 = 0.02 in
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:eps2 data)) in
+  let ss = SS.extract (gk_for ~epsilon:eps2 data) in
   Alcotest.(check (float 1e-9)) "eps2 recovered" eps2 (SS.eps2 ss);
   let sorted = Array.copy data in
   Array.sort compare sorted;
@@ -42,18 +42,18 @@ let test_lemma1_interval () =
 
 let test_ss0_is_min () =
   let data = [| 42; 7; 99; 13; 7; 1000 |] in
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:0.25 data)) in
+  let ss = SS.extract (gk_for ~epsilon:0.25 data) in
   Alcotest.(check int) "SS[0] = min" 7 (SS.values ss).(0)
 
 let test_size_is_beta2 () =
   let eps2 = 0.125 in
   let data = Array.init 10_000 (fun i -> i) in
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:eps2 data)) in
+  let ss = SS.extract (gk_for ~epsilon:eps2 data) in
   Alcotest.(check int) "beta2 = ceil(1/eps2)+1" 9 (SS.size ss);
   Alcotest.(check int) "beta2 helper" 9 (SS.beta2 ~eps2)
 
 let test_empty_stream () =
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (Hsq_sketch.Gk.create ~epsilon:0.1)) in
+  let ss = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.1) in
   Alcotest.(check int) "no values" 0 (SS.size ss);
   Alcotest.(check int) "m = 0" 0 (SS.stream_size ss);
   Alcotest.(check (float 0.0)) "lower" 0.0 (SS.rank_lower ss 5);
@@ -64,7 +64,7 @@ let test_bounds_bracket_truth () =
   let rng = Hsq_util.Xoshiro.create 52 in
   let m = 20_000 in
   let data = Array.init m (fun _ -> Hsq_util.Xoshiro.int rng 100_000) in
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:0.05 data)) in
+  let ss = SS.extract (gk_for ~epsilon:0.05 data) in
   let sorted = Array.copy data in
   Array.sort compare sorted;
   List.iter
@@ -83,7 +83,7 @@ let test_bounds_bracket_truth () =
 
 let test_below_min_is_zero () =
   let data = Array.init 1000 (fun i -> i + 100) in
-  let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:0.1 data)) in
+  let ss = SS.extract (gk_for ~epsilon:0.1 data) in
   Alcotest.(check (float 0.0)) "below min lower" 0.0 (SS.rank_lower ss 50);
   Alcotest.(check (float 0.0)) "below min upper" 0.0 (SS.rank_upper ss 50);
   Alcotest.(check int) "count_le 0" 0 (SS.count_le ss 50)
@@ -93,7 +93,7 @@ let prop_bounds_bracket =
     QCheck.(pair (list_of_size Gen.(1 -- 500) (int_bound 2000)) (int_bound 2500))
     (fun (l, probe) ->
       let data = Array.of_list l in
-      let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:0.1 data)) in
+      let ss = SS.extract (gk_for ~epsilon:0.1 data) in
       let sorted = Array.of_list (List.sort compare l) in
       let truth = float_of_int (Hsq_util.Sorted.rank sorted probe) in
       SS.rank_lower ss probe <= truth && truth <= SS.rank_upper ss probe)
@@ -102,7 +102,7 @@ let prop_values_sorted =
   QCheck.Test.make ~name:"SS values are non-decreasing" ~count:60
     QCheck.(list_of_size Gen.(1 -- 500) (int_bound 10_000))
     (fun l ->
-      let ss = SS.extract (Hsq.Stream_sketch.Gk (gk_for ~epsilon:0.08 (Array.of_list l))) in
+      let ss = SS.extract (gk_for ~epsilon:0.08 (Array.of_list l)) in
       Hsq_util.Sorted.is_sorted (SS.values ss))
 
 let () =

@@ -25,7 +25,7 @@ let setup ?(kappa = 3) ?(beta1 = 6) ?(eps2 = 0.1) ~steps ~step_size ~stream_size
     Hsq_sketch.Gk.insert gk v;
     all := v :: !all
   done;
-  let stream = SS.extract (Hsq.Stream_sketch.Gk gk) in
+  let stream = SS.extract gk in
   let us = US.build ~partitions:(LI.partitions li) ~stream in
   let sorted = Array.of_list (List.sort compare !all) in
   (us, sorted, 1.0 /. float_of_int (beta1 - 1), eps2, LI.partition_count li)
@@ -103,7 +103,7 @@ let test_stream_only () =
   for i = 1 to 1000 do
     Hsq_sketch.Gk.insert gk i
   done;
-  let us = US.build ~partitions:[] ~stream:(SS.extract (Hsq.Stream_sketch.Gk gk)) in
+  let us = US.build ~partitions:[] ~stream:(SS.extract gk) in
   Alcotest.(check int) "n_total" 1000 (US.n_total us);
   let v = US.quick_select us ~rank:500 in
   Alcotest.(check bool) "median-ish" true (abs (v - 500) <= 200)
@@ -113,7 +113,7 @@ let test_hist_only () =
   let dev = Hsq_storage.Block_device.create_memory ~block_size:16 () in
   let li = LI.create ~kappa:2 ~beta1:11 dev in
   ignore (LI.add_batch li (Array.init 1000 (fun i -> i + 1)));
-  let stream = SS.extract (Hsq.Stream_sketch.Gk (Hsq_sketch.Gk.create ~epsilon:0.05)) in
+  let stream = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.05) in
   let us = US.build ~partitions:(LI.partitions li) ~stream in
   Alcotest.(check int) "n_total" 1000 (US.n_total us);
   Alcotest.(check int) "m 0" 0 (US.m_stream us);
@@ -123,7 +123,7 @@ let test_hist_only () =
     (US.entries us)
 
 let test_empty_raises () =
-  let stream = SS.extract (Hsq.Stream_sketch.Gk (Hsq_sketch.Gk.create ~epsilon:0.05)) in
+  let stream = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.05) in
   let us = US.build ~partitions:[] ~stream in
   Alcotest.check_raises "quick on empty"
     (Invalid_argument "Union_summary.quick_select: empty summary") (fun () ->
@@ -148,7 +148,7 @@ let prop_lemma2_random =
         Hsq_sketch.Gk.insert gk v;
         all := v :: !all
       done;
-      let us = US.build ~partitions:(LI.partitions li) ~stream:(SS.extract (Hsq.Stream_sketch.Gk gk)) in
+      let us = US.build ~partitions:(LI.partitions li) ~stream:(SS.extract gk) in
       let sorted = Array.of_list (List.sort compare !all) in
       Array.for_all
         (fun (e : US.entry) ->
