@@ -153,12 +153,14 @@ let fresh_gk config =
    sorted merge of this many replaces as many per-element GK inserts. *)
 let handoff_size = 512
 
-(* An engine over [dev] and [hist] with an empty stream side; [create]
-   and [of_restored] finish it. *)
-let fresh_engine config ~dev ~hist =
+(* An engine over [device] and [hist] with an empty stream side.  The
+   recovery path (Persist) adopts a restored historical index this way,
+   and [open_or_recover] refills the stream side from the checkpoint and
+   the WAL when durability is on. *)
+let of_restored ~device config hist =
   {
     config;
-    dev;
+    dev = device;
     hist;
     gk = fresh_gk config;
     batch = Array.make 1024 0;
@@ -168,26 +170,21 @@ let fresh_engine config ~dev ~hist =
     durable = None;
     hist_cache = None;
     us_cache = None;
-    metrics = make_engine_metrics dev;
+    metrics = make_engine_metrics device;
     tracer = None;
     closed = false;
   }
 
 let create ?device config =
-  let dev =
+  let device =
     match device with
     | Some d -> d
     | None -> Hsq_storage.Block_device.create_memory ~block_size:config.Config.block_size ()
   in
   let hist =
-    Hsq_hist.Level_index.create ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) dev
+    Hsq_hist.Level_index.create ~kappa:config.Config.kappa ~beta1:(Config.beta1 config) device
   in
-  fresh_engine config ~dev ~hist
-
-(* Recovery path (Persist): adopt a restored historical index.  The
-   stream side starts empty — [open_or_recover] refills it from the
-   checkpoint and the WAL when durability is on. *)
-let of_restored ~device config hist = fresh_engine config ~dev:device ~hist
+  of_restored ~device config hist
 
 let config t = t.config
 let device t = t.dev

@@ -91,7 +91,6 @@ val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> uni
 val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 
 val hist : t -> Hsq_hist.Level_index.t
-val stream_sketch : t -> Hsq_sketch.Gk.t
 
 (** m, n, N = n + m, and T (time steps archived). *)
 val stream_size : t -> int

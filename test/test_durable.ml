@@ -16,6 +16,8 @@
      and recovery itself is idempotent;
    - torn WAL tails are floored and physically truncated;
    - stale or corrupt checkpoints are ignored in favour of full replay;
+   - a checkpoint's GK image restores tagged or untagged, and a tag-2
+     (KLL) image reads as absent;
    - a store written with ingest lanes is refused before any file is
      touched, while a lane-format checkpoint reads as absent and a lane
      commit marker replays as End_step. *)
