@@ -1,5 +1,6 @@
 (* Tests for the Greenwald-Khanna sketch: the eps*n rank guarantee on
-   adversarial and random streams, exact min/max, capped-memory mode. *)
+   adversarial and random streams, exact min/max, capped-memory mode,
+   merges, and serialize/deserialize round trips. *)
 
 open Hsq_sketch
 
@@ -365,6 +366,179 @@ let test_query_ranks_rejects () =
   Alcotest.check_raises "decreasing ranks" (Invalid_argument "Gk.query_ranks: ranks decrease")
     (fun () -> ignore (Gk.query_ranks gk [| 5; 9; 4 |]))
 
+(* --- merge fuzz ----------------------------------------------------------- *)
+
+(* Seeded three-way merges over random, sorted, duplicate-heavy and
+   reverse streams at a random epsilon: every merge order conserves the
+   count and the tuple weights, answers every rank within the additive
+   bound eps_A n_A + eps_B n_B (+ 2 per merge, as above), and leaves its
+   inputs untouched. *)
+
+let gen_stream rng len =
+  let shape = Hsq_util.Xoshiro.int rng 4 in
+  Array.init len (fun i ->
+      match shape with
+      | 0 -> Hsq_util.Xoshiro.int rng 1_000_000
+      | 1 -> i
+      | 2 -> Hsq_util.Xoshiro.int rng 30
+      | _ -> 1_000_000 - i)
+
+let all_ranks gk = Array.init (Gk.count gk) (fun i -> i + 1)
+
+let check_merged_within ~merges merged data what =
+  let sorted = Array.copy data in
+  Array.sort compare sorted;
+  let n = Array.length data in
+  Alcotest.(check int) (what ^ " count") n (Gk.count merged);
+  let last_rmin = List.fold_left (fun _ (_, rmin, _) -> rmin) 0 (Gk.dump merged) in
+  Alcotest.(check int) (what ^ " tuple weights sum to the count") n last_rmin;
+  let bound = int_of_float (ceil (Gk.error_bound merged *. float_of_int n)) + (2 * merges) in
+  Array.iteri
+    (fun i v ->
+      let e = rank_error sorted ~rank:(i + 1) ~value:v in
+      if e > bound then
+        Alcotest.failf "%s: rank %d error %d above bound %d (n=%d)" what (i + 1) e bound n)
+    (Gk.query_ranks merged (all_ranks merged))
+
+let run_merge_seed seed =
+  let rng = Hsq_util.Xoshiro.create (0x5eed + (seed * 7919)) in
+  let eps = 0.01 +. (0.04 *. Hsq_util.Xoshiro.float rng) in
+  let sa = gen_stream rng (100 + Hsq_util.Xoshiro.int rng 20_000) in
+  let sb = gen_stream rng (100 + Hsq_util.Xoshiro.int rng 8_000) in
+  let sc = gen_stream rng (100 + Hsq_util.Xoshiro.int rng 8_000) in
+  let a = feed eps sa and b = feed eps sb and c = feed eps sc in
+  let image_a = Gk.serialize a in
+  let ab = Gk.merge a b in
+  let sab = Array.append sa sb and union = Array.concat [ sa; sb; sc ] in
+  check_merged_within ~merges:1 ab sab "merge(a,b)";
+  check_merged_within ~merges:1 (Gk.merge b a) sab "merge(b,a)";
+  check_merged_within ~merges:2 (Gk.merge ab c) union "merge(merge(a,b),c)";
+  check_merged_within ~merges:2 (Gk.merge a (Gk.merge b c)) union "merge(a,merge(b,c))";
+  Alcotest.(check bool) "input a unchanged by merges" true (Gk.serialize a = image_a)
+
+let merge_cases =
+  List.init 12 (fun i ->
+      let seed = 2_000 + (i * 13) in
+      Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (fun () -> run_merge_seed seed))
+
+let test_merge_empty () =
+  let data = Array.init 1_000 (fun i -> i) in
+  let a = feed 0.02 data and e = Gk.create ~epsilon:0.02 in
+  check_merged_within ~merges:1 (Gk.merge a e) data "merge with empty";
+  check_merged_within ~merges:1 (Gk.merge e a) data "empty merge";
+  let both = Gk.merge e (Gk.create ~epsilon:0.02) in
+  Alcotest.(check int) "empty with empty" 0 (Gk.count both)
+
+(* --- serialize / deserialize --------------------------------------------- *)
+
+(* Round-trip identity is behavioural, not just structural: the restored
+   sketch serializes identically, answers every rank identically and,
+   after both copies ingest the same suffix, is still identical — the
+   property checkpoint-then-replay recovery rests on.  Seeds mix fixed
+   and capped sketches, per-element and sorted-batch ingest. *)
+
+let ingest rng gk ~batched data =
+  if batched then begin
+    let i = ref 0 in
+    while !i < Array.length data do
+      let k = min (Array.length data - !i) (1 + Hsq_util.Xoshiro.int rng 700) in
+      let run = Array.sub data !i k in
+      Array.sort compare run;
+      Gk.insert_sorted_batch gk run;
+      i := !i + k
+    done
+  end
+  else Array.iter (Gk.insert gk) data
+
+let check_same_answers what a b =
+  Alcotest.(check int) (what ^ " count") (Gk.count a) (Gk.count b);
+  Alcotest.(check (array int)) (what ^ " answers")
+    (Gk.query_ranks a (all_ranks a))
+    (Gk.query_ranks b (all_ranks b))
+
+let run_round_trip_seed seed =
+  let rng = Hsq_util.Xoshiro.create (0xCAFE + (seed * 31)) in
+  let gk =
+    if Hsq_util.Xoshiro.int rng 3 = 0 then Gk.create_capped ~words:(300 + Hsq_util.Xoshiro.int rng 900)
+    else Gk.create ~epsilon:(0.01 +. (0.05 *. Hsq_util.Xoshiro.float rng))
+  in
+  let batched = Hsq_util.Xoshiro.int rng 2 = 0 in
+  ingest rng gk ~batched (gen_stream rng (50 + Hsq_util.Xoshiro.int rng 25_000));
+  let image = Gk.serialize gk in
+  let restored = Gk.deserialize image in
+  Alcotest.(check bool)
+    "serialize . deserialize . serialize is the identity" true
+    (Gk.serialize restored = image);
+  check_same_answers "restored" gk restored;
+  Alcotest.(check int) "min" (Gk.min_value gk) (Gk.min_value restored);
+  Alcotest.(check int) "max" (Gk.max_value gk) (Gk.max_value restored);
+  let suffix = gen_stream rng (100 + Hsq_util.Xoshiro.int rng 5_000) in
+  let rng_a = Hsq_util.Xoshiro.create seed and rng_b = Hsq_util.Xoshiro.create seed in
+  ingest rng_a gk ~batched suffix;
+  ingest rng_b restored ~batched suffix;
+  Alcotest.(check bool)
+    "post-suffix serializations identical" true
+    (Gk.serialize gk = Gk.serialize restored);
+  check_same_answers "post-suffix" gk restored
+
+let round_trip_cases =
+  List.init 12 (fun i ->
+      let seed = 4_000 + (i * 17) in
+      Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (fun () ->
+          run_round_trip_seed seed))
+
+(* A copy taken through the image in the middle of a capped stream
+   (its epsilon already coarsened) replays a batched suffix exactly as
+   the original does. *)
+let test_copy_replays () =
+  let gk = Gk.create_capped ~words:400 in
+  Array.iter (Gk.insert gk) (Array.init 20_000 (fun i -> (i * 31) mod 4_096));
+  let dup = Gk.deserialize (Gk.serialize gk) in
+  Alcotest.(check (float 0.0)) "epsilon travels" (Gk.epsilon gk) (Gk.epsilon dup);
+  for b = 0 to 9 do
+    let run = Array.init 500 (fun i -> ((b * 500) + i) * 17 mod 9_001) in
+    Array.sort compare run;
+    Gk.insert_sorted_batch gk run;
+    Gk.insert_sorted_batch dup run
+  done;
+  Alcotest.(check bool) "copy replays the original" true (Gk.serialize gk = Gk.serialize dup);
+  Alcotest.(check bool)
+    (Printf.sprintf "copy within budget (%d words)" (Gk.memory_words dup))
+    true
+    (Gk.memory_words dup <= 400)
+
+(* Structural damage must be rejected, not absorbed. *)
+let test_deserialize_rejects_damage () =
+  let gk = feed 0.05 (Array.init 3_000 (fun i -> (i * 13) mod 50_000)) in
+  let image = Gk.serialize gk in
+  let size = image.(3) in
+  Alcotest.(check bool) "several tuples" true (size >= 3);
+  let mutate f =
+    let d = Array.copy image in
+    f d;
+    d
+  in
+  let cases =
+    [
+      ("short header", Array.sub image 0 3);
+      ("truncated", Array.sub image 0 (Array.length image - 1));
+      ("bad epsilon", mutate (fun d -> d.(1) <- 0));
+      ("epsilon one", mutate (fun d -> d.(1) <- Int64.to_int (Int64.bits_of_float 1.0)));
+      ("negative count", mutate (fun d -> d.(2) <- -4));
+      ("size above count", mutate (fun d -> d.(3) <- d.(2) + 1));
+      ("tuple count", mutate (fun d -> d.(3) <- size - 1));
+      ("negative g", mutate (fun d -> d.(6) <- -1));
+      ("negative delta", mutate (fun d -> d.(7) <- -1));
+      ("unsorted tuples", mutate (fun d -> d.(5) <- d.(5 + (3 * (size - 1))) + 1));
+    ]
+  in
+  List.iter
+    (fun (name, damaged) ->
+      match Gk.deserialize damaged with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: damaged image accepted" name)
+    cases
+
 let () =
   Alcotest.run "gk"
     [
@@ -411,4 +585,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_query_ranks_reference;
           Alcotest.test_case "rejects empty and decreasing" `Quick test_query_ranks_rejects;
         ] );
+      ("merge fuzz", Alcotest.test_case "merge empty" `Quick test_merge_empty :: merge_cases);
+      ( "round trip",
+        Alcotest.test_case "copy replays" `Quick test_copy_replays
+        :: Alcotest.test_case "rejects damage" `Quick test_deserialize_rejects_damage
+        :: round_trip_cases );
     ]
