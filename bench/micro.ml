@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks for the core operations behind every
-   figure: sketch inserts, summary extraction, and the two query paths.
+   figure: sketch inserts, summary extraction, the two query paths, and
+   the integer text codec of the wire and the checkpoint.
    Reported as nanoseconds per operation (OLS estimate against the run
    counter). *)
 
@@ -58,6 +59,36 @@ let durable_engine ~wal_sync () =
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
 
+(* The wire's hot lines: a 200-value observe request as a client sends
+   it, and an accurate reply as the daemon renders it. *)
+let observe_request rng =
+  let values = List.init 200 (fun _ -> Hsq_serve.Json.int (Hsq_util.Xoshiro.int rng 1_000_000_000)) in
+  Hsq_serve.Json.(Obj [ ("op", Str "observe"); ("values", List values) ])
+
+let accurate_reply () =
+  Hsq_serve.(
+    Protocol.ok
+      Json.
+        [
+          ("value", int 499_871_234);
+          ("rank", int 102_500);
+          ("bound", Num 2050.0);
+          ("degradation", Str "none");
+          ("iterations", int 6);
+          ("io", int 23);
+          ("shards_down", List []);
+          ("replicas_diverged", List []);
+        ])
+
+(* A checkpoint of a 50k-element open step: its spool plus the GK image
+   of the same elements. *)
+let checkpoint_50k rng =
+  let batch = Array.init 50_000 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
+  let gk = Hsq_sketch.Gk.create ~epsilon:0.01 in
+  Array.iter (Hsq_sketch.Gk.insert gk) batch;
+  Array.sort Int.compare batch;
+  { Hsq.Checkpoint.seq = 50_000; steps_done = 20; batch; gk = Hsq.Checkpoint.serialize_sketch gk }
+
 let tests ~smoke =
   let rng = Hsq_util.Xoshiro.create 1234 in
   let gk = Hsq_sketch.Gk.create ~epsilon:0.001 in
@@ -72,6 +103,9 @@ let tests ~smoke =
   let dur_never = durable_engine ~wal_sync:Hsq_storage.Wal.Never () in
   let dur_group = durable_engine ~wal_sync:(Hsq_storage.Wal.Group 64) () in
   let dur_always = durable_engine ~wal_sync:Hsq_storage.Wal.Always () in
+  let observe = observe_request rng in
+  let observe_line = Hsq_serve.Json.to_line observe in
+  let ckpt = checkpoint_50k rng in
   [
     Test.make ~name:"gk-insert"
       (Staged.stage (fun () -> Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)));
@@ -112,6 +146,16 @@ let tests ~smoke =
     Test.make ~name:"ingest-wal-always"
       (Staged.stage (fun () ->
            Hsq.Engine.observe dur_always (Hsq_util.Xoshiro.int rng 1_000_000)));
+    (* The integer codec: a request rendered and parsed as the client
+       and the daemon do, a reply rendered, a checkpoint rendered. *)
+    Test.make ~name:"wire-encode-observe200"
+      (Staged.stage (fun () -> ignore (Hsq_serve.Json.to_line observe)));
+    Test.make ~name:"wire-decode-observe200"
+      (Staged.stage (fun () ->
+           ignore (Result.map Hsq_serve.Protocol.parse (Hsq_serve.Json.of_string observe_line))));
+    Test.make ~name:"wire-encode-accurate-reply" (Staged.stage (fun () -> ignore (accurate_reply ())));
+    Test.make ~name:"checkpoint-render-50k"
+      (Staged.stage (fun () -> ignore (Hsq.Checkpoint.render ckpt)));
   ]
   |> fun tests -> (tests, Hsq.Engine.metrics eng)
 

@@ -704,12 +704,18 @@ let status_one dir health =
   (* Sketch checkpoint. *)
   (match Hsq.Checkpoint.load ~path:ckpt_path with
   | Ok None -> print_endline "checkpoint: absent"
-  | Ok (Some c) ->
-    Printf.printf "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
-      c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done
-      (Array.length c.Hsq.Checkpoint.batch)
-      (if c.Hsq.Checkpoint.steps_done <> !committed_steps then " [stale — will be ignored]"
-       else "")
+  | Ok (Some c) -> (
+    (* The sketch image check recovery's restore_from_checkpoint makes. *)
+    match Hsq.Checkpoint.deserialize_sketch c.Hsq.Checkpoint.gk with
+    | exception Invalid_argument why ->
+      Printf.printf "checkpoint: unusable (%s); recovery falls back to full replay\n" why
+    | _ ->
+      Printf.printf
+        "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
+        c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done
+        (Array.length c.Hsq.Checkpoint.batch)
+        (if c.Hsq.Checkpoint.steps_done <> !committed_steps then " [stale — will be ignored]"
+         else ""))
   | Error why ->
     (* Also not fatal: recovery treats it as absent. *)
     Printf.printf "checkpoint: unreadable (%s); recovery falls back to full replay\n" why);

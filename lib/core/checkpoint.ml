@@ -52,7 +52,11 @@ let render c =
   let emit_words name ws =
     Printf.bprintf buf "%s_len %d\n" name (Array.length ws);
     Buffer.add_string buf name;
-    Array.iter (fun w -> Printf.bprintf buf " %d" w) ws;
+    Array.iter
+      (fun w ->
+        Buffer.add_char buf ' ';
+        Hsq_util.Digits.add_int buf w)
+      ws;
     Buffer.add_char buf '\n'
   in
   emit_words "batch" c.batch;

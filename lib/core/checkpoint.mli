@@ -23,6 +23,10 @@ val serialize_sketch : Hsq_sketch.Gk.t -> int array
     "no checkpoint" and replays the whole WAL. *)
 val deserialize_sketch : int array -> Hsq_sketch.Gk.t
 
+(** The file image {!save} writes: text lines, the word lines in
+    decimal, then the checksum line. *)
+val render : t -> string
+
 (** Atomically write the checkpoint to [path]. *)
 val save : path:string -> t -> unit
 

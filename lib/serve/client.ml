@@ -42,17 +42,16 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 exception Protocol_error of string
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let off = ref 0 in
   while !off < len do
-    let n = Unix.write fd b !off (len - !off) in
+    let n = Unix.write_substring fd s !off (len - !off) in
     if n <= 0 then raise (Protocol_error "short write");
     off := !off + n
   done
 
 let request t (j : Json.t) : Json.t =
-  write_all t.fd (Json.to_string j ^ "\n");
+  write_all t.fd (Json.to_line j);
   match input_line t.inc with
   | line -> (
     match Json.of_string line with

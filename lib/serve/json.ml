@@ -1,16 +1,18 @@
 (* Minimal JSON for the line-JSON wire protocol (lib/serve).
 
    One request or response is exactly one JSON document on one line —
-   the renderer never emits a newline, and the parser consumes one
-   complete document (trailing whitespace allowed).  Numbers are kept
-   as floats; integral values within the 2^53 exact range render
-   without a decimal point, which covers every count and value the
-   engine serves.  Kept dependency-free on purpose: the container bakes
-   no JSON library, and the protocol needs only this. *)
+   the renderer emits no newline inside a document ([to_line] appends
+   the one that ends it), and the parser consumes one complete document
+   (trailing whitespace allowed).  An integer literal that fits in an
+   OCaml [int] is an [Int], exact over the whole range, read and
+   written by Hsq_util.Digits; every other number (a fraction, an
+   exponent, an integer out of range, and -0) is a float [Num].
+   Kept dependency-free on purpose: the protocol needs only this. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | List of t list
@@ -34,12 +36,15 @@ let escape_into buf s =
 let add_num buf f =
   if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buf "null"
   else if Float.is_integer f && Float.abs f < 9.0e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    (* Exactly what "%.0f" prints, sign of zero included. *)
+    if Float.sign_bit f && f = 0.0 then Buffer.add_string buf "-0"
+    else Hsq_util.Digits.add_int buf (int_of_float f)
   else Buffer.add_string buf (Printf.sprintf "%.12g" f)
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int n -> Hsq_util.Digits.add_int buf n
   | Num f -> add_num buf f
   | Str s ->
     Buffer.add_char buf '"';
@@ -70,26 +75,30 @@ let to_string v =
   render buf v;
   Buffer.contents buf
 
+let to_line v =
+  let buf = Buffer.create 128 in
+  render buf v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* --- parsing ----------------------------------------------------------- *)
 
 exception Bad of string
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+(* Parse [s.[start, n)]; offsets in messages count from [start]. *)
+let parse s start n =
+  let pos = ref start in
+  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg (!pos - start))) in
+  (* '\000' past the end, which no caller compares against: the one
+     place that needs the end told apart checks [!pos >= n] itself. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
+  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c) in
   let literal word value =
     let w = String.length word in
     if !pos + w <= n && String.sub s !pos w = word then begin
@@ -168,27 +177,31 @@ let of_string s =
     Buffer.contents buf
   in
   let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
+    let first = !pos in
+    if peek () = '-' then advance ();
     while
       !pos < n
       && (match s.[!pos] with '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true | _ -> false)
     do
       advance ()
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "malformed number"
+    match Hsq_util.Digits.read_int s ~pos:first ~stop:!pos with
+    | Some 0 when s.[first] = '-' -> Num (-0.0)
+    | Some i -> Int i
+    | None -> (
+      match float_of_string_opt (String.sub s first (!pos - first)) with
+      | Some f -> Num f
+      | None -> fail "malformed number")
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
+    | '"' -> Str (parse_string ())
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if peek () = '}' then begin
         advance ();
         Obj []
       end
@@ -201,20 +214,20 @@ let of_string s =
           let v = parse_value () in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             members ((k, v) :: acc)
-          | Some '}' ->
+          | '}' ->
             advance ();
             List.rev ((k, v) :: acc)
           | _ -> fail "expected ',' or '}'"
         in
         Obj (members [])
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if peek () = ']' then begin
         advance ();
         List []
       end
@@ -223,21 +236,21 @@ let of_string s =
           let v = parse_value () in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             items (v :: acc)
-          | Some ']' ->
+          | ']' ->
             advance ();
             List.rev (v :: acc)
           | _ -> fail "expected ',' or ']'"
         in
         List (items [])
       end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
     let v = parse_value () in
@@ -248,15 +261,24 @@ let of_string s =
   | v -> Ok v
   | exception Bad msg -> Error msg
 
+let of_string s = parse s 0 (String.length s)
+
+(* The parse copies what it keeps (strings go through a Buffer), so the
+   bytes are only borrowed for the duration of the call. *)
+let of_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Json.of_bytes";
+  parse (Bytes.unsafe_to_string b) pos (pos + len)
+
 (* --- accessors --------------------------------------------------------- *)
 
 let member v key = match v with Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let as_int = function
+  | Int n -> Some n
   | Num f when Float.is_integer f && Float.abs f < 9.0e15 -> Some (int_of_float f)
   | _ -> None
 
-let as_float = function Num f -> Some f | _ -> None
+let as_float = function Int n -> Some (float_of_int n) | Num f -> Some f | _ -> None
 let as_str = function Str s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | _ -> None
 let as_list = function List xs -> Some xs | _ -> None
@@ -265,4 +287,4 @@ let get_float v key = Option.bind (member v key) as_float
 let get_str v key = Option.bind (member v key) as_str
 let get_bool v key = Option.bind (member v key) as_bool
 let get_list v key = Option.bind (member v key) as_list
-let int n = Num (float_of_int n)
+let int n = Int n

@@ -73,15 +73,21 @@ let parse j =
     match op with
     | "ping" -> Ok Ping
     | "observe" -> (
-      match (Json.get_int j "value", Json.get_list j "values") with
-      | Some v, None -> Ok (Observe [| v |])
+      match (Json.member j "value", Json.member j "values") with
+      | Some v, None -> (
+        match Json.as_int v with
+        | Some v -> Ok (Observe [| v |])
+        | None -> Error "value must be an integer")
       | None, Some vs -> (
-        let ints = List.map Json.as_int vs in
-        if List.exists Option.is_none ints then Error "values must be integers"
-        else
-          match List.filter_map Fun.id ints with
-          | [] -> Error "empty values"
-          | vals -> Ok (Observe (Array.of_list vals)))
+        match Json.as_list vs with
+        | None -> Error "values must be a list of integers"
+        | Some vs -> (
+          let ints = List.map Json.as_int vs in
+          if List.exists Option.is_none ints then Error "values must be integers"
+          else
+            match List.filter_map Fun.id ints with
+            | [] -> Error "empty values"
+            | vals -> Ok (Observe (Array.of_list vals))))
       | Some _, Some _ -> Error "give value or values, not both"
       | None, None -> Error "observe needs value or values")
     | "end_step" -> Ok End_step
@@ -112,14 +118,15 @@ let parse j =
 
 (* --- responses --------------------------------------------------------- *)
 
-let ok fields = Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
+(* A response is rendered as its whole wire line, newline included. *)
+let ok fields = Json.to_line (Json.Obj (("ok", Json.Bool true) :: fields))
 
 let err ?detail ?(extra = []) kind =
   let fields = [ ("ok", Json.Bool false); ("error", Json.Str kind) ] in
   let fields =
     match detail with None -> fields | Some d -> fields @ [ ("detail", Json.Str d) ]
   in
-  Json.to_string (Json.Obj (fields @ extra))
+  Json.to_line (Json.Obj (fields @ extra))
 
 (* The daemon's shed-load vocabulary, shared by server and clients so
    the chaos harness can pattern-match rejections exhaustively. *)

@@ -43,10 +43,12 @@ val requested_deadline_ms : request -> float option
 (** Parse a request object; [Error] explains what is malformed. *)
 val parse : Json.t -> (request, string) result
 
-(** Render [{"ok":true, ...fields}] on one line. *)
+(** Render [{"ok":true, ...fields}] as one wire line, trailing ['\n']
+    included. *)
 val ok : (string * Json.t) list -> string
 
-(** Render [{"ok":false,"error":kind[,"detail":...]...extra}]. *)
+(** Render [{"ok":false,"error":kind[,"detail":...]...extra}] as one
+    wire line, like {!ok}. *)
 val err : ?detail:string -> ?extra:(string * Json.t) list -> string -> string
 
 (** Error kinds (the daemon's complete shed/failure vocabulary). *)

@@ -370,7 +370,7 @@ let execute t req ~deadline =
   | Protocol.Metrics_dump Protocol.Fmt_json ->
     (* The dump is a single line by construction, so it can be spliced
        into the response line as-is. *)
-    (`Ok, Printf.sprintf "{\"ok\":true,\"metrics\":%s}" (G.metrics_json ~extra:t.reg g))
+    (`Ok, Printf.sprintf "{\"ok\":true,\"metrics\":%s}\n" (G.metrics_json ~extra:t.reg g))
   | Protocol.Metrics_dump Protocol.Fmt_prometheus ->
     (`Ok, Protocol.ok [ ("body", Json.Str (G.metrics_prometheus ~extra:t.reg g)) ])
   | Protocol.Health_check -> (`Ok, Protocol.ok (Health.group_to_fields (Health.collect_group g)))
@@ -494,6 +494,8 @@ let engine_loop t =
 
 (* --- connection handling ----------------------------------------------- *)
 
+(* Write one reply; every reply is a whole line, since Protocol renders
+   the newline with it. *)
 let write_all fd s =
   let len = String.length s in
   let off = ref 0 in
@@ -502,9 +504,6 @@ let write_all fd s =
     if n <= 0 then raise Exit;
     off := !off + n
   done
-
-(* One reply line; the one place the newline is added. *)
-let write_line fd resp = write_all fd (resp ^ "\n")
 
 let submit_and_reply t req =
   let cls = Protocol.class_of req in
@@ -532,30 +531,33 @@ let submit_and_reply t req =
 let admin_job f =
   Admission.make_item (Admission.Job f) Protocol.Admin_q ~deadline:(Metrics.now_s () +. 60.0)
 
-let handle_line t fd line =
-  match Json.of_string line with
+let handle_line t fd buf ~pos ~len =
+  match Json.of_bytes buf ~pos ~len with
   | Error msg ->
     Metrics.Counter.inc t.c.parse_error;
-    write_line fd (Protocol.err Protocol.e_parse ~detail:msg)
+    write_all fd (Protocol.err Protocol.e_parse ~detail:msg)
   | Ok j -> (
     match Protocol.parse j with
     | Error msg ->
       Metrics.Counter.inc t.c.bad_request;
-      write_line fd (Protocol.err Protocol.e_bad_request ~detail:msg)
+      write_all fd (Protocol.err Protocol.e_bad_request ~detail:msg)
     | Ok Protocol.Ping ->
       Metrics.Counter.inc t.c.ok;
-      write_line fd (Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
+      write_all fd (Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
     | Ok Protocol.Drain ->
       (* Acknowledge first, then trigger: the drain closes this very
          socket shortly after. *)
       Metrics.Counter.inc t.c.ok;
-      write_line fd (Protocol.ok [ ("draining", Json.Bool true) ]);
+      write_all fd (Protocol.ok [ ("draining", Json.Bool true) ]);
       request_stop t
     | Ok (Protocol.Quick { target; window = None } as req) -> (
       match inline_snapshot t with
-      | Some snap -> write_line fd (inline_quick t snap target)
-      | None -> write_line fd (submit_and_reply t req))
-    | Ok req -> write_line fd (submit_and_reply t req))
+      | Some snap -> write_all fd (inline_quick t snap target)
+      | None -> write_all fd (submit_and_reply t req))
+    | Ok req -> write_all fd (submit_and_reply t req))
+
+(* The whitespace String.trim strips. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 (* Per-connection loop: a bounded line scanner over Unix.read.  The
    read and write timeouts (SO_RCVTIMEO / SO_SNDTIMEO) contain slow and
@@ -578,7 +580,7 @@ let conn_loop t fd =
   let rec newline i = if i >= !len then None else if Bytes.get !buf i = '\n' then Some i else newline (i + 1) in
   let too_long () =
     Metrics.Counter.inc t.c.parse_error;
-    (try write_line fd (Protocol.err Protocol.e_parse ~detail:"line too long") with _ -> ());
+    (try write_all fd (Protocol.err Protocol.e_parse ~detail:"line too long") with _ -> ());
     run := false
   in
   while !run do
@@ -592,9 +594,13 @@ let conn_loop t fd =
         scan := i + 1;
         if i - line_start > cfg.max_line_bytes then too_long ()
         else begin
-          let line = String.trim (Bytes.sub_string !buf line_start (i - line_start)) in
-          if line <> "" then (
-            try handle_line t fd line
+          (* Parse the line in place, without the whitespace String.trim
+             would strip; a blank line gets no reply. *)
+          let lo = ref line_start and hi = ref i in
+          while !lo < !hi && is_space (Bytes.get !buf !lo) do incr lo done;
+          while !hi > !lo && is_space (Bytes.get !buf (!hi - 1)) do decr hi done;
+          if !hi > !lo then (
+            try handle_line t fd !buf ~pos:!lo ~len:(!hi - !lo)
             with Exit | Unix.Unix_error _ ->
               (* Write failed: stalled or vanished client; drop it. *)
               run := false)
@@ -687,7 +693,7 @@ let drain t listen_fd =
           | _ -> (
             match Unix.accept listen_fd with
             | fd, _ ->
-              (try write_line fd (Protocol.err Protocol.e_shutting_down) with _ -> ());
+              (try write_all fd (Protocol.err Protocol.e_shutting_down) with _ -> ());
               (try Unix.close fd with Unix.Unix_error _ -> ())
             | exception Unix.Unix_error _ -> ())
           | exception Unix.Unix_error _ -> ()

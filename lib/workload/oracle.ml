@@ -22,8 +22,10 @@ let rank_error t ~rank ~value =
   let upper = rank_of t value in
   (* For a value absent from the data, |{x < v}| = |{x <= v}|, and the
      value legitimately answers exactly rank(v); min collapses the
-     interval to that point instead of leaving it empty. *)
-  let lower = min upper (rank_of t (value - 1) + 1) in
+     interval to that point instead of leaving it empty.  Nothing lies
+     below min_int (and [min_int - 1] would wrap to max_int). *)
+  let below = if value = min_int then 0 else rank_of t (value - 1) in
+  let lower = min upper (below + 1) in
   if rank < lower then lower - rank else if rank > upper then rank - upper else 0
 
 let relative_error t ~phi ~value =

@@ -640,6 +640,46 @@ let test_v2_checkpoint_replays () =
       Alcotest.(check bool) "open step replayed" true (contains out "+ stream 400)");
       rm_rf store)
 
+(* status gives the checkpoint the verdict recovery gives it: an image
+   tagged 2 (the KLL sketch of older builds) in an otherwise valid,
+   current checkpoint is unusable, and the next open replays the whole
+   WAL instead of resuming from it. *)
+let test_status_tag2_checkpoint () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Alcotest.(check int) "durable simulate exits 0" 0
+        (run
+           (Printf.sprintf
+              "simulate --steps 4 --step-size 800 --block-size 32 --checkpoint-every 50 --durable %s"
+              (quote store)));
+      let status () = run_capture ("status " ^ quote store) in
+      let code, out = status () in
+      Alcotest.(check int) "status before" 0 code;
+      Alcotest.(check bool) "a current checkpoint" true (contains out "checkpoint: covers WAL seq");
+      let path = Filename.concat store "checkpoint" in
+      let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+      let body =
+        List.filter_map
+          (fun l ->
+            if String.starts_with ~prefix:"gk 1 " l then
+              Some ("gk 2 " ^ String.sub l 5 (String.length l - 5) ^ "\n")
+            else if l = "" || String.starts_with ~prefix:"checksum " l then None
+            else Some (l ^ "\n"))
+          lines
+        |> String.concat ""
+      in
+      Alcotest.(check bool) "tag word rewritten" true (contains body "\ngk 2 ");
+      write_file path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      let code, out = status () in
+      Alcotest.(check int) "status after" 0 code;
+      if not (contains out "checkpoint: unusable (" && contains out "falls back to full replay")
+      then Alcotest.failf "status does not refuse the tag-2 image:\n%s" out;
+      Alcotest.(check bool) "no coverage claimed" false (contains out "covers WAL seq");
+      let code, err = run_capture ~stderr:true (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query exits 0" 0 code;
+      Alcotest.(check bool) "whole WAL replayed" true (contains err "replayed 400 WAL records");
+      Alcotest.(check bool) "checkpoint not resumed" false (contains err "sketch checkpoint"))
+
 (* The lane commit marker (WAL record kind 3) replays as End_step. *)
 let test_lane_marker_replays () =
   with_temp_dir (fun dir ->
@@ -707,6 +747,8 @@ let () =
           Alcotest.test_case "missing directory" `Quick test_status_missing_dir;
           Alcotest.test_case "replicated: warning vs degraded" `Quick
             test_status_replicated_contract;
+          Alcotest.test_case "status refuses a tag-2 checkpoint" `Quick
+            test_status_tag2_checkpoint;
         ] );
       ( "metrics",
         [

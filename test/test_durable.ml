@@ -648,6 +648,53 @@ let test_tag2_image_refused () =
       Alcotest.(check bool) "the WAL holds the open step" true (wal_records >= 100);
       Alcotest.(check int) "every WAL record replayed" wal_records report.E.replayed)
 
+(* The checkpoint text before its word lines went through
+   Hsq_util.Digits, kept as the oracle: Printf throughout. *)
+let printf_render (c : Hsq.Checkpoint.t) =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "hsq-ckpt %d\n" 1;
+  Printf.bprintf buf "seq %d\n" c.seq;
+  Printf.bprintf buf "steps_done %d\n" c.steps_done;
+  let emit_words name ws =
+    Printf.bprintf buf "%s_len %d\n" name (Array.length ws);
+    Buffer.add_string buf name;
+    Array.iter (fun w -> Printf.bprintf buf " %d" w) ws;
+    Buffer.add_char buf '\n'
+  in
+  emit_words "batch" c.batch;
+  emit_words "gk" c.gk;
+  Printf.bprintf buf "checksum %x\n" (Hsq.Meta.checksum (Buffer.contents buf));
+  Buffer.contents buf
+
+(* Random spools over every magnitude and sign, with the range ends,
+   render byte for byte as Printf did, and load back unchanged. *)
+let test_render_matches_printf () =
+  let rng = Random.State.make [| 0xC4 |] in
+  let word () =
+    match Random.State.int rng 6 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> Random.State.int rng 1000 - 500
+    | 3 -> -Random.State.bits rng
+    | _ -> Random.State.full_int rng max_int asr Random.State.int rng 62
+  in
+  let words () = Array.init (Random.State.int rng 300) (fun _ -> word ()) in
+  with_store (fun dir ->
+      let path = Filename.concat dir "checkpoint" in
+      for i = 1 to 200 do
+        let c =
+          { Hsq.Checkpoint.seq = Random.State.int rng 1_000_000; steps_done = i; batch = words ();
+            gk = words () }
+        in
+        let expected = printf_render c in
+        Alcotest.(check string) "same bytes" expected (Hsq.Checkpoint.render c);
+        Hsq.Checkpoint.save ~path c;
+        Alcotest.(check string) "saved bytes" expected (read_file path);
+        match Hsq.Checkpoint.load ~path with
+        | Ok (Some c') -> Alcotest.(check bool) "loads back" true (c = c')
+        | Ok None | Error _ -> Alcotest.fail "rendered checkpoint does not load"
+      done)
+
 let () =
   Alcotest.run "durable"
     [
@@ -666,6 +713,7 @@ let () =
           Alcotest.test_case "checkpoint_now covers the log" `Quick test_checkpoint_now;
           Alcotest.test_case "stale checkpoint ignored" `Quick test_stale_checkpoint_ignored;
           Alcotest.test_case "corrupt checkpoint ignored" `Quick test_corrupt_checkpoint_ignored;
+          Alcotest.test_case "render = Printf, every int" `Quick test_render_matches_printf;
         ] );
       ( "rollover",
         [

@@ -72,6 +72,168 @@ let test_json_errors () =
   bad {|{"a":1} trailing|};
   bad "\"ctrl\x01char\""
 
+(* The float-only codec integers went through before Json had an [Int]
+   case, kept as the oracle: every integer was [Num (float_of_int n)],
+   rendered with "%.0f" below 9e15 and "%.12g" above, and every number
+   literal went through [float_of_string]. *)
+module Float_json = struct
+  let escape_into buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let add_num buf f =
+    if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buf "null"
+    else if Float.is_integer f && Float.abs f < 9.0e15 then
+      Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+
+  let rec render buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Int n -> add_num buf (float_of_int n)
+    | Json.Num f -> add_num buf f
+    | Json.Str s ->
+      Buffer.add_char buf '"';
+      escape_into buf s;
+      Buffer.add_char buf '"'
+    | Json.List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          render buf x)
+        xs;
+      Buffer.add_char buf ']'
+    | Json.Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape_into buf k;
+          Buffer.add_string buf "\":";
+          render buf v)
+        kvs;
+      Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 128 in
+    render buf v;
+    Buffer.contents buf
+
+  (* A document that is one number literal: its first character must
+     be '-' or a digit, the number token is the longest run of
+     [0-9.eE+-] after an optional '-', nothing may follow it, and the
+     token goes through [float_of_string]. *)
+  let number s =
+    let n = String.length s in
+    let pos = ref 0 in
+    if n = 0 || not (match s.[0] with '-' | '0' .. '9' -> true | _ -> false) then None
+    else begin
+      if s.[0] = '-' then incr pos;
+      while
+        !pos < n
+        && (match s.[!pos] with '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true | _ -> false)
+      do
+        incr pos
+      done;
+      if !pos <> n then None else float_of_string_opt s
+    end
+end
+
+(* Random trees whose integers lie in the float-exact range +-2^53, and
+   whose floats cover fractions, integral values, -0, huge and tiny
+   magnitudes and the non-finite values rendered as null. *)
+let random_tree rng =
+  let int_in_2_53 () =
+    let bits = Random.State.int rng 54 in
+    let m = if bits = 0 then 0 else Random.State.full_int rng (1 lsl bits) in
+    if Random.State.bool rng then m else -m
+  in
+  let float () =
+    match Random.State.int rng 9 with
+    | 0 -> Random.State.float rng 2.0 -. 1.0
+    | 1 -> float_of_int (int_in_2_53 ())
+    | 2 -> -0.0
+    | 3 -> Random.State.float rng 1e20 *. if Random.State.bool rng then 1.0 else -1.0
+    | 4 -> Random.State.float rng 1e-6
+    | 5 -> List.nth [ Float.nan; Float.infinity; Float.neg_infinity; 9e15; -9e15; 0.5 ] (Random.State.int rng 6)
+    | 6 -> float_of_int (Random.State.int rng 1000) /. 8.0
+    | _ -> Random.State.float rng 1e6
+  in
+  let str () =
+    String.init (Random.State.int rng 6) (fun _ ->
+        List.nth [ 'a'; 'z'; '"'; '\\'; '\n'; '\t'; '\001'; ' '; '\xc3' ] (Random.State.int rng 9))
+  in
+  let rec go depth =
+    match Random.State.int rng (if depth = 0 then 5 else 7) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Random.State.bool rng)
+    | 2 -> Json.int (int_in_2_53 ())
+    | 3 -> Json.Num (float ())
+    | 4 -> Json.Str (str ())
+    | 5 -> Json.List (List.init (Random.State.int rng 5) (fun _ -> go (depth - 1)))
+    | _ -> Json.Obj (List.init (Random.State.int rng 4) (fun _ -> (str (), go (depth - 1))))
+  in
+  go 4
+
+let test_json_render_matches_float_codec () =
+  let rng = Random.State.make [| 0x15 |] in
+  for _ = 1 to 3_000 do
+    let tree = random_tree rng in
+    let expected = Float_json.to_string tree in
+    Alcotest.(check string) "same bytes" expected (Json.to_string tree);
+    Alcotest.(check string) "to_line" (expected ^ "\n") (Json.to_line tree);
+    (* and the parser reads that rendering back to the same bytes *)
+    Alcotest.(check (result string string)) "re-parse" (Ok expected) (roundtrip expected)
+  done
+
+let test_json_number_literals () =
+  List.iter
+    (fun lit ->
+      let old = Float_json.number lit in
+      let now = Result.to_option (Json.of_string lit) in
+      Alcotest.(check (option (float 0.0))) lit old (Option.bind now Json.as_float);
+      (* inside a document the literal reads the same *)
+      let doc = Printf.sprintf {|{"v":[%s]}|} lit in
+      let inner =
+        match Json.of_string doc with
+        | Ok j -> (
+          match Json.get_list j "v" with Some [ v ] -> Json.as_float v | _ -> None)
+        | Error _ -> None
+      in
+      Alcotest.(check (option (float 0.0))) doc old inner)
+    [
+      "-0"; "007"; "1e3"; "1.0"; "9007199254740993"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "-"; "+1"; "1."; ".5";
+    ];
+  (* integers that fit are exact; the float range rule of as_int holds *)
+  let int_of lit = Option.bind (Result.to_option (Json.of_string lit)) Json.as_int in
+  Alcotest.(check (option int)) "2^53 + 1" (Some 9007199254740993) (int_of "9007199254740993");
+  Alcotest.(check (option int)) "max_int" (Some max_int) (int_of "4611686018427387903");
+  Alcotest.(check (option int)) "min_int" (Some min_int) (int_of "-4611686018427387904");
+  Alcotest.(check (option int)) "max_int + 1 is a float" None (int_of "4611686018427387904");
+  Alcotest.(check (option int)) "1e3" (Some 1000) (int_of "1e3");
+  Alcotest.(check (option int)) "1.5" None (int_of "1.5");
+  Alcotest.(check string) "max_int renders exactly" "4611686018427387903"
+    (Json.to_string (Json.int max_int));
+  Alcotest.(check string) "min_int renders exactly" "-4611686018427387904"
+    (Json.to_string (Json.int min_int));
+  (* a parse error names its offset from the start of the parsed range *)
+  let b = Bytes.of_string {|xx{"a":}yy|} in
+  Alcotest.(check (result string string)) "of_bytes error offset"
+    (Json.of_string {|{"a":}|} |> Result.map Json.to_string)
+    (Json.of_bytes b ~pos:2 ~len:6 |> Result.map Json.to_string)
+
 (* --- Protocol --------------------------------------------------------- *)
 
 let parse_req s =
@@ -97,7 +259,14 @@ let test_protocol_parse () =
   | Ok _ -> Alcotest.fail "phi 1.5 must be rejected");
   (match parse_req {|{"op":"frobnicate"}|} with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op must be rejected")
+  | Ok _ -> Alcotest.fail "unknown op must be rejected");
+  (* a value that is present but not an integer is named as such *)
+  Alcotest.(check (result reject string))
+    "fractional observe value" (Error "value must be an integer")
+    (parse_req {|{"op":"observe","value":1.5}|} |> Result.map ignore);
+  Alcotest.(check (result reject string))
+    "observe values not a list" (Error "values must be a list of integers")
+    (parse_req {|{"op":"observe","values":7}|} |> Result.map ignore)
 
 (* --- in-process server helpers ---------------------------------------- *)
 
@@ -718,6 +887,58 @@ let test_k1_matches_engine () =
           "hsq_query_summary_cache_hits_total";
           "hsq_query_summary_cache_misses_total";
         ];
+      Client.close c);
+  E.close twin
+
+(* Integers beyond 2^53 cross the wire exactly, both ways: a K=1 store
+   fed over the wire with values near min_int and max_int (most above
+   4e18 in magnitude) answers every quick and accurate query with the
+   value its engine twin returns, and that value lies within the
+   reported bound of an exact oracle. *)
+let test_extreme_values_exact () =
+  let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
+  let twin = E.create config in
+  let oracle = Hsq_workload.Oracle.create () in
+  with_server (G.create config) (fun _ listen ->
+      let c = Client.connect listen in
+      let rng = Hsq_util.Xoshiro.create 0xB16 in
+      let value () =
+        let off = Hsq_util.Xoshiro.int rng 1_000_000_000_000 in
+        match Hsq_util.Xoshiro.int rng 5 with
+        | 0 -> max_int - off
+        | 1 -> min_int + off
+        | 2 -> 4_000_000_000_000_000_000 + off
+        | 3 -> -4_000_000_000_000_000_000 - off
+        | _ -> (if Hsq_util.Xoshiro.int rng 2 = 0 then max_int else min_int)
+      in
+      let feed n =
+        let b = Array.init n (fun _ -> value ()) in
+        Alcotest.(check int) "applied" n (Client.observe c b);
+        Array.iter (E.observe twin) b;
+        Hsq_workload.Oracle.add_batch oracle b
+      in
+      for _ = 1 to 4 do
+        feed 600;
+        Client.end_step c;
+        ignore (E.end_time_step twin)
+      done;
+      feed 300;
+      let n = E.total_size twin in
+      let top = ref min_int in
+      List.iter
+        (fun rank ->
+          let quick = Client.quick c (`Rank rank) in
+          let v, _ = E.quick_with_bound twin ~rank in
+          Alcotest.(check int) (Printf.sprintf "quick rank %d" rank) v (Client.value_of quick);
+          check_bounded ~what:"quick" oracle quick;
+          let accurate = Client.accurate c (`Rank rank) in
+          let v, _ = E.accurate twin ~rank in
+          Alcotest.(check int) (Printf.sprintf "accurate rank %d" rank) v (Client.value_of accurate);
+          check_bounded ~what:"accurate" oracle accurate;
+          top := max !top v)
+        (spread ~count:40 n);
+      if !top < 4_000_000_000_000_000_000 then
+        Alcotest.failf "no answer reached 4e18 (largest %d)" !top;
       Client.close c);
   E.close twin
 
@@ -1357,6 +1578,9 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "json errors" `Quick test_json_errors;
+          Alcotest.test_case "json render = float codec below 2^53" `Quick
+            test_json_render_matches_float_codec;
+          Alcotest.test_case "json number literals" `Quick test_json_number_literals;
           Alcotest.test_case "request parsing" `Quick test_protocol_parse;
         ] );
       ( "daemon",
@@ -1377,6 +1601,8 @@ let () =
       ( "one surface",
         [
           Alcotest.test_case "K=1 answers as the engine" `Quick test_k1_matches_engine;
+          Alcotest.test_case "integers past 2^53 exact over the wire" `Quick
+            test_extreme_values_exact;
           Alcotest.test_case "windows at K=3" `Quick test_group_windows;
           Alcotest.test_case "K=1 metrics dump is flat" `Quick test_k1_metrics_flat;
           Alcotest.test_case "one WAL flush per observe request" `Quick

@@ -1,4 +1,5 @@
-(* Tests for hsq_util: PRNGs, sorted-array primitives, statistics. *)
+(* Tests for hsq_util: PRNGs, sorted-array primitives, statistics, the
+   decimal integer codec. *)
 
 open Hsq_util
 
@@ -199,6 +200,56 @@ let prop_sort_runs =
       Sorted.sort_runs a;
       a = expected)
 
+(* --- Digits ------------------------------------------------------------ *)
+
+(* Ints across every magnitude, both signs and the range ends. *)
+let int_arbitrary =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int);
+          (2, map2 (fun bits v -> v asr bits) (int_range 0 62) int);
+          (1, oneofl [ 0; 1; -1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ]);
+        ])
+  in
+  QCheck.make ~print:string_of_int gen
+
+let render n =
+  let buf = Buffer.create 24 in
+  Buffer.add_string buf "x";
+  Digits.add_int buf n;
+  Buffer.contents buf
+
+let prop_add_int =
+  QCheck.Test.make ~name:"add_int = string_of_int, read_int inverts it" ~count:2000
+    int_arbitrary (fun n ->
+      let s = render n in
+      s = "x" ^ string_of_int n
+      && Digits.read_int s ~pos:1 ~stop:(String.length s) = Some n
+      && Digits.read_int ("  " ^ s ^ "]") ~pos:3 ~stop:(String.length s + 2) = Some n)
+
+let test_read_int_edges () =
+  let read s = Digits.read_int s ~pos:0 ~stop:(String.length s) in
+  let check s expected = Alcotest.(check (option int)) (Printf.sprintf "%S" s) expected (read s) in
+  check "0" (Some 0);
+  check "-0" (Some 0);
+  check "007" (Some 7);
+  check "-007" (Some (-7));
+  check "0000000000000000000000001" (Some 1);
+  check "4611686018427387903" (Some max_int);
+  check "-4611686018427387904" (Some min_int);
+  check "4611686018427387904" None;
+  check "-4611686018427387905" None;
+  check "46116860184273879030" None;
+  check "99999999999999999999" None;
+  List.iter
+    (fun s -> check s None)
+    [ ""; "-"; "+1"; "1."; ".5"; "1e3"; "1.0"; "--1"; "1-"; " 1"; "1 "; "0x10"; "1_000" ];
+  Alcotest.(check (option int)) "sub-range" (Some 23) (Digits.read_int "1234" ~pos:1 ~stop:3);
+  Alcotest.(check (option int)) "range past the end" None (Digits.read_int "12" ~pos:0 ~stop:3);
+  Alcotest.(check (option int)) "negative start" None (Digits.read_int "12" ~pos:(-1) ~stop:2)
+
 let () =
   Alcotest.run "util"
     [
@@ -229,6 +280,11 @@ let () =
           Alcotest.test_case "sort_runs matches Array.sort" `Quick
             test_sort_runs_matches_array_sort;
           QCheck_alcotest.to_alcotest prop_sort_runs;
+        ] );
+      ( "digits",
+        [
+          QCheck_alcotest.to_alcotest prop_add_int;
+          Alcotest.test_case "read_int edge literals" `Quick test_read_int_edges;
         ] );
       ( "stats",
         [

@@ -116,6 +116,16 @@ let test_oracle_rank_error_metric () =
   Alcotest.(check int) "quantile" 20 (O.quantile o 0.5);
   Alcotest.(check (float 1e-9)) "relative error" 0.5 (O.relative_error o ~phi:0.5 ~value:10)
 
+(* The range ends are values like any other. *)
+let test_oracle_rank_error_range_ends () =
+  let o = O.create () in
+  O.add_batch o [| min_int; min_int; 0; max_int; max_int |];
+  Alcotest.(check int) "min_int answers rank 1" 0 (O.rank_error o ~rank:1 ~value:min_int);
+  Alcotest.(check int) "min_int answers rank 2" 0 (O.rank_error o ~rank:2 ~value:min_int);
+  Alcotest.(check int) "min_int off by one" 1 (O.rank_error o ~rank:3 ~value:min_int);
+  Alcotest.(check int) "max_int answers rank 4" 0 (O.rank_error o ~rank:4 ~value:max_int);
+  Alcotest.(check int) "max_int off by one" 1 (O.rank_error o ~rank:3 ~value:max_int)
+
 let prop_oracle_quantile_matches_sorted =
   QCheck.Test.make ~name:"oracle quantile = Sorted.quantile" ~count:100
     QCheck.(pair (list_of_size Gen.(1 -- 200) small_int) (int_range 1 100))
@@ -146,6 +156,8 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "rank error metric" `Quick test_oracle_rank_error_metric;
+          Alcotest.test_case "rank error at min_int and max_int" `Quick
+            test_oracle_rank_error_range_ends;
           QCheck_alcotest.to_alcotest prop_oracle_quantile_matches_sorted;
         ] );
     ]
