@@ -62,7 +62,8 @@ let durable_engine ~wal_sync () =
 (* The wire's hot lines: a 200-value observe request as a client sends
    it, and an accurate reply as the daemon renders it. *)
 let observe_request rng =
-  let values = List.init 200 (fun _ -> Hsq_serve.Json.int (Hsq_util.Xoshiro.int rng 1_000_000_000)) in
+  let value () = Hsq_serve.Json.int (Hsq_util.Xoshiro.int rng 1_000_000_000) in
+  let values = List.init 200 (fun _ -> value ()) in
   Hsq_serve.Json.(Obj [ ("op", Str "observe"); ("values", List values) ])
 
 let accurate_reply () =
@@ -153,7 +154,8 @@ let tests ~smoke =
     Test.make ~name:"wire-decode-observe200"
       (Staged.stage (fun () ->
            ignore (Result.map Hsq_serve.Protocol.parse (Hsq_serve.Json.of_string observe_line))));
-    Test.make ~name:"wire-encode-accurate-reply" (Staged.stage (fun () -> ignore (accurate_reply ())));
+    Test.make ~name:"wire-encode-accurate-reply"
+      (Staged.stage (fun () -> ignore (accurate_reply ())));
     Test.make ~name:"checkpoint-render-50k"
       (Staged.stage (fun () -> ignore (Hsq.Checkpoint.render ckpt)));
   ]

@@ -1,7 +1,7 @@
 (** Decimal integers without Printf, over the whole OCaml [int] range.
 
-    One codec for every place the program writes or reads integers as
-    text on a hot path: the line-JSON wire and the checkpoint file. *)
+    The line-JSON wire writes and reads its integers through it, and
+    the checkpoint writes its word lines with it. *)
 
 (** [add_int buf n] appends the decimal form of [n], byte-identical to
     [string_of_int n] (a leading ['-'] for negatives, no leading zeros). *)

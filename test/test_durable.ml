@@ -683,8 +683,12 @@ let test_render_matches_printf () =
       let path = Filename.concat dir "checkpoint" in
       for i = 1 to 200 do
         let c =
-          { Hsq.Checkpoint.seq = Random.State.int rng 1_000_000; steps_done = i; batch = words ();
-            gk = words () }
+          {
+            Hsq.Checkpoint.seq = Random.State.int rng 1_000_000;
+            steps_done = i;
+            batch = words ();
+            gk = words ();
+          }
         in
         let expected = printf_render c in
         Alcotest.(check string) "same bytes" expected (Hsq.Checkpoint.render c);

@@ -166,7 +166,10 @@ let random_tree rng =
     | 2 -> -0.0
     | 3 -> Random.State.float rng 1e20 *. if Random.State.bool rng then 1.0 else -1.0
     | 4 -> Random.State.float rng 1e-6
-    | 5 -> List.nth [ Float.nan; Float.infinity; Float.neg_infinity; 9e15; -9e15; 0.5 ] (Random.State.int rng 6)
+    | 5 ->
+      List.nth
+        [ Float.nan; Float.infinity; Float.neg_infinity; 9e15; -9e15; 0.5 ]
+        (Random.State.int rng 6)
     | 6 -> float_of_int (Random.State.int rng 1000) /. 8.0
     | _ -> Random.State.float rng 1e6
   in
