@@ -677,10 +677,12 @@ let status_one dir health =
     | exception Hsq.Persist.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
     | exception Hsq_storage.Block_device.Device_error msg ->
       problem "warehouse: DEVICE ERROR — %s" msg));
-  (* Write-ahead log. *)
+  (* Write-ahead log; its records also decide the checkpoint's verdict. *)
+  let wal = ref ([], 1) in
   (if Sys.file_exists wal_path then begin
      match Hsq_storage.Wal.read_path ~path:wal_path with
      | records, start_seq, tail ->
+       wal := (records, start_seq);
        let observes, markers =
          List.fold_left
            (fun (o, m) (_, r) ->
@@ -705,17 +707,17 @@ let status_one dir health =
   (match Hsq.Checkpoint.load ~path:ckpt_path with
   | Ok None -> print_endline "checkpoint: absent"
   | Ok (Some c) -> (
-    (* The sketch image check recovery's restore_from_checkpoint makes. *)
-    match Hsq.Checkpoint.deserialize_sketch c.Hsq.Checkpoint.gk with
-    | exception Invalid_argument why ->
-      Printf.printf "checkpoint: unusable (%s); recovery falls back to full replay\n" why
-    | _ ->
+    let records, start_seq = !wal in
+    let covers gk suffix =
       Printf.printf
         "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
-        c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done
-        (Array.length c.Hsq.Checkpoint.batch)
-        (if c.Hsq.Checkpoint.steps_done <> !committed_steps then " [stale — will be ignored]"
-         else ""))
+        c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done (Hsq_sketch.Gk.count gk) suffix
+    in
+    match Hsq.Engine.checkpoint_verdict ~steps_done:!committed_steps ~start_seq ~records c with
+    | Hsq.Engine.Resume (gk, _) -> covers gk ""
+    | Hsq.Engine.Stale gk -> covers gk " [stale — will be ignored]"
+    | Hsq.Engine.Unusable why ->
+      Printf.printf "checkpoint: unusable (%s); recovery falls back to full replay\n" why)
   | Error why ->
     (* Also not fatal: recovery treats it as absent. *)
     Printf.printf "checkpoint: unreadable (%s); recovery falls back to full replay\n" why);

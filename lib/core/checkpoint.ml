@@ -1,30 +1,28 @@
 (* Sketch checkpoints for the durable ingest path.
 
-   A checkpoint freezes the stream side R of the open time step — the
-   batch spool and the GK sketch state — together with the WAL sequence
-   number it covers, so recovery replays only the log suffix past
-   [seq] instead of the whole open step.  [steps_done] records how many
-   time steps the warehouse had durably committed when the checkpoint
-   was taken: a checkpoint is only usable if the recovered warehouse
-   agrees (otherwise its batch describes a step that has since been
-   archived, or one the warehouse rolled back — either way it is stale
-   and recovery falls back to a full WAL replay, which is always
-   correct, just slower).
+   A checkpoint freezes the GK sketch of the open time step with the
+   WAL sequence number it covers, so recovery re-inserts only the log
+   suffix past [seq].  The open step's elements are not copied: the
+   WAL, rotated only at a step end, holds every [Observe] since the
+   last commit, and recovery refills the spool from its records up to
+   [seq].  Engine.checkpoint_verdict decides when a checkpoint is
+   usable; otherwise recovery replays the whole WAL, which is always
+   correct, just slower.
 
    The file uses the Persist sidecar idiom: plain text, a trailing
    whole-file checksum line, written to a temp file and renamed into
    place.  A torn or tampered checkpoint therefore reads as "absent",
    never as wrong state. *)
 
-(* Version 2 carried the per-lane WAL cuts of the removed multi-lane
-   ingest; it now fails the version check like any unknown version and
-   reads as absent, so recovery replays the whole WAL. *)
-let format_version = 1
+(* Version 1 also carried the open step's spool, and version 2 the
+   per-lane WAL cuts of the removed multi-lane ingest; both fail the
+   version check like any unknown version and read as absent, so
+   recovery replays the whole WAL. *)
+let format_version = 3
 
 type t = {
   seq : int; (* last WAL sequence number covered by this state *)
   steps_done : int; (* warehouse time steps committed at save time *)
-  batch : int array; (* the open step's spool, one sorted run per hand-off *)
   gk : int array; (* serialize_sketch of the stream sketch *)
 }
 
@@ -45,22 +43,18 @@ let deserialize_sketch data =
   else Hsq_sketch.Gk.deserialize data
 
 let render c =
-  let buf = Buffer.create (256 + (8 * (Array.length c.batch + Array.length c.gk))) in
+  let buf = Buffer.create (256 + (8 * Array.length c.gk)) in
   Printf.bprintf buf "hsq-ckpt %d\n" format_version;
   Printf.bprintf buf "seq %d\n" c.seq;
   Printf.bprintf buf "steps_done %d\n" c.steps_done;
-  let emit_words name ws =
-    Printf.bprintf buf "%s_len %d\n" name (Array.length ws);
-    Buffer.add_string buf name;
-    Array.iter
-      (fun w ->
-        Buffer.add_char buf ' ';
-        Hsq_util.Digits.add_int buf w)
-      ws;
-    Buffer.add_char buf '\n'
-  in
-  emit_words "batch" c.batch;
-  emit_words "gk" c.gk;
+  Printf.bprintf buf "gk_len %d\n" (Array.length c.gk);
+  Buffer.add_string buf "gk";
+  Array.iter
+    (fun w ->
+      Buffer.add_char buf ' ';
+      Hsq_util.Digits.add_int buf w)
+    c.gk;
+  Buffer.add_char buf '\n';
   Printf.bprintf buf "checksum %x\n" (Meta.checksum (Buffer.contents buf));
   Buffer.contents buf
 
@@ -68,57 +62,36 @@ let save ~path c = Meta.write ~path (render c)
 
 let parse_error msg = raise (Meta.Corrupt_metadata msg)
 
+(* The body lines, the checksum line already stripped: exactly
+   [hsq-ckpt 3], [seq], [steps_done], [gk_len] and the [gk] words. *)
 let parse lines =
-  let lines = Array.of_list lines in
-  let pos = ref 0 in
-  let next () =
-    if !pos < Array.length lines then begin
-      let l = lines.(!pos) in
-      incr pos;
-      Some l
-    end
-    else None
+  let words name line =
+    match String.split_on_char ' ' line with
+    | n :: ws when n = name -> List.filter (fun w -> w <> "") ws
+    | _ -> parse_error (Printf.sprintf "expected %S..., found %S" name line)
   in
-  let expect_prefix prefix line =
-    let plen = String.length prefix in
-    match line with
-    | Some l when String.length l >= plen && String.sub l 0 plen = prefix ->
-      String.sub l plen (String.length l - plen)
-    | Some l -> parse_error (Printf.sprintf "expected %S..., found %S" prefix l)
-    | None -> parse_error (Printf.sprintf "missing %S line" prefix)
+  let ints name line =
+    List.map
+      (fun w ->
+        match int_of_string_opt w with
+        | Some v -> v
+        | None -> parse_error (Printf.sprintf "non-integer word in %S" name))
+      (words name line)
   in
-  let int_field prefix =
-    match int_of_string_opt (expect_prefix prefix (next ())) with
-    | Some v -> v
-    | None -> parse_error (Printf.sprintf "non-integer value for %S" (String.trim prefix))
+  let int name line =
+    match ints name line with [ v ] -> v | _ -> parse_error ("one integer expected in " ^ name)
   in
-  let header = expect_prefix "hsq-ckpt " (next ()) in
-  if int_of_string_opt header <> Some format_version then
-    parse_error ("unsupported checkpoint version " ^ header);
-  let seq = int_field "seq " in
-  let steps_done = int_field "steps_done " in
-  let words name =
-    let len = int_field (name ^ "_len ") in
-    if len < 0 then parse_error (name ^ " length negative");
-    let line = expect_prefix name (next ()) in
-    let fields =
-      List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line))
-    in
-    if List.length fields <> len then
-      parse_error (Printf.sprintf "%s holds %d words, expected %d" name (List.length fields) len);
-    let out = Array.make len 0 in
-    List.iteri
-      (fun i s ->
-        match int_of_string_opt s with
-        | Some v -> out.(i) <- v
-        | None -> parse_error (Printf.sprintf "non-integer word in %s" name))
-      fields;
-    out
-  in
-  let batch = words "batch" in
-  let gk = words "gk" in
-  if seq < 0 || steps_done < 0 then parse_error "negative sequence or step count";
-  { seq; steps_done; batch; gk }
+  match lines with
+  | header :: _ when int "hsq-ckpt" header <> format_version ->
+    parse_error ("unsupported checkpoint version " ^ header)
+  | [ _; seq; steps_done; gk_len; gk ] ->
+    let seq = int "seq" seq and steps_done = int "steps_done" steps_done in
+    let gk = Array.of_list (ints "gk" gk) and len = int "gk_len" gk_len in
+    if Array.length gk <> len then
+      parse_error (Printf.sprintf "gk holds %d words, expected %d" (Array.length gk) len);
+    if seq < 0 || steps_done < 0 then parse_error "negative sequence or step count";
+    { seq; steps_done; gk }
+  | _ -> parse_error (Printf.sprintf "%d lines, expected 5" (List.length lines))
 
 (* [Ok None] — no checkpoint on disk; [Ok (Some c)] — a valid one;
    [Error why] — a file is present but unreadable (torn write, bit rot,

@@ -1,6 +1,7 @@
 (** Sketch checkpoints for the durable ingest path: the open time
-    step's batch spool and GK sketch state, frozen at a WAL sequence
-    number so recovery replays only the log suffix past it.
+    step's GK sketch state, frozen at a WAL sequence number. The WAL
+    holds the step's elements; recovery refills the spool from it and
+    re-inserts only the suffix past that number.
 
     Written with the Persist sidecar idiom (plain text, trailing
     whole-file checksum, temp file + rename): a torn or tampered
@@ -9,7 +10,6 @@
 type t = {
   seq : int;          (** last WAL sequence number covered *)
   steps_done : int;   (** warehouse time steps committed at save time *)
-  batch : int array;  (** the open step's spool, one sorted run per hand-off *)
   gk : int array;     (** {!serialize_sketch} of the stream sketch *)
 }
 
@@ -23,7 +23,7 @@ val serialize_sketch : Hsq_sketch.Gk.t -> int array
     "no checkpoint" and replays the whole WAL. *)
 val deserialize_sketch : int array -> Hsq_sketch.Gk.t
 
-(** The file image {!save} writes: text lines, the word lines in
+(** The file image {!save} writes: text lines, the sketch image in
     decimal, then the checksum line. *)
 val render : t -> string
 
@@ -32,7 +32,7 @@ val save : path:string -> t -> unit
 
 (** [Ok None] — no checkpoint file; [Ok (Some c)] — a valid one;
     [Error why] — present but unreadable (torn write, bit rot, version
-    skew, including the version-2 format of the removed multi-lane
-    ingest). Callers must treat [Error] like [Ok None] and fall back to a
-    full WAL replay. *)
+    skew: version 1 carried the spool, version 2 the lane cuts of the
+    removed multi-lane ingest). Callers must treat [Error] like
+    [Ok None] and fall back to a full WAL replay. *)
 val load : path:string -> (t option, string) result

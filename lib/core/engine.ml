@@ -69,9 +69,11 @@ let make_engine_metrics dev =
     "hsq_query_degraded_total" (fun () -> Atomic.get em.degraded_total);
   em
 
-(* Durable-ingest state (Engine.open_or_recover): the write-ahead log
-   making the stream side R crash-safe, plus sketch-checkpoint
-   bookkeeping.  [None] = the stream is volatile, as in the paper. *)
+(* Durable-ingest state (Engine.open_or_recover): the write-ahead log,
+   the one durable copy of the open step's elements (it is rotated only
+   at a step end), plus the bookkeeping of the sketch checkpoints that
+   freeze the GK image over a prefix of it.  [None] = the stream is
+   volatile, as in the paper. *)
 type durability = {
   wal : Hsq_storage.Wal.t;
   meta_path : string; (* warehouse sidecar — the rollover commit record *)
@@ -258,10 +260,10 @@ let epsilon t = 4.0 *. eps2 t
 let memory_words t =
   Hsq_hist.Level_index.memory_words t.hist + Hsq_sketch.Gk.memory_words (stream_sketch t)
 
-(* Freeze the stream side at the WAL's last acknowledged sequence
-   number.  The log is synced first so the checkpoint never covers
-   records that could still be lost — otherwise recovery would trust
-   state whose log suffix vanished with the buffer cache. *)
+(* Freeze the sketch at the WAL's last acknowledged sequence number.
+   The log is synced first: it is the only copy of the elements the
+   checkpoint covers, and recovery resumes from a checkpoint only if
+   the log still holds every one of them. *)
 let write_checkpoint_impl t d =
   hand_off t;
   Hsq_storage.Wal.sync d.wal;
@@ -269,7 +271,6 @@ let write_checkpoint_impl t d =
     {
       Checkpoint.seq = Hsq_storage.Wal.last_seq d.wal;
       steps_done = Hsq_hist.Level_index.time_steps t.hist;
-      batch = Array.sub t.batch 0 t.batch_len;
       gk = Checkpoint.serialize_sketch t.gk;
     }
   in
@@ -368,6 +369,12 @@ let ingest_batch t batch =
 let expire t ~keep_steps = Hsq_hist.Level_index.expire t.hist ~keep_steps
 
 let stream_summary t = Stream_summary.extract (stream_sketch t)
+
+let open_step t =
+  hand_off t;
+  let elements = Array.sub t.batch 0 t.batch_len in
+  Array.sort Int.compare elements;
+  elements
 
 (* The cached historical aggregate, rebuilt only when the level index's
    epoch moved since it was computed (partition add / merge / expire /
@@ -622,13 +629,11 @@ let meta_file = "meta"
 let wal_file = "wal.log"
 let checkpoint_file = "checkpoint"
 
-let durable_paths dir =
+let store_paths ~dir =
   ( Filename.concat dir device_file,
     Filename.concat dir meta_file,
     Filename.concat dir wal_file,
     Filename.concat dir checkpoint_file )
-
-let store_paths ~dir = durable_paths dir
 
 exception Unsupported_store of string
 
@@ -653,21 +658,31 @@ let check_store ~dir =
                to consolidate it into %s"
               dir name wal_file))
 
-(* Adopt a checkpoint's frozen stream side.  A sketch image that
-   Checkpoint.deserialize_sketch refuses (the file lied despite its
-   checksum, versions skewed, or it carries a sketch this build does not
-   run) reads as no checkpoint: full replay is always correct. *)
-let restore_from_checkpoint t c =
-  match Checkpoint.deserialize_sketch c.Checkpoint.gk with
-  | exception Invalid_argument _ -> false
+type checkpoint_verdict =
+  | Resume of Hsq_sketch.Gk.t * int array
+  | Stale of Hsq_sketch.Gk.t
+  | Unusable of string
+
+(* The image must decode, the warehouse must hold the steps it was
+   taken at (else it froze a step since archived or rolled back), and
+   the log must hold every record it covers, all observes its sketch
+   counts: a log floored below its seq never lets it vouch for elements
+   the log lost. *)
+let checkpoint_verdict ~steps_done ~start_seq ~records (c : Checkpoint.t) =
+  match Checkpoint.deserialize_sketch c.gk with
+  | exception Invalid_argument why -> Unusable why
+  | gk when c.steps_done <> steps_done -> Stale gk
   | gk ->
-    let len = Array.length c.Checkpoint.batch in
-    let batch = Array.make (max 1024 len) 0 in
-    Array.blit c.Checkpoint.batch 0 batch 0 len;
-    t.gk <- gk;
-    t.batch <- batch;
-    t.batch_len <- len;
-    true
+    let covered = List.filter (fun (seq, _) -> seq <= c.seq) records in
+    let observes =
+      List.filter_map (function _, Hsq_storage.Wal.Observe v -> Some v | _ -> None) covered
+    in
+    let held = List.length covered and n = List.length observes and count = Hsq_sketch.Gk.count gk in
+    if held = c.seq - start_seq + 1 && n = held && count = n then Resume (gk, Array.of_list observes)
+    else
+      Unusable
+        (Printf.sprintf "WAL seq %d..%d holds %d records, %d of them observes; its sketch counts %d"
+           start_seq c.seq held n count)
 
 let open_or_recover config =
   let dir =
@@ -681,7 +696,7 @@ let open_or_recover config =
   end
   else Sys.mkdir dir 0o755;
   check_store ~dir;
-  let device_path, meta_path, wal_path, ckpt_path = durable_paths dir in
+  let device_path, meta_path, wal_path, ckpt_path = store_paths ~dir in
   (* Warehouse first.  The sidecar is the commit record: without it the
      device file holds no committed state and is reinitialised. *)
   let t =
@@ -721,17 +736,30 @@ let open_or_recover config =
         [],
         Hsq_storage.Wal.Clean )
   in
-  (* Checkpoint: usable only if its warehouse step count matches the
-     warehouse we actually recovered — otherwise it froze a step that
-     was since archived (or rolled back).  Unusable means replay starts
-     from seq 1, which is always correct. *)
-  let steps_committed = Hsq_hist.Level_index.time_steps t.hist in
+  (* A usable checkpoint seeds the sketch, and the log's records up to
+     its seq refill the spool as one sorted run.  Otherwise replay from
+     the log's first record, always correct, and delete the file before
+     the first new append: a later open must not match it against a log
+     grown back past its seq. *)
+  let steps_done = Hsq_hist.Level_index.time_steps t.hist in
+  let start_seq = Hsq_storage.Wal.start_seq wal in
   let checkpoint_used, replay_after =
     match Checkpoint.load ~path:ckpt_path with
-    | Ok (Some c) when c.Checkpoint.steps_done = steps_committed && restore_from_checkpoint t c ->
-      (true, c.Checkpoint.seq)
-    | Ok _ | Error _ -> (false, min_int)
+    | Ok (Some c) -> (
+      match checkpoint_verdict ~steps_done ~start_seq ~records c with
+      | Resume (gk, spool) ->
+        Array.sort Int.compare spool;
+        t.gk <- gk;
+        t.batch <- spool;
+        t.batch_len <- Array.length spool;
+        (true, c.Checkpoint.seq)
+      | Stale _ | Unusable _ -> (false, min_int))
+    | Ok None | Error _ -> (false, min_int)
   in
+  if (not checkpoint_used) && Sys.file_exists ckpt_path then begin
+    Sys.remove ckpt_path;
+    Hsq_storage.Atomic_file.fsync_dir dir
+  end;
   let replayed = ref 0 and reingested = ref 0 and skipped = ref 0 in
   let drop_step () =
     t.batch_len <- 0;

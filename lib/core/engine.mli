@@ -159,6 +159,11 @@ val expire : t -> keep_steps:int -> int * int
     hand-off). *)
 val stream_summary : t -> Stream_summary.t
 
+(** The open step's live GK sketch, and its elements in a fresh sorted
+    array (anti-entropy hashes them); both hand the buffer off first. *)
+val stream_sketch : t -> Hsq_sketch.Gk.t
+val open_step : t -> int array
+
 (** Current TS: the historical half comes from a cached aggregate keyed
     on {!Hsq_hist.Level_index.epoch} (rebuilt only after a partition add
     / merge / expire / recovery), merged with a fresh stream summary —
@@ -253,9 +258,25 @@ exception Unsupported_store of string
     lane log; a no-op on a missing directory. *)
 val check_store : dir:string -> unit
 
+(** Recovery's and [hsq status]'s one rule for a checkpoint, against a
+    warehouse of [steps_done] steps and a log whose valid [records]
+    start at [start_seq]: [Resume (sketch, spool)], the spool being the
+    observes the checkpoint covers; [Stale] on a step-count mismatch;
+    [Unusable why] if the image does not decode or the log does not
+    hold exactly the observes up to its seq that the sketch counts. *)
+type checkpoint_verdict =
+  | Resume of Hsq_sketch.Gk.t * int array
+  | Stale of Hsq_sketch.Gk.t
+  | Unusable of string
+
+val checkpoint_verdict :
+  steps_done:int -> start_seq:int -> records:(int * Hsq_storage.Wal.record) list ->
+  Checkpoint.t -> checkpoint_verdict
+
 (** Open the durable store at [config.wal_dir], recovering any state a
-    previous process left behind: the checkpoint, then the WAL suffix
-    past it, replayed through the same ingest buffer as {!observe}.
+    previous process left behind: a usable checkpoint (an unused one is
+    deleted), then the WAL suffix past it, replayed through the same
+    ingest buffer as {!observe}.
     Raises [Invalid_argument] if [config.wal_dir] is [None],
     {!Unsupported_store} on a lane store (before touching any file), and
     {!Hsq_storage.Block_device.Device_error} / [Meta.Corrupt_metadata]

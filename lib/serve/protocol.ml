@@ -81,13 +81,19 @@ let parse j =
       | None, Some vs -> (
         match Json.as_list vs with
         | None -> Error "values must be a list of integers"
-        | Some vs -> (
-          let ints = List.map Json.as_int vs in
-          if List.exists Option.is_none ints then Error "values must be integers"
-          else
-            match List.filter_map Fun.id ints with
-            | [] -> Error "empty values"
-            | vals -> Ok (Observe (Array.of_list vals))))
+        | Some [] -> Error "empty values"
+        | Some vs ->
+          let vals = Array.make (List.length vs) 0 in
+          let rec fill i = function
+            | [] -> Ok (Observe vals)
+            | v :: rest -> (
+              match Json.as_int v with
+              | Some x ->
+                vals.(i) <- x;
+                fill (i + 1) rest
+              | None -> Error "values must be integers")
+          in
+          fill 0 vs)
       | Some _, Some _ -> Error "give value or values, not both"
       | None, None -> Error "observe needs value or values")
     | "end_step" -> Ok End_step

@@ -15,9 +15,9 @@
    checksums, open-step checksum): the historical side is hashed from
    the partition descriptors (level, block placement, step range,
    length, quarantine bit — the same lines the sidecar persists), and
-   the stream side from the sorted spool of the checkpoint a forced
-   [checkpoint_now] just wrote.  Any acked op a replica lost or gained
-   moves at least one component. *)
+   the stream side from the open step's elements in sorted order, read
+   from the engine's in-memory spool (Engine.open_step).  Any acked op
+   a replica lost or gained moves at least one component. *)
 
 module E = Hsq.Engine
 module Li = Hsq_hist.Level_index
@@ -27,28 +27,14 @@ type digest = {
   steps : int;
   hist_hash : int; (* all partition descriptors *)
   levels : (int * int) list; (* (level, checksum over that level's descriptors) *)
-  sketch_hash : int; (* checksum of the open step's sorted elements; 0 = volatile *)
+  sketch_hash : int; (* checksum of the open step's sorted elements *)
 }
 
 let descriptor_line (d : Li.partition_descriptor) =
   Printf.sprintf "%d %d %d %d %d %d\n" d.level d.first_block d.length d.first_step d.last_step
     (if d.quarantined then 1 else 0)
 
-(* The open step's elements in sorted order, from the checkpoint at
-   [path]; 0 when it cannot be read. *)
-let open_step_checksum path =
-  match Hsq.Checkpoint.load ~path with
-  | Ok (Some c) ->
-    let batch = Array.copy c.Hsq.Checkpoint.batch in
-    Array.sort Int.compare batch;
-    Hsq.Meta.checksum (String.concat " " (Array.to_list (Array.map string_of_int batch)))
-  | Ok None | Error _ -> 0
-
-(* [store_dir] names the replica's durable directory: the stream side
-   is then read from a forced checkpoint.  Without it (volatile engine)
-   the stream component is 0 and divergence detection rests on the
-   count + historical components alone. *)
-let digest ?store_dir e =
+let digest e =
   let descriptors = Li.describe (E.hist e) in
   let by_level = Hashtbl.create 8 in
   List.iter
@@ -60,24 +46,10 @@ let digest ?store_dir e =
     Hashtbl.fold (fun level body acc -> (level, Hsq.Meta.checksum body) :: acc) by_level []
     |> List.sort compare
   in
-  let hist_hash =
-    Hsq.Meta.checksum (String.concat "" (List.map descriptor_line descriptors))
-  in
-  let sketch_hash =
-    match store_dir with
-    | None -> 0
-    | Some dir ->
-      E.checkpoint_now e;
-      let _, _, _, ckpt = E.store_paths ~dir in
-      open_step_checksum ckpt
-  in
-  {
-    elements = E.total_size e;
-    steps = E.time_steps e;
-    hist_hash;
-    levels;
-    sketch_hash;
-  }
+  let hist_hash = Hsq.Meta.checksum (String.concat "" (List.map descriptor_line descriptors)) in
+  let open_step = Array.to_list (Array.map string_of_int (E.open_step e)) in
+  let sketch_hash = Hsq.Meta.checksum (String.concat " " open_step) in
+  { elements = E.total_size e; steps = E.time_steps e; hist_hash; levels; sketch_hash }
 
 let equal (a : digest) (b : digest) = a = b
 

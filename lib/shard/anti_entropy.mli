@@ -15,14 +15,13 @@ type digest = {
   steps : int;  (** archived time steps *)
   hist_hash : int;  (** checksum over all partition descriptors *)
   levels : (int * int) list;  (** (level, checksum over that level's descriptors) *)
-  sketch_hash : int;  (** checksum of the open step's sorted elements; 0 = volatile *)
+  sketch_hash : int;  (** checksum of the open step's sorted elements *)
 }
 
-(** Digest an engine's state. With [store_dir] (the replica's durable
-    directory) a sketch checkpoint is forced first and its spooled
-    elements checksummed in sorted order, so the digest covers the open
-    step too; without it the stream component is 0. *)
-val digest : ?store_dir:string -> Hsq.Engine.t -> digest
+(** Digest an engine's state, the open step included: its elements
+    are checksummed in sorted order from the engine's memory
+    ({!Hsq.Engine.open_step}); no file is written or read. *)
+val digest : Hsq.Engine.t -> digest
 
 val equal : digest -> digest -> bool
 val to_string : digest -> string

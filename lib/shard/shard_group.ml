@@ -1132,8 +1132,8 @@ let healthiest candidates =
     Some (List.fold_left (fun best c -> if score c > score best then c else best) first rest)
 
 (* Converge replica [rep] of shard [i] onto live sibling [src]: force a
-   checkpoint on the source so its files are a complete rendering of
-   its state, crash-release the target, copy the store byte-for-byte,
+   checkpoint on the source, which syncs its WAL, so its files are a
+   complete rendering of its state, crash-release the target, copy the store byte-for-byte,
    and recover the copy — recovery of identical bytes yields an
    identical engine (deterministic replay).  Caller holds the lock. *)
 let repair_replica_locked t i rep ~src:(src_j, src_e) =
@@ -1178,12 +1178,7 @@ let anti_entropy ?(repair = false) t =
         for i = 0 to t.k - 1 do
           let live = live_replicas_of t.slots.(i) in
           if List.length live >= 2 then begin
-            let digests =
-              List.map
-                (fun (j, e) ->
-                  (j, Anti_entropy.digest ~store_dir:(replica_store_dir t i j) e))
-                live
-            in
+            let digests = List.map (fun (j, e) -> (j, Anti_entropy.digest e)) live in
             (* Majority rule: the largest group of equal digests is the
                truth; ties break toward the group holding the
                healthiest replica. *)

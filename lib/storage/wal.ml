@@ -4,8 +4,10 @@
    sketch — is volatile; this log makes it durable.  Every [observe] is
    appended as a checksummed, sequence-numbered, length-prefixed record
    before it touches in-memory state, and a time-step rollover appends
-   an [End_step] commit marker.  Recovery (Engine.open_or_recover)
-   replays the log suffix past the last sketch checkpoint.
+   an [End_step] commit marker.  The log is rotated only at a step end,
+   so it is the one durable copy of the open step's elements: recovery
+   (Engine.open_or_recover) reads them back from it, and re-inserts
+   into the sketch only the suffix past the last sketch checkpoint.
 
    Durability model.  Appends accumulate in an in-process buffer and
    reach the file only on a physical flush ("sync"); a crash loses the

@@ -319,7 +319,7 @@ let test_stale_checkpoint_ignored () =
       (* A checkpoint claiming a warehouse state that never committed. *)
       let _, _, _, ckpt_path = E.store_paths ~dir in
       Hsq.Checkpoint.save ~path:ckpt_path
-        { Hsq.Checkpoint.seq = 30; steps_done = 5; batch = [| 1; 2; 3 |]; gk = [| 0 |] };
+        { Hsq.Checkpoint.seq = 30; steps_done = 5; gk = [| 0 |] };
       let recovered, report = E.open_or_recover (config dir) in
       Alcotest.(check bool) "stale checkpoint ignored" false report.E.checkpoint_used;
       Alcotest.(check int) "full replay instead" 60 report.E.replayed;
@@ -533,14 +533,14 @@ let test_v2_checkpoint_absent () =
       done;
       E.checkpoint_now eng;
       E.crash eng;
-      (* Rewrite the valid version-1 checkpoint as version 2: a lane-cut
+      (* Rewrite the valid version-3 checkpoint as version 2: a lane-cut
          line after steps_done, and a fresh checksum. *)
       let _, _, _, ckpt_path = E.store_paths ~dir in
       let lines = String.split_on_char '\n' (read_file ckpt_path) in
       let body =
         List.concat_map
           (fun l ->
-            if l = "hsq-ckpt 1" then [ "hsq-ckpt 2" ]
+            if l = "hsq-ckpt 3" then [ "hsq-ckpt 2" ]
             else if String.starts_with ~prefix:"steps_done " l then [ l; "lanes_len 1"; "lanes 0" ]
             else if l = "" || String.starts_with ~prefix:"checksum " l then []
             else [ l ])
@@ -573,6 +573,104 @@ let test_lane_marker_replays_as_end_step () =
       Alcotest.(check int) "archived elements" 30 (E.hist_size eng);
       Alcotest.(check int) "open step" 12 (E.stream_size eng);
       E.close eng)
+
+(* --- sketch-only checkpoints ------------------------------------------ *)
+
+(* A checkpoint holds only the sketch image: the WAL is the one durable
+   copy of the open step's elements. *)
+let test_checkpoint_holds_no_spool () =
+  with_store (fun dir ->
+      let eng, _ = E.open_or_recover (config dir) in
+      for i = 1 to 700 do
+        E.observe eng (el 101 i)
+      done;
+      E.checkpoint_now eng;
+      let image = Hsq.Checkpoint.serialize_sketch (E.stream_sketch eng) in
+      E.close eng;
+      let _, _, _, ckpt_path = E.store_paths ~dir in
+      let lines = String.split_on_char '\n' (read_file ckpt_path) in
+      Alcotest.(check (list string))
+        "line kinds" [ "hsq-ckpt"; "seq"; "steps_done"; "gk_len"; "gk"; "checksum"; "" ]
+        (List.map (fun l -> List.hd (String.split_on_char ' ' l)) lines);
+      Alcotest.(check string) "gk_len is the live sketch's image length"
+        (Printf.sprintf "gk_len %d" (Array.length image))
+        (List.nth lines 3);
+      let recovered, report = E.open_or_recover (config dir) in
+      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
+      Alcotest.(check int) "no replay past it" 0 report.E.replayed;
+      check_matches_reference ~msg:"spool read back from the WAL" recovered
+        (reference_engine (List.init 700 (fun i -> el 101 (i + 1))) []);
+      E.close recovered)
+
+(* A version-1 checkpoint, which also carried the open step's spool,
+   reads as absent: full replay, every element back, and the file is
+   gone before the first new append. *)
+let test_v1_checkpoint_absent () =
+  with_store (fun dir ->
+      let elements = List.init 80 (el 103) in
+      let eng, _ = E.open_or_recover (config dir) in
+      List.iter (E.observe eng) elements;
+      E.checkpoint_now eng;
+      E.crash eng;
+      let _, _, _, ckpt_path = E.store_paths ~dir in
+      let spool = List.sort compare elements in
+      let body =
+        List.concat_map
+          (fun l ->
+            if l = "hsq-ckpt 3" then [ "hsq-ckpt 1" ]
+            else if String.starts_with ~prefix:"gk_len " l then
+              [
+                Printf.sprintf "batch_len %d" (List.length spool);
+                String.concat " " ("batch" :: List.map string_of_int spool);
+                l;
+              ]
+            else if l = "" || String.starts_with ~prefix:"checksum " l then []
+            else [ l ])
+          (String.split_on_char '\n' (read_file ckpt_path))
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat ""
+      in
+      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      (match Hsq.Checkpoint.load ~path:ckpt_path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a version-1 checkpoint loads");
+      let recovered, report = E.open_or_recover (config dir) in
+      Alcotest.(check bool) "v1 checkpoint not used" false report.E.checkpoint_used;
+      Alcotest.(check int) "full replay" 80 report.E.replayed;
+      Alcotest.(check bool) "unused checkpoint deleted" false (Sys.file_exists ckpt_path);
+      check_matches_reference ~msg:"every element back" recovered (reference_engine elements []);
+      E.close recovered)
+
+(* One flipped bit in WAL record 50 under a checkpoint at seq 100: the
+   reopen floors the log to 49 records, so the checkpoint no longer
+   vouches for its elements and is dropped.  The acks made after that
+   reopen reuse seqs 50..59; a crash must not lose them to a checkpoint
+   matched against the regrown log. *)
+let test_flipped_record_under_checkpoint () =
+  with_store (fun dir ->
+      let first = List.init 100 (fun i -> el 139 (i + 1)) in
+      let later = List.init 10 (fun i -> el 149 (i + 1)) in
+      let eng, _ = E.open_or_recover (config dir) in
+      List.iter (E.observe eng) first;
+      E.checkpoint_now eng;
+      E.close eng;
+      (* 24-byte header, 40-byte observe records; flip the low bit of
+         record 50's value word. *)
+      let _, _, wal_path, _ = E.store_paths ~dir in
+      let off = 24 + (49 * 40) + 31 in
+      let bytes = Bytes.of_string (read_file wal_path) in
+      Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 1));
+      write_file wal_path (Bytes.to_string bytes);
+      let reopened, report = E.open_or_recover (config dir) in
+      Alcotest.(check bool) "damage floored" true (report.E.wal_tail <> None);
+      List.iter (E.observe reopened) later;
+      E.crash reopened;
+      let recovered, _ = E.open_or_recover (config dir) in
+      let survivors = List.filteri (fun i _ -> i < 49) first in
+      Alcotest.(check int) "the floored prefix and every later ack" 59 (E.total_size recovered);
+      check_matches_reference ~msg:"later acks recovered" recovered
+        (reference_engine (survivors @ later) []);
+      E.close recovered)
 
 (* --- checkpoint sketch images ------------------------------------------ *)
 
@@ -652,22 +750,18 @@ let test_tag2_image_refused () =
    Hsq_util.Digits, kept as the oracle: Printf throughout. *)
 let printf_render (c : Hsq.Checkpoint.t) =
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "hsq-ckpt %d\n" 1;
+  Printf.bprintf buf "hsq-ckpt %d\n" 3;
   Printf.bprintf buf "seq %d\n" c.seq;
   Printf.bprintf buf "steps_done %d\n" c.steps_done;
-  let emit_words name ws =
-    Printf.bprintf buf "%s_len %d\n" name (Array.length ws);
-    Buffer.add_string buf name;
-    Array.iter (fun w -> Printf.bprintf buf " %d" w) ws;
-    Buffer.add_char buf '\n'
-  in
-  emit_words "batch" c.batch;
-  emit_words "gk" c.gk;
+  Printf.bprintf buf "gk_len %d\n" (Array.length c.gk);
+  Buffer.add_string buf "gk";
+  Array.iter (fun w -> Printf.bprintf buf " %d" w) c.gk;
+  Buffer.add_char buf '\n';
   Printf.bprintf buf "checksum %x\n" (Hsq.Meta.checksum (Buffer.contents buf));
   Buffer.contents buf
 
-(* Random spools over every magnitude and sign, with the range ends,
-   render byte for byte as Printf did, and load back unchanged. *)
+(* Random word arrays over every magnitude and sign, with the range
+   ends, render byte for byte as Printf did, and load back unchanged. *)
 let test_render_matches_printf () =
   let rng = Random.State.make [| 0xC4 |] in
   let word () =
@@ -686,7 +780,6 @@ let test_render_matches_printf () =
           {
             Hsq.Checkpoint.seq = Random.State.int rng 1_000_000;
             steps_done = i;
-            batch = words ();
             gk = words ();
           }
         in
@@ -718,6 +811,10 @@ let () =
           Alcotest.test_case "stale checkpoint ignored" `Quick test_stale_checkpoint_ignored;
           Alcotest.test_case "corrupt checkpoint ignored" `Quick test_corrupt_checkpoint_ignored;
           Alcotest.test_case "render = Printf, every int" `Quick test_render_matches_printf;
+          Alcotest.test_case "checkpoint holds no spool" `Quick test_checkpoint_holds_no_spool;
+          Alcotest.test_case "v1 checkpoint reads as absent" `Quick test_v1_checkpoint_absent;
+          Alcotest.test_case "flipped WAL record under a checkpoint" `Quick
+            test_flipped_record_under_checkpoint;
         ] );
       ( "rollover",
         [
