@@ -1133,9 +1133,10 @@ let healthiest candidates =
 
 (* Converge replica [rep] of shard [i] onto live sibling [src]: force a
    checkpoint on the source, which syncs its WAL, so its files are a
-   complete rendering of its state, crash-release the target, copy the store byte-for-byte,
-   and recover the copy — recovery of identical bytes yields an
-   identical engine (deterministic replay).  Caller holds the lock. *)
+   complete rendering of its state, crash-release the target, copy the
+   store byte-for-byte, and recover the copy — recovery of identical
+   bytes yields an identical engine (deterministic replay).  Caller
+   holds the lock. *)
 let repair_replica_locked t i rep ~src:(src_j, src_e) =
   (try E.checkpoint_now src_e with _ -> ());
   (match rep.state with
