@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks for the core operations behind every
-   figure: sketch inserts, summary extraction, the two query paths, and
-   the integer text codec of the wire and the checkpoint.
+   figure: sketch inserts, ingest hand-offs, summary extraction, the two
+   query paths, and the integer text codec of the wire.
    Reported as nanoseconds per operation (OLS estimate against the run
    counter). *)
 
@@ -40,9 +40,7 @@ let accurate_engine ?(smoke = false) () =
   eng
 
 (* A durable engine over a throwaway store, for the ingest-throughput
-   benches.  Checkpoints are off: the WAL sync policy is the axis under
-   measurement, and a mid-bench checkpoint (which syncs the WAL and
-   serializes the sketch) would spike single samples unfairly. *)
+   benches: the WAL sync policy is the axis under measurement. *)
 let durable_engine ~wal_sync () =
   let dir = Filename.temp_file "hsq_bench_wal" "" in
   Sys.remove dir;
@@ -53,8 +51,7 @@ let durable_engine ~wal_sync () =
         Sys.rmdir dir
       with Sys_error _ -> ());
   let config =
-    Hsq.Config.make ~kappa:10 ~block_size:256 ~wal_dir:dir ~wal_sync ~checkpoint_every:0
-      (Hsq.Config.Epsilon 0.01)
+    Hsq.Config.make ~kappa:10 ~block_size:256 ~wal_dir:dir ~wal_sync (Hsq.Config.Epsilon 0.01)
   in
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
@@ -81,15 +78,6 @@ let accurate_reply () =
           ("replicas_diverged", List []);
         ])
 
-(* A checkpoint of a 50k-element open step: the GK image of its
-   elements, which the WAL holds. *)
-let checkpoint_gk50k rng =
-  let gk = Hsq_sketch.Gk.create ~epsilon:0.01 in
-  for _ = 1 to 50_000 do
-    Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)
-  done;
-  { Hsq.Checkpoint.seq = 50_000; steps_done = 20; gk = Hsq.Checkpoint.serialize_sketch gk }
-
 let tests ~smoke =
   let rng = Hsq_util.Xoshiro.create 1234 in
   let gk = Hsq_sketch.Gk.create ~epsilon:0.001 in
@@ -106,7 +94,10 @@ let tests ~smoke =
   let dur_always = durable_engine ~wal_sync:Hsq_storage.Wal.Always () in
   let observe = observe_request rng in
   let observe_line = Hsq_serve.Json.to_line observe in
-  let ckpt = checkpoint_gk50k rng in
+  let handoff_engine =
+    Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
+  in
+  let run512 = Array.init 512 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
   [
     Test.make ~name:"gk-insert"
       (Staged.stage (fun () -> Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)));
@@ -147,8 +138,13 @@ let tests ~smoke =
     Test.make ~name:"ingest-wal-always"
       (Staged.stage (fun () ->
            Hsq.Engine.observe dur_always (Hsq_util.Xoshiro.int rng 1_000_000)));
+    (* One full ingest buffer: 512 observes into a volatile engine, the
+       last of which sorts the buffer and merges it into the sketch and
+       the step spool. *)
+    Test.make ~name:"handoff-512"
+      (Staged.stage (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
     (* The integer codec: a request rendered and parsed as the client
-       and the daemon do, a reply rendered, a checkpoint rendered. *)
+       and the daemon do, and a reply rendered. *)
     Test.make ~name:"wire-encode-observe200"
       (Staged.stage (fun () -> ignore (Hsq_serve.Json.to_line observe)));
     Test.make ~name:"wire-decode-observe200"
@@ -156,8 +152,6 @@ let tests ~smoke =
            ignore (Result.map Hsq_serve.Protocol.parse (Hsq_serve.Json.of_string observe_line))));
     Test.make ~name:"wire-encode-accurate-reply"
       (Staged.stage (fun () -> ignore (accurate_reply ())));
-    Test.make ~name:"checkpoint-render-gk50k"
-      (Staged.stage (fun () -> ignore (Hsq.Checkpoint.render ckpt)));
   ]
   |> fun tests -> (tests, Hsq.Engine.metrics eng)
 

@@ -62,7 +62,7 @@ let shards =
 
 let replicas =
   let doc =
-    "Run every logical shard as $(docv) replicated engines (own device, WAL, checkpoints, \
+    "Run every logical shard as $(docv) replicated engines (own device, WAL, \
      breaker per replica): writes fan out synchronously to each live replica and are \
      acknowledged while at least one accepts, reads fail over to a sibling instead of \
      widening bounds when a replica is down, downed replicas catch up from hinted handoff \
@@ -104,10 +104,10 @@ let wal_sync_conv =
 
 let durable_dir =
   let doc =
-    "The store: its warehouse, write-ahead log, and sketch checkpoints live in $(docv). \
+    "The store: its warehouse and write-ahead log live in $(docv). \
      $(b,simulate), $(b,stream) and $(b,serve) create it or recover whatever a previous \
      (possibly crashed) run left there, and run in memory without it; $(b,query), \
-     $(b,inspect), $(b,scrub) and $(b,metrics) read a store that exists."
+     $(b,inspect), $(b,scrub), $(b,metrics) and $(b,status) read a store that exists."
   in
   Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR" ~doc)
 
@@ -119,10 +119,6 @@ let wal_sync =
      (flush only at commit markers)."
   in
   Arg.(value & opt wal_sync_conv Hsq_storage.Wal.Always & info [ "wal-sync" ] ~docv:"POLICY" ~doc)
-
-let checkpoint_every =
-  let doc = "Sketch-checkpoint interval in WAL records with --durable; 0 disables." in
-  Arg.(value & opt int 10_000 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 (* --- opening a store --------------------------------------------------- *)
 
@@ -146,11 +142,10 @@ let report_recoveries g recoveries =
       let who = group_prefix g ~shard ~replica in
       match outcome with
       | Ok (r : Hsq.Engine.recovery_report) ->
-        if r.replayed > 0 || r.checkpoint_used || r.wal_tail <> None then
+        if r.replayed > 0 || r.wal_tail <> None then
           Printf.eprintf
-            "[recover] %sreplayed %d WAL records: %d steps re-archived, %d already committed%s%s\n%!"
+            "[recover] %sreplayed %d WAL records: %d steps re-archived, %d already committed%s\n%!"
             who r.replayed r.steps_reingested r.steps_skipped
-            (if r.checkpoint_used then "; resumed from sketch checkpoint" else "")
             (match r.wal_tail with
             | None -> ""
             | Some why -> Printf.sprintf "; torn tail floored (%s)" why)
@@ -290,10 +285,10 @@ let report_quantiles g phis =
 (* --- simulate ---------------------------------------------------------- *)
 
 let simulate dataset steps step_size seed epsilon kappa block_size deadline_ms phis verify
-    durable wal_sync checkpoint_every shards replicas =
+    durable wal_sync shards replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:steps
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
+      ?query_deadline_ms:deadline_ms ~wal_sync ~shards ~replicas
       (Hsq.Config.Epsilon epsilon)
   in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
@@ -352,16 +347,15 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const simulate $ dataset $ steps $ step_size $ seed $ epsilon $ kappa $ block_size
-      $ deadline_ms $ phis $ verify $ durable_dir $ wal_sync $ checkpoint_every $ shards
-      $ replicas)
+      $ deadline_ms $ phis $ verify $ durable_dir $ wal_sync $ shards $ replicas)
 
 (* --- stream ------------------------------------------------------------- *)
 
-let stream step_every epsilon kappa block_size deadline_ms phis durable wal_sync
-    checkpoint_every shards replicas =
+let stream step_every epsilon kappa block_size deadline_ms phis durable wal_sync shards
+    replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:100
-      ?query_deadline_ms:deadline_ms ~wal_sync ~checkpoint_every ~shards ~replicas
+      ?query_deadline_ms:deadline_ms ~wal_sync ~shards ~replicas
       (Hsq.Config.Epsilon epsilon)
   in
   with_group ~who:"stream" ~config durable (fun g ->
@@ -412,7 +406,7 @@ let stream_cmd =
     (Cmd.info "stream" ~doc)
     Term.(
       const stream $ step_every $ epsilon $ kappa $ block_size $ deadline_ms $ phis
-      $ durable_dir $ wal_sync $ checkpoint_every $ shards $ replicas)
+      $ durable_dir $ wal_sync $ shards $ replicas)
 
 (* --- query ---------------------------------------------------------------- *)
 
@@ -656,18 +650,16 @@ let report_health eng =
 (* The checks on one store directory; 0 healthy, 1 damaged. *)
 let status_one dir health =
   Hsq.Engine.check_store ~dir;
-  let device_path, meta_path, wal_path, ckpt_path = Hsq.Engine.store_paths ~dir in
+  let device_path, meta_path, wal_path = Hsq.Engine.store_paths ~dir in
   let problems = ref 0 in
   let problem fmt = Printf.ksprintf (fun s -> incr problems; Printf.printf "%s\n" s) fmt in
   (* Warehouse: the sidecar is the commit record. *)
-  let committed_steps = ref 0 in
   (match (Sys.file_exists meta_path, Sys.file_exists device_path) with
   | false, _ -> print_endline "warehouse: empty (no committed time step yet)"
   | true, false -> problem "warehouse: DAMAGED — sidecar present but device file missing"
   | true, true -> (
     match Hsq.Persist.load_files ~device_path ~meta_path () with
     | eng ->
-      committed_steps := Hsq.Engine.time_steps eng;
       Printf.printf "warehouse: %d archived steps, %d elements, %d partitions\n"
         (Hsq.Engine.time_steps eng) (Hsq.Engine.hist_size eng)
         (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng));
@@ -677,12 +669,10 @@ let status_one dir health =
     | exception Hsq.Persist.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
     | exception Hsq_storage.Block_device.Device_error msg ->
       problem "warehouse: DEVICE ERROR — %s" msg));
-  (* Write-ahead log; its records also decide the checkpoint's verdict. *)
-  let wal = ref ([], 1) in
+  (* Write-ahead log: the open step's one durable copy. *)
   (if Sys.file_exists wal_path then begin
      match Hsq_storage.Wal.read_path ~path:wal_path with
      | records, start_seq, tail ->
-       wal := (records, start_seq);
        let observes, markers =
          List.fold_left
            (fun (o, m) (_, r) ->
@@ -703,24 +693,6 @@ let status_one dir health =
      | exception Hsq_storage.Block_device.Device_error msg -> problem "wal: UNREADABLE — %s" msg
    end
    else print_endline "wal: absent (no open step)");
-  (* Sketch checkpoint. *)
-  (match Hsq.Checkpoint.load ~path:ckpt_path with
-  | Ok None -> print_endline "checkpoint: absent"
-  | Ok (Some c) -> (
-    let records, start_seq = !wal in
-    let covers gk suffix =
-      Printf.printf
-        "checkpoint: covers WAL seq <= %d at %d committed steps (%d spooled elements)%s\n"
-        c.Hsq.Checkpoint.seq c.Hsq.Checkpoint.steps_done (Hsq_sketch.Gk.count gk) suffix
-    in
-    match Hsq.Engine.checkpoint_verdict ~steps_done:!committed_steps ~start_seq ~records c with
-    | Hsq.Engine.Resume (gk, _) -> covers gk ""
-    | Hsq.Engine.Stale gk -> covers gk " [stale — will be ignored]"
-    | Hsq.Engine.Unusable why ->
-      Printf.printf "checkpoint: unusable (%s); recovery falls back to full replay\n" why)
-  | Error why ->
-    (* Also not fatal: recovery treats it as absent. *)
-    Printf.printf "checkpoint: unreadable (%s); recovery falls back to full replay\n" why);
   if !problems = 0 then begin
     print_endline "status: OK";
     0
@@ -739,7 +711,7 @@ let status_one dir health =
    is reported as a warning; only a shard with NO intact replica
    (answers degraded) exits 1.  A missing root or a store written with
    ingest lanes exits 2. *)
-let status dir shards replicas health =
+let status_at dir shards replicas health =
   if unusable_store ~reopen:true dir then 2
   else begin
     guard @@ fun () ->
@@ -788,12 +760,25 @@ let status dir shards replicas health =
     if List.for_all Fun.id shard_ok then 0 else 1
   end
 
+(* The store is named by --durable DIR, as in every subcommand, or by
+   the positional DIR of older scripts; naming none, or two different
+   stores, exits 2. *)
+let status durable positional shards replicas health =
+  match (durable, positional) with
+  | None, None ->
+    prerr_endline "status requires --durable DIR";
+    2
+  | Some a, Some b when a <> b ->
+    Printf.eprintf "status: --durable %s and DIR %s name two stores\n" a b;
+    2
+  | Some dir, _ | None, Some dir -> status_at dir shards replicas health
+
 let status_cmd =
   let dir =
     Arg.(
-      required
+      value
       & pos 0 (some string) None
-      & info [] ~docv:"DIR" ~doc:"Durable store directory (see --durable).")
+      & info [] ~docv:"DIR" ~doc:"The store directory: the same as $(b,--durable) $(docv).")
   in
   let health =
     let doc =
@@ -803,12 +788,11 @@ let status_cmd =
     Arg.(value & flag & info [ "health" ] ~doc)
   in
   let doc =
-    "Report the health of a durable store: warehouse commit state, WAL extent and tail, and \
-     sketch-checkpoint coverage. Exits non-zero if the store is damaged beyond what recovery \
-     handles."
+    "Report the health of a durable store: warehouse commit state, and WAL extent and tail. \
+     Exits non-zero if the store is damaged beyond what recovery handles."
   in
   Cmd.v (Cmd.info "status" ~doc)
-    Term.(const status $ dir $ shards $ replicas $ health)
+    Term.(const status $ durable_dir $ dir $ shards $ replicas $ health)
 
 (* --- metrics --------------------------------------------------------------- *)
 
@@ -850,8 +834,8 @@ let metrics_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
-let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
-    queue_depth quick_ms accurate_ms ingest_ms admin_ms read_timeout_ms shards replicas =
+let serve socket tcp epsilon kappa block_size durable wal_sync queue_depth quick_ms accurate_ms
+    ingest_ms admin_ms read_timeout_ms shards replicas =
   let listen =
     match (socket, tcp) with
     | Some path, None -> Some (Hsq_serve.Server.Unix_sock path)
@@ -873,8 +857,7 @@ let serve socket tcp epsilon kappa block_size durable wal_sync checkpoint_every
       }
     in
     let store_config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync
-        ~checkpoint_every ~shards ~replicas
+      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync ~shards ~replicas
         (Hsq.Config.Epsilon epsilon)
     in
     with_group ~who:"serve" ~config:store_config durable (fun g ->
@@ -941,7 +924,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket $ tcp $ epsilon $ kappa $ block_size $ durable_dir
-      $ wal_sync $ checkpoint_every $ queue_depth
+      $ wal_sync $ queue_depth
       $ budget "quick-budget-ms" 250.0 "quick-query"
       $ budget "accurate-budget-ms" 2000.0 "accurate-query"
       $ budget "ingest-budget-ms" 2000.0 "ingest"

@@ -27,7 +27,6 @@ type t = {
   stream_fraction : float; (* share of a memory budget given to the stream sketch *)
   wal_dir : string option; (* durable-ingest directory; None = stream side is volatile *)
   wal_sync : Hsq_storage.Wal.sync_policy; (* group-commit policy for the WAL *)
-  checkpoint_every : int; (* WAL records between sketch checkpoints; 0 = never *)
   query_deadline_ms : float option; (* default accurate-query deadline; None = unbounded *)
   quarantine_after : int; (* consecutive unrecoverable probe failures before
                              a partition is quarantined *)
@@ -45,7 +44,6 @@ let default =
     stream_fraction = 0.5;
     wal_dir = None;
     wal_sync = Hsq_storage.Wal.Always;
-    checkpoint_every = 10_000;
     query_deadline_ms = None;
     quarantine_after = 3;
     shards = 1;
@@ -55,7 +53,7 @@ let default =
 let make ?(kappa = default.kappa) ?(block_size = default.block_size)
     ?(steps_hint = default.steps_hint) ?(stream_fraction = default.stream_fraction)
     ?wal_dir ?(wal_sync = default.wal_sync)
-    ?(checkpoint_every = default.checkpoint_every) ?query_deadline_ms
+    ?(checkpoint_every = 0) ?query_deadline_ms
     ?(quarantine_after = default.quarantine_after) ?(shards = default.shards)
     ?(replicas = default.replicas) sizing =
   (match sizing with
@@ -71,6 +69,8 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size)
   (match wal_sync with
   | Hsq_storage.Wal.Group n when n < 1 -> invalid_arg "Config.make: group-commit window must be >= 1"
   | _ -> ());
+  (* Sketch checkpoints are gone; the argument is kept, and still
+     validated, for callers written against them. *)
   if checkpoint_every < 0 then invalid_arg "Config.make: checkpoint_every must be >= 0";
   (match query_deadline_ms with
   | Some d when not (d > 0.0) -> invalid_arg "Config.make: query_deadline_ms must be > 0"
@@ -86,7 +86,6 @@ let make ?(kappa = default.kappa) ?(block_size = default.block_size)
     stream_fraction;
     wal_dir;
     wal_sync;
-    checkpoint_every;
     query_deadline_ms;
     quarantine_after;
     shards;

@@ -5,7 +5,12 @@
     ε₁ = e/2 for historical summaries, ε₂ = e/4 for the stream sketch.
     [Memory_words w] sizes them from a word budget split 50/50 between
     the stream summary and the historical summaries, as in the paper's
-    experiments. *)
+    experiments.
+
+    Durability ([wal_dir], [wal_sync]) is runtime policy, never
+    persisted. The WAL is the open step's only durable copy; there is
+    no sketch-checkpoint setting (see {!make} for the ignored
+    [?checkpoint_every]). *)
 
 type sizing =
   | Epsilon of float
@@ -18,15 +23,12 @@ type t = {
   steps_hint : int;         (** expected number of time steps (T) *)
   stream_fraction : float;  (** share of a memory budget given to the stream sketch (paper: 0.5) *)
   wal_dir : string option;
-      (** durable-ingest directory (WAL + sketch checkpoints + warehouse
-          files, used by {!Engine.open_or_recover}); [None] = the stream
+      (** durable-ingest directory (WAL + warehouse files, used by
+          {!Engine.open_or_recover}); [None] = the stream
           side is volatile, as in the paper's Figure 1 *)
   wal_sync : Hsq_storage.Wal.sync_policy;
       (** group-commit policy for the write-ahead log (default
           [Always]: zero acknowledged-record loss) *)
-  checkpoint_every : int;
-      (** WAL records between sketch checkpoints; 0 disables
-          checkpointing (recovery then replays the whole open step) *)
   query_deadline_ms : float option;
       (** default deadline for accurate queries, in milliseconds: the
           bisection stops at the deadline and returns its best-so-far
@@ -60,7 +62,12 @@ val default : t
 
 (** Validated constructor. Raises [Invalid_argument] on out-of-range
     parameters (ε ∉ (0,1), budget < 128 words, κ < 2, group-commit
-    window < 1, negative checkpoint interval, …). *)
+    window < 1, …).
+
+    [?checkpoint_every] is a compatibility shim for callers written
+    when the engine took sketch checkpoints: it is still rejected when
+    negative, and otherwise ignored. Recovery always replays the whole
+    open step from the WAL. *)
 val make :
   ?kappa:int ->
   ?block_size:int ->

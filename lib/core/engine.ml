@@ -3,12 +3,16 @@
 
    Lifecycle per time step (Figure 1):
      observe       -- every stream element is logged (when durable) and
-                      buffered; sorted runs of buffered elements update
-                      the GK sketch and are spooled into the current
-                      batch;
-     end_time_step -- the batch's sorted runs are merged and loaded into
+                      buffered; each full 512-element buffer is sorted,
+                      merged into the GK sketch and spooled into the
+                      current batch;
+     end_time_step -- the rest of the buffer is handed off the same way,
+                      the batch's sorted runs are merged and loaded into
                       the historical level index (Algorithm 3) and the
                       stream sketch is reset (Algorithm 4, StreamReset).
+   Reads merge the buffer into a copy of the sketch and never hand it
+   off, so the sketch depends only on the observed values and the step
+   ends, and recovery's replay of the WAL rebuilds it exactly.
 
    Queries:
      quick    -- Algorithm 5, in-memory only, O(eps*N) rank error;
@@ -71,16 +75,11 @@ let make_engine_metrics dev =
 
 (* Durable-ingest state (Engine.open_or_recover): the write-ahead log,
    the one durable copy of the open step's elements (it is rotated only
-   at a step end), plus the bookkeeping of the sketch checkpoints that
-   freeze the GK image over a prefix of it.  [None] = the stream is
-   volatile, as in the paper. *)
+   at a step end, and recovery replays all of it).  [None] = the stream
+   is volatile, as in the paper. *)
 type durability = {
   wal : Hsq_storage.Wal.t;
   meta_path : string; (* warehouse sidecar — the rollover commit record *)
-  ckpt_path : string; (* sketch checkpoint file *)
-  checkpoint_every : int; (* WAL records between checkpoints; 0 = never *)
-  mutable since_checkpoint : int;
-  mutable last_checkpoint_seq : int; (* 0 = no live checkpoint *)
 }
 
 type t = {
@@ -93,10 +92,12 @@ type t = {
   mutable batch : int array;
   mutable batch_len : int;
   (* The one ingest buffer (DESIGN.md §15): acknowledged elements not
-     yet in [gk] or [batch].  Every read of the stream side hands it off
-     first, so no answer, count or checkpoint ever misses an element. *)
+     yet in [gk] or [batch].  It is handed off only when full and at a
+     step end; reads merge it into a copy of [gk] instead, so no answer
+     or count misses an element and none changes the sketch. *)
   pending : int array;
   mutable pending_len : int;
+  sorted : int array; (* a hand-off's sorted run, reused *)
   mutable durable : durability option;
   (* Cached historical aggregate keyed by the level index's epoch: the
      historical side of TS only changes at end_time_step / merge /
@@ -113,9 +114,9 @@ type t = {
   mutable us_cache : (int * int * (Stream_summary.t * Union_summary.t)) option;
   metrics : engine_metrics;
   (* Tracing is opt-in per engine (set_tracer); mirrored onto the
-     device's Io_stats so WAL/merge/checkpoint sites pick it up. *)
+     device's Io_stats so WAL and merge sites pick it up. *)
   mutable tracer : Trace.t option;
-  (* Set by the first close/crash; later close/crash/checkpoint_now
+  (* Set by the first close/crash; later close/crash/sync
      calls become no-ops so overlapping shutdown paths (signal handler
      + drain, test teardown + explicit close) are safe. *)
   mutable closed : bool;
@@ -157,8 +158,8 @@ let handoff_size = 512
 
 (* An engine over [device] and [hist] with an empty stream side.  The
    recovery path (Persist) adopts a restored historical index this way,
-   and [open_or_recover] refills the stream side from the checkpoint and
-   the WAL when durability is on. *)
+   and [open_or_recover] refills the stream side from the WAL when
+   durability is on. *)
 let of_restored ~device config hist =
   {
     config;
@@ -169,6 +170,7 @@ let of_restored ~device config hist =
     batch_len = 0;
     pending = Array.make handoff_size 0;
     pending_len = 0;
+    sorted = Array.make handoff_size 0;
     durable = None;
     hist_cache = None;
     us_cache = None;
@@ -210,26 +212,25 @@ let set_tracer t tr =
 
 (* Hand the buffered elements off: one sorted merge into the sketch
    (StreamUpdate, Algorithm 4, batched) and one run onto the step spool.
-   Every read of the stream side calls this first.  The engine is
-   single-submitter, so on an empty buffer it is one compare, no lock. *)
+   Called only at the two points the log also fixes — a full buffer and
+   a step end — so replay repeats every hand-off and the sketch is a
+   function of the acknowledged stream alone.  The run is sorted into
+   [sorted] without allocating, and the sketch and the spool copy it
+   from there. *)
 let hand_off t =
-  if t.pending_len > 0 then begin
-    (* A full buffer is sorted in place: the sketch and the spool copy
-       the run, and a 512-word array would be allocated on the major
-       heap. *)
-    let run =
-      if t.pending_len = handoff_size then t.pending else Array.sub t.pending 0 t.pending_len
-    in
+  let n = t.pending_len in
+  if n > 0 then begin
+    Hsq_util.Sorted.sort_into t.pending n t.sorted;
     t.pending_len <- 0;
-    Array.sort Int.compare run;
+    let run = if n = handoff_size then t.sorted else Array.sub t.sorted 0 n in
     Hsq_sketch.Gk.insert_sorted_batch t.gk run;
-    let need = t.batch_len + Array.length run in
+    let need = t.batch_len + n in
     if need > Array.length t.batch then begin
       let bigger = Array.make (max need (2 * Array.length t.batch)) 0 in
       Array.blit t.batch 0 bigger 0 t.batch_len;
       t.batch <- bigger
     end;
-    Array.blit run 0 t.batch t.batch_len (Array.length run);
+    Array.blit run 0 t.batch t.batch_len n;
     t.batch_len <- need
   end
 
@@ -242,76 +243,58 @@ let buffer t v =
 
 let hist t = t.hist
 
-let stream_sketch t =
-  hand_off t;
-  t.gk
+(* The pending elements, in a fresh sorted array. *)
+let sorted_pending t =
+  let run = Array.sub t.pending 0 t.pending_len in
+  Hsq_util.Sorted.sort_runs run;
+  run
 
-let stream_size t = Hsq_sketch.Gk.count (stream_sketch t)
+(* The sketch a hand-off right now would leave: [gk] itself on an empty
+   buffer, else a copy with the pending run merged in.  Reads never
+   hand off, so they leave [gk] exactly as ingest made it. *)
+let stream_sketch t =
+  if t.pending_len = 0 then t.gk
+  else begin
+    let gk = Hsq_sketch.Gk.copy t.gk in
+    Hsq_sketch.Gk.insert_sorted_batch gk (sorted_pending t);
+    gk
+  end
+
+let stream_size t = Hsq_sketch.Gk.count t.gk + t.pending_len
 let hist_size t = Hsq_hist.Level_index.total_elements t.hist
 let total_size t = hist_size t + stream_size t
 let time_steps t = Hsq_hist.Level_index.time_steps t.hist
 
 (* eps2 as the engine currently provides it (2x the GK sketch's eps —
    see Config); eps = 4*eps2 inverts Algorithm 1.  A capped sketch's
-   eps grows with its inserts, hence the hand-off. *)
+   eps grows with its inserts, pending ones included. *)
 let eps2 t = 2.0 *. Hsq_sketch.Gk.epsilon (stream_sketch t)
 let epsilon t = 4.0 *. eps2 t
 
 let memory_words t =
   Hsq_hist.Level_index.memory_words t.hist + Hsq_sketch.Gk.memory_words (stream_sketch t)
 
-(* Freeze the sketch at the WAL's last acknowledged sequence number.
-   The log is synced first: it is the only copy of the elements the
-   checkpoint covers, and recovery resumes from a checkpoint only if
-   the log still holds every one of them. *)
-let write_checkpoint_impl t d =
-  hand_off t;
-  Hsq_storage.Wal.sync d.wal;
-  let c =
-    {
-      Checkpoint.seq = Hsq_storage.Wal.last_seq d.wal;
-      steps_done = Hsq_hist.Level_index.time_steps t.hist;
-      gk = Checkpoint.serialize_sketch t.gk;
-    }
-  in
-  Checkpoint.save ~path:d.ckpt_path c;
-  Hsq_storage.Io_stats.note_checkpoint (Hsq_storage.Block_device.stats t.dev);
-  d.last_checkpoint_seq <- c.Checkpoint.seq;
-  d.since_checkpoint <- 0
-
-let write_checkpoint t d =
-  match t.tracer with
-  | Some tr -> Trace.with_span tr "checkpoint" (fun _ -> write_checkpoint_impl t d)
-  | None -> write_checkpoint_impl t d
-
-(* No-op once closed: the WAL channel is gone, and a post-close
-   checkpoint (e.g. a drain path racing a signal handler) must not
-   raise on it. *)
-let checkpoint_now t =
-  if not t.closed then match t.durable with None -> () | Some d -> write_checkpoint t d
-
 let observe_batch t vs =
   match t.durable with
   | None -> Array.iter (buffer t) vs
-  | Some d ->
+  | Some d -> (
     (* WAL first, as one run: the values it acknowledges — all of them,
        or the prefix before an append fault — are buffered; the rest
        are unacknowledged and leave in-memory state untouched. *)
-    let buffer_first n =
-      for j = 0 to n - 1 do
-        buffer t vs.(j)
-      done;
-      d.since_checkpoint <- d.since_checkpoint + n
-    in
-    (match Hsq_storage.Wal.append_observes d.wal vs with
-    | () -> buffer_first (Array.length vs)
+    match Hsq_storage.Wal.append_observes d.wal vs with
+    | () -> Array.iter (buffer t) vs
     | exception (Hsq_storage.Wal.Partial (j, _) as e) ->
-      buffer_first j;
-      raise e);
-    if d.checkpoint_every > 0 && d.since_checkpoint >= d.checkpoint_every then
-      write_checkpoint t d
+      for k = 0 to j - 1 do
+        buffer t vs.(k)
+      done;
+      raise e)
 
 let observe t v = try observe_batch t [| v |] with Hsq_storage.Wal.Partial (_, e) -> raise e
+
+(* No-op once closed: the WAL channel is gone, and a post-close sync
+   (e.g. a drain path racing a signal handler) must not raise on it. *)
+let sync t =
+  if not t.closed then Option.iter (fun d -> Hsq_storage.Wal.sync d.wal) t.durable
 
 let save_meta t path =
   Meta.write ~path
@@ -331,7 +314,7 @@ let commit_meta t =
         flush;
      2. add the batch to the level index and write the warehouse
         sidecar — the sidecar rename is THE commit point;
-     3. rotate the WAL (atomic truncation) and drop the checkpoint.
+     3. rotate the WAL (atomic truncation).
    A crash between 1 and 2 replays the step from the log; between 2
    and 3 the marker's step number is <= the recovered warehouse's step
    count, so replay skips the re-ingest — never a double archive. *)
@@ -355,9 +338,6 @@ let end_time_step t =
     let report = commit () in
     save_meta t d.meta_path;
     Hsq_storage.Wal.rotate d.wal;
-    (try Sys.remove d.ckpt_path with Sys_error _ -> ());
-    d.last_checkpoint_seq <- 0;
-    d.since_checkpoint <- 0;
     report
 
 let ingest_batch t batch =
@@ -371,9 +351,8 @@ let expire t ~keep_steps = Hsq_hist.Level_index.expire t.hist ~keep_steps
 let stream_summary t = Stream_summary.extract (stream_sketch t)
 
 let open_step t =
-  hand_off t;
-  let elements = Array.sub t.batch 0 t.batch_len in
-  Array.sort Int.compare elements;
+  let elements = Array.append (Array.sub t.batch 0 t.batch_len) (sorted_pending t) in
+  Hsq_util.Sorted.sort_runs elements;
   elements
 
 (* The cached historical aggregate, rebuilt only when the level index's
@@ -607,10 +586,9 @@ type range_error = Range_not_aligned of (int * int) list
 (* ------------------------------------------------------------------ *)
 
 type recovery_report = {
-  replayed : int; (* WAL records re-applied (past any checkpoint) *)
+  replayed : int; (* WAL records re-applied *)
   steps_reingested : int; (* End_step markers re-archived *)
   steps_skipped : int; (* End_step markers already in the warehouse *)
-  checkpoint_used : bool;
   wal_tail : string option; (* why the log tail was floored, if it was *)
 }
 
@@ -619,21 +597,18 @@ type durability_status = {
   wal_start_seq : int;
   wal_next_seq : int;
   wal_pending : int;
-  checkpoint_path : string;
-  last_checkpoint_seq : int;
-  since_checkpoint : int;
 }
 
 let device_file = "device.blocks"
 let meta_file = "meta"
 let wal_file = "wal.log"
-let checkpoint_file = "checkpoint"
+
+(* The sketch checkpoint older builds wrote beside the WAL; an open
+   deletes it unread. *)
+let legacy_checkpoint_file = "checkpoint"
 
 let store_paths ~dir =
-  ( Filename.concat dir device_file,
-    Filename.concat dir meta_file,
-    Filename.concat dir wal_file,
-    Filename.concat dir checkpoint_file )
+  (Filename.concat dir device_file, Filename.concat dir meta_file, Filename.concat dir wal_file)
 
 exception Unsupported_store of string
 
@@ -658,32 +633,6 @@ let check_store ~dir =
                to consolidate it into %s"
               dir name wal_file))
 
-type checkpoint_verdict =
-  | Resume of Hsq_sketch.Gk.t * int array
-  | Stale of Hsq_sketch.Gk.t
-  | Unusable of string
-
-(* The image must decode, the warehouse must hold the steps it was
-   taken at (else it froze a step since archived or rolled back), and
-   the log must hold every record it covers, all observes its sketch
-   counts: a log floored below its seq never lets it vouch for elements
-   the log lost. *)
-let checkpoint_verdict ~steps_done ~start_seq ~records (c : Checkpoint.t) =
-  match Checkpoint.deserialize_sketch c.gk with
-  | exception Invalid_argument why -> Unusable why
-  | gk when c.steps_done <> steps_done -> Stale gk
-  | gk ->
-    let covered = List.filter (fun (seq, _) -> seq <= c.seq) records in
-    let observes =
-      List.filter_map (function _, Hsq_storage.Wal.Observe v -> Some v | _ -> None) covered
-    in
-    let held = List.length covered and n = List.length observes and count = Hsq_sketch.Gk.count gk in
-    if held = c.seq - start_seq + 1 && n = held && count = n then Resume (gk, Array.of_list observes)
-    else
-      Unusable
-        (Printf.sprintf "WAL seq %d..%d holds %d records, %d of them observes; its sketch counts %d"
-           start_seq c.seq held n count)
-
 let open_or_recover config =
   let dir =
     match config.Config.wal_dir with
@@ -696,7 +645,7 @@ let open_or_recover config =
   end
   else Sys.mkdir dir 0o755;
   check_store ~dir;
-  let device_path, meta_path, wal_path, ckpt_path = store_paths ~dir in
+  let device_path, meta_path, wal_path = store_paths ~dir in
   (* Warehouse first.  The sidecar is the commit record: without it the
      device file holds no committed state and is reinitialised. *)
   let t =
@@ -708,12 +657,7 @@ let open_or_recover config =
          on-disk layout); durability settings are runtime policy and
          stay the caller's. *)
       let merged =
-        {
-          stored with
-          Config.wal_dir = config.Config.wal_dir;
-          wal_sync = config.Config.wal_sync;
-          checkpoint_every = config.Config.checkpoint_every;
-        }
+        { stored with Config.wal_dir = config.Config.wal_dir; wal_sync = config.Config.wal_sync }
       in
       of_restored ~device merged hist
     end
@@ -736,77 +680,52 @@ let open_or_recover config =
         [],
         Hsq_storage.Wal.Clean )
   in
-  (* A usable checkpoint seeds the sketch, and the log's records up to
-     its seq refill the spool as one sorted run.  Otherwise replay from
-     the log's first record, always correct, and delete the file before
-     the first new append: a later open must not match it against a log
-     grown back past its seq. *)
-  let steps_done = Hsq_hist.Level_index.time_steps t.hist in
-  let start_seq = Hsq_storage.Wal.start_seq wal in
-  let checkpoint_used, replay_after =
-    match Checkpoint.load ~path:ckpt_path with
-    | Ok (Some c) -> (
-      match checkpoint_verdict ~steps_done ~start_seq ~records c with
-      | Resume (gk, spool) ->
-        Array.sort Int.compare spool;
-        t.gk <- gk;
-        t.batch <- spool;
-        t.batch_len <- Array.length spool;
-        (true, c.Checkpoint.seq)
-      | Stale _ | Unusable _ -> (false, min_int))
-    | Ok None | Error _ -> (false, min_int)
-  in
-  if (not checkpoint_used) && Sys.file_exists ckpt_path then begin
-    Sys.remove ckpt_path;
-    Hsq_storage.Atomic_file.fsync_dir dir
-  end;
-  let replayed = ref 0 and reingested = ref 0 and skipped = ref 0 in
+  (* The whole log replays through the ingest buffer, so every
+     hand-off falls where it fell live.  A checkpoint an older build left
+     goes before the first new append. *)
+  List.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      if Sys.file_exists path then begin
+        Sys.remove path;
+        Hsq_storage.Atomic_file.fsync_dir dir
+      end)
+    [ legacy_checkpoint_file; legacy_checkpoint_file ^ ".tmp" ];
+  let replayed = List.length records and reingested = ref 0 and skipped = ref 0 in
+  Hsq_storage.Io_stats.note_wal_replayed stats replayed;
   let drop_step () =
     t.batch_len <- 0;
     t.gk <- fresh_gk t.config
   in
   List.iter
-    (fun (seq, record) ->
-      if seq > replay_after then begin
-        incr replayed;
-        Hsq_storage.Io_stats.note_wal_replayed stats;
-        match record with
-        | Hsq_storage.Wal.Observe v -> buffer t v
-        | Hsq_storage.Wal.End_step { step; count = _ } ->
-          hand_off t;
-          if step <= Hsq_hist.Level_index.time_steps t.hist then begin
-            (* The step committed before the crash (sidecar written, WAL
-               not yet rotated): drop the replayed batch, never archive
-               twice. *)
-            drop_step ();
-            incr skipped
-          end
-          else if t.batch_len = 0 then
-            (* A marker with no surviving elements (damaged log): nothing
-               to archive. *)
-            incr skipped
-          else begin
-            ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
-            drop_step ();
-            save_meta t meta_path;
-            incr reingested
-          end
-      end)
+    (fun (_, record) ->
+      match record with
+      | Hsq_storage.Wal.Observe v -> buffer t v
+      | Hsq_storage.Wal.End_step { step; count = _ } ->
+        hand_off t;
+        if step <= Hsq_hist.Level_index.time_steps t.hist then begin
+          (* The step committed before the crash (sidecar written, WAL
+             not yet rotated): drop the replayed batch, never archive
+             twice. *)
+          drop_step ();
+          incr skipped
+        end
+        else if t.batch_len = 0 then
+          (* A marker with no surviving elements (damaged log): nothing
+             to archive. *)
+          incr skipped
+        else begin
+          ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
+          drop_step ();
+          save_meta t meta_path;
+          incr reingested
+        end)
     records;
   (* The log is deliberately left un-rotated after replay: committed
      markers replay as skips, so a crash during recovery just recovers
      again.  The next end_time_step rotates it. *)
   if not (Sys.file_exists meta_path) then save_meta t meta_path;
-  t.durable <-
-    Some
-      {
-        wal;
-        meta_path;
-        ckpt_path;
-        checkpoint_every = config.Config.checkpoint_every;
-        since_checkpoint = 0;
-        last_checkpoint_seq = (if checkpoint_used then replay_after else 0);
-      };
+  t.durable <- Some { wal; meta_path };
   (* Recovery depth stays readable after the report is dropped: status
      tooling (hsq status --health, the serve health verb) shows how much
      replay the last open needed, per engine registry — and therefore
@@ -814,21 +733,16 @@ let open_or_recover config =
   let reg = Hsq_storage.Io_stats.registry stats in
   Metrics.Gauge.set
     (Metrics.gauge ~help:"WAL records replayed by the last open" reg "hsq_recovery_wal_replayed")
-    (float_of_int !replayed);
-  Metrics.Gauge.set
-    (Metrics.gauge ~help:"1 when the last open restored a sketch checkpoint" reg
-       "hsq_recovery_checkpoint_used")
-    (if checkpoint_used then 1.0 else 0.0);
+    (float_of_int replayed);
   Metrics.Gauge.set
     (Metrics.gauge ~help:"Time steps re-archived by the last open" reg
        "hsq_recovery_steps_reingested")
     (float_of_int !reingested);
   ( t,
     {
-      replayed = !replayed;
+      replayed;
       steps_reingested = !reingested;
       steps_skipped = !skipped;
-      checkpoint_used;
       wal_tail =
         (match tail with Hsq_storage.Wal.Clean -> None | Hsq_storage.Wal.Torn why -> Some why);
     } )
@@ -866,9 +780,6 @@ let durability_status t =
         wal_start_seq = Hsq_storage.Wal.start_seq d.wal;
         wal_next_seq = Hsq_storage.Wal.next_seq d.wal;
         wal_pending = Hsq_storage.Wal.pending_records d.wal;
-        checkpoint_path = d.ckpt_path;
-        last_checkpoint_seq = d.last_checkpoint_seq;
-        since_checkpoint = d.since_checkpoint;
       }
 
 (* Structured fault injection on the engine's own WAL (tests). *)

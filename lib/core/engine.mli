@@ -83,7 +83,7 @@ val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> uni
 
 (** Turn per-query tracing on ([Some trace]) or off ([None]). The
     tracer is mirrored onto the device's {!Hsq_storage.Io_stats} so WAL
-    append/sync, merge and checkpoint spans record too. Queries then
+    append/sync and merge spans record too. Queries then
     carry their root span in [query_report.span] (accurate path) and
     record [query.quick] root spans (quick path). Tracing is meant for
     single-threaded diagnosis sessions: the engine is single-submitter
@@ -114,21 +114,20 @@ val memory_words : t -> int
     is unacknowledged and in-memory state is untouched. It is then
     buffered, and every 512 buffered elements are handed off, sorted, to
     the sketch ({!Hsq_sketch.Gk.insert_sorted_batch}) and the step spool
-    in one merge. Every read of the stream side (sizes, summaries,
-    answers, checkpoints, {!end_time_step}) hands the buffer off first,
-    so each acknowledged element is visible to the next call. The engine
-    is single-submitter: one thread at a time calls into it. *)
+    in one merge; {!end_time_step} hands off the rest. Reads (sizes,
+    summaries, answers) count the buffer and merge it into a copy of the
+    sketch, so each acknowledged element is visible to the next call and
+    no read changes the sketch: its state is a function of the observed
+    values and the step ends alone, which a WAL replay repeats. The
+    engine is single-submitter: one thread at a time calls into it. *)
 val observe : t -> int -> unit
 
 (** [observe] for a run of elements, in order, as one WAL append call
     ({!Hsq_storage.Wal.append_observes}): under [Always] the run costs
-    one physical flush, and the checkpoint cadence is checked once,
-    after it. On a WAL fault at element [j] the first [j] elements are
-    acknowledged and buffered, the rest are not, and
-    [Hsq_storage.Wal.Partial (j, e)] is raised. Any other exception
-    comes after the whole run was logged and buffered (a failed
-    checkpoint write). {!observe} is its one-element case, raising the
-    fault itself. *)
+    one physical flush. On a WAL fault at element [j] the first [j]
+    elements are acknowledged and buffered, the rest are not, and
+    [Hsq_storage.Wal.Partial (j, e)] is raised. {!observe} is its
+    one-element case, raising the fault itself. *)
 val observe_batch : t -> int array -> unit
 
 (** HistUpdate (Algorithm 3) + StreamReset. Raises [Invalid_argument]
@@ -159,8 +158,11 @@ val expire : t -> keep_steps:int -> int * int
     hand-off). *)
 val stream_summary : t -> Stream_summary.t
 
-(** The open step's live GK sketch, and its elements in a fresh sorted
-    array (anti-entropy hashes them); both hand the buffer off first. *)
+(** The open step's GK sketch with the ingest buffer merged in (the
+    live sketch itself when the buffer is empty, else a copy; read it,
+    never insert into it), and the open step's elements in a fresh
+    sorted array (anti-entropy hashes them). Neither changes the
+    engine. *)
 val stream_sketch : t -> Hsq_sketch.Gk.t
 val open_step : t -> int array
 
@@ -220,20 +222,21 @@ val quantile : t -> float -> int * query_report
 type window_error = Window_not_aligned of int list
 type range_error = Range_not_aligned of (int * int) list
 
-(** {2 Durable ingest (write-ahead log + sketch checkpoints)}
+(** {2 Durable ingest (write-ahead log)}
 
     {!open_or_recover} opens (or creates) a crash-safe store rooted at
-    [config.wal_dir]: a block-device file, its warehouse sidecar, a
-    write-ahead log, and an optional sketch checkpoint. Every
+    [config.wal_dir]: a block-device file, its warehouse sidecar, and a
+    write-ahead log, the open step's one durable copy. Every
     {!observe} is WAL-logged before it is applied; {!end_time_step}
     archives the batch with an exactly-once commit protocol; recovery
-    composes the warehouse load, the checkpoint, and a WAL replay into
-    one consistent state. Under [wal_sync = Always] a crash loses no
-    acknowledged element; under [Group k] at most the last [k]. *)
+    loads the warehouse and replays the whole log, which leaves the
+    engine exactly as the acknowledged operations left the live one.
+    Under [wal_sync = Always] a crash loses no acknowledged element;
+    under [Group k] at most the last [k]. *)
 
-(** What recovery did. [replayed] counts WAL records re-applied (only
-    those past the checkpoint — the {!Hsq_storage.Io_stats}
-    [wal_replayed] counter agrees); [steps_skipped] counts commit
+(** What recovery did. [replayed] counts WAL records re-applied (the
+    {!Hsq_storage.Io_stats} [wal_replayed] counter agrees);
+    [steps_skipped] counts commit
     markers whose step was already in the warehouse (crash between the
     sidecar write and the WAL rotation); [wal_tail] is why the log tail
     was floored, if it was torn. *)
@@ -241,7 +244,6 @@ type recovery_report = {
   replayed : int;
   steps_reingested : int;
   steps_skipped : int;
-  checkpoint_used : bool;
   wal_tail : string option;
 }
 
@@ -258,30 +260,15 @@ exception Unsupported_store of string
     lane log; a no-op on a missing directory. *)
 val check_store : dir:string -> unit
 
-(** Recovery's and [hsq status]'s one rule for a checkpoint, against a
-    warehouse of [steps_done] steps and a log whose valid [records]
-    start at [start_seq]: [Resume (sketch, spool)], the spool being the
-    observes the checkpoint covers; [Stale] on a step-count mismatch;
-    [Unusable why] if the image does not decode or the log does not
-    hold exactly the observes up to its seq that the sketch counts. *)
-type checkpoint_verdict =
-  | Resume of Hsq_sketch.Gk.t * int array
-  | Stale of Hsq_sketch.Gk.t
-  | Unusable of string
-
-val checkpoint_verdict :
-  steps_done:int -> start_seq:int -> records:(int * Hsq_storage.Wal.record) list ->
-  Checkpoint.t -> checkpoint_verdict
-
 (** Open the durable store at [config.wal_dir], recovering any state a
-    previous process left behind: a usable checkpoint (an unused one is
-    deleted), then the WAL suffix past it, replayed through the same
-    ingest buffer as {!observe}.
+    previous process left behind: the whole WAL, replayed through the
+    same ingest buffer as {!observe}, so every hand-off falls where it
+    fell live. A sketch checkpoint file that an older build left is
+    deleted unread.
     Raises [Invalid_argument] if [config.wal_dir] is [None],
     {!Unsupported_store} on a lane store (before touching any file), and
     {!Hsq_storage.Block_device.Device_error} / [Meta.Corrupt_metadata]
-    on unrecoverable store damage (a corrupt checkpoint is NOT damage:
-    it falls back to a full replay). *)
+    on unrecoverable store damage. *)
 val open_or_recover : Config.t -> t * recovery_report
 
 (** Flush the WAL and close the log and device files. Never called in
@@ -298,30 +285,26 @@ val crash : t -> unit
 (** [true] once {!close} or {!crash} has run. *)
 val is_closed : t -> bool
 
-(** Force a sketch checkpoint right now (also taken automatically every
-    [config.checkpoint_every] WAL records). No-op on a volatile
-    engine, and on a closed one. *)
-val checkpoint_now : t -> unit
+(** Flush the WAL now, whatever the sync policy: every acknowledged
+    element is then in the log's file. No-op on a volatile engine, and
+    on a closed one. *)
+val sync : t -> unit
 
 (** Live durability introspection for status tooling; [None] on a
-    volatile engine. [last_checkpoint_seq] = 0 means no live
-    checkpoint. *)
+    volatile engine. *)
 type durability_status = {
   wal_path : string;
   wal_start_seq : int;
   wal_next_seq : int;
   wal_pending : int;
-  checkpoint_path : string;
-  last_checkpoint_seq : int;
-  since_checkpoint : int;
 }
 
 val durability_status : t -> durability_status option
 
-(** The four files of a durable store directory, in order:
-    (device, warehouse sidecar, WAL, checkpoint). For status tooling
-    that inspects a store without opening it. *)
-val store_paths : dir:string -> string * string * string * string
+(** The three files of a durable store directory, in order:
+    (device, warehouse sidecar, WAL). For status tooling that inspects a
+    store without opening it. *)
+val store_paths : dir:string -> string * string * string
 
 (** Inject faults into the engine's WAL appends (crash fuzzing). *)
 val set_wal_injector :

@@ -9,8 +9,8 @@
 
    The format is unchanged from Persist version 2: a plain-text file of
    [field value] lines, a partition table, and a trailing whole-file
-   checksum line.  Durable-ingest settings (WAL directory, sync policy,
-   checkpoint interval) are deliberately *not* persisted — they are
+   checksum line.  Durable-ingest settings (WAL directory, sync policy)
+   are deliberately *not* persisted — they are
    runtime policy, supplied by the caller on each open. *)
 
 exception Corrupt_metadata of string

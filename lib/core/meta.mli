@@ -20,8 +20,7 @@ val render :
 (** Atomically write rendered contents to [path] (temp file + rename). *)
 val write : path:string -> string -> unit
 
-(** Read a file as lines (shared by the sidecar and checkpoint
-    parsers). *)
+(** Read a file as lines (the sidecar and hint-log parsers). *)
 val read_lines : string -> string list
 
 (** Verify the trailing [checksum <hex>] line against the body and

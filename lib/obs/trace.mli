@@ -5,8 +5,8 @@
     list of string attributes, and child spans. The engine records one
     root span per traced query, with children for the summary-cache
     probe, each bisection iteration, and each partition probe; the
-    durable ingest path records spans for WAL appends/syncs, merges,
-    and checkpoints (see DESIGN.md §11 for the span taxonomy).
+    durable ingest path records spans for WAL appends/syncs and merges
+    (see DESIGN.md §11 for the span taxonomy).
 
     Concurrency: a trace keeps a current-span stack for the common
     single-domain call nesting ({!with_span}), and {!with_child} takes

@@ -16,7 +16,6 @@ type scrub_info = {
 
 type recovery_info = {
   wal_replayed : int;
-  checkpoint_used : bool;
   steps_reingested : int;
 }
 
@@ -65,7 +64,6 @@ let collect eng =
       Some
         {
           wal_replayed = int_of_float replayed;
-          checkpoint_used = gauge "hsq_recovery_checkpoint_used" > 0.5;
           steps_reingested = int_of_float (gauge "hsq_recovery_steps_reingested");
         }
   in
@@ -108,9 +106,7 @@ let to_lines h =
   (match h.recovery with
   | None -> ()
   | Some r ->
-    add "health: recovery: %d WAL records replayed, checkpoint %s, %d steps re-archived"
-      r.wal_replayed
-      (if r.checkpoint_used then "restored" else "absent")
+    add "health: recovery: %d WAL records replayed, %d steps re-archived" r.wal_replayed
       r.steps_reingested);
   List.rev !lines
 
@@ -142,7 +138,6 @@ let to_fields h =
         Json.Obj
           [
             ("wal_replayed", Json.int r.wal_replayed);
-            ("checkpoint_used", Json.Bool r.checkpoint_used);
             ("steps_reingested", Json.int r.steps_reingested);
           ] );
   ]

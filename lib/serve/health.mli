@@ -14,7 +14,6 @@ type scrub_info = {
 
 type recovery_info = {
   wal_replayed : int;  (** WAL records replayed by the last open *)
-  checkpoint_used : bool;  (** the last open restored a sketch checkpoint *)
   steps_reingested : int;  (** time steps re-archived by the last open *)
 }
 

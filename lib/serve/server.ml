@@ -38,8 +38,8 @@
         that connects mid-drain reads an explicit shutting_down error
         instead of racing the close (hang on a half-accepted socket or
         ECONNRESET — the old behavior);
-     3. checkpoint_now (forces a WAL sync) and close — both idempotent,
-        so a concurrent or repeated shutdown is safe;
+     3. close, which flushes every WAL — idempotent, so a concurrent
+        or repeated shutdown is safe;
      4. connection sockets are shut down, their threads joined; only
         then does the listener itself close, so connects after a
         completed drain fail outright.
@@ -705,9 +705,8 @@ let drain t listen_fd =
     Thread.join thr;
     t.engine_thread <- None
   | None -> ());
-  (* Backend is quiescent now: checkpoint the stream side and close
-     (idempotent, so a signal-driven second shutdown is harmless). *)
-  (try G.checkpoint_now t.group with _ -> ());
+  (* Backend is quiescent now: close, which syncs every WAL (idempotent,
+     so a signal-driven second shutdown is harmless). *)
   (try G.close t.group with _ -> ());
   (* Unblock any connection thread still parked in a read, then join. *)
   let remaining =

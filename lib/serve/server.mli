@@ -25,7 +25,7 @@
     Shutdown is a drain: {!request_stop} (async-signal-safe, suitable
     for a SIGTERM handler) or the wire verb [drain] stops the accept
     loop; already-admitted requests are served or deadline-cut; the
-    engine is checkpointed and closed; connections are shut down.  A
+    engine is closed, its WAL flushed; connections are shut down.  A
     crash instead of a drain loses no acknowledged observation — the
     WAL was appended before each ack. *)
 
@@ -81,7 +81,7 @@ val start : t -> unit
 val request_stop : t -> unit
 
 (** Block until the daemon has fully drained (accept loop exited,
-    engine checkpointed and closed, connections joined). *)
+    engine closed, connections joined). *)
 val wait : t -> unit
 
 (** [request_stop] + [wait]. *)

@@ -4,7 +4,7 @@
    Ingest hash-partitions the stream (splitmix-style value hash mod K);
    within a shard every op is applied synchronously to every LIVE
    replica — each a complete, unmodified single-submitter engine with
-   its own device, WAL, checkpoint, breaker, quarantine state and
+   its own device, WAL, breaker, quarantine state and
    metrics registry.  An observe is acknowledged iff at least one live
    replica accepted it; a replica that fails its append is taken down
    (and hinted to) rather than failing the ack.
@@ -203,7 +203,7 @@ let of_engine e =
    only lower the estimate, which the chaos harness tolerates by
    checking the fused bound against the oracle, not this estimate. *)
 let estimate_elements dir =
-  let _, meta_path, wal_path, _ = E.store_paths ~dir in
+  let _, meta_path, wal_path = E.store_paths ~dir in
   let hist =
     try
       let body = Hsq.Meta.verify_checksum (Hsq.Meta.read_lines meta_path) in
@@ -1131,14 +1131,13 @@ let healthiest candidates =
   | first :: rest ->
     Some (List.fold_left (fun best c -> if score c > score best then c else best) first rest)
 
-(* Converge replica [rep] of shard [i] onto live sibling [src]: force a
-   checkpoint on the source, which syncs its WAL, so its files are a
-   complete rendering of its state, crash-release the target, copy the
-   store byte-for-byte, and recover the copy — recovery of identical
-   bytes yields an identical engine (deterministic replay).  Caller
-   holds the lock. *)
+(* Converge replica [rep] of shard [i] onto live sibling [src]: sync
+   the source's WAL, so its files are a complete rendering of its state,
+   crash-release the target, copy the store byte-for-byte, and recover
+   the copy — the replay repeats every hand-off, so the copy's sketch is
+   the source's.  Caller holds the lock. *)
 let repair_replica_locked t i rep ~src:(src_j, src_e) =
-  (try E.checkpoint_now src_e with _ -> ());
+  (try E.sync src_e with _ -> ());
   (match rep.state with
   | Live e -> ( try E.crash e with _ -> ())
   | Dead _ -> ());
@@ -1487,8 +1486,6 @@ let scrub_all ?repair t =
   List.map (fun (i, j, e) -> ((i, j), Hsq.Persist.scrub ?repair e)) (all_live t)
 
 (* --- lifecycle ----------------------------------------------------------- *)
-
-let checkpoint_now t = List.iter (fun (_, _, e) -> try E.checkpoint_now e with _ -> ()) (all_live t)
 
 (* Close or crash ([release] each engine and hint log) exactly once. *)
 let shut t ~release ~release_hints =

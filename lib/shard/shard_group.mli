@@ -4,7 +4,7 @@
     [observe] hash-partitions the stream across the shards; within a
     shard each op is applied synchronously to every live replica —
     each a complete single-submitter {!Hsq.Engine} with its own block
-    device, WAL directory, checkpoint, circuit breaker, quarantine
+    device, WAL directory, circuit breaker, quarantine
     state, and metrics registry.  An observe is acknowledged iff at
     least one live replica of its shard accepted it; per-replica WAL
     sequence numbers advance in lockstep, which keeps the ack
@@ -380,11 +380,12 @@ type entropy_report = {
   repair_failed : (int * string) list;  (** replica is down with this reason *)
 }
 
-(** Compare per-replica state digests within each shard (forcing a
-    sketch checkpoint on each live replica so the digest covers the
-    open step), flag the minority as diverged, and — with [repair] —
-    converge each flagged replica onto the healthiest sibling by
-    byte-identical file copy + recovery. Healthy replicas digest
+(** Compare per-replica state digests within each shard (the digest
+    covers the open step's elements), flag the minority as diverged,
+    and — with [repair] — converge each flagged replica onto the
+    healthiest sibling by byte-identical file copy + recovery: the
+    source's WAL is synced first, and the replay leaves the copy's
+    sketch equal to the source's. Healthy replicas digest
     equal: they apply identical op sequences (see {!Anti_entropy}).
     Returns [[]] for unreplicated or volatile groups. *)
 val anti_entropy : ?repair:bool -> t -> entropy_report list
@@ -400,10 +401,7 @@ val scrub_all : ?repair:bool -> t -> ((int * int) * Hsq.Persist.scrub_report) li
 
 (** {1 Lifecycle} *)
 
-val checkpoint_now : t -> unit
-
-(** Close every live replica ({!Hsq.Engine.close}: the WAL flushes, no
-    checkpoint is forced — call {!checkpoint_now} first for that) and
+(** Close every live replica ({!Hsq.Engine.close}: the WAL flushes) and
     any open hint logs. Idempotent. *)
 val close : t -> unit
 

@@ -51,6 +51,9 @@ let create_capped ~words =
     since_compress = 0;
   }
 
+(* Tuples are immutable, so a copy of the array is a deep copy. *)
+let copy t = { t with tuples = Array.copy t.tuples }
+
 let count t = t.n
 let size t = t.size
 let epsilon t = t.epsilon
@@ -357,9 +360,9 @@ let merge a b =
     merged
   end
 
-(* Checkpoint serialization: the full mutable state as a word array, so
-   a recovered sketch is bit-identical to the one that was running (the
-   same inserts produce the same summary either side of a crash).
+(* Serialization: the full mutable state as a word array, so a
+   deserialized sketch is bit-identical to the one serialized (the same
+   inserts produce the same summary from either).
    Layout: mode (0 = Fixed, else the Capped word budget — budgets are
    >= 32, so 0 is unambiguous), epsilon as IEEE-754 bits, n, size,
    since_compress, then (value, g, delta) per live tuple.  Epsilon lies

@@ -20,6 +20,10 @@ val create_capped : words:int -> t
 
 val insert : t -> int -> unit
 
+(** An independent sketch in the same state: inserts into either leave
+    the other unchanged. *)
+val copy : t -> t
+
 (** [insert_sorted_batch t b] inserts every element of [b], which MUST be
     sorted ascending, in one O(size + k) merge pass — equivalent (same ε
     guarantee, same count) to [Array.iter (insert t) b] but without the
@@ -72,10 +76,10 @@ val dump : t -> (int * int * int) list
     query time. Raises [Invalid_argument] on memory-capped sketches. *)
 val merge : t -> t -> t
 
-(** Full mutable state as a word array, for sketch checkpoints: a
-    deserialized sketch is bit-identical to the serialized one, so
-    replaying the same inserts yields the same summary either side of a
-    crash. *)
+(** Full mutable state as a word array: equal images mean equal
+    sketches, and a deserialized sketch is bit-identical to the
+    serialized one, so replaying the same inserts yields the same
+    summary. *)
 val serialize : t -> int array
 
 (** Inverse of {!serialize}. Raises [Invalid_argument] on a

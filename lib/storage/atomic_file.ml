@@ -1,7 +1,7 @@
 (* Crash-atomic file replacement with real durability.
 
-   The tmp-write + rename idiom used by the metadata sidecar, the sketch
-   checkpoint, and WAL truncation is atomic against *process* crashes,
+   The tmp-write + rename idiom used by the metadata sidecar and WAL
+   truncation is atomic against *process* crashes,
    but not against power cuts: POSIX only promises the rename itself is
    durable once the parent DIRECTORY has been fsynced.  Without that, a
    power cut can roll the directory entry back to the old file even

@@ -5,12 +5,14 @@
    counts exact and deterministic (see DESIGN.md, "Substitutions").  Two
    backends share the interface: an in-memory store used by tests and
    benches, and a file-backed store that persists blocks as fixed-size
-   records of 8-byte big-endian integers.
+   records of 8-byte big-endian words ([Word], the WAL's codec too).
 
    Fault tolerance (DESIGN.md, "Fault model & recovery"):
    - every block carries a checksum word, stored after the payload and
      verified on every read, so bit rot and torn writes surface as
-     [Device_error] instead of wrong answers;
+     [Device_error] instead of wrong answers; a word no writer produced
+     (bit 63 unlike bit 62, which the checksum over decoded ints cannot
+     see) fails the same way;
    - reads go through a bounded-retry path, absorbing transient faults;
      extra attempts are counted in {!Io_stats} ([retries],
      [checksum_failures]);
@@ -262,10 +264,10 @@ let store_record t ~addr payload ~sum ~upto ~flip =
     with_file t
       (fun { fd; buf; _ } ->
         for j = 0 to upto - 1 do
-          Bytes.set_int64_be buf (8 * j) (Int64.of_int (word j))
+          Word.set buf (8 * j) (word j)
         done;
         let words = if upto = bs then bs + 1 else upto in
-        if upto = bs then Bytes.set_int64_be buf (8 * bs) (Int64.of_int sum);
+        if upto = bs then Word.set buf (8 * bs) sum;
         ignore (Unix.lseek fd (addr * Bytes.length buf) Unix.SEEK_SET);
         ignore (Unix.write fd buf 0 (8 * words)))
       file
@@ -286,9 +288,10 @@ let write_block t ~addr payload =
     store_record t ~addr payload ~sum:(checksum ~addr payload) ~upto:t.block_size ~flip
 
 (* Fetch [addr] as (payload, stored checksum word); raises on
-   unwritten/freed/short blocks (structural errors, never retried).
-   The file backend decodes straight from the reused record buffer into
-   a fresh [block_size]-word payload. *)
+   unwritten/freed/short blocks (structural errors, never retried), and
+   [Word.Invalid] on a word no writer produced, which the read path
+   counts as a checksum failure.  The file backend decodes straight from
+   the reused record buffer into a fresh [block_size]-word payload. *)
 let fetch_record t ~addr =
   let bs = t.block_size in
   match t.backend with
@@ -311,9 +314,9 @@ let fetch_record t ~addr =
           in
           fill 0;
           for j = 0 to bs - 1 do
-            payload.(j) <- Int64.to_int (Bytes.get_int64_be buf (8 * j))
+            payload.(j) <- Word.get buf (8 * j)
           done;
-          Int64.to_int (Bytes.get_int64_be buf (8 * bs)))
+          Word.get buf (8 * bs))
         file
     in
     (payload, sum)
@@ -358,9 +361,11 @@ let read_block_uncached ?hint ~batched t ~addr =
       Io_stats.note_read ?hint t.stats addr;
       let t0 = if batched then 0.0 else Hsq_obs.Metrics.now_s () in
       if batched then t.batch_reads <- t.batch_reads + 1 else apply_read_latency t;
-      let payload, stored =
-        try fetch_record t ~addr
-        with e ->
+      let verified =
+        match fetch_record t ~addr with
+        | payload, stored -> if stored = checksum ~addr payload then Some payload else None
+        | exception Word.Invalid -> None
+        | exception e ->
           (* Not evidence against device health, but a half-open trial
              ticket must still be released. *)
           Breaker.success t.breaker;
@@ -368,14 +373,13 @@ let read_block_uncached ?hint ~batched t ~addr =
       in
       if not batched then
         Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
-      if stored <> checksum ~addr payload then begin
+      match verified with
+      | None ->
         Io_stats.note_checksum_failure t.stats;
         retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
-      end
-      else begin
+      | Some payload ->
         Breaker.success t.breaker;
         payload
-      end
   in
   attempt 1
 

@@ -13,12 +13,13 @@
    Durable-ingest accounting (the WAL half of the fault model):
    [wal_appends] counts records appended to the write-ahead log,
    [wal_syncs] counts physical flushes of the log, [wal_replayed] counts
-   records re-applied during recovery, and [checkpoints_written] counts
-   sketch checkpoints persisted.  All four stay zero when durability is
-   off, so block-access counts are again unperturbed.
+   records re-applied during recovery.  All three stay zero when
+   durability is off, so block-access counts are again unperturbed.
+   [checkpoints_written] is a compatibility field for readers written
+   when the engine took sketch checkpoints: it always reads 0.
 
    Since the observability PR this module is registry-backed: each of
-   the ten counters lives in an [Hsq_obs.Metrics] registry under its
+   the nine counters lives in an [Hsq_obs.Metrics] registry under its
    Prometheus name (hsq_io_... / hsq_wal_...), so `hsq metrics` and the bench
    smoke rows export them without a second accounting path.  The record
    interface, lock discipline, and exactness guarantees are unchanged.
@@ -45,7 +46,7 @@ type counters = {
 
 (* Counters are guarded by a per-record mutex so several domains reading
    one device at once can account their reads without tearing, and —
-   crucially for [snapshot] — so the ten values are mutually consistent:
+   crucially for [snapshot] — so the nine values are mutually consistent:
    every [note_*] mutation and every [snapshot] read runs under the same
    lock, so a snapshot can never observe a half-applied note (e.g.
    [reads] bumped but its seq/rand classification not yet).  The lock is
@@ -68,7 +69,6 @@ type t = {
   wal_appends : Metrics.Counter.t;
   wal_syncs : Metrics.Counter.t;
   wal_replayed : Metrics.Counter.t;
-  checkpoints_written : Metrics.Counter.t;
   mutable last_read_addr : int;
   lock : Mutex.t;
   registry : Metrics.t;
@@ -92,7 +92,6 @@ let create ?registry () =
     wal_appends = c "hsq_wal_appends_total" "Records appended to the write-ahead log";
     wal_syncs = c "hsq_wal_syncs_total" "Physical flushes of the write-ahead log";
     wal_replayed = c "hsq_wal_replayed_total" "WAL records re-applied during recovery";
-    checkpoints_written = c "hsq_io_checkpoints_total" "Sketch checkpoints persisted";
     last_read_addr = min_int;
     lock = Mutex.create ();
     registry;
@@ -120,7 +119,6 @@ let reset t =
       Metrics.Counter.set t.wal_appends 0;
       Metrics.Counter.set t.wal_syncs 0;
       Metrics.Counter.set t.wal_replayed 0;
-      Metrics.Counter.set t.checkpoints_written 0;
       t.last_read_addr <- min_int)
 
 (* [hint] overrides the adjacency heuristic: a k-way merge interleaves
@@ -143,8 +141,7 @@ let note_retry t = locked t (fun () -> Metrics.Counter.inc t.retries)
 let note_checksum_failure t = locked t (fun () -> Metrics.Counter.inc t.checksum_failures)
 let note_wal_appends t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_appends)
 let note_wal_sync t = locked t (fun () -> Metrics.Counter.inc t.wal_syncs)
-let note_wal_replayed t = locked t (fun () -> Metrics.Counter.inc t.wal_replayed)
-let note_checkpoint t = locked t (fun () -> Metrics.Counter.inc t.checkpoints_written)
+let note_wal_replayed t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_replayed)
 
 let snapshot t : counters =
   locked t (fun () ->
@@ -158,7 +155,7 @@ let snapshot t : counters =
         wal_appends = Metrics.Counter.value t.wal_appends;
         wal_syncs = Metrics.Counter.value t.wal_syncs;
         wal_replayed = Metrics.Counter.value t.wal_replayed;
-        checkpoints_written = Metrics.Counter.value t.checkpoints_written;
+        checkpoints_written = 0;
       })
 
 let zero : counters =
@@ -186,7 +183,7 @@ let diff (after : counters) (before : counters) : counters =
     wal_appends = after.wal_appends - before.wal_appends;
     wal_syncs = after.wal_syncs - before.wal_syncs;
     wal_replayed = after.wal_replayed - before.wal_replayed;
-    checkpoints_written = after.checkpoints_written - before.checkpoints_written;
+    checkpoints_written = 0;
   }
 
 let add (a : counters) (b : counters) : counters =
@@ -200,7 +197,7 @@ let add (a : counters) (b : counters) : counters =
     wal_appends = a.wal_appends + b.wal_appends;
     wal_syncs = a.wal_syncs + b.wal_syncs;
     wal_replayed = a.wal_replayed + b.wal_replayed;
-    checkpoints_written = a.checkpoints_written + b.checkpoints_written;
+    checkpoints_written = 0;
   }
 
 let total (c : counters) = c.reads + c.writes
@@ -216,6 +213,6 @@ let pp ppf (c : counters) =
   Format.fprintf ppf "reads=%d (seq=%d rand=%d) writes=%d" c.reads c.seq_reads c.rand_reads c.writes;
   if c.retries > 0 || c.checksum_failures > 0 then
     Format.fprintf ppf " retries=%d checksum_failures=%d" c.retries c.checksum_failures;
-  if c.wal_appends > 0 || c.wal_syncs > 0 || c.wal_replayed > 0 || c.checkpoints_written > 0 then
-    Format.fprintf ppf " wal_appends=%d wal_syncs=%d wal_replayed=%d checkpoints=%d" c.wal_appends
-      c.wal_syncs c.wal_replayed c.checkpoints_written
+  if c.wal_appends > 0 || c.wal_syncs > 0 || c.wal_replayed > 0 then
+    Format.fprintf ppf " wal_appends=%d wal_syncs=%d wal_replayed=%d" c.wal_appends c.wal_syncs
+      c.wal_replayed

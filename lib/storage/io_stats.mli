@@ -26,7 +26,7 @@
 
     The counters are additionally registered in an
     {!Hsq_obs.Metrics} registry under their Prometheus names
-    ([hsq_io_*_total], [hsq_wal_*_total], [hsq_io_checkpoints_total]),
+    ([hsq_io_*_total], [hsq_wal_*_total]),
     making this object the observability hub for every subsystem that
     reaches it: the registry rides along to WAL/merge/device call sites,
     as does an optional trace. *)
@@ -42,7 +42,9 @@ type counters = {
   wal_appends : int;  (** records appended to the write-ahead log *)
   wal_syncs : int;    (** physical flushes of the write-ahead log *)
   wal_replayed : int; (** WAL records re-applied during recovery *)
-  checkpoints_written : int; (** sketch checkpoints persisted *)
+  checkpoints_written : int;
+      (** always 0: a compatibility field for readers written when the
+          engine took sketch checkpoints *)
 }
 
 type t
@@ -58,7 +60,7 @@ val create : ?registry:Hsq_obs.Metrics.t -> unit -> t
 val registry : t -> Hsq_obs.Metrics.t
 
 (** Optional trace carried alongside the registry; instrumented call
-    sites (WAL append/sync, merges, checkpoints) open spans on it when
+    sites (WAL append/sync, merges) open spans on it when
     set. *)
 val tracer : t -> Hsq_obs.Trace.t option
 
@@ -89,13 +91,10 @@ val note_wal_appends : t -> int -> unit
 (** Record one physical flush (group commit) of the write-ahead log. *)
 val note_wal_sync : t -> unit
 
-(** Record one WAL record re-applied during recovery. *)
-val note_wal_replayed : t -> unit
+(** Record [n] WAL records re-applied during recovery. *)
+val note_wal_replayed : t -> int -> unit
 
-(** Record one sketch checkpoint written. *)
-val note_checkpoint : t -> unit
-
-(** Mutually consistent point-in-time view of all ten counters (taken
+(** Mutually consistent point-in-time view of all nine counters (taken
     under the note mutex — see the torn-read-freedom note above). *)
 val snapshot : t -> counters
 val zero : counters

@@ -6,8 +6,8 @@
    before it touches in-memory state, and a time-step rollover appends
    an [End_step] commit marker.  The log is rotated only at a step end,
    so it is the one durable copy of the open step's elements: recovery
-   (Engine.open_or_recover) reads them back from it, and re-inserts
-   into the sketch only the suffix past the last sketch checkpoint.
+   (Engine.open_or_recover) replays all of it through the ingest
+   buffer, which leaves the sketch as the live engine had it.
 
    Durability model.  Appends accumulate in an in-process buffer and
    reach the file only on a physical flush ("sync"); a crash loses the
@@ -25,7 +25,8 @@
    Commit markers are always followed by an explicit {!sync} from the
    engine, whatever the policy: a commit is a flush.
 
-   On-file format (8-byte big-endian words, like the block device):
+   On-file format (8-byte big-endian words through [Word], the block
+   device's codec too):
      header   := magic | start_seq | checksum(magic, start_seq)
      record   := len | seq | kind | payload... | checksum
    where [len] counts the words after it (seq + kind + payload +
@@ -37,7 +38,8 @@
    element count, cut count, cuts), is never written but still decodes,
    as an [End_step] without its cuts.
 
-   The reader floors a torn tail: it stops at the first short, corrupt,
+   The reader floors a torn tail: it stops at the first short, corrupt
+   (a word whose bit 63 differs from bit 62 counts as corrupt),
    mis-lengthed, or out-of-sequence record and reports why, and
    {!open_existing} physically truncates the tear (temp file + rename,
    the same atomic idiom as Persist) so later appends never follow
@@ -110,7 +112,7 @@ let sync_policy_to_string = function
 
 (* --- encoding ---------------------------------------------------------- *)
 
-let add_word buf w = Buffer.add_int64_be buf (Int64.of_int w)
+let add_word = Word.add
 
 let header_bytes ~start_seq =
   let b = Buffer.create 24 in
@@ -350,71 +352,92 @@ let crash t =
 
 (* --- reading ----------------------------------------------------------- *)
 
-let read_word ic =
-  let b = Bytes.create 8 in
-  match really_input ic b 0 8 with
-  | () -> Some (Int64.to_int (Bytes.get_int64_be b 0))
-  | exception End_of_file -> None
+(* The reader decodes every word through [Word] from one reused buffer,
+   refilled whenever a record crosses its end; a record is at most
+   [max_record_words + 1] words, far below its size. *)
+type reader = { ic : In_channel.t; buf : Bytes.t; mutable pos : int; mutable lim : int }
+
+(* Whether [n] bytes past the cursor are buffered, reading more if not;
+   false when the file ends first. *)
+let available r n =
+  r.lim - r.pos >= n
+  ||
+  let have = r.lim - r.pos in
+  Bytes.blit r.buf r.pos r.buf 0 have;
+  r.pos <- 0;
+  r.lim <- have;
+  let rec more () =
+    r.lim >= n
+    ||
+    match In_channel.input r.ic r.buf r.lim (Bytes.length r.buf - r.lim) with
+    | 0 -> false
+    | k ->
+      r.lim <- r.lim + k;
+      more ()
+  in
+  more ()
+
+(* Word [i] past the cursor. *)
+let word r i = Word.get r.buf (r.pos + (8 * i))
+
+(* The record at the cursor, [len] words after its length word, all
+   buffered: [Error why] if its checksum or kind is wrong, else its
+   sequence number and decoded record.  A word no writer produced fails
+   like a checksum. *)
+let decode r len =
+  match
+    let h = ref checksum_seed in
+    for i = 0 to len - 1 do
+      h := mix !h (word r i)
+    done;
+    word r len = !h
+  with
+  | false | (exception Word.Invalid) -> Error "record checksum mismatch"
+  | true -> (
+    let kind = word r 2 in
+    let end_step () = Ok (word r 1, End_step { step = word r 3; count = word r 4 }) in
+    match kind with
+    | 1 when len = 4 -> Ok (word r 1, Observe (word r 3))
+    | 2 when len = 5 -> end_step ()
+    | 3 when len >= 6 && word r 5 >= 0 && len = 6 + word r 5 -> end_step ()
+    | _ -> Error (Printf.sprintf "unknown record kind %d" kind))
 
 (* Returns the records, the header's start_seq, the tail status, and the
-   byte length of the valid prefix (header included). *)
+   byte length of the valid prefix (header included).  A trailing
+   partial word reads as the end of the file. *)
 let read_channel ic =
+  let r = { ic; buf = Bytes.create 65536; pos = 0; lim = 0 } in
   let header =
-    match (read_word ic, read_word ic, read_word ic) with
-    | Some m, Some s, Some c when m = magic && c = checksum_words [| m; s |] -> Ok s
-    | None, _, _ | _, None, _ | _, _, None -> Error "short header"
-    | Some _, Some _, Some _ -> Error "bad header magic or checksum"
+    if not (available r 24) then Error "short header"
+    else
+      match (word r 0, word r 1, word r 2) with
+      | m, s, c when m = magic && c = checksum_words [| m; s |] -> Ok s
+      | _ | (exception Word.Invalid) -> Error "bad header magic or checksum"
   in
   match header with
   | Error e -> ([], 1, Torn e, 0)
   | Ok start_seq ->
+    r.pos <- 24;
     let valid_bytes = ref 24 in
     let rec go expected acc =
-      match read_word ic with
-      | None -> (List.rev acc, start_seq, Clean, !valid_bytes)
-      | Some len -> (
-        if len < 3 || len > max_record_words then
-          (List.rev acc, start_seq, Torn (Printf.sprintf "bad record length %d" len), !valid_bytes)
-        else begin
-          let words = Array.make (len + 1) len in
-          let short = ref false in
-          (try
-             for i = 1 to len do
-               match read_word ic with
-               | Some w -> words.(i) <- w
-               | None -> raise Exit
-             done
-           with Exit -> short := true);
-          if !short then (List.rev acc, start_seq, Torn "truncated record", !valid_bytes)
-          else if words.(len) <> checksum_words (Array.sub words 0 len) then
-            (List.rev acc, start_seq, Torn "record checksum mismatch", !valid_bytes)
-          else begin
-            let seq = words.(1) in
-            if seq <> expected then
-              ( List.rev acc,
-                start_seq,
-                Torn (Printf.sprintf "sequence discontinuity (found %d, expected %d)" seq expected),
-                !valid_bytes )
-            else
-              let decoded =
-                match words.(2) with
-                | 1 when len = 4 -> Some (Observe words.(3))
-                | 2 when len = 5 -> Some (End_step { step = words.(3); count = words.(4) })
-                | 3 when len >= 6 && words.(5) >= 0 && len = 6 + words.(5) ->
-                  Some (End_step { step = words.(3); count = words.(4) })
-                | _ -> None
-              in
-              match decoded with
-              | None ->
-                ( List.rev acc,
-                  start_seq,
-                  Torn (Printf.sprintf "unknown record kind %d" words.(2)),
-                  !valid_bytes )
-              | Some r ->
-                valid_bytes := !valid_bytes + (8 * (len + 1));
-                go (expected + 1) ((seq, r) :: acc)
-          end
-        end)
+      let finish tail = (List.rev acc, start_seq, tail, !valid_bytes) in
+      if not (available r 8) then finish Clean
+      else
+        match word r 0 with
+        | exception Word.Invalid -> finish (Torn "record checksum mismatch")
+        | len when len < 3 || len > max_record_words ->
+          finish (Torn (Printf.sprintf "bad record length %d" len))
+        | len when not (available r (8 * (len + 1))) -> finish (Torn "truncated record")
+        | len -> (
+          match decode r len with
+          | Error why -> finish (Torn why)
+          | Ok (seq, _) when seq <> expected ->
+            finish
+              (Torn (Printf.sprintf "sequence discontinuity (found %d, expected %d)" seq expected))
+          | Ok (seq, record) ->
+            r.pos <- r.pos + (8 * (len + 1));
+            valid_bytes := !valid_bytes + (8 * (len + 1));
+            go (expected + 1) ((seq, record) :: acc))
     in
     go start_seq []
 

@@ -1,5 +1,5 @@
 (* Decimal integers without Printf: the one codec behind the wire's
-   integers (Hsq_serve.Json) and the checkpoint's word lines.
+   integers (Hsq_serve.Json).
 
    Both directions work on the non-positive side of the range, where
    OCaml's [int] has one more value than on the positive side, so

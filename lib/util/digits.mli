@@ -1,7 +1,6 @@
 (** Decimal integers without Printf, over the whole OCaml [int] range.
 
-    The line-JSON wire writes and reads its integers through it, and
-    the checkpoint writes its word lines with it. *)
+    The line-JSON wire writes and reads its integers through it. *)
 
 (** [add_int buf n] appends the decimal form of [n], byte-identical to
     [string_of_int n] (a leading ['-'] for negatives, no leading zeros). *)

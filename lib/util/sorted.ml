@@ -69,25 +69,53 @@ let merge_into (src : int array) dst lo mid hi =
 
 (* Natural merge sort, bottom-up: each pass finds the ascending runs of
    one buffer and merges adjacent pairs into the other, so k runs take
-   ceil(log2 k) passes, O(n log k) in all.  One scratch array of n
-   words; a sorted input costs one scan and no allocation. *)
+   ceil(log2 k) passes, O(n log k) in all.  Sorts [a.(0 .. n-1)] between
+   [a] and [scratch], both at least [n] long, and returns the one that
+   holds the result. *)
+let merge_runs a n scratch =
+  let src = ref a and dst = ref scratch and runs = ref 2 in
+  while !runs > 1 do
+    runs := 0;
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = run_end !src n !lo in
+      let hi = if mid < n then run_end !src n mid else n in
+      merge_into !src !dst !lo mid hi;
+      incr runs;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s
+  done;
+  !src
+
+(* One scratch array of n words; a sorted input costs one scan and no
+   allocation. *)
 let sort_runs a =
   let n = Array.length a in
   if n > 1 && run_end a n 0 < n then begin
-    let src = ref a and dst = ref (Array.make n 0) and runs = ref 2 in
-    while !runs > 1 do
-      runs := 0;
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = run_end !src n !lo in
-        let hi = if mid < n then run_end !src n mid else n in
-        merge_into !src !dst !lo mid hi;
-        incr runs;
-        lo := hi
-      done;
-      let s = !src in
-      src := !dst;
-      dst := s
-    done;
-    if !src != a then Array.blit !src 0 a 0 n
+    let s = merge_runs a n (Array.make n 0) in
+    if s != a then Array.blit s 0 a 0 n
   end
+
+(* Insertion sort within each 16-element block first, so the merge
+   passes start from runs of at least 16: for a 512-element hand-off,
+   five passes. *)
+let sort_into src n dst =
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + 16) in
+    for i = !lo + 1 to hi - 1 do
+      let x = src.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && src.(!j) > x do
+        src.(!j + 1) <- src.(!j);
+        decr j
+      done;
+      src.(!j + 1) <- x
+    done;
+    lo := hi
+  done;
+  let s = merge_runs src n dst in
+  if s != dst then Array.blit s 0 dst 0 n

@@ -28,3 +28,9 @@ val quantile : int array -> float -> int
     Correct for any input; uses one scratch array of [length a] words
     unless [a] is already sorted. *)
 val sort_runs : int array -> unit
+
+(** [sort_into src n dst] writes [src.(0 .. n-1)] into [dst.(0 .. n-1)]
+    in ascending order, using [src]'s first [n] words as merge scratch
+    (they are left permuted). Allocates nothing; both arrays must hold
+    at least [n] words. *)
+val sort_into : int array -> int -> int array -> unit

@@ -158,8 +158,9 @@ let run_bitflip_seed seed =
 (* --- ingest-crash fuzz: the durable WAL path --------------------------
 
    Each seed drives a durable store (Engine.open_or_recover) through
-   several crash/recover rounds under a random sync policy and
-   checkpoint interval.  Crashes strike at a random acknowledged point:
+   several crash/recover rounds under a random sync policy (and a random
+   checkpoint interval, which Config.make still accepts and ignores: it
+   keeps each seed's random stream as it was).  Crashes strike at a random acknowledged point:
    either a WAL append fault (Fail = clean death, Torn = death
    mid-append) or a bare power cut between operations.  The oracle is
    the list of *acknowledged* observes, in order; the WAL's prefix
@@ -170,7 +171,7 @@ let run_bitflip_seed seed =
    - under sync=always the prefix is everything (zero acknowledged
      loss); under group:k at most k trailing records are lost; under
      never, at most everything since the last forced sync (commit
-     marker or checkpoint);
+     marker or reopen);
    - quantiles over the recovered prefix stay inside the epsilon rank
      band, and the level-index invariants hold. *)
 
@@ -211,20 +212,12 @@ let run_ingest_crash_seed seed =
       let acked = ref [] (* newest first *) in
       let acked_n = ref 0 in
       let synced_floor = ref 0 (* acked elements known flushed *) in
-      let model_since_ckpt = ref 0 in
-      let note_forced_sync () =
-        synced_floor := !acked_n;
-        model_since_ckpt := 0
-      in
+      let note_forced_sync () = synced_floor := !acked_n in
       let note_acked () =
         incr acked_n;
-        (match wal_sync with
+        match wal_sync with
         | Hsq_storage.Wal.Always -> synced_floor := !acked_n
-        | Hsq_storage.Wal.Group _ | Hsq_storage.Wal.Never -> ());
-        if checkpoint_every > 0 then begin
-          incr model_since_ckpt;
-          if !model_since_ckpt >= checkpoint_every then note_forced_sync ()
-        end
+        | Hsq_storage.Wal.Group _ | Hsq_storage.Wal.Never -> ()
       in
       let loss_bound () =
         match wal_sync with

@@ -1,12 +1,10 @@
-(* Durable ingest path: WAL + sketch checkpoints + recovery manager.
+(* Durable ingest path: WAL + recovery manager.
 
    Deterministic scenario tests (the randomized kill-at-random-point
    fuzz lives in test_crash_recovery):
 
    - a recovered engine is bit-identical in its answers to one that
      never crashed (replay reproduces the exact insert sequence);
-   - recovery past a checkpoint replays only the WAL suffix (asserted
-     via the wal_replayed counter and the recovery report);
    - empty rollovers ([ingest_batch [||]] / [end_time_step] with no
      open element) raise before any WAL write and corrupt nothing;
    - group-commit loss is exactly the unflushed window, and [Never]
@@ -15,12 +13,11 @@
      already-committed step replays as a skip, never a double archive,
      and recovery itself is idempotent;
    - torn WAL tails are floored and physically truncated;
-   - stale or corrupt checkpoints are ignored in favour of full replay;
-   - a checkpoint's GK image restores tagged or untagged, and a tag-2
-     (KLL) image reads as absent;
+   - a sketch checkpoint an older build left, of any version and in any
+     state, is deleted unread and the whole WAL replays;
    - a store written with ingest lanes is refused before any file is
-     touched, while a lane-format checkpoint reads as absent and a lane
-     commit marker replays as End_step. *)
+     touched, while a lane-format checkpoint is deleted unread and a
+     lane commit marker replays as End_step. *)
 
 module E = Hsq.Engine
 module W = Hsq_storage.Wal
@@ -40,9 +37,8 @@ let with_store f =
       end)
     (fun () -> f dir)
 
-let config ?(wal_sync = W.Always) ?(checkpoint_every = 0) dir =
-  Hsq.Config.make ~kappa:3 ~block_size ~wal_dir:dir ~wal_sync ~checkpoint_every
-    (Hsq.Config.Epsilon eps)
+let config ?(wal_sync = W.Always) dir =
+  Hsq.Config.make ~kappa:3 ~block_size ~wal_dir:dir ~wal_sync (Hsq.Config.Epsilon eps)
 
 let el seed i = (i * 2654435761) lxor seed
 
@@ -75,7 +71,7 @@ let test_round_trip_close () =
   with_store (fun dir ->
       let elements = List.init 700 (el 11) in
       let breaks = [ 200; 400; 550 ] in
-      let eng, _ = E.open_or_recover (config ~checkpoint_every:64 dir) in
+      let eng, _ = E.open_or_recover (config dir) in
       List.iteri
         (fun i v ->
           E.observe eng v;
@@ -104,49 +100,6 @@ let test_round_trip_crash () =
       Alcotest.(check (list string))
         "invariants" []
         (Hsq_hist.Level_index.check_invariants (E.hist recovered));
-      E.close recovered)
-
-(* --- checkpoints bound the replay ------------------------------------ *)
-
-let test_replay_only_past_checkpoint () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config ~checkpoint_every:100 dir) in
-      for i = 1 to 350 do
-        E.observe eng (el 31 i)
-      done;
-      (* Checkpoints fired at observes 100, 200, 300 — the last covers
-         WAL seq 300, so recovery must replay exactly 301..350. *)
-      E.crash eng;
-      let recovered, report = E.open_or_recover (config ~checkpoint_every:100 dir) in
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "replayed only the suffix" 50 report.E.replayed;
-      let stats =
-        Hsq_storage.Io_stats.snapshot (Hsq_storage.Block_device.stats (E.device recovered))
-      in
-      Alcotest.(check int) "wal_replayed counter agrees" 50
-        stats.Hsq_storage.Io_stats.wal_replayed;
-      Alcotest.(check int) "nothing lost" 350 (E.total_size recovered);
-      check_matches_reference ~msg:"checkpointed recovery" recovered
-        (reference_engine (List.init 350 (fun i -> el 31 (i + 1))) []);
-      E.close recovered)
-
-let test_checkpoint_now () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config dir) in
-      for i = 1 to 40 do
-        E.observe eng (el 37 i)
-      done;
-      E.checkpoint_now eng;
-      (match E.durability_status eng with
-      | None -> Alcotest.fail "durable engine reports no status"
-      | Some s ->
-        Alcotest.(check int) "checkpoint covers the whole log" 40 s.E.last_checkpoint_seq;
-        Alcotest.(check int) "nothing pending after checkpoint sync" 0 s.E.wal_pending);
-      E.crash eng;
-      let recovered, report = E.open_or_recover (config dir) in
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "no replay needed" 0 report.E.replayed;
-      Alcotest.(check int) "all recovered" 40 (E.total_size recovered);
       E.close recovered)
 
 (* --- empty rollovers are pure no-ops --------------------------------- *)
@@ -218,7 +171,7 @@ let test_never_sync_loses_open_tail () =
    the WAL rotation: the warehouse already holds the step, but the log
    still carries its observes and End_step marker. *)
 let fabricate_unrotated_wal ~dir ~observes ~step =
-  let _, _, wal_path, _ = E.store_paths ~dir in
+  let _, _, wal_path = E.store_paths ~dir in
   let stats = Hsq_storage.Io_stats.create () in
   let wal = W.create ~stats ~path:wal_path ~start_seq:1 () in
   Array.iter (fun v -> ignore (W.append wal (W.Observe v))) observes;
@@ -285,7 +238,7 @@ let test_torn_tail_floored () =
         E.observe eng (el 79 i)
       done;
       E.crash eng;
-      let _, _, wal_path, _ = E.store_paths ~dir in
+      let _, _, wal_path = E.store_paths ~dir in
       (* Tear the last record mid-word: 5 bytes off the end. *)
       let size = (Unix.stat wal_path).Unix.st_size in
       let fd = Unix.openfile wal_path [ Unix.O_RDWR ] 0 in
@@ -307,7 +260,47 @@ let test_torn_tail_floored () =
       Alcotest.(check int) "prefix plus new appends" 24 (E.total_size again);
       E.close again)
 
-(* --- checkpoint staleness / corruption -------------------------------- *)
+(* --- checkpoints older builds left -------------------------------------- *)
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let checkpoint_path dir = Filename.concat dir "checkpoint"
+
+(* The sketch checkpoint file older builds kept beside the WAL: text
+   lines, then a checksum line over them.  Version 3 held [seq],
+   [steps_done] and the GK image (tag word 1, or 2 before a KLL image);
+   version 2 added the lane cuts of the multi-lane ingest, version 1 the
+   open step's spool. *)
+let write_checkpoint dir lines =
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  write_file (checkpoint_path dir) (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body))
+
+let words name ws = String.concat " " (name :: List.map string_of_int ws)
+
+(* [eng]'s sketch as those files held it: a tag word, then the GK words. *)
+let gk_image ?(tag = 1) eng = tag :: Array.to_list (Hsq_sketch.Gk.serialize (E.stream_sketch eng))
+
+(* The version-3 checkpoint an older build would have taken of [eng]
+   now: it covers the whole log and matches the warehouse. *)
+let v3_checkpoint ?tag dir eng =
+  let image = gk_image ?tag eng in
+  let seq = match E.durability_status eng with Some s -> s.E.wal_next_seq - 1 | None -> 0 in
+  write_checkpoint dir
+    [
+      "hsq-ckpt 3";
+      Printf.sprintf "seq %d" seq;
+      Printf.sprintf "steps_done %d" (E.time_steps eng);
+      Printf.sprintf "gk_len %d" (List.length image);
+      words "gk" image;
+    ]
+
+(* Reopen a crashed store holding a leftover checkpoint: the file is
+   gone before the first new append, and the whole WAL replayed. *)
+let reopen_past_checkpoint ~what dir ~records =
+  let recovered, report = E.open_or_recover (config dir) in
+  Alcotest.(check bool) (what ^ ": checkpoint deleted") false (Sys.file_exists (checkpoint_path dir));
+  Alcotest.(check int) (what ^ ": full replay") records report.E.replayed;
+  recovered
 
 let test_stale_checkpoint_ignored () =
   with_store (fun dir ->
@@ -317,29 +310,23 @@ let test_stale_checkpoint_ignored () =
       done;
       E.crash eng;
       (* A checkpoint claiming a warehouse state that never committed. *)
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      Hsq.Checkpoint.save ~path:ckpt_path
-        { Hsq.Checkpoint.seq = 30; steps_done = 5; gk = [| 0 |] };
-      let recovered, report = E.open_or_recover (config dir) in
-      Alcotest.(check bool) "stale checkpoint ignored" false report.E.checkpoint_used;
-      Alcotest.(check int) "full replay instead" 60 report.E.replayed;
+      write_checkpoint dir [ "hsq-ckpt 3"; "seq 30"; "steps_done 5"; "gk_len 1"; "gk 0" ];
+      let recovered = reopen_past_checkpoint ~what:"stale" dir ~records:60 in
       Alcotest.(check int) "correct state" 60 (E.total_size recovered);
       E.close recovered)
 
 let test_corrupt_checkpoint_ignored () =
   with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config ~checkpoint_every:16 dir) in
+      let eng, _ = E.open_or_recover (config dir) in
       for i = 1 to 48 do
         E.observe eng (el 97 i)
       done;
       E.crash eng;
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      let oc = open_out_bin ckpt_path in
-      output_string oc "hsq-ckpt 1\nnot a checkpoint at all\n";
-      close_out oc;
-      let recovered, report = E.open_or_recover (config ~checkpoint_every:16 dir) in
-      Alcotest.(check bool) "corrupt checkpoint treated as absent" false
-        report.E.checkpoint_used;
+      write_file (checkpoint_path dir) "hsq-ckpt 1\nnot a checkpoint at all\n";
+      write_file (checkpoint_path dir ^ ".tmp") "hsq-ckpt 3\nseq";
+      let recovered = reopen_past_checkpoint ~what:"corrupt" dir ~records:48 in
+      Alcotest.(check bool) "torn temp deleted" false
+        (Sys.file_exists (checkpoint_path dir ^ ".tmp"));
       Alcotest.(check int) "full replay recovers everything" 48 (E.total_size recovered);
       E.close recovered)
 
@@ -351,7 +338,7 @@ let test_corrupt_checkpoint_ignored () =
    contiguity check to floor at, no double-append. *)
 let test_wal_append_rollback_direct () =
   with_store (fun dir ->
-      let _, _, wal_path, _ = E.store_paths ~dir in
+      let _, _, wal_path = E.store_paths ~dir in
       let stats = Hsq_storage.Io_stats.create () in
       let wal = W.create ~stats ~path:wal_path ~start_seq:1 () in
       ignore (W.append wal (W.Observe 11));
@@ -408,7 +395,7 @@ let test_wal_append_rollback_engine () =
       Alcotest.(check int) "no gap, no double" 11 (E.total_size recovered);
       E.close recovered)
 
-(* close / crash / checkpoint_now are idempotent: the first close wins,
+(* close / crash / sync are idempotent: the first close wins,
    everything after it is a no-op — the serve daemon's drain path and a
    concurrent signal-driven shutdown may both reach them. *)
 let test_close_idempotent () =
@@ -426,7 +413,7 @@ let test_close_idempotent () =
       Alcotest.(check bool) "closed" true (E.is_closed eng);
       (* every one of these used to be a Sys_error on the closed WAL *)
       E.close eng;
-      E.checkpoint_now eng;
+      E.sync eng;
       E.crash eng;
       Alcotest.(check bool) "still closed" true (E.is_closed eng);
       let recovered, _ = E.open_or_recover (config dir) in
@@ -461,7 +448,7 @@ let test_close_during_deferred_merge () =
         (report.Hsq_hist.Level_index.deferred_merge <> None);
       E.close eng;
       E.close eng;
-      E.checkpoint_now eng;
+      E.sync eng;
       let recovered, _ = E.open_or_recover (config dir) in
       Alcotest.(check int) "nothing lost across the deferred close" 160
         (E.total_size recovered);
@@ -493,9 +480,6 @@ let raw_wal records =
     records;
   Buffer.contents buf
 
-let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -510,7 +494,7 @@ let test_lane_store_refused () =
         E.observe eng (el 107 i)
       done;
       E.close eng;
-      let _, _, wal_path, _ = E.store_paths ~dir in
+      let _, _, wal_path = E.store_paths ~dir in
       let wal_before = read_file wal_path in
       write_file (Filename.concat dir "wal-1.log") "";
       (match E.open_or_recover (config dir) with
@@ -523,7 +507,7 @@ let test_lane_store_refused () =
           [ "wal-1.log"; "--ingest-domains 1" ]);
       Alcotest.(check string) "wal.log untouched" wal_before (read_file wal_path))
 
-(* A version-2 checkpoint (lane cuts) reads as absent, even when its
+(* A version-2 checkpoint (lane cuts) is deleted unread, even when its
    sketch image is valid: full replay. *)
 let test_v2_checkpoint_absent () =
   with_store (fun dir ->
@@ -531,27 +515,19 @@ let test_v2_checkpoint_absent () =
       for i = 1 to 60 do
         E.observe eng (el 109 i)
       done;
-      E.checkpoint_now eng;
+      let image = gk_image eng in
       E.crash eng;
-      (* Rewrite the valid version-3 checkpoint as version 2: a lane-cut
-         line after steps_done, and a fresh checksum. *)
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      let lines = String.split_on_char '\n' (read_file ckpt_path) in
-      let body =
-        List.concat_map
-          (fun l ->
-            if l = "hsq-ckpt 3" then [ "hsq-ckpt 2" ]
-            else if String.starts_with ~prefix:"steps_done " l then [ l; "lanes_len 1"; "lanes 0" ]
-            else if l = "" || String.starts_with ~prefix:"checksum " l then []
-            else [ l ])
-          lines
-        |> List.map (fun l -> l ^ "\n")
-        |> String.concat ""
-      in
-      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
-      let recovered, report = E.open_or_recover (config dir) in
-      Alcotest.(check bool) "v2 checkpoint not used" false report.E.checkpoint_used;
-      Alcotest.(check int) "full replay" 60 report.E.replayed;
+      write_checkpoint dir
+        [
+          "hsq-ckpt 2";
+          "seq 60";
+          "steps_done 0";
+          "lanes_len 1";
+          "lanes 0";
+          Printf.sprintf "gk_len %d" (List.length image);
+          words "gk" image;
+        ];
+      let recovered = reopen_past_checkpoint ~what:"v2" dir ~records:60 in
       Alcotest.(check int) "every element back" 60 (E.total_size recovered);
       E.close recovered)
 
@@ -561,7 +537,7 @@ let test_lane_marker_replays_as_end_step () =
   with_store (fun dir ->
       let step_one = List.init 30 (el 113) and open_step = List.init 12 (el 127) in
       let observes = List.map (fun v -> (1, [ v ])) in
-      let _, _, wal_path, _ = E.store_paths ~dir in
+      let _, _, wal_path = E.store_paths ~dir in
       write_file wal_path
         (raw_wal (observes step_one @ [ (3, [ 1; 30; 2; 0; 0 ]) ] @ observes open_step));
       let records, _, tail = W.read_path ~path:wal_path in
@@ -574,89 +550,47 @@ let test_lane_marker_replays_as_end_step () =
       Alcotest.(check int) "open step" 12 (E.stream_size eng);
       E.close eng)
 
-(* --- sketch-only checkpoints ------------------------------------------ *)
+(* --- checkpoint versions ------------------------------------------------ *)
 
-(* A checkpoint holds only the sketch image: the WAL is the one durable
-   copy of the open step's elements. *)
-let test_checkpoint_holds_no_spool () =
-  with_store (fun dir ->
-      let eng, _ = E.open_or_recover (config dir) in
-      for i = 1 to 700 do
-        E.observe eng (el 101 i)
-      done;
-      E.checkpoint_now eng;
-      let image = Hsq.Checkpoint.serialize_sketch (E.stream_sketch eng) in
-      E.close eng;
-      let _, _, _, ckpt_path = E.store_paths ~dir in
-      let lines = String.split_on_char '\n' (read_file ckpt_path) in
-      Alcotest.(check (list string))
-        "line kinds" [ "hsq-ckpt"; "seq"; "steps_done"; "gk_len"; "gk"; "checksum"; "" ]
-        (List.map (fun l -> List.hd (String.split_on_char ' ' l)) lines);
-      Alcotest.(check string) "gk_len is the live sketch's image length"
-        (Printf.sprintf "gk_len %d" (Array.length image))
-        (List.nth lines 3);
-      let recovered, report = E.open_or_recover (config dir) in
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "no replay past it" 0 report.E.replayed;
-      check_matches_reference ~msg:"spool read back from the WAL" recovered
-        (reference_engine (List.init 700 (fun i -> el 101 (i + 1))) []);
-      E.close recovered)
-
-(* A version-1 checkpoint, which also carried the open step's spool,
-   reads as absent: full replay, every element back, and the file is
-   gone before the first new append. *)
+(* A version-1 checkpoint, which also carried the open step's spool, is
+   deleted unread: full replay, every element back. *)
 let test_v1_checkpoint_absent () =
   with_store (fun dir ->
       let elements = List.init 80 (el 103) in
       let eng, _ = E.open_or_recover (config dir) in
       List.iter (E.observe eng) elements;
-      E.checkpoint_now eng;
+      let image = gk_image eng in
       E.crash eng;
-      let _, _, _, ckpt_path = E.store_paths ~dir in
       let spool = List.sort compare elements in
-      let body =
-        List.concat_map
-          (fun l ->
-            if l = "hsq-ckpt 3" then [ "hsq-ckpt 1" ]
-            else if String.starts_with ~prefix:"gk_len " l then
-              [
-                Printf.sprintf "batch_len %d" (List.length spool);
-                String.concat " " ("batch" :: List.map string_of_int spool);
-                l;
-              ]
-            else if l = "" || String.starts_with ~prefix:"checksum " l then []
-            else [ l ])
-          (String.split_on_char '\n' (read_file ckpt_path))
-        |> List.map (fun l -> l ^ "\n")
-        |> String.concat ""
-      in
-      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
-      (match Hsq.Checkpoint.load ~path:ckpt_path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "a version-1 checkpoint loads");
-      let recovered, report = E.open_or_recover (config dir) in
-      Alcotest.(check bool) "v1 checkpoint not used" false report.E.checkpoint_used;
-      Alcotest.(check int) "full replay" 80 report.E.replayed;
-      Alcotest.(check bool) "unused checkpoint deleted" false (Sys.file_exists ckpt_path);
+      write_checkpoint dir
+        [
+          "hsq-ckpt 1";
+          "seq 80";
+          "steps_done 0";
+          Printf.sprintf "batch_len %d" (List.length spool);
+          words "batch" spool;
+          Printf.sprintf "gk_len %d" (List.length image);
+          words "gk" image;
+        ];
+      let recovered = reopen_past_checkpoint ~what:"v1" dir ~records:80 in
       check_matches_reference ~msg:"every element back" recovered (reference_engine elements []);
       E.close recovered)
 
-(* One flipped bit in WAL record 50 under a checkpoint at seq 100: the
-   reopen floors the log to 49 records, so the checkpoint no longer
-   vouches for its elements and is dropped.  The acks made after that
-   reopen reuse seqs 50..59; a crash must not lose them to a checkpoint
-   matched against the regrown log. *)
+(* One flipped bit in WAL record 50 under the checkpoint an older build
+   took at seq 100: the reopen floors the log to 49 records.  The acks
+   made after that reopen reuse seqs 50..59; a crash must not lose them
+   to a checkpoint matched against the regrown log. *)
 let test_flipped_record_under_checkpoint () =
   with_store (fun dir ->
       let first = List.init 100 (fun i -> el 139 (i + 1)) in
       let later = List.init 10 (fun i -> el 149 (i + 1)) in
       let eng, _ = E.open_or_recover (config dir) in
       List.iter (E.observe eng) first;
-      E.checkpoint_now eng;
+      v3_checkpoint dir eng;
       E.close eng;
       (* 24-byte header, 40-byte observe records; flip the low bit of
          record 50's value word. *)
-      let _, _, wal_path, _ = E.store_paths ~dir in
+      let _, _, wal_path = E.store_paths ~dir in
       let off = 24 + (49 * 40) + 31 in
       let bytes = Bytes.of_string (read_file wal_path) in
       Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 1));
@@ -672,14 +606,10 @@ let test_flipped_record_under_checkpoint () =
         (reference_engine (survivors @ later) []);
       E.close recovered)
 
-(* --- checkpoint sketch images ------------------------------------------ *)
-
-(* The checkpoint's sketch image is tag word 1 then the GK payload.
-   Older stores hold untagged GK images (word 0 is the GK mode word) and
-   older builds wrote tag 2 before a KLL image.  Each case builds two
-   archived steps and an open step, checkpoints it, crashes, rewrites
-   the image with [rewrite], and reopens. *)
-let sketch_image_case ~rewrite ~after_checkpoint check =
+(* Older builds wrote tag 2 before a KLL image.  Over two archived
+   steps and an open step, a current, valid-looking tag-2 checkpoint is
+   deleted unread and every WAL record replays. *)
+let test_tag2_image_refused () =
   with_store (fun dir ->
       let elements = List.init 300 (el 131) in
       let breaks = [ 100; 200 ] in
@@ -689,108 +619,15 @@ let sketch_image_case ~rewrite ~after_checkpoint check =
           E.observe eng v;
           if List.mem (i + 1) breaks then ignore (E.end_time_step eng))
         elements;
-      E.checkpoint_now eng;
-      let tail = List.init after_checkpoint (fun i -> el 137 (i + 1)) in
-      List.iter (E.observe eng) tail;
+      v3_checkpoint ~tag:2 dir eng;
       E.crash eng;
-      let _, _, wal_path, ckpt_path = E.store_paths ~dir in
-      let lines = String.split_on_char '\n' (read_file ckpt_path) in
-      let words_of l = List.tl (String.split_on_char ' ' l) |> List.map int_of_string in
-      let image = List.find (String.starts_with ~prefix:"gk ") lines |> words_of in
-      Alcotest.(check int) "written with tag word 1" 1 (List.hd image);
-      let image = rewrite image in
-      let body =
-        List.concat_map
-          (fun l ->
-            if String.starts_with ~prefix:"gk_len " l then
-              [ Printf.sprintf "gk_len %d" (List.length image) ]
-            else if String.starts_with ~prefix:"gk " l then
-              [ String.concat " " ("gk" :: List.map string_of_int image) ]
-            else if l = "" || String.starts_with ~prefix:"checksum " l then []
-            else [ l ])
-          lines
-        |> List.map (fun l -> l ^ "\n")
-        |> String.concat ""
-      in
-      write_file ckpt_path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
+      let _, _, wal_path = E.store_paths ~dir in
       let records, _, _ = W.read_path ~path:wal_path in
-      let recovered, report = E.open_or_recover (config dir) in
-      check ~report ~wal_records:(List.length records);
-      Alcotest.(check int) "every acknowledged element back" (300 + after_checkpoint)
-        (E.total_size recovered);
-      check_matches_reference ~msg:"reopen" recovered (reference_engine (elements @ tail) breaks);
+      Alcotest.(check bool) "the WAL holds the open step" true (List.length records >= 100);
+      let recovered = reopen_past_checkpoint ~what:"tag 2" dir ~records:(List.length records) in
+      Alcotest.(check int) "every acknowledged element back" 300 (E.total_size recovered);
+      check_matches_reference ~msg:"reopen" recovered (reference_engine elements breaks);
       E.close recovered)
-
-let test_tag1_image_restores () =
-  sketch_image_case ~rewrite:Fun.id ~after_checkpoint:20 (fun ~report ~wal_records:_ ->
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "replayed only the suffix" 20 report.E.replayed)
-
-let test_untagged_image_restores () =
-  sketch_image_case ~rewrite:List.tl ~after_checkpoint:20 (fun ~report ~wal_records:_ ->
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "replayed only the suffix" 20 report.E.replayed)
-
-(* The planted image is tag 2 over a GK payload whose mode word is
-   dropped, so the whole array also parses as an untagged GK image (a
-   capped sketch with a budget of 2): only the tag refusal keeps it
-   from seeding the engine.  The checkpoint covers the whole WAL and
-   its steps_done matches, so nothing else rejects it. *)
-let test_tag2_image_refused () =
-  let rewrite = function
-    | 1 :: 0 :: payload -> 2 :: payload
-    | _ -> Alcotest.fail "expected a tagged fixed-mode GK image"
-  in
-  sketch_image_case ~rewrite ~after_checkpoint:0 (fun ~report ~wal_records ->
-      Alcotest.(check bool) "tag-2 checkpoint not used" false report.E.checkpoint_used;
-      Alcotest.(check bool) "the WAL holds the open step" true (wal_records >= 100);
-      Alcotest.(check int) "every WAL record replayed" wal_records report.E.replayed)
-
-(* The checkpoint text before its word lines went through
-   Hsq_util.Digits, kept as the oracle: Printf throughout. *)
-let printf_render (c : Hsq.Checkpoint.t) =
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "hsq-ckpt %d\n" 3;
-  Printf.bprintf buf "seq %d\n" c.seq;
-  Printf.bprintf buf "steps_done %d\n" c.steps_done;
-  Printf.bprintf buf "gk_len %d\n" (Array.length c.gk);
-  Buffer.add_string buf "gk";
-  Array.iter (fun w -> Printf.bprintf buf " %d" w) c.gk;
-  Buffer.add_char buf '\n';
-  Printf.bprintf buf "checksum %x\n" (Hsq.Meta.checksum (Buffer.contents buf));
-  Buffer.contents buf
-
-(* Random word arrays over every magnitude and sign, with the range
-   ends, render byte for byte as Printf did, and load back unchanged. *)
-let test_render_matches_printf () =
-  let rng = Random.State.make [| 0xC4 |] in
-  let word () =
-    match Random.State.int rng 6 with
-    | 0 -> min_int
-    | 1 -> max_int
-    | 2 -> Random.State.int rng 1000 - 500
-    | 3 -> -Random.State.bits rng
-    | _ -> Random.State.full_int rng max_int asr Random.State.int rng 62
-  in
-  let words () = Array.init (Random.State.int rng 300) (fun _ -> word ()) in
-  with_store (fun dir ->
-      let path = Filename.concat dir "checkpoint" in
-      for i = 1 to 200 do
-        let c =
-          {
-            Hsq.Checkpoint.seq = Random.State.int rng 1_000_000;
-            steps_done = i;
-            gk = words ();
-          }
-        in
-        let expected = printf_render c in
-        Alcotest.(check string) "same bytes" expected (Hsq.Checkpoint.render c);
-        Hsq.Checkpoint.save ~path c;
-        Alcotest.(check string) "saved bytes" expected (read_file path);
-        match Hsq.Checkpoint.load ~path with
-        | Ok (Some c') -> Alcotest.(check bool) "loads back" true (c = c')
-        | Ok None | Error _ -> Alcotest.fail "rendered checkpoint does not load"
-      done)
 
 let () =
   Alcotest.run "durable"
@@ -805,13 +642,8 @@ let () =
         ] );
       ( "checkpoints",
         [
-          Alcotest.test_case "replay only past the checkpoint" `Quick
-            test_replay_only_past_checkpoint;
-          Alcotest.test_case "checkpoint_now covers the log" `Quick test_checkpoint_now;
           Alcotest.test_case "stale checkpoint ignored" `Quick test_stale_checkpoint_ignored;
           Alcotest.test_case "corrupt checkpoint ignored" `Quick test_corrupt_checkpoint_ignored;
-          Alcotest.test_case "render = Printf, every int" `Quick test_render_matches_printf;
-          Alcotest.test_case "checkpoint holds no spool" `Quick test_checkpoint_holds_no_spool;
           Alcotest.test_case "v1 checkpoint reads as absent" `Quick test_v1_checkpoint_absent;
           Alcotest.test_case "flipped WAL record under a checkpoint" `Quick
             test_flipped_record_under_checkpoint;
@@ -834,8 +666,6 @@ let () =
       ("torn tails", [ Alcotest.test_case "floored and truncated" `Quick test_torn_tail_floored ]);
       ( "sketch images",
         [
-          Alcotest.test_case "tag-1 image restores" `Quick test_tag1_image_restores;
-          Alcotest.test_case "untagged gk image restores" `Quick test_untagged_image_restores;
           Alcotest.test_case "tag-2 image refused, full replay" `Quick test_tag2_image_refused;
         ] );
       ( "append rollback",

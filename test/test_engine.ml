@@ -581,16 +581,15 @@ let test_rank_of () =
 
 (* A step commit merges the spool's sorted runs (Algorithm 3's sort):
    each step's level-0 partition must hold exactly that step's values,
-   sorted, however the runs were cut — partial hand-offs forced by
-   reads between observes, single-element runs of descending input, and
-   a spool restored from a checkpoint plus a replayed WAL suffix. *)
+   sorted, whatever reads fell between the observes — random chunks,
+   descending input read after every element, and a spool replayed from
+   the WAL. *)
 let test_step_commit_sorts_the_spool () =
   let dir = Filename.temp_file "hsq_commit" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let config =
-    Hsq.Config.make ~kappa:10 ~block_size:32 ~wal_dir:dir ~checkpoint_every:0
-      (Hsq.Config.Epsilon 0.05)
+    Hsq.Config.make ~kappa:10 ~block_size:32 ~wal_dir:dir (Hsq.Config.Epsilon 0.05)
   in
   let rng = Hsq_util.Xoshiro.create 557 in
   let value () =
@@ -600,7 +599,7 @@ let test_step_commit_sorts_the_spool () =
     | _ -> Hsq_util.Xoshiro.int rng 1_000 - 500
   in
   (* Observe [values] in chunks of 1..700, reading the stream size after
-     each chunk so the ingest buffer hands off a partial run. *)
+     each chunk. *)
   let observe_in_chunks eng values =
     let i = ref 0 and n = Array.length values in
     while !i < n do
@@ -640,18 +639,70 @@ let test_step_commit_sorts_the_spool () =
       ignore (E.end_time_step eng);
       check_newest eng "descending, one run per element" descending;
       let values = Array.init 2_500 (fun _ -> value ()) in
-      observe_in_chunks eng (Array.sub values 0 2_000);
-      E.checkpoint_now eng;
-      observe_in_chunks eng (Array.sub values 2_000 500);
+      observe_in_chunks eng values;
       E.crash eng;
       let eng, report = E.open_or_recover config in
-      Alcotest.(check bool) "checkpoint used" true report.E.checkpoint_used;
-      Alcotest.(check int) "suffix replayed" 500 report.E.replayed;
+      Alcotest.(check int) "open step replayed" 2_500 report.E.replayed;
       ignore (E.end_time_step eng);
       check_newest eng "restored spool" values;
       Alcotest.(check int) "one partition per step" 5
         (Hsq_hist.Level_index.partition_count (E.hist eng));
       E.close eng)
+
+(* Reads never change the stream sketch: one observe sequence with step
+   ends, fed to an engine that only ingests and to one that answers a
+   quick, stats (counts, footprint, eps2) or accurate call after every
+   few observes, leaves equal GK tuples and equal answers.  Under both
+   sizings: a capped sketch's eps also moves with its inserts. *)
+let test_reads_leave_the_sketch () =
+  List.iter
+    (fun (label, sizing) ->
+      let config = Hsq.Config.make ~kappa:3 ~block_size:32 sizing in
+      let quiet = E.create config and busy = E.create config in
+      let rng = Hsq_util.Xoshiro.create 4242 in
+      let reads = ref 0 in
+      let read i =
+        let n = E.total_size busy in
+        (match i mod 3 with
+        | 0 -> ignore (E.quick busy ~rank:(1 + Hsq_util.Xoshiro.int rng n))
+        | 1 -> ignore (E.stream_size busy, E.memory_words busy, E.eps2 busy)
+        | _ -> ignore (E.accurate busy ~rank:(1 + Hsq_util.Xoshiro.int rng n)));
+        incr reads
+      in
+      let observe v =
+        E.observe quiet v;
+        E.observe busy v
+      in
+      List.iteri
+        (fun step size ->
+          for i = 1 to size do
+            observe (Hsq_util.Xoshiro.int rng 1_000_000);
+            if i mod (5 + step) = 0 then read i
+          done;
+          if step < 3 then begin
+            ignore (E.end_time_step quiet);
+            ignore (E.end_time_step busy)
+          end)
+        [ 1_500; 2_048; 1_100; 1_234 ];
+      let what = Printf.sprintf "%s after %d reads" label !reads in
+      let dump e = Hsq_sketch.Gk.dump (E.stream_sketch e) in
+      Alcotest.(check (list (triple int int int))) (what ^ ": GK tuples") (dump quiet) (dump busy);
+      Alcotest.(check int) (what ^ ": memory words") (E.memory_words quiet) (E.memory_words busy);
+      Alcotest.(check (float 0.0)) (what ^ ": eps2") (E.eps2 quiet) (E.eps2 busy);
+      let n = E.total_size quiet in
+      Alcotest.(check int) (what ^ ": size") n (E.total_size busy);
+      List.iter
+        (fun phi ->
+          let rank = max 1 (int_of_float (phi *. float_of_int n)) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: quick at %g" what phi)
+            (E.quick quiet ~rank) (E.quick busy ~rank);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: accurate at %g" what phi)
+            (fst (E.accurate quiet ~rank))
+            (fst (E.accurate busy ~rank)))
+        phis)
+    [ ("epsilon", Hsq.Config.Epsilon 0.02); ("memory", Hsq.Config.Memory_words 2_000) ]
 
 let test_memory_mode_budget () =
   let config =
@@ -757,4 +808,5 @@ let () =
       ("memory mode", [ Alcotest.test_case "budget + accuracy" `Quick test_memory_mode_budget ]);
       ( "step commit",
         [ Alcotest.test_case "partition = sorted step" `Quick test_step_commit_sorts_the_spool ] );
+      ("reads", [ Alcotest.test_case "reads leave the sketch" `Quick test_reads_leave_the_sketch ]);
     ]

@@ -487,25 +487,37 @@ let round_trip_cases =
       Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (fun () ->
           run_round_trip_seed seed))
 
-(* A copy taken through the image in the middle of a capped stream
-   (its epsilon already coarsened) replays a batched suffix exactly as
-   the original does. *)
+(* A copy taken in the middle of a capped stream (its epsilon already
+   coarsened), through the image or by [Gk.copy], replays a batched
+   suffix exactly as the original does, and inserts into the original
+   leave it unchanged. *)
 let test_copy_replays () =
   let gk = Gk.create_capped ~words:400 in
   Array.iter (Gk.insert gk) (Array.init 20_000 (fun i -> (i * 31) mod 4_096));
-  let dup = Gk.deserialize (Gk.serialize gk) in
-  Alcotest.(check (float 0.0)) "epsilon travels" (Gk.epsilon gk) (Gk.epsilon dup);
+  let copies = [ ("image", Gk.deserialize (Gk.serialize gk)); ("copy", Gk.copy gk) ] in
+  let before = Gk.serialize gk in
+  List.iter
+    (fun (how, dup) ->
+      Alcotest.(check (float 0.0)) (how ^ ": epsilon travels") (Gk.epsilon gk) (Gk.epsilon dup))
+    copies;
   for b = 0 to 9 do
     let run = Array.init 500 (fun i -> ((b * 500) + i) * 17 mod 9_001) in
     Array.sort compare run;
     Gk.insert_sorted_batch gk run;
-    Gk.insert_sorted_batch dup run
+    List.iter (fun (_, dup) -> Gk.insert_sorted_batch dup run) copies
   done;
-  Alcotest.(check bool) "copy replays the original" true (Gk.serialize gk = Gk.serialize dup);
-  Alcotest.(check bool)
-    (Printf.sprintf "copy within budget (%d words)" (Gk.memory_words dup))
-    true
-    (Gk.memory_words dup <= 400)
+  let after = Gk.serialize gk in
+  List.iter
+    (fun (how, dup) ->
+      Alcotest.(check bool) (how ^ ": copy replays the original") true (after = Gk.serialize dup);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: copy within budget (%d words)" how (Gk.memory_words dup))
+        true
+        (Gk.memory_words dup <= 400))
+    copies;
+  let source = Gk.deserialize before in
+  Gk.insert_sorted_batch (Gk.copy source) [| 1; 2; 3 |];
+  Alcotest.(check bool) "inserts into a copy leave its source" true (Gk.serialize source = before)
 
 (* Structural damage must be rejected, not absorbed. *)
 let test_deserialize_rejects_damage () =

@@ -335,10 +335,6 @@ let test_recovery_gauges_and_rejoin () =
                 r.E.replayed
                 (gauge "hsq_recovery_wal_replayed");
               Alcotest.(check int)
-                (Printf.sprintf "shard %d: hsq_recovery_checkpoint_used" shard)
-                (if r.E.checkpoint_used then 1 else 0)
-                (gauge "hsq_recovery_checkpoint_used");
-              Alcotest.(check int)
                 (Printf.sprintf "shard %d: hsq_recovery_steps_reingested" shard)
                 r.E.steps_reingested
                 (gauge "hsq_recovery_steps_reingested");
@@ -348,9 +344,7 @@ let test_recovery_gauges_and_rejoin () =
               | None -> Alcotest.failf "shard %d: health lost the recovery info" shard
               | Some ri ->
                 Alcotest.(check int) "health wal_replayed" r.E.replayed
-                  ri.Hsq_serve.Health.wal_replayed;
-                Alcotest.(check bool) "health checkpoint_used" r.E.checkpoint_used
-                  ri.Hsq_serve.Health.checkpoint_used)))
+                  ri.Hsq_serve.Health.wal_replayed)))
         recs2;
       Alcotest.(check int) "zero acked loss across the crash" total (G.total_size g2);
       (* mark one shard down, then rejoin: durable shards come back with
@@ -399,9 +393,93 @@ let test_end_step_archives_buffer () =
       G.close g)
     [ 1; 2 ]
 
-(* Reads hand off only the read replica's buffer, so replicas that
-   applied the same observes hold sketches built from different runs;
-   anti-entropy must not flag that as divergence. *)
+let stream_image g ~shard ~replica =
+  match G.replica_engine g ~shard ~replica with
+  | Some e -> Hsq_sketch.Gk.dump (E.stream_sketch e)
+  | None -> Alcotest.failf "shard %d replica %d is down" shard replica
+
+(* Observe [sizes] elements per step (the last step left open), with a
+   quick after every 7th observe and an accurate after every 97th. *)
+let ingest_with_reads g rng sizes =
+  let last = List.length sizes - 1 in
+  List.iteri
+    (fun step size ->
+      for i = 1 to size do
+        G.observe g (Hsq_util.Xoshiro.int rng 1_000_000);
+        let rank () = 1 + Hsq_util.Xoshiro.int rng (G.total_size g) in
+        if i mod 7 = 0 then ignore (G.quick_with_bound g ~rank:(rank ()));
+        if i mod 97 = 0 then ignore (G.accurate g ~rank:(rank ()))
+      done;
+      if step < last then ignore (G.end_time_step g))
+    sizes
+
+(* A crash and a recovery leave every replica's GK tuples, the summary
+   footprint and every answer as the uncrashed group had them, reads
+   during ingest included: replay repeats every hand-off. *)
+let test_recovery_equals_live () =
+  List.iter
+    (fun (shards, replicas) ->
+      let root = temp_dir "hsq_shard_live" in
+      Fun.protect
+        ~finally:(fun () -> try rm_rf root with _ -> ())
+        (fun () ->
+          let cfg =
+            Hsq.Config.make ~kappa:3 ~block_size:32 ~shards ~replicas ~wal_dir:root
+              (Hsq.Config.Epsilon 0.05)
+          in
+          let g, _ = G.open_or_recover cfg in
+          ingest_with_reads g (Hsq_util.Xoshiro.create ((10 * shards) + replicas)) [ 1_300; 1_700; 1_111 ];
+          let state g =
+            let n = G.total_size g in
+            ( List.concat_map
+                (fun shard -> List.init replicas (fun replica -> stream_image g ~shard ~replica))
+                (List.init shards Fun.id),
+              G.memory_words g,
+              List.map
+                (fun phi ->
+                  let rank = max 1 (int_of_float (phi *. float_of_int n)) in
+                  (G.quick g ~rank, fst (G.accurate g ~rank)))
+                [ 0.01; 0.25; 0.5; 0.75; 0.99; 1.0 ] )
+          in
+          let images, words, answers = state g in
+          G.crash g;
+          let g, _ = G.open_or_recover cfg in
+          let images', words', answers' = state g in
+          let what = Printf.sprintf "K=%d R=%d" shards replicas in
+          Alcotest.(check bool) (what ^ ": GK tuples") true (images = images');
+          Alcotest.(check int) (what ^ ": memory words") words words';
+          Alcotest.(check (list (pair int int))) (what ^ ": answers") answers answers';
+          G.close g))
+    [ (1, 1); (1, 2); (3, 1); (3, 2) ]
+
+(* A replica whose hint log is lost rejoins by a file copy of its
+   sibling and a replay: it comes back with the sibling's GK tuples. *)
+let test_repaired_replica_image () =
+  let root = temp_dir "hsq_shard_repair" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let g, _ =
+        G.open_or_recover
+          (Hsq.Config.make ~kappa:3 ~block_size:32 ~replicas:2 ~wal_dir:root
+             (Hsq.Config.Epsilon 0.05))
+      in
+      let rng = Hsq_util.Xoshiro.create 0x4E9 in
+      ingest_with_reads g rng [ 900; 700 ];
+      G.mark_replica_down g ~shard:0 ~replica:1 ~reason:"unit test";
+      ingest_with_reads g rng [ 333 ];
+      Out_channel.with_open_bin (Filename.concat root "hint-1.base") (fun oc ->
+          Out_channel.output_string oc "garbage\n");
+      (match G.rejoin_replica g ~shard:0 ~replica:1 with
+      | Ok _ -> ()
+      | Error why -> Alcotest.failf "rejoin failed: %s" why);
+      Alcotest.(check (list (triple int int int)))
+        "repaired GK tuples" (stream_image g ~shard:0 ~replica:0) (stream_image g ~shard:0 ~replica:1);
+      G.close g)
+
+(* Reads go to one replica, and they change no sketch: replicas that
+   applied the same observes hold the same GK tuples, and anti-entropy
+   flags nothing. *)
 let test_entropy_ignores_handoff_points () =
   let root = temp_dir "hsq_shard_entropy" in
   Fun.protect
@@ -426,6 +504,8 @@ let test_entropy_ignores_handoff_points () =
           | (j, d) :: _ -> Alcotest.failf "replica %d flagged: %s" j d)
         (G.anti_entropy g);
       Alcotest.(check (list (pair int int))) "no divergence" [] (G.diverged_replicas g);
+      Alcotest.(check (list (triple int int int)))
+        "equal GK tuples" (stream_image g ~shard:0 ~replica:0) (stream_image g ~shard:0 ~replica:1);
       G.close g)
 
 (* --- windows ---------------------------------------------------------------- *)
@@ -779,6 +859,9 @@ let () =
         [
           Alcotest.test_case "recovery gauges, rejoin, health rollup" `Quick
             test_recovery_gauges_and_rejoin;
+          Alcotest.test_case "recovery equals live" `Quick test_recovery_equals_live;
+          Alcotest.test_case "repaired replica holds its source's sketch" `Quick
+            test_repaired_replica_image;
         ] );
       ( "ingest buffer",
         [

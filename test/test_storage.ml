@@ -236,6 +236,61 @@ let test_file_bit_rot_detected () =
            Str.string_match (Str.regexp ".*checksum mismatch.*") msg 0);
       Block_device.close dev)
 
+(* --- Bit 63 ----------------------------------------------------------------
+
+   Words are stored as 64-bit sign extensions of 63-bit ints, so bit 63
+   always equals bit 62 as written.  A flip of bit 63, the top bit of a
+   big-endian word's first byte, must be seen like any other flip. *)
+
+let flip_byte path off mask =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor mask));
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1))
+
+(* Word [word] of a 4-word block's record (word 4 is the checksum). *)
+let device_bit63_case word () =
+  let path = Filename.temp_file "hsq_test" ".dev" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let dev = Block_device.create_file ~block_size:4 ~path () in
+      let addr = Block_device.alloc dev 1 in
+      Block_device.write_block dev ~addr [| 10; -20; 30; 40 |];
+      Block_device.close dev;
+      flip_byte path (8 * word) 0x80;
+      let dev = Block_device.open_file ~block_size:4 ~path () in
+      ignore (Block_device.alloc dev 1);
+      (match Block_device.read_block dev ~addr with
+      | block -> Alcotest.failf "flipped bit 63 of word %d read back as [%s]" word
+                   (String.concat "; " (Array.to_list (Array.map string_of_int block)))
+      | exception Block_device.Device_error msg ->
+        Alcotest.(check bool) ("a checksum failure: " ^ msg) true
+          (Str.string_match (Str.regexp ".*checksum mismatch.*") msg 0));
+      Block_device.close dev)
+
+(* A WAL record's value word: the reader floors the log there. *)
+let test_wal_bit63_torn () =
+  let path = Filename.temp_file "hsq_test" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let wal = Wal.create ~stats:(Io_stats.create ()) ~path ~start_seq:1 () in
+      List.iter (fun v -> ignore (Wal.append wal (Wal.Observe v))) [ 11; 22; 33 ];
+      Wal.close wal;
+      (* 24-byte header, 40-byte observe records [len; seq; kind; value;
+         checksum]: the value word of record 2. *)
+      flip_byte path (24 + 40 + 24) 0x80;
+      let records, _, tail = Wal.read_path ~path in
+      Alcotest.(check (list int)) "the prefix before it" [ 1 ] (List.map fst records);
+      Alcotest.(check bool) "a torn record" true (tail = Wal.Torn "record checksum mismatch"))
+
 let test_file_backend_roundtrip () =
   let path = Filename.temp_file "hsq_test" ".dev" in
   let dev = Block_device.create_file ~block_size:4 ~path () in
@@ -975,6 +1030,12 @@ let () =
           Alcotest.test_case "at-rest bit rot caught by checksum" `Quick
             test_file_bit_rot_detected;
           Alcotest.test_case "batch read order and wait" `Quick test_read_batch_order_and_wait;
+        ] );
+      ( "bit 63",
+        [
+          Alcotest.test_case "device payload word" `Quick (device_bit63_case 1);
+          Alcotest.test_case "device checksum word" `Quick (device_bit63_case 4);
+          Alcotest.test_case "WAL record word" `Quick test_wal_bit63_torn;
         ] );
       ( "file_reads",
         [

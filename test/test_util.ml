@@ -178,6 +178,36 @@ let test_sort_runs_matches_array_sort () =
   check "extremes" [| max_int; 0; min_int; max_int; min_int; -1; 1 |];
   check "sorted" (Array.init 1_000 (fun i -> i))
 
+(* sort_into against Array.sort compare at every length 0..600 (a
+   hand-off sorts up to 512), on five input shapes.  The arrays are
+   longer than n: words past n in [src] must not leak in, and those in
+   [dst] must stay untouched. *)
+let test_sort_into_matches_array_sort () =
+  let rng = Xoshiro.create 512 in
+  let shapes =
+    [
+      ("sorted", fun _ i -> i);
+      ("reversed", fun n i -> n - i);
+      ("all equal", fun _ _ -> 7);
+      ("extremes", fun _ i -> match i mod 3 with 0 -> min_int | 1 -> max_int | _ -> i - 300);
+      ("random", fun _ _ -> Xoshiro.int rng 1_000_000 - 500_000);
+    ]
+  in
+  for n = 0 to 600 do
+    List.iter
+      (fun (shape, value) ->
+        let input = Array.init n (value n) in
+        let expected = Array.copy input in
+        Array.sort compare expected;
+        let src = Array.append input [| min_int; min_int |] in
+        let dst = Array.make (n + 3) 42 in
+        Sorted.sort_into src n dst;
+        let what = Printf.sprintf "%s n=%d" shape n in
+        Alcotest.(check (array int)) what expected (Array.sub dst 0 n);
+        Alcotest.(check (array int)) (what ^ ": dst past n") [| 42; 42; 42 |] (Array.sub dst n 3))
+      shapes
+  done
+
 (* Arrays of ascending runs cut at random boundaries, over a small
    value pool (so duplicates) plus min_int and max_int; a quarter of
    them reversed into descending input. *)
@@ -280,6 +310,8 @@ let () =
           Alcotest.test_case "sort_runs matches Array.sort" `Quick
             test_sort_runs_matches_array_sort;
           QCheck_alcotest.to_alcotest prop_sort_runs;
+          Alcotest.test_case "sort_into matches Array.sort" `Quick
+            test_sort_into_matches_array_sort;
         ] );
       ( "digits",
         [
