@@ -15,9 +15,11 @@
      serve     run the warehouse as a line-JSON daemon.
 
    simulate, stream, query, inspect, scrub, metrics and serve each have
-   one body over a Shard_group, whatever --shards/--replicas say:
+   one body over a Shard_group, whatever its shards and replicas:
    [with_group] opens the store --durable DIR names as the group (a
-   lone engine is its one-store case), or a volatile group without it. *)
+   lone engine is its one-store case), or a volatile group without it.
+   A store records its own layout; only the creating subcommands take
+   --shards/--replicas, for a new store. *)
 
 open Cmdliner
 
@@ -54,11 +56,12 @@ let phis =
 
 let shards =
   let doc =
-    "Shard the warehouse across $(docv) independent engines (own device, WAL, breaker, \
+    "Shard a new warehouse across $(docv) independent engines (own device, WAL, breaker, \
      quarantine per shard); ingest hash-routes and queries fuse the shards' answers with the \
-     same ±ε·m guarantee. 1 = a single engine (the default)."
+     same ±ε·m guarantee. Unset = 1, a single engine. A store keeps the layout it was \
+     created with: on an existing --durable store a different value exits 2."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
+  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
 
 let replicas =
   let doc =
@@ -67,10 +70,10 @@ let replicas =
      acknowledged while at least one accepts, reads fail over to a sibling instead of \
      widening bounds when a replica is down, downed replicas catch up from hinted handoff \
      on rejoin, and $(b,hsq scrub) compares replica state digests and repairs divergence \
-     from the healthiest sibling. Works with or without --shards. 1 = unreplicated (the \
-     default)."
+     from the healthiest sibling. Works with or without --shards. Unset = 1, unreplicated. \
+     Like --shards, it sets a new store's layout and must match an existing one's."
   in
-  Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"R" ~doc)
+  Arg.(value & opt (some int) None & info [ "replicas" ] ~docv:"R" ~doc)
 
 let deadline_ms =
   let doc =
@@ -104,10 +107,11 @@ let wal_sync_conv =
 
 let durable_dir =
   let doc =
-    "The store: its warehouse and write-ahead log live in $(docv). \
-     $(b,simulate), $(b,stream) and $(b,serve) create it or recover whatever a previous \
-     (possibly crashed) run left there, and run in memory without it; $(b,query), \
-     $(b,inspect), $(b,scrub), $(b,metrics) and $(b,status) read a store that exists."
+    "The store: its warehouse and write-ahead log live in $(docv), and a sharded or \
+     replicated store records its layout there. $(b,simulate), $(b,stream) and $(b,serve) \
+     create it or recover whatever a previous (possibly crashed) run left there, and run in \
+     memory without it; $(b,query), $(b,inspect), $(b,scrub), $(b,metrics) and $(b,status) \
+     read a store that exists, at its recorded shards and replicas."
   in
   Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR" ~doc)
 
@@ -189,14 +193,29 @@ let unusable_store ~reopen dir =
   Option.iter prerr_endline why;
   why <> None
 
+(* The shards and replicas to open [dir] at: the store's own layout, or
+   for a root that holds no store, the flags' (1 without them).  A flag
+   that disagrees with the store's layout is refused. *)
+let resolve_layout dir ~shards ~replicas =
+  let agrees flag v = Option.fold ~none:true ~some:(( = ) v) flag in
+  match G.layout ~root:dir with
+  | None -> Ok (Option.value shards ~default:1, Option.value replicas ~default:1)
+  | Some (k, r) when agrees shards k && agrees replicas r -> Ok (k, r)
+  | Some (k, r) ->
+    Error
+      (Printf.sprintf "%s holds a store of %d shards x %d replicas; leave --shards/--replicas off \
+                       or match it" dir k r)
+
 (* The one way a subcommand gets its warehouse: a shard group at every K,
    handed to [k] and closed after it.  --durable DIR opens (or recovers)
-   the store rooted there; without it a volatile group stands in.  With
-   [~reopen:true] (query, inspect, scrub, metrics) the store must exist:
-   a missing DIR or a missing --durable exits 2, and nothing is created;
-   otherwise a DIR whose parent is missing exits 2 the same way.
-   [config.wal_dir] is set here. *)
-let with_group ~who ~config ?(reopen = false) durable k =
+   the store rooted there, at its own layout; without it a volatile
+   group stands in.  With [~reopen:true] (query, inspect, scrub,
+   metrics) the store must exist: a missing DIR or a missing --durable
+   exits 2, and nothing is created, nor in a DIR that holds no store
+   (its one store opens down).  Otherwise a DIR whose parent is missing
+   exits 2 the same way, and so do [shards]/[replicas] that disagree
+   with the store's layout.  [config.wal_dir] is set here. *)
+let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   let run g =
     let code = k g in
     G.close g;
@@ -204,11 +223,19 @@ let with_group ~who ~config ?(reopen = false) durable k =
   in
   match durable with
   | Some dir when unusable_store ~reopen dir -> 2
-  | Some dir ->
-    guard (fun () ->
-        let g, recoveries = G.open_or_recover { config with Hsq.Config.wal_dir = Some dir } in
-        report_recoveries g recoveries;
-        run g)
+  | Some dir -> (
+    match resolve_layout dir ~shards ~replicas with
+    | Error msg ->
+      prerr_endline msg;
+      2
+    | Ok (shards, replicas) ->
+      guard (fun () ->
+          let g, recoveries =
+            G.open_or_recover ~create:(not reopen)
+              { config with Hsq.Config.wal_dir = Some dir; shards; replicas }
+          in
+          report_recoveries g recoveries;
+          run g))
   | None when reopen ->
     Printf.eprintf "%s requires --durable DIR\n" who;
     2
@@ -288,11 +315,11 @@ let simulate dataset steps step_size seed epsilon kappa block_size deadline_ms p
     durable wal_sync shards replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:steps
-      ?query_deadline_ms:deadline_ms ~wal_sync ~shards ~replicas
+      ?query_deadline_ms:deadline_ms ~wal_sync ?shards ?replicas
       (Hsq.Config.Epsilon epsilon)
   in
   let ds = Hsq_workload.Datasets.by_name ~seed dataset in
-  with_group ~who:"simulate" ~config durable (fun g ->
+  with_group ~who:"simulate" ~config ?shards ?replicas durable (fun g ->
       let oracle = if verify then Some (Hsq_workload.Oracle.create ()) else None in
       let update_io = ref Hsq_storage.Io_stats.zero in
       for step = 1 to steps do
@@ -355,10 +382,10 @@ let stream step_every epsilon kappa block_size deadline_ms phis durable wal_sync
     replicas =
   let config =
     Hsq.Config.make ~kappa ~block_size ~steps_hint:100
-      ?query_deadline_ms:deadline_ms ~wal_sync ~shards ~replicas
+      ?query_deadline_ms:deadline_ms ~wal_sync ?shards ?replicas
       (Hsq.Config.Epsilon epsilon)
   in
-  with_group ~who:"stream" ~config durable (fun g ->
+  with_group ~who:"stream" ~config ?shards ?replicas durable (fun g ->
       let observe v =
         try G.observe g v with G.Shard_unavailable (i, reason) ->
           Printf.eprintf "[stream] DROPPED (shard %d down: %s)\n%!" i reason
@@ -410,11 +437,8 @@ let stream_cmd =
 
 (* --- query ---------------------------------------------------------------- *)
 
-let query deadline_ms phis heavy trace durable shards replicas =
-  let config =
-    Hsq.Config.make ?query_deadline_ms:deadline_ms ~shards ~replicas
-      (Hsq.Config.Epsilon 0.01)
-  in
+let query deadline_ms phis heavy trace durable =
+  let config = Hsq.Config.make ?query_deadline_ms:deadline_ms (Hsq.Config.Epsilon 0.01) in
   with_group ~who:"query" ~config ~reopen:true durable (fun g ->
       if G.total_size g = 0 then begin
         prerr_endline "empty store";
@@ -481,12 +505,12 @@ let query_cmd =
   in
   let doc = "Query the store a simulate, stream or serve run left (see --durable)." in
   Cmd.v (Cmd.info "query" ~doc)
-    Term.(const query $ deadline_ms $ phis $ heavy $ trace $ durable_dir $ shards $ replicas)
+    Term.(const query $ deadline_ms $ phis $ heavy $ trace $ durable_dir)
 
 (* --- inspect --------------------------------------------------------------- *)
 
-let inspect durable shards replicas =
-  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+let inspect durable =
+  let config = Hsq.Config.make (Hsq.Config.Epsilon 0.01) in
   with_group ~who:"inspect" ~config ~reopen:true durable (fun g ->
       report_footprint g;
       (* Each read replica's index, under its label. *)
@@ -528,14 +552,24 @@ let inspect durable shards replicas =
 
 let inspect_cmd =
   let doc = "Print a store's layout, windows, and health." in
-  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ durable_dir $ shards $ replicas)
+  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ durable_dir)
 
 (* --- scrub ----------------------------------------------------------------- *)
 
-let scrub repair durable shards replicas =
-  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+let scrub repair durable =
+  let config = Hsq.Config.make (Hsq.Config.Epsilon 0.01) in
   with_group ~who:"scrub" ~config ~reopen:true durable (fun g ->
       let errors = ref 0 in
+      (* A downed replica with a live sibling rejoins first: its hints
+         drain, or its lost store is copied back from the sibling. *)
+      if repair then
+        List.iter
+          (fun (i, j) ->
+            if not (List.mem i (G.shards_down g)) then
+              match G.rejoin_replica g ~shard:i ~replica:j with
+              | Ok _ -> Printf.printf "scrub: shard %d replica %d rejoined\n" i j
+              | Error why -> Printf.printf "scrub: shard %d replica %d did not rejoin: %s\n" i j why)
+          (G.replicas_down g);
       (* Media scrub of every live replica store. *)
       List.iter
         (fun ((i, j), (r : Hsq.Persist.scrub_report)) ->
@@ -634,7 +668,7 @@ let scrub_cmd =
     "Verify a store end to end: re-read every partition, checking block checksums and \
      sortedness. Exits non-zero if any damage is found."
   in
-  Cmd.v (Cmd.info "scrub" ~doc) Term.(const scrub $ repair $ durable_dir $ shards $ replicas)
+  Cmd.v (Cmd.info "scrub" ~doc) Term.(const scrub $ repair $ durable_dir)
 
 (* --- status (durable store health) ----------------------------------------- *)
 
@@ -671,19 +705,15 @@ let status_one dir health =
       problem "warehouse: DEVICE ERROR — %s" msg));
   (* Write-ahead log: the open step's one durable copy. *)
   (if Sys.file_exists wal_path then begin
-     match Hsq_storage.Wal.read_path ~path:wal_path with
-     | records, start_seq, tail ->
-       let observes, markers =
-         List.fold_left
-           (fun (o, m) (_, r) ->
-             match r with
-             | Hsq_storage.Wal.Observe _ -> (o + 1, m)
-             | Hsq_storage.Wal.End_step _ -> (o, m + 1))
-           (0, 0) records
-       in
-       Printf.printf "wal: %d records (%d observes, %d commit markers), seq %d..%d\n"
-         (List.length records) observes markers start_seq
-         (start_seq + List.length records - 1);
+     let count (o, m) _ = function
+       | Hsq_storage.Wal.Observe _ -> (o + 1, m)
+       | Hsq_storage.Wal.End_step _ -> (o, m + 1)
+     in
+     match Hsq_storage.Wal.fold_path ~path:wal_path count (0, 0) with
+     | (observes, markers), start_seq, tail ->
+       let records = observes + markers in
+       Printf.printf "wal: %d records (%d observes, %d commit markers), seq %d..%d\n" records
+         observes markers start_seq (start_seq + records - 1);
        (match tail with
        | Hsq_storage.Wal.Clean -> ()
        | Hsq_storage.Wal.Torn why ->
@@ -703,18 +733,26 @@ let status_one dir health =
   end
 
 (* The per-store checks on every store of the group (the root itself at
-   K = 1, R = 1), rolled up into one verdict.
+   K = 1, R = 1), at the layout the store records, rolled up into one
+   verdict.  Reads only: an older store's inferred layout is not
+   written here.
 
    Exit-code contract (documented in the README): 0 also covers
    degraded-but-full-precision states — a damaged or missing replica
    store whose sibling is intact keeps every answer inside ±ε·m, so it
    is reported as a warning; only a shard with NO intact replica
-   (answers degraded) exits 1.  A missing root or a store written with
-   ingest lanes exits 2. *)
-let status_at dir shards replicas health =
-  if unusable_store ~reopen:true dir then 2
-  else begin
+   (answers degraded) exits 1, as does a DIR that holds no store.  A
+   missing DIR or --durable, or a store written with ingest lanes,
+   exits 2. *)
+let status durable health =
+  match durable with
+  | None ->
+    prerr_endline "status requires --durable DIR";
+    2
+  | Some dir when unusable_store ~reopen:true dir -> 2
+  | Some dir ->
     guard @@ fun () ->
+    let shards, replicas = Option.value (G.layout ~root:dir) ~default:(1, 1) in
     let stores = shards * replicas in
     let rows =
       List.init shards (fun i ->
@@ -723,10 +761,10 @@ let status_at dir shards replicas health =
               let label = store_label ~shards ~replicas ~shard:i ~replica:j in
               if stores > 1 then Printf.printf "== %s: %s ==\n" label sdir;
               let code =
-                if Sys.file_exists sdir && Sys.is_directory sdir then
-                  status_one sdir health
+                if Hsq.Engine.store_exists ~dir:sdir then status_one sdir health
                 else begin
-                  Printf.printf "%s: MISSING (never created, or lost with its volume)\n" label;
+                  Printf.printf "%s: MISSING (never created, or lost with its volume)\n"
+                    (if label = "" then "store" else label);
                   1
                 end
               in
@@ -758,28 +796,8 @@ let status_at dir shards replicas health =
           bad_stores
     end;
     if List.for_all Fun.id shard_ok then 0 else 1
-  end
-
-(* The store is named by --durable DIR, as in every subcommand, or by
-   the positional DIR of older scripts; naming none, or two different
-   stores, exits 2. *)
-let status durable positional shards replicas health =
-  match (durable, positional) with
-  | None, None ->
-    prerr_endline "status requires --durable DIR";
-    2
-  | Some a, Some b when a <> b ->
-    Printf.eprintf "status: --durable %s and DIR %s name two stores\n" a b;
-    2
-  | Some dir, _ | None, Some dir -> status_at dir shards replicas health
 
 let status_cmd =
-  let dir =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"DIR" ~doc:"The store directory: the same as $(b,--durable) $(docv).")
-  in
   let health =
     let doc =
       "Also report failure-containment state: the device circuit breaker, quarantined \
@@ -792,12 +810,12 @@ let status_cmd =
      Exits non-zero if the store is damaged beyond what recovery handles."
   in
   Cmd.v (Cmd.info "status" ~doc)
-    Term.(const status $ durable_dir $ dir $ shards $ replicas $ health)
+    Term.(const status $ durable_dir $ health)
 
 (* --- metrics --------------------------------------------------------------- *)
 
-let metrics format phis no_exercise durable shards replicas =
-  let config = Hsq.Config.make ~shards ~replicas (Hsq.Config.Epsilon 0.01) in
+let metrics format phis no_exercise durable =
+  let config = Hsq.Config.make (Hsq.Config.Epsilon 0.01) in
   with_group ~who:"metrics" ~config ~reopen:true durable (fun g ->
       (* Answer the requested quantiles silently first so the query-path
          metrics (latency histograms, probe counters, cache hits) carry
@@ -827,10 +845,10 @@ let metrics_cmd =
   let doc =
     "Open a store, answer the --quantiles against it, and dump its metric registry (I/O \
      counters, query latency histograms, cache statistics); one section per store when \
-     --shards/--replicas name more than one."
+     the store has more than one."
   in
   Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(const metrics $ format $ phis $ no_exercise $ durable_dir $ shards $ replicas)
+    Term.(const metrics $ format $ phis $ no_exercise $ durable_dir)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -857,10 +875,10 @@ let serve socket tcp epsilon kappa block_size durable wal_sync queue_depth quick
       }
     in
     let store_config =
-      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync ~shards ~replicas
+      Hsq.Config.make ~kappa ~block_size ~steps_hint:100 ~wal_sync ?shards ?replicas
         (Hsq.Config.Epsilon epsilon)
     in
-    with_group ~who:"serve" ~config:store_config durable (fun g ->
+    with_group ~who:"serve" ~config:store_config ?shards ?replicas durable (fun g ->
         try
           let srv = Hsq_serve.Server.create config g in
           (* Signal handlers only flip the stop atomic; the accept loop
@@ -875,8 +893,8 @@ let serve socket tcp epsilon kappa block_size durable wal_sync queue_depth quick
             | Hsq_serve.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
             queue_depth
             (match durable with None -> "" | Some d -> ", durable at " ^ d)
-            ((if shards > 1 then Printf.sprintf ", %d shards" shards else "")
-            ^ if replicas > 1 then Printf.sprintf ", %d replicas" replicas else "");
+            ((match G.shard_count g with 1 -> "" | k -> Printf.sprintf ", %d shards" k)
+            ^ match G.replica_count g with 1 -> "" | r -> Printf.sprintf ", %d replicas" r);
           Hsq_serve.Server.wait srv;
           prerr_endline "hsq serve: drained";
           0

@@ -610,6 +610,11 @@ let legacy_checkpoint_file = "checkpoint"
 let store_paths ~dir =
   (Filename.concat dir device_file, Filename.concat dir meta_file, Filename.concat dir wal_file)
 
+(* An open writes the sidecar and the log before it returns, so a store
+   that was ever opened holds one of them. *)
+let store_exists ~dir =
+  Sys.file_exists (Filename.concat dir meta_file) || Sys.file_exists (Filename.concat dir wal_file)
+
 exception Unsupported_store of string
 
 (* A store written with the removed multi-lane ingest keeps acknowledged
@@ -670,19 +675,7 @@ let open_or_recover config =
       create ~device config
     end
   in
-  let stats = Hsq_storage.Block_device.stats t.dev in
-  let wal, records, tail =
-    if Sys.file_exists wal_path then
-      Hsq_storage.Wal.open_existing ~sync:config.Config.wal_sync ~stats ~path:wal_path ()
-    else
-      ( Hsq_storage.Wal.create ~sync:config.Config.wal_sync ~stats ~path:wal_path ~start_seq:1
-          (),
-        [],
-        Hsq_storage.Wal.Clean )
-  in
-  (* The whole log replays through the ingest buffer, so every
-     hand-off falls where it fell live.  A checkpoint an older build left
-     goes before the first new append. *)
+  (* A checkpoint an older build left goes before the log is touched. *)
   List.iter
     (fun name ->
       let path = Filename.concat dir name in
@@ -691,36 +684,48 @@ let open_or_recover config =
         Hsq_storage.Atomic_file.fsync_dir dir
       end)
     [ legacy_checkpoint_file; legacy_checkpoint_file ^ ".tmp" ];
-  let replayed = List.length records and reingested = ref 0 and skipped = ref 0 in
-  Hsq_storage.Io_stats.note_wal_replayed stats replayed;
+  let reingested = ref 0 and skipped = ref 0 in
   let drop_step () =
     t.batch_len <- 0;
     t.gk <- fresh_gk t.config
   in
-  List.iter
-    (fun (_, record) ->
-      match record with
-      | Hsq_storage.Wal.Observe v -> buffer t v
-      | Hsq_storage.Wal.End_step { step; count = _ } ->
-        hand_off t;
-        if step <= Hsq_hist.Level_index.time_steps t.hist then begin
-          (* The step committed before the crash (sidecar written, WAL
-             not yet rotated): drop the replayed batch, never archive
-             twice. *)
-          drop_step ();
-          incr skipped
-        end
-        else if t.batch_len = 0 then
-          (* A marker with no surviving elements (damaged log): nothing
-             to archive. *)
-          incr skipped
-        else begin
-          ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
-          drop_step ();
-          save_meta t meta_path;
-          incr reingested
-        end)
-    records;
+  (* The whole log replays through the ingest buffer as it is read, so
+     every hand-off falls where it fell live. *)
+  let replay n _ record =
+    (match record with
+    | Hsq_storage.Wal.Observe v -> buffer t v
+    | Hsq_storage.Wal.End_step { step; count = _ } ->
+      hand_off t;
+      if step <= Hsq_hist.Level_index.time_steps t.hist then begin
+        (* The step committed before the crash (sidecar written, WAL
+           not yet rotated): drop the replayed batch, never archive
+           twice. *)
+        drop_step ();
+        incr skipped
+      end
+      else if t.batch_len = 0 then
+        (* A marker with no surviving elements (damaged log): nothing
+           to archive. *)
+        incr skipped
+      else begin
+        ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
+        drop_step ();
+        save_meta t meta_path;
+        incr reingested
+      end);
+    n + 1
+  in
+  let stats = Hsq_storage.Block_device.stats t.dev in
+  let wal, replayed, tail =
+    if Sys.file_exists wal_path then
+      Hsq_storage.Wal.open_existing ~sync:config.Config.wal_sync ~stats ~path:wal_path replay 0
+    else
+      ( Hsq_storage.Wal.create ~sync:config.Config.wal_sync ~stats ~path:wal_path ~start_seq:1
+          (),
+        0,
+        Hsq_storage.Wal.Clean )
+  in
+  Hsq_storage.Io_stats.note_wal_replayed stats replayed;
   (* The log is deliberately left un-rotated after replay: committed
      markers replay as skips, so a crash during recovery just recovers
      again.  The next end_time_step rotates it. *)

@@ -306,6 +306,10 @@ val durability_status : t -> durability_status option
     store without opening it. *)
 val store_paths : dir:string -> string * string * string
 
+(** Whether [dir] holds a store: its sidecar or its WAL exists (an open
+    writes both before it returns). *)
+val store_exists : dir:string -> bool
+
 (** Inject faults into the engine's WAL appends (crash fuzzing). *)
 val set_wal_injector :
   t -> (int -> Hsq_storage.Block_device.fault_action option) option -> unit

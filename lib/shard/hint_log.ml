@@ -87,7 +87,11 @@ let reopen ~dir ~peer ~sync =
     | Some base_seq -> (
       match
         if Sys.file_exists path then
-          let wal, _, _ = Wal.open_existing ~sync ~stats:(Hsq_storage.Io_stats.create ()) ~path () in
+          let wal, (), _ =
+            Wal.open_existing ~sync ~stats:(Hsq_storage.Io_stats.create ()) ~path
+              (fun () _ _ -> ())
+              ()
+          in
           wal
         else Wal.create ~sync ~stats:(Hsq_storage.Io_stats.create ()) ~path ~start_seq:1 ()
       with
@@ -103,12 +107,12 @@ let record_count t = Wal.next_seq t.wal - Wal.start_seq t.wal
 let observe_batch t vs = Wal.append_observes t.wal vs
 let end_step t ~step ~count = ignore (Wal.append t.wal (Wal.End_step { step; count }))
 
-(* The buffered records in append order (flushing first, so the file is
-   the complete truth). *)
-let records t =
+(* Folds [f] over the buffered records in append order (flushing first,
+   so the file is the complete truth). *)
+let fold t f init =
   Wal.sync t.wal;
-  let records, _, _ = Wal.read_path ~path:t.path in
-  List.map snd records
+  let acc, _, _ = Wal.fold_path ~path:t.path (fun acc _ r -> f acc r) init in
+  acc
 
 let close t = try Wal.close t.wal with _ -> ()
 let crash t = try Wal.crash t.wal with _ -> ()

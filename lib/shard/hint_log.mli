@@ -42,8 +42,9 @@ val observe_batch : t -> int array -> unit
 
 val end_step : t -> step:int -> count:int -> unit
 
-(** Flush and read back every record, in append order. *)
-val records : t -> Hsq_storage.Wal.record list
+(** Flush, then fold over every record in append order (read back one
+    at a time, never as a list). *)
+val fold : t -> ('a -> Hsq_storage.Wal.record -> 'a) -> 'a -> 'a
 
 val close : t -> unit
 val crash : t -> unit

@@ -154,6 +154,54 @@ let tag_registry t e i j =
 
 let shard_config config ~wal_dir = { config with Hsq.Config.shards = 1; replicas = 1; wal_dir }
 
+(* The root records K and R in [root/layout] when it creates a store
+   that is not flat, so every reopen finds every shard.  A flat store
+   (K = 1, R = 1) writes no file and stays byte-identical to a lone
+   engine's; so does a root an older build created, whose layout is
+   inferred from its shard-<i> / replica-<j> directories. *)
+let layout_path root = Filename.concat root "layout"
+
+let render_layout (k, r) =
+  let body = Printf.sprintf "hsq-layout 1\nshards %d\nreplicas %d\n" k r in
+  Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body)
+
+let recorded_layout root =
+  match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines (layout_path root)) with
+  | [ "hsq-layout 1"; ks; rs ] -> (
+    match (String.split_on_char ' ' ks, String.split_on_char ' ' rs) with
+    | [ "shards"; k ], [ "replicas"; r ] -> (
+      match (int_of_string_opt k, int_of_string_opt r) with
+      | Some k, Some r when k >= 1 && r >= 1 -> Some (k, r)
+      | _ -> None)
+    | _ -> None)
+  | _ | (exception _) -> None
+
+(* One past the largest i of a <prefix><i> subdirectory of [dir]. *)
+let span dir prefix =
+  let index name =
+    match String.starts_with ~prefix name with
+    | false -> None
+    | true -> (
+      let p = String.length prefix in
+      match int_of_string_opt (String.sub name p (String.length name - p)) with
+      | Some i when prefix ^ string_of_int i = name && Sys.is_directory (Filename.concat dir name) ->
+        Some i
+      | _ -> None)
+  in
+  match Sys.readdir dir with
+  | names -> Array.fold_left (fun acc n -> match index n with Some i -> max acc (i + 1) | None -> acc) 0 names
+  | exception Sys_error _ -> 0
+
+let inferred_layout root =
+  match span root "shard-" with
+  | 0 -> (
+    match span root "replica-" with
+    | 0 -> if E.store_exists ~dir:root then Some (1, 1) else None
+    | r -> Some (1, r))
+  | k -> Some (k, List.fold_left (fun acc i -> max acc (span (shard_dir ~root i) "replica-")) 1 (List.init k Fun.id))
+
+let layout ~root = match recorded_layout root with Some l -> Some l | None -> inferred_layout root
+
 (* --- construction ------------------------------------------------------- *)
 
 let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
@@ -218,13 +266,12 @@ let estimate_elements dir =
   in
   let wal =
     try
-      let records, _, _ = Hsq_storage.Wal.read_path ~path:wal_path in
-      List.fold_left
-        (fun acc (_, r) ->
-          match r with
-          | Hsq_storage.Wal.Observe _ -> acc + 1
-          | Hsq_storage.Wal.End_step _ -> acc)
-        0 records
+      let n, _, _ =
+        Hsq_storage.Wal.fold_path ~path:wal_path
+          (fun n _ r -> match r with Hsq_storage.Wal.Observe _ -> n + 1 | End_step _ -> n)
+          0
+      in
+      n
     with _ -> 0
   in
   hist + wal
@@ -1271,11 +1318,11 @@ let admit_replica_locked t i rep e =
   (* Any stale in-memory handle was closed by the caller; reattach from
      disk so we read the complete flushed log. *)
   let hl = if had_pair then Hint_log.reopen ~dir:home ~peer:rep.rep ~sync else None in
-  (* `Clean: nothing to drain. `Drained: hints applied. Any Error:
-     the replica's state is in doubt — repair from a sibling. *)
+  (* Ok: nothing to drain, or the hints applied.  Any Error: the
+     replica's state is in doubt — repair from a sibling. *)
   let drain =
     match hl with
-    | None -> if had_pair then Error "hint log unreadable" else Ok `Clean
+    | None -> if had_pair then Error "hint log unreadable" else Ok ()
     | Some hl -> (
       match E.durability_status e with
       | None -> Error "replica has no durability status"
@@ -1287,11 +1334,10 @@ let admit_replica_locked t i rep e =
              log, so only a repair can restore them. *)
           Error "replica recovered below the hint base (pre-hint acked ops lost)"
         else begin
-          let recs = Hint_log.records hl in
-          let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
-          let todo = drop skip recs in
-          match List.iter (apply_hint e) todo with
-          | () -> Ok (`Drained (List.length todo))
+          (* Hint #n is main seq [base_seq + n]: the first [skip] are
+             already in the replica's own log. *)
+          match Hint_log.fold hl (fun n r -> if n >= skip then apply_hint e r; n + 1) 0 with
+          | _ -> Ok ()
           | exception exn -> Error ("hint drain failed: " ^ Printexc.to_string exn)
         end)
   in
@@ -1351,6 +1397,10 @@ let rejoin_replica t ~shard ~replica =
     match t.root with
     | None -> Error "volatile shard cannot rejoin (its data died with it)"
     | Some _ ->
+      let dir = replica_store_dir t shard replica in
+      let lost = not (E.store_exists ~dir) in
+      if lost && live_replicas_of t.slots.(shard) = [] then Error "store missing"
+      else
       with_lock t (fun () ->
           (* Flush and detach the in-memory hint handle so the on-disk
              pair is complete before the drain re-reads it. *)
@@ -1359,8 +1409,19 @@ let rejoin_replica t ~shard ~replica =
             Hint_log.close hl;
             rep.hints <- None
           | None -> ());
-          let dir = replica_store_dir t shard replica in
-          match E.open_or_recover (shard_config t.config ~wal_dir:(Some dir)) with
+          (* A lost store comes back as a copy of its healthiest live
+             sibling; the hint drain then skips every op the copy holds. *)
+          let restore () =
+            match healthiest (live_replicas_of t.slots.(shard)) with
+            | Some (src_j, src_e) when lost ->
+              (try E.sync src_e with _ -> ());
+              Anti_entropy.copy_store ~src:(replica_store_dir t shard src_j) ~dst:dir
+            | _ -> ()
+          in
+          match
+            restore ();
+            E.open_or_recover (shard_config t.config ~wal_dir:(Some dir))
+          with
           | exception exn ->
             (* Still down; reattach the hint log so ongoing acked ops
                keep accumulating for a later attempt. *)
@@ -1403,7 +1464,7 @@ let rejoin t i =
     | _ -> ( match results with Error e :: _ -> Error e | _ -> Error "rejoin failed")
   end
 
-let open_or_recover config =
+let open_or_recover ?(create = true) config =
   let root =
     match config.Hsq.Config.wal_dir with
     | Some d -> d
@@ -1411,31 +1472,50 @@ let open_or_recover config =
   in
   let k = config.Hsq.Config.shards in
   let r = config.Hsq.Config.replicas in
-  if Sys.file_exists root then begin
-    if not (Sys.is_directory root) then
-      invalid_arg "Shard_group.open_or_recover: wal_dir is not a directory"
-  end
-  else begin
-    try Sys.mkdir root 0o755
-    with Sys_error msg -> invalid_arg ("Shard_group.open_or_recover: cannot create " ^ msg)
+  if Sys.file_exists root && not (Sys.is_directory root) then
+    invalid_arg "Shard_group.open_or_recover: wal_dir is not a directory";
+  let found = layout ~root in
+  (match found with
+  | Some (k', r') when (k', r') <> (k, r) ->
+    invalid_arg
+      (Printf.sprintf "Shard_group.open_or_recover: %s holds %d shards x %d replicas, not %d x %d"
+         root k' r' k r)
+  | _ -> ());
+  (* Only a root holding no store is created; in a store that exists, a
+     missing store directory is lost, and opens down. *)
+  let fresh = create && found = None in
+  if fresh then begin
+    if not (Sys.file_exists root) then (
+      try Sys.mkdir root 0o755
+      with Sys_error msg -> invalid_arg ("Shard_group.open_or_recover: cannot create " ^ msg));
+    for i = 0 to k - 1 do
+      let home = if k = 1 then root else shard_dir ~root i in
+      if r > 1 && not (Sys.file_exists home) then Sys.mkdir home 0o755
+    done
   end;
+  (* Written before any shard store, and by the first open of a root an
+     older build created. *)
+  if (k, r) <> (1, 1) && (fresh || found <> None) && recorded_layout root = None then
+    Hsq.Meta.write ~path:(layout_path root) (render_layout (k, r));
   let recoveries = ref [] in
   let slots =
     Array.init k (fun i ->
-        let home = if k = 1 then root else shard_dir ~root i in
-        if r > 1 && not (Sys.file_exists home) then Sys.mkdir home 0o755;
         Array.init r (fun j ->
             let dir = store_dir ~root ~shards:k ~replicas:r ~shard:i ~replica:j in
-            match E.open_or_recover (shard_config config ~wal_dir:(Some dir)) with
-            | e, report ->
-              recoveries := { shard = i; replica = j; outcome = Ok report } :: !recoveries;
-              { rep = j; state = Live e; hints = None; diverged = false }
-            | exception
-                (( BD.Device_error _ | Hsq.Meta.Corrupt_metadata _ | Sys_error _
-                 | Invalid_argument _ ) as exn) ->
-              let reason = Printexc.to_string exn in
+            let down reason =
               recoveries := { shard = i; replica = j; outcome = Error reason } :: !recoveries;
-              { rep = j; state = Dead reason; hints = None; diverged = false }))
+              { rep = j; state = Dead reason; hints = None; diverged = false }
+            in
+            if not (fresh || E.store_exists ~dir) then down "store missing"
+            else
+              match E.open_or_recover (shard_config config ~wal_dir:(Some dir)) with
+              | e, report ->
+                recoveries := { shard = i; replica = j; outcome = Ok report } :: !recoveries;
+                { rep = j; state = Live e; hints = None; diverged = false }
+              | exception
+                  (( BD.Device_error _ | Hsq.Meta.Corrupt_metadata _ | Sys_error _
+                   | Invalid_argument _ ) as exn) ->
+                down (Printexc.to_string exn)))
   in
   let t =
     make_t config ~k ~r ~slots ~last_size:(Array.make k 0) ~root:(Some root)

@@ -112,8 +112,27 @@ type shard_recovery = {
     so K = 1, R = 1 is bit-compatible with a store written by a
     non-sharded build. Recovery runs per replica; stale hint logs
     found on disk are drained (or trigger sibling repair) before the
-    owning replica serves reads. *)
-val open_or_recover : Hsq.Config.t -> t * shard_recovery list
+    owning replica serves reads.
+
+    The store is the source of its {!layout}: a root that holds no
+    store is created at [config]'s K and R (unless [create] is
+    [false]: then nothing is created, and its one store opens down),
+    and a non-flat one records them in [root/layout] before any shard
+    store is made. A root an older build created has its layout
+    inferred and recorded by this open. On a store that exists, a
+    [config] whose [shards]/[replicas] disagree with its layout raises
+    [Invalid_argument], and a store directory that is missing, or
+    holds neither sidecar nor log, opens down ("store missing") with
+    nothing created in it: a sibling replica serves in its place, or
+    the shard is down. *)
+val open_or_recover : ?create:bool -> Hsq.Config.t -> t * shard_recovery list
+
+(** [Some (shards, replicas)] of the store rooted at [root]: recorded
+    in its layout file, else inferred from its [shard-<i>] /
+    [replica-<j>] directories (one past the largest index), else
+    (1, 1) when the root itself holds a store; [None] when it holds
+    none. Reads only. *)
+val layout : root:string -> (int * int) option
 
 (** [shard_dir ~root i] = [root/shard-<i>]. *)
 val shard_dir : root:string -> int -> string

@@ -101,7 +101,6 @@ let checksum_words ws = Array.fold_left mix checksum_seed ws
 let path t = t.path
 let start_seq t = t.start_seq
 let next_seq t = t.next_seq
-let last_seq t = t.next_seq - 1
 let pending_records t = t.pending_count
 let set_injector t fault = t.fault <- fault
 
@@ -402,10 +401,12 @@ let decode r len =
     | 3 when len >= 6 && word r 5 >= 0 && len = 6 + word r 5 -> end_step ()
     | _ -> Error (Printf.sprintf "unknown record kind %d" kind))
 
-(* Returns the records, the header's start_seq, the tail status, and the
-   byte length of the valid prefix (header included).  A trailing
-   partial word reads as the end of the file. *)
-let read_channel ic =
+(* Folds [f] over the valid records in order; returns the fold, the
+   header's start_seq, the next sequence number, the tail status, and
+   the byte length of the valid prefix (header included).  A trailing
+   partial word reads as the end of the file.  Nothing but the buffer is
+   held, whatever the log's length. *)
+let read_channel ic f init =
   let r = { ic; buf = Bytes.create 65536; pos = 0; lim = 0 } in
   let header =
     if not (available r 24) then Error "short header"
@@ -415,12 +416,12 @@ let read_channel ic =
       | _ | (exception Word.Invalid) -> Error "bad header magic or checksum"
   in
   match header with
-  | Error e -> ([], 1, Torn e, 0)
+  | Error e -> (init, 1, 1, Torn e, 0)
   | Ok start_seq ->
     r.pos <- 24;
     let valid_bytes = ref 24 in
     let rec go expected acc =
-      let finish tail = (List.rev acc, start_seq, tail, !valid_bytes) in
+      let finish tail = (acc, start_seq, expected, tail, !valid_bytes) in
       if not (available r 8) then finish Clean
       else
         match word r 0 with
@@ -437,26 +438,26 @@ let read_channel ic =
           | Ok (seq, record) ->
             r.pos <- r.pos + (8 * (len + 1));
             valid_bytes := !valid_bytes + (8 * (len + 1));
-            go (expected + 1) ((seq, record) :: acc))
+            go (expected + 1) (f acc seq record))
     in
-    go start_seq []
+    go start_seq init
 
-let read_file ~path =
-  if not (Sys.file_exists path) then ([], 1, Torn "no such file", 0)
+let fold_file ~path f init =
+  if not (Sys.file_exists path) then (init, 1, 1, Torn "no such file", 0)
   else begin
     let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic f init)
   end
 
-let read_path ~path =
-  let records, start_seq, tail, _ = read_file ~path in
-  (records, start_seq, tail)
+let fold_path ~path f init =
+  let acc, start_seq, _, tail, _ = fold_file ~path f init in
+  (acc, start_seq, tail)
 
 (* Reopen an existing log for appending.  A torn tail is physically
    truncated away first — the valid prefix is rewritten to a temp file
    and renamed into place — so the tear can never shadow later appends. *)
-let open_existing ?(sync = Always) ~stats ~path () =
-  let records, start_seq, tail, valid_bytes = read_file ~path in
+let open_existing ?(sync = Always) ~stats ~path f init =
+  let acc, start_seq, next_seq, tail, valid_bytes = fold_file ~path f init in
   (match tail with
   | Clean -> ()
   | Torn _ ->
@@ -486,7 +487,7 @@ let open_existing ?(sync = Always) ~stats ~path () =
       sync_policy = sync;
       channel;
       start_seq;
-      next_seq = start_seq + List.length records;
+      next_seq;
       pending = Buffer.create 4096;
       pending_count = 0;
       fault = None;
@@ -495,4 +496,4 @@ let open_existing ?(sync = Always) ~stats ~path () =
       sync_hist;
     }
   in
-  (t, records, tail)
+  (t, acc, tail)

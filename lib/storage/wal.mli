@@ -34,21 +34,25 @@ type t
 val create :
   ?sync:sync_policy -> stats:Io_stats.t -> path:string -> start_seq:int -> unit -> t
 
-(** Reopen an existing log for appending: returns the handle, the valid
-    records (with their sequence numbers), and the tail status. A torn
-    tail is physically truncated (temp file + rename) before the handle
-    is returned. *)
+(** Reopen an existing log for appending: folds [f] over the valid
+    records in order (each with its sequence number, starting from
+    [init]), and returns the handle, the fold, and the tail status. A
+    torn tail is physically truncated (temp file + rename) before the
+    handle is returned. No record list is built: the reader holds one
+    buffer whatever the log's length. *)
 val open_existing :
   ?sync:sync_policy ->
   stats:Io_stats.t ->
   path:string ->
-  unit ->
-  t * (int * record) list * tail
+  ('a -> int -> record -> 'a) ->
+  'a ->
+  t * 'a * tail
 
-(** Read-only inspection of a log file: records, header start sequence,
-    tail status. Never modifies the file; a missing file reads as empty
-    with a [Torn] tail. *)
-val read_path : path:string -> (int * record) list * int * tail
+(** Read-only fold over a log file: [f] over the valid records in order
+    (with their sequence numbers), then the header start sequence and
+    the tail status. Never modifies the file; a missing file reads as
+    empty with a [Torn] tail. *)
+val fold_path : path:string -> ('a -> int -> record -> 'a) -> 'a -> 'a * int * tail
 
 (** Append one record; returns its sequence number. Whether the record
     is physically flushed depends on the sync policy. A one-record run
@@ -108,9 +112,6 @@ val start_seq : t -> int
 
 (** Sequence number the next append will carry. *)
 val next_seq : t -> int
-
-(** [next_seq - 1]: the last acknowledged sequence number. *)
-val last_seq : t -> int
 
 (** Appended records not yet physically flushed. *)
 val pending_records : t -> int

@@ -8,8 +8,12 @@
    - scrub exits 0 on a clean store, 1 on a corrupt one, 2 on missing
      arguments — so cron jobs can alert on store damage;
    - status exits 0 on a healthy durable store, 1 on a damaged one,
-     2 on a missing directory, and takes --durable DIR or a positional
-     DIR;
+     2 on a missing directory, and takes --durable DIR only;
+   - a store records its shards and replicas: every reopening
+     subcommand reads a sharded, replicated store with no topology
+     flags, a lost shard store opens down (never recreated), a
+     disagreeing --shards on a creating subcommand exits 2 and writes
+     nothing, and an older store's layout is inferred and recorded;
    - metrics follows the same 0/1/2 convention and emits parseable
      JSON / Prometheus text, flat at one shard and per shard at two;
    - query --trace prints one round span per batch of partition reads,
@@ -166,7 +170,7 @@ let test_missing_store_not_created () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s%s leaves the path absent" cmd topo)
                 false (Sys.file_exists nope))
-            [ ""; " --shards 2" ])
+            [ "" ])
         [ "query"; "inspect"; "scrub"; "metrics" ])
 
 (* The creating subcommands make the store directory, never its
@@ -224,8 +228,10 @@ let test_scrub_repair_persists () =
       let _, out = run_capture ("query -q 0.5 --durable " ^ quote store) in
       Alcotest.(check bool) "queries report it" true (contains out "DEGRADED(quarantined)"))
 
-(* --device, --meta and --save-meta are gone: cmdliner rejects each as
-   an unknown option (exit 124) before anything runs. *)
+(* --device, --meta and --save-meta are gone, and so are --shards and
+   --replicas on the subcommands that reopen a store (it records its
+   own layout) and status's positional DIR: cmdliner rejects each as an
+   unknown option or argument (exit 124) before anything runs. *)
 let test_removed_flags_rejected () =
   with_temp_dir (fun dir ->
       let f = quote (Filename.concat dir "f") in
@@ -247,6 +253,17 @@ let test_removed_flags_rejected () =
           "simulate --steps 1 --step-size 10 --checkpoint-every";
           "stream --checkpoint-every";
           "serve --checkpoint-every";
+          "query --shards";
+          "query --replicas";
+          "inspect --shards";
+          "inspect --replicas";
+          "scrub --shards";
+          "scrub --replicas";
+          "metrics --shards";
+          "metrics --replicas";
+          "status --shards";
+          "status --replicas";
+          "status";
         ];
       Alcotest.(check bool) "nothing written" false (Sys.file_exists (Filename.concat dir "f")))
 
@@ -277,7 +294,7 @@ let test_two_shards () =
               "simulate --shards 2 --steps 4 --step-size 800 --block-size 32 --durable %s"
               (quote store)));
       let code, out =
-        run_capture (Printf.sprintf "inspect --durable %s --shards 2" (quote store))
+        run_capture (Printf.sprintf "inspect --durable %s" (quote store))
       in
       Alcotest.(check int) "inspect exits 0" 0 code;
       List.iter
@@ -291,7 +308,7 @@ let test_two_shards () =
           "shard 1: invariants: OK\n";
         ];
       let code, out =
-        run_capture (Printf.sprintf "metrics --durable %s --shards 2 --format json" (quote store))
+        run_capture (Printf.sprintf "metrics --durable %s --format json" (quote store))
       in
       Alcotest.(check int) "metrics exits 0" 0 code;
       Alcotest.(check bool) "per-shard sections" true (contains out "\"shards\":{\"0\":");
@@ -306,11 +323,11 @@ let test_status_healthy_and_damaged () =
              (quote store))
       in
       Alcotest.(check int) "durable simulate exits 0" 0 code;
-      Alcotest.(check int) "status on a healthy store" 0 (run ("status " ^ quote store));
+      Alcotest.(check int) "status on a healthy store" 0 (run ("status --durable " ^ quote store));
       (* Deleting the device file under a committed sidecar is damage
          recovery cannot paper over. *)
       Sys.remove (Filename.concat store "device.blocks");
-      Alcotest.(check int) "status on a damaged store" 1 (run ("status " ^ quote store));
+      Alcotest.(check int) "status on a damaged store" 1 (run ("status --durable " ^ quote store));
       Array.iter (fun f -> Sys.remove (Filename.concat store f)) (Sys.readdir store);
       Sys.rmdir store)
 
@@ -320,12 +337,12 @@ let test_status_missing_dir () =
       Alcotest.(check int)
         (Printf.sprintf "status on a missing directory%s" topo)
         2
-        (run ("status /nonexistent/hsq-store" ^ topo)))
-    [ ""; " --shards 2"; " --shards 2 --replicas 2" ];
+        (run ("status --durable /nonexistent/hsq-store" ^ topo)))
+    [ "" ];
   (* A root that exists but holds no shard stores is damage, not usage. *)
   with_temp_dir (fun dir ->
       Alcotest.(check int) "status on a root missing its shard stores" 1
-        (run (Printf.sprintf "status %s --shards 2" (quote dir))))
+        (run (Printf.sprintf "status --durable %s" (quote dir))))
 
 (* Replicated health contract: a damaged replica whose sibling is
    intact keeps every answer at full precision, so status exits 0 with
@@ -334,17 +351,17 @@ let test_status_missing_dir () =
 let test_status_replicated_contract () =
   with_temp_dir (fun dir ->
       let store = Filename.concat dir "store" in
-      let topo = Printf.sprintf "--shards 2 --replicas 2 --durable %s" (quote store) in
+      let topo = Printf.sprintf "--durable %s" (quote store) in
       Alcotest.(check int) "replicated simulate exits 0" 0
         (run
-           (Printf.sprintf "simulate --steps 3 --step-size 600 --block-size 32 %s" topo));
+           (Printf.sprintf "simulate --steps 3 --step-size 600 --block-size 32 --shards 2 --replicas 2 %s" topo));
       Alcotest.(check int) "status on a healthy replicated store" 0
-        (run (Printf.sprintf "status %s --shards 2 --replicas 2 --health" (quote store)));
+        (run (Printf.sprintf "status --durable %s --health" (quote store)));
       (* One replica store dies; its sibling keeps full precision:
          degraded-but-full-precision exits 0 and says WARNING. *)
       rm_rf (Filename.concat store "shard-0/replica-1");
       let code, out =
-        run_capture (Printf.sprintf "status %s --shards 2 --replicas 2" (quote store))
+        run_capture (Printf.sprintf "status --durable %s" (quote store))
       in
       Alcotest.(check int) "one dead replica still exits 0" 0 code;
       Alcotest.(check bool) "and is flagged as a warning" true (contains out "WARNING");
@@ -353,14 +370,14 @@ let test_status_replicated_contract () =
       Alcotest.(check int) "scrub --repair converges the replica" 0
         (run (Printf.sprintf "scrub --repair %s" topo));
       let code, out =
-        run_capture (Printf.sprintf "status %s --shards 2 --replicas 2" (quote store))
+        run_capture (Printf.sprintf "status --durable %s" (quote store))
       in
       Alcotest.(check int) "repaired store exits 0" 0 code;
       Alcotest.(check bool) "warning gone after repair" false (contains out "WARNING");
       (* Losing EVERY replica of a shard degrades answers: exit 1. *)
       rm_rf (Filename.concat store "shard-0");
       Alcotest.(check int) "whole replica set lost exits 1" 1
-        (run (Printf.sprintf "status %s --shards 2 --replicas 2" (quote store)));
+        (run (Printf.sprintf "status --durable %s" (quote store)));
       rm_rf store)
 
 (* The answer lines of a query's stdout. *)
@@ -461,7 +478,7 @@ let test_query_heavy_every_k () =
                   (quote store) (quote input)));
           let code, out =
             run_capture ~stderr:true
-              (Printf.sprintf "query --durable %s --shards %d --heavy 0.01" (quote store) shards)
+              (Printf.sprintf "query --durable %s --heavy 0.01" (quote store))
           in
           Alcotest.(check int) (Printf.sprintf "query --heavy at K=%d exits 0" shards) 0 code;
           Alcotest.(check bool)
@@ -571,7 +588,7 @@ let test_query_trace_sharded () =
               (quote store)));
       let code, out =
         run_capture
-          (Printf.sprintf "query --durable %s --shards 2 -q 0.5,0.9 --trace" (quote store))
+          (Printf.sprintf "query --durable %s -q 0.5,0.9 --trace" (quote store))
       in
       Alcotest.(check int) "query --trace exits 0" 0 code;
       Alcotest.(check bool) "trace header printed" true (contains out "trace:");
@@ -616,7 +633,7 @@ let test_lane_store_exit_2 () =
           ("stream", Printf.sprintf "stream --durable %s < /dev/null" q);
           ("query", Printf.sprintf "query --durable %s -q 0.5" q);
           ("scrub", Printf.sprintf "scrub --durable %s" q);
-          ("status", Printf.sprintf "status %s" q);
+          ("status", Printf.sprintf "status --durable %s" q);
           ( "serve",
             Printf.sprintf "serve --socket %s --durable %s"
               (quote (Filename.concat dir "hsq.sock"))
@@ -658,7 +675,7 @@ let test_status_tag2_checkpoint () =
       let path = Filename.concat store "checkpoint" in
       let body = "hsq-ckpt 3\nseq 400\nsteps_done 3\ngk_len 6\ngk 2 0 0 0 0 0\n" in
       write_file path (Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body));
-      let code, out = run_capture ("status " ^ quote store) in
+      let code, out = run_capture ("status --durable " ^ quote store) in
       Alcotest.(check int) "status exits 0" 0 code;
       Alcotest.(check bool) "no coverage claimed" false (contains out "checkpoint");
       let code, err = run_capture ~stderr:true (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
@@ -667,9 +684,9 @@ let test_status_tag2_checkpoint () =
       Alcotest.(check bool) "checkpoint not resumed" false (contains err "sketch checkpoint");
       Alcotest.(check bool) "checkpoint deleted" false (Sys.file_exists path))
 
-(* status names its store with --durable DIR like every subcommand; the
-   positional DIR is an alias, and naming no store, or two, is a usage
-   error. *)
+(* status names its store with --durable DIR like every subcommand (the
+   positional DIR is gone: see "removed flags rejected"); naming none is
+   a usage error. *)
 let test_status_durable_flag () =
   with_temp_dir (fun dir ->
       let store = Filename.concat dir "store" in
@@ -680,12 +697,6 @@ let test_status_durable_flag () =
       let code, flag = run_capture ("status --durable " ^ quote store) in
       Alcotest.(check int) "status --durable exits 0" 0 code;
       Alcotest.(check bool) "reports the store" true (contains flag "status: OK");
-      let _, positional = run_capture ("status " ^ quote store) in
-      Alcotest.(check string) "same report as the positional DIR" positional flag;
-      Alcotest.(check int) "both forms, one store" 0
-        (run (Printf.sprintf "status --durable %s %s" (quote store) (quote store)));
-      Alcotest.(check int) "two stores" 2
-        (run (Printf.sprintf "status --durable %s %s" (quote store) (quote dir)));
       Alcotest.(check int) "no store" 2 (run "status");
       Alcotest.(check int) "missing store" 2 (run "status --durable /nonexistent/hsq-store"))
 

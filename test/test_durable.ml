@@ -22,6 +22,11 @@
 module E = Hsq.Engine
 module W = Hsq_storage.Wal
 
+(* Every valid record of a log with its sequence number, in order. *)
+let read_path ~path =
+  let rev, start_seq, tail = W.fold_path ~path (fun acc seq r -> (seq, r) :: acc) [] in
+  (List.rev rev, start_seq, tail)
+
 let eps = 0.05
 let block_size = 16
 
@@ -362,7 +367,10 @@ let test_wal_append_rollback_direct () =
       Alcotest.(check int) "retry reuses the rolled-back sequence" seq_before seq;
       W.close wal;
       (* the log reopens clean: contiguous records, no torn garbage *)
-      let wal2, records, tail = W.open_existing ~stats ~path:wal_path () in
+      let wal2, records, tail =
+        W.open_existing ~stats ~path:wal_path (fun acc seq r -> (seq, r) :: acc) []
+      in
+      let records = List.rev records in
       (match tail with
       | W.Clean -> ()
       | W.Torn msg -> Alcotest.failf "torn tail on reopen: %s" msg);
@@ -540,7 +548,7 @@ let test_lane_marker_replays_as_end_step () =
       let _, _, wal_path = E.store_paths ~dir in
       write_file wal_path
         (raw_wal (observes step_one @ [ (3, [ 1; 30; 2; 0; 0 ]) ] @ observes open_step));
-      let records, _, tail = W.read_path ~path:wal_path in
+      let records, _, tail = read_path ~path:wal_path in
       Alcotest.(check bool) "clean tail" true (tail = W.Clean);
       Alcotest.(check bool) "kind 3 decodes as End_step" true
         (List.exists (fun (_, r) -> r = W.End_step { step = 1; count = 30 }) records);
@@ -622,7 +630,7 @@ let test_tag2_image_refused () =
       v3_checkpoint ~tag:2 dir eng;
       E.crash eng;
       let _, _, wal_path = E.store_paths ~dir in
-      let records, _, _ = W.read_path ~path:wal_path in
+      let records, _, _ = read_path ~path:wal_path in
       Alcotest.(check bool) "the WAL holds the open step" true (List.length records >= 100);
       let recovered = reopen_past_checkpoint ~what:"tag 2" dir ~records:(List.length records) in
       Alcotest.(check int) "every acknowledged element back" 300 (E.total_size recovered);

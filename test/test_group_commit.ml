@@ -15,6 +15,11 @@
 module E = Hsq.Engine
 module G = Hsq_shard.Shard_group
 module W = Hsq_storage.Wal
+
+(* Every valid record of a log with its sequence number, in order. *)
+let read_path ~path =
+  let rev, start_seq, tail = W.fold_path ~path (fun acc seq r -> (seq, r) :: acc) [] in
+  (List.rev rev, start_seq, tail)
 module BD = Hsq_storage.Block_device
 
 let rec rm_rf path =
@@ -35,7 +40,7 @@ let fresh_wal dir name =
   W.create ~stats:(Hsq_storage.Io_stats.create ()) ~path:(Filename.concat dir name) ~start_seq:1 ()
 
 let observes path =
-  let records, _, _ = W.read_path ~path in
+  let records, _, _ = read_path ~path in
   List.length (List.filter (function _, W.Observe _ -> true | _ -> false) records)
 
 (* --- format ------------------------------------------------------------ *)
@@ -61,7 +66,7 @@ let test_runs_match_records () =
       let path = Filename.concat dir in
       Alcotest.(check bool) "runs and single records write the same bytes" true
         (read_file (path "runs.wal") = read_file (path "single.wal"));
-      let records, _, tail = W.read_path ~path:(path "runs.wal") in
+      let records, _, tail = read_path ~path:(path "runs.wal") in
       Alcotest.(check int) "every record reads back" 301 (List.length records);
       Alcotest.(check bool) "clean tail" true (tail = W.Clean))
 
@@ -100,7 +105,7 @@ let test_run_fault_prefix fault () =
       Alcotest.(check int) "prefix on file" 3 (observes path);
       W.set_injector wal None;
       W.append_observes wal [| 13; 14 |];
-      let records, _, tail = W.read_path ~path in
+      let records, _, tail = read_path ~path in
       Alcotest.(check (list int)) "contiguous after the fault" [ 1; 2; 3; 4; 5 ]
         (List.map fst records);
       Alcotest.(check bool) "clean tail" true (tail = W.Clean);
