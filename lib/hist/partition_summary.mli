@@ -23,9 +23,6 @@ val builder_feed : builder -> int -> int -> unit
     elements. *)
 val builder_finish : builder -> t
 
-(** Capture target for slot [i] (exposed for tests). *)
-val target_index : beta1:int -> size:int -> int -> int
-
 val of_sorted_array : beta1:int -> int array -> t
 
 (** Rebuild from an on-disk run by probing the β₁ target positions

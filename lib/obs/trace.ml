@@ -119,23 +119,10 @@ let rec find_all s n =
   let here = if s.sname = n then [ s ] else [] in
   here @ List.concat_map (fun c -> find_all c n) (children s)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json span =
   let b = Buffer.create 256 in
   let rec go s =
-    Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"" (json_escape s.sname));
+    Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"" (Metrics.json_escape s.sname));
     Buffer.add_string b (Printf.sprintf ",\"dur_us\":%.1f" (s.dur *. 1e6));
     (match attrs s with
     | [] -> ()
@@ -144,7 +131,7 @@ let to_json span =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+          Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v)))
         kvs;
       Buffer.add_char b '}');
     (match children s with

@@ -45,7 +45,6 @@ val as_int : t -> int option
 (** [Int] (rounded to the nearest float) and [Num]. *)
 val as_float : t -> float option
 val as_str : t -> string option
-val as_bool : t -> bool option
 val as_list : t -> t list option
 
 (** [get_* v key] = [member] composed with the matching [as_*]. *)

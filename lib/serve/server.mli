@@ -69,8 +69,6 @@ type t
     [queue_depth < 1]. *)
 val create : config -> Hsq_shard.Shard_group.t -> t
 
-val uptime_s : t -> float
-
 (** Bind, then spawn the accept and engine threads.  Raises
     [Invalid_argument] if already started, and [Unix.Unix_error] if the
     bind fails. *)

@@ -1624,21 +1624,6 @@ let labelled_prometheus ?extra t =
     (all_live t);
   Buffer.contents buf
 
-let json_escape reason =
-  let b = Buffer.create 32 in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    reason;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let nested_json ?extra t =
   let buf = Buffer.create 4096 in
   Buffer.add_char buf '{';
@@ -1657,7 +1642,7 @@ let nested_json ?extra t =
         (* R = 1 keeps the pre-replication shape exactly. *)
         match reps.(0).state with
         | Live e -> Buffer.add_string buf (Metrics.to_json (E.metrics e))
-        | Dead reason -> Printf.bprintf buf "{\"down\":true,\"reason\":%s}" (json_escape reason)
+        | Dead reason -> Printf.bprintf buf "{\"down\":true,\"reason\":\"%s\"}" (Metrics.json_escape reason)
       end
       else begin
         let down = live_replicas_of reps = [] in
@@ -1673,7 +1658,7 @@ let nested_json ?extra t =
                   (Metrics.to_json (E.metrics e))
               else Buffer.add_string buf (Metrics.to_json (E.metrics e))
             | Dead reason ->
-              Printf.bprintf buf "{\"down\":true,\"reason\":%s%s}" (json_escape reason)
+              Printf.bprintf buf "{\"down\":true,\"reason\":\"%s\"%s}" (Metrics.json_escape reason)
                 (match rep.hints with
                 | Some hl -> Printf.sprintf ",\"hints_pending\":%d" (Hint_log.record_count hl)
                 | None -> ""))

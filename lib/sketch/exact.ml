@@ -38,10 +38,6 @@ let count t = t.len
 let memory_words t = 4 + Array.length t.data
 let error_bound _ = 0.0
 
-let sorted_view t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.len
-
 let query_rank t r =
   if t.len = 0 then invalid_arg "Exact.query_rank: empty sketch";
   ensure_sorted t;

@@ -11,9 +11,6 @@ val count : t -> int
 val memory_words : t -> int
 val error_bound : t -> float
 
-(** Elements in sorted order (fresh array). *)
-val sorted_view : t -> int array
-
 (** Exact element of rank [r] (1-based, clamped). Raises on empty. *)
 val query_rank : t -> int -> int
 

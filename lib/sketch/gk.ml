@@ -360,50 +360,6 @@ let merge a b =
     merged
   end
 
-(* Serialization: the full mutable state as a word array, so a
-   deserialized sketch is bit-identical to the one serialized (the same
-   inserts produce the same summary from either).
-   Layout: mode (0 = Fixed, else the Capped word budget — budgets are
-   >= 32, so 0 is unambiguous), epsilon as IEEE-754 bits, n, size,
-   since_compress, then (value, g, delta) per live tuple.  Epsilon lies
-   in (0, 1), whose bit pattern fits a 63-bit OCaml int exactly. *)
-let serialize t =
-  let out = Array.make (5 + (words_per_tuple * t.size)) 0 in
-  out.(0) <- (match t.mode with Fixed -> 0 | Capped w -> w);
-  out.(1) <- Int64.to_int (Int64.bits_of_float t.epsilon);
-  out.(2) <- t.n;
-  out.(3) <- t.size;
-  out.(4) <- t.since_compress;
-  for i = 0 to t.size - 1 do
-    out.(5 + (3 * i)) <- t.tuples.(i).value;
-    out.(5 + (3 * i) + 1) <- t.tuples.(i).g;
-    out.(5 + (3 * i) + 2) <- t.tuples.(i).delta
-  done;
-  out
-
-let deserialize words =
-  if Array.length words < 5 then invalid_arg "Gk.deserialize: short header";
-  let mode = if words.(0) = 0 then Fixed else Capped words.(0) in
-  let epsilon = Int64.float_of_bits (Int64.of_int words.(1)) in
-  let n = words.(2) in
-  let size = words.(3) in
-  let since_compress = words.(4) in
-  if not (epsilon > 0.0 && epsilon < 1.0) then invalid_arg "Gk.deserialize: bad epsilon";
-  if n < 0 || size < 0 || size > n then invalid_arg "Gk.deserialize: bad counts";
-  if Array.length words <> 5 + (words_per_tuple * size) then
-    invalid_arg "Gk.deserialize: tuple region length mismatch";
-  let tuples = Array.make (max 16 size) dummy in
-  for i = 0 to size - 1 do
-    let value = words.(5 + (3 * i)) in
-    let g = words.(5 + (3 * i) + 1) in
-    let delta = words.(5 + (3 * i) + 2) in
-    if g < 0 || delta < 0 then invalid_arg "Gk.deserialize: negative tuple field";
-    if i > 0 && value < tuples.(i - 1).value then
-      invalid_arg "Gk.deserialize: tuples not sorted by value";
-    tuples.(i) <- { value; g; delta }
-  done;
-  { tuples; size; n; epsilon; mode; since_compress }
-
 let sketch : (module Quantile_sketch.S with type t = t) =
   (module struct
     type nonrec t = t

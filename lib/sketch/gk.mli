@@ -76,16 +76,5 @@ val dump : t -> (int * int * int) list
     query time. Raises [Invalid_argument] on memory-capped sketches. *)
 val merge : t -> t -> t
 
-(** Full mutable state as a word array: equal images mean equal
-    sketches, and a deserialized sketch is bit-identical to the
-    serialized one, so replaying the same inserts yields the same
-    summary. *)
-val serialize : t -> int array
-
-(** Inverse of {!serialize}. Raises [Invalid_argument] on a
-    structurally invalid word array (bad lengths, unsorted tuples,
-    negative fields, ε ∉ (0,1)). *)
-val deserialize : int array -> t
-
 (** This sketch as a {!Quantile_sketch.S} instance. *)
 val sketch : (module Quantile_sketch.S with type t = t)

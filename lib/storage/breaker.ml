@@ -38,9 +38,9 @@ let state_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-(* Gauge encoding, documented in the mli and DESIGN.md: healthy is 0 so
-   a dashboard summing breaker states over a fleet reads 0 when all is
-   well. *)
+(* The [hsq_breaker_state] gauge (see DESIGN.md): closed = 0, open = 1,
+   half-open = 2.  Healthy is 0 so a dashboard summing breaker states
+   over a fleet reads 0 when all is well. *)
 let state_to_gauge = function Closed -> 0.0 | Open -> 1.0 | Half_open -> 2.0
 
 type t = {

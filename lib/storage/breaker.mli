@@ -18,10 +18,6 @@ type state =
 
 val state_to_string : state -> string
 
-(** Gauge encoding used by the [hsq_breaker_state] metric:
-    closed = 0, open = 1, half-open = 2. *)
-val state_to_gauge : state -> float
-
 type t
 
 val default_failure_threshold : int

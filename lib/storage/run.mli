@@ -107,9 +107,6 @@ val anchors : search -> int option * int option
     interpolation rather than the midpoint fallback. *)
 val guided : search -> bool
 
-(** Read [len] elements starting at [pos]. *)
-val read_range : t -> pos:int -> len:int -> int array
-
 val to_array : t -> int array
 
 (** Streaming writers build a run with one block of buffer memory.
