@@ -1642,7 +1642,8 @@ let nested_json ?extra t =
         (* R = 1 keeps the pre-replication shape exactly. *)
         match reps.(0).state with
         | Live e -> Buffer.add_string buf (Metrics.to_json (E.metrics e))
-        | Dead reason -> Printf.bprintf buf "{\"down\":true,\"reason\":\"%s\"}" (Metrics.json_escape reason)
+        | Dead reason ->
+          Printf.bprintf buf "{\"down\":true,\"reason\":\"%s\"}" (Metrics.json_escape reason)
       end
       else begin
         let down = live_replicas_of reps = [] in

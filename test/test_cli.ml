@@ -253,16 +253,16 @@ let test_removed_flags_rejected () =
           "simulate --steps 1 --step-size 10 --checkpoint-every";
           "stream --checkpoint-every";
           "serve --checkpoint-every";
-          "query --shards";
-          "query --replicas";
-          "inspect --shards";
-          "inspect --replicas";
-          "scrub --shards";
-          "scrub --replicas";
-          "metrics --shards";
-          "metrics --replicas";
-          "status --shards";
-          "status --replicas";
+          "query --shards 2 --durable";
+          "query --replicas 2 --durable";
+          "inspect --shards 2 --durable";
+          "inspect --replicas 2 --durable";
+          "scrub --shards 2 --durable";
+          "scrub --replicas 2 --durable";
+          "metrics --shards 2 --durable";
+          "metrics --replicas 2 --durable";
+          "status --shards 2 --durable";
+          "status --replicas 2 --durable";
           "status";
         ];
       Alcotest.(check bool) "nothing written" false (Sys.file_exists (Filename.concat dir "f")))
@@ -379,6 +379,140 @@ let test_status_replicated_contract () =
       Alcotest.(check int) "whole replica set lost exits 1" 1
         (run (Printf.sprintf "status --durable %s" (quote store)));
       rm_rf store)
+
+(* --- the store records its layout ------------------------------------- *)
+
+(* Every file under [root] with its bytes, sorted by path. *)
+let rec snapshot root =
+  List.concat_map
+    (fun name ->
+      let p = Filename.concat root name in
+      if Sys.is_directory p then snapshot p
+      else [ (p, In_channel.with_open_bin p In_channel.input_all) ])
+    (List.sort compare (Array.to_list (Sys.readdir root)))
+
+(* A three-shard store of 22,500 elements (four steps of 5000 and an
+   open step of 2500) loses shard 2's directory: status exits 1, query
+   answers DEGRADED(shard_down) and exits 1 without recreating the
+   shard, and status still exits 1. *)
+let test_lost_shard_store () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "st3" in
+      Alcotest.(check int) "sharded simulate exits 0" 0
+        (run (Printf.sprintf "simulate --shards 3 --steps 4 --step-size 5000 --durable %s" (quote store)));
+      let lost = Filename.concat store "shard-2" in
+      rm_rf lost;
+      Alcotest.(check int) "status on the lost shard" 1 (run ("status --durable " ^ quote store));
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query exits 1" 1 code;
+      Alcotest.(check bool) "the answer is degraded" true (contains out "[DEGRADED(shard_down)");
+      Alcotest.(check bool) "the footprint names the down shard" true (contains out "(DOWN: 2)");
+      Alcotest.(check bool) "shard 2 not recreated" false (Sys.file_exists lost);
+      Alcotest.(check int) "status still exits 1" 1 (run ("status --durable " ^ quote store)))
+
+(* A three-shard, two-replica store is read at its own layout by every
+   reopening subcommand, with no topology flags: the query answers as
+   they did when the flags were required, and each subcommand sees all
+   six replica stores. *)
+let test_reopen_reads_layout () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "st" in
+      Alcotest.(check int) "replicated simulate exits 0" 0
+        (run
+           (Printf.sprintf
+              "simulate --shards 3 --replicas 2 --steps 4 --step-size 2000 --block-size 32 \
+               --durable %s"
+              (quote store)));
+      let q = quote store in
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5,0.99" q) in
+      Alcotest.(check int) "query exits 0" 0 code;
+      List.iter
+        (fun line ->
+          if not (contains out line) then Alcotest.failf "query output lacks %S:\n%s" line out)
+        [
+          "N=9000 (historical 8000 + stream 1000), 4 time steps, 3 shards x 2 replicas, 12 \
+           partitions over 1 levels\n";
+          "phi=0.5    value=100310770 ";
+          "phi=0.99   value=123145817 ";
+        ];
+      List.iter
+        (fun (args, lines) ->
+          let code, out = run_capture (Printf.sprintf "%s --durable %s" args q) in
+          Alcotest.(check int) (args ^ " exits 0") 0 code;
+          List.iter
+            (fun line ->
+              if not (contains out line) then Alcotest.failf "%s output lacks %S:\n%s" args line out)
+            lines)
+        [
+          ( "inspect",
+            [ "\nshard 2 replica 0: partition layout (newest first):\n"; "shard 2 replica 0: invariants: OK\n" ]
+          );
+          ("scrub", [ "anti-entropy [shard 2]: 2 replicas consistent\n"; "scrub: OK\n" ]);
+          ( "metrics --format json",
+            [ "\"shards\":{\"0\":{\"down\":false,\"replicas\":{\"0\":"; ",\"2\":{\"down\":false," ] );
+          ("status", [ "status: 6/6 stores OK, 3/3 shards with an intact replica\n" ]);
+        ])
+
+(* The creating subcommands keep --shards/--replicas for a new store; on
+   an existing one a value that disagrees with its layout exits 2 and
+   writes nothing, while an agreeing one is accepted. *)
+let test_conflicting_layout_refused () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "st3" in
+      Alcotest.(check int) "sharded simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --shards 3 --steps 2 --step-size 600 --block-size 32 --durable %s"
+              (quote store)));
+      let flat = build_store dir in
+      let before = snapshot dir in
+      let sock = quote (Filename.concat dir "s.sock") in
+      (* A serve that took the store would never exit: the timeout
+         turns that into a failure instead of a hang. *)
+      let run_bounded args =
+        match
+          Unix.system (Printf.sprintf "timeout 20 %s %s </dev/null >/dev/null 2>&1" (quote bin) args)
+        with
+        | Unix.WEXITED code -> code
+        | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "hsq killed by signal %d" s
+      in
+      List.iter
+        (fun args -> Alcotest.(check int) (args ^ " exits 2") 2 (run_bounded args))
+        [
+          Printf.sprintf "simulate --shards 2 --steps 1 --step-size 100 --durable %s" (quote store);
+          Printf.sprintf "simulate --replicas 2 --steps 1 --step-size 100 --durable %s" (quote store);
+          Printf.sprintf "stream --shards 2 --durable %s" (quote store);
+          Printf.sprintf "simulate --shards 3 --steps 1 --step-size 100 --durable %s" (quote flat);
+          Printf.sprintf "serve --socket %s --shards 2 --durable %s" sock (quote store);
+        ];
+      Alcotest.(check bool) "every store file unchanged" true (snapshot dir = before);
+      Alcotest.(check int) "an agreeing --shards is accepted" 0
+        (run
+           (Printf.sprintf "simulate --shards 3 --steps 1 --step-size 300 --block-size 32 --durable %s"
+              (quote store))))
+
+(* A root an older build created has no layout file: status infers the
+   layout from the shard directories and writes nothing, and the next
+   recovering open records it again. *)
+let test_layout_inferred_then_recorded () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "st3" in
+      Alcotest.(check int) "sharded simulate exits 0" 0
+        (run
+           (Printf.sprintf "simulate --shards 3 --steps 2 --step-size 600 --block-size 32 --durable %s"
+              (quote store)));
+      let layout = Filename.concat store "layout" in
+      let recorded = In_channel.with_open_bin layout In_channel.input_all in
+      Sys.remove layout;
+      let code, out = run_capture ("status --durable " ^ quote store) in
+      Alcotest.(check int) "status exits 0" 0 code;
+      Alcotest.(check bool) "status reads three shards" true (contains out "status: 3/3 stores OK");
+      Alcotest.(check bool) "status writes nothing" false (Sys.file_exists layout);
+      let code, out = run_capture (Printf.sprintf "query --durable %s -q 0.5" (quote store)) in
+      Alcotest.(check int) "query exits 0" 0 code;
+      Alcotest.(check bool) "query reads three shards" true (contains out ", 3 shards, ");
+      Alcotest.(check bool) "the open records the layout" true (Sys.file_exists layout);
+      Alcotest.(check string) "as it was written" recorded
+        (In_channel.with_open_bin layout In_channel.input_all))
 
 (* The answer lines of a query's stdout. *)
 let phi_lines out =
@@ -757,6 +891,14 @@ let () =
             test_scrub_repair_persists;
           Alcotest.test_case "removed flags rejected" `Quick test_removed_flags_rejected;
           Alcotest.test_case "two shards: inspect and metrics" `Quick test_two_shards;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "lost shard store opens down" `Quick test_lost_shard_store;
+          Alcotest.test_case "reopen reads the layout" `Quick test_reopen_reads_layout;
+          Alcotest.test_case "conflicting layout refused" `Quick test_conflicting_layout_refused;
+          Alcotest.test_case "layout inferred, then recorded" `Quick
+            test_layout_inferred_then_recorded;
         ] );
       ("inspect", [ Alcotest.test_case "durable store" `Quick test_inspect ]);
       ( "simulate",

@@ -508,6 +508,59 @@ let test_entropy_ignores_handoff_points () =
         "equal GK tuples" (stream_image g ~shard:0 ~replica:0) (stream_image g ~shard:0 ~replica:1);
       G.close g)
 
+(* --- the store records its layout ----------------------------------------- *)
+
+(* A K = 2, R = 2 root records its layout, and a config that disagrees
+   with it is refused; a flat root records nothing.  A replica store
+   lost with its volume opens down without being recreated, its sibling
+   answers at full precision, and rejoin restores it as a copy of the
+   sibling, every acknowledged element back. *)
+let test_layout_and_lost_replica () =
+  let root = temp_dir "hsq_shard_layout" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let cfg ~shards ~replicas =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~shards ~replicas ~wal_dir:root
+          (Hsq.Config.Epsilon 0.05)
+      in
+      let g, _ = G.open_or_recover (cfg ~shards:2 ~replicas:2) in
+      let rng = Hsq_util.Xoshiro.create 0x1A40 in
+      ingest_with_reads g rng [ 700; 500 ];
+      let n = G.total_size g in
+      G.close g;
+      Alcotest.(check (option (pair int int))) "recorded" (Some (2, 2)) (G.layout ~root);
+      (match G.open_or_recover (cfg ~shards:3 ~replicas:2) with
+      | exception Invalid_argument _ -> ()
+      | g, _ ->
+        G.close g;
+        Alcotest.fail "a disagreeing config must be refused");
+      let lost = G.store_dir ~root ~shards:2 ~replicas:2 ~shard:1 ~replica:0 in
+      rm_rf lost;
+      let g, recoveries = G.open_or_recover (cfg ~shards:2 ~replicas:2) in
+      Alcotest.(check bool) "lost store not recreated" false (Sys.file_exists lost);
+      Alcotest.(check bool) "reported missing" true
+        (List.exists
+           (fun { G.shard; replica; outcome } ->
+             (shard, replica) = (1, 0) && outcome = Error "store missing")
+           recoveries);
+      Alcotest.(check (list (pair int int))) "one replica down" [ (1, 0) ] (G.replicas_down g);
+      Alcotest.(check int) "every element served" n (G.total_size g);
+      let _, _, d = G.quick_with_bound g ~rank:(n / 2) in
+      Alcotest.(check string) "full precision" "none" (G.degradation_label d);
+      (match G.rejoin_replica g ~shard:1 ~replica:0 with
+      | Ok _ -> ()
+      | Error why -> Alcotest.failf "rejoin failed: %s" why);
+      Alcotest.(check (list (triple int int int)))
+        "restored from the sibling" (stream_image g ~shard:1 ~replica:1)
+        (stream_image g ~shard:1 ~replica:0);
+      G.close g;
+      let flat = Filename.concat root "flat" in
+      let g, _ = G.open_or_recover { (cfg ~shards:1 ~replicas:1) with Hsq.Config.wal_dir = Some flat } in
+      G.close g;
+      Alcotest.(check bool) "a flat store records nothing" false
+        (Sys.file_exists (Filename.concat flat "layout")))
+
 (* --- windows ---------------------------------------------------------------- *)
 
 (* Shard 0 down across one step, shard 1 down across a later one: both
@@ -860,6 +913,8 @@ let () =
           Alcotest.test_case "recovery gauges, rejoin, health rollup" `Quick
             test_recovery_gauges_and_rejoin;
           Alcotest.test_case "recovery equals live" `Quick test_recovery_equals_live;
+          Alcotest.test_case "recorded layout, lost replica store" `Quick
+            test_layout_and_lost_replica;
           Alcotest.test_case "repaired replica holds its source's sketch" `Quick
             test_repaired_replica_image;
         ] );
