@@ -58,8 +58,7 @@ let shards =
   let doc =
     "Shard a new warehouse across $(docv) independent engines (own device, WAL, breaker, \
      quarantine per shard); ingest hash-routes and queries fuse the shards' answers with the \
-     same ±ε·m guarantee. Unset = 1, a single engine. A store keeps the layout it was \
-     created with: on an existing --durable store a different value exits 2."
+     same ±ε·m guarantee. Unset = 1. A store keeps its layout: on one, a different value exits 2."
   in
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
 
@@ -70,8 +69,7 @@ let replicas =
      acknowledged while at least one accepts, reads fail over to a sibling instead of \
      widening bounds when a replica is down, downed replicas catch up from hinted handoff \
      on rejoin, and $(b,hsq scrub) compares replica state digests and repairs divergence \
-     from the healthiest sibling. Works with or without --shards. Unset = 1, unreplicated. \
-     Like --shards, it sets a new store's layout and must match an existing one's."
+     from the healthiest sibling. Works with or without --shards. Unset = 1; like --shards."
   in
   Arg.(value & opt (some int) None & info [ "replicas" ] ~docv:"R" ~doc)
 
@@ -193,28 +191,14 @@ let unusable_store ~reopen dir =
   Option.iter prerr_endline why;
   why <> None
 
-(* The shards and replicas to open [dir] at: the store's own layout, or
-   for a root that holds no store, the flags' (1 without them).  A flag
-   that disagrees with the store's layout is refused. *)
-let resolve_layout dir ~shards ~replicas =
-  let agrees flag v = Option.fold ~none:true ~some:(( = ) v) flag in
-  match G.layout ~root:dir with
-  | None -> Ok (Option.value shards ~default:1, Option.value replicas ~default:1)
-  | Some (k, r) when agrees shards k && agrees replicas r -> Ok (k, r)
-  | Some (k, r) ->
-    Error
-      (Printf.sprintf "%s holds a store of %d shards x %d replicas; leave --shards/--replicas off \
-                       or match it" dir k r)
-
 (* The one way a subcommand gets its warehouse: a shard group at every K,
    handed to [k] and closed after it.  --durable DIR opens (or recovers)
    the store rooted there, at its own layout; without it a volatile
    group stands in.  With [~reopen:true] (query, inspect, scrub,
-   metrics) the store must exist: a missing DIR or a missing --durable
-   exits 2, and nothing is created, nor in a DIR that holds no store
-   (its one store opens down).  Otherwise a DIR whose parent is missing
-   exits 2 the same way, and so do [shards]/[replicas] that disagree
-   with the store's layout.  [config.wal_dir] is set here. *)
+   metrics) a missing DIR or --durable exits 2, and nothing is created
+   anywhere.  Otherwise a DIR whose parent is missing exits 2 the same
+   way, as do [shards]/[replicas] that disagree with the store's
+   layout.  [config.wal_dir] is set here. *)
 let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   let run g =
     let code = k g in
@@ -223,19 +207,25 @@ let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   in
   match durable with
   | Some dir when unusable_store ~reopen dir -> 2
-  | Some dir -> (
-    match resolve_layout dir ~shards ~replicas with
-    | Error msg ->
-      prerr_endline msg;
+  | Some dir ->
+    (* The store's own layout; the flags' (1 without them) for a root
+       that holds no store. *)
+    let default = (Option.value shards ~default:1, Option.value replicas ~default:1) in
+    let k, r = Option.value (G.layout ~root:dir) ~default in
+    let conflicts flag v = flag <> None && flag <> Some v in
+    if conflicts shards k || conflicts replicas r then begin
+      Printf.eprintf "%s holds a store of %d shards x %d replicas: leave --shards/--replicas off \
+                      or match them\n" dir k r;
       2
-    | Ok (shards, replicas) ->
+    end
+    else
       guard (fun () ->
           let g, recoveries =
             G.open_or_recover ~create:(not reopen)
-              { config with Hsq.Config.wal_dir = Some dir; shards; replicas }
+              { config with Hsq.Config.wal_dir = Some dir; shards = k; replicas = r }
           in
           report_recoveries g recoveries;
-          run g))
+          run g)
   | None when reopen ->
     Printf.eprintf "%s requires --durable DIR\n" who;
     2

@@ -691,8 +691,7 @@ let open_or_recover config =
   in
   (* The whole log replays through the ingest buffer as it is read, so
      every hand-off falls where it fell live. *)
-  let replay n _ record =
-    (match record with
+  let replay () _ = function
     | Hsq_storage.Wal.Observe v -> buffer t v
     | Hsq_storage.Wal.End_step { step; count = _ } ->
       hand_off t;
@@ -712,19 +711,19 @@ let open_or_recover config =
         drop_step ();
         save_meta t meta_path;
         incr reingested
-      end);
-    n + 1
+      end
   in
   let stats = Hsq_storage.Block_device.stats t.dev in
-  let wal, replayed, tail =
+  let wal, (), tail =
     if Sys.file_exists wal_path then
-      Hsq_storage.Wal.open_existing ~sync:config.Config.wal_sync ~stats ~path:wal_path replay 0
+      Hsq_storage.Wal.open_existing ~sync:config.Config.wal_sync ~stats ~path:wal_path replay ()
     else
       ( Hsq_storage.Wal.create ~sync:config.Config.wal_sync ~stats ~path:wal_path ~start_seq:1
           (),
-        0,
+        (),
         Hsq_storage.Wal.Clean )
   in
+  let replayed = Hsq_storage.Wal.next_seq wal - Hsq_storage.Wal.start_seq wal in
   Hsq_storage.Io_stats.note_wal_replayed stats replayed;
   (* The log is deliberately left un-rotated after replay: committed
      markers replay as skips, so a crash during recovery just recovers

@@ -12,8 +12,5 @@ val quick_rank_bound : eps1:float -> eps2:float -> n:int -> m:int -> partitions:
 (** Lemma 5 / Theorem 2: accurate-response rank error, O(ε·m). *)
 val accurate_rank_bound : eps:float -> eps2:float -> m:int -> float
 
-(** |r − r̂| / (φ·N), the relative error metric of Section 3.1. *)
-val relative : rank_error:float -> phi:float -> total:int -> float
-
 val theory_relative_accurate :
   eps:float -> eps2:float -> m:int -> phi:float -> total:int -> float

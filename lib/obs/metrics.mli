@@ -108,10 +108,8 @@ val counter_value : t -> string -> int option
     [None] if the name is absent or not a gauge. *)
 val gauge_value : t -> string -> float option
 
-(** [s] as the body of a JSON string literal, without the quotes:
-    double quotes and backslashes get a backslash, a newline becomes
-    backslash-n, other control bytes a backslash-u escape.  The one
-    escaper of the metric, trace and shard-group JSON. *)
+(** [s] as the body of a JSON string literal (quotes not included): the
+    one escaper of the metric, trace and shard-group JSON. *)
 val json_escape : string -> string
 
 (** One JSON object, keys sorted by metric name:

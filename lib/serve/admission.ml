@@ -151,12 +151,6 @@ let begin_drain t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock
 
-let draining t =
-  Mutex.lock t.lock;
-  let d = t.draining in
-  Mutex.unlock t.lock;
-  d
-
 let reply (item : item) response =
   Mutex.lock item.lock;
   item.reply <- Some response;

@@ -57,8 +57,6 @@ val next : t -> item option
 (** Stop admitting ({!submit} returns [Draining]) and wake {!next}. *)
 val begin_drain : t -> unit
 
-val draining : t -> bool
-
 (** Engine thread: deliver the response and wake the submitter. *)
 val reply : item -> string -> unit
 

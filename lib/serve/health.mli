@@ -50,7 +50,7 @@ val to_lines : t -> string list
     - {b full precision} (exit 0): every shard serves reads through a
       live, healthy, non-diverged replica — answers keep the complete
       ±ε·m contract even if sibling replicas are down, draining hints,
-      or flagged diverged.  Those surface as {!group_warnings}.
+      or flagged diverged.  Those surface as warnings.
     - {b answers degraded} (exit 1): some shard cannot produce an
       undegraded answer (whole replica set down, serving replica
       quarantined/breaker-open, or only a diverged replica left).
@@ -82,16 +82,8 @@ val collect_group : Hsq_shard.Shard_group.t -> group
     non-diverged. Equals the old all-up-and-healthy at R = 1. *)
 val group_healthy : group -> bool
 
-(** Answers keep full ±ε·m precision (serving replicas all healthy and
-    non-diverged) — drives the exit code. *)
-val group_full_precision : group -> bool
-
-(** Degraded-but-full-precision conditions: downed replicas with a
-    sibling serving, pending hints, diverged or degraded non-serving
-    replicas. Empty when [group_healthy]. *)
-val group_warnings : group -> string list
-
-(** 0 iff {!group_full_precision}; warnings alone do not fail it. *)
+(** 0 iff answers keep full ±ε·m precision (serving replicas all
+    healthy and non-diverged); warnings alone do not fail it. *)
 val group_exit_code : group -> int
 
 val group_to_fields : group -> (string * Json.t) list

@@ -43,8 +43,6 @@ type budgets = {
   admin_ms : float;
 }
 
-val default_budgets : budgets
-
 type config = {
   listen : listen;
   queue_depth : int;  (** admission-queue capacity *)

@@ -87,11 +87,8 @@ let reopen ~dir ~peer ~sync =
     | Some base_seq -> (
       match
         if Sys.file_exists path then
-          let wal, (), _ =
-            Wal.open_existing ~sync ~stats:(Hsq_storage.Io_stats.create ()) ~path
-              (fun () _ _ -> ())
-              ()
-          in
+          let stats = Hsq_storage.Io_stats.create () in
+          let wal, (), _ = Wal.open_existing ~sync ~stats ~path (fun () _ _ -> ()) () in
           wal
         else Wal.create ~sync ~stats:(Hsq_storage.Io_stats.create ()) ~path ~start_seq:1 ()
       with

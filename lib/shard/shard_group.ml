@@ -166,30 +166,26 @@ let render_layout (k, r) =
   Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body)
 
 let recorded_layout root =
-  match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines (layout_path root)) with
-  | [ "hsq-layout 1"; ks; rs ] -> (
-    match (String.split_on_char ' ' ks, String.split_on_char ' ' rs) with
-    | [ "shards"; k ], [ "replicas"; r ] -> (
-      match (int_of_string_opt k, int_of_string_opt r) with
-      | Some k, Some r when k >= 1 && r >= 1 -> Some (k, r)
-      | _ -> None)
-    | _ -> None)
-  | _ | (exception _) -> None
+  try
+    match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines (layout_path root)) with
+    | [ "hsq-layout 1"; ks; rs ] ->
+      Scanf.sscanf (ks ^ " " ^ rs) "shards %u replicas %u%!" (fun k r ->
+          if k >= 1 && r >= 1 then Some (k, r) else None)
+    | _ -> None
+  with _ -> None
 
 (* One past the largest i of a <prefix><i> subdirectory of [dir]. *)
 let span dir prefix =
+  let p = String.length prefix in
   let index name =
-    match String.starts_with ~prefix name with
-    | false -> None
-    | true -> (
-      let p = String.length prefix in
+    if not (String.starts_with ~prefix name) then -1
+    else
       match int_of_string_opt (String.sub name p (String.length name - p)) with
-      | Some i when prefix ^ string_of_int i = name && Sys.is_directory (Filename.concat dir name) ->
-        Some i
-      | _ -> None)
+      | Some i when prefix ^ string_of_int i = name && Sys.is_directory (Filename.concat dir name) -> i
+      | _ -> -1
   in
   match Sys.readdir dir with
-  | names -> Array.fold_left (fun acc n -> match index n with Some i -> max acc (i + 1) | None -> acc) 0 names
+  | names -> 1 + Array.fold_left (fun acc name -> max acc (index name)) (-1) names
   | exception Sys_error _ -> 0
 
 let inferred_layout root =
@@ -198,7 +194,9 @@ let inferred_layout root =
     match span root "replica-" with
     | 0 -> if E.store_exists ~dir:root then Some (1, 1) else None
     | r -> Some (1, r))
-  | k -> Some (k, List.fold_left (fun acc i -> max acc (span (shard_dir ~root i) "replica-")) 1 (List.init k Fun.id))
+  | k ->
+    let replicas i = span (shard_dir ~root i) "replica-" in
+    Some (k, List.fold_left (fun acc i -> max acc (replicas i)) 1 (List.init k Fun.id))
 
 let layout ~root = match recorded_layout root with Some l -> Some l | None -> inferred_layout root
 

@@ -114,17 +114,14 @@ type shard_recovery = {
     found on disk are drained (or trigger sibling repair) before the
     owning replica serves reads.
 
-    The store is the source of its {!layout}: a root that holds no
-    store is created at [config]'s K and R (unless [create] is
-    [false]: then nothing is created, and its one store opens down),
-    and a non-flat one records them in [root/layout] before any shard
-    store is made. A root an older build created has its layout
-    inferred and recorded by this open. On a store that exists, a
-    [config] whose [shards]/[replicas] disagree with its layout raises
-    [Invalid_argument], and a store directory that is missing, or
-    holds neither sidecar nor log, opens down ("store missing") with
-    nothing created in it: a sibling replica serves in its place, or
-    the shard is down. *)
+    The store is the source of its {!layout}. A root that holds no
+    store is created at [config]'s K and R, which a non-flat store
+    records in [root/layout] first ([~create:false]: nothing is
+    created, and the root's one store opens down). Otherwise a
+    [config] that disagrees with the layout raises [Invalid_argument],
+    an inferred layout is recorded, and a store directory holding
+    neither sidecar nor log opens down ("store missing"), nothing
+    created in it. *)
 val open_or_recover : ?create:bool -> Hsq.Config.t -> t * shard_recovery list
 
 (** [Some (shards, replicas)] of the store rooted at [root]: recorded
@@ -133,9 +130,6 @@ val open_or_recover : ?create:bool -> Hsq.Config.t -> t * shard_recovery list
     (1, 1) when the root itself holds a store; [None] when it holds
     none. Reads only. *)
 val layout : root:string -> (int * int) option
-
-(** [shard_dir ~root i] = [root/shard-<i>]. *)
-val shard_dir : root:string -> int -> string
 
 (** The directory replica [replica] of shard [shard] stores itself in
     (see {!open_or_recover} for the collapsing at K = 1 / R = 1). *)

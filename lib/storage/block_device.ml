@@ -209,7 +209,6 @@ let injected t op ~attempt addr =
    disk or network volume at once.  Zero (the default) keeps tests and
    the existing cost model untouched. *)
 let set_read_latency t seconds = t.read_latency <- Float.max 0.0 seconds
-let read_latency t = t.read_latency
 
 let apply_read_latency t = if t.read_latency > 0.0 then Unix.sleepf t.read_latency
 

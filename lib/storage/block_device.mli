@@ -105,7 +105,7 @@ exception Batch_error of int * string
     number of physical reads it issued (retried attempts included).
     Each read is a {!read_block} — breaker, injector, retries,
     {!Io_stats} and checksum, in index order on the calling thread — except for the simulated wait: the batch waits
-    once, the longest {!read_latency} among the devices its reads
+    once, the longest read latency among the devices its reads
     reached, and records that wait as one [hsq_device_read_seconds]
     observation on each of those devices. The batch stops at its first
     unrecoverable read, raising {!Batch_error}: no later read is issued
@@ -146,7 +146,6 @@ val breaker_state : t -> Breaker.state
     effect). *)
 
 val set_read_latency : t -> float -> unit
-val read_latency : t -> float
 
 (** {2 Fault injection}
 

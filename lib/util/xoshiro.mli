@@ -8,7 +8,6 @@ type t
 
 val create : int -> t
 val copy : t -> t
-val next_int64 : t -> int64
 
 (** Non-negative 62-bit integer. *)
 val next : t -> int
