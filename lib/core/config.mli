@@ -42,10 +42,10 @@ type t = {
   shards : int;
       (** number of independent engine shards when the store is driven
           through {!Shard_group} (hash-partitioned [observe], fused
-          answers); 1 = a single engine, the paper's setting. Runtime
-          topology: each shard persists its own
-          single-engine config, so this field is never written to a
-          sidecar *)
+          answers); 1 = a single engine, the paper's setting. No
+          engine sidecar holds it: a durable group records it, with
+          [replicas], in its root's layout file, and a reopen must
+          agree with that *)
   replicas : int;
       (** independent engine replicas per logical shard when the store
           is driven through {!Shard_group}: writes are applied
@@ -54,8 +54,7 @@ type t = {
           answers keep full ±ε·m precision through any loss that leaves
           ≥1 replica per shard. 1 = unreplicated (the classic layout,
           bit-compatible with stores written before replication
-          existed). Runtime topology, like [shards]: never persisted.
-          Validated to [1, 8]. *)
+          existed). Recorded like [shards]. Validated to [1, 8]. *)
 }
 
 val default : t

@@ -131,7 +131,8 @@ let to_json span =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v)))
+          Buffer.add_string b
+            (Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v)))
         kvs;
       Buffer.add_char b '}');
     (match children s with
