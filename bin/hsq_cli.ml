@@ -195,10 +195,11 @@ let unusable_store ~reopen dir =
    handed to [k] and closed after it.  --durable DIR opens (or recovers)
    the store rooted there, at its own layout; without it a volatile
    group stands in.  With [~reopen:true] (query, inspect, scrub,
-   metrics) a missing DIR or --durable exits 2, and nothing is created
-   anywhere.  Otherwise a DIR whose parent is missing exits 2 the same
-   way, as do [shards]/[replicas] that disagree with the store's
-   layout.  [config.wal_dir] is set here. *)
+   metrics) a missing DIR or --durable exits 2, a DIR that holds no
+   store exits 1, and nothing is created anywhere.  Otherwise a DIR
+   whose parent is missing exits 2 the same way, as do
+   [shards]/[replicas] that disagree with the store's layout.
+   [config.wal_dir] is set here. *)
 let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   let run g =
     let code = k g in
@@ -207,6 +208,9 @@ let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   in
   match durable with
   | Some dir when unusable_store ~reopen dir -> 2
+  | Some dir when reopen && G.layout ~root:dir = None ->
+    Printf.eprintf "%s: %s holds no store (never created, or lost)\n" who dir;
+    1
   | Some dir ->
     (* The store's own layout; the flags' (1 without them) for a root
        that holds no store. *)
@@ -221,8 +225,7 @@ let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
     else
       guard (fun () ->
           let g, recoveries =
-            G.open_or_recover ~create:(not reopen)
-              { config with Hsq.Config.wal_dir = Some dir; shards = k; replicas = r }
+            G.open_or_recover { config with Hsq.Config.wal_dir = Some dir; shards = k; replicas = r }
           in
           report_recoveries g recoveries;
           run g)

@@ -1462,7 +1462,7 @@ let rejoin t i =
     | _ -> ( match results with Error e :: _ -> Error e | _ -> Error "rejoin failed")
   end
 
-let open_or_recover ?(create = true) config =
+let open_or_recover config =
   let root =
     match config.Hsq.Config.wal_dir with
     | Some d -> d
@@ -1481,7 +1481,7 @@ let open_or_recover ?(create = true) config =
   | _ -> ());
   (* Only a root holding no store is created; in a store that exists, a
      missing store directory is lost, and opens down. *)
-  let fresh = create && found = None in
+  let fresh = found = None in
   if fresh then begin
     if not (Sys.file_exists root) then (
       try Sys.mkdir root 0o755
@@ -1493,7 +1493,7 @@ let open_or_recover ?(create = true) config =
   end;
   (* Written before any shard store, and by the first open of a root an
      older build created. *)
-  if (k, r) <> (1, 1) && (fresh || found <> None) && recorded_layout root = None then
+  if (k, r) <> (1, 1) && recorded_layout root = None then
     Hsq.Meta.write ~path:(layout_path root) (render_layout (k, r));
   let recoveries = ref [] in
   let slots =

@@ -116,13 +116,11 @@ type shard_recovery = {
 
     The store is the source of its {!layout}. A root that holds no
     store is created at [config]'s K and R, which a non-flat store
-    records in [root/layout] first ([~create:false]: nothing is
-    created, and the root's one store opens down). Otherwise a
-    [config] that disagrees with the layout raises [Invalid_argument],
-    an inferred layout is recorded, and a store directory holding
-    neither sidecar nor log opens down ("store missing"), nothing
-    created in it. *)
-val open_or_recover : ?create:bool -> Hsq.Config.t -> t * shard_recovery list
+    records in [root/layout] first. Otherwise a [config] that
+    disagrees with the layout raises [Invalid_argument], an inferred
+    layout is recorded, and a store directory holding neither sidecar
+    nor log opens down ("store missing"), nothing created in it. *)
+val open_or_recover : Hsq.Config.t -> t * shard_recovery list
 
 (** [Some (shards, replicas)] of the store rooted at [root]: recorded
     in its layout file, else inferred from its [shard-<i>] /

@@ -155,9 +155,16 @@ let test_scrub_missing_args () =
   Alcotest.(check int) "scrub without --durable" 2 (run "scrub")
 
 (* The read-only subcommands never create a store: a typo'd DIR exits 2
-   at any K, and the path is still absent afterwards. *)
+   at any K, and the path is still absent afterwards; a DIR that holds
+   no store exits 1, and stays empty. *)
 let test_missing_store_not_created () =
   with_temp_dir (fun dir ->
+      List.iter
+        (fun cmd ->
+          Alcotest.(check int) (cmd ^ " on an empty directory") 1
+            (run (Printf.sprintf "%s --durable %s" cmd (quote dir)));
+          Alcotest.(check int) (cmd ^ " leaves it empty") 0 (Array.length (Sys.readdir dir)))
+        [ "query"; "inspect"; "scrub"; "metrics"; "status" ];
       let nope = Filename.concat dir "nope" in
       List.iter
         (fun cmd ->
