@@ -208,27 +208,28 @@ let with_group ~who ~config ?(reopen = false) ?shards ?replicas durable k =
   in
   match durable with
   | Some dir when unusable_store ~reopen dir -> 2
-  | Some dir when reopen && G.layout ~root:dir = None ->
-    Printf.eprintf "%s: %s holds no store (never created, or lost)\n" who dir;
-    1
-  | Some dir ->
-    (* The store's own layout; the flags' (1 without them) for a root
-       that holds no store. *)
-    let default = (Option.value shards ~default:1, Option.value replicas ~default:1) in
-    let k, r = Option.value (G.layout ~root:dir) ~default in
-    let conflicts flag v = flag <> None && flag <> Some v in
-    if conflicts shards k || conflicts replicas r then begin
-      Printf.eprintf "%s holds a store of %d shards x %d replicas: leave --shards/--replicas off \
-                      or match them\n" dir k r;
-      2
-    end
-    else
-      guard (fun () ->
-          let g, recoveries =
-            G.open_or_recover { config with Hsq.Config.wal_dir = Some dir; shards = k; replicas = r }
-          in
-          report_recoveries g recoveries;
-          run g)
+  | Some dir -> (
+    match G.layout ~root:dir with
+    | None when reopen ->
+      Printf.eprintf "%s: %s holds no store (never created, or lost)\n" who dir;
+      1
+    | layout ->
+      (* The store's own layout; the flags' (1 without them) for a root
+         that holds no store. *)
+      let default = (Option.value shards ~default:1, Option.value replicas ~default:1) in
+      let k, r = Option.value layout ~default in
+      let conflicts flag v = flag <> None && flag <> Some v in
+      if conflicts shards k || conflicts replicas r then begin
+        Printf.eprintf "%s holds a store of %d shards x %d replicas: leave --shards/--replicas \
+                        off or match them\n" dir k r;
+        2
+      end
+      else
+        guard (fun () ->
+            let config = { config with Hsq.Config.wal_dir = Some dir; shards = k; replicas = r } in
+            let g, recoveries = G.open_or_recover config in
+            report_recoveries g recoveries;
+            run g))
   | None when reopen ->
     Printf.eprintf "%s requires --durable DIR\n" who;
     2
