@@ -165,7 +165,7 @@ let guard f =
   | Hsq.Engine.Unsupported_store msg ->
     Printf.eprintf "unsupported store: %s\n" msg;
     2
-  | Hsq.Persist.Corrupt_metadata msg ->
+  | Hsq.Meta.Corrupt_metadata msg ->
     Printf.eprintf "corrupt metadata: %s\n" msg;
     1
   | Hsq_storage.Block_device.Device_error msg ->
@@ -566,7 +566,7 @@ let scrub repair durable =
           (G.replicas_down g);
       (* Media scrub of every live replica store. *)
       List.iter
-        (fun ((i, j), (r : Hsq.Persist.scrub_report)) ->
+        (fun ((i, j), (r : Hsq.Engine.scrub_report)) ->
           let who = group_label g ~shard:i ~replica:j in
           Printf.printf "%sscrubbed %d partitions (%d block reads)"
             (if who = "" then "" else who ^ ": ")
@@ -686,7 +686,7 @@ let status_one dir health =
   | false, _ -> print_endline "warehouse: empty (no committed time step yet)"
   | true, false -> problem "warehouse: DAMAGED — sidecar present but device file missing"
   | true, true -> (
-    match Hsq.Persist.load_files ~device_path ~meta_path () with
+    match Hsq.Engine.load_warehouse ~dir with
     | eng ->
       Printf.printf "warehouse: %d archived steps, %d elements, %d partitions\n"
         (Hsq.Engine.time_steps eng) (Hsq.Engine.hist_size eng)
@@ -694,7 +694,7 @@ let status_one dir health =
       if health && report_health eng <> 0 then
         problem "health: DEGRADED — breaker open or partitions quarantined";
       Hsq_storage.Block_device.close (Hsq.Engine.device eng)
-    | exception Hsq.Persist.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
+    | exception Hsq.Meta.Corrupt_metadata msg -> problem "warehouse: CORRUPT — %s" msg
     | exception Hsq_storage.Block_device.Device_error msg ->
       problem "warehouse: DEVICE ERROR — %s" msg));
   (* Write-ahead log: the open step's one durable copy. *)

@@ -157,9 +157,8 @@ let fresh_gk config =
 let handoff_size = 512
 
 (* An engine over [device] and [hist] with an empty stream side.  The
-   recovery path (Persist) adopts a restored historical index this way,
-   and [open_or_recover] refills the stream side from the WAL when
-   durability is on. *)
+   loader ([load_warehouse]) adopts a restored historical index this
+   way, and [open_or_recover] refills the stream side from the WAL. *)
 let of_restored ~device config hist =
   {
     config;
@@ -304,6 +303,124 @@ let commit_meta t =
   match t.durable with
   | Some d when not t.closed -> save_meta t d.meta_path
   | Some _ | None -> ()
+
+type scrub_report = {
+  partitions_checked : int;
+  blocks_read : int;
+  errors : string list;
+  quarantined : int;
+  reinstated : int;
+  still_quarantined : int;
+}
+
+(* Re-read every live partition front to back.  Each block read verifies
+   its embedded checksum (Block_device), and the scan checks the
+   partition is globally sorted and element-complete — so bit rot, torn
+   writes, and shuffled blocks all surface here as errors rather than as
+   silently wrong quantiles.  Cost: one sequential pass over the live
+   data, charged to the device counters like everything else. *)
+let scrub ?(repair = false) t =
+  let hist = t.hist in
+  let stats = Hsq_storage.Block_device.stats t.dev in
+  let registry = Hsq_storage.Io_stats.registry stats in
+  let before = Hsq_storage.Io_stats.snapshot stats in
+  (* Already-quarantined partitions are not cursor-scanned here (their
+     blocks are presumed bad); with [repair] they go through
+     [Level_index.reinstate], which performs this same verification
+     itself and swaps a rebuilt summary in on success. *)
+  let parts = Hsq_hist.Level_index.active_partitions hist in
+  let pre_quarantined = Hsq_hist.Level_index.quarantined hist in
+  let check p =
+    let run = Hsq_hist.Partition.run p in
+    let first_block = Hsq_storage.Run.first_block run in
+    try
+      let c = Hsq_storage.Run.cursor run in
+      let prev = ref min_int in
+      let count = ref 0 in
+      let bad_order = ref None in
+      let rec scan () =
+        match Hsq_storage.Run.cursor_next c with
+        | None -> ()
+        | Some v ->
+          if v < !prev && !bad_order = None then bad_order := Some !count;
+          prev := v;
+          incr count;
+          scan ()
+      in
+      scan ();
+      match !bad_order with
+      | Some i ->
+        Some (Printf.sprintf "partition at block %d: unsorted at element %d" first_block i)
+      | None ->
+        if !count <> Hsq_storage.Run.length run then
+          Some
+            (Printf.sprintf "partition at block %d: read %d of %d elements" first_block
+               !count (Hsq_storage.Run.length run))
+        else None
+    with Hsq_storage.Block_device.Device_error msg ->
+      Some (Printf.sprintf "partition at block %d: %s" first_block msg)
+  in
+  let newly_quarantined = ref 0 in
+  let scan_errors =
+    List.filter_map
+      (fun p ->
+        match check p with
+        | None -> None
+        | Some e ->
+          if repair then begin
+            Hsq_hist.Level_index.quarantine_partition hist p;
+            incr newly_quarantined
+          end;
+          Some e)
+      parts
+  in
+  let reinstated = ref 0 in
+  let reinstate_errors =
+    if not repair then []
+    else
+      List.filter_map
+        (fun p ->
+          match Hsq_hist.Level_index.reinstate hist p with
+          | Ok () ->
+            incr reinstated;
+            None
+          | Error msg ->
+            Some
+              (Printf.sprintf "partition at block %d: still quarantined: %s"
+                 (Hsq_storage.Run.first_block (Hsq_hist.Partition.run p))
+                 msg))
+        pre_quarantined
+  in
+  (* A device fault mid-ingest can leave a level over κ with the merge
+     deferred; a repairing scrub is the convergence point, so retry
+     those merges now that the partitions are (re-)verified. *)
+  let merged = if repair then Hsq_hist.Level_index.run_deferred_merges hist else 0 in
+  (* A repair that changed the archived layout commits it, as a step
+     commit would: the quarantine set must survive a reopen, or the
+     store serves the damaged partition again. *)
+  if !newly_quarantined > 0 || !reinstated > 0 || merged > 0 then commit_meta t;
+  let errors = scan_errors @ reinstate_errors in
+  let io = Hsq_storage.Io_stats.diff (Hsq_storage.Io_stats.snapshot stats) before in
+  let report =
+    {
+      partitions_checked = List.length parts;
+      blocks_read = io.Hsq_storage.Io_stats.reads;
+      errors;
+      quarantined = !newly_quarantined;
+      reinstated = !reinstated;
+      still_quarantined = Hsq_hist.Level_index.quarantined_count hist;
+    }
+  in
+  (* Last-scrub outcome, exported for `hsq status --health`. *)
+  let set name help v = Metrics.Gauge.set (Metrics.gauge ~help registry name) v in
+  set "hsq_scrub_last_errors" "Errors found by the most recent scrub"
+    (float_of_int (List.length errors));
+  set "hsq_scrub_last_reinstated" "Partitions reinstated by the most recent scrub"
+    (float_of_int !reinstated);
+  set "hsq_scrub_last_quarantined" "Partitions quarantined by the most recent scrub"
+    (float_of_int !newly_quarantined);
+  set "hsq_scrub_last_time_s" "Wall-clock time of the most recent scrub" (Metrics.now_s ());
+  report
 
 (* Load the batch into the warehouse and reset the stream sketch
    (HistUpdate + StreamReset).
@@ -610,6 +727,20 @@ let legacy_checkpoint_file = "checkpoint"
 let store_paths ~dir =
   (Filename.concat dir device_file, Filename.concat dir meta_file, Filename.concat dir wal_file)
 
+let load_warehouse ~dir =
+  let device_path, meta_path, _ = store_paths ~dir in
+  let config, descriptors = Meta.read meta_path in
+  let device =
+    Hsq_storage.Block_device.open_file ~block_size:config.Config.block_size ~path:device_path ()
+  in
+  match Meta.restore ~device config descriptors with
+  | hist -> of_restored ~device config hist
+  | exception e ->
+    (* A damaged warehouse keeps no handle open: a rejoin copies a
+       sibling's store over it and opens again. *)
+    Hsq_storage.Block_device.close device;
+    raise e
+
 (* An open writes the sidecar and the log before it returns, so a store
    that was ever opened holds one of them. *)
 let store_exists ~dir =
@@ -655,16 +786,15 @@ let open_or_recover config =
      device file holds no committed state and is reinitialised. *)
   let t =
     if Sys.file_exists meta_path then begin
-      let block_size = Meta.peek_block_size meta_path in
-      let device = Hsq_storage.Block_device.open_file ~block_size ~path:device_path () in
-      let stored, hist = Meta.load_hist ~device ~path:meta_path in
+      let t = load_warehouse ~dir in
       (* Structural fields come from the sidecar (they describe the
          on-disk layout); durability settings are runtime policy and
          stay the caller's. *)
-      let merged =
-        { stored with Config.wal_dir = config.Config.wal_dir; wal_sync = config.Config.wal_sync }
-      in
-      of_restored ~device merged hist
+      {
+        t with
+        config =
+          { t.config with Config.wal_dir = config.Config.wal_dir; wal_sync = config.Config.wal_sync };
+      }
     end
     else begin
       if Sys.file_exists device_path then Sys.remove device_path;

@@ -50,11 +50,6 @@ val degradation_label : degradation -> string
     in-memory simulated block device of [config.block_size] is used. *)
 val create : ?device:Hsq_storage.Block_device.t -> Config.t -> t
 
-(** Adopt a restored historical index (recovery; used by {!Persist}).
-    The stream side starts empty — the live stream is volatile. *)
-val of_restored :
-  device:Hsq_storage.Block_device.t -> Config.t -> Hsq_hist.Level_index.t -> t
-
 val config : t -> Config.t
 val device : t -> Hsq_storage.Block_device.t
 
@@ -144,6 +139,35 @@ val end_time_step : t -> Hsq_hist.Level_index.update_report
     open step stays in the WAL. A no-op on a volatile or closed
     engine. *)
 val commit_meta : t -> unit
+
+(** {2 Scrub} *)
+
+type scrub_report = {
+  partitions_checked : int; (** active partitions cursor-scanned *)
+  blocks_read : int;
+  errors : string list; (** empty iff the warehouse is healthy *)
+  quarantined : int; (** partitions this scrub moved into quarantine
+                         (always 0 without [repair]) *)
+  reinstated : int; (** quarantined partitions this scrub verified and
+                        returned to service (always 0 without [repair]) *)
+  still_quarantined : int; (** quarantined partitions remaining *)
+}
+
+(** Re-read every active partition front to back, verifying per-block
+    checksums (any flipped bit surfaces here as a checksum failure) and
+    cross-block sortedness and element counts. Returns a report instead
+    of raising: a damaged partition yields one error entry and the scan
+    continues with the rest.
+
+    With [repair] (the [hsq scrub --repair] path) the scrub also acts:
+    a failing active partition is quarantined on the spot, every
+    previously quarantined partition goes through
+    {!Hsq_hist.Level_index.reinstate} — re-verified end to end and
+    returned to service if clean — and deferred merges are retried; a
+    durable engine then commits the changed layout ({!commit_meta}).
+    The outcome is exported as [hsq_scrub_last_*] gauges in the
+    engine's metric registry. *)
+val scrub : ?repair:bool -> t -> scrub_report
 
 (** {!observe_batch} the elements, then [end_time_step]. A WAL fault
     raises its cause, as {!observe} does. *)
@@ -305,6 +329,18 @@ val durability_status : t -> durability_status option
     (device, warehouse sidecar, WAL). For status tooling that inspects a
     store without opening it. *)
 val store_paths : dir:string -> string * string * string
+
+(** Reopen the warehouse of the store at [dir] — its device file and
+    sidecar, each partition's summary rebuilt with at most β₁ block
+    reads — as an engine with an empty stream side and no WAL: the open
+    step stays in the log, unread, and nothing is written. The engine's
+    config is the sidecar's (durability fields at their defaults); its
+    metrics live in the device's private registry. Raises
+    [Meta.Corrupt_metadata] on a version / parse / checksum / invariant
+    mismatch, including unsorted on-disk partitions and partitions
+    whose blocks fail their device checksums, and
+    {!Hsq_storage.Block_device.Device_error} without a device file. *)
+val load_warehouse : dir:string -> t
 
 (** Whether [dir] holds a store: its sidecar or its WAL exists (an open
     writes both before it returns). *)

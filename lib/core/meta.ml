@@ -1,17 +1,19 @@
-(* Warehouse metadata sidecar: rendering, parsing, atomic writing, and
-   restoring a historical index from it.
+(* The one codec of the store's text files: the warehouse sidecar
+   (rendering, parsing, atomic writing, restoring a historical index
+   from it), and the checksummed-file framing that every other text
+   file of a store (a group's layout and step baseline, a hint log's
+   base) shares through [seal] and [read_sealed].
 
-   This sits *below* Engine in the module graph on purpose: both
-   Persist (the save/load/scrub API) and Engine's durable-ingest
-   recovery manager (Engine.open_or_recover) need the sidecar, and the
-   latter could not live in Engine if the machinery stayed in Persist
-   (which depends on Engine).
+   This sits *below* Engine in the module graph on purpose: the engine's
+   loader and recovery manager ([Engine.load_warehouse],
+   [Engine.open_or_recover]) read the sidecar, and the shard layer reads
+   and writes its own root files through the same framing.
 
-   The format is unchanged from Persist version 2: a plain-text file of
-   [field value] lines, a partition table, and a trailing whole-file
-   checksum line.  Durable-ingest settings (WAL directory, sync policy)
-   are deliberately *not* persisted — they are
-   runtime policy, supplied by the caller on each open. *)
+   The sidecar format is version 2: a plain-text file of [field value]
+   lines, a partition table, and a trailing whole-file checksum line.
+   Durable-ingest settings (WAL directory, sync policy) are deliberately
+   *not* persisted — they are runtime policy, supplied by the caller on
+   each open. *)
 
 exception Corrupt_metadata of string
 
@@ -31,6 +33,10 @@ let checksum s =
       h := x lxor (x lsr 29))
     s;
   !h land max_int
+
+(* A checksummed text file is its body of newline-terminated lines plus
+   a trailing [checksum <hex>] line over those bytes. *)
+let seal body = Printf.sprintf "%schecksum %x\n" body (checksum body)
 
 let sizing_to_string = function
   | Config.Epsilon e -> Printf.sprintf "epsilon %.17g" e
@@ -67,8 +73,7 @@ let render ~config ~descriptors =
         Printf.bprintf buf "partition %d %d %d %d %d\n" d.first_block d.length d.first_step
           d.last_step d.level)
     descriptors;
-  Printf.bprintf buf "checksum %x\n" (checksum (Buffer.contents buf));
-  Buffer.contents buf
+  seal (Buffer.contents buf)
 
 (* Crash-atomic: write to a sibling temp file, flush, rename over the
    destination, then fsync tmp + parent directory (Atomic_file.commit).
@@ -197,35 +202,13 @@ let read_lines path =
       in
       go [])
 
-(* Peek at the sidecar for the device's block size, so the device file
-   can be opened before the full (device-checked) load runs. *)
-let peek_block_size path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec find () =
-        match input_line ic with
-        | line when String.length line > 11 && String.sub line 0 11 = "block_size " ->
-          int_of_string (String.sub line 11 (String.length line - 11))
-        | _ -> find ()
-        | exception End_of_file -> raise (Corrupt_metadata "no block_size in metadata")
-      in
-      find ())
+let read_sealed path = verify_checksum (read_lines path)
 
-let load_hist ~device ~path =
-  let lines = verify_checksum (read_lines path) in
-  let config, descriptors =
-    try parse_lines lines with
-    | Corrupt_metadata _ as e -> raise e
-    | Failure msg -> raise (Corrupt_metadata msg)
-  in
-  if Hsq_storage.Block_device.block_size device <> config.Config.block_size then
-    raise
-      (Corrupt_metadata
-         (Printf.sprintf "device block size %d disagrees with metadata %d"
-            (Hsq_storage.Block_device.block_size device)
-            config.Config.block_size));
+let read path =
+  let lines = read_sealed path in
+  try parse_lines lines with Failure msg -> raise (Corrupt_metadata msg)
+
+let restore ~device config descriptors =
   let hist =
     (* Device_error here means a checkpointed partition's blocks are
        unreadable or fail their checksums — the warehouse itself is
@@ -241,4 +224,4 @@ let load_hist ~device ~path =
   (try List.iter verify_partition (Hsq_hist.Level_index.partitions hist)
    with Hsq_storage.Block_device.Device_error msg ->
      raise (Corrupt_metadata ("device corruption: " ^ msg)));
-  (config, hist)
+  hist

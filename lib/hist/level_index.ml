@@ -229,8 +229,8 @@ let now () = Unix.gettimeofday ()
    only after the commit are the sources freed.  Because the device's
    bump allocator never reuses addresses — and the file backend leaves
    freed bytes physically intact — a crash at ANY block write during the
-   merge leaves every partition named by the last durable checkpoint
-   (Persist.save) readable: reloading that checkpoint rolls the
+   merge leaves every partition named by the last committed sidecar
+   (Hsq.Meta) readable: reloading that checkpoint rolls the
    uncommitted merge back, and the half-written output blocks are
    unreferenced garbage past the checkpointed allocation frontier. *)
 let merge_level_impl t l =
@@ -522,7 +522,7 @@ let expire t ~keep_steps =
   if !dropped_parts > 0 then bump_epoch t;
   (!dropped_parts, !dropped_elems)
 
-(* --- Persistence support (used by Hsq.Persist) ------------------------ *)
+(* --- Sidecar support (used by Hsq.Meta) ------------------------------- *)
 
 type partition_descriptor = {
   first_block : int;

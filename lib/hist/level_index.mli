@@ -145,10 +145,10 @@ val expired_through : t -> int
 (** Structural invariant violations (empty = healthy); used by tests. *)
 val check_invariants : t -> string list
 
-(** {2 Persistence support}
+(** {2 Sidecar support}
 
     Enough metadata to re-attach to partitions already on a device
-    (used by [Hsq.Persist]). *)
+    (used by [Hsq.Meta]). *)
 
 type partition_descriptor = {
   first_block : int;

@@ -42,15 +42,10 @@ let wal_path ~dir ~peer = Filename.concat dir (Printf.sprintf "hint-%d.wal" peer
 let base_path ~dir ~peer = Filename.concat dir (Printf.sprintf "hint-%d.base" peer)
 
 let render_base ~peer ~base_seq =
-  let buf = Buffer.create 64 in
-  Printf.bprintf buf "hsq-hint 1\n";
-  Printf.bprintf buf "peer %d\n" peer;
-  Printf.bprintf buf "base_seq %d\n" base_seq;
-  Printf.bprintf buf "checksum %x\n" (Hsq.Meta.checksum (Buffer.contents buf));
-  Buffer.contents buf
+  Hsq.Meta.seal (Printf.sprintf "hsq-hint 1\npeer %d\nbase_seq %d\n" peer base_seq)
 
 let parse_base path ~peer =
-  match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines path) with
+  match Hsq.Meta.read_sealed path with
   | [ header; peer_line; base_line ] -> (
     if header <> "hsq-hint 1" then None
     else

@@ -161,13 +161,11 @@ let shard_config config ~wal_dir = { config with Hsq.Config.shards = 1; replicas
    inferred from its shard-<i> / replica-<j> directories. *)
 let layout_path root = Filename.concat root "layout"
 
-let render_layout (k, r) =
-  let body = Printf.sprintf "hsq-layout 1\nshards %d\nreplicas %d\n" k r in
-  Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body)
+let render_layout (k, r) = Hsq.Meta.seal (Printf.sprintf "hsq-layout 1\nshards %d\nreplicas %d\n" k r)
 
 let recorded_layout root =
   try
-    match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines (layout_path root)) with
+    match Hsq.Meta.read_sealed (layout_path root) with
     | [ "hsq-layout 1"; ks; rs ] ->
       Scanf.sscanf (ks ^ " " ^ rs) "shards %u replicas %u%!" (fun k r ->
           if k >= 1 && r >= 1 then Some (k, r) else None)
@@ -252,14 +250,8 @@ let estimate_elements dir =
   let _, meta_path, wal_path = E.store_paths ~dir in
   let hist =
     try
-      let body = Hsq.Meta.verify_checksum (Hsq.Meta.read_lines meta_path) in
-      List.fold_left
-        (fun acc line ->
-          match String.split_on_char ' ' line with
-          | "partition" :: _first_block :: len :: _ -> (
-            match int_of_string_opt len with Some l -> acc + l | None -> acc)
-          | _ -> acc)
-        0 body
+      let _, descriptors = Hsq.Meta.read meta_path in
+      List.fold_left (fun acc (d : Li.partition_descriptor) -> acc + d.length) 0 descriptors
     with _ -> 0
   in
   let wal =
@@ -423,8 +415,8 @@ let route t v =
 let baseline_path root = Filename.concat root "step-baseline"
 
 let render_baseline b =
-  let body = Printf.sprintf "hsq-steps 1\n%s\n" (String.concat " " (List.map string_of_int (Array.to_list b))) in
-  Printf.sprintf "%schecksum %x\n" body (Hsq.Meta.checksum body)
+  Hsq.Meta.seal
+    (Printf.sprintf "hsq-steps 1\n%s\n" (String.concat " " (List.map string_of_int (Array.to_list b))))
 
 (* A store written before baselines existed has no file: nothing was
    ever rebased.  An unreadable file makes every baseline unknown, so
@@ -432,7 +424,7 @@ let render_baseline b =
 let load_baseline ~root ~k =
   let path = baseline_path root in
   let parse () =
-    match Hsq.Meta.verify_checksum (Hsq.Meta.read_lines path) with
+    match Hsq.Meta.read_sealed path with
     | [ "hsq-steps 1"; line ] -> Array.of_list (List.map int_of_string (String.split_on_char ' ' line))
     | _ -> [||]
   in
@@ -1407,18 +1399,24 @@ let rejoin_replica t ~shard ~replica =
             Hint_log.close hl;
             rep.hints <- None
           | None -> ());
-          (* A lost store comes back as a copy of its healthiest live
-             sibling; the hint drain then skips every op the copy holds. *)
-          let restore () =
+          (* A store that is lost, or that fails to open, comes back as a
+             copy of its healthiest live sibling; the hint drain then
+             skips every op the copy holds. *)
+          let copy_sibling () =
             match healthiest (live_replicas_of t.slots.(shard)) with
-            | Some (src_j, src_e) when lost ->
+            | Some (src_j, src_e) ->
               (try E.sync src_e with _ -> ());
-              Anti_entropy.copy_store ~src:(replica_store_dir t shard src_j) ~dst:dir
-            | _ -> ()
+              Anti_entropy.copy_store ~src:(replica_store_dir t shard src_j) ~dst:dir;
+              true
+            | None -> false
           in
+          let recover () = E.open_or_recover (shard_config t.config ~wal_dir:(Some dir)) in
           match
-            restore ();
-            E.open_or_recover (shard_config t.config ~wal_dir:(Some dir))
+            if lost then begin
+              ignore (copy_sibling ());
+              recover ()
+            end
+            else try recover () with exn -> if copy_sibling () then recover () else raise exn
           with
           | exception exn ->
             (* Still down; reattach the hint log so ongoing acked ops
@@ -1431,7 +1429,7 @@ let rejoin_replica t ~shard ~replica =
             match admit_replica_locked t shard rep e with
             | Error _ as err -> err
             | Ok e -> (
-              match Hsq.Persist.scrub ~repair:true e with
+              match E.scrub ~repair:true e with
               | scrub ->
                 t.last_size.(shard) <- E.total_size e;
                 drop_caches t;
@@ -1557,11 +1555,8 @@ let open_or_recover config =
 
 (* --- scrub ---------------------------------------------------------------- *)
 
-let scrub ?repair t =
-  List.map (fun (i, e) -> (i, Hsq.Persist.scrub ?repair e)) (engines t)
-
 let scrub_all ?repair t =
-  List.map (fun (i, j, e) -> ((i, j), Hsq.Persist.scrub ?repair e)) (all_live t)
+  List.map (fun (i, j, e) -> ((i, j), E.scrub ?repair e)) (all_live t)
 
 (* --- lifecycle ----------------------------------------------------------- *)
 

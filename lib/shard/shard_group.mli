@@ -90,7 +90,7 @@ val create : Hsq.Config.t -> t
 
 (** [of_engine e] — a volatile K = 1, R = 1 group over an engine built
     elsewhere (on a file device, or restored by
-    {!Hsq.Persist.load_files}); the group takes [e]'s config, closes
+    {!Hsq.Engine.load_warehouse}); the group takes [e]'s config, closes
     [e] on {!close}, and answers exactly as [e] would. *)
 val of_engine : Hsq.Engine.t -> t
 
@@ -362,7 +362,9 @@ val replica_down_reason : t -> shard:int -> replica:int -> string option
 val hints_pending : t -> shard:int -> replica:int -> int option
 
 (** Bring one dead replica back: per-replica
-    {!Hsq.Engine.open_or_recover}, hint-log drain (exactly-once via
+    {!Hsq.Engine.open_or_recover} (of a copy of the healthiest live
+    sibling's store when the replica's store is lost or fails to
+    open), hint-log drain (exactly-once via
     WAL sequence arithmetic), consistency check against a live
     sibling with file-copy repair as the fallback, then a repair
     scrub — zero acknowledged-observation loss. The replica re-enters
@@ -371,13 +373,13 @@ val rejoin_replica :
   t ->
   shard:int ->
   replica:int ->
-  (Hsq.Engine.recovery_report * Hsq.Persist.scrub_report, string) result
+  (Hsq.Engine.recovery_report * Hsq.Engine.scrub_report, string) result
 
 (** Shard-level {!rejoin_replica} over every dead replica of the
     shard; [Ok] if at least one came back (reports are the first
     successful replica's). *)
 val rejoin :
-  t -> int -> (Hsq.Engine.recovery_report * Hsq.Persist.scrub_report, string) result
+  t -> int -> (Hsq.Engine.recovery_report * Hsq.Engine.scrub_report, string) result
 
 (** {1 Anti-entropy} *)
 
@@ -403,12 +405,8 @@ val anti_entropy : ?repair:bool -> t -> entropy_report list
 
 (** {1 Scrub} *)
 
-(** Repair-scrub each serving shard's read replica (the unreplicated
-    signature). *)
-val scrub : ?repair:bool -> t -> (int * Hsq.Persist.scrub_report) list
-
 (** Repair-scrub every live replica. *)
-val scrub_all : ?repair:bool -> t -> ((int * int) * Hsq.Persist.scrub_report) list
+val scrub_all : ?repair:bool -> t -> ((int * int) * Hsq.Engine.scrub_report) list
 
 (** {1 Lifecycle} *)
 

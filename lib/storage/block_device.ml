@@ -156,7 +156,7 @@ let create_file ?metrics ~block_size ~path () =
    partial record (a write torn by a crash) is ignored: committed
    metadata never references blocks past the last checkpoint, and the
    bump allocator will write past the tear.  This is the storage half of
-   crash recovery — see Meta.load_hist for the metadata half. *)
+   crash recovery — see Meta.restore for the metadata half. *)
 let open_file ?metrics ~block_size ~path () =
   if block_size <= 0 then invalid_arg "Block_device.open_file: block_size must be positive";
   if not (Sys.file_exists path) then
@@ -233,7 +233,7 @@ let alloc t nblocks =
    live capacity so benches can report space usage.  On the file backend
    the bytes stay physically intact — the invariant the merge commit
    protocol relies on: partitions freed after an uncheckpointed merge
-   are still readable when Meta.load_hist rolls the merge back. *)
+   are still readable when Meta.restore rolls the merge back. *)
 let free t ~addr ~nblocks =
   if addr < 0 || addr + nblocks > t.next_free then invalid_arg "Block_device.free: out of range";
   t.freed_blocks <- t.freed_blocks + nblocks;

@@ -48,7 +48,7 @@ let of_sorted_array dev elements =
   { dev; addr; nblocks; length = n; cache_addr = -1; cache = [||]; cache_enabled = true; freed = false }
 
 (* Re-attach to a run already present on the device (recovery path).
-   Contents are trusted to be sorted; Meta.load_hist verifies per-block
+   Contents are trusted to be sorted; Meta.restore verifies per-block
    monotonicity before serving queries. *)
 let of_existing dev ~addr ~length =
   if length <= 0 then invalid_arg "Run.of_existing: length must be positive";

@@ -42,7 +42,7 @@
    (a word whose bit 63 differs from bit 62 counts as corrupt),
    mis-lengthed, or out-of-sequence record and reports why, and
    {!open_existing} physically truncates the tear (temp file + rename,
-   the same atomic idiom as Persist) so later appends never follow
+   the same atomic idiom as the sidecar) so later appends never follow
    garbage.  A structured fault injector mirrors the block device's
    ([Fail] / [Torn k] / [Corrupt i]) so the crash-recovery fuzz harness
    can kill the writer at any append. *)

@@ -164,10 +164,10 @@ let run_seed seed () =
   query_sweep ~phase:(phase ^ "+ingest");
   (* --- heal and converge ---------------------------------------------- *)
   BD.set_injector dev None;
-  let rep = Hsq.Persist.scrub ~repair:true eng in
-  if rep.Hsq.Persist.still_quarantined <> 0 then
+  let rep = Hsq.Engine.scrub ~repair:true eng in
+  if rep.Hsq.Engine.still_quarantined <> 0 then
     Alcotest.failf "seed %d: %d partitions still quarantined after the repair scrub" seed
-      rep.Hsq.Persist.still_quarantined;
+      rep.Hsq.Engine.still_quarantined;
   if BD.breaker_state dev <> Hsq_storage.Breaker.Closed then
     Alcotest.failf "seed %d: breaker %s after heal" seed
       (Hsq_storage.Breaker.state_to_string (BD.breaker_state dev));

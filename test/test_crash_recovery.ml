@@ -19,15 +19,22 @@ module BD = Hsq_storage.Block_device
 let eps = 0.05
 let block_size = 16
 
-let with_temp_files f =
-  let dev_path = Filename.temp_file "hsq_crash" ".dev" in
-  let meta_path = Filename.temp_file "hsq_crash" ".meta" in
+(* A temp store directory, its device and sidecar paths. *)
+let with_temp_store f =
+  let dir = Filename.temp_file "hsq_crash" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let dev_path, meta_path, _ = E.store_paths ~dir in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ dev_path; meta_path; meta_path ^ ".tmp" ])
-    (fun () -> f ~dev_path ~meta_path)
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f ~dir ~dev_path ~meta_path)
+
+(* Commit the sidecar as a step commit does. *)
+let save eng ~path =
+  Hsq.Meta.write ~path
+    (Hsq.Meta.render ~config:(E.config eng) ~descriptors:(Hsq_hist.Level_index.describe (E.hist eng)))
 
 (* One ingestion step of a random size; returns the batch. *)
 let random_step rng eng =
@@ -38,7 +45,7 @@ let random_step rng eng =
   batch
 
 let run_crash_seed seed =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       let rng = Hsq_util.Xoshiro.create seed in
       let kappa = 2 + Hsq_util.Xoshiro.int rng 3 in
       let config = Hsq.Config.make ~kappa ~block_size (Hsq.Config.Epsilon eps) in
@@ -48,7 +55,7 @@ let run_crash_seed seed =
       let committed = ref [] in
       let archived = ref [] in
       let checkpoint () =
-        Hsq.Persist.save eng ~path:meta_path;
+        save eng ~path:meta_path;
         committed := !archived
       in
       let step () =
@@ -82,11 +89,11 @@ let run_crash_seed seed =
       Alcotest.(check bool) (Printf.sprintf "seed %d: crash fired" seed) true !crashed;
       (* Simulated process death: drop all in-memory state, reopen. *)
       BD.close dev;
-      let restored = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
-      let report = Hsq.Persist.scrub restored in
-      if report.Hsq.Persist.errors <> [] then
+      let restored = E.load_warehouse ~dir in
+      let report = E.scrub restored in
+      if report.E.errors <> [] then
         Alcotest.failf "seed %d: scrub after crash: %s" seed
-          (String.concat "; " report.Hsq.Persist.errors);
+          (String.concat "; " report.E.errors);
       let n = E.total_size restored in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: exactly the committed prefix survives" seed)
@@ -111,7 +118,7 @@ let run_crash_seed seed =
       BD.close (E.device restored))
 
 let run_bitflip_seed seed =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       let rng = Hsq_util.Xoshiro.create (seed * 7919) in
       let config = Hsq.Config.make ~kappa:3 ~block_size (Hsq.Config.Epsilon eps) in
       let dev = BD.create_file ~block_size ~path:dev_path () in
@@ -119,7 +126,7 @@ let run_bitflip_seed seed =
       for _ = 1 to 3 + Hsq_util.Xoshiro.int rng 3 do
         ignore (random_step rng eng)
       done;
-      Hsq.Persist.save eng ~path:meta_path;
+      save eng ~path:meta_path;
       (* Choose a random byte inside a random live partition's block
          span (checksum words included — damage there must be caught
          too) and flip one random bit. *)
@@ -143,15 +150,15 @@ let run_bitflip_seed seed =
       Unix.close fd;
       let caught_by_load =
         try
-          let restored = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
-          let report = Hsq.Persist.scrub restored in
+          let restored = E.load_warehouse ~dir in
+          let report = E.scrub restored in
           BD.close (E.device restored);
-          if report.Hsq.Persist.errors = [] then
+          if report.E.errors = [] then
             Alcotest.failf
               "seed %d: flipped bit at offset %d served silently (load and scrub both clean)"
               seed off;
           false
-        with Hsq.Persist.Corrupt_metadata _ -> true
+        with Hsq.Meta.Corrupt_metadata _ -> true
       in
       ignore caught_by_load)
 

@@ -487,12 +487,14 @@ let test_all_windows_match_oracles () =
 let test_expire_engine_end_to_end () =
   (* Retention through the engine: drop old data, keep answering, and
      survive a save/load cycle with retention applied. *)
-  let dev_path = Filename.temp_file "hsq_expire" ".dev" in
-  let meta_path = Filename.temp_file "hsq_expire" ".meta" in
+  let dir = Filename.temp_file "hsq_expire" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let dev_path, meta_path, _ = E.store_paths ~dir in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove dev_path;
-      Sys.remove meta_path)
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
     (fun () ->
       let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
       let dev = Hsq_storage.Block_device.create_file ~block_size:32 ~path:dev_path () in
@@ -507,9 +509,10 @@ let test_expire_engine_end_to_end () =
       (* Only steps 9..13 remain: the minimum is 9. *)
       let v, _ = E.accurate eng ~rank:1 in
       Alcotest.(check int) "oldest retained value" 9 v;
-      Hsq.Persist.save eng ~path:meta_path;
+      Hsq.Meta.write ~path:meta_path
+        (Hsq.Meta.render ~config:(E.config eng) ~descriptors:(Hsq_hist.Level_index.describe (E.hist eng)));
       Hsq_storage.Block_device.close dev;
-      let restored = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let restored = E.load_warehouse ~dir in
       Alcotest.(check (list string)) "invariants after restore of expired warehouse" []
         (Hsq_hist.Level_index.check_invariants (E.hist restored));
       Alcotest.(check int) "restored total" (E.total_size eng) (E.total_size restored);

@@ -218,12 +218,14 @@ let test_fuzz_long_sequence () = run_sequence ~seed:424242 ~ops:400
 let test_fuzz_persistence () =
   for seed = 100 to 110 do
     let rng = Hsq_util.Xoshiro.create seed in
-    let dev_path = Filename.temp_file "hsq_fuzz" ".dev" in
-    let meta_path = Filename.temp_file "hsq_fuzz" ".meta" in
+    let dir = Filename.temp_file "hsq_fuzz" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let dev_path, meta_path, _ = E.store_paths ~dir in
     Fun.protect
       ~finally:(fun () ->
-        Sys.remove dev_path;
-        Sys.remove meta_path)
+        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+        Sys.rmdir dir)
       (fun () ->
         let kappa = 2 + Hsq_util.Xoshiro.int rng 5 in
         let config = Hsq.Config.make ~kappa ~block_size:16 (Hsq.Config.Epsilon 0.05) in
@@ -237,9 +239,10 @@ let test_fuzz_persistence () =
         let before =
           List.map (fun r -> fst (E.accurate eng ~rank:r)) [ 1; E.total_size eng / 2; E.total_size eng ]
         in
-        Hsq.Persist.save eng ~path:meta_path;
+        Hsq.Meta.write ~path:meta_path
+          (Hsq.Meta.render ~config:(E.config eng) ~descriptors:(Hsq_hist.Level_index.describe (E.hist eng)));
         Hsq_storage.Block_device.close dev;
-        let restored = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+        let restored = E.load_warehouse ~dir in
         let after =
           List.map
             (fun r -> fst (E.accurate restored ~rank:r))

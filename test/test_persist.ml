@@ -3,14 +3,22 @@
 
 module E = Hsq.Engine
 
-let with_temp_files f =
-  let dev_path = Filename.temp_file "hsq_persist" ".dev" in
-  let meta_path = Filename.temp_file "hsq_persist" ".meta" in
+(* A temp store directory, its device and sidecar paths. *)
+let with_temp_store f =
+  let dir = Filename.temp_file "hsq_persist" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let dev_path, meta_path, _ = E.store_paths ~dir in
   Fun.protect
     ~finally:(fun () ->
-      if Sys.file_exists dev_path then Sys.remove dev_path;
-      if Sys.file_exists meta_path then Sys.remove meta_path)
-    (fun () -> f ~dev_path ~meta_path)
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f ~dir ~dev_path ~meta_path)
+
+(* Commit the sidecar as a step commit does. *)
+let save eng ~path =
+  Hsq.Meta.write ~path
+    (Hsq.Meta.render ~config:(E.config eng) ~descriptors:(Hsq_hist.Level_index.describe (E.hist eng)))
 
 let build_and_save ~dev_path ~meta_path ~steps =
   let config = Hsq.Config.make ~kappa:3 ~block_size:32 ~steps_hint:steps (Hsq.Config.Epsilon 0.05) in
@@ -23,14 +31,14 @@ let build_and_save ~dev_path ~meta_path ~steps =
     Hsq_workload.Oracle.add_batch oracle batch;
     ignore (E.ingest_batch eng batch)
   done;
-  Hsq.Persist.save eng ~path:meta_path;
+  save eng ~path:meta_path;
   Hsq_storage.Block_device.close dev;
   (oracle, E.total_size eng)
 
 let test_round_trip () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       let oracle, n = build_and_save ~dev_path ~meta_path ~steps:13 in
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       Alcotest.(check int) "size restored" n (E.total_size eng);
       Alcotest.(check int) "steps restored" 13 (E.time_steps eng);
       Alcotest.(check int) "stream volatile" 0 (E.stream_size eng);
@@ -47,9 +55,9 @@ let test_round_trip () =
       Hsq_storage.Block_device.close (E.device eng))
 
 let test_restored_engine_keeps_ingesting () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       let _, n = build_and_save ~dev_path ~meta_path ~steps:5 in
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       (* Life goes on: stream, archive, query. *)
       for i = 1 to 700 do
         E.observe eng i
@@ -64,9 +72,9 @@ let test_restored_engine_keeps_ingesting () =
       Hsq_storage.Block_device.close (E.device eng))
 
 let test_recovery_io_is_bounded () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:13);
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       let stats = Hsq_storage.Block_device.stats (E.device eng) in
       let c = Hsq_storage.Io_stats.snapshot stats in
       (* Recovery reads at most beta1 blocks per partition, never the
@@ -83,7 +91,7 @@ let test_recovery_io_is_bounded () =
       Hsq_storage.Block_device.close (E.device eng))
 
 let test_corrupt_metadata_rejected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:4);
       (* Truncate the partition table. *)
       let contents = In_channel.with_open_text meta_path In_channel.input_all in
@@ -93,12 +101,12 @@ let test_corrupt_metadata_rejected () =
           Out_channel.output_string oc (String.concat "\n" truncated));
       Alcotest.(check bool) "truncated metadata rejected" true
         (try
-           ignore (Hsq.Persist.load_files ~device_path:dev_path ~meta_path ());
+           ignore (E.load_warehouse ~dir);
            false
-         with Hsq.Persist.Corrupt_metadata _ -> true))
+         with Hsq.Meta.Corrupt_metadata _ -> true))
 
 let test_bad_version_rejected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       let contents = In_channel.with_open_text meta_path In_channel.input_all in
       Out_channel.with_open_text meta_path (fun oc ->
@@ -106,22 +114,22 @@ let test_bad_version_rejected () =
             (Str.global_replace (Str.regexp "hsq-meta [0-9]+") "hsq-meta 99" contents));
       Alcotest.(check bool) "bad version rejected" true
         (try
-           ignore (Hsq.Persist.load_files ~device_path:dev_path ~meta_path ());
+           ignore (E.load_warehouse ~dir);
            false
-         with Hsq.Persist.Corrupt_metadata _ -> true))
+         with Hsq.Meta.Corrupt_metadata _ -> true))
 
 let test_missing_device_rejected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       Sys.remove dev_path;
       Alcotest.(check bool) "missing device rejected" true
         (try
-           ignore (Hsq.Persist.load_files ~device_path:dev_path ~meta_path ());
+           ignore (E.load_warehouse ~dir);
            false
          with Hsq_storage.Block_device.Device_error _ -> true))
 
 let test_garbled_device_detected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:4);
       (* Garble the middle half of the LARGEST live partition (junk in
          freed, merged-away regions is rightly undetectable).  The
@@ -151,9 +159,9 @@ let test_garbled_device_detected () =
       Unix.close fd;
       Alcotest.(check bool) "garbled device detected" true
         (try
-           ignore (Hsq.Persist.load_files ~device_path:dev_path ~meta_path ());
+           ignore (E.load_warehouse ~dir);
            false
-         with Hsq.Persist.Corrupt_metadata _ -> true))
+         with Hsq.Meta.Corrupt_metadata _ -> true))
 
 (* Tamper with the sidecar *body* and re-stamp the trailing checksum
    line, so the whole-file checksum passes and the parser itself must
@@ -166,19 +174,19 @@ let restamp transform meta_path =
   let payload = String.concat "" (List.map (fun l -> l ^ "\n") body) in
   Out_channel.with_open_text meta_path (fun oc ->
       Out_channel.output_string oc payload;
-      Printf.fprintf oc "checksum %x\n" (Hsq.Persist.meta_checksum payload))
+      Printf.fprintf oc "checksum %x\n" (Hsq.Meta.checksum payload))
 
-let load_error ~dev_path ~meta_path =
+let load_error ~dir =
   try
-    ignore (Hsq.Persist.load_files ~device_path:dev_path ~meta_path ());
+    ignore (E.load_warehouse ~dir);
     None
-  with Hsq.Persist.Corrupt_metadata msg -> Some msg
+  with Hsq.Meta.Corrupt_metadata msg -> Some msg
 
 let contains ~needle haystack =
   Str.string_match (Str.regexp (".*" ^ Str.quote needle ^ ".*")) haystack 0
 
 let test_checksum_line_guards_tampering () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       (* Silently change one digit without re-stamping: the whole-file
          checksum must catch it before any field is believed. *)
@@ -186,14 +194,14 @@ let test_checksum_line_guards_tampering () =
       Out_channel.with_open_text meta_path (fun oc ->
           Out_channel.output_string oc
             (Str.replace_first (Str.regexp "kappa [0-9]+") "kappa 7" contents));
-      match load_error ~dev_path ~meta_path with
+      match load_error ~dir with
       | Some msg ->
         Alcotest.(check bool) "caught by whole-file checksum" true
           (contains ~needle:"checksum" msg)
       | None -> Alcotest.fail "tampered metadata accepted")
 
 let test_missing_checksum_line_rejected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       let contents = In_channel.with_open_text meta_path In_channel.input_all in
       let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' contents) in
@@ -201,16 +209,16 @@ let test_missing_checksum_line_rejected () =
       Out_channel.with_open_text meta_path (fun oc ->
           List.iter (fun l -> Printf.fprintf oc "%s\n" l) body);
       Alcotest.(check bool) "missing checksum line rejected" true
-        (load_error ~dev_path ~meta_path <> None))
+        (load_error ~dir <> None))
 
 let test_empty_field_reported_by_name () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       restamp
         (List.map (fun l ->
              if String.length l >= 6 && String.sub l 0 6 = "kappa " then "kappa" else l))
         meta_path;
-      match load_error ~dev_path ~meta_path with
+      match load_error ~dir with
       | Some msg ->
         Alcotest.(check bool)
           (Printf.sprintf "names the empty field (got %S)" msg)
@@ -219,14 +227,14 @@ let test_empty_field_reported_by_name () =
       | None -> Alcotest.fail "empty field accepted")
 
 let test_garbled_field_rejected () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:2);
       restamp
         (List.map (fun l ->
              if String.length l >= 6 && String.sub l 0 6 = "kappa " then "kappa banana" else l))
         meta_path;
       Alcotest.(check bool) "non-numeric field rejected" true
-        (load_error ~dev_path ~meta_path <> None))
+        (load_error ~dir <> None))
 
 (* The sidecar format is frozen: a fresh render is byte-identical to
    what earlier builds wrote, the retired sort_memory / sort_domains
@@ -247,7 +255,7 @@ let test_sidecar_golden () =
 (* A sidecar an older build wrote with the retired sort settings set
    still opens; the values are ignored, and a re-save writes "none". *)
 let test_old_sort_settings_open () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       let oracle, n = build_and_save ~dev_path ~meta_path ~steps:4 in
       restamp
         (List.map (function
@@ -260,18 +268,18 @@ let test_old_sort_settings_open () =
       in
       Alcotest.(check bool) "old values written" true
         (List.mem "sort_memory 100000" (lines ()) && List.mem "sort_domains 4" (lines ()));
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       Alcotest.(check int) "size restored" n (E.total_size eng);
       let v, _ = E.accurate eng ~rank:(n / 2) in
       Alcotest.(check int) "exact median" 0
         (Hsq_workload.Oracle.rank_error oracle ~rank:(n / 2) ~value:v);
-      Hsq.Persist.save eng ~path:meta_path;
+      save eng ~path:meta_path;
       Alcotest.(check bool) "re-saved as none" true
         (List.mem "sort_memory none" (lines ()) && List.mem "sort_domains none" (lines ()));
       Hsq_storage.Block_device.close (E.device eng))
 
 let test_save_is_atomic () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:3);
       (* No temp file is left behind, and the sidecar ends with its
          checksum line. *)
@@ -281,34 +289,34 @@ let test_save_is_atomic () =
       let last = List.nth lines (List.length lines - 1) in
       Alcotest.(check bool) "ends with checksum line" true (contains ~needle:"checksum " last);
       (* Re-saving over an existing sidecar works (rename replaces). *)
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
-      Hsq.Persist.save eng ~path:meta_path;
-      let eng2 = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
+      save eng ~path:meta_path;
+      let eng2 = E.load_warehouse ~dir in
       Alcotest.(check int) "round-trips after re-save" (E.total_size eng) (E.total_size eng2);
       Hsq_storage.Block_device.close (E.device eng);
       Hsq_storage.Block_device.close (E.device eng2))
 
 let test_scrub_healthy () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:6);
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
-      let report = Hsq.Persist.scrub eng in
-      Alcotest.(check (list string)) "no errors" [] report.Hsq.Persist.errors;
+      let eng = E.load_warehouse ~dir in
+      let report = E.scrub eng in
+      Alcotest.(check (list string)) "no errors" [] report.E.errors;
       Alcotest.(check int) "every live partition checked"
         (Hsq_hist.Level_index.partition_count (E.hist eng))
-        report.Hsq.Persist.partitions_checked;
-      Alcotest.(check bool) "read the data back" true (report.Hsq.Persist.blocks_read > 0);
+        report.E.partitions_checked;
+      Alcotest.(check bool) "read the data back" true (report.E.blocks_read > 0);
       Hsq_storage.Block_device.close (E.device eng))
 
 let test_scrub_catches_bit_rot_load_misses () =
-  with_temp_files (fun ~dev_path ~meta_path ->
+  with_temp_store (fun ~dir ~dev_path ~meta_path ->
       ignore (build_and_save ~dev_path ~meta_path ~steps:4);
       (* Pick, in the largest partition, a block that summary rebuild
          does NOT probe (the summary holds ~beta1 of the blocks), and
-         flip one bit there: [load_files] succeeds, but [scrub] — which reads
+         flip one bit there: [load_warehouse] succeeds, but [scrub] — which reads
          every block — must report the checksum failure rather than let
          it be served later. *)
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       let block_size = (E.config eng).Hsq.Config.block_size in
       let parts = Hsq_hist.Level_index.partitions (E.hist eng) in
       let part =
@@ -341,13 +349,13 @@ let test_scrub_catches_bit_rot_load_misses () =
       ignore (Unix.write fd b 0 1);
       Unix.close fd;
       (* Load only probes the summary targets, so it misses the flip... *)
-      let eng = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let eng = E.load_warehouse ~dir in
       (* ...but a full scrub cannot. *)
-      let report = Hsq.Persist.scrub eng in
+      let report = E.scrub eng in
       Alcotest.(check bool) "scrub reports the damage" true
-        (report.Hsq.Persist.errors <> []);
+        (report.E.errors <> []);
       Alcotest.(check bool) "as a checksum failure" true
-        (List.exists (contains ~needle:"checksum") report.Hsq.Persist.errors);
+        (List.exists (contains ~needle:"checksum") report.E.errors);
       Hsq_storage.Block_device.close (E.device eng))
 
 let () =

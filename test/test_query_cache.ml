@@ -154,16 +154,18 @@ let test_recovery_sequences () =
     run_recovery_sequence ~seed:(9000 + (seed * 29))
   done
 
-(* Save / load_files round trip: a restored engine starts with a cold
+(* Save / load round trip: a restored engine starts with a cold
    cache and an empty stream; its first cached build must equal fresh. *)
 let test_save_load_cache () =
   let rng = Hsq_util.Xoshiro.create 31337 in
-  let dev_path = Filename.temp_file "hsq_qcache" ".dev" in
-  let meta_path = Filename.temp_file "hsq_qcache" ".meta" in
+  let dir = Filename.temp_file "hsq_qcache" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let dev_path, meta_path, _ = E.store_paths ~dir in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove dev_path;
-      Sys.remove meta_path)
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
     (fun () ->
       let config = Hsq.Config.make ~kappa:3 ~block_size:16 (Hsq.Config.Epsilon 0.05) in
       let dev = Hsq_storage.Block_device.create_file ~block_size:16 ~path:dev_path () in
@@ -173,9 +175,10 @@ let test_save_load_cache () =
         ignore (E.end_time_step eng)
       done;
       check_cache ~seed:31337 ~ctx:"pre-save" eng;
-      Hsq.Persist.save eng ~path:meta_path;
+      Hsq.Meta.write ~path:meta_path
+        (Hsq.Meta.render ~config:(E.config eng) ~descriptors:(Hsq_hist.Level_index.describe (E.hist eng)));
       Hsq_storage.Block_device.close dev;
-      let restored = Hsq.Persist.load_files ~device_path:dev_path ~meta_path () in
+      let restored = E.load_warehouse ~dir in
       check_cache ~seed:31337 ~ctx:"load_files" restored;
       observe_batch rng restored;
       check_cache ~seed:31337 ~ctx:"observe after load" restored;

@@ -152,9 +152,9 @@ let run_seed seed () =
       for i = 0 to k - 1 do
         match G.rejoin_replica g ~shard:i ~replica:(victim i) with
         | Ok (_recovery, scrub) ->
-          if scrub.Hsq.Persist.still_quarantined > 0 then
+          if scrub.Hsq.Engine.still_quarantined > 0 then
             Alcotest.failf "shard %d rejoin scrub left %d partitions quarantined" i
-              scrub.Hsq.Persist.still_quarantined
+              scrub.Hsq.Engine.still_quarantined
         | Error msg -> Alcotest.failf "shard %d replica %d rejoin failed: %s" i (victim i) msg
       done;
       Alcotest.(check (list (pair int int))) "no replicas down after heal" []

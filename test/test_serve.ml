@@ -1187,10 +1187,10 @@ let run_device_chaos ~seed () =
       (* heal: clear the injector and repair-scrub, again serialized *)
       Server.submit_fn srv (fun g ->
           BD.set_injector (E.device (engine g)) None;
-          let rep = Hsq.Persist.scrub ~repair:true (engine g) in
-          if rep.Hsq.Persist.still_quarantined <> 0 then
+          let rep = Hsq.Engine.scrub ~repair:true (engine g) in
+          if rep.Hsq.Engine.still_quarantined <> 0 then
             Alcotest.failf "seed %d: %d partitions quarantined after repair scrub" seed
-              rep.Hsq.Persist.still_quarantined);
+              rep.Hsq.Engine.still_quarantined);
       sweep ~what:"healed";
       let c = Client.connect listen in
       Alcotest.(check (option bool))

@@ -357,7 +357,7 @@ let test_recovery_gauges_and_rejoin () =
       (match G.rejoin g2 1 with
       | Error msg -> Alcotest.failf "rejoin failed: %s" msg
       | Ok (_recovery, scrub) ->
-        Alcotest.(check int) "rejoin scrub clean" 0 scrub.Hsq.Persist.still_quarantined);
+        Alcotest.(check int) "rejoin scrub clean" 0 scrub.Hsq.Engine.still_quarantined);
       Alcotest.(check (list int)) "no shards down after rejoin" [] (G.shards_down g2);
       Alcotest.(check int) "zero acked loss across the rejoin" total (G.total_size g2);
       Alcotest.(check bool) "rollup healthy again" true
@@ -560,6 +560,103 @@ let test_layout_and_lost_replica () =
       G.close g;
       Alcotest.(check bool) "a flat store records nothing" false
         (Sys.file_exists (Filename.concat flat "layout")))
+
+(* A replica store that exists but fails to open (one digit of its
+   sidecar changed, so its checksum fails) comes back from a repair
+   scrub as a copy of its sibling, as a lost one does. *)
+let test_corrupt_replica_rejoins () =
+  let root = temp_dir "hsq_shard_corrupt" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let cfg =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 ~replicas:2 ~wal_dir:root
+          (Hsq.Config.Epsilon 0.05)
+      in
+      let g, _ = G.open_or_recover cfg in
+      ingest_with_reads g (Hsq_util.Xoshiro.create 0xC0DE) [ 900; 800 ];
+      let n = G.total_size g in
+      G.close g;
+      let meta = Filename.concat (G.store_dir ~root ~shards:3 ~replicas:2 ~shard:1 ~replica:0) "meta" in
+      let text = In_channel.with_open_bin meta In_channel.input_all in
+      let i = String.index text '3' in
+      Out_channel.with_open_bin meta (fun oc ->
+          Out_channel.output_string oc (String.mapi (fun j c -> if j = i then '4' else c) text));
+      let g, _ = G.open_or_recover cfg in
+      Alcotest.(check (list (pair int int))) "the tampered replica opens down" [ (1, 0) ]
+        (G.replicas_down g);
+      (* What [hsq scrub --repair] does: rejoin every downed replica,
+         then repair-scrub every live one. *)
+      (match G.rejoin_replica g ~shard:1 ~replica:0 with
+      | Ok _ -> ()
+      | Error why -> Alcotest.failf "rejoin failed: %s" why);
+      List.iter
+        (fun (_, (r : E.scrub_report)) -> Alcotest.(check (list string)) "scrub clean" [] r.E.errors)
+        (G.scrub_all ~repair:true g);
+      Alcotest.(check (list (pair int int))) "no replica down" [] (G.replicas_down g);
+      Alcotest.(check (list (triple int int int)))
+        "the sibling's GK tuples" (stream_image g ~shard:1 ~replica:1)
+        (stream_image g ~shard:1 ~replica:0);
+      Alcotest.(check int) "every element served" n (G.total_size g);
+      G.close g)
+
+(* A group's root files and a hint log's base keep the bytes earlier
+   builds wrote.  One flipped byte in any of them is rejected: the
+   layout is inferred from the directories, the step baselines rebase,
+   and the hint base reads as absent. *)
+let test_root_files_golden () =
+  let root = temp_dir "hsq_shard_golden" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let path = Filename.concat root in
+      let read name = In_channel.with_open_bin (path name) In_channel.input_all in
+      let flip name off =
+        let text = read name in
+        Out_channel.with_open_bin (path name) (fun oc ->
+            Out_channel.output_string oc
+              (String.mapi (fun i c -> if i = off then Char.chr (Char.code c lxor 1) else c) text))
+      in
+      let cfg =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:3 ~replicas:2 ~wal_dir:root
+          (Hsq.Config.Epsilon 0.05)
+      in
+      let g, _ = G.open_or_recover cfg in
+      let rng = Hsq_util.Xoshiro.create 7 in
+      for _ = 1 to 400 do
+        G.observe g (Hsq_util.Xoshiro.int rng 50_000)
+      done;
+      ignore (G.end_time_step g);
+      (* One value reaches one shard: an uneven cut writes the baselines. *)
+      G.observe g 17;
+      ignore (G.end_time_step g);
+      G.close g;
+      let layout = "hsq-layout 1\nshards 3\nreplicas 2\nchecksum 1d9e72067cd029b9\n" in
+      let baseline = "hsq-steps 1\n1 1 2\nchecksum 9e6f66d38fde401\n" in
+      let base = "hsq-hint 1\npeer 1\nbase_seq 1234\nchecksum 2dda6095384bdc74\n" in
+      Alcotest.(check string) "layout" layout (read "layout");
+      Alcotest.(check string) "step-baseline" baseline (read "step-baseline");
+      let sync = Hsq_storage.Wal.Always in
+      Hsq_shard.Hint_log.close (Hsq_shard.Hint_log.start ~dir:root ~peer:1 ~sync ~base_seq:1234);
+      Alcotest.(check string) "hint base" base (read "hint-1.base");
+      let reopened_base () =
+        Option.map
+          (fun h ->
+            Hsq_shard.Hint_log.close h;
+            Hsq_shard.Hint_log.base_seq h)
+          (Hsq_shard.Hint_log.reopen ~dir:root ~peer:1 ~sync)
+      in
+      Alcotest.(check (option int)) "hint base reads back" (Some 1234) (reopened_base ());
+      (* "shards 3" becomes "shards 2": the file is refused, and the
+         directories still name three shards. *)
+      flip "layout" (String.length "hsq-layout 1\nshards ");
+      Alcotest.(check (option (pair int int))) "flipped layout inferred" (Some (3, 2)) (G.layout ~root);
+      flip "step-baseline" (String.length "hsq-steps 1\n");
+      let g, _ = G.open_or_recover cfg in
+      G.close g;
+      Alcotest.(check string) "flipped baselines rebased" baseline (read "step-baseline");
+      flip "hint-1.base" (String.length "hsq-hint 1\npeer 1\nbase_seq ");
+      Alcotest.(check (option int)) "flipped hint base absent" None (reopened_base ()))
 
 (* --- windows ---------------------------------------------------------------- *)
 
@@ -913,6 +1010,9 @@ let () =
           Alcotest.test_case "recovery gauges, rejoin, health rollup" `Quick
             test_recovery_gauges_and_rejoin;
           Alcotest.test_case "recovery equals live" `Quick test_recovery_equals_live;
+          Alcotest.test_case "corrupt replica store rejoins from its sibling" `Quick
+            test_corrupt_replica_rejoins;
+          Alcotest.test_case "root and hint files golden" `Quick test_root_files_golden;
           Alcotest.test_case "recorded layout, lost replica store" `Quick
             test_layout_and_lost_replica;
           Alcotest.test_case "repaired replica holds its source's sketch" `Quick

@@ -198,11 +198,11 @@ let run_seed seed () =
         match G.engine g victim with
         | Some _ ->
           List.iter
-            (fun (s, (r : Hsq.Persist.scrub_report)) ->
-              if r.Hsq.Persist.still_quarantined > 0 then
+            (fun ((s, _), (r : Hsq.Engine.scrub_report)) ->
+              if r.Hsq.Engine.still_quarantined > 0 then
                 Alcotest.failf "heal scrub left %d partitions quarantined on shard %d"
-                  r.Hsq.Persist.still_quarantined s)
-            (G.scrub ~repair:true g)
+                  r.Hsq.Engine.still_quarantined s)
+            (G.scrub_all ~repair:true g)
         | None -> (
           match G.rejoin g victim with
           | Ok _ -> ()
@@ -211,9 +211,9 @@ let run_seed seed () =
       else begin
         match G.rejoin g victim with
         | Ok (_recovery, scrub) ->
-          if scrub.Hsq.Persist.still_quarantined > 0 then
+          if scrub.Hsq.Engine.still_quarantined > 0 then
             Alcotest.failf "rejoin scrub left %d partitions quarantined"
-              scrub.Hsq.Persist.still_quarantined
+              scrub.Hsq.Engine.still_quarantined
         | Error msg -> Alcotest.failf "rejoin failed: %s" msg
       end;
       Alcotest.(check (list int)) "no shards down after heal" [] (G.shards_down g);
