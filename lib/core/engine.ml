@@ -24,9 +24,8 @@ module Trace = Hsq_obs.Trace
 
 (* Query-path observability.  The quick path runs in ~100ns out of the
    summary cache, so its counters must stay a single machine operation:
-   they are [Atomic.t] ints, because the daemon's inline quick answers
-   count summary-cache hits from connection threads, racing the engine
-   thread and the exporter; they are exported pull-style through
+   they are [Atomic.t] ints, so an exporter on another thread reads them
+   without a lock; they are exported pull-style through
    [Metrics.counter_fn].  Latency on the quick path is sampled
    1-in-64 (a gettimeofday pair costs ~half the whole query); the
    accurate path is ms-scale and always timed. *)

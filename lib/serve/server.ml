@@ -1,47 +1,53 @@
 (* `hsq serve` — the long-running, overload-safe query daemon.
 
-   Threading model (threads for I/O):
+   One serve loop.  A single thread does all of the daemon's work: each
+   turn it selects over the listener, a self-pipe and every connection,
+   then accepts, reads, parses, executes on the group and writes.
 
-   - an accept thread polls the listen socket (select with a short
-     timeout, so a stop request is noticed within ~50 ms without
-     relying on signal-interrupted syscalls);
-   - one connection thread per client parses line-JSON requests and
-     submits them to the bounded admission queue, then blocks in the
-     item's mailbox until the reply arrives — a slow or stalled client
-     therefore only ever stalls its own thread (and is cut by the
-     per-connection read/write timeouts);
-   - a single engine thread drains the queue: the engine is
-     single-submitter by contract, so all engine access funnels here;
-   - full-store quicks (no window) skip the queue: a connection thread
-     answers them from the engine thread's published quick snapshot
-     while that snapshot's write generation is current, the engine
-     thread is idle and no stop was requested.  Writers bump the
-     generation after applying and before acking; the publisher reads
-     it before building.  The idle gate keeps inline answers off the
-     runtime lock while an accurate query waits on device reads.  See
-     "inline quick answers".
+   - Sockets are non-blocking.  Each connection has an input buffer,
+     scanned for lines in place, and an output buffer; the replies one
+     turn produces go out in a single write, so the replies to pipelined
+     requests are coalesced.  A connection whose output did not all go
+     out is neither read nor parsed until it has.
+   - read_timeout_s and write_timeout_s are per-connection deadlines the
+     loop checks: a client that sends nothing, or stops reading its
+     replies, is cut and counted (hsq_serve_conn_timeouts_total), and
+     cannot stall the loop.
+   - ping and drain are answered in place.  Every other request enters
+     the bounded Admission FIFO, stamped when its line is parsed, and
+     runs when it reaches the head with the engine free.  Its connection
+     parses no further line until it is answered, so replies stay in
+     request order.
+   - submit_fn queues a job like a request.  At the head, the loop lends
+     it the engine: the job runs on its caller's thread while the loop
+     goes on accepting, reading, shedding and answering ping and drain,
+     but runs nothing on the group until the job returns.
+   - Unix.select takes no descriptor at or above FD_SETSIZE, so a
+     connection that gets one is refused with an explicit overloaded
+     reply.
+
+   An engine call blocks the loop for its own duration: no line is read
+   while an accurate query probes the disk, so a request's deadline
+   counts from when its line is read, not from when the client sent it.
 
    Admission control: the queue is strictly bounded (shed with
    retry-after past capacity — see Admission); every admitted request
-   carries an absolute deadline from its class budget, checked when
-   the engine thread picks it up (a request that aged out in the queue
-   is answered `timeout`, not executed) and passed through to the
-   accurate path's cooperative cancellation for the execution
-   remainder.  An inline quick never enters the queue, so it is
-   neither shed nor deadline-cut.
+   carries an absolute deadline from its class budget, checked when it
+   reaches the head (a request that aged out in the queue is answered
+   `timeout`, not executed) and passed through to the accurate path's
+   cooperative cancellation for the execution remainder.
 
    Drain (SIGTERM via request_stop, the `drain` verb, or stop):
-     1. the queue stops admitting (submit -> shutting_down) but every
-        already-admitted request is served or deadline-cut, then the
-        engine thread exits;
-     2. the listen socket stays open behind a refusal loop: a client
-        that connects mid-drain reads an explicit shutting_down error
-        instead of racing the close (hang on a half-accepted socket or
-        ECONNRESET — the old behavior);
-     3. close, which flushes every WAL — idempotent, so a concurrent
-        or repeated shutdown is safe;
-     4. connection sockets are shut down, their threads joined; only
-        then does the listener itself close, so connects after a
+     1. the queue stops admitting (engine requests answer shutting_down),
+        but the listener stays open: a client that connects mid-drain
+        reads an explicit shutting_down error and a clean close instead
+        of hanging in the accept backlog;
+     2. everything already admitted is served or deadline-cut, and a
+        lent job runs to its end;
+     3. close, which flushes every WAL — idempotent, so a concurrent or
+        repeated shutdown is safe;
+     4. once every reply is written (or its connection cut), the
+        connections close, then the listener, so connects after a
         completed drain fail outright.
    A crash instead of a drain loses nothing acknowledged: every
    observe was WAL-appended before its ack, so open_or_recover replays
@@ -97,30 +103,57 @@ type counters = {
   internal : Metrics.Counter.t;
   conn_timeout : Metrics.Counter.t;
   conns_total : Metrics.Counter.t;
-  quick_inline : Metrics.Counter.t;
 }
+
+type conn = {
+  fd : Unix.file_descr;
+  (* Received bytes: [buf.[start, len)] is unconsumed input, of which
+     [start, scan) is known to hold no newline, so every byte is scanned
+     once. *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable scan : int;
+  mutable len : int;
+  out : Buffer.t; (* replies, written up to [sent] *)
+  mutable sent : int;
+  mutable stalled : bool; (* the last write left output behind *)
+  mutable waiting : bool; (* a request of this connection is queued *)
+  mutable eof : bool; (* read nothing more; close once answered and written *)
+  mutable closed : bool; (* to be closed at the end of the turn *)
+  mutable since : float; (* last progress: bytes read or written, or a reply *)
+}
+
+(* A submit_fn job's side of the lending hand-off, under [t.lock]. *)
+type job_state =
+  | Queued
+  | Lent
+  | Done
+
+type job = { mutable state : job_state }
+
+type work =
+  | Request of conn * Protocol.request
+  | Job of job
 
 type t = {
   config : config;
   group : G.t;
   reg : Metrics.t; (* serve-owned metrics; shard registries are merged
                       in at dump time *)
-  (* Inline quick answers (see "inline quick answers" below): the write
-     generation, the last full-store quick snapshot tagged with the
-     generation read before it was built, and the engine-thread items
-     admitted and not yet answered. *)
-  generation : int Atomic.t;
-  published : (int * G.quick_snapshot) option Atomic.t;
-  outstanding : int Atomic.t;
-  adm : Admission.t;
+  adm : work Admission.t;
   started_at : float;
   stop_requested : bool Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
-  mutable accept_thread : Thread.t option;
-  mutable engine_thread : Thread.t option;
-  conn_lock : Mutex.t;
-  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t; (* keyed by a conn id *)
-  mutable next_conn_id : int;
+  (* Loop state; only the loop thread touches it. *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  mutable draining : bool;
+  mutable lent : (job * float) option; (* the job holding the engine, and
+                                          when it was queued *)
+  (* The lending hand-off with submit_fn callers: job states, and the
+     self-pipe that wakes the loop, open while it runs. *)
+  lock : Mutex.t;
+  lent_cond : Condition.t;
+  mutable wake_pipe : (Unix.file_descr * Unix.file_descr) option;
+  mutable loop_thread : Thread.t option;
   c : counters;
   conn_gauge : Metrics.Gauge.t;
   inflight_gauge : Metrics.Gauge.t;
@@ -145,18 +178,16 @@ let create config group =
     config;
     group;
     reg;
-    generation = Atomic.make 0;
-    published = Atomic.make None;
-    outstanding = Atomic.make 0;
     adm = Admission.create ~capacity:config.queue_depth ~metrics:reg ();
     started_at = Metrics.now_s ();
     stop_requested = Atomic.make false;
-    listen_fd = None;
-    accept_thread = None;
-    engine_thread = None;
-    conn_lock = Mutex.create ();
     conns = Hashtbl.create 64;
-    next_conn_id = 0;
+    draining = false;
+    lent = None;
+    lock = Mutex.create ();
+    lent_cond = Condition.create ();
+    wake_pipe = None;
+    loop_thread = None;
     c =
       {
         ok = counter "hsq_serve_requests_ok_total" "Requests answered successfully";
@@ -167,17 +198,13 @@ let create config group =
         bad_request = counter "hsq_serve_requests_bad_request_total" "Well-formed but invalid requests";
         internal = counter "hsq_serve_requests_error_total" "Requests failed by an engine/device error";
         conn_timeout =
-          counter "hsq_serve_conn_timeouts_total" "Connections cut by the read/write timeout";
+          counter "hsq_serve_conn_timeouts_total"
+            "Connections cut by the read or the write timeout";
         conns_total = counter "hsq_serve_connections_total" "Connections accepted";
-        quick_inline =
-          counter "hsq_serve_quick_inline_total"
-            "Full-store quick answers served on the connection thread from the published \
-             snapshot, never queued (hsq_serve_requests_admitted_total counts queued requests \
-             only)";
       };
     conn_gauge = Metrics.gauge ~help:"Open client connections" reg "hsq_serve_connections";
     inflight_gauge =
-      Metrics.gauge ~help:"Requests currently executing on the engine thread" reg
+      Metrics.gauge ~help:"Requests executing on the group (1 while a job holds the engine)" reg
         "hsq_serve_inflight";
     request_hist =
       Metrics.histogram ~help:"Request latency, admission to reply" reg
@@ -188,10 +215,10 @@ let create config group =
 
 let uptime_s t = Metrics.now_s () -. t.started_at
 
-(* Async-signal-safe: just an atomic store; the accept thread polls it. *)
+(* Async-signal-safe: just an atomic store; the loop polls it. *)
 let request_stop t = Atomic.set t.stop_requested true
 
-(* --- request execution (engine thread only) ---------------------------- *)
+(* --- request execution (on the loop, engine free) ------------------------ *)
 
 let window_error_response sizes =
   Protocol.err Protocol.e_window
@@ -263,30 +290,14 @@ let answer ~population ~target ~window run =
 let quick_fields (v, bound, degradation) =
   (v, [ ("bound", Json.Num bound); ("degradation", Json.Str (G.degradation_label degradation)) ])
 
-(* A full-store quick: Algorithm 5 from the snapshot [snap ()] yields.
-   The engine thread builds it (and publishes it, see below); a
-   connection thread answering inline reuses a published one. *)
-let full_quick ~population ~reused snap target =
-  answer ~population ~target ~window:None (fun ~rank ->
-      Ok (quick_fields (G.quick_answer ~reused (snap ()) ~rank)))
-
-(* Build a full-store quick snapshot and publish it, tagged with the
-   write generation read BEFORE the build: a write that lands during
-   the build bumps the generation past the tag, so the snapshot is never
-   served as covering it. *)
-let publish t =
-  let generation = Atomic.get t.generation in
-  let snap = G.quick_snapshot t.group in
-  Atomic.set t.published (Some (generation, snap));
-  snap
 
 let execute t req ~deadline =
   let g = t.group in
   match req with
-  | Protocol.Ping -> (`Ok, Protocol.ok [ ("pong", Json.Bool true) ])
+  | Protocol.Ping -> (`Ok, Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
   | Protocol.Drain ->
-    (* Normally handled inline by the connection thread; if one slips
-       through, honor it here too. *)
+    (* Acknowledged first: the drain closes this very socket once the
+       reply is written. *)
     request_stop t;
     (`Ok, Protocol.ok [ ("draining", Json.Bool true) ])
   | Protocol.Observe vals -> observe_all g vals
@@ -326,11 +337,12 @@ let execute t req ~deadline =
         ( `Error,
           Protocol.err Protocol.e_device ~detail:(messages failures)
             ~extra:(fields @ [ ("failed_shards", shards failures) ]) ))
-  | Protocol.Quick { target; window = None } ->
-    full_quick ~population:(population g None) ~reused:false (fun () -> publish t) target
-  | Protocol.Quick { target; window = Some w as window } ->
+  | Protocol.Quick { target; window } ->
     answer ~population:(population g window) ~target ~window (fun ~rank ->
-        Result.map quick_fields (G.quick_window g ~window:w ~rank))
+        Result.map quick_fields
+          (match window with
+          | None -> Ok (G.quick_with_bound g ~rank)
+          | Some w -> G.quick_window g ~window:w ~rank))
   | Protocol.Accurate { target; window; deadline_ms = _ } ->
     (* The remaining budget (class budget minus queue wait, already
        folded with any request deadline) drives the cooperative
@@ -391,261 +403,223 @@ let tally t run =
     Metrics.Counter.inc t.c.internal;
     Protocol.err Protocol.e_internal ~detail:(Printexc.to_string e)
 
-(* --- inline quick answers ------------------------------------------------
+(* --- connections ---------------------------------------------------------- *)
 
-   A full-store quick (no window) is a memory-only lookup, so a
-   connection thread answers it itself from the snapshot the engine
-   thread last published, when three things hold: the snapshot's
-   generation tag is the current write generation, the engine thread is
-   idle (no item admitted and unanswered), and no stop was requested.
-   Anything else queues as before.
+let chunk = 4096
 
-   Zero staleness rests on one ordering.  Every write bumps the
-   generation after it is applied and before it is acknowledged:
-   observe, end_step and every job, all on the engine thread.  The
-   publisher reads the generation before it builds.  So a quick that
-   arrives after an ack finds either a snapshot built after that write
-   or a stale tag.  An accurate query can quarantine partitions or drop
-   what the snapshot read; after each one the engine thread checks the
-   snapshot against the group (no summary build) and bumps the
-   generation if it no longer matches.
+let new_conn fd =
+  {
+    fd;
+    buf = Bytes.create chunk;
+    start = 0;
+    scan = 0;
+    len = 0;
+    out = Buffer.create 256;
+    sent = 0;
+    stalled = false;
+    waiting = false;
+    eof = false;
+    closed = false;
+    since = Metrics.now_s ();
+  }
 
-   The idle gate is for latency, not correctness: an inline answer on a
-   connection thread would take the runtime lock at every device read
-   of an in-flight accurate query.  An item counts from before it enters
-   the queue, so a quick arriving while an accurate waits for the engine
-   thread to wake queues behind it instead of delaying it.  An inline
-   quick never enters the queue, so it is neither shed nor
-   deadline-cut. *)
+(* Every reply is a whole line, since Protocol renders the newline with
+   it; a connection cut meanwhile drops it. *)
+let reply c resp =
+  if not c.closed then begin
+    Buffer.add_string c.out resp;
+    c.since <- Metrics.now_s ()
+  end
 
-let bump t = Atomic.incr t.generation
-
-(* Admit [item] for the engine thread, outstanding until just before
-   its reply. *)
-let enqueue t item =
-  Atomic.incr t.outstanding;
-  match Admission.submit t.adm item with
-  | Admission.Admitted -> Admission.Admitted
-  | refused ->
-    Atomic.decr t.outstanding;
-    refused
-
-let revalidate t =
-  match Atomic.get t.published with
-  | Some (generation, snap) when generation = Atomic.get t.generation ->
-    if not (G.snapshot_current t.group snap) then bump t
-  | _ -> ()
-
-(* After an engine-thread item, before its reply. *)
-let settle_snapshot t = function
-  | Admission.Job _ | Admission.Request (Protocol.Observe _ | Protocol.End_step) -> bump t
-  | Admission.Request (Protocol.Accurate _) -> revalidate t
-  | Admission.Request _ -> ()
-
-let inline_snapshot t =
-  if Atomic.get t.outstanding = 0 && not (Atomic.get t.stop_requested) then
-    match Atomic.get t.published with
-    | Some (generation, snap) when generation = Atomic.get t.generation -> Some snap
-    | _ -> None
-  else None
-
-let inline_quick t snap target =
-  let t0 = Metrics.now_s () in
-  Metrics.Counter.inc t.c.quick_inline;
-  let resp =
-    tally t (fun () ->
-        full_quick ~population:(Ok (G.snapshot_total snap)) ~reused:true (fun () -> snap) target)
-  in
-  Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. t0);
-  resp
-
-(* Drain every remaining queue item, then run the shutdown sequence.
-   A request that spent its whole budget waiting is answered `timeout`
-   without touching the engine — explicit, never silent. *)
-let engine_loop t =
-  let rec loop () =
-    match Admission.next t.adm with
-    | None -> ()
-    | Some item ->
-      let now = Metrics.now_s () in
-      Metrics.Histogram.observe t.queue_wait_hist (now -. item.Admission.enqueued);
-      Metrics.Gauge.set t.inflight_gauge 1.0;
-      let resp =
-        match item.Admission.payload with
-        | Admission.Job f ->
-          (try f () with _ -> ());
-          Protocol.ok []
-        | Admission.Request req ->
-          if now > item.Admission.deadline then begin
-            Metrics.Counter.inc t.c.timeout;
-            Protocol.err Protocol.e_timeout
-              ~extra:[ ("class", Json.Str (Protocol.class_label item.Admission.cls)) ]
-          end
-          else tally t (fun () -> execute t req ~deadline:item.Admission.deadline)
-      in
-      settle_snapshot t item.Admission.payload;
-      Metrics.Gauge.set t.inflight_gauge 0.0;
-      Atomic.decr t.outstanding;
-      Admission.reply item resp;
-      Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. item.Admission.enqueued);
-      loop ()
-  in
-  loop ()
-
-(* --- connection handling ----------------------------------------------- *)
-
-(* Write one reply; every reply is a whole line, since Protocol renders
-   the newline with it. *)
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    let n = Unix.write_substring fd s !off (len - !off) in
-    if n <= 0 then raise Exit;
-    off := !off + n
-  done
-
-let submit_and_reply t req =
+(* Queue a request for the group, stamped now: its deadline and its
+   queue wait count from here. *)
+let submit t c req =
   let cls = Protocol.class_of req in
   let budget_ms =
     match Protocol.requested_deadline_ms req with
     | Some d -> Float.min d (budget_ms_for t cls)
     | None -> budget_ms_for t cls
   in
+  let now = Metrics.now_s () in
   let item =
-    Admission.make_item (Admission.Request req) cls
-      ~deadline:(Metrics.now_s () +. (budget_ms /. 1000.0))
+    { Admission.payload = Request (c, req); cls; enqueued = now; deadline = now +. (budget_ms /. 1000.0) }
   in
-  match enqueue t item with
-  | Admission.Admitted -> Admission.await item
+  match Admission.submit t.adm item with
+  | Admission.Admitted -> c.waiting <- true
   | Admission.Overloaded retry_ms ->
-    Protocol.err Protocol.e_overloaded
-      ~extra:
-        [
-          ("retry_after_ms", Json.Num retry_ms);
-          ("class", Json.Str (Protocol.class_label cls));
-        ]
-  | Admission.Draining -> Protocol.err Protocol.e_shutting_down
+    reply c
+      (Protocol.err Protocol.e_overloaded
+         ~extra:
+           [
+             ("retry_after_ms", Json.Num retry_ms);
+             ("class", Json.Str (Protocol.class_label cls));
+           ])
+  | Admission.Draining -> reply c (Protocol.err Protocol.e_shutting_down)
 
-(* An engine-thread job outside any client's budget. *)
-let admin_job f =
-  Admission.make_item (Admission.Job f) Protocol.Admin_q ~deadline:(Metrics.now_s () +. 60.0)
-
-let handle_line t fd buf ~pos ~len =
-  match Json.of_bytes buf ~pos ~len with
+let handle_line t c ~pos ~len =
+  match Json.of_bytes c.buf ~pos ~len with
   | Error msg ->
     Metrics.Counter.inc t.c.parse_error;
-    write_all fd (Protocol.err Protocol.e_parse ~detail:msg)
+    reply c (Protocol.err Protocol.e_parse ~detail:msg)
   | Ok j -> (
     match Protocol.parse j with
     | Error msg ->
       Metrics.Counter.inc t.c.bad_request;
-      write_all fd (Protocol.err Protocol.e_bad_request ~detail:msg)
-    | Ok Protocol.Ping ->
-      Metrics.Counter.inc t.c.ok;
-      write_all fd (Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
-    | Ok Protocol.Drain ->
-      (* Acknowledge first, then trigger: the drain closes this very
-         socket shortly after. *)
-      Metrics.Counter.inc t.c.ok;
-      write_all fd (Protocol.ok [ ("draining", Json.Bool true) ]);
-      request_stop t
-    | Ok (Protocol.Quick { target; window = None } as req) -> (
-      match inline_snapshot t with
-      | Some snap -> write_all fd (inline_quick t snap target)
-      | None -> write_all fd (submit_and_reply t req))
-    | Ok req -> write_all fd (submit_and_reply t req))
+      reply c (Protocol.err Protocol.e_bad_request ~detail:msg)
+    | Ok ((Protocol.Ping | Protocol.Drain) as req) ->
+      reply c (tally t (fun () -> execute t req ~deadline:Float.infinity))
+    | Ok req -> submit t c req)
+
+(* Whether the connection's buffered lines may be served now. *)
+let pumpable c = not (c.waiting || c.stalled || c.closed)
 
 (* The whitespace String.trim strips. *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* Per-connection loop: a bounded line scanner over Unix.read.  The
-   read and write timeouts (SO_RCVTIMEO / SO_SNDTIMEO) contain slow and
-   stalled clients; a line above max_line_bytes, whether or not its
-   newline has arrived, is a protocol violation and closes the
-   connection after an explicit parse error.
+(* A line above max_line_bytes, whether or not its newline has arrived,
+   is a protocol violation: an explicit parse error, then the connection
+   closes. *)
+let too_long t c =
+  Metrics.Counter.inc t.c.parse_error;
+  reply c (Protocol.err Protocol.e_parse ~detail:"line too long");
+  c.start <- 0;
+  c.scan <- 0;
+  c.len <- 0;
+  c.eof <- true
 
-   Received bytes live in one growable buffer: [buf.[start, len)] is
-   unconsumed input, of which [start, scan) is known to hold no newline,
-   so every byte is scanned once.  The buffer is compacted only after a
-   line was consumed, and only before the next read. *)
-let conn_loop t fd =
-  let cfg = t.config in
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.read_timeout_s with Unix.Unix_error _ -> ());
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.write_timeout_s with Unix.Unix_error _ -> ());
-  let chunk = 4096 in
-  let buf = ref (Bytes.create chunk) in
-  let start = ref 0 and scan = ref 0 and len = ref 0 in
-  let run = ref true in
-  let rec newline i = if i >= !len then None else if Bytes.get !buf i = '\n' then Some i else newline (i + 1) in
-  let too_long () =
-    Metrics.Counter.inc t.c.parse_error;
-    (try write_all fd (Protocol.err Protocol.e_parse ~detail:"line too long") with _ -> ());
-    run := false
-  in
-  while !run do
-    (* Serve every complete line currently buffered. *)
-    let progress = ref true in
-    while !run && !progress do
-      match newline !scan with
-      | Some i ->
-        let line_start = !start in
-        start := i + 1;
-        scan := i + 1;
-        if i - line_start > cfg.max_line_bytes then too_long ()
-        else begin
-          (* Parse the line in place, without the whitespace String.trim
-             would strip; a blank line gets no reply. *)
-          let lo = ref line_start and hi = ref i in
-          while !lo < !hi && is_space (Bytes.get !buf !lo) do incr lo done;
-          while !hi > !lo && is_space (Bytes.get !buf (!hi - 1)) do decr hi done;
-          if !hi > !lo then (
-            try handle_line t fd !buf ~pos:!lo ~len:(!hi - !lo)
-            with Exit | Unix.Unix_error _ ->
-              (* Write failed: stalled or vanished client; drop it. *)
-              run := false)
-        end
-      | None ->
-        progress := false;
-        scan := !len;
-        if !len - !start > cfg.max_line_bytes then too_long ()
-    done;
-    if !run then begin
-      let pending = !len - !start in
-      if !start > 0 then begin
-        Bytes.blit !buf !start !buf 0 pending;
-        start := 0;
-        scan := pending;
-        len := pending
-      end;
-      if Bytes.length !buf - !len < chunk then begin
-        let bigger = Bytes.create (2 * Bytes.length !buf) in
-        Bytes.blit !buf 0 bigger 0 !len;
-        buf := bigger
-      end;
-      match Unix.read fd !buf !len (Bytes.length !buf - !len) with
-      | 0 -> run := false (* orderly disconnect *)
-      | n -> len := !len + n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (* Read timeout: a stalled client is cut, not waited on. *)
-        Metrics.Counter.inc t.c.conn_timeout;
-        run := false
-      | exception Unix.Unix_error _ -> run := false
+(* Serve the connection's buffered lines in order, until one of them
+   waits for the group. *)
+let rec pump t c =
+  if pumpable c then begin
+    let rec newline i = if i >= c.len then None else if Bytes.get c.buf i = '\n' then Some i else newline (i + 1) in
+    match newline c.scan with
+    | Some i ->
+      let line_start = c.start in
+      c.start <- i + 1;
+      c.scan <- i + 1;
+      if i - line_start > t.config.max_line_bytes then too_long t c
+      else begin
+        (* Parse the line in place, without the whitespace String.trim
+           would strip; a blank line gets no reply. *)
+        let lo = ref line_start and hi = ref i in
+        while !lo < !hi && is_space (Bytes.get c.buf !lo) do incr lo done;
+        while !hi > !lo && is_space (Bytes.get c.buf (!hi - 1)) do decr hi done;
+        if !hi > !lo then handle_line t c ~pos:!lo ~len:(!hi - !lo);
+        pump t c
+      end
+    | None ->
+      c.scan <- c.len;
+      if c.len - c.start > t.config.max_line_bytes then too_long t c
+  end
+
+(* One read into the buffer, compacted only after a line was consumed. *)
+let read_conn c =
+  let pending = c.len - c.start in
+  if c.start > 0 then begin
+    Bytes.blit c.buf c.start c.buf 0 pending;
+    c.scan <- c.scan - c.start;
+    c.start <- 0;
+    c.len <- pending
+  end;
+  if Bytes.length c.buf - c.len < chunk then begin
+    let bigger = Bytes.create (2 * Bytes.length c.buf) in
+    Bytes.blit c.buf 0 bigger 0 c.len;
+    c.buf <- bigger
+  end;
+  match Unix.read c.fd c.buf c.len (Bytes.length c.buf - c.len) with
+  | 0 -> c.eof <- true (* orderly disconnect *)
+  | n ->
+    c.len <- c.len + n;
+    c.since <- Metrics.now_s ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+(* One write of everything the connection has to send. *)
+let flush c =
+  let pending = Buffer.length c.out - c.sent in
+  if pending > 0 then begin
+    let n =
+      match Unix.single_write_substring c.fd (Buffer.sub c.out c.sent pending) 0 pending with
+      | n -> n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
+    in
+    if n = pending then begin
+      Buffer.clear c.out;
+      c.sent <- 0;
+      c.stalled <- false
     end
-  done
+    else begin
+      c.sent <- c.sent + n;
+      (* The write deadline counts from the last progress. *)
+      if n > 0 || not c.stalled then c.since <- Metrics.now_s ();
+      c.stalled <- true
+    end
+  end
 
-let handle_conn t id fd =
-  Metrics.Gauge.add t.conn_gauge 1.0;
-  Metrics.Counter.inc t.c.conns_total;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.Gauge.add t.conn_gauge (-1.0);
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.conn_lock;
-      Hashtbl.remove t.conns id;
-      Mutex.unlock t.conn_lock)
-    (fun () -> try conn_loop t fd with _ -> ())
+(* A socket fault ends its connection only. *)
+let guarded c f = try f c with Unix.Unix_error _ -> c.closed <- true
 
+(* When the loop must act on the connection if nothing arrives: the
+   write deadline while its output is stuck, the read deadline while it
+   waits for input. *)
+let deadline t c =
+  if c.stalled then Some (c.since +. t.config.write_timeout_s)
+  else if c.waiting || c.eof then None
+  else Some (c.since +. t.config.read_timeout_s)
+
+let readable c = pumpable c && not c.eof
+
+(* --- the engine: queued requests and lent jobs ---------------------------- *)
+
+(* Call with [t.lock] held. *)
+let wake t =
+  match t.wake_pipe with
+  | Some (_, w) -> ( try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
+  | None -> ()
+
+let lend t job ~enqueued =
+  Metrics.Gauge.set t.inflight_gauge 1.0;
+  t.lent <- Some (job, enqueued);
+  Mutex.protect t.lock (fun () ->
+      job.state <- Lent;
+      Condition.broadcast t.lent_cond)
+
+let settle_lent t =
+  match t.lent with
+  | Some (job, enqueued) when Mutex.protect t.lock (fun () -> job.state = Done) ->
+    t.lent <- None;
+    Metrics.Gauge.set t.inflight_gauge 0.0;
+    Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. enqueued)
+  | _ -> ()
+
+(* Run the queue in order while the engine is free.  A request that
+   spent its whole budget waiting is answered `timeout` without touching
+   the engine — explicit, never silent.  An answered connection goes
+   straight on with its buffered lines. *)
+let rec run_queue t =
+  if t.lent = None then
+    match Admission.pop t.adm with
+    | None -> ()
+    | Some item -> (
+      let now = Metrics.now_s () in
+      Metrics.Histogram.observe t.queue_wait_hist (now -. item.Admission.enqueued);
+      match item.Admission.payload with
+      | Job job -> lend t job ~enqueued:item.Admission.enqueued
+      | Request (c, req) ->
+        Metrics.Gauge.set t.inflight_gauge 1.0;
+        let resp =
+          if now > item.Admission.deadline then begin
+            Metrics.Counter.inc t.c.timeout;
+            Protocol.err Protocol.e_timeout
+              ~extra:[ ("class", Json.Str (Protocol.class_label item.Admission.cls)) ]
+          end
+          else tally t (fun () -> execute t req ~deadline:item.Admission.deadline)
+        in
+        Metrics.Gauge.set t.inflight_gauge 0.0;
+        c.waiting <- false;
+        reply c resp;
+        Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. item.Admission.enqueued);
+        pump t c;
+        run_queue t)
 (* --- listener & lifecycle ---------------------------------------------- *)
 
 let bind_listener = function
@@ -669,114 +643,181 @@ let bind_listener = function
     Unix.listen fd 64;
     fd
 
-(* The drain sequence (runs on the accept thread, after its loop saw
-   the stop flag).  Steps are individually guarded: a half-broken
-   engine must still release sockets and threads.
 
-   Ordering matters for clients racing the shutdown: the queue stops
-   admitting FIRST, and the listen socket stays open behind a refusal
-   loop until the drain completes — a client that connects mid-drain
-   reads one explicit shutting_down error and a clean close, instead of
-   hanging in the kernel accept backlog (never accepted, never
-   refused) or catching ECONNRESET from a listener closed under it.
-   Only after everything admitted is served does the listener close,
-   so connects after a finished drain fail outright, as before. *)
-let drain t listen_fd =
-  Admission.begin_drain t.adm;
-  let refusing = Atomic.make true in
-  let refuse_thread =
-    Thread.create
-      (fun () ->
-        while Atomic.get refusing do
-          match Unix.select [ listen_fd ] [] [] 0.05 with
-          | [], _, _ -> ()
-          | _ -> (
-            match Unix.accept listen_fd with
-            | fd, _ ->
-              (try write_all fd (Protocol.err Protocol.e_shutting_down) with _ -> ());
-              (try Unix.close fd with Unix.Unix_error _ -> ())
-            | exception Unix.Unix_error _ -> ())
-          | exception Unix.Unix_error _ -> ()
-        done)
-      ()
+(* Unix.select raises EINVAL on a descriptor at or above FD_SETSIZE
+   (1024 in glibc); on Unix a file_descr is its number. *)
+let fd_setsize = 1024
+let selectable fd = (Obj.magic fd : int) < fd_setsize
+
+(* Answer a connection the loop will not keep with one line, then close
+   it. *)
+let refuse fd resp =
+  (try ignore (Unix.single_write_substring fd resp 0 (String.length resp))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec accept_all t listen_fd =
+  match Unix.accept listen_fd with
+  | fd, _ ->
+    if t.draining then refuse fd (Protocol.err Protocol.e_shutting_down)
+    else if not (selectable fd) then
+      refuse fd (Protocol.err Protocol.e_overloaded ~detail:"too many open connections")
+    else begin
+      Unix.set_nonblock fd;
+      Hashtbl.replace t.conns fd (new_conn fd);
+      Metrics.Gauge.add t.conn_gauge 1.0;
+      Metrics.Counter.inc t.c.conns_total
+    end;
+    accept_all t listen_fd
+  | exception
+      Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
+    ()
+  | exception Unix.Unix_error _ -> request_stop t
+
+(* How long select may sleep: until the nearest connection deadline, at
+   most [poll_s] so a stop request is noticed, and not at all while an
+   unblocked connection still holds unscanned input. *)
+let poll_s = 0.05
+
+let select_timeout t now =
+  Hashtbl.fold
+    (fun _ c acc ->
+      if pumpable c && c.scan < c.len then 0.0
+      else match deadline t c with Some d -> Float.min acc (Float.max 0.0 (d -. now)) | None -> acc)
+    t.conns poll_s
+
+(* One turn: cut expired connections, wait for work, accept, read,
+   serve every buffered line the engine lets through, write. *)
+let turn t listen_fd wake_r =
+  let now = Metrics.now_s () in
+  Hashtbl.iter
+    (fun _ c ->
+      match deadline t c with
+      | Some d when now > d && not c.closed ->
+        Metrics.Counter.inc t.c.conn_timeout;
+        c.closed <- true
+      | _ -> ())
+    t.conns;
+  let reads, writes =
+    Hashtbl.fold
+      (fun fd c (r, w) ->
+        if c.closed then (r, w)
+        else if c.stalled then (r, fd :: w)
+        else if readable c then (fd :: r, w)
+        else (r, w))
+      t.conns
+      ([ listen_fd; wake_r ], [])
   in
-  (match t.engine_thread with
-  | Some thr ->
-    Thread.join thr;
-    t.engine_thread <- None
-  | None -> ());
-  (* Backend is quiescent now: close, which syncs every WAL (idempotent,
-     so a signal-driven second shutdown is harmless). *)
-  (try G.close t.group with _ -> ());
-  (* Unblock any connection thread still parked in a read, then join. *)
-  let remaining =
-    Mutex.lock t.conn_lock;
-    let l = Hashtbl.fold (fun _ (fd, thr) acc -> (fd, thr) :: acc) t.conns [] in
-    Mutex.unlock t.conn_lock;
-    l
+  let ready =
+    match Unix.select reads writes [] (select_timeout t now) with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   in
   List.iter
-    (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    remaining;
-  List.iter (fun (_, thr) -> try Thread.join thr with _ -> ()) remaining;
-  Atomic.set refusing false;
-  (try Thread.join refuse_thread with _ -> ());
+    (fun fd ->
+      if fd = wake_r then (
+        try ignore (Unix.read wake_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ())
+      else if fd = listen_fd then accept_all t listen_fd
+      else match Hashtbl.find_opt t.conns fd with Some c -> guarded c read_conn | None -> ())
+    ready;
+  settle_lent t;
+  Hashtbl.iter (fun _ c -> pump t c) t.conns;
+  run_queue t;
+  Hashtbl.iter (fun _ c -> if not c.closed then guarded c flush) t.conns;
+  Hashtbl.filter_map_inplace
+    (fun _ c ->
+      if c.eof && not (c.waiting || c.stalled || c.scan < c.len) then c.closed <- true;
+      if c.closed then begin
+        Metrics.Gauge.add t.conn_gauge (-1.0);
+        (try Unix.close c.fd with Unix.Unix_error _ -> ());
+        None
+      end
+      else Some c)
+    t.conns
+
+(* The loop, then the end of the drain.  Once the queue is empty and no
+   job holds the engine, the group closes (which syncs every WAL); the
+   loop turns on until every reply is written or its connection cut. *)
+let serve_loop t listen_fd wake_r =
+  let group_closed = ref false in
+  while not (!group_closed && Hashtbl.fold (fun _ c idle -> idle && not c.stalled) t.conns true) do
+    if Atomic.get t.stop_requested && not t.draining then begin
+      t.draining <- true;
+      Admission.begin_drain t.adm
+    end;
+    turn t listen_fd wake_r;
+    if t.draining && t.lent = None && Admission.depth t.adm = 0 && not !group_closed then begin
+      (try G.close t.group with _ -> ());
+      group_closed := true
+    end
+  done;
+  Hashtbl.iter
+    (fun _ c ->
+      Metrics.Gauge.add t.conn_gauge (-1.0);
+      try Unix.close c.fd with Unix.Unix_error _ -> ())
+    t.conns;
+  Hashtbl.reset t.conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (match t.config.listen with
   | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
   | Tcp _ -> ());
-  t.listen_fd <- None
-
-let accept_loop t listen_fd =
-  while not (Atomic.get t.stop_requested) do
-    match Unix.select [ listen_fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept listen_fd with
-      | fd, _ ->
-        Mutex.lock t.conn_lock;
-        let id = t.next_conn_id in
-        t.next_conn_id <- id + 1;
-        let thr = Thread.create (fun () -> handle_conn t id fd) () in
-        Hashtbl.replace t.conns id (fd, thr);
-        Mutex.unlock t.conn_lock
-      | exception
-          Unix.Unix_error
-            ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
-        ()
-      | exception Unix.Unix_error _ -> Atomic.set t.stop_requested true)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  drain t listen_fd
+  Mutex.protect t.lock (fun () ->
+      Option.iter
+        (fun (r, w) ->
+          Unix.close r;
+          Unix.close w)
+        t.wake_pipe;
+      t.wake_pipe <- None)
 
 let start t =
-  if t.accept_thread <> None then invalid_arg "Server.start: already started";
-  (* A stalled client must surface as a write error, not kill the
+  if t.loop_thread <> None then invalid_arg "Server.start: already started";
+  (* A client that vanished must surface as a write error, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = bind_listener t.config.listen in
-  t.listen_fd <- Some listen_fd;
-  t.engine_thread <- Some (Thread.create (fun () -> engine_loop t) ());
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listen_fd) ())
+  Unix.set_nonblock listen_fd;
+  let wake_r, wake_w = Unix.pipe () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  Mutex.protect t.lock (fun () -> t.wake_pipe <- Some (wake_r, wake_w));
+  t.loop_thread <- Some (Thread.create (fun () -> serve_loop t listen_fd wake_r) ())
 
 let wait t =
-  match t.accept_thread with
+  match t.loop_thread with
   | None -> ()
   | Some thr ->
     Thread.join thr;
-    t.accept_thread <- None
+    t.loop_thread <- None
 
 let stop t =
   request_stop t;
   wait t
 
-(* Test/ops hook: run [f group] on the engine thread (serialized with
-   request execution), blocking until it completes.  The chaos harnesses
-   use it to flip fault injectors, run repair scrubs and kill or rejoin
-   shards without ever racing a live query. *)
+(* Queue a job like a request; at the head of the queue the loop lends
+   it the engine, and [f group] runs here, on the caller's thread, while
+   the loop runs nothing else on the group.  The chaos harnesses use it
+   to flip fault injectors, run repair scrubs and kill or rejoin shards
+   without ever racing a live query. *)
 let submit_fn t f =
-  let item = admin_job (fun () -> f t.group) in
-  match enqueue t item with
-  | Admission.Admitted -> ignore (Admission.await item)
+  let job = { state = Queued } in
+  let item =
+    {
+      Admission.payload = Job job;
+      cls = Protocol.Admin_q;
+      enqueued = Metrics.now_s ();
+      deadline = Float.infinity;
+    }
+  in
+  match Admission.submit t.adm item with
   | Admission.Overloaded _ -> invalid_arg "Server.submit_fn: admission queue full"
   | Admission.Draining -> invalid_arg "Server.submit_fn: server draining"
+  | Admission.Admitted ->
+    Mutex.protect t.lock (fun () ->
+        wake t;
+        while job.state <> Lent do
+          Condition.wait t.lent_cond t.lock
+        done);
+    (try f t.group with _ -> ());
+    Mutex.protect t.lock (fun () ->
+        job.state <- Done;
+        wake t)

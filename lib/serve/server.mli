@@ -3,31 +3,28 @@
     engine is the group's K = 1, R = 1 case: same store layout, same
     answers, and a flat [metrics] dump.
 
-    Overload safety is structural: every engine-touching request goes
-    through the bounded {!Admission} queue (full queue → explicit
-    [overloaded] response with a retry-after hint, never silent
-    buffering), carries an absolute deadline from its class budget
-    (aged-out requests answer [timeout] without running), and is
-    executed by a single engine thread — the group is
-    single-submitter by contract.  Connection faults (malformed lines,
-    stalled clients, abrupt disconnects) are contained per-connection
-    and surfaced in [hsq_serve_*] metrics.
-
-    The one exception: a [quick] without a [window] is answered on its
-    connection thread from the engine thread's last full-store quick
-    snapshot ({!Hsq_shard.Shard_group.quick_snapshot}) when no write
-    has been applied since it was built, the engine thread is idle, and
-    no stop was requested; otherwise it queues.  Such an answer is
-    never stale, never shed and never deadline-cut, and counts in
-    [hsq_serve_quick_inline_total] instead of
-    [hsq_serve_requests_admitted_total] (DESIGN.md §13).
+    One serve loop on one thread accepts, reads, parses, executes and
+    writes every request over non-blocking sockets; the replies one turn
+    produces go out to each connection in a single write.  Overload
+    safety is structural: every engine-touching request goes through
+    the bounded {!Admission} queue (full queue → explicit [overloaded]
+    response with a retry-after hint, never silent buffering) and
+    carries an absolute deadline from its class budget, counted from
+    when its line is read (aged-out requests answer [timeout] without
+    running).  A connection with a request queued parses no further
+    line until it is answered, so replies keep request order.  An
+    engine call holds the loop for its own duration.  Connection faults
+    (malformed lines, clients that stall past the read or write
+    timeout, abrupt disconnects, descriptors past [FD_SETSIZE]) are
+    contained per-connection and surfaced in [hsq_serve_*] metrics
+    (DESIGN.md §13).
 
     Shutdown is a drain: {!request_stop} (async-signal-safe, suitable
-    for a SIGTERM handler) or the wire verb [drain] stops the accept
-    loop; already-admitted requests are served or deadline-cut; the
-    engine is closed, its WAL flushed; connections are shut down.  A
-    crash instead of a drain loses no acknowledged observation — the
-    WAL was appended before each ack. *)
+    for a SIGTERM handler) or the wire verb [drain] stops admission;
+    already-admitted requests are served or deadline-cut; the engine is
+    closed, its WAL flushed; connections are closed once their replies
+    are written.  A crash instead of a drain loses no acknowledged
+    observation — the WAL was appended before each ack. *)
 
 type listen =
   | Unix_sock of string
@@ -47,8 +44,8 @@ type config = {
   listen : listen;
   queue_depth : int;  (** admission-queue capacity *)
   budgets : budgets;
-  read_timeout_s : float;  (** per-connection stalled-read cutoff *)
-  write_timeout_s : float;  (** per-connection stalled-write cutoff *)
+  read_timeout_s : float;  (** a connection that sends nothing this long is cut *)
+  write_timeout_s : float;  (** a connection whose replies make no progress this long is cut *)
   max_line_bytes : int;  (** request line cap; above it the connection closes *)
 }
 
@@ -67,7 +64,7 @@ type t
     [queue_depth < 1]. *)
 val create : config -> Hsq_shard.Shard_group.t -> t
 
-(** Bind, then spawn the accept and engine threads.  Raises
+(** Bind, then spawn the serve loop's thread.  Raises
     [Invalid_argument] if already started, and [Unix.Unix_error] if the
     bind fails. *)
 val start : t -> unit
@@ -76,16 +73,20 @@ val start : t -> unit
     handler. *)
 val request_stop : t -> unit
 
-(** Block until the daemon has fully drained (accept loop exited,
-    engine closed, connections joined). *)
+(** Block until the daemon has fully drained (engine closed,
+    connections and listener closed, serve loop exited). *)
 val wait : t -> unit
 
 (** [request_stop] + [wait]. *)
 val stop : t -> unit
 
-(** Run [f group] on the engine thread, serialized with request
-    execution, blocking until done.  The chaos harnesses use this to
-    flip device-fault injectors, run repair scrubs, and kill or rejoin
-    shards against a live server without racing queries.  Raises
-    [Invalid_argument] if the queue is full or draining. *)
+(** Queue a job behind the requests already admitted and block until
+    it has run: when it reaches the head of the queue, the serve loop
+    lends it the engine and [f group] runs on the calling thread, while
+    the loop goes on accepting, reading, shedding and answering [ping]
+    and [drain] but runs nothing else on the group.  An exception from
+    [f] is dropped.  The chaos harnesses use this to flip device-fault
+    injectors, run repair scrubs, and kill or rejoin shards against a
+    live server without racing queries.  Raises [Invalid_argument] if
+    the queue is full or draining. *)
 val submit_fn : t -> (Hsq_shard.Shard_group.t -> unit) -> unit

@@ -895,69 +895,18 @@ let down_degradation view : degradation =
 
 let ensure_open t = if t.closed then invalid_arg "Shard_group: closed"
 
-(* What a quick snapshot was built from, cheap to recompute: the read
-   replicas with their epochs and stream sizes, the quarantined elements
-   in the selection, the shards left without a replica, the diverged
-   replicas serving, and the group's element count. *)
-type stamp = {
-  key : (int * int * int * int) list;
-  quarantined : int;
-  absent : int list;
-  diverged : (int * int) list;
-  total : int;
-}
-
-let stamp_of t ~range (alive, absent, diverged) =
-  {
-    key = us_key alive;
-    quarantined = quarantined_in t range 0 alive;
-    absent;
-    diverged;
-    total = Array.fold_left ( + ) 0 t.last_size;
-  }
-
-(* Everything Algorithm 5 needs, frozen: the fused summary, its widening
-   and degradation, and the read engines whose cache counters an answer
-   moves.  Nothing in it is mutated after the build, so any thread may
-   answer from it. *)
-type quick_snapshot = {
-  summary : Us.t;
-  widen : int;
-  answer_degradation : degradation;
-  readers : E.t list;
-  stamp : stamp;
-}
-
-let snapshot_of ?range t =
+let fused_quick ?range t ~rank =
   ensure_open t;
   let view, fallback = full_view_fallback t (make_view ?range t ~dropped:[]) in
-  let stamp = stamp_of t ~range (view.alive, view.excluded, view.served_diverged) in
-  let q = if fallback then 0 else stamp.quarantined in
-  {
-    summary = view.us;
-    widen = q + view.excluded_elems;
-    answer_degradation =
-      worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None);
-    readers = List.map (fun (_, _, e) -> e) view.alive;
-    stamp;
-  }
+  if Us.n_total view.us = 0 then invalid_arg "Shard_group.quick: no data";
+  let q = if fallback then 0 else quarantined_sum t view in
+  let v, bound = Hsq.Bisection.memory_answer view.us ~rank ~widen:(q + view.excluded_elems) in
+  let degradation =
+    worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None)
+  in
+  (v, bound, degradation)
 
-let quick_snapshot t = snapshot_of t
-let snapshot_total s = s.stamp.total
-
-(* The snapshot still answers exactly as a fresh build would. *)
-let snapshot_current t s =
-  (not t.closed) && stamp_of t ~range:None (choose t ~dropped:[]) = s.stamp
-
-(* A reused snapshot is a summary-cache hit on every read engine; a
-   fresh one was counted by its build. *)
-let quick_answer ~reused s ~rank =
-  if reused then List.iter (fun e -> E.note_summary_cache e ~hit:true) s.readers;
-  if Us.n_total s.summary = 0 then invalid_arg "Shard_group.quick: no data";
-  let v, bound = Hsq.Bisection.memory_answer s.summary ~rank ~widen:s.widen in
-  (v, bound, s.answer_degradation)
-
-let quick_with_bound t ~rank = quick_answer ~reused:false (quick_snapshot t) ~rank
+let quick_with_bound t ~rank = fused_quick t ~rank
 
 let quick t ~rank =
   let v, _, _ = quick_with_bound t ~rank in
@@ -1129,8 +1078,7 @@ let selection_total t r =
 
 let window_total t ~window = windowed t (fun () -> selection_total t (window_of t window))
 let quick_window t ~window ~rank =
-  windowed t (fun () ->
-      quick_answer ~reused:false (snapshot_of ~range:(window_of t window) t) ~rank)
+  windowed t (fun () -> fused_quick ~range:(window_of t window) t ~rank)
 
 let accurate_window ?tolerance_factor ?deadline_ms t ~window ~rank =
   windowed t (fun () ->

@@ -234,30 +234,6 @@ val quick_with_bound : t -> rank:int -> int * float * degradation
 
 val quick : t -> rank:int -> int
 
-(** {!quick_with_bound} in two steps: build, then answer.  A snapshot
-    is immutable, so any thread may answer from it while the group's
-    one submitter goes on. *)
-type quick_snapshot
-
-(** Build a snapshot of the full view, counting one summary-cache hit
-    or miss per read engine as a quick answer does. *)
-val quick_snapshot : t -> quick_snapshot
-
-(** The element count the snapshot's ranks resolve against. *)
-val snapshot_total : quick_snapshot -> int
-
-(** Whether a fresh build would answer as [s] does: same read
-    replicas, level-index epochs and stream sizes, quarantined count,
-    and down and diverged sets.  Builds no summary.  Single-submitter,
-    like every group query. *)
-val snapshot_current : t -> quick_snapshot -> bool
-
-(** Algorithm 5 from a snapshot.  [~reused:true] counts one
-    summary-cache hit per read engine (an answer from an earlier
-    build); [~reused:false] counts nothing, the build having counted.
-    Raises [Invalid_argument] when the snapshot holds no data. *)
-val quick_answer : reused:bool -> quick_snapshot -> rank:int -> int * float * degradation
-
 (** Algorithms 6–8 across all shards: one bisection over the fused
     filters, probing each shard's read replica, with the shared
     stopping band [tolerance_factor · Σ_s ε₂·m_s] and one deadline.

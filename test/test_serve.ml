@@ -537,7 +537,7 @@ let test_queue_deadline () =
     g
     (fun srv listen ->
       let blocker = Thread.create (fun () -> Server.submit_fn srv (fun _ -> Thread.delay 0.5)) () in
-      Thread.delay 0.1 (* let the job occupy the engine thread *);
+      Thread.delay 0.1 (* let the job occupy the engine *);
       let c = Client.connect listen in
       let r = Client.quick c (`Phi 0.5) in
       Alcotest.(check (option string)) "aged out in queue" (Some "timeout") (Client.error_kind r);
@@ -612,7 +612,7 @@ let test_flood () =
 let test_drain_race () =
   let g, _ = preloaded_group ~seed:6 ~steps:2 ~per_step:500 ~stream:100 () in
   with_server g (fun srv listen ->
-      (* occupy the engine thread so the drain has admitted work to
+      (* occupy the engine so the drain has admitted work to
          wait for — that's the window the race lives in *)
       let blocker =
         Thread.create (fun () -> Server.submit_fn srv (fun _ -> Thread.delay 1.0)) ()
@@ -648,6 +648,143 @@ let test_drain_race () =
         Alcotest.fail "connect after full drain must fail"
       | exception _ -> ())
 
+(* A client that pipelines quicks and never reads its replies cannot
+   stall the others: once its socket buffers fill, a second connection's
+   quicks are still answered promptly, and the stalled connection is cut
+   by the write timeout and counted. *)
+let test_stalled_reader () =
+  let g, _ = preloaded_group ~seed:12 ~steps:2 ~per_step:500 ~stream:100 () in
+  let write_timeout_s = 0.3 in
+  with_server
+    ~mutate_config:(fun c -> { c with Server.write_timeout_s })
+    g
+    (fun _srv listen ->
+      let a = raw_connect listen in
+      Unix.set_nonblock a;
+      let batch = String.concat "" (List.init 512 (fun _ -> {|{"op":"quick","phi":0.5}|} ^ "\n")) in
+      let blocked = Atomic.make false in
+      let last_progress = Atomic.make 0.0 and closed_at = Atomic.make 0.0 in
+      let flood () =
+        let give_up = Unix.gettimeofday () +. 20.0 in
+        let rec go off =
+          if Unix.gettimeofday () < give_up then
+            match Unix.write_substring a batch off (String.length batch - off) with
+            | n ->
+              Atomic.set last_progress (Unix.gettimeofday ());
+              go ((off + n) mod String.length batch)
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Atomic.set blocked true;
+              Thread.delay 0.005;
+              go off
+            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+              Atomic.set closed_at (Unix.gettimeofday ())
+        in
+        go 0
+      in
+      let flooder = Thread.create flood () in
+      while not (Atomic.get blocked || Atomic.get closed_at > 0.0) do
+        Thread.delay 0.005
+      done;
+      let b = Client.connect listen in
+      for i = 1 to 10 do
+        let t0 = Unix.gettimeofday () in
+        let r = Client.quick b (`Phi 0.5) in
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) (Printf.sprintf "quick %d answered" i) true (Client.is_ok r);
+        if dt > 0.1 then Alcotest.failf "quick %d took %.3fs beside a stalled reader" i dt;
+        Thread.delay 0.02
+      done;
+      Thread.join flooder;
+      Unix.close a;
+      let cut = Atomic.get closed_at in
+      if cut = 0.0 then Alcotest.fail "the stalled reader was never cut";
+      let after = cut -. Atomic.get last_progress in
+      if after > write_timeout_s +. 0.7 then
+        Alcotest.failf "stalled reader cut %.3fs after its last write" after;
+      Alcotest.(check bool)
+        "write cut surfaced in metrics" true
+        (match Option.bind (wire_metric b "hsq_serve_conn_timeouts_total") Json.as_int with
+        | Some n -> n >= 1
+        | None -> false);
+      Client.close b)
+
+(* While a job holds the engine, a ping on another connection is
+   answered at once; on a third connection, a quick pipelined ahead of a
+   ping waits for the job, and both replies come back in order. *)
+let test_lent_engine_order () =
+  let g, _ = preloaded_group ~seed:13 ~steps:2 ~per_step:500 ~stream:100 () in
+  with_server
+    ~mutate_config:(fun c ->
+      { c with Server.budgets = { c.Server.budgets with Server.quick_ms = 10_000.0 } })
+    g
+    (fun srv listen ->
+      let job_end = Atomic.make 0.0 in
+      let blocker =
+        Thread.create
+          (fun () ->
+            Server.submit_fn srv (fun _ ->
+                Thread.delay 0.5;
+                Atomic.set job_end (Unix.gettimeofday ())))
+          ()
+      in
+      Thread.delay 0.1;
+      let c = Client.connect listen in
+      let t0 = Unix.gettimeofday () in
+      Client.ping c;
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 0.1 then Alcotest.failf "ping took %.3fs while a job held the engine" dt;
+      Alcotest.(check bool) "the job still held the engine" true (Atomic.get job_end = 0.0);
+      let fd = raw_connect listen in
+      raw_send fd ({|{"op":"quick","phi":0.5}|} ^ "\n" ^ {|{"op":"ping"}|} ^ "\n");
+      let first, _ = raw_read_lines ~n:1 fd in
+      let first_at = Unix.gettimeofday () in
+      let lines = if List.length first >= 2 then first else first @ fst (raw_read_lines ~n:1 fd) in
+      Unix.close fd;
+      Thread.join blocker;
+      let ended = Atomic.get job_end in
+      Alcotest.(check bool) "replies came after the job ended" true (ended > 0.0 && first_at >= ended);
+      (match lines with
+      | [ q; p ] ->
+        Alcotest.(check bool) "the quick answered first" true (contains q "\"value\"");
+        Alcotest.(check bool) "then the ping" true (contains p "pong")
+      | _ -> Alcotest.failf "expected two replies, got [%s]" (String.concat "; " lines));
+      Client.close c)
+
+(* A connection whose descriptor select cannot take (at or above
+   FD_SETSIZE) is refused with an explicit overloaded reply, and the
+   daemon goes on serving.  Needs a descriptor limit above FD_SETSIZE;
+   below it there is nothing to check. *)
+let test_fd_setsize_refused () =
+  let g, _ = preloaded_group ~seed:14 ~steps:1 ~per_step:200 ~stream:10 () in
+  with_server g (fun _srv listen ->
+      let fd_num fd : int = Obj.magic fd in
+      let held = ref [] in
+      (try
+         while match !held with fd :: _ -> fd_num fd < 1030 | [] -> true do
+           held := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !held
+         done
+       with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close !held)
+        (fun () ->
+          match !held with
+          | fd :: _ when fd_num fd >= 1030 -> (
+            (* every lower descriptor is held, so the daemon's accept
+               lands past FD_SETSIZE *)
+            let s = raw_connect listen in
+            let lines, _ = raw_read_lines ~n:1 s in
+            Unix.close s;
+            match lines with
+            | [ l ] ->
+              Alcotest.(check (option string))
+                "refused as overloaded" (Some Protocol.e_overloaded)
+                (Client.error_kind (Result.get_ok (Json.of_string l)))
+            | _ -> Alcotest.failf "expected one reply, got [%s]" (String.concat "; " lines))
+          | _ -> ());
+      let c = Client.connect listen in
+      Client.ping c;
+      Client.close c)
+
 (* --- sharded backend over the wire -------------------------------------- *)
 
 let test_sharded_server () =
@@ -681,7 +818,7 @@ let test_sharded_server () =
           Alcotest.(check bool)
             "windowed query answered" true
             (Client.is_ok (Client.quick ~window:1 c (`Phi 0.5)));
-          (* kill a shard on the engine thread, under the live server:
+          (* kill a shard in a job, under the live server:
              fused answers keep flowing, degraded and honest *)
           Server.submit_fn srv (fun g -> G.mark_down g 1 ~reason:"chaos");
           let r = Client.quick c (`Phi 0.5) in
@@ -1173,7 +1310,7 @@ let run_device_chaos ~seed () =
         List.iter Thread.join threads
       in
       sweep ~what:"healthy";
-      (* inject persistent block faults on the engine thread — the same
+      (* inject persistent block faults in a job — the same
          serialized path queries use, so the flip cannot race them *)
       Server.submit_fn srv (fun g ->
           BD.set_injector (E.device (engine g))
@@ -1204,10 +1341,9 @@ let run_device_chaos ~seed () =
 (* --- inline quick answers ------------------------------------------------ *)
 
 (* Zero staleness: after every acked observe batch on connection A, the
-   next full-store quick on connection B resolves phi 1.0 against the
-   acked total and answers within its bound; so does the quick after it,
-   which the published snapshot can serve inline.  Accurates and step
-   cuts are interleaved. *)
+   next two full-store quicks on connection B resolve phi 1.0 against the
+   acked total and answer within their bounds.  Accurates and step cuts
+   are interleaved. *)
 let test_inline_freshness () =
   let config = Hsq.Config.make ~kappa:3 ~block_size:32 (Hsq.Config.Epsilon 0.05) in
   let oracle = Hsq_workload.Oracle.create () in
@@ -1231,16 +1367,12 @@ let test_inline_freshness () =
             (Client.accurate b (`Phi 0.5));
         if round mod 10 = 0 then Client.end_step a
       done;
-      Alcotest.(check bool) "some quicks answered inline" true
-        (match Option.bind (wire_metric b "hsq_serve_quick_inline_total") Json.as_int with
-        | Some n -> n > 0
-        | None -> false);
       Client.close a;
       Client.close b)
 
-(* An accurate that quarantines a partition invalidates the published
-   snapshot: the next wire quick answers exactly as a fresh
-   [G.quick_with_bound] on the engine thread, quarantine and all. *)
+(* After an accurate quarantines a partition, the next wire quick
+   answers exactly as a fresh [G.quick_with_bound] in a job, quarantine
+   and all. *)
 let test_inline_after_quarantine () =
   let config =
     Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 (Hsq.Config.Epsilon 0.05)
@@ -1253,7 +1385,7 @@ let test_inline_after_quarantine () =
             (Some
                (fun op ~attempt:_ addr ->
                  if op = BD.Read && chaos_coin ~seed:9 ~salt:2 addr 30 then Some BD.Fail else None)));
-      (* publish a snapshot past the injector job, and serve from it *)
+      (* quicks past the injector job *)
       for _ = 1 to 2 do
         Alcotest.(check (option string))
           "undegraded before the accurates" (Some "none")
@@ -1282,7 +1414,7 @@ let test_inline_after_quarantine () =
       Client.close c)
 
 (* Once the drain has begun, a quick on a connection opened before it
-   is refused with shutting_down, never answered from the snapshot. *)
+   is refused with shutting_down. *)
 let test_inline_drain () =
   let g, _ = preloaded_group ~seed:10 ~steps:2 ~per_step:500 ~stream:100 () in
   with_server g (fun srv listen ->
@@ -1301,9 +1433,8 @@ let test_inline_drain () =
       Server.wait srv;
       Client.close c)
 
-(* Every full-store quick is answered either inline or through the
-   queue: the inline counter plus the queued quicks is the quicks sent,
-   and inline answers count as served requests. *)
+(* Every full-store quick goes through the admission queue, and every
+   answer counts as a served, timed request. *)
 let test_inline_split () =
   let g, oracle = preloaded_group ~seed:11 ~steps:4 ~per_step:800 ~stream:300 () in
   with_server g (fun _ listen ->
@@ -1327,11 +1458,10 @@ let test_inline_split () =
       let m = Client.metrics c in
       let reg = Option.get (Json.member m "metrics") in
       let get name = Option.value ~default:(-1) (Json.get_int reg name) in
-      let inline = get "hsq_serve_quick_inline_total" in
-      (* queued: the quicks, accurates, observes, and this metrics request *)
-      let queued_quicks = get "hsq_serve_requests_admitted_total" - !accurates - !observes - 1 in
-      Alcotest.(check bool) "both paths taken" true (inline > 0 && queued_quicks > 0);
-      Alcotest.(check int) "inline + queued = sent" !quicks (inline + queued_quicks);
+      (* admitted: the quicks, accurates, observes, and this metrics request *)
+      Alcotest.(check int) "admitted = quicks + accurates + observes + 1"
+        (!quicks + !accurates + !observes + 1)
+        (get "hsq_serve_requests_admitted_total");
       Alcotest.(check int) "every answer counted ok" (!quicks + !accurates + !observes)
         (get "hsq_serve_requests_ok_total");
       Alcotest.(check (option int))
@@ -1597,6 +1727,11 @@ let () =
           Alcotest.test_case "queue-aged request times out" `Quick test_queue_deadline;
           Alcotest.test_case "2x-capacity flood sheds explicitly" `Quick test_flood;
           Alcotest.test_case "mid-drain connect gets shutting_down" `Quick test_drain_race;
+          Alcotest.test_case "a reader that stalls is cut, others served" `Quick
+            test_stalled_reader;
+          Alcotest.test_case "a lent engine keeps ping live and replies ordered" `Quick
+            test_lent_engine_order;
+          Alcotest.test_case "descriptor past FD_SETSIZE refused" `Quick test_fd_setsize_refused;
           Alcotest.test_case "sharded backend over the wire" `Quick test_sharded_server;
           Alcotest.test_case "replicated failover over the wire" `Quick test_replicated_server;
           Alcotest.test_case "closed-loop load" `Quick test_closed_loop_load;

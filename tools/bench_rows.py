@@ -19,12 +19,20 @@ won and the two medians next to the parent's interquartile range.
 
 checks that each file parses, that every row carries the required
 fields, and that every metric name is declared in BENCHMARK.json.
+
+A row also records the box's load around its runs, under `box`: the
+1-minute load average from `/proc/loadavg` before and after each run,
+and each run's CPU seconds (the benchmark and the daemon it forks,
+from `getrusage(RUSAGE_CHILDREN)` deltas), each as min/median/max.
+A busy box shows up there before it shows up as a slow metric. Rows
+written before `box` existed still pass `--check`.
 """
 
 import argparse
 import datetime
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROW_KEYS = ("workload", "side", "commit", "visible_cores", "seed", "seconds", "trace", "runs",
             "correct", "failed", "metrics")
 RUN_TIMEOUT_S = 1200
+BOX_KEYS = ("loadavg_before", "loadavg_after", "child_cpu_s")
 # Printed after each pair, parent -> change.
 PROGRESS_METRICS = ("quick_p50_ms", "accurate_p50_ms", "throughput_per_s")
 
@@ -72,16 +81,30 @@ def commit_of(checkout):
         sys.exit(f"bench_rows: {checkout} is not a git checkout")
 
 
+def loadavg_1m():
+    with open("/proc/loadavg") as f:
+        return float(f.read().split()[0])
+
+
+def children_cpu_s():
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
 def run_once(checkout, args):
+    """One run: its setup line, its result line, and the box's load around it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    load0, cpu0 = loadavg_1m(), children_cpu_s()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
+    box = {"loadavg_before": load0, "loadavg_after": loadavg_1m(),
+           "child_cpu_s": children_cpu_s() - cpu0}
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_rows: run in {checkout} failed (exit {proc.returncode}):\n"
                  f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1]), box
 
 
 def quantile(xs, q):
@@ -96,11 +119,15 @@ def summarise(values):
 
 def make_row(args, side, commit, runs):
     setup = runs[0][0]
-    names = sorted(set().union(*(r["metrics"] for _, r in runs)))
+    names = sorted(set().union(*(r["metrics"] for _, r, _ in runs)))
     metrics = {}
     for name in names:
-        vals = [r["metrics"][name]["value"] for _, r in runs if name in r["metrics"]]
+        vals = [r["metrics"][name]["value"] for _, r, _ in runs if name in r["metrics"]]
         metrics[name] = dict(summarise(vals), unit=runs[0][1]["metrics"][name]["unit"])
+    box = {}
+    for key in BOX_KEYS:
+        vals = [b[key] for _, _, b in runs]
+        box[key] = {"min": min(vals), "median": statistics.median(vals), "max": max(vals)}
     return {
         "workload": args.workload,
         "side": side,
@@ -111,9 +138,10 @@ def make_row(args, side, commit, runs):
         "seconds": args.seconds,
         "trace": args.trace,
         "runs": len(runs),
-        "correct": all(r["correct"] for _, r in runs),
-        "failed": sum(r["failed"] for _, r in runs),
+        "correct": all(r["correct"] for _, r, _ in runs),
+        "failed": sum(r["failed"] for _, r, _ in runs),
         "metrics": metrics,
+        "box": box,
     }
 
 
@@ -124,8 +152,8 @@ def report(parent, change, declared):
           f"{'parent IQR':>11}")
     for name in names:
         better = declared.get(name, {}).get("better", "lower")
-        p = [r["metrics"][name]["value"] for _, r in parent]
-        c = [r["metrics"][name]["value"] for _, r in change]
+        p = [r["metrics"][name]["value"] for _, r, _ in parent]
+        c = [r["metrics"][name]["value"] for _, r, _ in change]
         wins = sum(1 for a, b in zip(p, c) if (b < a if better == "lower" else b > a))
         pm, cm = statistics.median(p), statistics.median(c)
         iqr = quantile(p, 0.75) - quantile(p, 0.25)
@@ -143,10 +171,11 @@ def cmd_run(args):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             sides[side].append(run_once(dirs[side], args))
-        p, c = sides["parent"][-1][1], sides["change"][-1][1]
+        (_, p, pb), (_, c, cb) = sides["parent"][-1], sides["change"][-1]
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{k} {p['metrics'][k]['value']:.4g}->{c['metrics'][k]['value']:.4g}"
-            for k in PROGRESS_METRICS if k in p["metrics"]), flush=True)
+            for k in PROGRESS_METRICS if k in p["metrics"])
+            + f", load {pb['loadavg_before']:.2f}->{cb['loadavg_before']:.2f}", flush=True)
     report(sides["parent"], sides["change"], declared)
     path = bench_file(args.workload)
     rows = load_rows(path)
@@ -177,6 +206,11 @@ def cmd_check(paths):
                     errors.append(f"{path}: row {i}: metric {name} is not in BENCHMARK.json")
                 elif not all(k in stats for k in ("min", "median", "p90")):
                     errors.append(f"{path}: row {i}: metric {name} lacks min/median/p90")
+            for key in BOX_KEYS if "box" in row else ():
+                stats = row["box"].get(key)
+                if not isinstance(stats, dict) or not all(
+                        k in stats for k in ("min", "median", "max")):
+                    errors.append(f"{path}: row {i}: box {key} lacks min/median/max")
     for e in errors:
         print(f"bench_rows: {e}", file=sys.stderr)
     if not errors:
