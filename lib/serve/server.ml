@@ -294,7 +294,8 @@ let quick_fields (v, bound, degradation) =
 let execute t req ~deadline =
   let g = t.group in
   match req with
-  | Protocol.Ping -> (`Ok, Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
+  | Protocol.Ping ->
+    (`Ok, Protocol.ok [ ("pong", Json.Bool true); ("uptime_s", Json.Num (uptime_s t)) ])
   | Protocol.Drain ->
     (* Acknowledged first: the drain closes this very socket once the
        reply is written. *)
@@ -441,9 +442,8 @@ let submit t c req =
     | None -> budget_ms_for t cls
   in
   let now = Metrics.now_s () in
-  let item =
-    { Admission.payload = Request (c, req); cls; enqueued = now; deadline = now +. (budget_ms /. 1000.0) }
-  in
+  let deadline = now +. (budget_ms /. 1000.0) in
+  let item = { Admission.payload = Request (c, req); cls; enqueued = now; deadline } in
   match Admission.submit t.adm item with
   | Admission.Admitted -> c.waiting <- true
   | Admission.Overloaded retry_ms ->
@@ -487,12 +487,14 @@ let too_long t c =
   c.len <- 0;
   c.eof <- true
 
+let rec newline c i =
+  if i >= c.len then None else if Bytes.get c.buf i = '\n' then Some i else newline c (i + 1)
+
 (* Serve the connection's buffered lines in order, until one of them
    waits for the group. *)
 let rec pump t c =
   if pumpable c then begin
-    let rec newline i = if i >= c.len then None else if Bytes.get c.buf i = '\n' then Some i else newline (i + 1) in
-    match newline c.scan with
+    match newline c c.scan with
     | Some i ->
       let line_start = c.start in
       c.start <- i + 1;
@@ -558,6 +560,10 @@ let flush c =
 (* A socket fault ends its connection only. *)
 let guarded c f = try f c with Unix.Unix_error _ -> c.closed <- true
 
+let close_conn t c =
+  Metrics.Gauge.add t.conn_gauge (-1.0);
+  try Unix.close c.fd with Unix.Unix_error _ -> ()
+
 (* When the loop must act on the connection if nothing arrives: the
    write deadline while its output is stuck, the read deadline while it
    waits for input. *)
@@ -573,7 +579,8 @@ let readable c = pumpable c && not c.eof
 (* Call with [t.lock] held. *)
 let wake t =
   match t.wake_pipe with
-  | Some (_, w) -> ( try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
+  | Some (_, w) -> (
+    try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
   | None -> ()
 
 let lend t job ~enqueued =
@@ -620,6 +627,7 @@ let rec run_queue t =
         Metrics.Histogram.observe t.request_hist (Metrics.now_s () -. item.Admission.enqueued);
         pump t c;
         run_queue t)
+
 (* --- listener & lifecycle ---------------------------------------------- *)
 
 let bind_listener = function
@@ -642,7 +650,6 @@ let bind_listener = function
     Unix.bind fd (Unix.ADDR_INET (addr, port));
     Unix.listen fd 64;
     fd
-
 
 (* Unix.select raises EINVAL on a descriptor at or above FD_SETSIZE
    (1024 in glibc); on Unix a file_descr is its number. *)
@@ -674,42 +681,36 @@ let rec accept_all t listen_fd =
     ()
   | exception Unix.Unix_error _ -> request_stop t
 
-(* How long select may sleep: until the nearest connection deadline, at
-   most [poll_s] so a stop request is noticed, and not at all while an
-   unblocked connection still holds unscanned input. *)
+(* select sleeps at most [poll_s], so a stop request is noticed. *)
 let poll_s = 0.05
 
-let select_timeout t now =
-  Hashtbl.fold
-    (fun _ c acc ->
-      if pumpable c && c.scan < c.len then 0.0
-      else match deadline t c with Some d -> Float.min acc (Float.max 0.0 (d -. now)) | None -> acc)
-    t.conns poll_s
-
 (* One turn: cut expired connections, wait for work, accept, read,
-   serve every buffered line the engine lets through, write. *)
+   serve every buffered line the engine lets through, write.  select
+   sleeps until the nearest connection deadline at the latest, and not
+   at all while an unblocked connection holds unscanned input. *)
 let turn t listen_fd wake_r =
   let now = Metrics.now_s () in
-  Hashtbl.iter
-    (fun _ c ->
-      match deadline t c with
-      | Some d when now > d && not c.closed ->
-        Metrics.Counter.inc t.c.conn_timeout;
-        c.closed <- true
-      | _ -> ())
-    t.conns;
-  let reads, writes =
+  let reads, writes, timeout =
     Hashtbl.fold
-      (fun fd c (r, w) ->
-        if c.closed then (r, w)
-        else if c.stalled then (r, fd :: w)
-        else if readable c then (fd :: r, w)
-        else (r, w))
+      (fun fd c ((r, w, timeout) as acc) ->
+        match deadline t c with
+        | Some d when now > d ->
+          Metrics.Counter.inc t.c.conn_timeout;
+          c.closed <- true;
+          acc
+        | d ->
+          let timeout =
+            if pumpable c && c.scan < c.len then 0.0
+            else match d with Some d -> Float.min timeout (d -. now) | None -> timeout
+          in
+          if c.stalled then (r, fd :: w, timeout)
+          else if readable c then (fd :: r, w, timeout)
+          else (r, w, timeout))
       t.conns
-      ([ listen_fd; wake_r ], [])
+      ([ listen_fd; wake_r ], [], poll_s)
   in
   let ready =
-    match Unix.select reads writes [] (select_timeout t now) with
+    match Unix.select reads writes [] timeout with
     | r, _, _ -> r
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   in
@@ -728,8 +729,7 @@ let turn t listen_fd wake_r =
     (fun _ c ->
       if c.eof && not (c.waiting || c.stalled || c.scan < c.len) then c.closed <- true;
       if c.closed then begin
-        Metrics.Gauge.add t.conn_gauge (-1.0);
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
+        close_conn t c;
         None
       end
       else Some c)
@@ -751,11 +751,7 @@ let serve_loop t listen_fd wake_r =
       group_closed := true
     end
   done;
-  Hashtbl.iter
-    (fun _ c ->
-      Metrics.Gauge.add t.conn_gauge (-1.0);
-      try Unix.close c.fd with Unix.Unix_error _ -> ())
-    t.conns;
+  Hashtbl.iter (fun _ c -> close_conn t c) t.conns;
   Hashtbl.reset t.conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (match t.config.listen with

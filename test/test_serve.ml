@@ -742,7 +742,9 @@ let test_lent_engine_order () =
       Unix.close fd;
       Thread.join blocker;
       let ended = Atomic.get job_end in
-      Alcotest.(check bool) "replies came after the job ended" true (ended > 0.0 && first_at >= ended);
+      Alcotest.(check bool)
+        "replies came after the job ended" true
+        (ended > 0.0 && first_at >= ended);
       (match lines with
       | [ q; p ] ->
         Alcotest.(check bool) "the quick answered first" true (contains q "\"value\"");
