@@ -290,7 +290,6 @@ let answer ~population ~target ~window run =
 let quick_fields (v, bound, degradation) =
   (v, [ ("bound", Json.Num bound); ("degradation", Json.Str (G.degradation_label degradation)) ])
 
-
 let execute t req ~deadline =
   let g = t.group in
   match req with
