@@ -919,8 +919,9 @@ let serve_cmd =
   let budget name default cls =
     let doc =
       Printf.sprintf
-        "Deadline budget for %s requests, milliseconds (queue wait + execution). A request \
-         past its budget is answered $(b,timeout)." cls
+        "Deadline budget for %s requests, milliseconds, counted from when the daemon reads \
+         the request line (queue wait + execution). A request past its budget is answered \
+         $(b,timeout)." cls
     in
     Arg.(value & opt float default & info [ name ] ~docv:"MS" ~doc)
   in
