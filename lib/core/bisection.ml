@@ -408,13 +408,14 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
 let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
   let rounds = ref 0 in
   match trace with
-  | None -> retry_loop ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first
+  | None -> retry_loop ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank (first ())
   | Some (trc, label) ->
-    let partitions = match first with Bisect view -> List.length view.probes | From_memory _ -> 0 in
-    Trace.with_span trc
-      ~attrs:[ ("rank", string_of_int rank); ("partitions", string_of_int partitions) ]
-      "query.accurate"
-      (fun sp ->
+    Trace.with_span trc ~attrs:[ ("rank", string_of_int rank) ] "query.accurate" (fun sp ->
+        let first = first () in
+        let partitions =
+          match first with Bisect view -> List.length view.probes | From_memory _ -> 0
+        in
+        Trace.add_attr trc sp "partitions" (string_of_int partitions);
         let res =
           retry_loop ~trace:(trc, sp) ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank
             first

@@ -1,8 +1,8 @@
 (** The accurate response (Algorithms 6–8, ±ε·m by Theorem 2) as one
     filter-bisection over owner-tagged partition probes plus one stream
-    summary per source. {!Engine.accurate} is its one-source case; a
-    shard group runs it with one source per read replica. Each caller
-    passes in only its failure policy. *)
+    summary per source. {!Engine.accurate_over} is its one caller, with
+    the one failure policy: an engine's own query is the one-source
+    case, and a shard group's has one source per read replica. *)
 
 (** [clamp_rank ~n r] clamps [r] into [\[1, n\]]. *)
 val clamp_rank : n:int -> int -> int
@@ -81,7 +81,7 @@ type 'd result = {
   span : Hsq_obs.Trace.span option; (** the [query.accurate] root when traced *)
 }
 
-(** The retry loop from [first]. Each bisection iteration takes its
+(** The retry loop from [first ()]. Each bisection iteration takes its
     candidate z from {!candidate} and probes its partitions in rounds,
     each partition search starting on the window and anchor values its
     summary entries give ({!Hsq_hist.Partition_summary.search_window}),
@@ -102,9 +102,10 @@ type 'd result = {
     over the view's S stream summaries; a deadline, checked between
     iterations and between rounds, answers the quick answer clamped
     into the surviving filter interval. [trace] (tracer, degradation
-    label) records the query as one [query.accurate] root span
-    (attributes [rank], [partitions] probed first, [iterations],
-    [rounds], its number of [round] spans, and [degradation] unless
+    label) records the query as one [query.accurate] root span, the
+    first step fetched inside it (attributes [rank], [partitions]
+    probed first, [iterations], [rounds], its number of [round]
+    spans, and [degradation] unless
     [`None]) with a [bisect] span per iteration (attributes [u], [v],
     [z], its candidate, [rule], [secant] or [midpoint], and [open], the
     searches still unsettled when it decided) and a [round] span per
@@ -119,5 +120,5 @@ val run :
   tolerance_factor:float ->
   policy:('o, 'm, ([> `None ] as 'd)) policy ->
   rank:int ->
-  ('o, 'm, 'd) step ->
+  (unit -> ('o, 'm, 'd) step) ->
   'd result

@@ -98,19 +98,20 @@ type t = {
   mutable pending_len : int;
   sorted : int array; (* a hand-off's sorted run, reused *)
   mutable durable : durability option;
-  (* Cached historical aggregate keyed by the level index's epoch: the
-     historical side of TS only changes at end_time_step / merge /
-     expire / recovery, so queries reuse the merged summary bounds and
-     only pay for the fresh stream summary.  (epoch, aggregate); None
-     until the first full-set query after a mutation. *)
-  mutable hist_cache : (int * Union_summary.hist_agg) option;
-  (* The fully built (stream summary, union summary) pair, keyed by
-     (hist epoch, GK insert count): the sketch mutates only on insert
-     (count strictly grows within a step) and end_time_step both resets
-     it and bumps the epoch, so an unchanged key means an unchanged TS.
-     Repeated queries between ingests then skip even the stream
-     extraction and the merge. *)
-  mutable us_cache : (int * int * (Stream_summary.t * Union_summary.t)) option;
+  (* The caches of a query view whose first source is this engine
+     (cached_summaries): the historical aggregate of the view's active
+     partitions, keyed by each source's engine and level-index epoch —
+     the historical side of TS only changes at end_time_step / merge /
+     expire / quarantine / recovery, so queries reuse the merged summary
+     bounds and only pay for the fresh stream summaries — and the built
+     (stream summaries, union summary) pair, keyed besides by each
+     source's stream size: a sketch mutates only on insert (the count
+     strictly grows within a step) and end_time_step both resets it and
+     bumps the epoch, so an unchanged key means an unchanged TS, and
+     repeated queries between ingests skip even the stream extraction
+     and the merge.  None until the first query. *)
+  mutable hist_cache : ((t * int * int) list * Union_summary.hist_agg) option;
+  mutable us_cache : ((t * int * int) list * (Stream_summary.t list * Union_summary.t)) option;
   metrics : engine_metrics;
   (* Tracing is opt-in per engine (set_tracer); mirrored onto the
      device's Io_stats so WAL and merge sites pick it up. *)
@@ -194,8 +195,6 @@ let device t = t.dev
 (* The engine's metric registry — the device's, where every subsystem
    below (Io_stats, WAL, level index, buffer pool) registers too. *)
 let metrics t = Hsq_storage.Io_stats.registry (Hsq_storage.Block_device.stats t.dev)
-
-let note_summary_cache t ~hit = Atomic.incr (if hit then t.metrics.sc_hits else t.metrics.sc_misses)
 
 let note_accurate t ~seconds ~iterations ~degraded =
   let em = t.metrics in
@@ -471,57 +470,129 @@ let open_step t =
   Hsq_util.Sorted.sort_runs elements;
   elements
 
-(* The cached historical aggregate, rebuilt only when the level index's
-   epoch moved since it was computed (partition add / merge / expire /
-   restore all bump it).  Steady-state full-set queries therefore cost
-   O(S_stream + S_hist) instead of O(S·P·log β1). *)
-let hist_aggregate t =
-  let epoch = Hsq_hist.Level_index.epoch t.hist in
-  match t.hist_cache with
-  | Some (e, agg) when e = epoch -> agg
+(* ------------------------------------------------------------------ *)
+(* Queries: one view over one or more sources.                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A query reads one or more sources: a lone engine is one, and a shard
+   group reads one replica per shard.  A source selects every archived
+   partition ([parts = None]) or the given ones, and the open step's
+   stream or not.  The view adds the elements no source holds (a shard
+   group's shards with no live replica): every answer's bound widens by
+   [widen]. *)
+type source = { engine : t; parts : Hsq_hist.Partition.t list option; stream : bool }
+type view = { sources : source list; widen : int }
+
+let source t = { engine = t; parts = None; stream = true }
+let solo t = { sources = [ source t ]; widen = 0 }
+let whole s = s.stream && Option.is_none s.parts
+
+(* The partitions [s] selects, quarantined ones included, newest first. *)
+let selected s =
+  match s.parts with None -> Hsq_hist.Level_index.partitions s.engine.hist | Some ps -> ps
+
+(* The selected partitions a query may probe.  A quarantined
+   partition's summary may be degenerate (restored without reading its
+   bad blocks), so views exclude it and widen their bound instead. *)
+let active s =
+  List.filter (fun p -> not (Hsq_hist.Level_index.is_quarantined s.engine.hist p)) (selected s)
+
+(* The quarantined elements [s] selects, O(1) when it selects every
+   partition. *)
+let quarantined_in s =
+  match s.parts with
+  | None -> Hsq_hist.Level_index.quarantined_elements s.engine.hist
+  | Some ps ->
+    List.fold_left
+      (fun acc p ->
+        if Hsq_hist.Level_index.is_quarantined s.engine.hist p then
+          acc + Hsq_hist.Partition.size p
+        else acc)
+      0 ps
+
+(* Re-read on every call: a quarantine earlier in a query widens every
+   later answer too. *)
+let quarantined sources = List.fold_left (fun acc s -> acc + quarantined_in s) 0 sources
+
+let streams sources =
+  List.filter_map (fun s -> if s.stream then Some (stream_summary s.engine) else None) sources
+
+(* The caches of a view that reads every source whole live in its first
+   engine.  Their keys name each engine by identity, so an engine that
+   replaces another (a repaired or rejoined replica) never matches an
+   entry built over the one it replaced, and carry the level-index epoch
+   (partition add / merge / expire / quarantine / restore all bump it)
+   and the stream size, which only the built pair compares (see the
+   us_cache field). *)
+let key_of sources =
+  List.map
+    (fun s -> (s.engine, Hsq_hist.Level_index.epoch s.engine.hist, stream_size s.engine))
+    sources
+
+let rec current ~stream key sources =
+  match (key, sources) with
+  | [], [] -> true
+  | (e, epoch, count) :: key, s :: sources ->
+    e == s.engine
+    && epoch = Hsq_hist.Level_index.epoch e.hist
+    && ((not stream) || count = stream_size e)
+    && current ~stream key sources
+  | _ -> false
+
+(* The historical aggregate of the sources' active partitions, rebuilt
+   only when a source's epoch moved.  Steady-state queries therefore
+   cost O(S_stream + S_hist) instead of O(S·P·log β1). *)
+let hist_aggregate owner sources =
+  match owner.hist_cache with
+  | Some (key, agg) when current ~stream:false key sources -> agg
   | _ ->
-    (* Active partitions only: a quarantined partition's summary may be
-       degenerate (restored without reading its bad blocks), so queries
-       exclude it and widen their reported bound instead.  Quarantine
-       transitions bump the epoch, so the cache refreshes. *)
-    let agg =
-      Union_summary.hist_aggregate
-        ~partitions:(Hsq_hist.Level_index.active_partitions t.hist)
-    in
-    t.hist_cache <- Some (epoch, agg);
+    let agg = Union_summary.hist_aggregate ~partitions:(List.concat_map active sources) in
+    owner.hist_cache <- Some (key_of sources, agg);
     agg
 
-(* The built summary pair, reused verbatim while neither side of TS has
-   moved (see the us_cache field comment).  Re-extracting from an
-   unchanged GK sketch is pure, so a hit returns exactly what a rebuild
-   would produce. *)
-let cached_summaries t =
-  let epoch = Hsq_hist.Level_index.epoch t.hist in
-  let count = stream_size t in
-  match t.us_cache with
-  | Some (e, c, pair) when e = epoch && c = count ->
-    Atomic.incr t.metrics.sc_hits;
-    (match t.tracer with
+(* The built (stream summaries, union summary) pair, reused verbatim
+   while no source moved.  Re-extracting from an unchanged GK sketch is
+   pure, so a hit returns exactly what a rebuild would produce. *)
+let cached_summaries owner sources =
+  match owner.us_cache with
+  | Some (key, pair) when current ~stream:true key sources ->
+    (* Hits and misses count in every source's metrics. *)
+    List.iter (fun s -> Atomic.incr s.engine.metrics.sc_hits) sources;
+    (match owner.tracer with
     | Some tr ->
       Trace.with_span tr ~attrs:[ ("result", "hit") ] "summary_cache" (fun _ -> ())
     | None -> ());
     pair
   | _ ->
-    Atomic.incr t.metrics.sc_misses;
+    List.iter (fun s -> Atomic.incr s.engine.metrics.sc_misses) sources;
     let build () =
-      let ss = stream_summary t in
-      let pair = (ss, Union_summary.build_from_agg ~agg:(hist_aggregate t) ~stream:ss) in
-      t.us_cache <- Some (epoch, count, pair);
+      let streams = streams sources in
+      let agg = hist_aggregate owner sources in
+      let pair = (streams, Union_summary.build_fused ~agg ~streams) in
+      owner.us_cache <- Some (key_of sources, pair);
       pair
     in
-    (match t.tracer with
+    (match owner.tracer with
     | Some tr ->
       Trace.with_span tr ~attrs:[ ("result", "miss") ] "summary_cache" (fun _ -> build ())
     | None -> build ())
 
-let union_summary t = snd (cached_summaries t)
+(* The sources' streams and their union summary over the partitions
+   [parts] picks from each, built afresh. *)
+let fresh parts sources =
+  let streams = streams sources in
+  let agg = Union_summary.hist_aggregate ~partitions:(List.concat_map parts sources) in
+  (streams, Union_summary.build_fused ~agg ~streams)
 
-let not_quarantined t p = not (Hsq_hist.Level_index.is_quarantined t.hist p)
+(* The view's union summary over its active partitions and its streams:
+   cached when every source is read whole, built afresh for a step
+   range. *)
+let summaries sources =
+  match sources with
+  | owner :: _ when List.for_all whole sources -> cached_summaries owner.engine sources
+  | _ -> fresh active sources
+
+let union_summary t = snd (summaries [ source t ])
 
 (* Cache-bypassing build over the full active partition set; the fuzz
    suite compares this against the cached path entry for entry. *)
@@ -529,153 +600,150 @@ let fresh_union_summary t =
   Union_summary.build ~partitions:(Hsq_hist.Level_index.active_partitions t.hist)
     ~stream:(stream_summary t)
 
-(* Algorithm 5. *)
-let quick_us us ~rank =
-  let n = Union_summary.n_total us in
-  if n = 0 then invalid_arg "Engine.quick: no data";
-  Union_summary.quick_select us ~rank:(Bisection.clamp_rank ~n rank)
+(* The memory answers' last resort, when quarantine has emptied the
+   active view (empty stream, every selected partition quarantined) yet
+   archived data exists: a union over the whole selection.  Quarantine
+   marks a partition's blocks unreadable, but its in-memory summary
+   still describes its elements, so the windows stay honest (wide for a
+   sidecar-restored quarantined partition, which contributes
+   [0, size]) and already cover the quarantined elements: no further
+   widening for them. *)
+let whole_summary sources ~who =
+  let _, us = fresh selected sources in
+  if Union_summary.size us = 0 then invalid_arg (who ^ ": no data");
+  us
 
-(* The union the quick path answers from.  Normally the cached
-   active-set summary; when quarantine has emptied the active view
-   while the stream is empty (yet archived data exists), fall back to a
-   memory-only union over the *full* partition set.  Quarantine marks a
-   partition's disk blocks unreadable, but its in-memory summary still
-   describes the archived elements — so the fallback answers with
-   honest (possibly wide: a sidecar-restored quarantined partition
-   contributes a maximal [0, size] window) Lemma 2 bounds at zero
-   device reads.  Returns the summary and [true] iff it is the
-   fallback, whose bound must not be double-widened by the quarantined
-   element count the summary already covers. *)
-let quick_view t =
-  let us = union_summary t in
-  if Union_summary.n_total us > 0 then (us, false)
-  else
-    let full =
-      Union_summary.build
-        ~partitions:(Hsq_hist.Level_index.partitions t.hist)
-        ~stream:(stream_summary t)
-    in
-    if Union_summary.size full > 0 then (full, true) else (us, false)
-
-(* Quick answer plus the rank window it can be off by — what a caller
-   holding an exact oracle (the chaos harness) checks, and what the
-   degraded paths of the accurate query report.  The bound is
+(* Algorithm 5 plus the rank window it can be off by:
    [max (U - r) (r - L)] from the union summary's Lemma 2 windows,
-   widened by the element count of any quarantined partitions (their
-   ranks are unknown in [0, size]). *)
+   widened by the quarantined elements (their ranks are unknown in
+   [0, size]) and the view's [widen].  Also returns the quarantined
+   count it widened by. *)
+let memory_quick view ~rank =
+  let _, us = summaries view.sources in
+  if Union_summary.n_total us > 0 then begin
+    let q = quarantined view.sources in
+    let v, bound = Bisection.memory_answer us ~rank ~widen:(q + view.widen) in
+    (v, bound, q)
+  end
+  else
+    let us = whole_summary view.sources ~who:"Engine.quick" in
+    let v, bound = Bisection.memory_answer us ~rank ~widen:view.widen in
+    (v, bound, 0)
+
+let timed_quick view ~rank =
+  let t0 = Metrics.now_s () in
+  let answer = memory_quick view ~rank in
+  let seconds = Metrics.now_s () -. t0 in
+  List.iter (fun s -> Metrics.Histogram.observe s.engine.metrics.quick_hist seconds) view.sources;
+  answer
+
+(* Every quick answer, counted in each source's metrics.  ~140ns steady
+   state: the instrumentation here must stay to a couple of machine
+   operations, so latency is sampled, not always measured (see
+   engine_metrics), unless the first source's engine traces. *)
+let quick_over view ~rank =
+  match view.sources with
+  | [] -> invalid_arg "Engine.quick: no data"
+  | first :: _ -> (
+    List.iter (fun s -> Atomic.incr s.engine.metrics.quick_total) view.sources;
+    match first.engine.tracer with
+    | None ->
+      if Atomic.get first.engine.metrics.quick_total land quick_sample_mask = 0 then
+        timed_quick view ~rank
+      else memory_quick view ~rank
+    | Some tr ->
+      Trace.with_span tr ~attrs:[ ("rank", string_of_int rank) ] "query.quick" (fun _ ->
+          timed_quick view ~rank))
+
 let quick_with_bound t ~rank =
-  let us, fallback = quick_view t in
-  if Union_summary.n_total us = 0 then invalid_arg "Engine.quick: no data";
-  let widen = if fallback then 0 else Hsq_hist.Level_index.quarantined_elements t.hist in
-  Bisection.memory_answer us ~rank ~widen
+  let v, bound, _ = quick_over (solo t) ~rank in
+  (v, bound)
 
 let quick t ~rank =
-  let em = t.metrics in
-  Atomic.incr em.quick_total;
-  match t.tracer with
-  | None ->
-    (* ~140ns steady state: the instrumentation here must stay to a
-       couple of machine operations — latency is sampled, not always
-       measured (see engine_metrics). *)
-    if Atomic.get em.quick_total land quick_sample_mask = 0 then begin
-      let t0 = Metrics.now_s () in
-      let v = quick_us (fst (quick_view t)) ~rank in
-      Metrics.Histogram.observe em.quick_hist (Metrics.now_s () -. t0);
-      v
-    end
-    else quick_us (fst (quick_view t)) ~rank
-  | Some tr ->
-    Trace.with_span tr ~attrs:[ ("rank", string_of_int rank) ] "query.quick" (fun _ ->
-        let t0 = Metrics.now_s () in
-        let v = quick_us (fst (quick_view t)) ~rank in
-        Metrics.Histogram.observe em.quick_hist (Metrics.now_s () -. t0);
-        v)
+  let v, _, _ = quick_over (solo t) ~rank in
+  v
 
-(* Algorithms 6-8 as the one-source case of the shared bisection
-   (Bisection): this engine's active partitions plus its stream summary.
-   The failure policy is the engine's own: every probe failure either
-   quarantines its partition (shrinking the probe set) or advances its
-   consecutive-failure count toward [quarantine_after], so the retry
-   loop terminates; the retry cap is belt and braces.  A breaker-open
-   device means the fault is not this partition's — answer from memory
-   and leave healthy partitions alone. *)
-let accurate ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
+type failover = { reach : t list; condemn : t -> bool }
+
+(* Algorithms 6-8 over [choose ()]'s view: the shared bisection
+   (Bisection) over its sources' active partitions and streams, under
+   the one failure policy.  Every probe failure either quarantines its
+   partition, and the query re-fetches its view, or advances the
+   partition's consecutive-failure count toward [quarantine_after], so
+   the retry loop terminates; the retry cap is belt and braces.  A
+   breaker-open device means the fault is not this partition's: the
+   engine is condemned, and the query re-fetches a view without it or,
+   with no [failover], answers from memory and leaves healthy
+   partitions alone. *)
+let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?failover ~config choose ~rank =
   let tq0 = Metrics.now_s () in
-  let partitions = Hsq_hist.Level_index.partitions t.hist in
-  let quarantined_elems () =
+  let first = choose () in
+  let { reach; condemn } =
+    match failover with
+    | Some f -> f
+    | None -> { reach = List.map (fun s -> s.engine) first.sources; condemn = (fun _ -> false) }
+  in
+  let last = ref first in
+  let fetch view =
+    last := view;
+    let streams, us = summaries view.sources in
+    if Union_summary.n_total us > 0 then
+      let probes =
+        List.concat_map (fun s -> List.map (fun p -> (s.engine, p)) (active s)) view.sources
+      in
+      Bisection.Bisect { Bisection.summary = us; streams; probes; meta = view }
+    else
+      let us = whole_summary view.sources ~who:"Engine.accurate" in
+      Bisection.From_memory (us, `Device_open, view.widen)
+  in
+  let threshold = config.Config.quarantine_after in
+  let max_retries =
     List.fold_left
-      (fun acc p ->
-        if Hsq_hist.Level_index.is_quarantined t.hist p then acc + Hsq_hist.Partition.size p
-        else acc)
-      0 partitions
+      (fun acc e -> acc + (Hsq_hist.Level_index.partition_count e.hist * threshold) + 1)
+      1 reach
   in
-  let view_of (ss, us) =
-    let probes = List.map (fun p -> ((), p)) (List.filter (not_quarantined t) partitions) in
-    { Bisection.summary = us; streams = [ ss ]; probes; meta = () }
-  in
-  (* The widening is re-read at answer time: a quarantine earlier in
-     this query widens every later answer too. *)
-  let from_memory view =
-    Bisection.From_memory (view.Bisection.summary, `Device_open, quarantined_elems ())
-  in
-  let max_retries = (List.length partitions * t.config.Config.quarantine_after) + 2 in
   let policy =
     {
       Bisection.outcome =
-        (fun _ ending ->
-          let q = quarantined_elems () in
-          match ending with
-          | `Completed -> ((if q > 0 then `Quarantined q else `None), q)
-          | `Deadline -> (`Deadline, q));
-      note_success = (fun () p -> Hsq_hist.Level_index.note_probe_success t.hist p);
+        (fun { Bisection.meta = view; _ } ending ->
+          let q = quarantined view.sources in
+          ( (match ending with
+            | `Completed -> if q > 0 then `Quarantined q else `None
+            | `Deadline -> `Deadline),
+            q + view.widen ));
+      note_success = (fun e p -> Hsq_hist.Level_index.note_probe_success e.hist p);
       on_failure =
-        (fun ~tries view () p ->
+        (fun ~tries src e p ->
           if
-            Hsq_storage.Block_device.breaker_state t.dev = Hsq_storage.Breaker.Open
+            Hsq_storage.Block_device.breaker_state e.dev = Hsq_storage.Breaker.Open
             || tries >= max_retries
-          then from_memory view
-          else if
-            Hsq_hist.Level_index.note_probe_failure t.hist p
-              ~threshold:t.config.Config.quarantine_after
-          then begin
-            (* The active set changed: refetch the summaries (the
-               quarantine bumped the epoch, so the cached union rebuilds
-               over the new active set, for later queries too).  If the
-               quarantine just consumed the last element in view (empty
-               stream, every partition bad), answer from the summaries
-               still in hand — degraded to memory, bound widened by
-               everything quarantined — rather than failing the query. *)
-            let ((_, us') as pair') = cached_summaries t in
-            if Union_summary.n_total us' = 0 then from_memory view
-            else Bisection.Bisect (view_of pair')
-          end
-          else Bisection.Bisect view);
+          then
+            if condemn e then fetch (choose ())
+            else
+              let view = src.Bisection.meta in
+              Bisection.From_memory
+                (src.Bisection.summary, `Device_open, quarantined view.sources + view.widen)
+          else if Hsq_hist.Level_index.note_probe_failure e.hist p ~threshold then
+            fetch (choose ())
+          else Bisection.Bisect src);
     }
   in
-  (* Memory-only union over every partition, quarantined ones included:
-     the last resort when quarantine has emptied the active view (see
-     [quick_view] for why the in-memory summaries remain honest).  No
-     extra widening — the summary covers the quarantined elements
-     itself, wide windows and all. *)
-  let first () =
-    let ((_, us) as pair) = cached_summaries t in
-    if Union_summary.n_total us > 0 then Bisection.Bisect (view_of pair)
-    else begin
-      let us = Union_summary.build ~partitions ~stream:(stream_summary t) in
-      if Union_summary.size us = 0 then invalid_arg "Engine.accurate: no data";
-      Bisection.From_memory (us, `Device_open, 0)
-    end
-  in
-  let deadline_at = Bisection.deadline_at ~start:tq0 ?deadline_ms t.config in
+  let tracer = match first.sources with s :: _ -> s.engine.tracer | [] -> None in
   let { Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span } =
     Bisection.run
-      ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
-      ?deadline_at
-      ~stats:[ Hsq_storage.Block_device.stats t.dev ]
-      ~tolerance_factor ~policy ~rank (first ())
+      ?trace:(Option.map (fun trc -> (trc, degradation_label)) tracer)
+      ?deadline_at:(Bisection.deadline_at ~start:tq0 ?deadline_ms config)
+      ~stats:(List.map (fun e -> Hsq_storage.Block_device.stats e.dev) reach)
+      ~tolerance_factor ~policy ~rank (fun () -> fetch first)
   in
-  note_accurate t ~seconds:(Metrics.now_s () -. tq0) ~iterations ~degraded:(degradation <> `None);
+  let seconds = Metrics.now_s () -. tq0 in
+  List.iter
+    (fun s -> note_accurate s.engine ~seconds ~iterations ~degraded:(degradation <> `None))
+    !last.sources;
   (answer, { io; iterations; degradation; rank_error_bound; span })
+
+let accurate ?tolerance_factor ?deadline_ms t ~rank =
+  accurate_over ?tolerance_factor ?deadline_ms ~config:t.config (fun () -> solo t) ~rank
 
 (* Inverse query: estimated rank of an arbitrary value in T.  The
    historical part is exact (summary-bounded binary searches); the

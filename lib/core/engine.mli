@@ -67,15 +67,6 @@ val device : t -> Hsq_storage.Block_device.t
 (** The engine's metric registry (the device's). *)
 val metrics : t -> Hsq_obs.Metrics.t
 
-(** Record, in this engine's query metrics, a query answered over its
-    state by a caller that keeps its own summaries (a shard group's
-    fused query): a hit or miss of that caller's summary cache, and an
-    accurate query's latency, bisection iterations and whether it
-    degraded. *)
-val note_summary_cache : t -> hit:bool -> unit
-
-val note_accurate : t -> seconds:float -> iterations:int -> degraded:bool -> unit
-
 (** Turn per-query tracing on ([Some trace]) or off ([None]). The
     tracer is mirrored onto the device's {!Hsq_storage.Io_stats} so WAL
     append/sync and merge spans record too. Queries then
@@ -190,10 +181,13 @@ val stream_summary : t -> Stream_summary.t
 val stream_sketch : t -> Hsq_sketch.Gk.t
 val open_step : t -> int array
 
-(** Current TS: the historical half comes from a cached aggregate keyed
-    on {!Hsq_hist.Level_index.epoch} (rebuilt only after a partition add
-    / merge / expire / recovery), merged with a fresh stream summary —
-    the steady-state O(S) query path. *)
+(** Current TS over the active partitions: {!quick}'s and
+    {!accurate}'s summary, from the one view cache (see {!quick_over}):
+    the historical half is an aggregate keyed on
+    {!Hsq_hist.Level_index.epoch} (rebuilt only after a partition add /
+    merge / expire / quarantine / recovery), and the whole pair is
+    reused while the stream size stands still — the steady-state O(S)
+    query path. *)
 val union_summary : t -> Union_summary.t
 
 (** TS built from scratch over the full partition set, bypassing the
@@ -201,13 +195,14 @@ val union_summary : t -> Union_summary.t
     {!union_summary} against. *)
 val fresh_union_summary : t -> Union_summary.t
 
-(** Algorithm 5. Rank is clamped to [1, N]. Raises on an empty engine. *)
+(** Algorithm 5. Rank is clamped to [1, N]. Raises on an empty engine.
+    The one-source case of {!quick_over}. *)
 val quick : t -> rank:int -> int
 
 (** Quick answer plus an upper bound on its rank error: the Lemma 2
     rank window of the answer around the requested rank, widened by the
     quarantined element count. The oracle-checked bound the chaos
-    harness asserts against. *)
+    harness asserts against. The one-source case of {!quick_over}. *)
 val quick_with_bound : t -> rank:int -> int * float
 
 (** Algorithms 6–8. Returns the answer and its cost.
@@ -228,6 +223,73 @@ val quick_with_bound : t -> rank:int -> int * float
     ([`Device_open]) without quarantining healthy partitions. *)
 val accurate :
   ?tolerance_factor:float -> ?deadline_ms:float -> t -> rank:int -> int * query_report
+
+(** {2 Query views}
+
+    {!quick} and {!accurate} read one engine. A shard group reads one
+    replica per shard, and a step range reads some partitions and maybe
+    no stream: both are views over several sources, answered by the
+    same code. *)
+
+(** One source of a view: [engine]'s archived partitions ([parts =
+    None]) or the given ones among them, plus its open step's stream
+    when [stream]. *)
+type source = { engine : t; parts : Hsq_hist.Partition.t list option; stream : bool }
+
+(** A view's sources and the elements none of them holds (a shard
+    group's shards with no live replica): every answer's bound widens by
+    [widen]. *)
+type view = { sources : source list; widen : int }
+
+(** [engine] whole: every partition and the stream. *)
+val source : t -> source
+
+(** Algorithm 5 over the view's fused union summary (Lemma 2 windows
+    summed over the sources, {!Union_summary.build_fused}). Returns the
+    answer, its rank-error bound and the quarantined elements the bound
+    was widened by. Quarantined partitions are left out of the summary
+    and widen the bound by their size (O(1) for a source read whole);
+    when that leaves nothing in view while archived data exists, the
+    answer comes from a summary over every selected partition, whose
+    windows cover the quarantined elements without further widening
+    (the count returned is then 0). The bound also widens by [widen].
+
+    One cache serves every view that reads all its sources whole. It
+    lives in the first source's engine and is keyed by each source's
+    engine (by identity), level-index epoch and stream size, so no
+    caller invalidates it. Every call counts one quick query in each
+    source's metrics ([hsq_query_quick_total], sampled
+    [hsq_query_quick_seconds]), with a [query.quick] span and a
+    [summary_cache] child when the first source's engine traces.
+    Raises [Invalid_argument] when no data is in view. *)
+val quick_over : view -> rank:int -> int * float * int
+
+(** How an accurate query reads past a failed engine: [reach] is every
+    engine a view may name (their devices' I/O counts in the report,
+    and their partitions set the retry cap), and [condemn e] drops [e]
+    from the views the query fetches next, returning whether any view
+    is left. *)
+type failover = { reach : t list; condemn : t -> bool }
+
+(** {!accurate} over [choose ()]'s view, which is fetched again after
+    every quarantine and every condemned engine. The policy is the
+    engine's: a probe failure counts toward its partition's quarantine
+    ([config.quarantine_after]); a breaker-open device, or retries
+    exhausted, condemns the engine — without [failover], the answer
+    then comes from the view's summary in memory ([`Device_open]),
+    widened by the quarantined elements. A view whose active summary is
+    empty answers from the whole selection's summary in memory, as
+    {!quick_over} does. Every bound widens by the view's [widen]. The
+    deadline comes from [deadline_ms], else [config]. The query counts
+    in the metrics of each source of the last view fetched. *)
+val accurate_over :
+  ?tolerance_factor:float ->
+  ?deadline_ms:float ->
+  ?failover:failover ->
+  config:Config.t ->
+  (unit -> view) ->
+  rank:int ->
+  int * query_report
 
 (** Estimated rank(v, T): exact over the history, ±ε₂·m over the
     stream. *)

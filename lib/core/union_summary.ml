@@ -221,8 +221,9 @@ let build ~partitions ~stream = build_from_agg ~agg:(hist_aggregate ~partitions)
    sums bracket the union rank, and the per-entry window widens only to
    Σ_s ε₂·m_s = ε₂·m when every shard runs the same ε₂ (the additive
    budget DESIGN.md §14 relies on).  [streams = [s]] produces entries
-   equal to [build_from_agg ~agg ~stream:s]. *)
-let build_fused ~agg ~streams =
+   equal to [build_from_agg ~agg ~stream:s], and [build_fused] takes
+   that two-pointer walk for it. *)
+let merge_streams ~agg ~streams =
   let streams = Array.of_list streams in
   let k = Array.length streams in
   let svs = Array.map Stream_summary.values streams in
@@ -267,6 +268,9 @@ let build_fused ~agg ~streams =
     m_stream = m_total;
     hist_elements = agg.agg_hist_elements;
   }
+
+let build_fused ~agg ~streams =
+  match streams with [ stream ] -> build_from_agg ~agg ~stream | _ -> merge_streams ~agg ~streams
 
 let entries t = t.entries
 let size t = Array.length t.entries

@@ -47,6 +47,7 @@ type t = {
   mutable expired_through : int; (* steps [1, expired_through] have been dropped *)
   mutable epoch : int; (* bumped on every partition-set mutation; cache key *)
   mutable gauged_levels : int; (* highest level whose gauge was ever published *)
+  mutable quarantined_elems : int; (* recounted at every epoch bump *)
   quarantine : (int, health) Hashtbl.t;
 }
 
@@ -63,6 +64,7 @@ let create ~kappa ~beta1 dev =
     expired_through = 0;
     epoch = 0;
     gauged_levels = 0;
+    quarantined_elems = 0;
     quarantine = Hashtbl.create 16;
   }
 
@@ -115,6 +117,7 @@ let refresh_level_gauges t =
          (Printf.sprintf "hsq_quarantined_partitions_level_%d" l))
       (float_of_int q)
   done;
+  t.quarantined_elems <- !q_elems;
   Hsq_obs.Metrics.Gauge.set
     (Hsq_obs.Metrics.gauge ~help:"Quarantined partitions" r "hsq_quarantined_partitions")
     (float_of_int !q_total);
@@ -159,9 +162,9 @@ let quarantined_count t = List.length (quarantined t)
 
 (* Total elements locked away in quarantined partitions — exactly the
    widening a query's rank-error bound takes when it excludes them (the
-   per-partition Lemma 2 interval [0, size] collapses to "anywhere"). *)
-let quarantined_elements t =
-  List.fold_left (fun acc p -> acc + Partition.size p) 0 (quarantined t)
+   per-partition Lemma 2 interval [0, size] collapses to "anywhere").
+   Every quarantine transition bumps the epoch, which recounts it. *)
+let quarantined_elements t = t.quarantined_elems
 
 let health_of t p =
   let k = pkey p in

@@ -79,7 +79,8 @@ val quarantined : t -> Partition.t list
 val quarantined_count : t -> int
 
 (** Total elements across quarantined partitions — the error-bound
-    widening queries that exclude them must report. *)
+    widening queries that exclude them must report. O(1): recounted at
+    every epoch bump. *)
 val quarantined_elements : t -> int
 
 (** Move a partition to quarantine unconditionally (scrub found it

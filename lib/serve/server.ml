@@ -24,7 +24,8 @@
      but runs nothing on the group until the job returns.
    - Unix.select takes no descriptor at or above FD_SETSIZE, so a
      connection that gets one is refused with an explicit overloaded
-     reply.
+     reply.  An accept that finds the descriptor table full leaves the
+     connection in the listen backlog until a connection closes.
 
    An engine call blocks the loop for its own duration: no line is read
    while an accurate query probes the disk, so a request's deadline
@@ -146,6 +147,9 @@ type t = {
   (* Loop state; only the loop thread touches it. *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable draining : bool;
+  (* Until when the listener stays out of select: an accept that found
+     no descriptor to take left the connection in the backlog. *)
+  mutable accept_after : float;
   mutable lent : (job * float) option; (* the job holding the engine, and
                                           when it was queued *)
   (* The lending hand-off with submit_fn callers: job states, and the
@@ -183,6 +187,7 @@ let create config group =
     stop_requested = Atomic.make false;
     conns = Hashtbl.create 64;
     draining = false;
+    accept_after = 0.0;
     lent = None;
     lock = Mutex.create ();
     lent_cond = Condition.create ();
@@ -561,6 +566,8 @@ let guarded c f = try f c with Unix.Unix_error _ -> c.closed <- true
 
 let close_conn t c =
   Metrics.Gauge.add t.conn_gauge (-1.0);
+  (* The descriptor it frees may take a connection left waiting. *)
+  t.accept_after <- 0.0;
   try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 (* When the loop must act on the connection if nothing arrives: the
@@ -662,6 +669,13 @@ let refuse fd resp =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* select sleeps at most [poll_s], so a stop request is noticed. *)
+let poll_s = 0.05
+
+(* A full descriptor table (EMFILE, ENFILE) or a kernel short of memory
+   (ENOBUFS, ENOMEM) leaves the connection in the listen backlog: the
+   listener stays out of select until a connection closes or [poll_s]
+   passes, so the loop neither spins on it nor stops serving. *)
 let rec accept_all t listen_fd =
   match Unix.accept listen_fd with
   | fd, _ ->
@@ -678,10 +692,9 @@ let rec accept_all t listen_fd =
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
     ()
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _) ->
+    t.accept_after <- Metrics.now_s () +. poll_s
   | exception Unix.Unix_error _ -> request_stop t
-
-(* select sleeps at most [poll_s], so a stop request is noticed. *)
-let poll_s = 0.05
 
 (* One turn: cut expired connections, wait for work, accept, read,
    serve every buffered line the engine lets through, write.  select
@@ -706,7 +719,7 @@ let turn t listen_fd wake_r =
           else if readable c then (fd :: r, w, timeout)
           else (r, w, timeout))
       t.conns
-      ([ listen_fd; wake_r ], [], poll_s)
+      ((if now >= t.accept_after then [ listen_fd; wake_r ] else [ wake_r ]), [], poll_s)
   in
   let ready =
     match Unix.select reads writes [] timeout with

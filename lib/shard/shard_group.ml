@@ -9,12 +9,14 @@
    replica accepted it; a replica that fails its append is taken down
    (and hinted to) rather than failing the ack.
 
-   Queries fuse per-shard state exactly as before (DESIGN.md §14), but
-   read ONE live replica per shard and FAIL OVER to a sibling when a
-   replica's breaker opens or its probes exhaust their retries —
-   answers keep the full ±ε·m precision through any loss that leaves at
-   least one replica per shard.  Only losing a shard's whole replica
-   set degrades to `Shard_down with the honest element-count widening.
+   Queries are the engine's own view (Engine.quick_over /
+   accurate_over, DESIGN.md §14) over ONE live replica per shard; the
+   group only chooses the replicas, selects a step range's partitions,
+   and FAILS OVER to a sibling when a replica's breaker opens or its
+   probes exhaust their retries — answers keep the full ±ε·m precision
+   through any loss that leaves at least one replica per shard.  Only
+   losing a shard's whole replica set degrades to `Shard_down with the
+   honest element-count widening.
 
    Hinted handoff: while a replica is down its shard-mates buffer every
    acked op into a per-peer hint WAL (Hint_log); rejoin drains the log
@@ -37,8 +39,6 @@
 module E = Hsq.Engine
 module BD = Hsq_storage.Block_device
 module Metrics = Hsq_obs.Metrics
-module Us = Hsq.Union_summary
-module Ss = Hsq.Stream_summary
 module Li = Hsq_hist.Level_index
 
 exception Shard_unavailable of int * string
@@ -100,15 +100,9 @@ type t = {
   last_size : int array; (* last known element count per shard; frozen when all replicas die *)
   root : string option; (* durable root; None = volatile (no rejoin, no hints) *)
   lock : Mutex.t; (* replica transitions + replicated writes (r > 1 only) *)
-  (* Fused-summary cache: keyed on the chosen read replica and its
-     partition-set epoch (the summary additionally on stream size), so
-     a failover to a sibling rebuilds. *)
-  mutable agg_cache : ((int * int * int) list * Us.hist_agg) option;
-  mutable us_cache : ((int * int * int * int) list * (Ss.t list * Us.t)) option;
   (* Per-shard step count at the last uneven cut (see "step
      alignment"); -1 = unknown. *)
   baseline : int array;
-  mutable tracer : Hsq_obs.Trace.t option; (* see set_tracer *)
   mutable closed : bool;
 }
 
@@ -210,10 +204,7 @@ let make_t config ~k ~r ~slots ~last_size ~root ~baseline =
       last_size;
       root;
       lock = Mutex.create ();
-      agg_cache = None;
-      us_cache = None;
       baseline;
-      tracer = None;
       closed = false;
     }
   in
@@ -282,11 +273,9 @@ let live_replicas_of reps =
 (* The replica a query reads this shard through: the first live
    non-diverged one, else the first live one (serving a diverged
    replica is better than dropping the shard — the report says so).
-   [dropped] (shard, replica) pairs are not candidates. *)
+   [dropped] engines are not candidates. *)
 let read_replica ?(dropped = []) t i =
-  let live =
-    List.filter (fun (j, _) -> not (List.mem (i, j) dropped)) (live_replicas_of t.slots.(i))
-  in
+  let live = List.filter (fun (_, e) -> not (List.memq e dropped)) (live_replicas_of t.slots.(i)) in
   let clean = List.filter (fun (j, _) -> not t.slots.(i).(j).diverged) live in
   match (clean, live) with
   | (j, e) :: _, _ -> Some (j, e, false)
@@ -376,9 +365,7 @@ let down_elements t =
 
 let config t = t.config
 
-let set_tracer t tr =
-  t.tracer <- tr;
-  List.iter (fun (_, _, e) -> E.set_tracer e tr) (all_live t)
+let set_tracer t tr = List.iter (fun (_, _, e) -> E.set_tracer e tr) (all_live t)
 
 let shard_count t = t.k
 let replica_count t = t.r
@@ -459,12 +446,6 @@ let settle_steps t =
 
 (* --- replica transitions ------------------------------------------------ *)
 
-let invalidate t = t.us_cache <- None
-
-let drop_caches t =
-  t.agg_cache <- None;
-  invalidate t
-
 (* Take one replica down (caller holds the lock when r > 1).  The
    engine is crash-released — a close would flush through the device
    that just died; under WAL [Always] nothing acknowledged is pending.
@@ -502,8 +483,7 @@ let replica_down_locked t i rep ~reason =
             (Hint_log.start ~dir:(shard_home t i) ~peer:rep.rep
                ~sync:t.config.Hsq.Config.wal_sync ~base_seq)
       with _ -> rep.hints <- None)
-    | None -> ());
-    drop_caches t
+    | None -> ())
 
 let mark_replica_down t ~shard ~replica ~reason =
   let rep = slot "mark_replica_down" t ~shard ~replica in
@@ -633,8 +613,7 @@ let observe_batch t vs =
             failure := Some exn
           | _ -> ()
         end
-      done;
-      if n > 0 then invalidate t);
+      done);
   Option.iter (fun exn -> raise (Hsq_storage.Wal.Partial (!limit, exn))) !failure
 
 let observe t v = try observe_batch t [| v |] with Hsq_storage.Wal.Partial (_, exn) -> raise exn
@@ -684,8 +663,7 @@ let end_time_step t =
           end)
         t.slots;
       let cut = List.length (List.filter (fun (_, r) -> Result.is_ok r) !out) in
-      if cut > 0 && cut < t.k then rebase_steps t;
-      drop_caches t);
+      if cut > 0 && cut < t.k then rebase_steps t);
   List.rev !out
 
 (* --- sizes -------------------------------------------------------------- *)
@@ -718,26 +696,6 @@ let memory_words t = List.fold_left (fun acc (_, _, e) -> acc + E.memory_words e
    newest step, so a range that keeps them must end there. *)
 type range = { first : int; last : int; with_streams : bool }
 
-(* The state one fused query works from: ONE read replica per shard.
-   [excluded]/[excluded_elems] name the shards with no eligible replica
-   at all (permanently down plus any whose whole replica set was
-   dropped at runtime) — the honest widening of every answer derived
-   from this view.  A shard that merely lost its first-choice replica
-   fails over to a sibling and widens nothing: the sibling holds the
-   same logical data.  [served_diverged] lists read replicas serving
-   while flagged by anti-entropy (only chosen when no clean sibling is
-   live) — surfaced as `Replica_diverged.  [range] is the selector:
-   [None] is every archived step plus the streams. *)
-type view = {
-  alive : (int * int * E.t) list; (* (shard, replica, engine) *)
-  range : range option;
-  streams : Ss.t list;
-  us : Us.t;
-  excluded : int list;
-  excluded_elems : int;
-  served_diverged : (int * int) list;
-}
-
 (* A range the read replicas cannot answer together. *)
 exception Misaligned
 
@@ -766,66 +724,22 @@ let selected t ~range i e =
   | None -> Li.partitions (E.hist e)
   | Some r -> ( match tiling t i e r with Some ps -> ps | None -> raise Misaligned)
 
-let active t ~range i e =
-  List.filter (fun p -> not (Li.is_quarantined (E.hist e) p)) (selected t ~range i e)
+(* The replicas one query reads: ONE read replica per shard, [dropped]
+   engines disqualified, as (shard, replica, engine); the shards left
+   with no eligible replica at all (permanently down, or their whole
+   replica set dropped at runtime), whose elements widen every answer;
+   and the read replicas serving while flagged by anti-entropy (chosen
+   only when no clean sibling is live), surfaced as `Replica_diverged.
+   A shard that merely lost its first-choice replica fails over to a
+   sibling and widens nothing: the sibling holds the same logical data.
+   The one place that decides whether [range] is answerable: raises
+   [Misaligned] when it is not. *)
+type choice = {
+  alive : (int * int * E.t) list;
+  excluded : int list;
+  served_diverged : (int * int) list;
+}
 
-(* Quarantined elements inside the selection, re-read on every call: a
-   quarantine earlier in a query widens every later answer too.  A
-   top-level loop, so the quick path allocates no closure for it. *)
-let rec quarantined_in t range acc = function
-  | [] -> acc
-  | (i, _, e) :: rest ->
-    let hist = E.hist e in
-    let acc =
-      List.fold_left
-        (fun acc p -> if Li.is_quarantined hist p then acc + Hsq_hist.Partition.size p else acc)
-        acc (selected t ~range i e)
-    in
-    quarantined_in t range acc rest
-
-let quarantined_sum t view = quarantined_in t view.range 0 view.alive
-
-let agg_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e))) alive
-let us_key alive = List.map (fun (i, j, e) -> (i, j, Li.epoch (E.hist e), E.stream_size e)) alive
-
-let fused_agg t alive =
-  let key = agg_key alive in
-  match t.agg_cache with
-  | Some (k, agg) when k = key -> agg
-  | _ ->
-    let partitions = List.concat_map (fun (_, _, e) -> Li.active_partitions (E.hist e)) alive in
-    let agg = Us.hist_aggregate ~partitions in
-    t.agg_cache <- Some (key, agg);
-    agg
-
-(* Per-shard stream summaries for a fused build: the fused heap sums
-   their Lemma 2 windows. *)
-let streams_of alive = List.map (fun (_, _, e) -> E.stream_summary e) alive
-
-(* The stream summaries the selector keeps. *)
-let streams_in ~range alive =
-  match range with Some { with_streams = false; _ } -> [] | _ -> streams_of alive
-
-let fused_summaries t alive =
-  let key = us_key alive in
-  let note hit = List.iter (fun (_, _, e) -> E.note_summary_cache e ~hit) alive in
-  match t.us_cache with
-  | Some (k, v) when k = key ->
-    note true;
-    v
-  | _ ->
-    note false;
-    let agg = fused_agg t alive in
-    let streams = streams_of alive in
-    let us = Us.build_fused ~agg ~streams in
-    let v = (streams, us) in
-    t.us_cache <- Some (key, v);
-    v
-
-(* The read replicas a query works from, [dropped] (shard, replica)
-   pairs disqualified, with the shards left without one and the
-   diverged replicas serving.  The one place that decides whether
-   [range] is answerable: raises [Misaligned] when it is not. *)
 let choose ?range t ~dropped =
   refresh_sizes t;
   let alive = ref [] in
@@ -842,52 +756,25 @@ let choose ?range t ~dropped =
   (match range with
   | Some r when not (window_fits t (List.map (fun (i, _, e) -> (i, e)) alive) r) -> raise Misaligned
   | _ -> ());
-  (alive, !excluded, !served_diverged)
+  { alive; excluded = !excluded; served_diverged = !served_diverged }
 
-let make_view ?range t ~dropped =
-  let alive, excluded, served_diverged = choose ?range t ~dropped in
-  let excluded_elems = List.fold_left (fun acc i -> acc + t.last_size.(i)) 0 excluded in
-  let streams, us =
-    (* The cache only serves the full view without runtime drops; a
-       range or a mid-query drop rebuilds fresh. *)
-    if range = None && dropped = [] then fused_summaries t alive
-    else
-      let streams = streams_in ~range alive in
-      let partitions = List.concat_map (fun (i, _, e) -> active t ~range i e) alive in
-      (streams, Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams)
+(* The engine view of a choice: each read replica whole, or the
+   partitions tiling [range] with the streams it keeps. *)
+let view_of ?range t c =
+  let source (i, _, e) =
+    match range with
+    | None -> E.source e
+    | Some r -> { E.engine = e; parts = Some (selected t ~range i e); stream = r.with_streams }
   in
-  { alive; range; streams; us; excluded; excluded_elems; served_diverged }
+  {
+    E.sources = List.map source c.alive;
+    widen = List.fold_left (fun acc i -> acc + t.last_size.(i)) 0 c.excluded;
+  }
 
-(* The view's active partitions tagged with their (shard, replica)
-   owner: the accurate path's probes, built only there. *)
-let probes t view =
-  List.concat_map
-    (fun (i, j, e) -> List.map (fun p -> ((i, j), p)) (active t ~range:view.range i e))
-    view.alive
-
-(* Memory-only fallback when quarantine emptied the active view: the
-   full selection (quarantined included) still carries honest — if
-   wide — summary windows, at zero device reads (the engine's
-   quick_view argument, fused).  Returns [true] iff it substituted the
-   full-selection summary, whose windows already cover the quarantined
-   elements (no double widening). *)
-let full_view_fallback t view =
-  if Us.n_total view.us > 0 then (view, false)
-  else begin
-    let partitions =
-      List.concat_map (fun (i, _, e) -> selected t ~range:view.range i e) view.alive
-    in
-    let streams = streams_in ~range:view.range view.alive in
-    let full = Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams in
-    if Us.size full > 0 then ({ view with us = full; streams }, true) else (view, false)
-  end
-
-let down_degradation view : degradation =
-  let shard_deg : degradation =
-    match view.excluded with [] -> `None | ks -> `Shard_down ks
-  in
+let down_degradation c : degradation =
+  let shard_deg : degradation = match c.excluded with [] -> `None | ks -> `Shard_down ks in
   let diverged_deg : degradation =
-    match view.served_diverged with [] -> `None | ps -> `Replica_diverged ps
+    match c.served_diverged with [] -> `None | ps -> `Replica_diverged ps
   in
   worst_degradation shard_deg diverged_deg
 
@@ -897,14 +784,9 @@ let ensure_open t = if t.closed then invalid_arg "Shard_group: closed"
 
 let fused_quick ?range t ~rank =
   ensure_open t;
-  let view, fallback = full_view_fallback t (make_view ?range t ~dropped:[]) in
-  if Us.n_total view.us = 0 then invalid_arg "Shard_group.quick: no data";
-  let q = if fallback then 0 else quarantined_sum t view in
-  let v, bound = Hsq.Bisection.memory_answer view.us ~rank ~widen:(q + view.excluded_elems) in
-  let degradation =
-    worst_degradation (down_degradation view) (if q > 0 then `Quarantined q else `None)
-  in
-  (v, bound, degradation)
+  let c = choose ?range t ~dropped:[] in
+  let v, bound, q = E.quick_over (view_of ?range t c) ~rank in
+  (v, bound, worst_degradation (down_degradation c) (if q > 0 then `Quarantined q else `None))
 
 let quick_with_bound t ~rank = fused_quick t ~rank
 
@@ -914,110 +796,43 @@ let quick t ~rank =
 
 (* --- fused accurate ------------------------------------------------------ *)
 
-(* Algorithms 6-8 across all shards: the shared bisection (Hsq.Bisection)
-   over the view's owner-tagged partitions and per-shard stream
-   summaries, under the group's failure policy — quarantine first, then
-   drop the (shard, replica) and fail over to a sibling. *)
-let fused_accurate ?range ?(tolerance_factor = 0.5) ?deadline_ms t ~rank =
+(* Algorithms 6-8 across all shards: the engine's accurate query over
+   one read replica per shard, failing over when it condemns one — the
+   (shard, replica) is dropped and the query re-fetches its view, the
+   shard read through a sibling.  Restarting, rather than patching the
+   probe set, is required for correctness: earlier narrowing used the
+   dropped replica's ranks.  Failed-over shards are NOT excluded: their
+   sibling replicas carry the same logical data, so the full ±ε·m
+   contract survives any loss that leaves one replica per shard. *)
+let fused_accurate ?range ?tolerance_factor ?deadline_ms t ~rank =
   ensure_open t;
-  let t0 = Metrics.now_s () in
+  let live = List.map (fun (_, _, e) -> e) (all_live t) in
   let dropped = ref [] in
-  (* Memory answer from whatever summary is in hand.  Widening: live
-     quarantined elements plus every shard absent from this view's
-     summary — shards dropped *after* the view was built still have
-     their in-memory contribution inside [us], so they widen nothing
-     here (the summary covers them). *)
-  let from_memory view degradation =
-    let widen = quarantined_sum t view + view.excluded_elems in
-    Hsq.Bisection.From_memory (view.us, degradation, widen)
+  let last = ref { alive = []; excluded = []; served_diverged = [] } in
+  let choose () =
+    last := choose ?range t ~dropped:!dropped;
+    view_of ?range t !last
   in
-  let fetch () =
-    let view, mem_fallback = full_view_fallback t (make_view ?range t ~dropped:!dropped) in
-    if Us.n_total view.us = 0 then
-      (* Nothing reachable at all (every shard down or empty). *)
-      invalid_arg "Shard_group.accurate: no data";
-    let probes = probes t view in
-    if mem_fallback || (probes = [] && view.streams = []) then
-      from_memory view (worst_degradation (down_degradation view) `Device_open)
-    else
-      Hsq.Bisection.Bisect
-        { Hsq.Bisection.summary = view.us; streams = view.streams; probes; meta = view }
+  let left () = List.exists (fun e -> not (List.memq e !dropped)) live in
+  let condemn e =
+    dropped := e :: !dropped;
+    left ()
   in
-  let total_parts =
-    List.fold_left (fun acc (_, _, e) -> acc + Li.partition_count (E.hist e)) 0 (all_live t)
+  let v, r =
+    E.accurate_over ?tolerance_factor ?deadline_ms ~config:t.config
+      ~failover:{ E.reach = live; condemn } choose ~rank
   in
-  let max_retries = (total_parts * t.config.Hsq.Config.quarantine_after) + (t.k * t.r) + 2 in
-  let policy =
-    {
-      Hsq.Bisection.outcome =
-        (fun { meta = view; _ } ending ->
-          (* Failed-over shards are NOT excluded: their sibling replicas
-             carry the same logical data, so the full ±ε·m contract
-             survives any loss that leaves one replica per shard. *)
-          let q = quarantined_sum t view in
-          let d =
-            match ending with
-            | `Completed -> if q > 0 then `Quarantined q else `None
-            | `Deadline -> `Deadline
-          in
-          (worst_degradation (down_degradation view) d, q + view.excluded_elems));
-      note_success =
-        (fun (i, j) p ->
-          match t.slots.(i).(j).state with
-          | Live e -> Li.note_probe_success (E.hist e) p
-          | Dead _ -> ());
-      on_failure =
-        (fun ~tries src (s, j) p ->
-          let view = src.Hsq.Bisection.meta in
-          (* Quarantine machinery still learns from every failure, so a
-             single sick partition quarantines instead of condemning its
-             whole replica. *)
-          let breaker_open, quarantined_now =
-            match t.slots.(s).(j).state with
-            | Dead _ -> (true, false)
-            | Live e ->
-              let breaker_open = BD.breaker_state (E.device e) = Hsq_storage.Breaker.Open in
-              let threshold = t.config.Hsq.Config.quarantine_after in
-              (breaker_open, Li.note_probe_failure (E.hist e) p ~threshold)
-          in
-          if breaker_open || tries >= max_retries then begin
-            (* The replica, not the partition, is the fault domain now:
-               drop it from this query and restart over the survivors —
-               the shard fails over to a sibling replica if it has one
-               (full precision preserved), and only a shard whose whole
-               replica set is gone leaves the fused answer.  Restart
-               (rather than patching the probe set) is required for
-               correctness — earlier narrowing used the dropped
-               replica's ranks. *)
-            dropped := List.sort_uniq compare ((s, j) :: !dropped);
-            let any_candidate =
-              List.exists (fun (i, jj, _) -> not (List.mem (i, jj) !dropped)) (all_live t)
-            in
-            if not any_candidate then
-              (* Every replica of every shard dropped: answer from the
-                 last summary in hand (it still covers the dropped
-                 replicas' memory state). *)
-              from_memory view (worst_degradation (`Shard_down (List.init t.k Fun.id)) `Device_open)
-            else fetch ()
-          end
-          else if quarantined_now then fetch () (* epoch bumped: rebuild *)
-          else Hsq.Bisection.Bisect src);
-    }
+  let degradation = worst_degradation (down_degradation !last) (r.E.degradation :> degradation) in
+  (* Every replica of every shard dropped: the answer came from the last
+     summary in hand, which still covers the dropped replicas' memory
+     state. *)
+  let degradation =
+    if !dropped <> [] && not (left ()) then
+      worst_degradation (`Shard_down (List.init t.k Fun.id)) degradation
+    else degradation
   in
-  let deadline_at = Hsq.Bisection.deadline_at ~start:t0 ?deadline_ms t.config in
-  (* IO accounting spans every live replica: a failover mid-query reads
-     a sibling that was not in the opening view. *)
-  let stats = List.map (fun (_, _, e) -> BD.stats (E.device e)) (all_live t) in
-  let { Hsq.Bisection.answer; degradation; bound = rank_error_bound; iterations; io; span = _ } =
-    Hsq.Bisection.run
-      ?trace:(Option.map (fun trc -> (trc, degradation_label)) t.tracer)
-      ?deadline_at ~stats ~tolerance_factor ~policy ~rank (fetch ())
-  in
-  let seconds = Metrics.now_s () -. t0 in
-  List.iter
-    (fun (_, e) -> E.note_accurate e ~seconds ~iterations ~degraded:(degradation <> `None))
-    (engines t);
-  (answer, { io; iterations; degradation; rank_error_bound })
+  let { E.io; iterations; rank_error_bound; _ } = r in
+  (v, { io; iterations; degradation; rank_error_bound })
 
 let accurate ?tolerance_factor ?deadline_ms t ~rank =
   fused_accurate ?tolerance_factor ?deadline_ms t ~rank
@@ -1067,14 +882,13 @@ let windowed t f = selecting f (fun () -> E.Window_not_aligned (window_sizes t))
 let ranged t f = selecting f (fun () -> E.Range_not_aligned (range_boundaries t))
 
 let selection_total t r =
-  let alive, _, _ = choose ~range:r t ~dropped:[] in
   List.fold_left
     (fun acc (i, _, e) ->
       List.fold_left
         (fun acc p -> acc + Hsq_hist.Partition.size p)
         (if r.with_streams then acc + E.stream_size e else acc)
         (selected t ~range:(Some r) i e))
-    0 alive
+    0 (choose ~range:r t ~dropped:[]).alive
 
 let window_total t ~window = windowed t (fun () -> selection_total t (window_of t window))
 let quick_window t ~window ~rank =
@@ -1140,12 +954,10 @@ let repair_replica_locked t i rep ~src:(src_j, src_e) =
     tag_registry t e i rep.rep;
     rep.state <- Live e;
     rep.diverged <- false;
-    drop_caches t;
     Ok e
   | exception exn ->
     let reason = "repair failed: " ^ Printexc.to_string exn in
     rep.state <- Dead reason;
-    drop_caches t;
     Error reason
 
 (* Compare per-replica state digests within each shard; flag the
@@ -1221,8 +1033,6 @@ let anti_entropy ?(repair = false) t =
                     end
                   end)
                 digests;
-              (* Flags (set or cleared) steer read-replica choice. *)
-              drop_caches t;
               reports :=
                 {
                   entropy_shard = i;
@@ -1310,7 +1120,6 @@ let admit_replica_locked t i rep e =
     rep.state <- Live e;
     rep.diverged <- false;
     discard_pair ();
-    drop_caches t;
     Ok e
   in
   match drain with
@@ -1380,7 +1189,6 @@ let rejoin_replica t ~shard ~replica =
               match E.scrub ~repair:true e with
               | scrub ->
                 t.last_size.(shard) <- E.total_size e;
-                drop_caches t;
                 settle_steps t;
                 Ok (recovery, scrub)
               | exception exn ->

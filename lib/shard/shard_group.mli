@@ -10,12 +10,16 @@
     sequence numbers advance in lockstep, which keeps the ack
     semantics exactly-once across replica crashes and rejoins.
 
-    Queries fuse per-shard summaries exactly as in the unreplicated
-    design (DESIGN.md §14) but read ONE live replica per shard and
-    fail over to a sibling when that replica's breaker opens or its
-    probes exhaust their retries: answers keep the full ±ε·m
-    precision through any loss that leaves ≥ 1 replica per shard, and
-    only a shard losing its whole replica set degrades to
+    Queries are the engine's own ({!Hsq.Engine.quick_over},
+    {!Hsq.Engine.accurate_over}: one view, one summary cache, one
+    failure policy) over ONE live read replica per shard, their Lemma 2
+    windows summed (DESIGN.md §14). The group adds only what is about
+    shards: which replica each shard is read through, which partitions
+    a step range selects, and the failover rule — a replica whose
+    breaker opens or whose probes exhaust their retries is dropped and
+    the query re-fetches its view through a sibling. Answers keep the
+    full ±ε·m precision through any loss that leaves ≥ 1 replica per
+    shard, and only a shard losing its whole replica set degrades to
     [`Shard_down] with the honest element-count widening.
 
     Hinted handoff: while a replica is down, its shard-mates buffer
@@ -138,10 +142,10 @@ val store_dir :
 
 val config : t -> Hsq.Config.t
 
-(** Record fused accurate queries as [query.accurate] root spans (see
-    {!Hsq.Bisection.run}), and set every live replica's tracer
-    ({!Hsq.Engine.set_tracer}); [None] turns tracing off. Replicas that
-    rejoin later are not traced. *)
+(** Set every live replica's tracer ({!Hsq.Engine.set_tracer}); [None]
+    turns tracing off. A fused query records its spans ([query.accurate]
+    roots, see {!Hsq.Bisection.run}; [query.quick]) in its first read
+    replica's tracer. Replicas that rejoin later are not traced. *)
 val set_tracer : t -> Hsq_obs.Trace.t option -> unit
 
 val shard_count : t -> int
@@ -224,18 +228,20 @@ val memory_words : t -> int
 
 (** {1 Fused queries} *)
 
-(** Algorithm 5 over the fused union summary. Returns
+(** {!Hsq.Engine.quick_over} the read replicas. Returns
     (value, rank-error bound, degradation): the bound is the fused
     Lemma 2 window widened by every quarantined element and every
     element of shards with no live replica — a shard that merely lost
-    SOME replicas serves through a sibling at full precision.
+    SOME replicas serves through a sibling at full precision. With the
+    stream empty and every partition quarantined it answers from the
+    whole selection's summary, as the engine does.
     Raises [Invalid_argument] when no data is reachable. *)
 val quick_with_bound : t -> rank:int -> int * float * degradation
 
 val quick : t -> rank:int -> int
 
-(** Algorithms 6–8 across all shards: one bisection over the fused
-    filters, probing each shard's read replica, with the shared
+(** {!Hsq.Engine.accurate_over} the read replicas: one bisection over
+    the fused filters, probing each shard's read replica, with the shared
     stopping band [tolerance_factor · Σ_s ε₂·m_s] and one deadline.
     A replica whose breaker opens (or whose probes exhaust their
     retries) mid-query is dropped and the bisection restarts with its
@@ -406,9 +412,9 @@ val is_closed : t -> bool
     nesting them under ["shards"] (and ["replicas"] when R > 1)
     (JSON). R = 1 output is byte-compatible with the pre-replication
     exporters. [extra] adds another registry's metrics unlabelled —
-    the serve daemon passes its own — under ["group"] in JSON.  Fused
-    queries also record into each read replica's [hsq_query_*] metrics
-    ({!Hsq.Engine.note_accurate}, {!Hsq.Engine.note_summary_cache}).
+    the serve daemon passes its own — under ["group"] in JSON.  Every
+    fused query counts in each read replica's [hsq_query_*] metrics,
+    as the engine's own queries do.
 
     K = 1, R = 1 exports flat: the one engine's registry merged with
     [extra] into one unlabelled dump

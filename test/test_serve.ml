@@ -1029,6 +1029,17 @@ let test_k1_matches_engine () =
           "hsq_query_summary_cache_hits_total";
           "hsq_query_summary_cache_misses_total";
         ];
+      (* Every wire quick counts, windows included, and every 64th is
+         timed. *)
+      let quicks =
+        List.length (spread ~count:60 (E.total_size twin)) + List.length (spread ~count:10 n)
+      in
+      Alcotest.(check string) "hsq_query_quick_total is the quicks sent" (int quicks)
+        (match wire_metric c "hsq_query_quick_total" with
+        | Some j -> Json.to_string j
+        | None -> "<absent>");
+      Alcotest.(check (option int)) "hsq_query_quick_seconds samples" (Some (quicks / 64))
+        (Option.bind (wire_metric c "hsq_query_quick_seconds") (fun h -> Json.get_int h "count"));
       Client.close c);
   E.close twin
 
@@ -1574,6 +1585,49 @@ let run_kill_restart ~seed () =
       | _, Unix.WEXITED code -> Alcotest.failf "drained daemon exited %d" code
       | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "drained daemon killed by %d" s)
 
+(* A daemon whose descriptor table fills keeps serving: under
+   [ulimit -n 16], more idle connections than it has descriptors left
+   stay in the listen backlog (accept fails with EMFILE) rather than
+   draining it.  Once they close, a new client's ping is answered, and
+   a drain still exits 0. *)
+let test_full_descriptor_table () =
+  with_temp_dir (fun dir ->
+      let sock = Filename.concat dir "hsq.sock" in
+      let store = Filename.concat dir "store" in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process "/bin/sh"
+          [|
+            "sh"; "-c"; "ulimit -n 16 && exec \"$0\" serve --socket \"$1\" --durable \"$2\"";
+            bin (); sock; store;
+          |]
+          Unix.stdin null null
+      in
+      Unix.close null;
+      let listen = Server.Unix_sock sock in
+      let running () = fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0 in
+      let c = Client.connect ~retries:100 listen in
+      Client.ping c;
+      let idle = List.init 24 (fun _ -> Client.connect listen) in
+      Thread.delay 0.3;
+      let fds = Printf.sprintf "/proc/%d/fd" pid in
+      if Sys.file_exists fds then
+        Alcotest.(check bool) "the descriptor table is full" true
+          (Array.length (Sys.readdir fds) >= 16);
+      Alcotest.(check bool) "running with the table full" true (running ());
+      List.iter Client.close idle;
+      Thread.delay 0.3;
+      let fresh = Client.connect listen in
+      Client.ping fresh;
+      Alcotest.(check bool) "running after the connections closed" true (running ());
+      Client.close fresh;
+      Client.drain c;
+      Client.close c;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED code -> Alcotest.failf "drained daemon exited %d" code
+      | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "drained daemon killed by %d" s)
+
 (* --- closed-loop load ------------------------------------------------------- *)
 
 (* Closed-loop clients against an in-process daemon over a K x R group
@@ -1763,6 +1817,8 @@ let () =
           Alcotest.test_case "device faults under live traffic" `Quick (run_device_chaos ~seed:11);
           Alcotest.test_case "kill -9 and restart, zero acked loss" `Quick
             (run_kill_restart ~seed:1);
+          Alcotest.test_case "a full descriptor table does not drain" `Quick
+            test_full_descriptor_table;
         ] );
     ]
   in

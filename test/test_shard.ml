@@ -909,6 +909,67 @@ let test_one_source_is_engine () =
             (bits rg.G.rank_error_bound))
         (spread_ranks n))
     [ 0.5; 0.3 ];
+  (* The quick answer is the same one-source view. *)
+  List.iter
+    (fun rank ->
+      let ve, be = E.quick_with_bound eng ~rank in
+      let vg, bg, _ = G.quick_with_bound g ~rank in
+      Alcotest.(check int) (Printf.sprintf "quick value (rank %d)" rank) ve vg;
+      Alcotest.(check int64) (Printf.sprintf "quick bound (rank %d)" rank) (bits be) (bits bg))
+    (spread_ranks n);
+  E.close eng;
+  G.close g
+
+(* The same under quarantine: one partition out of view, then every
+   partition with the stream empty, when both answer from the whole
+   selection's summary in memory, whose windows already cover the
+   quarantined elements — the bound widens by them once, not twice. *)
+let test_one_source_is_engine_quarantined () =
+  let cfg =
+    Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 (Hsq.Config.Epsilon 0.05)
+  in
+  let eng = E.create cfg in
+  let g = G.create cfg in
+  feed ~seed:0x0A7 ~observe:(E.observe eng) ~end_step:(fun () -> ignore (E.end_time_step eng));
+  ignore (E.end_time_step eng);
+  feed_group ~seed:0x0A7 g;
+  ignore (G.end_time_step g);
+  let ge = Option.get (G.engine g 0) in
+  Alcotest.(check int) "the stream is empty" 0 (E.stream_size eng + E.stream_size ge);
+  let quarantine k =
+    List.iteri
+      (fun i (p, q) ->
+        if i < k then begin
+          Li.quarantine_partition (E.hist eng) p;
+          Li.quarantine_partition (E.hist ge) q
+        end)
+      (List.combine (Li.partitions (E.hist eng)) (Li.partitions (E.hist ge)))
+  in
+  let same what =
+    List.iter
+      (fun rank ->
+        let ctx s = Printf.sprintf "%s: %s (rank %d)" what s rank in
+        let ve, be = E.quick_with_bound eng ~rank in
+        let vg, bg, _ = G.quick_with_bound g ~rank in
+        Alcotest.(check int) (ctx "quick value") ve vg;
+        Alcotest.(check int64) (ctx "quick bound") (bits be) (bits bg);
+        let ve, re = E.accurate eng ~rank in
+        let vg, rg = G.accurate g ~rank in
+        Alcotest.(check int) (ctx "value") ve vg;
+        Alcotest.(check int) (ctx "iterations") re.E.iterations rg.G.iterations;
+        Alcotest.(check int) (ctx "reads") re.E.io.Hsq_storage.Io_stats.reads
+          rg.G.io.Hsq_storage.Io_stats.reads;
+        Alcotest.(check int64) (ctx "bound") (bits re.E.rank_error_bound)
+          (bits rg.G.rank_error_bound);
+        Alcotest.(check string) (ctx "degradation")
+          (E.degradation_label re.E.degradation)
+          (G.degradation_label rg.G.degradation))
+      (spread_ranks (E.total_size eng))
+  in
+  quarantine 1;
+  same "one partition quarantined";
+  quarantine max_int;
+  same "every partition quarantined";
   E.close eng;
   G.close g
 
@@ -1044,6 +1105,8 @@ let () =
         [
           Alcotest.test_case "K=1 R=1 group is the engine, bit for bit" `Quick
             test_one_source_is_engine;
+          Alcotest.test_case "K=1 R=1 group is the engine under quarantine" `Quick
+            test_one_source_is_engine_quarantined;
           Alcotest.test_case "parallel answers identical" `Quick test_group_parallel_identical;
           Alcotest.test_case "quantile phi in (0,1]" `Quick test_quantile_phi_range;
         ] );
