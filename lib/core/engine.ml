@@ -98,18 +98,17 @@ type t = {
   mutable pending_len : int;
   sorted : int array; (* a hand-off's sorted run, reused *)
   mutable durable : durability option;
-  (* The caches of a query view whose first source is this engine
-     (cached_summaries): the historical aggregate of the view's active
-     partitions, keyed by each source's engine and level-index epoch —
-     the historical side of TS only changes at end_time_step / merge /
-     expire / quarantine / recovery, so queries reuse the merged summary
-     bounds and only pay for the fresh stream summaries — and the built
-     (stream summaries, union summary) pair, keyed besides by each
-     source's stream size: a sketch mutates only on insert (the count
-     strictly grows within a step) and end_time_step both resets it and
-     bumps the epoch, so an unchanged key means an unchanged TS, and
-     repeated queries between ingests skip even the stream extraction
-     and the merge.  None until the first query. *)
+  (* The caches of a query view whose first source is this engine (see
+     key_of): the historical aggregate of the view's active partitions,
+     compared by each source's epoch — the historical side of TS only
+     changes at end_time_step / merge / expire / quarantine / recovery,
+     so queries only pay for the fresh stream summaries — and the built
+     (stream summaries, union summary) pair, compared by stream size
+     too: a sketch mutates only on insert (the count strictly grows
+     within a step) and end_time_step both resets it and bumps the
+     epoch, so an unchanged key means an unchanged TS, and repeated
+     queries between ingests skip even the stream extraction and the
+     merge. *)
   mutable hist_cache : ((t * int * int) list * Union_summary.hist_agg) option;
   mutable us_cache : ((t * int * int) list * (Stream_summary.t list * Union_summary.t)) option;
   metrics : engine_metrics;

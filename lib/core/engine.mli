@@ -244,24 +244,23 @@ type view = { sources : source list; widen : int }
 (** [engine] whole: every partition and the stream. *)
 val source : t -> source
 
-(** Algorithm 5 over the view's fused union summary (Lemma 2 windows
-    summed over the sources, {!Union_summary.build_fused}). Returns the
-    answer, its rank-error bound and the quarantined elements the bound
-    was widened by. Quarantined partitions are left out of the summary
-    and widen the bound by their size (O(1) for a source read whole);
-    when that leaves nothing in view while archived data exists, the
-    answer comes from a summary over every selected partition, whose
-    windows cover the quarantined elements without further widening
-    (the count returned is then 0). The bound also widens by [widen].
+(** Algorithm 5 over the view's union summary, whose Lemma 2 windows
+    sum the sources' ({!Union_summary.build_fused}). Returns the answer,
+    its rank-error bound and the quarantined elements that bound was
+    widened by. Quarantined partitions leave the summary and widen the
+    bound by their size. When that leaves nothing in view while
+    archived data exists, the answer comes from a summary over every
+    selected partition, whose windows already cover the quarantined
+    elements (the count returned is then 0). The bound also widens by
+    [widen].
 
-    One cache serves every view that reads all its sources whole. It
-    lives in the first source's engine and is keyed by each source's
-    engine (by identity), level-index epoch and stream size, so no
-    caller invalidates it. Every call counts one quick query in each
-    source's metrics ([hsq_query_quick_total], sampled
-    [hsq_query_quick_seconds]), with a [query.quick] span and a
-    [summary_cache] child when the first source's engine traces.
-    Raises [Invalid_argument] when no data is in view. *)
+    A view that reads every source whole is cached in its first
+    source's engine, keyed by each source's engine (by identity),
+    level-index epoch and stream size, so no caller invalidates it.
+    Each call counts one quick query in every source's metrics
+    ([hsq_query_quick_total], sampled [hsq_query_quick_seconds]) and,
+    when the first source's engine traces, records a [query.quick]
+    span. Raises [Invalid_argument] when no data is in view. *)
 val quick_over : view -> rank:int -> int * float * int
 
 (** How an accurate query reads past a failed engine: [reach] is every
