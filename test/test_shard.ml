@@ -923,7 +923,7 @@ let test_one_source_is_engine () =
 (* The same under quarantine: one partition out of view, then every
    partition with the stream empty, when both answer from the whole
    selection's summary in memory, whose windows already cover the
-   quarantined elements — the bound widens by them once, not twice. *)
+   quarantined elements, so the bound does not widen by them again. *)
 let test_one_source_is_engine_quarantined () =
   let cfg =
     Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 (Hsq.Config.Epsilon 0.05)
