@@ -56,6 +56,26 @@ let durable_engine ~wal_sync () =
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
 
+(* A file-backed device of 64 blocks of 256 words for the device rows:
+   each op is one verified block read or one checksummed block write,
+   cycling over the blocks (all in the page cache after the first
+   pass), so the rows measure the syscalls and the record codec. *)
+let block_file () =
+  let module Dev = Hsq_storage.Block_device in
+  let path = Filename.temp_file "hsq_bench_dev" "" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let dev = Dev.create_file ~block_size:256 ~path () in
+  let base = Dev.alloc dev 64 in
+  for b = 0 to 63 do
+    Dev.write_block dev ~addr:(base + b) (Array.init 256 (fun j -> (b * 256) + j - 8192))
+  done;
+  let next = ref 0 in
+  let addr () =
+    next := (!next + 37) land 63;
+    base + !next
+  in
+  (dev, addr)
+
 (* The wire's hot lines: a 200-value observe request as a client sends
    it, and an accurate reply as the daemon renders it. *)
 let observe_request rng =
@@ -98,6 +118,8 @@ let tests ~smoke =
     Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
   in
   let run512 = Array.init 512 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
+  let dev, block_addr = block_file () in
+  let block = Array.init 256 (fun j -> (j * 7919) - 1_000_000) in
   [
     Test.make ~name:"gk-insert"
       (Staged.stage (fun () -> Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)));
@@ -143,6 +165,13 @@ let tests ~smoke =
        the step spool. *)
     Test.make ~name:"handoff-512"
       (Staged.stage (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
+    (* The device layer under an accurate query's probes: one verified
+       256-word block read and one block write on the file backend. *)
+    Test.make ~name:"block-read-file"
+      (Staged.stage (fun () ->
+           ignore (Hsq_storage.Block_device.read_block dev ~addr:(block_addr ()))));
+    Test.make ~name:"block-write-file"
+      (Staged.stage (fun () -> Hsq_storage.Block_device.write_block dev ~addr:(block_addr ()) block));
     (* The integer codec: a request rendered and parsed as the client
        and the daemon do, and a reply rendered. *)
     Test.make ~name:"wire-encode-observe200"

@@ -20,8 +20,11 @@ let rank_bound us ~rank v ~widen =
   let lo, hi = Union_summary.rank_window us v in
   Float.max (hi -. r) (r -. lo) +. float_of_int widen
 
-(* Algorithm 5 with its bound: the answer every degraded path falls back
-   to.  [us] must be non-empty. *)
+(* Algorithm 5, and with its bound the answer every degraded path falls
+   back to.  [us] must be non-empty. *)
+let memory_value us ~rank =
+  Union_summary.quick_select us ~rank:(clamp_rank ~n:(Union_summary.n_total us) rank)
+
 let memory_answer us ~rank ~widen =
   let rank = clamp_rank ~n:(Union_summary.n_total us) rank in
   let v = Union_summary.quick_select us ~rank in

@@ -11,6 +11,10 @@ val clamp_rank : n:int -> int -> int
     [Invalid_argument (who ^ ": phi not in (0,1]")] unless φ ∈ (0, 1]. *)
 val rank_of_phi : who:string -> n:int -> float -> int
 
+(** Algorithm 5 at [rank], clamped to the summary's population. [us]
+    must be non-empty. *)
+val memory_value : Union_summary.t -> rank:int -> int
+
 (** Algorithm 5 at [rank] (clamped to the summary's population) and its
     Lemma 2 rank window, widened by [widen] elements the summary cannot
     place. [us] must be non-empty. *)

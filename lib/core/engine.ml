@@ -612,26 +612,25 @@ let whole_summary sources ~who =
   if Union_summary.size us = 0 then invalid_arg (who ^ ": no data");
   us
 
-(* Algorithm 5 plus the rank window it can be off by:
+(* Algorithm 5 plus, when [bounded], the rank window it can be off by:
    [max (U - r) (r - L)] from the union summary's Lemma 2 windows,
    widened by the quarantined elements (their ranks are unknown in
-   [0, size]) and the view's [widen].  Also returns the quarantined
-   count it widened by. *)
-let memory_quick view ~rank =
+   [0, size]) and the view's [widen], and the quarantined count it
+   widened by.  Unbounded, the answer comes alone, with a 0 bound and
+   count. *)
+let memory_quick ~bounded view ~rank =
   let _, us = summaries view.sources in
-  if Union_summary.n_total us > 0 then begin
-    let q = quarantined view.sources in
+  let live = Union_summary.n_total us > 0 in
+  let us = if live then us else whole_summary view.sources ~who:"Engine.quick" in
+  if not bounded then (Bisection.memory_value us ~rank, 0.0, 0)
+  else
+    let q = if live then quarantined view.sources else 0 in
     let v, bound = Bisection.memory_answer us ~rank ~widen:(q + view.widen) in
     (v, bound, q)
-  end
-  else
-    let us = whole_summary view.sources ~who:"Engine.quick" in
-    let v, bound = Bisection.memory_answer us ~rank ~widen:view.widen in
-    (v, bound, 0)
 
-let timed_quick view ~rank =
+let timed_quick ~bounded view ~rank =
   let t0 = Metrics.now_s () in
-  let answer = memory_quick view ~rank in
+  let answer = memory_quick ~bounded view ~rank in
   let seconds = Metrics.now_s () -. t0 in
   List.iter (fun s -> Metrics.Histogram.observe s.engine.metrics.quick_hist seconds) view.sources;
   answer
@@ -640,7 +639,7 @@ let timed_quick view ~rank =
    state: the instrumentation here must stay to a couple of machine
    operations, so latency is sampled, not always measured (see
    engine_metrics), unless the first source's engine traces. *)
-let quick_over view ~rank =
+let quick_view ~bounded view ~rank =
   match view.sources with
   | [] -> invalid_arg "Engine.quick: no data"
   | first :: _ -> (
@@ -648,18 +647,20 @@ let quick_over view ~rank =
     match first.engine.tracer with
     | None ->
       if Atomic.get first.engine.metrics.quick_total land quick_sample_mask = 0 then
-        timed_quick view ~rank
-      else memory_quick view ~rank
+        timed_quick ~bounded view ~rank
+      else memory_quick ~bounded view ~rank
     | Some tr ->
       Trace.with_span tr ~attrs:[ ("rank", string_of_int rank) ] "query.quick" (fun _ ->
-          timed_quick view ~rank))
+          timed_quick ~bounded view ~rank))
+
+let quick_over view ~rank = quick_view ~bounded:true view ~rank
 
 let quick_with_bound t ~rank =
   let v, bound, _ = quick_over (solo t) ~rank in
   (v, bound)
 
 let quick t ~rank =
-  let v, _, _ = quick_over (solo t) ~rank in
+  let v, _, _ = quick_view ~bounded:false (solo t) ~rank in
   v
 
 type failover = { reach : t list; condemn : t -> bool }

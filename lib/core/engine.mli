@@ -196,7 +196,9 @@ val union_summary : t -> Union_summary.t
 val fresh_union_summary : t -> Union_summary.t
 
 (** Algorithm 5. Rank is clamped to [1, N]. Raises on an empty engine.
-    The one-source case of {!quick_over}. *)
+    The one-source case of {!quick_over}, counted and traced the same,
+    without the rank bound: [quick t ~rank] is
+    [fst (quick_with_bound t ~rank)]. *)
 val quick : t -> rank:int -> int
 
 (** Quick answer plus an upper bound on its rank error: the Lemma 2

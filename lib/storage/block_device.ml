@@ -46,8 +46,8 @@ type injector = op -> attempt:int -> int -> fault_action option
    descriptor and one reused record-sized buffer: a block read or write
    allocates nothing but the decoded payload.  A record above 256 words
    would go straight to the major heap, so reads decode into the
-   [block_size]-word payload and compare the checksum word in place
-   instead of building the whole record. *)
+   [block_size]-word payload and verify the checksum word in the same
+   pass instead of building the whole record. *)
 type file = {
   fd : Unix.file_descr;
   buf : Bytes.t; (* one record, reused under [io_lock] by reads and writes *)
@@ -103,13 +103,9 @@ let record_bytes block_size = 8 * (block_size + 1)
    to [max_read_attempts] attempts in all. *)
 let max_read_attempts = Breaker.Backoff.default.Breaker.Backoff.max_attempts
 
-(* splitmix-style word mixer: cheap, and any single flipped bit changes
-   the checksum with overwhelming probability. *)
-let mix h v =
-  let h = (h lxor v) * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
-
-let checksum ~addr payload = Array.fold_left mix (mix 0x106689D45497FDB5 addr) payload
+(* A block's checksum is the {!Word.mix} fold of its payload, seeded
+   with its address, so a record written to the wrong block fails too. *)
+let checksum_seed addr = Word.mix Word.checksum_seed addr
 
 let make ?metrics ~block_size ~next_free backend =
   let stats = Io_stats.create ?registry:metrics () in
@@ -242,12 +238,12 @@ let free t ~addr ~nblocks =
   | File _ -> ()
 
 (* Store one record: the first [upto] payload words and, only when the
-   whole payload lands, the checksum word [sum] (a torn write stops
-   short of it).  Word [flip] is stored with its low bit flipped — bit
+   whole payload lands, the checksum word (a torn write stops short of
+   it).  One pass stores each word and folds it into the checksum.  Word
+   [flip] is stored with its low bit flipped after it was summed — bit
    rot after the checksum was computed; -1 flips nothing. *)
-let store_record t ~addr payload ~sum ~upto ~flip =
-  let bs = t.block_size in
-  let word j = if j = flip then payload.(j) lxor 1 else payload.(j) in
+let store_record t ~addr payload ~upto ~flip =
+  let bs = t.block_size and seed = checksum_seed addr in
   match t.backend with
   | Memory table ->
     let stored =
@@ -256,15 +252,18 @@ let store_record t ~addr payload ~sum ~upto ~flip =
       | Some prev when upto < bs -> Array.copy prev
       | _ -> Array.make (bs + 1) 0
     in
-    for j = 0 to upto - 1 do stored.(j) <- word j done;
-    if upto = bs then stored.(bs) <- sum;
+    let h = ref seed in
+    for j = 0 to upto - 1 do
+      let v = payload.(j) in
+      h := Word.mix !h v;
+      stored.(j) <- (if j = flip then v lxor 1 else v)
+    done;
+    if upto = bs then stored.(bs) <- !h;
     !table.(addr) <- Some stored
   | File file ->
     with_file t
       (fun { fd; buf; _ } ->
-        for j = 0 to upto - 1 do
-          Word.set buf (8 * j) (word j)
-        done;
+        let sum = Word.write_sealed buf payload ~upto ~flip ~seed in
         let words = if upto = bs then bs + 1 else upto in
         if upto = bs then Word.set buf (8 * bs) sum;
         ignore (Unix.lseek fd (addr * Bytes.length buf) Unix.SEEK_SET);
@@ -279,46 +278,47 @@ let write_block t ~addr payload =
   | Some Fail -> raise (Device_error (Printf.sprintf "injected write fault at block %d" addr))
   | Some (Torn k) ->
     let k = max 0 (min (t.block_size - 1) k) in
-    store_record t ~addr payload ~sum:0 ~upto:k ~flip:(-1);
+    store_record t ~addr payload ~upto:k ~flip:(-1);
     raise (Device_error (Printf.sprintf "torn write at block %d (%d of %d words)" addr k t.block_size))
   | (None | Some (Corrupt _)) as action ->
     Io_stats.note_write t.stats addr;
     let flip = match action with Some (Corrupt i) -> i mod t.block_size | _ -> -1 in
-    store_record t ~addr payload ~sum:(checksum ~addr payload) ~upto:t.block_size ~flip
+    store_record t ~addr payload ~upto:t.block_size ~flip
 
-(* Fetch [addr] as (payload, stored checksum word); raises on
-   unwritten/freed/short blocks (structural errors, never retried), and
-   [Word.Invalid] on a word no writer produced, which the read path
-   counts as a checksum failure.  The file backend decodes straight from
-   the reused record buffer into a fresh [block_size]-word payload. *)
-let fetch_record t ~addr =
-  let bs = t.block_size in
+(* Fetch [addr] into [payload] and verify it in the same pass: true when
+   its checksum word matches and, on the file backend, every word is a
+   sign extension (a word no writer produced counts as a checksum
+   failure).  Raises on unwritten/freed/short blocks: structural errors,
+   never retried.  The file backend decodes straight from the reused
+   record buffer ({!Word.read_sealed}). *)
+let fetch_verified t ~addr payload =
+  let bs = t.block_size and seed = checksum_seed addr in
   match t.backend with
   | Memory table -> (
     match !table.(addr) with
-    | Some record -> (Array.sub record 0 bs, record.(bs))
+    | Some record ->
+      let h = ref seed in
+      for j = 0 to bs - 1 do
+        let v = record.(j) in
+        payload.(j) <- v;
+        h := Word.mix !h v
+      done;
+      record.(bs) = !h
     | None -> raise (Device_error (Printf.sprintf "read of unwritten or freed block %d" addr)))
   | File file ->
-    let payload = Array.make bs 0 in
-    let sum =
-      with_file t
-        (fun { fd; buf; _ } ->
-          let nbytes = Bytes.length buf in
-          ignore (Unix.lseek fd (addr * nbytes) Unix.SEEK_SET);
-          let rec fill off =
-            if off < nbytes then
-              match Unix.read fd buf off (nbytes - off) with
-              | 0 -> raise (Device_error (Printf.sprintf "short read at block %d" addr))
-              | n -> fill (off + n)
-          in
-          fill 0;
-          for j = 0 to bs - 1 do
-            payload.(j) <- Word.get buf (8 * j)
-          done;
-          Word.get buf (8 * bs))
-        file
-    in
-    (payload, sum)
+    with_file t
+      (fun { fd; buf; _ } ->
+        let nbytes = Bytes.length buf in
+        ignore (Unix.lseek fd (addr * nbytes) Unix.SEEK_SET);
+        let rec fill off =
+          if off < nbytes then
+            match Unix.read fd buf off (nbytes - off) with
+            | 0 -> raise (Device_error (Printf.sprintf "short read at block %d" addr))
+            | n -> fill (off + n)
+        in
+        fill 0;
+        Word.read_sealed buf payload ~len:bs ~seed)
+      file
 
 (* Bounded-retry read: injected faults and checksum mismatches are
    retried up to [max_read_attempts] times (each extra attempt is
@@ -334,7 +334,8 @@ let fetch_record t ~addr =
 
    A [batched] read defers its simulated wait and latency observation
    to the batch ([read_batch]) and only counts itself in
-   [batch_reads].  Every read returns a freshly decoded array. *)
+   [batch_reads].  Every read returns a freshly decoded array, which
+   each attempt overwrites. *)
 let read_block_uncached ?hint ~batched t ~addr =
   if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
   if not (Breaker.allow t.breaker) then
@@ -345,6 +346,7 @@ let read_block_uncached ?hint ~batched t ~addr =
     Breaker.failure t.breaker;
     raise e
   in
+  let payload = Array.make t.block_size 0 in
   let rec attempt n =
     let retry e =
       if n < max_read_attempts then begin
@@ -361,9 +363,8 @@ let read_block_uncached ?hint ~batched t ~addr =
       let t0 = if batched then 0.0 else Hsq_obs.Metrics.now_s () in
       if batched then t.batch_reads <- t.batch_reads + 1 else apply_read_latency t;
       let verified =
-        match fetch_record t ~addr with
-        | payload, stored -> if stored = checksum ~addr payload then Some payload else None
-        | exception Word.Invalid -> None
+        match fetch_verified t ~addr payload with
+        | ok -> ok
         | exception e ->
           (* Not evidence against device health, but a half-open trial
              ticket must still be released. *)
@@ -372,13 +373,14 @@ let read_block_uncached ?hint ~batched t ~addr =
       in
       if not batched then
         Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
-      match verified with
-      | None ->
-        Io_stats.note_checksum_failure t.stats;
-        retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
-      | Some payload ->
+      if verified then begin
         Breaker.success t.breaker;
         payload
+      end
+      else begin
+        Io_stats.note_checksum_failure t.stats;
+        retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
+      end
   in
   attempt 1
 

@@ -82,11 +82,13 @@ val write_block : t -> addr:int -> int array -> unit
     the same array to every later reader of that block, so mutating it
     would corrupt their reads.
 
-    Allocation: the file backend reads one record into a buffer reused
-    per device and decodes it straight into the returned
-    [block_size]-word array; the checksum word is compared in place. No
-    other array or byte buffer is allocated per read, so at
-    [block_size <= 256] a read allocates only on the minor heap. Every
+    Allocation and verification: the file backend reads one record into
+    a buffer reused per device and decodes it straight into the returned
+    [block_size]-word array, checking each word's sign extension and
+    folding it into the checksum in the same pass ({!Word.read_sealed});
+    the memory backend copies and sums in one pass too. No other array
+    or byte buffer is allocated per read, so at [block_size <= 256] a
+    read allocates only on the minor heap. Every
     read goes to the file, so a read after a rewrite sees the new bytes.
 
     Domain-safety: reads may be issued from several domains at once.

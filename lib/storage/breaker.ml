@@ -89,9 +89,7 @@ let create ?metrics ?now ?(failure_threshold = default_failure_threshold)
     transitions_total;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Callers hold the lock. *)
 let transition t next =

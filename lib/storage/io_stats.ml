@@ -104,9 +104,7 @@ let set_tracer t tr = t.trace <- tr
 
 (* Release the mutex even if [f] raises — a leaked lock here would
    deadlock every subsequent stats call from any domain. *)
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let reset t =
   locked t (fun () ->

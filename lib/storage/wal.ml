@@ -90,13 +90,8 @@ let wal_metrics stats =
 let magic = 0x48535157414C3031 (* "HSQWAL01" *)
 let max_record_words = 64
 
-(* Same mixer as the device's block checksums. *)
-let mix h v =
-  let h = (h lxor v) * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
-
-let checksum_seed = 0x106689D45497FDB5
-let checksum_words ws = Array.fold_left mix checksum_seed ws
+(* The device's block checksum mixer and seed. *)
+let checksum_words ws = Array.fold_left Word.mix Word.checksum_seed ws
 
 let path t = t.path
 let start_seq t = t.start_seq
@@ -127,10 +122,10 @@ let record_words = function Observe _ -> 5 | End_step _ -> 6
    [flip] lands with its low bit flipped (latent corruption, the
    checksum still covering the true word). *)
 let encode ?(keep = max_int) ?(flip = -1) buf ~seq record =
-  let i = ref 0 and h = ref checksum_seed in
+  let i = ref 0 and h = ref Word.checksum_seed in
   let word w =
     if !i < keep then add_word buf (if !i = flip then w lxor 1 else w);
-    h := mix !h w;
+    h := Word.mix !h w;
     incr i
   in
   (match record with
@@ -385,9 +380,9 @@ let word r i = Word.get r.buf (r.pos + (8 * i))
    like a checksum. *)
 let decode r len =
   match
-    let h = ref checksum_seed in
+    let h = ref Word.checksum_seed in
     for i = 0 to len - 1 do
-      h := mix !h (word r i)
+      h := Word.mix !h (word r i)
     done;
     word r len = !h
   with

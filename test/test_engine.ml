@@ -92,6 +92,30 @@ let test_quick_error_bound () =
         (float_of_int err <= bound))
     phis
 
+(* [quick] skips the rank bound yet answers as [quick_with_bound] does,
+   at every rank (clamped ones included): over an open stream, with one
+   partition quarantined, and with every partition quarantined and no
+   stream, where the answer comes from the whole selection's summary. *)
+let test_quick_is_quick_with_bound () =
+  let check eng label =
+    let n = E.total_size eng in
+    List.iter
+      (fun rank ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s, rank %d" label rank)
+          (fst (E.quick_with_bound eng ~rank))
+          (E.quick eng ~rank))
+      [ -3; 0; 1; n / 3; n / 2; n - 1; n; n + 7 ]
+  in
+  let module L = Hsq_hist.Level_index in
+  let eng, _ = drive ~config:(std_config ()) ~steps:9 ~step_size:1_000 ~tail:400 ~seed:75 () in
+  check eng "open stream";
+  L.quarantine_partition (E.hist eng) (List.hd (L.active_partitions (E.hist eng)));
+  check eng "one partition quarantined";
+  let eng, _ = drive ~config:(std_config ()) ~steps:9 ~step_size:1_000 ~tail:0 ~seed:76 () in
+  List.iter (L.quarantine_partition (E.hist eng)) (L.active_partitions (E.hist eng));
+  check eng "all quarantined, no stream"
+
 let test_quick_uses_no_disk () =
   let eng, _ = drive ~config:(std_config ()) ~steps:9 ~step_size:1_000 ~tail:500 ~seed:74 () in
   let stats = Hsq_storage.Block_device.stats (E.device eng) in
@@ -782,6 +806,8 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "quick is memory-only" `Quick test_quick_uses_no_disk;
+          Alcotest.test_case "quick is quick_with_bound's value" `Quick
+            test_quick_is_quick_with_bound;
           Alcotest.test_case "accurate io logarithmic" `Quick test_accurate_io_logarithmic;
           Alcotest.test_case "accurate read-count gate" `Quick test_accurate_read_count_gate;
           Alcotest.test_case "traced round reads sum to io" `Quick test_traced_round_reads;

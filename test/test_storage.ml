@@ -1005,6 +1005,150 @@ let test_breaker_half_open_race () =
     (Breaker.state_to_string (Breaker.state b));
   Alcotest.(check bool) "closed admits all" true (Breaker.allow b)
 
+(* --- Block format and read bookkeeping pins -------------------------- *)
+
+(* The on-disk record of a fixed 256-word payload at block 3: the
+   payload words as 8-byte big-endian sign extensions, then the
+   checksum word.  The digest and the checksum were taken from the
+   device before its codec became one pass, so any change to the
+   stored bytes shows here. *)
+let pinned_payload =
+  Array.init 256 (fun j ->
+      match j with
+      | 0 -> min_int
+      | 1 -> max_int
+      | 2 -> 0
+      | 3 -> -1
+      | _ -> (j * 0x1E3779B97F4A7C15) lxor (j lsl 40))
+
+let test_block_format_pinned () =
+  with_dev_file (fun path ->
+      let dev = Block_device.create_file ~block_size:256 ~path () in
+      let base = Block_device.alloc dev 5 in
+      Block_device.write_block dev ~addr:(base + 3) pinned_payload;
+      Block_device.close dev;
+      let record = 8 * 257 in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check int) "file size" (4 * record) (String.length bytes);
+      let r = String.sub bytes (3 * record) record in
+      let word i = String.sub r (8 * i) 8 in
+      Alcotest.(check string) "min_int" "\xc0\x00\x00\x00\x00\x00\x00\x00" (word 0);
+      Alcotest.(check string) "max_int" "\x3f\xff\xff\xff\xff\xff\xff\xff" (word 1);
+      Alcotest.(check string) "zero" (String.make 8 '\x00') (word 2);
+      Alcotest.(check string) "minus one" (String.make 8 '\xff') (word 3);
+      Alcotest.(check string) "checksum word" "2b7ae26dd9db0de7"
+        (Printf.sprintf "%Lx" (String.get_int64_be r (8 * 256)));
+      Alcotest.(check string) "record digest" "1fdb463820f255a649a91ea021748afd"
+        (Digest.to_hex (Digest.string r)))
+
+(* Random payloads written and read back through [read_block] and
+   [read_batch], on both backends. *)
+let prop_block_roundtrip =
+  QCheck.Test.make ~name:"random payloads round-trip on both backends" ~count:60
+    QCheck.(pair (int_range 1 300) (list_of_size Gen.(1 -- 6) (small_list int)))
+    (fun (block_size, seeds) ->
+      let payloads =
+        List.map
+          (fun s ->
+            let s = Array.of_list s in
+            Array.init block_size (fun j ->
+                if Array.length s = 0 then j else s.(j mod Array.length s) + j))
+          seeds
+      in
+      let n = List.length payloads in
+      let check dev =
+        let base = Block_device.alloc dev n in
+        List.iteri (fun i p -> Block_device.write_block dev ~addr:(base + i) p) payloads;
+        let singles = List.init n (fun i -> Block_device.read_block dev ~addr:(base + i)) in
+        let blocks = Array.make n [||] in
+        (* Reversed, so the batch reads out of address order. *)
+        let addrs = Array.init n (fun i -> base + n - 1 - i) in
+        let reads = Block_device.read_batch (Array.make n dev) addrs blocks ~n in
+        reads = n && singles = payloads && Array.to_list blocks = List.rev payloads
+      in
+      let mem = check (Block_device.create_memory ~block_size ()) in
+      let file =
+        with_dev_file (fun path ->
+            let dev = Block_device.create_file ~block_size ~path () in
+            Fun.protect ~finally:(fun () -> Block_device.close dev) (fun () -> check dev))
+      in
+      mem && file)
+
+(* A seeded sweep of faults through [read_batch]: reads fail on their
+   first [k] attempts, [k] from 0 to 3 per address (3 exhausts the
+   retries), and some blocks were written [Corrupt], so every read of
+   them fails its checksum.  Forty batches of one to four reads, then
+   single reads that stay on a failing block until the breaker opens.  The outcomes, the Io_stats counters and the breaker's
+   transitions were taken from the device before its codec became one
+   pass; both backends must give them. *)
+let read_sweep dev =
+  let blocks = 24 in
+  let mix a = Hsq_util.Splitmix.(next (create (0x5EED + a))) in
+  let base = Block_device.alloc dev blocks in
+  Block_device.set_injector dev
+    (Some
+       (fun op ~attempt addr ->
+         let h = mix (addr - base) in
+         match op with
+         | Block_device.Write -> if h / 16 mod 11 = 0 then Some (Block_device.Corrupt h) else None
+         | Block_device.Read ->
+           let k = match h mod 16 with 0 | 1 -> 1 | 2 -> 2 | 3 -> 3 | _ -> 0 in
+           if attempt <= k then Some Block_device.Fail else None));
+  let bs = Block_device.block_size dev in
+  for a = 0 to blocks - 1 do
+    Block_device.write_block dev ~addr:(base + a) (Array.init bs (fun j -> (a * 1000) + j))
+  done;
+  let stats = Block_device.stats dev in
+  Io_stats.reset stats;
+  let rng = Hsq_util.Splitmix.create 41 in
+  let draw n = Hsq_util.Splitmix.int rng n in
+  let outcomes = Buffer.create 64 in
+  let batch = ref 0 in
+  while !batch < 40 && Block_device.breaker_state dev = Breaker.Closed do
+    incr batch;
+    let n = 1 + draw 4 in
+    let start = draw blocks and stride = [| 1; 2; 5 |].(draw 3) in
+    let addrs = Array.init n (fun i -> base + ((start + (i * stride)) mod blocks)) in
+    let out = Array.make n [||] in
+    (match Block_device.read_batch (Array.make n dev) addrs out ~n with
+    | reads -> Printf.bprintf outcomes "%d," reads
+    | exception Block_device.Batch_error (i, _) -> Printf.bprintf outcomes "e%d," i)
+  done;
+  (* Then a block whose reads always fail, until the breaker opens. *)
+  let dead = ref 0 in
+  while Block_device.breaker_state dev = Breaker.Closed && !batch < 60 do
+    incr batch;
+    (match Block_device.read_batch [| dev |] [| base + !dead |] [| [||] |] ~n:1 with
+    | _ -> incr dead
+    | exception Block_device.Batch_error _ -> ());
+    dead := !dead mod blocks
+  done;
+  let c = Io_stats.snapshot stats in
+  let transitions () =
+    Option.value ~default:(-1)
+      (Hsq_obs.Metrics.counter_value (Io_stats.registry stats) "hsq_breaker_transitions_total")
+  in
+  let opened = transitions () in
+  let state = Breaker.state_to_string (Block_device.breaker_state dev) in
+  Block_device.set_injector dev None;
+  Printf.sprintf "%s reads=%d seq=%d rand=%d retries=%d checksum_failures=%d state=%s transitions=%d/%d"
+    (Buffer.contents outcomes) c.Io_stats.reads c.Io_stats.seq_reads c.Io_stats.rand_reads
+    c.Io_stats.retries c.Io_stats.checksum_failures state opened (transitions ())
+
+let test_read_bookkeeping_pinned () =
+  let mem = read_sweep (Block_device.create_memory ~block_size:16 ()) in
+  let file =
+    with_dev_file (fun path ->
+        let dev = Block_device.create_file ~block_size:16 ~path () in
+        Fun.protect ~finally:(fun () -> Block_device.close dev) (fun () -> read_sweep dev))
+  in
+  let pinned =
+    "3,3,1,e1,2,4,1,e0,1,3,1,3,1,4,3,4,2,e1,2,2,e1,4,e0,2,1,2,2,e0,1,1,e1,e0,3,4,2,e3,4,e0,e0,e0, \
+     reads=85 seq=22 rand=63 retries=60 checksum_failures=10 state=open transitions=1/2"
+  in
+  Alcotest.(check string) "memory backend" pinned mem;
+  Alcotest.(check string) "file backend" pinned file
+
 let () =
   Alcotest.run "storage"
     [
@@ -1049,6 +1193,12 @@ let () =
           Alcotest.test_case "truncated tail is a short read" `Quick test_file_truncated_tail;
           Alcotest.test_case "torn write, rewrite, read" `Quick test_file_torn_then_rewrite;
           Alcotest.test_case "closed device" `Quick test_file_closed_device;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "block format" `Quick test_block_format_pinned;
+          Alcotest.test_case "read bookkeeping" `Quick test_read_bookkeeping_pinned;
+          QCheck_alcotest.to_alcotest prop_block_roundtrip;
         ] );
       ( "run",
         [
