@@ -56,6 +56,21 @@ let durable_engine ~wal_sync () =
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
 
+(* Ranks at phi uniform in (0.01, 0.99), seeded, taken in turn as the
+   perfbench query mix does: a repeated rank finds every probe's block
+   in its run's one-block cache after the first call and reads
+   nothing. *)
+let rank_cycle ~n =
+  let rng = Hsq_util.Xoshiro.create 0xACC in
+  let ranks =
+    Array.init 64 (fun _ ->
+        Hsq.Bisection.rank_of_phi ~who:"micro" ~n (0.01 +. (0.98 *. Hsq_util.Xoshiro.float rng)))
+  in
+  let next = ref 0 in
+  fun () ->
+    next := (!next + 1) land 63;
+    ranks.(!next)
+
 (* A file-backed device of 64 blocks of 256 words for the device rows:
    each op is one verified block read or one checksummed block write,
    cycling over the blocks (all in the page cache after the first
@@ -105,7 +120,14 @@ let tests ~smoke =
   let sp = Hsq_sketch.Sampler.create ~buffers:10 ~buffer_size:500 () in
   let eng = prepared_engine () in
   let n = Hsq.Engine.total_size eng in
+  let eng_rank = rank_cycle ~n in
   let acc = accurate_engine ~smoke () in
+  let acc_rank = rank_cycle ~n:(Hsq.Engine.total_size acc) in
+  (* The union summary's inputs, fixed: the build row measures the
+     build alone, the uncached row the aggregate too. *)
+  let partitions = Hsq_hist.Level_index.active_partitions (Hsq.Engine.hist eng) in
+  let agg = Hsq.Union_summary.hist_aggregate ~partitions in
+  let streams = [ Hsq.Engine.stream_summary eng ] in
   let volatile =
     Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
   in
@@ -130,24 +152,21 @@ let tests ~smoke =
     Test.make ~name:"stream-summary-extract"
       (Staged.stage (fun () -> ignore (Hsq.Engine.stream_summary eng)));
     Test.make ~name:"union-summary-build"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.union_summary eng)));
+      (Staged.stage (fun () -> ignore (Hsq.Union_summary.build ~agg ~streams)));
+    (* The quick path answers from the engine's summary cache; the
+       uncached row aggregates the partition summaries and builds the
+       union summary on every query. *)
     Test.make ~name:"quick-query"
       (Staged.stage (fun () -> ignore (Hsq.Engine.quick eng ~rank:(n / 2))));
     Test.make ~name:"accurate-query"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate eng ~rank:(n / 2))));
-    (* Query-path overhaul rows: the steady-state quick path answers
-       from the epoch-keyed cached historical aggregate; the uncached
-       row rebuilds the union summary from all partition summaries per
-       query (the seed behavior). *)
-    Test.make ~name:"query-quick-cached"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.quick eng ~rank:(n / 2))));
+      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate eng ~rank:(eng_rank ()))));
     Test.make ~name:"query-quick-uncached"
       (Staged.stage (fun () ->
-           ignore
-             (Hsq.Union_summary.quick_select (Hsq.Engine.fresh_union_summary eng)
-                ~rank:(n / 2))));
+           let agg = Hsq.Union_summary.hist_aggregate ~partitions in
+           let us = Hsq.Union_summary.build ~agg ~streams in
+           ignore (Hsq.Union_summary.quick_select us ~rank:(n / 2))));
     Test.make ~name:"query-accurate-1dom"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(n / 2))));
+      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(acc_rank ()))));
     (* Ingest throughput across the durability spectrum: no WAL at all,
        buffered appends (flush at commits only), group commit, and a
        physical flush per record. *)

@@ -39,7 +39,6 @@ let deadline_at ~start ?deadline_ms (config : Config.t) =
 
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  streams : Stream_summary.t list;
   probes : ('o * Partition.t) list;
   meta : 'm;
 }
@@ -221,7 +220,8 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
      each read; a cut carries the interval [u, v] being bisected. *)
   let probe_rounds span ~u ~v z ~decide =
     let rho2 =
-      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0 view.streams
+      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0
+        (Union_summary.streams view.summary)
     in
     let m = ref 0 in
     Array.iteri
@@ -375,7 +375,8 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
       finish answer degradation bound
     | Bisect view -> (
       let rank = clamp_rank ~n:(Union_summary.n_total view.summary) rank in
-      let tolerance, eps_m = budget ~tolerance_factor view.streams in
+      let streams = Union_summary.streams view.summary in
+      let tolerance, eps_m = budget ~tolerance_factor streams in
       match search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank with
       | answer ->
         List.iter (fun (o, p) -> policy.note_success o p) view.probes;
@@ -385,7 +386,7 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
            stops on an estimate that is exact over the probed history
            but ±ε₂·m_s over each stream, with integer-boundary slack
            per stream), plus everything the probes could not see. *)
-        let nstreams = max 1 (List.length view.streams) in
+        let nstreams = max 1 (List.length streams) in
         let estimate_slack = eps_m +. (2.0 *. float_of_int nstreams) in
         finish answer degradation (tolerance +. estimate_slack +. float_of_int widen)
       | exception Deadline_cut (u, v) ->

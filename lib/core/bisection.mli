@@ -49,12 +49,12 @@ val candidate :
   v:int ->
   int * [ `Secant | `Midpoint ]
 
-(** One bisection's input: the union summary, one stream summary per
-    source, the active partitions tagged with their owner (the
-    caller's fault domain), and the caller's own description. *)
+(** One bisection's input: the union summary (its
+    {!Union_summary.streams}, one stream summary per source, estimate
+    the stream ranks), the active partitions tagged with their owner
+    (the caller's fault domain), and the caller's own description. *)
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  streams : Stream_summary.t list;
   probes : ('o * Hsq_hist.Partition.t) list;
   meta : 'm;
 }

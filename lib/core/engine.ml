@@ -32,7 +32,7 @@ module Trace = Hsq_obs.Trace
 type engine_metrics = {
   quick_total : int Atomic.t;
   accurate_total : int Atomic.t;
-  sc_hits : int Atomic.t; (* summary-cache (us_cache) hits *)
+  sc_hits : int Atomic.t; (* summary-cache hits *)
   sc_misses : int Atomic.t;
   degraded_total : int Atomic.t;
   quick_hist : Metrics.Histogram.t;
@@ -98,19 +98,18 @@ type t = {
   mutable pending_len : int;
   sorted : int array; (* a hand-off's sorted run, reused *)
   mutable durable : durability option;
-  (* The caches of a query view whose first source is this engine (see
-     key_of): the historical aggregate of the view's active partitions,
-     compared by each source's epoch — the historical side of TS only
-     changes at end_time_step / merge / expire / quarantine / recovery,
-     so queries only pay for the fresh stream summaries — and the built
-     (stream summaries, union summary) pair, compared by stream size
-     too: a sketch mutates only on insert (the count strictly grows
-     within a step) and end_time_step both resets it and bumps the
-     epoch, so an unchanged key means an unchanged TS, and repeated
-     queries between ingests skip even the stream extraction and the
-     merge. *)
-  mutable hist_cache : ((t * int * int) list * Union_summary.hist_agg) option;
-  mutable us_cache : ((t * int * int) list * (Stream_summary.t list * Union_summary.t)) option;
+  (* The summary cache of a query view whose first source is this
+     engine (see key_of): the historical aggregate of the view's active
+     partitions and the union summary built over it.  The aggregate
+     stands while each source's epoch does — the historical side of TS
+     only changes at end_time_step / merge / expire / quarantine /
+     recovery — and the summary while each stream size does too: a
+     sketch mutates only on insert (the count strictly grows within a
+     step) and end_time_step both resets it and bumps the epoch, so an
+     unchanged key means an unchanged TS, and repeated queries between
+     ingests skip even the stream extraction and the build. *)
+  mutable summary_cache :
+    ((t * int * int) list * Union_summary.hist_agg * Union_summary.t) option;
   metrics : engine_metrics;
   (* Tracing is opt-in per engine (set_tracer); mirrored onto the
      device's Io_stats so WAL and merge sites pick it up. *)
@@ -170,8 +169,7 @@ let of_restored ~device config hist =
     pending_len = 0;
     sorted = Array.make handoff_size 0;
     durable = None;
-    hist_cache = None;
-    us_cache = None;
+    summary_cache = None;
     metrics = make_engine_metrics device;
     tracer = None;
     closed = false;
@@ -516,13 +514,13 @@ let quarantined sources = List.fold_left (fun acc s -> acc + quarantined_in s) 0
 let streams sources =
   List.filter_map (fun s -> if s.stream then Some (stream_summary s.engine) else None) sources
 
-(* The caches of a view that reads every source whole live in its first
-   engine.  Their keys name each engine by identity, so an engine that
-   replaces another (a repaired or rejoined replica) never matches an
-   entry built over the one it replaced, and carry the level-index epoch
-   (partition add / merge / expire / quarantine / restore all bump it)
-   and the stream size, which only the built pair compares (see the
-   us_cache field). *)
+(* The summary cache of a view that reads every source whole lives in
+   its first engine.  Its key names each engine by identity, so an
+   engine that replaces another (a repaired or rejoined replica) never
+   matches an entry built over the one it replaced, and carries the
+   level-index epoch (partition add / merge / expire / quarantine /
+   restore all bump it) and the stream size, which only the built
+   summary compares (see the summary_cache field). *)
 let key_of sources =
   List.map
     (fun s -> (s.engine, Hsq_hist.Level_index.epoch s.engine.hist, stream_size s.engine))
@@ -538,66 +536,55 @@ let rec current ~stream key sources =
     && current ~stream key sources
   | _ -> false
 
-(* The historical aggregate of the sources' active partitions, rebuilt
-   only when a source's epoch moved.  Steady-state queries therefore
-   cost O(S_stream + S_hist) instead of O(S·P·log β1). *)
-let hist_aggregate owner sources =
-  match owner.hist_cache with
-  | Some (key, agg) when current ~stream:false key sources -> agg
-  | _ ->
-    let agg = Union_summary.hist_aggregate ~partitions:(List.concat_map active sources) in
-    owner.hist_cache <- Some (key_of sources, agg);
-    agg
+let aggregate parts sources =
+  Union_summary.hist_aggregate ~partitions:(List.concat_map parts sources)
 
-(* The built (stream summaries, union summary) pair, reused verbatim
-   while no source moved.  Re-extracting from an unchanged GK sketch is
-   pure, so a hit returns exactly what a rebuild would produce. *)
-let cached_summaries owner sources =
-  match owner.us_cache with
-  | Some (key, pair) when current ~stream:true key sources ->
+(* The cached union summary, reused verbatim while no source moved;
+   when only stream sizes moved, rebuilt over the cached aggregate, so
+   steady-state queries cost O(S_stream + S_hist) instead of
+   O(S·P·log β1).  Re-extracting from an unchanged GK sketch is pure, so
+   a hit returns exactly what a rebuild would produce. *)
+let cached_summary owner sources =
+  match owner.summary_cache with
+  | Some (key, _, us) when current ~stream:true key sources ->
     (* Hits and misses count in every source's metrics. *)
     List.iter (fun s -> Atomic.incr s.engine.metrics.sc_hits) sources;
     (match owner.tracer with
     | Some tr ->
       Trace.with_span tr ~attrs:[ ("result", "hit") ] "summary_cache" (fun _ -> ())
     | None -> ());
-    pair
-  | _ ->
+    us
+  | cached ->
     List.iter (fun s -> Atomic.incr s.engine.metrics.sc_misses) sources;
-    let build () =
-      let streams = streams sources in
-      let agg = hist_aggregate owner sources in
-      let pair = (streams, Union_summary.build_fused ~agg ~streams) in
-      owner.us_cache <- Some (key_of sources, pair);
-      pair
+    let rebuild () =
+      let agg =
+        match cached with
+        | Some (key, agg, _) when current ~stream:false key sources -> agg
+        | _ -> aggregate active sources
+      in
+      let us = Union_summary.build ~agg ~streams:(streams sources) in
+      owner.summary_cache <- Some (key_of sources, agg, us);
+      us
     in
     (match owner.tracer with
     | Some tr ->
-      Trace.with_span tr ~attrs:[ ("result", "miss") ] "summary_cache" (fun _ -> build ())
-    | None -> build ())
+      Trace.with_span tr ~attrs:[ ("result", "miss") ] "summary_cache" (fun _ -> rebuild ())
+    | None -> rebuild ())
 
-(* The sources' streams and their union summary over the partitions
-   [parts] picks from each, built afresh. *)
+(* The sources' union summary over the partitions [parts] picks from
+   each, built afresh. *)
 let fresh parts sources =
-  let streams = streams sources in
-  let agg = Union_summary.hist_aggregate ~partitions:(List.concat_map parts sources) in
-  (streams, Union_summary.build_fused ~agg ~streams)
+  Union_summary.build ~agg:(aggregate parts sources) ~streams:(streams sources)
 
 (* The view's union summary over its active partitions and its streams:
    cached when every source is read whole, built afresh for a step
    range. *)
-let summaries sources =
+let summary sources =
   match sources with
-  | owner :: _ when List.for_all whole sources -> cached_summaries owner.engine sources
+  | owner :: _ when List.for_all whole sources -> cached_summary owner.engine sources
   | _ -> fresh active sources
 
-let union_summary t = snd (summaries [ source t ])
-
-(* Cache-bypassing build over the full active partition set; the fuzz
-   suite compares this against the cached path entry for entry. *)
-let fresh_union_summary t =
-  Union_summary.build ~partitions:(Hsq_hist.Level_index.active_partitions t.hist)
-    ~stream:(stream_summary t)
+let union_summary t = summary [ source t ]
 
 (* The memory answers' last resort, when quarantine has emptied the
    active view (empty stream, every selected partition quarantined) yet
@@ -608,7 +595,7 @@ let fresh_union_summary t =
    [0, size]) and already cover the quarantined elements: no further
    widening for them. *)
 let whole_summary sources ~who =
-  let _, us = fresh selected sources in
+  let us = fresh selected sources in
   if Union_summary.size us = 0 then invalid_arg (who ^ ": no data");
   us
 
@@ -619,7 +606,7 @@ let whole_summary sources ~who =
    widened by.  Unbounded, the answer comes alone, with a 0 bound and
    count. *)
 let memory_quick ~bounded view ~rank =
-  let _, us = summaries view.sources in
+  let us = summary view.sources in
   let live = Union_summary.n_total us > 0 in
   let us = if live then us else whole_summary view.sources ~who:"Engine.quick" in
   if not bounded then (Bisection.memory_value us ~rank, 0.0, 0)
@@ -686,12 +673,12 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?failover ~config choos
   let last = ref first in
   let fetch view =
     last := view;
-    let streams, us = summaries view.sources in
+    let us = summary view.sources in
     if Union_summary.n_total us > 0 then
       let probes =
         List.concat_map (fun s -> List.map (fun p -> (s.engine, p)) (active s)) view.sources
       in
-      Bisection.Bisect { Bisection.summary = us; streams; probes; meta = view }
+      Bisection.Bisect { Bisection.summary = us; probes; meta = view }
     else
       let us = whole_summary view.sources ~who:"Engine.accurate" in
       Bisection.From_memory (us, `Device_open, view.widen)

@@ -124,13 +124,6 @@ val observe_batch : t -> int array -> unit
     atomic WAL rotation. *)
 val end_time_step : t -> Hsq_hist.Level_index.update_report
 
-(** Commit the warehouse sidecar now (atomically, as a step commit
-    does), for a change to the archived layout that no step carries: a
-    repair scrub's quarantines, reinstatements and retried merges. The
-    open step stays in the WAL. A no-op on a volatile or closed
-    engine. *)
-val commit_meta : t -> unit
-
 (** {2 Scrub} *)
 
 type scrub_report = {
@@ -155,7 +148,9 @@ type scrub_report = {
     previously quarantined partition goes through
     {!Hsq_hist.Level_index.reinstate} — re-verified end to end and
     returned to service if clean — and deferred merges are retried; a
-    durable engine then commits the changed layout ({!commit_meta}).
+    durable engine then commits the changed layout to its sidecar
+    (atomically, as a step commit does; the open step stays in the
+    WAL).
     The outcome is exported as [hsq_scrub_last_*] gauges in the
     engine's metric registry. *)
 val scrub : ?repair:bool -> t -> scrub_report
@@ -182,18 +177,16 @@ val stream_sketch : t -> Hsq_sketch.Gk.t
 val open_step : t -> int array
 
 (** Current TS over the active partitions: {!quick}'s and
-    {!accurate}'s summary, from the one view cache (see {!quick_over}):
-    the historical half is an aggregate keyed on
-    {!Hsq_hist.Level_index.epoch} (rebuilt only after a partition add /
-    merge / expire / quarantine / recovery), and the whole pair is
-    reused while the stream size stands still — the steady-state O(S)
-    query path. *)
+    {!accurate}'s summary, from the one summary cache (see
+    {!quick_over}): the cached TS is reused while the level-index
+    {!Hsq_hist.Level_index.epoch} and the stream size stand still, and
+    rebuilt over its cached historical aggregate while only the stream
+    size moved (the aggregate is rebuilt only after a partition add /
+    merge / expire / quarantine / recovery) — the steady-state O(S)
+    query path. Entry-for-entry {!Union_summary.equal} to
+    [Union_summary.build] over a fresh [Union_summary.hist_aggregate] of
+    the active partitions and {!stream_summary}. *)
 val union_summary : t -> Union_summary.t
-
-(** TS built from scratch over the full partition set, bypassing the
-    cache — the reference the consistency fuzz suite compares
-    {!union_summary} against. *)
-val fresh_union_summary : t -> Union_summary.t
 
 (** Algorithm 5. Rank is clamped to [1, N]. Raises on an empty engine.
     The one-source case of {!quick_over}, counted and traced the same,
@@ -247,7 +240,7 @@ type view = { sources : source list; widen : int }
 val source : t -> source
 
 (** Algorithm 5 over the view's union summary, whose Lemma 2 windows
-    sum the sources' ({!Union_summary.build_fused}). Returns the answer,
+    sum the sources' ({!Union_summary.build}). Returns the answer,
     its rank-error bound and the quarantined elements that bound was
     widened by. Quarantined partitions leave the summary and widen the
     bound by their size. When that leaves nothing in view while

@@ -3,13 +3,15 @@
 
    For each summary value v:
 
-     L(v) = stream_lower(v) + sum_P hist_lower_P(v)
-     U(v) = stream_upper(v) + sum_P hist_upper_P(v)
+     L(v) = sum_s stream_lower_s(v) + sum_P hist_lower_P(v)
+     U(v) = sum_s stream_upper_s(v) + sum_P hist_upper_P(v)
 
    The historical contributions use the *exact* indices stored in the
    partition summaries, which tightens (never loosens) the paper's
-   m_P*eps1*(alpha_P - 1) / m_P*eps1*alpha_P bounds; the stream
-   contributions follow Lemma 2 verbatim.
+   m_P*eps1*(alpha_P - 1) / m_P*eps1*alpha_P bounds; each stream's
+   contribution follows Lemma 2 verbatim.  A sharded store has one
+   stream summary per shard: each brackets its own rank, so the sums
+   bracket the union rank, and a lone engine is the case K = 1.
 
    The historical half is factored out as an explicit aggregate
    ({!hist_agg}): the summed bounds A(v) = (sum_P lower_P(v),
@@ -18,12 +20,11 @@
    [rank_bounds] depends only on how many of that summary's entries are
    <= v.  The aggregate materialises that step function once — a k-way
    merge of the P summary-entry arrays with incrementally maintained
-   prefix sums, O(S_hist log P) — after which every TS build is a linear
-   two-pointer merge against the stream summary instead of P binary
-   searches per distinct value.  [build] itself is defined as
-   [build_from_agg] of a freshly computed aggregate, so the cached and
-   uncached query paths share one code path and produce bitwise
-   identical entries. *)
+   prefix sums, O(S_hist log P) — and [build] reads it with one cursor
+   instead of P binary searches per distinct value.  The engine caches
+   both the aggregate and the built TS; a cache miss runs the same
+   [build] a cache-bypassing caller does, so their entries are bitwise
+   identical. *)
 
 type entry = {
   value : int;
@@ -36,6 +37,7 @@ type t = {
   n_total : int; (* |T| = n + m *)
   m_stream : int;
   hist_elements : int;
+  streams : Stream_summary.t list; (* the stream summaries built over *)
 }
 
 (* --- Historical aggregate --------------------------------------------- *)
@@ -49,55 +51,7 @@ type hist_agg = {
   agg_hist_elements : int;
 }
 
-(* Minimal binary min-heap over (value, source) pairs, as in
-   Kway_merge; ties break on source index for determinism. *)
-module Heap = struct
-  type elt = { value : int; src : int }
-  type h = { mutable data : elt array; mutable size : int }
-
-  let create capacity = { data = Array.make (max 1 capacity) { value = 0; src = 0 }; size = 0 }
-  let is_empty h = h.size = 0
-  let less a b = a.value < b.value || (a.value = b.value && a.src < b.src)
-
-  let push h e =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) e in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- e;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(parent) in
-      h.data.(parent) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := parent
-    done
-
-  let pop h =
-    if h.size = 0 then invalid_arg "Heap.pop: empty heap";
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
-      if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.data.(!smallest) in
-        h.data.(!smallest) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-end
+module Heap = Hsq_storage.Kway_merge.Heap
 
 (* K-way merge of the partition-summary entry arrays, maintaining the
    summed bounds incrementally.  When partition p's consumed-entry
@@ -136,10 +90,10 @@ let hist_aggregate ~partitions =
   let k = ref 0 in
   let sum_lo = ref !base_lo and sum_hi = ref !base_hi in
   while not (Heap.is_empty heap) do
-    let v = heap.Heap.data.(0).Heap.value in
+    let v = (Heap.top heap).Heap.value in
     (* Consume every entry equal to v (duplicates within a summary and
        across partitions), advancing the owning pointers. *)
-    while (not (Heap.is_empty heap)) && heap.Heap.data.(0).Heap.value = v do
+    while (not (Heap.is_empty heap)) && (Heap.top heap).Heap.value = v do
       let { Heap.src = p; _ } = Heap.pop heap in
       let e = ents.(p) in
       let len = Array.length e in
@@ -170,37 +124,33 @@ let hist_aggregate ~partitions =
 
 (* --- TS construction --------------------------------------------------- *)
 
-(* Linear two-pointer merge of the aggregate's distinct values with the
-   stream summary's values, deduplicating in place.  The aggregate index
-   after consuming all its values <= v is exactly count_le(v), so the
-   historical bounds come from one array lookup; the stream bounds are
-   the same Stream_summary calls the direct build makes, keeping the
-   float arithmetic bitwise identical. *)
-let build_from_agg ~agg ~stream =
-  let hv = agg.hvalues in
-  let sv = Stream_summary.values stream in
-  let nh = Array.length hv and ns = Array.length sv in
-  let m_stream = Stream_summary.stream_size stream in
-  let out = Array.make (max 1 (nh + ns)) { value = 0; lower = 0.0; upper = 0.0 } in
-  let i = ref 0 and j = ref 0 and n = ref 0 in
-  while !i < nh || !j < ns do
-    let v =
-      if !j >= ns then hv.(!i)
-      else if !i >= nh then sv.(!j)
-      else if hv.(!i) <= sv.(!j) then hv.(!i)
-      else sv.(!j)
-    in
-    while !i < nh && hv.(!i) = v do incr i done;
-    while !j < ns && sv.(!j) = v do incr j done;
+(* The aggregate's values and every stream's, K + 1 sorted runs, sorted
+   together and walked once over their distinct values.  The aggregate
+   cursor after consuming its values <= v is exactly count_le(v), so the
+   historical bounds are one array lookup; the stream bounds are the
+   per-stream Lemma 2 calls, summed in stream order from 0.0. *)
+let build ~agg ~streams =
+  let hv = agg.hvalues and ss = Array.of_list streams in
+  let values = Array.concat (hv :: List.map Stream_summary.values streams) in
+  Hsq_util.Sorted.sort_runs values;
+  let nv = Array.length values and nh = Array.length hv in
+  let m_stream = List.fold_left (fun acc s -> acc + Stream_summary.stream_size s) 0 streams in
+  let out = Array.make (max 1 nv) { value = 0; lower = 0.0; upper = 0.0 } in
+  let i = ref 0 and k = ref 0 and n = ref 0 in
+  while !k < nv do
+    let v = values.(!k) in
+    while !k < nv && values.(!k) = v do incr k done;
+    (* hvalues are distinct, and none below v is left unconsumed. *)
+    if !i < nh && hv.(!i) = v then incr i;
     let hlo_v, hhi_v =
       if !i = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(!i - 1), agg.hhi.(!i - 1))
     in
-    out.(!n) <-
-      {
-        value = v;
-        lower = float_of_int hlo_v +. Stream_summary.rank_lower stream v;
-        upper = float_of_int hhi_v +. Stream_summary.rank_upper stream v;
-      };
+    let slo = ref 0.0 and shi = ref 0.0 in
+    for s = 0 to Array.length ss - 1 do
+      slo := !slo +. Stream_summary.rank_lower ss.(s) v;
+      shi := !shi +. Stream_summary.rank_upper ss.(s) v
+    done;
+    out.(!n) <- { value = v; lower = float_of_int hlo_v +. !slo; upper = float_of_int hhi_v +. !shi };
     incr n
   done;
   {
@@ -208,75 +158,15 @@ let build_from_agg ~agg ~stream =
     n_total = agg.agg_hist_elements + m_stream;
     m_stream;
     hist_elements = agg.agg_hist_elements;
+    streams;
   }
-
-let build ~partitions ~stream = build_from_agg ~agg:(hist_aggregate ~partitions) ~stream
-
-(* Fused build over K stream summaries (sharded stores): the same merge
-   with the two-pointer walk generalised to a heap over the aggregate
-   plus every stream's value array.  For each distinct value the
-   historical bounds come from the aggregate exactly as in
-   [build_from_agg]; the stream bounds are the *sums* of the per-shard
-   Lemma 2 bounds — each shard's sketch brackets its own rank, so the
-   sums bracket the union rank, and the per-entry window widens only to
-   Σ_s ε₂·m_s = ε₂·m when every shard runs the same ε₂ (the additive
-   budget DESIGN.md §14 relies on).  [streams = [s]] produces entries
-   equal to [build_from_agg ~agg ~stream:s], and [build_fused] takes
-   that two-pointer walk for it. *)
-let merge_streams ~agg ~streams =
-  let streams = Array.of_list streams in
-  let k = Array.length streams in
-  let svs = Array.map Stream_summary.values streams in
-  let hv = agg.hvalues in
-  let m_total = Array.fold_left (fun acc s -> acc + Stream_summary.stream_size s) 0 streams in
-  let total_values =
-    Array.length hv + Array.fold_left (fun acc v -> acc + Array.length v) 0 svs
-  in
-  (* Source 0 is the aggregate's value array; source s+1 is stream s. *)
-  let arr src = if src = 0 then hv else svs.(src - 1) in
-  let pos = Array.make (k + 1) 0 in
-  let heap = Heap.create (k + 1) in
-  for src = 0 to k do
-    if Array.length (arr src) > 0 then Heap.push heap { Heap.value = (arr src).(0); src }
-  done;
-  let out = Array.make (max 1 total_values) { value = 0; lower = 0.0; upper = 0.0 } in
-  let n = ref 0 in
-  while not (Heap.is_empty heap) do
-    let v = heap.Heap.data.(0).Heap.value in
-    while (not (Heap.is_empty heap)) && heap.Heap.data.(0).Heap.value = v do
-      let { Heap.src; _ } = Heap.pop heap in
-      let a = arr src in
-      let i = ref pos.(src) in
-      while !i < Array.length a && a.(!i) = v do incr i done;
-      pos.(src) <- !i;
-      if !i < Array.length a then Heap.push heap { Heap.value = a.(!i); src }
-    done;
-    let hlo_v, hhi_v =
-      if pos.(0) = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(pos.(0) - 1), agg.hhi.(pos.(0) - 1))
-    in
-    let slo = ref 0.0 and shi = ref 0.0 in
-    for s = 0 to k - 1 do
-      slo := !slo +. Stream_summary.rank_lower streams.(s) v;
-      shi := !shi +. Stream_summary.rank_upper streams.(s) v
-    done;
-    out.(!n) <- { value = v; lower = float_of_int hlo_v +. !slo; upper = float_of_int hhi_v +. !shi };
-    incr n
-  done;
-  {
-    entries = Array.sub out 0 !n;
-    n_total = agg.agg_hist_elements + m_total;
-    m_stream = m_total;
-    hist_elements = agg.agg_hist_elements;
-  }
-
-let build_fused ~agg ~streams =
-  match streams with [ stream ] -> build_from_agg ~agg ~stream | _ -> merge_streams ~agg ~streams
 
 let entries t = t.entries
 let size t = Array.length t.entries
 let n_total t = t.n_total
 let m_stream t = t.m_stream
 let hist_elements t = t.hist_elements
+let streams t = t.streams
 
 (* Rank window of an arbitrary value against the union: L from the
    largest entry with value <= v (no smaller entry can push the rank

@@ -1,5 +1,6 @@
 (** The merged summary TS of T = H ∪ R with rank bounds L/U
-    (Section 2.3.1, Figure 3, Lemma 2).
+    (Section 2.3.1, Figure 3, Lemma 2), over any number K ≥ 1 of stream
+    summaries: a sharded store has one per shard, a lone engine one.
 
     Guarantees (checked by the property suites): for each entry,
     [lower ≤ rank(value, T) ≤ upper], and consecutive bound windows
@@ -24,25 +25,16 @@ type hist_agg
 (** Merge the given partitions' summaries into an aggregate. *)
 val hist_aggregate : partitions:Hsq_hist.Partition.t list -> hist_agg
 
-(** Merge a (pre-built) historical aggregate with a fresh stream
-    summary — the steady-state query path, linear in both sizes. *)
-val build_from_agg : agg:hist_agg -> stream:Stream_summary.t -> t
-
-(** [build ~partitions ~stream] is
-    [build_from_agg ~agg:(hist_aggregate ~partitions) ~stream] — the
-    cached and uncached paths share one code path, so their entries are
-    bitwise identical. *)
-val build : partitions:Hsq_hist.Partition.t list -> stream:Stream_summary.t -> t
-
-(** Fused build over K stream summaries (sharded stores, see
-    {!Hsq_shard.Shard_group}): [agg] aggregates the partitions of every
-    shard, and each entry's stream contribution is the sum of the
-    per-shard Lemma 2 bounds — valid because each shard's sketch
-    brackets its own rank, so the sums bracket the union rank, with the
-    per-entry window widening additively to Σ_s ε₂·m_s = ε₂·m when all
-    shards share ε₂. [build_fused ~agg ~streams:[s]] has the same
-    entries as [build_from_agg ~agg ~stream:s]. *)
-val build_fused : agg:hist_agg -> streams:Stream_summary.t list -> t
+(** TS over the aggregate [agg] and the stream summaries [streams].
+    Each entry's stream contribution is the sum of the per-stream
+    Lemma 2 bounds, added in list order from 0 — valid because each
+    sketch brackets its own rank, so the sums bracket the union rank,
+    with the per-entry window widening additively to Σ_s ε₂·m_s = ε₂·m
+    when all streams share ε₂. Sorts the K + 1 value runs together and
+    walks them once: O(S·log K) for S values. The engine's cached TS
+    and one built here over the same inputs are entry-for-entry
+    {!equal}. *)
+val build : agg:hist_agg -> streams:Stream_summary.t list -> t
 
 val entries : t -> entry array
 val size : t -> int
@@ -51,11 +43,14 @@ val size : t -> int
     consistency contract checked by the fuzz suite. *)
 val equal : t -> t -> bool
 
-(** |T| = n + m over the partitions and stream given to [build]. *)
+(** |T| = n + m over the aggregate and streams given to {!build}. *)
 val n_total : t -> int
 
 val m_stream : t -> int
 val hist_elements : t -> int
+
+(** The stream summaries given to {!build}, in order. *)
+val streams : t -> Stream_summary.t list
 
 (** Algorithm 5 (quick response): value of the smallest entry whose L
     reaches [rank], else the last entry. Error ≤ 1.5·ε·N (Lemma 3). *)

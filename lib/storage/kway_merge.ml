@@ -6,8 +6,8 @@
    I/O: every input block is read once (sequential), every output block
    written once. *)
 
-(* Minimal binary min-heap over (value, cursor-index) pairs; ties break
-   on cursor index, which makes the merge stable across runs listed
+(* Minimal binary min-heap over (value, source) pairs; ties break on
+   the source index, which makes the merge stable across runs listed
    oldest-first. *)
 module Heap = struct
   type entry = { value : int; src : int }
@@ -15,6 +15,11 @@ module Heap = struct
 
   let create capacity = { data = Array.make (max 1 capacity) { value = 0; src = 0 }; size = 0 }
   let is_empty h = h.size = 0
+
+  let top h =
+    if h.size = 0 then invalid_arg "Heap.top: empty heap";
+    h.data.(0)
+
   let less a b = a.value < b.value || (a.value = b.value && a.src < b.src)
 
   let push h e =

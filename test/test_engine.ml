@@ -290,7 +290,7 @@ let test_early_decision_matches_exact_ranks () =
       in
       let streams = List.map E.stream_summary engines in
       let us =
-        Hsq.Union_summary.build_fused
+        Hsq.Union_summary.build
           ~agg:(Hsq.Union_summary.hist_aggregate ~partitions)
           ~streams
       in

@@ -39,7 +39,11 @@ let gen_value rng =
    built fresh from the partition list, and quick answers must agree. *)
 let check_cache ~seed ~ctx eng =
   let cached = E.union_summary eng in
-  let fresh = E.fresh_union_summary eng in
+  let fresh =
+    US.build
+      ~agg:(US.hist_aggregate ~partitions:(Hsq_hist.Level_index.active_partitions (E.hist eng)))
+      ~streams:[ E.stream_summary eng ]
+  in
   if not (US.equal cached fresh) then
     Alcotest.failf "seed %d: cached union summary diverged from fresh after %s (%d vs %d entries)"
       seed ctx (US.size cached) (US.size fresh);

@@ -1,5 +1,5 @@
 (* Unit tests for the sharded warehouse: routing, fused-summary
-   equivalence, degradation algebra, exact bound widening for down
+   windows, degradation algebra, exact bound widening for down
    shards, worst-wins composition under deadlines, and the recovery
    gauges surfaced through the health rollup. *)
 
@@ -67,25 +67,6 @@ let test_route_matches_observe () =
 
 (* --- fused summary ------------------------------------------------------ *)
 
-(* With a single stream, build_fused must agree entry-for-entry
-   (including float bounds) with the steady-state single-engine path —
-   the K=1 fusion is literally the engine's own summary. *)
-let test_build_fused_singleton () =
-  let eng = E.create (config ()) in
-  let rng = Hsq_util.Xoshiro.create 0xF00D in
-  for _ = 1 to 5 do
-    ignore (E.ingest_batch eng (Array.init 400 (fun _ -> Hsq_util.Xoshiro.int rng 100_000)))
-  done;
-  for _ = 1 to 137 do
-    E.observe eng (Hsq_util.Xoshiro.int rng 100_000)
-  done;
-  let agg = Us.hist_aggregate ~partitions:(Li.active_partitions (E.hist eng)) in
-  let stream = E.stream_summary eng in
-  let reference = Us.build_from_agg ~agg ~stream in
-  let fused = Us.build_fused ~agg ~streams:[ stream ] in
-  Alcotest.(check bool) "fused[1 stream] == build_from_agg" true (Us.equal reference fused);
-  E.close eng
-
 (* Fused windows must bracket the true union rank: check every entry of
    a K=3 fusion against an exact oracle. *)
 let test_fused_windows_bracket () =
@@ -104,7 +85,7 @@ let test_fused_windows_bracket () =
     List.concat_map (fun (_, e) -> Li.active_partitions (E.hist e)) (G.engines g)
   in
   let streams = List.map (fun (_, e) -> E.stream_summary e) (G.engines g) in
-  let us = Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams in
+  let us = Us.build ~agg:(Us.hist_aggregate ~partitions) ~streams in
   Alcotest.(check int) "fused n_total" (G.total_size g) (Us.n_total us);
   Array.iter
     (fun { Us.value; lower; upper } ->
@@ -1047,7 +1028,6 @@ let () =
         ] );
       ( "fusion",
         [
-          Alcotest.test_case "singleton fusion is exact" `Quick test_build_fused_singleton;
           Alcotest.test_case "fused windows bracket true ranks" `Quick
             test_fused_windows_bracket;
         ] );

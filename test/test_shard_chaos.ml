@@ -247,7 +247,7 @@ let run_seed seed () =
    degrade fused quick answers to exactly the survivors' window plus
    both victims' frozen element counts, with no hidden slack.  The test
    recomputes the survivor summary through the same public pieces the
-   group itself fuses (active partitions → hist_aggregate → build_fused
+   group itself fuses (active partitions → hist_aggregate → build
    → rank_window) and requires the reported bound to match to 1e-9. *)
 
 module Li = Hsq_hist.Level_index
@@ -289,7 +289,7 @@ let run_two_kill ~victims seed () =
       Alcotest.(check int) "two survivors" (k - 2) (List.length survivors);
       let partitions = List.concat_map (fun e -> Li.active_partitions (E.hist e)) survivors in
       let streams = List.map E.stream_summary survivors in
-      let us = Us.build_fused ~agg:(Us.hist_aggregate ~partitions) ~streams in
+      let us = Us.build ~agg:(Us.hist_aggregate ~partitions) ~streams in
       let n = Us.n_total us in
       List.iter
         (fun rank ->

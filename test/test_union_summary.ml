@@ -6,6 +6,10 @@
 module SS = Hsq.Stream_summary
 module US = Hsq.Union_summary
 module LI = Hsq_hist.Level_index
+module PS = Hsq_hist.Partition_summary
+
+(* TS over the partitions and one stream. *)
+let build ~partitions ~stream = US.build ~agg:(US.hist_aggregate ~partitions) ~streams:[ stream ]
 
 (* Build a small warehouse + stream and return (union summary, all
    elements sorted, eps1, eps2, partition count). *)
@@ -26,7 +30,7 @@ let setup ?(kappa = 3) ?(beta1 = 6) ?(eps2 = 0.1) ~steps ~step_size ~stream_size
     all := v :: !all
   done;
   let stream = SS.extract gk in
-  let us = US.build ~partitions:(LI.partitions li) ~stream in
+  let us = build ~partitions:(LI.partitions li) ~stream in
   let sorted = Array.of_list (List.sort compare !all) in
   (us, sorted, 1.0 /. float_of_int (beta1 - 1), eps2, LI.partition_count li)
 
@@ -103,7 +107,7 @@ let test_stream_only () =
   for i = 1 to 1000 do
     Hsq_sketch.Gk.insert gk i
   done;
-  let us = US.build ~partitions:[] ~stream:(SS.extract gk) in
+  let us = build ~partitions:[] ~stream:(SS.extract gk) in
   Alcotest.(check int) "n_total" 1000 (US.n_total us);
   let v = US.quick_select us ~rank:500 in
   Alcotest.(check bool) "median-ish" true (abs (v - 500) <= 200)
@@ -114,7 +118,7 @@ let test_hist_only () =
   let li = LI.create ~kappa:2 ~beta1:11 dev in
   ignore (LI.add_batch li (Array.init 1000 (fun i -> i + 1)));
   let stream = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.05) in
-  let us = US.build ~partitions:(LI.partitions li) ~stream in
+  let us = build ~partitions:(LI.partitions li) ~stream in
   Alcotest.(check int) "n_total" 1000 (US.n_total us);
   Alcotest.(check int) "m 0" 0 (US.m_stream us);
   (* With exact summary ranks and no stream, L=U at summary points. *)
@@ -124,7 +128,7 @@ let test_hist_only () =
 
 let test_empty_raises () =
   let stream = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.05) in
-  let us = US.build ~partitions:[] ~stream in
+  let us = build ~partitions:[] ~stream in
   Alcotest.check_raises "quick on empty"
     (Invalid_argument "Union_summary.quick_select: empty summary") (fun () ->
       ignore (US.quick_select us ~rank:1))
@@ -148,13 +152,115 @@ let prop_lemma2_random =
         Hsq_sketch.Gk.insert gk v;
         all := v :: !all
       done;
-      let us = US.build ~partitions:(LI.partitions li) ~stream:(SS.extract gk) in
+      let us = build ~partitions:(LI.partitions li) ~stream:(SS.extract gk) in
       let sorted = Array.of_list (List.sort compare !all) in
       Array.for_all
         (fun (e : US.entry) ->
           let r = float_of_int (Hsq_util.Sorted.rank sorted e.value) in
           e.lower <= r && r <= e.upper)
         (US.entries us))
+
+(* The naive reference: for every distinct value of the partition
+   summaries and the streams, sum the partitions' exact rank bounds and
+   then the streams' Lemma 2 bounds in stream order from 0.0 — the
+   definition of TS, with no aggregate and no merge. *)
+let naive ~partitions ~streams =
+  let sums = List.map Hsq_hist.Partition.summary partitions in
+  let values =
+    List.concat_map (fun s -> Array.to_list (Array.map (fun (e : PS.entry) -> e.value) (PS.entries s))) sums
+    @ List.concat_map (fun s -> Array.to_list (SS.values s)) streams
+  in
+  List.map
+    (fun v ->
+      let lo, hi =
+        List.fold_left
+          (fun (lo, hi) s ->
+            let l, h = PS.rank_bounds s v in
+            (lo + l, hi + h))
+          (0, 0) sums
+      in
+      let slo = List.fold_left (fun acc s -> acc +. SS.rank_lower s v) 0.0 streams in
+      let shi = List.fold_left (fun acc s -> acc +. SS.rank_upper s v) 0.0 streams in
+      { US.value = v; lower = float_of_int lo +. slo; upper = float_of_int hi +. shi })
+    (List.sort_uniq compare values)
+
+(* [US.build] over the partitions' aggregate must equal the naive
+   reference bit for bit, floats included; with no streams it checks
+   the aggregate alone. *)
+let check_reference ctx ~partitions ~streams =
+  let bits x = Int64.bits_of_float x in
+  let us = US.build ~agg:(US.hist_aggregate ~partitions) ~streams in
+  let want = Array.of_list (naive ~partitions ~streams) in
+  let got = US.entries us in
+  let n = List.fold_left (fun acc p -> acc + Hsq_hist.Partition.size p) 0 partitions in
+  let m = List.fold_left (fun acc s -> acc + SS.stream_size s) 0 streams in
+  Alcotest.(check int) (ctx ^ ": entries") (Array.length want) (Array.length got);
+  Alcotest.(check (triple int int int))
+    (ctx ^ ": n_total, m_stream, hist_elements")
+    (n + m, m, n)
+    (US.n_total us, US.m_stream us, US.hist_elements us);
+  Array.iteri
+    (fun i (w : US.entry) ->
+      let g = got.(i) in
+      if not (w.value = g.value && bits w.lower = bits g.lower && bits w.upper = bits g.upper) then
+        Alcotest.failf "%s: entry %d is (%d, %h, %h), reference (%d, %h, %h)" ctx i g.value g.lower
+          g.upper w.value w.lower w.upper)
+    want
+
+let test_reference_sums () =
+  let rng = Hsq_util.Xoshiro.create 0x5EED in
+  (* Few distinct small values, so values repeat within and across
+     partitions and streams, plus both ends of the int range. *)
+  let value () =
+    match Hsq_util.Xoshiro.int rng 20 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | k when k < 12 -> Hsq_util.Xoshiro.int rng 40
+    | _ -> Hsq_util.Xoshiro.int rng 1_000_000 - 500_000
+  in
+  let dev = Hsq_storage.Block_device.create_memory ~block_size:16 () in
+  let li = LI.create ~kappa:3 ~beta1:6 dev in
+  for _ = 1 to 7 do
+    ignore (LI.add_batch li (Array.init (50 + Hsq_util.Xoshiro.int rng 300) (fun _ -> value ())))
+  done;
+  let stream count =
+    let gk = Hsq_sketch.Gk.create ~epsilon:0.05 in
+    for _ = 1 to count do
+      Hsq_sketch.Gk.insert gk (value ())
+    done;
+    SS.extract gk
+  in
+  let partitions = LI.partitions li in
+  Alcotest.(check bool) "several partitions" true (List.length partitions >= 3);
+  (* A quarantined partition restored from the sidecar: no summary
+     entries, bounds (0, size) at every value. *)
+  let quarantined =
+    List.mapi
+      (fun i p ->
+        if i <> 1 then p
+        else
+          Hsq_hist.Partition.create ~run:(Hsq_hist.Partition.run p)
+            ~summary:(PS.unavailable ~size:(Hsq_hist.Partition.size p))
+            ~first_step:(Hsq_hist.Partition.first_step p)
+            ~last_step:(Hsq_hist.Partition.last_step p)
+            ~level:(Hsq_hist.Partition.level p))
+      partitions
+  in
+  let one = [ stream 700 ] and three = [ stream 400; stream 0; stream 900 ] in
+  List.iter
+    (fun (ctx, partitions, streams) -> check_reference ctx ~partitions ~streams)
+    [
+      ("aggregate", partitions, []);
+      ("aggregate, quarantined", quarantined, []);
+      ("K=1", partitions, one);
+      ("K=1, empty stream", partitions, [ stream 0 ]);
+      ("K=1, quarantined", quarantined, one);
+      ("K=1, no history", [], one);
+      ("K=3", partitions, three);
+      ("K=3, quarantined", quarantined, three);
+      ("K=3, no history", [], three);
+      ("nothing", [], [ stream 0 ]);
+    ]
 
 let () =
   Alcotest.run "union_summary"
@@ -169,6 +275,11 @@ let () =
         [ Alcotest.test_case "quick_select error" `Quick test_lemma3_quick_select ] );
       ( "lemma 4 / filters",
         [ Alcotest.test_case "filters bracket rank" `Quick test_lemma4_filters_bracket ] );
+      ( "reference",
+        [
+          Alcotest.test_case "aggregate and build match naive sums" `Quick
+            test_reference_sums;
+        ] );
       ( "degenerate",
         [
           Alcotest.test_case "stream only" `Quick test_stream_only;
