@@ -1,7 +1,7 @@
 (* Tests for the union summary TS (Lemma 2) and filters (Lemma 4):
    every entry's [L, U] window brackets the true rank in T, windows are
-   narrow, quick_select obeys Lemma 3, and filters bracket the target
-   rank. *)
+   narrow, quick_select obeys Lemma 3, filters bracket the target
+   rank, and the built entries equal a naive per-value reference. *)
 
 module SS = Hsq.Stream_summary
 module US = Hsq.Union_summary
