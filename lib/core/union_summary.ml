@@ -51,8 +51,6 @@ type hist_agg = {
   agg_hist_elements : int;
 }
 
-module Heap = Hsq_storage.Kway_merge.Heap
-
 (* K-way merge of the partition-summary entry arrays, maintaining the
    summed bounds incrementally.  When partition p's consumed-entry
    count advances from a to a+1, its contribution changes by a delta
@@ -62,6 +60,7 @@ module Heap = Hsq_storage.Kway_merge.Heap
    so each of the S_hist entries costs O(log P) heap work plus O(1)
    arithmetic. *)
 let hist_aggregate ~partitions =
+  let open Hsq_storage.Kway_merge in
   let summaries =
     Array.of_list (List.map (fun p -> Hsq_hist.Partition.summary p) partitions)
   in
