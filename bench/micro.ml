@@ -1,8 +1,10 @@
 (* Bechamel micro-benchmarks for the core operations behind every
    figure: sketch inserts, ingest hand-offs, summary extraction, the two
    query paths, and the integer text codec of the wire.
-   Reported as nanoseconds per operation (OLS estimate against the run
-   counter). *)
+   Reported as nanoseconds per operation: the OLS estimate against the
+   run counter, the fastest of seven timed batches (a floor that noise
+   only raises, so sub-microsecond cuts show), and the minor-heap words
+   one operation allocates over those batches. *)
 
 open Bechamel
 open Toolkit
@@ -41,7 +43,7 @@ let accurate_engine ?(smoke = false) () =
 
 (* A durable engine over a throwaway store, for the ingest-throughput
    benches: the WAL sync policy is the axis under measurement. *)
-let durable_engine ~wal_sync () =
+let durable_engine ?(kappa = 10) ~wal_sync () =
   let dir = Filename.temp_file "hsq_bench_wal" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -51,7 +53,7 @@ let durable_engine ~wal_sync () =
         Sys.rmdir dir
       with Sys_error _ -> ());
   let config =
-    Hsq.Config.make ~kappa:10 ~block_size:256 ~wal_dir:dir ~wal_sync (Hsq.Config.Epsilon 0.01)
+    Hsq.Config.make ~kappa ~block_size:256 ~wal_dir:dir ~wal_sync (Hsq.Config.Epsilon 0.01)
   in
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
@@ -113,6 +115,45 @@ let accurate_reply () =
           ("replicas_diverged", List []);
         ])
 
+(* A durable engine on a file device that archives whole 50k steps of
+   normal data: one [observe_batch] WAL run and the step commit (sort,
+   summary, block load, WAL marker, sidecar and rotation) per call,
+   with kappa high enough that no merge fires. *)
+let step_commit ~smoke =
+  let eng = durable_engine ~wal_sync:(Hsq_storage.Wal.Group 1_000) ~kappa:1_000 () in
+  let step =
+    Hsq_workload.Datasets.next_batch
+      (Hsq_workload.Datasets.normal ~seed:5)
+      (if smoke then 2_000 else 50_000)
+  in
+  fun () -> ignore (Hsq.Engine.ingest_batch eng step)
+
+(* Eleven sorted runs of 50k normal values on a file device, merged into
+   one as a level merge does: the output feeds a partition summary and
+   is freed again. *)
+let level_merge ~smoke =
+  let module Dev = Hsq_storage.Block_device in
+  let path = Filename.temp_file "hsq_bench_merge" "" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let dev = Dev.create_file ~block_size:256 ~path () in
+  let data = Hsq_workload.Datasets.normal ~seed:5 in
+  let runs =
+    List.init 11 (fun _ ->
+        let b = Hsq_workload.Datasets.next_batch data (if smoke then 2_000 else 50_000) in
+        Array.sort compare b;
+        Hsq_storage.Run.of_sorted_array dev b)
+  in
+  let size = List.fold_left (fun acc r -> acc + Hsq_storage.Run.length r) 0 runs in
+  fun () ->
+    let builder = Hsq_hist.Partition_summary.builder ~beta1:64 ~size in
+    let merged =
+      Hsq_storage.Kway_merge.merge
+        ~observe:(fun i v -> Hsq_hist.Partition_summary.builder_feed builder i v)
+        dev runs
+    in
+    ignore (Hsq_hist.Partition_summary.builder_finish builder);
+    Hsq_storage.Run.free merged
+
 let tests ~smoke =
   let rng = Hsq_util.Xoshiro.create 1234 in
   let gk = Hsq_sketch.Gk.create ~epsilon:0.001 in
@@ -142,89 +183,120 @@ let tests ~smoke =
   let run512 = Array.init 512 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
   let dev, block_addr = block_file () in
   let block = Array.init 256 (fun j -> (j * 7919) - 1_000_000) in
+  let values = Array.init 4096 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000) in
+  let cursor = ref 0 in
+  let next_value () =
+    cursor := (!cursor + 1) land 4095;
+    values.(!cursor)
+  in
+  let commit_step = step_commit ~smoke in
+  let merge_level = level_merge ~smoke in
   [
-    Test.make ~name:"gk-insert"
-      (Staged.stage (fun () -> Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)));
-    Test.make ~name:"qdigest-insert"
-      (Staged.stage (fun () -> Hsq_sketch.Qdigest.insert qd (Hsq_util.Xoshiro.int rng (1 lsl 30))));
-    Test.make ~name:"sampler-insert"
-      (Staged.stage (fun () -> Hsq_sketch.Sampler.insert sp (Hsq_util.Xoshiro.int rng 1_000_000_000)));
-    Test.make ~name:"stream-summary-extract"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.stream_summary eng)));
-    Test.make ~name:"union-summary-build"
-      (Staged.stage (fun () -> ignore (Hsq.Union_summary.build ~agg ~streams)));
+    ("gk-insert",
+      (fun () -> Hsq_sketch.Gk.insert gk (Hsq_util.Xoshiro.int rng 1_000_000_000)));
+    ("qdigest-insert",
+      (fun () -> Hsq_sketch.Qdigest.insert qd (Hsq_util.Xoshiro.int rng (1 lsl 30))));
+    ("sampler-insert",
+      (fun () -> Hsq_sketch.Sampler.insert sp (Hsq_util.Xoshiro.int rng 1_000_000_000)));
+    ("stream-summary-extract",
+      (fun () -> ignore (Hsq.Engine.stream_summary eng)));
+    ("union-summary-build",
+      (fun () -> ignore (Hsq.Union_summary.build ~agg ~streams)));
     (* The quick path answers from the engine's summary cache; the
        uncached row aggregates the partition summaries and builds the
        union summary on every query. *)
-    Test.make ~name:"quick-query"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.quick eng ~rank:(n / 2))));
-    Test.make ~name:"accurate-query"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate eng ~rank:(eng_rank ()))));
-    Test.make ~name:"query-quick-uncached"
-      (Staged.stage (fun () ->
+    ("quick-query",
+      (fun () -> ignore (Hsq.Engine.quick eng ~rank:(n / 2))));
+    ("accurate-query",
+      (fun () -> ignore (Hsq.Engine.accurate eng ~rank:(eng_rank ()))));
+    ("query-quick-uncached",
+      (fun () ->
            let agg = Hsq.Union_summary.hist_aggregate ~partitions in
            let us = Hsq.Union_summary.build ~agg ~streams in
            ignore (Hsq.Union_summary.quick_select us ~rank:(n / 2))));
-    Test.make ~name:"query-accurate-1dom"
-      (Staged.stage (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(acc_rank ()))));
+    ("query-accurate-1dom",
+      (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(acc_rank ()))));
     (* Ingest throughput across the durability spectrum: no WAL at all,
        buffered appends (flush at commits only), group commit, and a
-       physical flush per record. *)
-    Test.make ~name:"ingest-wal-off"
-      (Staged.stage (fun () -> Hsq.Engine.observe volatile (Hsq_util.Xoshiro.int rng 1_000_000)));
-    Test.make ~name:"ingest-wal-never"
-      (Staged.stage (fun () -> Hsq.Engine.observe dur_never (Hsq_util.Xoshiro.int rng 1_000_000)));
-    Test.make ~name:"ingest-wal-group64"
-      (Staged.stage (fun () -> Hsq.Engine.observe dur_group (Hsq_util.Xoshiro.int rng 1_000_000)));
-    Test.make ~name:"ingest-wal-always"
-      (Staged.stage (fun () ->
-           Hsq.Engine.observe dur_always (Hsq_util.Xoshiro.int rng 1_000_000)));
+       physical flush per record.  The values cycle through a fixed
+       draw, so the rows time (and count the allocation of) the observe
+       alone. *)
+    ("ingest-wal-off",
+      (fun () -> Hsq.Engine.observe volatile (next_value ())));
+    ("ingest-wal-never",
+      (fun () -> Hsq.Engine.observe dur_never (next_value ())));
+    ("ingest-wal-group64",
+      (fun () -> Hsq.Engine.observe dur_group (next_value ())));
+    ("ingest-wal-always",
+      (fun () ->
+           Hsq.Engine.observe dur_always (next_value ())));
     (* One full ingest buffer: 512 observes into a volatile engine, the
        last of which sorts the buffer and merges it into the sketch and
        the step spool. *)
-    Test.make ~name:"handoff-512"
-      (Staged.stage (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
+    ("handoff-512",
+      (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
+    (* The ingest path's two bulk costs at accurate-disk's scale (50k
+       elements a step, kappa 10): a step archived through the engine,
+       and the merge the eleventh step's cascade runs. *)
+    ("step-commit-50k", commit_step);
+    ("level-merge-11x50k", merge_level);
     (* The device layer under an accurate query's probes: one verified
        256-word block read and one block write on the file backend. *)
-    Test.make ~name:"block-read-file"
-      (Staged.stage (fun () ->
+    ("block-read-file",
+      (fun () ->
            ignore (Hsq_storage.Block_device.read_block dev ~addr:(block_addr ()))));
-    Test.make ~name:"block-write-file"
-      (Staged.stage (fun () -> Hsq_storage.Block_device.write_block dev ~addr:(block_addr ()) block));
+    ("block-write-file",
+      (fun () -> Hsq_storage.Block_device.write_block dev ~addr:(block_addr ()) block));
     (* The integer codec: a request rendered and parsed as the client
        and the daemon do, and a reply rendered. *)
-    Test.make ~name:"wire-encode-observe200"
-      (Staged.stage (fun () -> ignore (Hsq_serve.Json.to_line observe)));
-    Test.make ~name:"wire-decode-observe200"
-      (Staged.stage (fun () ->
+    ("wire-encode-observe200",
+      (fun () -> ignore (Hsq_serve.Json.to_line observe)));
+    ("wire-decode-observe200",
+      (fun () ->
            ignore (Result.map Hsq_serve.Protocol.parse (Hsq_serve.Json.of_string observe_line))));
-    Test.make ~name:"wire-encode-accurate-reply"
-      (Staged.stage (fun () -> ignore (accurate_reply ())));
+    ("wire-encode-accurate-reply",
+      (fun () -> ignore (accurate_reply ())));
   ]
   |> fun tests -> (tests, Hsq.Engine.metrics eng)
+
+(* The fastest of seven batches of [f], each sized from the OLS
+   estimate to last about [batch_s], in ns per call, and the minor words
+   a call allocates over all seven. *)
+let best_of_7 ~batch_s ~est f =
+  let calls = max 1 (min 1_000_000 (int_of_float (batch_s *. 1e9 /. Float.max est 1.0))) in
+  let best = ref infinity in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to 7 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int calls)
+  done;
+  (!best, (Gc.minor_words () -. words0) /. float_of_int (7 * calls))
 
 (* [smoke] is the CI mode: tiny engines and a short sampling quota, so
    the job only checks that every bench row still builds and runs. *)
 let run ?(smoke = false) () =
-  Harness.print_header "Micro-benchmarks (ns/op, OLS vs run count)";
+  Harness.print_header "Micro-benchmarks (ns/op: OLS vs run count, best of 7; minor words/op)";
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
     if smoke then Benchmark.cfg ~limit:100 ~quota:(Time.second 0.05) ~kde:None ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
-  let test_list, registry = tests ~smoke in
+  let batch_s = if smoke then 0.002 else 0.02 in
+  let rows, registry = tests ~smoke in
   List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
+    (fun (name, f) ->
+      let raw = Benchmark.all cfg instances (Test.make ~name (Staged.stage f)) in
       let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "%-28s %14.1f ns/op\n%!" name est
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n%!" name)
-        results)
-    test_list;
+      match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
+      | Some (est :: _) ->
+        let best, words = best_of_7 ~batch_s ~est f in
+        Printf.printf "%-28s %14.1f ns/op  best %14.1f ns/op  %10.1f w/op\n%!" name est best words
+      | Some [] | None -> Printf.printf "%-28s (no estimate)\n%!" name)
+    rows;
   (* The query-path counters of the benched engine, as a smoke check
      that the observability layer records under load (the quick-latency
      histogram is 1-in-64 sampled, hence <= the counter). *)

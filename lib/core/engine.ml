@@ -283,7 +283,11 @@ let observe_batch t vs =
       done;
       raise e)
 
-let observe t v = try observe_batch t [| v |] with Hsq_storage.Wal.Partial (_, e) -> raise e
+(* One element, WAL first: [observe_batch] on [[| v |]], without the
+   array. *)
+let observe t v =
+  (match t.durable with Some d -> Hsq_storage.Wal.append_observe d.wal v | None -> ());
+  buffer t v
 
 (* No-op once closed: the WAL channel is gone, and a post-close sync
    (e.g. a drain path racing a signal handler) must not raise on it. *)
@@ -434,9 +438,10 @@ let end_time_step t =
   hand_off t;
   if t.batch_len = 0 then invalid_arg "Engine.end_time_step: empty batch";
   let commit () =
-    (* add_batch sorts its copy in place: the spool survives a failed
-       commit unchanged. *)
-    let report = Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len) in
+    (* add_batch sorts the spool's prefix in place: a failed commit
+       leaves the same multiset, sorted, and a retry writes what the
+       first attempt would have. *)
+    let report = Hsq_hist.Level_index.add_batch ~len:t.batch_len t.hist t.batch in
     t.batch_len <- 0;
     t.gk <- fresh_gk t.config;
     report
@@ -891,7 +896,7 @@ let open_or_recover config =
            to archive. *)
         incr skipped
       else begin
-        ignore (Hsq_hist.Level_index.add_batch t.hist (Array.sub t.batch 0 t.batch_len));
+        ignore (Hsq_hist.Level_index.add_batch ~len:t.batch_len t.hist t.batch);
         drop_step ();
         save_meta t meta_path;
         incr reingested

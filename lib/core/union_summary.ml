@@ -70,10 +70,14 @@ let hist_aggregate ~partitions =
   let hist_elements = Array.fold_left ( + ) 0 sizes in
   let total_entries = Array.fold_left (fun acc e -> acc + Array.length e) 0 ents in
   let pos = Array.make (max 1 nparts) 0 in
-  let heap = Heap.create (max 1 nparts) in
+  (* Partition p's key is the value of its next unconsumed entry. *)
+  let keys = Array.make nparts 0 in
+  let heap = Heap.create keys in
   for p = 0 to nparts - 1 do
-    if Array.length ents.(p) > 0 then
-      Heap.push heap { Heap.value = ents.(p).(0).Hsq_hist.Partition_summary.value; src = p }
+    if Array.length ents.(p) > 0 then begin
+      keys.(p) <- ents.(p).(0).Hsq_hist.Partition_summary.value;
+      Heap.push heap p
+    end
   done;
   (* Contributions at pos = 0 everywhere: lower is 0 by definition and
      upper is entry 0's index, which is always 0 (summaries capture the
@@ -89,11 +93,11 @@ let hist_aggregate ~partitions =
   let k = ref 0 in
   let sum_lo = ref !base_lo and sum_hi = ref !base_hi in
   while not (Heap.is_empty heap) do
-    let v = (Heap.top heap).Heap.value in
+    let v = keys.(Heap.top heap) in
     (* Consume every entry equal to v (duplicates within a summary and
        across partitions), advancing the owning pointers. *)
-    while (not (Heap.is_empty heap)) && (Heap.top heap).Heap.value = v do
-      let { Heap.src = p; _ } = Heap.pop heap in
+    while (not (Heap.is_empty heap)) && keys.(Heap.top heap) = v do
+      let p = Heap.top heap in
       let e = ents.(p) in
       let len = Array.length e in
       let a = pos.(p) in
@@ -104,8 +108,11 @@ let hist_aggregate ~partitions =
       sum_lo := !sum_lo + new_lo - old_lo;
       sum_hi := !sum_hi + new_hi - old_hi;
       pos.(p) <- a + 1;
-      if a + 1 < len then
-        Heap.push heap { Heap.value = e.(a + 1).Hsq_hist.Partition_summary.value; src = p }
+      if a + 1 < len then begin
+        keys.(p) <- e.(a + 1).Hsq_hist.Partition_summary.value;
+        Heap.fix_top heap
+      end
+      else ignore (Heap.pop heap)
     done;
     hvalues.(!k) <- v;
     hlo.(!k) <- !sum_lo;

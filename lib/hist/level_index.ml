@@ -398,18 +398,19 @@ let reinstate t p =
    batch is sorted in place by merging its ascending runs: the engine's
    step spool is one sorted run per hand-off, so a step costs
    O(n log runs), and any other input is still sorted correctly. *)
-let add_batch t batch =
-  let eta = Array.length batch in
+let add_batch ?len t batch =
+  let eta = match len with Some n -> n | None -> Array.length batch in
   if eta = 0 then invalid_arg "Level_index.add_batch: empty batch";
+  if eta < 0 || eta > Array.length batch then invalid_arg "Level_index.add_batch: bad length";
   let stats = Hsq_storage.Block_device.stats t.dev in
   let before_total = Hsq_storage.Io_stats.snapshot stats in
   let step = t.steps + 1 in
   let t0 = now () in
-  Hsq_util.Sorted.sort_runs batch;
+  Hsq_util.Sorted.sort_runs ~len:eta batch;
   let t1 = now () in
-  let summary = Partition_summary.of_sorted_array ~beta1:t.beta1 batch in
+  let summary = Partition_summary.of_sorted_array ~beta1:t.beta1 ~len:eta batch in
   let t2 = now () in
-  let run = Hsq_storage.Run.of_sorted_array t.dev batch in
+  let run = Hsq_storage.Run.of_sorted_array ~len:eta t.dev batch in
   let t3 = now () in
   ensure_level t 0;
   t.levels.(0) <-

@@ -114,11 +114,14 @@ val run_deferred_merges : t -> int
 (** Total HS footprint in words. *)
 val memory_words : t -> int
 
-(** HistUpdate (Algorithm 3): ingest one time step's batch. The batch
-    is sorted in place (a natural merge sort, {!Hsq_util.Sorted.sort_runs})
-    and written as a new level-0 partition; the index keeps no reference
-    to it. Raises [Invalid_argument] on an empty batch. *)
-val add_batch : t -> int array -> update_report
+(** HistUpdate (Algorithm 3): ingest one time step's batch, the first
+    [len] elements (default: all) of the array. They are sorted in place
+    (a natural merge sort, {!Hsq_util.Sorted.sort_runs}) and written as
+    a new level-0 partition; the index keeps no reference to the array,
+    and its slots past [len] are left untouched. A failure leaves the
+    batch sorted, the same multiset. Raises [Invalid_argument] on an
+    empty batch. *)
+val add_batch : ?len:int -> t -> int array -> update_report
 
 (** Exact rank of [v] in H via one summary-bounded binary search per
     partition (the ρ₁ computation of Algorithm 8). *)

@@ -67,9 +67,12 @@ let of_run ~beta1 run =
   Array.iter (fun ix -> builder_feed b ix (Hsq_storage.Run.get run ix)) b.targets;
   { entries = Array.of_list (List.rev b.captured); partition_size = size }
 
-let of_sorted_array ~beta1 elements =
-  let b = builder ~beta1 ~size:(Array.length elements) in
-  Array.iteri (fun i v -> builder_feed b i v) elements;
+let of_sorted_array ~beta1 ?len elements =
+  let size = match len with Some n -> n | None -> Array.length elements in
+  let b = builder ~beta1 ~size in
+  for i = 0 to size - 1 do
+    builder_feed b i elements.(i)
+  done;
   builder_finish b
 
 (* Degenerate summary for a partition whose blocks cannot (or must not)

@@ -23,7 +23,9 @@ val builder_feed : builder -> int -> int -> unit
     elements. *)
 val builder_finish : builder -> t
 
-val of_sorted_array : beta1:int -> int array -> t
+(** The summary of a partition holding the first [len] elements
+    (default: all) of a sorted array. *)
+val of_sorted_array : beta1:int -> ?len:int -> int array -> t
 
 (** Rebuild from an on-disk run by probing the β₁ target positions
     (recovery path; ≤ β₁ block reads). *)

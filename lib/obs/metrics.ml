@@ -14,7 +14,8 @@ module Counter = struct
   type t = int Atomic.t
 
   let make () = Atomic.make 0
-  let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+  let add c by = ignore (Atomic.fetch_and_add c by)
+  let inc ?(by = 1) c = add c by
   let value = Atomic.get
   let set = Atomic.set
 end

@@ -36,6 +36,10 @@ module Counter : sig
   (** Add [by] (default 1; may be any int) atomically. *)
   val inc : ?by:int -> t -> unit
 
+  (** [add c by] is [inc ~by c] without the optional argument's
+      allocation, for per-element paths. *)
+  val add : t -> int -> unit
+
   val value : t -> int
 
   (** Overwrite the value (used by {!Hsq_storage.Io_stats.reset};

@@ -15,12 +15,14 @@
    exceeds its word budget; since the invariant threshold only grows,
    correctness under the final epsilon is preserved. *)
 
-type tuple = { value : int; g : int; delta : int }
-
+(* The tuples live in three parallel int arrays, so an insert, a
+   compress or a copy moves words and allocates no tuple. *)
 type mode = Fixed | Capped of int (* word budget *)
 
 type t = {
-  mutable tuples : tuple array; (* first [size] entries live, sorted by value *)
+  mutable values : int array; (* first [size] entries live, sorted *)
+  mutable gs : int array;
+  mutable deltas : int array;
   mutable size : int;
   mutable n : int;
   mutable epsilon : float;
@@ -28,11 +30,23 @@ type t = {
   mutable since_compress : int;
 }
 
-let dummy = { value = 0; g = 0; delta = 0 }
+let initial_capacity = 16
+
+let empty ~epsilon mode =
+  {
+    values = Array.make initial_capacity 0;
+    gs = Array.make initial_capacity 0;
+    deltas = Array.make initial_capacity 0;
+    size = 0;
+    n = 0;
+    epsilon;
+    mode;
+    since_compress = 0;
+  }
 
 let create ~epsilon =
   if not (epsilon > 0.0 && epsilon < 1.0) then invalid_arg "Gk.create: epsilon not in (0,1)";
-  { tuples = Array.make 16 dummy; size = 0; n = 0; epsilon; mode = Fixed; since_compress = 0 }
+  empty ~epsilon Fixed
 
 let header_words = 8
 let words_per_tuple = 3
@@ -42,17 +56,10 @@ let create_capped ~words =
   if words < min_words then
     invalid_arg (Printf.sprintf "Gk.create_capped: budget below %d words" min_words);
   let max_tuples = (words - header_words) / words_per_tuple in
-  {
-    tuples = Array.make 16 dummy;
-    size = 0;
-    n = 0;
-    epsilon = 1.0 /. (2.0 *. float_of_int max_tuples);
-    mode = Capped words;
-    since_compress = 0;
-  }
+  empty ~epsilon:(1.0 /. (2.0 *. float_of_int max_tuples)) (Capped words)
 
-(* Tuples are immutable, so a copy of the array is a deep copy. *)
-let copy t = { t with tuples = Array.copy t.tuples }
+let copy t =
+  { t with values = Array.copy t.values; gs = Array.copy t.gs; deltas = Array.copy t.deltas }
 
 let count t = t.n
 let size t = t.size
@@ -62,22 +69,55 @@ let memory_words t = header_words + (words_per_tuple * t.size)
 
 let threshold t = int_of_float (2.0 *. t.epsilon *. float_of_int t.n)
 
+(* Room for [needed] tuples, doubling the capacity. *)
+let reserve t needed =
+  let cap = Array.length t.values in
+  if needed > cap then begin
+    let cap = ref (max initial_capacity cap) in
+    while !cap < needed do
+      cap := 2 * !cap
+    done;
+    let grow a =
+      let bigger = Array.make !cap 0 in
+      Array.blit a 0 bigger 0 t.size;
+      bigger
+    in
+    t.values <- grow t.values;
+    t.gs <- grow t.gs;
+    t.deltas <- grow t.deltas
+  end
+
 (* Merge right-to-left into successors where the invariant allows.  The
    first tuple (exact minimum) is exempt; the last tuple only ever gains
-   weight, so the maximum survives with rmax = n. *)
+   weight, so the maximum survives with rmax = n.  In place: [w] is the
+   slot of the kept tuple the next one may merge into, and the kept
+   tuples end up in [w - 1 .. size - 1] (tuple 0 at [w - 1]), then
+   slide down to the front. *)
 let compress t =
   if t.size > 2 then begin
     let thr = threshold t in
-    let merged = ref [ t.tuples.(t.size - 1) ] in
+    let values = t.values and gs = t.gs and deltas = t.deltas in
+    let w = ref (t.size - 1) in
     for i = t.size - 2 downto 1 do
-      match !merged with
-      | succ :: rest when t.tuples.(i).g + succ.g + succ.delta <= thr ->
-        merged := { succ with g = succ.g + t.tuples.(i).g } :: rest
-      | acc -> merged := t.tuples.(i) :: acc
+      let w' = !w in
+      if gs.(i) + gs.(w') + deltas.(w') <= thr then gs.(w') <- gs.(w') + gs.(i)
+      else begin
+        w := w' - 1;
+        values.(w' - 1) <- values.(i);
+        gs.(w' - 1) <- gs.(i);
+        deltas.(w' - 1) <- deltas.(i)
+      end
     done;
-    merged := t.tuples.(0) :: !merged;
-    let new_size = List.length !merged in
-    List.iteri (fun i tu -> t.tuples.(i) <- tu) !merged;
+    let first = !w - 1 in
+    values.(first) <- values.(0);
+    gs.(first) <- gs.(0);
+    deltas.(first) <- deltas.(0);
+    let new_size = t.size - first in
+    if first > 0 then begin
+      Array.blit values first values 0 new_size;
+      Array.blit gs first gs 0 new_size;
+      Array.blit deltas first deltas 0 new_size
+    end;
     t.size <- new_size;
     t.since_compress <- 0
   end
@@ -101,27 +141,25 @@ let upper_bound t v =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if t.tuples.(mid).value <= v then go (mid + 1) hi else go lo mid
+      if t.values.(mid) <= v then go (mid + 1) hi else go lo mid
   in
   go 0 t.size
 
-let insert_at t i tu =
-  if t.size = Array.length t.tuples then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.tuples 0 bigger 0 t.size;
-    t.tuples <- bigger
-  end;
-  Array.blit t.tuples i t.tuples (i + 1) (t.size - i);
-  t.tuples.(i) <- tu;
-  t.size <- t.size + 1
-
 let insert t v =
   let i = upper_bound t v in
-  let delta = if i = 0 || i = t.size then 0 else max 0 (threshold t - 1) in
-  insert_at t i { value = v; g = 1; delta };
+  let delta = if i = 0 || i = t.size then 0 else Int.max 0 (threshold t - 1) in
+  reserve t (t.size + 1);
+  let tail = t.size - i in
+  Array.blit t.values i t.values (i + 1) tail;
+  Array.blit t.gs i t.gs (i + 1) tail;
+  Array.blit t.deltas i t.deltas (i + 1) tail;
+  t.values.(i) <- v;
+  t.gs.(i) <- 1;
+  t.deltas.(i) <- delta;
+  t.size <- t.size + 1;
   t.n <- t.n + 1;
   t.since_compress <- t.since_compress + 1;
-  let period = max 1 (int_of_float (1.0 /. (2.0 *. t.epsilon))) in
+  let period = Int.max 1 (int_of_float (1.0 /. (2.0 *. t.epsilon))) in
   if t.since_compress >= period then begin
     compress t;
     enforce_budget t
@@ -147,46 +185,45 @@ let insert t v =
    floor(2*eps*n) still holds and rmax stays a valid upper bound.
 
    Every hand-off ends in a compress, not only every 1/(2*eps) elements:
-   a short run (the engine hands off whatever is buffered before each
-   read) would otherwise leave an uncompressed tail in the summary that
-   queries extract and memory accounting counts. *)
+   the engine hands off at a full ingest buffer and at each step end,
+   and a step end's short run would otherwise leave an uncompressed
+   tail in the summary that queries extract and memory accounting
+   counts.  (A read does not hand off: it merges the pending buffer
+   into a copy of the sketch, which takes this same path.) *)
 let insert_sorted_batch t b =
   let k = Array.length b in
   if k > 0 then begin
     let old_size = t.size in
     let new_n = t.n + k in
     let thr = int_of_float (2.0 *. t.epsilon *. float_of_int new_n) in
-    let interior_delta = max 0 (thr - 1) in
+    let interior_delta = Int.max 0 (thr - 1) in
     let needed = old_size + k in
-    if needed > Array.length t.tuples then begin
-      let cap = ref (max 16 (Array.length t.tuples)) in
-      while !cap < needed do
-        cap := 2 * !cap
-      done;
-      let bigger = Array.make !cap dummy in
-      Array.blit t.tuples 0 bigger 0 old_size;
-      t.tuples <- bigger
-    end;
-    let old_min = if old_size = 0 then max_int else t.tuples.(0).value in
-    let old_max = if old_size = 0 then min_int else t.tuples.(old_size - 1).value in
+    reserve t needed;
+    let values = t.values and gs = t.gs and deltas = t.deltas in
+    let old_min = if old_size = 0 then max_int else values.(0) in
+    let old_max = if old_size = 0 then min_int else values.(old_size - 1) in
     let i = ref (old_size - 1) and j = ref (k - 1) in
     let pos = ref (needed - 1) in
     (* Once the batch is exhausted the surviving old prefix is already in
        place, so the merge walks at most size + k positions total. *)
     while !j >= 0 do
-      if !i >= 0 && t.tuples.(!i).value > b.(!j) then begin
-        t.tuples.(!pos) <- t.tuples.(!i);
+      let p = !pos in
+      if !i >= 0 && values.(!i) > b.(!j) then begin
+        let s = !i in
+        values.(p) <- values.(s);
+        gs.(p) <- gs.(s);
+        deltas.(p) <- deltas.(s);
         decr i
       end
       else begin
         let v = b.(!j) in
-        let delta =
-          if old_size = 0 then 0 (* sorted run into an empty sketch: every
-                                    element appends past the running max *)
-          else if v >= old_max || v < old_min then 0
-          else interior_delta
-        in
-        t.tuples.(!pos) <- { value = v; g = 1; delta };
+        values.(p) <- v;
+        gs.(p) <- 1;
+        deltas.(p) <-
+          (if old_size = 0 then 0 (* sorted run into an empty sketch: every
+                                     element appends past the running max *)
+           else if v >= old_max || v < old_min then 0
+           else interior_delta);
         decr j
       end;
       decr pos
@@ -205,7 +242,7 @@ let query_ranks t rs =
   if t.n = 0 then invalid_arg "Gk.query_ranks: empty sketch";
   let slack = t.epsilon *. float_of_int t.n in
   let last = t.size - 1 in
-  let i = ref 0 and rmin = ref t.tuples.(0).g in
+  let i = ref 0 and rmin = ref t.gs.(0) in
   Array.mapi
     (fun k r ->
       if k > 0 && r < rs.(k - 1) then invalid_arg "Gk.query_ranks: ranks decrease";
@@ -213,9 +250,9 @@ let query_ranks t rs =
       let lo = float_of_int r -. slack in
       while !i < last && float_of_int !rmin < lo do
         incr i;
-        rmin := !rmin + t.tuples.(!i).g
+        rmin := !rmin + t.gs.(!i)
       done;
-      t.tuples.(!i).value)
+      t.values.(!i))
     rs
 
 let query_rank t r =
@@ -231,9 +268,9 @@ let rank_of t v =
     else begin
       let rmin = ref 0 in
       for j = 0 to i - 1 do
-        rmin := !rmin + t.tuples.(j).g
+        rmin := !rmin + t.gs.(j)
       done;
-      !rmin + (t.tuples.(i - 1).delta / 2)
+      !rmin + (t.deltas.(i - 1) / 2)
     end
   end
 
@@ -241,16 +278,16 @@ let rank_of t v =
 let dump t =
   let rmin = ref 0 in
   List.init t.size (fun i ->
-      rmin := !rmin + t.tuples.(i).g;
-      (t.tuples.(i).value, !rmin, !rmin + t.tuples.(i).delta))
+      rmin := !rmin + t.gs.(i);
+      (t.values.(i), !rmin, !rmin + t.deltas.(i)))
 
 let min_value t =
   if t.n = 0 then invalid_arg "Gk.min_value: empty sketch";
-  t.tuples.(0).value
+  t.values.(0)
 
 let max_value t =
   if t.n = 0 then invalid_arg "Gk.max_value: empty sketch";
-  t.tuples.(t.size - 1).value
+  t.values.(t.size - 1)
 
 (* Mergeability [Agarwal et al., Mergeable Summaries, PODS'12]: the
    rank interval of x in A u B is bracketed by
@@ -272,16 +309,29 @@ let merge a b =
       /. float_of_int (a.n + b.n)
   in
   let eff_epsilon = if eff_epsilon <= 0.0 then Float.max a.epsilon b.epsilon else eff_epsilon in
-  if a.n = 0 then { a with epsilon = eff_epsilon; tuples = Array.sub b.tuples 0 (max 16 b.size); size = b.size; n = b.n }
-  else if b.n = 0 then { b with epsilon = eff_epsilon; tuples = Array.sub a.tuples 0 (max 16 a.size); size = a.size; n = a.n }
+  (* A copy of the non-empty side, under the union's epsilon. *)
+  let adopt base src =
+    let live a = Array.sub a 0 (max initial_capacity src.size) in
+    {
+      base with
+      epsilon = eff_epsilon;
+      values = live src.values;
+      gs = live src.gs;
+      deltas = live src.deltas;
+      size = src.size;
+      n = src.n;
+    }
+  in
+  if a.n = 0 then adopt a b
+  else if b.n = 0 then adopt b a
   else begin
     (* (value, rmin, rmax) streams of both summaries *)
     let intervals t =
       let out = Array.make t.size (0, 0, 0) in
       let rmin = ref 0 in
       for i = 0 to t.size - 1 do
-        rmin := !rmin + t.tuples.(i).g;
-        out.(i) <- (t.tuples.(i).value, !rmin, !rmin + t.tuples.(i).delta)
+        rmin := !rmin + t.gs.(i);
+        out.(i) <- (t.values.(i), !rmin, !rmin + t.deltas.(i))
       done;
       out
     in
@@ -338,22 +388,18 @@ let merge a b =
       let _, _, next_rmax = combined.(i + 1) in
       combined.(i) <- (v, rmin, min rmax next_rmax)
     done;
-    let merged =
-      {
-        tuples = Array.make (max 16 n_comb) dummy;
-        size = n_comb;
-        n = a.n + b.n;
-        epsilon = eff_epsilon;
-        mode = Fixed;
-        since_compress = 0;
-      }
-    in
+    let merged = empty ~epsilon:eff_epsilon Fixed in
+    reserve merged n_comb;
+    merged.size <- n_comb;
+    merged.n <- a.n + b.n;
     let prev_rmin = ref 0 in
     for i = 0 to n_comb - 1 do
       let value, rmin, rmax = combined.(i) in
       (* the union's true count must land on n at the last tuple *)
       let rmin = if i = n_comb - 1 then merged.n else rmin in
-      merged.tuples.(i) <- { value; g = max 0 (rmin - !prev_rmin); delta = max 0 (rmax - rmin) };
+      merged.values.(i) <- value;
+      merged.gs.(i) <- max 0 (rmin - !prev_rmin);
+      merged.deltas.(i) <- max 0 (rmax - rmin);
       prev_rmin := max rmin !prev_rmin
     done;
     compress merged;

@@ -263,7 +263,7 @@ let store_record t ~addr payload ~upto ~flip =
   | File file ->
     with_file t
       (fun { fd; buf; _ } ->
-        let sum = Word.write_sealed buf payload ~upto ~flip ~seed in
+        let sum = Word.write_sealed buf ~off:0 payload ~upto ~flip ~seed in
         let words = if upto = bs then bs + 1 else upto in
         if upto = bs then Word.set buf (8 * bs) sum;
         ignore (Unix.lseek fd (addr * Bytes.length buf) Unix.SEEK_SET);

@@ -47,9 +47,10 @@ type counters = {
 (* Counters are guarded by a per-record mutex so several domains reading
    one device at once can account their reads without tearing, and —
    crucially for [snapshot] — so the nine values are mutually consistent:
-   every [note_*] mutation and every [snapshot] read runs under the same
-   lock, so a snapshot can never observe a half-applied note (e.g.
-   [reads] bumped but its seq/rand classification not yet).  The lock is
+   every [note_*] mutation that moves several counters, and every
+   [snapshot] read, runs under the same lock, so a snapshot can never
+   observe a half-applied note (e.g. [reads] bumped but its seq/rand
+   classification not yet).  The lock is
    uncontended in single-domain use, so the cost is a few ns per note.
    Sequential/random classification still keys off the single shared
    [last_read_addr], so under concurrent readers the seq/rand split
@@ -137,7 +138,12 @@ let note_read ?hint t addr =
 let note_write t _addr = locked t (fun () -> Metrics.Counter.inc t.writes)
 let note_retry t = locked t (fun () -> Metrics.Counter.inc t.retries)
 let note_checksum_failure t = locked t (fun () -> Metrics.Counter.inc t.checksum_failures)
-let note_wal_appends t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_appends)
+(* Once per WAL append call, so once per element on the one-element
+   observe path, and the one note taken without the lock: no other
+   counter moves with [wal_appends], so its atomic increment alone keeps
+   every snapshot consistent (a snapshot reads it once, before or after
+   the increment). *)
+let note_wal_appends t n = Metrics.Counter.add t.wal_appends n
 let note_wal_sync t = locked t (fun () -> Metrics.Counter.inc t.wal_syncs)
 let note_wal_replayed t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_replayed)
 

@@ -4,24 +4,33 @@
     buffer; every input block is read once sequentially and every output
     block written once. *)
 
-(** Binary min-heap over [(value, src)] pairs, ordered by value and
-    then by [src], so equal values leave in source order. *)
+(** Binary min-heap of source indices [0 .. n-1] over a key array the
+    caller owns and updates: ordered by [keys.(src)] and then by [src],
+    so equal keys leave in source order. Each source is in the heap at
+    most once. *)
 module Heap : sig
-  type entry = { value : int; src : int }
   type t
 
-  (** An empty heap with room for [capacity] entries; it grows past
-      that on demand. *)
-  val create : int -> t
+  (** An empty heap over [keys], with room for every index of it. The
+      heap reads [keys] and never writes it. *)
+  val create : int array -> t
 
   val is_empty : t -> bool
-  val push : t -> entry -> unit
 
-  (** The least entry, left in place. Raises [Invalid_argument] on an
-      empty heap, as [pop] does. *)
-  val top : t -> entry
+  (** [push h src] adds [src] at its current key. Raises
+      [Invalid_argument] if the heap already holds [Array.length keys]
+      sources. *)
+  val push : t -> int -> unit
 
-  val pop : t -> entry
+  (** The least source, left in place. Raises [Invalid_argument] on an
+      empty heap, as [pop] and [fix_top] do. *)
+  val top : t -> int
+
+  val pop : t -> int
+
+  (** Re-seat the least source after its key was raised: the same heap
+      as [pop] then [push] of it, without leaving it. *)
+  val fix_top : t -> unit
 end
 
 (** [merge ?observe dev runs] merges at least two runs living on [dev]

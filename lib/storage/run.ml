@@ -27,10 +27,11 @@ type t = {
 
 let blocks_needed ~block_size n = (n + block_size - 1) / block_size
 
-let of_sorted_array dev elements =
-  let n = Array.length elements in
+let of_sorted_array ?len dev elements =
+  let n = match len with Some n -> n | None -> Array.length elements in
   if n = 0 then invalid_arg "Run.of_sorted_array: empty run";
-  if not (Hsq_util.Sorted.is_sorted elements) then invalid_arg "Run.of_sorted_array: not sorted";
+  if not (Hsq_util.Sorted.is_sorted ~len:n elements) then
+    invalid_arg "Run.of_sorted_array: not sorted";
   let bsize = Block_device.block_size dev in
   let nblocks = blocks_needed ~block_size:bsize n in
   let addr = Block_device.alloc dev nblocks in
@@ -373,6 +374,11 @@ type cursor = {
 let cursor t =
   check_live t "cursor";
   { run = t; pos = 0; buf = [||]; buf_block = -1 }
+
+let read_seq t b =
+  check_live t "read_seq";
+  if b < 0 || b >= t.nblocks then invalid_arg "Run.read_seq: block out of range";
+  Block_device.read_block ~hint:true t.dev ~addr:(t.addr + b)
 
 let cursor_peek c =
   if c.pos >= c.run.length then None

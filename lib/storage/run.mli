@@ -9,10 +9,10 @@
 
 type t
 
-(** Write a sorted array as a new run (sequential writes, one per
-    block). Raises [Invalid_argument] if the array is empty or not
-    sorted ascending. *)
-val of_sorted_array : Block_device.t -> int array -> t
+(** Write the first [len] elements (default: all) of a sorted array as
+    a new run (sequential writes, one per block). Raises
+    [Invalid_argument] if they are none or not sorted ascending. *)
+val of_sorted_array : ?len:int -> Block_device.t -> int array -> t
 
 (** Re-attach to a run already on the device (recovery). Raises
     [Invalid_argument] if the address range is not allocated. *)
@@ -118,7 +118,13 @@ val writer : Block_device.t -> length:int -> writer
 val writer_push : writer -> int -> unit
 val writer_finish : writer -> t
 
-(** Sequential cursors for k-way merging; each cursor owns a one-block
+(** [read_seq t b] reads the run's block [b] (0-based) as sequential
+    I/O, as merges and cursors do. Slots past the run's last element
+    hold padding. Raises [Invalid_argument] on a freed run or a block
+    outside it. *)
+val read_seq : t -> int -> int array
+
+(** Sequential cursors for scans; each cursor owns a one-block
     readahead buffer and reports its reads as sequential I/O. *)
 type cursor
 

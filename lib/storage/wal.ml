@@ -65,10 +65,13 @@ type t = {
   mutable channel : Out_channel.t;
   mutable start_seq : int;
   mutable next_seq : int;
-  pending : Buffer.t; (* appended but not yet flushed to the file *)
+  mutable pending : Bytes.t; (* [pending_len] bytes appended, not yet flushed *)
+  mutable pending_len : int;
   mutable pending_count : int;
   mutable fault : (int -> Block_device.fault_action option) option;
   mutable tear_at : int option; (* byte offset of un-healed torn garbage *)
+  one : int array; (* the payload of a one-record run *)
+  words : int array; (* a record's words before its checksum, as encoded *)
   append_hist : Metrics.Histogram.t;
   sync_hist : Metrics.Histogram.t;
 }
@@ -113,34 +116,40 @@ let header_bytes ~start_seq =
   List.iter (add_word b) [ magic; start_seq; checksum_words [| magic; start_seq |] ];
   Buffer.contents b
 
-(* Words in a record, length word and checksum included. *)
-let record_words = function Observe _ -> 5 | End_step _ -> 6
+(* Record kinds as written. *)
+let kind_observe = 1
+let kind_end_step = 2
+
+(* Words in a record of [kind], length word and checksum included. *)
+let record_words kind = if kind = kind_observe then 5 else 6
 
 (* The one record encoder: appends [len | seq | kind | payload |
-   checksum] to [buf].  The fault injector's two write shapes are
-   arguments: only the first [keep] words land (a torn write), and word
-   [flip] lands with its low bit flipped (latent corruption, the
-   checksum still covering the true word). *)
-let encode ?(keep = max_int) ?(flip = -1) buf ~seq record =
-  let i = ref 0 and h = ref Word.checksum_seed in
-  let word w =
-    if !i < keep then add_word buf (if !i = flip then w lxor 1 else w);
-    h := Word.mix !h w;
-    incr i
+   checksum] to the pending buffer — the payload is [x] for an observe
+   and [x, y] (step, count) for an end-step marker — staging the words
+   in [t.words], so nothing is allocated.  The fault injector's two
+   write shapes are arguments: only the first [keep] words land (a torn
+   write), and word [flip] lands with its low bit flipped (latent
+   corruption, the checksum still covering the true word). *)
+let encode t ~keep ~flip ~seq ~kind x y =
+  let words = record_words kind in
+  let off = t.pending_len in
+  if off + (8 * words) > Bytes.length t.pending then begin
+    let bigger = Bytes.create (max (off + (8 * words)) (2 * Bytes.length t.pending)) in
+    Bytes.blit t.pending 0 bigger 0 off;
+    t.pending <- bigger
+  end;
+  let w = t.words and body = words - 1 in
+  w.(0) <- body;
+  w.(1) <- seq;
+  w.(2) <- kind;
+  w.(3) <- x;
+  w.(4) <- y;
+  let h =
+    Word.write_sealed t.pending ~off w ~upto:(Int.min keep body) ~flip ~seed:Word.checksum_seed
   in
-  (match record with
-  | Observe v ->
-    word 4;
-    word seq;
-    word 1;
-    word v
-  | End_step { step; count } ->
-    word 5;
-    word seq;
-    word 2;
-    word step;
-    word count);
-  word !h
+  (* A torn record stops short of its checksum. *)
+  if keep > body then Word.set t.pending (off + (8 * body)) (if flip = body then h lxor 1 else h);
+  t.pending_len <- off + (8 * Int.min keep words)
 
 (* --- writing ----------------------------------------------------------- *)
 
@@ -164,17 +173,16 @@ let heal_tear t =
     t.tear_at <- None
 
 let flush_pending t =
-  if t.pending_count > 0 || Buffer.length t.pending > 0 then begin
+  if t.pending_count > 0 || t.pending_len > 0 then begin
     heal_tear t;
     let flush () =
       let t0 = Metrics.now_s () in
       (* Straight from the buffer: a request's run is kilobytes, and a
-         [Buffer.contents] copy that size is a major-heap allocation
-         per flush. *)
-      Buffer.output_buffer t.channel t.pending;
+         copy that size would be a major-heap allocation per flush. *)
+      Out_channel.output t.channel t.pending 0 t.pending_len;
       Out_channel.flush t.channel;
       Metrics.Histogram.observe t.sync_hist (Metrics.now_s () -. t0);
-      Buffer.clear t.pending;
+      t.pending_len <- 0;
       t.pending_count <- 0;
       Io_stats.note_wal_sync t.stats
     in
@@ -187,12 +195,15 @@ let sync t = flush_pending t
 
 exception Partial of int * exn
 
-(* Append [n] records ([get j] is record j) with the sync policy applied
-   once, at the end of the run — under [Always] that is one flush before
-   the call returns.  The injector is consulted per record.  A fault at
-   record j stops the run there: records [0 .. j-1] are accepted (and
-   flushed under [Always]), j and the rest are not, and [Partial (j, e)]
-   reports it.
+(* Append a run of [n] records of [kind], record j carrying payload
+   [vs.(j)] (and [y], for an end-step marker), with the sync policy
+   applied once, at the end of the run — under [Always] that is one
+   flush before the call returns.  The injector is consulted per
+   record.  A fault at record j stops the run there: records
+   [0 .. j-1] are accepted (and flushed under [Always]), j and the rest
+   are not, and [Partial (j, e)] reports it.  Each record is encoded
+   straight into the pending buffer, so a run allocates nothing per
+   record.
 
    Transactional per record: the state is exactly "records [0 .. j-1]
    appended" — [next_seq] advanced by j, nothing of record j buffered.
@@ -203,84 +214,96 @@ exception Partial of int * exn
    raises rolls the whole run back ([Partial (0, e)]), dropping its
    still-buffered bytes; bytes a completed flush wrote are durable and
    stay. *)
-let append_run t n get =
+let append_run t ~kind vs n y =
   let first = t.next_seq in
-  let saved_len = Buffer.length t.pending in
+  let saved_len = t.pending_len in
   let saved_count = t.pending_count in
-  let stop = ref None in
   let j = ref 0 in
-  (try
-     while !j < n do
-       let seq = first + !j in
-       let record = get !j in
-       (match Option.bind t.fault (fun f -> f seq) with
-       | None -> encode t.pending ~seq record
-       | Some (Block_device.Corrupt i) ->
-         encode ~flip:(i mod record_words record) t.pending ~seq record
-       | Some Block_device.Fail ->
-         raise
-           (Block_device.Device_error (Printf.sprintf "injected WAL append fault at seq %d" seq))
-       | Some (Block_device.Torn k) ->
-         (* A crash mid-append: whatever was buffered — the run's
-            accepted prefix included — reaches the file, then only the
-            first [k] words of this record do.  The tear's byte offset
-            is remembered so a surviving writer's next flush can
-            truncate the garbage away (see [heal_tear]). *)
-         let words = record_words record in
-         let keep = max 0 (min (words - 1) k) in
-         flush_pending t;
-         let tear_pos = Int64.to_int (Out_channel.pos t.channel) in
-         let torn = Buffer.create 48 in
-         encode ~keep torn ~seq record;
-         Buffer.output_buffer t.channel torn;
-         Out_channel.flush t.channel;
-         if t.tear_at = None then t.tear_at <- Some tear_pos;
-         raise
-           (Block_device.Device_error
-              (Printf.sprintf "torn WAL append at seq %d (%d of %d words)" seq keep words)));
-       t.pending_count <- t.pending_count + 1;
-       incr j
-     done
-   with e -> stop := Some e);
+  let stop =
+    try
+      while !j < n do
+        let seq = first + !j in
+        let action = match t.fault with None -> None | Some f -> f seq in
+        (match action with
+        | None -> encode t ~keep:max_int ~flip:(-1) ~seq ~kind vs.(!j) y
+        | Some (Block_device.Corrupt i) ->
+          encode t ~keep:max_int ~flip:(i mod record_words kind) ~seq ~kind vs.(!j) y
+        | Some Block_device.Fail ->
+          raise
+            (Block_device.Device_error (Printf.sprintf "injected WAL append fault at seq %d" seq))
+        | Some (Block_device.Torn k) ->
+          (* A crash mid-append: whatever was buffered — the run's
+             accepted prefix included — reaches the file, then only the
+             first [k] words of this record do.  The tear's byte offset
+             is remembered so a surviving writer's next flush can
+             truncate the garbage away (see [heal_tear]). *)
+          let words = record_words kind in
+          let keep = max 0 (min (words - 1) k) in
+          flush_pending t;
+          let tear_pos = Int64.to_int (Out_channel.pos t.channel) in
+          encode t ~keep ~flip:(-1) ~seq ~kind vs.(!j) y;
+          Out_channel.output t.channel t.pending 0 t.pending_len;
+          t.pending_len <- 0;
+          Out_channel.flush t.channel;
+          if t.tear_at = None then t.tear_at <- Some tear_pos;
+          raise
+            (Block_device.Device_error
+               (Printf.sprintf "torn WAL append at seq %d (%d of %d words)" seq keep words)));
+        t.pending_count <- t.pending_count + 1;
+        incr j
+      done;
+      None
+    with e -> Some e
+  in
   t.next_seq <- first + !j;
   if !j > 0 then Io_stats.note_wal_appends t.stats !j;
   (match
      match t.sync_policy with
      | Always -> flush_pending t
-     | Group g -> if t.pending_count >= max 1 g then flush_pending t
+     | Group g -> if t.pending_count >= Int.max 1 g then flush_pending t
      | Never -> ()
    with
   | () -> ()
   | exception e ->
     t.next_seq <- first;
-    if Buffer.length t.pending > saved_len then begin
-      Buffer.truncate t.pending saved_len;
+    if t.pending_len > saved_len then begin
+      t.pending_len <- saved_len;
       t.pending_count <- saved_count
     end;
     raise (Partial (0, e)));
-  Option.iter (fun e -> raise (Partial (!j, e))) !stop
+  match stop with None -> () | Some e -> raise (Partial (!j, e))
 
-let timed_run t n get =
+(* A run is timed when the sequence numbers it appends include a
+   multiple of 32. *)
+let sampled_run t ~kind vs n y =
   let first = t.next_seq in
-  let run () =
-    if n > 0 && (first - 1) asr append_sample_shift <> (first + n - 1) asr append_sample_shift
-    then begin
-      let t0 = Metrics.now_s () in
-      append_run t n get;
-      Metrics.Histogram.observe t.append_hist (Metrics.now_s () -. t0)
-    end
-    else append_run t n get
-  in
+  if n > 0 && (first - 1) asr append_sample_shift <> (first + n - 1) asr append_sample_shift
+  then begin
+    let t0 = Metrics.now_s () in
+    append_run t ~kind vs n y;
+    Metrics.Histogram.observe t.append_hist (Metrics.now_s () -. t0)
+  end
+  else append_run t ~kind vs n y
+
+let timed_run t ~kind vs n y =
   match Io_stats.tracer t.stats with
-  | Some tr -> Trace.with_span tr "wal.append" (fun _ -> run ())
-  | None -> run ()
+  | Some tr -> Trace.with_span tr "wal.append" (fun _ -> sampled_run t ~kind vs n y)
+  | None -> sampled_run t ~kind vs n y
 
-let append_observes t vs = timed_run t (Array.length vs) (fun j -> Observe vs.(j))
+let append_observes t vs = timed_run t ~kind:kind_observe vs (Array.length vs) 0
 
-let append t record =
-  match timed_run t 1 (fun _ -> record) with
+(* One record is a run of one, its payload staged in [t.one]. *)
+let append_one t ~kind x y =
+  t.one.(0) <- x;
+  match timed_run t ~kind t.one 1 y with
   | () -> t.next_seq - 1
   | exception Partial (_, e) -> raise e
+
+let append_observe t v = ignore (append_one t ~kind:kind_observe v 0)
+
+let append t = function
+  | Observe v -> append_one t ~kind:kind_observe v 0
+  | End_step { step; count } -> append_one t ~kind:kind_end_step step count
 
 let create ?(sync = Always) ~stats ~path ~start_seq () =
   (* Append mode, like [rotate] and [open_existing]: [heal_tear]'s
@@ -300,10 +323,13 @@ let create ?(sync = Always) ~stats ~path ~start_seq () =
     channel;
     start_seq;
     next_seq = start_seq;
-    pending = Buffer.create 4096;
+    pending = Bytes.create 4096;
+    pending_len = 0;
     pending_count = 0;
     fault = None;
     tear_at = None;
+    one = [| 0 |];
+    words = Array.make 5 0;
     append_hist;
     sync_hist;
   }
@@ -327,7 +353,7 @@ let rotate t =
   Atomic_file.commit ~tmp t.path;
   t.channel <- Out_channel.open_gen [ Open_binary; Open_append; Open_wronly ] 0o644 t.path;
   t.start_seq <- t.next_seq;
-  Buffer.clear t.pending;
+  t.pending_len <- 0;
   t.pending_count <- 0;
   (* The rename replaced the whole file, tear included. *)
   t.tear_at <- None
@@ -340,7 +366,7 @@ let close t =
    (they never reached the "platter") and the handle is released, so a
    fuzz loop of thousands of crashes leaks no file descriptors. *)
 let crash t =
-  Buffer.clear t.pending;
+  t.pending_len <- 0;
   t.pending_count <- 0;
   Out_channel.close t.channel
 
@@ -483,10 +509,13 @@ let open_existing ?(sync = Always) ~stats ~path f init =
       channel;
       start_seq;
       next_seq;
-      pending = Buffer.create 4096;
+      pending = Bytes.create 4096;
+      pending_len = 0;
       pending_count = 0;
       fault = None;
       tear_at = None;
+      one = [| 0 |];
+      words = Array.make 5 0;
       append_hist;
       sync_hist;
     }

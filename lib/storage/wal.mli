@@ -88,6 +88,12 @@ exception Partial of int * exn
     value with {!append}. *)
 val append_observes : t -> int array -> unit
 
+(** [append_observe t v] is [ignore (append t (Observe v))], built
+    without the [Observe] value: a one-record run of the
+    {!append_observes} path. Allocates nothing on the minor heap unless
+    the run is sampled, traced, flushed or faulted. *)
+val append_observe : t -> int -> unit
+
 (** Flush every buffered record to the file (one group commit). *)
 val sync : t -> unit
 

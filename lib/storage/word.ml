@@ -28,14 +28,15 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-let check_record who b ~words a ~len =
-  if len < 0 || len > Array.length a || 8 * words > Bytes.length b then invalid_arg who
+let check_record who b ~off ~words a ~len =
+  if len < 0 || len > Array.length a || off < 0 || off + (8 * words) > Bytes.length b then
+    invalid_arg who
 
 (* One pass per word: decode, fold into the sum, and collect in [bad]
    the words whose bits 63 and 62 differ ([top + 1] is 0 or 1 exactly
    when the top two bits agree).  The checksum word is the [len]th. *)
 let read_sealed b (dst : int array) ~len ~seed =
-  check_record "Word.read_sealed" b ~words:(len + 1) dst ~len;
+  check_record "Word.read_sealed" b ~off:0 ~words:(len + 1) dst ~len;
   let h = ref seed and bad = ref 0 and sum = ref 0 in
   for j = 0 to len do
     let w = if big_endian () then get64u b (8 * j) else swap64 (get64u b (8 * j)) in
@@ -49,13 +50,13 @@ let read_sealed b (dst : int array) ~len ~seed =
   done;
   !bad = 0 && !sum = !h
 
-let write_sealed b (src : int array) ~upto ~flip ~seed =
-  check_record "Word.write_sealed" b ~words:upto src ~len:upto;
+let write_sealed b ~off (src : int array) ~upto ~flip ~seed =
+  check_record "Word.write_sealed" b ~off ~words:upto src ~len:upto;
   let h = ref seed in
   for j = 0 to upto - 1 do
     let v = Array.unsafe_get src j in
     h := mix !h v;
     let w = Int64.of_int (if j = flip then v lxor 1 else v) in
-    set64u b (8 * j) (if big_endian () then w else swap64 w)
+    set64u b (off + (8 * j)) (if big_endian () then w else swap64 w)
   done;
   !h

@@ -38,10 +38,11 @@ val checksum_seed : int
     fewer than [len]. *)
 val read_sealed : Bytes.t -> int array -> len:int -> seed:int -> bool
 
-(** [write_sealed b src ~upto ~flip ~seed] encodes [src.(0 .. upto-1)]
-    at the start of [b], word [flip] with its low bit flipped (no word
-    when [flip] is out of range), and returns the checksum of the words
-    of [src] from [seed], taken before the flip. One pass, one bounds
-    check: raises [Invalid_argument] if [b] or [src] holds fewer than
-    [upto] words. *)
-val write_sealed : Bytes.t -> int array -> upto:int -> flip:int -> seed:int -> int
+(** [write_sealed b ~off src ~upto ~flip ~seed] encodes
+    [src.(0 .. upto-1)] into [b] from byte [off], word [flip] with its
+    low bit flipped (no word when [flip] is out of range), and returns
+    the checksum of those words of [src] from [seed], taken before the
+    flip. One pass, one bounds check: raises [Invalid_argument] if [b]
+    holds fewer than [upto] words past [off] or [src] fewer than
+    [upto]. *)
+val write_sealed : Bytes.t -> off:int -> int array -> upto:int -> flip:int -> seed:int -> int

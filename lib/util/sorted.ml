@@ -2,8 +2,8 @@
    the repository follows Definition 1 of the paper:
    rank(e, D) = |{ x in D : x <= e }|. *)
 
-let is_sorted (a : int array) =
-  let n = Array.length a in
+let is_sorted ?len (a : int array) =
+  let n = match len with Some n -> n | None -> Array.length a in
   let rec go i = i >= n || (a.(i - 1) <= a.(i) && go (i + 1)) in
   n <= 1 || go 1
 
@@ -92,8 +92,8 @@ let merge_runs a n scratch =
 
 (* One scratch array of n words; a sorted input costs one scan and no
    allocation. *)
-let sort_runs a =
-  let n = Array.length a in
+let sort_runs ?len a =
+  let n = match len with Some n -> n | None -> Array.length a in
   if n > 1 && run_end a n 0 < n then begin
     let s = merge_runs a n (Array.make n 0) in
     if s != a then Array.blit s 0 a 0 n
@@ -105,7 +105,7 @@ let sort_runs a =
 let sort_into src n dst =
   let lo = ref 0 in
   while !lo < n do
-    let hi = min n (!lo + 16) in
+    let hi = Int.min n (!lo + 16) in
     for i = !lo + 1 to hi - 1 do
       let x = src.(i) in
       let j = ref (i - 1) in

@@ -5,7 +5,8 @@
     [e]. These functions are the in-memory reference implementation that
     every approximate structure is tested against. *)
 
-val is_sorted : int array -> bool
+(** Whether [a]'s first [len] elements (default: all) ascend. *)
+val is_sorted : ?len:int -> int array -> bool
 
 (** [rank a v] = |{x ∈ a : x ≤ v}|; [a] must be sorted ascending. *)
 val rank : int array -> int -> int
@@ -22,12 +23,13 @@ val select : int array -> int -> int
     empty or [phi] outside (0, 1]. *)
 val quantile : int array -> float -> int
 
-(** [sort_runs a] sorts [a] in place, ascending, by merging its
-    ascending runs pairwise, bottom-up (a natural merge sort): an array
-    made of k sorted runs costs O(n log k), a sorted one a single scan.
-    Correct for any input; uses one scratch array of [length a] words
-    unless [a] is already sorted. *)
-val sort_runs : int array -> unit
+(** [sort_runs ?len a] sorts [a]'s first [len] elements (default: all)
+    in place, ascending, by merging their ascending runs pairwise,
+    bottom-up (a natural merge sort): k sorted runs cost O(n log k), a
+    sorted prefix a single scan. Correct for any input; uses one scratch
+    array of [len] words unless the prefix is already sorted, and leaves
+    the rest of [a] untouched. *)
+val sort_runs : ?len:int -> int array -> unit
 
 (** [sort_into src n dst] writes [src.(0 .. n-1)] into [dst.(0 .. n-1)]
     in ascending order, using [src]'s first [n] words as merge scratch

@@ -676,6 +676,63 @@ let test_step_commit_sorts_the_spool () =
         (Hsq_hist.Level_index.partition_count (E.hist eng));
       E.close eng)
 
+(* A write fault in the middle of a step's block load: the commit
+   sorts the spool in place rather than a copy, so the failure must
+   leave the open step the same multiset, and the retried commit must
+   write what an unfaulted twin writes — every block's payload, the
+   partition summary and the step count.  (Blocks are compared by
+   payload: a block's checksum word is seeded by its address, and the
+   failed load's blocks move the retry's.) *)
+let test_failed_load_keeps_the_spool () =
+  let module BD = Hsq_storage.Block_device in
+  let config = std_config ~kappa:3 () in
+  let rng = Hsq_util.Xoshiro.create 919 in
+  let steps =
+    List.init 3 (fun _ ->
+        Array.init 1_700 (fun i ->
+            if i mod 400 = 0 then min_int else Hsq_util.Xoshiro.int rng 5_000 - 2_500))
+  in
+  let build ~faulted =
+    let eng = E.create config in
+    List.iteri
+      (fun s values ->
+        Array.iter (E.observe eng) values;
+        if s < 2 then ignore (E.end_time_step eng))
+      steps;
+    if faulted then begin
+      let open_step = E.open_step eng in
+      let writes = ref 0 in
+      BD.set_injector (E.device eng)
+        (Some
+           (fun op ~attempt:_ _ ->
+             if op = BD.Write then incr writes;
+             if op = BD.Write && !writes = 20 then Some BD.Fail else None));
+      (match E.end_time_step eng with
+      | _ -> Alcotest.fail "the load should have failed"
+      | exception BD.Device_error _ -> ());
+      BD.set_injector (E.device eng) None;
+      Alcotest.(check (array int)) "the spool keeps its multiset" open_step (E.open_step eng);
+      Alcotest.(check int) "nothing archived" 2 (E.time_steps eng)
+    end;
+    ignore (E.end_time_step eng);
+    eng
+  in
+  let faulted = build ~faulted:true and twin = build ~faulted:false in
+  let newest eng = List.hd (Hsq_hist.Level_index.partitions (E.hist eng)) in
+  let blocks eng =
+    let run = Hsq_hist.Partition.run (newest eng) in
+    List.init (Hsq_storage.Run.nblocks run) (fun b ->
+        BD.read_block (E.device eng) ~addr:(Hsq_storage.Run.first_block run + b))
+  in
+  Alcotest.(check int) "three steps" (E.time_steps twin) (E.time_steps faulted);
+  Alcotest.(check (list (array int))) "the retried load's blocks" (blocks twin) (blocks faulted);
+  let summary eng =
+    List.map
+      (fun e -> (e.Hsq_hist.Partition_summary.value, e.Hsq_hist.Partition_summary.index))
+      (Array.to_list (Hsq_hist.Partition_summary.entries (Hsq_hist.Partition.summary (newest eng))))
+  in
+  Alcotest.(check (list (pair int int))) "its summary" (summary twin) (summary faulted)
+
 (* Reads never change the stream sketch: one observe sequence with step
    ends, fed to an engine that only ingests and to one that answers a
    quick, stats (counts, footprint, eps2) or accurate call after every
@@ -836,6 +893,9 @@ let () =
         [ Alcotest.test_case "expire + persist end-to-end" `Quick test_expire_engine_end_to_end ] );
       ("memory mode", [ Alcotest.test_case "budget + accuracy" `Quick test_memory_mode_budget ]);
       ( "step commit",
-        [ Alcotest.test_case "partition = sorted step" `Quick test_step_commit_sorts_the_spool ] );
+        [
+          Alcotest.test_case "partition = sorted step" `Quick test_step_commit_sorts_the_spool;
+          Alcotest.test_case "failed load keeps the spool" `Quick test_failed_load_keeps_the_spool;
+        ] );
       ("reads", [ Alcotest.test_case "reads leave the sketch" `Quick test_reads_leave_the_sketch ]);
     ]

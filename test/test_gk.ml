@@ -518,6 +518,243 @@ let test_copy_replays () =
   Gk.insert_sorted_batch (Gk.copy before) [| 1; 2; 3 |];
   Alcotest.(check bool) "inserts into a copy leave its source" true (image before = source)
 
+(* --- tuple-list reference ------------------------------------------------- *)
+
+(* The sketch as it was kept before its tuples went flat: an array of
+   boxed (value, g, delta) records, compressed by building a list right
+   to left and copying it back.  The flat arrays must make the same
+   merges, so every hand-off sequence leaves both with the same tuples,
+   count, epsilon and footprint. *)
+module Reference = struct
+  type tuple = { value : int; g : int; delta : int }
+  type mode = Fixed | Capped of int
+
+  type t = {
+    mutable tuples : tuple array;
+    mutable size : int;
+    mutable n : int;
+    mutable epsilon : float;
+    mode : mode;
+    mutable since_compress : int;
+  }
+
+  let dummy = { value = 0; g = 0; delta = 0 }
+
+  let create ~epsilon =
+    { tuples = Array.make 16 dummy; size = 0; n = 0; epsilon; mode = Fixed; since_compress = 0 }
+
+  let header_words = 8
+  let words_per_tuple = 3
+
+  let create_capped ~words =
+    let max_tuples = (words - header_words) / words_per_tuple in
+    {
+      tuples = Array.make 16 dummy;
+      size = 0;
+      n = 0;
+      epsilon = 1.0 /. (2.0 *. float_of_int max_tuples);
+      mode = Capped words;
+      since_compress = 0;
+    }
+
+  let copy t = { t with tuples = Array.copy t.tuples }
+  let memory_words t = header_words + (words_per_tuple * t.size)
+  let threshold t = int_of_float (2.0 *. t.epsilon *. float_of_int t.n)
+
+  let compress t =
+    if t.size > 2 then begin
+      let thr = threshold t in
+      let merged = ref [ t.tuples.(t.size - 1) ] in
+      for i = t.size - 2 downto 1 do
+        match !merged with
+        | succ :: rest when t.tuples.(i).g + succ.g + succ.delta <= thr ->
+          merged := { succ with g = succ.g + t.tuples.(i).g } :: rest
+        | acc -> merged := t.tuples.(i) :: acc
+      done;
+      merged := t.tuples.(0) :: !merged;
+      let new_size = List.length !merged in
+      List.iteri (fun i tu -> t.tuples.(i) <- tu) !merged;
+      t.size <- new_size;
+      t.since_compress <- 0
+    end
+
+  let enforce_budget t =
+    match t.mode with
+    | Fixed -> ()
+    | Capped words ->
+      let attempts = ref 0 in
+      while memory_words t > words && !attempts < 128 do
+        t.epsilon <- t.epsilon *. 1.5;
+        if t.epsilon > 0.5 then t.epsilon <- 0.5;
+        compress t;
+        incr attempts
+      done
+
+  let upper_bound t v =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if t.tuples.(mid).value <= v then go (mid + 1) hi else go lo mid
+    in
+    go 0 t.size
+
+  let insert_at t i tu =
+    if t.size = Array.length t.tuples then begin
+      let bigger = Array.make (2 * t.size) dummy in
+      Array.blit t.tuples 0 bigger 0 t.size;
+      t.tuples <- bigger
+    end;
+    Array.blit t.tuples i t.tuples (i + 1) (t.size - i);
+    t.tuples.(i) <- tu;
+    t.size <- t.size + 1
+
+  let insert t v =
+    let i = upper_bound t v in
+    let delta = if i = 0 || i = t.size then 0 else max 0 (threshold t - 1) in
+    insert_at t i { value = v; g = 1; delta };
+    t.n <- t.n + 1;
+    t.since_compress <- t.since_compress + 1;
+    let period = max 1 (int_of_float (1.0 /. (2.0 *. t.epsilon))) in
+    if t.since_compress >= period then begin
+      compress t;
+      enforce_budget t
+    end
+    else
+      match t.mode with
+      | Capped words when memory_words t > words ->
+        compress t;
+        enforce_budget t
+      | Fixed | Capped _ -> ()
+
+  let insert_sorted_batch t b =
+    let k = Array.length b in
+    if k > 0 then begin
+      let old_size = t.size in
+      let new_n = t.n + k in
+      let thr = int_of_float (2.0 *. t.epsilon *. float_of_int new_n) in
+      let interior_delta = max 0 (thr - 1) in
+      let needed = old_size + k in
+      if needed > Array.length t.tuples then begin
+        let cap = ref (max 16 (Array.length t.tuples)) in
+        while !cap < needed do
+          cap := 2 * !cap
+        done;
+        let bigger = Array.make !cap dummy in
+        Array.blit t.tuples 0 bigger 0 old_size;
+        t.tuples <- bigger
+      end;
+      let old_min = if old_size = 0 then max_int else t.tuples.(0).value in
+      let old_max = if old_size = 0 then min_int else t.tuples.(old_size - 1).value in
+      let i = ref (old_size - 1) and j = ref (k - 1) in
+      let pos = ref (needed - 1) in
+      while !j >= 0 do
+        if !i >= 0 && t.tuples.(!i).value > b.(!j) then begin
+          t.tuples.(!pos) <- t.tuples.(!i);
+          decr i
+        end
+        else begin
+          let v = b.(!j) in
+          let delta =
+            if old_size = 0 then 0 else if v >= old_max || v < old_min then 0 else interior_delta
+          in
+          t.tuples.(!pos) <- { value = v; g = 1; delta };
+          decr j
+        end;
+        decr pos
+      done;
+      t.size <- needed;
+      t.n <- new_n;
+      compress t;
+      enforce_budget t
+    end
+
+  let dump t =
+    let rmin = ref 0 in
+    List.init t.size (fun i ->
+        rmin := !rmin + t.tuples.(i).g;
+        (t.tuples.(i).value, !rmin, !rmin + t.tuples.(i).delta))
+end
+
+type ref_op = Batch of int array | Insert of int | Copy
+
+let ref_op_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (6, int_range (-40) 40); (2, int_bound 1_000_000); (1, return min_int); (1, return max_int) ]
+  in
+  let batch =
+    map
+      (fun l ->
+        let a = Array.of_list l in
+        Array.sort compare a;
+        Batch a)
+      (list_size (1 -- 600) value)
+  in
+  frequency [ (5, batch); (3, map (fun v -> Insert v) value); (1, return Copy) ]
+
+let ref_mode_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun e -> `Fixed e) (oneofl [ 0.001; 0.01; 0.05; 0.2 ]);
+      map (fun w -> `Capped w) (oneofl [ 32; 60; 200; 600 ]);
+    ]
+
+let print_ref_case (mode, ops) =
+  Printf.sprintf "%s, ops [%s]"
+    (match mode with
+    | `Fixed e -> Printf.sprintf "Fixed %g" e
+    | `Capped w -> Printf.sprintf "Capped %d" w)
+    (String.concat "; "
+       (List.map
+          (function
+            | Batch a -> Printf.sprintf "Batch(%d)" (Array.length a)
+            | Insert v -> Printf.sprintf "Insert %d" v
+            | Copy -> "Copy")
+          ops))
+
+(* Random hand-off sequences through both sketches, continuing on a
+   copy wherever the sequence says so; after every step both must agree
+   on the tuples, the count, the size, epsilon (bit for bit) and the
+   footprint. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"flat tuples match the tuple-list reference" ~count:200
+    (QCheck.make ~print:print_ref_case
+       QCheck.Gen.(pair ref_mode_gen (list_size (1 -- 25) ref_op_gen)))
+    (fun (mode, ops) ->
+      let gk, r =
+        match mode with
+        | `Fixed epsilon -> (Gk.create ~epsilon, Reference.create ~epsilon)
+        | `Capped words -> (Gk.create_capped ~words, Reference.create_capped ~words)
+      in
+      let same gk (r : Reference.t) =
+        Gk.dump gk = Reference.dump r
+        && Gk.count gk = r.n
+        && Gk.size gk = r.size
+        && Int64.bits_of_float (Gk.epsilon gk) = Int64.bits_of_float r.epsilon
+        && Gk.memory_words gk = Reference.memory_words r
+      in
+      let rec go gk r = function
+        | [] -> true
+        | op :: rest ->
+          let gk, r =
+            match op with
+            | Batch b ->
+              Gk.insert_sorted_batch gk b;
+              Reference.insert_sorted_batch r b;
+              (gk, r)
+            | Insert v ->
+              Gk.insert gk v;
+              Reference.insert r v;
+              (gk, r)
+            | Copy -> (Gk.copy gk, Reference.copy r)
+          in
+          same gk r && go gk r rest
+      in
+      go gk r ops)
+
 let () =
   Alcotest.run "gk"
     [
@@ -568,4 +805,5 @@ let () =
       ( "round trip",
         Alcotest.test_case "copy replays" `Quick test_copy_replays
         :: round_trip_cases );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
     ]

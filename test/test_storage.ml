@@ -1149,6 +1149,80 @@ let test_read_bookkeeping_pinned () =
   Alcotest.(check string) "memory backend" pinned mem;
   Alcotest.(check string) "file backend" pinned file
 
+(* The store files a seeded durable engine leaves — twelve steps of
+   3,000 values (the eleventh commit runs one level merge at kappa 10)
+   and 1,000 values of an open step, closed cleanly — and the exact
+   bytes of single WAL records.  Every digest and record was taken from
+   the encoder and level merge before they were rewritten to allocate
+   nothing per element, so any change to the bytes on disk shows here. *)
+let test_store_files_pinned () =
+  let dir = Filename.temp_file "hsq_pins" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let config =
+        Hsq.Config.make ~kappa:10 ~block_size:256 ~wal_dir:dir
+          ~wal_sync:(Wal.Group 1_000) (Hsq.Config.Epsilon 0.01)
+      in
+      let eng, _ = Hsq.Engine.open_or_recover config in
+      let rng = Hsq_util.Xoshiro.create 41 in
+      let value () =
+        match Hsq_util.Xoshiro.int rng 1_000 with
+        | 0 -> min_int
+        | 1 -> max_int
+        | _ -> Hsq_util.Xoshiro.int rng 2_000_000 - 1_000_000
+      in
+      for _ = 1 to 12 do
+        for _ = 1 to 3_000 do
+          Hsq.Engine.observe eng (value ())
+        done;
+        ignore (Hsq.Engine.end_time_step eng)
+      done;
+      Hsq.Engine.observe_batch eng (Array.init 1_000 (fun _ -> value ()));
+      Alcotest.(check int) "one merged partition and one fresh one" 2
+        (Hsq_hist.Level_index.partition_count (Hsq.Engine.hist eng));
+      Hsq.Engine.close eng;
+      let digest name = Digest.to_hex (Digest.file (file name)) in
+      Alcotest.(check string) "device.blocks" "4148dd4237942e2d68e5e7789fe9b4d5" (digest "device.blocks");
+      Alcotest.(check string) "wal.log" "d7250b369d16b5122e341af3a5acd0dd" (digest "wal.log");
+      Alcotest.(check string) "meta" "98cd121e9c4c5ea1894f69a3213903c8" (digest "meta");
+      (* One record per append path: a run, one observe, one [append]. *)
+      let path = file "records.wal" in
+      let wal = Wal.create ~stats:(Io_stats.create ()) ~path ~start_seq:7 () in
+      Wal.append_observes wal [| min_int; max_int |];
+      Wal.append_observe wal 0;
+      ignore (Wal.append wal (Wal.Observe (-1)));
+      ignore (Wal.append wal (Wal.End_step { step = 12; count = 36_000 }));
+      Wal.close wal;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let hex off len =
+        String.concat ""
+          (List.init len (fun i -> Printf.sprintf "%02x" (Char.code bytes.[off + i])))
+      in
+      Alcotest.(check int) "header, four observes, one marker" (24 + (4 * 40) + 48)
+        (String.length bytes);
+      List.iteri
+        (fun i (what, pinned) -> Alcotest.(check string) what pinned (hex (24 + (40 * i)) 40))
+        [
+          ( "observe min_int",
+            "000000000000000400000000000000070000000000000001c000000000000000fd86c62b6ef6dc3c" );
+          ( "observe max_int",
+            "0000000000000004000000000000000800000000000000013fffffffffffffff2d0ebea822260e7d" );
+          ( "observe 0",
+            "0000000000000004000000000000000900000000000000010000000000000000f7ff2611d0fbfe7e" );
+          ( "observe -1",
+            "0000000000000004000000000000000a0000000000000001ffffffffffffffff351d2d53adc36016" );
+        ];
+      Alcotest.(check string) "end-step"
+        ("0000000000000005000000000000000b0000000000000002000000000000000c"
+        ^ "0000000000008ca02098dfdddd958078")
+        (hex (24 + 160) 48))
+
 let () =
   Alcotest.run "storage"
     [
@@ -1198,6 +1272,7 @@ let () =
         [
           Alcotest.test_case "block format" `Quick test_block_format_pinned;
           Alcotest.test_case "read bookkeeping" `Quick test_read_bookkeeping_pinned;
+          Alcotest.test_case "store files and WAL records" `Quick test_store_files_pinned;
           QCheck_alcotest.to_alcotest prop_block_roundtrip;
         ] );
       ( "run",
