@@ -69,6 +69,19 @@ let memory_words t = header_words + (words_per_tuple * t.size)
 
 let threshold t = int_of_float (2.0 *. t.epsilon *. float_of_int t.n)
 
+(* [Array.blit a src a dst len] as a typed loop: [Array.blit] on an
+   array in the major heap stores each word through the write barrier,
+   several times the cost of a plain int store. *)
+let move (a : int array) ~src ~dst len =
+  if dst < src then
+    for k = 0 to len - 1 do
+      a.(dst + k) <- a.(src + k)
+    done
+  else
+    for k = len - 1 downto 0 do
+      a.(dst + k) <- a.(src + k)
+    done
+
 (* Room for [needed] tuples, doubling the capacity. *)
 let reserve t needed =
   let cap = Array.length t.values in
@@ -114,9 +127,9 @@ let compress t =
     deltas.(first) <- deltas.(0);
     let new_size = t.size - first in
     if first > 0 then begin
-      Array.blit values first values 0 new_size;
-      Array.blit gs first gs 0 new_size;
-      Array.blit deltas first deltas 0 new_size
+      move values ~src:first ~dst:0 new_size;
+      move gs ~src:first ~dst:0 new_size;
+      move deltas ~src:first ~dst:0 new_size
     end;
     t.size <- new_size;
     t.since_compress <- 0
@@ -150,9 +163,9 @@ let insert t v =
   let delta = if i = 0 || i = t.size then 0 else Int.max 0 (threshold t - 1) in
   reserve t (t.size + 1);
   let tail = t.size - i in
-  Array.blit t.values i t.values (i + 1) tail;
-  Array.blit t.gs i t.gs (i + 1) tail;
-  Array.blit t.deltas i t.deltas (i + 1) tail;
+  move t.values ~src:i ~dst:(i + 1) tail;
+  move t.gs ~src:i ~dst:(i + 1) tail;
+  move t.deltas ~src:i ~dst:(i + 1) tail;
   t.values.(i) <- v;
   t.gs.(i) <- 1;
   t.deltas.(i) <- delta;
