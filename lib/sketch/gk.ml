@@ -15,10 +15,10 @@
    exceeds its word budget; since the invariant threshold only grows,
    correctness under the final epsilon is preserved. *)
 
-(* The tuples live in three parallel int arrays, so an insert, a
-   compress or a copy moves words and allocates no tuple. *)
 type mode = Fixed | Capped of int (* word budget *)
 
+(* The tuples live in three parallel int arrays, so an insert, a
+   compress or a copy moves words and allocates no tuple. *)
 type t = {
   mutable values : int array; (* first [size] entries live, sorted *)
   mutable gs : int array;

@@ -34,8 +34,9 @@ module Heap = struct
     done;
     slots.(!i) <- src
 
-  (* Move the source at slot [i] down to where its key belongs, one
-     comparison with the lesser child per level. *)
+  (* Move the source at slot [i] down to where its key belongs.  The
+     merge calls this once per element, so it compares the keys in
+     place rather than through [less]. *)
   let sift_down h i =
     let slots = h.slots and keys = h.keys and size = h.size in
     let src = slots.(i) in
