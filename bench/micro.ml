@@ -154,6 +154,41 @@ let level_merge ~smoke =
     ignore (Hsq_hist.Partition_summary.builder_finish builder);
     Hsq_storage.Run.free merged
 
+(* The ingest path's two sorts on normal data: a full 512-value
+   hand-off run sorted into the engine's reused run, and a step spool of
+   98 such runs, each sorted, sorted as one step (~50k values).  Each op
+   first copies its input in with a typed loop, at 1-2 ns a word.  The
+   hand-off row cycles through 64 runs: one run sorted over and over
+   lets the branch predictor learn a comparison sort's branches. *)
+let refill (src : int array) (dst : int array) =
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- src.(i)
+  done
+
+let sort_handoff () =
+  let data = Hsq_workload.Datasets.normal ~seed:5 in
+  let runs = Array.init 64 (fun _ -> Hsq_workload.Datasets.next_batch data 512) in
+  let next = ref 0 in
+  let pending = Array.make 512 0 and sorted = Array.make 512 0 and counts = Array.make 256 0 in
+  fun () ->
+    next := (!next + 1) land 63;
+    refill runs.(!next) pending;
+    Hsq_util.Sorted.sort_into ~counts pending 512 sorted
+
+let sort_spool () =
+  let data = Hsq_workload.Datasets.normal ~seed:5 in
+  let spool =
+    Array.concat
+      (List.init 98 (fun _ ->
+           let run = Hsq_workload.Datasets.next_batch data 512 in
+           Array.sort compare run;
+           run))
+  in
+  let work = Array.make (Array.length spool) 0 in
+  fun () ->
+    refill spool work;
+    Hsq_util.Sorted.sort_runs work
+
 let tests ~smoke =
   let rng = Hsq_util.Xoshiro.create 1234 in
   let gk = Hsq_sketch.Gk.create ~epsilon:0.001 in
@@ -190,6 +225,7 @@ let tests ~smoke =
     values.(!cursor)
   in
   let commit_step = step_commit ~smoke in
+  let handoff_sort = sort_handoff () and spool_sort = sort_spool () in
   let merge_level = level_merge ~smoke in
   [
     ("gk-insert",
@@ -235,6 +271,8 @@ let tests ~smoke =
        the step spool. *)
     ("handoff-512",
       (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
+    ("sort-handoff-512", handoff_sort);
+    ("sort-spool-50k", spool_sort);
     (* The ingest path's two bulk costs at accurate-disk's scale (50k
        elements a step, kappa 10): a step archived through the engine,
        and the merge the eleventh step's cascade runs. *)

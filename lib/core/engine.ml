@@ -97,6 +97,7 @@ type t = {
   pending : int array;
   mutable pending_len : int;
   sorted : int array; (* a hand-off's sorted run, reused *)
+  counts : int array; (* the hand-off sort's radix histogram, reused *)
   mutable durable : durability option;
   (* The summary cache of a query view whose first source is this
      engine (see key_of): the historical aggregate of the view's active
@@ -168,6 +169,7 @@ let of_restored ~device config hist =
     pending = Array.make handoff_size 0;
     pending_len = 0;
     sorted = Array.make handoff_size 0;
+    counts = Array.make 256 0;
     durable = None;
     summary_cache = None;
     metrics = make_engine_metrics device;
@@ -208,23 +210,29 @@ let set_tracer t tr =
    (StreamUpdate, Algorithm 4, batched) and one run onto the step spool.
    Called only at the two points the log also fixes — a full buffer and
    a step end — so replay repeats every hand-off and the sketch is a
-   function of the acknowledged stream alone.  The run is sorted into
-   [sorted] without allocating, and the sketch and the spool copy it
-   from there. *)
+   function of the acknowledged stream alone.  The run is radix-sorted
+   into [sorted] without allocating, and the sketch and the spool copy
+   it from there; the spool copies with a typed loop, which skips the
+   write barrier that [Array.blit] pays per word of a major-heap
+   array. *)
 let hand_off t =
   let n = t.pending_len in
   if n > 0 then begin
-    Hsq_util.Sorted.sort_into t.pending n t.sorted;
+    Hsq_util.Sorted.sort_into ~counts:t.counts t.pending n t.sorted;
     t.pending_len <- 0;
     let run = if n = handoff_size then t.sorted else Array.sub t.sorted 0 n in
     Hsq_sketch.Gk.insert_sorted_batch t.gk run;
-    let need = t.batch_len + n in
+    let base = t.batch_len in
+    let need = base + n in
     if need > Array.length t.batch then begin
       let bigger = Array.make (max need (2 * Array.length t.batch)) 0 in
-      Array.blit t.batch 0 bigger 0 t.batch_len;
+      Array.blit t.batch 0 bigger 0 base;
       t.batch <- bigger
     end;
-    Array.blit run 0 t.batch t.batch_len n;
+    let batch = t.batch in
+    for i = 0 to n - 1 do
+      batch.(base + i) <- run.(i)
+    done;
     t.batch_len <- need
   end
 

@@ -395,9 +395,9 @@ let reinstate t p =
 
 (* HistUpdate (Algorithm 3): sort the batch into a level-0 partition,
    then cascade merges while any level exceeds kappa partitions.  The
-   batch is sorted in place by merging its ascending runs: the engine's
-   step spool is one sorted run per hand-off, so a step costs
-   O(n log runs), and any other input is still sorted correctly. *)
+   batch is sorted in place: the engine's step spool, one sorted run per
+   hand-off, has far more runs than a natural merge takes cheaply, so it
+   is radix-sorted in O(n) per byte in which its values differ. *)
 let add_batch ?len t batch =
   let eta = match len with Some n -> n | None -> Array.length batch in
   if eta = 0 then invalid_arg "Level_index.add_batch: empty batch";

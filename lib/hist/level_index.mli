@@ -116,7 +116,8 @@ val memory_words : t -> int
 
 (** HistUpdate (Algorithm 3): ingest one time step's batch, the first
     [len] elements (default: all) of the array. They are sorted in place
-    (a natural merge sort, {!Hsq_util.Sorted.sort_runs}) and written as
+    ({!Hsq_util.Sorted.sort_runs}: a radix sort of the engine's spool of
+    sorted hand-off runs, a natural merge of a handful) and written as
     a new level-0 partition; the index keeps no reference to the array,
     and its slots past [len] are left untouched. A failure leaves the
     batch sorted, the same multiset. Raises [Invalid_argument] on an

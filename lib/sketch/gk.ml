@@ -202,48 +202,63 @@ let insert t v =
    and a step end's short run would otherwise leave an uncompressed
    tail in the summary that queries extract and memory accounting
    counts.  (A read does not hand off: it merges the pending buffer
-   into a copy of the sketch, which takes this same path.) *)
+   into a copy of the sketch, which takes this same path.)
+
+   The compress rides on the merge: each merged tuple, from the last
+   down, goes straight through [compress]'s right-to-left rule, so the
+   same tuples merge as a merge-then-compress would, in one pass.  It
+   works in place: [w], the last kept slot, stays above the merged
+   index [p], and every old tuple not yet merged sits at or below [p].
+   The kept tuples end up in [w .. needed - 1] and slide down once. *)
 let insert_sorted_batch t b =
   let k = Array.length b in
   if k > 0 then begin
     let old_size = t.size in
-    let new_n = t.n + k in
-    let thr = int_of_float (2.0 *. t.epsilon *. float_of_int new_n) in
+    t.n <- t.n + k;
+    let thr = threshold t in
     let interior_delta = Int.max 0 (thr - 1) in
     let needed = old_size + k in
     reserve t needed;
     let values = t.values and gs = t.gs and deltas = t.deltas in
     let old_min = if old_size = 0 then max_int else values.(0) in
     let old_max = if old_size = 0 then min_int else values.(old_size - 1) in
-    let i = ref (old_size - 1) and j = ref (k - 1) in
-    let pos = ref (needed - 1) in
-    (* Once the batch is exhausted the surviving old prefix is already in
-       place, so the merge walks at most size + k positions total. *)
-    while !j >= 0 do
-      let p = !pos in
-      if !i >= 0 && values.(!i) > b.(!j) then begin
+    let i = ref (old_size - 1) and j = ref (k - 1) and w = ref needed in
+    let v = ref 0 and g = ref 0 and d = ref 0 in
+    for p = needed - 1 downto 0 do
+      (* The merged tuple at index p. *)
+      if !j < 0 || (!i >= 0 && values.(!i) > b.(!j)) then begin
         let s = !i in
-        values.(p) <- values.(s);
-        gs.(p) <- gs.(s);
-        deltas.(p) <- deltas.(s);
+        v := values.(s);
+        g := gs.(s);
+        d := deltas.(s);
         decr i
       end
       else begin
-        let v = b.(!j) in
-        values.(p) <- v;
-        gs.(p) <- 1;
-        deltas.(p) <-
-          (if old_size = 0 then 0 (* sorted run into an empty sketch: every
-                                     element appends past the running max *)
-           else if v >= old_max || v < old_min then 0
-           else interior_delta);
+        let x = b.(!j) in
+        v := x;
+        g := 1;
+        d := if x >= old_max || x < old_min then 0 else interior_delta;
         decr j
       end;
-      decr pos
+      (* The last tuple and the first (the exact minimum) are kept. *)
+      let w' = !w in
+      if p > 0 && w' < needed && !g + gs.(w') + deltas.(w') <= thr then gs.(w') <- gs.(w') + !g
+      else begin
+        w := w' - 1;
+        values.(w' - 1) <- !v;
+        gs.(w' - 1) <- !g;
+        deltas.(w' - 1) <- !d
+      end
     done;
-    t.size <- needed;
-    t.n <- new_n;
-    compress t;
+    let first = !w in
+    let new_size = needed - first in
+    if first > 0 then begin
+      move values ~src:first ~dst:0 new_size;
+      move gs ~src:first ~dst:0 new_size;
+      move deltas ~src:first ~dst:0 new_size
+    end;
+    t.size <- new_size;
+    if needed > 2 then t.since_compress <- 0;
     enforce_budget t
   end
 

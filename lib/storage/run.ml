@@ -38,7 +38,7 @@ let of_sorted_array ?len dev elements =
   let block = Array.make bsize 0 in
   for b = 0 to nblocks - 1 do
     let off = b * bsize in
-    let len = min bsize (n - off) in
+    let len = Int.min bsize (n - off) in
     Array.blit elements off block 0 len;
     (* Pad the tail of the final block with the largest element so every
        slot is well-defined (padding is never exposed: accessors bound
@@ -189,7 +189,7 @@ let start = start_as ~who:"start"
    meets the window; the window's new ends take their anchors from it. *)
 let settle s ~bsize block abs =
   let base = (abs - s.srun.addr) * bsize in
-  let a = max s.lo base and b = min s.hi (base + bsize) in
+  let a = Int.max s.lo base and b = Int.min s.hi (base + bsize) in
   let v = s.v in
   if block.(b - 1 - base) <= v then begin
     s.lo <- b;
@@ -222,9 +222,9 @@ let guided_block s ~bsize =
     let frac = (float_of_int s.v -. float_of_int ylo) /. (float_of_int yhi -. float_of_int ylo) in
     let frac = Float.min 1.0 (Float.max 0.0 frac) in
     let pos = s.lo + int_of_float (frac *. float_of_int (s.hi - s.lo)) in
-    let g = min (s.hi - 1) pos / bsize in
+    let g = Int.min (s.hi - 1) pos / bsize in
     let left = g - (s.lo / bsize) and right = ((s.hi - 1) / bsize) - g in
-    if max (midpoint_cost left) (midpoint_cost right) <= s.budget - 1 then g else -1
+    if Int.max (midpoint_cost left) (midpoint_cost right) <= s.budget - 1 then g else -1
   | _ -> -1
 
 (* A fed block serves one step, so with the cache disabled every step

@@ -9,7 +9,7 @@ let is_sorted ?len (a : int array) =
 
 (* Number of elements <= v in the sorted array [a], i.e. the index of the
    first element > v.  Classic upper-bound binary search. *)
-let rank a v =
+let rank (a : int array) v =
   let rec go lo hi =
     if lo >= hi then lo
     else
@@ -19,7 +19,7 @@ let rank a v =
   go 0 (Array.length a)
 
 (* Number of elements < v: index of the first element >= v. *)
-let rank_strict a v =
+let rank_strict (a : int array) v =
   let rec go lo hi =
     if lo >= hi then lo
     else
@@ -42,6 +42,14 @@ let quantile a phi =
   if not (phi > 0.0 && phi <= 1.0) then invalid_arg "Sorted.quantile: phi not in (0,1]";
   select a (int_of_float (ceil (phi *. float_of_int n)))
 
+(* [Array.blit src 0 dst 0 n] as a typed loop: [Array.blit] into an
+   array in the major heap stores each word through the write barrier,
+   several times the cost of a plain int store. *)
+let copy (src : int array) (dst : int array) n =
+  for i = 0 to n - 1 do
+    dst.(i) <- src.(i)
+  done
+
 (* End (exclusive) of the ascending run of [a] that starts at [i < n]. *)
 let run_end (a : int array) n i =
   let j = ref (i + 1) in
@@ -51,7 +59,7 @@ let run_end (a : int array) n i =
   !j
 
 (* Merge src.[lo, mid) and src.[mid, hi), both sorted, into dst.[lo, hi). *)
-let merge_into (src : int array) dst lo mid hi =
+let merge_into (src : int array) (dst : int array) lo mid hi =
   let i = ref lo and j = ref mid and k = ref lo in
   while !i < mid && !j < hi do
     let x = src.(!i) and y = src.(!j) in
@@ -65,7 +73,10 @@ let merge_into (src : int array) dst lo mid hi =
     end;
     incr k
   done;
-  if !i < mid then Array.blit src !i dst !k (mid - !i) else Array.blit src !j dst !k (hi - !j)
+  let from = if !i < mid then !i else !j and stop = if !i < mid then mid else hi in
+  for r = from to stop - 1 do
+    dst.(!k + r - from) <- src.(r)
+  done
 
 (* Natural merge sort, bottom-up: each pass finds the ascending runs of
    one buffer and merges adjacent pairs into the other, so k runs take
@@ -90,32 +101,90 @@ let merge_runs a n scratch =
   done;
   !src
 
+let radix_words = 256
+
+(* LSD radix sort of [a.(0 .. n-1)] on the 8-bit digits of
+   [x lxor min_int], whose unsigned order is the signed order of [x]:
+   per digit, one counting pass and one stable scatter.  One scan first
+   ors every value's difference from [a.(0)], and a digit that mask
+   leaves zero (no two values differ in it) is skipped.  Ping-pongs
+   between [a] and [b] with [counts] as the histogram, and returns the
+   array that holds the result.  The hot loops index without bounds
+   checks, so the sizes are checked once here: a digit is below
+   [radix_words], and a scatter slot is a prefix count below [n]. *)
+let radix_sort ~who (a : int array) (b : int array) n (counts : int array) =
+  if n < 0 || n > Array.length a || n > Array.length b then invalid_arg (who ^ ": bad length");
+  if Array.length counts < radix_words then invalid_arg (who ^ ": counts too short");
+  let src = ref a and dst = ref b in
+  if n > 1 then begin
+    let x0 = a.(0) and diff = ref 0 in
+    for i = 1 to n - 1 do
+      diff := !diff lor (a.(i) lxor x0)
+    done;
+    let shift = ref 0 in
+    while !shift < Sys.int_size && !diff lsr !shift <> 0 do
+      let sh = !shift in
+      if (!diff lsr sh) land 255 <> 0 then begin
+        let s = !src and d = !dst in
+        for k = 0 to radix_words - 1 do
+          counts.(k) <- 0
+        done;
+        for i = 0 to n - 1 do
+          let k = ((Array.unsafe_get s i lxor min_int) lsr sh) land 255 in
+          Array.unsafe_set counts k (Array.unsafe_get counts k + 1)
+        done;
+        let sum = ref 0 in
+        for k = 0 to radix_words - 1 do
+          let c = counts.(k) in
+          counts.(k) <- !sum;
+          sum := !sum + c
+        done;
+        for i = 0 to n - 1 do
+          let x = Array.unsafe_get s i in
+          let k = ((x lxor min_int) lsr sh) land 255 in
+          let p = Array.unsafe_get counts k in
+          Array.unsafe_set d p x;
+          Array.unsafe_set counts k (p + 1)
+        done;
+        src := d;
+        dst := s
+      end;
+      shift := sh + 8
+    done
+  end;
+  !src
+
+(* Fewer runs than this merge naturally, in at most three passes; more
+   radix-sort, whose passes depend on the values' spread instead (on
+   values that differ in their low four bytes the two cost the same at
+   about five runs). *)
+let radix_runs = 8
+
+(* The number of ascending runs in [a.(0 .. n-1)], counted up to
+   [limit]. *)
+let runs_upto (a : int array) n limit =
+  let runs = ref 1 and i = ref 1 in
+  while !i < n && !runs < limit do
+    if a.(!i - 1) > a.(!i) then incr runs;
+    incr i
+  done;
+  !runs
+
 (* One scratch array of n words; a sorted input costs one scan and no
    allocation. *)
 let sort_runs ?len a =
   let n = match len with Some n -> n | None -> Array.length a in
-  if n > 1 && run_end a n 0 < n then begin
-    let s = merge_runs a n (Array.make n 0) in
-    if s != a then Array.blit s 0 a 0 n
+  if n < 0 || n > Array.length a then invalid_arg "Sorted.sort_runs: bad length";
+  let runs = if n > 1 then runs_upto a n radix_runs else 1 in
+  if runs > 1 then begin
+    let scratch = Array.make n 0 in
+    let s =
+      if runs < radix_runs then merge_runs a n scratch
+      else radix_sort ~who:"Sorted.sort_runs" a scratch n (Array.make radix_words 0)
+    in
+    if s != a then copy s a n
   end
 
-(* Insertion sort within each 16-element block first, so the merge
-   passes start from runs of at least 16: for a 512-element hand-off,
-   five passes. *)
-let sort_into src n dst =
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = Int.min n (!lo + 16) in
-    for i = !lo + 1 to hi - 1 do
-      let x = src.(i) in
-      let j = ref (i - 1) in
-      while !j >= !lo && src.(!j) > x do
-        src.(!j + 1) <- src.(!j);
-        decr j
-      done;
-      src.(!j + 1) <- x
-    done;
-    lo := hi
-  done;
-  let s = merge_runs src n dst in
-  if s != dst then Array.blit s 0 dst 0 n
+let sort_into ~counts src n dst =
+  let s = radix_sort ~who:"Sorted.sort_into" src dst n counts in
+  if s != dst then copy s dst n

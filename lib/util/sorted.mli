@@ -24,15 +24,22 @@ val select : int array -> int -> int
 val quantile : int array -> float -> int
 
 (** [sort_runs ?len a] sorts [a]'s first [len] elements (default: all)
-    in place, ascending, by merging their ascending runs pairwise,
-    bottom-up (a natural merge sort): k sorted runs cost O(n log k), a
-    sorted prefix a single scan. Correct for any input; uses one scratch
-    array of [len] words unless the prefix is already sorted, and leaves
-    the rest of [a] untouched. *)
+    in place, ascending, and leaves the rest of [a] untouched. Correct
+    for any input. A sorted prefix costs one scan and no allocation.
+    Otherwise it uses one scratch array of [len] words: a handful of
+    ascending runs (fewer than 8) are merged pairwise, bottom-up (a
+    natural merge sort, O(n log k) for k runs); more are radix-sorted
+    as {!sort_into} does, in O(n) per byte in which the values differ.
+    Raises [Invalid_argument] if [len] is negative or past the end. *)
 val sort_runs : ?len:int -> int array -> unit
 
-(** [sort_into src n dst] writes [src.(0 .. n-1)] into [dst.(0 .. n-1)]
-    in ascending order, using [src]'s first [n] words as merge scratch
-    (they are left permuted). Allocates nothing; both arrays must hold
-    at least [n] words. *)
-val sort_into : int array -> int -> int array -> unit
+(** [sort_into ~counts src n dst] writes [src.(0 .. n-1)] into
+    [dst.(0 .. n-1)] in ascending order by an LSD radix sort on the
+    8-bit digits of [x lxor min_int]: one counting pass and one stable
+    scatter per byte in which two of the values differ, ping-ponging
+    between [src] and [dst]. [src]'s first [n] words are left permuted,
+    and neither array is touched past [n]. [counts] is the histogram's
+    scratch, at least 256 words, which the caller owns, so the sort
+    allocates nothing. Raises [Invalid_argument] if [counts] is shorter
+    than 256 words or either array shorter than [n]. *)
+val sort_into : counts:int array -> int array -> int -> int array -> unit

@@ -755,6 +755,79 @@ let prop_matches_reference =
       in
       go gk r ops)
 
+(* Hand-off edge cases through the reference, checked after every op:
+   the tuples, count, size, epsilon and footprint must all agree. *)
+let check_reference_ops what mode ops =
+  let gk, r =
+    match mode with
+    | `Fixed epsilon -> (Gk.create ~epsilon, Reference.create ~epsilon)
+    | `Capped words -> (Gk.create_capped ~words, Reference.create_capped ~words)
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Batch b ->
+        Gk.insert_sorted_batch gk b;
+        Reference.insert_sorted_batch r b
+      | Insert v ->
+        Gk.insert gk v;
+        Reference.insert r v
+      | Copy -> ());
+      let at = Printf.sprintf "%s, op %d" what step in
+      Alcotest.(check (list (triple int int int))) (at ^ ": tuples") (Reference.dump r) (Gk.dump gk);
+      Alcotest.(check int) (at ^ ": count") r.n (Gk.count gk);
+      Alcotest.(check int) (at ^ ": size") r.size (Gk.size gk);
+      Alcotest.(check (float 0.0)) (at ^ ": epsilon") r.epsilon (Gk.epsilon gk);
+      Alcotest.(check int) (at ^ ": words") (Reference.memory_words r) (Gk.memory_words gk))
+    ops
+
+let span lo hi = Batch (Array.init (hi - lo + 1) (fun i -> lo + i))
+
+(* The first hand-off into an empty sketch: every element lands past the
+   running maximum, so every delta is 0. *)
+let test_handoff_first () =
+  check_reference_ops "first" (`Fixed 0.05) [ span 1 300; span 100 400 ];
+  check_reference_ops "first, duplicates" (`Fixed 0.01)
+    [ Batch (Array.init 600 (fun i -> i / 7)) ]
+
+(* Runs wholly below the old minimum (exact ranks, delta 0, and a new
+   minimum that must never merge) and wholly above the old maximum. *)
+let test_handoff_outside () =
+  check_reference_ops "below" (`Fixed 0.05)
+    [ span 1_000 1_400; span (-300) (-1); span (-900) (-600); Batch [| min_int |] ];
+  check_reference_ops "above" (`Fixed 0.05)
+    [ span 1 400; span 500 800; span 2_000 2_003; Batch [| max_int |] ]
+
+(* Runs equal to values already held: the old minimum, the old maximum
+   and interior values, which decide between delta 0 and the interior
+   delta and order equal values behind the old tuples. *)
+let test_handoff_equal () =
+  let held = Array.init 200 (fun i -> 10 * i) in
+  check_reference_ops "equal" (`Fixed 0.02)
+    [
+      Batch held;
+      Batch (Array.make 40 0);
+      Batch (Array.make 40 1_990);
+      Batch (Array.init 100 (fun i -> 20 * i));
+      Batch held;
+    ]
+
+(* Merged sizes of at most 2 skip the compress, and an insert's
+   compress schedule runs on across them. *)
+let test_handoff_tiny () =
+  check_reference_ops "one" (`Fixed 0.2) [ Batch [| 5 |]; Batch [| 3 |]; Insert 4 ];
+  check_reference_ops "two" (`Fixed 0.2) [ Batch [| 5; 5 |]; Insert 6; Insert 7 ];
+  check_reference_ops "insert, then one" (`Fixed 0.2)
+    ([ Insert 5; Batch [| 7 |] ] @ List.init 12 (fun i -> Insert (8 + i)))
+
+(* A capped sketch: each hand-off must coarsen epsilon to the budget
+   exactly as the reference does. *)
+let test_handoff_capped () =
+  check_reference_ops "capped 60" (`Capped 60)
+    (List.init 12 (fun b -> span (b * 37) ((b * 37) + 90 + (b * 11))));
+  check_reference_ops "capped 200" (`Capped 200)
+    [ span 1 600; span (-600) (-1); Batch (Array.make 300 7); span 601 1_200 ]
+
 let () =
   Alcotest.run "gk"
     [
@@ -805,5 +878,13 @@ let () =
       ( "round trip",
         Alcotest.test_case "copy replays" `Quick test_copy_replays
         :: round_trip_cases );
-      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_reference;
+          Alcotest.test_case "first hand-off" `Quick test_handoff_first;
+          Alcotest.test_case "runs outside the range" `Quick test_handoff_outside;
+          Alcotest.test_case "runs equal to held values" `Quick test_handoff_equal;
+          Alcotest.test_case "merged size at most 2" `Quick test_handoff_tiny;
+          Alcotest.test_case "capped hand-offs" `Quick test_handoff_capped;
+        ] );
     ]

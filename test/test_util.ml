@@ -201,12 +201,85 @@ let test_sort_into_matches_array_sort () =
         Array.sort compare expected;
         let src = Array.append input [| min_int; min_int |] in
         let dst = Array.make (n + 3) 42 in
-        Sorted.sort_into src n dst;
+        Sorted.sort_into ~counts:(Array.make 256 0) src n dst;
         let what = Printf.sprintf "%s n=%d" shape n in
         Alcotest.(check (array int)) what expected (Array.sub dst 0 n);
         Alcotest.(check (array int)) (what ^ ": dst past n") [| 42; 42; 42 |] (Array.sub dst n 3))
       shapes
   done
+
+(* The radix sort's digit cases against Array.sort compare: values over
+   the whole int range (min_int, max_int, 0 and -1 among them, so the
+   top digit must order negatives first), all-equal input (every digit
+   skipped), input differing in one byte only (one digit sorted, at
+   each of the eight positions; the whole byte or its top bit alone)
+   and input differing in every byte.
+   [sort_into] runs at every length 0..600 and must leave [dst] past n
+   alone; [sort_runs ~len] runs on the same values cut into sorted runs
+   of 8 (enough runs to radix-sort) and must leave the tail alone. *)
+let radix_shapes rng =
+  let base = Xoshiro.next rng in
+  let extremes = [| min_int; max_int; 0; -1; min_int + 1; max_int - 1; 1 |] in
+  ("whole range",
+    fun i -> if i mod 5 = 0 then extremes.(i / 5 mod 7) else Xoshiro.next rng)
+  :: ("all equal", fun _ -> base)
+  :: ("every byte", fun _ -> Xoshiro.next rng)
+  :: List.init 8 (fun b ->
+         ( Printf.sprintf "byte %d only" b,
+           fun _ -> base lxor (Xoshiro.int rng 256 lsl (8 * b)) ))
+  @ List.init 8 (fun b ->
+        (* The byte's top bit, bit 62 (the sign) in the top byte. *)
+        let bit = Int.min 62 ((8 * b) + 7) in
+        (Printf.sprintf "bit %d only" bit, fun _ -> base lxor (Xoshiro.int rng 2 lsl bit)))
+
+let test_radix_sort_digits () =
+  let rng = Xoshiro.create 0x5AD1 in
+  let counts = Array.make 256 0 in
+  for n = 0 to 600 do
+    List.iter
+      (fun (shape, value) ->
+        let input = Array.init n value in
+        let expected = sorted_copy input in
+        let what = Printf.sprintf "%s n=%d" shape n in
+        let src = Array.append input [| 5; 5 |] in
+        let dst = Array.make (n + 2) 42 in
+        Sorted.sort_into ~counts src n dst;
+        Alcotest.(check (array int)) what expected (Array.sub dst 0 n);
+        Alcotest.(check (array int)) (what ^ ": dst past n") [| 42; 42 |] (Array.sub dst n 2);
+        Alcotest.(check (array int)) (what ^ ": src past n") [| 5; 5 |] (Array.sub src n 2);
+        (* The same values as runs of 8 sorted ones, then a tail of 3. *)
+        let runs =
+          Array.concat
+            (List.init ((n + 7) / 8) (fun r ->
+                 sorted_copy (Array.sub input (8 * r) (Int.min 8 (n - (8 * r))))))
+        in
+        let tail = [| max_int; min_int; 0 |] in
+        let a = Array.append runs tail in
+        Sorted.sort_runs ~len:n a;
+        Alcotest.(check (array int)) (what ^ ": sort_runs") expected (Array.sub a 0 n);
+        Alcotest.(check (array int)) (what ^ ": tail past len") tail (Array.sub a n 3))
+      (radix_shapes rng)
+  done
+
+(* A 50k step spool, 98 sorted hand-off runs, over the whole int range
+   and over one byte, through the spool's sort and the hand-off's. *)
+let test_radix_sort_spool () =
+  let rng = Xoshiro.create 0x5B001 in
+  List.iter
+    (fun (shape, value) ->
+      let spool =
+        Array.concat (List.init 98 (fun _ -> sorted_copy (Array.init 512 value)))
+        |> fun a -> Array.sub a 0 50_000
+      in
+      let expected = sorted_copy spool in
+      let dst = Array.make 50_000 0 in
+      Sorted.sort_into ~counts:(Array.make 256 0) (Array.copy spool) 50_000 dst;
+      Alcotest.(check (array int)) (shape ^ ": sort_into") expected dst;
+      Sorted.sort_runs spool;
+      Alcotest.(check (array int)) (shape ^ ": sort_runs") expected spool)
+    (List.filter
+       (fun (shape, _) -> List.mem shape [ "whole range"; "every byte"; "byte 7 only"; "byte 2 only" ])
+       (radix_shapes rng))
 
 (* Arrays of ascending runs cut at random boundaries, over a small
    value pool (so duplicates) plus min_int and max_int; a quarter of
@@ -312,6 +385,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sort_runs;
           Alcotest.test_case "sort_into matches Array.sort" `Quick
             test_sort_into_matches_array_sort;
+          Alcotest.test_case "radix sort digits" `Quick test_radix_sort_digits;
+          Alcotest.test_case "radix sort spool" `Quick test_radix_sort_spool;
         ] );
       ( "digits",
         [

@@ -43,7 +43,7 @@ ROW_KEYS = ("workload", "side", "commit", "visible_cores", "seed", "seconds", "t
 RUN_TIMEOUT_S = 1200
 BOX_KEYS = ("loadavg_before", "loadavg_after", "child_cpu_s")
 # Printed after each pair, parent -> change.
-PROGRESS_METRICS = ("quick_p50_ms", "accurate_p50_ms", "throughput_per_s")
+PROGRESS_METRICS = ("setup_s", "quick_p50_ms", "accurate_p50_ms", "throughput_per_s")
 
 
 def bench_file(workload):
