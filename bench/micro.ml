@@ -169,7 +169,8 @@ let sort_handoff () =
   let data = Hsq_workload.Datasets.normal ~seed:5 in
   let runs = Array.init 64 (fun _ -> Hsq_workload.Datasets.next_batch data 512) in
   let next = ref 0 in
-  let pending = Array.make 512 0 and sorted = Array.make 512 0 and counts = Array.make 256 0 in
+  let pending = Array.make 512 0 and sorted = Array.make 512 0 in
+  let counts = Hsq_util.Sorted.radix_counts () in
   fun () ->
     next := (!next + 1) land 63;
     refill runs.(!next) pending;

@@ -169,7 +169,7 @@ let of_restored ~device config hist =
     pending = Array.make handoff_size 0;
     pending_len = 0;
     sorted = Array.make handoff_size 0;
-    counts = Array.make 256 0;
+    counts = Hsq_util.Sorted.radix_counts ();
     durable = None;
     summary_cache = None;
     metrics = make_engine_metrics device;
@@ -245,10 +245,12 @@ let buffer t v =
 
 let hist t = t.hist
 
-(* The pending elements, in a fresh sorted array. *)
+(* The pending elements, in a fresh sorted array, radix-sorted from a
+   copy as a hand-off sorts them. *)
 let sorted_pending t =
-  let run = Array.sub t.pending 0 t.pending_len in
-  Hsq_util.Sorted.sort_runs run;
+  let n = t.pending_len in
+  let run = Array.make n 0 in
+  Hsq_util.Sorted.sort_into ~counts:t.counts (Array.sub t.pending 0 n) n run;
   run
 
 (* The sketch a hand-off right now would leave: [gk] itself on an empty

@@ -102,6 +102,7 @@ let merge_runs a n scratch =
   !src
 
 let radix_words = 256
+let radix_counts () = Array.make radix_words 0
 
 (* LSD radix sort of [a.(0 .. n-1)] on the 8-bit digits of
    [x lxor min_int], whose unsigned order is the signed order of [x]:
@@ -180,7 +181,7 @@ let sort_runs ?len a =
     let scratch = Array.make n 0 in
     let s =
       if runs < radix_runs then merge_runs a n scratch
-      else radix_sort ~who:"Sorted.sort_runs" a scratch n (Array.make radix_words 0)
+      else radix_sort ~who:"Sorted.sort_runs" a scratch n (radix_counts ())
     in
     if s != a then copy s a n
   end

@@ -29,9 +29,13 @@ val quantile : int array -> float -> int
     Otherwise it uses one scratch array of [len] words: a handful of
     ascending runs (fewer than 8) are merged pairwise, bottom-up (a
     natural merge sort, O(n log k) for k runs); more are radix-sorted
-    as {!sort_into} does, in O(n) per byte in which the values differ.
+    as {!sort_into} does, in O(n) per byte in which the values differ,
+    with a fresh histogram.
     Raises [Invalid_argument] if [len] is negative or past the end. *)
 val sort_runs : ?len:int -> int array -> unit
+
+(** A fresh histogram for {!sort_into}: 256 words. *)
+val radix_counts : unit -> int array
 
 (** [sort_into ~counts src n dst] writes [src.(0 .. n-1)] into
     [dst.(0 .. n-1)] in ascending order by an LSD radix sort on the
@@ -39,7 +43,8 @@ val sort_runs : ?len:int -> int array -> unit
     scatter per byte in which two of the values differ, ping-ponging
     between [src] and [dst]. [src]'s first [n] words are left permuted,
     and neither array is touched past [n]. [counts] is the histogram's
-    scratch, at least 256 words, which the caller owns, so the sort
-    allocates nothing. Raises [Invalid_argument] if [counts] is shorter
-    than 256 words or either array shorter than [n]. *)
+    scratch, at least 256 words ({!radix_counts}), which the caller
+    owns and reuses, so the sort allocates nothing. Raises
+    [Invalid_argument] if [counts] is shorter than 256 words or either
+    array shorter than [n]. *)
 val sort_into : counts:int array -> int array -> int -> int array -> unit

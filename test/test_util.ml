@@ -234,7 +234,7 @@ let radix_shapes rng =
 
 let test_radix_sort_digits () =
   let rng = Xoshiro.create 0x5AD1 in
-  let counts = Array.make 256 0 in
+  let counts = Sorted.radix_counts () in
   for n = 0 to 600 do
     List.iter
       (fun (shape, value) ->
@@ -273,7 +273,7 @@ let test_radix_sort_spool () =
       in
       let expected = sorted_copy spool in
       let dst = Array.make 50_000 0 in
-      Sorted.sort_into ~counts:(Array.make 256 0) (Array.copy spool) 50_000 dst;
+      Sorted.sort_into ~counts:(Sorted.radix_counts ()) (Array.copy spool) 50_000 dst;
       Alcotest.(check (array int)) (shape ^ ": sort_into") expected dst;
       Sorted.sort_runs spool;
       Alcotest.(check (array int)) (shape ^ ": sort_runs") expected spool)
