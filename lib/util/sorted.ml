@@ -171,8 +171,8 @@ let runs_upto (a : int array) n limit =
   done;
   !runs
 
-(* One scratch array of n words; a sorted input costs one scan and no
-   allocation. *)
+(* One scratch array of n words, and a histogram to radix-sort; a
+   sorted input costs one scan and no allocation. *)
 let sort_runs ?len a =
   let n = match len with Some n -> n | None -> Array.length a in
   if n < 0 || n > Array.length a then invalid_arg "Sorted.sort_runs: bad length";
