@@ -10,8 +10,8 @@ open Bechamel
 open Toolkit
 
 (* A pre-built medium engine shared (read-only) by the query benches. *)
-let prepared_engine () =
-  let scale = { Harness.default_scale with steps = 20; step_size = 5_000 } in
+let prepared_engine ?(seed = Harness.default_scale.seed) () =
+  let scale = { Harness.default_scale with steps = 20; step_size = 5_000; seed } in
   let w = Harness.load_workload ~scale ~dataset:"uniform" () in
   let config =
     Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
@@ -154,26 +154,32 @@ let level_merge ~smoke =
     ignore (Hsq_hist.Partition_summary.builder_finish builder);
     Hsq_storage.Run.free merged
 
+(* 64 runs of 512 normal values, taken in turn by the hand-off rows: one
+   run handed off over and over lets the branch predictor learn the
+   sort's branches. *)
+let handoff_runs () =
+  let data = Hsq_workload.Datasets.normal ~seed:5 in
+  let runs = Array.init 64 (fun _ -> Hsq_workload.Datasets.next_batch data 512) in
+  let next = ref 0 in
+  fun () ->
+    next := (!next + 1) land 63;
+    runs.(!next)
+
 (* The ingest path's two sorts on normal data: a full 512-value
    hand-off run sorted into the engine's reused run, and a step spool of
    98 such runs, each sorted, sorted as one step (~50k values).  Each op
-   first copies its input in with a typed loop, at 1-2 ns a word.  The
-   hand-off row cycles through 64 runs: one run sorted over and over
-   lets the branch predictor learn a comparison sort's branches. *)
+   first copies its input in with a typed loop, at 1-2 ns a word. *)
 let refill (src : int array) (dst : int array) =
   for i = 0 to Array.length src - 1 do
     dst.(i) <- src.(i)
   done
 
 let sort_handoff () =
-  let data = Hsq_workload.Datasets.normal ~seed:5 in
-  let runs = Array.init 64 (fun _ -> Hsq_workload.Datasets.next_batch data 512) in
-  let next = ref 0 in
+  let next_run = handoff_runs () in
   let pending = Array.make 512 0 and sorted = Array.make 512 0 in
   let counts = Hsq_util.Sorted.radix_counts () in
   fun () ->
-    next := (!next + 1) land 63;
-    refill runs.(!next) pending;
+    refill (next_run ()) pending;
     Hsq_util.Sorted.sort_into ~counts pending 512 sorted
 
 let sort_spool () =
@@ -200,11 +206,16 @@ let tests ~smoke =
   let eng_rank = rank_cycle ~n in
   let acc = accurate_engine ~smoke () in
   let acc_rank = rank_cycle ~n:(Hsq.Engine.total_size acc) in
-  (* The union summary's inputs, fixed: the build row measures the
-     build alone, the uncached row the aggregate too. *)
-  let partitions = Hsq_hist.Level_index.active_partitions (Hsq.Engine.hist eng) in
+  (* The union summary's inputs, fixed: the build rows measure the
+     build alone, over one engine and over three (a sharded store's
+     K = 3), the uncached row the aggregate too. *)
+  let parts e = Hsq_hist.Level_index.active_partitions (Hsq.Engine.hist e) in
+  let partitions = parts eng in
   let agg = Hsq.Union_summary.hist_aggregate ~partitions in
   let streams = [ Hsq.Engine.stream_summary eng ] in
+  let engines3 = eng :: List.map (fun seed -> prepared_engine ~seed ()) [ 0xCAFE; 0xF00D ] in
+  let agg3 = Hsq.Union_summary.hist_aggregate ~partitions:(List.concat_map parts engines3) in
+  let streams3 = List.map Hsq.Engine.stream_summary engines3 in
   let volatile =
     Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
   in
@@ -216,7 +227,7 @@ let tests ~smoke =
   let handoff_engine =
     Hsq.Engine.create (Hsq.Config.make ~kappa:10 ~block_size:256 (Hsq.Config.Epsilon 0.01))
   in
-  let run512 = Array.init 512 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000_000) in
+  let next_run512 = handoff_runs () in
   let dev, block_addr = block_file () in
   let block = Array.init 256 (fun j -> (j * 7919) - 1_000_000) in
   let values = Array.init 4096 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000) in
@@ -239,6 +250,8 @@ let tests ~smoke =
       (fun () -> ignore (Hsq.Engine.stream_summary eng)));
     ("union-summary-build",
       (fun () -> ignore (Hsq.Union_summary.build ~agg ~streams)));
+    ("union-summary-build-k3",
+      (fun () -> ignore (Hsq.Union_summary.build ~agg:agg3 ~streams:streams3)));
     (* The quick path answers from the engine's summary cache; the
        uncached row aggregates the partition summaries and builds the
        union summary on every query. *)
@@ -269,9 +282,9 @@ let tests ~smoke =
            Hsq.Engine.observe dur_always (next_value ())));
     (* One full ingest buffer: 512 observes into a volatile engine, the
        last of which sorts the buffer and merges it into the sketch and
-       the step spool. *)
+       the step spool; the runs cycle as the sort row's do. *)
     ("handoff-512",
-      (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) run512));
+      (fun () -> Array.iter (Hsq.Engine.observe handoff_engine) (next_run512 ())));
     ("sort-handoff-512", handoff_sort);
     ("sort-spool-50k", spool_sort);
     (* The ingest path's two bulk costs at accurate-disk's scale (50k

@@ -90,25 +90,26 @@ let count_le t v =
   in
   go 0 (Array.length a)
 
-(* Lower bound on rank(v, R): SS[0] is the exact minimum, so alpha_S = 0
-   implies no stream element is <= v; otherwise rank(v) >= rank of the
-   largest entry <= v, which is at least its stored rlo. *)
-let rank_lower t v =
-  if t.m = 0 then 0.0
-  else begin
-    let a = count_le t v in
-    if a = 0 then 0.0 else t.rlo.(a - 1)
-  end
+(* The Lemma 2 bounds on rank(v, R) given alpha_S = a.  Lower: SS[0] is
+   the exact minimum, so a = 0 means no stream element is <= v;
+   otherwise rank(v) >= rank of the largest entry <= v, which is at least
+   its stored rlo.  Upper: elements <= v are a subset of elements
+   < SS[a] (the smallest entry > v), whose count is at most that entry's
+   rhi; when every entry is <= v the bound is m.  An empty stream has no
+   entries, so a = 0 and both are 0. *)
+let[@inline] lower_at t a = if a = 0 then 0.0 else t.rlo.(a - 1)
 
-(* Upper bound: elements <= v are a subset of elements < SS[alpha_S]
-   (the smallest entry > v), whose count is at most that entry's rhi;
-   when every entry is <= v the bound is m. *)
-let rank_upper t v =
-  if t.m = 0 then 0.0
-  else begin
-    let a = count_le t v in
-    if a = 0 then 0.0 else if a = Array.length t.values then float_of_int t.m else t.rhi.(a)
-  end
+let[@inline] upper_at t a =
+  if a = 0 then 0.0 else if a = Array.length t.values then float_of_int t.m else t.rhi.(a)
+
+let rank_lower t v = lower_at t (count_le t v)
+let rank_upper t v = upper_at t (count_le t v)
+
+(* A float returned across a module boundary is boxed unless the call is
+   inlined, so the union summary's walk has the bounds added in place. *)
+let add_bounds t a (lower : float array) (upper : float array) i =
+  lower.(i) <- lower.(i) +. lower_at t a;
+  upper.(i) <- upper.(i) +. upper_at t a
 
 (* rho_2 of Algorithm 8 (lines 8-10): the midpoint of the feasible
    window; its error is at most half the window, i.e. O(eps2 * m). *)

@@ -31,6 +31,12 @@ val memory_words : t -> int
 (** α_S of Lemma 2. *)
 val count_le : t -> int -> int
 
+(** [add_bounds t a lower upper i] adds to [lower.(i)] and [upper.(i)]
+    the Lemma 2 lower and upper bounds on rank(v, R) for any [v] with
+    α_S = [a] ([count_le t v]): the terms {!rank_lower} and
+    {!rank_upper} return at [v]. *)
+val add_bounds : t -> int -> float array -> float array -> int -> unit
+
 (** Lower / upper bounds and the ρ₂ estimate on rank(v, R); all clamped
     to [0, m]. *)
 val rank_lower : t -> int -> float

@@ -26,14 +26,10 @@
    [build] a cache-bypassing caller does, so their entries are bitwise
    identical. *)
 
-type entry = {
-  value : int;
-  lower : float; (* L_i: rank(value, T) >= lower *)
-  upper : float; (* U_i: rank(value, T) <= upper *)
-}
-
 type t = {
-  entries : entry array; (* sorted by value, distinct values *)
+  values : int array; (* ascending, distinct *)
+  lower : float array; (* L_i: rank(values.(i), T) >= lower.(i) *)
+  upper : float array; (* U_i: rank(values.(i), T) <= upper.(i) *)
   n_total : int; (* |T| = n + m *)
   m_stream : int;
   hist_elements : int;
@@ -130,49 +126,86 @@ let hist_aggregate ~partitions =
 
 (* --- TS construction --------------------------------------------------- *)
 
-(* The aggregate's values and every stream's, K + 1 sorted runs, sorted
-   together and walked once over their distinct values.  The aggregate
-   cursor after consuming its values <= v is exactly count_le(v), so the
-   historical bounds are one array lookup; the stream bounds are the
-   per-stream Lemma 2 calls, summed in stream order from 0.0. *)
+(* One merge walk over K + 1 sorted runs, the aggregate's values and each
+   stream's, with one cursor per run.  At each distinct value v, taken as
+   the least value a cursor has not consumed, every cursor moves past its
+   run's copies of v, so each has consumed exactly its run's values <= v:
+   the aggregate cursor is count_le(v) into hlo/hhi, and stream s's
+   cursor is its alpha_S.  The stream bounds are summed in stream order
+   from 0.0 (the columns' initial value) in place.  O(S·K) for S values,
+   with no allocation beyond the runs, the cursors and the columns. *)
 let build ~agg ~streams =
-  let hv = agg.hvalues and ss = Array.of_list streams in
-  let values = Array.concat (hv :: List.map Stream_summary.values streams) in
-  Hsq_util.Sorted.sort_runs values;
-  let nv = Array.length values and nh = Array.length hv in
-  let m_stream = List.fold_left (fun acc s -> acc + Stream_summary.stream_size s) 0 streams in
-  let out = Array.make (max 1 nv) { value = 0; lower = 0.0; upper = 0.0 } in
-  let i = ref 0 and k = ref 0 and n = ref 0 in
-  while !k < nv do
-    let v = values.(!k) in
-    while !k < nv && values.(!k) = v do incr k done;
-    (* hvalues are distinct, and none below v is left unconsumed. *)
-    if !i < nh && hv.(!i) = v then incr i;
-    let hlo_v, hhi_v =
-      if !i = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(!i - 1), agg.hhi.(!i - 1))
-    in
-    let slo = ref 0.0 and shi = ref 0.0 in
-    for s = 0 to Array.length ss - 1 do
-      slo := !slo +. Stream_summary.rank_lower ss.(s) v;
-      shi := !shi +. Stream_summary.rank_upper ss.(s) v
+  let ss = Array.of_list streams in
+  let runs = Array.of_list (agg.hvalues :: List.map Stream_summary.values streams) in
+  let nruns = Array.length runs in
+  let pos = Array.make nruns 0 in
+  let cap = Array.fold_left (fun acc r -> acc + Array.length r) 0 runs in
+  let values = Array.make cap 0 in
+  let lower = Array.make cap 0.0 and upper = Array.make cap 0.0 in
+  let left = ref cap and n = ref 0 in
+  while !left > 0 do
+    let v = ref max_int in
+    for r = 0 to nruns - 1 do
+      let run = runs.(r) and p = pos.(r) in
+      if p < Array.length run && run.(p) < !v then v := run.(p)
     done;
-    out.(!n) <- { value = v; lower = float_of_int hlo_v +. !slo; upper = float_of_int hhi_v +. !shi };
-    incr n
+    let v = !v in
+    for r = 0 to nruns - 1 do
+      let run = runs.(r) and p = ref pos.(r) in
+      while !p < Array.length run && run.(!p) = v do
+        incr p
+      done;
+      left := !left - (!p - pos.(r));
+      pos.(r) <- !p
+    done;
+    let i = pos.(0) and k = !n in
+    for s = 0 to Array.length ss - 1 do
+      Stream_summary.add_bounds ss.(s) pos.(s + 1) lower upper k
+    done;
+    values.(k) <- v;
+    lower.(k) <- float_of_int (if i = 0 then agg.base_lo else agg.hlo.(i - 1)) +. lower.(k);
+    upper.(k) <- float_of_int (if i = 0 then agg.base_hi else agg.hhi.(i - 1)) +. upper.(k);
+    n := k + 1
   done;
+  let m_stream = Array.fold_left (fun acc s -> acc + Stream_summary.stream_size s) 0 ss in
+  let trim a = if !n = cap then a else Array.sub a 0 !n in
   {
-    entries = Array.sub out 0 !n;
+    values = trim values;
+    lower = trim lower;
+    upper = trim upper;
     n_total = agg.agg_hist_elements + m_stream;
     m_stream;
     hist_elements = agg.agg_hist_elements;
     streams;
   }
 
-let entries t = t.entries
-let size t = Array.length t.entries
+let columns t = (t.values, t.lower, t.upper)
+let size t = Array.length t.values
 let n_total t = t.n_total
 let m_stream t = t.m_stream
 let hist_elements t = t.hist_elements
 let streams t = t.streams
+
+(* Column-for-column equality (exact float comparison): the consistency
+   contract between cached and fresh builds checked by the fuzz suite. *)
+let equal a b =
+  a.n_total = b.n_total && a.m_stream = b.m_stream
+  && a.hist_elements = b.hist_elements
+  && a.values = b.values && a.lower = b.lower && a.upper = b.upper
+
+(* The smallest i with col.(i) >= rank, or col.(i) > rank when [above]
+   (the length when none): L and U are non-decreasing in the value. *)
+let search ~above (col : float array) rank =
+  let r = float_of_int rank in
+  let lo = ref 0 and hi = ref (Array.length col) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let x = col.(mid) in
+    if (if above then x > r else x >= r) then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let nonempty who t = if Array.length t.values = 0 then invalid_arg (who ^ ": empty summary")
 
 (* Rank window of an arbitrary value against the union: L from the
    largest entry with value <= v (no smaller entry can push the rank
@@ -181,58 +214,22 @@ let streams t = t.streams
    is cut short (deadline, degraded fallback): |rank(v) - r| is at most
    max(U(v) - r, r - L(v)). *)
 let rank_window t v =
-  let n = Array.length t.entries in
-  if n = 0 then invalid_arg "Union_summary.rank_window: empty summary";
-  (* smallest i with value >= v (= n when none). *)
-  let first_ge =
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).value >= v then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
+  nonempty "Union_summary.rank_window" t;
+  let n = Array.length t.values in
+  let i = Hsq_util.Sorted.rank_strict t.values v in
   let lower =
-    if first_ge < n && t.entries.(first_ge).value = v then t.entries.(first_ge).lower
-    else if first_ge = 0 then 0.0 (* below the union minimum *)
-    else t.entries.(first_ge - 1).lower
+    if i < n && t.values.(i) = v then t.lower.(i)
+    else if i = 0 then 0.0 (* below the union minimum *)
+    else t.lower.(i - 1)
   in
-  let upper =
-    if first_ge = n then float_of_int t.n_total (* above the union maximum *)
-    else t.entries.(first_ge).upper
-  in
+  let upper = if i = n then float_of_int t.n_total (* above the union maximum *) else t.upper.(i) in
   (lower, upper)
-
-(* Entry-for-entry equality (exact float comparison): the consistency
-   contract between cached and fresh builds checked by the fuzz suite. *)
-let equal a b =
-  a.n_total = b.n_total && a.m_stream = b.m_stream
-  && a.hist_elements = b.hist_elements
-  && Array.length a.entries = Array.length b.entries
-  && (let ok = ref true in
-      Array.iteri
-        (fun i (e : entry) ->
-          let f = b.entries.(i) in
-          if not (e.value = f.value && e.lower = f.lower && e.upper = f.upper) then ok := false)
-        a.entries;
-      !ok)
 
 (* Algorithm 5: the smallest j with L_j >= r, else the last entry. *)
 let quick_select t ~rank =
-  if Array.length t.entries = 0 then invalid_arg "Union_summary.quick_select: empty summary";
-  let r = float_of_int rank in
-  let n = Array.length t.entries in
-  (* L is non-decreasing in the value, so binary search applies. *)
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.entries.(mid).lower >= r then go lo mid else go (mid + 1) hi
-  in
-  let j = go 0 n in
-  let j = if j = n then n - 1 else j in
-  t.entries.(j).value
+  nonempty "Union_summary.quick_select" t;
+  let j = search ~above:false t.lower rank in
+  t.values.(if j = Array.length t.values then j - 1 else j)
 
 (* Algorithm 7 (GenerateFilters): values u <= v bracketing the element
    of the requested rank: rank(u, T) <= r <= rank(v, T).
@@ -242,37 +239,17 @@ let quick_select t ~rank =
    smallest entry with L >= r; since L of the last entry is >= N - eps*N
    and r <= N, the last entry is a safe fallback. *)
 let filters t ~rank =
-  if Array.length t.entries = 0 then invalid_arg "Union_summary.filters: empty summary";
-  let r = float_of_int rank in
-  let n = Array.length t.entries in
-  (* Both L and U are non-decreasing in the value, so binary search. *)
-  let first_upper_gt =
-    (* smallest i with U_i > r (= n when none) *)
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).upper > r then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
+  nonempty "Union_summary.filters" t;
+  let n = Array.length t.values in
+  let above = search ~above:true t.upper rank in
   let u =
-    if first_upper_gt > 0 then t.entries.(first_upper_gt - 1).value
+    if above > 0 then t.values.(above - 1)
     else
       (* No value lies below min_int: the bisection's last step answers
          u itself when its rank already reaches r. *)
-      let m = t.entries.(0).value in
+      let m = t.values.(0) in
       if m = min_int then m else m - 1
   in
-  let first_lower_ge =
-    (* smallest i with L_i >= r (= n when none) *)
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).lower >= r then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
-  let v = if first_lower_ge = n then t.entries.(n - 1).value else t.entries.(first_lower_ge).value in
-  (u, max u v)
+  let j = search ~above:false t.lower rank in
+  let v = t.values.(if j = n then n - 1 else j) in
+  (u, if v < u then u else v)

@@ -8,7 +8,6 @@
     stored in partition summaries, which only tightens the paper's
     bounds. *)
 
-type entry = { value : int; lower : float; upper : float }
 type t
 
 (** {2 Historical aggregate}
@@ -30,16 +29,22 @@ val hist_aggregate : partitions:Hsq_hist.Partition.t list -> hist_agg
     Lemma 2 bounds, added in list order from 0 — valid because each
     sketch brackets its own rank, so the sums bracket the union rank,
     with the per-entry window widening additively to Σ_s ε₂·m_s = ε₂·m
-    when all streams share ε₂. Sorts the K + 1 value runs together and
-    walks them once: O(S·log K) for S values. The engine's cached TS
-    and one built here over the same inputs are entry-for-entry
-    {!equal}. *)
+    when all streams share ε₂. One merge walk over the K + 1 sorted
+    value runs (the aggregate's and each stream's), with one cursor per
+    run that doubles as the run's count of values ≤ the current one:
+    O(S·K) for S values. The engine's cached TS and one built here over
+    the same inputs are {!equal}. *)
 val build : agg:hist_agg -> streams:Stream_summary.t list -> t
 
-val entries : t -> entry array
+(** The columns [(values, lower, upper)], of {!size} entries each:
+    distinct values ascending, and their L and U, with
+    [lower.(i) ≤ rank(values.(i), T) ≤ upper.(i)]. Shared with [t]:
+    read them, do not write them. *)
+val columns : t -> int array * float array * float array
+
 val size : t -> int
 
-(** Entry-for-entry equality, comparing floats exactly — the cache
+(** Column-for-column equality, comparing floats exactly — the cache
     consistency contract checked by the fuzz suite. *)
 val equal : t -> t -> bool
 

@@ -396,8 +396,8 @@ let reinstate t p =
 (* HistUpdate (Algorithm 3): sort the batch into a level-0 partition,
    then cascade merges while any level exceeds kappa partitions.  The
    batch is sorted in place: the engine's step spool, one sorted run per
-   hand-off, has far more runs than a natural merge takes cheaply, so it
-   is radix-sorted in O(n) per byte in which its values differ. *)
+   hand-off, is radix-sorted in O(n) per byte in which its values
+   differ. *)
 let add_batch ?len t batch =
   let eta = match len with Some n -> n | None -> Array.length batch in
   if eta = 0 then invalid_arg "Level_index.add_batch: empty batch";

@@ -116,12 +116,12 @@ val memory_words : t -> int
 
 (** HistUpdate (Algorithm 3): ingest one time step's batch, the first
     [len] elements (default: all) of the array. They are sorted in place
-    ({!Hsq_util.Sorted.sort_runs}: a radix sort of the engine's spool of
-    sorted hand-off runs, a natural merge of a handful) and written as
-    a new level-0 partition; the index keeps no reference to the array,
-    and its slots past [len] are left untouched. A failure leaves the
-    batch sorted, the same multiset. Raises [Invalid_argument] on an
-    empty batch. *)
+    ({!Hsq_util.Sorted.sort_runs}: one scan if already sorted, else a
+    radix sort of the engine's spool of sorted hand-off runs) and
+    written as a new level-0 partition; the index keeps no reference to
+    the array, and its slots past [len] are left untouched. A failure
+    leaves the batch sorted, the same multiset. Raises
+    [Invalid_argument] on an empty batch. *)
 val add_batch : ?len:int -> t -> int array -> update_report
 
 (** Exact rank of [v] in H via one summary-bounded binary search per

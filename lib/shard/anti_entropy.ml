@@ -4,9 +4,13 @@
    Replicas of a shard apply identical op sequences, and the warehouse
    is deterministic in that sequence (the merge cascade), so healthy
    siblings hold bit-identical historical state and the same open-step
-   elements.  The stream sketch is not compared: its image depends on
-   where reads handed the ingest buffer off, and only the read replica
-   is read.  That makes cheap structural digests a sound divergence
+   elements.  The stream sketch is not hashed: the ingest buffer hands
+   off only at 512 pending elements and at step ends, and reads work on
+   a copy, so the sketch is a function of the open step's values in
+   arrival order, which replicas apply alike.  An acked op a replica
+   lost or gained therefore changes the open step's multiset, and
+   hashing it in sorted order sees that whatever hand-offs or reads ran
+   on either side.  That makes cheap structural digests a sound divergence
    detector, and file-level copy a sound repair: the healthy sibling's
    store files fully describe its state, and opening a byte-identical
    copy recovers the same elements.

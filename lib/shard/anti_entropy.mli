@@ -6,9 +6,12 @@
     is deterministic in that sequence (the merge cascade), so healthy
     siblings hold bit-identical historical state and the same open-step
     elements — making structural digests a sound divergence detector
-    and byte-identical file copy a sound repair. The stream sketch's
-    image is not compared: it depends on when reads handed the ingest
-    buffer off. *)
+    and byte-identical file copy a sound repair. The stream sketch is
+    not hashed: hand-offs happen only at 512 pending elements and at
+    step ends, and reads work on a copy, so the sketch follows from the
+    open step's values in arrival order, which replicas apply alike; a
+    lost or gained op shows in the open step's sorted elements, which
+    are hashed. *)
 
 type digest = {
   elements : int;  (** total logical elements *)

@@ -10,23 +10,21 @@ let is_sorted ?len (a : int array) =
 (* Number of elements <= v in the sorted array [a], i.e. the index of the
    first element > v.  Classic upper-bound binary search. *)
 let rank (a : int array) v =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) <= v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Number of elements < v: index of the first element >= v. *)
 let rank_strict (a : int array) v =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Smallest element of [a] whose rank is >= r (the r-th smallest,
    1-indexed); the phi-quantile of Definition 1 for r = ceil(phi * n). *)
@@ -49,57 +47,6 @@ let copy (src : int array) (dst : int array) n =
   for i = 0 to n - 1 do
     dst.(i) <- src.(i)
   done
-
-(* End (exclusive) of the ascending run of [a] that starts at [i < n]. *)
-let run_end (a : int array) n i =
-  let j = ref (i + 1) in
-  while !j < n && a.(!j - 1) <= a.(!j) do
-    incr j
-  done;
-  !j
-
-(* Merge src.[lo, mid) and src.[mid, hi), both sorted, into dst.[lo, hi). *)
-let merge_into (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    let x = src.(!i) and y = src.(!j) in
-    if x <= y then begin
-      dst.(!k) <- x;
-      incr i
-    end
-    else begin
-      dst.(!k) <- y;
-      incr j
-    end;
-    incr k
-  done;
-  let from = if !i < mid then !i else !j and stop = if !i < mid then mid else hi in
-  for r = from to stop - 1 do
-    dst.(!k + r - from) <- src.(r)
-  done
-
-(* Natural merge sort, bottom-up: each pass finds the ascending runs of
-   one buffer and merges adjacent pairs into the other, so k runs take
-   ceil(log2 k) passes, O(n log k) in all.  Sorts [a.(0 .. n-1)] between
-   [a] and [scratch], both at least [n] long, and returns the one that
-   holds the result. *)
-let merge_runs a n scratch =
-  let src = ref a and dst = ref scratch and runs = ref 2 in
-  while !runs > 1 do
-    runs := 0;
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = run_end !src n !lo in
-      let hi = if mid < n then run_end !src n mid else n in
-      merge_into !src !dst !lo mid hi;
-      incr runs;
-      lo := hi
-    done;
-    let s = !src in
-    src := !dst;
-    dst := s
-  done;
-  !src
 
 let radix_words = 256
 let radix_counts () = Array.make radix_words 0
@@ -155,34 +102,15 @@ let radix_sort ~who (a : int array) (b : int array) n (counts : int array) =
   end;
   !src
 
-(* Fewer runs than this merge naturally, in at most three passes; more
-   radix-sort, whose passes depend on the values' spread instead (on
-   values that differ in their low four bytes the two cost the same at
-   about five runs). *)
-let radix_runs = 8
-
-(* The number of ascending runs in [a.(0 .. n-1)], counted up to
-   [limit]. *)
-let runs_upto (a : int array) n limit =
-  let runs = ref 1 and i = ref 1 in
-  while !i < n && !runs < limit do
-    if a.(!i - 1) > a.(!i) then incr runs;
-    incr i
-  done;
-  !runs
-
-(* One scratch array of n words, and a histogram to radix-sort; a
-   sorted input costs one scan and no allocation. *)
+(* A sorted input costs one scan and no allocation; any other is
+   radix-sorted through one scratch array of n words and a fresh
+   histogram. *)
 let sort_runs ?len a =
   let n = match len with Some n -> n | None -> Array.length a in
   if n < 0 || n > Array.length a then invalid_arg "Sorted.sort_runs: bad length";
-  let runs = if n > 1 then runs_upto a n radix_runs else 1 in
-  if runs > 1 then begin
+  if not (is_sorted ~len:n a) then begin
     let scratch = Array.make n 0 in
-    let s =
-      if runs < radix_runs then merge_runs a n scratch
-      else radix_sort ~who:"Sorted.sort_runs" a scratch n (radix_counts ())
-    in
+    let s = radix_sort ~who:"Sorted.sort_runs" a scratch n (radix_counts ()) in
     if s != a then copy s a n
   end
 

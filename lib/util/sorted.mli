@@ -26,11 +26,9 @@ val quantile : int array -> float -> int
 (** [sort_runs ?len a] sorts [a]'s first [len] elements (default: all)
     in place, ascending, and leaves the rest of [a] untouched. Correct
     for any input. A sorted prefix costs one scan and no allocation.
-    Otherwise it uses one scratch array of [len] words: a handful of
-    ascending runs (fewer than 8) are merged pairwise, bottom-up (a
-    natural merge sort, O(n log k) for k runs); more are radix-sorted
-    as {!sort_into} does, in O(n) per byte in which the values differ,
-    with a fresh histogram.
+    Any other is radix-sorted as {!sort_into} does, in O(n) per byte in
+    which the values differ, through one scratch array of [len] words
+    and a fresh histogram.
     Raises [Invalid_argument] if [len] is negative or past the end. *)
 val sort_runs : ?len:int -> int array -> unit
 

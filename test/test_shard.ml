@@ -87,8 +87,10 @@ let test_fused_windows_bracket () =
   let streams = List.map (fun (_, e) -> E.stream_summary e) (G.engines g) in
   let us = Us.build ~agg:(Us.hist_aggregate ~partitions) ~streams in
   Alcotest.(check int) "fused n_total" (G.total_size g) (Us.n_total us);
-  Array.iter
-    (fun { Us.value; lower; upper } ->
+  let values, lowers, uppers = Us.columns us in
+  Array.iteri
+    (fun i value ->
+      let lower = lowers.(i) and upper = uppers.(i) in
       (* a value answers any rank in [|{x<v}|+1, |{x≤v}|]; the fused
          window must intersect that legitimate interval *)
       let hi_true = float_of_int (Hsq_workload.Oracle.rank_of oracle value) in
@@ -96,7 +98,7 @@ let test_fused_windows_bracket () =
       if lower > hi_true || upper < lo_true then
         Alcotest.failf "value %d: legitimate ranks [%.0f, %.0f] outside fused window [%.1f, %.1f]"
           value lo_true hi_true lower upper)
-    (Us.entries us);
+    values;
   G.close g
 
 (* --- degradation algebra ------------------------------------------------ *)

@@ -8,6 +8,13 @@ module US = Hsq.Union_summary
 module LI = Hsq_hist.Level_index
 module PS = Hsq_hist.Partition_summary
 
+(* TS's entries as records, read from its columns. *)
+type entry = { value : int; lower : float; upper : float }
+
+let entries us =
+  let values, lower, upper = US.columns us in
+  Array.mapi (fun i value -> { value; lower = lower.(i); upper = upper.(i) }) values
+
 (* TS over the partitions and one stream. *)
 let build ~partitions ~stream = US.build ~agg:(US.hist_aggregate ~partitions) ~streams:[ stream ]
 
@@ -38,13 +45,13 @@ let test_lemma2_brackets () =
   let us, sorted, _, _, _ = setup ~steps:9 ~step_size:500 ~stream_size:700 ~seed:61 () in
   Alcotest.(check int) "n_total" (Array.length sorted) (US.n_total us);
   Array.iter
-    (fun (e : US.entry) ->
+    (fun (e : entry) ->
       let r = float_of_int (Hsq_util.Sorted.rank sorted e.value) in
       Alcotest.(check bool)
         (Printf.sprintf "L=%.1f <= rank(%d)=%.0f <= U=%.1f" e.lower e.value r e.upper)
         true
         (e.lower <= r && r <= e.upper))
-    (US.entries us)
+    (entries us)
 
 let test_lemma2_window_width () =
   let us, sorted, eps1, eps2, parts =
@@ -54,12 +61,12 @@ let test_lemma2_window_width () =
   let bound = Hsq.Errors.summary_window ~eps1 ~eps2 ~n ~m ~partitions:parts in
   ignore sorted;
   Array.iter
-    (fun (e : US.entry) ->
+    (fun (e : entry) ->
       Alcotest.(check bool)
         (Printf.sprintf "U-L = %.1f <= %.1f" (e.upper -. e.lower) bound)
         true
         (e.upper -. e.lower <= bound))
-    (US.entries us)
+    (entries us)
 
 let test_lemma3_quick_select () =
   let us, sorted, eps1, eps2, parts =
@@ -123,8 +130,8 @@ let test_hist_only () =
   Alcotest.(check int) "m 0" 0 (US.m_stream us);
   (* With exact summary ranks and no stream, L=U at summary points. *)
   Array.iter
-    (fun (e : US.entry) -> Alcotest.(check bool) "window tight" true (e.upper -. e.lower <= 101.0))
-    (US.entries us)
+    (fun (e : entry) -> Alcotest.(check bool) "window tight" true (e.upper -. e.lower <= 101.0))
+    (entries us)
 
 let test_empty_raises () =
   let stream = SS.extract (Hsq_sketch.Gk.create ~epsilon:0.05) in
@@ -155,10 +162,10 @@ let prop_lemma2_random =
       let us = build ~partitions:(LI.partitions li) ~stream:(SS.extract gk) in
       let sorted = Array.of_list (List.sort compare !all) in
       Array.for_all
-        (fun (e : US.entry) ->
+        (fun (e : entry) ->
           let r = float_of_int (Hsq_util.Sorted.rank sorted e.value) in
           e.lower <= r && r <= e.upper)
-        (US.entries us))
+        (entries us))
 
 (* The naive reference: for every distinct value of the partition
    summaries and the streams, sum the partitions' exact rank bounds and
@@ -181,7 +188,7 @@ let naive ~partitions ~streams =
       in
       let slo = List.fold_left (fun acc s -> acc +. SS.rank_lower s v) 0.0 streams in
       let shi = List.fold_left (fun acc s -> acc +. SS.rank_upper s v) 0.0 streams in
-      { US.value = v; lower = float_of_int lo +. slo; upper = float_of_int hi +. shi })
+      { value = v; lower = float_of_int lo +. slo; upper = float_of_int hi +. shi })
     (List.sort_uniq compare values)
 
 (* [US.build] over the partitions' aggregate must equal the naive
@@ -191,7 +198,7 @@ let check_reference ctx ~partitions ~streams =
   let bits x = Int64.bits_of_float x in
   let us = US.build ~agg:(US.hist_aggregate ~partitions) ~streams in
   let want = Array.of_list (naive ~partitions ~streams) in
-  let got = US.entries us in
+  let got = entries us in
   let n = List.fold_left (fun acc p -> acc + Hsq_hist.Partition.size p) 0 partitions in
   let m = List.fold_left (fun acc s -> acc + SS.stream_size s) 0 streams in
   Alcotest.(check int) (ctx ^ ": entries") (Array.length want) (Array.length got);
@@ -200,7 +207,7 @@ let check_reference ctx ~partitions ~streams =
     (n + m, m, n)
     (US.n_total us, US.m_stream us, US.hist_elements us);
   Array.iteri
-    (fun i (w : US.entry) ->
+    (fun i (w : entry) ->
       let g = got.(i) in
       if not (w.value = g.value && bits w.lower = bits g.lower && bits w.upper = bits g.upper) then
         Alcotest.failf "%s: entry %d is (%d, %h, %h), reference (%d, %h, %h)" ctx i g.value g.lower
@@ -262,6 +269,110 @@ let test_reference_sums () =
       ("nothing", [], [ stream 0 ]);
     ]
 
+(* --- Queries against linear scans of the columns ------------------------ *)
+
+(* Algorithm 5 by scan: the first entry whose L reaches r, else the last. *)
+let scan_quick (values, lower, _) rank =
+  let r = float_of_int rank and n = Array.length values in
+  let rec go j = if j = n then values.(n - 1) else if lower.(j) >= r then values.(j) else go (j + 1) in
+  go 0
+
+(* Algorithm 7 by scan: u the last entry whose U is at most r (min - 1,
+   or min_int itself, when none is), v as quick. *)
+let scan_filters ((values, _, upper) as cols) rank =
+  let r = float_of_int rank in
+  let u = ref None in
+  Array.iteri (fun i x -> if upper.(i) <= r then u := Some x) values;
+  let u =
+    match !u with Some x -> x | None -> if values.(0) = min_int then min_int else values.(0) - 1
+  in
+  (u, max u (scan_quick cols rank))
+
+(* L of the last entry <= v (0 when none), U of the first entry >= v
+   (N when none). *)
+let scan_window (values, lower, upper) ~n_total v =
+  let lo = ref 0.0 and hi = ref None in
+  Array.iteri
+    (fun i x ->
+      if x <= v then lo := lower.(i);
+      if x >= v && !hi = None then hi := Some upper.(i))
+    values;
+  (!lo, Option.value !hi ~default:(float_of_int n_total))
+
+(* Every query of [us] equals its scan at ranks 0, 1, N, N + 1 and the
+   floor and ceiling of every entry's L and U (exact ties where they are
+   integers), and at every entry's value, its neighbours, and values
+   below the minimum and above the maximum. *)
+let check_queries ctx us =
+  let ((values, lower, upper) as cols) = US.columns us in
+  let n_total = US.n_total us and n = Array.length values in
+  Alcotest.(check bool) (ctx ^ ": nonempty") true (n > 0);
+  let ranks =
+    [ 0; 1; n_total; n_total + 1 ]
+    @ List.concat_map
+        (fun x -> [ int_of_float (floor x); int_of_float (ceil x) ])
+        (Array.to_list lower @ Array.to_list upper)
+  in
+  List.iter
+    (fun rank ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: quick_select %d" ctx rank)
+        (scan_quick cols rank) (US.quick_select us ~rank);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s: filters %d" ctx rank)
+        (scan_filters cols rank) (US.filters us ~rank))
+    ranks;
+  let edge x d = if (d < 0 && x = min_int) || (d > 0 && x = max_int) then x else x + d in
+  let probes =
+    [ edge values.(0) (-1); edge values.(n - 1) 1; min_int; max_int ]
+    @ List.concat_map (fun x -> [ edge x (-1); x; edge x 1 ]) (Array.to_list values)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        (Printf.sprintf "%s: rank_window %d" ctx v)
+        (scan_window cols ~n_total v) (US.rank_window us v))
+    probes
+
+let test_queries_match_scans () =
+  let rng = Hsq_util.Xoshiro.create 0xC0105 in
+  (* Values from a small domain, so they repeat within and across
+     partitions and streams; [floor] adds min_int to the domain. *)
+  let value ~floor () =
+    if floor && Hsq_util.Xoshiro.int rng 50 = 0 then min_int else Hsq_util.Xoshiro.int rng 60
+  in
+  let partitions ~floor =
+    let dev = Hsq_storage.Block_device.create_memory ~block_size:16 () in
+    let li = LI.create ~kappa:3 ~beta1:6 dev in
+    for _ = 1 to 6 do
+      ignore (LI.add_batch li (Array.init (40 + Hsq_util.Xoshiro.int rng 200) (fun _ -> value ~floor ())))
+    done;
+    LI.partitions li
+  in
+  let stream ~floor count =
+    let gk = Hsq_sketch.Gk.create ~epsilon:0.05 in
+    for _ = 1 to count do
+      Hsq_sketch.Gk.insert gk (value ~floor ())
+    done;
+    SS.extract gk
+  in
+  let hist = partitions ~floor:false and hist_min = partitions ~floor:true in
+  List.iter
+    (fun (ctx, partitions, streams) ->
+      let us = US.build ~agg:(US.hist_aggregate ~partitions) ~streams in
+      check_queries ctx us;
+      let values, _, _ = US.columns us in
+      let floor = if values.(0) = min_int then min_int else values.(0) - 1 in
+      Alcotest.(check int) (ctx ^ ": u below every U") floor (fst (US.filters us ~rank:0)))
+    [
+      ("history only", hist, [ stream ~floor:false 0 ]);
+      ("K=1", hist, [ stream ~floor:false 500 ]);
+      ("K=1, min_int", hist_min, [ stream ~floor:true 500 ]);
+      ("K=3", hist, [ stream ~floor:false 300; stream ~floor:false 0; stream ~floor:false 700 ]);
+      ("K=3, min_int", hist_min, [ stream ~floor:true 300; stream ~floor:true 200; stream ~floor:false 700 ]);
+      ("K=3, no history", [], [ stream ~floor:true 300; stream ~floor:false 400; stream ~floor:true 50 ]);
+    ]
+
 let () =
   Alcotest.run "union_summary"
     [
@@ -279,6 +390,8 @@ let () =
         [
           Alcotest.test_case "aggregate and build match naive sums" `Quick
             test_reference_sums;
+          Alcotest.test_case "queries match scans of the columns" `Quick
+            test_queries_match_scans;
         ] );
       ( "degenerate",
         [
