@@ -186,13 +186,6 @@ let m_stream t = t.m_stream
 let hist_elements t = t.hist_elements
 let streams t = t.streams
 
-(* Column-for-column equality (exact float comparison): the consistency
-   contract between cached and fresh builds checked by the fuzz suite. *)
-let equal a b =
-  a.n_total = b.n_total && a.m_stream = b.m_stream
-  && a.hist_elements = b.hist_elements
-  && a.values = b.values && a.lower = b.lower && a.upper = b.upper
-
 (* The smallest i with col.(i) >= rank, or col.(i) > rank when [above]
    (the length when none): L and U are non-decreasing in the value. *)
 let search ~above (col : float array) rank =
@@ -205,8 +198,6 @@ let search ~above (col : float array) rank =
   done;
   !lo
 
-let nonempty who t = if Array.length t.values = 0 then invalid_arg (who ^ ": empty summary")
-
 (* Rank window of an arbitrary value against the union: L from the
    largest entry with value <= v (no smaller entry can push the rank
    lower), U from the smallest entry with value >= v.  Used to compute
@@ -214,8 +205,8 @@ let nonempty who t = if Array.length t.values = 0 then invalid_arg (who ^ ": emp
    is cut short (deadline, degraded fallback): |rank(v) - r| is at most
    max(U(v) - r, r - L(v)). *)
 let rank_window t v =
-  nonempty "Union_summary.rank_window" t;
   let n = Array.length t.values in
+  if n = 0 then invalid_arg "Union_summary.rank_window: empty summary";
   let i = Hsq_util.Sorted.rank_strict t.values v in
   let lower =
     if i < n && t.values.(i) = v then t.lower.(i)
@@ -225,9 +216,16 @@ let rank_window t v =
   let upper = if i = n then float_of_int t.n_total (* above the union maximum *) else t.upper.(i) in
   (lower, upper)
 
+(* Column-for-column equality (exact float comparison): the consistency
+   contract between cached and fresh builds checked by the fuzz suite. *)
+let equal a b =
+  a.n_total = b.n_total && a.m_stream = b.m_stream
+  && a.hist_elements = b.hist_elements
+  && a.values = b.values && a.lower = b.lower && a.upper = b.upper
+
 (* Algorithm 5: the smallest j with L_j >= r, else the last entry. *)
 let quick_select t ~rank =
-  nonempty "Union_summary.quick_select" t;
+  if Array.length t.values = 0 then invalid_arg "Union_summary.quick_select: empty summary";
   let j = search ~above:false t.lower rank in
   t.values.(if j = Array.length t.values then j - 1 else j)
 
@@ -239,8 +237,8 @@ let quick_select t ~rank =
    smallest entry with L >= r; since L of the last entry is >= N - eps*N
    and r <= N, the last entry is a safe fallback. *)
 let filters t ~rank =
-  nonempty "Union_summary.filters" t;
   let n = Array.length t.values in
+  if n = 0 then invalid_arg "Union_summary.filters: empty summary";
   let above = search ~above:true t.upper rank in
   let u =
     if above > 0 then t.values.(above - 1)
