@@ -58,6 +58,21 @@ let durable_engine ?(kappa = 10) ~wal_sync () =
   let eng, _ = Hsq.Engine.open_or_recover config in
   eng
 
+(* The engine for the file-backed accurate row: serve-read's store
+   shape (20 archived steps of 10k uniform values and a 5k open step,
+   eps 0.01, kappa 10) on a durable store's file device, with no
+   simulated read latency, so the row times an accurate query's CPU: the
+   probe loop and its verified block reads through a warm page cache. *)
+let accurate_file_engine ~smoke () =
+  let steps, step_size, open_step = if smoke then (4, 2_000, 1_000) else (20, 10_000, 5_000) in
+  let eng = durable_engine ~wal_sync:(Hsq_storage.Wal.Group 1_000) () in
+  let data = Hsq_workload.Datasets.uniform ~seed:7 in
+  for _ = 1 to steps do
+    ignore (Hsq.Engine.ingest_batch eng (Hsq_workload.Datasets.next_batch data step_size))
+  done;
+  Array.iter (Hsq.Engine.observe eng) (Hsq_workload.Datasets.next_batch data open_step);
+  eng
+
 (* Ranks at phi uniform in (0.01, 0.99), seeded, taken in turn as the
    perfbench query mix does: a repeated rank finds every probe's block
    in its run's one-block cache after the first call and reads
@@ -206,6 +221,8 @@ let tests ~smoke =
   let eng_rank = rank_cycle ~n in
   let acc = accurate_engine ~smoke () in
   let acc_rank = rank_cycle ~n:(Hsq.Engine.total_size acc) in
+  let acc_file = accurate_file_engine ~smoke () in
+  let acc_file_rank = rank_cycle ~n:(Hsq.Engine.total_size acc_file) in
   (* The union summary's inputs, fixed: the build rows measure the
      build alone, over one engine and over three (a sharded store's
      K = 3), the uncached row the aggregate too. *)
@@ -266,6 +283,8 @@ let tests ~smoke =
            ignore (Hsq.Union_summary.quick_select us ~rank:(n / 2))));
     ("query-accurate-1dom",
       (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(acc_rank ()))));
+    ("accurate-query-file",
+      (fun () -> ignore (Hsq.Engine.accurate acc_file ~rank:(acc_file_rank ()))));
     (* Ingest throughput across the durability spectrum: no WAL at all,
        buffered appends (flush at commits only), group commit, and a
        physical flush per record.  The values cycle through a fixed

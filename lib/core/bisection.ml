@@ -39,7 +39,7 @@ let deadline_at ~start ?deadline_ms (config : Config.t) =
 
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  probes : ('o * Partition.t) list;
+  probes : ('o * Partition.t list) list;
   meta : 'm;
 }
 
@@ -62,14 +62,29 @@ type 'd result = {
   span : Trace.span option;
 }
 
-type probe_state = {
-  search : Run.search; (* this iteration's disk search of the partition's run *)
-  device : Block_device.t;
-  mutable lo : int; (* rank(z) within this partition is known to be in [lo, hi] *)
-  mutable hi : int;
-  mutable ylo : int option; (* the run's elements at [lo - 1] and [hi], when known *)
-  mutable yhi : int option;
-}
+(* The probes in probe order (owner by owner, each owner's partitions
+   in order), a walk over them, and the owner and partition of probe
+   [i]. *)
+let probe_count probes = List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 probes
+
+(* [note o p] for every probe, in probe order. *)
+let rec note_each note = function
+  | [] -> ()
+  | (o, ps) :: rest -> note_owner note o ps rest
+
+and note_owner note o ps rest =
+  match ps with
+  | [] -> note_each note rest
+  | p :: ps ->
+    note o p;
+    note_owner note o ps rest
+
+let rec nth_probe probes i =
+  match probes with
+  | (o, ps) :: rest ->
+    let k = List.length ps in
+    if i < k then (o, List.nth ps i) else nth_probe rest (i - k)
+  | [] -> invalid_arg "Bisection.nth_probe"
 
 (* Internal control flow of one bisection: a probe that exhausted the
    device's bounded retries (carrying its index in the view's probes),
@@ -99,12 +114,18 @@ let budget ~tolerance_factor streams =
 
 (* The width [v - u] of a bracket [u <= v], as an Int64: values span the
    whole int range, so the width can exceed [max_int]. *)
-let width u v = Int64.sub (Int64.of_int v) (Int64.of_int u)
+let[@inline] width u v = Int64.sub (Int64.of_int v) (Int64.of_int u)
 
-(* ⌈log₂ w⌉ for [w >= 1]: the bit length of [w - 1]. *)
-let ceil_log2 w =
-  let rec go n x = if x = 0L then n else go (n + 1) (Int64.shift_right_logical x 1) in
-  go 0 (Int64.pred w)
+(* ⌈log₂ (v - u)⌉ for [u < v]: the bit length of [v - u - 1].  It
+   takes the bracket's ends, not its width, so no Int64 crosses a call
+   boxed. *)
+let ceil_log2_width u v =
+  let n = ref 0 and x = ref (Int64.pred (width u v)) in
+  while !x <> 0L do
+    incr n;
+    x := Int64.shift_right_logical !x 1
+  done;
+  !n
 
 (* ⌊(u + v)/2⌋ without forming [u + v]; [u + (v - u)/2] for [u <= v]. *)
 let midpoint u v = (u asr 1) + (v asr 1) + (u land v land 1)
@@ -116,34 +137,68 @@ let midpoint u v = (u asr 1) + (v asr 1) + (u land v land 1)
    565, and the secant cost reads from about 500 up. *)
 let secant_gate = 128.0
 
-(* [candidate] (see the interface).  After [d] decisions the bracket is
-   at most [2^(N − d)] wide, so ITP's radius [2^(N − d − 1) − (v − u)/2]
-   around the midpoint is, in integers, [[v − h, u + h]] with
-   [h = 2^(N − d − 1)]: offsets from [u] in [[w − h, h]], which the
-   midpoint always meets.  Offsets are Int64, as brackets over
-   full-range values are wider than [max_int]. *)
-let candidate us ~rank ~tolerance ~filters:(u0, v0) ~past ~u ~v =
+(* [candidate] (see the interface), in two halves: [secant_serves]
+   decides whether the secant serves, leaving the windows at [u] and
+   [v] in [win], a four-float scratch array a bisection reuses for every
+   iteration, and [secant_point] aims it.  Neither allocates.  [past]
+   arrives unrolled: [depth] decisions, the last two on one side when
+   [streak]. *)
+let secant_serves win us ~tolerance ~streak ~u ~v =
+  (not streak)
+  && width u v > 1L
+  &&
+  (Union_summary.window_into us u win 0;
+   Union_summary.window_into us v win 2;
+   let gate = secant_gate *. tolerance in
+   (win.(1) -. win.(0)) /. 2.0 <= gate
+   && (win.(3) -. win.(2)) /. 2.0 <= gate
+   && (win.(0) +. win.(1)) /. 2.0 < (win.(2) +. win.(3)) /. 2.0)
+
+(* The secant point on the windows [secant_serves] left in [win].  After
+   [d] decisions the bracket is at most [2^(N − d)] wide, so ITP's radius
+   [2^(N − d − 1) − (v − u)/2] around the midpoint is, in integers,
+   [[v − h, u + h]] with [h = 2^(N − d − 1)]: offsets from [u] in
+   [[w − h, h]], which the midpoint always meets.  Offsets are Int64, as
+   brackets over full-range values are wider than [max_int]. *)
+let secant_point win ~rank ~filters:(u0, v0) ~depth ~u ~v =
   let w = width u v in
-  let secant =
-    match past with
-    | a :: b :: _ when a = b -> None
-    | _ when w <= 1L -> None
-    | _ ->
-      let lu, hu = Union_summary.rank_window us u and lv, hv = Union_summary.rank_window us v in
-      let cu = (lu +. hu) /. 2.0 and cv = (lv +. hv) /. 2.0 in
-      let gate = secant_gate *. tolerance in
-      if (hu -. lu) /. 2.0 <= gate && (hv -. lv) /. 2.0 <= gate && cu < cv then
-        Some ((float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float w)
-      else None
+  let cu = (win.(0) +. win.(1)) /. 2.0 and cv = (win.(2) +. win.(3)) /. 2.0 in
+  let off = (float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float w in
+  let h = Int64.shift_left 1L (ceil_log2_width u0 v0 - depth - 1) in
+  let lo = if Int64.sub w h > 1L then Int64.sub w h else 1L
+  and hi = if Int64.pred w < h then Int64.pred w else h in
+  let flo = Int64.to_float lo and fhi = Int64.to_float hi in
+  let off =
+    Int64.of_float
+      (if off > flo then if off < fhi then off else fhi else if flo < fhi then flo else fhi)
   in
-  match secant with
-  | None -> (midpoint u v, `Midpoint)
-  | Some off ->
-    let h = Int64.shift_left 1L (ceil_log2 (width u0 v0) - List.length past - 1) in
-    let lo = max 1L (Int64.sub w h) and hi = min (Int64.pred w) h in
-    let off = Int64.of_float (Float.min (Int64.to_float hi) (Float.max (Int64.to_float lo) off)) in
-    let off = max lo (min hi off) in
-    (Int64.to_int (Int64.add (Int64.of_int u) off), `Secant)
+  let off = if off < hi then off else hi in
+  let off = if off > lo then off else lo in
+  Int64.to_int (Int64.add (Int64.of_int u) off)
+
+let candidate us ~rank ~tolerance ~filters ~past ~u ~v =
+  let win = Array.make 4 0.0 in
+  let streak = match past with a :: b :: _ -> a = b | _ -> false in
+  if secant_serves win us ~tolerance ~streak ~u ~v then
+    (secant_point win ~rank ~filters ~depth:(List.length past) ~u ~v, `Secant)
+  else (midpoint u v, `Midpoint)
+
+(* One round's batch: slot [k] reads block [addrs.(k)] of [devs.(k)]
+   into [blocks.(k)] for probe [who.(k)].  On a failed read, the reads
+   before it landed: they go to their runs' caches, as a lone read's
+   would, and the failed probe raises [Probe_failure]. *)
+let read_batch searches who devs addrs blocks k =
+  try Block_device.read_batch devs addrs blocks ~n:k
+  with Block_device.Batch_error (j, _) ->
+    for s = 0 to j - 1 do
+      Run.feed searches.(who.(s)) blocks.(s)
+    done;
+    raise (Probe_failure who.(j))
+
+(* What the summed windows of one iteration's probe rounds decided:
+   [Here], the answer is the point probed; [Above], it is [v] (width-1
+   brackets only); [Left] and [Right], the side the bisection keeps. *)
+type verdict = Undecided | Here | Above | Left | Right
 
 (* One full bisection over a fixed view: bisect the value domain
    between the filters at [candidate]'s points, probing each partition
@@ -153,42 +208,36 @@ let candidate us ~rank ~tolerance ~filters:(u0, v0) ~past ~u ~v =
    interval, where v is the answer when the estimate at u still falls
    short of r (rank(u) <= r <= rank(v) is invariant).  Counts the
    iterations and the probe rounds that read.  Raises [Probe_failure]
-   and [Deadline_cut]. *)
+   and [Deadline_cut].
+
+   The loops below hold their state in arrays of ints and in unboxed
+   floats: probe [i] drives its partition's own search
+   ({!Partition.probe}), framed on the window its summary gives for
+   [u0, v0]; windows are read through {!Run.lo}/{!Run.hi} and the
+   decision is taken on two local floats, so an iteration allocates
+   little beyond the blocks it reads. *)
 let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
-  let u0, v0 = Union_summary.filters view.summary ~rank in
-  let probes =
-    Array.of_list
-      (List.map
-         (fun (_, p) ->
-           let w = Hsq_hist.Partition_summary.search_window (Partition.summary p) ~u:u0 ~v:v0 in
-           let run = Partition.run p in
-           {
-             search = Run.search run;
-             device = Run.device run;
-             lo = w.lo;
-             hi = w.hi;
-             ylo = w.ylo;
-             yhi = w.yhi;
-           })
-         view.probes)
+  let filters = Union_summary.filters view.summary ~rank in
+  let u0, v0 = filters in
+  let parts =
+    match view.probes with
+    | [ (_, ps) ] -> Array.of_list ps
+    | owners -> Array.concat (List.map (fun (_, ps) -> Array.of_list ps) owners)
   in
-  let n = Array.length probes in
-  let r = float_of_int rank in
-  (* One round's batch, reused by every round of the query: slot [k]
-     reads block [addrs.(k)] of [devs.(k)] into [blocks.(k)] for probe
-     [who.(k)]. *)
+  let n = Array.length parts in
+  let searches = Array.map Partition.probe parts in
+  let w = Array.make 5 0 in
+  for i = 0 to n - 1 do
+    Hsq_hist.Partition_summary.search_window_into (Partition.summary parts.(i)) ~u:u0 ~v:v0 w 0;
+    Run.frame searches.(i) ~lo:w.(0) ~hi:w.(1) ~ylo:w.(2) ~yhi:w.(3) ~known:w.(4)
+  done;
+  let streams = Union_summary.streams view.summary in
+  (* [scratch] holds {!secant_serves}'s windows in slots 0-3 and the
+     summed stream estimate in slot 4, so neither is boxed. *)
+  let r = float_of_int rank and scratch = Array.make 5 0.0 in
+  (* One round's batch ({!read_batch}), reused by every round. *)
   let who = Array.make n 0 and addrs = Array.make n 0 and blocks = Array.make n [||] in
-  let devs = Array.map (fun st -> st.device) probes in
-  let read_batch k =
-    try Block_device.read_batch devs addrs blocks ~n:k
-    with Block_device.Batch_error (j, _) ->
-      (* The reads before the failed one landed: keep them in their
-         runs' caches, as a lone read would have. *)
-      for s = 0 to j - 1 do
-        Run.feed probes.(who.(s)).search blocks.(s)
-      done;
-      raise (Probe_failure who.(j))
-  in
+  let devs = Array.map (fun p -> Run.device (Partition.run p)) parts in
   (* Traced: one span per round under the iteration's span, with the
      probes it served, how many of their blocks interpolation chose, and
      the physical reads it made. *)
@@ -199,139 +248,112 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
       Trace.with_child trc ~parent
         ~attrs:[ ("probes", string_of_int k); ("guided", string_of_int guided) ]
         "round"
-        (fun sp -> Trace.add_attr trc sp "reads" (string_of_int (read_batch k)))
-    | _ -> ignore (read_batch k)
+        (fun sp ->
+          Trace.add_attr trc sp "reads" (string_of_int (read_batch searches who devs addrs blocks k)))
+    | _ -> ignore (read_batch searches who devs addrs blocks k)
   in
-  (* rank(z) within a partition lies in its window: the search's
-     current one while it runs ([lo = hi] once settled), else the
-     closed window [lo, lo] the summary or earlier steps left. *)
-  let window st = if st.lo < st.hi then Run.window st.search else (st.lo, st.lo) in
+  let still_open = ref 0 in
   (* Probe rounds (the paper's future-work parallel partition
-     processing): every open window starts its partition's search; each
-     round advances all searches on the blocks they hold, then sums
-     their windows with the stream estimate rho2 into [rho_min, rho_max],
-     which holds the exact rho(z) of lines 2-10.  [decide] turns that
-     interval into the iteration's decision once it is settled either
-     way; until then the round reads the next block of every search
-     still open in one batch, in probe order, so an iteration waits on
-     its longest per-partition chain of reads, not their sum, and stops
-     reading as soon as the windows decide it.  Returns the decision and
-     the number of searches still open.  The deadline is checked before
-     each read; a cut carries the interval [u, v] being bisected. *)
-  let probe_rounds span ~u ~v z ~decide =
-    let rho2 =
-      List.fold_left (fun acc ss -> acc +. Stream_summary.rank_estimate ss z) 0.0
-        (Union_summary.streams view.summary)
-    in
-    let m = ref 0 in
-    Array.iteri
-      (fun i st ->
-        if st.lo < st.hi then begin
-          Run.start st.search ?ylo:st.ylo ?yhi:st.yhi ~lo:st.lo ~hi:st.hi z;
-          who.(!m) <- i;
-          incr m
-        end)
-      probes;
-    let rec go m =
+     processing): every partition's search restarts from its frame
+     (settled at once when the summary or earlier steps closed it);
+     each round advances all searches on the blocks they hold, then
+     sums their windows with the stream estimate rho2 into
+     [rho_min, rho_max], which holds the exact rho(z) of lines 2-10, as
+     a partition's rank(z) lies in its search's window ([lo = hi] once
+     settled).  The round's verdict comes from that interval once it is
+     settled either way: at a width-1 bracket ([last]) whether u
+     already covers r or v is needed, else left, right or done against
+     the stopping band.  Until then the round reads the next block of
+     every search still open in one batch, in probe order, so an
+     iteration waits on its longest per-partition chain of reads, not
+     their sum, and stops reading as soon as the windows decide it.
+     Leaves in [still_open] the searches open at the verdict, and the
+     frames narrowed to the side it keeps.  The deadline is checked
+     before each read; a cut carries the interval [u, v] being
+     bisected. *)
+  let probe_rounds span ~u ~v z ~last =
+    Stream_summary.rank_estimate_sum_into streams z scratch 4;
+    let rho2 = scratch.(4) in
+    for i = 0 to n - 1 do
+      Run.restart searches.(i) z;
+      who.(i) <- i
+    done;
+    let m = ref n in
+    let verdict = ref Undecided in
+    while !verdict = Undecided do
       let k = ref 0 and guided = ref 0 in
-      for j = 0 to m - 1 do
+      for j = 0 to !m - 1 do
         let i = who.(j) in
-        let st = probes.(i) in
-        let addr = Run.advance st.search in
+        let addr = Run.advance searches.(i) in
         if addr >= 0 then begin
           who.(!k) <- i;
           addrs.(!k) <- addr;
-          devs.(!k) <- st.device;
-          if Run.guided st.search then incr guided;
+          devs.(!k) <- Run.device (Partition.run parts.(i));
+          if Run.guided searches.(i) then incr guided;
           incr k
         end
       done;
-      let k = !k in
       let lo_sum = ref 0 and hi_sum = ref 0 in
-      Array.iter
-        (fun st ->
-          let lo, hi = window st in
-          lo_sum := !lo_sum + lo;
-          hi_sum := !hi_sum + hi)
-        probes;
-      match decide (float_of_int !lo_sum +. rho2) (float_of_int !hi_sum +. rho2) with
-      | Some d -> (d, k)
-      | None ->
+      for i = 0 to n - 1 do
+        lo_sum := !lo_sum + Run.lo searches.(i);
+        hi_sum := !hi_sum + Run.hi searches.(i)
+      done;
+      let rho_min = float_of_int !lo_sum +. rho2 and rho_max = float_of_int !hi_sum +. rho2 in
+      verdict :=
+        if last then if rho_min >= r then Here else if rho_max < r then Above else Undecided
+        else if r < rho_min -. tolerance then Left
+        else if r > rho_max +. tolerance then Right
+        else if r >= rho_max -. tolerance && r <= rho_min +. tolerance then Here
+        else Undecided;
+      still_open := !k;
+      if !verdict = Undecided then begin
         (* Undecided means some window is still open, so [k > 0]. *)
         (match deadline_at with
         | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
         | _ -> ());
-        read_round span k ~guided:!guided;
+        read_round span !k ~guided:!guided;
         (* Drop each block once fed: a slot left holding a block its
            run has since replaced would keep it alive for the query. *)
-        for j = 0 to k - 1 do
-          Run.feed probes.(who.(j)).search blocks.(j);
+        for j = 0 to !k - 1 do
+          Run.feed searches.(who.(j)) blocks.(j);
           blocks.(j) <- [||]
         done;
-        go k
-    in
-    go !m
-  in
-  (* rank(z') for z' < z is at most rank(z), so at most its window's
-     [hi], and at least its window's [lo] for z' > z — so each bisection
-     step shrinks the per-partition windows too, and the kept end keeps
-     the search's anchor for it.  A search the decision cut short leaves
-     its last block in its run's cache, which the next iteration's
-     search settles first, with no read. *)
-  let narrow ~left =
-    Array.iter
-      (fun st ->
-        if st.lo < st.hi then begin
-          let lo, hi = Run.window st.search and ylo, yhi = Run.anchors st.search in
-          if left then begin
-            st.hi <- hi;
-            st.yhi <- yhi
-          end
-          else begin
-            st.lo <- lo;
-            st.ylo <- ylo
-          end
-        end)
-      probes
+        m := !k
+      end
+    done;
+    (* Each bisection step shrinks the per-partition frames too
+       ({!Run.keep}).  A search the decision cut short leaves its last
+       block in its run's cache, which the next iteration's search
+       settles first, with no read. *)
+    if !verdict = Left || !verdict = Right then
+      for i = 0 to n - 1 do
+        Run.keep searches.(i) ~left:(!verdict = Left)
+      done;
+    !verdict
   in
   (* Each bisection iteration's body runs in its own child span of the
      query root; the recursion happens after the iteration span closed,
      so iterations are siblings, not nested.  The deadline is checked
      between iterations and between probe rounds; a cut carries the
      current interval so the caller can clamp its best-so-far answer.
-     Every rule below fires on [rho_min, rho_max] only when it would fire
-     on the exact rho inside it (float addition is monotone), so the
-     decisions, the answer and the iteration count are those of exact
-     ranks. *)
-  let rec bisect u v past =
+     Every rule above fires on [rho_min, rho_max] only when it would
+     fire on the exact rho inside it (float addition is monotone), so
+     the decisions, the answer and the iteration count are those of
+     exact ranks.  At width 1, rank(u,T) <= r <= rank(v,T) is
+     invariant; v is the smallest candidate whose rank can reach r —
+     the Definition-1 answer — unless the estimate says u already
+     covers r. *)
+  let rec bisect u v ~depth ~prev ~streak =
     (match deadline_at with
     | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
     | _ -> ());
     incr iterations;
-    let z, rule = candidate view.summary ~rank ~tolerance ~filters:(u0, v0) ~past ~u ~v in
-    let run_iter span =
-      if width u v <= 1L then
-        (* rank(u,T) <= r <= rank(v,T) is invariant; v is the smallest
-           candidate whose rank can reach r — the Definition-1 answer —
-           unless the estimate says u already covers r. *)
-        probe_rounds span ~u ~v u ~decide:(fun rho_min rho_max ->
-            if rho_min >= r then Some (`Done u) else if rho_max < r then Some (`Done v) else None)
-      else begin
-        let decision, still_open =
-          probe_rounds span ~u ~v z ~decide:(fun rho_min rho_max ->
-              if r < rho_min -. tolerance then Some (`Left z)
-              else if r > rho_max +. tolerance then Some (`Right z)
-              else if r >= rho_max -. tolerance && r <= rho_min +. tolerance then Some (`Done z)
-              else None)
-        in
-        (match decision with
-        | `Left _ -> narrow ~left:true
-        | `Right _ -> narrow ~left:false
-        | `Done _ -> ());
-        (decision, still_open)
-      end
-    in
-    let decision =
+    let last = width u v <= 1L in
+    (* The candidate; at width 1 the secant never serves, and the
+       midpoint is u, where the width-1 rule probes. *)
+    let secant = secant_serves scratch view.summary ~tolerance ~streak ~u ~v in
+    let z = if secant then secant_point scratch ~rank ~filters ~depth ~u ~v else midpoint u v in
+    let verdict =
       match trace with
       | Some (trc, root) ->
         Trace.with_child trc ~parent:root
@@ -341,31 +363,33 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
               ("u", string_of_int u);
               ("v", string_of_int v);
               ("z", string_of_int z);
-              ("rule", match rule with `Secant -> "secant" | `Midpoint -> "midpoint");
+              ("rule", if secant then "secant" else "midpoint");
             ]
           "bisect"
           (fun sp ->
-            let decision, still_open = run_iter (Some sp) in
-            Trace.add_attr trc sp "open" (string_of_int still_open);
-            decision)
-      | None -> fst (run_iter None)
+            let verdict = probe_rounds (Some sp) ~u ~v z ~last in
+            Trace.add_attr trc sp "open" (string_of_int !still_open);
+            verdict)
+      | None -> probe_rounds None ~u ~v z ~last
     in
-    match decision with
-    | `Done z -> z
-    | `Left z -> bisect u z (`Left :: past)
-    | `Right z -> bisect z v (`Right :: past)
+    match verdict with
+    | Here -> z
+    | Above | Undecided -> v
+    | Left -> bisect u z ~depth:(depth + 1) ~prev:Left ~streak:(prev = Left)
+    | Right -> bisect z v ~depth:(depth + 1) ~prev:Right ~streak:(prev = Right)
   in
-  bisect u0 v0 []
+  bisect u0 v0 ~depth:0 ~prev:Undecided ~streak:false
 
 let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first =
   let iterations = ref 0 in
+  let before = Hsq_storage.Io_stats.sum_all stats in
   let finish answer degradation bound =
     {
       answer;
       degradation;
       bound;
       iterations = !iterations;
-      io = Hsq_storage.Io_stats.zero;
+      io = Hsq_storage.Io_stats.(diff (sum_all stats) before);
       span = Option.map snd trace;
     }
   in
@@ -379,7 +403,7 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
       let tolerance, eps_m = budget ~tolerance_factor streams in
       match search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank with
       | answer ->
-        List.iter (fun (o, p) -> policy.note_success o p) view.probes;
+        note_each policy.note_success view.probes;
         let degradation, widen = policy.outcome view `Completed in
         (* Honest bound the chaos oracle can check: the stopping band
            plus the stream estimates' own uncertainty (the bisection
@@ -398,11 +422,10 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
         let degradation, widen = policy.outcome view `Deadline in
         finish best degradation (rank_bound view.summary ~rank best ~widen)
       | exception Probe_failure i ->
-        let owner, p = List.nth view.probes i in
+        let owner, p = nth_probe view.probes i in
         go (tries + 1) (policy.on_failure ~tries view owner p))
   in
-  let res, io = Hsq_storage.Io_stats.measure_all stats (fun () -> go 0 first) in
-  { res with io }
+  go 0 first
 
 (* A traced query runs inside one [query.accurate] root span, whatever
    the caller (an engine, or a shard group fusing many): the bisect and
@@ -417,7 +440,7 @@ let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
     Trace.with_span trc ~attrs:[ ("rank", string_of_int rank) ] "query.accurate" (fun sp ->
         let first = first () in
         let partitions =
-          match first with Bisect view -> List.length view.probes | From_memory _ -> 0
+          match first with Bisect view -> probe_count view.probes | From_memory _ -> 0
         in
         Trace.add_attr trc sp "partitions" (string_of_int partitions);
         let res =

@@ -51,11 +51,12 @@ val candidate :
 
 (** One bisection's input: the union summary (its
     {!Union_summary.streams}, one stream summary per source, estimate
-    the stream ranks), the active partitions tagged with their owner
-    (the caller's fault domain), and the caller's own description. *)
+    the stream ranks), the active partitions grouped by their owner
+    (the caller's fault domain; probes are numbered owner by owner, in
+    list order), and the caller's own description. *)
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  probes : ('o * Hsq_hist.Partition.t) list;
+  probes : ('o * Hsq_hist.Partition.t list) list;
   meta : 'm;
 }
 
@@ -101,7 +102,7 @@ type 'd result = {
     on the exact ρ, so answers, iterations and bounds are those of
     exact ranks; the next iteration's windows narrow to the decided
     side of each search's window, keeping that end's anchor
-    ({!Hsq_storage.Run.anchors}). A completed bisection's bound is
+    ({!Hsq_storage.Run.keep}). A completed bisection's bound is
     [Σ_s tolerance_factor·ε₂·m_s + Σ_s ε₂·m_s + 2·max 1 S + widening]
     over the view's S stream summaries; a deadline, checked between
     iterations and between rounds, answers the quick answer clamped

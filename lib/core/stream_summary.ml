@@ -80,15 +80,7 @@ let intervals t = Array.init (size t) (fun i -> (t.rlo.(i), t.rhi.(i)))
 let memory_words t = 4 + (3 * Array.length t.values)
 
 (* alpha_S of Lemma 2: number of summary entries <= v. *)
-let count_le t v =
-  let a = t.values in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) <= v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+let count_le t v = Hsq_util.Sorted.rank t.values v
 
 (* The Lemma 2 bounds on rank(v, R) given alpha_S = a.  Lower: SS[0] is
    the exact minimum, so a = 0 means no stream element is <= v;
@@ -113,5 +105,23 @@ let add_bounds t a (lower : float array) (upper : float array) i =
 
 (* rho_2 of Algorithm 8 (lines 8-10): the midpoint of the feasible
    window; its error is at most half the window, i.e. O(eps2 * m). *)
-let rank_estimate t v =
-  if t.m = 0 then 0.0 else (rank_lower t v +. rank_upper t v) /. 2.0
+let[@inline] estimate t v =
+  if t.m = 0 then 0.0
+  else
+    let a = count_le t v in
+    (lower_at t a +. upper_at t a) /. 2.0
+
+let rank_estimate t v = estimate t v
+
+(* The bisection's summed rho_2, added up here in list order and
+   stored in [dst.(i)], so no float crosses a call boxed. *)
+let rank_estimate_sum_into ts v (dst : float array) i =
+  let acc = ref 0.0 and rest = ref ts in
+  while !rest != [] do
+    match !rest with
+    | t :: tl ->
+      acc := !acc +. estimate t v;
+      rest := tl
+    | [] -> ()
+  done;
+  dst.(i) <- !acc

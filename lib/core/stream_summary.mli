@@ -43,3 +43,7 @@ val rank_lower : t -> int -> float
 
 val rank_upper : t -> int -> float
 val rank_estimate : t -> int -> float
+
+(** [rank_estimate_sum_into ts v dst i] stores in [dst.(i)] the sum of
+    [rank_estimate t v] over [ts], added in list order from [0.0]. *)
+val rank_estimate_sum_into : t list -> int -> float array -> int -> unit

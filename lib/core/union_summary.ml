@@ -204,17 +204,20 @@ let search ~above (col : float array) rank =
    the *current* rank-error bound of a best-so-far answer when a query
    is cut short (deadline, degraded fallback): |rank(v) - r| is at most
    max(U(v) - r, r - L(v)). *)
-let rank_window t v =
+let window_into t v (dst : float array) j =
   let n = Array.length t.values in
   if n = 0 then invalid_arg "Union_summary.rank_window: empty summary";
   let i = Hsq_util.Sorted.rank_strict t.values v in
-  let lower =
-    if i < n && t.values.(i) = v then t.lower.(i)
-    else if i = 0 then 0.0 (* below the union minimum *)
-    else t.lower.(i - 1)
-  in
-  let upper = if i = n then float_of_int t.n_total (* above the union maximum *) else t.upper.(i) in
-  (lower, upper)
+  dst.(j) <-
+    (if i < n && t.values.(i) = v then t.lower.(i)
+     else if i = 0 then 0.0 (* below the union minimum *)
+     else t.lower.(i - 1));
+  dst.(j + 1) <- (if i = n then float_of_int t.n_total (* above the union maximum *) else t.upper.(i))
+
+let rank_window t v =
+  let w = [| 0.0; 0.0 |] in
+  window_into t v w 0;
+  (w.(0), w.(1))
 
 (* Column-for-column equality (exact float comparison): the consistency
    contract between cached and fresh builds checked by the fuzz suite. *)

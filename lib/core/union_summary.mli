@@ -74,3 +74,7 @@ val filters : t -> rank:int -> int * int
     [max (U − r) (r − L)] — what a deadline-cut or degraded query
     reports. *)
 val rank_window : t -> int -> float * float
+
+(** [window_into t v dst j] writes [rank_window t v] into [dst.(j)] and
+    [dst.(j + 1)], boxing neither bound. *)
+val window_into : t -> int -> float array -> int -> unit

@@ -8,16 +8,18 @@ type t = {
   first_step : int;
   last_step : int;
   level : int;
+  probe : Hsq_storage.Run.search; (* the accurate query's search of [run] *)
 }
 
 let create ~run ~summary ~first_step ~last_step ~level =
   if first_step > last_step then invalid_arg "Partition.create: bad step range";
   if Hsq_storage.Run.length run <> Partition_summary.partition_size summary then
     invalid_arg "Partition.create: summary size disagrees with run";
-  { run; summary; first_step; last_step; level }
+  { run; summary; first_step; last_step; level; probe = Hsq_storage.Run.search run }
 
 let run t = t.run
 let summary t = t.summary
+let probe t = t.probe
 let size t = Hsq_storage.Run.length t.run
 let first_step t = t.first_step
 let last_step t = t.last_step

@@ -15,6 +15,12 @@ val create :
 
 val run : t -> Hsq_storage.Run.t
 val summary : t -> Partition_summary.t
+
+(** The partition's own search of its run, made with the partition, so
+    an accurate query allocates no search per probe. Like the run's
+    one-block cache, it serves one query at a time. *)
+val probe : t -> Hsq_storage.Run.search
+
 val size : t -> int
 val first_step : t -> int
 val last_step : t -> int

@@ -97,13 +97,12 @@ let memory_words t = 4 + (3 * Array.length t.entries)
 (* Number of summary entries with value <= v ("alpha_P" in Lemma 2). *)
 let count_le t v =
   let e = t.entries in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if e.(mid).value <= v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length e)
+  let lo = ref 0 and hi = ref (Array.length e) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if e.(mid).value <= v then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Exact bounds on rank(v, P) derived from the captured indices:
    the largest entry <= v sits at index j, so rank(v) >= j + 1; the
@@ -121,11 +120,31 @@ let rank_bounds t v =
    interpolates between; each is unknown at the partition's ends. *)
 type window = { lo : int; hi : int; ylo : int option; yhi : int option }
 
-let search_window t ~u ~v =
+let search_window_into t ~u ~v (dst : int array) off =
   let e = t.entries in
   let a = count_le t u and b = count_le t v in
   let lo = if a = 0 then 0 else e.(a - 1).index + 1 in
-  let ylo = if a = 0 then None else Some e.(a - 1).value in
-  if b = Array.length e then { lo; hi = t.partition_size; ylo; yhi = None }
-  else if e.(b).index < lo then { lo; hi = lo; ylo; yhi = None }
-  else { lo; hi = e.(b).index; ylo; yhi = Some e.(b).value }
+  dst.(off) <- lo;
+  dst.(off + 2) <- (if a = 0 then 0 else e.(a - 1).value);
+  let known = if a = 0 then 0 else Hsq_storage.Run.ylo_known in
+  if b < Array.length e && e.(b).index >= lo then begin
+    dst.(off + 1) <- e.(b).index;
+    dst.(off + 3) <- e.(b).value;
+    dst.(off + 4) <- known lor Hsq_storage.Run.yhi_known
+  end
+  else begin
+    dst.(off + 1) <- (if b = Array.length e then t.partition_size else lo);
+    dst.(off + 3) <- 0;
+    dst.(off + 4) <- known
+  end
+
+let search_window t ~u ~v =
+  let w = Array.make 5 0 in
+  search_window_into t ~u ~v w 0;
+  let anchor i flag = if w.(4) land flag <> 0 then Some w.(i) else None in
+  {
+    lo = w.(0);
+    hi = w.(1);
+    ylo = anchor 2 Hsq_storage.Run.ylo_known;
+    yhi = anchor 3 Hsq_storage.Run.yhi_known;
+  }

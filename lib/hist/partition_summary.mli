@@ -63,3 +63,9 @@ type window = { lo : int; hi : int; ylo : int option; yhi : int option }
     summary entries that bound it as anchors. At [u = v] its ends are
     {!rank_bounds}. *)
 val search_window : t -> u:int -> v:int -> window
+
+(** [search_window_into t ~u ~v dst off] writes {!search_window}'s
+    window into [dst] from [off] without allocating: [lo], [hi], [ylo],
+    [yhi], and the {!Hsq_storage.Run.ylo_known}/[yhi_known] flags of the
+    anchors that are known (an unknown one is written as 0). *)
+val search_window_into : t -> u:int -> v:int -> int array -> int -> unit

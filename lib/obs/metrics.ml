@@ -41,7 +41,7 @@ module Histogram = struct
     bounds : float array;
     counts : int array;
     mutable total : int;
-    mutable sum : float;
+    sum : float array; (* one cell, so [observe] adds to it unboxed *)
     lock : Mutex.t;
   }
 
@@ -50,7 +50,7 @@ module Histogram = struct
     if not (factor > 1.0) then invalid_arg "Metrics.histogram: factor must be > 1";
     if buckets < 1 then invalid_arg "Metrics.histogram: need at least one boundary";
     let bounds = Array.init buckets (fun i -> start *. (factor ** float_of_int i)) in
-    { bounds; counts = Array.make (buckets + 1) 0; total = 0; sum = 0.0; lock = Mutex.create () }
+    { bounds; counts = Array.make (buckets + 1) 0; total = 0; sum = [| 0.0 |]; lock = Mutex.create () }
 
   (* Smallest i with v < bounds.(i); bucket count when v clears them
      all.  An observation equal to a boundary therefore lands in the
@@ -70,7 +70,7 @@ module Histogram = struct
     Mutex.lock t.lock;
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. v;
+    t.sum.(0) <- t.sum.(0) +. v;
     Mutex.unlock t.lock
 
   let count t =
@@ -81,7 +81,7 @@ module Histogram = struct
 
   let sum t =
     Mutex.lock t.lock;
-    let s = t.sum in
+    let s = t.sum.(0) in
     Mutex.unlock t.lock;
     s
 
@@ -98,7 +98,7 @@ module Histogram = struct
   (* Consistent (counts, total, sum) triple for the exporters. *)
   let snapshot t =
     Mutex.lock t.lock;
-    let s = (Array.copy t.counts, t.total, t.sum) in
+    let s = (Array.copy t.counts, t.total, t.sum.(0)) in
     Mutex.unlock t.lock;
     s
 end

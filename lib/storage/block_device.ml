@@ -44,6 +44,8 @@ type injector = op -> attempt:int -> int -> fault_action option
 
 (* The file backend talks to the kernel through one read-write
    descriptor and one reused record-sized buffer: a block read or write
+   is one positioned syscall ([pread]/[pwrite], C stubs in
+   block_io_stubs.c) at the record's offset, never a seek, and
    allocates nothing but the decoded payload.  A record above 256 words
    would go straight to the major heap, so reads decode into the
    [block_size]-word payload and verify the checksum word in the same
@@ -59,12 +61,14 @@ type backend =
   | Memory of int array option array ref (* growable table of stored records *)
   | File of file
 
-(* Domain-safety: reads may be issued from several domains at once, so
-   the File backend's descriptor offset and record buffer are behind
-   [io_lock].  Every seek-plus-read and seek-plus-write pair runs under
-   it, so no two ever interleave.  Allocation, writes, frees and batch
-   reads stay single-domain by contract: the engine never ingests and
-   queries concurrently. *)
+(* Domain-safety: reads may be issued from several domains at once.  A
+   positioned read or write leaves the descriptor's offset alone, so
+   [io_lock] guards only what they share: the record buffer, which each
+   read decodes and each write encodes under it, and the [closed] flag,
+   so no syscall meets a descriptor number closed and reused
+   meanwhile.  Allocation, writes, frees and batch reads stay
+   single-domain by contract: the engine never ingests and queries
+   concurrently. *)
 type t = {
   block_size : int;
   stats : Io_stats.t;
@@ -166,12 +170,27 @@ let open_file ?metrics ~block_size ~path () =
   in
   make ?metrics ~block_size ~next_free:(size / record_bytes block_size) (File f)
 
-(* Run [f] on the open file under [io_lock]; Unix errors surface as
-   [Sys_error] (see [sys_error]). *)
-let with_file t f file =
-  Mutex.protect t.io_lock (fun () ->
-      if file.closed then raise (Sys_error "Bad file descriptor");
-      try f file with Unix.Unix_error (err, _, _) -> sys_error err)
+external pread : Unix.file_descr -> Bytes.t -> int -> int -> int -> int = "hsq_pread"
+external pwrite : Unix.file_descr -> Bytes.t -> int -> int -> int -> int = "hsq_pwrite"
+
+(* Take [io_lock] on an open file.  The record paths lock and unlock by
+   hand rather than through [Mutex.protect], so a read allocates no
+   closure; [release] unlocks on their way out with an exception, Unix
+   errors surfacing as [Sys_error] (see [sys_error]). *)
+let lock_file t file =
+  Mutex.lock t.io_lock;
+  if file.closed then begin
+    Mutex.unlock t.io_lock;
+    raise (Sys_error "Bad file descriptor")
+  end
+
+let release t = function
+  | Unix.Unix_error (err, _, _) ->
+    Mutex.unlock t.io_lock;
+    sys_error err
+  | e ->
+    Mutex.unlock t.io_lock;
+    raise e
 
 let close t =
   match t.backend with
@@ -260,15 +279,17 @@ let store_record t ~addr payload ~upto ~flip =
     done;
     if upto = bs then stored.(bs) <- !h;
     !table.(addr) <- Some stored
-  | File file ->
-    with_file t
-      (fun { fd; buf; _ } ->
-        let sum = Word.write_sealed buf ~off:0 payload ~upto ~flip ~seed in
-        let words = if upto = bs then bs + 1 else upto in
-        if upto = bs then Word.set buf (8 * bs) sum;
-        ignore (Unix.lseek fd (addr * Bytes.length buf) Unix.SEEK_SET);
-        ignore (Unix.write fd buf 0 (8 * words)))
-      file
+  | File ({ fd; buf; _ } as file) -> (
+    let len = 8 * if upto = bs then bs + 1 else upto in
+    lock_file t file;
+    match
+      let sum = Word.write_sealed buf ~off:0 payload ~upto ~flip ~seed in
+      if upto = bs then Word.set buf (8 * bs) sum;
+      if pwrite fd buf 0 len (addr * Bytes.length buf) < len then
+        raise (Device_error (Printf.sprintf "short write at block %d" addr))
+    with
+    | () -> Mutex.unlock t.io_lock
+    | exception e -> release t e)
 
 let write_block t ~addr payload =
   if Array.length payload <> t.block_size then
@@ -305,20 +326,18 @@ let fetch_verified t ~addr payload =
       done;
       record.(bs) = !h
     | None -> raise (Device_error (Printf.sprintf "read of unwritten or freed block %d" addr)))
-  | File file ->
-    with_file t
-      (fun { fd; buf; _ } ->
-        let nbytes = Bytes.length buf in
-        ignore (Unix.lseek fd (addr * nbytes) Unix.SEEK_SET);
-        let rec fill off =
-          if off < nbytes then
-            match Unix.read fd buf off (nbytes - off) with
-            | 0 -> raise (Device_error (Printf.sprintf "short read at block %d" addr))
-            | n -> fill (off + n)
-        in
-        fill 0;
-        Word.read_sealed buf payload ~len:bs ~seed)
-      file
+  | File ({ fd; buf; _ } as file) -> (
+    let nbytes = Bytes.length buf in
+    lock_file t file;
+    match
+      if pread fd buf 0 nbytes (addr * nbytes) < nbytes then
+        raise (Device_error (Printf.sprintf "short read at block %d" addr));
+      Word.read_sealed buf payload ~len:bs ~seed
+    with
+    | ok ->
+      Mutex.unlock t.io_lock;
+      ok
+    | exception e -> release t e)
 
 (* Bounded-retry read: injected faults and checksum mismatches are
    retried up to [max_read_attempts] times (each extra attempt is
@@ -335,54 +354,77 @@ let fetch_verified t ~addr payload =
    A [batched] read defers its simulated wait and latency observation
    to the batch ([read_batch]) and only counts itself in
    [batch_reads].  Every read returns a freshly decoded array, which
-   each attempt overwrites. *)
-let read_block_uncached ?hint ~batched t ~addr =
-  if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
-  if not (Breaker.allow t.breaker) then
-    raise
-      (Device_error
-         (Printf.sprintf "circuit breaker open: read of block %d short-circuited" addr));
-  let unrecoverable e =
+   each attempt overwrites.
+
+   A healthy device, with no injector and a clean breaker
+   ({!Breaker.clean}), takes a shorter path to the same outcome: with
+   nothing to inject, and an [allow] that would admit and a [success]
+   that would change nothing, its first attempt consults neither the
+   injector nor the breaker; a checksum mismatch joins the retry path
+   at its second attempt.  The attempt loop is top-level functions, so
+   a read allocates no closure. *)
+
+(* One attempt's device work: count the read, wait its latency (a
+   batched read joins its batch's), then fetch and verify. *)
+let fetch_counted ?hint ~batched t ~addr payload =
+  Io_stats.note_read ?hint t.stats addr;
+  if batched then begin
+    t.batch_reads <- t.batch_reads + 1;
+    fetch_verified t ~addr payload
+  end
+  else begin
+    let t0 = Hsq_obs.Metrics.now_s () in
+    apply_read_latency t;
+    let ok = fetch_verified t ~addr payload in
+    Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
+    ok
+  end
+
+let rec attempt ?hint ~batched t ~addr payload n =
+  match injected t Read ~attempt:n addr with
+  | Some _ ->
+    retry ?hint ~batched t ~addr payload n
+      (Device_error (Printf.sprintf "injected read fault at block %d (attempt %d)" addr n))
+  | None -> (
+    match fetch_counted ?hint ~batched t ~addr payload with
+    | true ->
+      Breaker.success t.breaker;
+      payload
+    | false -> mismatch ?hint ~batched t ~addr payload n
+    | exception e ->
+      (* Not evidence against device health, but a half-open trial
+         ticket must still be released. *)
+      Breaker.success t.breaker;
+      raise e)
+
+and mismatch ?hint ~batched t ~addr payload n =
+  Io_stats.note_checksum_failure t.stats;
+  retry ?hint ~batched t ~addr payload n
+    (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
+
+and retry ?hint ~batched t ~addr payload n e =
+  if n < max_read_attempts then begin
+    Io_stats.note_retry t.stats;
+    attempt ?hint ~batched t ~addr payload (n + 1)
+  end
+  else begin
     Breaker.failure t.breaker;
     raise e
-  in
-  let payload = Array.make t.block_size 0 in
-  let rec attempt n =
-    let retry e =
-      if n < max_read_attempts then begin
-        Io_stats.note_retry t.stats;
-        attempt (n + 1)
-      end
-      else unrecoverable e
-    in
-    match injected t Read ~attempt:n addr with
-    | Some _ ->
-      retry (Device_error (Printf.sprintf "injected read fault at block %d (attempt %d)" addr n))
-    | None ->
-      Io_stats.note_read ?hint t.stats addr;
-      let t0 = if batched then 0.0 else Hsq_obs.Metrics.now_s () in
-      if batched then t.batch_reads <- t.batch_reads + 1 else apply_read_latency t;
-      let verified =
-        match fetch_verified t ~addr payload with
-        | ok -> ok
-        | exception e ->
-          (* Not evidence against device health, but a half-open trial
-             ticket must still be released. *)
-          Breaker.success t.breaker;
-          raise e
-      in
-      if not batched then
-        Hsq_obs.Metrics.Histogram.observe t.read_hist (Hsq_obs.Metrics.now_s () -. t0);
-      if verified then begin
-        Breaker.success t.breaker;
-        payload
-      end
-      else begin
-        Io_stats.note_checksum_failure t.stats;
-        retry (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
-      end
-  in
-  attempt 1
+  end
+
+let read_block_uncached ?hint ~batched t ~addr =
+  if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
+  if t.fault == None && Breaker.clean t.breaker then begin
+    let payload = Array.make t.block_size 0 in
+    if fetch_counted ?hint ~batched t ~addr payload then payload
+    else mismatch ?hint ~batched t ~addr payload 1
+  end
+  else if Breaker.allow t.breaker then
+    attempt ?hint ~batched t ~addr (Array.make t.block_size 0) 1
+  else
+    raise
+      (Device_error
+         (Printf.sprintf "circuit breaker open: read of block %d short-circuited" addr))
 
 let read_block ?hint t ~addr = read_block_uncached ?hint ~batched:false t ~addr
 
@@ -397,36 +439,36 @@ exception Batch_error of int * string
    device records that whole wait as one [hsq_device_read_seconds]
    observation.  A batch that reached no device (an open breaker)
    waits nothing and records nothing. *)
+let settle_batch devs ~n t0 =
+  let wait = ref 0.0 in
+  for i = 0 to n - 1 do
+    if devs.(i).batch_reads > 0 then wait := Float.max !wait devs.(i).read_latency
+  done;
+  if !wait > 0.0 then Unix.sleepf !wait;
+  let waited = Hsq_obs.Metrics.now_s () -. t0 in
+  let reads = ref 0 in
+  for i = 0 to n - 1 do
+    let d = devs.(i) in
+    if d.batch_reads > 0 then begin
+      reads := !reads + d.batch_reads;
+      d.batch_reads <- 0;
+      Hsq_obs.Metrics.Histogram.observe d.read_hist waited
+    end
+  done;
+  !reads
+
+let rec issue devs addrs blocks ~n i =
+  if i < n then begin
+    (match read_block_uncached ~batched:true devs.(i) ~addr:addrs.(i) with
+    | block -> blocks.(i) <- block
+    | exception Device_error msg -> raise (Batch_error (i, msg)));
+    issue devs addrs blocks ~n (i + 1)
+  end
+
 let read_batch devs addrs blocks ~n =
   let t0 = Hsq_obs.Metrics.now_s () in
-  let settle () =
-    let wait = ref 0.0 in
-    for i = 0 to n - 1 do
-      if devs.(i).batch_reads > 0 then wait := Float.max !wait devs.(i).read_latency
-    done;
-    if !wait > 0.0 then Unix.sleepf !wait;
-    let waited = Hsq_obs.Metrics.now_s () -. t0 in
-    let reads = ref 0 in
-    for i = 0 to n - 1 do
-      let d = devs.(i) in
-      if d.batch_reads > 0 then begin
-        reads := !reads + d.batch_reads;
-        d.batch_reads <- 0;
-        Hsq_obs.Metrics.Histogram.observe d.read_hist waited
-      end
-    done;
-    !reads
-  in
-  let rec go i =
-    if i < n then begin
-      (match read_block_uncached ~batched:true devs.(i) ~addr:addrs.(i) with
-      | block -> blocks.(i) <- block
-      | exception Device_error msg -> raise (Batch_error (i, msg)));
-      go (i + 1)
-    end
-  in
-  match go 0 with
-  | () -> settle ()
+  match issue devs addrs blocks ~n 0 with
+  | () -> settle_batch devs ~n t0
   | exception e ->
-    ignore (settle ());
+    ignore (settle_batch devs ~n t0);
     raise e

@@ -27,7 +27,9 @@
    The clock is injectable ([?now]) so the state machine is unit-testable
    without sleeping; production uses Metrics.now_s.  All state is behind
    one mutex, so callers on several threads or domains see one state
-   machine. *)
+   machine.  [clean] mirrors, in one atomic, whether the breaker is
+   Closed with no failure counted: there [allow] admits and [success]
+   changes nothing, so a healthy read skips both and their lock. *)
 
 module Metrics = Hsq_obs.Metrics
 
@@ -52,6 +54,7 @@ type t = {
   cooldown_s : float;
   now : unit -> float;
   lock : Mutex.t;
+  clean : bool Atomic.t; (* state = Closed && consecutive_failures = 0, set under [lock] *)
   state_gauge : Metrics.Gauge.t option;
   transitions_total : Metrics.Counter.t option;
 }
@@ -85,11 +88,20 @@ let create ?metrics ?now ?(failure_threshold = default_failure_threshold)
     cooldown_s;
     now = (match now with Some f -> f | None -> Metrics.now_s);
     lock = Mutex.create ();
+    clean = Atomic.make true;
     state_gauge;
     transitions_total;
   }
 
-let locked t f = Mutex.protect t.lock f
+(* Every change to the state or the failure count runs under [locked],
+   which refreshes [clean] before releasing the lock. *)
+let locked t f =
+  Mutex.protect t.lock (fun () ->
+      let r = f () in
+      Atomic.set t.clean (t.state = Closed && t.consecutive_failures = 0);
+      r)
+
+let clean t = Atomic.get t.clean
 
 (* Callers hold the lock. *)
 let transition t next =

@@ -122,18 +122,16 @@ let reset t =
 
 (* [hint] overrides the adjacency heuristic: a k-way merge interleaves
    reads of several runs, but on a real disk each run is consumed through
-   a sequential readahead buffer, so those reads are sequential. *)
+   a sequential readahead buffer, so those reads are sequential.  Every
+   block read notes here, so it takes the lock by hand and allocates no
+   closure; nothing inside can raise. *)
 let note_read ?hint t addr =
-  locked t (fun () ->
-      Metrics.Counter.inc t.reads;
-      let sequential =
-        match hint with
-        | Some s -> s
-        | None -> addr = t.last_read_addr + 1
-      in
-      if sequential then Metrics.Counter.inc t.seq_reads
-      else Metrics.Counter.inc t.rand_reads;
-      t.last_read_addr <- addr)
+  Mutex.lock t.lock;
+  Metrics.Counter.add t.reads 1;
+  let sequential = match hint with Some s -> s | None -> addr = t.last_read_addr + 1 in
+  Metrics.Counter.add (if sequential then t.seq_reads else t.rand_reads) 1;
+  t.last_read_addr <- addr;
+  Mutex.unlock t.lock
 
 let note_write t _addr = locked t (fun () -> Metrics.Counter.inc t.writes)
 let note_retry t = locked t (fun () -> Metrics.Counter.inc t.retries)
@@ -148,19 +146,23 @@ let note_wal_sync t = locked t (fun () -> Metrics.Counter.inc t.wal_syncs)
 let note_wal_replayed t n = locked t (fun () -> Metrics.Counter.inc ~by:n t.wal_replayed)
 
 let snapshot t : counters =
-  locked t (fun () ->
-      {
-        reads = Metrics.Counter.value t.reads;
-        seq_reads = Metrics.Counter.value t.seq_reads;
-        rand_reads = Metrics.Counter.value t.rand_reads;
-        writes = Metrics.Counter.value t.writes;
-        retries = Metrics.Counter.value t.retries;
-        checksum_failures = Metrics.Counter.value t.checksum_failures;
-        wal_appends = Metrics.Counter.value t.wal_appends;
-        wal_syncs = Metrics.Counter.value t.wal_syncs;
-        wal_replayed = Metrics.Counter.value t.wal_replayed;
-        checkpoints_written = 0;
-      })
+  Mutex.lock t.lock;
+  let c : counters =
+    {
+      reads = Metrics.Counter.value t.reads;
+      seq_reads = Metrics.Counter.value t.seq_reads;
+      rand_reads = Metrics.Counter.value t.rand_reads;
+      writes = Metrics.Counter.value t.writes;
+      retries = Metrics.Counter.value t.retries;
+      checksum_failures = Metrics.Counter.value t.checksum_failures;
+      wal_appends = Metrics.Counter.value t.wal_appends;
+      wal_syncs = Metrics.Counter.value t.wal_syncs;
+      wal_replayed = Metrics.Counter.value t.wal_replayed;
+      checkpoints_written = 0;
+    }
+  in
+  Mutex.unlock t.lock;
+  c
 
 let zero : counters =
   {
@@ -206,10 +208,15 @@ let add (a : counters) (b : counters) : counters =
 
 let total (c : counters) = c.reads + c.writes
 
+(* The counters summed over [ts]: a delta of sums is the sum of the
+   deltas, so [measure_all] takes one total before and one after. *)
+let rec sum acc = function [] -> acc | t :: ts -> sum (add acc (snapshot t)) ts
+let sum_all = function [] -> zero | t :: ts -> sum (snapshot t) ts
+
 let measure_all ts f =
-  let before = List.map (fun t -> (t, snapshot t)) ts in
+  let before = sum_all ts in
   let result = f () in
-  (result, List.fold_left (fun acc (t, b) -> add acc (diff (snapshot t) b)) zero before)
+  (result, diff (sum_all ts) before)
 
 let measure t f = measure_all [ t ] f
 

@@ -111,6 +111,10 @@ val total : counters -> int
     I/O performed during the call. *)
 val measure : t -> (unit -> 'a) -> 'a * counters
 
+(** The {!snapshot}s of [ts] summed, {!zero} for none: the I/O of a
+    call over several stats is the {!diff} of two. *)
+val sum_all : t list -> counters
+
 (** [measure_all ts f] is {!measure} summed over several stats. *)
 val measure_all : t list -> (unit -> 'a) -> 'a * counters
 

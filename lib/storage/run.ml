@@ -136,13 +136,22 @@ type search = {
   mutable v : int;
   mutable lo : int;
   mutable hi : int;
-  mutable ylo : int option; (* the element at [lo - 1], when known *)
-  mutable yhi : int option; (* the element at [hi], when known *)
+  mutable ylo : int; (* the element at [lo - 1], when [known] has [ylo_known] *)
+  mutable yhi : int; (* the element at [hi], when [known] has [yhi_known] *)
+  mutable known : int; (* which anchors are known, as ints rather than options *)
   mutable budget : int; (* reads left under the ceil(log2 k) + 2 bound *)
   mutable need : int; (* absolute address [advance] stopped on; -1 = none *)
   mutable guided : bool; (* [need] came from interpolation *)
   mutable fed : int array; (* block [need], fed for the next step only; [||] = none *)
+  mutable flo : int; (* the frame: the window, anchors and flags [restart] starts from *)
+  mutable fhi : int;
+  mutable fylo : int;
+  mutable fyhi : int;
+  mutable fknown : int;
 }
+
+let ylo_known = 1
+let yhi_known = 2
 
 let search t =
   {
@@ -150,17 +159,27 @@ let search t =
     v = 0;
     lo = 0;
     hi = 0;
-    ylo = None;
-    yhi = None;
+    ylo = 0;
+    yhi = 0;
+    known = 0;
     budget = 0;
     need = -1;
     guided = false;
     fed = [||];
+    flo = 0;
+    fhi = 0;
+    fylo = 0;
+    fyhi = 0;
+    fknown = 0;
   }
 
 let ceil_log2 k =
-  let rec go p acc = if p >= k then acc else go (2 * p) (acc + 1) in
-  go 1 0
+  let p = ref 1 and acc = ref 0 in
+  while !p < k do
+    p := 2 * !p;
+    incr acc
+  done;
+  !acc
 
 (* Blocks of [bsize] elements that the window [lo, hi) meets. *)
 let spanned ~bsize lo hi = if lo >= hi then 0 else ((hi - 1) / bsize) - (lo / bsize) + 1
@@ -169,7 +188,7 @@ let spanned ~bsize lo hi = if lo >= hi then 0 else ((hi - 1) / bsize) - (lo / bs
    blocks: one settles a single block, and each halves the rest. *)
 let midpoint_cost k = if k = 0 then 0 else ceil_log2 k + 1
 
-let start_as ~who s ?ylo ?yhi ~lo ~hi v =
+let start_as ~who s ~known ~ylo ~yhi ~lo ~hi v =
   let t = s.srun in
   check_live t who;
   if lo < 0 || hi > t.length || lo > hi then invalid_arg ("Run." ^ who ^ ": bad range");
@@ -178,54 +197,97 @@ let start_as ~who s ?ylo ?yhi ~lo ~hi v =
   s.hi <- hi;
   s.ylo <- ylo;
   s.yhi <- yhi;
+  s.known <- known;
   s.budget <- midpoint_cost (spanned ~bsize:(Block_device.block_size t.dev) lo hi) + 1;
   s.need <- -1;
   s.guided <- false;
   s.fed <- [||]
 
-let start = start_as ~who:"start"
+(* A bisection probes one run for a sequence of values, each on a known
+   side of the last: rank(v') for v' < v is at most the end of v's
+   window, and at least its start for v' > v.  So the search keeps a
+   frame, the window a [restart] begins from, and [keep] narrows it to
+   the side of the last window the next value lies on, keeping that
+   end's anchor. *)
+let frame s ~lo ~hi ~ylo ~yhi ~known =
+  s.flo <- lo;
+  s.fhi <- hi;
+  s.fylo <- ylo;
+  s.fyhi <- yhi;
+  s.fknown <- known
+
+let restart s v =
+  start_as ~who:"restart" s ~known:s.fknown ~ylo:s.fylo ~yhi:s.fyhi ~lo:s.flo ~hi:s.fhi v
+
+let keep s ~left =
+  if left then begin
+    s.fhi <- s.hi;
+    s.fyhi <- s.yhi;
+    s.fknown <- s.fknown land ylo_known lor (s.known land yhi_known)
+  end
+  else begin
+    s.flo <- s.lo;
+    s.fylo <- s.ylo;
+    s.fknown <- s.fknown land yhi_known lor (s.known land ylo_known)
+  end
+
+let anchor_flags ylo yhi =
+  (match ylo with Some _ -> ylo_known | None -> 0) lor match yhi with Some _ -> yhi_known | None -> 0
+
+let start s ?ylo ?yhi ~lo ~hi v =
+  start_as ~who:"start" s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)
+    ~yhi:(Option.value yhi ~default:0) ~lo ~hi v
 
 (* Settle [block], the run's block at absolute address [abs], which
    meets the window; the window's new ends take their anchors from it. *)
+let rec within (block : int array) ~base v lo hi =
+  if lo >= hi then lo
+  else
+    let m = (lo + hi) / 2 in
+    if block.(m - base) <= v then within block ~base v (m + 1) hi else within block ~base v lo m
+
 let settle s ~bsize block abs =
   let base = (abs - s.srun.addr) * bsize in
   let a = Int.max s.lo base and b = Int.min s.hi (base + bsize) in
   let v = s.v in
   if block.(b - 1 - base) <= v then begin
     s.lo <- b;
-    s.ylo <- Some block.(b - 1 - base)
+    s.ylo <- block.(b - 1 - base);
+    s.known <- s.known lor ylo_known
   end
   else if block.(a - base) > v then begin
     s.hi <- a;
-    s.yhi <- Some block.(a - base)
+    s.yhi <- block.(a - base);
+    s.known <- s.known lor yhi_known
   end
   else begin
     (* block.(a) <= v < block.(b - 1): the answer is in (a, b - 1]. *)
-    let rec within lo hi =
-      if lo >= hi then lo
-      else
-        let m = (lo + hi) / 2 in
-        if block.(m - base) <= v then within (m + 1) hi else within lo m
-    in
-    let r = within (a + 1) (b - 1) in
+    let r = within block ~base v (a + 1) (b - 1) in
     s.lo <- r;
     s.hi <- r;
-    s.ylo <- Some block.(r - 1 - base);
-    s.yhi <- Some block.(r - base)
+    s.ylo <- block.(r - 1 - base);
+    s.yhi <- block.(r - base);
+    s.known <- ylo_known lor yhi_known
   end
 
 (* The relative block interpolation aims at, if the budget allows it:
    reading it must leave enough for midpoint steps on either side. *)
 let guided_block s ~bsize =
-  match (s.ylo, s.yhi) with
-  | Some ylo, Some yhi when ylo < yhi ->
+  let ylo = s.ylo and yhi = s.yhi in
+  if s.known = ylo_known lor yhi_known && ylo < yhi then begin
     let frac = (float_of_int s.v -. float_of_int ylo) /. (float_of_int yhi -. float_of_int ylo) in
-    let frac = Float.min 1.0 (Float.max 0.0 frac) in
+    let frac = if frac < 1.0 then if frac > 0.0 then frac else 0.0 else 1.0 in
     let pos = s.lo + int_of_float (frac *. float_of_int (s.hi - s.lo)) in
     let g = Int.min (s.hi - 1) pos / bsize in
     let left = g - (s.lo / bsize) and right = ((s.hi - 1) / bsize) - g in
     if Int.max (midpoint_cost left) (midpoint_cost right) <= s.budget - 1 then g else -1
-  | _ -> -1
+  end
+  else -1
+
+(* Whether the block at absolute address [abs] meets the window. *)
+let meets s ~bsize abs =
+  let base = (abs - s.srun.addr) * bsize in
+  base < s.hi && base + bsize > s.lo
 
 (* A fed block serves one step, so with the cache disabled every step
    reads, as [block_for] does.  Settling a block leaves the window
@@ -235,10 +297,6 @@ let rec advance s =
   else
     let t = s.srun in
     let bsize = Block_device.block_size t.dev in
-    let meets abs =
-      let base = (abs - t.addr) * bsize in
-      base < s.hi && base + bsize > s.lo
-    in
     if s.fed != [||] then begin
       let block = s.fed in
       s.fed <- [||];
@@ -246,7 +304,7 @@ let rec advance s =
       s.need <- -1;
       advance s
     end
-    else if t.cache_enabled && t.cache_addr >= 0 && meets t.cache_addr then begin
+    else if t.cache_enabled && t.cache_addr >= 0 && meets s ~bsize t.cache_addr then begin
       settle s ~bsize t.cache t.cache_addr;
       advance s
     end
@@ -268,12 +326,19 @@ let feed s block =
   end
 
 let window s = (s.lo, s.hi)
-let anchors s = (s.ylo, s.yhi)
+
+let anchors s =
+  ( (if s.known land ylo_known <> 0 then Some s.ylo else None),
+    if s.known land yhi_known <> 0 then Some s.yhi else None )
+
+let lo s = s.lo
+let hi s = s.hi
 let guided s = s.guided
 
 let rank_between t ?ylo ?yhi ~lo ~hi v =
   let s = search t in
-  start_as ~who:"rank_between" s ?ylo ?yhi ~lo ~hi v;
+  start_as ~who:"rank_between" s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)
+    ~yhi:(Option.value yhi ~default:0) ~lo ~hi v;
   let rec drive () =
     let addr = advance s in
     if addr >= 0 then begin

@@ -103,6 +103,40 @@ val window : search -> int * int
     when [start] was not given it and no settled block has shown it). *)
 val anchors : search -> int option * int option
 
+(** {3 Framed searches}
+
+    A caller that probes one run for a sequence of values, each on a
+    known side of the last (a bisection), starts each search from a
+    frame the search keeps, so it allocates nothing per value: the
+    frame's anchors are two ints and a set of flags saying which of
+    them are known. *)
+
+(** Flags of a frame's [known]: the anchor at [lo - 1], and the one at
+    [hi]. *)
+val ylo_known : int
+
+val yhi_known : int
+
+(** [frame s ~lo ~hi ~ylo ~yhi ~known] sets the window [restart] starts
+    from, with each anchor given exactly when [known] has its flag. *)
+val frame : search -> lo:int -> hi:int -> ylo:int -> yhi:int -> known:int -> unit
+
+(** [restart s v] is {!start} for [v] over the frame. A closed frame
+    ([lo = hi]) gives a search that is settled at once. *)
+val restart : search -> int -> unit
+
+(** [keep s ~left] narrows the frame for the next value: to the frame
+    up to the current window's end, with its anchor, when the next value
+    is below the current one ([left]), else from the window's start.
+    Sound because rank(v') for v' < v is at most the end of v's window,
+    and at least its start for v' > v. *)
+val keep : search -> left:bool -> unit
+
+(** The two ends of {!window}. *)
+val lo : search -> int
+
+val hi : search -> int
+
 (** Whether the block the last {!advance} named came from
     interpolation rather than the midpoint fallback. *)
 val guided : search -> bool

@@ -32,31 +32,45 @@ let check_record who b ~off ~words a ~len =
   if len < 0 || len > Array.length a || off < 0 || off + (8 * words) > Bytes.length b then
     invalid_arg who
 
+(* The record loops fold {!mix} in [Int64] on the doubled
+   representation [T = 2h], which is the 63-bit fold shifted one bit up:
+   [(h lxor v) * k] doubled is [(T lxor 2v) * k] modulo 2^64, and
+   [h lsr 29] doubled is [(T lsr 29) land -2].  A stored word [w] is [v]
+   sign-extended, so [2v] is [w lsl 1] whatever bit 63 holds: no word is
+   tagged or untagged on the fold's dependency chain, which costs a
+   xor, a multiply, a shift, an and and a xor a word.  [T asr 1] is the
+   63-bit checksum again, so stored records are unchanged. *)
+let mix_k = 0x2545F4914F6CDD1DL
+
+let[@inline] word b off = if big_endian () then get64u b off else swap64 (get64u b off)
+
 (* One pass per word: decode, fold into the sum, and collect in [bad]
-   the words whose bits 63 and 62 differ ([top + 1] is 0 or 1 exactly
-   when the top two bits agree).  The checksum word is the [len]th. *)
+   each word xored with itself shifted up one bit, whose sign bit is set
+   exactly when the word's bits 63 and 62 differ.  The checksum word is
+   the [len]th; its low 63 bits must equal the sum's. *)
 let read_sealed b (dst : int array) ~len ~seed =
   check_record "Word.read_sealed" b ~off:0 ~words:(len + 1) dst ~len;
-  let h = ref seed and bad = ref 0 and sum = ref 0 in
-  for j = 0 to len do
-    let w = if big_endian () then get64u b (8 * j) else swap64 (get64u b (8 * j)) in
-    bad := !bad lor ((Int64.to_int (Int64.shift_right w 62) + 1) lsr 1);
-    let v = Int64.to_int w in
-    if j < len then begin
-      Array.unsafe_set dst j v;
-      h := mix !h v
-    end
-    else sum := v
+  let t = ref (Int64.shift_left (Int64.of_int seed) 1) and bad = ref 0L in
+  for j = 0 to len - 1 do
+    let w = word b (8 * j) in
+    let w2 = Int64.shift_left w 1 in
+    bad := Int64.logor !bad (Int64.logxor w w2);
+    Array.unsafe_set dst j (Int64.to_int w);
+    let x = Int64.mul (Int64.logxor !t w2) mix_k in
+    t := Int64.logxor x (Int64.logand (Int64.shift_right_logical x 29) (-2L))
   done;
-  !bad = 0 && !sum = !h
+  let w = word b (8 * len) in
+  let w2 = Int64.shift_left w 1 in
+  Int64.logor !bad (Int64.logxor w w2) >= 0L && Int64.equal w2 !t
 
 let write_sealed b ~off (src : int array) ~upto ~flip ~seed =
   check_record "Word.write_sealed" b ~off ~words:upto src ~len:upto;
-  let h = ref seed in
+  let t = ref (Int64.shift_left (Int64.of_int seed) 1) in
   for j = 0 to upto - 1 do
     let v = Array.unsafe_get src j in
-    h := mix !h v;
+    let x = Int64.mul (Int64.logxor !t (Int64.shift_left (Int64.of_int v) 1)) mix_k in
+    t := Int64.logxor x (Int64.logand (Int64.shift_right_logical x 29) (-2L));
     let w = Int64.of_int (if j = flip then v lxor 1 else v) in
     set64u b (off + (8 * j)) (if big_endian () then w else swap64 w)
   done;
-  !h
+  Int64.to_int (Int64.shift_right !t 1)

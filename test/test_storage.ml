@@ -241,6 +241,82 @@ let test_file_bit_rot_detected () =
            Str.string_match (Str.regexp ".*checksum mismatch.*") msg 0);
       Block_device.close dev)
 
+(* --- Verified decode ---------------------------------------------------------
+
+   [Word.read_sealed] folds the checksum on a shifted representation;
+   the reference here is the plain fold over decoded ints, with the
+   sign-extension check [Word.get] makes.  They must agree on the
+   verdict and on every decoded word, whatever the record holds. *)
+
+let reference_read_sealed b ~len ~seed =
+  let dst = Array.make len 0 and h = ref seed and ok = ref true in
+  for j = 0 to len do
+    let w = Bytes.get_int64_be b (8 * j) in
+    let top = Int64.to_int (Int64.shift_right w 62) in
+    if top <> 0 && top <> -1 then ok := false;
+    let v = Int64.to_int w in
+    if j < len then begin
+      dst.(j) <- v;
+      h := Word.mix !h v
+    end
+    else if v <> !h then ok := false
+  done;
+  (!ok, dst, !h)
+
+(* 3,000 seeded records of 0 to 300 payload words (full-range values,
+   min_int and max_int among them), each sealed by the reference and
+   read back, then damaged one way: one bit flipped anywhere, bit 63
+   flipped so it differs from bit 62 in a payload or the checksum word,
+   or the checksum word replaced.  [write_sealed] must encode the same
+   record and return the reference's checksum. *)
+let test_read_sealed_reference () =
+  let rng = Hsq_util.Splitmix.create 0x5EA1 in
+  let draw n = Hsq_util.Splitmix.int rng n in
+  let value () =
+    match draw 8 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> draw 3 - 1
+    | _ -> Int64.to_int (Hsq_util.Splitmix.next_int64 rng)
+  in
+  for case = 1 to 3_000 do
+    let len = if case <= 3 then case - 1 else draw 301 in
+    let seed = value () in
+    let src = Array.init len (fun _ -> value ()) in
+    let b = Bytes.create (8 * (len + 1)) in
+    Array.iteri (fun j v -> Word.set b (8 * j) v) src;
+    let _, _, sum = reference_read_sealed b ~len ~seed in
+    Word.set b (8 * len) sum;
+    let sealed = Bytes.create (8 * (len + 1)) in
+    let got = Word.write_sealed sealed ~off:0 src ~upto:len ~flip:(-1) ~seed in
+    Word.set sealed (8 * len) got;
+    if got <> sum || not (Bytes.equal sealed b) then
+      Alcotest.failf "case %d: write_sealed sums %x, the reference %x" case got sum;
+    let agree what =
+      let ok, want, _ = reference_read_sealed b ~len ~seed in
+      let dst = Array.make len 0 in
+      let verdict = Word.read_sealed b dst ~len ~seed in
+      if verdict <> ok || dst <> want then
+        Alcotest.failf "case %d (%s, %d words): read_sealed says %b, the reference %b" case what len
+          verdict ok
+    in
+    agree "valid";
+    let flip byte mask =
+      Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor mask))
+    in
+    let restore () = Array.iteri (fun j v -> Word.set b (8 * j) v) src; Word.set b (8 * len) sum in
+    let byte = draw (8 * (len + 1)) and bit = 1 lsl draw 8 in
+    flip byte bit;
+    agree (Printf.sprintf "byte %d bit mask %x flipped" byte bit);
+    restore ();
+    let word = draw (len + 1) in
+    flip (8 * word) 0x80;
+    agree (Printf.sprintf "bit 63 of word %d" word);
+    restore ();
+    Word.set b (8 * len) (sum + 1 + draw 1_000);
+    agree "wrong checksum word"
+  done
+
 (* --- Bit 63 ----------------------------------------------------------------
 
    Words are stored as 64-bit sign extensions of 63-bit ints, so bit 63
@@ -379,6 +455,26 @@ let test_file_truncated_tail () =
             Alcotest.(check bool) (Printf.sprintf "block %d: short read (%s)" a msg) true
               (Str.string_match (Str.regexp "short read") msg 0))
         [ 1; 2 ];
+      Block_device.close dev)
+
+(* The same truncation met inside a batch: [read_batch] stops at the
+   first short block with [Batch_error] naming its slot, and the blocks
+   before it came back intact. *)
+let test_file_truncated_tail_batch () =
+  with_dev_file (fun path ->
+      let block_size = 8 in
+      let dev, base = file_dev_with ~block_size ~blocks:3 path in
+      Unix.truncate path ((8 * (block_size + 1)) + 20);
+      let blocks = Array.make 3 [||] in
+      (match Block_device.read_batch (Array.make 3 dev) [| base; base + 1; base + 2 |] blocks ~n:3 with
+      | _ -> Alcotest.fail "the batch read past the truncated tail"
+      | exception Block_device.Batch_error (i, msg) ->
+        Alcotest.(check int) "fails at the first short block" 1 i;
+        Alcotest.(check bool) (Printf.sprintf "a short read (%s)" msg) true
+          (Str.string_match (Str.regexp "short read") msg 0));
+      Alcotest.(check (array int)) "the block before it intact" (pattern ~block_size 0) blocks.(0);
+      Alcotest.(check (list (array int))) "nothing after it" [ [||]; [||] ]
+        [ blocks.(1); blocks.(2) ];
       Block_device.close dev)
 
 (* A torn write over a written block leaves the new prefix, the old
@@ -1042,7 +1138,9 @@ let test_block_format_pinned () =
         (Digest.to_hex (Digest.string r)))
 
 (* Random payloads written and read back through [read_block] and
-   [read_batch], on both backends. *)
+   [read_batch], on both backends, with the same read accounting: read
+   lone or batched, the same addresses in the same order from the same
+   last read count the same reads, sequential and random. *)
 let prop_block_roundtrip =
   QCheck.Test.make ~name:"random payloads round-trip on both backends" ~count:60
     QCheck.(pair (int_range 1 300) (list_of_size Gen.(1 -- 6) (small_list int)))
@@ -1059,12 +1157,24 @@ let prop_block_roundtrip =
       let check dev =
         let base = Block_device.alloc dev n in
         List.iteri (fun i p -> Block_device.write_block dev ~addr:(base + i) p) payloads;
-        let singles = List.init n (fun i -> Block_device.read_block dev ~addr:(base + i)) in
-        let blocks = Array.make n [||] in
-        (* Reversed, so the batch reads out of address order. *)
+        (* Reversed, so the reads go out of address order. *)
         let addrs = Array.init n (fun i -> base + n - 1 - i) in
-        let reads = Block_device.read_batch (Array.make n dev) addrs blocks ~n in
-        reads = n && singles = payloads && Array.to_list blocks = List.rev payloads
+        let measured f =
+          ignore (Block_device.read_block dev ~addr:base);
+          let r, (c : Io_stats.counters) = Io_stats.measure (Block_device.stats dev) f in
+          (r, (c.reads, c.seq_reads, c.rand_reads))
+        in
+        let singles, lone =
+          measured (fun () -> Array.map (fun addr -> Block_device.read_block dev ~addr) addrs)
+        in
+        let blocks = Array.make n [||] in
+        let reads, batched =
+          measured (fun () -> Block_device.read_batch (Array.make n dev) addrs blocks ~n)
+        in
+        reads = n
+        && Array.to_list singles = List.rev payloads
+        && Array.to_list blocks = List.rev payloads
+        && lone = batched
       in
       let mem = check (Block_device.create_memory ~block_size ()) in
       let file =
@@ -1254,6 +1364,11 @@ let () =
             test_file_bit_rot_detected;
           Alcotest.test_case "batch read order and wait" `Quick test_read_batch_order_and_wait;
         ] );
+      ( "verified decode",
+        [
+          Alcotest.test_case "read_sealed matches the reference fold" `Quick
+            test_read_sealed_reference;
+        ] );
       ( "bit 63",
         [
           Alcotest.test_case "device payload word" `Quick (device_bit63_case 1);
@@ -1265,6 +1380,8 @@ let () =
           Alcotest.test_case "reads stay off the major heap" `Quick test_file_read_allocation;
           Alcotest.test_case "two domains read exact payloads" `Quick test_file_concurrent_reads;
           Alcotest.test_case "truncated tail is a short read" `Quick test_file_truncated_tail;
+          Alcotest.test_case "truncated tail is a short read in a batch" `Quick
+            test_file_truncated_tail_batch;
           Alcotest.test_case "torn write, rewrite, read" `Quick test_file_torn_then_rewrite;
           Alcotest.test_case "closed device" `Quick test_file_closed_device;
         ] );
