@@ -249,7 +249,8 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
         ~attrs:[ ("probes", string_of_int k); ("guided", string_of_int guided) ]
         "round"
         (fun sp ->
-          Trace.add_attr trc sp "reads" (string_of_int (read_batch searches who devs addrs blocks k)))
+          let reads = read_batch searches who devs addrs blocks k in
+          Trace.add_attr trc sp "reads" (string_of_int reads))
     | _ -> ignore (read_batch searches who devs addrs blocks k)
   in
   let still_open = ref 0 in

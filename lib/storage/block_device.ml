@@ -20,12 +20,16 @@
      partial write followed by a simulated crash), or silently corrupt a
      written word — the ingredients of the crash-recovery fuzz harness.
 
-   Wait model: with a simulated [read_latency], a lone read waits it in
-   full.  A batch read ([read_batch], one probe round of an accurate
-   query) issues its reads one after another with all of the above
-   bookkeeping, then waits one [read_latency] for all of them — the
-   reads were queued on the device together — with no threads or
-   domains involved. *)
+   Wait model: with a simulated [read_latency], a lone read asks to
+   wait it in full.  A batch read ([read_batch], one probe round of an
+   accurate query) issues its reads one after another with all of the
+   above bookkeeping, then asks for one [read_latency] for all of them
+   — the reads were queued on the device together — with no threads or
+   domains involved.  The wait is one [Unix.sleepf], which oversleeps:
+   asked for 200 µs it returns after 257–268 µs (p10–p90; the
+   process's timer slack is 50 µs), so at 200 µs a probe round costs
+   about 280 µs with its reads' CPU, not 200 (EXPERIMENTS.md,
+   "Accurate path CPU"). *)
 
 exception Device_error of string
 

@@ -232,7 +232,8 @@ let keep s ~left =
   end
 
 let anchor_flags ylo yhi =
-  (match ylo with Some _ -> ylo_known | None -> 0) lor match yhi with Some _ -> yhi_known | None -> 0
+  (match ylo with Some _ -> ylo_known | None -> 0)
+  lor match yhi with Some _ -> yhi_known | None -> 0
 
 let start s ?ylo ?yhi ~lo ~hi v =
   start_as ~who:"start" s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)

@@ -21,7 +21,10 @@ val get : Bytes.t -> int -> int
 (** {2 Checksums and sealed records}
 
     The device's blocks and the WAL's records carry one checksum word:
-    the fold of {!mix} over the decoded words from a seed. *)
+    the fold of {!mix} over the decoded words from a seed.
+    {!read_sealed} and {!write_sealed} compute that fold on its doubled
+    64-bit form, off the tag arithmetic, and their checksums are
+    bit-identical to folding {!mix} word by word. *)
 
 (** [mix h v] folds word [v] into checksum [h]. *)
 val mix : int -> int -> int
