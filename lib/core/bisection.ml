@@ -39,7 +39,7 @@ let deadline_at ~start ?deadline_ms (config : Config.t) =
 
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  probes : ('o * Partition.t list) list;
+  probes : ('o * Partition.t) list;
   meta : 'm;
 }
 
@@ -61,30 +61,6 @@ type 'd result = {
   io : Hsq_storage.Io_stats.counters;
   span : Trace.span option;
 }
-
-(* The probes in probe order (owner by owner, each owner's partitions
-   in order), a walk over them, and the owner and partition of probe
-   [i]. *)
-let probe_count probes = List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 probes
-
-(* [note o p] for every probe, in probe order. *)
-let rec note_each note = function
-  | [] -> ()
-  | (o, ps) :: rest -> note_owner note o ps rest
-
-and note_owner note o ps rest =
-  match ps with
-  | [] -> note_each note rest
-  | p :: ps ->
-    note o p;
-    note_owner note o ps rest
-
-let rec nth_probe probes i =
-  match probes with
-  | (o, ps) :: rest ->
-    let k = List.length ps in
-    if i < k then (o, List.nth ps i) else nth_probe rest (i - k)
-  | [] -> invalid_arg "Bisection.nth_probe"
 
 (* Internal control flow of one bisection: a probe that exhausted the
    device's bounded retries (carrying its index in the view's probes),
@@ -140,11 +116,9 @@ let secant_gate = 128.0
 (* [candidate] (see the interface), in two halves: [secant_serves]
    decides whether the secant serves, leaving the windows at [u] and
    [v] in [win], a four-float scratch array a bisection reuses for every
-   iteration, and [secant_point] aims it.  Neither allocates.  [past]
-   arrives unrolled: [depth] decisions, the last two on one side when
-   [streak]. *)
-let secant_serves win us ~tolerance ~streak ~u ~v =
-  (not streak)
+   iteration, and [secant_point] aims it.  Neither allocates. *)
+let secant_serves win us ~tolerance ~past ~u ~v =
+  (match past with a :: b :: _ -> a <> b | _ -> true)
   && width u v > 1L
   &&
   (Union_summary.window_into us u win 0;
@@ -160,11 +134,11 @@ let secant_serves win us ~tolerance ~streak ~u ~v =
    [[v − h, u + h]] with [h = 2^(N − d − 1)]: offsets from [u] in
    [[w − h, h]], which the midpoint always meets.  Offsets are Int64, as
    brackets over full-range values are wider than [max_int]. *)
-let secant_point win ~rank ~filters:(u0, v0) ~depth ~u ~v =
+let secant_point win ~rank ~filters:(u0, v0) ~past ~u ~v =
   let w = width u v in
   let cu = (win.(0) +. win.(1)) /. 2.0 and cv = (win.(2) +. win.(3)) /. 2.0 in
   let off = (float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float w in
-  let h = Int64.shift_left 1L (ceil_log2_width u0 v0 - depth - 1) in
+  let h = Int64.shift_left 1L (ceil_log2_width u0 v0 - List.length past - 1) in
   let lo = if Int64.sub w h > 1L then Int64.sub w h else 1L
   and hi = if Int64.pred w < h then Int64.pred w else h in
   let flo = Int64.to_float lo and fhi = Int64.to_float hi in
@@ -176,12 +150,14 @@ let secant_point win ~rank ~filters:(u0, v0) ~depth ~u ~v =
   let off = if off > lo then off else lo in
   Int64.to_int (Int64.add (Int64.of_int u) off)
 
-let candidate us ~rank ~tolerance ~filters ~past ~u ~v =
-  let win = Array.make 4 0.0 in
-  let streak = match past with a :: b :: _ -> a = b | _ -> false in
-  if secant_serves win us ~tolerance ~streak ~u ~v then
-    (secant_point win ~rank ~filters ~depth:(List.length past) ~u ~v, `Secant)
+(* The candidate on the scratch [win]; [search] aims every iteration
+   through it. *)
+let choose win us ~rank ~tolerance ~filters ~past ~u ~v =
+  if secant_serves win us ~tolerance ~past ~u ~v then
+    (secant_point win ~rank ~filters ~past ~u ~v, `Secant)
   else (midpoint u v, `Midpoint)
+
+let candidate us = choose (Array.make 4 0.0) us
 
 (* One round's batch: slot [k] reads block [addrs.(k)] of [devs.(k)]
    into [blocks.(k)] for probe [who.(k)].  On a failed read, the reads
@@ -219,11 +195,7 @@ type verdict = Undecided | Here | Above | Left | Right
 let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
   let filters = Union_summary.filters view.summary ~rank in
   let u0, v0 = filters in
-  let parts =
-    match view.probes with
-    | [ (_, ps) ] -> Array.of_list ps
-    | owners -> Array.concat (List.map (fun (_, ps) -> Array.of_list ps) owners)
-  in
+  let parts = Array.of_list (List.map snd view.probes) in
   let n = Array.length parts in
   let searches = Array.map Partition.probe parts in
   let w = Array.make 5 0 in
@@ -344,7 +316,7 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
      invariant; v is the smallest candidate whose rank can reach r —
      the Definition-1 answer — unless the estimate says u already
      covers r. *)
-  let rec bisect u v ~depth ~prev ~streak =
+  let rec bisect u v past =
     (match deadline_at with
     | Some d when Metrics.now_s () > d -> raise (Deadline_cut (u, v))
     | _ -> ());
@@ -352,8 +324,7 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     let last = width u v <= 1L in
     (* The candidate; at width 1 the secant never serves, and the
        midpoint is u, where the width-1 rule probes. *)
-    let secant = secant_serves scratch view.summary ~tolerance ~streak ~u ~v in
-    let z = if secant then secant_point scratch ~rank ~filters ~depth ~u ~v else midpoint u v in
+    let z, rule = choose scratch view.summary ~rank ~tolerance ~filters ~past ~u ~v in
     let verdict =
       match trace with
       | Some (trc, root) ->
@@ -364,7 +335,7 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
               ("u", string_of_int u);
               ("v", string_of_int v);
               ("z", string_of_int z);
-              ("rule", if secant then "secant" else "midpoint");
+              ("rule", match rule with `Secant -> "secant" | `Midpoint -> "midpoint");
             ]
           "bisect"
           (fun sp ->
@@ -376,10 +347,10 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     match verdict with
     | Here -> z
     | Above | Undecided -> v
-    | Left -> bisect u z ~depth:(depth + 1) ~prev:Left ~streak:(prev = Left)
-    | Right -> bisect z v ~depth:(depth + 1) ~prev:Right ~streak:(prev = Right)
+    | Left -> bisect u z (`Left :: past)
+    | Right -> bisect z v (`Right :: past)
   in
-  bisect u0 v0 ~depth:0 ~prev:Undecided ~streak:false
+  bisect u0 v0 []
 
 let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~rank first =
   let iterations = ref 0 in
@@ -404,7 +375,7 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
       let tolerance, eps_m = budget ~tolerance_factor streams in
       match search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank with
       | answer ->
-        note_each policy.note_success view.probes;
+        List.iter (fun (o, p) -> policy.note_success o p) view.probes;
         let degradation, widen = policy.outcome view `Completed in
         (* Honest bound the chaos oracle can check: the stopping band
            plus the stream estimates' own uncertainty (the bisection
@@ -423,7 +394,7 @@ let retry_loop ?trace ?deadline_at ~rounds ~stats ~tolerance_factor ~policy ~ran
         let degradation, widen = policy.outcome view `Deadline in
         finish best degradation (rank_bound view.summary ~rank best ~widen)
       | exception Probe_failure i ->
-        let owner, p = nth_probe view.probes i in
+        let owner, p = List.nth view.probes i in
         go (tries + 1) (policy.on_failure ~tries view owner p))
   in
   go 0 first
@@ -441,7 +412,7 @@ let run ?trace ?deadline_at ~stats ~tolerance_factor ~policy ~rank first =
     Trace.with_span trc ~attrs:[ ("rank", string_of_int rank) ] "query.accurate" (fun sp ->
         let first = first () in
         let partitions =
-          match first with Bisect view -> probe_count view.probes | From_memory _ -> 0
+          match first with Bisect view -> List.length view.probes | From_memory _ -> 0
         in
         Trace.add_attr trc sp "partitions" (string_of_int partitions);
         let res =

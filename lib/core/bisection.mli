@@ -51,12 +51,11 @@ val candidate :
 
 (** One bisection's input: the union summary (its
     {!Union_summary.streams}, one stream summary per source, estimate
-    the stream ranks), the active partitions grouped by their owner
-    (the caller's fault domain; probes are numbered owner by owner, in
-    list order), and the caller's own description. *)
+    the stream ranks), the active partitions tagged with their owner
+    (the caller's fault domain), and the caller's own description. *)
 type ('o, 'm) view = {
   summary : Union_summary.t;
-  probes : ('o * Hsq_hist.Partition.t list) list;
+  probes : ('o * Hsq_hist.Partition.t) list;
   meta : 'm;
 }
 

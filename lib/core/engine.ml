@@ -507,9 +507,7 @@ let selected s =
    partition's summary may be degenerate (restored without reading its
    bad blocks), so views exclude it and widen their bound instead. *)
 let active s =
-  match s.parts with
-  | None -> Hsq_hist.Level_index.active_partitions s.engine.hist
-  | Some ps -> List.filter (fun p -> not (Hsq_hist.Level_index.is_quarantined s.engine.hist p)) ps
+  List.filter (fun p -> not (Hsq_hist.Level_index.is_quarantined s.engine.hist p)) (selected s)
 
 (* The quarantined elements [s] selects, O(1) when it selects every
    partition. *)
@@ -669,13 +667,6 @@ let quick t ~rank =
 
 type failover = { reach : t list; condemn : t -> bool }
 
-let rec note_sources sources ~seconds ~iterations ~degraded =
-  match sources with
-  | [] -> ()
-  | s :: rest ->
-    note_accurate s.engine ~seconds ~iterations ~degraded;
-    note_sources rest ~seconds ~iterations ~degraded
-
 (* Algorithms 6-8 over [choose ()]'s view: the shared bisection
    (Bisection) over its sources' active partitions and streams, under
    the one failure policy.  Every probe failure either quarantines its
@@ -689,24 +680,26 @@ let rec note_sources sources ~seconds ~iterations ~degraded =
 let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?failover ~config choose ~rank =
   let tq0 = Metrics.now_s () in
   let first = choose () in
-  let reach, condemn =
+  let { reach; condemn } =
     match failover with
-    | Some f -> (f.reach, f.condemn)
-    | None -> (List.map (fun s -> s.engine) first.sources, fun _ -> false)
+    | Some f -> f
+    | None -> { reach = List.map (fun s -> s.engine) first.sources; condemn = (fun _ -> false) }
   in
   let last = ref first in
   let fetch view =
     last := view;
     let us = summary view.sources in
     if Union_summary.n_total us > 0 then
-      let probes = List.map (fun s -> (s.engine, active s)) view.sources in
+      let probes =
+        List.concat_map (fun s -> List.map (fun p -> (s.engine, p)) (active s)) view.sources
+      in
       Bisection.Bisect { Bisection.summary = us; probes; meta = view }
     else
       let us = whole_summary view.sources ~who:"Engine.accurate" in
       Bisection.From_memory (us, `Device_open, view.widen)
   in
   let threshold = config.Config.quarantine_after in
-  let max_retries () =
+  let max_retries =
     List.fold_left
       (fun acc e -> acc + (Hsq_hist.Level_index.partition_count e.hist * threshold) + 1)
       1 reach
@@ -725,7 +718,7 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?failover ~config choos
         (fun ~tries src e p ->
           if
             Hsq_storage.Block_device.breaker_state e.dev = Hsq_storage.Breaker.Open
-            || tries >= max_retries ()
+            || tries >= max_retries
           then
             if condemn e then fetch (choose ())
             else
@@ -746,7 +739,9 @@ let accurate_over ?(tolerance_factor = 0.5) ?deadline_ms ?failover ~config choos
       ~tolerance_factor ~policy ~rank (fun () -> fetch first)
   in
   let seconds = Metrics.now_s () -. tq0 in
-  note_sources !last.sources ~seconds ~iterations ~degraded:(degradation <> `None);
+  List.iter
+    (fun s -> note_accurate s.engine ~seconds ~iterations ~degraded:(degradation <> `None))
+    !last.sources;
   (answer, { io; iterations; degradation; rank_error_bound; span })
 
 let accurate ?tolerance_factor ?deadline_ms t ~rank =

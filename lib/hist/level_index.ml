@@ -49,7 +49,6 @@ type t = {
   mutable gauged_levels : int; (* highest level whose gauge was ever published *)
   mutable quarantined_elems : int; (* recounted at every epoch bump *)
   quarantine : (int, health) Hashtbl.t;
-  mutable active : int * Partition.t list; (* [active_partitions] at an epoch *)
 }
 
 let create ~kappa ~beta1 dev =
@@ -67,7 +66,6 @@ let create ~kappa ~beta1 dev =
     gauged_levels = 0;
     quarantined_elems = 0;
     quarantine = Hashtbl.create 16;
-    active = (-1, []);
   }
 
 let pkey p = Hsq_storage.Run.first_block (Partition.run p)
@@ -156,18 +154,8 @@ let partition_count t = Array.fold_left (fun acc ps -> acc + List.length ps) 0 t
 (* --- Quarantine ------------------------------------------------------- *)
 
 (* Partitions the query paths may probe: everything not quarantined,
-   newest first.  Every change to the partition set or to a quarantine
-   bumps the epoch, so the list is kept for the epoch it was built at:
-   a query over an unchanged index neither sorts nor looks up a
-   partition.  The epoch and the list are one immutable pair, so a
-   reader on another domain sees both or neither. *)
-let active_partitions t =
-  match t.active with
-  | epoch, ps when epoch = t.epoch -> ps
-  | _ ->
-    let ps = List.filter (fun p -> not (is_quarantined t p)) (partitions t) in
-    t.active <- (t.epoch, ps);
-    ps
+   newest first. *)
+let active_partitions t = List.filter (fun p -> not (is_quarantined t p)) (partitions t)
 
 let quarantined t = List.filter (is_quarantined t) (partitions t)
 let quarantined_count t = List.length (quarantined t)

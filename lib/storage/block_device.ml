@@ -360,13 +360,10 @@ let fetch_verified t ~addr payload =
    [batch_reads].  Every read returns a freshly decoded array, which
    each attempt overwrites.
 
-   A healthy device, with no injector and a clean breaker
-   ({!Breaker.clean}), takes a shorter path to the same outcome: with
-   nothing to inject, and an [allow] that would admit and a [success]
-   that would change nothing, its first attempt consults neither the
-   injector nor the breaker; a checksum mismatch joins the retry path
-   at its second attempt.  The attempt loop is top-level functions, so
-   a read allocates no closure. *)
+   The attempt loop is top-level functions, and a healthy breaker
+   (Closed, no failure counted) answers [allow] and [success] from one
+   atomic without its lock, so a read on a healthy device allocates no
+   closure. *)
 
 (* One attempt's device work: count the read, wait its latency (a
    batched read joins its batch's), then fetch and verify. *)
@@ -394,17 +391,15 @@ let rec attempt ?hint ~batched t ~addr payload n =
     | true ->
       Breaker.success t.breaker;
       payload
-    | false -> mismatch ?hint ~batched t ~addr payload n
+    | false ->
+      Io_stats.note_checksum_failure t.stats;
+      retry ?hint ~batched t ~addr payload n
+        (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
     | exception e ->
       (* Not evidence against device health, but a half-open trial
          ticket must still be released. *)
       Breaker.success t.breaker;
       raise e)
-
-and mismatch ?hint ~batched t ~addr payload n =
-  Io_stats.note_checksum_failure t.stats;
-  retry ?hint ~batched t ~addr payload n
-    (Device_error (Printf.sprintf "checksum mismatch at block %d" addr))
 
 and retry ?hint ~batched t ~addr payload n e =
   if n < max_read_attempts then begin
@@ -418,12 +413,7 @@ and retry ?hint ~batched t ~addr payload n e =
 
 let read_block_uncached ?hint ~batched t ~addr =
   if addr < 0 || addr >= t.next_free then invalid_arg "Block_device.read_block: unallocated address";
-  if t.fault == None && Breaker.clean t.breaker then begin
-    let payload = Array.make t.block_size 0 in
-    if fetch_counted ?hint ~batched t ~addr payload then payload
-    else mismatch ?hint ~batched t ~addr payload 1
-  end
-  else if Breaker.allow t.breaker then
+  if Breaker.allow t.breaker then
     attempt ?hint ~batched t ~addr (Array.make t.block_size 0) 1
   else
     raise

@@ -29,7 +29,7 @@
    one mutex, so callers on several threads or domains see one state
    machine.  [clean] mirrors, in one atomic, whether the breaker is
    Closed with no failure counted: there [allow] admits and [success]
-   changes nothing, so a healthy read skips both and their lock. *)
+   changes nothing, so both answer from it without taking the lock. *)
 
 module Metrics = Hsq_obs.Metrics
 
@@ -101,8 +101,6 @@ let locked t f =
       Atomic.set t.clean (t.state = Closed && t.consecutive_failures = 0);
       r)
 
-let clean t = Atomic.get t.clean
-
 (* Callers hold the lock. *)
 let transition t next =
   if t.state <> next then begin
@@ -112,30 +110,32 @@ let transition t next =
   end
 
 let allow t =
-  locked t (fun () ->
-      match t.state with
-      | Closed -> true
-      | Open ->
-        if t.now () -. t.opened_at >= t.cooldown_s then begin
-          transition t Half_open;
-          t.ticket_out <- true;
-          true
-        end
-        else false
-      | Half_open ->
-        if t.ticket_out then false
-        else begin
-          t.ticket_out <- true;
-          true
-        end)
+  Atomic.get t.clean
+  || locked t (fun () ->
+         match t.state with
+         | Closed -> true
+         | Open ->
+           if t.now () -. t.opened_at >= t.cooldown_s then begin
+             transition t Half_open;
+             t.ticket_out <- true;
+             true
+           end
+           else false
+         | Half_open ->
+           if t.ticket_out then false
+           else begin
+             t.ticket_out <- true;
+             true
+           end)
 
 let success t =
-  locked t (fun () ->
-      t.consecutive_failures <- 0;
-      t.ticket_out <- false;
-      match t.state with
-      | Closed | Open -> ()
-      | Half_open -> transition t Closed)
+  if not (Atomic.get t.clean) then
+    locked t (fun () ->
+        t.consecutive_failures <- 0;
+        t.ticket_out <- false;
+        match t.state with
+        | Closed | Open -> ()
+        | Half_open -> transition t Closed)
 
 let failure t =
   locked t (fun () ->

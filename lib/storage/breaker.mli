@@ -59,11 +59,6 @@ val failure : t -> unit
 
 val state : t -> state
 
-(** [Closed] with no failure counted, read without the lock: [allow]
-    would admit and [success] would change nothing, so a caller that
-    sees it may skip both. *)
-val clean : t -> bool
-
 (** Force the breaker back to [Closed] with a clean slate.  Used when
     the device's fault injector is replaced — the simulated hardware
     changed, so the evidence against it no longer applies. *)

@@ -235,9 +235,12 @@ let anchor_flags ylo yhi =
   (match ylo with Some _ -> ylo_known | None -> 0)
   lor match yhi with Some _ -> yhi_known | None -> 0
 
-let start s ?ylo ?yhi ~lo ~hi v =
-  start_as ~who:"start" s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)
+(* The search [rank_between] runs, with its anchors as options. *)
+let start_opt ~who s ?ylo ?yhi ~lo ~hi v =
+  start_as ~who s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)
     ~yhi:(Option.value yhi ~default:0) ~lo ~hi v
+
+let start = start_opt ~who:"start"
 
 (* Settle [block], the run's block at absolute address [abs], which
    meets the window; the window's new ends take their anchors from it. *)
@@ -338,8 +341,7 @@ let guided s = s.guided
 
 let rank_between t ?ylo ?yhi ~lo ~hi v =
   let s = search t in
-  start_as ~who:"rank_between" s ~known:(anchor_flags ylo yhi) ~ylo:(Option.value ylo ~default:0)
-    ~yhi:(Option.value yhi ~default:0) ~lo ~hi v;
+  start_opt ~who:"rank_between" s ?ylo ?yhi ~lo ~hi v;
   let rec drive () =
     let addr = advance s in
     if addr >= 0 then begin

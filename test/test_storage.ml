@@ -809,6 +809,60 @@ let test_run_anchor_invariant () =
       done)
     [ 2; 4; 16 ]
 
+(* A framed search probed as a bisection probes it: each value on the
+   side of the last that [keep] was told, the search sometimes cut
+   short before [keep] as a decided probe round cuts it.  Every
+   [restart] starts from a window holding the value's rank, with the
+   run's true anchors, and a search driven to the end settles on the
+   in-memory rank. *)
+let test_run_framed_search () =
+  let rng = Hsq_util.Xoshiro.create 2024 in
+  let draw bound = Hsq_util.Xoshiro.int rng bound in
+  List.iter
+    (fun block_size ->
+      for _ = 1 to 30 do
+        let dev = mem_dev ~block_size () in
+        let data = Array.init (1 + draw (block_size * 40)) (fun _ -> draw 5_000) in
+        Array.sort compare data;
+        let n = Array.length data in
+        let run = Run.of_sorted_array dev data in
+        let s = Run.search run in
+        let fail ctx z =
+          Alcotest.failf "B=%d n=%d z=%d %s: window [%d,%d], rank %d" block_size n z ctx (Run.lo s)
+            (Run.hi s) (Hsq_util.Sorted.rank data z)
+        in
+        let sound ctx z =
+          let r = Hsq_util.Sorted.rank data z and ylo, yhi = Run.anchors s in
+          let want_lo, want_hi = true_anchors data ~lo:(Run.lo s) ~hi:(Run.hi s) in
+          if
+            Run.lo s > r || Run.hi s < r
+            || not ((ylo = want_lo || ylo = None) && (yhi = want_hi || yhi = None))
+          then fail ctx z
+        in
+        Run.frame s ~lo:0 ~hi:n ~ylo:0 ~yhi:0 ~known:0;
+        let u = ref (data.(0) - 1) and v = ref (data.(n - 1) + 1) in
+        while !v - !u >= 2 do
+          let z = !u + 1 + draw (!v - !u - 1) in
+          Run.restart s z;
+          sound "restart" z;
+          let full = draw 3 > 0 in
+          let steps = ref (if full then max_int else draw 3) in
+          let addr = ref (Run.advance s) in
+          while !addr >= 0 && !steps > 0 do
+            Run.feed s (Block_device.read_block dev ~addr:!addr);
+            decr steps;
+            addr := Run.advance s
+          done;
+          sound "step" z;
+          if full && (Run.lo s, Run.hi s) <> (Hsq_util.Sorted.rank data z, Hsq_util.Sorted.rank data z)
+          then fail "settled" z;
+          let left = draw 2 = 0 in
+          Run.keep s ~left;
+          if left then v := z else u := z
+        done
+      done)
+    [ 2; 4; 16 ]
+
 (* A probe round's batch read keeps each read's bookkeeping in batch
    order and shares only the wait: three reads wait one read latency,
    recorded as one observation of the caller's wait.  A persistent
@@ -1406,6 +1460,7 @@ let () =
           Alcotest.test_case "rank_between guided on even spacing" `Quick
             test_run_guided_even_spacing;
           Alcotest.test_case "search anchors track the window" `Quick test_run_anchor_invariant;
+          Alcotest.test_case "framed search follows a bisection" `Quick test_run_framed_search;
           Alcotest.test_case "writer" `Quick test_run_writer_matches_of_sorted_array;
           Alcotest.test_case "writer validation" `Quick test_run_writer_validation;
           Alcotest.test_case "cursor" `Quick test_run_cursor;
