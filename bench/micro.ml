@@ -108,6 +108,18 @@ let block_file () =
   in
   (dev, addr)
 
+(* One probe round's wait at the simulated disk's 200 µs: a batch of
+   one read on a memory device, so the row times the wait and little
+   else. *)
+let device_wait () =
+  let module Dev = Hsq_storage.Block_device in
+  let dev = Dev.create_memory ~block_size:256 () in
+  let addr = Dev.alloc dev 1 in
+  Dev.write_block dev ~addr (Array.make 256 0);
+  Dev.set_read_latency dev 200e-6;
+  let devs = [| dev |] and addrs = [| addr |] and blocks = [| [||] |] in
+  fun () -> ignore (Dev.read_batch devs addrs blocks ~n:1)
+
 (* The wire's hot lines: a 200-value observe request as a client sends
    it, and an accurate reply as the daemon renders it. *)
 let observe_request rng =
@@ -247,6 +259,7 @@ let tests ~smoke =
   let next_run512 = handoff_runs () in
   let dev, block_addr = block_file () in
   let block = Array.init 256 (fun j -> (j * 7919) - 1_000_000) in
+  let wait_round = device_wait () in
   let values = Array.init 4096 (fun _ -> Hsq_util.Xoshiro.int rng 1_000_000) in
   let cursor = ref 0 in
   let next_value () =
@@ -318,6 +331,9 @@ let tests ~smoke =
            ignore (Hsq_storage.Block_device.read_block dev ~addr:(block_addr ()))));
     ("block-write-file",
       (fun () -> Hsq_storage.Block_device.write_block dev ~addr:(block_addr ()) block));
+    (* A probe round's simulated wait: the row reads about 200 µs
+       when the device waits what it is asked for. *)
+    ("device-wait-200us", wait_round);
     (* The integer codec: a request rendered and parsed as the client
        and the daemon do, and a reply rendered. *)
     ("wire-encode-observe200",

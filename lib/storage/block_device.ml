@@ -25,11 +25,12 @@
    accurate query) issues its reads one after another with all of the
    above bookkeeping, then asks for one [read_latency] for all of them
    — the reads were queued on the device together — with no threads or
-   domains involved.  The wait is one [Unix.sleepf], which oversleeps:
-   asked for 200 µs it returns after 257–268 µs (p10–p90; the
-   process's timer slack is 50 µs), so at 200 µs a probe round costs
-   about 280 µs with its reads' CPU, not 200 (EXPERIMENTS.md,
-   "Accurate path CPU"). *)
+   domains involved.  The wait sleeps until a deadline [read_latency]
+   after the reads were issued, with the thread's timer slack at 1 ns
+   ([wait], a C stub in block_io_stubs.c): asked for 200 µs it returns
+   after 204–206 µs (p10–p90), so a probe round at 200 µs costs its
+   reads' CPU plus about 205 µs (EXPERIMENTS.md, "Faithful device
+   wait"). *)
 
 exception Device_error of string
 
@@ -176,6 +177,7 @@ let open_file ?metrics ~block_size ~path () =
 
 external pread : Unix.file_descr -> Bytes.t -> int -> int -> int -> int = "hsq_pread"
 external pwrite : Unix.file_descr -> Bytes.t -> int -> int -> int -> int = "hsq_pwrite"
+external wait : float -> unit = "hsq_wait"
 
 (* Take [io_lock] on an open file.  The record paths lock and unlock by
    hand rather than through [Mutex.protect], so a read allocates no
@@ -229,7 +231,7 @@ let injected t op ~attempt addr =
    the existing cost model untouched. *)
 let set_read_latency t seconds = t.read_latency <- Float.max 0.0 seconds
 
-let apply_read_latency t = if t.read_latency > 0.0 then Unix.sleepf t.read_latency
+let apply_read_latency t = if t.read_latency > 0.0 then wait t.read_latency
 
 let alloc t nblocks =
   if nblocks < 0 then invalid_arg "Block_device.alloc: negative block count";
@@ -434,11 +436,11 @@ exception Batch_error of int * string
    observation.  A batch that reached no device (an open breaker)
    waits nothing and records nothing. *)
 let settle_batch devs ~n t0 =
-  let wait = ref 0.0 in
+  let longest = ref 0.0 in
   for i = 0 to n - 1 do
-    if devs.(i).batch_reads > 0 then wait := Float.max !wait devs.(i).read_latency
+    if devs.(i).batch_reads > 0 then longest := Float.max !longest devs.(i).read_latency
   done;
-  if !wait > 0.0 then Unix.sleepf !wait;
+  if !longest > 0.0 then wait !longest;
   let waited = Hsq_obs.Metrics.now_s () -. t0 in
   let reads = ref 0 in
   for i = 0 to n - 1 do

@@ -1,6 +1,8 @@
 /* Positioned block I/O for the file backend of Block_device: one
    pread(2) or pwrite(2) per record, so a block read or write needs no
-   lseek and leaves the descriptor's offset alone.
+   lseek and leaves the descriptor's offset alone.  Also the simulated
+   read latency's wait, which must last what it is asked for and no
+   more (hsq_wait below).
 
    The runtime lock is released around each syscall, as Unix.read and
    Unix.write do.  The OCaml buffer may move while the lock is out, so
@@ -11,7 +13,11 @@
 #define _FILE_OFFSET_BITS 64
 #include <errno.h>
 #include <string.h>
+#include <time.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #define CAML_NAME_SPACE
 #include <caml/memory.h>
@@ -64,4 +70,37 @@ CAMLprim value hsq_pwrite(value fd, value buf, value vofs, value vlen, value vpo
     done += n;
   }
   CAMLreturn(Val_long(done));
+}
+
+/* [hsq_wait seconds] returns once [seconds] have passed on the
+   monotonic clock since the call.  It sleeps until that absolute
+   deadline with the runtime lock released.  A signal interrupts the
+   sleep with EINTR; the wait then resumes toward the same deadline, so
+   a signal neither shortens it nor starts it over.  OCaml handlers for
+   such signals run once the call returns.
+
+   The calling thread's timer slack is set to 1 ns first, where the
+   kernel has it.  With the default 50 us slack the kernel may defer
+   the wake-up by up to that much, and a 200 us wait returned after
+   255-272 us. */
+CAMLprim value hsq_wait(value vseconds)
+{
+  double seconds = Double_val(vseconds);
+  struct timespec deadline;
+  long long ns;
+  int rc;
+  if (!(seconds > 0.0)) return Val_unit;
+  clock_gettime(CLOCK_MONOTONIC, &deadline);
+  ns = (long long)deadline.tv_nsec + (long long)(seconds * 1e9);
+  deadline.tv_sec += (time_t)(ns / 1000000000LL);
+  deadline.tv_nsec = (long)(ns % 1000000000LL);
+  caml_enter_blocking_section();
+#ifdef PR_SET_TIMERSLACK
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+  do rc = clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &deadline, NULL);
+  while (rc == EINTR);
+  caml_leave_blocking_section();
+  if (rc != 0) caml_unix_error(rc, "clock_nanosleep", Nothing);
+  return Val_unit;
 }

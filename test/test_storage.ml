@@ -925,6 +925,76 @@ let test_read_batch_order_and_wait () =
   Alcotest.(check int) "no wait recorded" 2 (Hsq_obs.Metrics.Histogram.count waits);
   Alcotest.(check (float 0.0)) "no wait time" sum0 (Hsq_obs.Metrics.Histogram.sum waits)
 
+(* A one-block memory device at [latency] seconds a read. *)
+let slow_dev latency =
+  let dev = mem_dev ~block_size:4 () in
+  let addr = Block_device.alloc dev 1 in
+  Block_device.write_block dev ~addr (Array.make 4 addr);
+  Block_device.set_read_latency dev latency;
+  (dev, addr)
+
+let read_waits dev =
+  Hsq_obs.Metrics.histogram
+    (Io_stats.registry (Block_device.stats dev))
+    "hsq_device_read_seconds"
+
+(* Wall seconds [f] takes. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+(* The simulated wait lasts at least what it is asked for.  A batch
+   over two devices at 2 ms and 8 ms waits the longer latency, and each
+   device records that one wait as one observation; a lone read waits
+   its own latency.  Only lower bounds are asserted: a wait may run
+   long on a loaded machine, but it must never end early. *)
+let test_device_wait_lower_bounds () =
+  let fast, fast_addr = slow_dev 0.002 and slow, slow_addr = slow_dev 0.008 in
+  let blocks = Array.make 2 [||] in
+  let batch () =
+    Alcotest.(check int) "two reads" 2
+      (Block_device.read_batch [| fast; slow |] [| fast_addr; slow_addr |] blocks ~n:2)
+  in
+  let took = timed batch in
+  if took < 0.008 then Alcotest.failf "batch returned after %.4f s, before the 8 ms wait" took;
+  List.iter
+    (fun (name, dev) ->
+      let waits = read_waits dev in
+      Alcotest.(check int) (name ^ ": one observation") 1 (Hsq_obs.Metrics.Histogram.count waits);
+      let waited = Hsq_obs.Metrics.Histogram.sum waits in
+      if waited < 0.008 then Alcotest.failf "%s recorded %.4f s, under the 8 ms wait" name waited)
+    [ ("2 ms device", fast); ("8 ms device", slow) ];
+  let lone, addr = slow_dev 0.005 in
+  let took = timed (fun () -> ignore (Block_device.read_block lone ~addr)) in
+  if took < 0.005 then Alcotest.failf "lone read returned after %.4f s, before its 5 ms" took;
+  let waited = Hsq_obs.Metrics.Histogram.sum (read_waits lone) in
+  if waited < 0.005 then Alcotest.failf "lone read recorded %.4f s, under its 5 ms" waited
+
+(* A signal does not cut the wait short: a 20 ms batch wait under a
+   1 ms interval timer lasts its 20 ms, and the OCaml handler still
+   runs. *)
+let test_device_wait_survives_signals () =
+  let dev, addr = slow_dev 0.02 in
+  let handled = ref 0 in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr handled)) in
+  let arm interval =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = interval; it_value = interval })
+  in
+  let took =
+    Fun.protect
+      ~finally:(fun () ->
+        arm 0.0;
+        Sys.set_signal Sys.sigalrm previous)
+      (fun () ->
+        arm 0.001;
+        timed (fun () -> ignore (Block_device.read_batch [| dev |] [| addr |] [| [||] |] ~n:1)))
+  in
+  if took < 0.02 then Alcotest.failf "wait returned after %.4f s, before its 20 ms" took;
+  let waited = Hsq_obs.Metrics.Histogram.sum (read_waits dev) in
+  if waited < 0.02 then Alcotest.failf "wait recorded %.4f s, under its 20 ms" waited;
+  if !handled = 0 then Alcotest.fail "the SIGALRM handler never ran"
+
 let test_run_writer_matches_of_sorted_array () =
   let dev = mem_dev ~block_size:4 () in
   let data = Array.init 11 (fun i -> i * i) in
@@ -1418,6 +1488,8 @@ let () =
           Alcotest.test_case "at-rest bit rot caught by checksum" `Quick
             test_file_bit_rot_detected;
           Alcotest.test_case "batch read order and wait" `Quick test_read_batch_order_and_wait;
+          Alcotest.test_case "waits never end early" `Quick test_device_wait_lower_bounds;
+          Alcotest.test_case "a signal does not cut a wait" `Quick test_device_wait_survives_signals;
         ] );
       ( "verified decode",
         [
