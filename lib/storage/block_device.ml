@@ -28,9 +28,9 @@
    domains involved.  The wait sleeps until a deadline [read_latency]
    after the reads were issued, with the thread's timer slack at 1 ns
    ([wait], a C stub in block_io_stubs.c): asked for 200 µs it returns
-   after 204–206 µs (p10–p90), so a probe round at 200 µs costs its
-   reads' CPU plus about 205 µs (EXPERIMENTS.md, "Faithful device
-   wait"). *)
+   after 206–210 µs (p10–p90 of 2,000 calls), so a probe round at
+   200 µs costs its reads' CPU plus about 207 µs (EXPERIMENTS.md,
+   "Faithful device wait"). *)
 
 exception Device_error of string
 

@@ -140,12 +140,16 @@ val breaker_state : t -> Breaker.state
 
 (** {2 Simulated read latency}
 
-    [set_read_latency t seconds] makes every physical block read sleep for [seconds], outside any internal lock — a knob
-    for modelling the paper's disk-access cost in benches, where the
-    in-memory simulator is otherwise too fast for overlapped probes to
-    matter. The reads of one {!read_batch} share a single wait, like
-    requests queued on a real device together. Default 0.0 (no
-    effect). *)
+    [set_read_latency t seconds] makes every physical block read wait
+    [seconds], outside any internal lock — a knob for modelling the
+    paper's disk-access cost in benches, where the in-memory simulator
+    is otherwise too fast for overlapped probes to matter. The reads of
+    one {!read_batch} share a single wait, like requests queued on a
+    real device together. A wait sleeps to a monotonic deadline with
+    the calling thread's timer slack at 1 ns, so it lasts [seconds]
+    plus the wake-up's few microseconds: it never ends early, a signal
+    does not cut it short, and the 50 µs default slack no longer
+    stretches it. Default 0.0 (no effect). *)
 
 val set_read_latency : t -> float -> unit
 
