@@ -88,6 +88,35 @@ let rank_cycle ~n =
     next := (!next + 1) land 63;
     ranks.(!next)
 
+(* The first accurate candidate on [eng]'s summaries, as the bisection
+   takes it: the secant gate over the union summary's windows, then the
+   rank model's root over the active partitions' summaries, clamped.
+   The filters of 64 seeded ranks are computed up front, so the row
+   times the candidate alone; its words are the call's scratch array
+   and result. *)
+let first_candidate eng =
+  let us = Hsq.Engine.union_summary eng in
+  let summaries =
+    Array.of_list
+      (List.map Hsq_hist.Partition.summary
+         (Hsq_hist.Level_index.active_partitions (Hsq.Engine.hist eng)))
+  in
+  let ss = Hsq.Engine.stream_summary eng in
+  let tolerance =
+    0.5 *. Hsq.Stream_summary.eps2 ss *. float_of_int (Hsq.Stream_summary.stream_size ss)
+  in
+  let next_rank = rank_cycle ~n:(Hsq.Engine.total_size eng) in
+  let queries =
+    Array.init 64 (fun _ ->
+        let rank = next_rank () in
+        (rank, Hsq.Union_summary.filters us ~rank))
+  in
+  let next = ref 0 in
+  fun () ->
+    next := (!next + 1) land 63;
+    let rank, ((u, v) as filters) = queries.(!next) in
+    ignore (Hsq.Bisection.candidate us ~summaries ~rank ~tolerance ~filters ~past:[] ~u ~v)
+
 (* A file-backed device of 64 blocks of 256 words for the device rows:
    each op is one verified block read or one checksummed block write,
    cycling over the blocks (all in the page cache after the first
@@ -235,6 +264,7 @@ let tests ~smoke =
   let acc_rank = rank_cycle ~n:(Hsq.Engine.total_size acc) in
   let acc_file = accurate_file_engine ~smoke () in
   let acc_file_rank = rank_cycle ~n:(Hsq.Engine.total_size acc_file) in
+  let first_candidate_file = first_candidate acc_file in
   (* The union summary's inputs, fixed: the build rows measure the
      build alone, over one engine and over three (a sharded store's
      K = 3), the uncached row the aggregate too. *)
@@ -298,6 +328,9 @@ let tests ~smoke =
       (fun () -> ignore (Hsq.Engine.accurate acc ~rank:(acc_rank ()))));
     ("accurate-query-file",
       (fun () -> ignore (Hsq.Engine.accurate acc_file ~rank:(acc_file_rank ()))));
+    (* The CPU the rank model adds to an accurate query, on the same
+       store: its first candidate alone. *)
+    ("accurate-first-candidate", first_candidate_file);
     (* Ingest throughput across the durability spectrum: no WAL at all,
        buffered appends (flush at commits only), group commit, and a
        physical flush per record.  The values cycle through a fixed

@@ -3,6 +3,7 @@ module Trace = Hsq_obs.Trace
 module Partition = Hsq_hist.Partition
 module Run = Hsq_storage.Run
 module Block_device = Hsq_storage.Block_device
+module Partition_summary = Hsq_hist.Partition_summary
 
 let clamp_rank ~n r = if r < 1 then 1 else if r > n then n else r
 
@@ -115,8 +116,9 @@ let secant_gate = 128.0
 
 (* [candidate] (see the interface), in two halves: [secant_serves]
    decides whether the secant serves, leaving the windows at [u] and
-   [v] in [win], a four-float scratch array a bisection reuses for every
-   iteration, and [secant_point] aims it.  Neither allocates. *)
+   [v] in slots 0-3 of [win], an eight-float scratch array a bisection
+   reuses for every iteration, and [secant_point], or on the first
+   iteration [model_point], aims it.  None of them allocates. *)
 let secant_serves win us ~tolerance ~past ~u ~v =
   (match past with a :: b :: _ -> a <> b | _ -> true)
   && width u v > 1L
@@ -128,20 +130,18 @@ let secant_serves win us ~tolerance ~past ~u ~v =
    && (win.(3) -. win.(2)) /. 2.0 <= gate
    && (win.(0) +. win.(1)) /. 2.0 < (win.(2) +. win.(3)) /. 2.0)
 
-(* The secant point on the windows [secant_serves] left in [win].  After
-   [d] decisions the bracket is at most [2^(N − d)] wide, so ITP's radius
+(* The ITP clamp of the offset from [u] held in [win.(7)].  After [d]
+   decisions the bracket is at most [2^(N − d)] wide, so ITP's radius
    [2^(N − d − 1) − (v − u)/2] around the midpoint is, in integers,
    [[v − h, u + h]] with [h = 2^(N − d − 1)]: offsets from [u] in
    [[w − h, h]], which the midpoint always meets.  Offsets are Int64, as
    brackets over full-range values are wider than [max_int]. *)
-let secant_point win ~rank ~filters:(u0, v0) ~past ~u ~v =
+let itp_clamp win ~filters:(u0, v0) ~past ~u ~v =
   let w = width u v in
-  let cu = (win.(0) +. win.(1)) /. 2.0 and cv = (win.(2) +. win.(3)) /. 2.0 in
-  let off = (float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float w in
   let h = Int64.shift_left 1L (ceil_log2_width u0 v0 - List.length past - 1) in
   let lo = if Int64.sub w h > 1L then Int64.sub w h else 1L
   and hi = if Int64.pred w < h then Int64.pred w else h in
-  let flo = Int64.to_float lo and fhi = Int64.to_float hi in
+  let flo = Int64.to_float lo and fhi = Int64.to_float hi and off = win.(7) in
   let off =
     Int64.of_float
       (if off > flo then if off < fhi then off else fhi else if flo < fhi then flo else fhi)
@@ -150,14 +150,111 @@ let secant_point win ~rank ~filters:(u0, v0) ~past ~u ~v =
   let off = if off > lo then off else lo in
   Int64.to_int (Int64.add (Int64.of_int u) off)
 
-(* The candidate on the scratch [win]; [search] aims every iteration
-   through it. *)
-let choose win us ~rank ~tolerance ~filters ~past ~u ~v =
+(* The secant point on the windows [secant_serves] left in [win]. *)
+let secant_point win ~rank ~filters ~past ~u ~v =
+  let cu = (win.(0) +. win.(1)) /. 2.0 and cv = (win.(2) +. win.(3)) /. 2.0 in
+  win.(7) <- (float_of_int rank -. cu) /. (cv -. cu) *. Int64.to_float (width u v);
+  itp_clamp win ~filters ~past ~u ~v
+
+(* The rank model ρ̂(z): each probed partition's rank interpolated inside
+   its summary gap around z ({!Partition_summary.interpolated_rank},
+   within the gap's exact bounds), plus the stream estimate the
+   bisection decides with.  [model_gap] leaves ρ̂(z) − r in
+   [win.(slot)]. *)
+let model_gap win summaries streams ~rank z slot =
+  let h = ref 0 in
+  for i = 0 to Array.length summaries - 1 do
+    h := !h + Partition_summary.interpolated_rank summaries.(i) z
+  done;
+  Stream_summary.rank_estimate_sum_into streams z win slot;
+  win.(slot) <- float_of_int !h +. win.(slot) -. float_of_int rank
+
+(* Regula-falsi steps the model's root takes at most (Illinois variant:
+   an end kept twice has its gap halved, so the steps close in from
+   both sides).  The model is nearly linear between summary entries, so
+   a few steps usually bring it within a rank of r, where they stop. *)
+let model_steps = 8
+
+(* Whether the model has a shape to interpolate at [z]: no probed
+   partition whose summary holds only its minimum and maximum has [z]
+   between them.  Such a partition's gap is the whole partition, and
+   interpolating across it is a line through the partition's range,
+   thousands of ranks off on curved data (EXPERIMENTS.md "Rank model"),
+   where a first probe narrowed to the gap reads blocks far from r. *)
+let shaped summaries z =
+  let ok = ref true in
+  for i = 0 to Array.length summaries - 1 do
+    let s = summaries.(i) in
+    if Partition_summary.length s = 2 && Partition_summary.count_le s z = 1 then ok := false
+  done;
+  !ok
+
+(* The first candidate where the secant serves: the root of ρ̂ − r in
+   [(u, v)], under the ITP clamp.  The ends' gaps sit in [win.(5)] and
+   [win.(6)], each new point's in [win.(4)], so no float is boxed; a
+   model placing r at or beyond an end gives that end, which the clamp
+   moves inside.  Where the model has no shape at its root ([shaped]),
+   the union summary's line serves instead ([`Secant]). *)
+let model_point win us summaries ~rank ~filters ~past ~u ~v =
+  let streams = Union_summary.streams us in
+  model_gap win summaries streams ~rank u 5;
+  model_gap win summaries streams ~rank v 6;
+  let z =
+    if win.(5) >= 0.0 then u
+    else if win.(6) <= 0.0 then v
+    else begin
+      let a = ref u and b = ref v and kept = ref 0 and z = ref u and steps = ref 0 in
+      while !steps < model_steps && width !a !b > 1L do
+        incr steps;
+        let w = width !a !b in
+        let off = Int64.of_float (win.(5) /. (win.(5) -. win.(6)) *. Int64.to_float w) in
+        let off = if off < 1L then 1L else if off >= w then Int64.pred w else off in
+        let c = Int64.to_int (Int64.add (Int64.of_int !a) off) in
+        model_gap win summaries streams ~rank c 4;
+        z := c;
+        if win.(4) > -1.0 && win.(4) < 1.0 then steps := model_steps
+        else if win.(4) < 0.0 then begin
+          a := c;
+          win.(5) <- win.(4);
+          if !kept < 0 then win.(6) <- win.(6) /. 2.0;
+          kept := -1
+        end
+        else begin
+          b := c;
+          win.(6) <- win.(4);
+          if !kept > 0 then win.(5) <- win.(5) /. 2.0;
+          kept := 1
+        end
+      done;
+      !z
+    end
+  in
+  if shaped summaries z then begin
+    win.(7) <- Int64.to_float (width u z);
+    (itp_clamp win ~filters ~past ~u ~v, `Model)
+  end
+  else (secant_point win ~rank ~filters ~past ~u ~v, `Secant)
+
+(* The candidate on the scratch [win], eight floats, and its rule;
+   [search] aims every iteration through it.  The first iteration's
+   secant is the model's root where the model serves ([`Model]), every
+   other one the union summary's line. *)
+let choose win us summaries ~rank ~tolerance ~filters ~past ~u ~v =
   if secant_serves win us ~tolerance ~past ~u ~v then
-    (secant_point win ~rank ~filters ~past ~u ~v, `Secant)
+    match past with
+    | [] -> model_point win us summaries ~rank ~filters ~past ~u ~v
+    | _ :: _ -> (secant_point win ~rank ~filters ~past ~u ~v, `Secant)
   else (midpoint u v, `Midpoint)
 
-let candidate us = choose (Array.make 4 0.0) us
+let candidate us ~summaries ~rank ~tolerance ~filters ~past ~u ~v =
+  match choose (Array.make 8 0.0) us summaries ~rank ~tolerance ~filters ~past ~u ~v with
+  | z, (`Model | `Secant) -> (z, `Secant)
+  | z, `Midpoint -> (z, `Midpoint)
+
+let model_rank us ~summaries z =
+  let win = Array.make 8 0.0 in
+  model_gap win summaries (Union_summary.streams us) ~rank:0 z 4;
+  win.(4)
 
 (* One round's batch: slot [k] reads block [addrs.(k)] of [devs.(k)]
    into [blocks.(k)] for probe [who.(k)].  On a failed read, the reads
@@ -198,15 +295,16 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
   let parts = Array.of_list (List.map snd view.probes) in
   let n = Array.length parts in
   let searches = Array.map Partition.probe parts in
+  let summaries = Array.map Partition.summary parts in
   let w = Array.make 5 0 in
   for i = 0 to n - 1 do
-    Hsq_hist.Partition_summary.search_window_into (Partition.summary parts.(i)) ~u:u0 ~v:v0 w 0;
+    Partition_summary.search_window_into summaries.(i) ~u:u0 ~v:v0 w 0;
     Run.frame searches.(i) ~lo:w.(0) ~hi:w.(1) ~ylo:w.(2) ~yhi:w.(3) ~known:w.(4)
   done;
   let streams = Union_summary.streams view.summary in
-  (* [scratch] holds {!secant_serves}'s windows in slots 0-3 and the
-     summed stream estimate in slot 4, so neither is boxed. *)
-  let r = float_of_int rank and scratch = Array.make 5 0.0 in
+  (* [scratch] holds {!choose}'s floats and, in slot 4, the summed
+     stream estimate, so none is boxed. *)
+  let r = float_of_int rank and scratch = Array.make 8 0.0 in
   (* One round's batch ({!read_batch}), reused by every round. *)
   let who = Array.make n 0 and addrs = Array.make n 0 and blocks = Array.make n [||] in
   let devs = Array.map (fun p -> Run.device (Partition.run p)) parts in
@@ -243,12 +341,18 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
      Leaves in [still_open] the searches open at the verdict, and the
      frames narrowed to the side it keeps.  The deadline is checked
      before each read; a cut carries the interval [u, v] being
-     bisected. *)
-  let probe_rounds span ~u ~v z ~last =
+     bisected.  A [narrow] iteration (the model's candidate) starts each
+     search from its frame cut down to the summary gap around z, whose
+     entries anchor the first, interpolated, read. *)
+  let probe_rounds span ~u ~v z ~last ~narrow =
     Stream_summary.rank_estimate_sum_into streams z scratch 4;
     let rho2 = scratch.(4) in
     for i = 0 to n - 1 do
-      Run.restart searches.(i) z;
+      if narrow then begin
+        Partition_summary.search_window_into summaries.(i) ~u:z ~v:z w 0;
+        Run.restart_within searches.(i) ~lo:w.(0) ~hi:w.(1) ~ylo:w.(2) ~yhi:w.(3) ~known:w.(4) z
+      end
+      else Run.restart searches.(i) z;
       who.(i) <- i
     done;
     let m = ref n in
@@ -324,7 +428,8 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
     let last = width u v <= 1L in
     (* The candidate; at width 1 the secant never serves, and the
        midpoint is u, where the width-1 rule probes. *)
-    let z, rule = choose scratch view.summary ~rank ~tolerance ~filters ~past ~u ~v in
+    let z, rule = choose scratch view.summary summaries ~rank ~tolerance ~filters ~past ~u ~v in
+    let narrow = match rule with `Model -> true | `Secant | `Midpoint -> false in
     let verdict =
       match trace with
       | Some (trc, root) ->
@@ -335,14 +440,14 @@ let search ?trace ?deadline_at ~iterations ~rounds ~tolerance view ~rank =
               ("u", string_of_int u);
               ("v", string_of_int v);
               ("z", string_of_int z);
-              ("rule", match rule with `Secant -> "secant" | `Midpoint -> "midpoint");
+              ("rule", match rule with `Model | `Secant -> "secant" | `Midpoint -> "midpoint");
             ]
           "bisect"
           (fun sp ->
-            let verdict = probe_rounds (Some sp) ~u ~v z ~last in
+            let verdict = probe_rounds (Some sp) ~u ~v z ~last ~narrow in
             Trace.add_attr trc sp "open" (string_of_int !still_open);
             verdict)
-      | None -> probe_rounds None ~u ~v z ~last
+      | None -> probe_rounds None ~u ~v z ~last ~narrow
     in
     match verdict with
     | Here -> z

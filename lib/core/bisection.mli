@@ -24,23 +24,35 @@ val memory_answer : Union_summary.t -> rank:int -> widen:int -> int * float
     given, else [config.query_deadline_ms]. *)
 val deadline_at : start:float -> ?deadline_ms:float -> Config.t -> float option
 
+(** The rank model ρ̂(z) of {!candidate}: the sum over [summaries] of
+    {!Hsq_hist.Partition_summary.interpolated_rank} at [z], plus the
+    summed stream estimate of the union summary's
+    {!Union_summary.streams}, the one the bisection decides with. Reads
+    summaries only; non-decreasing in [z]. *)
+val model_rank : Union_summary.t -> summaries:Hsq_hist.Partition_summary.t array -> int -> float
+
 (** Algorithm 8's candidate inside the bracket [(u, v)] and the rule
     that chose it. The midpoint [⌊(u + v)/2⌋] is the paper's; the secant
-    aims at where the union summary places [rank], on the line between
-    the midpoints of its Lemma 2 windows ({!Union_summary.rank_window})
-    at [u] and [v]. The secant serves only when both windows' half-widths
-    are at most 128 stopping bands ([tolerance]) and their midpoints
-    increase, and never after two decisions in a row on one side ([past],
-    the decisions so far, newest first). It is clamped to within
-    [2^(N − d − 1) − (v − u)/2] of the midpoint after [d = length past]
-    decisions, [N = ⌈log₂(v₀ − u₀)⌉] over the [filters] [(u₀, v₀)], so
-    no bisection takes more than [N + 1] iterations, the midpoint rule's
-    worst case. The result lies in [\[u + 1, v − 1\]] when [v − u ≥ 2],
-    and is [u] otherwise; widths beyond [max_int] are handled. A pure
-    function of its arguments: the ranks a probe round happened to reach
+    serves only when the union summary's Lemma 2 windows
+    ({!Union_summary.rank_window}) at [u] and [v] have half-widths of
+    at most 128 stopping bands ([tolerance]) and increasing midpoints,
+    and never after two decisions in a row on one side ([past], the
+    decisions so far, newest first). On the first iteration ([past =
+    \[\]]) the secant is the root of {!model_rank} − [rank] in [(u, v)],
+    over the probed partitions' [summaries], found by a few regula-falsi
+    steps; later, it aims at where the union summary places [rank], on
+    the line between the midpoints of its windows at [u] and [v]. It is
+    clamped to within [2^(N − d − 1) − (v − u)/2] of the midpoint after
+    [d = length past] decisions, [N = ⌈log₂(v₀ − u₀)⌉] over the
+    [filters] [(u₀, v₀)], so no bisection takes more than [N + 1]
+    iterations, the midpoint rule's worst case. The result lies in
+    [\[u + 1, v − 1\]] when [v − u ≥ 2], and is [u] otherwise; widths
+    beyond [max_int] are handled. A pure function of its arguments,
+    which are all summaries: the ranks a probe round happened to reach
     never enter, so answers and iterations are those of exact ranks. *)
 val candidate :
   Union_summary.t ->
+  summaries:Hsq_hist.Partition_summary.t array ->
   rank:int ->
   tolerance:float ->
   filters:int * int ->
@@ -89,7 +101,9 @@ type 'd result = {
     candidate z from {!candidate} and probes its partitions in rounds,
     each partition search starting on the window and anchor values its
     summary entries give ({!Hsq_hist.Partition_summary.search_window}),
-    so it can interpolate from its first read. A round first sums every
+    so it can interpolate from its first read; when the rank model chose
+    z, that window is cut down to the summary gap around z
+    ({!Hsq_storage.Run.restart_within}). A round first sums every
     partition search's rank window ({!Hsq_storage.Run.window}) with the
     stream estimates into an interval that holds the exact ρ(z), and
     decides the iteration as soon as that interval does: left, right or
@@ -111,7 +125,8 @@ type 'd result = {
     probed first, [iterations], [rounds], its number of [round]
     spans, and [degradation] unless
     [`None]) with a [bisect] span per iteration (attributes [u], [v],
-    [z], its candidate, [rule], [secant] or [midpoint], and [open], the
+    [z], its candidate, [rule], [secant] (the model's root included) or
+    [midpoint], and [open], the
     searches still unsettled when it decided) and a [round] span per
     batch under it (attributes [probes], the searches it served,
     [guided], how many of their blocks interpolation chose rather than

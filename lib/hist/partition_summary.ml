@@ -113,6 +113,33 @@ let rank_bounds t v =
   let upper = if a = Array.length t.entries then t.partition_size else t.entries.(a).index in
   (lower, upper)
 
+(* A model of rank(v, P) from the summary alone: inside the gap
+   between the entries bracketing [v], at indices [i0] and [i1], the
+   elements are taken as spread evenly over the values, so [v] sits at
+   index [i0 + (v - y0) / (y1 - y0) * (i1 - i0)].  The model counts the
+   elements up to that point, which always lies in the exact bounds
+   [i0 + 1, i1] of {!rank_bounds}; outside the entries those bounds are
+   exact (the first entry is the minimum, the last the maximum), and a
+   summary with no entries ({!unavailable}) gives their middle.  The
+   differences are taken in floats, as full-range values overflow an
+   int. *)
+let interpolated_rank t v =
+  let e = t.entries in
+  let a = count_le t v in
+  let lower = if a = 0 then 0 else e.(a - 1).index + 1 in
+  let upper = if a = Array.length e then t.partition_size else e.(a).index in
+  if lower >= upper then lower
+  else if a = 0 || a = Array.length e then (lower + upper) / 2
+  else
+    let y0 = float_of_int e.(a - 1).value and y1 = float_of_int e.(a).value in
+    let frac = (float_of_int v -. y0) /. (y1 -. y0) in
+    (* Entries nearer than a float's precision (beyond 2^53) round to
+       one float, and [frac] is NaN: the gap gives its lower bound. *)
+    if Float.is_nan frac then lower
+    else
+      let off = int_of_float (frac *. float_of_int (upper - lower + 1)) in
+      Int.min upper (lower + off)
+
 (* Search window inside the partition for Algorithm 8: rank(z, P) lies
    in [lo, hi] for every z in [u, v], since the largest entry <= u sits
    at index lo - 1 and the smallest entry > v at index hi.  Those two

@@ -52,6 +52,12 @@ val count_le : t -> int -> int
 (** Exact bounds (lower, upper) on rank(v, P) from stored indices. *)
 val rank_bounds : t -> int -> int * int
 
+(** A model of rank(v, P) from the summary alone: the elements between
+    the two entries bracketing [v] taken as spread evenly over their
+    values. Always within {!rank_bounds}, exact outside the entries,
+    and non-decreasing in [v]. *)
+val interpolated_rank : t -> int -> int
+
 (** A window [\[lo, hi\]] of ranks within the partition and its
     anchors: [ylo], the element at index [lo - 1], and [yhi], the
     element at [hi], each [None] where the window reaches the

@@ -219,6 +219,18 @@ let frame s ~lo ~hi ~ylo ~yhi ~known =
 let restart s v =
   start_as ~who:"restart" s ~known:s.fknown ~ylo:s.fylo ~yhi:s.fyhi ~lo:s.flo ~hi:s.fhi v
 
+let restart_within s ~lo ~hi ~ylo ~yhi ~known v =
+  let from_lo = lo >= s.flo and from_hi = hi <= s.fhi in
+  start_as ~who:"restart_within" s
+    ~known:
+      ((if from_lo then known else s.fknown) land ylo_known
+      lor ((if from_hi then known else s.fknown) land yhi_known))
+    ~ylo:(if from_lo then ylo else s.fylo)
+    ~yhi:(if from_hi then yhi else s.fyhi)
+    ~lo:(if from_lo then lo else s.flo)
+    ~hi:(if from_hi then hi else s.fhi)
+    v
+
 let keep s ~left =
   if left then begin
     s.fhi <- s.hi;

@@ -125,6 +125,12 @@ val frame : search -> lo:int -> hi:int -> ylo:int -> yhi:int -> known:int -> uni
     ([lo = hi]) gives a search that is settled at once. *)
 val restart : search -> int -> unit
 
+(** [restart_within s ~lo ~hi ~ylo ~yhi ~known v] is {!restart} over
+    the frame cut down to [\[lo, hi\]], a window known to hold rank(v)
+    whose anchors [known] flags as {!frame}'s do; each end takes the
+    anchor of whichever window bounds it. The frame is unchanged. *)
+val restart_within : search -> lo:int -> hi:int -> ylo:int -> yhi:int -> known:int -> int -> unit
+
 (** [keep s ~left] narrows the frame for the next value: to the frame
     up to the current window's end, with its anchor, when the next value
     is below the current one ([left]), else from the window's start.

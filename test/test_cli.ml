@@ -439,8 +439,8 @@ let test_reopen_reads_layout () =
         [
           "N=9000 (historical 8000 + stream 1000), 4 time steps, 3 shards x 2 replicas, 12 \
            partitions over 1 levels\n";
-          "phi=0.5    value=100310770 ";
-          "phi=0.99   value=123145817 ";
+          "phi=0.5    value=100310898 ";
+          "phi=0.99   value=123145623 ";
         ];
       List.iter
         (fun (args, lines) ->
@@ -570,12 +570,12 @@ let test_query_durable_one_shard () =
    or a step.  Only a change of the candidate rule moves these. *)
 let simulate_answers =
   [
-    ("-d normal", [ ("0.5", 99987020, 6); ("0.95", 116469781, 7); ("0.99", 123283412, 5) ]);
-    ("-d uniform", [ ("0.5", 552182768, 6); ("0.95", 955658681, 6); ("0.99", 991207132, 3) ]);
-    ("-d wikipedia", [ ("0.5", 6311, 6); ("0.95", 105507, 6); ("0.99", 660494, 7) ]);
-    ("-d network", [ ("0.5", 340021, 10); ("0.95", 8418614, 7); ("0.99", 14471046, 6) ]);
+    ("-d normal", [ ("0.5", 99987879, 1); ("0.95", 116467811, 1); ("0.99", 123309579, 1) ]);
+    ("-d uniform", [ ("0.5", 552193589, 7); ("0.95", 955668935, 1); ("0.99", 991223227, 1) ]);
+    ("-d wikipedia", [ ("0.5", 6310, 6); ("0.95", 105578, 5); ("0.99", 658613, 7) ]);
+    ("-d network", [ ("0.5", 340021, 10); ("0.95", 8418893, 4); ("0.99", 14468201, 1) ]);
     ( "-d network --shards 3 --replicas 2",
-      [ ("0.5", 340018, 9); ("0.95", 8418719, 6); ("0.99", 14468257, 5) ] );
+      [ ("0.5", 340022, 5); ("0.95", 8427096, 1); ("0.99", 14469652, 7) ] );
   ]
 
 let test_simulate_answers_golden () =

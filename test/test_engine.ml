@@ -214,8 +214,9 @@ let test_traced_round_reads () =
 (* Algorithm 8 with exact ranks, as a reference for the probe rounds:
    every iteration settles each partition's historical rank with a
    whole-run [Run.rank] before deciding on rho = rho1 + rho2.  The
-   budget, the rho arithmetic and the candidate rule are [Bisection]'s,
-   so the two decide alike bit for bit.  Returns (answer, iterations). *)
+   budget, the rho arithmetic and the candidate rule, with its rank
+   model over the partitions' summaries, are [Bisection]'s, so the two
+   decide alike bit for bit.  Returns (answer, iterations). *)
 let reference_accurate ~us ~streams ~partitions ~rank =
   let module Us = Hsq.Union_summary in
   let module Ss = Hsq.Stream_summary in
@@ -226,6 +227,7 @@ let reference_accurate ~us ~streams ~partitions ~rank =
       0.0 streams
   in
   let runs = List.map Hsq_hist.Partition.run partitions in
+  let summaries = Array.of_list (List.map Hsq_hist.Partition.summary partitions) in
   let rho z =
     let rho1 = List.fold_left (fun acc run -> acc + Hsq_storage.Run.rank run z) 0 runs in
     float_of_int rho1 +. List.fold_left (fun acc ss -> acc +. Ss.rank_estimate ss z) 0.0 streams
@@ -235,7 +237,7 @@ let reference_accurate ~us ~streams ~partitions ~rank =
   let rec bisect u v past iters =
     if v - u <= 1 then ((if rho u >= r then u else v), iters)
     else
-      let z, _ = Hsq.Bisection.candidate us ~rank ~tolerance ~filters ~past ~u ~v in
+      let z, _ = Hsq.Bisection.candidate us ~summaries ~rank ~tolerance ~filters ~past ~u ~v in
       let rho = rho z in
       if r < rho -. tolerance then bisect u z (`Left :: past) (iters + 1)
       else if r > rho +. tolerance then bisect z v (`Right :: past) (iters + 1)
@@ -341,6 +343,198 @@ let test_full_range_values () =
   Alcotest.(check int) "rank 1 is min_int" min_int (fst (E.accurate eng ~rank:1));
   Alcotest.(check bool) "some query bisects past one step" true (!steps > 1);
   E.close eng
+
+(* The rank model reads summaries only, so answers cannot depend on
+   what the run caches hold: on durable stores of the four datasets, at
+   K = 1 and K = 3, a rank sweep answered forward, in reverse (each
+   query finding the blocks the other order left cached), and after a
+   close and reopen (every cache empty, the open step replayed from the
+   WAL) gives the same (answer, iterations) at every rank, each answer
+   within its bound. *)
+let test_answers_independent_of_caches () =
+  let dir = Filename.temp_file "hsq_cache_indep" "" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun name ->
+          List.iter
+            (fun shards ->
+              rm_rf dir;
+              Sys.mkdir dir 0o755;
+              let config =
+                Hsq.Config.make ~kappa:3 ~block_size:32 ~shards ~wal_dir:dir
+                  ~wal_sync:Hsq_storage.Wal.Never (Hsq.Config.Epsilon 0.05)
+              in
+              let ctx = Printf.sprintf "%s K=%d" name shards in
+              let oracle = Hsq_workload.Oracle.create () in
+              let ds = Hsq_workload.Datasets.by_name ~seed:50 name in
+              let g, _ = G.open_or_recover config in
+              let observe batch =
+                Array.iter (G.observe g) batch;
+                Hsq_workload.Oracle.add_batch oracle batch
+              in
+              for _ = 1 to 10 do
+                observe (Hsq_workload.Datasets.next_batch ds 1_500);
+                ignore (G.end_time_step g)
+              done;
+              observe (Hsq_workload.Datasets.next_batch ds 700);
+              let n = G.total_size g in
+              let ranks = List.init 40 (fun i -> 1 + (i * (n - 1) / 39)) in
+              let sweep g ranks =
+                List.map
+                  (fun rank ->
+                    let v, rep = G.accurate g ~rank in
+                    let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+                    if float_of_int err > rep.G.rank_error_bound then
+                      Alcotest.failf "%s rank %d: err %d > bound %.1f" ctx rank err
+                        rep.G.rank_error_bound;
+                    (rank, (v, rep.G.iterations)))
+                  ranks
+              in
+              let forward = sweep g ranks in
+              let reverse = List.rev (sweep g (List.rev ranks)) in
+              G.close g;
+              let g, _ = G.open_or_recover config in
+              Alcotest.(check int) (ctx ^ ": reopened size") n (G.total_size g);
+              let reopened = sweep g ranks in
+              G.close g;
+              let same = Alcotest.(list (pair int (pair int int))) in
+              Alcotest.check same (ctx ^ ": reverse = forward") forward reverse;
+              Alcotest.check same (ctx ^ ": reopened = forward") forward reopened)
+            [ 1; 3 ])
+        Hsq_workload.Datasets.names)
+
+(* Properties of the rank model.  Per partition, over sorted arrays with
+   duplicates and with full-range values including [min_int] and
+   [max_int], at summaries of 2 to 64 entries: the interpolated rank
+   lies within the summary's exact bounds and never falls as the value
+   rises.  Over stores of such data with a long open stream (the secant
+   gate open): ρ̂ never falls as z rises, and the first candidate lies
+   within the ITP clamp around the filters' midpoint. *)
+let test_rank_model_properties () =
+  let module PS = Hsq_hist.Partition_summary in
+  let rng = Hsq_util.Xoshiro.create 0x5EED in
+  let full () =
+    match Hsq_util.Xoshiro.int rng 8 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | _ -> Hsq_util.Xoshiro.next rng
+  in
+  let probes (data : int array) =
+    let extra = [ min_int; max_int; 0; -1; 1; full (); full () ] in
+    let near =
+      Array.to_list data
+      |> List.concat_map (fun x ->
+             [ x ] @ (if x > min_int then [ x - 1 ] else []) @ if x < max_int then [ x + 1 ] else [])
+    in
+    List.sort_uniq compare (extra @ near)
+  in
+  List.iter
+    (fun (label, gen) ->
+      for trial = 1 to 30 do
+        let len = 1 + Hsq_util.Xoshiro.int rng 400 in
+        let data = Array.init len (fun _ -> gen ()) in
+        if trial mod 3 = 0 then data.(0) <- min_int;
+        if trial mod 5 = 0 then data.(len - 1) <- max_int;
+        Array.sort compare data;
+        List.iter
+          (fun beta1 ->
+            let s = PS.of_sorted_array ~beta1 data in
+            ignore
+              (List.fold_left
+                 (fun prev z ->
+                   let lo, hi = PS.rank_bounds s z in
+                   let r = PS.interpolated_rank s z in
+                   if r < lo || r > hi then
+                     Alcotest.failf "%s beta1 %d: rank %d of %d outside [%d, %d]" label beta1 r z
+                       lo hi;
+                   if r < prev then
+                     Alcotest.failf "%s beta1 %d: rank %d at %d below %d" label beta1 r z prev;
+                   r)
+                 0 (probes data)))
+          [ 2; 3; 5; 17; 64 ]
+      done)
+    [
+      ("duplicates", fun () -> Hsq_util.Xoshiro.int rng 20);
+      ("full-range", full);
+      ( "adjacent extremes",
+        fun () ->
+          match Hsq_util.Xoshiro.int rng 4 with
+          | 0 -> min_int
+          | 1 -> min_int + 1
+          | 2 -> max_int - 1
+          | _ -> max_int );
+    ];
+  let ceil_log2 w =
+    let rec go n x = if x = 0L then n else go (n + 1) (Int64.shift_right_logical x 1) in
+    go 0 (Int64.pred w)
+  in
+  List.iter
+    (fun (label, gen) ->
+      let eng, _ =
+        drive ~gen ~config:(std_config ()) ~steps:8 ~step_size:2_000 ~tail:12_000 ~seed:31 ()
+      in
+      let us = E.union_summary eng in
+      let parts = Hsq_hist.Level_index.active_partitions (E.hist eng) in
+      let summaries = Array.of_list (List.map Hsq_hist.Partition.summary parts) in
+      let ss = E.stream_summary eng in
+      let tolerance =
+        0.5 *. Hsq.Stream_summary.eps2 ss *. float_of_int (Hsq.Stream_summary.stream_size ss)
+      in
+      let values =
+        List.sort_uniq compare
+          (min_int :: max_int
+          :: List.concat_map
+               (fun p -> Array.to_list (Hsq_storage.Run.to_array (Hsq_hist.Partition.run p)))
+               parts)
+      in
+      ignore
+        (List.fold_left
+           (fun prev z ->
+             let m = Hsq.Bisection.model_rank us ~summaries z in
+             if m < prev then Alcotest.failf "%s: model %.1f at %d below %.1f" label m z prev;
+             m)
+           neg_infinity values);
+      let n = E.total_size eng and secants = ref 0 in
+      for i = 0 to 80 do
+        let rank = 1 + (i * (n - 1) / 80) in
+        let ((u, v) as filters) = Hsq.Union_summary.filters us ~rank in
+        let z, rule =
+          Hsq.Bisection.candidate us ~summaries ~rank ~tolerance ~filters ~past:[] ~u ~v
+        in
+        if rule = `Secant then incr secants;
+        let w = Int64.sub (Int64.of_int v) (Int64.of_int u) in
+        if w >= 2L then begin
+          let h = Int64.shift_left 1L (ceil_log2 w - 1) in
+          let off = Int64.sub (Int64.of_int z) (Int64.of_int u) in
+          let lo = Int64.max 1L (Int64.sub w h) and hi = Int64.min (Int64.pred w) h in
+          if off < lo || off > hi then
+            Alcotest.failf "%s rank %d: candidate %d at offset %Ld outside [%Ld, %Ld]" label rank
+              z off lo hi
+        end
+      done;
+      Alcotest.(check bool) (label ^ ": the secant served") true (!secants > 0);
+      E.close eng)
+    [
+      ("duplicate-heavy", fun rng -> 1_000 * Hsq_util.Xoshiro.int rng 40);
+      ("full-range", full_range ());
+      ( "extremes",
+        fun rng ->
+          match Hsq_util.Xoshiro.int rng 50 with
+          | 0 -> min_int
+          | 1 -> max_int
+          | _ -> Hsq_util.Xoshiro.int rng 1_000_000 );
+    ]
 
 (* The secant's ITP clamp keeps the midpoint rule's worst case: no query
    takes more than ⌈log₂(v₀ − u₀)⌉ + 1 iterations over its filters, and
@@ -871,6 +1065,9 @@ let () =
           Alcotest.test_case "early decision matches exact ranks" `Quick
             test_early_decision_matches_exact_ranks;
           Alcotest.test_case "iterations within the midpoint bound" `Quick test_iteration_bound;
+          Alcotest.test_case "answers independent of caches" `Quick
+            test_answers_independent_of_caches;
+          Alcotest.test_case "rank model properties" `Quick test_rank_model_properties;
           Alcotest.test_case "full-range values" `Quick test_full_range_values;
         ] );
       ( "lifecycle",

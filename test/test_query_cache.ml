@@ -196,13 +196,14 @@ let test_save_load_cache () =
    early-deciding, interpolation-guided rounds make.  The answers are
    the one-partition-at-a-time exact-rank probe loop's (it read 5, 3,
    17, 4, 6, 0); the summary-guided candidates moved only phi = 0.5's
-   iterations, 16 to 17. *)
+   iterations, 16 to 17, and the rank model's first probes, narrowed to
+   the summary gaps, only the reads at phi = 0.3 and 0.7, 4 and 3 to 2. *)
 let sequential_probe_answers =
   [
     (111, 8, 3, 2);
-    (331, 758, 11, 4);
+    (331, 758, 11, 2);
     (551, 262144, 17, 2);
-    (771, 500054, 5, 3);
+    (771, 500054, 5, 2);
     (991, 786542, 18, 3);
     (1101, 8388608, 1, 0);
   ]

@@ -812,8 +812,10 @@ let test_run_anchor_invariant () =
 (* A framed search probed as a bisection probes it: each value on the
    side of the last that [keep] was told, the search sometimes cut
    short before [keep] as a decided probe round cuts it.  Every
-   [restart] starts from a window holding the value's rank, with the
-   run's true anchors, and a search driven to the end settles on the
+   [restart] starts from the frame, and every [restart_within] a window
+   known to hold the value's rank (as a summary gap is) from the frame
+   cut down to that window; each holds the value's rank, with the run's
+   true anchors, and a search driven to the end settles on the
    in-memory rank. *)
 let test_run_framed_search () =
   let rng = Hsq_util.Xoshiro.create 2024 in
@@ -841,10 +843,28 @@ let test_run_framed_search () =
         in
         Run.frame s ~lo:0 ~hi:n ~ylo:0 ~yhi:0 ~known:0;
         let u = ref (data.(0) - 1) and v = ref (data.(n - 1) + 1) in
+        let flo = ref 0 and fhi = ref n in
+        let starts ctx z lo hi = if (Run.lo s, Run.hi s) <> (lo, hi) then fail ctx z in
         while !v - !u >= 2 do
           let z = !u + 1 + draw (!v - !u - 1) in
-          Run.restart s z;
-          sound "restart" z;
+          if draw 2 = 0 then begin
+            Run.restart s z;
+            starts "restart from the frame" z !flo !fhi;
+            sound "restart" z
+          end
+          else begin
+            let r = Hsq_util.Sorted.rank data z in
+            let lo = r - draw (r + 1) and hi = r + draw (n - r + 1) in
+            let known =
+              (if lo > 0 then Run.ylo_known else 0) lor if hi < n then Run.yhi_known else 0
+            in
+            Run.restart_within s ~lo ~hi
+              ~ylo:(if lo > 0 then data.(lo - 1) else 0)
+              ~yhi:(if hi < n then data.(hi) else 0)
+              ~known z;
+            starts "restart_within from the cut frame" z (max lo !flo) (min hi !fhi);
+            sound "restart_within" z
+          end;
           let full = draw 3 > 0 in
           let steps = ref (if full then max_int else draw 3) in
           let addr = ref (Run.advance s) in
@@ -857,6 +877,7 @@ let test_run_framed_search () =
           if full && (Run.lo s, Run.hi s) <> (Hsq_util.Sorted.rank data z, Hsq_util.Sorted.rank data z)
           then fail "settled" z;
           let left = draw 2 = 0 in
+          if left then fhi := Run.hi s else flo := Run.lo s;
           Run.keep s ~left;
           if left then v := z else u := z
         done
