@@ -179,8 +179,8 @@ let model_steps = 8
    partition whose summary holds only its minimum and maximum has [z]
    between them.  Such a partition's gap is the whole partition, and
    interpolating across it is a line through the partition's range,
-   thousands of ranks off on curved data (EXPERIMENTS.md "Rank model"),
-   where a first probe narrowed to the gap reads blocks far from r. *)
+   far off on curved data: the small-memory figure points read more
+   with it (EXPERIMENTS.md "Rank model"). *)
 let shaped summaries z =
   let ok = ref true in
   for i = 0 to Array.length summaries - 1 do

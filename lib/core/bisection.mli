@@ -40,8 +40,9 @@ val model_rank : Union_summary.t -> summaries:Hsq_hist.Partition_summary.t array
     decisions so far, newest first). On the first iteration ([past =
     \[\]]) the secant is the root of {!model_rank} − [rank] in [(u, v)],
     over the probed partitions' [summaries], found by a few regula-falsi
-    steps; later, it aims at where the union summary places [rank], on
-    the line between the midpoints of its windows at [u] and [v]. It is
+    steps, unless a summary of only two entries brackets that root;
+    otherwise it aims at where the union summary places [rank], on the
+    line between the midpoints of its windows at [u] and [v]. It is
     clamped to within [2^(N − d − 1) − (v − u)/2] of the midpoint after
     [d = length past] decisions, [N = ⌈log₂(v₀ − u₀)⌉] over the
     [filters] [(u₀, v₀)], so no bisection takes more than [N + 1]

@@ -964,7 +964,8 @@ let test_one_source_is_engine_quarantined () =
    there, 162 with early decisions); re-recorded under the
    summary-guided candidates (164 reads), and again under the rank
    model's first candidates (156 reads), whose agreement with exact
-   ranks test_engine checks. *)
+   ranks test_engine checks.  Each answer also lies within its bound
+   of the exact rank. *)
 let sequential_group_answers =
   [
     (1, 22, 1, 1); (90, 1785, 5, 8); (180, 3154, 1, 2); (270, 4862, 6, 1);
@@ -990,7 +991,12 @@ let test_group_parallel_identical () =
       (Hsq.Config.make ~kappa:3 ~block_size:32 ~quarantine_after:2 ~shards:3
          (Hsq.Config.Epsilon 0.05))
   in
-  feed_group ~seed:0x9A11 g;
+  let oracle = Hsq_workload.Oracle.create () in
+  feed ~seed:0x9A11
+    ~observe:(fun v ->
+      G.observe g v;
+      Hsq_workload.Oracle.add oracle v)
+    ~end_step:(fun () -> ignore (G.end_time_step g));
   let n = G.total_size g in
   Alcotest.(check (list int)) "same ranks"
     (List.map (fun (r, _, _, _) -> r) sequential_group_answers)
@@ -998,6 +1004,9 @@ let test_group_parallel_identical () =
   List.iter
     (fun (rank, value, iterations, reads) ->
       let v, rep = G.accurate g ~rank in
+      let err = Hsq_workload.Oracle.rank_error oracle ~rank ~value:v in
+      if float_of_int err > rep.G.rank_error_bound then
+        Alcotest.failf "rank %d: error %d above the bound %.1f" rank err rep.G.rank_error_bound;
       Alcotest.(check int) (Printf.sprintf "value at rank %d" rank) value v;
       Alcotest.(check int) (Printf.sprintf "iterations at rank %d" rank) iterations
         rep.G.iterations;
